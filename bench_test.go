@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one Benchmark per experiment id in DESIGN.md), plus
+// evaluation (one Benchmark per experiment id; see ARCHITECTURE.md,
+// "Substitutions and the experiment index"), plus
 // real-execution micro-benchmarks of the collective stack and the DDP
-// reducer, and ablation benches for the design choices DESIGN.md calls
-// out. Key quantities are attached via b.ReportMetric; run
+// reducer, and ablation benches for the design choices that section
+// calls out. Key quantities are attached via b.ReportMetric; run
 // cmd/ddpbench for the full printed tables.
 package repro_test
 
@@ -29,6 +30,7 @@ import (
 // --- Experiment benchmarks: one per paper table/figure ---
 
 func BenchmarkFig2AllReduceCurves(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := bench.Fig2(io.Discard); err != nil {
 			b.Fatal(err)
@@ -41,6 +43,7 @@ func BenchmarkFig2AllReduceCurves(b *testing.B) {
 }
 
 func BenchmarkFig6LatencyBreakdown(b *testing.B) {
+	b.ReportAllocs()
 	var rows []bench.Fig6Row
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -55,6 +58,7 @@ func BenchmarkFig6LatencyBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig7BucketSize16(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.BucketSizeSweep(16, 100); err != nil {
 			b.Fatal(err)
@@ -63,6 +67,7 @@ func BenchmarkFig7BucketSize16(b *testing.B) {
 }
 
 func BenchmarkFig8BucketSize32(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.BucketSizeSweep(32, 100); err != nil {
 			b.Fatal(err)
@@ -71,6 +76,7 @@ func BenchmarkFig8BucketSize32(b *testing.B) {
 }
 
 func BenchmarkFig9Scalability(b *testing.B) {
+	b.ReportAllocs()
 	var points []bench.ScalabilityPoint
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -94,6 +100,7 @@ func BenchmarkFig9Scalability(b *testing.B) {
 }
 
 func BenchmarkFig10SkipSync(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.Fig10SkipSync(16); err != nil {
 			b.Fatal(err)
@@ -102,6 +109,7 @@ func BenchmarkFig10SkipSync(b *testing.B) {
 }
 
 func BenchmarkFig11Convergence(b *testing.B) {
+	b.ReportAllocs()
 	// Real distributed training (shortened); the full curves come from
 	// `ddpbench -exp fig11`.
 	for i := 0; i < b.N; i++ {
@@ -117,6 +125,7 @@ func BenchmarkFig11Convergence(b *testing.B) {
 }
 
 func BenchmarkFig12RoundRobin(b *testing.B) {
+	b.ReportAllocs()
 	var points []bench.RoundRobinPoint
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -140,6 +149,7 @@ func BenchmarkFig12RoundRobin(b *testing.B) {
 }
 
 func BenchmarkTable1Taxonomy(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := bench.Table1(io.Discard); err != nil {
 			b.Fatal(err)
@@ -152,6 +162,7 @@ func BenchmarkTable1Taxonomy(b *testing.B) {
 // benchAllReduce measures a real in-process AllReduce of n float32s
 // across 4 goroutine ranks.
 func benchAllReduce(b *testing.B, algo comm.Algorithm, n int) {
+	b.ReportAllocs()
 	const world = 4
 	groups := comm.NewInProcGroups(world, comm.Options{Algorithm: algo})
 	defer func() {
@@ -188,6 +199,7 @@ func BenchmarkNaiveAllReduce4M(b *testing.B) { benchAllReduce(b, comm.Naive, 1<<
 // BenchmarkDDPTrainingStep measures a full real DDP iteration (forward,
 // backward with overlapped AllReduce, optimizer) on 4 goroutine ranks.
 func BenchmarkDDPTrainingStep(b *testing.B) {
+	b.ReportAllocs()
 	const world = 4
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer func() {
@@ -247,6 +259,7 @@ func BenchmarkDDPTrainingStep(b *testing.B) {
 // BenchmarkBucketAssignment measures the reverse-order bucket packing on
 // the full BERT-large profile (398 parameters).
 func BenchmarkBucketAssignment(b *testing.B) {
+	b.ReportAllocs()
 	sizes := models.BERTLarge().Sizes()
 	order := ddp.ReverseOrder(len(sizes))
 	b.ResetTimer()
@@ -259,6 +272,7 @@ func BenchmarkBucketAssignment(b *testing.B) {
 
 // BenchmarkBackwardMLP isolates the autograd engine's backward pass.
 func BenchmarkBackwardMLP(b *testing.B) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	model := models.NewMLP(1, 128, 256, 10)
 	x := autograd.Constant(tensor.RandN(rng, 1, 32, 128))
@@ -270,11 +284,13 @@ func BenchmarkBackwardMLP(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks for DESIGN.md's design choices ---
+// --- Ablation benchmarks for the design choices ARCHITECTURE.md's
+// experiment index calls out ---
 
 // BenchmarkAblationOverlap quantifies what turning off overlap costs
 // (the paper's central optimization), at 32 GPUs on the simulator.
 func BenchmarkAblationOverlap(b *testing.B) {
+	b.ReportAllocs()
 	cfg := simnet.Config{
 		ParamSizes: models.ResNet50().Sizes(),
 		World:      32,
@@ -302,6 +318,7 @@ func BenchmarkAblationOverlap(b *testing.B) {
 // (DDP's heuristic) against forward-order buckets, which strand the
 // first-ready gradients in the last bucket and destroy overlap.
 func BenchmarkAblationBucketOrder(b *testing.B) {
+	b.ReportAllocs()
 	sizes := models.ResNet50().Sizes()
 	reverse := ddp.ReverseOrder(len(sizes))
 	forward := make([]int, len(sizes))
@@ -327,6 +344,7 @@ func BenchmarkAblationBucketOrder(b *testing.B) {
 // BenchmarkAblationCompression measures the simulated latency effect of
 // fp16 and 1-bit gradient compression at 64 GPUs (Section 6.2.3).
 func BenchmarkAblationCompression(b *testing.B) {
+	b.ReportAllocs()
 	base := simnet.Config{
 		ParamSizes: models.ResNet50().Sizes(),
 		World:      64,
@@ -359,6 +377,7 @@ func BenchmarkAblationFindUnused(b *testing.B) {
 		on   bool
 	}{{"off", false}, {"on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			const world = 4
 			groups := comm.NewInProcGroups(world, comm.Options{})
 			defer func() {
@@ -409,6 +428,7 @@ func BenchmarkAblationFindUnused(b *testing.B) {
 // BenchmarkZeroSGDStep measures one sharded-optimizer step (gradient
 // ReduceScatter + shard update + parameter AllGather) on 4 ranks.
 func BenchmarkZeroSGDStep(b *testing.B) {
+	b.ReportAllocs()
 	const world = 4
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer func() {
@@ -456,6 +476,7 @@ func BenchmarkCheckpointedBackward(b *testing.B) {
 		ck   bool
 	}{{"plain", false}, {"checkpointed", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			rng := rand.New(rand.NewSource(1))
 			body := nn.NewSequential(
 				nn.NewLinear(rng, "a", 64, 128), nn.Tanh{},
@@ -478,6 +499,7 @@ func BenchmarkCheckpointedBackward(b *testing.B) {
 // BenchmarkPipelineTrainBatch measures a 2-stage GPipe step with 4
 // micro-batches.
 func BenchmarkPipelineTrainBatch(b *testing.B) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(2))
 	p, err := pipeline.New(
 		nn.NewSequential(nn.NewLinear(rng, "a", 32, 64), nn.Tanh{}),
@@ -503,6 +525,7 @@ func BenchmarkPipelineTrainBatch(b *testing.B) {
 // BenchmarkParameterServerStep measures one asynchronous pull/compute/
 // push cycle against a local server.
 func BenchmarkParameterServerStep(b *testing.B) {
+	b.ReportAllocs()
 	srv := ps.NewServer(models.NewMLP(1, 64, 128, 10), 0.01)
 	worker := ps.NewWorker(models.NewMLP(1, 64, 128, 10), srv)
 	rng := rand.New(rand.NewSource(3))

@@ -1,5 +1,6 @@
 // Command ddpbench regenerates the tables and figures of the paper's
-// evaluation (see DESIGN.md's per-experiment index):
+// evaluation (see ARCHITECTURE.md, "Substitutions and the experiment
+// index"):
 //
 //	ddpbench -exp fig2        # AllReduce + backward cost curves
 //	ddpbench -exp fig6        # latency breakdown, overlap speedups

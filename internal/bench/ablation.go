@@ -11,7 +11,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// Ablation quantifies the design choices DESIGN.md calls out, beyond
+// Ablation quantifies the design choices ARCHITECTURE.md's experiment
+// index calls out, beyond
 // what the paper's own figures isolate: overlap on/off, bucket packing
 // order (reverse vs forward registration order), gradient compression
 // levels, and round-robin stream counts — all on ResNet50 at 32 GPUs

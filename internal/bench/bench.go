@@ -1,8 +1,8 @@
 // Package bench contains one experiment runner per table and figure of
 // the paper's evaluation (plus the Fig 2 motivation curves). Each runner
-// regenerates the corresponding rows/series and prints them; DESIGN.md
-// maps experiment ids to runners and EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// regenerates the corresponding rows/series and prints them;
+// ARCHITECTURE.md ("Substitutions and the experiment index") maps
+// experiment ids to runners.
 package bench
 
 import (

@@ -112,15 +112,6 @@ func chooseAlgorithm(topo *Topology, elems, world int) Algorithm {
 	return Ring
 }
 
-// sendAsync issues m.Send on its own goroutine so a matching Recv can
-// proceed concurrently, preventing head-of-line deadlock on large
-// messages.
-func sendAsync(m transport.Mesh, to int, tag uint64, data []float32) <-chan error {
-	errc := make(chan error, 1)
-	go func() { errc <- m.Send(to, tag, data) }()
-	return errc
-}
-
 // chunkBounds splits n elements into k nearly-equal chunks, returning
 // the [start, end) of chunk i.
 func chunkBounds(n, k, i int) (int, int) {
@@ -133,120 +124,54 @@ func chunkBounds(n, k, i int) (int, int) {
 	return start, start + size
 }
 
-// ringAllReduce performs reduce-scatter + all-gather around the ring.
-// After it returns, every rank holds bitwise-identical reduced data:
-// each chunk's final value is computed on exactly one rank and then
-// propagated verbatim, which is what lets DDP guarantee identical
-// gradients (and therefore identical models) on every replica.
-//
-// The two phases are shared with the sharded collectives
-// (ReduceScatterV/AllGatherV): a ring AllReduce IS a ring
-// reduce-scatter followed by a ring all-gather over the same
-// chunkBounds layout, which is what lets ZeRO-style sharding splice an
-// optimizer update between the phases and still produce bitwise the
-// values a DDP AllReduce would have (see internal/fsdp).
+// allReduce runs one AllReduce under an already-resolved algorithm (not
+// Auto). DoubleTree consumes tag and tag+1 (see algoTags); topo is
+// only read by Hierarchical.
+func allReduce(m transport.Mesh, tag uint64, algo Algorithm, topo *Topology, data []float32, op ReduceOp) error {
+	switch algo {
+	case Ring:
+		return ringAllReduce(m, tag, data, op)
+	case Tree:
+		return treeAllReduce(m, tag, data, op)
+	case Naive:
+		return naiveAllReduce(m, tag, data, op)
+	case Hierarchical:
+		_, err := hierarchicalAllReduce(m, tag, data, op, topo, nil, nil)
+		return err
+	case DoubleTree:
+		return doubleTreeAllReduce(m, tag, tag+1, data, op)
+	default:
+		return fmt.Errorf("comm: unknown algorithm %v", algo)
+	}
+}
+
+// ringAllReduce IS the sharded pair: a ring reduce-scatter onto the
+// chunk owners, then a ring all-gather of the owned chunks, over the
+// same chunkBounds layout. After it returns, every rank holds
+// bitwise-identical reduced data: each chunk's final value is computed
+// on exactly one rank (its owner) and then propagated verbatim, which
+// is what lets DDP guarantee identical gradients (and therefore
+// identical models) on every replica — and what lets ZeRO-style
+// sharding splice an optimizer update between the halves and still
+// produce bitwise the values a DDP AllReduce would have (see
+// internal/fsdp).
 func ringAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k := m.Size()
-	if k == 1 {
-		return nil
-	}
-	if err := ringReduceScatterPhase(m, tag, data, op); err != nil {
+	if err := ringReduceScatterOwned(m, tag, data, op); err != nil {
 		return err
 	}
-	if err := ringAllGatherPhase(m, tag, data); err != nil {
-		return err
-	}
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range data {
-			data[i] *= scale
-		}
-	}
-	return nil
-}
-
-// ringReduceScatterPhase is the reduce-scatter half of the ring
-// AllReduce: k-1 steps around the ring folding chunkBounds chunks in
-// cyclic rank order. On return, chunk (rank+1)%k of data holds the
-// full (unscaled — Avg folds as Sum) reduction; every other chunk
-// holds a partial fold. Chunk c's final value is the left-to-right
-// chain starting from rank c's contribution, computed on exactly one
-// rank — the determinism every caller's bitwise guarantee reduces to.
-func ringReduceScatterPhase(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k := m.Size()
-	rank := m.Rank()
-	right := (rank + 1) % k
-	left := (rank - 1 + k) % k
-	n := len(data)
-	for step := 0; step < k-1; step++ {
-		sendIdx := (rank - step + k) % k
-		recvIdx := (rank - step - 1 + k) % k
-		ss, se := chunkBounds(n, k, sendIdx)
-		rs, re := chunkBounds(n, k, recvIdx)
-		errc := sendAsync(m, right, tag, data[ss:se])
-		buf, err := m.Recv(left, tag)
-		if err != nil {
-			<-errc
-			return err
-		}
-		if err := <-errc; err != nil {
-			return err
-		}
-		if len(buf) != re-rs {
-			return fmt.Errorf("comm: ring chunk size mismatch: got %d want %d", len(buf), re-rs)
-		}
-		reduceInto(data[rs:re], buf, op)
-	}
-	return nil
-}
-
-// ringAllGatherPhase is the all-gather half of the ring AllReduce: on
-// entry each rank holds its finished chunk (rank+1)%k (the
-// ringReduceScatterPhase postcondition); k-1 verbatim copies around
-// the ring later, every rank holds every finished chunk.
-func ringAllGatherPhase(m transport.Mesh, tag uint64, data []float32) error {
-	k := m.Size()
-	rank := m.Rank()
-	right := (rank + 1) % k
-	left := (rank - 1 + k) % k
-	n := len(data)
-	for step := 0; step < k-1; step++ {
-		sendIdx := (rank + 1 - step + k) % k
-		recvIdx := (rank - step + k) % k
-		ss, se := chunkBounds(n, k, sendIdx)
-		rs, re := chunkBounds(n, k, recvIdx)
-		errc := sendAsync(m, right, tag, data[ss:se])
-		buf, err := m.Recv(left, tag)
-		if err != nil {
-			<-errc
-			return err
-		}
-		if err := <-errc; err != nil {
-			return err
-		}
-		copy(data[rs:re], buf)
-	}
-	return nil
+	return ringAllGatherOwned(m, tag, data)
 }
 
 // treeAllReduce reduces along a binomial tree into rank 0, then
 // broadcasts the result back down the same tree.
 func treeAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k := m.Size()
-	if k > 1 {
-		if err := binomialReduce(m, tag, data, op); err != nil {
-			return err
-		}
-		if err := binomialBroadcast(m, tag, data, 0); err != nil {
-			return err
-		}
+	if err := binomialReduce(m, tag, data, op); err != nil {
+		return err
 	}
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range data {
-			data[i] *= scale
-		}
+	if err := binomialBroadcast(m, tag, data, 0); err != nil {
+		return err
 	}
+	finishAvg(data, op, m.Size())
 	return nil
 }
 
@@ -254,85 +179,37 @@ func treeAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) er
 // input to all peers and reduces locally. Reduction order is fixed by
 // rank so all replicas compute bitwise-identical results.
 func naiveAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k := m.Size()
-	if k > 1 {
-		rank := m.Rank()
-		local := append([]float32(nil), data...)
-		errcs := make([]<-chan error, 0, k-1)
-		for peer := 0; peer < k; peer++ {
-			if peer != rank {
-				errcs = append(errcs, sendAsync(m, peer, tag, local))
-			}
-		}
-		contributions := make([][]float32, k)
-		contributions[rank] = local
-		for peer := 0; peer < k; peer++ {
-			if peer == rank {
-				continue
-			}
-			buf, err := m.Recv(peer, tag)
-			if err != nil {
+	k, rank := m.Size(), m.Rank()
+	// The folds overwrite data while the sends are still reading.
+	local := append([]float32(nil), data...)
+	err := exchange(floatLane(m), tag, rank, otherRanks(k, rank), allRanks(k),
+		func(int) []float32 { return local },
+		func(p int, frame []float32) error {
+			if err := checkFrame("naive allreduce", rank, p, 0, len(frame), len(data)); err != nil {
 				return err
 			}
-			if len(buf) != len(data) {
-				return fmt.Errorf("comm: naive allreduce size mismatch from rank %d: got %d want %d", peer, len(buf), len(data))
+			if p == 0 {
+				copy(data, frame)
+			} else {
+				reduceInto(data, frame, op)
 			}
-			contributions[peer] = buf
-		}
-		for _, errc := range errcs {
-			if err := <-errc; err != nil {
-				return err
-			}
-		}
-		copy(data, contributions[0])
-		for peer := 1; peer < k; peer++ {
-			reduceInto(data, contributions[peer], op)
-		}
+			return nil
+		})
+	if err != nil {
+		return err
 	}
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range data {
-			data[i] *= scale
-		}
-	}
+	finishAvg(data, op, k)
 	return nil
 }
 
 // allGather distributes src from every rank into dst[rank] on all ranks
 // using pairwise exchange.
 func allGather(m transport.Mesh, tag uint64, dst [][]float32, src []float32) error {
-	k := m.Size()
-	rank := m.Rank()
+	k, rank := m.Size(), m.Rank()
 	if len(dst) != k {
 		return fmt.Errorf("comm: allgather dst has %d slots for world %d", len(dst), k)
 	}
-	copy(dst[rank], src)
-	if k == 1 {
-		return nil
-	}
-	errcs := make([]<-chan error, 0, k-1)
-	for peer := 0; peer < k; peer++ {
-		if peer != rank {
-			errcs = append(errcs, sendAsync(m, peer, tag, src))
-		}
-	}
-	for peer := 0; peer < k; peer++ {
-		if peer == rank {
-			continue
-		}
-		buf, err := m.Recv(peer, tag)
-		if err != nil {
-			return err
-		}
-		if len(buf) != len(dst[peer]) {
-			return fmt.Errorf("comm: allgather size mismatch from rank %d: got %d want %d", peer, len(buf), len(dst[peer]))
-		}
-		copy(dst[peer], buf)
-	}
-	for _, errc := range errcs {
-		if err := <-errc; err != nil {
-			return err
-		}
-	}
-	return nil
+	return exchange(floatLane(m), tag, rank, otherRanks(k, rank), allRanks(k),
+		func(int) []float32 { return src },
+		landIn("allgather", rank, func(p int) []float32 { return dst[p] }))
 }

@@ -253,6 +253,7 @@ func recordBench(rec benchRecord) {
 }
 
 func benchAllReduce(b *testing.B, tr string, algo Algorithm, n, world int) {
+	b.ReportAllocs()
 	topo := NewTopology(benchHosts(world))
 	meshes := benchMeshes(b, tr, world)
 	var cross atomic.Int64
@@ -380,6 +381,7 @@ func BenchmarkCompressedHierarchical(b *testing.B) {
 }
 
 func benchCompressedHierarchical(b *testing.B, codec WireCodec, n, world int) {
+	b.ReportAllocs()
 	topo := NewTopology(benchHosts(world))
 	meshes := benchMeshes(b, "tcp", world)
 	var cross atomic.Int64
@@ -470,6 +472,7 @@ func BenchmarkCompressedAllReduce(b *testing.B) {
 }
 
 func benchCompressed(b *testing.B, name string, codec WireCodec, n int, ringBytes map[int]int64) {
+	b.ReportAllocs()
 	meshes := benchMeshes(b, "tcp", benchWorldSize)
 	var wire atomic.Int64
 	groups := make([]ProcessGroup, benchWorldSize)

@@ -1,10 +1,6 @@
 package comm
 
-import (
-	"fmt"
-
-	"repro/internal/transport"
-)
+import "repro/internal/transport"
 
 // binomialRelation returns vrank's neighbours in the binomial tree over
 // k ranks rooted at vrank 0 — the one schedule both binomialReduce and
@@ -38,62 +34,48 @@ func binomialRelation(vrank, k int) (parent int, children []int) {
 	return parent, children
 }
 
-// binomialReduce folds every rank's data onto rank 0 along the binomial
-// tree (the reduce-up half of treeAllReduce): each rank receives its
-// children's partials in increasing-mask order, folds them in, and
-// forwards the accumulated buffer to its parent. The accumulation order
-// on each receiver is fixed by the tree, so the result on rank 0 is
-// deterministic. Non-root ranks' data is left partially reduced —
-// callers must overwrite it (the Hierarchical algorithm broadcasts the
-// finished buffer back in its last phase).
-func binomialReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k := m.Size()
-	if k == 1 {
-		return nil
-	}
-	parent, children := binomialRelation(m.Rank(), k)
+// binomialReduceSteps is the reduce-up half of treeAllReduce as a step
+// list: take each child's whole-buffer partial in increasing-mask
+// order, folding it in, then ship the accumulated buffer to the parent.
+// The accumulation order on each receiver is fixed by the tree, so the
+// result on rank 0 is deterministic.
+func binomialReduceSteps(rank, k, n int) []step {
+	parent, children := binomialRelation(rank, k)
+	steps := make([]step, 0, len(children)+1)
 	for _, c := range children {
-		buf, err := m.Recv(c, tag)
-		if err != nil {
-			return err
-		}
-		if len(buf) != len(data) {
-			return fmt.Errorf("comm: reduce size mismatch: got %d want %d", len(buf), len(data))
-		}
-		reduceInto(data, buf, op)
+		steps = append(steps, step{to: -1, from: c, rHi: n, fold: true})
 	}
 	if parent >= 0 {
-		return m.Send(parent, tag, data)
+		steps = append(steps, step{to: parent, from: -1, sHi: n})
 	}
-	return nil
+	return steps
 }
 
-// binomialBroadcast propagates root's data to all ranks along the same
-// binomial tree, walked top-down: receive once from the parent, then
-// forward to children in decreasing-mask order. Ranks are rotated so
-// the tree is rooted at root.
-func binomialBroadcast(m transport.Mesh, tag uint64, data []float32, root int) error {
-	k := m.Size()
-	if k == 1 {
-		return nil
-	}
+// binomialBroadcastSteps walks the same tree top-down, rotated so it is
+// rooted at root: take the buffer once from the parent, then forward it
+// to the children in decreasing-mask order.
+func binomialBroadcastSteps(rank, k, n, root int) []step {
 	// Work in a rotated rank space where the root is rank 0.
-	vrank := (m.Rank() - root + k) % k
-	parent, children := binomialRelation(vrank, k)
+	parent, children := binomialRelation((rank-root+k)%k, k)
+	steps := make([]step, 0, len(children)+1)
 	if parent >= 0 {
-		buf, err := m.Recv((parent+root)%k, tag)
-		if err != nil {
-			return err
-		}
-		if len(buf) != len(data) {
-			return fmt.Errorf("comm: broadcast size mismatch: got %d want %d", len(buf), len(data))
-		}
-		copy(data, buf)
+		steps = append(steps, step{to: -1, from: (parent + root) % k, rHi: n})
 	}
 	for i := len(children) - 1; i >= 0; i-- {
-		if err := m.Send((children[i]+root)%k, tag, data); err != nil {
-			return err
-		}
+		steps = append(steps, step{to: (children[i] + root) % k, from: -1, sHi: n})
 	}
-	return nil
+	return steps
+}
+
+// binomialReduce folds every rank's data onto rank 0 along the binomial
+// tree. Non-root ranks' data is left partially reduced — callers must
+// overwrite it (treeAllReduce and the Hierarchical algorithm broadcast
+// the finished buffer back).
+func binomialReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
+	return runSteps(m, tag, "binomial reduce", data, op, binomialReduceSteps(m.Rank(), m.Size(), len(data)))
+}
+
+// binomialBroadcast propagates root's data verbatim to all ranks.
+func binomialBroadcast(m transport.Mesh, tag uint64, data []float32, root int) error {
+	return runSteps(m, tag, "binomial broadcast", data, Sum, binomialBroadcastSteps(m.Rank(), m.Size(), len(data), root))
 }

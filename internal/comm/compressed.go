@@ -94,6 +94,24 @@ func (w *residualGuard) Wait() error {
 // CompressedAllReduce implements GradientCompressor on the mesh-backed
 // group: the collective executes on the group's worker in submission
 // order, exactly like AllReduce.
+func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
+	if codec == nil {
+		return g.AllReduce(data, op)
+	}
+	// The float fallback (byte-lane-less mesh, or Min/Max/Prod) honors
+	// the group's configured algorithm and topology exactly like
+	// AllReduce, instead of hard-coding Ring.
+	algo := g.resolveAlgorithm(len(data))
+	return g.submitCompressed(algoTags(algo), data, codec, residual,
+		func(start time.Time) { observeAllReduce("compressed", len(data), start, nil) },
+		func(tag uint64, shadow []float32) (int, error) {
+			return compressedAllReduce(g.mesh, tag, data, op, codec, shadow, algo, g.topo)
+		})
+}
+
+// submitCompressed submits one compressed collective. run receives the
+// reserved tag and the residual to update, and returns the encoded
+// bytes this rank shipped; observe records the success.
 //
 // Residual updates are transactional: the collective runs against a
 // shadow copy that is committed only on success. A collective aborted
@@ -101,34 +119,22 @@ func (w *residualGuard) Wait() error {
 // residual must not claim it did — a half-updated accumulator would
 // skew every subsequent gradient, and nondeterministically, since the
 // abort point depends on timing.
-func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
-	if codec == nil {
-		return g.AllReduce(data, op)
-	}
+func (g *meshGroup) submitCompressed(tags int, data []float32, codec WireCodec, residual []float32, observe func(start time.Time), run func(tag uint64, shadow []float32) (int, error)) Work {
 	if residual != nil && len(residual) != len(data) {
 		return CompletedWork(fmt.Errorf("comm: residual has %d elements for %d data elements", len(residual), len(data)))
 	}
-	// The float fallback (byte-lane-less mesh, or Min/Max/Prod) honors
-	// the group's configured algorithm and topology exactly like
-	// AllReduce, instead of hard-coding Ring.
-	algo := g.opts.Algorithm
-	if algo == Auto {
-		algo = chooseAlgorithm(g.topo, len(data), g.mesh.Size())
-	}
-	return g.submitN(algoTags(algo), func(tag uint64) error {
+	return g.submitN(tags, func(tag uint64) error {
 		start := time.Now()
 		shadow := residual
 		if residual != nil {
 			shadow = append([]float32(nil), residual...)
 		}
-		wire, err := compressedAllReduce(g.mesh, tag, data, op, codec, shadow, algo, g.topo)
+		wire, err := run(tag, shadow)
 		if err != nil {
 			return err
 		}
-		if residual != nil {
-			copy(residual, shadow)
-		}
-		observeAllReduce("compressed", len(data), start, nil)
+		copy(residual, shadow)
+		observe(start)
 		if wire > 0 {
 			mCompressedWireBytes.With(codec.Name()).Observe(float64(wire))
 		}
@@ -191,33 +197,14 @@ func quantizeThrough(codec WireCodec, data, residual []float32) error {
 // on the byte lanes (0 on the float fallback paths) — the sample the
 // comm_compressed_wire_bytes histogram records.
 func compressedAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, codec WireCodec, residual []float32, algo Algorithm, topo *Topology) (int, error) {
-	k := m.Size()
-	if k == 1 {
-		// Quantization must not depend on world size: a single rank
-		// still pays the codec's accuracy cost (and keeps its residual
-		// trajectory comparable to any other world's).
-		return 0, quantizeThrough(codec, data, residual)
-	}
-	bm, haveBytes := transport.ByteLanes(m)
-	if !haveBytes || (op != Sum && op != Avg) {
+	bm, ok := compressedLanes(m, op)
+	if !ok {
 		if err := quantizeThrough(codec, data, residual); err != nil {
 			return 0, err
 		}
-		switch algo {
-		case Tree:
-			return 0, treeAllReduce(m, tag, data, op)
-		case Naive:
-			return 0, naiveAllReduce(m, tag, data, op)
-		case Hierarchical:
-			_, err := hierarchicalAllReduce(m, tag, data, op, topo, nil, nil)
-			return 0, err
-		case DoubleTree:
-			// The caller reserved two tags for DoubleTree (algoTags).
-			return 0, doubleTreeAllReduce(m, tag, tag+1, data, op)
-		default:
-			return 0, ringAllReduce(m, tag, data, op)
-		}
+		return 0, allReduce(m, tag, algo, topo, data, op)
 	}
+	k, rank := m.Size(), m.Rank()
 
 	// Compressed leader ring: with a hierarchical topology, keep the
 	// intra-host (and intra-level) phases exact and compress only the
@@ -226,54 +213,43 @@ func compressedAllReduce(m transport.Mesh, tag uint64, data []float32, op Reduce
 		return hierarchicalAllReduce(m, tag, data, op, topo, codec, residual)
 	}
 
-	rank := m.Rank()
-	n := len(data)
-
 	acc, wire, err := compressedReduceScatterChunks(m, bm, tag, data, codec, residual)
 	if err != nil {
 		return 0, err
 	}
-	lo, hi := chunkBounds(n, k, rank)
 
 	// Stage 2: broadcast the re-encoded reduced chunk; decode everyone's
 	// (own included — all ranks must hold the decode of the same bytes).
-	reduced := codec.Encode(make([]byte, 0, codec.EncodedSize(hi-lo)), acc, nil)
+	reduced := codec.Encode(make([]byte, 0, codec.EncodedSize(len(acc))), acc, nil)
 	wire += (k - 1) * len(reduced)
-	errcs := make([]<-chan error, 0, k-1)
-	for j := 0; j < k; j++ {
-		if j != rank {
-			errcs = append(errcs, sendBytesAsync(bm, j, tag, reduced))
-		}
+	err = exchange(byteLane(bm), tag, rank, otherRanks(k, rank), allRanks(k),
+		func(int) []byte { return reduced },
+		func(r int, frame []byte) error {
+			lo, hi := chunkBounds(len(data), k, r)
+			if err := codec.Decode(frame, data[lo:hi]); err != nil {
+				return fmt.Errorf("comm: decoding reduced chunk from rank %d: %w", r, err)
+			}
+			return nil
+		})
+	if err != nil {
+		return 0, err
 	}
-	if err := codec.Decode(reduced, data[lo:hi]); err != nil {
-		return 0, fmt.Errorf("comm: decoding own reduced chunk: %w", err)
-	}
-	for r := 0; r < k; r++ {
-		if r == rank {
-			continue
-		}
-		frame, err := bm.RecvBytes(r, tag)
-		if err != nil {
-			return 0, err
-		}
-		rlo, rhi := chunkBounds(n, k, r)
-		if err := codec.Decode(frame, data[rlo:rhi]); err != nil {
-			return 0, fmt.Errorf("comm: decoding reduced chunk from rank %d: %w", r, err)
-		}
-	}
-	for _, errc := range errcs {
-		if err := <-errc; err != nil {
-			return 0, err
-		}
-	}
-
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range data {
-			data[i] *= scale
-		}
-	}
+	finishAvg(data, op, k)
 	return wire, nil
+}
+
+// compressedLanes returns the byte lanes a compressed collective over m
+// under op rides, or false when it must take the float path on
+// quantized inputs instead: a world of one (quantization must not
+// depend on world size — a single rank still pays the codec's accuracy
+// cost and keeps its residual trajectory comparable to any other
+// world's — and the float collectives are no-ops there), a mesh
+// without byte lanes, or an op other than Sum/Avg.
+func compressedLanes(m transport.Mesh, op ReduceOp) (transport.ByteMesh, bool) {
+	if m.Size() == 1 || (op != Sum && op != Avg) {
+		return nil, false
+	}
+	return transport.ByteLanes(m)
 }
 
 // compressedReduceScatterChunks is stage 1 of the compressed schedule —
@@ -290,8 +266,7 @@ func compressedAllReduce(m transport.Mesh, tag uint64, data []float32, op Reduce
 // optimizer shard and is never re-broadcast) — plus the encoded payload
 // bytes this rank put on the byte lanes. data itself is not modified.
 func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag uint64, data []float32, codec WireCodec, residual []float32) ([]float32, int, error) {
-	k := m.Size()
-	rank := m.Rank()
+	k, rank := m.Size(), m.Rank()
 	n := len(data)
 	wire := 0
 
@@ -303,52 +278,33 @@ func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag 
 			res = residual[lo:hi]
 		}
 		encs[j] = codec.Encode(make([]byte, 0, codec.EncodedSize(hi-lo)), data[lo:hi], res)
-	}
-	errcs := make([]<-chan error, 0, k-1)
-	for j := 0; j < k; j++ {
 		if j != rank {
 			wire += len(encs[j])
-			errcs = append(errcs, sendBytesAsync(bm, j, tag, encs[j]))
 		}
 	}
 
 	lo, hi := chunkBounds(n, k, rank)
 	acc := make([]float32, hi-lo)
 	scratch := make([]float32, hi-lo)
-	for r := 0; r < k; r++ {
-		frame := encs[rank]
-		if r != rank {
-			var err error
-			frame, err = bm.RecvBytes(r, tag)
-			if err != nil {
-				return nil, 0, err
+	err := exchange(byteLane(bm), tag, rank, otherRanks(k, rank), allRanks(k),
+		func(j int) []byte { return encs[j] },
+		func(r int, frame []byte) error {
+			dst := acc
+			if r > 0 {
+				dst = scratch
 			}
-		}
-		dst := acc
-		if r > 0 {
-			dst = scratch
-		}
-		if err := codec.Decode(frame, dst); err != nil {
-			return nil, 0, fmt.Errorf("comm: decoding chunk contribution from rank %d: %w", r, err)
-		}
-		if r > 0 {
-			reduceInto(acc, scratch, Sum)
-		}
-	}
-	for _, errc := range errcs {
-		if err := <-errc; err != nil {
-			return nil, 0, err
-		}
+			if err := codec.Decode(frame, dst); err != nil {
+				return fmt.Errorf("comm: decoding chunk contribution from rank %d: %w", r, err)
+			}
+			if r > 0 {
+				reduceInto(acc, scratch, Sum)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, 0, err
 	}
 	return acc, wire, nil
-}
-
-// sendBytesAsync issues SendBytes on its own goroutine so matching
-// receives can proceed concurrently (the byte-lane twin of sendAsync).
-func sendBytesAsync(bm transport.ByteMesh, to int, tag uint64, data []byte) <-chan error {
-	errc := make(chan error, 1)
-	go func() { errc <- bm.SendBytes(to, tag, data) }()
-	return errc
 }
 
 var _ GradientCompressor = (*meshGroup)(nil)

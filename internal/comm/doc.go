@@ -17,8 +17,10 @@
 // Six algorithms are provided, mirroring the selection space inside
 // NCCL/Gloo that the paper discusses (Section 2.3):
 //
-//   - Ring: reduce-scatter + all-gather around a ring. Bandwidth
-//     optimal (2(k-1)/k of the buffer per link), 2(k-1) latency terms.
+//   - Ring: reduce-scatter + all-gather around a ring — literally the
+//     sharded pair ReduceScatterV then AllGatherV (see "Schedules"
+//     below). Bandwidth optimal (2(k-1)/k of the buffer per link),
+//     2(k-1) latency terms.
 //   - Tree: binomial reduce to rank 0 + broadcast back; log(k)
 //     latency, the right shape for small messages.
 //   - DoubleTree: NCCL 2.4's double binary trees — two complementary
@@ -62,6 +64,38 @@
 // replicas. Algorithms may differ from EACH OTHER in low bits (float
 // reduction order differs), so all ranks must also agree on the
 // algorithm, which Options and Auto's deterministic rule ensure.
+//
+// # Schedules
+//
+// A ring-family or binomial collective is a per-rank list of steps
+// {to, from, send [lo,hi), recv [lo,hi), fold|copy} over one flat
+// buffer, produced by a small generator (ringSteps, binomialReduceSteps,
+// binomialBroadcastSteps) and run by the one executor, runSteps — the
+// only code besides doubletree.go's gated trees that calls Send and
+// Recv. It overlaps each step's send with its receive, joins that send
+// on every path, and length-checks every frame, failing with an error
+// that names collective, rank, peer, step and got/want. The all-peers
+// collectives (Naive, AllGather, AllToAll, Gather, Scatter, both stages
+// of the compressed AllReduce) share the generic exchange over the
+// float and byte lanes, which joins every outstanding send before it
+// returns and consumes frames in the listed rank order.
+//
+// One ring pass is k-1 steps over the ChunkBounds layout. Folding, and
+// started one chunk behind the rank, it is the reduce-scatter: chunk c
+// leaves rank c+1, is folded once on every rank it visits and last on
+// rank c, its owner, so each of its elements is
+//
+//	(((x[c+1] + x[c+2]) + ...) + x[c-1]) + x[c]    (ranks mod k)
+//
+// computed on exactly one rank. Copying, and started at the rank, the
+// same pass is the all-gather of owned chunks. ReduceScatterV is the
+// first, AllGatherV the second, the Ring AllReduce is one after the
+// other, and the equal-chunk ReduceScatter is ReduceScatterV over a
+// copy of its source — which is why a ZeRO step (reduce-scatter, local
+// update, all-gather) is bitwise a DDP step. Because schedules exist
+// without a mesh, a unit test checks every generator at worlds 1-33
+// statically: sends meet receives of equal length in per-link FIFO
+// order, nothing can block forever, every chunk follows that chain.
 //
 // # Gradient compression
 //

@@ -332,11 +332,6 @@ func doubleTreeAllReduce(m transport.Mesh, tag1, tag2 uint64, data []float32, op
 		return err2
 	}
 
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range data {
-			data[i] *= scale
-		}
-	}
+	finishAvg(data, op, k)
 	return nil
 }

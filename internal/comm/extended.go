@@ -24,7 +24,8 @@ import (
 // bounded by the leader ring regardless of how ranks are laid out
 // across hosts, where the flat ring's cross-host volume degrades with
 // adversarial placements. Every other configuration takes the flat
-// ring reduce-scatter. Both schedules leave all ranks' chunks drawn
+// ring reduce-scatter — ReduceScatterV's, equal chunks being what
+// ChunkBounds yields here. Both schedules leave all ranks' chunks drawn
 // from bitwise-identical reductions; the two differ in fold order,
 // like switching AllReduce algorithms does.
 func (g *meshGroup) ReduceScatter(dst, src []float32, op ReduceOp) Work {
@@ -32,58 +33,27 @@ func (g *meshGroup) ReduceScatter(dst, src []float32, op ReduceOp) Work {
 	if len(src) != world*len(dst) {
 		return CompletedWork(fmt.Errorf("comm: reduce-scatter src %d != world %d * dst %d", len(src), world, len(dst)))
 	}
-	algo := g.opts.Algorithm
-	if algo == Auto {
-		algo = chooseAlgorithm(g.topo, len(src), world)
-	}
-	hier := algo == Hierarchical && g.topo != nil && g.topo.Size() == world && g.topo.Hierarchical()
+	hier := g.resolveAlgorithm(len(src)) == Hierarchical && g.topo != nil && g.topo.Size() == world && g.topo.Hierarchical()
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
+		// Work on a copy so src is not clobbered.
+		buf := append([]float32(nil), src...)
 		var err error
 		if hier {
-			err = hierarchicalReduceScatter(g.mesh, tag, dst, src, op, g.topo)
+			// Reusing the AllReduce schedule keeps the cross-host volume
+			// properties of the leader-ring path at the cost of
+			// broadcasting the full reduced vector back down intra-host —
+			// cheap where it happens.
+			_, err = hierarchicalAllReduce(g.mesh, tag, buf, op, g.topo, nil, nil)
 		} else {
-			err = reduceScatter(g.mesh, tag, dst, src, op)
+			err = ringReduceScatterOwned(g.mesh, tag, buf, op)
+		}
+		if err == nil {
+			copy(dst, buf[g.Rank()*len(dst):])
 		}
 		observeCollective("reduce_scatter", len(src), start, err)
 		return err
 	})
-}
-
-// hierarchicalReduceScatter is the topology-aware equal-chunk
-// reduce-scatter: it reduces a working copy of src through the same
-// submesh phases as hierarchicalAllReduce (reduce up, leader ring,
-// broadcast down), then each rank keeps chunk rank, applying the Avg
-// scale to just that chunk. Reusing the AllReduce schedule keeps the
-// cross-host volume properties (and the bitwise-identical-on-every-
-// rank guarantee) of the leader-ring path at the cost of broadcasting
-// the full reduced vector back down intra-host — cheap where it
-// happens, and the contract (every rank could reconstruct any chunk)
-// stays simple.
-func hierarchicalReduceScatter(m transport.Mesh, tag uint64, dst, src []float32, op ReduceOp, topo *Topology) error {
-	k := m.Size()
-	if k == 1 {
-		copy(dst, src)
-		return nil
-	}
-	buf := append([]float32(nil), src...)
-	foldOp := op
-	if op == Avg {
-		foldOp = Sum
-	}
-	if _, err := hierarchicalAllReduce(m, tag, buf, foldOp, topo, nil, nil); err != nil {
-		return err
-	}
-	rank := m.Rank()
-	n := len(dst)
-	copy(dst, buf[rank*n:(rank+1)*n])
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range dst {
-			dst[i] *= scale
-		}
-	}
-	return nil
 }
 
 // Gather collects src from every rank into dst on root (dst is ignored
@@ -144,153 +114,41 @@ type ExtendedGroup interface {
 
 var _ ExtendedGroup = (*meshGroup)(nil)
 
-// reduceScatter runs the ring reduce-scatter over explicit chunks: after
-// k-1 steps, rank r holds the full reduction of chunk r.
-func reduceScatter(m transport.Mesh, tag uint64, dst, src []float32, op ReduceOp) error {
-	k := m.Size()
-	rank := m.Rank()
-	n := len(dst)
-	if k == 1 {
-		copy(dst, src)
-		return nil
-	}
-	right := (rank + 1) % k
-	left := (rank - 1 + k) % k
-	// Work on a copy so src is not clobbered.
-	buf := append([]float32(nil), src...)
-	for step := 0; step < k-1; step++ {
-		sendIdx := (rank - step + k) % k
-		recvIdx := (rank - step - 1 + k) % k
-		errc := sendAsync(m, right, tag, buf[sendIdx*n:(sendIdx+1)*n])
-		in, err := m.Recv(left, tag)
-		if err != nil {
-			<-errc
-			return err
-		}
-		if err := <-errc; err != nil {
-			return err
-		}
-		if len(in) != n {
-			return fmt.Errorf("comm: reduce-scatter chunk size %d, want %d", len(in), n)
-		}
-		reduceInto(buf[recvIdx*n:(recvIdx+1)*n], in, op)
-	}
-	// After k-1 steps the fully reduced chunk at this rank is chunk
-	// (rank+1)%k; the API contract gives rank its own index, so rotate
-	// once more: receive chunk `rank` from the left neighbour, which
-	// finished it.
-	finished := (rank + 1) % k
-	errc := sendAsync(m, right, tag, buf[finished*n:(finished+1)*n])
-	in, err := m.Recv(left, tag)
-	if err != nil {
-		<-errc
-		return err
-	}
-	if err := <-errc; err != nil {
-		return err
-	}
-	copy(dst, in)
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range dst {
-			dst[i] *= scale
-		}
-	}
-	return nil
-}
-
 // allToAll performs the pairwise chunk exchange.
 func allToAll(m transport.Mesh, tag uint64, dst, src []float32) error {
-	k := m.Size()
-	rank := m.Rank()
+	k, rank := m.Size(), m.Rank()
 	n := len(src) / k
-	copy(dst[rank*n:(rank+1)*n], src[rank*n:(rank+1)*n])
-	if k == 1 {
-		return nil
-	}
-	errcs := make([]<-chan error, 0, k-1)
-	for peer := 0; peer < k; peer++ {
-		if peer != rank {
-			errcs = append(errcs, sendAsync(m, peer, tag, src[peer*n:(peer+1)*n]))
-		}
-	}
-	for peer := 0; peer < k; peer++ {
-		if peer == rank {
-			continue
-		}
-		buf, err := m.Recv(peer, tag)
-		if err != nil {
-			return err
-		}
-		if len(buf) != n {
-			return fmt.Errorf("comm: all-to-all chunk from rank %d has %d elements, want %d", peer, len(buf), n)
-		}
-		copy(dst[peer*n:(peer+1)*n], buf)
-	}
-	for _, errc := range errcs {
-		if err := <-errc; err != nil {
-			return err
-		}
-	}
-	return nil
+	return exchange(floatLane(m), tag, rank, otherRanks(k, rank), allRanks(k),
+		func(p int) []float32 { return src[p*n : (p+1)*n] },
+		landIn("all-to-all", rank, func(p int) []float32 { return dst[p*n : (p+1)*n] }))
 }
 
 // gather collects src into dst on root via direct sends.
 func gather(m transport.Mesh, tag uint64, dst [][]float32, src []float32, root int) error {
-	k := m.Size()
-	rank := m.Rank()
-	if rank != root {
-		return m.Send(root, tag, src)
-	}
-	if len(dst) != k {
-		return fmt.Errorf("comm: gather dst has %d slots for world %d", len(dst), k)
-	}
-	copy(dst[rank], src)
-	for peer := 0; peer < k; peer++ {
-		if peer == rank {
-			continue
+	k, rank := m.Size(), m.Rank()
+	to, from := []int{root}, []int(nil)
+	if rank == root {
+		if len(dst) != k {
+			return fmt.Errorf("comm: gather dst has %d slots for world %d", len(dst), k)
 		}
-		buf, err := m.Recv(peer, tag)
-		if err != nil {
-			return err
-		}
-		if len(buf) != len(dst[peer]) {
-			return fmt.Errorf("comm: gather size mismatch from rank %d", peer)
-		}
-		copy(dst[peer], buf)
+		to, from = nil, allRanks(k)
 	}
-	return nil
+	return exchange(floatLane(m), tag, rank, to, from,
+		func(int) []float32 { return src },
+		landIn("gather", rank, func(p int) []float32 { return dst[p] }))
 }
 
 // scatter distributes src chunks from root via direct sends.
 func scatter(m transport.Mesh, tag uint64, dst []float32, src [][]float32, root int) error {
-	k := m.Size()
-	rank := m.Rank()
+	k, rank := m.Size(), m.Rank()
+	var to []int
 	if rank == root {
 		if len(src) != k {
 			return fmt.Errorf("comm: scatter src has %d slots for world %d", len(src), k)
 		}
-		copy(dst, src[rank])
-		errcs := make([]<-chan error, 0, k-1)
-		for peer := 0; peer < k; peer++ {
-			if peer != rank {
-				errcs = append(errcs, sendAsync(m, peer, tag, src[peer]))
-			}
-		}
-		for _, errc := range errcs {
-			if err := <-errc; err != nil {
-				return err
-			}
-		}
-		return nil
+		to = otherRanks(k, rank)
 	}
-	buf, err := m.Recv(root, tag)
-	if err != nil {
-		return err
-	}
-	if len(buf) != len(dst) {
-		return fmt.Errorf("comm: scatter size mismatch: got %d want %d", len(buf), len(dst))
-	}
-	copy(dst, buf)
-	return nil
+	return exchange(floatLane(m), tag, rank, to, []int{root},
+		func(p int) []float32 { return src[p] },
+		landIn("scatter", rank, func(int) []float32 { return dst }))
 }

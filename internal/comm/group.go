@@ -162,31 +162,22 @@ func (g *meshGroup) submitN(tags int, run func(tag uint64) error) Work {
 	return w
 }
 
-func (g *meshGroup) AllReduce(data []float32, op ReduceOp) Work {
-	algo := g.opts.Algorithm
-	if algo == Auto {
-		// Resolved at submission so every rank — submitting the same
-		// collectives in the same order with equally-sized buffers (the
-		// ProcessGroup contract) — picks the same algorithm.
-		algo = chooseAlgorithm(g.topo, len(data), g.mesh.Size())
+// resolveAlgorithm is the algorithm a collective over elems elements
+// runs under: the configured one, with Auto resolved at submission so
+// every rank — submitting the same collectives in the same order with
+// equally-sized buffers (the ProcessGroup contract) — picks the same.
+func (g *meshGroup) resolveAlgorithm(elems int) Algorithm {
+	if g.opts.Algorithm == Auto {
+		return chooseAlgorithm(g.topo, elems, g.mesh.Size())
 	}
+	return g.opts.Algorithm
+}
+
+func (g *meshGroup) AllReduce(data []float32, op ReduceOp) Work {
+	algo := g.resolveAlgorithm(len(data))
 	return g.submitN(algoTags(algo), func(tag uint64) error {
 		start := time.Now()
-		var err error
-		switch algo {
-		case Ring:
-			err = ringAllReduce(g.mesh, tag, data, op)
-		case Tree:
-			err = treeAllReduce(g.mesh, tag, data, op)
-		case Naive:
-			err = naiveAllReduce(g.mesh, tag, data, op)
-		case Hierarchical:
-			_, err = hierarchicalAllReduce(g.mesh, tag, data, op, g.topo, nil, nil)
-		case DoubleTree:
-			err = doubleTreeAllReduce(g.mesh, tag, tag+1, data, op)
-		default:
-			err = fmt.Errorf("comm: unknown algorithm %v", g.opts.Algorithm)
-		}
+		err := allReduce(g.mesh, tag, algo, g.topo, data, op)
 		observeAllReduce(algo.String(), len(data), start, err)
 		return err
 	})

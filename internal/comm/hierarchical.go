@@ -137,11 +137,6 @@ func hierarchicalAllReduce(m transport.Mesh, tag uint64, data []float32, op Redu
 		}
 	}
 
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := range data {
-			data[i] *= scale
-		}
-	}
+	finishAvg(data, op, k)
 	return wire, nil
 }

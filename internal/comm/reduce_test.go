@@ -53,12 +53,14 @@ func BenchmarkReduceIntoCrossover(b *testing.B) {
 			src[i] = float32(i%97) * 0.5
 		}
 		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(4 * n))
 			for i := 0; i < b.N; i++ {
 				reduceRange(dst, src, Sum)
 			}
 		})
 		b.Run(fmt.Sprintf("auto/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(4 * n))
 			for i := 0; i < b.N; i++ {
 				reduceInto(dst, src, Sum)

@@ -1,0 +1,215 @@
+package comm
+
+import (
+	"fmt"
+
+	"repro/internal/transport"
+)
+
+// A ring-family or binomial collective is data before it is traffic:
+// each rank's part is a list of steps produced by a small generator
+// (ringSteps, binomialReduceSteps, binomialBroadcastSteps), and
+// runSteps is the one loop that turns any such list into Send/Recv
+// calls. The all-peers collectives, whose frames do not address one
+// flat buffer, share exchange instead. Nothing else in these files
+// touches the transport (doubletree.go's gated, pipelined trees aside),
+// so the frame-length check, the join of the in-flight send and every
+// future pooling or pipelining change are written once — and because a
+// schedule exists without a mesh, schedule_test.go checks every
+// generator statically: matching sends and receives in per-link FIFO
+// order, no cycle of blocking waits, the documented fold chain.
+
+// step is one rank's move in a schedule over a flat buffer: ship
+// data[sLo:sHi] to rank `to` while taking a frame of exactly rHi-rLo
+// elements from rank `from` into data[rLo:rHi]. A peer of -1 means no
+// send (or no receive) this step.
+type step struct {
+	to, from int
+	sLo, sHi int
+	rLo, rHi int
+	// fold combines the frame into the buffer under the collective's
+	// op; otherwise the frame overwrites it verbatim.
+	fold bool
+}
+
+// ringSteps is one pass around the ring over the chunkBounds layout:
+// k-1 steps, at step s shipping chunk first-s to the right neighbour
+// while taking chunk first-s-1 from the left, so a chunk received in
+// one step is the chunk shipped in the next.
+//
+// first = rank-1 with fold is the ring reduce-scatter: chunk c starts
+// on rank c+1 and is folded once per rank as it travels, its last fold
+// landing on rank c — the owner, with no hop to spare. Every element
+// of chunk c is therefore the chain
+//
+//	(((x[c+1] + x[c+2]) + ...) + x[c-1]) + x[c]    (indices mod k)
+//
+// evaluated on exactly one rank, the determinism every bitwise
+// guarantee in this repository reduces to. first = rank without fold
+// is the ring all-gather: rank r enters owning chunk r and leaves
+// holding every chunk, copied verbatim.
+func ringSteps(rank, k, n, first int, fold bool) []step {
+	steps := make([]step, k-1)
+	right, left := (rank+1)%k, (rank+k-1)%k
+	for s := range steps {
+		send := (first - s + k) % k // first >= -1 and s <= k-2
+		st := step{to: right, from: left, fold: fold}
+		st.sLo, st.sHi = chunkBounds(n, k, send)
+		st.rLo, st.rHi = chunkBounds(n, k, (send+k-1)%k)
+		steps[s] = st
+	}
+	return steps
+}
+
+// frameLenError reports a received frame whose length is not the one
+// the schedule fixed for it: the peers disagree on the buffer size, or
+// the transport truncated the frame. It names the collective, the rank
+// that noticed, the sending peer and the step, so a wrong result can
+// never hide behind a short copy.
+type frameLenError struct {
+	collective string
+	rank, peer int
+	step       int
+	got, want  int
+}
+
+func (e *frameLenError) Error() string {
+	return fmt.Sprintf("comm: %s on rank %d: step %d frame from rank %d has %d elements, want %d",
+		e.collective, e.rank, e.step, e.peer, e.got, e.want)
+}
+
+// checkFrame is the one frame-length check: nil when a frame of got
+// elements is what the schedule expects, the frameLenError otherwise.
+func checkFrame(collective string, rank, peer, step, got, want int) error {
+	if got == want {
+		return nil
+	}
+	return &frameLenError{collective: collective, rank: rank, peer: peer, step: step, got: got, want: want}
+}
+
+// runSteps executes one rank's steps in order over data. A step that
+// both sends and receives issues the send on its own goroutine so the
+// matching receive can proceed concurrently, preventing head-of-line
+// deadlock on large messages; that send is joined on every path, so no
+// goroutine outlives the call or reads data after it returns.
+// collective names the schedule in errors.
+func runSteps(m transport.Mesh, tag uint64, collective string, data []float32, op ReduceOp, steps []step) error {
+	sent := make(chan error, 1) // at most one send is in flight
+	for i, st := range steps {
+		if st.from < 0 {
+			if err := m.Send(st.to, tag, data[st.sLo:st.sHi]); err != nil {
+				return err
+			}
+			continue
+		}
+		if st.to >= 0 {
+			go func() { sent <- m.Send(st.to, tag, data[st.sLo:st.sHi]) }()
+		}
+		buf, err := m.Recv(st.from, tag)
+		if err == nil {
+			err = checkFrame(collective, m.Rank(), st.from, i, len(buf), st.rHi-st.rLo)
+		}
+		if st.to >= 0 {
+			if serr := <-sent; err == nil {
+				err = serr
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if st.fold {
+			reduceInto(data[st.rLo:st.rHi], buf, op)
+		} else {
+			copy(data[st.rLo:st.rHi], buf)
+		}
+	}
+	return nil
+}
+
+// lane is one frame kind of a mesh — float32 frames or the byte frames
+// of transport.ByteMesh — so exchange is written once for both.
+type lane[T any] struct {
+	send func(to int, tag uint64, data []T) error
+	recv func(from int, tag uint64) ([]T, error)
+}
+
+func floatLane(m transport.Mesh) lane[float32] { return lane[float32]{m.Send, m.Recv} }
+
+func byteLane(bm transport.ByteMesh) lane[byte] { return lane[byte]{bm.SendBytes, bm.RecvBytes} }
+
+// exchange is the all-peers pattern: out(p) is shipped concurrently to
+// every rank p in to, then in(p, frame) consumes the frame of every
+// rank p in from, in the order listed — which is what fixes a fold
+// order. Listing this rank in from hands in its own out(rank) without
+// touching the wire, so a caller folding or decoding in rank order
+// treats its own contribution like any other. Every outstanding send
+// is joined before exchange returns, on the error paths too: no
+// goroutine is left reading a caller's buffer.
+func exchange[T any](l lane[T], tag uint64, rank int, to, from []int, out func(p int) []T, in func(p int, frame []T) error) error {
+	sent := make(chan error, len(to)) // one slot per send: none blocks on the join
+	for _, p := range to {
+		frame := out(p)
+		go func() { sent <- l.send(p, tag, frame) }()
+	}
+	var err error
+	for _, p := range from {
+		var frame []T
+		if p == rank {
+			frame = out(p)
+		} else if frame, err = l.recv(p, tag); err != nil {
+			break
+		}
+		if err = in(p, frame); err != nil {
+			break
+		}
+	}
+	for range to {
+		if serr := <-sent; err == nil {
+			err = serr
+		}
+	}
+	return err
+}
+
+// allRanks lists 0..k-1, and otherRanks the same without rank: the
+// usual peer sets of an exchange.
+func allRanks(k int) []int { return otherRanks(k, -1) }
+
+func otherRanks(k, rank int) []int {
+	ps := make([]int, 0, k)
+	for p := 0; p < k; p++ {
+		if p != rank {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// landIn returns the exchange sink of the float collectives that only
+// move data: rank p's frame must have exactly the length of dst(p) and
+// is copied into it.
+func landIn(collective string, rank int, dst func(p int) []float32) func(p int, frame []float32) error {
+	return func(p int, frame []float32) error {
+		d := dst(p)
+		if err := checkFrame(collective, rank, p, 0, len(frame), len(d)); err != nil {
+			return err
+		}
+		copy(d, frame)
+		return nil
+	}
+}
+
+// finishAvg applies Avg's 1/world scale; every other op is already
+// finished when its folds are. Avg folds as Sum everywhere, and each
+// reduced value is scaled exactly once — by its owner before it
+// travels or by every holder of a bitwise-identical copy after, which
+// is the same float32 product.
+func finishAvg(data []float32, op ReduceOp, world int) {
+	if op != Avg {
+		return
+	}
+	scale := 1 / float32(world)
+	for i := range data {
+		data[i] *= scale
+	}
+}

@@ -1,0 +1,335 @@
+package comm
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/transport"
+)
+
+// symbolic is every rank's buffer with values replaced by their
+// provenance, so a schedule can be run with no goroutines and no mesh.
+// The buffer is tracked per non-empty chunkBounds chunk — every
+// generator's ranges fall on those boundaries — and vals[rank][chunk]
+// is the fold chain the chunk holds on that rank: the ranks whose
+// contributions went into it, in fold order.
+type symbolic struct {
+	k, n int
+	// atom maps a chunk boundary to the index of the first non-empty
+	// chunk at or after it.
+	atom map[int]int
+	vals [][][]int
+}
+
+// newSymbolic is the symbolic input: every chunk of rank r's buffer
+// holds r's own contribution.
+func newSymbolic(k, n int) *symbolic {
+	s := &symbolic{k: k, n: n, atom: map[int]int{}, vals: make([][][]int, k)}
+	atoms := 0
+	for c := 0; c < k; c++ {
+		lo, hi := chunkBounds(n, k, c)
+		if _, seen := s.atom[lo]; !seen {
+			s.atom[lo] = atoms
+		}
+		if hi > lo {
+			atoms++
+		}
+	}
+	s.atom[n] = atoms
+	for r := range s.vals {
+		s.vals[r] = make([][]int, atoms)
+		for i := range s.vals[r] {
+			s.vals[r][i] = []int{r}
+		}
+	}
+	return s
+}
+
+// chunk returns what rank holds in chunkBounds chunk c (nil if empty).
+func (s *symbolic) chunk(rank, c int) [][]int {
+	lo, hi := chunkBounds(s.n, s.k, c)
+	return s.vals[rank][s.atom[lo]:s.atom[hi]]
+}
+
+// run executes every rank's step list (gen(rank)) against the symbolic
+// buffers. Sends are modelled as rendezvous — a send completes only
+// once its receiver has reached the matching receive, the most blocking
+// behaviour a transport may have — so a schedule that finishes here has
+// no cycle of blocking waits under any buffering. Because each rank
+// keeps at most one send and one receive in flight and retires steps in
+// order, matching each link's pending send with its pending receive is
+// per-link FIFO matching. It fails if a matched pair disagrees on the
+// range (and so the frame length) — an in-place collective never moves
+// an element to another index — if a step's send and receive ranges
+// overlap (the executor runs them concurrently), or if the ranks stop
+// making progress.
+func (s *symbolic) run(gen func(rank int) []step) error {
+	k := s.k
+	steps := make([][]step, k)
+	for r := range steps {
+		steps[r] = gen(r)
+	}
+	pc := make([]int, k)
+	sent := make([]bool, k)
+	rcvd := make([]bool, k)
+	for {
+		progress, running := false, false
+		for a := 0; a < k; a++ {
+			if pc[a] == len(steps[a]) {
+				continue
+			}
+			running = true
+			st := steps[a][pc[a]]
+			if st.to == a || st.from == a || st.to >= k || st.from >= k {
+				return fmt.Errorf("rank %d step %d: bad peers to=%d from=%d", a, pc[a], st.to, st.from)
+			}
+			if st.to >= 0 && st.from >= 0 && st.sLo < st.rHi && st.rLo < st.sHi {
+				return fmt.Errorf("rank %d step %d: send [%d,%d) overlaps recv [%d,%d)", a, pc[a], st.sLo, st.sHi, st.rLo, st.rHi)
+			}
+			if b := st.to; b >= 0 && !sent[a] && pc[b] < len(steps[b]) && !rcvd[b] && steps[b][pc[b]].from == a {
+				rt := steps[b][pc[b]]
+				if st.sLo != rt.rLo || st.sHi != rt.rHi {
+					return fmt.Errorf("rank %d step %d ships [%d,%d), rank %d step %d expects [%d,%d)",
+						a, pc[a], st.sLo, st.sHi, b, pc[b], rt.rLo, rt.rHi)
+				}
+				lo, okLo := s.atom[st.sLo]
+				hi, okHi := s.atom[st.sHi]
+				if !okLo || !okHi {
+					return fmt.Errorf("rank %d step %d: [%d,%d) is not on chunk boundaries", a, pc[a], st.sLo, st.sHi)
+				}
+				for i := lo; i < hi; i++ {
+					in := s.vals[a][i]
+					if rt.fold {
+						in = append(slices.Clone(in), s.vals[b][i]...)
+					}
+					s.vals[b][i] = in
+				}
+				sent[a], rcvd[b], progress = true, true, true
+			}
+			if (st.to < 0 || sent[a]) && (st.from < 0 || rcvd[a]) {
+				pc[a]++
+				sent[a], rcvd[a], progress = false, false, true
+			}
+		}
+		if !running {
+			return nil
+		}
+		if !progress {
+			return fmt.Errorf("blocked: ranks stopped at steps %v", pc)
+		}
+	}
+}
+
+// ringChain is the documented reduce-scatter fold chain of chunk c:
+// x[c+1], x[c+2], ..., x[c-1], x[c].
+func ringChain(c, k int) []int {
+	chain := make([]int, k)
+	for j := range chain {
+		chain[j] = (c + 1 + j) % k
+	}
+	return chain
+}
+
+// TestSchedulesStatically checks every step generator at worlds 1-33
+// and the buffer sizes around the chunking edge cases, on the schedule
+// alone: sends meet receives of equal length in per-link FIFO order,
+// nothing blocks forever, the ring reduce-scatter folds every chunk
+// exactly once per rank along the documented chain and finishes it on
+// its owner, the all-gather then leaves every chunk on every rank, and
+// the binomial pair folds every rank exactly once and delivers the
+// root's buffer verbatim.
+func TestSchedulesStatically(t *testing.T) {
+	for k := 1; k <= 33; k++ {
+		for _, n := range []int{0, 1, k - 1, k, k + 1, 4099} {
+			// The ring pair, composed the way ringAllReduce composes it.
+			s := newSymbolic(k, n)
+			if err := s.run(func(r int) []step { return ringSteps(r, k, n, r-1, true) }); err != nil {
+				t.Fatalf("ring reduce-scatter k=%d n=%d: %v", k, n, err)
+			}
+			for c := 0; c < k; c++ {
+				for _, got := range s.chunk(c, c) {
+					if want := ringChain(c, k); !slices.Equal(got, want) {
+						t.Fatalf("ring reduce-scatter k=%d n=%d: owner of chunk %d folded %v, want %v", k, n, c, got, want)
+					}
+				}
+			}
+			if err := s.run(func(r int) []step { return ringSteps(r, k, n, r, false) }); err != nil {
+				t.Fatalf("ring all-gather k=%d n=%d: %v", k, n, err)
+			}
+			for r := 0; r < k; r++ {
+				for c := 0; c < k; c++ {
+					for _, got := range s.chunk(r, c) {
+						if want := ringChain(c, k); !slices.Equal(got, want) {
+							t.Fatalf("ring all-gather k=%d n=%d: rank %d holds %v in chunk %d, want %v", k, n, r, got, c, want)
+						}
+					}
+				}
+			}
+
+			// The binomial pair, composed the way treeAllReduce composes it.
+			s = newSymbolic(k, n)
+			if err := s.run(func(r int) []step { return binomialReduceSteps(r, k, n) }); err != nil {
+				t.Fatalf("binomial reduce k=%d n=%d: %v", k, n, err)
+			}
+			for _, chain := range s.vals[0] {
+				got := slices.Clone(chain)
+				slices.Sort(got)
+				if !slices.Equal(got, allRanks(k)) {
+					t.Fatalf("binomial reduce k=%d n=%d: root folded %v, want every rank once", k, n, chain)
+				}
+			}
+			for _, root := range []int{0, 1 % k, k / 2, k - 1} {
+				if err := s.run(func(r int) []step { return binomialBroadcastSteps(r, k, n, root) }); err != nil {
+					t.Fatalf("binomial broadcast k=%d n=%d root=%d: %v", k, n, root, err)
+				}
+				for r := 0; r < k; r++ {
+					for i, got := range s.vals[r] {
+						if !slices.Equal(got, s.vals[root][i]) {
+							t.Fatalf("binomial broadcast k=%d n=%d root=%d: rank %d holds %v, root holds %v", k, n, root, r, got, s.vals[root][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// truncatingMesh drops the last element of the first non-empty float
+// frame it receives.
+type truncatingMesh struct {
+	transport.Mesh
+	done atomic.Bool
+}
+
+func (m *truncatingMesh) Recv(from int, tag uint64) ([]float32, error) {
+	buf, err := m.Mesh.Recv(from, tag)
+	if err == nil && len(buf) > 0 && m.done.CompareAndSwap(false, true) {
+		buf = buf[:len(buf)-1]
+	}
+	return buf, err
+}
+
+// TestShortFrameIsAnError: a frame shorter than the schedule fixed must
+// fail the collective on the rank that received it, with the one error
+// that names collective, rank, peer and lengths — never a short copy
+// that leaves stale elements in a "bitwise-identical" result.
+func TestShortFrameIsAnError(t *testing.T) {
+	const world, victim, n = 3, 1, 12
+	cases := []struct {
+		name       string
+		collective string
+		peer       int
+		want       int
+		run        func(g ProcessGroup, data []float32) Work
+	}{
+		{"AllReduce", "ring reduce-scatter", 0, n / world, func(g ProcessGroup, data []float32) Work { return g.AllReduce(data, Sum) }},
+		{"ReduceScatterV", "ring reduce-scatter", 0, n / world, func(g ProcessGroup, data []float32) Work {
+			return g.(ShardedGroup).ReduceScatterV(data, Avg)
+		}},
+		{"AllGatherV", "ring all-gather", 0, n / world, func(g ProcessGroup, data []float32) Work { return g.(ShardedGroup).AllGatherV(data) }},
+		{"ReduceScatter", "ring reduce-scatter", 0, n / world, func(g ProcessGroup, data []float32) Work {
+			return g.(ExtendedGroup).ReduceScatter(make([]float32, n/world), data, Sum)
+		}},
+		{"Broadcast", "binomial broadcast", 0, n, func(g ProcessGroup, data []float32) Work { return g.Broadcast(data, 0) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			meshes := transport.NewInProcMeshes(world)
+			meshes[victim] = &truncatingMesh{Mesh: meshes[victim]}
+			groups := groupsOver(meshes, Options{Algorithm: Ring})
+			errs := make([]error, world)
+			var wg sync.WaitGroup
+			for r := range groups {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					errs[rank] = tc.run(groups[rank], make([]float32, n)).Wait()
+					if rank == victim {
+						// The victim left the schedule; release the peers
+						// still waiting on it.
+						for _, g := range groups {
+							AbortGroup(g)
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			var fe *frameLenError
+			if !errors.As(errs[victim], &fe) {
+				t.Fatalf("rank %d: got %v, want a frame length error", victim, errs[victim])
+			}
+			want := frameLenError{collective: tc.collective, rank: victim, peer: tc.peer, step: 0, got: tc.want - 1, want: tc.want}
+			if *fe != want {
+				t.Fatalf("got %+v (%v), want %+v", *fe, fe, want)
+			}
+		})
+	}
+}
+
+// stuckSendMesh fails every receive at once while its sends stay
+// blocked until release is closed, counting the sends in flight.
+type stuckSendMesh struct {
+	transport.Mesh
+	release  chan struct{}
+	inFlight atomic.Int32
+}
+
+var errRecvFailed = errors.New("recv failed")
+
+func (m *stuckSendMesh) Send(to int, tag uint64, data []float32) error {
+	m.inFlight.Add(1)
+	defer m.inFlight.Add(-1)
+	<-m.release
+	return m.Mesh.Send(to, tag, data)
+}
+
+func (m *stuckSendMesh) Recv(int, uint64) ([]float32, error) { return nil, errRecvFailed }
+
+// TestFanOutJoinsSendsOnRecvError: a fan-out collective whose receive
+// fails must not report completion while its sends still run — they
+// read the caller's buffer, which the caller owns again once Wait
+// returns.
+func TestFanOutJoinsSendsOnRecvError(t *testing.T) {
+	const world, n = 3, 6
+	cases := map[string]func(g ProcessGroup) Work{
+		"naive": func(g ProcessGroup) Work { return g.AllReduce(make([]float32, n), Sum) },
+		"allgather": func(g ProcessGroup) Work {
+			return g.AllGather([][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}, make([]float32, n))
+		},
+		"alltoall": func(g ProcessGroup) Work {
+			return g.(ExtendedGroup).AllToAll(make([]float32, n), make([]float32, n))
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			meshes := transport.NewInProcMeshes(world)
+			defer func() {
+				for _, m := range meshes {
+					m.Close()
+				}
+			}()
+			stuck := &stuckSendMesh{Mesh: meshes[0], release: make(chan struct{})}
+			g := NewGroup(stuck, Options{Algorithm: Naive})
+			defer g.Close()
+			done := make(chan error, 1)
+			go func() { done <- run(g).Wait() }()
+			select {
+			case err := <-done:
+				t.Fatalf("Wait returned %v before its sends were released", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(stuck.release)
+			if err := <-done; !errors.Is(err, errRecvFailed) {
+				t.Fatalf("Wait returned %v, want the receive error", err)
+			}
+			if inFlight := stuck.inFlight.Load(); inFlight != 0 {
+				t.Fatalf("Wait returned with %d sends in flight", inFlight)
+			}
+		})
+	}
+}

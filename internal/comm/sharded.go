@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/transport"
@@ -9,15 +8,16 @@ import (
 
 // The sharded collectives are the in-place, uneven-chunk primitives
 // ZeRO-style data parallelism (internal/fsdp) builds on. They are the
-// two halves of the ring AllReduce exposed separately: ReduceScatterV
-// is the ring's reduce-scatter phase (plus one rotation so rank owns
-// chunk rank), AllGatherV its all-gather phase. Because they run the
-// SAME chunking (ChunkBounds) and the same fold schedule as
-// ringAllReduce, a reduce-scatter + local-update + all-gather sequence
-// produces bitwise the parameter values a DDP AllReduce + full local
-// update would have — the property the DDP-vs-ZeRO agreement suites
-// assert. The equal-chunk ReduceScatter in extended.go cannot offer
-// this: its contiguous padded layout chunks differently.
+// two halves of the ring AllReduce exposed separately, literally:
+// ReduceScatterV is one ringSteps pass that folds (chunk c travels
+// x[c+1], ..., x[c-1] and takes its last fold, x[c], on its owner, rank
+// c), AllGatherV one pass that copies, and ringAllReduce is the first
+// followed by the second. A reduce-scatter + local-update + all-gather
+// sequence therefore produces bitwise the parameter values a DDP
+// AllReduce + full local update would have — the property the
+// DDP-vs-ZeRO agreement suites assert. The equal-chunk ReduceScatter in
+// extended.go is the same pass over a copy of its source, since equal
+// chunks are what ChunkBounds yields when the world divides the length.
 
 // ChunkBounds is the shard layout of the sharded collectives: n
 // elements over k ranks split into nearly-equal chunks with the
@@ -76,81 +76,32 @@ func (g *meshGroup) AllGatherV(data []float32) Work {
 }
 
 // CompressedReduceScatterV implements the compressed sharded
-// reduce-scatter. Like CompressedAllReduce, residual updates are
-// transactional: the collective runs against a shadow copy committed
-// only on success, so an aborted collective (elastic teardown) cannot
-// half-claim bytes it never transmitted. Falls back to
+// reduce-scatter, with the same transactional residual as
+// CompressedAllReduce (see submitCompressed). Falls back to
 // quantize-then-exact-ring when the mesh has no byte lanes or the op
 // is not Sum/Avg.
 func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
 	if codec == nil {
 		return g.ReduceScatterV(data, op)
 	}
-	if residual != nil && len(residual) != len(data) {
-		return CompletedWork(fmt.Errorf("comm: residual has %d elements for %d data elements", len(residual), len(data)))
-	}
-	return g.submit(func(tag uint64) error {
-		start := time.Now()
-		shadow := residual
-		if residual != nil {
-			shadow = append([]float32(nil), residual...)
-		}
-		wire, err := compressedReduceScatterOwned(g.mesh, tag, data, op, codec, shadow)
-		if err != nil {
-			return err
-		}
-		if residual != nil {
-			copy(residual, shadow)
-		}
-		observeCollective("compressed_reduce_scatter_v", len(data), start, nil)
-		if wire > 0 {
-			mCompressedWireBytes.With(codec.Name()).Observe(float64(wire))
-		}
-		return nil
-	})
+	return g.submitCompressed(1, data, codec, residual,
+		func(start time.Time) { observeCollective("compressed_reduce_scatter_v", len(data), start, nil) },
+		func(tag uint64, shadow []float32) (int, error) {
+			return compressedReduceScatterOwned(g.mesh, tag, data, op, codec, shadow)
+		})
 }
 
-// ringReduceScatterOwned runs the ring reduce-scatter phase and then
-// rotates once more so the finished chunk lands on its owner: rank r
-// ends with the full reduction in data[chunkBounds(n, k, r)], scaled
-// for Avg. The fold chain per chunk is identical to ringAllReduce's —
-// the rotation and the deferred owner-side scale are both
-// value-preserving, so the owned chunk is bitwise the AllReduce result.
+// ringReduceScatterOwned is the ring reduce-scatter: rank r ends with
+// the full reduction in data[chunkBounds(n, k, r)], scaled for Avg —
+// bitwise the value ringAllReduce leaves there, being its first half.
+// The other chunks hold partial folds.
 func ringReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k := m.Size()
-	if k == 1 {
-		return nil
-	}
-	if err := ringReduceScatterPhase(m, tag, data, op); err != nil {
+	k, rank := m.Size(), m.Rank()
+	if err := runSteps(m, tag, "ring reduce-scatter", data, op, ringSteps(rank, k, len(data), rank-1, true)); err != nil {
 		return err
 	}
-	rank := m.Rank()
-	right := (rank + 1) % k
-	left := (rank - 1 + k) % k
-	n := len(data)
-	// The phase leaves chunk (rank+1)%k finished here and chunk rank
-	// finished on the left neighbour: one more hop delivers ownership.
-	fs, fe := chunkBounds(n, k, (rank+1)%k)
-	os, oe := chunkBounds(n, k, rank)
-	errc := sendAsync(m, right, tag, data[fs:fe])
-	buf, err := m.Recv(left, tag)
-	if err != nil {
-		<-errc
-		return err
-	}
-	if err := <-errc; err != nil {
-		return err
-	}
-	if len(buf) != oe-os {
-		return fmt.Errorf("comm: ring chunk size mismatch: got %d want %d", len(buf), oe-os)
-	}
-	copy(data[os:oe], buf)
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := os; i < oe; i++ {
-			data[i] *= scale
-		}
-	}
+	lo, hi := chunkBounds(len(data), k, rank)
+	finishAvg(data[lo:hi], op, k)
 	return nil
 }
 
@@ -158,34 +109,8 @@ func ringReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, op Red
 // layout: each rank enters holding chunk rank and leaves holding every
 // chunk, all copies verbatim.
 func ringAllGatherOwned(m transport.Mesh, tag uint64, data []float32) error {
-	k := m.Size()
-	if k == 1 {
-		return nil
-	}
 	rank := m.Rank()
-	right := (rank + 1) % k
-	left := (rank - 1 + k) % k
-	n := len(data)
-	for step := 0; step < k-1; step++ {
-		sendIdx := (rank - step + k) % k
-		recvIdx := (rank - step - 1 + k) % k
-		ss, se := chunkBounds(n, k, sendIdx)
-		rs, re := chunkBounds(n, k, recvIdx)
-		errc := sendAsync(m, right, tag, data[ss:se])
-		buf, err := m.Recv(left, tag)
-		if err != nil {
-			<-errc
-			return err
-		}
-		if err := <-errc; err != nil {
-			return err
-		}
-		if len(buf) != re-rs {
-			return fmt.Errorf("comm: ring chunk size mismatch: got %d want %d", len(buf), re-rs)
-		}
-		copy(data[rs:re], buf)
-	}
-	return nil
+	return runSteps(m, tag, "ring all-gather", data, Sum, ringSteps(rank, m.Size(), len(data), rank, false))
 }
 
 // compressedReduceScatterOwned is the wire-level compressed sharded
@@ -195,15 +120,8 @@ func ringAllGatherOwned(m transport.Mesh, tag uint64, data []float32) error {
 // the reduced gradient shard feeds a local optimizer and never rides
 // the wire again. Returns the encoded payload bytes this rank shipped.
 func compressedReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, op ReduceOp, codec WireCodec, residual []float32) (int, error) {
-	k := m.Size()
-	if k == 1 {
-		// Match compressedAllReduce's world-1 semantics: a single rank
-		// still pays the codec's accuracy cost so its residual
-		// trajectory stays comparable across world sizes.
-		return 0, quantizeThrough(codec, data, residual)
-	}
-	bm, haveBytes := transport.ByteLanes(m)
-	if !haveBytes || (op != Sum && op != Avg) {
+	bm, ok := compressedLanes(m, op)
+	if !ok {
 		if err := quantizeThrough(codec, data, residual); err != nil {
 			return 0, err
 		}
@@ -213,14 +131,9 @@ func compressedReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, 
 	if err != nil {
 		return 0, err
 	}
-	lo, hi := chunkBounds(len(data), k, m.Rank())
+	lo, hi := chunkBounds(len(data), m.Size(), m.Rank())
 	copy(data[lo:hi], acc)
-	if op == Avg {
-		scale := 1 / float32(k)
-		for i := lo; i < hi; i++ {
-			data[i] *= scale
-		}
-	}
+	finishAvg(data[lo:hi], op, m.Size())
 	return wire, nil
 }
 

@@ -2,8 +2,12 @@ package comm
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 func asSharded(t *testing.T, groups []ProcessGroup) []ShardedGroup {
@@ -29,49 +33,133 @@ func shardedInput(rank, n int) []float32 {
 	return data
 }
 
+// inexactInput is a deterministic per-rank vector whose sums round:
+// magnitudes spread over several binades, so two fold orders of the
+// same contributions differ in the low bits and an agreement check
+// below cannot pass by accident.
+func inexactInput(rank, n int) []float32 {
+	rng := rand.New(rand.NewSource(int64(1000*n + rank)))
+	data := make([]float32, n)
+	for i := range data {
+		data[i] = (rng.Float32()*2 - 1) * float32(int(1)<<rng.Intn(12))
+	}
+	return data
+}
+
+// ringReference is the sequential statement of the ring fold: element i
+// of chunk c is ((x[c+1] + x[c+2]) + ...) + x[c], ranks mod world, then
+// scaled once for Avg.
+func ringReference(inputs [][]float32, op ReduceOp) []float32 {
+	world, n := len(inputs), len(inputs[0])
+	out := make([]float32, n)
+	for c := 0; c < world; c++ {
+		lo, hi := ChunkBounds(n, world, c)
+		for i := lo; i < hi; i++ {
+			acc := inputs[(c+1)%world][i]
+			for j := 2; j <= world; j++ {
+				acc += inputs[(c+j)%world][i]
+			}
+			if op == Avg {
+				acc *= 1 / float32(world)
+			}
+			out[i] = acc
+		}
+	}
+	return out
+}
+
 // TestReduceScatterVBitwiseMatchesAllReduce is the contract fsdp's
-// bitwise guarantee rests on: the owned chunk after ReduceScatterV is
-// bitwise what a ring AllReduce leaves there, for every world size and
-// an uneven chunk tail, for Sum and Avg.
+// bitwise guarantee rests on, as one agreement table: for every world
+// size, transport, buffer size around the chunking edge cases (uneven
+// tails, empty chunks, empty buffers) and Sum/Avg, four statements of
+// the ring reduction agree bitwise — AllReduce(Ring) on every rank,
+// ReduceScatterV's owned chunk and the buffer AllGatherV rebuilds from
+// it, ReduceScatter wherever the world divides the length, and the
+// sequential fold along the documented chain.
 func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
-	const n = 103
-	for _, world := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-		for _, op := range []ReduceOp{Sum, Avg} {
-			groups := asSharded(t, NewInProcGroups(world, Options{Algorithm: Ring}))
-			ref := make([][]float32, world)
-			rs := make([][]float32, world)
-			var wg sync.WaitGroup
-			errs := make([]error, world)
-			for r := 0; r < world; r++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					a := shardedInput(rank, n)
-					b := append([]float32(nil), a...)
-					if err := groups[rank].AllReduce(a, op).Wait(); err != nil {
-						errs[rank] = err
-						return
-					}
-					errs[rank] = groups[rank].ReduceScatterV(b, op).Wait()
-					ref[rank], rs[rank] = a, b
-				}(r)
-			}
-			wg.Wait()
-			for rank, err := range errs {
-				if err != nil {
-					t.Fatalf("world %d op %v rank %d: %v", world, op, rank, err)
+	type row struct {
+		tcp   bool
+		world int
+	}
+	var rows []row
+	for world := 1; world <= 9; world++ {
+		rows = append(rows, row{false, world})
+	}
+	for _, world := range []int{2, 3, 5} {
+		rows = append(rows, row{true, world})
+	}
+	for _, rw := range rows {
+		world := rw.world
+		meshes := transport.NewInProcMeshes(world)
+		if rw.tcp {
+			meshes = tcpTestMeshes(t, world)
+		}
+		groups := asSharded(t, groupsOver(meshes, Options{Algorithm: Ring}))
+		for _, n := range []int{0, 1, world - 1, world, world + 1, 103, 4099, 96 * world} {
+			for _, op := range []ReduceOp{Sum, Avg} {
+				inputs := make([][]float32, world)
+				for r := range inputs {
+					inputs[r] = inexactInput(r, n)
 				}
-				lo, hi := ChunkBounds(n, world, rank)
-				for i := lo; i < hi; i++ {
-					if rs[rank][i] != ref[rank][i] {
-						t.Fatalf("world %d op %v rank %d elem %d: reduce-scatter %v != allreduce %v",
-							world, op, rank, i, rs[rank][i], ref[rank][i])
+				want := ringReference(inputs, op)
+				var wg sync.WaitGroup
+				errs := make([]error, world)
+				for r := 0; r < world; r++ {
+					wg.Add(1)
+					go func(rank int) {
+						defer wg.Done()
+						errs[rank] = func() error {
+							lo, hi := ChunkBounds(n, world, rank)
+							agree := func(what string, got, want []float32) error {
+								for i := range want {
+									if got[i] != want[i] {
+										return fmt.Errorf("%s elem %d = %v, want %v", what, i, got[i], want[i])
+									}
+								}
+								return nil
+							}
+							g := groups[rank]
+							a := slices.Clone(inputs[rank])
+							if err := g.AllReduce(a, op).Wait(); err != nil {
+								return err
+							}
+							if err := agree("allreduce vs sequential chain", a, want); err != nil {
+								return err
+							}
+							b := slices.Clone(inputs[rank])
+							if err := g.ReduceScatterV(b, op).Wait(); err != nil {
+								return err
+							}
+							if err := agree("reduce-scatter-v owned chunk", b[lo:hi], want[lo:hi]); err != nil {
+								return err
+							}
+							if err := g.AllGatherV(b).Wait(); err != nil {
+								return err
+							}
+							if err := agree("reduce-scatter-v + all-gather-v", b, want); err != nil {
+								return err
+							}
+							if n%world != 0 {
+								return nil
+							}
+							dst := make([]float32, n/world)
+							if err := g.(ExtendedGroup).ReduceScatter(dst, inputs[rank], op).Wait(); err != nil {
+								return err
+							}
+							return agree("reduce-scatter", dst, want[lo:hi])
+						}()
+					}(r)
+				}
+				wg.Wait()
+				for rank, err := range errs {
+					if err != nil {
+						t.Fatalf("tcp=%v world %d n %d op %v rank %d: %v", rw.tcp, world, n, op, rank, err)
 					}
 				}
 			}
-			for _, g := range groups {
-				g.Close()
-			}
+		}
+		for _, g := range groups {
+			g.Close()
 		}
 	}
 }

@@ -2,7 +2,8 @@
 // distributed sampling/loading machinery DDP training loops use.
 //
 // The MNIST-like dataset substitutes for the real MNIST download (the
-// environment is offline; see DESIGN.md): each class has a fixed random
+// environment is offline; see ARCHITECTURE.md, "Substitutions and the
+// experiment index"): each class has a fixed random
 // prototype vector and samples are noisy copies, giving a genuinely
 // learnable classification task whose loss curves expose the batch-size
 // × no_sync × learning-rate interactions of the paper's Fig 11.

@@ -2,9 +2,10 @@
 // GPUs (NVLink within a server, 100 Gb/s NICs across servers), NCCL and
 // Gloo collective cost curves, and GPU/CPU backward-pass compute curves.
 //
-// This is the substitution for the physical testbed (see DESIGN.md):
-// the constants are calibrated so that the model reproduces the shapes
-// of the paper's Fig 2 — NCCL AllReduce total time falling monotonically
+// This is the substitution for the physical testbed (see
+// ARCHITECTURE.md, "Substitutions and the experiment index"): the
+// constants are calibrated so that the model reproduces the shapes of
+// the paper's Fig 2 — NCCL AllReduce total time falling monotonically
 // with per-op tensor size with no saturation through 20M parameters,
 // Gloo saturating near 500K parameters, a ~250ms GPU backward pass and a
 // ~6s CPU backward pass for a 60M-parameter model.
@@ -107,7 +108,9 @@ func DefaultCluster() Cluster {
 }
 
 // AllReduceSeconds returns the modeled wall time of one AllReduce of
-// nBytes across world ranks using a ring algorithm:
+// nBytes across world ranks using a ring algorithm. The ring AllReduce
+// is a ring reduce-scatter followed by a ring all-gather — in comm
+// literally so — and is priced as that sum:
 //
 //	T = 2(k-1) * stepLatency + 2 (k-1)/k * nBytes / edgeBandwidth
 //
@@ -118,38 +121,7 @@ func DefaultCluster() Cluster {
 // NIC/GPUsPerServer — which is why the paper observes a marked slowdown
 // when crossing machine boundaries (Section 6.1, Resource Allocation).
 func (c Cluster) AllReduceSeconds(b Backend, nBytes int, world int) float64 {
-	if world <= 1 {
-		return 0
-	}
-	k := float64(world)
-	volume := 2 * (k - 1) / k * float64(nBytes)
-	switch b {
-	case NCCLLike:
-		steps := 2 * (k - 1)
-		edge := c.NVLinkBandwidth
-		if world > c.GPUsPerServer {
-			edge = c.NICBandwidth * c.CrossMachineEfficiency / float64(c.GPUsPerServer)
-		}
-		t := steps*c.NCCLStepLatency + volume/edge
-		if c.SharedEntitlement {
-			t *= c.entitlementFactor(world)
-		}
-		return t
-	case GlooLike:
-		// Halving-doubling: 2·ceil(log2 k) rounds of base latency.
-		rounds := 2 * math.Ceil(math.Log2(k))
-		bw := c.GlooBandwidth
-		if world > 2 {
-			bw *= 2 // distinct full-duplex paths per directed edge
-		}
-		t := rounds*c.GlooStepLatency + volume/bw
-		if c.SharedEntitlement {
-			t *= c.entitlementFactor(world)
-		}
-		return t
-	default:
-		panic("hw: unknown backend")
-	}
+	return c.ReduceScatterSeconds(b, nBytes, world) + c.AllGatherSeconds(b, nBytes, world)
 }
 
 // ReduceScatterSeconds returns the modeled wall time of one
@@ -179,7 +151,10 @@ func (c Cluster) AllGatherSeconds(b Backend, nBytes int, world int) float64 {
 // ring pass of k-1 steps moving (k-1)/k of the buffer over the busiest
 // edge (the Gloo profile gets its halving-doubling analogue,
 // ceil(log2 k) rounds). Edge bandwidth collapses across machine
-// boundaries exactly as in AllReduceSeconds.
+// boundaries as AllReduceSeconds describes. The k-1 steps are what
+// comm.ReduceScatterV and AllGatherV each execute: the reduce-scatter's
+// last fold lands on the chunk's owner, with no extra hop to hand the
+// chunk over.
 func (c Cluster) halfRingSeconds(b Backend, nBytes int, world int) float64 {
 	if world <= 1 {
 		return 0

@@ -26,7 +26,8 @@ func NewMLP(seed int64, in, hidden, classes int) nn.Module {
 // NewSmallCNN builds a compact convolutional classifier for image-shaped
 // inputs [n, channels, size, size]: two conv+BN+pool stages and a linear
 // head. It stands in for "ResNet on MNIST" in the Fig 11 reproduction
-// (see DESIGN.md substitutions): it exercises the identical DDP code
+// (see ARCHITECTURE.md, "Substitutions and the experiment index"): it
+// exercises the identical DDP code
 // paths — many parameters of mixed sizes, BatchNorm buffers for the
 // rank-0 broadcast — at laptop scale.
 func NewSmallCNN(seed int64, channels, size, classes int) nn.Module {

@@ -1,5 +1,6 @@
 // Package simnet is the discrete-event simulator that stands in for the
-// paper's 32–256 GPU testbed (see DESIGN.md substitutions). It replays
+// paper's 32–256 GPU testbed (see ARCHITECTURE.md, "Substitutions and
+// the experiment index"). It replays
 // the *same bucket schedule the real DDP reducer computes* — via
 // ddp.AssignBuckets — against the hw package's calibrated NCCL/Gloo and
 // GPU/CPU cost curves, reproducing per-iteration latency as a function

@@ -91,6 +91,7 @@ var benchSizes = []int{1 << 10, 1 << 18, 1 << 20} // 4KB, 1MB, 4MB frames
 func BenchmarkSendPerElementReference(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("%dKB", 4*n/1024), func(b *testing.B) {
+			b.ReportAllocs()
 			sender, receiver := loopbackPair(b)
 			data := make([]float32, n)
 			for i := range data {
@@ -127,6 +128,7 @@ func BenchmarkSendPerElementReference(b *testing.B) {
 func BenchmarkMeshSendBulk(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("%dKB", 4*n/1024), func(b *testing.B) {
+			b.ReportAllocs()
 			meshes := buildBenchMeshes(b, 2)
 			data := make([]float32, n)
 			for i := range data {
@@ -165,6 +167,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 		data[i] = float32(i)
 	}
 	b.Run("bulk", func(b *testing.B) {
+		b.ReportAllocs()
 		buf := make([]byte, frameHeaderLen+4*n)
 		b.SetBytes(int64(4 * n))
 		for i := 0; i < b.N; i++ {
@@ -172,6 +175,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 		}
 	})
 	b.Run("per-element", func(b *testing.B) {
+		b.ReportAllocs()
 		w := bufio.NewWriterSize(io.Discard, 1<<16)
 		b.SetBytes(int64(4 * n))
 		for i := 0; i < b.N; i++ {
