@@ -6,16 +6,36 @@ import (
 	"repro/internal/tensor"
 )
 
+// pendingGrad is a gradient on its way down the graph. owned means the
+// engine holds the only reference to t's storage, so it may accumulate
+// into t in place or install t as a leaf's Grad; a tensor that is not
+// owned (the caller's seed, or one gradient handed to several inputs)
+// is only ever read.
+type pendingGrad struct {
+	t     *tensor.Tensor
+	owned bool
+}
+
 // Backward runs reverse-mode differentiation from root, seeding the
 // root gradient with grad (or ones if grad is nil, which is only allowed
-// for one-element roots, matching loss.backward()).
+// for one-element roots, matching loss.backward()). grad stays the
+// caller's: it is read, never written or retained.
 //
 // Gradients for leaf variables with RequiresGrad are accumulated into
 // their Grad field; post-accumulation hooks fire immediately after each
 // leaf's gradient is complete for this pass — leaves therefore become
 // "ready" one at a time while the pass is still executing, which is what
 // lets DDP overlap AllReduce with the remaining backward computation.
+//
+// Gradients are handed on, not copied: what a backward function
+// returns (see node.backward) is stored as is and, if it reaches a leaf
+// with no gradient yet, becomes that leaf's Grad. A copy is made only
+// where two holders of one tensor would otherwise see each other's
+// writes — when a second contribution must be added to a shared
+// tensor, or a shared tensor reaches a leaf. The additions happen in
+// the same order, on the same values, as if every hand-off had cloned.
 func Backward(root *Variable, grad *tensor.Tensor) {
+	seedOwned := grad == nil
 	if grad == nil {
 		if root.Value.Size() != 1 {
 			panic(fmt.Sprintf("autograd: Backward without explicit gradient on tensor of %d elements", root.Value.Size()))
@@ -27,10 +47,7 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 	}
 	if root.node == nil {
 		if root.requiresGrad {
-			root.accumulate(grad)
-			for _, h := range root.hooks {
-				h(root)
-			}
+			root.accumulate(pendingGrad{grad, seedOwned})
 		}
 		return
 	}
@@ -56,7 +73,7 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 	}
 	dfs(root)
 
-	grads := map[*Variable]*tensor.Tensor{root: grad.Clone()}
+	grads := map[*Variable]pendingGrad{root: {grad, seedOwned}}
 	pending := uses // alias: pending contributions remaining per variable
 	queue := []*Variable{root}
 
@@ -69,14 +86,11 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 		if v.node == nil {
 			if v.requiresGrad {
 				v.accumulate(g)
-				for _, h := range v.hooks {
-					h(v)
-				}
 			}
 			continue
 		}
 
-		inGrads := v.node.backward(g)
+		inGrads := v.node.backward(g.t)
 		if len(inGrads) != len(v.node.inputs) {
 			panic(fmt.Sprintf("autograd: op %s returned %d gradients for %d inputs", v.node.op, len(inGrads), len(v.node.inputs)))
 		}
@@ -86,10 +100,12 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 				if !gi.SameShape(in.Value) {
 					panic(fmt.Sprintf("autograd: op %s produced gradient shape %v for input shape %v", v.node.op, gi.Shape(), in.Value.Shape()))
 				}
-				if acc, ok := grads[in]; ok {
-					tensor.AddInPlace(acc, gi)
+				if acc, ok := grads[in]; !ok {
+					grads[in] = pendingGrad{gi, ownedOutput(g, inGrads, i)}
+				} else if acc.owned {
+					tensor.AddInPlace(acc.t, gi)
 				} else {
-					grads[in] = gi.Clone()
+					grads[in] = pendingGrad{tensor.Add(acc.t, gi), true}
 				}
 			}
 			pending[in]--
@@ -100,6 +116,19 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 			}
 		}
 	}
+}
+
+// ownedOutput reports whether outs[i], returned by a backward function
+// that was given g, is the engine's alone: it shares storage with no
+// other output, and if it is g (or a view of g) the engine owned g,
+// whose own entry is gone by now.
+func ownedOutput(g pendingGrad, outs []*tensor.Tensor, i int) bool {
+	for j, o := range outs {
+		if j != i && o != nil && o.SharesStorage(outs[i]) {
+			return false
+		}
+	}
+	return g.owned || !outs[i].SharesStorage(g.t)
 }
 
 // Leaves returns every leaf variable reachable from root through the

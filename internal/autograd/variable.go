@@ -28,7 +28,10 @@ type Variable struct {
 	Value *tensor.Tensor
 	// Grad accumulates gradients across backward passes until ZeroGrad,
 	// matching PyTorch's .grad accumulation semantics that no_sync
-	// gradient accumulation depends on. Nil until first backward.
+	// gradient accumulation depends on. Nil until first backward. The
+	// tensor is the variable's alone — Backward installs a gradient it
+	// owns or a clone — until a post-accumulation hook replaces it: DDP
+	// points it at the parameter's bucket slot.
 	Grad *tensor.Tensor
 
 	name         string
@@ -43,6 +46,13 @@ type node struct {
 	inputs []*Variable
 	// backward maps the gradient of the node's output to gradients of
 	// each input (nil entries for inputs that do not require grad).
+	//
+	// Contract: it only reads grad, and each tensor it returns is grad
+	// itself, a Reshape view of grad, or a tensor it allocated and does
+	// not retain. Backward hands these on without copying — a returned
+	// tensor may end up as a leaf's Grad and be accumulated into in
+	// place — so returning a captured forward value, or keeping a
+	// reference to a returned tensor, corrupts gradients.
 	backward func(grad *tensor.Tensor) []*tensor.Tensor
 }
 
@@ -125,12 +135,20 @@ func newOp(op string, out *tensor.Tensor, backward func(grad *tensor.Tensor) []*
 	}
 }
 
-// accumulate adds g into v.Grad, cloning on first touch so callers retain
-// ownership of g.
-func (v *Variable) accumulate(g *tensor.Tensor) {
-	if v.Grad == nil {
-		v.Grad = g.Clone()
-		return
+// accumulate adds a completed gradient into the leaf's Grad and fires
+// its post-accumulation hooks. A first gradient the engine owns becomes
+// Grad as is; one it does not own is cloned, so Grad never shares
+// storage with anything else.
+func (v *Variable) accumulate(g pendingGrad) {
+	switch {
+	case v.Grad != nil:
+		tensor.AddInPlace(v.Grad, g.t)
+	case g.owned:
+		v.Grad = g.t
+	default:
+		v.Grad = g.t.Clone()
 	}
-	tensor.AddInPlace(v.Grad, g)
+	for _, h := range v.hooks {
+		h(v)
+	}
 }

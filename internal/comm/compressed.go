@@ -127,7 +127,9 @@ func (g *meshGroup) submitCompressed(tags int, data []float32, codec WireCodec, 
 		start := time.Now()
 		shadow := residual
 		if residual != nil {
-			shadow = append([]float32(nil), residual...)
+			shadow = transport.GetFloats(len(residual))
+			defer transport.PutFloats(shadow)
+			copy(shadow, residual)
 		}
 		wire, err := run(tag, shadow)
 		if err != nil {
@@ -159,11 +161,19 @@ func quantizeThrough(codec WireCodec, data, residual []float32) error {
 	if len(data) == 0 {
 		return nil
 	}
-	frame := codec.Encode(make([]byte, 0, codec.EncodedSize(len(data))), data, residual)
+	frame := encodePooled(codec, data, residual)
+	defer transport.PutBytes(frame)
 	if err := codec.Decode(frame, data); err != nil {
 		return fmt.Errorf("comm: codec %s round trip: %w", codec.Name(), err)
 	}
 	return nil
+}
+
+// encodePooled encodes data into a buffer from the transport's pool;
+// the caller hands the frame back with transport.PutBytes once nothing
+// reads it any more.
+func encodePooled(codec WireCodec, data, residual []float32) []byte {
+	return codec.Encode(transport.GetBytes(codec.EncodedSize(len(data)))[:0], data, residual)
 }
 
 // compressedAllReduce is the wire-level compressed AllReduce: a
@@ -220,7 +230,9 @@ func compressedAllReduce(m transport.Mesh, tag uint64, data []float32, op Reduce
 
 	// Stage 2: broadcast the re-encoded reduced chunk; decode everyone's
 	// (own included — all ranks must hold the decode of the same bytes).
-	reduced := codec.Encode(make([]byte, 0, codec.EncodedSize(len(acc))), acc, nil)
+	reduced := encodePooled(codec, acc, nil)
+	transport.PutFloats(acc)
+	defer transport.PutBytes(reduced) // exchange has joined every send by then
 	wire += (k - 1) * len(reduced)
 	err = exchange(byteLane(bm), tag, rank, otherRanks(k, rank), allRanks(k),
 		func(int) []byte { return reduced },
@@ -265,6 +277,9 @@ func compressedLanes(m transport.Mesh, op ReduceOp) (transport.ByteMesh, bool) {
 // gradient-shard path, where the reduced chunk feeds the local
 // optimizer shard and is never re-broadcast) — plus the encoded payload
 // bytes this rank put on the byte lanes. data itself is not modified.
+// The fold is a buffer from the transport's pool, the caller's to hand
+// back (transport.PutFloats); every other buffer used here has gone
+// back by the time the function returns.
 func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag uint64, data []float32, codec WireCodec, residual []float32) ([]float32, int, error) {
 	k, rank := m.Size(), m.Rank()
 	n := len(data)
@@ -277,15 +292,15 @@ func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag 
 		if residual != nil {
 			res = residual[lo:hi]
 		}
-		encs[j] = codec.Encode(make([]byte, 0, codec.EncodedSize(hi-lo)), data[lo:hi], res)
+		encs[j] = encodePooled(codec, data[lo:hi], res)
 		if j != rank {
 			wire += len(encs[j])
 		}
 	}
 
 	lo, hi := chunkBounds(n, k, rank)
-	acc := make([]float32, hi-lo)
-	scratch := make([]float32, hi-lo)
+	acc := transport.GetFloats(hi - lo)
+	scratch := transport.GetFloats(hi - lo)
 	err := exchange(byteLane(bm), tag, rank, otherRanks(k, rank), allRanks(k),
 		func(j int) []byte { return encs[j] },
 		func(r int, frame []byte) error {
@@ -301,7 +316,13 @@ func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag 
 			}
 			return nil
 		})
+	// exchange has joined every send: nothing reads the frames any more.
+	for _, enc := range encs {
+		transport.PutBytes(enc)
+	}
+	transport.PutFloats(scratch)
 	if err != nil {
+		transport.PutFloats(acc)
 		return nil, 0, err
 	}
 	return acc, wire, nil

@@ -238,6 +238,7 @@ func treeHalfAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp
 				return fmt.Errorf("comm: double-tree chunk size mismatch from rank %d: got %d want %d", ch, len(buf), hi-lo)
 			}
 			reduceInto(data[lo:hi], buf, op)
+			transport.PutFloats(buf)
 		}
 		if rel.parent >= 0 {
 			waitSend(rel.parent)
@@ -268,6 +269,7 @@ func treeHalfAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp
 				return fmt.Errorf("comm: double-tree broadcast size mismatch: got %d want %d", len(buf), hi-lo)
 			}
 			copy(data[lo:hi], buf)
+			transport.PutFloats(buf)
 		}
 		for _, ch := range rel.children {
 			waitSend(ch)

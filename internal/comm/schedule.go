@@ -13,8 +13,9 @@ import (
 // calls. The all-peers collectives, whose frames do not address one
 // flat buffer, share exchange instead. Nothing else in these files
 // touches the transport (doubletree.go's gated, pipelined trees aside),
-// so the frame-length check, the join of the in-flight send and every
-// future pooling or pipelining change are written once — and because a
+// so the frame-length check, the join of the in-flight send, the
+// hand-back of every received frame to the transport's buffer pool and
+// every future pipelining change are written once — and because a
 // schedule exists without a mesh, schedule_test.go checks every
 // generator statically: matching sends and receives in per-link FIFO
 // order, no cycle of blocking waits, the documented fold chain.
@@ -91,8 +92,9 @@ func checkFrame(collective string, rank, peer, step, got, want int) error {
 // both sends and receives issues the send on its own goroutine so the
 // matching receive can proceed concurrently, preventing head-of-line
 // deadlock on large messages; that send is joined on every path, so no
-// goroutine outlives the call or reads data after it returns.
-// collective names the schedule in errors.
+// goroutine outlives the call or reads data after it returns. Every
+// received frame goes back to the transport's pool once it has been
+// folded or copied. collective names the schedule in errors.
 func runSteps(m transport.Mesh, tag uint64, collective string, data []float32, op ReduceOp, steps []step) error {
 	sent := make(chan error, 1) // at most one send is in flight
 	for i, st := range steps {
@@ -115,6 +117,7 @@ func runSteps(m transport.Mesh, tag uint64, collective string, data []float32, o
 			}
 		}
 		if err != nil {
+			transport.PutFloats(buf)
 			return err
 		}
 		if st.fold {
@@ -122,29 +125,38 @@ func runSteps(m transport.Mesh, tag uint64, collective string, data []float32, o
 		} else {
 			copy(data[st.rLo:st.rHi], buf)
 		}
+		transport.PutFloats(buf)
 	}
 	return nil
 }
 
 // lane is one frame kind of a mesh — float32 frames or the byte frames
-// of transport.ByteMesh — so exchange is written once for both.
+// of transport.ByteMesh — so exchange is written once for both. free
+// hands a received frame back to the transport's pool.
 type lane[T any] struct {
 	send func(to int, tag uint64, data []T) error
 	recv func(from int, tag uint64) ([]T, error)
+	free func(frame []T)
 }
 
-func floatLane(m transport.Mesh) lane[float32] { return lane[float32]{m.Send, m.Recv} }
+func floatLane(m transport.Mesh) lane[float32] {
+	return lane[float32]{m.Send, m.Recv, transport.PutFloats}
+}
 
-func byteLane(bm transport.ByteMesh) lane[byte] { return lane[byte]{bm.SendBytes, bm.RecvBytes} }
+func byteLane(bm transport.ByteMesh) lane[byte] {
+	return lane[byte]{bm.SendBytes, bm.RecvBytes, transport.PutBytes}
+}
 
 // exchange is the all-peers pattern: out(p) is shipped concurrently to
 // every rank p in to, then in(p, frame) consumes the frame of every
 // rank p in from, in the order listed — which is what fixes a fold
 // order. Listing this rank in from hands in its own out(rank) without
 // touching the wire, so a caller folding or decoding in rank order
-// treats its own contribution like any other. Every outstanding send
-// is joined before exchange returns, on the error paths too: no
-// goroutine is left reading a caller's buffer.
+// treats its own contribution like any other. A frame is only in's
+// for the duration of the call: received frames go back to the
+// transport's pool as soon as in returns. Every outstanding send is
+// joined before exchange returns, on the error paths too: no goroutine
+// is left reading a caller's buffer.
 func exchange[T any](l lane[T], tag uint64, rank int, to, from []int, out func(p int) []T, in func(p int, frame []T) error) error {
 	sent := make(chan error, len(to)) // one slot per send: none blocks on the join
 	for _, p := range to {
@@ -153,13 +165,16 @@ func exchange[T any](l lane[T], tag uint64, rank int, to, from []int, out func(p
 	}
 	var err error
 	for _, p := range from {
-		var frame []T
 		if p == rank {
-			frame = out(p)
-		} else if frame, err = l.recv(p, tag); err != nil {
-			break
+			err = in(p, out(p))
+		} else {
+			var frame []T
+			if frame, err = l.recv(p, tag); err == nil {
+				err = in(p, frame)
+				l.free(frame)
+			}
 		}
-		if err = in(p, frame); err != nil {
+		if err != nil {
 			break
 		}
 	}

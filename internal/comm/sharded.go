@@ -133,6 +133,7 @@ func compressedReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, 
 	}
 	lo, hi := chunkBounds(len(data), m.Size(), m.Rank())
 	copy(data[lo:hi], acc)
+	transport.PutFloats(acc)
 	finishAvg(data[lo:hi], op, m.Size())
 	return wire, nil
 }

@@ -95,6 +95,12 @@ type DDP struct {
 	params []*nn.Parameter
 	sizes  []int // element counts, model order
 	engine *reduce.Engine
+	// views[i] is parameter i's slot in the engine's bucket buffer as a
+	// tensor of the parameter's shape. After a synchronized backward it
+	// IS params[i].Grad: the hook copies the produced gradient into the
+	// slot once, AllReduce averages it in place, and the optimizer reads
+	// it there. Rebuilt with every bucket assignment.
+	views  []*tensor.Tensor
 	codecs []comm.Codec   // per-bucket quantizers (plain, non-wire codecs)
 	wire   comm.WireCodec // wire-level codec; residual state lives in the engine
 
@@ -204,9 +210,16 @@ func (d *DDP) launchBucket(bucket int, flat, resFlat []float32) comm.Work {
 
 // installAssignment hands the engine a new assignment (the engine
 // carries error-feedback residuals across the swap) and rebuilds the
-// per-bucket plain-codec instances for the new bucket count.
+// gradient views and the per-bucket plain-codec instances for the new
+// layout. A Grad still viewing the old layout keeps its values and its
+// storage; the next synchronized hook copies it into the new slot like
+// any other gradient that is not yet in place.
 func (d *DDP) installAssignment(assign *Assignment) {
 	d.engine.Install(assign)
+	d.views = make([]*tensor.Tensor, len(d.params))
+	for i, p := range d.params {
+		d.views[i] = tensor.FromSlice(d.engine.Slot(i), p.Value.Shape()...)
+	}
 	d.codecs = nil
 	if d.opts.NewCodec != nil && d.wire == nil {
 		d.codecs = make([]comm.Codec, assign.NumBuckets())
@@ -321,14 +334,24 @@ func (d *DDP) Forward(x *autograd.Variable) *autograd.Variable {
 			// their buckets do not wait forever (Fig 3(b) fix). A
 			// parameter that accumulated gradients during earlier
 			// no_sync iterations still contributes them here, even if
-			// the current graph skips it.
+			// the current graph skips it; one without a gradient
+			// contributes zeros. Grad itself stays out of the slot until
+			// finalizeBackward knows the parameter is used somewhere: a
+			// globally unused one must come out of this iteration
+			// untouched, not averaged in place.
 			for i, p := range d.params {
-				if !used[p.Variable] {
-					if p.Grad != nil {
-						d.engine.CopyIn(i, p.Grad.Data())
-					}
-					d.engine.MarkReady(i)
+				if used[p.Variable] {
+					continue
 				}
+				switch view := d.views[i]; {
+				case p.Grad == nil:
+					view.Zero()
+				case p.Grad == view:
+					p.Grad = view.Clone()
+				default:
+					view.CopyFrom(p.Grad)
+				}
+				d.engine.MarkReady(i)
 			}
 		}
 	}
@@ -337,9 +360,14 @@ func (d *DDP) Forward(x *autograd.Variable) *autograd.Variable {
 
 // Backward runs autograd from loss and, if this iteration synchronizes,
 // finishes the gradient reduction: waits for all bucket AllReduces,
-// writes averaged gradients back into parameter .Grad fields, and
-// resolves globally unused parameters. It replaces loss.backward() in
-// the PyTorch API; the hook-driven overlap happens inside.
+// after which every used parameter's .Grad — a view of its bucket slot
+// — holds the averaged gradient, and resolves globally unused
+// parameters. It replaces loss.backward() in the PyTorch API; the
+// hook-driven overlap happens inside.
+//
+// The averaged .Grad is valid until the next synchronized Backward
+// overwrites the slot (or accumulates into it, if the gradient was not
+// zeroed in between); Clone it to keep a value across iterations.
 func (d *DDP) Backward(loss *autograd.Variable) error {
 	autograd.Backward(loss, nil)
 	if !d.syncThisBackward {
@@ -374,17 +402,23 @@ func (d *DDP) broadcastBuffersIfPending() {
 // autogradHook is Algorithm 1's autograd_hook: fired by the engine after
 // a parameter's gradient is fully accumulated. In no_sync iterations it
 // does nothing (hooks disabled); otherwise it copies the gradient into
-// the bucket and marks the parameter ready.
+// its bucket slot, makes the slot the parameter's Grad, and marks the
+// parameter ready. A Grad that is the slot already — autograd
+// accumulated into last iteration's average in place, because nothing
+// zeroed it — is where it has to be.
 func (d *DDP) autogradHook(idx int) {
 	if !d.syncThisBackward {
 		return
 	}
-	d.engine.CopyIn(idx, d.params[idx].Grad.Data())
+	if p, view := d.params[idx], d.views[idx]; p.Grad != view {
+		view.CopyFrom(p.Grad)
+		p.Grad = view
+	}
 	d.engine.MarkReady(idx)
 }
 
 // finalizeBackward is the finishing step Algorithm 1 leaves implicit:
-// wait for outstanding AllReduces and write averaged gradients back.
+// wait for outstanding AllReduces, which average every Grad in place.
 func (d *DDP) finalizeBackward() error {
 	// Detect the Fig 3(b) hang instead of reproducing it: if some bucket
 	// never became ready, parameters were skipped by this iteration's
@@ -415,25 +449,19 @@ func (d *DDP) finalizeBackward() error {
 		}
 	}
 
-	if err := d.engine.WaitAll(func(bucket int, flat []float32) error {
-		for _, idx := range assign.Buckets[bucket] {
-			if trackUnused && !d.globallyUsed[idx] {
-				// Globally unused: leave .Grad intact (nil here), so an
-				// optimizer that skips absent gradients does not decay
-				// momentum for it (Section 3.2.3).
-				continue
-			}
-			p := d.params[idx]
-			off := assign.OffsetOf[idx]
-			avg := flat[off : off+d.sizes[idx]]
-			if p.Grad == nil {
-				p.Grad = tensor.New(p.Value.Shape()...)
-			}
-			copy(p.Grad.Data(), avg)
-		}
-		return nil
-	}); err != nil {
+	if err := d.engine.WaitAll(nil); err != nil {
 		return fmt.Errorf("ddp: %w", err)
+	}
+	if trackUnused {
+		// Parameters this rank's graph skipped had no hook to point
+		// their Grad at the average. Globally unused ones keep .Grad
+		// intact (nil, normally), so an optimizer that skips absent
+		// gradients does not decay momentum for them (Section 3.2.3).
+		for i, p := range d.params {
+			if d.globallyUsed[i] {
+				p.Grad = d.views[i]
+			}
+		}
 	}
 
 	// Next synchronized forward must re-broadcast buffers; local unused

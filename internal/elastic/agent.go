@@ -168,8 +168,9 @@ func (a *Agent) StopHeartbeat() {
 }
 
 // Leave requests a clean departure: after the current step completes,
-// the agent proposes a new generation (so survivors reform without it)
-// and Run returns nil.
+// the agent commits that step's checkpoint if one is in flight, then
+// proposes a new generation (so survivors reform without it, from a
+// checkpoint that includes the step) and Run returns nil.
 func (a *Agent) Leave() {
 	a.mu.Lock()
 	a.leaving = true
@@ -530,11 +531,13 @@ func (a *Agent) Run(totalSteps int64, step StepFunc) error {
 			return ErrKilled
 		}
 		if a.isLeaving() {
+			// Commit, then announce (see commitBeforeLeaving).
+			err := a.commitBeforeLeaving()
 			a.mu.Lock()
 			g := a.assign.Generation
 			a.mu.Unlock()
 			_, _ = a.rdzv.ProposeGeneration(g)
-			return a.finishCheckpoint()
+			return err
 		}
 		if a.reconfigNeeded() || a.generationAdvanced() {
 			if err := a.reconfigure(); err != nil {

@@ -13,6 +13,9 @@ type agentCkpt struct {
 	cfg   CheckpointConfig
 	w     *ckpt.Writer
 	async *ckpt.AsyncWriter
+	// saved is the step of the last save this agent contributed its
+	// shard to (0: none yet). Only Run's goroutine touches it.
+	saved int64
 }
 
 // initCheckpoint validates the checkpoint configuration and builds the
@@ -140,9 +143,13 @@ func (a *Agent) maybeSaveCheckpoint() error {
 		if err := ck.async.Submit(snap, assign.Rank, assign.World, cancel); err != nil {
 			return fmt.Errorf("elastic: checkpoint: %w", err)
 		}
+		ck.saved = step
 		return nil
 	}
-	if err := ck.w.Save(snap, assign.Rank, assign.World, cancel); err != nil && !errors.Is(err, ckpt.ErrAbandoned) {
+	switch err := ck.w.Save(snap, assign.Rank, assign.World, cancel); {
+	case err == nil:
+		ck.saved = step
+	case !errors.Is(err, ckpt.ErrAbandoned):
 		return fmt.Errorf("elastic: checkpoint: %w", err)
 	}
 	return nil
@@ -179,6 +186,45 @@ func (a *Agent) finishCheckpoint() error {
 	}
 	if err := a.ck.async.Close(); err != nil {
 		return fmt.Errorf("elastic: draining checkpoints: %w", err)
+	}
+	return nil
+}
+
+// commitBeforeLeaving is the departing worker's half of "a graceful
+// Leave costs the survivors nothing": it drains its own saves and then
+// waits until the checkpoint it last contributed a shard to is
+// committed. A shard landing is not the commit — rank 0 publishes the
+// manifest once every rank's shard is in, and followers return from a
+// save well before that — and the proposal that follows makes every
+// survivor abandon its in-flight saves (interrupt). Announced first,
+// the departure would leave the step the whole world just finished
+// uncommitted: sharded survivors, who can only resume from a
+// checkpoint, would reload the one before it and retrain the step.
+//
+// The wait ends early when a membership change cancels this
+// generation's saves (the commit can then never complete) and gives up
+// after RoundTimeout: departure must not hang on a dead rank 0.
+func (a *Agent) commitBeforeLeaving() error {
+	if err := a.finishCheckpoint(); err != nil {
+		return err
+	}
+	a.mu.Lock()
+	cancel := a.saveCancel
+	a.mu.Unlock()
+	if a.ck == nil || a.ck.saved == 0 || cancel == nil {
+		return nil
+	}
+	deadline := a.cfg.Clock.Now().Add(a.cfg.RoundTimeout)
+	for a.cfg.Clock.Now().Before(deadline) {
+		if meta, err := ckpt.LatestMeta(a.ck.cfg.Dir); err == nil && meta.Step >= a.ck.saved {
+			return nil
+		}
+		select {
+		case <-cancel:
+			return nil
+		default:
+		}
+		a.cfg.Clock.Sleep(a.cfg.PollInterval)
 	}
 	return nil
 }

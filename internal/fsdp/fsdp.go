@@ -576,11 +576,11 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 		grad := flat[f.ownedLo[bucket]:f.ownedHi[bucket]]
 		switch f.opts.Strategy {
 		case ZeRO3:
-			optim.ShardedMomentumStep(f.ownedParams[bucket], grad, f.velocity[bucket], f.opts.LR, f.opts.Momentum)
+			optim.ShardedMomentumStep(f.ownedParams[bucket], grad, f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
 		default: // ZeRO2
 			pflat := make([]float32, f.assign.BucketElems[bucket])
 			f.packParams(bucket, pflat)
-			optim.ShardedMomentumStep(pflat[f.ownedLo[bucket]:f.ownedHi[bucket]], grad, f.velocity[bucket], f.opts.LR, f.opts.Momentum)
+			optim.ShardedMomentumStep(pflat[f.ownedLo[bucket]:f.ownedHi[bucket]], grad, f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
 			if err := f.sg.AllGatherV(pflat).Wait(); err != nil {
 				return fmt.Errorf("fsdp: gathering updated parameters for bucket %d: %w", bucket, err)
 			}

@@ -41,30 +41,19 @@ func NewSGD(params []*nn.Parameter, lr float32) *SGD {
 	return &SGD{Params: params, LR: lr, velocity: make(map[*nn.Parameter]*tensor.Tensor)}
 }
 
-// Step applies v = momentum*v + grad (+wd*param); param -= lr*v.
+// Step applies v = momentum*v + grad (+wd*param); param -= lr*v, one
+// pass over each parameter (ShardedMomentumStep) that reads Grad where
+// it stands and writes only the value and the velocity.
 func (s *SGD) Step() {
 	for _, p := range s.Params {
 		if p.Grad == nil {
 			continue
 		}
-		g := p.Grad
-		if s.WeightDecay != 0 {
-			g = g.Clone()
-			tensor.AxpyInPlace(g, s.WeightDecay, p.Value)
-		}
-		update := g
+		var velocity []float32
 		if s.Momentum != 0 {
-			v := s.velocity[p]
-			if v == nil {
-				v = g.Clone()
-				s.velocity[p] = v
-			} else {
-				tensor.ScaleInPlace(v, s.Momentum)
-				tensor.AddInPlace(v, g)
-			}
-			update = v
+			velocity = ensure(s.velocity, p).Data()
 		}
-		tensor.AxpyInPlace(p.Value, -s.LR, update)
+		ShardedMomentumStep(p.Value.Data(), p.Grad.Data(), velocity, s.LR, s.Momentum, s.WeightDecay)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 func scalarParam(v float32) *nn.Parameter {
@@ -124,5 +125,79 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 	if got := w.Value.At(0); math.Abs(float64(got+2)) > 5e-2 {
 		t.Fatalf("converged to %v, want -2", got)
+	}
+}
+
+// threePassSGDStep is SGD.Step as it was before it became one pass
+// (ShardedMomentumStep): clone the gradient to add weight decay, scale
+// and add into the velocity, axpy into the value — three walks over
+// memory per parameter. Kept as the oracle for the one-pass loop.
+func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor.Tensor, lr, momentum, weightDecay float32) {
+	for _, p := range params {
+		if p.Grad == nil {
+			continue
+		}
+		g := p.Grad
+		if weightDecay != 0 {
+			g = g.Clone()
+			tensor.AxpyInPlace(g, weightDecay, p.Value)
+		}
+		update := g
+		if momentum != 0 {
+			v := velocity[p]
+			if v == nil {
+				v = g.Clone()
+				velocity[p] = v
+			} else {
+				tensor.ScaleInPlace(v, momentum)
+				tensor.AddInPlace(v, g)
+			}
+			update = v
+		}
+		tensor.AxpyInPlace(p.Value, -lr, update)
+	}
+}
+
+// TestSGDStepIsBitwiseTheThreePassUpdate: over several steps, for every
+// combination of momentum and weight decay, with one parameter that
+// never gets a gradient, SGD.Step leaves bitwise the values and
+// velocities the three-pass update does, and does not write Grad.
+func TestSGDStepIsBitwiseTheThreePassUpdate(t *testing.T) {
+	for _, momentum := range []float32{0, 0.9} {
+		for _, weightDecay := range []float32{0, 1e-4} {
+			rng := rand.New(rand.NewSource(9))
+			shapes := [][]int{{7, 5}, {5}, {3, 3}}
+			var got, want []*nn.Parameter
+			for _, shape := range shapes {
+				v := tensor.RandN(rng, 1, shape...)
+				got = append(got, nn.NewParameter("p", v))
+				want = append(want, nn.NewParameter("p", v.Clone()))
+			}
+			opt := NewSGD(got, 0.05)
+			opt.Momentum, opt.WeightDecay = momentum, weightDecay
+			velocity := make(map[*nn.Parameter]*tensor.Tensor)
+			for step := 0; step < 4; step++ {
+				for i := range got[:2] { // the last parameter's Grad stays nil
+					g := tensor.RandN(rng, 1, shapes[i]...)
+					got[i].Grad, want[i].Grad = g, g.Clone()
+				}
+				opt.Step()
+				threePassSGDStep(want, velocity, 0.05, momentum, weightDecay)
+				for i := range got {
+					if !testutil.SameBits(got[i].Value, want[i].Value) {
+						t.Fatalf("momentum %v decay %v step %d: parameter %d differs from the three-pass update", momentum, weightDecay, step, i)
+					}
+					if v := velocity[want[i]]; v != nil && !testutil.SameBits(opt.VelocityOf(got[i]), v) {
+						t.Fatalf("momentum %v decay %v step %d: velocity %d differs from the three-pass update", momentum, weightDecay, step, i)
+					}
+					if got[i].Grad != nil && !testutil.SameBits(got[i].Grad, want[i].Grad) {
+						t.Fatalf("momentum %v decay %v step %d: Step wrote parameter %d's Grad", momentum, weightDecay, step, i)
+					}
+				}
+			}
+			if opt.VelocityOf(got[2]) != nil {
+				t.Fatalf("momentum %v: a parameter without gradient got a velocity", momentum)
+			}
+		}
 	}
 }

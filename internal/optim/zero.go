@@ -105,7 +105,7 @@ func (z *ZeroSGD) Step() error {
 	rank := z.pg.Rank()
 	shardStart := rank * z.shardLen
 	shard := z.flatParams(shardStart)
-	ShardedMomentumStep(shard, z.shardAvg, z.velocity, z.LR, z.Momentum)
+	ShardedMomentumStep(shard, z.shardAvg, z.velocity, z.LR, z.Momentum, 0)
 
 	// Publish updated shards to everyone.
 	if err := z.pg.AllGather(z.gathered, shard).Wait(); err != nil {

@@ -181,18 +181,17 @@ func (e *Engine) ObservedReady() []int {
 	return append([]int(nil), e.observedReady...)
 }
 
-// Reset replenishes per-bucket pending counts and clears bucket buffers
-// for a new synchronized iteration (Section 4.2: "In the next forward
-// pass, DDP replenishes the pending gradient count"). A Transient
+// Reset replenishes per-bucket pending counts for a new synchronized
+// iteration (Section 4.2: "In the next forward pass, DDP replenishes
+// the pending gradient count"). Bucket buffers keep whatever the last
+// iteration left in them: every slot is written in full — by its owner
+// through Slot, or by CopyIn — before it is marked ready, so clearing
+// them here would only be a second pass over memory. A Transient
 // engine reallocates the buffers WaitAll released.
 func (e *Engine) Reset() {
 	for b, bs := range e.bucket {
 		if bs.flat == nil {
 			bs.flat = make([]float32, e.assign.BucketElems[b])
-		} else {
-			for i := range bs.flat {
-				bs.flat[i] = 0
-			}
 		}
 		if e.cfg.TrackResiduals && bs.resFlat == nil {
 			bs.resFlat = make([]float32, e.assign.BucketElems[b])
@@ -207,12 +206,21 @@ func (e *Engine) Reset() {
 	e.observedReady = e.observedReady[:0]
 }
 
-// CopyIn writes a parameter's (possibly no_sync-accumulated) gradient
-// into its bucket view.
-func (e *Engine) CopyIn(idx int, grad []float32) {
-	bs := e.bucket[e.assign.BucketOf[idx]]
+// Slot returns a parameter's region of its bucket's buffer: where its
+// gradient must stand when the parameter is marked ready, and where the
+// reduced gradient stands after WaitAll. The slice stays valid, and
+// keeps its contents between iterations, until the next Install (for a
+// Transient engine: until WaitAll releases the bucket) — which is what
+// lets ddp keep a parameter's Grad as a view of it.
+func (e *Engine) Slot(idx int) []float32 {
 	off := e.assign.OffsetOf[idx]
-	copy(bs.flat[off:off+e.cfg.Sizes[idx]], grad)
+	return e.bucket[e.assign.BucketOf[idx]].flat[off : off+e.cfg.Sizes[idx]]
+}
+
+// CopyIn writes a parameter's gradient into its slot, for callers whose
+// gradients live elsewhere (fsdp, whose bucket buffers are transient).
+func (e *Engine) CopyIn(idx int, grad []float32) {
+	copy(e.Slot(idx), grad)
 }
 
 // MarkReady decrements the parameter's bucket pending count and
@@ -245,8 +253,9 @@ func (e *Engine) launchReady() {
 }
 
 // WaitAll waits for every launched bucket's collective in bucket order
-// and hands each reduced buffer to consume (gradient writeback for
-// ddp, the fused sharded optimizer step for fsdp). The caller must
+// and hands each reduced buffer to consume (the fused sharded optimizer
+// step for fsdp; ddp passes nil, its gradients being views of the
+// buffers already). The caller must
 // have verified all buckets launched — waiting on an unlaunched bucket
 // is a caller bug and errors out. A Transient engine releases each
 // bucket's buffers after its consume returns, flushing residuals to

@@ -58,7 +58,8 @@ func TestOverlapReducesLatency(t *testing.T) {
 	}
 	speedup := 1 - withOverlap.TotalSeconds/without.TotalSeconds
 	// Paper Fig 6: ResNet50 on NCCL gains ~38% from overlap. Accept a
-	// generous band; EXPERIMENTS.md records the exact figure.
+	// generous band; `ddpbench -exp fig6` prints the exact figure (see
+	// ARCHITECTURE.md, "Substitutions and the experiment index").
 	if speedup < 0.10 || speedup > 0.60 {
 		t.Fatalf("overlap speedup = %.1f%%, outside plausible band", speedup*100)
 	}

@@ -3,15 +3,18 @@
 // are built on.
 //
 // Tensors are deliberately simple: contiguous storage, row-major layout,
-// no strides. Views produced by Reshape share storage with the original;
-// all other operations allocate their results. This mirrors the subset of
-// PyTorch tensor semantics the DDP paper depends on (flat bucket views
-// into gradient storage are modelled with Data and CopyFrom).
+// no strides. A tensor shares storage with another only when it was made
+// to: Reshape returns a view of its receiver, and FromSlice wraps the
+// slice it is given — which is how DDP makes a parameter's gradient a
+// view of its slot in a flat bucket buffer. The kernels (Add, MatMul,
+// ...) allocate their results; the *InPlace ones write their first
+// argument. SharesStorage tells the two situations apart.
 package tensor
 
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Tensor is a dense float32 n-dimensional array in row-major order.
@@ -152,6 +155,18 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: Reshape %v to %v changes element count", t.shape, shape))
 	}
 	return &Tensor{data: t.data, shape: shape}
+}
+
+// SharesStorage reports whether t and o overlap in memory, as a tensor
+// and its Reshape view do, or two FromSlice tensors over overlapping
+// slices. Writing one of such a pair changes the other.
+func (t *Tensor) SharesStorage(o *Tensor) bool {
+	if len(t.data) == 0 || len(o.data) == 0 {
+		return false
+	}
+	tLo := uintptr(unsafe.Pointer(unsafe.SliceData(t.data)))
+	oLo := uintptr(unsafe.Pointer(unsafe.SliceData(o.data)))
+	return tLo < oLo+4*uintptr(len(o.data)) && oLo < tLo+4*uintptr(len(t.data))
 }
 
 // Zero sets every element to 0.

@@ -1,16 +1,39 @@
 // Package testutil hosts small shared test fixtures: reproducible
-// randomness for randomized tests (SeededRand) and a manually advanced
-// clock satisfying elastic.Clock (FakeClock). Production code must not
-// import it.
+// randomness for randomized tests (SeededRand), a manually advanced
+// clock satisfying elastic.Clock (FakeClock) and the bit-for-bit tensor
+// comparison of the differential tests (SameBits). Production code must
+// not import it.
 package testutil
 
 import (
 	"flag"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
+
+// SameBits reports whether a and b are both nil, or have the same shape
+// and bit-for-bit the same elements. Unlike Tensor.Equal it tells -0
+// from +0 and equates a NaN with itself: what "bitwise the reference"
+// means in the tests that compare an optimized path with its oracle.
+func SameBits(a, b *tensor.Tensor) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data() {
+		if math.Float32bits(v) != math.Float32bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // chaosSeed pins every SeededRand in the test binary to one seed, so a
 // failure logged with its seed is replayed exactly:

@@ -498,7 +498,8 @@ func (m *tcpMesh) SendBytes(to int, tag uint64, data []byte) error {
 }
 
 // RecvBytes reads one byte-lane frame: header ReadFull, then the
-// payload lands directly in the result slice. Tag and lane mismatches
+// payload lands directly in the result slice, a pooled buffer that is
+// the caller's to hand back (PutBytes). Tag and lane mismatches
 // surface as their dedicated error types with the stream drained, so
 // framing survives for callers that can continue.
 func (m *tcpMesh) RecvBytes(from int, tag uint64) ([]byte, error) {
@@ -526,8 +527,9 @@ func (m *tcpMesh) RecvBytes(from int, tag uint64) ([]byte, error) {
 		}
 		return nil, &LaneMismatchError{From: from, WantRaw: true, Tag: tag}
 	}
-	data := make([]byte, count&^rawFrameFlag)
+	data := GetBytes(int(count &^ rawFrameFlag))
 	if _, err := io.ReadFull(p.conn, data); err != nil {
+		PutBytes(data)
 		return nil, m.wireErr("recv payload from", from, err)
 	}
 	p.link.received(frameHeaderLen + len(data))
@@ -547,7 +549,8 @@ func framePayloadLen(count uint32) int64 {
 // Recv reads one frame: one ReadFull for the header, one for the
 // payload. On little-endian hosts the payload lands directly in the
 // result slice (zero-copy, no decode pass); the portable fallback
-// reads into a reused buffer and bulk-decodes.
+// reads into a reused buffer and bulk-decodes. The result is a pooled
+// buffer that is the caller's to hand back (PutFloats).
 func (m *tcpMesh) Recv(from int, tag uint64) ([]float32, error) {
 	if from == m.rank || from < 0 || from >= m.size {
 		return nil, fmt.Errorf("transport: invalid recv source %d at rank %d", from, m.rank)
@@ -578,14 +581,16 @@ func (m *tcpMesh) Recv(from int, tag uint64) ([]float32, error) {
 		}
 		return nil, &LaneMismatchError{From: from, WantRaw: false, Tag: tag}
 	}
-	data := make([]float32, count)
+	data := GetFloats(int(count))
 	if hostLittleEndian {
 		if _, err := io.ReadFull(p.conn, float32Bytes(data)); err != nil {
+			PutFloats(data)
 			return nil, m.wireErr("recv payload from", from, err)
 		}
 	} else {
 		p.rbuf = grow(p.rbuf, 4*int(count))
 		if _, err := io.ReadFull(p.conn, p.rbuf); err != nil {
+			PutFloats(data)
 			return nil, m.wireErr("recv payload from", from, err)
 		}
 		decodePayload(p.rbuf, data)

@@ -71,7 +71,10 @@ type Mesh interface {
 	// copied (or serialized) before Send returns; callers may reuse it.
 	Send(to int, tag uint64, data []float32) error
 	// Recv returns the next message from peer `from`, which must carry
-	// the expected tag.
+	// the expected tag. The returned buffer belongs to the caller, and
+	// no mesh or decorator may keep a reference to it; a caller done
+	// with it should hand it back with PutFloats so the next frame
+	// reuses it (see pool.go).
 	Recv(from int, tag uint64) ([]float32, error)
 	// Close releases the mesh's resources.
 	Close() error
@@ -99,7 +102,8 @@ type ByteMesh interface {
 	// returns, so callers may reuse it.
 	SendBytes(to int, tag uint64, data []byte) error
 	// RecvBytes returns the next byte frame from peer `from`, which must
-	// carry the expected tag.
+	// carry the expected tag. Like Recv's, the buffer is the caller's,
+	// to hand back with PutBytes.
 	RecvBytes(from int, tag uint64) ([]byte, error)
 }
 
@@ -232,14 +236,29 @@ func NewInProcMeshes(n int) []Mesh {
 func (m *inProcMesh) Rank() int { return m.rank }
 func (m *inProcMesh) Size() int { return m.size }
 
+// Send copies data into a pooled frame buffer, which the receiver's
+// Recv hands to its caller; a frame that was not delivered goes back to
+// the pool here.
 func (m *inProcMesh) Send(to int, tag uint64, data []float32) error {
-	return m.send(to, frame{tag: tag, data: append([]float32(nil), data...)})
+	buf := GetFloats(len(data))
+	copy(buf, data)
+	err := m.send(to, frame{tag: tag, data: buf})
+	if err != nil {
+		PutFloats(buf)
+	}
+	return err
 }
 
 // SendBytes implements ByteMesh over the same frame channels as Send;
 // byte and float frames share each link's FIFO order.
 func (m *inProcMesh) SendBytes(to int, tag uint64, data []byte) error {
-	return m.send(to, frame{tag: tag, raw: append([]byte(nil), data...), isRaw: true})
+	buf := GetBytes(len(data))
+	copy(buf, data)
+	err := m.send(to, frame{tag: tag, raw: buf, isRaw: true})
+	if err != nil {
+		PutBytes(buf)
+	}
+	return err
 }
 
 func (m *inProcMesh) send(to int, f frame) error {
