@@ -3,6 +3,8 @@ package autograd
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tensor"
@@ -323,6 +325,36 @@ func TestHookFiringOrderFollowsBackwardOrder(t *testing.T) {
 	Backward(loss, nil)
 	if len(order) != 3 || order[0] != "w3" || order[1] != "w2" || order[2] != "w1" {
 		t.Fatalf("hook order = %v, want [w3 w2 w1]", order)
+	}
+}
+
+func TestBackwardYieldsToWorkStartedByHooks(t *testing.T) {
+	// Backward's progress guarantee. On one processor, a goroutine
+	// started by the hook of the first leaf to finish (w4) can run only
+	// if Backward gives the processor up; the backward function of a
+	// node two yields later (the hook under w2's MatMul) must see that
+	// it ran. Nodes this small finish far inside the runtime's
+	// preemption quantum, so without the yield it never does. Two
+	// yields, because the scheduler resumes the yielding goroutine
+	// first on one tick in 61.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(18))
+	x := Constant(tensor.RandN(rng, 1, 2, 2))
+	w1, w2, w3, w4 := randVar(rng, 2, 2), randVar(rng, 2, 2), randVar(rng, 2, 2), randVar(rng, 2, 2)
+	var ran atomic.Bool
+	done := make(chan struct{})
+	w4.RegisterPostAccumulateHook(func(*Variable) {
+		go func() {
+			ran.Store(true)
+			close(done)
+		}()
+	})
+	seen := false
+	h1 := BackwardHook(MatMul(x, w1), func() { seen = ran.Load() })
+	Backward(Sum(MatMul(MatMul(MatMul(h1, w2), w3), w4)), nil)
+	<-done
+	if !seen {
+		t.Fatal("a goroutine started by the first leaf's hook had not run two backward nodes later")
 	}
 }
 

@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/tensor"
 )
@@ -34,6 +35,13 @@ type pendingGrad struct {
 // writes — when a second contribution must be added to a shared
 // tensor, or a shared tensor reaches a leaf. The additions happen in
 // the same order, on the same values, as if every hand-off had cloned.
+//
+// Progress guarantee: Backward yields the processor once after every
+// node's backward function, so a collective launched from a hook gets
+// to run at least once per backward node even when every processor is
+// busy running a rank. Without the yield the goroutine a hook has just
+// woken, and every later hop of its collective, would wait for the
+// runtime's 10 ms forced preemption while this pass computes on.
 func Backward(root *Variable, grad *tensor.Tensor) {
 	seedOwned := grad == nil
 	if grad == nil {
@@ -91,6 +99,7 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 		}
 
 		inGrads := v.node.backward(g.t)
+		runtime.Gosched()
 		if len(inGrads) != len(v.node.inputs) {
 			panic(fmt.Sprintf("autograd: op %s returned %d gradients for %d inputs", v.node.op, len(inGrads), len(v.node.inputs)))
 		}

@@ -2,8 +2,20 @@ package tensor
 
 import "fmt"
 
+// The three kernels below are register-tiled, and each computes exactly
+// the sums of the naive triple loop it replaced (matmul_ref_test.go
+// keeps those loops and compares bit patterns, any NaN standing for
+// every NaN): an output element starts at +0 and adds its k products
+// one at a time in ascending p.
+// Tiling only changes how many output elements or how many consecutive
+// p are in registers at once, never the order of additions into one
+// element. Every product is written float32(x*y): the conversion rounds
+// it before the add, so no architecture may fuse the two into one
+// differently-rounded multiply-add.
+
 // MatMul returns the matrix product of a [m,k] and b [k,n] as [m,n].
-// The inner loops are ordered i-k-j for cache-friendly row-major access.
+// A term whose a factor is ±0 is skipped (a ReLU output row is half
+// zeros), so 0·Inf contributes nothing rather than NaN.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Dim() != 2 || b.Dim() != 2 || a.shape[1] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul shapes %v x %v invalid", a.shape, b.shape))
@@ -11,49 +23,85 @@ func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
 	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
+		mulAddRows(out.data[i*n:(i+1)*n], a.data, i*k, 1, b.data)
 	}
 	return out
 }
 
 // MatMulTransA returns aᵀ·b for a [k,m] and b [k,n] as [m,n], without
 // materializing the transpose. Used in linear-layer weight gradients.
+// Output row i is finished before row i+1 is touched, reading column i
+// of a; like MatMul it skips a term whose a factor is ±0.
 func MatMulTransA(a, b *Tensor) *Tensor {
 	if a.Dim() != 2 || b.Dim() != 2 || a.shape[0] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes %v x %v invalid", a.shape, b.shape))
 	}
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	m, n := a.shape[1], b.shape[1]
 	out := New(m, n)
-	for p := 0; p < k; p++ {
-		arow := a.data[p*m : (p+1)*m]
-		brow := b.data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
+	for i := 0; i < m; i++ {
+		mulAddRows(out.data[i*n:(i+1)*n], a.data, i, m, b.data)
 	}
 	return out
 }
 
+// mulAddRows adds a[first+p*stride]·(row p of b) to o for p = 0, 1, … in
+// ascending order, skipping every p whose coefficient is ±0. b holds
+// rows of len(o) elements and a has a coefficient for each of them.
+// The next four non-zero coefficients are applied in one pass over o, so
+// o is loaded and stored once per four multiply-adds; into any one
+// element the additions still happen one p at a time.
+func mulAddRows(o, a []float32, first, stride int, b []float32) {
+	n := len(o)
+	var c [4]float32
+	var row [4]int
+	found := 0
+	for p := 0; p*n < len(b); p++ {
+		v := a[first+p*stride]
+		if v == 0 {
+			continue
+		}
+		c[found], row[found] = v, p
+		if found++; found == 4 {
+			mulAdd4(o, &c, b, &row)
+			found = 0
+		}
+	}
+	for t := 0; t < found; t++ {
+		mulAdd1(o, c[t], b[row[t]*n:])
+	}
+}
+
+// mulAdd4 is o += c[0]·(row[0] of b), then c[1]·(row[1] of b) and so on,
+// element by element. It is a function of its own, like dot4 below, so
+// that its loop has the registers to itself.
+func mulAdd4(o []float32, c *[4]float32, b []float32, row *[4]int) {
+	n := len(o)
+	b0, b1, b2, b3 := b[row[0]*n:][:n], b[row[1]*n:][:n], b[row[2]*n:][:n], b[row[3]*n:][:n]
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	for j := range o {
+		s := o[j]
+		s += float32(c0 * b0[j])
+		s += float32(c1 * b1[j])
+		s += float32(c2 * b2[j])
+		s += float32(c3 * b3[j])
+		o[j] = s
+	}
+}
+
+// mulAdd1 is o += c·b.
+func mulAdd1(o []float32, c float32, b []float32) {
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += float32(c * b[j])
+	}
+}
+
 // MatMulTransB returns a·bᵀ for a [m,k] and b [n,k] as [m,n], without
 // materializing the transpose. Used in linear-layer input gradients.
+// No term is skipped: a zero factor opposite Inf or NaN yields NaN.
+// Four output elements are computed at once, each its own ascending-p
+// chain, so the adds of one chain overlap the others' instead of
+// waiting out the floating-point add latency.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	if a.Dim() != 2 || b.Dim() != 2 || a.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %v x %v invalid", a.shape, b.shape))
@@ -63,16 +111,39 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	for i := 0; i < m; i++ {
 		arow := a.data[i*k : (i+1)*k]
 		orow := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			var s float32
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			bs := b.data[j*k : (j+4)*k]
+			dot4((*[4]float32)(orow[j:]), arow, bs[:k], bs[k:2*k], bs[2*k:3*k], bs[3*k:])
+		}
+		for ; j < n; j++ {
+			orow[j] = dot1(arow, b.data[j*k:(j+1)*k])
 		}
 	}
 	return out
+}
+
+// dot4 stores a·b0, a·b1, a·b2 and a·b3 in o.
+func dot4(o *[4]float32, a, b0, b1, b2, b3 []float32) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	var s0, s1, s2, s3 float32
+	for p, v := range a {
+		s0 += float32(v * b0[p])
+		s1 += float32(v * b1[p])
+		s2 += float32(v * b2[p])
+		s3 += float32(v * b3[p])
+	}
+	o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+}
+
+// dot1 returns a·b, folded from +0 in ascending index order.
+func dot1(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s float32
+	for p, v := range a {
+		s += float32(v * b[p])
+	}
+	return s
 }
 
 // Transpose2D returns the transpose of a 2-D tensor.
@@ -95,9 +166,5 @@ func Dot(a, b *Tensor) float32 {
 	if len(a.data) != len(b.data) {
 		panic("tensor: Dot size mismatch")
 	}
-	var s float32
-	for i := range a.data {
-		s += a.data[i] * b.data[i]
-	}
-	return s
+	return dot1(a.data, b.data)
 }
