@@ -425,49 +425,6 @@ func BenchmarkAblationFindUnused(b *testing.B) {
 	}
 }
 
-// BenchmarkZeroSGDStep measures one sharded-optimizer step (gradient
-// ReduceScatter + shard update + parameter AllGather) on 4 ranks.
-func BenchmarkZeroSGDStep(b *testing.B) {
-	b.ReportAllocs()
-	const world = 4
-	groups := comm.NewInProcGroups(world, comm.Options{})
-	defer func() {
-		for _, g := range groups {
-			g.Close()
-		}
-	}()
-	type rankState struct {
-		m   nn.Module
-		opt *optim.ZeroSGD
-	}
-	states := make([]*rankState, world)
-	for r := 0; r < world; r++ {
-		m := models.NewMLP(1, 64, 128, 10)
-		opt, err := optim.NewZeroSGD(m.Parameters(), groups[r], 0.01)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(r)))
-		out := m.Forward(autograd.Constant(tensor.RandN(rng, 1, 8, 64)))
-		autograd.Backward(autograd.Sum(out), nil)
-		states[r] = &rankState{m: m, opt: opt}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < world; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if err := states[rank].opt.Step(); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
 // BenchmarkCheckpointedBackward compares recompute-in-backward against
 // plain execution for a 3-layer segment.
 func BenchmarkCheckpointedBackward(b *testing.B) {

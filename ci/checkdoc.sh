@@ -11,8 +11,8 @@
 #
 # Audited packages: the fault-tolerance stack (elastic, store,
 # transport), the checkpoint subsystem (ckpt), the collective layer
-# (comm), the gradient-reduction engine (reduce) and its clients (ddp,
-# fsdp), the hardware cost model (hw), the observability plane
+# (comm), the gradient-reduction engine (reduce), its clients (ddp,
+# fsdp) and the seam over them (replica), the hardware cost model (hw), the observability plane
 # (metrics, trace), and the correctness tooling (lint, testutil,
 # testutil/leakcheck, chaos) — the packages whose exported surface the
 # architecture docs point into.
@@ -21,7 +21,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 fail=0
-for dir in internal/elastic internal/store internal/transport internal/ckpt internal/comm internal/reduce internal/ddp internal/fsdp internal/hw internal/metrics internal/trace internal/lint internal/testutil internal/testutil/leakcheck internal/chaos; do
+for dir in internal/elastic internal/store internal/transport internal/ckpt internal/comm internal/reduce internal/replica internal/ddp internal/fsdp internal/hw internal/metrics internal/trace internal/lint internal/testutil internal/testutil/leakcheck internal/chaos; do
     for f in "$dir"/*.go; do
         case "$f" in
         *_test.go | *'*'*) continue ;;

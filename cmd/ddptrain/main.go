@@ -8,20 +8,22 @@
 //	ddptrain -rank 0 -world 2 -store 127.0.0.1:29500 &
 //	ddptrain -rank 1 -world 2 -store 127.0.0.1:29500
 //
-// or let rank 0 spawn the others:
+// or let rank 0 spawn the others (it kills and reaps them if it fails):
 //
 //	ddptrain -world 4 -launch
 //
-// After training, ranks AllGather a parameter checksum and verify every
-// replica holds bit-identical parameters — the paper's correctness
-// guarantee, checked for real across process boundaries.
+// Every mode drives one replica.Replica — forward, backward, step — and
+// the one function that names a strategy is newReplica. After training,
+// ranks AllGather a hash of the exact bits of every parameter and
+// verify every replica holds bit-identical parameters — the paper's
+// correctness guarantee, checked for real across process boundaries.
 //
 // -compress fp16|1bit|topk enables wire-level gradient compression
 // (Section 6.2.3): bucket gradients travel as the codec's byte frames
 // over the TCP mesh's byte lanes — 2x, ~32x, and ~5x fewer wire bytes
 // respectively — with per-parameter error-feedback residuals carrying
 // the quantization error across iterations (and across the Section
-// 6.2.1 bucket rebuild). The replica-consistency checksum still holds:
+// 6.2.1 bucket rebuild). The replica-consistency check still holds:
 // compressed AllReduce leaves bitwise-identical gradients everywhere.
 //
 // -strategy zero2|zero3 swaps DDP's replicated state for the sharded
@@ -30,9 +32,10 @@
 // (ZeRO-2); zero3 additionally keeps parameters as shards, AllGathering
 // each bucket on demand for forward/backward and freeing it after use,
 // so no rank ever holds the full model between steps. Over plain Ring
-// groups the sharded run reproduces the DDP trajectory bitwise, which
-// the final checksum verifies (zero3 ranks Materialize the full
-// parameters first). -sync-every and -rr do not compose with sharding.
+// groups the sharded run reproduces the DDP trajectory bitwise: the
+// final hash (zero3 ranks Materialize the full parameters first) equals
+// the one -strategy ddp prints. -sync-every and -rr do not compose with
+// sharding.
 //
 // -algo doubletree selects the double-binary-tree AllReduce (NCCL-2.4
 // style: two complementary trees each carrying half the payload,
@@ -76,6 +79,11 @@
 //
 //	ddptrain -elastic -launch -world 3 -iters 60 -kill-step 20 \
 //	    -ckpt-dir /tmp/ddpckpt -ckpt-every 5 -kill-all
+//
+// The elastic modes take -strategy zero2 as well (with -ckpt-dir: a
+// sharded world recovers by rolling back to a committed checkpoint, not
+// from a survivor); zero3 is refused there, because a finisher's final
+// parameters can only be gathered while its process group is still up.
 package main
 
 import (
@@ -100,46 +108,88 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		rank        = flag.Int("rank", 0, "this process's rank")
-		world       = flag.Int("world", 1, "number of processes")
-		storeAddr   = flag.String("store", "127.0.0.1:29500", "rendezvous store address (rank 0 binds it)")
-		launch      = flag.Bool("launch", false, "spawn ranks 1..world-1 as subprocesses of this one")
-		iters       = flag.Int("iters", 100, "training iterations")
-		batch       = flag.Int("batch", 16, "per-rank batch size")
-		lr          = flag.Float64("lr", 0.05, "learning rate")
-		bucketMB    = flag.Int("bucket-mb", 25, "DDP bucket size in MB (0 = per-parameter buckets)")
-		strategy    = flag.String("strategy", "ddp", "data-parallel strategy: ddp (replicated), zero2 (sharded gradients+optimizer), or zero3 (sharded parameters too)")
-		algo        = flag.String("algo", "ring", "allreduce algorithm: ring, tree, doubletree, naive, hierarchical, auto")
-		compress    = flag.String("compress", "", "gradient compression codec: fp16, 1bit, or topk (empty: none); compressed frames ride the TCP byte lanes with error feedback; with -algo hierarchical/auto only the leader ring compresses")
-		hosts       = flag.String("hosts", "", "comma-separated host label per rank (topology for hierarchical/auto; labels may nest with '/', e.g. pod0/rack0/h0; empty: derive from peer addresses)")
-		topoLevels  = flag.Int("topo-levels", 0, "assert the -hosts labels parsed into exactly this many topology levels (0: no check)")
-		syncEvery   = flag.Int("sync-every", 1, "synchronize gradients every n iterations (no_sync)")
-		rr          = flag.Int("rr", 1, "number of round-robin process groups (Section 5.4)")
-		elast       = flag.Bool("elastic", false, "run the elastic fault-tolerance demo instead (in-proc; with -launch, across OS processes)")
-		killStep    = flag.Int("kill-step", -1, "elastic: step at which one worker is crashed (default iters/3)")
-		killAll     = flag.Bool("kill-all", false, "elastic -launch: crash EVERY worker at -kill-step, then cold-restart the whole world from the last checkpoint (requires -ckpt-dir)")
-		respawn     = flag.Bool("respawn", true, "elastic: boot a replacement worker after the crash")
-		ckptDir     = flag.String("ckpt-dir", "", "elastic: durable checkpoint directory (empty: checkpointing disabled)")
-		ckptEvery   = flag.Int("ckpt-every", 10, "elastic: save a sharded checkpoint every n steps")
-		ckptAsync   = flag.Bool("ckpt-async", true, "elastic: persist checkpoints on a background goroutine instead of the training hot path")
-		resume      = flag.Bool("resume", false, "elastic: cold-start restore from the newest committed checkpoint in -ckpt-dir")
-		worker      = flag.Bool("worker", false, "internal: run as a single elastic worker process (spawned by -elastic -launch)")
-		workerID    = flag.String("id", "", "internal: elastic worker identity")
-		admitStep   = flag.Int("admit-step", -1, "internal: step at which incumbents yield to admit a respawned worker")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus text-format metrics at this address under /metrics (empty: disabled)")
-		traceOut    = flag.String("trace-out", "", "elastic: write recovery span trees as JSON to this file on exit (worker processes append -<id>.json)")
-	)
-	flag.Parse()
+// The model and data shape every mode trains.
+const (
+	features, hidden, classes = 64, 64, 10
+	momentum                  = 0.9
+)
 
-	if *metricsAddr != "" {
-		msrv, err := metrics.Default().Serve(*metricsAddr)
+// options is the parsed command line; every mode takes it whole.
+type options struct {
+	rank, world  int
+	store        string
+	launch       bool
+	iters, batch int
+	lr           float64
+	bucketMB     int
+	strategy     string
+	algo         string
+	compress     string
+	hosts        string
+	topoLevels   int
+	syncEvery    int
+	rr           int
+
+	elastic   bool
+	killStep  int
+	killAll   bool
+	respawn   bool
+	ckptDir   string
+	ckptEvery int
+	ckptAsync bool
+	resume    bool
+	worker    bool
+	id        string
+	admitStep int
+
+	metricsAddr string
+	traceOut    string
+}
+
+func parseFlags() *options {
+	o := &options{}
+	flag.IntVar(&o.rank, "rank", 0, "this process's rank")
+	flag.IntVar(&o.world, "world", 1, "number of processes")
+	flag.StringVar(&o.store, "store", "127.0.0.1:29500", "rendezvous store address (rank 0 binds it)")
+	flag.BoolVar(&o.launch, "launch", false, "spawn ranks 1..world-1 as subprocesses of this one")
+	flag.IntVar(&o.iters, "iters", 100, "training iterations")
+	flag.IntVar(&o.batch, "batch", 16, "per-rank batch size")
+	flag.Float64Var(&o.lr, "lr", 0.05, "learning rate")
+	flag.IntVar(&o.bucketMB, "bucket-mb", 25, "DDP bucket size in MB (0 = per-parameter buckets)")
+	flag.StringVar(&o.strategy, "strategy", "ddp", "data-parallel strategy: ddp (replicated), zero2 (sharded gradients+optimizer), or zero3 (sharded parameters too)")
+	flag.StringVar(&o.algo, "algo", "ring", "allreduce algorithm: ring, tree, doubletree, naive, hierarchical, auto")
+	flag.StringVar(&o.compress, "compress", "", "gradient compression codec: fp16, 1bit, or topk (empty: none); compressed frames ride the TCP byte lanes with error feedback; with -algo hierarchical/auto only the leader ring compresses")
+	flag.StringVar(&o.hosts, "hosts", "", "comma-separated host label per rank (topology for hierarchical/auto; labels may nest with '/', e.g. pod0/rack0/h0; empty: derive from peer addresses)")
+	flag.IntVar(&o.topoLevels, "topo-levels", 0, "assert the -hosts labels parsed into exactly this many topology levels (0: no check)")
+	flag.IntVar(&o.syncEvery, "sync-every", 1, "synchronize gradients every n iterations (no_sync)")
+	flag.IntVar(&o.rr, "rr", 1, "number of round-robin process groups (Section 5.4)")
+	flag.BoolVar(&o.elastic, "elastic", false, "run the elastic fault-tolerance demo instead (in-proc; with -launch, across OS processes)")
+	flag.IntVar(&o.killStep, "kill-step", -1, "elastic: step at which one worker is crashed (default iters/3)")
+	flag.BoolVar(&o.killAll, "kill-all", false, "elastic -launch: crash EVERY worker at -kill-step, then cold-restart the whole world from the last checkpoint (requires -ckpt-dir)")
+	flag.BoolVar(&o.respawn, "respawn", true, "elastic: boot a replacement worker after the crash")
+	flag.StringVar(&o.ckptDir, "ckpt-dir", "", "elastic: durable checkpoint directory (empty: checkpointing disabled)")
+	flag.IntVar(&o.ckptEvery, "ckpt-every", 10, "elastic: save a sharded checkpoint every n steps")
+	flag.BoolVar(&o.ckptAsync, "ckpt-async", true, "elastic: persist checkpoints on a background goroutine instead of the training hot path")
+	flag.BoolVar(&o.resume, "resume", false, "elastic: cold-start restore from the newest committed checkpoint in -ckpt-dir")
+	flag.BoolVar(&o.worker, "worker", false, "internal: run as a single elastic worker process (spawned by -elastic -launch)")
+	flag.StringVar(&o.id, "id", "", "internal: elastic worker identity")
+	flag.IntVar(&o.admitStep, "admit-step", -1, "internal: step at which incumbents yield to admit a respawned worker")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus text-format metrics at this address under /metrics (empty: disabled)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "elastic: write recovery span trees as JSON to this file on exit (worker processes append -<id>.json)")
+	flag.Parse()
+	return o
+}
+
+func main() {
+	o := parseFlags()
+	if o.metricsAddr != "" {
+		msrv, err := metrics.Default().Serve(o.metricsAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ddptrain: metrics server: %v\n", err)
 			os.Exit(1)
@@ -147,33 +197,57 @@ func main() {
 		defer msrv.Close()
 		fmt.Printf("[metrics] serving http://%s/metrics\n", msrv.Addr())
 	}
-
-	if *elast {
-		ck := ckptFlags{dir: *ckptDir, every: *ckptEvery, async: *ckptAsync, resume: *resume}
-		var err error
-		switch {
-		case *worker:
-			err = runElasticWorker(*workerID, *storeAddr, *world, *iters, *batch, float32(*lr), *killStep, *admitStep, *compress, ck, *traceOut)
-		case *launch:
-			err = runElasticSupervisor(*world, *iters, *batch, float32(*lr), *killStep, *killAll, *respawn, *storeAddr, *compress, ck, *traceOut)
-		default:
-			err = runElastic(*world, *iters, *batch, float32(*lr), *killStep, *respawn, *compress, ck, *traceOut)
+	var err error
+	switch {
+	case !o.elastic:
+		if _, err = run(o); err != nil {
+			err = fmt.Errorf("rank %d: %w", o.rank, err)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ddptrain elastic: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	case o.worker:
+		err = runElasticWorker(o)
+	case o.launch:
+		err = runElasticSupervisor(o)
+	default:
+		err = runElastic(o)
 	}
-	if err := run(*rank, *world, *storeAddr, *launch, *iters, *batch, float32(*lr), *bucketMB, *strategy, *algo, *compress, *hosts, *topoLevels, *syncEvery, *rr); err != nil {
-		fmt.Fprintf(os.Stderr, "ddptrain rank %d: %v\n", *rank, err)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ddptrain: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// codecFactory maps the -compress flag to a ddp.Options.NewCodec
-// factory; every name yields a comm.WireCodec, so DDP takes the
-// wire-level compressed path with DDP-owned error-feedback residuals.
+// validate rejects, before anything is spawned or bound, the flag
+// combinations no mode can honour.
+func (o *options) validate() error {
+	switch o.strategy {
+	case "ddp":
+	case "zero2", "zero3":
+		// The sharded engine fuses reduction and optimizer into Backward:
+		// there is no un-synchronized local step to accumulate into, and
+		// round-robin groups would break the stable shard ownership the
+		// layout depends on.
+		if o.syncEvery > 1 {
+			return fmt.Errorf("-strategy %s does not support -sync-every (gradients shard on every step)", o.strategy)
+		}
+		if o.rr > 1 {
+			return fmt.Errorf("-strategy %s does not support -rr round-robin groups", o.strategy)
+		}
+		if o.elastic && o.ckptDir == "" {
+			return fmt.Errorf("-elastic -strategy %s needs -ckpt-dir: a sharded world recovers from a committed checkpoint, not from a survivor", o.strategy)
+		}
+		if o.elastic && o.strategy == "zero3" {
+			return errors.New("-elastic does not support -strategy zero3: a finisher's full parameters can only be gathered while its process group is up")
+		}
+	default:
+		return fmt.Errorf("-strategy: unknown strategy %q (want ddp, zero2 or zero3)", o.strategy)
+	}
+	_, err := codecFactory(o.compress)
+	return err
+}
+
+// codecFactory maps the -compress flag to a NewCodec factory; every
+// name yields a comm.WireCodec, so both strategies take the wire-level
+// compressed path with engine-owned error-feedback residuals.
 func codecFactory(name string) (func() comm.Codec, error) {
 	switch name {
 	case "":
@@ -189,343 +263,249 @@ func codecFactory(name string) (func() comm.Codec, error) {
 	}
 }
 
-func run(rank, world int, storeAddr string, launch bool, iters, batch int, lr float32, bucketMB int, strategy, algo, compress, hosts string, topoLevels, syncEvery, rr int) error {
-	if strategy != "ddp" {
-		if _, err := fsdp.ParseStrategy(strategy); err != nil {
-			return fmt.Errorf("-strategy: %w (or ddp)", err)
-		}
-		// The sharded engine fuses reduction and optimizer into Backward:
-		// there is no un-synchronized local step to accumulate into, and
-		// round-robin groups would break the stable shard ownership the
-		// layout depends on.
-		if syncEvery > 1 {
-			return fmt.Errorf("-strategy %s does not support -sync-every (gradients shard on every step)", strategy)
-		}
-		if rr > 1 {
-			return fmt.Errorf("-strategy %s does not support -rr round-robin groups", strategy)
-		}
+// newReplica is the one place this binary turns -strategy into a
+// replica: DDP with momentum SGD, or fsdp with the same update fused.
+// aligned reports that the caller already made the model's tensors
+// identical on every rank (the elastic agent does), so the
+// constructor's rank-0 broadcast is skipped. describe, when non-nil,
+// renders the strategy's memory accounting as of the call.
+func newReplica(o *options, m nn.Module, pg comm.ProcessGroup, aligned bool) (r replica.Replica, describe func() string, err error) {
+	newCodec, err := codecFactory(o.compress)
+	if err != nil {
+		return nil, nil, err
 	}
-	var algorithm comm.Algorithm
-	switch algo {
-	case "ring":
-		algorithm = comm.Ring
-	case "tree":
-		algorithm = comm.Tree
-	case "doubletree":
-		algorithm = comm.DoubleTree
-	case "naive":
-		algorithm = comm.Naive
-	case "hierarchical":
-		algorithm = comm.Hierarchical
-	case "auto":
-		algorithm = comm.Auto
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
+	bucketBytes := o.bucketMB << 20
+	if o.bucketMB == 0 {
+		bucketBytes = -1
+	}
+	if o.strategy == "ddp" {
+		opt := optim.NewSGD(m.Parameters(), float32(o.lr))
+		opt.Momentum = momentum
+		r, err = ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: bucketBytes, NewCodec: newCodec, SkipInitialBroadcast: aligned}, opt)
+		return r, nil, err
+	}
+	st, err := fsdp.ParseStrategy(o.strategy)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := fsdp.New(m, pg, fsdp.Options{
+		Strategy: st, BucketCapBytes: bucketBytes, LR: float32(o.lr), Momentum: momentum,
+		NewCodec: newCodec, SkipInitialBroadcast: aligned,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, func() string {
+		s := f.Stats()
+		return fmt.Sprintf("%s memory: param shard %d B + optimizer shard %d B per rank, peak params %d B (full %d B), peak grad bucket %d B, %d gathers, %d reduces",
+			o.strategy, s.ShardParamBytes, s.OptimizerBytes, s.PeakParamBytes, s.FullParamBytes, s.PeakGradBytes, s.Gathers, s.Reduces)
+	}, nil
+}
+
+// commOptions turns -algo, -hosts and -topo-levels into group options.
+func (o *options) commOptions() (comm.Options, error) {
+	algorithms := map[string]comm.Algorithm{
+		"ring": comm.Ring, "tree": comm.Tree, "doubletree": comm.DoubleTree,
+		"naive": comm.Naive, "hierarchical": comm.Hierarchical, "auto": comm.Auto,
+	}
+	algorithm, ok := algorithms[o.algo]
+	if !ok {
+		return comm.Options{}, fmt.Errorf("unknown algorithm %q", o.algo)
 	}
 	// -hosts lays out a simulated (or real) topology explicitly: one
 	// label per rank. Without it, TCP meshes derive placement from the
 	// peers' rendezvous addresses — correct for genuinely multi-host
 	// jobs, while an all-loopback run degrades hierarchical to ring.
-	topology, err := parseHosts(hosts, world)
+	topology, err := parseHosts(o.hosts, o.world)
 	if err != nil {
-		return err
+		return comm.Options{}, err
 	}
 	// -topo-levels guards against placement typos: structured labels
 	// with uneven depth silently degrade to one opaque level, which
 	// would quietly run the two-level schedule where the operator
 	// expected pod/rack/host phases.
-	if topoLevels > 0 {
+	if o.topoLevels > 0 {
 		if topology == nil {
-			return fmt.Errorf("-topo-levels %d requires -hosts", topoLevels)
+			return comm.Options{}, fmt.Errorf("-topo-levels %d requires -hosts", o.topoLevels)
 		}
-		if got := topology.Levels(); got != topoLevels {
-			return fmt.Errorf("-hosts labels parsed into %d topology level(s), want %d", got, topoLevels)
+		if got := topology.Levels(); got != o.topoLevels {
+			return comm.Options{}, fmt.Errorf("-hosts labels parsed into %d topology level(s), want %d", got, o.topoLevels)
 		}
 	}
-	newCodec, err := codecFactory(compress)
+	return comm.Options{Algorithm: algorithm, Topology: topology}, nil
+}
+
+// launchRank builds the command for one of rank 0's -launch children.
+// A variable so the regression test for leaked children can hand them
+// flags under which they outlive a failing rank 0.
+var launchRank = func(args ...string) *exec.Cmd { return exec.Command(os.Args[0], args...) }
+
+// accumulator is the one capability outside the seam the loop uses:
+// DDP's no_sync (Section 3.2.4), which only -sync-every > 1 reaches
+// and validate admits for -strategy ddp alone.
+type accumulator interface{ NoSync(fn func() error) error }
+
+// run is the non-elastic trainer, one rank of it: the same loop for
+// every strategy. It returns the parameter hash all ranks agreed on.
+func run(o *options) (uint64, error) {
+	if err := o.validate(); err != nil {
+		return 0, err
+	}
+	opts, err := o.commOptions()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	opts := comm.Options{Algorithm: algorithm, Topology: topology}
 
 	// Rank 0 hosts the rendezvous store; everyone (including rank 0)
 	// connects as a client.
 	var children []*exec.Cmd
-	if rank == 0 {
-		srv, err := store.ServeTCP(storeAddr, 60*time.Second)
+	// The last thing a successful run does is wait for every child; on
+	// any error before that, the ranks still running are killed and
+	// reaped here rather than left blocked on a rank 0 that is gone.
+	defer func() {
+		for _, cmd := range children {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+		}
+	}()
+	if o.rank == 0 {
+		srv, err := store.ServeTCP(o.store, 60*time.Second)
 		if err != nil {
-			return fmt.Errorf("starting store: %w", err)
+			return 0, fmt.Errorf("starting store: %w", err)
 		}
 		defer srv.Close()
-		if launch {
-			for r := 1; r < world; r++ {
-				cmd := exec.Command(os.Args[0],
-					"-rank", fmt.Sprint(r), "-world", fmt.Sprint(world),
-					"-store", storeAddr, "-iters", fmt.Sprint(iters),
-					"-batch", fmt.Sprint(batch), "-lr", fmt.Sprint(lr),
-					"-bucket-mb", fmt.Sprint(bucketMB), "-strategy", strategy,
-					"-algo", algo,
-					"-compress", compress, "-hosts", hosts,
-					"-topo-levels", fmt.Sprint(topoLevels),
-					"-sync-every", fmt.Sprint(syncEvery), "-rr", fmt.Sprint(rr))
-				cmd.Stdout = os.Stdout
-				cmd.Stderr = os.Stderr
-				if err := cmd.Start(); err != nil {
-					return fmt.Errorf("launching rank %d: %w", r, err)
-				}
-				children = append(children, cmd)
+		for r := 1; o.launch && r < o.world; r++ {
+			cmd := launchRank(
+				"-rank", fmt.Sprint(r), "-world", fmt.Sprint(o.world),
+				"-store", o.store, "-iters", fmt.Sprint(o.iters),
+				"-batch", fmt.Sprint(o.batch), "-lr", fmt.Sprint(o.lr),
+				"-bucket-mb", fmt.Sprint(o.bucketMB), "-strategy", o.strategy,
+				"-algo", o.algo,
+				"-compress", o.compress, "-hosts", o.hosts,
+				"-topo-levels", fmt.Sprint(o.topoLevels),
+				"-sync-every", fmt.Sprint(o.syncEvery), "-rr", fmt.Sprint(o.rr))
+			cmd.Stdout = os.Stdout
+			cmd.Stderr = os.Stderr
+			if err := cmd.Start(); err != nil {
+				return 0, fmt.Errorf("launching rank %d: %w", r, err)
 			}
+			children = append(children, cmd)
 		}
 	}
 
-	client, err := store.DialTCP(storeAddr)
+	client, err := store.DialTCP(o.store)
 	if err != nil {
-		return fmt.Errorf("dialing store: %w", err)
+		return 0, fmt.Errorf("dialing store: %w", err)
 	}
 	defer client.Close()
-
-	bucketBytes := bucketMB << 20
-	if bucketMB == 0 {
-		bucketBytes = -1
-	}
 
 	// Build the process group: a single TCP group, or `rr` of them
 	// composed round-robin (each sub-group gets its own mesh and worker,
 	// like the paper's composite ProcessGroup over NCCL/Gloo instances).
 	var pg comm.ProcessGroup
-	if rr <= 1 {
-		g, err := comm.NewTCPGroup(rank, world, client, "train", opts)
-		if err != nil {
-			return fmt.Errorf("building process group: %w", err)
+	if o.rr <= 1 {
+		if pg, err = comm.NewTCPGroup(o.rank, o.world, client, "train", opts); err != nil {
+			return 0, fmt.Errorf("building process group: %w", err)
 		}
-		pg = g
 	} else {
-		subs := make([]comm.ProcessGroup, rr)
+		subs := make([]comm.ProcessGroup, o.rr)
 		for i := range subs {
-			g, err := comm.NewTCPGroup(rank, world, client, fmt.Sprintf("train-rr%d", i), opts)
-			if err != nil {
-				return fmt.Errorf("building round-robin sub-group %d: %w", i, err)
+			if subs[i], err = comm.NewTCPGroup(o.rank, o.world, client, fmt.Sprintf("train-rr%d", i), opts); err != nil {
+				return 0, fmt.Errorf("building round-robin sub-group %d: %w", i, err)
 			}
-			subs[i] = g
 		}
-		g, err := comm.NewRoundRobin(subs...)
-		if err != nil {
-			return fmt.Errorf("composing round-robin group: %w", err)
+		if pg, err = comm.NewRoundRobin(subs...); err != nil {
+			return 0, fmt.Errorf("composing round-robin group: %w", err)
 		}
-		pg = g
 	}
 	defer pg.Close()
 
-	dataset := data.NewSynthetic(42, 8192, 64, 10)
-	model := models.NewMLP(int64(rank), dataset.Features(), 64, dataset.Classes()) // per-rank seeds; DDP aligns
-	if strategy != "ddp" {
-		if err := runSharded(rank, world, pg, model, dataset, strategy, bucketBytes, newCodec, iters, batch, lr); err != nil {
-			return err
-		}
-		for _, cmd := range children {
-			if err := cmd.Wait(); err != nil {
-				return fmt.Errorf("child: %w", err)
-			}
-		}
-		return nil
-	}
-	d, err := ddp.New(model, pg, ddp.Options{BucketCapBytes: bucketBytes, NewCodec: newCodec})
+	dataset := data.NewSynthetic(42, 8192, features, classes)
+	model := models.NewMLP(int64(o.rank), features, hidden, classes) // per-rank seeds; the constructor's broadcast aligns
+	r, describe, err := newReplica(o, model, pg, false)
 	if err != nil {
-		return fmt.Errorf("wrapping model: %w", err)
+		return 0, fmt.Errorf("wrapping model (%s): %w", o.strategy, err)
 	}
-	if newCodec != nil && rank == 0 {
-		c := newCodec()
-		fmt.Printf("[rank 0] gradient compression: %s (~%.0fx smaller frames, error feedback on)\n",
-			c.Name(), c.CompressionRatio())
+	tag := fmt.Sprintf("[rank %d]", o.rank)
+	if o.rank == 0 {
+		if describe != nil {
+			fmt.Println(tag, describe())
+		}
+		if newCodec, _ := codecFactory(o.compress); newCodec != nil {
+			c := newCodec()
+			fmt.Printf("%s gradient compression: %s (~%.0fx smaller frames, error feedback on)\n",
+				tag, c.Name(), c.CompressionRatio())
+		}
 	}
-	opt := optim.NewSGD(d.Parameters(), lr)
-	opt.Momentum = 0.9
 
-	sampler, err := data.NewDistributedSampler(dataset.Len(), rank, world)
+	sampler, err := data.NewDistributedSampler(dataset.Len(), o.rank, o.world)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	loader, err := data.NewLoader(dataset, sampler, batch)
+	loader, err := data.NewLoader(dataset, sampler, o.batch)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	loader.Reset(0)
 
 	timer := trace.NewTimer()
 	epoch := int64(0)
 	var lastLoss float32
-	for it := 0; it < iters; it++ {
+	for it := 0; it < o.iters; it++ {
 		x, labels, ok := loader.Next()
 		if !ok {
 			epoch++
 			loader.Reset(epoch)
 			x, labels, _ = loader.Next()
 		}
-		syncIter := (it+1)%syncEvery == 0
 		step := func() error {
 			timer.Start("forward")
-			out := d.Forward(autograd.Constant(x))
+			out := r.Forward(autograd.Constant(x))
 			loss := autograd.CrossEntropyLoss(out, labels)
 			lastLoss = loss.Value.Item()
 			timer.Start("backward+comm")
-			return d.Backward(loss)
+			return r.Backward(loss)
 		}
-		var stepErr error
-		if syncIter {
-			stepErr = step()
+		if (it+1)%o.syncEvery == 0 {
+			if err = step(); err == nil {
+				timer.Start("optimizer") // where Backward did not already fuse it
+				r.Step()
+			}
 		} else {
-			stepErr = d.NoSync(step)
+			err = r.(accumulator).NoSync(step)
 		}
-		if stepErr != nil {
-			return fmt.Errorf("iteration %d: %w", it, stepErr)
-		}
-		if syncIter {
-			timer.Start("optimizer")
-			opt.Step()
-			opt.ZeroGrad()
+		if err != nil {
+			return 0, fmt.Errorf("iteration %d: %w", it, err)
 		}
 		timer.Stop()
-		if rank == 0 && (it+1)%20 == 0 {
-			fmt.Printf("[rank 0] iter %4d loss %.4f buckets %d\n", it+1, lastLoss, d.NumBuckets())
+		if o.rank == 0 && (it+1)%20 == 0 {
+			fmt.Printf("%s iter %4d loss %.4f buckets %d\n", tag, it+1, lastLoss, r.NumBuckets())
 		}
 	}
 
-	// Verify replicas are identical: AllGather a parameter checksum.
-	var checksum float64
-	for _, p := range d.Parameters() {
-		for _, v := range p.Value.Data() {
-			checksum += float64(v)
-		}
-	}
-	gathered := make([][]float32, world)
-	for i := range gathered {
-		gathered[i] = make([]float32, 1)
-	}
-	if err := pg.AllGather(gathered, []float32{float32(checksum)}).Wait(); err != nil {
-		return fmt.Errorf("checksum allgather: %w", err)
-	}
-	consistent := true
-	for _, g := range gathered {
-		if g[0] != gathered[0][0] {
-			consistent = false
-		}
-	}
-	fmt.Printf("[rank %d] done: loss %.4f, checksum %.6f, replicas consistent: %v\n",
-		rank, lastLoss, checksum, consistent)
-	fmt.Printf("[rank %d] timing: %s\n", rank, timer.Breakdown())
-	if !consistent {
-		return fmt.Errorf("model replicas diverged")
-	}
-
-	for _, cmd := range children {
-		if err := cmd.Wait(); err != nil {
-			return fmt.Errorf("child: %w", err)
-		}
-	}
-	return nil
-}
-
-// runSharded trains through the fsdp wrapper instead of DDP+SGD: the
-// momentum-SGD update is fused into Backward against sharded optimizer
-// state, and under zero3 parameters live as shards that are gathered
-// per bucket on demand. Afterwards ranks Materialize (a no-op under
-// zero2) so the replica checksum covers the full model, then verify
-// bit-identical parameters exactly like the DDP path.
-func runSharded(rank, world int, pg comm.ProcessGroup, model nn.Module, dataset *data.Synthetic, strategy string, bucketBytes int, newCodec func() comm.Codec, iters, batch int, lr float32) error {
-	st, err := fsdp.ParseStrategy(strategy)
-	if err != nil {
-		return err
-	}
-	f, err := fsdp.New(model, pg, fsdp.Options{
-		Strategy:       st,
-		BucketCapBytes: bucketBytes,
-		LR:             lr,
-		Momentum:       0.9,
-		NewCodec:       newCodec,
-	})
-	if err != nil {
-		return fmt.Errorf("wrapping model (%s): %w", strategy, err)
-	}
-	if rank == 0 {
-		s := f.Stats()
-		fmt.Printf("[rank 0] %s: %d buckets, param shard %d B + optimizer shard %d B per rank (full model %d B)\n",
-			strategy, f.NumBuckets(), s.ShardParamBytes, s.OptimizerBytes, s.FullParamBytes)
-		if newCodec != nil {
-			c := newCodec()
-			fmt.Printf("[rank 0] gradient compression: %s (~%.0fx smaller frames, error feedback on)\n",
-				c.Name(), c.CompressionRatio())
-		}
-	}
-
-	sampler, err := data.NewDistributedSampler(dataset.Len(), rank, world)
-	if err != nil {
-		return err
-	}
-	loader, err := data.NewLoader(dataset, sampler, batch)
-	if err != nil {
-		return err
-	}
-	loader.Reset(0)
-
-	timer := trace.NewTimer()
-	epoch := int64(0)
-	var lastLoss float32
-	for it := 0; it < iters; it++ {
-		x, labels, ok := loader.Next()
-		if !ok {
-			epoch++
-			loader.Reset(epoch)
-			x, labels, _ = loader.Next()
-		}
-		timer.Start("forward")
-		out := f.Forward(autograd.Constant(x))
-		loss := autograd.CrossEntropyLoss(out, labels)
-		lastLoss = loss.Value.Item()
-		timer.Start("backward+comm+opt")
-		if err := f.Backward(loss); err != nil {
-			return fmt.Errorf("iteration %d: %w", it, err)
-		}
-		timer.Stop()
-		if rank == 0 && (it+1)%20 == 0 {
-			fmt.Printf("[rank 0] iter %4d loss %.4f buckets %d\n", it+1, lastLoss, f.NumBuckets())
-		}
-	}
-
-	// Under zero3 only the owned chunks are resident; gather the rest so
-	// the checksum spans the whole model. Report peak residency first —
+	// Report the strategy's accounting before the consistency check: its
 	// Materialize holding everything at once is not a training-time peak.
-	stats := f.Stats()
-	if err := f.Materialize(); err != nil {
-		return fmt.Errorf("materializing parameters: %w", err)
+	if describe != nil {
+		fmt.Println(tag, describe())
 	}
-	var checksum float64
-	for _, p := range f.Parameters() {
-		for _, v := range p.Value.Data() {
-			checksum += float64(v)
-		}
+	hash, consistent, err := replica.Consistent(pg, r)
+	if err != nil {
+		return 0, err
 	}
-	gathered := make([][]float32, world)
-	for i := range gathered {
-		gathered[i] = make([]float32, 1)
-	}
-	if err := pg.AllGather(gathered, []float32{float32(checksum)}).Wait(); err != nil {
-		return fmt.Errorf("checksum allgather: %w", err)
-	}
-	consistent := true
-	for _, g := range gathered {
-		if g[0] != gathered[0][0] {
-			consistent = false
-		}
-	}
-	fmt.Printf("[rank %d] done: loss %.4f, checksum %.6f, replicas consistent: %v\n",
-		rank, lastLoss, checksum, consistent)
-	fmt.Printf("[rank %d] %s memory: peak params %d B (full %d B), peak grad bucket %d B, %d gathers, %d reduces\n",
-		rank, strategy, stats.PeakParamBytes, stats.FullParamBytes, stats.PeakGradBytes, stats.Gathers, stats.Reduces)
-	fmt.Printf("[rank %d] timing: %s\n", rank, timer.Breakdown())
+	fmt.Printf("%s done: loss %.4f, hash %016x, replicas consistent: %v\n", tag, lastLoss, hash, consistent)
+	fmt.Printf("%s timing: %s\n", tag, timer.Breakdown())
 	if !consistent {
-		return fmt.Errorf("model replicas diverged")
+		return hash, errors.New("model replicas diverged")
 	}
-	return nil
+
+	for len(children) > 0 {
+		cmd := children[0]
+		children = children[1:]
+		if err := cmd.Wait(); err != nil {
+			return hash, fmt.Errorf("child: %w", err)
+		}
+	}
+	return hash, nil
 }
 
 // parseHosts turns the -hosts flag (comma-separated host label per
@@ -547,23 +527,6 @@ func parseHosts(hosts string, world int) (*comm.Topology, error) {
 	return comm.NewTopology(labels), nil
 }
 
-// stragglerLog is the elastic modes' straggler configuration: detection
-// with default thresholds, surfacing every verdict transition as a log
-// line (the elastic_straggler gauge carries the same signal to
-// -metrics-addr scrapes).
-func stragglerLog() *elastic.StragglerConfig {
-	return &elastic.StragglerConfig{
-		OnFlag: func(f elastic.StragglerFlag) {
-			state := "FLAGGED as straggler"
-			if !f.Flagged {
-				state = "no longer a straggler"
-			}
-			fmt.Printf("[straggler] worker %s %s: median step %v vs world median %v\n",
-				f.Worker, state, f.Median.Round(time.Microsecond), f.WorldMedian.Round(time.Microsecond))
-		},
-	}
-}
-
 // dumpTrace writes the tracer's recovery span trees to path as JSON.
 func dumpTrace(tr *trace.Tracer, path string) error {
 	f, err := os.Create(path)
@@ -581,38 +544,128 @@ func dumpTrace(tr *trace.Tracer, path string) error {
 	return nil
 }
 
+// ---- elastic: what all three modes share -----------------------------------
+
+// validateElastic is validate plus the elastic demo's own constraints;
+// it resolves -kill-step's default.
+func (o *options) validateElastic() error {
+	if err := o.validate(); err != nil {
+		return err
+	}
+	if o.world < 2 {
+		return fmt.Errorf("-elastic needs -world >= 2, got %d", o.world)
+	}
+	if o.killStep < 0 {
+		o.killStep = o.iters / 3
+	}
+	if o.killStep >= o.iters {
+		return fmt.Errorf("-kill-step %d must be below -iters %d", o.killStep, o.iters)
+	}
+	return nil
+}
+
+// elasticConfig is one worker's agent configuration: everything but
+// where the store and the process groups come from is the same in-proc
+// and across OS processes. The straggler detector runs with default
+// thresholds and surfaces every verdict transition as a log line (the
+// elastic_straggler gauge carries the same signal to -metrics-addr
+// scrapes).
+func (o *options) elasticConfig(id string, st store.Store, builder elastic.GroupBuilder, tracer *trace.Tracer) elastic.Config {
+	cfg := elastic.Config{
+		Store:             st,
+		ID:                id,
+		Prefix:            "elastic",
+		MinWorld:          o.world - 1,
+		MaxWorld:          o.world,
+		Grace:             500 * time.Millisecond,
+		HeartbeatInterval: 20 * time.Millisecond,
+		LeaseTimeout:      500 * time.Millisecond,
+		RoundTimeout:      15 * time.Second,
+		DrainTimeout:      200 * time.Millisecond,
+		Builder:           builder,
+		Replica: func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+			r, _, err := newReplica(o, m, pg, true)
+			return r, err
+		},
+		Tracer: tracer,
+		Straggler: &elastic.StragglerConfig{
+			OnFlag: func(f elastic.StragglerFlag) {
+				state := "FLAGGED as straggler"
+				if !f.Flagged {
+					state = "no longer a straggler"
+				}
+				fmt.Printf("[straggler] worker %s %s: median step %v vs world median %v\n",
+					f.Worker, state, f.Median.Round(time.Microsecond), f.WorldMedian.Round(time.Microsecond))
+			},
+		},
+	}
+	if o.ckptDir != "" {
+		cfg.Checkpoint = &elastic.CheckpointConfig{Dir: o.ckptDir, Every: int64(o.ckptEvery), Async: o.ckptAsync, Resume: o.resume}
+	}
+	return cfg
+}
+
+// elasticBatch derives a deterministic batch from (step, rank, world),
+// so workers shard data correctly across reconfigurations without a
+// stateful loader.
+func elasticBatch(step int64, rank, world, batch int) (*tensor.Tensor, []int) {
+	rng := rand.New(rand.NewSource(step*1_000_003 + int64(rank)*10_007 + int64(world)*101))
+	x := tensor.New(batch, features)
+	d := x.Data()
+	for i := range d {
+		d[i] = rng.Float32()*2 - 1
+	}
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = rng.Intn(classes)
+	}
+	return x, labels
+}
+
+// elasticStep is the one elastic StepFunc. crash is nil except on the
+// planned victim, which runs its forward pass at -kill-step — so peers
+// are left mid-iteration — and then dies the way crash says (a hard
+// os.Exit across processes, Agent.Kill in-proc). admit reports whether
+// the step must yield to a pending membership change instead of
+// training: the deterministic hand-over to a respawned worker.
+func elasticStep(o *options, tag string, agent *elastic.Agent, crash func() error, admit func(elastic.StepContext) bool) elastic.StepFunc {
+	logged := false
+	return func(ctx elastic.StepContext) error {
+		if crash != nil && ctx.Step == int64(o.killStep) {
+			x, _ := elasticBatch(ctx.Step, ctx.Rank, ctx.World, o.batch)
+			ctx.Replica.Forward(autograd.Constant(x))
+			fmt.Printf("[%s] worker crashed mid-iteration at step %d (gen %d, world %d)\n",
+				tag, ctx.Step, ctx.Generation, ctx.World)
+			return crash()
+		}
+		// A slow-starting worker can miss the initial grace window; yield
+		// until its generation bump reforms the full world. Generation 0
+		// only — at later generations a small world at step 0 is a
+		// legitimate post-crash state, not an incomplete formation.
+		if (ctx.Step == 0 && ctx.Generation == 0 && ctx.World < o.world) || admit(ctx) {
+			return agent.AwaitGenerationChange()
+		}
+		if !logged {
+			logged = true
+			fmt.Printf("[%s] rank %d/%d at generation %d, resuming from step %d\n",
+				tag, ctx.Rank, ctx.World, ctx.Generation, ctx.Step)
+		}
+		x, labels := elasticBatch(ctx.Step, ctx.Rank, ctx.World, o.batch)
+		out := ctx.Replica.Forward(autograd.Constant(x))
+		loss := autograd.CrossEntropyLoss(out, labels)
+		if err := ctx.Replica.Backward(loss); err != nil {
+			return err
+		}
+		ctx.Replica.Step()
+		if ctx.Rank == 0 && (ctx.Step+1)%20 == 0 {
+			fmt.Printf("[%s] step %4d loss %.4f (gen %d, world %d)\n",
+				tag, ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)
+		}
+		return nil
+	}
+}
+
 // ---- elastic across OS processes -------------------------------------------
-
-// ckptFlags bundles the checkpoint command-line knobs threaded through
-// the elastic modes.
-type ckptFlags struct {
-	dir    string
-	every  int
-	async  bool
-	resume bool
-}
-
-// args renders the flags for a spawned worker process.
-func (c ckptFlags) args() []string {
-	if c.dir == "" {
-		return nil
-	}
-	return []string{
-		"-ckpt-dir", c.dir,
-		"-ckpt-every", fmt.Sprint(c.every),
-		fmt.Sprintf("-ckpt-async=%v", c.async),
-		fmt.Sprintf("-resume=%v", c.resume),
-	}
-}
-
-// config converts the flags into the agent configuration (nil when
-// checkpointing is disabled).
-func (c ckptFlags) config() *elastic.CheckpointConfig {
-	if c.dir == "" {
-		return nil
-	}
-	return &elastic.CheckpointConfig{Dir: c.dir, Every: int64(c.every), Async: c.async, Resume: c.resume}
-}
 
 // runElasticSupervisor hosts the rendezvous store and supervises
 // `world` elastic worker subprocesses: it detects child exits and, when
@@ -625,22 +678,14 @@ func (c ckptFlags) config() *elastic.CheckpointConfig {
 // killStep instead — the failure elastic recovery alone cannot survive
 // — and the supervisor relaunches the whole world with -resume, which
 // cold-starts from the last committed checkpoint.
-func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, killAll, respawn bool, storeAddr, compress string, ck ckptFlags, traceOut string) error {
-	if _, err := codecFactory(compress); err != nil {
+func runElasticSupervisor(o *options) error {
+	if err := o.validateElastic(); err != nil {
 		return err
 	}
-	if world < 2 {
-		return fmt.Errorf("-elastic -launch needs -world >= 2, got %d", world)
+	if o.killAll && o.ckptDir == "" {
+		return errors.New("-kill-all needs -ckpt-dir: with no checkpoint, killing every worker simply loses the run")
 	}
-	if killAll && ck.dir == "" {
-		return fmt.Errorf("-kill-all needs -ckpt-dir: with no checkpoint, killing every worker simply loses the run")
-	}
-	if killStep < 0 {
-		killStep = iters / 3
-	}
-	if killStep >= iters {
-		return fmt.Errorf("-kill-step %d must be below -iters %d", killStep, iters)
-	}
+	world, iters, killStep, killAll, respawn := o.world, o.iters, o.killStep, o.killAll, o.respawn
 	// Incumbents yield at admitStep until the replacement's generation
 	// bump lands, so the training loop cannot outrun the respawn.
 	// Without -respawn there is nothing to wait for: survivors just
@@ -653,7 +698,7 @@ func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, kil
 			admitStep = iters - 1
 		}
 	}
-	srv, err := store.ServeTCP(storeAddr, 120*time.Second)
+	srv, err := store.ServeTCP(o.store, 120*time.Second)
 	if err != nil {
 		return fmt.Errorf("starting store: %w", err)
 	}
@@ -665,16 +710,20 @@ func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, kil
 	}
 	exits := make(chan exit, 2*world+2)
 	running := 0
-	launchWorker := func(id string, victim bool, c ckptFlags) error {
-		args := []string{"-elastic", "-worker", "-id", id, "-store", storeAddr,
+	launchWorker := func(id string, victim, resume bool) error {
+		args := []string{"-elastic", "-worker", "-id", id, "-store", o.store,
 			"-world", fmt.Sprint(world), "-iters", fmt.Sprint(iters),
-			"-batch", fmt.Sprint(batch), "-lr", fmt.Sprint(lr),
-			"-compress", compress,
+			"-batch", fmt.Sprint(o.batch), "-lr", fmt.Sprint(o.lr),
+			"-bucket-mb", fmt.Sprint(o.bucketMB), "-strategy", o.strategy,
+			"-compress", o.compress,
 			"-admit-step", fmt.Sprint(admitStep)}
-		if traceOut != "" {
-			args = append(args, "-trace-out", traceOut)
+		if o.traceOut != "" {
+			args = append(args, "-trace-out", o.traceOut)
 		}
-		args = append(args, c.args()...)
+		if o.ckptDir != "" {
+			args = append(args, "-ckpt-dir", o.ckptDir, "-ckpt-every", fmt.Sprint(o.ckptEvery),
+				fmt.Sprintf("-ckpt-async=%v", o.ckptAsync), fmt.Sprintf("-resume=%v", resume))
+		}
 		if victim {
 			args = append(args, "-kill-step", fmt.Sprint(killStep))
 		}
@@ -706,7 +755,7 @@ func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, kil
 	}
 	for i := 0; i < world; i++ {
 		id := fmt.Sprintf("w%d", i)
-		if err := launchWorker(id, victims[id], ck); err != nil {
+		if err := launchWorker(id, victims[id], o.resume); err != nil {
 			return err
 		}
 	}
@@ -738,7 +787,7 @@ func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, kil
 			// committed checkpoint; incumbents park at the restored step
 			// until the whole world has re-formed, keeping the resumed
 			// schedule deterministic.
-			meta, err := ckpt.LatestMeta(ck.dir)
+			meta, err := ckpt.LatestMeta(o.ckptDir)
 			if err != nil {
 				return fmt.Errorf("kill-all: no checkpoint to cold-restart from: %w", err)
 			}
@@ -748,15 +797,13 @@ func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, kil
 			// fresh one or the relaunched workers would park as standbys
 			// of a generation whose members no longer exist. (A job
 			// restarted against a brand-new store skips this naturally.)
-			if err := advanceGeneration(storeAddr); err != nil {
+			if err := advanceGeneration(o.store); err != nil {
 				return fmt.Errorf("kill-all: opening a fresh rendezvous round: %w", err)
 			}
 			admitStep = int(meta.Step)
 			coldRestarted = true
-			ckResume := ck
-			ckResume.resume = true
 			for i := 0; i < world; i++ {
-				if err := launchWorker(fmt.Sprintf("c%d", i), false, ckResume); err != nil {
+				if err := launchWorker(fmt.Sprintf("c%d", i), false, true); err != nil {
 					return err
 				}
 			}
@@ -772,7 +819,7 @@ func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, kil
 		respawns++
 		id := fmt.Sprintf("r%d", respawns)
 		fmt.Printf("[supervisor] respawning replacement process %s\n", id)
-		if err := launchWorker(id, false, ck); err != nil {
+		if err := launchWorker(id, false, o.resume); err != nil {
 			return err
 		}
 	}
@@ -781,8 +828,8 @@ func runElasticSupervisor(world, iters, batch int, lr float32, killStep int, kil
 	}
 
 	// Verify across process boundaries: every finisher published its
-	// final step and parameter checksum to the store.
-	client, err := store.DialTCP(storeAddr)
+	// final step and parameter hash to the store.
+	client, err := store.DialTCP(o.store)
 	if err != nil {
 		return fmt.Errorf("dialing store for verification: %w", err)
 	}
@@ -826,143 +873,62 @@ func advanceGeneration(storeAddr string) error {
 }
 
 // runElasticWorker is one elastic trainer process, spawned by the
-// supervisor. If killStep >= 0 it hard-exits mid-iteration at that
-// step — os.Exit runs no cleanup, so peers observe exactly what a
-// SIGKILL produces: heartbeat silence and connections closed by the
-// kernel.
-func runElasticWorker(id, storeAddr string, world, iters, batch int, lr float32, killStep, admitStep int, compress string, ck ckptFlags, traceOut string) error {
-	if id == "" {
-		return fmt.Errorf("-worker requires -id")
+// supervisor. With -kill-step it hard-exits mid-iteration at that step
+// — os.Exit runs no cleanup, so peers observe exactly what a SIGKILL
+// produces: heartbeat silence and connections closed by the kernel.
+func runElasticWorker(o *options) error {
+	if o.id == "" {
+		return errors.New("-worker requires -id")
 	}
-	newCodec, err := codecFactory(compress)
-	if err != nil {
+	if err := o.validate(); err != nil {
 		return err
 	}
-	client, err := store.DialTCP(storeAddr)
+	client, err := store.DialTCP(o.store)
 	if err != nil {
 		return fmt.Errorf("dialing store: %w", err)
 	}
 	defer client.Close()
 
-	const features, hidden, classes = 64, 64, 10
 	model := models.NewMLP(7, features, hidden, classes)
-	opt := optim.NewSGD(model.Parameters(), lr)
-	opt.Momentum = 0.9
-	cfg := elastic.Config{
-		Store:             client,
-		ID:                id,
-		Prefix:            "elastic",
-		MinWorld:          world - 1,
-		MaxWorld:          world,
-		Grace:             500 * time.Millisecond,
-		HeartbeatInterval: 20 * time.Millisecond,
-		LeaseTimeout:      500 * time.Millisecond,
-		RoundTimeout:      15 * time.Second,
-		DrainTimeout:      200 * time.Millisecond,
-		Builder:           &elastic.TCPBuilder{Store: client},
-		DDP:               ddp.Options{BucketCapBytes: 1 << 16, NewCodec: newCodec},
-		Checkpoint:        ck.config(),
-		Tracer:            trace.NewTracer(),
-		Straggler:         stragglerLog(),
-	}
-	agent, err := elastic.NewAgent(cfg, model, opt)
+	agent, err := elastic.NewAgent(o.elasticConfig(o.id, client, &elastic.TCPBuilder{Store: client}, trace.NewTracer()), model)
 	if err != nil {
 		return err
 	}
-	if traceOut != "" {
+	if o.traceOut != "" {
 		defer func() {
-			if err := dumpTrace(agent.Tracer(), fmt.Sprintf("%s-%s.json", traceOut, id)); err != nil {
-				fmt.Fprintf(os.Stderr, "[%s] %v\n", id, err)
+			if err := dumpTrace(agent.Tracer(), fmt.Sprintf("%s-%s.json", o.traceOut, o.id)); err != nil {
+				fmt.Fprintf(os.Stderr, "[%s] %v\n", o.id, err)
 			}
 		}()
 	}
 
-	logged := false
-	step := func(ctx elastic.StepContext) error {
-		if killStep >= 0 && ctx.Step == int64(killStep) {
-			x, _ := elasticBatch(ctx.Step, ctx.Rank, ctx.World, batch, features, classes)
-			ctx.DDP.Forward(autograd.Constant(x))
-			fmt.Printf("[%s] crashing mid-iteration at step %d (gen %d, world %d)\n",
-				id, ctx.Step, ctx.Generation, ctx.World)
-			os.Exit(1)
-		}
-		if ctx.Step == 0 && ctx.Generation == 0 && ctx.World < world {
-			// A slow starter can miss the grace window; wait for its
-			// generation bump so the schedule stays deterministic.
-			return agent.AwaitGenerationChange()
-		}
-		if admitStep >= 0 && ctx.Step == int64(admitStep) && ctx.World < world {
-			return agent.AwaitGenerationChange()
-		}
-		if !logged {
-			logged = true
-			fmt.Printf("[%s] rank %d/%d at generation %d, resuming from step %d\n",
-				id, ctx.Rank, ctx.World, ctx.Generation, ctx.Step)
-		}
-		x, labels := elasticBatch(ctx.Step, ctx.Rank, ctx.World, batch, features, classes)
-		out := ctx.DDP.Forward(autograd.Constant(x))
-		loss := autograd.CrossEntropyLoss(out, labels)
-		if err := ctx.DDP.Backward(loss); err != nil {
-			return err
-		}
-		ctx.Optimizer.Step()
-		ctx.Optimizer.ZeroGrad()
-		if ctx.Rank == 0 && (ctx.Step+1)%20 == 0 {
-			fmt.Printf("[%s] step %4d loss %.4f (gen %d, world %d)\n",
-				id, ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)
-		}
-		return nil
+	var crash func() error
+	if o.killStep >= 0 {
+		crash = func() error { os.Exit(1); return nil }
 	}
-	if err := agent.Run(int64(iters), step); err != nil {
+	admit := func(ctx elastic.StepContext) bool {
+		return o.admitStep >= 0 && ctx.Step == int64(o.admitStep) && ctx.World < o.world
+	}
+	if err := agent.Run(int64(o.iters), elasticStep(o, o.id, agent, crash, admit)); err != nil {
 		return err
 	}
-
-	if err := elastic.PublishResult(client, "elastic", id, agent.Step(), model); err != nil {
+	if err := elastic.PublishResult(client, "elastic", o.id, agent.Step(), model); err != nil {
 		return fmt.Errorf("publishing result: %w", err)
 	}
-	fmt.Printf("[%s] done at step %d, checksum %.6f\n", id, agent.Step(), elastic.ChecksumParams(model))
+	fmt.Printf("[%s] done: %s\n", o.id, elastic.FormatResult(agent.Step(), model))
 	return nil
 }
 
-// ---- elastic demo ----------------------------------------------------------
-
-// elasticBatch derives a deterministic batch from (step, rank, world),
-// so workers shard data correctly across reconfigurations without a
-// stateful loader.
-func elasticBatch(step int64, rank, world, batch, features, classes int) (*tensor.Tensor, []int) {
-	rng := rand.New(rand.NewSource(step*1_000_003 + int64(rank)*10_007 + int64(world)*101))
-	x := tensor.New(batch, features)
-	d := x.Data()
-	for i := range d {
-		d[i] = rng.Float32()*2 - 1
-	}
-	labels := make([]int, batch)
-	for i := range labels {
-		labels[i] = rng.Intn(classes)
-	}
-	return x, labels
-}
+// ---- elastic in one process ------------------------------------------------
 
 // runElastic is the end-to-end fault-tolerance proof: `world` elastic
 // workers train in-proc; one is crashed mid-iteration, survivors
 // detect it and reconfigure, a replacement rejoins and is brought up
 // to date, and every surviving replica ends bit-identical.
-func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool, compress string, ck ckptFlags, traceOut string) error {
-	newCodec, err := codecFactory(compress)
-	if err != nil {
+func runElastic(o *options) error {
+	if err := o.validateElastic(); err != nil {
 		return err
 	}
-	if world < 2 {
-		return fmt.Errorf("-elastic needs -world >= 2, got %d", world)
-	}
-	if killStep < 0 {
-		killStep = iters / 3
-	}
-	if killStep >= iters {
-		return fmt.Errorf("-kill-step %d must be below -iters %d", killStep, iters)
-	}
-	const features, hidden, classes = 64, 64, 10
-
 	st := store.NewInMem(60 * time.Second)
 	defer st.Close()
 	reg := comm.NewInProcRegistry()
@@ -970,28 +936,12 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 	// by its own goroutine, the tracer only serializes the root list, so
 	// the dump interleaves all workers' span trees in start order.
 	tracer := trace.NewTracer()
-	if traceOut != "" {
+	if o.traceOut != "" {
 		defer func() {
-			if err := dumpTrace(tracer, traceOut); err != nil {
+			if err := dumpTrace(tracer, o.traceOut); err != nil {
 				fmt.Fprintf(os.Stderr, "[elastic] %v\n", err)
 			}
 		}()
-	}
-	cfg := func(id string) elastic.Config {
-		return elastic.Config{
-			Store:             st,
-			ID:                id,
-			MinWorld:          world - 1,
-			MaxWorld:          world,
-			Grace:             300 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
-			LeaseTimeout:      300 * time.Millisecond,
-			Builder:           &elastic.InProcBuilder{Registry: reg},
-			DDP:               ddp.Options{BucketCapBytes: 1 << 16, NewCodec: newCodec},
-			Checkpoint:        ck.config(),
-			Tracer:            tracer,
-			Straggler:         stragglerLog(),
-		}
 	}
 
 	type worker struct {
@@ -1000,9 +950,7 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 	}
 	mkWorker := func(id string) (*worker, error) {
 		model := models.NewMLP(7, features, hidden, classes)
-		opt := optim.NewSGD(model.Parameters(), lr)
-		opt.Momentum = 0.9
-		a, err := elastic.NewAgent(cfg(id), model, opt)
+		a, err := elastic.NewAgent(o.elasticConfig(id, st, &elastic.InProcBuilder{Registry: reg}, tracer), model)
 		if err != nil {
 			return nil, err
 		}
@@ -1012,58 +960,18 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 	// a fixed step: they release its spawn and yield until its
 	// generation bump lands, so the demo cannot race the (fast,
 	// in-proc) training loop against the (wall-clock) respawn.
-	admitStep := int64(killStep + 3)
-	if admitStep >= int64(iters) {
-		admitStep = int64(iters) - 1
-	}
+	admitStep := int64(min(o.killStep+3, o.iters-1))
 	spawnReplacement := make(chan struct{})
 	var admitOnce sync.Once
-
-	stepFn := func(w *worker, victim bool) elastic.StepFunc {
-		logged := false
-		return func(ctx elastic.StepContext) error {
-			if victim && ctx.Step == int64(killStep) {
-				x, _ := elasticBatch(ctx.Step, ctx.Rank, ctx.World, batch, features, classes)
-				ctx.DDP.Forward(autograd.Constant(x))
-				fmt.Printf("[elastic] worker crashed mid-iteration at step %d (gen %d, world %d)\n",
-					ctx.Step, ctx.Generation, ctx.World)
-				w.agent.Kill()
-				return errors.New("simulated crash")
-			}
-			if ctx.Step == 0 && ctx.Generation == 0 && ctx.World < world {
-				// A slow-starting worker can miss the initial grace
-				// window; yield until its generation bump reforms the
-				// full world. Generation 0 only — at later generations
-				// a small world at step 0 is a legitimate post-crash
-				// state, not an incomplete formation.
-				return w.agent.AwaitGenerationChange()
-			}
-			if respawn && !victim && ctx.World == world-1 && ctx.Step == admitStep {
-				admitOnce.Do(func() { close(spawnReplacement) })
-				return w.agent.AwaitGenerationChange()
-			}
-			if !logged {
-				logged = true
-				fmt.Printf("[elastic] %-9s rank %d/%d at generation %d, resuming from step %d\n",
-					"worker", ctx.Rank, ctx.World, ctx.Generation, ctx.Step)
-			}
-			x, labels := elasticBatch(ctx.Step, ctx.Rank, ctx.World, batch, features, classes)
-			out := ctx.DDP.Forward(autograd.Constant(x))
-			loss := autograd.CrossEntropyLoss(out, labels)
-			if err := ctx.DDP.Backward(loss); err != nil {
-				return err
-			}
-			ctx.Optimizer.Step()
-			ctx.Optimizer.ZeroGrad()
-			if ctx.Rank == 0 && (ctx.Step+1)%20 == 0 {
-				fmt.Printf("[elastic] step %4d loss %.4f (gen %d, world %d)\n",
-					ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)
-			}
-			return nil
+	admit := func(ctx elastic.StepContext) bool {
+		if !o.respawn || ctx.World != o.world-1 || ctx.Step != admitStep {
+			return false
 		}
+		admitOnce.Do(func() { close(spawnReplacement) })
+		return true
 	}
 
-	workers := make([]*worker, world)
+	workers := make([]*worker, o.world)
 	for i := range workers {
 		w, err := mkWorker(fmt.Sprintf("w%d", i))
 		if err != nil {
@@ -1071,7 +979,7 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 		}
 		workers[i] = w
 	}
-	victim := workers[world-1]
+	victim := workers[o.world-1]
 
 	// wg tracks every worker; initialWG tracks only the initial set so
 	// the monitor below never Waits on the group the late replacement
@@ -1079,7 +987,11 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 	var wg, initialWG sync.WaitGroup
 	errs := make(map[string]error)
 	var mu sync.Mutex
-	runWorker := func(name string, w *worker, isVictim bool, extra *sync.WaitGroup) {
+	runWorker := func(name string, w *worker, extra *sync.WaitGroup) {
+		var crash func() error
+		if w == victim {
+			crash = func() error { w.agent.Kill(); return errors.New("simulated crash") }
+		}
 		wg.Add(1)
 		if extra != nil {
 			extra.Add(1)
@@ -1089,18 +1001,18 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 			if extra != nil {
 				defer extra.Done()
 			}
-			err := w.agent.Run(int64(iters), stepFn(w, isVictim))
+			err := w.agent.Run(int64(o.iters), elasticStep(o, "elastic", w.agent, crash, admit))
 			mu.Lock()
 			errs[name] = err
 			mu.Unlock()
 		}()
 	}
 	for i, w := range workers {
-		runWorker(fmt.Sprintf("w%d", i), w, w == victim, &initialWG)
+		runWorker(fmt.Sprintf("w%d", i), w, &initialWG)
 	}
 
 	var replacement *worker
-	if respawn {
+	if o.respawn {
 		// Boot the replacement when the survivors signal they are past
 		// the crash and ready to admit it — or bail out if they all
 		// ended (e.g. on error) before admitting anyone, so a failed
@@ -1118,13 +1030,13 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 				return err
 			}
 			fmt.Printf("[elastic] respawning replacement worker\n")
-			runWorker("respawned", replacement, false, nil)
+			runWorker("respawned", replacement, nil)
 		case <-allDone:
 		}
 	}
 	wg.Wait()
 
-	finishers := make([]*worker, 0, world)
+	finishers := make([]*worker, 0, o.world)
 	for i, w := range workers {
 		name := fmt.Sprintf("w%d", i)
 		if w == victim {
@@ -1146,16 +1058,15 @@ func runElastic(world, iters, batch int, lr float32, killStep int, respawn bool,
 		finishers = append(finishers, replacement)
 	}
 
-	checksum := func(w *worker) float64 { return elastic.ChecksumParams(w.model) }
-	base := checksum(finishers[0])
+	// The same record the cross-process supervisor compares.
+	base := elastic.FormatResult(finishers[0].agent.Step(), finishers[0].model)
 	consistent := true
 	for _, w := range finishers[1:] {
-		if checksum(w) != base {
+		if elastic.FormatResult(w.agent.Step(), w.model) != base {
 			consistent = false
 		}
 	}
-	fmt.Printf("[elastic] done: %d finishers at step %d, checksum %.6f, replicas consistent: %v\n",
-		len(finishers), finishers[0].agent.Step(), base, consistent)
+	fmt.Printf("[elastic] done: %d finishers, %s, replicas consistent: %v\n", len(finishers), base, consistent)
 	if !consistent {
 		return errors.New("replicas diverged after recovery")
 	}

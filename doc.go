@@ -38,7 +38,8 @@
 // rank are freed by aborting the process group (comm.AbortGroup,
 // transport.Aborter). After each round the member with the most
 // completed steps broadcasts model + optimizer state (SyncState), and
-// elastic.Agent swaps the rebuilt group into DDP and retries the
+// elastic.Agent rebinds its replica — DDP or FSDP behind the one
+// internal/replica interface — to the rebuilt group and retries the
 // interrupted step. The whole fault path works across real OS
 // processes over TCP (`ddptrain -elastic -launch`).
 //
@@ -65,7 +66,7 @@
 //	elastic ──▶ ckpt ──▶ nn, optim
 //	   │          │
 //	   │          └────▶ comm, store
-//	   ├────────▶ ddp ─▶ nn, autograd, comm
+//	   ├────────▶ replica ◀── ddp, fsdp ─▶ nn, autograd, comm
 //	   └────────▶ comm ─▶ transport ─▶ store
 //	                         (tensor under everything)
 //

@@ -30,6 +30,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -63,14 +64,20 @@ func batchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
 
 func trainStep(ctx elastic.StepContext) error {
 	x, labels := batchFor(ctx.Step, ctx.Rank, ctx.World)
-	out := ctx.DDP.Forward(autograd.Constant(x))
-	loss := autograd.CrossEntropyLoss(out, labels)
-	if err := ctx.DDP.Backward(loss); err != nil {
+	out := ctx.Replica.Forward(autograd.Constant(x))
+	if err := ctx.Replica.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
 		return err
 	}
-	ctx.Optimizer.Step()
-	ctx.Optimizer.ZeroGrad()
+	ctx.Replica.Step()
 	return nil
+}
+
+// newReplica is the job's one choice of strategy: DDP plus momentum
+// SGD. The agent has aligned the replicas before it asks for one.
+func newReplica(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+	opt := optim.NewSGD(m.Parameters(), 0.05)
+	opt.Momentum = 0.9
+	return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: 1 << 12, SkipInitialBroadcast: true}, opt)
 }
 
 // runWorld drives `world` elastic workers over a fresh store/registry
@@ -90,8 +97,6 @@ func runWorld(dir string, seed int64, crash, resume bool) ([]nn.Module, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < world; i++ {
 		model := models.NewMLP(seed, features, hidden, classes)
-		opt := optim.NewSGD(model.Parameters(), 0.05)
-		opt.Momentum = 0.9
 		agent, err := elastic.NewAgent(elastic.Config{
 			Store:             st,
 			ID:                fmt.Sprintf("w%d", i),
@@ -100,14 +105,14 @@ func runWorld(dir string, seed int64, crash, resume bool) ([]nn.Module, error) {
 			HeartbeatInterval: 10 * time.Millisecond,
 			LeaseTimeout:      time.Second,
 			Builder:           &elastic.InProcBuilder{Registry: reg},
-			DDP:               ddp.Options{BucketCapBytes: 1 << 12},
+			Replica:           newReplica,
 			Checkpoint: &elastic.CheckpointConfig{
 				Dir:    dir,
 				Every:  every,
 				Async:  false, // synchronous: committed before the next step runs
 				Resume: resume,
 			},
-		}, model, opt)
+		}, model)
 		if err != nil {
 			return nil, err
 		}
@@ -180,12 +185,12 @@ func main() {
 
 	same := true
 	for i := range resumed {
-		if elastic.ChecksumParams(resumed[i]) != elastic.ChecksumParams(ref[i]) {
+		if replica.Hash(resumed[i].Parameters()) != replica.Hash(ref[i].Parameters()) {
 			same = false
 		}
 	}
-	fmt.Printf("resumed checksum %.6f, reference %.6f, bitwise identical: %v\n",
-		elastic.ChecksumParams(resumed[0]), elastic.ChecksumParams(ref[0]), same)
+	fmt.Printf("resumed parameter hash %016x, reference %016x, bitwise identical: %v\n",
+		replica.Hash(resumed[0].Parameters()), replica.Hash(ref[0].Parameters()), same)
 	if !same {
 		log.Fatal("resumed run diverged from the uninterrupted reference")
 	}

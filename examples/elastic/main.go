@@ -25,6 +25,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -63,8 +64,6 @@ type worker struct {
 
 func newWorker(name string, st store.Store, reg *comm.InProcRegistry) *worker {
 	model := models.NewMLP(3, features, hidden, classes)
-	opt := optim.NewSGD(model.Parameters(), 0.05)
-	opt.Momentum = 0.9
 	agent, err := elastic.NewAgent(elastic.Config{
 		Store:             st,
 		ID:                name,
@@ -73,8 +72,14 @@ func newWorker(name string, st store.Store, reg *comm.InProcRegistry) *worker {
 		Grace:             200 * time.Millisecond,
 		HeartbeatInterval: 10 * time.Millisecond,
 		Builder:           &elastic.InProcBuilder{Registry: reg},
-		DDP:               ddp.Options{BucketCapBytes: 1 << 12},
-	}, model, opt)
+		// The job's one choice of strategy: DDP plus momentum SGD. The
+		// agent has aligned the replicas before it asks for one.
+		Replica: func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+			opt := optim.NewSGD(m.Parameters(), 0.05)
+			opt.Momentum = 0.9
+			return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: 1 << 12, SkipInitialBroadcast: true}, opt)
+		},
+	}, model)
 	if err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}
@@ -83,13 +88,12 @@ func newWorker(name string, st store.Store, reg *comm.InProcRegistry) *worker {
 
 func (w *worker) trainStep(ctx elastic.StepContext) error {
 	x, labels := batchFor(ctx.Step, ctx.Rank, ctx.World)
-	out := ctx.DDP.Forward(autograd.Constant(x))
+	out := ctx.Replica.Forward(autograd.Constant(x))
 	loss := autograd.CrossEntropyLoss(out, labels)
-	if err := ctx.DDP.Backward(loss); err != nil {
+	if err := ctx.Replica.Backward(loss); err != nil {
 		return err
 	}
-	ctx.Optimizer.Step()
-	ctx.Optimizer.ZeroGrad()
+	ctx.Replica.Step()
 	if ctx.Rank == 0 {
 		fmt.Printf("step %2d  gen %d  world %d  loss %.4f\n",
 			ctx.Step, ctx.Generation, ctx.World, loss.Value.Item())
@@ -160,17 +164,10 @@ func main() {
 			log.Fatalf("%s: %v", name, err)
 		}
 	}
-	sum := func(w *worker) (s float64) {
-		for _, p := range w.model.Parameters() {
-			for _, v := range p.Value.Data() {
-				s += float64(v)
-			}
-		}
-		return
-	}
-	fmt.Printf("final checksums: alice %.6f  bob %.6f  dave %.6f  (carol left at step %d with %d/%d steps)\n",
-		sum(a), sum(b), sum(d), leaveAt, leaver.agent.Step(), steps)
-	if sum(a) != sum(b) || sum(a) != sum(d) {
+	hash := func(w *worker) uint64 { return replica.Hash(w.model.Parameters()) }
+	fmt.Printf("final parameter hashes: alice %016x  bob %016x  dave %016x  (carol left at step %d with %d/%d steps)\n",
+		hash(a), hash(b), hash(d), leaveAt, leaver.agent.Step(), steps)
+	if hash(a) != hash(b) || hash(a) != hash(d) {
 		log.Fatal("replicas diverged")
 	}
 	fmt.Println("all active replicas identical — training survived scale-down and scale-up")

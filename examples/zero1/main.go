@@ -3,8 +3,10 @@
 // the same model on the same data to the same weights (sharding a
 // momentum update is mathematically free), but the sharded optimizer
 // keeps only 1/world of the momentum state per rank, trading DDP's
-// single overlapped AllReduce for an explicit ReduceScatter +
-// AllGather.
+// single overlapped AllReduce for a ReduceScatter + AllGather per
+// bucket. Both arms run the same loop over replica.Replica; the only
+// difference is the one line that builds the replica (ddp.NewReplica
+// vs fsdp.New with ZeRO2).
 //
 //	go run ./examples/zero1
 package main
@@ -18,23 +20,40 @@ import (
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/ddp"
+	"repro/internal/fsdp"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/tensor"
 )
 
 const (
-	world = 4
-	iters = 60
-	batch = 16
+	world    = 4
+	iters    = 60
+	batch    = 16
+	lr       = 0.05
+	momentum = 0.9
 )
 
 func main() {
 	dataset := data.NewSynthetic(17, 2048, 24, 6)
 
-	ddpWeights, ddpStateBytes := trainDDP(dataset)
-	zeroWeights, zeroStateBytes := trainZero(dataset)
+	fmt.Println("DDP + SGD:")
+	ddpWeights, ddpStateBytes := train(dataset, func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, int, error) {
+		opt := optim.NewSGD(m.Parameters(), lr)
+		opt.Momentum = momentum
+		r, err := ddp.NewReplica(m, pg, ddp.Options{}, opt)
+		return r, 4 * nn.NumParams(m), err // full velocity on every rank
+	})
+	fmt.Println("ZeRO-2:")
+	zeroWeights, zeroStateBytes := train(dataset, func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, int, error) {
+		f, err := fsdp.New(m, pg, fsdp.Options{Strategy: fsdp.ZeRO2, LR: lr, Momentum: momentum})
+		if err != nil {
+			return nil, 0, err
+		}
+		return f, f.Stats().OptimizerBytes, nil
+	})
 
 	var maxDiff float32
 	for i := range ddpWeights {
@@ -47,86 +66,28 @@ func main() {
 		ddpStateBytes, zeroStateBytes, float64(ddpStateBytes)/float64(zeroStateBytes))
 }
 
-func trainDDP(dataset *data.Synthetic) ([]*tensor.Tensor, int) {
+// train runs the one training loop on `world` goroutine ranks and
+// returns rank 0's final weights and optimizer-state bytes. build is
+// where an arm chooses its strategy.
+func train(dataset *data.Synthetic, build func(nn.Module, comm.ProcessGroup) (replica.Replica, int, error)) ([]*tensor.Tensor, int) {
 	groups := comm.NewInProcGroups(world, comm.Options{})
-	defer closeAll(groups)
+	defer func() {
+		for _, g := range groups {
+			g.Close()
+		}
+	}()
 	var weights []*tensor.Tensor
 	var stateBytes int
-	run(groups, dataset, func(rank int, m nn.Module, pg comm.ProcessGroup) trainer {
-		d, err := ddp.New(m, pg, ddp.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		opt := optim.NewSGD(d.Parameters(), 0.05)
-		opt.Momentum = 0.9
-		return trainer{
-			step: func(x *autograd.Variable, labels []int) float32 {
-				opt.ZeroGrad()
-				out := d.Forward(x)
-				loss := autograd.CrossEntropyLoss(out, labels)
-				if err := d.Backward(loss); err != nil {
-					log.Fatal(err)
-				}
-				opt.Step()
-				return loss.Value.Item()
-			},
-			finish: func() {
-				if rank == 0 {
-					weights = snapshot(m)
-					stateBytes = 4 * nn.NumParams(m) // full velocity on every rank
-				}
-			},
-		}
-	})
-	return weights, stateBytes
-}
-
-func trainZero(dataset *data.Synthetic) ([]*tensor.Tensor, int) {
-	groups := comm.NewInProcGroups(world, comm.Options{})
-	defer closeAll(groups)
-	var weights []*tensor.Tensor
-	var stateBytes int
-	run(groups, dataset, func(rank int, m nn.Module, pg comm.ProcessGroup) trainer {
-		opt, err := optim.NewZeroSGD(m.Parameters(), pg, 0.05)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opt.Momentum = 0.9
-		return trainer{
-			step: func(x *autograd.Variable, labels []int) float32 {
-				opt.ZeroGrad()
-				out := m.Forward(x)
-				loss := autograd.CrossEntropyLoss(out, labels)
-				autograd.Backward(loss, nil)
-				if err := opt.Step(); err != nil {
-					log.Fatal(err)
-				}
-				return loss.Value.Item()
-			},
-			finish: func() {
-				if rank == 0 {
-					weights = snapshot(m)
-					stateBytes = opt.ShardBytes()
-				}
-			},
-		}
-	})
-	return weights, stateBytes
-}
-
-type trainer struct {
-	step   func(x *autograd.Variable, labels []int) float32
-	finish func()
-}
-
-func run(groups []comm.ProcessGroup, dataset *data.Synthetic, build func(int, nn.Module, comm.ProcessGroup) trainer) {
 	var wg sync.WaitGroup
 	for rank := 0; rank < world; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			m := models.NewMLP(33, dataset.Features(), 32, dataset.Classes())
-			tr := build(rank, m, groups[rank])
+			r, bytes, err := build(m, groups[rank])
+			if err != nil {
+				log.Fatal(err)
+			}
 			sampler, err := data.NewDistributedSampler(dataset.Len(), rank, world)
 			if err != nil {
 				log.Fatal(err)
@@ -137,7 +98,6 @@ func run(groups []comm.ProcessGroup, dataset *data.Synthetic, build func(int, nn
 			}
 			loader.Reset(0)
 			epoch := int64(0)
-			var loss float32
 			for it := 0; it < iters; it++ {
 				x, labels, ok := loader.Next()
 				if !ok {
@@ -145,15 +105,22 @@ func run(groups []comm.ProcessGroup, dataset *data.Synthetic, build func(int, nn
 					loader.Reset(epoch)
 					x, labels, _ = loader.Next()
 				}
-				loss = tr.step(autograd.Constant(x), labels)
+				loss := autograd.CrossEntropyLoss(r.Forward(autograd.Constant(x)), labels)
+				if err := r.Backward(loss); err != nil {
+					log.Fatal(err)
+				}
+				r.Step()
 				if rank == 0 && (it+1)%20 == 0 {
-					fmt.Printf("  iter %3d loss %.4f\n", it+1, loss)
+					fmt.Printf("  iter %3d loss %.4f\n", it+1, loss.Value.Item())
 				}
 			}
-			tr.finish()
+			if rank == 0 {
+				weights, stateBytes = snapshot(m), bytes
+			}
 		}(rank)
 	}
 	wg.Wait()
+	return weights, stateBytes
 }
 
 func snapshot(m nn.Module) []*tensor.Tensor {
@@ -162,10 +129,4 @@ func snapshot(m nn.Module) []*tensor.Tensor {
 		out = append(out, p.Value.Clone())
 	}
 	return out
-}
-
-func closeAll(groups []comm.ProcessGroup) {
-	for _, g := range groups {
-		g.Close()
-	}
 }

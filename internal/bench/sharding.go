@@ -16,6 +16,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -122,51 +123,71 @@ func shRunRanks(world int, fn func(rank int) error) error {
 	return nil
 }
 
-// shDDPReference trains the replicated DDP+SGD trajectory and returns
-// rank 0's final flattened parameters — the oracle every sharded run
-// must match bitwise.
-func shDDPReference(world int, batches, labels []*tensor.Tensor) ([]float32, error) {
+// shReplica is the ablation's one place that turns a strategy name
+// into a replica.
+func shReplica(strategy string, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+	if strategy == "ddp" {
+		opt := optim.NewSGD(m.Parameters(), shLR)
+		opt.Momentum = shMomentum
+		return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: shCap}, opt)
+	}
+	st, err := fsdp.ParseStrategy(strategy)
+	if err != nil {
+		return nil, err
+	}
+	return fsdp.New(m, pg, fsdp.Options{Strategy: st, BucketCapBytes: shCap, LR: shLR, Momentum: shMomentum})
+}
+
+// shTrain trains one (strategy, world) cluster and returns every rank's
+// final flattened parameters — rank 0's under "ddp" is the oracle every
+// sharded run must match bitwise — plus rank 0's fsdp accounting (zero
+// for "ddp", whose layout is replicated by construction).
+func shTrain(strategy string, world int, batches, labels []*tensor.Tensor) ([][]float32, fsdp.Stats, error) {
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer closeGroups(groups)
-	models := make([]nn.Module, world)
+	reps := make([]replica.Replica, world)
 	err := shRunRanks(world, func(rank int) error {
-		m := shModel()
-		models[rank] = m
-		d, err := ddp.New(m, groups[rank], ddp.Options{BucketCapBytes: shCap})
+		r, err := shReplica(strategy, shModel(), groups[rank])
 		if err != nil {
 			return err
 		}
-		opt := optim.NewSGD(d.Parameters(), shLR)
-		opt.Momentum = shMomentum
+		reps[rank] = r
 		for i := range batches {
-			opt.ZeroGrad()
 			x := autograd.Constant(shRows(batches[i], rank))
 			y := autograd.Constant(shRows(labels[i], rank))
-			if err := d.Backward(autograd.MSELoss(d.Forward(x), y)); err != nil {
+			if err := r.Backward(autograd.MSELoss(r.Forward(x), y)); err != nil {
 				return err
 			}
-			opt.Step()
+			r.Step()
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fsdp.Stats{}, err
 	}
-	return flattenModule(models[0]), nil
+	// Stats BEFORE Materialize: the gather-everything below is a
+	// comparison convenience, not part of the training footprint.
+	var stats fsdp.Stats
+	if f, ok := reps[0].(*fsdp.FSDP); ok {
+		stats = f.Stats()
+	}
+	final := make([][]float32, world)
+	err = shRunRanks(world, func(rank int) error {
+		if err := reps[rank].Materialize(); err != nil {
+			return err
+		}
+		for _, p := range reps[rank].Parameters() {
+			final[rank] = append(final[rank], p.Value.Data()...)
+		}
+		return nil
+	})
+	return final, stats, err
 }
 
 func closeGroups(groups []comm.ProcessGroup) {
 	for _, g := range groups {
 		g.Close()
 	}
-}
-
-func flattenModule(m nn.Module) []float32 {
-	var out []float32
-	for _, p := range m.Parameters() {
-		out = append(out, p.Value.Data()...)
-	}
-	return out
 }
 
 func sameFlat(a, b []float32) bool {
@@ -198,51 +219,6 @@ func shModeledStep(strategy string, world int) (float64, error) {
 		return 0, err
 	}
 	return b.TotalSeconds, nil
-}
-
-// shTrainSharded trains one (strategy, world) fsdp cluster and returns
-// rank 0's stats plus whether the final parameters match the DDP
-// reference bitwise.
-func shTrainSharded(strategy fsdp.Strategy, world int, batches, labels []*tensor.Tensor, ref []float32) (fsdp.Stats, bool, error) {
-	groups := comm.NewInProcGroups(world, comm.Options{})
-	defer closeGroups(groups)
-	wrappers := make([]*fsdp.FSDP, world)
-	err := shRunRanks(world, func(rank int) error {
-		f, err := fsdp.New(shModel(), groups[rank], fsdp.Options{
-			Strategy:       strategy,
-			BucketCapBytes: shCap,
-			LR:             shLR,
-			Momentum:       shMomentum,
-		})
-		if err != nil {
-			return err
-		}
-		wrappers[rank] = f
-		for i := range batches {
-			x := autograd.Constant(shRows(batches[i], rank))
-			y := autograd.Constant(shRows(labels[i], rank))
-			if err := f.Backward(autograd.MSELoss(f.Forward(x), y)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fsdp.Stats{}, false, err
-	}
-	// Stats BEFORE Materialize: the gather-everything below is a
-	// comparison convenience, not part of the training footprint.
-	stats := wrappers[0].Stats()
-	if err := shRunRanks(world, func(rank int) error { return wrappers[rank].Materialize() }); err != nil {
-		return fsdp.Stats{}, false, err
-	}
-	bitwise := true
-	for _, f := range wrappers {
-		if !sameFlat(flattenModule(f.Module()), ref) {
-			bitwise = false
-		}
-	}
-	return stats, bitwise, nil
 }
 
 // shardingOutPath resolves where BENCH_sharding.json lands: the
@@ -298,10 +274,7 @@ func ShardingAblation(w io.Writer) error {
 		"strategy", "world", "param/rank", "param peak", "opt/rank", "grad peak", "gathers", "reduces", "modeled (s)", "bitwise")
 	for _, world := range shardingWorlds {
 		batches, labels := shData(world)
-		ref, err := shDDPReference(world, batches, labels)
-		if err != nil {
-			return fmt.Errorf("ddp reference world %d: %w", world, err)
-		}
+		var ref []float32 // rank 0 of the "ddp" row, trained first
 		for _, strategy := range []string{"ddp", "zero2", "zero3"} {
 			modeled, err := shModeledStep(strategy, world)
 			if err != nil {
@@ -313,33 +286,32 @@ func ShardingAblation(w io.Writer) error {
 				FullParamBytes:     fullBytes,
 				ModeledStepSeconds: modeled,
 			}
+			final, stats, err := shTrain(strategy, world, batches, labels)
+			if err != nil {
+				return fmt.Errorf("%s world %d: %w", strategy, world, err)
+			}
 			if strategy == "ddp" {
 				// Replicated layout, by construction: full parameters and
 				// full momentum on every rank, one AllReduce per bucket
 				// per step.
-				rec.ShardParamBytes = fullBytes
-				rec.PeakParamBytes = fullBytes
-				rec.OptimizerBytes = fullBytes
-				rec.PeakGradBytes = maxBucketBytes
-				rec.Reduces = shIters * assign.NumBuckets()
-				rec.BitwiseVsDDP = true
-			} else {
-				st, err := fsdp.ParseStrategy(strategy)
-				if err != nil {
-					return err
+				ref = final[0]
+				stats = fsdp.Stats{
+					ShardParamBytes: fullBytes,
+					PeakParamBytes:  fullBytes,
+					OptimizerBytes:  fullBytes,
+					PeakGradBytes:   maxBucketBytes,
+					Reduces:         shIters * assign.NumBuckets(),
 				}
-				stats, bitwise, err := shTrainSharded(st, world, batches, labels, ref)
-				if err != nil {
-					return fmt.Errorf("%s world %d: %w", strategy, world, err)
-				}
-				rec.ShardParamBytes = stats.ShardParamBytes
-				rec.PeakParamBytes = stats.PeakParamBytes
-				rec.OptimizerBytes = stats.OptimizerBytes
-				rec.PeakGradBytes = stats.PeakGradBytes
-				rec.Gathers = stats.Gathers
-				rec.Reduces = stats.Reduces
-				rec.BitwiseVsDDP = bitwise
-				if !bitwise {
+			}
+			rec.ShardParamBytes = stats.ShardParamBytes
+			rec.PeakParamBytes = stats.PeakParamBytes
+			rec.OptimizerBytes = stats.OptimizerBytes
+			rec.PeakGradBytes = stats.PeakGradBytes
+			rec.Gathers = stats.Gathers
+			rec.Reduces = stats.Reduces
+			rec.BitwiseVsDDP = true
+			for _, flat := range final {
+				if !sameFlat(flat, ref) {
 					return fmt.Errorf("%s world %d diverged from the DDP reference", strategy, world)
 				}
 			}

@@ -1,6 +1,7 @@
 // Package chaos is a seeded, deterministic failure-schedule fuzzer for
 // the elastic training stack. It runs real in-process clusters — shared
-// store, in-proc process groups, elastic.Agent, ddp — under generated
+// store, in-proc process groups, elastic.Agent, ddp or fsdp replicas
+// behind internal/replica — under generated
 // schedules of fault events, then checks system-wide invariants that
 // the hand-written recovery tests only pin individually.
 //
@@ -8,8 +9,9 @@
 //
 // A Schedule is a replayable scenario: initial world size, step count,
 // gradient codec, sharding strategy, checkpoint cadence, and a list of
-// Events. A non-empty Strategy ("zero2" or "zero3") trains through
-// internal/fsdp instead of ddp: checkpoint cadence is forced to every
+// Events. A non-empty Strategy ("zero2" or "zero3") makes the one
+// replica factory (engine.newReplica) build internal/fsdp instead of
+// ddp — nothing else in the engine changes: checkpoint cadence is forced to every
 // step so each rollback restores exactly the live state (a sharded
 // world cannot re-form after churn without a committed checkpoint —
 // a lost rank's shards are unrecoverable), and under ZeRO-3 a

@@ -10,11 +10,10 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/ckpt"
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/elastic"
 	"repro/internal/fsdp"
 	"repro/internal/nn"
-	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -220,7 +219,6 @@ type runWorker struct {
 	id     string
 	agent  *elastic.Agent
 	model  nn.Module
-	opt    *optim.SGD
 	pstore *store.Partitioned
 	fault  *faultHook
 	tracer *trace.Tracer
@@ -236,7 +234,6 @@ type runWorker struct {
 	mu     sync.Mutex
 	err    error
 	parked bool
-	d      *ddp.DDP
 	// killOnGather arms the sharded mid-step kill: the fsdp
 	// TestingOnGather hook fires Kill right before the next ZeRO-3
 	// parameter AllGatherV, so peers die blocked inside the gather phase.
@@ -267,12 +264,6 @@ func (w *runWorker) gatherKillArmed() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.killOnGather
-}
-
-func (w *runWorker) lastDDP() *ddp.DDP {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.d
 }
 
 func (w *runWorker) runErr() error {
@@ -307,15 +298,7 @@ func (e *engine) spawn(wp workerPlan) error {
 	w.pstore = store.NewPartitioned(e.rec)
 	w.fault = &faultHook{}
 	w.tracer = trace.NewTracer()
-	// Sharded runs train through fsdp, which fuses the optimizer into
-	// Backward — the agent gets no SGD (an untyped nil, so interface
-	// checks in the agent see "no optimizer").
-	var opt optim.Optimizer
-	if e.p.s.Strategy == "" {
-		w.opt = chOptimizer(w.model)
-		opt = w.opt
-	}
-	a, err := elastic.NewAgent(e.workerConfig(w), w.model, opt)
+	a, err := elastic.NewAgent(e.workerConfig(w), w.model)
 	if err != nil {
 		return fmt.Errorf("chaos: agent %s era %d: %v", w.id, wp.era, err)
 	}
@@ -350,32 +333,8 @@ func (e *engine) workerConfig(w *runWorker) elastic.Config {
 		DrainTimeout:      200 * time.Millisecond,
 		MaxRestarts:       12,
 		Builder:           &elastic.InProcBuilder{Registry: e.reg, Prefix: "chaos"},
-		DDP: ddp.Options{
-			BucketCapBytes:                 chBucketCap,
-			TestingResetResidualsOnRebuild: e.opts.PlantResidualResetBug,
-		},
-		Tracer: w.tracer,
-	}
-	if e.p.s.Codec == "1bit" {
-		cfg.DDP.NewCodec = func() comm.Codec { return &comm.OneBitCodec{} }
-	}
-	if e.p.s.Strategy != "" {
-		st, err := fsdp.ParseStrategy(e.p.s.Strategy)
-		if err != nil {
-			// Normal-form schedules only carry zero2/zero3 (walk).
-			panic(err)
-		}
-		cfg.FSDP = &fsdp.Options{
-			Strategy:       st,
-			BucketCapBytes: chBucketCap,
-			LR:             chLR,
-			Momentum:       chMom,
-			TestingOnGather: func(int) {
-				if w.gatherKillArmed() {
-					w.agent.Kill()
-				}
-			},
-		}
+		Replica:           func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) { return e.newReplica(w, m, pg) },
+		Tracer:            w.tracer,
 	}
 	if e.p.s.CkptEvery > 0 {
 		cfg.Checkpoint = &elastic.CheckpointConfig{
@@ -405,14 +364,53 @@ func (e *engine) workerConfig(w *runWorker) elastic.Config {
 	return cfg
 }
 
+// newReplica is the one place the harness turns a schedule's strategy
+// into a replica: DDP + SGD (optionally with the planted residual bug),
+// or fsdp with the gather hook that lets a mid-step kill land inside a
+// ZeRO-3 parameter AllGatherV.
+func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+	if e.p.s.Strategy == "" {
+		r, err := chDDPReplica(m, pg, e.p.s.Codec == "1bit", e.opts.PlantResidualResetBug)
+		if err != nil || !e.opts.PlantResidualResetBug {
+			return r, err
+		}
+		return residualResetBug{r}, nil
+	}
+	st, err := fsdp.ParseStrategy(e.p.s.Strategy)
+	if err != nil {
+		return nil, err // normal-form schedules only carry zero2/zero3 (walk)
+	}
+	return fsdp.New(m, pg, fsdp.Options{
+		Strategy:             st,
+		BucketCapBytes:       chBucketCap,
+		LR:                   chLR,
+		Momentum:             chMom,
+		SkipInitialBroadcast: true,
+		TestingOnGather: func(int) {
+			if w.gatherKillArmed() {
+				w.agent.Kill()
+			}
+		},
+	})
+}
+
+// residualResetBug is the recovery half of the planted bug. ddp's
+// test-only flag makes a rebuild forget the residuals, but recovery
+// captures the source's before any rebind and installs them after, which
+// would quietly heal that; dropping them from the install lets every
+// reconfiguration zero the error feedback, as the historical bug did.
+type residualResetBug struct{ replica.Replica }
+
+func (b residualResetBug) InstallState(st replica.State) error {
+	st.Residuals = nil
+	return b.Replica.InstallState(st)
+}
+
 // stepFn builds the instrumented StepFunc of one worker: fire this
 // step's scheduled faults, gate on the planned world size, inject
 // straggle delay, train, record.
 func (e *engine) stepFn(w *runWorker) elastic.StepFunc {
 	return func(ctx elastic.StepContext) error {
-		w.mu.Lock()
-		w.d = ctx.DDP
-		w.mu.Unlock()
 		era := w.plan.era
 		// A kill-all fires at the first entry any era-0 worker makes
 		// into its step; the trigger kills itself with everyone else.
@@ -438,12 +436,8 @@ func (e *engine) stepFn(w *runWorker) elastic.StepFunc {
 				// gather phase itself (ZeRO-2 forwards are
 				// collective-free; the trailing Kill covers them).
 				x, _ := chBatchFor(ctx.Step, e.refRank(ctx), e.refWorld(ctx))
-				if ctx.FSDP != nil {
-					w.armGatherKill()
-					ctx.FSDP.Forward(autograd.Constant(x))
-				} else {
-					ctx.DDP.Forward(autograd.Constant(x))
-				}
+				w.armGatherKill()
+				ctx.Replica.Forward(autograd.Constant(x))
 				w.agent.Kill()
 				return errEventInjected
 			case EvHang:
@@ -508,26 +502,12 @@ func (e *engine) train(ctx elastic.StepContext, w *runWorker) error {
 			time.Sleep(time.Duration(sp.slowMs) * time.Millisecond)
 		}
 	}
-	if ctx.FSDP != nil {
-		out := ctx.FSDP.Forward(autograd.Constant(x))
-		compute := time.Since(computeStart)
-		loss := autograd.CrossEntropyLoss(out, labels)
-		if err := ctx.FSDP.Backward(loss); err != nil {
-			return err
-		}
-		if det := w.agent.Straggler(); det != nil {
-			det.Record(compute)
-		}
-		return nil
-	}
-	out := ctx.DDP.Forward(autograd.Constant(x))
+	out := ctx.Replica.Forward(autograd.Constant(x))
 	compute := time.Since(computeStart)
-	loss := autograd.CrossEntropyLoss(out, labels)
-	if err := ctx.DDP.Backward(loss); err != nil {
+	if err := ctx.Replica.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
 		return err
 	}
-	ctx.Optimizer.Step()
-	ctx.Optimizer.ZeroGrad()
+	ctx.Replica.Step()
 	if det := w.agent.Straggler(); det != nil {
 		det.Record(compute)
 	}

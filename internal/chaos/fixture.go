@@ -11,6 +11,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/tensor"
 )
 
@@ -62,15 +63,29 @@ func chBatchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
 	return x, labels
 }
 
-func chTrainStep(d *ddp.DDP, opt optim.Optimizer, step int64, rank, world int) error {
+// chDDPReplica builds the replicated arm — DDP over pg plus the
+// fixture's SGD — for the cluster under test and for the reference
+// alike; only the former ever plants the residual-reset bug. Replicas
+// are aligned before either builds one, so no constructor broadcast.
+func chDDPReplica(m nn.Module, pg comm.ProcessGroup, codec, plantBug bool) (*ddp.Replica, error) {
+	opts := ddp.Options{
+		BucketCapBytes:                 chBucketCap,
+		SkipInitialBroadcast:           true,
+		TestingResetResidualsOnRebuild: plantBug,
+	}
+	if codec {
+		opts.NewCodec = func() comm.Codec { return &comm.OneBitCodec{} }
+	}
+	return ddp.NewReplica(m, pg, opts, chOptimizer(m))
+}
+
+func chTrainStep(r replica.Replica, step int64, rank, world int) error {
 	x, labels := chBatchFor(step, rank, world)
-	out := d.Forward(autograd.Constant(x))
-	loss := autograd.CrossEntropyLoss(out, labels)
-	if err := d.Backward(loss); err != nil {
+	out := r.Forward(autograd.Constant(x))
+	if err := r.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
 		return err
 	}
-	opt.Step()
-	opt.ZeroGrad()
+	r.Step()
 	return nil
 }
 
@@ -80,20 +95,6 @@ func chFlattenParams(m nn.Module) []float32 {
 		out = append(out, p.Value.Data()...)
 	}
 	return out
-}
-
-// flatSink captures a checkpoint's flattened optimizer state. Sharded
-// runs train through fsdp, which fuses the optimizer into Backward —
-// there is no SGD instance to apply a restored checkpoint to, so the
-// bitwise invariant reads the momentum vector through this sink.
-type flatSink struct{ flat []float32 }
-
-func (s *flatSink) Step()                {}
-func (s *flatSink) ZeroGrad()            {}
-func (s *flatSink) FlatState() []float32 { return s.flat }
-func (s *flatSink) SetFlatState(f []float32) error {
-	s.flat = append([]float32(nil), f...)
-	return nil
 }
 
 func sameF32(a, b []float32) (int, bool) {
@@ -113,11 +114,22 @@ func sameF32(a, b []float32) (int, bool) {
 // refWorker is one rank of the reference cluster.
 type refWorker struct {
 	model nn.Module
-	opt   *optim.SGD
-	d     *ddp.DDP
-	// pendingRes carries the residuals a codec-mode joiner adopts from
-	// the state-sync source (SyncResiduals in the elastic run).
-	pendingRes []float32
+	r     *ddp.Replica // built by the first phase that steps this rank
+	// pending is the state beyond the model a worker adopted before it
+	// had a replica to hold it: a joiner's copy of rank 0's optimizer
+	// state and residuals (elastic state-sync), or a restart's
+	// checkpointed optimizer state.
+	pending replica.State
+}
+
+// state is the worker's optimizer and residual state, wherever it
+// currently lives.
+func (w *refWorker) state() replica.State {
+	if w.r == nil {
+		return w.pending
+	}
+	st, _ := w.r.CaptureState() // local for DDP, never fails
+	return st
 }
 
 // reference replays a plan's membership lineage without failures: the
@@ -133,7 +145,7 @@ type reference struct {
 
 // phase steps the cluster from start to end at the given world size,
 // resizing first: shrink truncates (every rank holds identical state),
-// grow clones rank 0 the way elastic state-sync + residual-sync would.
+// grow clones rank 0 the way elastic state-sync would.
 func (rf *reference) phase(start, end int64, world int) error {
 	if world < 1 {
 		return fmt.Errorf("chaos reference: phase [%d,%d) at world %d", start, end, world)
@@ -142,20 +154,13 @@ func (rf *reference) phase(start, end int64, world int) error {
 		rf.workers = rf.workers[:world]
 	}
 	for len(rf.workers) < world {
-		m := chModel()
-		opt := chOptimizer(m)
-		w := &refWorker{model: m, opt: opt}
+		w := &refWorker{model: chModel()}
 		if len(rf.workers) > 0 {
 			src := rf.workers[0]
-			if err := nn.CopyParameters(m, src.model); err != nil {
+			if err := nn.CopyParameters(w.model, src.model); err != nil {
 				return fmt.Errorf("chaos reference: joiner params: %w", err)
 			}
-			if err := opt.SetFlatState(src.opt.FlatState()); err != nil {
-				return fmt.Errorf("chaos reference: joiner optimizer: %w", err)
-			}
-			if rf.codec && src.d != nil {
-				w.pendingRes = append([]float32(nil), src.d.ResidualState()...)
-			}
+			w.pending = src.state()
 		}
 		rf.workers = append(rf.workers, w)
 	}
@@ -170,25 +175,17 @@ func (rf *reference) phase(start, end int64, world int) error {
 		go func(r int) {
 			defer wg.Done()
 			w := rf.workers[r]
-			if w.d == nil {
-				opts := ddp.Options{BucketCapBytes: chBucketCap, SkipInitialBroadcast: true}
-				if rf.codec {
-					opts.NewCodec = func() comm.Codec { return &comm.OneBitCodec{} }
+			if w.r == nil {
+				rep, err := chDDPReplica(w.model, groups[r], rf.codec, false)
+				if err == nil {
+					err = rep.InstallState(w.pending)
 				}
-				d, err := ddp.New(w.model, groups[r], opts)
 				if err != nil {
 					errs[r] = err
 					return
 				}
-				if w.pendingRes != nil {
-					if err := d.SetResidualState(w.pendingRes); err != nil {
-						errs[r] = err
-						return
-					}
-					w.pendingRes = nil
-				}
-				w.d = d
-			} else if err := w.d.SetProcessGroup(groups[r]); err != nil {
+				w.r, w.pending = rep, replica.State{}
+			} else if err := w.r.Rebind(groups[r]); err != nil {
 				errs[r] = err
 				return
 			}
@@ -197,7 +194,7 @@ func (rf *reference) phase(start, end int64, world int) error {
 				if rf.codec {
 					rank, rw = 0, 1
 				}
-				if err := chTrainStep(w.d, w.opt, s, rank, rw); err != nil {
+				if err := chTrainStep(w.r, s, rank, rw); err != nil {
 					errs[r] = fmt.Errorf("ref step %d: %w", s, err)
 					return
 				}
@@ -227,14 +224,10 @@ func (rf *reference) reset(restore int64) error {
 	}
 	src := rf.workers[0]
 	m := chModel()
-	opt := chOptimizer(m)
 	if err := nn.CopyParameters(m, src.model); err != nil {
 		return fmt.Errorf("chaos reference: restart params: %w", err)
 	}
-	if err := opt.SetFlatState(src.opt.FlatState()); err != nil {
-		return fmt.Errorf("chaos reference: restart optimizer: %w", err)
-	}
-	rf.workers = []*refWorker{{model: m, opt: opt}}
+	rf.workers = []*refWorker{{model: m, pending: replica.State{Optimizer: src.state().Optimizer}}}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/elastic"
+	"repro/internal/replica"
 	"repro/internal/trace"
 )
 
@@ -230,32 +231,16 @@ func (e *engine) checkBitwise(ws []*runWorker, restore int64) {
 		e.checkBitwiseSharded(survivors, restore)
 		return
 	}
-	codec := e.p.s.Codec == "1bit"
-	base := survivors[0]
-	baseParams := chFlattenParams(base.model)
-	baseOpt := base.opt.FlatState()
-	var baseRes []float32
-	if codec {
-		if d := base.lastDDP(); d != nil {
-			baseRes = d.ResidualState()
-		}
+	// Replicated survivors hold everything in memory, so capturing a
+	// finished replica's state is local.
+	stateOf := func(w *runWorker) replica.State {
+		st, _ := w.agent.Replica().CaptureState()
+		return st
 	}
+	base := survivors[0]
+	baseParams, baseState := chFlattenParams(base.model), stateOf(base)
 	for _, w := range survivors[1:] {
-		if i, ok := sameF32(chFlattenParams(w.model), baseParams); !ok {
-			e.rep.add(invBitwise, fmt.Sprintf("survivors %s and %s disagree on params (index %d)", base.id, w.id, i))
-		}
-		if i, ok := sameF32(w.opt.FlatState(), baseOpt); !ok {
-			e.rep.add(invBitwise, fmt.Sprintf("survivors %s and %s disagree on optimizer state (index %d)", base.id, w.id, i))
-		}
-		if codec {
-			var res []float32
-			if d := w.lastDDP(); d != nil {
-				res = d.ResidualState()
-			}
-			if i, ok := sameF32(res, baseRes); !ok {
-				e.rep.add(invBitwise, fmt.Sprintf("survivors %s and %s disagree on residuals (index %d)", base.id, w.id, i))
-			}
-		}
+		e.compare(fmt.Sprintf("survivors %s and %s disagree on", base.id, w.id), chFlattenParams(w.model), baseParams, stateOf(w), baseState)
 	}
 	ref, err := runReference(e.p, restore)
 	if err != nil {
@@ -267,15 +252,18 @@ func (e *engine) checkBitwise(ws []*runWorker, restore int64) {
 		return
 	}
 	r0 := ref.workers[0]
-	if i, ok := sameF32(baseParams, chFlattenParams(r0.model)); !ok {
-		e.rep.add(invBitwise, fmt.Sprintf("survivor %s params diverge from the failure-free reference (index %d)", base.id, i))
-	}
-	if i, ok := sameF32(baseOpt, r0.opt.FlatState()); !ok {
-		e.rep.add(invBitwise, fmt.Sprintf("survivor %s optimizer state diverges from the failure-free reference (index %d)", base.id, i))
-	}
-	if codec && r0.d != nil {
-		if i, ok := sameF32(baseRes, r0.d.ResidualState()); !ok {
-			e.rep.add(invBitwise, fmt.Sprintf("survivor %s residuals diverge from the failure-free reference (index %d)", base.id, i))
+	e.compare(fmt.Sprintf("survivor %s diverges from the failure-free reference on", base.id), baseParams, chFlattenParams(r0.model), baseState, r0.state())
+}
+
+// compare adds a bitwise violation for each of parameters, optimizer
+// state and error-feedback residuals on which the two sides differ.
+func (e *engine) compare(what string, params, wantParams []float32, st, want replica.State) {
+	for _, c := range []struct {
+		name      string
+		got, want []float32
+	}{{"params", params, wantParams}, {"optimizer state", st.Optimizer, want.Optimizer}, {"residuals", st.Residuals, want.Residuals}} {
+		if i, ok := sameF32(c.got, c.want); !ok {
+			e.rep.add(invBitwise, fmt.Sprintf("%s %s (index %d)", what, c.name, i))
 		}
 	}
 }
@@ -300,7 +288,7 @@ func (e *engine) checkBitwiseSharded(survivors []*runWorker, restore int64) {
 	}
 	r0 := ref.workers[0]
 	refParams := chFlattenParams(r0.model)
-	refOpt := r0.opt.FlatState()
+	refOpt := r0.state().Optimizer
 	if e.p.s.Strategy == "zero2" {
 		// ZeRO-2 replicates parameters, so every survivor holds the full
 		// set in memory and must match the reference directly. (ZeRO-3
@@ -320,27 +308,27 @@ func (e *engine) checkBitwiseSharded(survivors []*runWorker, restore int64) {
 		e.rep.add(invBitwise, fmt.Sprintf("final sharded checkpoint at step %d, want %d", man.Meta.Step, e.p.s.Steps))
 	}
 	m := chModel()
-	var sink flatSink
-	if _, err := snap.Apply(m, &sink); err != nil {
+	var st replica.State
+	if _, err := snap.Apply(m, &st); err != nil {
 		e.rep.add(invBitwise, fmt.Sprintf("final sharded checkpoint does not apply: %v", err))
 		return
 	}
 	if i, ok := sameF32(chFlattenParams(m), refParams); !ok {
 		e.rep.add(invBitwise, fmt.Sprintf("final checkpoint params diverge from the failure-free reference (index %d)", i))
 	}
-	if i, ok := sameF32(sink.flat, refOpt); !ok {
+	if i, ok := sameF32(st.Optimizer, refOpt); !ok {
 		e.rep.add(invBitwise, fmt.Sprintf("final checkpoint optimizer state diverges from the failure-free reference (index %d)", i))
 	}
 }
 
 // chaosPhases is the recovery-phase vocabulary (mirrors reconfigure()).
 var chaosPhases = map[string]bool{
-	"teardown":      true,
-	"rendezvous":    true,
-	"mesh-build":    true,
-	"state-sync":    true,
-	"ddp-swap":      true,
-	"residual-sync": true,
+	"teardown":   true,
+	"rendezvous": true,
+	"mesh-build": true,
+	"state-sync": true,
+	"rebind":     true,
+	"install":    true,
 }
 
 // spanTiles is the structural span invariant: phases partition the

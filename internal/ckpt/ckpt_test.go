@@ -35,7 +35,7 @@ func newTestState(t testing.TB, seed int64) (nn.Module, *optim.SGD) {
 	return m, opt
 }
 
-func captureTest(t testing.TB, m nn.Module, opt optim.Optimizer, meta Meta) *Snapshot {
+func captureTest(t testing.TB, m nn.Module, opt optim.StateFlattener, meta Meta) *Snapshot {
 	t.Helper()
 	snap, err := Capture(m, opt, meta)
 	if err != nil {

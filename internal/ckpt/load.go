@@ -95,7 +95,7 @@ func newestCommitted(dir, what string, try func(name string) error) error {
 // Restore loads the newest committed checkpoint in dir into model and
 // opt and returns its captured progress. See Load for the fallback and
 // error contract.
-func Restore(dir string, model nn.Module, opt optim.Optimizer) (Meta, error) {
+func Restore(dir string, model nn.Module, opt optim.StateFlattener) (Meta, error) {
 	start := time.Now()
 	snap, m, err := Load(dir)
 	if err != nil {

@@ -40,8 +40,8 @@ type image struct {
 	// Model is the nn.SaveState encoding of parameters and buffers,
 	// carrying its own format-version header.
 	Model []byte
-	// Opt is the optimizer's flattened state (nil when the optimizer
-	// does not implement optim.StateFlattener).
+	// Opt is the optimizer's flattened state (nil when captured without
+	// an optimizer).
 	Opt []float32
 }
 
@@ -57,16 +57,16 @@ type Snapshot struct {
 }
 
 // Capture serializes the full training state — model parameters and
-// buffers (via nn.SaveState), optimizer state (via
-// optim.StateFlattener, when implemented), and meta — into a Snapshot.
-func Capture(model nn.Module, opt optim.Optimizer, meta Meta) (*Snapshot, error) {
+// buffers (via nn.SaveState), optimizer state (opt's flattened vector;
+// opt may be nil), and meta — into a Snapshot.
+func Capture(model nn.Module, opt optim.StateFlattener, meta Meta) (*Snapshot, error) {
 	var modelBuf bytes.Buffer
 	if err := nn.SaveState(&modelBuf, model); err != nil {
 		return nil, fmt.Errorf("ckpt: capturing model state: %w", err)
 	}
 	img := image{Meta: meta, Model: modelBuf.Bytes()}
-	if sf, ok := opt.(optim.StateFlattener); ok && opt != nil {
-		img.Opt = sf.FlatState()
+	if opt != nil {
+		img.Opt = opt.FlatState()
 	}
 	var blob bytes.Buffer
 	if err := gob.NewEncoder(&blob).Encode(&img); err != nil {
@@ -88,12 +88,14 @@ func decodeSnapshot(blob []byte) (*Snapshot, error) {
 	return &Snapshot{Meta: img.Meta, blob: blob}, nil
 }
 
-// Apply restores the snapshot's state into model and opt (bitwise: a
-// restored replica is indistinguishable from one that never crashed)
+// Apply restores the snapshot's state into model and opt (nil: model
+// only; a *replica.State: the detached vector, for when the optimizer
+// that will hold it does not exist yet) — bitwise: a
+// restored replica is indistinguishable from one that never crashed —
 // and returns the captured progress. The model must have the
 // architecture the checkpoint was taken from; mismatches are reported
 // by parameter name with both shapes.
-func (s *Snapshot) Apply(model nn.Module, opt optim.Optimizer) (Meta, error) {
+func (s *Snapshot) Apply(model nn.Module, opt optim.StateFlattener) (Meta, error) {
 	var img image
 	if err := gob.NewDecoder(bytes.NewReader(s.blob)).Decode(&img); err != nil {
 		return Meta{}, fmt.Errorf("ckpt: decoding snapshot: %w", err)
@@ -101,8 +103,8 @@ func (s *Snapshot) Apply(model nn.Module, opt optim.Optimizer) (Meta, error) {
 	if err := nn.LoadState(bytes.NewReader(img.Model), model); err != nil {
 		return Meta{}, fmt.Errorf("ckpt: restoring model state: %w", err)
 	}
-	if sf, ok := opt.(optim.StateFlattener); ok && opt != nil && img.Opt != nil {
-		if err := sf.SetFlatState(img.Opt); err != nil {
+	if opt != nil && img.Opt != nil {
+		if err := opt.SetFlatState(img.Opt); err != nil {
 			return Meta{}, fmt.Errorf("ckpt: restoring optimizer state: %w", err)
 		}
 	}

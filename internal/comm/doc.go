@@ -97,6 +97,19 @@
 // statically: sends meet receives of equal length in per-link FIFO
 // order, nothing can block forever, every chunk follows that chain.
 //
+// ExtendedGroup.ReduceScatter has had no caller outside the tests since
+// optim.ZeroSGD, the duplicate ZeRO, was deleted (internal/fsdp shards
+// through ReduceScatterV). It stays for two reasons. It is the c10d
+// reduce_scatter — out of place, source preserved — that the rest of
+// ExtendedGroup (Gather, Scatter, AllToAll) exists to round out, and
+// the agreement table pins it to the same chain as the other three
+// spellings of the ring reduction. And it is the only reduce-scatter
+// that is topology-aware: on a Hierarchical group it bounds cross-host
+// volume by the leader ring, which ReduceScatterV (flat ring only, by
+// its bitwise contract) cannot. A sharded strategy over multi-host
+// layouts is its intended next caller; if none arrives, delete it with
+// its table rows.
+//
 // # Gradient compression
 //
 // The Codec interface models Section 6.2.3's compression direction;

@@ -518,9 +518,9 @@ func (d *DDP) ObservedReadyOrder() []int {
 // ResidualState returns the error-feedback residuals flattened in
 // parameter order — training state exactly like optimizer moments: a
 // reconfigured world must carry the elected source's residuals to
-// joiners (elastic.SyncResiduals broadcasts this vector) or the
-// quantization error accumulated so far is lost at the worst possible
-// moment. The layout depends only on the model, never on the bucket
+// joiners (Replica.CaptureState hands elastic.SyncState this vector to
+// broadcast) or the quantization error accumulated so far is lost at
+// the worst possible moment. The layout depends only on the model, never on the bucket
 // assignment or world size, so it re-shards trivially. Empty when no
 // wire codec is configured. Do not call between Forward and Backward —
 // buckets may be mid-flight.

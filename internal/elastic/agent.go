@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/comm"
-	"repro/internal/ddp"
-	"repro/internal/fsdp"
 	"repro/internal/nn"
-	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/trace"
 )
 
@@ -18,13 +16,9 @@ import (
 // World come from the current assignment — a StepFunc must shard its
 // data by them, because both change across reconfigurations.
 type StepContext struct {
-	// DDP is the replicated-training wrapper; nil when Config.FSDP
-	// selects sharded training, in which case FSDP is set instead.
-	DDP *ddp.DDP
-	// FSDP is the sharded-training wrapper (Config.FSDP mode). Its
-	// Backward fuses the optimizer step, so Optimizer is nil here.
-	FSDP       *fsdp.FSDP
-	Optimizer  optim.Optimizer
+	// Replica is this rank's data-parallel replica; a step is
+	// Forward, Backward, Step on it, whatever the strategy.
+	Replica    replica.Replica
 	Rank       int
 	World      int
 	Generation int
@@ -34,32 +28,34 @@ type StepContext struct {
 	Step int64
 }
 
-// StepFunc executes one training step: forward, backward (through
-// ctx.DDP), and the optimizer update. An error signals that the world
+// StepFunc executes one training step: forward, backward and the
+// optimizer update, all through ctx.Replica. An error signals that the world
 // is suspect — the agent reconfigures and retries the step — except
 // ErrReconfigure, which reconfigures without proposing a new
 // generation (the change is already pending).
 type StepFunc func(ctx StepContext) error
 
-// Agent is the elastic training loop: it joins the rendezvous, wraps
-// the model in ddp.DDP, and executes steps, transparently surviving
+// Agent is the elastic training loop: it joins the rendezvous, builds
+// the model's replica (Config.Replica), and executes steps, transparently surviving
 // membership changes. One Agent corresponds to one worker (one
 // goroutine rank in-proc, or one process over TCP).
 type Agent struct {
 	cfg   Config
 	model nn.Module
-	opt   optim.Optimizer
 	rdzv  *Rendezvous
 	strag *StragglerDetector // nil unless Config.Straggler is set
 
 	hb  *Heartbeat
 	mon *Monitor
 
-	mu       sync.Mutex
-	assign   *Assignment
-	pg       comm.ProcessGroup
-	d        *ddp.DDP
-	f        *fsdp.FSDP // Config.FSDP mode; d stays nil
+	mu     sync.Mutex
+	assign *Assignment
+	pg     comm.ProcessGroup
+	r      replica.Replica // nil before the first formation
+	// pending is state restored by a cold start before any replica
+	// exists to hold it: what this worker broadcasts if it is elected
+	// source of its first round, dropped once the replica is built.
+	pending  replica.State
 	step     int64
 	reconfig bool
 	killed   bool
@@ -80,9 +76,8 @@ type Agent struct {
 
 // NewAgent validates the configuration and prepares a worker. The
 // model must be freshly constructed (its parameters get overwritten by
-// the first state sync); opt must manage exactly the model's
-// parameters. Call Run to start training.
-func NewAgent(cfg Config, model nn.Module, opt optim.Optimizer) (*Agent, error) {
+// the first state sync). Call Run to start training.
+func NewAgent(cfg Config, model nn.Module) (*Agent, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -93,11 +88,14 @@ func NewAgent(cfg Config, model nn.Module, opt optim.Optimizer) (*Agent, error) 
 	if cfg.Builder == nil {
 		return nil, fmt.Errorf("elastic: Config.Builder is required")
 	}
+	if cfg.Replica == nil {
+		return nil, fmt.Errorf("elastic: Config.Replica is required")
+	}
 	rdzv, err := NewRendezvous(cfg)
 	if err != nil {
 		return nil, err
 	}
-	a := &Agent{cfg: cfg, model: model, opt: opt, rdzv: rdzv}
+	a := &Agent{cfg: cfg, model: model, rdzv: rdzv}
 	if cfg.Straggler != nil {
 		a.strag = NewStragglerDetector(cfg.Store, cfg.Prefix, cfg.ID, *cfg.Straggler)
 	}
@@ -127,11 +125,12 @@ func (a *Agent) Assignment() *Assignment {
 	return a.assign
 }
 
-// DDP exposes the wrapped module (nil before the first rendezvous).
-func (a *Agent) DDP() *ddp.DDP {
+// Replica exposes the worker's replica (nil before the first
+// rendezvous completes).
+func (a *Agent) Replica() replica.Replica {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.d
+	return a.r
 }
 
 // Kill simulates a hard crash: the heartbeat stops and the process
@@ -279,9 +278,13 @@ func (a *Agent) teardownGroup() {
 }
 
 // reconfigure runs one full recovery round: tear down, re-rendezvous,
-// rebuild the group, synchronize state, and swap the group into DDP.
-// It retries (bumping the generation) when a round collapses mid-way,
-// up to MaxRestarts attempts.
+// rebuild the group, then — one sequence for every strategy — obtain
+// the full training state, rebind the replica to the new group, and
+// install the state. The only strategy-dependent decision is where the
+// full state comes from (see Member.Sharded): the most advanced
+// member's broadcast, or the newest committed checkpoint. It retries
+// (bumping the generation) when a round collapses mid-way, up to
+// MaxRestarts attempts.
 //
 // With a Config.Tracer each attempt records one "recovery" span whose
 // phases tile it exactly (trace.Span.Phase), so phase durations sum to
@@ -302,7 +305,11 @@ func (a *Agent) reconfigure() error {
 		a.cancelSaves()
 
 		root.Phase("rendezvous")
-		assign, err := a.rdzv.Join(Member{ID: a.cfg.ID, Step: a.Step(), Host: a.cfg.Host})
+		r := a.Replica()
+		assign, err := a.rdzv.Join(Member{
+			ID: a.cfg.ID, Step: a.Step(), Host: a.cfg.Host,
+			Sharded: r != nil && !r.HoldsFullState(),
+		})
 		if err != nil {
 			root.Finish()
 			return fmt.Errorf("elastic: rendezvous: %w", err)
@@ -364,90 +371,76 @@ func (a *Agent) reconfigure() error {
 		// (the round's watcher goroutine armed before the build).
 		a.mon.SetPeers(peerIDs(assign, a.cfg.ID))
 
+		// Obtain the full state. A sharded source cannot re-seed anyone:
+		// a dead rank's parameter and optimizer shards died with it, so
+		// every rank rolls back to the newest committed checkpoint (full
+		// state, world-size independent by construction) — a terminal
+		// error if there is none, since once the replica has freed its
+		// non-owned shards the state exists nowhere else. Otherwise the
+		// source broadcasts what it holds; that fails only because a
+		// peer vanished, which another round fixes.
 		root.Phase("state-sync")
-		var fsdpFresh bool
-		if a.cfg.FSDP != nil {
-			// Sharded mode: reload the newest committed checkpoint and
-			// re-shard it for the new world (see fsdpSync). The ddp-swap
-			// and residual-sync phases do not apply — the wrapper swap
-			// happens inside fsdpSync and compressed-shard residuals are
-			// rolled back with the rest of the state.
-			fresh, serr, terminal := a.fsdpSync(assign, pg)
-			fsdpFresh = fresh
-			if serr != nil {
-				root.Finish()
-				if a.isKilled() {
-					return ErrKilled
-				}
-				if terminal {
-					return serr
-				}
-				if _, perr := a.rdzv.ProposeGeneration(assign.Generation); perr != nil {
-					return perr
-				}
-				continue
-			}
+		source, step := assign.Source()
+		rollback := assign.Members[source].Sharded
+		var st replica.State
+		if rollback {
+			var meta ckpt.Meta
+			st, meta, err = a.restoreNewest()
+			step = meta.Step
 		} else {
-			source, sourceStep := assign.Source()
-			if err := SyncState(pg, source, a.model, a.opt); err != nil {
-				root.Finish()
-				if a.isKilled() {
-					return ErrKilled
-				}
-				if _, perr := a.rdzv.ProposeGeneration(assign.Generation); perr != nil {
-					return perr
-				}
-				continue
+			if r == nil {
+				st = a.pending
+			} else if assign.Rank == source {
+				st, err = r.CaptureState()
 			}
-			a.mu.Lock()
-			a.step = sourceStep
-			a.mu.Unlock()
-			// Drop any gradients accumulated by an aborted iteration; the
-			// retried step must start from a clean slate.
-			nn.ZeroGrad(a.model)
-
-			root.Phase("ddp-swap")
-			a.mu.Lock()
-			d := a.d
-			a.mu.Unlock()
-			if d == nil {
-				// SyncState already aligned the replicas from the elected
-				// source; the constructor's rank-0 broadcast must not run,
-				// both for correctness (rank 0 may be a stale joiner) and
-				// because peers that only swapped process groups submit no
-				// collectives to pair with it.
-				opts := a.cfg.DDP
-				opts.SkipInitialBroadcast = true
-				d, err = ddp.New(a.model, pg, opts)
-				if err != nil {
-					root.Finish()
-					return fmt.Errorf("elastic: wrapping model: %w", err)
-				}
-			} else if err := d.SetProcessGroup(pg); err != nil {
-				root.Finish()
-				return fmt.Errorf("elastic: swapping process group: %w", err)
-			}
-			a.mu.Lock()
-			a.d = d
-			a.mu.Unlock()
-			// Error-feedback residuals are training state like optimizer
-			// moments, but they live in the DDP wrapper — so unlike
-			// SyncState this broadcast must run AFTER every rank holds a
-			// wrapper (fresh joiners just built theirs, with zero
-			// residuals). A failure here is recoverable the same way a
-			// SyncState failure is: force the next round.
-			root.Phase("residual-sync")
-			if err := SyncResiduals(pg, source, d); err != nil {
-				root.Finish()
-				if a.isKilled() {
-					return ErrKilled
-				}
-				if _, perr := a.rdzv.ProposeGeneration(assign.Generation); perr != nil {
-					return perr
-				}
-				continue
+			if err == nil {
+				st, err = SyncState(pg, source, a.model, st)
 			}
 		}
+		if err != nil {
+			root.Finish()
+			if a.isKilled() {
+				return ErrKilled
+			}
+			if rollback {
+				return fmt.Errorf("elastic: a sharded world recovers only from a committed checkpoint (a lost rank's shards exist nowhere else; configure Config.Checkpoint): %w", err)
+			}
+			if _, perr := a.rdzv.ProposeGeneration(assign.Generation); perr != nil {
+				return perr
+			}
+			continue
+		}
+		a.mu.Lock()
+		a.step = step
+		a.mu.Unlock()
+		// Drop any gradients accumulated by an aborted iteration; the
+		// retried step must start from a clean slate.
+		nn.ZeroGrad(a.model)
+
+		// Rebind: the model's tensors now hold the full parameters, which
+		// is what a sharded replica re-derives its shards from. Both
+		// branches are local and deterministic, so a failure is terminal.
+		root.Phase("rebind")
+		if r == nil {
+			r, err = a.cfg.Replica(a.model, pg)
+		} else {
+			err = r.Rebind(pg)
+		}
+		// Install: optimizer state and error-feedback residuals are
+		// training state too, but they live in the replica — so they land
+		// only now that every rank holds one laid out for the new world.
+		if err == nil {
+			root.Phase("install")
+			err = r.InstallState(st)
+		}
+		if err != nil {
+			root.Finish()
+			return fmt.Errorf("elastic: rebinding replica: %w", err)
+		}
+		a.mu.Lock()
+		a.r = r
+		a.pending = replica.State{}
+		a.mu.Unlock()
 		// The new world is fully formed; its saves get a fresh abandon
 		// signal (closed again by the next interrupt or Kill).
 		a.armSaves()
@@ -459,13 +452,13 @@ func (a *Agent) reconfigure() error {
 		if a.strag != nil {
 			a.strag.SetPeers(peerIDs(assign, a.cfg.ID))
 		}
-		if fsdpFresh {
-			// A freshly formed sharded world has no rollback point yet:
-			// commit its step-0 state now (0 is a save point of every
-			// Every), so a membership change during early formation — the
-			// world growing before the first step — re-shards from this
-			// checkpoint instead of failing. Survivors cannot re-form a
-			// sharded world once the wrapper frees non-owned shards.
+		if !rollback && !r.HoldsFullState() {
+			// A sharded world seeded by broadcast has no rollback point
+			// for the step it stands at: commit one now (formation happens
+			// at save points — step 0, or a restored checkpoint's step), so
+			// a membership change during early formation — the world
+			// growing before the first step — re-shards from this
+			// checkpoint instead of failing.
 			if err := a.maybeSaveCheckpoint(); err != nil {
 				return err
 			}
@@ -548,9 +541,7 @@ func (a *Agent) Run(totalSteps int64, step StepFunc) error {
 
 		a.mu.Lock()
 		ctx := StepContext{
-			DDP:        a.d,
-			FSDP:       a.f,
-			Optimizer:  a.opt,
+			Replica:    a.r,
 			Rank:       a.assign.Rank,
 			World:      a.assign.World,
 			Generation: a.assign.Generation,

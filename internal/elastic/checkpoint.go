@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/replica"
 )
 
 // agentCkpt is one agent's checkpoint machinery for one Run: the shared
@@ -50,11 +51,12 @@ func (a *Agent) initCheckpoint() error {
 }
 
 // restoreCheckpoint is the cold-start restore path: before the first
-// rendezvous, load the newest committed checkpoint (if resuming) into
-// the model and optimizer and adopt its step count. The worker then
-// joins the rendezvous holding restored progress, so the existing
+// rendezvous, load the newest committed checkpoint (if resuming) and
+// adopt its step count. The worker then joins the rendezvous holding
+// restored progress — the model in its tensors, the rest pending until
+// a replica exists to install it into — so the existing
 // most-advanced-member election and SyncState broadcast distribute the
-// restored state to every rank — a cold start is recovered by exactly
+// restored state to every rank: a cold start is recovered by exactly
 // the mechanism that recovers a partial failure. Re-sharding is free:
 // ckpt.Restore reassembles the full state regardless of the world size
 // that saved it.
@@ -62,7 +64,7 @@ func (a *Agent) restoreCheckpoint() error {
 	if a.ck == nil || !a.ck.cfg.Resume {
 		return nil
 	}
-	meta, err := ckpt.Restore(a.ck.cfg.Dir, a.model, a.opt)
+	st, meta, err := a.restoreNewest()
 	if errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return nil // genuinely fresh start
 	}
@@ -74,9 +76,34 @@ func (a *Agent) restoreCheckpoint() error {
 	}
 	a.mu.Lock()
 	a.step = meta.Step
-	a.restored = &meta
+	a.pending = st
 	a.mu.Unlock()
 	return nil
+}
+
+// restoreNewest loads the newest committed checkpoint: the model's
+// parameters and buffers go straight into its tensors, the optimizer
+// state comes back detached, for the caller to install once a replica
+// laid out for the current world exists (ckpt.Snapshot.Apply into a
+// live sharded optimizer would slice the vector by the OLD world's
+// chunk bounds). Both users — a cold start and a sharded world's
+// rollback — record the first checkpoint they load for
+// RestoredCheckpoint.
+func (a *Agent) restoreNewest() (replica.State, ckpt.Meta, error) {
+	var st replica.State
+	if a.ck == nil {
+		return st, ckpt.Meta{}, ckpt.ErrNoCheckpoint
+	}
+	meta, err := ckpt.Restore(a.ck.cfg.Dir, a.model, &st)
+	if err != nil {
+		return st, meta, err
+	}
+	a.mu.Lock()
+	if a.restored == nil {
+		a.restored = &meta
+	}
+	a.mu.Unlock()
+	return st, meta, nil
 }
 
 // RestoredCheckpoint reports the progress record of the checkpoint this
@@ -118,19 +145,22 @@ func (a *Agent) maybeSaveCheckpoint() error {
 		// rank out of a commit round that can never complete.
 		return nil
 	}
-	opt := a.opt
-	if a.cfg.FSDP != nil {
-		sink, ok := a.fsdpCaptureState()
-		if !ok {
-			// The state gather broke mid-save: a membership change is
-			// tearing the world down. Abandon the save like one canceled
-			// at its commit barrier; the previous committed checkpoint
-			// remains and drives the rollback recovery.
-			return nil
-		}
-		opt = sink
+	// Bring the full state into reach: the parameters into the model's
+	// tensors, the optimizer state into one vector — collectives where
+	// the state is sharded, which every rank reaches together because
+	// save points are a pure function of the shared step count. A
+	// failure there means a membership change is tearing the world down
+	// mid-save: abandon the save like one canceled at its commit barrier;
+	// the previous committed checkpoint remains and drives the recovery.
+	r := a.Replica()
+	if r.Materialize() != nil {
+		return nil
 	}
-	snap, err := ckpt.Capture(a.model, opt, ckpt.Meta{
+	st, err := r.CaptureState()
+	if err != nil {
+		return nil
+	}
+	snap, err := ckpt.Capture(a.model, &st, ckpt.Meta{
 		Step:       step,
 		Generation: assign.Generation,
 		World:      assign.World,

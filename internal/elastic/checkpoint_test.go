@@ -48,13 +48,11 @@ func runCkptWorkers(t *testing.T, workers []*testWorker, total int64, mkStep fun
 func newCkptWorker(t *testing.T, cfg Config, seed int64) *testWorker {
 	t.Helper()
 	m := models.NewMLP(seed, testIn, testHidden, testClasses)
-	opt := optim.NewSGD(m.Parameters(), testLR)
-	opt.Momentum = testMom
-	a, err := NewAgent(cfg, m, opt)
+	a, err := NewAgent(cfg, m)
 	if err != nil {
 		t.Fatalf("NewAgent(%s): %v", cfg.ID, err)
 	}
-	return &testWorker{agent: a, model: m, opt: opt}
+	return &testWorker{agent: a, model: m}
 }
 
 // waitForCommittedCheckpoint blocks until dir holds a committed

@@ -1,8 +1,8 @@
-// Package elastic adds fault tolerance and elasticity to DDP training —
-// the top future direction named in the paper's Section 7 discussion,
-// where a single crashed rank otherwise deadlocks every collective in
-// the job. It is a Go analogue of torchelastic, layered on the
-// repository's existing rendezvous store:
+// Package elastic adds fault tolerance and elasticity to data-parallel
+// training — the top future direction named in the paper's Section 7
+// discussion, where a single crashed rank otherwise deadlocks every
+// collective in the job. It is a Go analogue of torchelastic, layered on
+// the repository's existing rendezvous store:
 //
 //   - Rendezvous: workers register with a generation-numbered rendezvous
 //     (store-backed, in-mem or TCP) and receive (rank, world, generation)
@@ -18,16 +18,23 @@
 //
 //   - World reconfiguration: on a membership change survivors tear down
 //     their comm.ProcessGroup, re-rendezvous at the new generation,
-//     rebuild the group (in-proc registry or NewTCPGroup), and the
-//     member holding the most training progress broadcasts model AND
-//     optimizer state to everyone else, so training resumes from the
-//     last completed step — nothing is lost beyond the in-flight
-//     iteration.
+//     rebuild the group (in-proc registry or NewTCPGroup), and run ONE
+//     recovery sequence whatever the strategy: obtain the full training
+//     state, rebind the replica to the new group, install the state.
+//     The only strategy-dependent decision is where full state comes
+//     from. Where every rank holds all of it (DDP), the member holding
+//     the most progress broadcasts model, optimizer AND error-feedback
+//     state, so training resumes from the last completed step — nothing
+//     is lost beyond the in-flight iteration. Where it is sharded
+//     (ZeRO-2/3) a dead rank's shards died with it, so every rank rolls
+//     back to the newest committed checkpoint and re-shards it for the
+//     new world.
 //
-//   - Agent: the elastic training loop. It wraps ddp.DDP, swapping in
-//     the rebuilt ProcessGroup (ddp.SetProcessGroup) and re-arming the
-//     bucket assignment after each reconfiguration, and retries the
-//     interrupted step after recovery.
+//   - Agent: the elastic training loop. It drives a replica.Replica —
+//     the seam both ddp and fsdp implement, built once per worker by
+//     Config.Replica — and never names either package: it swaps in the
+//     rebuilt ProcessGroup (Replica.Rebind) after each reconfiguration
+//     and retries the interrupted step after recovery.
 //
 //   - Durable checkpointing (Config.Checkpoint, internal/ckpt): the
 //     failure elastic recovery alone cannot survive is every worker
@@ -49,8 +56,8 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/comm"
-	"repro/internal/ddp"
-	"repro/internal/fsdp"
+	"repro/internal/nn"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -81,6 +88,15 @@ type Member struct {
 	// comm.Topology and topology-aware collectives survive membership
 	// changes. Empty for workers predating topology support.
 	Host string `json:",omitempty"`
+	// Sharded marks a member whose memory holds only a shard of the
+	// state at Step (its replica reports HoldsFullState false), so it
+	// cannot re-seed anyone. A worker that has not built its replica yet
+	// — fresh, or cold-started from a checkpoint — always holds its
+	// state whole. When the most advanced member is sharded the round
+	// recovers from the newest committed checkpoint instead of from a
+	// broadcast; being part of the sealed round, the flag makes that
+	// choice a pure function of the shared assignment.
+	Sharded bool `json:",omitempty"`
 }
 
 // Assignment is the outcome of a rendezvous round: this worker's rank
@@ -264,26 +280,29 @@ type Config struct {
 	MaxRestarts int
 	// Builder constructs process groups per generation. Required.
 	Builder GroupBuilder
-	// DDP configures the wrapped DistributedDataParallel instance.
-	DDP ddp.Options
-	// FSDP, when non-nil, trains with sharded data parallelism
-	// (internal/fsdp) instead of DDP: the agent wraps the model in
-	// fsdp.FSDP, StepContext carries FSDP instead of DDP, and — because
-	// fsdp fuses the optimizer into Backward — the opt passed to
-	// NewAgent should be nil. Recovery semantics change too: sharded
-	// state cannot be rebuilt from a survivor's replica, so every
-	// reconfiguration rolls back to the newest committed checkpoint and
-	// re-shards it for the new world. Configure Checkpoint (all workers
-	// sharing one directory) for any run that must survive membership
-	// changes; without it only the initial world formation works.
-	FSDP *fsdp.Options
+	// Replica builds this worker's data-parallel replica over its first
+	// process group — the one place a job chooses its strategy (ddp,
+	// zero2, zero3) and its optimizer. Required. It is called once, after
+	// the agent has put the world's agreed full state into the model's
+	// tensors, so the constructor's own rank-0 broadcast must be skipped
+	// (SkipInitialBroadcast): the elected source need not be rank 0, and
+	// ranks that merely rebind submit no collectives to pair with it.
+	// Later generations reuse the replica through Rebind.
+	//
+	// A replica whose HoldsFullState is false changes recovery, not the
+	// loop: every membership change rolls back to the newest committed
+	// checkpoint and re-shards it for the new world. Configure
+	// Checkpoint (all workers sharing one directory) for any such run
+	// that must survive membership changes; without it only the initial
+	// world formation works.
+	Replica func(model nn.Module, pg comm.ProcessGroup) (replica.Replica, error)
 	// Checkpoint enables durable sharded checkpointing (nil: disabled).
 	// With it, the run survives even the failure mode elastic recovery
 	// alone cannot: every worker dying at once.
 	Checkpoint *CheckpointConfig
 	// Tracer, when non-nil, records one hierarchical span tree per
 	// reconfiguration attempt (teardown → rendezvous → mesh-build →
-	// state-sync → residual-sync); dump with trace.Tracer.WriteJSON.
+	// state-sync → rebind → install); dump with trace.Tracer.WriteJSON.
 	Tracer *trace.Tracer
 	// Straggler enables median-gossip straggler detection (nil:
 	// disabled). See StragglerConfig.

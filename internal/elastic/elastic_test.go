@@ -14,6 +14,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -163,30 +164,51 @@ func testConfig(st store.Store, reg *comm.InProcRegistry, id string, minW, maxW 
 		PollInterval: 2 * time.Millisecond,
 		RoundTimeout: 5 * time.Second,
 		Builder:      &InProcBuilder{Registry: reg},
-		DDP:          ddp.Options{BucketCapBytes: testBucketCap},
+		Replica:      ddpReplica(ddp.Options{BucketCapBytes: testBucketCap}),
+	}
+}
+
+// ddpReplica is the tests' Config.Replica for replicated training: DDP
+// with the given options (the agent aligned the replicas already, so no
+// constructor broadcast) plus the fixture's momentum SGD.
+func ddpReplica(opts ddp.Options) func(nn.Module, comm.ProcessGroup) (replica.Replica, error) {
+	opts.SkipInitialBroadcast = true
+	return func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+		opt := optim.NewSGD(m.Parameters(), testLR)
+		opt.Momentum = testMom
+		return ddp.NewReplica(m, pg, opts, opt)
 	}
 }
 
 type testWorker struct {
 	agent *Agent
 	model nn.Module
-	opt   *optim.SGD
 }
 
 func newTestWorker(t *testing.T, cfg Config) *testWorker {
 	t.Helper()
 	m := testModel()
-	opt := optim.NewSGD(m.Parameters(), testLR)
-	opt.Momentum = testMom
-	a, err := NewAgent(cfg, m, opt)
+	a, err := NewAgent(cfg, m)
 	if err != nil {
 		t.Fatalf("NewAgent(%s): %v", cfg.ID, err)
 	}
-	return &testWorker{agent: a, model: m, opt: opt}
+	return &testWorker{agent: a, model: m}
+}
+
+// replicaStep is the whole training step through the seam — the same
+// three calls for every strategy.
+func replicaStep(r replica.Replica, x *tensor.Tensor, labels []int) error {
+	out := r.Forward(autograd.Constant(x))
+	if err := r.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
+		return err
+	}
+	r.Step()
+	return nil
 }
 
 func elasticStep(ctx StepContext) error {
-	return trainStep(ctx.DDP, ctx.Optimizer, ctx.Step, ctx.Rank, ctx.World)
+	x, labels := batchFor(ctx.Step, ctx.Rank, ctx.World)
+	return replicaStep(ctx.Replica, x, labels)
 }
 
 // fullWorld wraps a StepFunc to yield at step 0 until all `want`
@@ -632,7 +654,7 @@ func TestAgentMidBackwardCrash(t *testing.T) {
 					// Crash mid-step: forward ran, gradients are about
 					// to sync, and the worker vanishes.
 					x, _ := batchFor(ctx.Step, ctx.Rank, ctx.World)
-					ctx.DDP.Forward(autograd.Constant(x))
+					ctx.Replica.Forward(autograd.Constant(x))
 					w.agent.Kill()
 					return errors.New("simulated crash")
 				}
@@ -763,7 +785,11 @@ func TestAgentHeartbeatTimeoutRecovery(t *testing.T) {
 
 // ---- state sync ------------------------------------------------------------
 
-func TestSyncStateBroadcastsModelAndOptimizer(t *testing.T) {
+// TestSyncStateBroadcastsModelAndState: the joiner — which has no
+// replica, hence no buffers of the right size — ends up holding the
+// source's parameters, optimizer state and residuals, whatever it
+// passed in itself.
+func TestSyncStateBroadcastsModelAndState(t *testing.T) {
 	groups := comm.NewInProcGroups(2, comm.Options{})
 	defer func() {
 		for _, g := range groups {
@@ -776,8 +802,6 @@ func TestSyncStateBroadcastsModelAndOptimizer(t *testing.T) {
 	fresh := models.NewMLP(99, testIn, testHidden, testClasses)
 	optT := optim.NewSGD(trained.Parameters(), testLR)
 	optT.Momentum = testMom
-	optF := optim.NewSGD(fresh.Parameters(), testLR)
-	optF.Momentum = testMom
 	// Give the trained side distinctive velocity.
 	for _, p := range trained.Parameters() {
 		p.Grad = tensor.New(p.Value.Shape()...)
@@ -786,12 +810,17 @@ func TestSyncStateBroadcastsModelAndOptimizer(t *testing.T) {
 		}
 	}
 	optT.Step()
+	want := replica.State{Optimizer: optT.FlatState(), Residuals: []float32{1, -2, 3}}
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
+	got := make([]replica.State, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); errs[0] = SyncState(groups[0], 1, fresh, optF) }()
-	go func() { defer wg.Done(); errs[1] = SyncState(groups[1], 1, trained, optT) }()
+	go func() {
+		defer wg.Done()
+		got[0], errs[0] = SyncState(groups[0], 1, fresh, replica.State{Optimizer: []float32{9}})
+	}()
+	go func() { defer wg.Done(); got[1], errs[1] = SyncState(groups[1], 1, trained, want) }()
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
@@ -799,16 +828,11 @@ func TestSyncStateBroadcastsModelAndOptimizer(t *testing.T) {
 		}
 	}
 	assertSameParams(t, "joiner-vs-source", flattenParams(fresh), flattenParams(trained))
-	gotState, wantState := optF.FlatState(), optT.FlatState()
-	assertSameParams(t, "optstate-vs-source", gotState, wantState)
-	nonZero := false
-	for _, v := range gotState {
-		if v != 0 {
-			nonZero = true
-			break
-		}
+	for r := range got {
+		assertSameParams(t, fmt.Sprintf("rank %d optimizer state", r), got[r].Optimizer, want.Optimizer)
+		assertSameParams(t, fmt.Sprintf("rank %d residuals", r), got[r].Residuals, want.Residuals)
 	}
-	if !nonZero {
+	if !anyNonZero(got[0].Optimizer) {
 		t.Fatal("synced optimizer state is all zeros; momentum was not transferred")
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/autograd"
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/fsdp"
+	"repro/internal/nn"
+	"repro/internal/replica"
 	"repro/internal/store"
 )
 
@@ -26,24 +27,16 @@ import (
 
 func newFSDPWorker(t *testing.T, cfg Config, strategy fsdp.Strategy) *testWorker {
 	t.Helper()
-	cfg.FSDP = &fsdp.Options{
-		Strategy:       strategy,
-		BucketCapBytes: testBucketCap,
-		LR:             testLR,
-		Momentum:       testMom,
+	cfg.Replica = func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+		return fsdp.New(m, pg, fsdp.Options{
+			Strategy:             strategy,
+			BucketCapBytes:       testBucketCap,
+			LR:                   testLR,
+			Momentum:             testMom,
+			SkipInitialBroadcast: true,
+		})
 	}
-	m := testModel()
-	a, err := NewAgent(cfg, m, nil) // fsdp fuses the optimizer into Backward
-	if err != nil {
-		t.Fatalf("NewAgent(%s): %v", cfg.ID, err)
-	}
-	return &testWorker{agent: a, model: m}
-}
-
-func fsdpElasticStep(ctx StepContext) error {
-	x, labels := batchFor(ctx.Step, ctx.Rank, ctx.World)
-	out := ctx.FSDP.Forward(autograd.Constant(x))
-	return ctx.FSDP.Backward(autograd.CrossEntropyLoss(out, labels))
+	return newTestWorker(t, cfg)
 }
 
 // TestFSDPElasticWorldShrinkReshardResume is the acceptance scenario:
@@ -73,7 +66,7 @@ func TestFSDPElasticWorldShrinkReshardResume(t *testing.T) {
 			}
 			victim := world - 1
 			errs := runCkptWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
-				base := fullWorld(w.agent, world, fsdpElasticStep)
+				base := fullWorld(w.agent, world, elasticStep)
 				if i != victim {
 					return base
 				}
@@ -107,8 +100,8 @@ func TestFSDPElasticWorldShrinkReshardResume(t *testing.T) {
 				if got := w.agent.Step(); got != total {
 					t.Fatalf("survivor %d finished at step %d, want %d", i, got, total)
 				}
-				f := w.agent.FSDP()
-				if f == nil {
+				f, ok := w.agent.Replica().(*fsdp.FSDP)
+				if !ok {
 					t.Fatalf("survivor %d has no fsdp wrapper", i)
 				}
 				if f.ProcessGroup().Size() != 2 {
@@ -158,7 +151,7 @@ func TestFSDPElasticReshardWithoutCheckpointIsTerminal(t *testing.T) {
 	}
 	victim := 1
 	errs := runCkptWorkers(t, workers, 6, func(i int, w *testWorker) StepFunc {
-		base := fullWorld(w.agent, world, fsdpElasticStep)
+		base := fullWorld(w.agent, world, elasticStep)
 		if i != victim {
 			return base
 		}

@@ -119,14 +119,13 @@ func TestElasticReconfigPreservesLeaderRingResiduals(t *testing.T) {
 	// multi-level-rendezvous assertion.
 	var mu sync.Mutex
 	stepTopo := make(map[int64][]string)
-	ddps := make([]*ddp.DDP, 3)
 
 	workers := make([]*testWorker, 3)
 	for i := range workers {
 		id := fmt.Sprintf("w%d", i)
 		cfg := testConfig(st, reg, id, 2, 3)
 		cfg.Host = hostOf[id]
-		cfg.DDP.NewCodec = oneBitFactory
+		cfg.Replica = oneBitReplica
 		cfg.Builder = &InProcBuilder{Registry: reg, Opts: comm.Options{Algorithm: comm.Hierarchical}}
 		workers[i] = newTestWorker(t, cfg)
 	}
@@ -145,12 +144,11 @@ func TestElasticReconfigPreservesLeaderRingResiduals(t *testing.T) {
 				}
 				mu.Lock()
 				stepTopo[ctx.Step] = hosts
-				ddps[i] = ctx.DDP
 				mu.Unlock()
 				if w == victim && ctx.Step == k {
 					w.agent.Leave()
 				}
-				return sharedBatchStep(ctx.DDP, ctx.Optimizer, ctx.Step)
+				return sharedStep(ctx)
 			})
 			errs[i] = w.agent.Run(total, step)
 		}(i, w)
@@ -190,6 +188,6 @@ func TestElasticReconfigPreservesLeaderRingResiduals(t *testing.T) {
 	}
 	for i, w := range workers[:2] {
 		assertSameParams(t, fmt.Sprintf("survivor%d-params", i), flattenParams(w.model), wantParams)
-		assertSameResiduals(t, fmt.Sprintf("survivor%d", i), ddps[i].ResidualState(), wantRes)
+		assertSameResiduals(t, fmt.Sprintf("survivor%d", i), residualsOf(t, w), wantRes)
 	}
 }

@@ -15,12 +15,12 @@ import (
 
 // validPhases is the vocabulary reconfigure() narrates recoveries in.
 var validPhases = map[string]bool{
-	"teardown":      true,
-	"rendezvous":    true,
-	"mesh-build":    true,
-	"state-sync":    true,
-	"ddp-swap":      true,
-	"residual-sync": true,
+	"teardown":   true,
+	"rendezvous": true,
+	"mesh-build": true,
+	"state-sync": true,
+	"rebind":     true,
+	"install":    true,
 }
 
 // assertSpanTiles checks the structural invariant the recovery trace is
@@ -99,7 +99,7 @@ func TestRecoverySpansTileRecoveryDuration(t *testing.T) {
 			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
 				if w == victim && ctx.Step == k {
 					x, _ := batchFor(ctx.Step, ctx.Rank, ctx.World)
-					ctx.DDP.Forward(autograd.Constant(x))
+					ctx.Replica.Forward(autograd.Constant(x))
 					w.agent.Kill()
 					return errors.New("simulated crash")
 				}
@@ -128,10 +128,10 @@ func TestRecoverySpansTileRecoveryDuration(t *testing.T) {
 		for _, root := range roots {
 			assertSpanTiles(t, root)
 		}
-		// The successful recovery reached residual-sync.
+		// The successful recovery reached install.
 		last := roots[len(roots)-1]
-		if got := last.Children[len(last.Children)-1].Name; got != "residual-sync" {
-			t.Fatalf("survivor %d's final recovery ends in phase %q, want residual-sync", i, got)
+		if got := last.Children[len(last.Children)-1].Name; got != "install" {
+			t.Fatalf("survivor %d's final recovery ends in phase %q, want install", i, got)
 		}
 	}
 

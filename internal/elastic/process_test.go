@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/ddp"
-	"repro/internal/optim"
 	"repro/internal/store"
 	"repro/internal/testutil/leakcheck"
 )
@@ -48,7 +47,7 @@ func envInt(key string, def int) int {
 
 // elasticWorkerMain is one elastic worker process. Configuration comes
 // from EW_* environment variables; on completion it publishes its final
-// step and a parameter checksum to the store so the supervisor can
+// step and a parameter hash to the store so the supervisor can
 // verify replica consistency across process boundaries.
 func elasticWorkerMain() int {
 	var (
@@ -72,8 +71,6 @@ func elasticWorkerMain() int {
 	defer client.Close()
 
 	model := testModel()
-	opt := optim.NewSGD(model.Parameters(), testLR)
-	opt.Momentum = testMom
 	cfg := Config{
 		Store:             client,
 		ID:                id,
@@ -86,12 +83,12 @@ func elasticWorkerMain() int {
 		RoundTimeout:      10 * time.Second,
 		DrainTimeout:      200 * time.Millisecond,
 		Builder:           &TCPBuilder{Store: client},
-		DDP:               ddp.Options{BucketCapBytes: testBucketCap},
+		Replica:           ddpReplica(ddp.Options{BucketCapBytes: testBucketCap}),
 	}
 	if ckptDir != "" {
 		cfg.Checkpoint = &CheckpointConfig{Dir: ckptDir, Every: ckptEvery, Async: ckptAsync, Resume: resume}
 	}
-	agent, err := NewAgent(cfg, model, opt)
+	agent, err := NewAgent(cfg, model)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "worker %s: %v\n", id, err)
 		return 1
@@ -103,7 +100,7 @@ func elasticWorkerMain() int {
 			// os.Exit skips all cleanup — peers see silence and broken
 			// connections, as after a SIGKILL.
 			x, _ := batchFor(ctx.Step, ctx.Rank, ctx.World)
-			ctx.DDP.Forward(autograd.Constant(x))
+			ctx.Replica.Forward(autograd.Constant(x))
 			os.Exit(crashExitCode)
 		}
 		if ctx.Step == 0 && ctx.Generation == 0 && ctx.World < maxW {
@@ -117,7 +114,7 @@ func elasticWorkerMain() int {
 			// (wall-clock) respawn.
 			return agent.AwaitGenerationChange()
 		}
-		return trainStep(ctx.DDP, ctx.Optimizer, ctx.Step, ctx.Rank, ctx.World)
+		return elasticStep(ctx)
 	}
 	if err := agent.Run(total, step); err != nil {
 		fmt.Fprintf(os.Stderr, "worker %s: run: %v\n", id, err)
@@ -232,7 +229,7 @@ func TestCrossProcessElasticRecovery(t *testing.T) {
 		}
 		results[id] = string(v)
 	}
-	wantPrefix := fmt.Sprintf("step=%d checksum=", total)
+	wantPrefix := fmt.Sprintf("step=%d hash=", total)
 	for id, r := range results {
 		if r != results["w0"] {
 			t.Errorf("replica %s diverged: %q vs w0's %q", id, r, results["w0"])

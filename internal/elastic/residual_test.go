@@ -39,6 +39,25 @@ func sharedBatchStep(d *ddp.DDP, opt optim.Optimizer, step int64) error {
 	return nil
 }
 
+// oneBitReplica is the compressed runs' Config.Replica.
+var oneBitReplica = ddpReplica(ddp.Options{BucketCapBytes: testBucketCap, NewCodec: oneBitFactory})
+
+// sharedStep is sharedBatchStep through the seam.
+func sharedStep(ctx StepContext) error {
+	x, labels := batchFor(ctx.Step, 0, 1)
+	return replicaStep(ctx.Replica, x, labels)
+}
+
+// residualsOf reads a finished worker's error-feedback residuals.
+func residualsOf(t *testing.T, w *testWorker) []float32 {
+	t.Helper()
+	st, err := w.agent.Replica().CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Residuals
+}
+
 // runCompressedRefPhase is runRefPhase with the 1-bit codec and shared
 // batches: fresh in-proc groups per phase, SetProcessGroup between
 // phases (which carries residuals via the per-parameter store, exactly
@@ -122,7 +141,7 @@ func TestElasticReconfigPreservesResidualsBitwise(t *testing.T) {
 
 	mkWorker := func(id string) *testWorker {
 		cfg := testConfig(st, reg, id, 2, 3)
-		cfg.DDP.NewCodec = oneBitFactory
+		cfg.Replica = oneBitReplica
 		return newTestWorker(t, cfg)
 	}
 	workers := make([]*testWorker, 3)
@@ -131,11 +150,6 @@ func TestElasticReconfigPreservesResidualsBitwise(t *testing.T) {
 	}
 	victim := workers[2]
 
-	// Capture each worker's DDP wrapper so residuals are inspectable
-	// after the run.
-	ddps := make([]*ddp.DDP, 3)
-	var mu sync.Mutex
-
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i, w := range workers {
@@ -143,13 +157,10 @@ func TestElasticReconfigPreservesResidualsBitwise(t *testing.T) {
 		go func(i int, w *testWorker) {
 			defer wg.Done()
 			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				mu.Lock()
-				ddps[i] = ctx.DDP
-				mu.Unlock()
 				if w == victim && ctx.Step == k {
 					w.agent.Leave()
 				}
-				return sharedBatchStep(ctx.DDP, ctx.Optimizer, ctx.Step)
+				return sharedStep(ctx)
 			})
 			errs[i] = w.agent.Run(total, step)
 		}(i, w)
@@ -174,7 +185,7 @@ func TestElasticReconfigPreservesResidualsBitwise(t *testing.T) {
 	}
 	for i, w := range workers[:2] {
 		assertSameParams(t, fmt.Sprintf("survivor%d-params", i), flattenParams(w.model), wantParams)
-		assertSameResiduals(t, fmt.Sprintf("survivor%d", i), ddps[i].ResidualState(), wantRes)
+		assertSameResiduals(t, fmt.Sprintf("survivor%d", i), residualsOf(t, w), wantRes)
 	}
 }
 
@@ -195,26 +206,13 @@ func TestScaleUpSyncsResidualsToJoiner(t *testing.T) {
 
 	mkWorker := func(id string) *testWorker {
 		cfg := testConfig(st, reg, id, 2, 3)
-		cfg.DDP.NewCodec = oneBitFactory
+		cfg.Replica = oneBitReplica
 		return newTestWorker(t, cfg)
 	}
 	w0, w1, joiner := mkWorker("w0"), mkWorker("w1"), mkWorker("late")
 
 	startJoiner := make(chan struct{})
 	var once sync.Once
-	ddps := make(map[string]*ddp.DDP)
-	var mu sync.Mutex
-	capture := func(id string, next StepFunc) StepFunc {
-		return func(ctx StepContext) error {
-			mu.Lock()
-			ddps[id] = ctx.DDP
-			mu.Unlock()
-			return next(ctx)
-		}
-	}
-	runStep := func(ctx StepContext) error {
-		return sharedBatchStep(ctx.DDP, ctx.Optimizer, ctx.Step)
-	}
 
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -224,16 +222,16 @@ func TestScaleUpSyncsResidualsToJoiner(t *testing.T) {
 				once.Do(func() { close(startJoiner) })
 				return w.agent.AwaitGenerationChange()
 			}
-			return runStep(ctx)
+			return sharedStep(ctx)
 		}
 	}
 	wg.Add(3)
-	go func() { defer wg.Done(); errs[0] = w0.agent.Run(total, capture("w0", incumbent(w0))) }()
-	go func() { defer wg.Done(); errs[1] = w1.agent.Run(total, capture("w1", incumbent(w1))) }()
+	go func() { defer wg.Done(); errs[0] = w0.agent.Run(total, incumbent(w0)) }()
+	go func() { defer wg.Done(); errs[1] = w1.agent.Run(total, incumbent(w1)) }()
 	go func() {
 		defer wg.Done()
 		<-startJoiner
-		errs[2] = joiner.agent.Run(total, capture("late", runStep))
+		errs[2] = joiner.agent.Run(total, sharedStep)
 	}()
 	wg.Wait()
 	for i, err := range errs {
@@ -261,7 +259,7 @@ func TestScaleUpSyncsResidualsToJoiner(t *testing.T) {
 	}
 	for id, w := range map[string]*testWorker{"w0": w0, "w1": w1, "late": joiner} {
 		assertSameParams(t, id+"-params", flattenParams(w.model), wantParams)
-		assertSameResiduals(t, id, ddps[id].ResidualState(), wantRes)
+		assertSameResiduals(t, id, residualsOf(t, w), wantRes)
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/nn"
+	"repro/internal/replica"
 	"repro/internal/store"
 )
 
 // Cross-process verification protocol: a worker that completes its run
-// publishes a record of its final step and a parameter checksum under
+// publishes a record of its final step and a parameter hash under
 // ResultKey; the supervisor reads every finisher's record and compares
 // them byte-for-byte. Both sides of ddptrain's -elastic -launch mode
 // and the cross-process integration test speak exactly this format.
@@ -17,25 +18,11 @@ import (
 // record under.
 func ResultKey(prefix, id string) string { return prefix + "/result/" + id }
 
-// ChecksumParams folds every parameter of m into one float64 —
-// coarse as a hash, but bitwise-identical replicas produce bitwise-
-// identical checksums, which is the property the consistency check
-// needs.
-func ChecksumParams(m nn.Module) float64 {
-	var s float64
-	for _, p := range m.Parameters() {
-		for _, v := range p.Value.Data() {
-			s += float64(v)
-		}
-	}
-	return s
-}
-
-// FormatResult renders a worker's completion record. The checksum is
-// hex-formatted so equality of records means bitwise equality of
-// checksums.
+// FormatResult renders a worker's completion record: its final step and
+// replica.Hash of its parameters, so equality of records means the
+// replicas agree bit for bit.
 func FormatResult(step int64, m nn.Module) string {
-	return fmt.Sprintf("step=%d checksum=%x", step, ChecksumParams(m))
+	return fmt.Sprintf("step=%d hash=%016x", step, replica.Hash(m.Parameters()))
 }
 
 // PublishResult writes the completion record for worker id.

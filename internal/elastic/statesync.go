@@ -5,22 +5,33 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/nn"
-	"repro/internal/optim"
+	"repro/internal/replica"
 )
 
-// SyncState broadcasts the full training state — model parameters,
-// buffers, and (when the optimizer supports it) flattened optimizer
-// state — from source rank to every rank of pg. After it returns, all
-// replicas hold bit-identical state, re-establishing DDP's Section 2.2
-// invariant for a freshly reconfigured world: joiners adopt the
-// survivor's progress, and survivors whose in-flight iteration was
-// aborted are realigned with the most advanced member.
+// SyncState broadcasts the full training state — model parameters and
+// buffers, then st, the optimizer state and error-feedback residuals
+// the source's replica captured — from source rank to every rank of pg,
+// and returns the state every rank now shares. After it returns, all
+// replicas hold bit-identical model tensors, re-establishing DDP's
+// Section 2.2 invariant for a freshly reconfigured world: joiners adopt
+// the survivor's progress, and survivors whose in-flight iteration was
+// aborted are realigned with the most advanced member. Residuals ride
+// along because accumulated quantization error is training state like
+// momentum: a joiner that started from zero residuals while survivors
+// carry theirs would re-inject gradient mass the survivors already
+// accounted for, exactly when a reconfiguration has made the schedule
+// most fragile.
+//
+// Only the source's st is read. The vectors' lengths travel first: a
+// joiner has no replica yet — its replica is built from the model this
+// call fills — so it cannot size its receive buffers from one.
 //
 // Every rank must call SyncState with the same source (use
 // Assignment.Source so the choice is a pure function of the shared
 // membership).
-func SyncState(pg comm.ProcessGroup, source int, model nn.Module, opt optim.Optimizer) error {
-	var works []comm.Work
+func SyncState(pg comm.ProcessGroup, source int, model nn.Module, st replica.State) (replica.State, error) {
+	lens := append(replica.Limbs(uint64(len(st.Optimizer))), replica.Limbs(uint64(len(st.Residuals)))...)
+	works := []comm.Work{pg.Broadcast(lens, source)}
 	for _, p := range model.Parameters() {
 		works = append(works, pg.Broadcast(p.Value.Data(), source))
 	}
@@ -28,66 +39,22 @@ func SyncState(pg comm.ProcessGroup, source int, model nn.Module, opt optim.Opti
 		works = append(works, pg.Broadcast(b.Data.Data(), source))
 	}
 	if err := comm.WaitAll(works...); err != nil {
-		return fmt.Errorf("elastic: broadcasting model state: %w", err)
-	}
-	sf, ok := opt.(optim.StateFlattener)
-	if !ok || opt == nil {
-		return nil
-	}
-	// FlatState materializes lazily-allocated slots as zeros, so the
-	// vector length is identical on every rank regardless of progress.
-	flat := sf.FlatState()
-	if len(flat) == 0 {
-		return nil
-	}
-	if err := pg.Broadcast(flat, source).Wait(); err != nil {
-		return fmt.Errorf("elastic: broadcasting optimizer state: %w", err)
+		return st, fmt.Errorf("elastic: broadcasting model state: %w", err)
 	}
 	if pg.Rank() != source {
-		if err := sf.SetFlatState(flat); err != nil {
-			return fmt.Errorf("elastic: installing optimizer state: %w", err)
+		st = replica.State{
+			Optimizer: make([]float32, replica.FromLimbs(lens[:4])),
+			Residuals: make([]float32, replica.FromLimbs(lens[4:])),
 		}
 	}
-	return nil
-}
-
-// ResidualCarrier is implemented by training wrappers that hold
-// error-feedback residual state which must travel with reconfiguration
-// — ddp.DDP when a gradient-compression wire codec is configured. The
-// residual vector is flattened in parameter order, so like checkpoints
-// it is world-size independent and re-shards trivially.
-type ResidualCarrier interface {
-	// ResidualState returns the flattened residuals (empty when the
-	// codec keeps none).
-	ResidualState() []float32
-	// SetResidualState installs a vector produced by ResidualState on
-	// the elected source.
-	SetResidualState([]float32) error
-}
-
-// SyncResiduals broadcasts rc's error-feedback residuals from source to
-// every rank of pg — the compression analogue of SyncState's optimizer
-// broadcast. Accumulated quantization error is training state: a joiner
-// that starts from zero residuals while survivors carry theirs would
-// re-inject gradient mass the survivors already accounted for, exactly
-// when a reconfiguration has made the schedule most fragile. Every rank
-// must call it with the same source, after the DDP wrapper exists on
-// all ranks (unlike SyncState, which runs before a fresh joiner has
-// built one). The residual vector's length is a pure function of the
-// model and codec configuration, so ranks always agree on whether a
-// broadcast happens.
-func SyncResiduals(pg comm.ProcessGroup, source int, rc ResidualCarrier) error {
-	flat := rc.ResidualState()
-	if len(flat) == 0 {
-		return nil
-	}
-	if err := pg.Broadcast(flat, source).Wait(); err != nil {
-		return fmt.Errorf("elastic: broadcasting error-feedback residuals: %w", err)
-	}
-	if pg.Rank() != source {
-		if err := rc.SetResidualState(flat); err != nil {
-			return fmt.Errorf("elastic: installing error-feedback residuals: %w", err)
+	works = works[:0]
+	for _, v := range [][]float32{st.Optimizer, st.Residuals} {
+		if len(v) > 0 {
+			works = append(works, pg.Broadcast(v, source))
 		}
 	}
-	return nil
+	if err := comm.WaitAll(works...); err != nil {
+		return st, fmt.Errorf("elastic: broadcasting optimizer and residual state: %w", err)
+	}
+	return st, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/reduce"
+	"repro/internal/replica"
 )
 
 // Strategy selects how much replica state is sharded.
@@ -123,11 +124,13 @@ type FSDP struct {
 	sg     comm.ShardedGroup
 	opts   Options
 
-	params []*nn.Parameter
-	sizes  []int
-	engine *reduce.Engine
-	assign *reduce.Assignment
-	wire   comm.WireCodec
+	params  []*nn.Parameter
+	sizes   []int
+	offsets []int // element offset of each parameter in the model-order flat vector
+	total   int   // element count of that vector
+	engine  *reduce.Engine
+	assign  *reduce.Assignment
+	wire    comm.WireCodec
 
 	// Per-bucket shard layout: rank owns bucket chunk
 	// comm.ChunkBounds(BucketElems[b], world, rank).
@@ -168,10 +171,11 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		return nil, errors.New("fsdp: module has no parameters")
 	}
 	f.sizes = make([]int, len(f.params))
-	total := 0
+	f.offsets = make([]int, len(f.params))
 	for i, p := range f.params {
 		f.sizes[i] = p.Value.Size()
-		total += f.sizes[i]
+		f.offsets[i] = f.total
+		f.total += f.sizes[i]
 	}
 	if opts.NewCodec != nil {
 		wc, ok := opts.NewCodec().(comm.WireCodec)
@@ -216,11 +220,11 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		idx := i
 		p.RegisterPostAccumulateHook(func(*autograd.Variable) { f.autogradHook(idx) })
 	}
-	f.stats.FullParamBytes = 4 * total
+	f.stats.FullParamBytes = 4 * f.total
 	f.stats.OptimizerBytes = f.optimizerBytes()
 	f.stats.ResidualBytes = 0
 	if f.wire != nil {
-		f.stats.ResidualBytes = 4 * total
+		f.stats.ResidualBytes = 4 * f.total
 	}
 	f.stats.ShardParamBytes = f.shardParamBytes()
 	f.residentParam = f.stats.FullParamBytes // fully resident until sharded
@@ -615,101 +619,72 @@ func (f *FSDP) Materialize() error {
 	return nil
 }
 
-// FlatState returns the full momentum state in parameter order — a
-// collective: every rank contributes its owned chunks via AllGatherV,
-// so all ranks must call FlatState together. It implements
-// optim.StateFlattener's read half for checkpointing; the layout
-// matches what optim.SGD would hold for the same model. A gather
-// failure panics; callers that must survive a peer dying mid-gather
-// (the elastic agent's save path) use FlatStateErr.
-func (f *FSDP) FlatState() []float32 {
-	flat, err := f.FlatStateErr()
-	if err != nil {
-		panic(fmt.Sprintf("fsdp: gathering optimizer state: %v", err))
-	}
-	return flat
-}
+// Step is a no-op: Backward already applied the fused sharded update.
+func (f *FSDP) Step() {}
 
-// FlatStateErr is FlatState with the gather failure surfaced as an
-// error instead of a panic.
-func (f *FSDP) FlatStateErr() ([]float32, error) {
-	total := 0
-	for _, s := range f.sizes {
-		total += s
-	}
-	out := make([]float32, total)
+// HoldsFullState is false under both strategies: optimizer state is
+// sharded even where parameters are not, so a lost rank's momentum
+// chunk exists nowhere else.
+func (f *FSDP) HoldsFullState() bool { return false }
+
+// CaptureState returns the full momentum state in parameter order (the
+// layout optim.SGD would hold for the same model) and this rank's
+// error-feedback residuals — a collective: every rank contributes its
+// owned momentum chunks via AllGatherV, so all ranks must call it
+// together, and a peer dying mid-gather surfaces as the error. The
+// residuals are this rank's own quantization errors — per-rank state,
+// not replicated state.
+func (f *FSDP) CaptureState() (replica.State, error) {
+	out := make([]float32, f.total)
 	for b := range f.assign.Buckets {
 		vflat := make([]float32, f.assign.BucketElems[b])
 		copy(vflat[f.ownedLo[b]:f.ownedHi[b]], f.velocity[b])
 		if err := f.sg.AllGatherV(vflat).Wait(); err != nil {
-			return nil, fmt.Errorf("fsdp: gathering optimizer state: %w", err)
+			return replica.State{}, fmt.Errorf("fsdp: gathering optimizer state: %w", err)
 		}
 		// Scatter bucket layout back to model order.
 		for _, idx := range f.assign.Buckets[b] {
-			off := f.assign.OffsetOf[idx]
-			mo := f.modelOffset(idx)
+			off, mo := f.assign.OffsetOf[idx], f.offsets[idx]
 			copy(out[mo:mo+f.sizes[idx]], vflat[off:off+f.sizes[idx]])
 		}
 	}
-	return out, nil
+	return replica.State{Optimizer: out, Residuals: f.engine.ResidualState()}, nil
 }
 
-// SetFlatState installs a full momentum vector (FlatState's layout),
-// slicing out this rank's owned chunks. Purely local.
-func (f *FSDP) SetFlatState(flat []float32) error {
-	total := 0
-	for _, s := range f.sizes {
-		total += s
-	}
-	if len(flat) != total {
-		return fmt.Errorf("fsdp: optimizer state has %d elements, expected %d", len(flat), total)
-	}
-	for b := range f.assign.Buckets {
-		vflat := make([]float32, f.assign.BucketElems[b])
-		for _, idx := range f.assign.Buckets[b] {
-			off := f.assign.OffsetOf[idx]
-			mo := f.modelOffset(idx)
-			copy(vflat[off:off+f.sizes[idx]], flat[mo:mo+f.sizes[idx]])
+// InstallState adopts a full momentum vector (CaptureState's layout),
+// slicing out this rank's owned chunks, and — with a wire codec — a
+// residual vector. Purely local; an empty vector leaves that part of
+// the state as it is.
+func (f *FSDP) InstallState(st replica.State) error {
+	if len(st.Optimizer) > 0 {
+		if len(st.Optimizer) != f.total {
+			return fmt.Errorf("fsdp: optimizer state has %d elements, expected %d", len(st.Optimizer), f.total)
 		}
-		copy(f.velocity[b], vflat[f.ownedLo[b]:f.ownedHi[b]])
+		for b := range f.assign.Buckets {
+			vflat := make([]float32, f.assign.BucketElems[b])
+			for _, idx := range f.assign.Buckets[b] {
+				off, mo := f.assign.OffsetOf[idx], f.offsets[idx]
+				copy(vflat[off:off+f.sizes[idx]], st.Optimizer[mo:mo+f.sizes[idx]])
+			}
+			copy(f.velocity[b], vflat[f.ownedLo[b]:f.ownedHi[b]])
+		}
 	}
-	return nil
-}
-
-// modelOffset is the element offset of parameter idx in the
-// concatenated model-order flat vector.
-func (f *FSDP) modelOffset(idx int) int {
-	off := 0
-	for i := 0; i < idx; i++ {
-		off += f.sizes[i]
+	if len(st.Residuals) == 0 {
+		return nil
 	}
-	return off
-}
-
-// ResidualState returns the error-feedback residuals in parameter
-// order (empty without a wire codec); see ddp.DDP.ResidualState. The
-// residuals are this rank's own quantization errors — per-rank state,
-// not replicated state.
-func (f *FSDP) ResidualState() []float32 { return f.engine.ResidualState() }
-
-// SetResidualState installs residuals produced by ResidualState.
-func (f *FSDP) SetResidualState(flat []float32) error {
 	if f.wire == nil {
-		if len(flat) == 0 {
-			return nil
-		}
 		return errors.New("fsdp: residual state offered but no wire codec is configured")
 	}
-	return f.engine.SetResidualState(flat)
+	return f.engine.SetResidualState(st.Residuals)
 }
 
-// Reshard rebuilds the shard layout over a new process group — the
+// Rebind rebuilds the shard layout over a new process group — the
 // elastic world-reconfiguration hook. The caller must have restored
-// FULL parameters into the model tensors and (via SetFlatState after
-// this call) full optimizer state on every rank first: a world change
-// moves chunk boundaries, so shards are re-derived from full state,
-// which is exactly what the checkpoint re-sharding read path provides.
-func (f *FSDP) Reshard(pg comm.ProcessGroup) error {
+// FULL parameters into the model tensors first and installs full
+// optimizer state (InstallState) after this call: a world change moves
+// chunk boundaries, so shards are re-derived from full state, which is
+// exactly what the checkpoint re-sharding read path provides.
+func (f *FSDP) Rebind(pg comm.ProcessGroup) error {
 	sg, ok := pg.(comm.ShardedGroup)
 	if !ok {
 		return errors.New("fsdp: process group does not support the sharded collectives")
@@ -738,4 +713,4 @@ func (f *FSDP) Reshard(pg comm.ProcessGroup) error {
 	return nil
 }
 
-var _ optim.StateFlattener = (*FSDP)(nil)
+var _ replica.Replica = (*FSDP)(nil)

@@ -1,6 +1,7 @@
 package fsdp
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -324,11 +326,11 @@ func TestZeRO2StatsReplicateParams(t *testing.T) {
 	}
 }
 
-// TestFlatStateMatchesSGDAndRoundTrips checks the checkpoint path: the
-// collectively gathered momentum state must be bitwise the state
+// TestCaptureStateMatchesSGDAndRoundTrips checks the checkpoint path:
+// the collectively gathered momentum state must be bitwise the state
 // optim.SGD holds after the identical DDP trajectory, and must survive
-// a SetFlatState round trip.
-func TestFlatStateMatchesSGDAndRoundTrips(t *testing.T) {
+// an InstallState round trip.
+func TestCaptureStateMatchesSGDAndRoundTrips(t *testing.T) {
 	const world = 3
 	batches, labels := makeData(world, tIters)
 
@@ -345,32 +347,33 @@ func TestFlatStateMatchesSGDAndRoundTrips(t *testing.T) {
 
 	for _, strategy := range []Strategy{ZeRO2, ZeRO3} {
 		wrappers := trainFSDP(t, world, strategy, batches, labels)
+		capture := func(into [][]float32) {
+			runRanks(t, world, func(rank int) error {
+				st, err := wrappers[rank].CaptureState() // collective
+				into[rank] = st.Optimizer
+				return err
+			})
+		}
 		states := make([][]float32, world)
-		runRanks(t, world, func(rank int) error {
-			states[rank] = wrappers[rank].FlatState() // collective
-			return nil
-		})
+		capture(states)
 		for rank := 0; rank < world; rank++ {
 			if !sameF32(states[rank], refState) {
-				t.Fatalf("%v rank %d FlatState differs from SGD reference state", strategy, rank)
+				t.Fatalf("%v rank %d captured state differs from SGD reference state", strategy, rank)
 			}
 		}
 		// Round trip: zero the shards, restore, re-gather.
 		runRanks(t, world, func(rank int) error {
 			f := wrappers[rank]
-			if err := f.SetFlatState(make([]float32, len(refState))); err != nil {
+			if err := f.InstallState(replica.State{Optimizer: make([]float32, len(refState))}); err != nil {
 				return err
 			}
-			return f.SetFlatState(states[rank])
+			return f.InstallState(replica.State{Optimizer: states[rank]})
 		})
 		again := make([][]float32, world)
-		runRanks(t, world, func(rank int) error {
-			again[rank] = wrappers[rank].FlatState()
-			return nil
-		})
+		capture(again)
 		for rank := 0; rank < world; rank++ {
 			if !sameF32(again[rank], refState) {
-				t.Fatalf("%v rank %d FlatState did not survive round trip", strategy, rank)
+				t.Fatalf("%v rank %d captured state did not survive round trip", strategy, rank)
 			}
 		}
 	}
@@ -412,9 +415,13 @@ func TestCompressedShardedReduceSelfConsistent(t *testing.T) {
 		if got := wrappers[0].Stats().ResidualBytes; got == 0 {
 			t.Fatalf("%v compressed run reports zero residual bytes", strategy)
 		}
-		if rs := wrappers[1].ResidualState(); len(rs) == 0 {
-			t.Fatalf("%v compressed run has empty residual state", strategy)
-		}
+		runRanks(t, world, func(rank int) error {
+			st, err := wrappers[rank].CaptureState()
+			if err == nil && len(st.Residuals) == 0 {
+				err = fmt.Errorf("%v compressed run has empty residual state", strategy)
+			}
+			return err
+		})
 	}
 }
 

@@ -2,9 +2,9 @@ package optim
 
 // ShardedMomentumStep applies one momentum-SGD update in place to a
 // contiguous run of parameter values: the one update loop in this
-// package, which SGD.Step runs over each parameter and ZeroSGD and
-// internal/fsdp's sharded optimizers over their owned shard of the
-// flattened parameter vector. gradAvg holds the already-averaged
+// package, which SGD.Step runs over each parameter and internal/fsdp's
+// sharded optimizers over their owned shard of the flattened parameter
+// vector. gradAvg holds the already-averaged
 // gradient and velocity the matching momentum state (not read when
 // momentum is zero); all three slices have equal length.
 //

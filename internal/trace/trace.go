@@ -6,7 +6,7 @@
 // hierarchical spans with explicit start/end timestamps and a JSON
 // dump — the shape elastic recovery uses, where a root "recovery" span
 // is tiled exactly by its rendezvous / mesh-build / state-sync /
-// residual-sync phases so a regression names the phase that slowed
+// rebind / install phases so a regression names the phase that slowed
 // down.
 package trace
 
