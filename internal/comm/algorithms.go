@@ -38,11 +38,12 @@ const (
 	// O(log k + chunks). See doubletree.go.
 	DoubleTree
 	// Auto picks per collective from the group's topology and the
-	// message size: small messages take the log-depth tree paths
-	// (DoubleTree on worlds deep enough to profit, Tree below), large
-	// messages on a multi-host topology take Hierarchical, medium
-	// messages on deep worlds take DoubleTree's pipelined trees, and
-	// everything else takes the bandwidth-optimal Ring.
+	// message size: small messages take the log-depth Tree (a payload of
+	// one pipeline chunk gets nothing from DoubleTree's two trees but
+	// twice the frames), large messages on a multi-host topology take
+	// Hierarchical, medium messages on deep worlds take DoubleTree's
+	// pipelined trees, and everything else takes the bandwidth-optimal
+	// Ring.
 	Auto
 )
 
@@ -77,15 +78,12 @@ func (a Algorithm) String() string {
 const (
 	autoTreeMaxElems         = 4 << 10
 	autoHierarchicalMinElems = 64 << 10
-	// autoDoubleTreeMinWorld is the world size from which DoubleTree
-	// replaces Tree for small payloads: below it the two trees are so
-	// shallow that a single binomial tree has the same span with half
-	// the frames.
-	autoDoubleTreeMinWorld = 4
 	// autoDoubleTreeDeepWorld is the world size from which DoubleTree
-	// also takes the medium-payload band (above the Tree cutoff, below
-	// the Hierarchical one): Ring's 2(world-1) serialized steps dwarf
-	// the trees' O(log world + chunks) pipelined depth there.
+	// takes the medium-payload band (above the Tree cutoff, below the
+	// Hierarchical one): Ring's 2(world-1) serialized steps dwarf the
+	// trees' O(log world + chunks) pipelined depth there. Below the Tree
+	// cutoff it never runs: BenchmarkAllReduceDeepWorld has Tree 2x ahead
+	// of it at worlds 8 and 16, in-proc and over TCP.
 	autoDoubleTreeDeepWorld = 32
 )
 
@@ -95,9 +93,6 @@ const (
 // than trusted.
 func chooseAlgorithm(topo *Topology, elems, world int) Algorithm {
 	if elems <= autoTreeMaxElems {
-		if world >= autoDoubleTreeMinWorld {
-			return DoubleTree
-		}
 		return Tree
 	}
 	if elems >= autoHierarchicalMinElems {
@@ -125,24 +120,34 @@ func chunkBounds(n, k, i int) (int, int) {
 }
 
 // allReduce runs one AllReduce under an already-resolved algorithm (not
-// Auto). DoubleTree consumes tag and tag+1 (see algoTags); topo is
-// only read by Hierarchical.
+// Auto); topo is only read by Hierarchical.
 func allReduce(m transport.Mesh, tag uint64, algo Algorithm, topo *Topology, data []float32, op ReduceOp) error {
+	k, rank, n := m.Size(), m.Rank(), len(data)
 	switch algo {
 	case Ring:
 		return ringAllReduce(m, tag, data, op)
 	case Tree:
-		return treeAllReduce(m, tag, data, op)
+		return stepsAllReduce(m, tag, "tree allreduce", data, op, treeSteps(rank, k, n))
 	case Naive:
 		return naiveAllReduce(m, tag, data, op)
 	case Hierarchical:
 		_, err := hierarchicalAllReduce(m, tag, data, op, topo, nil, nil)
 		return err
 	case DoubleTree:
-		return doubleTreeAllReduce(m, tag, tag+1, data, op)
+		return stepsAllReduce(m, tag, "double-tree allreduce", data, op, doubleTreeSteps(rank, k, n))
 	default:
 		return fmt.Errorf("comm: unknown algorithm %v", algo)
 	}
+}
+
+// stepsAllReduce runs a step list that leaves every rank holding the
+// same fully folded buffer, then scales it for Avg.
+func stepsAllReduce(m transport.Mesh, tag uint64, collective string, data []float32, op ReduceOp, steps []step) error {
+	if err := runSteps(m, tag, collective, data, op, steps); err != nil {
+		return err
+	}
+	finishAvg(data, op, m.Size())
+	return nil
 }
 
 // ringAllReduce IS the sharded pair: a ring reduce-scatter onto the
@@ -160,19 +165,6 @@ func ringAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) er
 		return err
 	}
 	return ringAllGatherOwned(m, tag, data)
-}
-
-// treeAllReduce reduces along a binomial tree into rank 0, then
-// broadcasts the result back down the same tree.
-func treeAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	if err := binomialReduce(m, tag, data, op); err != nil {
-		return err
-	}
-	if err := binomialBroadcast(m, tag, data, 0); err != nil {
-		return err
-	}
-	finishAvg(data, op, m.Size())
-	return nil
 }
 
 // naiveAllReduce is the paper's strawman: every rank broadcasts its full

@@ -180,20 +180,28 @@ func BenchmarkAllReduceAlgorithms(b *testing.B) {
 }
 
 // BenchmarkAllReduceDeepWorld is the small-payload latency comparison
-// at world 8, where the double tree's 2·ceil(log2(k+1)) hop critical
-// path clearly undercuts the ring's 2(k-1) serial steps (world 4 is
-// the break-even point: 6 hops either way). ci/bench_check.sh gates on
-// these rows: double-tree p50 must beat Ring at <= 4Ki elements on the
-// TCP mesh.
+// on deep worlds, the evidence behind two constants. Ring against
+// DoubleTree at world 8: the trees' 2·ceil(log2(k+1)) rounds undercut
+// the ring's 2(k-1) serial steps (world 4 is the break-even point: 6
+// either way), and ci/bench_check.sh gates on it — double-tree p50 must
+// beat Ring at <= 4Ki elements on the TCP mesh. Tree against DoubleTree
+// at worlds 8 and 16: a payload of one pipeline chunk gets no overlap
+// from the second tree, only twice the frames, which is why Auto sends
+// small payloads to Tree at every world (see chooseAlgorithm).
 func BenchmarkAllReduceDeepWorld(b *testing.B) {
 	sizes := []int{1 << 10, 1 << 12}
 	for _, tr := range []string{"inproc", "tcp"} {
-		for _, algo := range []Algorithm{Ring, DoubleTree} {
-			for _, n := range sizes {
-				name := fmt.Sprintf("%s/%s/%d", tr, algo, n)
-				b.Run(name, func(b *testing.B) {
-					benchAllReduce(b, tr, algo, n, 8)
-				})
+		for _, world := range []int{8, 16} {
+			for _, algo := range []Algorithm{Ring, Tree, DoubleTree} {
+				if algo == Ring && world != 8 {
+					continue // the gate's rows; Ring only falls further behind
+				}
+				for _, n := range sizes {
+					name := fmt.Sprintf("%s/world%d/%s/%d", tr, world, algo, n)
+					b.Run(name, func(b *testing.B) {
+						benchAllReduce(b, tr, algo, n, world)
+					})
+				}
 			}
 		}
 	}

@@ -3,9 +3,9 @@ package comm
 import "repro/internal/transport"
 
 // binomialRelation returns vrank's neighbours in the binomial tree over
-// k ranks rooted at vrank 0 — the one schedule both binomialReduce and
-// binomialBroadcast walk, in opposite directions. The parent is vrank
-// minus its lowest set bit (-1 for the root); the children are
+// k ranks rooted at vrank 0 — the one tree binomialReduceSteps and
+// binomialBroadcastSteps walk, in opposite directions. The parent is
+// vrank minus its lowest set bit (-1 for the root); the children are
 // vrank+1, vrank+2, vrank+4, ... for every mask below vrank's lowest
 // set bit (every mask below the tree's span for the root), clamped to
 // k, listed in increasing-mask order.
@@ -34,11 +34,13 @@ func binomialRelation(vrank, k int) (parent int, children []int) {
 	return parent, children
 }
 
-// binomialReduceSteps is the reduce-up half of treeAllReduce as a step
-// list: take each child's whole-buffer partial in increasing-mask
-// order, folding it in, then ship the accumulated buffer to the parent.
-// The accumulation order on each receiver is fixed by the tree, so the
-// result on rank 0 is deterministic.
+// binomialReduceSteps is the reduce-up half of treeSteps and of every
+// level of hierarchicalSteps: take each child's whole-buffer partial in
+// increasing-mask order, folding it in, then ship the accumulated
+// buffer to the parent. The accumulation order on each receiver is
+// fixed by the tree, so the result on rank 0 is deterministic; every
+// other rank is left partially reduced, to be overwritten by the
+// broadcast that follows.
 func binomialReduceSteps(rank, k, n int) []step {
 	parent, children := binomialRelation(rank, k)
 	steps := make([]step, 0, len(children)+1)
@@ -67,12 +69,10 @@ func binomialBroadcastSteps(rank, k, n, root int) []step {
 	return steps
 }
 
-// binomialReduce folds every rank's data onto rank 0 along the binomial
-// tree. Non-root ranks' data is left partially reduced — callers must
-// overwrite it (treeAllReduce and the Hierarchical algorithm broadcast
-// the finished buffer back).
-func binomialReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	return runSteps(m, tag, "binomial reduce", data, op, binomialReduceSteps(m.Rank(), m.Size(), len(data)))
+// treeSteps is the Tree AllReduce: the binomial reduce onto rank 0, then
+// the binomial broadcast of the result back down the same tree.
+func treeSteps(rank, k, n int) []step {
+	return append(binomialReduceSteps(rank, k, n), binomialBroadcastSteps(rank, k, n, 0)...)
 }
 
 // binomialBroadcast propagates root's data verbatim to all ranks.

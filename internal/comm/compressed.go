@@ -102,7 +102,7 @@ func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec WireC
 	// the group's configured algorithm and topology exactly like
 	// AllReduce, instead of hard-coding Ring.
 	algo := g.resolveAlgorithm(len(data))
-	return g.submitCompressed(algoTags(algo), data, codec, residual,
+	return g.submitCompressed(data, codec, residual,
 		func(start time.Time) { observeAllReduce("compressed", len(data), start, nil) },
 		func(tag uint64, shadow []float32) (int, error) {
 			return compressedAllReduce(g.mesh, tag, data, op, codec, shadow, algo, g.topo)
@@ -119,11 +119,11 @@ func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec WireC
 // residual must not claim it did — a half-updated accumulator would
 // skew every subsequent gradient, and nondeterministically, since the
 // abort point depends on timing.
-func (g *meshGroup) submitCompressed(tags int, data []float32, codec WireCodec, residual []float32, observe func(start time.Time), run func(tag uint64, shadow []float32) (int, error)) Work {
+func (g *meshGroup) submitCompressed(data []float32, codec WireCodec, residual []float32, observe func(start time.Time), run func(tag uint64, shadow []float32) (int, error)) Work {
 	if residual != nil && len(residual) != len(data) {
 		return CompletedWork(fmt.Errorf("comm: residual has %d elements for %d data elements", len(residual), len(data)))
 	}
-	return g.submitN(tags, func(tag uint64) error {
+	return g.submit(func(tag uint64) error {
 		start := time.Now()
 		shadow := residual
 		if residual != nil {

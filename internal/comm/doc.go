@@ -25,11 +25,12 @@
 //     latency, the right shape for small messages.
 //   - DoubleTree: NCCL 2.4's double binary trees — two complementary
 //     in-order binary trees, each reducing and broadcasting half the
-//     payload concurrently, with every rank an inner node in at most
-//     one tree. Log-depth like Tree but at full bandwidth (no
-//     half-idle leaves), with chunk pipelining so large buffers
-//     stream through the trees (hw.DoubleTreeAllReduceSeconds models
-//     the latency win over Ring; doubletree.go has the construction).
+//     payload in the rounds of one two-coloured schedule, with every
+//     rank an inner node in at most one tree. Log-depth like Tree but
+//     at full bandwidth (no half-idle leaves), with chunk pipelining
+//     so large buffers stream through the trees
+//     (hw.DoubleTreeAllReduceSeconds models the latency win over
+//     Ring; doubletree.go has the construction and the colouring).
 //   - Naive: full exchange with every peer — the strawman baseline.
 //   - Hierarchical: the topology-aware AllReduce. With the classic
 //     two-level Topology it reduces onto per-host leaders, runs the
@@ -51,12 +52,11 @@
 //     lanes while intra-level phases stay exact.
 //   - Auto: picks per collective from the message size, world size,
 //     and the group's Topology, like NCCL's size-driven algorithm
-//     switch: small messages take the log-depth trees (DoubleTree
-//     from world 4 up, Tree below), large messages on a multi-host
-//     topology take Hierarchical, medium messages on deep worlds
-//     (>= 32 ranks) take DoubleTree, everything else Ring. Selection
-//     is a pure function of (size, world, topology), all identical on
-//     every rank, so all ranks agree.
+//     switch: small messages take the log-depth Tree, large messages
+//     on a multi-host topology take Hierarchical, medium messages on
+//     deep worlds (>= 32 ranks) take DoubleTree, everything else Ring.
+//     Selection is a pure function of (size, world, topology), all
+//     identical on every rank, so all ranks agree.
 //
 // Every algorithm leaves bitwise-identical results on every rank —
 // each reduced value is computed on exactly one rank and propagated
@@ -67,18 +67,20 @@
 //
 // # Schedules
 //
-// A ring-family or binomial collective is a per-rank list of steps
-// {to, from, send [lo,hi), recv [lo,hi), fold|copy} over one flat
-// buffer, produced by a small generator (ringSteps, binomialReduceSteps,
-// binomialBroadcastSteps) and run by the one executor, runSteps — the
-// only code besides doubletree.go's gated trees that calls Send and
-// Recv. It overlaps each step's send with its receive, joins that send
-// on every path, and length-checks every frame, failing with an error
-// that names collective, rank, peer, step and got/want. The all-peers
-// collectives (Naive, AllGather, AllToAll, Gather, Scatter, both stages
-// of the compressed AllReduce) share the generic exchange over the
-// float and byte lanes, which joins every outstanding send before it
-// returns and consumes frames in the listed rank order.
+// A collective over one flat buffer is a per-rank list of steps
+// {to, from, send [lo,hi), recv [lo,hi), fold|copy}, produced by a pure
+// generator — ringSteps, binomialReduceSteps, binomialBroadcastSteps,
+// doubleTreeSteps, and treeSteps and hierarchicalSteps, which
+// concatenate the first three — and run by the one executor, runSteps. It
+// overlaps each step's send with its receive, joins that send on every
+// path, and length-checks every frame, failing with an error that names
+// collective, rank, peer, step and got/want. The all-peers collectives
+// (Naive, AllGather, AllToAll, Gather, Scatter, both stages of the
+// compressed AllReduce) share the generic exchange over the float and
+// byte lanes, which joins every outstanding send before it returns and
+// consumes frames in the listed rank order. Those two, both in
+// schedule.go, are the only code in this package that touches the
+// transport (a CI gate keeps it so).
 //
 // One ring pass is k-1 steps over the ChunkBounds layout. Folding, and
 // started one chunk behind the rank, it is the reduce-scatter: chunk c
@@ -95,7 +97,9 @@
 // update, all-gather) is bitwise a DDP step. Because schedules exist
 // without a mesh, a unit test checks every generator at worlds 1-33
 // statically: sends meet receives of equal length in per-link FIFO
-// order, nothing can block forever, every chunk follows that chain.
+// order, nothing can block forever, every ring chunk follows that
+// chain, and every AllReduce list leaves every contribution on every
+// rank exactly once.
 //
 // ExtendedGroup.ReduceScatter has had no caller outside the tests since
 // optim.ZeroSGD, the duplicate ZeRO, was deleted (internal/fsdp shards
@@ -149,7 +153,8 @@
 // rendezvous round's member hosts through Options.Topology — nested
 // labels flow through rendezvous unchanged — so regenerated groups
 // stay topology-aware across membership changes. The hierarchical
-// phases run on sub-meshes carved out of the group's single
-// transport.Mesh by rank remapping (transport.NewSubMesh) — no extra
-// connections, no extra rendezvous.
+// levels are step lists over subsets of the group's ranks, run on its
+// single transport.Mesh — no extra connections, no extra rendezvous;
+// only the compressed leader ring still takes a rank-remapped view of
+// it (transport.NewSubMesh).
 package comm

@@ -1,15 +1,13 @@
 package comm
 
 import (
-	"fmt"
 	"math/bits"
-	"sync"
-
-	"repro/internal/transport"
+	"slices"
 )
 
-// This file implements the double-binary-tree AllReduce of NCCL 2.4
-// (Sanders/Speck/Träff's two-tree broadcast applied to reduction).
+// This file generates the double-binary-tree AllReduce of NCCL 2.4
+// (Sanders/Speck/Träff's two-tree broadcast applied to reduction) as a
+// step list for runSteps.
 //
 // A single reduce-then-broadcast tree has log(k) depth — far better
 // than Ring's 2(k-1) serialized steps for small payloads — but wastes
@@ -37,15 +35,27 @@ import (
 // then broadcast down. Total critical path is O(log k + chunks) hops
 // instead of the unpipelined tree's O(log k * chunks).
 //
-// The transports demand one more invariant: a mesh link is a strict
-// FIFO and Recv matches the NEXT frame's tag — there is no
-// demultiplexing, a mismatched frame is an error. The two trees run
-// concurrently (two goroutines per rank, one tag each) and may share a
-// directed link, so frame order on every shared link must be identical
-// on both ends. doubleTreeAllReduce guarantees it with per-link gates:
-// T1 never waits for T2, and T2 touches a link only after T1's
-// statically-known last use of it, so every shared link carries all
-// T1 frames, then all T2 frames, on both the send and receive side.
+// Both trees run in ONE list per rank, which is Sanders/Speck/Träff's
+// two-tree schedule: colour the child→parent edges of both trees with
+// two colours so that no rank sends on two edges of one colour, nor
+// receives on two. That is possible because the graph "rank as sender —
+// rank as receiver" has degree at most 2 (a rank has one parent per
+// tree, and children in one tree only), so it is a union of paths and
+// even cycles, and colours alternate along them. Colour-0 edges fire in
+// even rounds, colour-1 edges in odd ones, so a rank sends at most one
+// frame and receives at most one per round — exactly a step. Chunk c
+// crosses an edge 2c rounds after chunk 0; an edge's chunk-0 round
+// follows those of the edges into its sender (the right child's after
+// the left's, which keeps every element the chain
+//
+//	S(v) = (x[v] + S(left child)) + S(right child)
+//
+// evaluated once, at its tree's root); and the broadcast retraces the
+// same edges downward, in the same colours, in rounds after the last
+// reduce round. A rank's list is its events ordered by round. Every
+// directed link carries at most one frame per round, on both ends in
+// round order, so one tag serves the whole collective, and no step
+// waits on a later round, so the schedule cannot block.
 
 // doubleTreeChunkElems is the pipeline chunk size (elements) of each
 // tree half: 8Ki elements = 32KiB frames, small enough to pipeline
@@ -78,8 +88,8 @@ func rangeRootValue(lo, hi int) int {
 
 // buildInOrderTree returns every rank's treeRel in the in-order binary
 // tree over ranks 0..k-1 (values 1..k). Children are listed left
-// subtree first; both the reduce fold order and the broadcast send
-// order follow that fixed order, keeping results bitwise-deterministic.
+// subtree first; the reduce fold order follows that fixed order,
+// keeping results bitwise-deterministic.
 func buildInOrderTree(k int) []treeRel {
 	rel := make([]treeRel, k)
 	for i := range rel {
@@ -123,217 +133,148 @@ func doubleTreeRels(k int) (t1, t2 []treeRel) {
 	return t1, t2
 }
 
-// treeGates serializes the two trees' use of shared directed links.
-// The leading tree (T1) closes send[p] once it will never again send
-// to p and recv[p] once it will never again receive from p; the
-// following tree (T2) waits on the matching gate before each Send/Recv
-// involving p. Closing is idempotent and single-goroutine (only the
-// leader closes), waiting is cheap once closed.
-type treeGates struct {
-	send, recv             []chan struct{}
-	sendClosed, recvClosed []bool
-}
-
-func newTreeGates(k int) *treeGates {
-	g := &treeGates{
-		send:       make([]chan struct{}, k),
-		recv:       make([]chan struct{}, k),
-		sendClosed: make([]bool, k),
-		recvClosed: make([]bool, k),
+// colourTreeEdges 2-colours the child→parent edges of both trees:
+// colour[t][v] is the colour of v's edge to its parent in trees[t], and
+// the two edges out of a rank differ, as do the two into it. Vertex v
+// is rank v as sender, vertex k+p rank p as receiver, and edge 2v+t
+// joins v to k+parent. Paths are walked from an end, then what is left
+// uncoloured is cycles, walked from anywhere; both alternate from
+// colour 0, and a cycle closes correctly because it is even.
+func colourTreeEdges(trees [2][]treeRel) (colour [2][]int) {
+	k := len(trees[0])
+	at := make([][]int, 2*k) // the edges at each vertex, at most two
+	room := make([]int, 4*k)
+	for x := range at {
+		at[x] = room[2*x : 2*x : 2*x+2]
 	}
-	for i := range g.send {
-		g.send[i] = make(chan struct{})
-		g.recv[i] = make(chan struct{})
-	}
-	return g
-}
-
-func (g *treeGates) doneSend(p int) {
-	if !g.sendClosed[p] {
-		g.sendClosed[p] = true
-		close(g.send[p])
-	}
-}
-
-func (g *treeGates) doneRecv(p int) {
-	if !g.recvClosed[p] {
-		g.recvClosed[p] = true
-		close(g.recv[p])
-	}
-}
-
-// releaseUnused opens every gate the leading tree will never need —
-// called before any I/O so the following tree only serializes behind
-// links the trees actually share.
-func (g *treeGates) releaseUnused(rel treeRel) {
-	used := func(p int) bool {
-		if p == rel.parent {
-			return true
-		}
-		for _, c := range rel.children {
-			if c == p {
-				return true
-			}
-		}
-		return false
-	}
-	for p := range g.send {
-		if !used(p) {
-			g.doneSend(p)
-			g.doneRecv(p)
-		}
-	}
-}
-
-// releaseAll opens every remaining gate — the leading tree's exit path
-// (deferred), so an error can never leave the follower waiting forever.
-func (g *treeGates) releaseAll() {
-	for p := range g.send {
-		g.doneSend(p)
-		g.doneRecv(p)
-	}
-}
-
-// treeHalfAllReduce reduces data up rel's tree and broadcasts the
-// result back down, pipelined chunk by chunk. When lead is true it
-// closes gates as it finishes with each link; otherwise it waits on
-// them before touching a link.
-func treeHalfAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, rel treeRel, gates *treeGates, lead bool) error {
-	n := len(data)
-	chunks := (n + doubleTreeChunkElems - 1) / doubleTreeChunkElems
-
-	waitSend := func(p int) {
-		if !lead {
-			<-gates.send[p]
-		}
-	}
-	waitRecv := func(p int) {
-		if !lead {
-			<-gates.recv[p]
-		}
-	}
-	sendDone := func(p int) {
-		if lead {
-			gates.doneSend(p)
-		}
-	}
-	recvDone := func(p int) {
-		if lead {
-			gates.doneRecv(p)
-		}
-	}
-
-	// Reduce up: per chunk, fold the children's contributions (left
-	// then right — fixed order for determinism), forward to the parent.
-	for c := 0; c < chunks; c++ {
-		lo := c * doubleTreeChunkElems
-		hi := min(lo+doubleTreeChunkElems, n)
-		for _, ch := range rel.children {
-			waitRecv(ch)
-			buf, err := m.Recv(ch, tag)
-			if err != nil {
-				return err
-			}
-			if len(buf) != hi-lo {
-				return fmt.Errorf("comm: double-tree chunk size mismatch from rank %d: got %d want %d", ch, len(buf), hi-lo)
-			}
-			reduceInto(data[lo:hi], buf, op)
-			transport.PutFloats(buf)
-		}
-		if rel.parent >= 0 {
-			waitSend(rel.parent)
-			if err := m.Send(rel.parent, tag, data[lo:hi]); err != nil {
-				return err
+	for t, tree := range trees {
+		colour[t] = make([]int, k)
+		for v, rel := range tree {
+			colour[t][v] = -1
+			if rel.parent >= 0 {
+				at[v] = append(at[v], 2*v+t)
+				at[k+rel.parent] = append(at[k+rel.parent], 2*v+t)
 			}
 		}
 	}
-	for _, ch := range rel.children {
-		recvDone(ch)
-	}
-	if rel.parent >= 0 {
-		sendDone(rel.parent)
-	}
-
-	// Broadcast down: per chunk, receive the finished bytes from the
-	// parent and forward them verbatim — every rank ends bitwise equal.
-	for c := 0; c < chunks; c++ {
-		lo := c * doubleTreeChunkElems
-		hi := min(lo+doubleTreeChunkElems, n)
-		if rel.parent >= 0 {
-			waitRecv(rel.parent)
-			buf, err := m.Recv(rel.parent, tag)
-			if err != nil {
-				return err
+	walk := func(x int) {
+		for c := 0; ; c ^= 1 {
+			i := slices.IndexFunc(at[x], func(e int) bool { return colour[e%2][e/2] < 0 })
+			if i < 0 {
+				return
 			}
-			if len(buf) != hi-lo {
-				return fmt.Errorf("comm: double-tree broadcast size mismatch: got %d want %d", len(buf), hi-lo)
-			}
-			copy(data[lo:hi], buf)
-			transport.PutFloats(buf)
-		}
-		for _, ch := range rel.children {
-			waitSend(ch)
-			if err := m.Send(ch, tag, data[lo:hi]); err != nil {
-				return err
+			v, t := at[x][i]/2, at[x][i]%2
+			colour[t][v] = c
+			if x == v {
+				x = k + trees[t][v].parent
+			} else {
+				x = v
 			}
 		}
 	}
-	if rel.parent >= 0 {
-		recvDone(rel.parent)
+	for x := range at {
+		if len(at[x]) == 1 {
+			walk(x)
+		}
 	}
-	for _, ch := range rel.children {
-		sendDone(ch)
+	for x := range at {
+		walk(x)
 	}
-	return nil
+	return colour
 }
 
-// doubleTreeAllReduce is the double-binary-tree AllReduce: tree T1
-// reduces and broadcasts data's first half under tag1 while T2 handles
-// the second half under tag2, concurrently. The caller must have
-// reserved BOTH tags (see meshGroup.submitN). Every rank finishes with
-// bitwise-identical data: each half is fully reduced at its tree's
-// root and propagated verbatim.
-//
-// Deadlock-freedom: T1 never waits on a gate, and a lone tree's
-// pipelined schedule only blocks on peers that are guaranteed to
-// progress (children's sends precede the parent's receive in chunk
-// order on strict-FIFO links). T2 additionally waits on gates, all of
-// which T1 closes in bounded time — on success as it retires links, on
-// failure via the deferred releaseAll.
-func doubleTreeAllReduce(m transport.Mesh, tag1, tag2 uint64, data []float32, op ReduceOp) error {
-	k := m.Size()
-	if k == 1 {
+// doubleTreeSteps is rank's step list of the double-tree AllReduce over
+// n elements: trees[0] reduces and broadcasts data[:n/2], trees[1]
+// data[n/2:], both in the rounds the header describes.
+func doubleTreeSteps(rank, k, n int) []step {
+	if k == 1 || n == 0 {
 		return nil
 	}
-	// Avg folds as Sum; each rank applies the final 1/world scale to
-	// its bitwise-identical copy.
-	foldOp := op
-	if op == Avg {
-		foldOp = Sum
-	}
-	t1, t2 := doubleTreeRels(k)
-	rank := m.Rank()
-	mid := len(data) / 2
+	var trees [2][]treeRel
+	trees[0], trees[1] = doubleTreeRels(k)
+	colour := colourTreeEdges(trees)
+	// after returns the first round later than round in which an edge
+	// of colour c fires.
+	after := func(round, c int) int { return round + 1 + (round+1+c)&1 }
+	half := [2][2]int{{0, n / 2}, {n / 2, n}}
+	chunks := func(t int) int { return (half[t][1] - half[t][0] + doubleTreeChunkElems - 1) / doubleTreeChunkElems }
 
-	gates := newTreeGates(k)
-	var wg sync.WaitGroup
-	var err1 error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer gates.releaseAll()
-		gates.releaseUnused(t1[rank])
-		err1 = treeHalfAllReduce(m, tag1, data[:mid], foldOp, t1[rank], gates, true)
-	}()
-	err2 := treeHalfAllReduce(m, tag2, data[mid:], foldOp, t2[rank], gates, false)
-	wg.Wait()
-	if err1 != nil {
-		return err1
+	// up[t][v] is the round in which v ships chunk 0 to its parent in
+	// tree t, down[t][v] the one in which it gets the result back.
+	var up, down [2][]int
+	var root [2]int
+	lastUp := 0
+	for t, tree := range trees {
+		up[t], down[t] = make([]int, k), make([]int, k)
+		root[t] = slices.IndexFunc(tree, func(r treeRel) bool { return r.parent < 0 })
+		// rise numbers the edges below v and returns the round of the
+		// last one into v (-1 for a leaf): a child ships once its own
+		// children and its left sibling have.
+		var rise func(v int) int
+		rise = func(v int) int {
+			ready := -1
+			for _, c := range tree[v].children {
+				ready = after(max(rise(c), ready), colour[t][c])
+				up[t][c] = ready
+			}
+			return ready
+		}
+		lastUp = max(lastUp, rise(root[t])+2*(chunks(t)-1))
 	}
-	if err2 != nil {
-		return err2
+	for t, tree := range trees {
+		// fall numbers the same edges downward from v, which holds the
+		// result's chunk 0 by the given round.
+		var fall func(v, round int)
+		fall = func(v, round int) {
+			for _, c := range tree[v].children {
+				down[t][c] = after(round, colour[t][c])
+				fall(c, down[t][c])
+			}
+		}
+		fall(root[t], lastUp)
 	}
 
-	finishAvg(data, op, k)
-	return nil
+	// This rank's events: one half-filled step each, keyed by round. It
+	// has at most six per chunk where it is inner and two where it is a
+	// leaf, and the second half has no fewer chunks than the first.
+	type event struct {
+		round int
+		step
+	}
+	events := make([]event, 0, 8*chunks(1))
+	send := func(round, to, lo, hi int) {
+		events = append(events, event{round, step{to: to, from: -1, sLo: lo, sHi: hi}})
+	}
+	recv := func(round, from, lo, hi int, fold bool) {
+		events = append(events, event{round, step{to: -1, from: from, rLo: lo, rHi: hi, fold: fold}})
+	}
+	for t, tree := range trees {
+		rel := tree[rank]
+		for c := 0; c < chunks(t); c++ {
+			lo := half[t][0] + c*doubleTreeChunkElems
+			hi := min(lo+doubleTreeChunkElems, half[t][1])
+			for _, ch := range rel.children {
+				recv(up[t][ch]+2*c, ch, lo, hi, true)
+				send(down[t][ch]+2*c, ch, lo, hi)
+			}
+			if rel.parent >= 0 {
+				send(up[t][rank]+2*c, rel.parent, lo, hi)
+				recv(down[t][rank]+2*c, rel.parent, lo, hi, false)
+			}
+		}
+	}
+	slices.SortFunc(events, func(a, b event) int { return a.round - b.round })
+
+	// A round holds at most one send and one receive: they are one step.
+	steps := make([]step, 0, len(events))
+	for i, ev := range events {
+		if i == 0 || ev.round != events[i-1].round {
+			steps = append(steps, ev.step)
+		} else if st := &steps[len(steps)-1]; ev.to >= 0 {
+			st.to, st.sLo, st.sHi = ev.to, ev.sLo, ev.sHi
+		} else {
+			st.from, st.rLo, st.rHi, st.fold = ev.from, ev.rLo, ev.rHi, ev.fold
+		}
+	}
+	return steps
 }

@@ -96,10 +96,10 @@ func TestDoubleTreePipelinedChunks(t *testing.T) {
 }
 
 // TestDoubleTreeMatchesRingBitwiseTCP is the TCP half of the
-// bitwise-vs-Ring acceptance: the double tree's two concurrent
-// goroutines share real socket links (per-link FIFO with strict tag
-// matching), so any frame-ordering violation of the gate protocol
-// surfaces as a tag-mismatch error or divergent bits here.
+// bitwise-vs-Ring acceptance: both trees' frames share real socket
+// links (per-link FIFO, one tag), so a schedule whose two ends order a
+// link's frames differently surfaces as a frame length error or
+// divergent bits here.
 func TestDoubleTreeMatchesRingBitwiseTCP(t *testing.T) {
 	for _, world := range []int{2, 5, 8} {
 		meshes := tcpTestMeshes(t, world)
@@ -118,9 +118,9 @@ func TestDoubleTreeMatchesRingBitwiseTCP(t *testing.T) {
 		bufs := make([][]float32, world)
 		runCollective(t, groups, func(rank int, g ProcessGroup) error {
 			bufs[rank] = append([]float32(nil), inputs[rank]...)
-			// Two back-to-back collectives also pin the 2-tag
-			// reservation: a rank reserving one tag would desynchronize
-			// the second AllReduce.
+			// Two back-to-back collectives: a frame left over from the
+			// first, or a tag consumed beyond its one, would
+			// desynchronize the second.
 			if err := g.AllReduce(bufs[rank], Sum).Wait(); err != nil {
 				return err
 			}

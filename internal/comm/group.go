@@ -138,21 +138,13 @@ func (g *meshGroup) Size() int { return g.mesh.Size() }
 // then wait out registered senders before closing the channel, so no
 // send can hit a closed channel.
 func (g *meshGroup) submit(run func(tag uint64) error) Work {
-	return g.submitN(1, run)
-}
-
-// submitN is submit reserving `tags` consecutive tags — run receives
-// the first and owns [tag, tag+tags). DoubleTree needs two (one per
-// concurrent tree); every rank reserves the same count because all
-// ranks resolve the same algorithm for the same collective.
-func (g *meshGroup) submitN(tags int, run func(tag uint64) error) Work {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
 		return CompletedWork(ErrClosed)
 	}
 	tag := g.nextTag
-	g.nextTag += uint64(tags)
+	g.nextTag++
 	w := newPendingWork()
 	g.sending.Add(1)
 	g.mu.Unlock()
@@ -175,21 +167,12 @@ func (g *meshGroup) resolveAlgorithm(elems int) Algorithm {
 
 func (g *meshGroup) AllReduce(data []float32, op ReduceOp) Work {
 	algo := g.resolveAlgorithm(len(data))
-	return g.submitN(algoTags(algo), func(tag uint64) error {
+	return g.submit(func(tag uint64) error {
 		start := time.Now()
 		err := allReduce(g.mesh, tag, algo, g.topo, data, op)
 		observeAllReduce(algo.String(), len(data), start, err)
 		return err
 	})
-}
-
-// algoTags returns how many transport tags one AllReduce under algo
-// consumes: DoubleTree's two concurrent trees need one each.
-func algoTags(algo Algorithm) int {
-	if algo == DoubleTree {
-		return 2
-	}
-	return 1
 }
 
 func (g *meshGroup) Broadcast(data []float32, root int) Work {

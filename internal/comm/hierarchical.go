@@ -2,9 +2,60 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/transport"
 )
+
+// hierarchicalSteps is rank's part of the topology-aware AllReduce over
+// n elements, a concatenation of schedules the other generators already
+// produce, each over a subset of the ranks and renumbered onto them:
+//
+//  1. up — at each level l from the deepest (hosts) to the outermost,
+//     the level's participants (every host member at the deepest level,
+//     the child groups' leaders above it) fold their buffers onto the
+//     level leader (the group's lowest rank) along a binomial tree;
+//     only leaders continue outward;
+//  2. ring — the level-0 leaders alone run the bandwidth-optimal ring
+//     reduce-scatter and all-gather;
+//  3. down — retracing the levels inward, each leader propagates the
+//     finished buffer verbatim to its level's participants.
+//
+// The three parts come back separately because the compressed leader
+// ring replaces part 2 with a byte-lane exchange; every other caller
+// runs them as one list. With a plain two-level topology (unstructured
+// labels) this is intra-host reduce, leader ring, intra-host broadcast.
+func hierarchicalSteps(rank, n int, topo *Topology) (up, ring, down []step) {
+	// onto renumbers a schedule over len(ranks) participants onto them.
+	onto := func(ranks []int, steps []step) []step {
+		for i := range steps {
+			st := &steps[i]
+			if st.to >= 0 {
+				st.to = ranks[st.to]
+			}
+			if st.from >= 0 {
+				st.from = ranks[st.from]
+			}
+		}
+		return steps
+	}
+	for l := topo.Levels() - 1; l >= 0; l-- {
+		parts := topo.phaseParticipants(l, rank)
+		me := slices.Index(parts, rank)
+		up = append(up, onto(parts, binomialReduceSteps(me, len(parts), n))...)
+		// Outer levels broadcast before inner ones.
+		down = append(onto(parts, binomialBroadcastSteps(me, len(parts), n, 0)), down...)
+		if me != 0 {
+			// Not this level's leader: the next frame this rank sees is
+			// the broadcast back down.
+			return up, nil, down
+		}
+	}
+	leaders := topo.levelLeaders(0)
+	me := slices.Index(leaders, rank)
+	ring = onto(leaders, append(ringSteps(me, len(leaders), n, me-1, true), ringSteps(me, len(leaders), n, me, false)...))
+	return up, ring, down
+}
 
 // hierarchicalAllReduce is the topology-aware AllReduce (Section 6.1's
 // cross-machine bandwidth collapse, answered with the multi-ring
@@ -13,42 +64,24 @@ import (
 // rank's worth of data per host ever crosses the network, and — with a
 // structured topology — repeats the same contraction at every level of
 // the hierarchy so each level's links carry one buffer per group below
-// them.
+// them. The schedule is hierarchicalSteps.
 //
-// The schedule, built from sub-meshes carved out of m by rank
-// remapping, walks the topology from the hosts outward and back:
-//
-//  1. reduce up — at each level l from the deepest (hosts) to the
-//     outermost, the level's participants (every host member at the
-//     deepest level, the child groups' leaders above it) fold their
-//     buffers onto the level leader (the group's lowest rank) along a
-//     binomial tree; only leaders continue outward;
-//  2. top ring — the level-0 leaders alone run the bandwidth-optimal
-//     ring AllReduce. With a codec, this — and only this — phase rides
-//     the compressed byte lanes (see below);
-//  3. broadcast down — retracing the levels inward, each leader
-//     propagates the finished buffer verbatim to its level's
-//     participants.
-//
-// With a plain two-level topology (unstructured labels) this is
-// exactly PR 4's three-phase intra-host reduce / leader ring /
-// intra-host broadcast.
-//
-// codec, when non-nil, turns phase 2 into the compressed leader ring:
-// the leaders run the wire-level compressed reduce-scatter/all-gather
-// (compressedAllReduce) among themselves, with residual as the
-// caller-owned error-feedback accumulator, while the intra-host phases
-// stay exact float32 — compression where the bytes are expensive, full
-// precision where they are nearly free. Only leaders touch residual;
-// non-leader ranks' accumulators are left unchanged. The int result is
-// the number of encoded payload bytes this rank put on the byte lanes
-// (0 for non-leaders and on the uncompressed path). Callers must
-// pre-check that the mesh has byte lanes and the op is Sum/Avg
+// codec, when non-nil, turns the leader ring into the compressed leader
+// ring: between the up list and the down list the leaders run the
+// wire-level compressed reduce-scatter/all-gather (compressedAllReduce)
+// among themselves, with residual as the caller-owned error-feedback
+// accumulator, while the intra-host phases stay exact float32 —
+// compression where the bytes are expensive, full precision where they
+// are nearly free. Only leaders touch residual; non-leader ranks'
+// accumulators are left unchanged. The int result is the number of
+// encoded payload bytes this rank put on the byte lanes (0 for
+// non-leaders and on the uncompressed path). Callers must pre-check
+// that the mesh has byte lanes and the op is Sum/Avg
 // (meshGroup.CompressedAllReduce does); a byte-lane-less leader
 // sub-mesh falls back to quantize-then-ring among the leaders.
 //
 // The bitwise-identical-on-every-rank guarantee of the ring path is
-// preserved: phase 2 leaves every top leader with bitwise-identical
+// preserved: the ring leaves every top leader with bitwise-identical
 // data (each chunk reduced on exactly one leader, propagated
 // verbatim), and the downward broadcasts copy leader bytes verbatim,
 // so all ranks agree exactly. Note the reduction ORDER differs from a
@@ -60,6 +93,7 @@ import (
 // host (nothing crosses the network anyway), or a flat topology (one
 // rank per host — the hierarchy has nothing to shed).
 func hierarchicalAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, topo *Topology, codec WireCodec, residual []float32) (int, error) {
+	const name = "hierarchical allreduce"
 	k := m.Size()
 	if k == 1 {
 		return 0, nil
@@ -70,73 +104,29 @@ func hierarchicalAllReduce(m transport.Mesh, tag uint64, data []float32, op Redu
 	if topo.Size() != k {
 		return 0, fmt.Errorf("comm: topology covers %d ranks but mesh has %d", topo.Size(), k)
 	}
-	rank := m.Rank()
-	levels := topo.Levels()
-
-	// Avg folds as Sum through every phase; each rank applies the final
-	// 1/world scale to its (bitwise-identical) copy at the end.
-	foldOp := op
-	if op == Avg {
-		foldOp = Sum
+	up, ring, down := hierarchicalSteps(m.Rank(), len(data), topo)
+	if codec == nil {
+		return 0, stepsAllReduce(m, tag, name, data, op, slices.Concat(up, ring, down))
 	}
 
-	// Phase 1: reduce up, hosts outward. Sub-meshes are stateless rank
-	// remappings (Close is a no-op), so each level's view serves both
-	// the reduce here and the broadcast in phase 3.
-	meshes := make([]transport.Mesh, levels)
-	topLeader := false
-	for l := levels - 1; l >= 0; l-- {
-		parts := topo.phaseParticipants(l, rank)
-		if len(parts) > 1 {
-			sub, err := transport.NewSubMesh(m, parts)
-			if err != nil {
-				return 0, err
-			}
-			meshes[l] = sub
-			if err := binomialReduce(sub, tag, data, foldOp); err != nil {
-				return 0, err
-			}
-		}
-		if parts[0] != rank {
-			// Not this level's leader: the next frame this rank sees is
-			// the phase-3 broadcast back down.
-			break
-		}
-		topLeader = l == 0
+	if err := runSteps(m, tag, name, data, op, up); err != nil {
+		return 0, err
 	}
-
-	// Phase 2: the outermost leaders alone AllReduce their partials —
-	// compressed over the byte lanes when a codec rides along.
 	wire := 0
-	if topLeader {
-		leaders := topo.levelLeaders(0)
-		if len(leaders) > 1 {
-			sub, err := transport.NewSubMesh(m, leaders)
-			if err != nil {
-				return 0, err
-			}
-			if codec != nil {
-				wire, err = compressedAllReduce(sub, tag, data, foldOp, codec, residual, Ring, nil)
-				if err != nil {
-					return 0, err
-				}
-			} else if err := ringAllReduce(sub, tag, data, foldOp); err != nil {
-				return 0, err
-			}
+	if len(ring) > 0 { // a top leader, and not the only one
+		sub, err := transport.NewSubMesh(m, topo.levelLeaders(0))
+		if err != nil {
+			return 0, err
 		}
-	}
-
-	// Phase 3: broadcast down, outermost inward, retracing phase 1's
-	// sub-meshes; each level's leader is local rank 0 of its sub-mesh.
-	for l := 0; l < levels; l++ {
-		if meshes[l] == nil {
-			continue
-		}
-		if err := binomialBroadcast(meshes[l], tag, data, 0); err != nil {
+		// Sum, not Avg: the 1/world scale below is over the whole mesh,
+		// not the leaders.
+		if wire, err = compressedAllReduce(sub, tag, data, Sum, codec, residual, Ring, nil); err != nil {
 			return 0, err
 		}
 	}
-
+	if err := runSteps(m, tag, name, data, op, down); err != nil {
+		return 0, err
+	}
 	finishAvg(data, op, k)
 	return wire, nil
 }

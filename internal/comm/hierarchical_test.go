@@ -233,9 +233,9 @@ func TestTopologyLayout(t *testing.T) {
 }
 
 // TestChooseAlgorithm pins Auto's policy at every decision boundary:
-// the small-payload tree band (and its Tree/DoubleTree world split),
-// the large-payload hierarchical band with every way a topology can
-// fail to qualify, the deep-world medium band, and the Ring default.
+// the small-payload Tree band at every world, the large-payload
+// hierarchical band with every way a topology can fail to qualify, the
+// deep-world medium band, and the Ring default.
 func TestChooseAlgorithm(t *testing.T) {
 	multi := NewTopology([]string{"a", "a", "b", "b"})
 	flat := NewTopology([]string{"a", "b", "c", "d"})
@@ -249,14 +249,12 @@ func TestChooseAlgorithm(t *testing.T) {
 		world int
 		want  Algorithm
 	}{
-		// Small payloads: log-depth trees; DoubleTree from world 4 up.
+		// Small payloads: the log-depth Tree, whatever the world.
 		{"small/world1", nil, 16, 1, Tree},
-		{"small/shallow", nil, 16, autoDoubleTreeMinWorld - 1, Tree},
-		{"small/min-doubletree-world", nil, 16, autoDoubleTreeMinWorld, DoubleTree},
-		{"small/boundary-inclusive", multi, autoTreeMaxElems, 4, DoubleTree},
-		{"small/shallow-boundary", nil, autoTreeMaxElems, 2, Tree},
-		{"small/zero-elems", nil, 0, 8, DoubleTree},
-		{"small/topology-ignored", multi, autoTreeMaxElems, 4, DoubleTree},
+		{"small/shallow", nil, 16, 3, Tree},
+		{"small/boundary-inclusive", multi, autoTreeMaxElems, 4, Tree},
+		{"small/zero-elems", nil, 0, 8, Tree},
+		{"small/deep-world", nil, autoTreeMaxElems, deep, Tree},
 		// Large payloads: Hierarchical iff the topology qualifies.
 		{"large/no-topology", nil, 1 << 20, 4, Ring},
 		{"large/multi-host", multi, 1 << 20, 4, Hierarchical},

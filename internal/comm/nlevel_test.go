@@ -8,18 +8,25 @@ import (
 	"repro/internal/transport"
 )
 
-// TestTopologyNLevels pins the structured-label parser and the derived
-// per-level machinery the N-level schedule walks.
-func TestTopologyNLevels(t *testing.T) {
+// The three-level layouts of this file, shared with the static schedule
+// checker and the short-frame test.
+var (
 	// Two pods, two racks each, two ranks per host on pod p0 and one on
 	// p1 — uneven on purpose.
-	labels := []string{
+	nLevelUnevenHosts = []string{
 		"p0/r0/h0", "p0/r0/h0", // ranks 0,1
 		"p0/r1/h1", "p0/r1/h1", // ranks 2,3
 		"p1/r2/h2", // rank 4
 		"p1/r3/h3", // rank 5
 	}
-	topo := NewTopology(labels)
+	// Two pods of two racks of one two-rank host each.
+	nLevelPodHosts = []string{"p0/r0/h0", "p0/r0/h0", "p0/r1/h1", "p0/r1/h1", "p1/r2/h2", "p1/r2/h2", "p1/r3/h3", "p1/r3/h3"}
+)
+
+// TestTopologyNLevels pins the structured-label parser and the derived
+// per-level machinery the N-level schedule walks.
+func TestTopologyNLevels(t *testing.T) {
+	topo := NewTopology(nLevelUnevenHosts)
 	if topo.Levels() != 3 {
 		t.Fatalf("Levels() = %d, want 3", topo.Levels())
 	}
@@ -98,11 +105,8 @@ func (c *levelCountingMesh) Send(to int, tag uint64, data []float32) error {
 // crosses pods for every host).
 func TestNLevelHierarchicalShedsCrossPodBytes(t *testing.T) {
 	const world, n = 8, 4096
-	three := make([]string, world)
+	three := nLevelPodHosts
 	flatLabels := make([]string, world)
-	for r := 0; r < world; r++ {
-		three[r] = []string{"p0/r0/h0", "p0/r0/h0", "p0/r1/h1", "p0/r1/h1", "p1/r2/h2", "p1/r2/h2", "p1/r3/h3", "p1/r3/h3"}[r]
-	}
 	for r := 0; r < world; r++ {
 		// Same host grouping, no rack/pod structure: the two-level
 		// schedule rings ALL four host leaders.

@@ -6,19 +6,19 @@ import (
 	"repro/internal/transport"
 )
 
-// A ring-family or binomial collective is data before it is traffic:
-// each rank's part is a list of steps produced by a small generator
-// (ringSteps, binomialReduceSteps, binomialBroadcastSteps), and
-// runSteps is the one loop that turns any such list into Send/Recv
-// calls. The all-peers collectives, whose frames do not address one
-// flat buffer, share exchange instead. Nothing else in these files
-// touches the transport (doubletree.go's gated, pipelined trees aside),
-// so the frame-length check, the join of the in-flight send, the
-// hand-back of every received frame to the transport's buffer pool and
-// every future pipelining change are written once — and because a
-// schedule exists without a mesh, schedule_test.go checks every
-// generator statically: matching sends and receives in per-link FIFO
-// order, no cycle of blocking waits, the documented fold chain.
+// A collective over one flat buffer is data before it is traffic: each
+// rank's part is a list of steps produced by a pure generator
+// (ringSteps, binomialReduceSteps, binomialBroadcastSteps, treeSteps,
+// doubleTreeSteps, hierarchicalSteps), and runSteps is the one loop that
+// turns any such list into Send/Recv calls. The all-peers collectives,
+// whose frames do not address one flat buffer, share exchange instead.
+// Nothing outside this file touches the transport, so the frame-length
+// check, the join of the in-flight send, the hand-back of every received
+// frame to the transport's buffer pool and every future pipelining
+// change are written once — and because a schedule exists without a
+// mesh, schedule_test.go checks every generator statically: matching
+// sends and receives in per-link FIFO order, no cycle of blocking waits,
+// the documented fold chain.
 
 // step is one rank's move in a schedule over a flat buffer: ship
 // data[sLo:sHi] to rank `to` while taking a frame of exactly rHi-rLo

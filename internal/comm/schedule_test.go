@@ -14,35 +14,38 @@ import (
 
 // symbolic is every rank's buffer with values replaced by their
 // provenance, so a schedule can be run with no goroutines and no mesh.
-// The buffer is tracked per non-empty chunkBounds chunk — every
-// generator's ranges fall on those boundaries — and vals[rank][chunk]
-// is the fold chain the chunk holds on that rank: the ranks whose
-// contributions went into it, in fold order.
+// The buffer is tracked per atom — a maximal range no step of the
+// schedules under test splits — and vals[rank][atom] is the fold chain
+// the atom holds on that rank: the ranks whose contributions went into
+// it, in fold order.
 type symbolic struct {
 	k, n int
-	// atom maps a chunk boundary to the index of the first non-empty
-	// chunk at or after it.
+	// atom maps a step boundary to the index of the atom starting there
+	// (n maps to the number of atoms).
 	atom map[int]int
 	vals [][][]int
 }
 
-// newSymbolic is the symbolic input: every chunk of rank r's buffer
-// holds r's own contribution.
-func newSymbolic(k, n int) *symbolic {
-	s := &symbolic{k: k, n: n, atom: map[int]int{}, vals: make([][][]int, k)}
-	atoms := 0
-	for c := 0; c < k; c++ {
-		lo, hi := chunkBounds(n, k, c)
-		if _, seen := s.atom[lo]; !seen {
-			s.atom[lo] = atoms
-		}
-		if hi > lo {
-			atoms++
+// newSymbolic is the symbolic input for the generators that will be run
+// on it: its atoms are cut at every boundary any of their steps names,
+// and every atom of rank r's buffer holds r's own contribution.
+func newSymbolic(k, n int, gens ...func(rank int) []step) *symbolic {
+	bounds := []int{0, n}
+	for _, gen := range gens {
+		for r := 0; r < k; r++ {
+			for _, st := range gen(r) {
+				bounds = append(bounds, st.sLo, st.sHi, st.rLo, st.rHi)
+			}
 		}
 	}
-	s.atom[n] = atoms
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	s := &symbolic{k: k, n: n, atom: map[int]int{}, vals: make([][][]int, k)}
+	for i, b := range bounds {
+		s.atom[b] = i
+	}
 	for r := range s.vals {
-		s.vals[r] = make([][]int, atoms)
+		s.vals[r] = make([][]int, len(bounds)-1)
 		for i := range s.vals[r] {
 			s.vals[r][i] = []int{r}
 		}
@@ -100,7 +103,7 @@ func (s *symbolic) run(gen func(rank int) []step) error {
 				lo, okLo := s.atom[st.sLo]
 				hi, okHi := s.atom[st.sHi]
 				if !okLo || !okHi {
-					return fmt.Errorf("rank %d step %d: [%d,%d) is not on chunk boundaries", a, pc[a], st.sLo, st.sHi)
+					return fmt.Errorf("rank %d step %d: [%d,%d) is not on the boundaries newSymbolic was given", a, pc[a], st.sLo, st.sHi)
 				}
 				for i := lo; i < hi; i++ {
 					in := s.vals[a][i]
@@ -135,20 +138,49 @@ func ringChain(c, k int) []int {
 	return chain
 }
 
+// allReduced fails unless the schedule gen, run on fresh symbolic
+// buffers, leaves every rank holding every rank's contribution exactly
+// once in every atom, folded in the same order on all ranks.
+func allReduced(k, n int, gen func(rank int) []step) error {
+	s := newSymbolic(k, n, gen)
+	if err := s.run(gen); err != nil {
+		return err
+	}
+	for r := 0; r < k; r++ {
+		for i, chain := range s.vals[r] {
+			got := slices.Clone(chain)
+			slices.Sort(got)
+			if !slices.Equal(got, allRanks(k)) {
+				return fmt.Errorf("rank %d atom %d folded %v, want every rank once", r, i, chain)
+			}
+			if !slices.Equal(chain, s.vals[0][i]) {
+				return fmt.Errorf("rank %d atom %d folded %v, rank 0 folded %v", r, i, chain, s.vals[0][i])
+			}
+		}
+	}
+	return nil
+}
+
 // TestSchedulesStatically checks every step generator at worlds 1-33
 // and the buffer sizes around the chunking edge cases, on the schedule
 // alone: sends meet receives of equal length in per-link FIFO order,
-// nothing blocks forever, the ring reduce-scatter folds every chunk
-// exactly once per rank along the documented chain and finishes it on
-// its owner, the all-gather then leaves every chunk on every rank, and
-// the binomial pair folds every rank exactly once and delivers the
-// root's buffer verbatim.
+// nothing blocks forever, no step sends a range it is receiving, the
+// ring reduce-scatter folds every chunk exactly once per rank along the
+// documented chain and finishes it on its owner, the all-gather then
+// leaves every chunk on every rank, the binomial pair folds every rank
+// exactly once and delivers the root's buffer verbatim, and the whole
+// AllReduce lists — Tree, DoubleTree across its pipeline chunk edges,
+// Hierarchical over every layout the numeric suites use — leave every
+// contribution on every rank exactly once, identically.
 func TestSchedulesStatically(t *testing.T) {
+	const chunk = doubleTreeChunkElems
 	for k := 1; k <= 33; k++ {
-		for _, n := range []int{0, 1, k - 1, k, k + 1, 4099} {
+		for _, n := range []int{0, 1, 2, k - 1, k, k + 1, 4099, 2 * chunk, 2*chunk + 1, 9*chunk + 5} {
 			// The ring pair, composed the way ringAllReduce composes it.
-			s := newSymbolic(k, n)
-			if err := s.run(func(r int) []step { return ringSteps(r, k, n, r-1, true) }); err != nil {
+			scatter := func(r int) []step { return ringSteps(r, k, n, r-1, true) }
+			gather := func(r int) []step { return ringSteps(r, k, n, r, false) }
+			s := newSymbolic(k, n, scatter, gather)
+			if err := s.run(scatter); err != nil {
 				t.Fatalf("ring reduce-scatter k=%d n=%d: %v", k, n, err)
 			}
 			for c := 0; c < k; c++ {
@@ -158,7 +190,7 @@ func TestSchedulesStatically(t *testing.T) {
 					}
 				}
 			}
-			if err := s.run(func(r int) []step { return ringSteps(r, k, n, r, false) }); err != nil {
+			if err := s.run(gather); err != nil {
 				t.Fatalf("ring all-gather k=%d n=%d: %v", k, n, err)
 			}
 			for r := 0; r < k; r++ {
@@ -171,7 +203,7 @@ func TestSchedulesStatically(t *testing.T) {
 				}
 			}
 
-			// The binomial pair, composed the way treeAllReduce composes it.
+			// The binomial pair, from every kind of broadcast root.
 			s = newSymbolic(k, n)
 			if err := s.run(func(r int) []step { return binomialReduceSteps(r, k, n) }); err != nil {
 				t.Fatalf("binomial reduce k=%d n=%d: %v", k, n, err)
@@ -195,6 +227,33 @@ func TestSchedulesStatically(t *testing.T) {
 					}
 				}
 			}
+
+			if err := allReduced(k, n, func(r int) []step { return treeSteps(r, k, n) }); err != nil {
+				t.Fatalf("tree k=%d n=%d: %v", k, n, err)
+			}
+			if err := allReduced(k, n, func(r int) []step { return doubleTreeSteps(r, k, n) }); err != nil {
+				t.Fatalf("double tree k=%d n=%d: %v", k, n, err)
+			}
+			if n > 4099 {
+				continue
+			}
+			layouts := hostLayouts(k)
+			if k == 6 {
+				layouts["nlevel-uneven"] = nLevelUnevenHosts
+			}
+			if k == 8 {
+				layouts["nlevel-pods"] = nLevelPodHosts
+			}
+			for name, hosts := range layouts {
+				if hosts == nil {
+					continue
+				}
+				topo := NewTopology(hosts)
+				err := allReduced(k, n, func(r int) []step { return slices.Concat(hierarchicalSteps(r, n, topo)) })
+				if err != nil {
+					t.Fatalf("hierarchical %s k=%d n=%d: %v", name, k, n, err)
+				}
+			}
 		}
 	}
 }
@@ -216,32 +275,53 @@ func (m *truncatingMesh) Recv(from int, tag uint64) ([]float32, error) {
 
 // TestShortFrameIsAnError: a frame shorter than the schedule fixed must
 // fail the collective on the rank that received it, with the one error
-// that names collective, rank, peer and lengths — never a short copy
-// that leaves stale elements in a "bitwise-identical" result.
+// that names collective, rank, peer, step and lengths — never a short
+// copy that leaves stale elements in a "bitwise-identical" result. Rank
+// and peer are mesh ranks whatever subset of the ranks a level of the
+// hierarchy runs over, and step counts through the whole list.
 func TestShortFrameIsAnError(t *testing.T) {
-	const world, victim, n = 3, 1, 12
+	const victim, n = 1, 12
+	sum := func(g ProcessGroup, data []float32) Work { return g.AllReduce(data, Sum) }
 	cases := []struct {
-		name       string
+		name string
+		algo Algorithm
+		// hosts lays the ranks out; nil is a world of three without a
+		// topology.
+		hosts      []string
 		collective string
-		peer       int
+		peer, step int
 		want       int
 		run        func(g ProcessGroup, data []float32) Work
 	}{
-		{"AllReduce", "ring reduce-scatter", 0, n / world, func(g ProcessGroup, data []float32) Work { return g.AllReduce(data, Sum) }},
-		{"ReduceScatterV", "ring reduce-scatter", 0, n / world, func(g ProcessGroup, data []float32) Work {
+		{"AllReduce", Ring, nil, "ring reduce-scatter", 0, 0, n / 3, sum},
+		{"ReduceScatterV", Ring, nil, "ring reduce-scatter", 0, 0, n / 3, func(g ProcessGroup, data []float32) Work {
 			return g.(ShardedGroup).ReduceScatterV(data, Avg)
 		}},
-		{"AllGatherV", "ring all-gather", 0, n / world, func(g ProcessGroup, data []float32) Work { return g.(ShardedGroup).AllGatherV(data) }},
-		{"ReduceScatter", "ring reduce-scatter", 0, n / world, func(g ProcessGroup, data []float32) Work {
-			return g.(ExtendedGroup).ReduceScatter(make([]float32, n/world), data, Sum)
+		{"AllGatherV", Ring, nil, "ring all-gather", 0, 0, n / 3, func(g ProcessGroup, data []float32) Work { return g.(ShardedGroup).AllGatherV(data) }},
+		{"ReduceScatter", Ring, nil, "ring reduce-scatter", 0, 0, n / 3, func(g ProcessGroup, data []float32) Work {
+			return g.(ExtendedGroup).ReduceScatter(make([]float32, n/3), data, Sum)
 		}},
-		{"Broadcast", "binomial broadcast", 0, n, func(g ProcessGroup, data []float32) Work { return g.Broadcast(data, 0) }},
+		{"Broadcast", Ring, nil, "binomial broadcast", 0, 0, n, func(g ProcessGroup, data []float32) Work { return g.Broadcast(data, 0) }},
+		// Rank 1 sends its buffer up, then takes the result from rank 0.
+		{"Tree", Tree, nil, "tree allreduce", 0, 1, n, sum},
+		// Rank 1 is the root of the first half's tree; rank 0 is its
+		// left child.
+		{"DoubleTree", DoubleTree, nil, "double-tree allreduce", 0, 0, n / 2, sum},
+		// Rank 1 leads host b = {1, 2}: ranks 0 and 1 of that level.
+		{"Hierarchical", Hierarchical, []string{"a", "b", "b"}, "hierarchical allreduce", 2, 0, n, sum},
+		// Rank 1 is the other member of rank 0's host: one step up, and
+		// the frame that comes back down is its second.
+		{"Hierarchical3Level", Hierarchical, nLevelUnevenHosts, "hierarchical allreduce", 0, 1, n, sum},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			world, opts := 3, Options{Algorithm: tc.algo}
+			if tc.hosts != nil {
+				world, opts.Topology = len(tc.hosts), NewTopology(tc.hosts)
+			}
 			meshes := transport.NewInProcMeshes(world)
 			meshes[victim] = &truncatingMesh{Mesh: meshes[victim]}
-			groups := groupsOver(meshes, Options{Algorithm: Ring})
+			groups := groupsOver(meshes, opts)
 			errs := make([]error, world)
 			var wg sync.WaitGroup
 			for r := range groups {
@@ -263,7 +343,7 @@ func TestShortFrameIsAnError(t *testing.T) {
 			if !errors.As(errs[victim], &fe) {
 				t.Fatalf("rank %d: got %v, want a frame length error", victim, errs[victim])
 			}
-			want := frameLenError{collective: tc.collective, rank: victim, peer: tc.peer, step: 0, got: tc.want - 1, want: tc.want}
+			want := frameLenError{collective: tc.collective, rank: victim, peer: tc.peer, step: tc.step, got: tc.want - 1, want: tc.want}
 			if *fe != want {
 				t.Fatalf("got %+v (%v), want %+v", *fe, fe, want)
 			}

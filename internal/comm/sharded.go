@@ -84,7 +84,7 @@ func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec 
 	if codec == nil {
 		return g.ReduceScatterV(data, op)
 	}
-	return g.submitCompressed(1, data, codec, residual,
+	return g.submitCompressed(data, codec, residual,
 		func(start time.Time) { observeCollective("compressed_reduce_scatter_v", len(data), start, nil) },
 		func(tag uint64, shadow []float32) (int, error) {
 			return compressedReduceScatterOwned(g.mesh, tag, data, op, codec, shadow)

@@ -2,12 +2,12 @@ package comm
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
-
-	"repro/internal/transport"
 )
 
 func asSharded(t *testing.T, groups []ProcessGroup) []ShardedGroup {
@@ -68,21 +68,104 @@ func ringReference(inputs [][]float32, op ReduceOp) []float32 {
 	return out
 }
 
+// doubleTreeReference is the sequential statement of the double-tree
+// fold: the first half of the buffer is folded over the in-order binary
+// tree on values 1..world (the root of a range is its value with the
+// most trailing zero bits; rank v-1 plays value v), the second half over
+// the same tree with every rank shifted down one, and a node's value is
+// (x[v] + S(left subtree)) + S(right subtree); scaled once for Avg.
+func doubleTreeReference(inputs [][]float32, op ReduceOp) []float32 {
+	world, n := len(inputs), len(inputs[0])
+	out := make([]float32, n)
+	for tree, half := range [2][2]int{{0, n / 2}, {n / 2, n}} {
+		var fold func(lo, hi int) []float32
+		fold = func(lo, hi int) []float32 {
+			if lo > hi {
+				return nil
+			}
+			root := lo
+			for v := lo; v <= hi; v++ {
+				if bits.TrailingZeros(uint(v)) > bits.TrailingZeros(uint(root)) {
+					root = v
+				}
+			}
+			acc := slices.Clone(inputs[(root-1+tree*(world-1))%world][half[0]:half[1]])
+			for _, sub := range [][]float32{fold(lo, root-1), fold(root+1, hi)} {
+				for i := range sub {
+					acc[i] += sub[i]
+				}
+			}
+			return acc
+		}
+		copy(out[half[0]:], fold(1, world))
+	}
+	if op == Avg {
+		for i := range out {
+			out[i] *= 1 / float32(world)
+		}
+	}
+	return out
+}
+
+// hierarchicalReference is the sequential statement of the hierarchical
+// fold: level by level from the hosts outward, each group's participants
+// fold onto its leader along the binomial tree — member v of a level is
+// ((x[v] + S(v+1)) + S(v+2)) + S(v+4) ... over every power of two below
+// v's lowest set bit — then the outermost leaders' partials take the
+// ring chain, and the result is scaled once for Avg.
+func hierarchicalReference(inputs [][]float32, op ReduceOp, topo *Topology) []float32 {
+	world := len(inputs)
+	part := make([][]float32, world)
+	for r := range part {
+		part[r] = slices.Clone(inputs[r])
+	}
+	var binomial func(ranks []int, v int) []float32
+	binomial = func(ranks []int, v int) []float32 {
+		acc := part[ranks[v]]
+		for mask := 1; v+mask < len(ranks) && (v == 0 || mask < v&-v); mask <<= 1 {
+			for i, x := range binomial(ranks, v+mask) {
+				acc[i] += x
+			}
+		}
+		return acc
+	}
+	for l := topo.Levels() - 1; l >= 0; l-- {
+		for _, leader := range topo.levelLeaders(l) {
+			binomial(topo.phaseParticipants(l, leader), 0)
+		}
+	}
+	var tops [][]float32
+	for _, leader := range topo.levelLeaders(0) {
+		tops = append(tops, part[leader])
+	}
+	out := ringReference(tops, Sum)
+	if op == Avg {
+		for i := range out {
+			out[i] *= 1 / float32(world)
+		}
+	}
+	return out
+}
+
 // TestReduceScatterVBitwiseMatchesAllReduce is the contract fsdp's
 // bitwise guarantee rests on, as one agreement table: for every world
 // size, transport, buffer size around the chunking edge cases (uneven
-// tails, empty chunks, empty buffers) and Sum/Avg, four statements of
-// the ring reduction agree bitwise — AllReduce(Ring) on every rank,
-// ReduceScatterV's owned chunk and the buffer AllGatherV rebuilds from
-// it, ReduceScatter wherever the world divides the length, and the
-// sequential fold along the documented chain.
+// tails, empty chunks, empty buffers, several double-tree pipeline
+// chunks) and Sum/Avg, four statements of the ring reduction agree
+// bitwise — AllReduce(Ring) on every rank, ReduceScatterV's owned chunk
+// and the buffer AllGatherV rebuilds from it, ReduceScatter wherever the
+// world divides the length, and the sequential fold along the
+// documented chain. The same table holds the other documented chains to
+// their sequential folds: AllReduce(DoubleTree), and AllReduce and
+// ReduceScatter under Hierarchical on every layout of the world that
+// has a hierarchy.
 func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 	type row struct {
 		tcp   bool
 		world int
 	}
 	var rows []row
-	for world := 1; world <= 9; world++ {
+	for world := 1; world <= 17; world++ {
 		rows = append(rows, row{false, world})
 	}
 	for _, world := range []int{2, 3, 5} {
@@ -90,18 +173,38 @@ func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 	}
 	for _, rw := range rows {
 		world := rw.world
-		meshes := transport.NewInProcMeshes(world)
-		if rw.tcp {
-			meshes = tcpTestMeshes(t, world)
+		groupsWith := func(opts Options) []ProcessGroup {
+			if rw.tcp {
+				return groupsOver(tcpTestMeshes(t, world), opts)
+			}
+			return NewInProcGroups(world, opts)
 		}
-		groups := asSharded(t, groupsOver(meshes, Options{Algorithm: Ring}))
-		for _, n := range []int{0, 1, world - 1, world, world + 1, 103, 4099, 96 * world} {
+		groups := asSharded(t, groupsWith(Options{Algorithm: Ring}))
+		trees := groupsWith(Options{Algorithm: DoubleTree})
+		type hier struct {
+			name   string
+			topo   *Topology
+			groups []ExtendedGroup
+		}
+		var hiers []hier
+		layouts := hostLayouts(world)
+		for _, name := range slices.Sorted(maps.Keys(layouts)) {
+			if topo := NewTopology(layouts[name]); topo.Hierarchical() {
+				hiers = append(hiers, hier{name, topo, asExtended(t, groupsWith(Options{Algorithm: Hierarchical, Topology: topo}))})
+			}
+		}
+		for _, n := range []int{0, 1, world - 1, world, world + 1, 103, 4099, 96 * world, 2*doubleTreeChunkElems + 3} {
 			for _, op := range []ReduceOp{Sum, Avg} {
 				inputs := make([][]float32, world)
 				for r := range inputs {
 					inputs[r] = inexactInput(r, n)
 				}
 				want := ringReference(inputs, op)
+				wantTrees := doubleTreeReference(inputs, op)
+				wantHier := make([][]float32, len(hiers))
+				for i, h := range hiers {
+					wantHier[i] = hierarchicalReference(inputs, op, h.topo)
+				}
 				var wg sync.WaitGroup
 				errs := make([]error, world)
 				for r := 0; r < world; r++ {
@@ -139,10 +242,35 @@ func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 							if err := agree("reduce-scatter-v + all-gather-v", b, want); err != nil {
 								return err
 							}
+							c := slices.Clone(inputs[rank])
+							if err := trees[rank].AllReduce(c, op).Wait(); err != nil {
+								return err
+							}
+							if err := agree("double-tree allreduce vs sequential tree fold", c, wantTrees); err != nil {
+								return err
+							}
+							dst := make([]float32, n/world)
+							for i, h := range hiers {
+								d := slices.Clone(inputs[rank])
+								if err := h.groups[rank].AllReduce(d, op).Wait(); err != nil {
+									return err
+								}
+								if err := agree("hierarchical allreduce ("+h.name+") vs sequential level fold", d, wantHier[i]); err != nil {
+									return err
+								}
+								if n%world != 0 {
+									continue
+								}
+								if err := h.groups[rank].ReduceScatter(dst, inputs[rank], op).Wait(); err != nil {
+									return err
+								}
+								if err := agree("hierarchical reduce-scatter ("+h.name+")", dst, wantHier[i][lo:hi]); err != nil {
+									return err
+								}
+							}
 							if n%world != 0 {
 								return nil
 							}
-							dst := make([]float32, n/world)
 							if err := g.(ExtendedGroup).ReduceScatter(dst, inputs[rank], op).Wait(); err != nil {
 								return err
 							}
@@ -158,8 +286,12 @@ func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 				}
 			}
 		}
-		for _, g := range groups {
-			g.Close()
+		for rank := range groups {
+			groups[rank].Close()
+			trees[rank].Close()
+			for _, h := range hiers {
+				h.groups[rank].Close()
+			}
 		}
 	}
 }
