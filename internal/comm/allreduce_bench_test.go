@@ -3,6 +3,7 @@ package comm
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -400,18 +401,15 @@ func benchCompressedHierarchical(b *testing.B, codec WireCodec, n, world int) {
 			Options{Algorithm: Hierarchical, Topology: topo})
 	}
 	defer closeAll(groups)
-	bufs := make([][]float32, world)
+	inputs, bufs := benchGradients(world, n)
 	residuals := make([][]float32, world)
-	for r := range bufs {
-		bufs[r] = make([]float32, n)
+	for r := range residuals {
 		residuals[r] = make([]float32, n)
-		for i := range bufs[r] {
-			bufs[r][i] = float32(r+i) / 7
-		}
 	}
 	b.SetBytes(int64(4 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		refill(b, bufs, inputs)
 		var wg sync.WaitGroup
 		errs := make([]error, world)
 		for r := range groups {
@@ -448,6 +446,32 @@ func benchCompressedHierarchical(b *testing.B, codec WireCodec, n, world int) {
 		NsPerOp:             float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 		CrossHostBytesPerOp: crossPerOp,
 	})
+}
+
+// benchGradients returns per-rank inputs at gradient scale, N(0, 1e-2),
+// and the buffers the compressed benchmarks reduce in place. Summing in
+// place op after op without refilling would have every element past
+// 65504 after a few ops and the benchmark timing fp16's saturation
+// branch, with a runaway residual, forever.
+func benchGradients(world, n int) (inputs, bufs [][]float32) {
+	inputs, bufs = make([][]float32, world), make([][]float32, world)
+	for r := range inputs {
+		rng := rand.New(rand.NewSource(int64(r + 1)))
+		inputs[r], bufs[r] = make([]float32, n), make([]float32, n)
+		for i := range inputs[r] {
+			inputs[r][i] = float32(rng.NormFloat64() * 1e-2)
+		}
+	}
+	return inputs, bufs
+}
+
+// refill restores every rank's buffer to its input, off the clock.
+func refill(b *testing.B, bufs, inputs [][]float32) {
+	b.StopTimer()
+	for r := range bufs {
+		copy(bufs[r], inputs[r])
+	}
+	b.StartTimer()
 }
 
 // BenchmarkCompressedAllReduce sweeps codec x payload over a TCP mesh,
@@ -488,18 +512,15 @@ func benchCompressed(b *testing.B, name string, codec WireCodec, n int, ringByte
 		groups[r] = NewGroup(&benchWireCounter{Mesh: meshes[r], bytes: &wire}, Options{Algorithm: Ring})
 	}
 	defer closeAll(groups)
-	bufs := make([][]float32, benchWorldSize)
+	inputs, bufs := benchGradients(benchWorldSize, n)
 	residuals := make([][]float32, benchWorldSize)
-	for r := range bufs {
-		bufs[r] = make([]float32, n)
+	for r := range residuals {
 		residuals[r] = make([]float32, n)
-		for i := range bufs[r] {
-			bufs[r][i] = float32(r+i) / 7
-		}
 	}
 	b.SetBytes(int64(4 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		refill(b, bufs, inputs)
 		var wg sync.WaitGroup
 		errs := make([]error, benchWorldSize)
 		for r := range groups {

@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/transport"
 )
 
 // Codec models the gradient compression direction of Section 6.2.3:
@@ -43,9 +46,19 @@ type Codec interface {
 // these residuals by parameter identity so they survive bucket
 // rebuilds and elastic reconfigurations.
 //
-// Encode and Decode must not mutate receiver state: one codec instance
-// may serve concurrent collectives (round-robin groups run one worker
-// per sub-group). All state rides in the arguments.
+// A collective never decodes bytes it produced itself and never decodes
+// into a buffer only to add it to another: Encode hands back the
+// dequantized values in the pass that quantizes them (deq), and
+// DecodeAdd folds a peer's frame straight into the accumulator. Both
+// are defined by Decode — deq receives exactly the values Decode of the
+// produced frame yields, DecodeAdd performs exactly the float32
+// additions Decode into a scratch buffer followed by acc[i] += scratch[i]
+// performs (a -0 in acc meeting a decoded +0 becomes +0 either way) —
+// so fusing the passes changes no bit of any result.
+//
+// None of the methods may mutate receiver state: one codec instance may
+// serve concurrent collectives (round-robin groups run one worker per
+// sub-group). All state rides in the arguments.
 type WireCodec interface {
 	Codec
 	// EncodedSize returns an upper bound on the bytes Encode produces
@@ -54,12 +67,19 @@ type WireCodec interface {
 	EncodedSize(n int) int
 	// Encode appends the compressed representation of data to dst and
 	// returns the extended slice. residual is nil (no error feedback)
-	// or a slice of len(data) updated in place. data itself is not
-	// modified. Encoding zero elements appends nothing.
-	Encode(dst []byte, data, residual []float32) []byte
+	// or a slice of len(data) updated in place. deq is nil or a slice
+	// of len(data) that receives what Decode of the frame yields; it
+	// may be data itself, which quantizes data in place, and is the only
+	// way Encode modifies data. A caller that passes deq and a nil dst
+	// wants the values alone: no frame is built and nil is returned.
+	// Encoding zero elements appends nothing.
+	Encode(dst []byte, data, residual, deq []float32) []byte
 	// Decode expands one Encode frame into out, whose length must equal
 	// the element count that was encoded.
 	Decode(buf []byte, out []float32) error
+	// DecodeAdd adds the values Decode(buf, ·) yields to acc element by
+	// element, without materializing them.
+	DecodeAdd(buf []byte, acc []float32) error
 }
 
 // nonFiniteDropped counts gradient elements dropped because they were
@@ -76,36 +96,36 @@ var nonFiniteDropped atomic.Uint64
 // event is observable rather than silently corrupting state.
 func DroppedNonFinite() uint64 { return nonFiniteDropped.Load() }
 
-// efValue returns the value to quantize for element i — data[i] plus
-// its residual under error feedback — and whether it is finite. A
-// non-finite value is dropped: the caller transmits 0, the residual is
-// zeroed, and the process-wide counter is bumped.
-func efValue(data, residual []float32, i int) (float32, bool) {
-	v := data[i]
-	if residual != nil {
-		v += residual[i]
+// countDropped records n elements dropped by one Encode call.
+func countDropped(n int) {
+	if n > 0 {
+		nonFiniteDropped.Add(uint64(n))
+		mDroppedNonFinite.Add(float64(n))
 	}
-	if f64 := float64(v); math.IsNaN(f64) || math.IsInf(f64, 0) {
-		if residual != nil {
-			residual[i] = 0
-		}
-		nonFiniteDropped.Add(1)
-		mDroppedNonFinite.Inc()
-		return 0, false
-	}
-	return v, true
 }
 
-// setResidual records the quantization error v-q for element i when
-// error feedback is active.
-func setResidual(residual []float32, i int, v, q float32) {
-	if residual != nil {
-		residual[i] = v - q
-	}
+// The sign bit and the exponent field of a float32; a value is Inf or
+// NaN exactly when the exponent field is all ones.
+const (
+	signMask = 0x80000000
+	expMask  = 0x7f800000
+)
+
+// extend grows dst by n bytes of unspecified content and returns the
+// grown slice and the new tail.
+func extend(dst []byte, n int) (grown, tail []byte) {
+	at := len(dst)
+	grown = slices.Grow(dst, n)[:at+n]
+	return grown, grown[at:]
 }
+
+// wantsFrame reports whether an Encode call has to build its frame:
+// always, unless the caller passed only deq (see WireCodec.Encode).
+func wantsFrame(dst []byte, deq []float32) bool { return dst != nil || deq == nil }
 
 // Float16Codec rounds values through IEEE half precision (2x smaller).
-// On the wire each element travels as its binary16 bits.
+// On the wire each element travels as its binary16 bits. The rounding
+// rule is halfBits'.
 type Float16Codec struct{}
 
 // Name implements Codec.
@@ -124,48 +144,103 @@ func (Float16Codec) Quantize(data []float32) {
 // EncodedSize implements WireCodec: two bytes per element.
 func (Float16Codec) EncodedSize(n int) int { return 2 * n }
 
-// maxFloat16 is the largest finite half-precision value. Encode
-// saturates to it instead of ±Inf: a finite-but-out-of-range element
-// must stay finite on the wire (an Inf frame element turns the whole
-// reduced sum Inf) and must leave a finite residual — v-Inf is -Inf,
-// which would poison the accumulator exactly like the non-finite
-// inputs the drop guard exists for.
-const maxFloat16 = 65504
+// maxHalfBits is the float32 bit pattern of 65504, the largest finite
+// half-precision value. Encode saturates to it instead of ±Inf: a
+// finite-but-out-of-range element must stay finite on the wire (an Inf
+// frame element turns the whole reduced sum Inf) and must leave a finite
+// residual — v-Inf is -Inf, which would poison the accumulator exactly
+// like the non-finite inputs the drop guard exists for.
+const maxHalfBits = 0x477fe000
 
 // Encode implements WireCodec: each element's binary16 bits,
-// little-endian, saturating to ±maxFloat16. With error feedback the
-// rounding (and saturation) error accumulates in residual instead of
-// being lost.
-func (Float16Codec) Encode(dst []byte, data, residual []float32) []byte {
-	for i := range data {
-		v, ok := efValue(data, residual, i)
-		var h uint16
-		if ok {
-			q := v
-			switch {
-			case q > maxFloat16:
-				q = maxFloat16
-			case q < -maxFloat16:
-				q = -maxFloat16
-			}
-			h = float32ToFloat16(q)
-			// The residual is measured against the ORIGINAL value, so
-			// saturation error (v - 65504) is carried forward like any
-			// other quantization error, not discarded.
-			setResidual(residual, i, v, float16ToFloat32(h))
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, h)
+// little-endian, saturating to ±65504. With error feedback the rounding
+// (and saturation) error accumulates in residual instead of being lost:
+// the residual is measured against the ORIGINAL value, so saturation
+// error (v - 65504) is carried forward like any other quantization
+// error.
+func (Float16Codec) Encode(dst []byte, data, residual, deq []float32) []byte {
+	var frame []byte
+	if wantsFrame(dst, deq) {
+		dst, frame = extend(dst, 2*len(data))
 	}
+	countDropped(halfEncode(frame, data, residual, deq))
 	return dst
+}
+
+// halfEncode is Encode's kernel: it quantizes data (plus residual) into
+// frame, residual and deq, each of which may be nil, and returns the
+// number of non-finite elements dropped.
+//
+// One pass over integer bits, no call and no data-dependent branch per
+// element other than the out-of-range test: normal and subnormal
+// results cost the same, so a gradient whose magnitudes straddle 2^-14
+// (where a branch would mispredict every other element) encodes as fast
+// as any other. The optional slices are guarded by their lengths, which
+// is also what lets the compiler drop every bounds check in the loop; it
+// is a function of its own so that the loop's few live values stay in
+// registers.
+func halfEncode(frame []byte, data, residual, deq []float32) (dropped int) {
+	for i, v := range data {
+		if i < len(residual) {
+			v += residual[i]
+		}
+		b := math.Float32bits(v)
+		a := b &^ signMask
+		if a > maxHalfBits {
+			if a >= expMask {
+				// Dropped: transmitted as +0, residual discarded (0 - 0).
+				dropped++
+				v, a, b = 0, 0, 0
+			} else {
+				a = maxHalfBits
+			}
+		}
+		h := halfBits(a) | b>>16&0x8000
+		if len(frame) >= 2 {
+			frame[0], frame[1] = byte(h), byte(h>>8)
+			frame = frame[2:]
+		}
+		q := halfToFloat[uint16(h)]
+		if i < len(residual) {
+			residual[i] = v - q
+		}
+		if i < len(deq) {
+			deq[i] = q
+		}
+	}
+	return dropped
 }
 
 // Decode implements WireCodec.
 func (Float16Codec) Decode(buf []byte, out []float32) error {
+	return halfDecode(buf, out, false)
+}
+
+// DecodeAdd implements WireCodec.
+func (Float16Codec) DecodeAdd(buf []byte, acc []float32) error {
+	return halfDecode(buf, acc, true)
+}
+
+// halfDecode expands (add false) or accumulates (add true) a frame of
+// binary16 elements: four table lookups per eight-byte load.
+func halfDecode(buf []byte, out []float32, add bool) error {
 	if len(buf) != 2*len(out) {
 		return fmt.Errorf("comm: fp16 frame is %d bytes for %d elements", len(buf), len(out))
 	}
+	for ; len(out) >= 4 && len(buf) >= 8; out, buf = out[4:], buf[8:] {
+		w := binary.LittleEndian.Uint64(buf)
+		q0, q1, q2, q3 := halfToFloat[uint16(w)], halfToFloat[uint16(w>>16)], halfToFloat[uint16(w>>32)], halfToFloat[uint16(w>>48)]
+		if add {
+			q0, q1, q2, q3 = out[0]+q0, out[1]+q1, out[2]+q2, out[3]+q3
+		}
+		out[0], out[1], out[2], out[3] = q0, q1, q2, q3
+	}
 	for i := range out {
-		out[i] = float16ToFloat32(binary.LittleEndian.Uint16(buf[2*i:]))
+		q := halfToFloat[binary.LittleEndian.Uint16(buf[2*i:])]
+		if add {
+			q = out[i] + q
+		}
+		out[i] = q
 	}
 	return nil
 }
@@ -182,7 +257,6 @@ func (Float16Codec) Decode(buf []byte, out []float32) error {
 // bucket rebuilds and process-group swaps.
 type OneBitCodec struct {
 	residual []float32
-	scratch  []byte
 }
 
 // Name implements Codec.
@@ -194,15 +268,10 @@ func (c *OneBitCodec) CompressionRatio() float64 { return 32 }
 // Quantize replaces data with sign(data+residual) * mean|data+residual|
 // and stores the quantization error for the next call.
 func (c *OneBitCodec) Quantize(data []float32) {
-	if len(data) == 0 {
-		return
-	}
 	if len(c.residual) != len(data) {
 		c.residual = make([]float32, len(data))
 	}
-	c.scratch = c.Encode(c.scratch[:0], data, c.residual)
-	// A frame we just produced always decodes.
-	_ = c.Decode(c.scratch, data)
+	c.Encode(nil, data, c.residual, data)
 }
 
 // EncodedSize implements WireCodec: a 4-byte scale plus one bit per
@@ -214,53 +283,94 @@ func (c *OneBitCodec) EncodedSize(n int) int {
 	return 4 + (n+7)/8
 }
 
+// effective materializes into vals the values an Encode call quantizes
+// — data[i]+residual[i] under error feedback, 0 for a dropped
+// non-finite element — so every later pass agrees on exactly what each
+// element is (recomputing the sum after the drop would see a DIFFERENT,
+// possibly huge-but-finite value and leak it into the residual). The
+// caller passes its deq as vals when it has one, and overwrites it in
+// place in its last pass, or a pooled buffer. Returned are the sum of
+// the finite magnitudes, accumulated in index order, and the number of
+// elements dropped.
+func effective(vals, data, residual []float32) (sumAbs float64, dropped int) {
+	vals = vals[:len(data)]
+	for i, v := range data {
+		if i < len(residual) {
+			v += residual[i]
+		}
+		if math.Float32bits(v)&expMask == expMask {
+			v = 0
+			dropped++
+		} else {
+			sumAbs += math.Abs(float64(v))
+		}
+		vals[i] = v
+	}
+	countDropped(dropped)
+	return sumAbs, dropped
+}
+
 // Encode implements WireCodec: [scale float32][sign bitmap], bit set =
 // negative. The scale is the mean magnitude over the finite values;
 // non-finite elements are dropped (treated as zero: excluded from the
 // scale, transmitted as the zero sign) instead of making the scale —
 // and every element of the frame — NaN.
-func (c *OneBitCodec) Encode(dst []byte, data, residual []float32) []byte {
+func (c *OneBitCodec) Encode(dst []byte, data, residual, deq []float32) []byte {
 	n := len(data)
 	if n == 0 {
 		return dst
 	}
-	start := len(dst)
-	dst = append(dst, make([]byte, c.EncodedSize(n))...)
-	// Materialize the combined values once so the scale pass and the
-	// sign pass agree on exactly what each element is — recomputing
-	// data[i]+residual[i] after efValue sanitized the residual would
-	// see a DIFFERENT (possibly huge-but-finite) value for a dropped
-	// element and leak it into the residual.
-	vals := make([]float32, n)
-	var meanAbs float64
-	finite := 0
-	for i := 0; i < n; i++ {
-		v, ok := efValue(data, residual, i)
-		vals[i] = v // 0 when dropped
-		if ok {
-			meanAbs += math.Abs(float64(v))
-			finite++
-		}
+	vals := deq
+	if vals == nil {
+		vals = transport.GetFloats(n)
+		defer transport.PutFloats(vals)
 	}
+	sumAbs, dropped := effective(vals, data, residual)
 	var scale float32
-	if finite > 0 {
-		scale = float32(meanAbs / float64(finite))
+	if finite := n - dropped; finite > 0 {
+		scale = float32(sumAbs / float64(finite))
 	}
-	binary.LittleEndian.PutUint32(dst[start:], math.Float32bits(scale))
-	bitmap := dst[start+4:]
+	var bitmap []byte
+	if wantsFrame(dst, deq) {
+		var frame []byte
+		dst, frame = extend(dst, c.EncodedSize(n))
+		binary.LittleEndian.PutUint32(frame, math.Float32bits(scale))
+		bitmap = frame[4:]
+		clear(bitmap)
+	}
+	// The sign of a gradient element is a coin flip, so the pass takes
+	// it from the bits instead of branching on it: negative means sign
+	// bit set and magnitude nonzero (v < 0 is false for -0, and vals
+	// holds no NaN).
+	scaleBits := math.Float32bits(scale)
 	for i, v := range vals {
-		q := scale
-		if v < 0 {
-			q = -scale
-			bitmap[i/8] |= 1 << (i % 8)
+		b := math.Float32bits(v)
+		neg := (b & (b&^signMask + signMask - 1)) >> 31
+		q := math.Float32frombits(scaleBits | neg<<31)
+		if i>>3 < len(bitmap) {
+			bitmap[i>>3] |= byte(neg << (i & 7))
 		}
-		setResidual(residual, i, v, q)
+		if i < len(residual) {
+			residual[i] = v - q
+		}
+		if i < len(deq) {
+			deq[i] = q
+		}
 	}
 	return dst
 }
 
 // Decode implements WireCodec.
 func (c *OneBitCodec) Decode(buf []byte, out []float32) error {
+	return c.decode(buf, out, false)
+}
+
+// DecodeAdd implements WireCodec.
+func (c *OneBitCodec) DecodeAdd(buf []byte, acc []float32) error {
+	return c.decode(buf, acc, true)
+}
+
+func (c *OneBitCodec) decode(buf []byte, out []float32, add bool) error {
 	n := len(out)
 	if len(buf) != c.EncodedSize(n) {
 		return fmt.Errorf("comm: 1bit frame is %d bytes for %d elements", len(buf), n)
@@ -268,14 +378,15 @@ func (c *OneBitCodec) Decode(buf []byte, out []float32) error {
 	if n == 0 {
 		return nil
 	}
-	scale := math.Float32frombits(binary.LittleEndian.Uint32(buf))
+	scaleBits := binary.LittleEndian.Uint32(buf)
 	bitmap := buf[4:]
 	for i := range out {
-		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			out[i] = -scale
-		} else {
-			out[i] = scale
+		// A set bit negates the scale: flip its sign bit, branch-free.
+		q := math.Float32frombits(scaleBits ^ uint32(bitmap[i>>3]>>(i&7)&1)<<31)
+		if add {
+			q = out[i] + q
 		}
+		out[i] = q
 	}
 	return nil
 }
@@ -296,7 +407,6 @@ type TopKCodec struct {
 	K float64
 
 	residual []float32
-	scratch  []byte
 }
 
 // fraction returns the effective kept fraction.
@@ -333,14 +443,10 @@ func (c *TopKCodec) CompressionRatio() float64 { return 1 / (2 * c.fraction()) }
 // Quantize keeps the top-K fraction in place, zeroing the rest into an
 // internal error-feedback residual.
 func (c *TopKCodec) Quantize(data []float32) {
-	if len(data) == 0 {
-		return
-	}
 	if len(c.residual) != len(data) {
 		c.residual = make([]float32, len(data))
 	}
-	c.scratch = c.Encode(c.scratch[:0], data, c.residual)
-	_ = c.Decode(c.scratch, data)
+	c.Encode(nil, data, c.residual, data)
 }
 
 // EncodedSize implements WireCodec: a 4-byte count plus 8 bytes per
@@ -358,8 +464,9 @@ func (c *TopKCodec) EncodedSize(n int) int {
 // tie-breaking — a deterministic total order, found by quickselect in
 // O(n) expected time (this runs per bucket per iteration; a full sort
 // of multi-million-element buckets would eat the latency the
-// compression buys). Indices are emitted ascending.
-func (c *TopKCodec) Encode(dst []byte, data, residual []float32) []byte {
+// compression buys). Indices are emitted strictly ascending, and Decode
+// accepts nothing else.
+func (c *TopKCodec) Encode(dst []byte, data, residual, deq []float32) []byte {
 	n := len(data)
 	if n == 0 {
 		return dst
@@ -368,14 +475,18 @@ func (c *TopKCodec) Encode(dst []byte, data, residual []float32) []byte {
 	// goroutine-safe (one codec serves concurrent collectives), and a
 	// 25MB bucket would otherwise allocate ~12n bytes of garbage per
 	// call on the hot path.
-	vp := topkValsPool.Get().(*[]float32)
-	vals := growFloat32(*vp, n)
-	defer func() { *vp = vals; topkValsPool.Put(vp) }()
-	for i := range data {
-		vals[i], _ = efValue(data, residual, i)
+	vals := deq
+	if vals == nil {
+		vals = transport.GetFloats(n)
+		defer transport.PutFloats(vals)
 	}
+	effective(vals, data, residual)
 	ip := topkIdxPool.Get().(*[]int)
-	idx := growInt(*ip, n)
+	idx := *ip
+	if cap(idx) < n {
+		idx = make([]int, n)
+	}
+	idx = idx[:n]
 	defer func() { *ip = idx; topkIdxPool.Put(ip) }()
 	for i := range idx {
 		idx[i] = i
@@ -384,52 +495,39 @@ func (c *TopKCodec) Encode(dst []byte, data, residual []float32) []byte {
 	selectTopK(idx, vals, k)
 	sel := idx[:k]
 	sort.Ints(sel)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
-	for _, i := range sel {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+	if wantsFrame(dst, deq) {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
+		for _, i := range sel {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+		}
+		for _, i := range sel {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(vals[i]))
+		}
 	}
-	for _, i := range sel {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(vals[i]))
+	if residual == nil && deq == nil {
+		return dst
 	}
-	if residual != nil {
-		// sel is ascending: one two-pointer pass splits transmitted
-		// (residual zeroed — the value went out exactly) from carried.
-		s := 0
-		for i := range vals {
-			if s < len(sel) && sel[s] == i {
-				residual[i] = 0
-				s++
-			} else {
-				residual[i] = vals[i]
-			}
+	// sel is ascending: one two-pointer pass splits transmitted (the
+	// value went out exactly: it stays in deq and leaves no residual)
+	// from carried (all of it stays behind; the frame decodes to zero).
+	s := 0
+	for i, carried := range vals {
+		if s < len(sel) && sel[s] == i {
+			s++
+			carried = 0
+		} else if i < len(deq) {
+			deq[i] = 0
+		}
+		if i < len(residual) {
+			residual[i] = carried
 		}
 	}
 	return dst
 }
 
-// topkValsPool / topkIdxPool recycle Encode's selection scratch across
-// calls and goroutines.
-var (
-	topkValsPool = sync.Pool{New: func() any { return new([]float32) }}
-	topkIdxPool  = sync.Pool{New: func() any { return new([]int) }}
-)
-
-// growFloat32 returns buf resized to n elements, reallocating only when
-// capacity is insufficient.
-func growFloat32(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
-	}
-	return buf[:n]
-}
-
-// growInt is growFloat32 for int slices.
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
+// topkIdxPool recycles Encode's selection scratch across calls and
+// goroutines.
+var topkIdxPool = sync.Pool{New: func() any { return new([]int) }}
 
 // topKRanks reports whether element a outranks element b in top-k
 // selection: greater magnitude first, ascending index on ties. A total
@@ -478,6 +576,17 @@ func selectTopK(idx []int, vals []float32, k int) {
 
 // Decode implements WireCodec: zero the output and scatter the pairs.
 func (c *TopKCodec) Decode(buf []byte, out []float32) error {
+	return c.decode(buf, out, false)
+}
+
+// DecodeAdd implements WireCodec. The elements between the pairs get
+// the +0 Decode would have written added to them, not skipped: that is
+// what turns a -0 in acc into the +0 the unfused fold leaves.
+func (c *TopKCodec) DecodeAdd(buf []byte, acc []float32) error {
+	return c.decode(buf, acc, true)
+}
+
+func (c *TopKCodec) decode(buf []byte, out []float32, add bool) error {
 	n := len(out)
 	if n == 0 {
 		if len(buf) != 0 {
@@ -492,86 +601,95 @@ func (c *TopKCodec) Decode(buf []byte, out []float32) error {
 	if k < 0 || k > n || len(buf) != 4+8*k {
 		return fmt.Errorf("comm: topk frame claims %d pairs in %d bytes for %d elements", k, len(buf), n)
 	}
-	for i := range out {
-		out[i] = 0
+	idxs, vals := buf[4:4+4*k], buf[4+4*k:]
+	if !add {
+		clear(out)
 	}
-	idxs := buf[4:]
-	valBase := 4 + 4*k
-	for j := 0; j < k; j++ {
-		i := int(binary.LittleEndian.Uint32(idxs[4*j:]))
-		if i >= n {
-			return fmt.Errorf("comm: topk index %d out of range [0,%d)", i, n)
+	next := 0 // the first element no pair has covered yet
+	for j := 0; j < len(idxs); j += 4 {
+		i := int(binary.LittleEndian.Uint32(idxs[j:]))
+		if i < next || i >= n {
+			return fmt.Errorf("comm: topk index %d out of order or range [%d,%d)", i, next, n)
 		}
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[valBase+4*j:]))
+		v := math.Float32frombits(binary.LittleEndian.Uint32(vals[j:]))
+		if add {
+			for ; next < i; next++ {
+				out[next] += 0
+			}
+			v = out[i] + v
+		}
+		out[i] = v
+		next = i + 1
+	}
+	for ; add && next < n; next++ {
+		out[next] += 0
 	}
 	return nil
 }
 
-// Float16Round converts f to IEEE 754 half precision and back,
-// round-to-nearest-even, saturating to ±Inf outside the range.
+// Float16Round converts f to IEEE 754 half precision and back under
+// halfBits' rounding rule, saturating to ±Inf outside the range (Encode
+// saturates to ±65504 instead). A NaN comes back as the infinity of its
+// sign, as it always has here; Encode never sees one (the drop guard).
 func Float16Round(f float32) float32 {
-	return float16ToFloat32(float32ToFloat16(f))
-}
-
-// float32ToFloat16 converts to binary16 representation bits.
-func float32ToFloat16(f float32) uint16 {
-	bits := math.Float32bits(f)
-	sign := uint16(bits>>16) & 0x8000
-	exp := int32(bits>>23&0xff) - 127 + 15
-	mant := bits & 0x7fffff
-
-	switch {
-	case exp <= 0:
-		if exp < -10 {
-			return sign // underflow to zero
-		}
-		// Subnormal: shift mantissa (with implicit leading 1).
-		mant |= 0x800000
-		shift := uint32(14 - exp)
-		half := uint32(1) << (shift - 1)
-		rounded := (mant + half) >> shift
-		return sign | uint16(rounded)
-	case exp >= 0x1f:
-		if exp == 128-127+15 && mant != 0 {
-			return sign | 0x7e00 // NaN
-		}
-		return sign | 0x7c00 // Inf / overflow
-	default:
-		// Round mantissa from 23 to 10 bits, to nearest even.
-		rounded := mant + 0xfff + ((mant >> 13) & 1)
-		if rounded&0x800000 != 0 {
-			rounded = 0
-			exp++
-			if exp >= 0x1f {
-				return sign | 0x7c00
-			}
-		}
-		return sign | uint16(exp)<<10 | uint16(rounded>>13)
+	b := math.Float32bits(f)
+	a := b &^ signMask
+	h := uint32(0x7c00) // 65536 and beyond
+	if a < 0x47800000 {
+		h = halfBits(a) // [65520, 65536) rounds up to 0x7c00 by itself
 	}
+	return halfToFloat[uint16(h|b>>16&0x8000)]
 }
 
-// float16ToFloat32 expands binary16 bits to float32.
-func float16ToFloat32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1f)
-	mant := uint32(h & 0x3ff)
-	switch exp {
-	case 0:
-		if mant == 0 {
-			return math.Float32frombits(sign)
+// halfBits rounds a non-negative float32 below 65536, given as its bit
+// pattern, to binary16 bits. The rule is the one this repository has
+// always shipped, kept bit for bit because frames, residuals and
+// therefore training trajectories depend on it:
+//
+//   - a normal result (|x| >= 2^-14) is rounded to nearest, ties to even;
+//   - a subnormal result (|x| < 2^-14, a multiple of 2^-24) is rounded
+//     to nearest with ties UP (half-up): 2^-25 becomes 2^-24, 2.5*2^-24
+//     becomes 3*2^-24. Anything below 2^-25 becomes zero (the caller
+//     keeps the sign, so -1e-9 becomes -0).
+//
+// Both candidates are computed and one is selected by a mask, so the
+// cost does not depend on which side of 2^-14 the input falls.
+//
+// Normal: rebias the exponent (127 -> 15, i.e. subtract 112<<23), add
+// just under half a unit of the 13 dropped mantissa bits plus the lowest
+// kept bit, and shift; a mantissa that rounds up to 2 carries into the
+// exponent by itself.
+//
+// Subnormal: adding 0.5 makes the float adder do the work — in
+// [0.5, 1) a float32 is a multiple of 2^-24, so the sum's mantissa IS
+// the input rounded to a multiple of 2^-24. The adder rounds ties to
+// even; setting the input's lowest bit first nudges an exact tie (whose
+// low bits are all zero) just above it and moves no other input across
+// a rounding boundary, which turns that into half-up.
+func halfBits(a uint32) uint32 {
+	normal := (a - 112<<23 + 0xfff + a>>13&1) >> 13
+	subnormal := math.Float32bits(math.Float32frombits(a|1)+0.5) - math.Float32bits(0.5)
+	isSub := uint32(int32(a-113<<23) >> 31) // all ones below 2^-14
+	return normal ^ (normal^subnormal)&isSub
+}
+
+// halfToFloat maps every binary16 bit pattern to its float32 value
+// (256 KB, filled at package init), so decoding an element is one load.
+var halfToFloat [1 << 16]float32
+
+func init() {
+	for h := range halfToFloat {
+		exp, mant := uint32(h>>10&0x1f), uint32(h&0x3ff)
+		var f float32
+		switch exp {
+		case 0: // zero or subnormal: mant * 2^-24, exact
+			f = float32(mant) / (1 << 24)
+		case 0x1f: // Inf, NaN
+			f = math.Float32frombits(expMask | mant<<13)
+		default:
+			f = math.Float32frombits((exp+112)<<23 | mant<<13)
 		}
-		// Subnormal: normalize.
-		e := uint32(127 - 15 + 1)
-		for mant&0x400 == 0 {
-			mant <<= 1
-			e--
-		}
-		mant &= 0x3ff
-		return math.Float32frombits(sign | e<<23 | mant<<13)
-	case 0x1f:
-		return math.Float32frombits(sign | 0xff<<23 | mant<<13)
-	default:
-		return math.Float32frombits(sign | (exp+127-15)<<23 | mant<<13)
+		halfToFloat[h] = math.Float32frombits(math.Float32bits(f) | uint32(h&0x8000)<<16)
 	}
 }
 

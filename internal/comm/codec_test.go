@@ -137,7 +137,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	for _, c := range wireCodecs() {
 		for ti, in := range inputs {
 			data := append([]float32(nil), in...)
-			frame := c.Encode(nil, data, nil)
+			frame := c.Encode(nil, data, nil, nil)
 			if len(frame) > c.EncodedSize(len(in)) {
 				t.Fatalf("%s case %d: frame %d bytes exceeds EncodedSize %d", c.Name(), ti, len(frame), c.EncodedSize(len(in)))
 			}
@@ -189,7 +189,7 @@ func TestWireCodecDecodeRejectsBadFrames(t *testing.T) {
 	}
 	// topk frame with an out-of-range index.
 	tk := &TopKCodec{}
-	frame := tk.Encode(nil, []float32{1, 2, 3, 4}, nil)
+	frame := tk.Encode(nil, []float32{1, 2, 3, 4}, nil, nil)
 	frame[4] = 0xff // first index -> 255
 	if err := tk.Decode(frame, make([]float32, 4)); err == nil {
 		t.Fatal("topk: out-of-range index decoded")
@@ -207,7 +207,7 @@ func TestCodecNonFiniteGuard(t *testing.T) {
 		data := []float32{1, inf, -2, nan, 3}
 		residual := make([]float32, len(data))
 		before := DroppedNonFinite()
-		frame := c.Encode(nil, data, residual)
+		frame := c.Encode(nil, data, residual, nil)
 		if got := DroppedNonFinite() - before; got != 2 {
 			t.Fatalf("%s: dropped counter advanced by %d, want 2", c.Name(), got)
 		}
@@ -226,7 +226,7 @@ func TestCodecNonFiniteGuard(t *testing.T) {
 			}
 		}
 		// A second encode must keep working with sane values.
-		c.Encode(nil, []float32{1, -1}, residual[:2])
+		c.Encode(nil, []float32{1, -1}, residual[:2], nil)
 		for _, r := range residual[:2] {
 			if math.IsNaN(float64(r)) {
 				t.Fatalf("%s: residual poisoned after recovery", c.Name())
@@ -265,7 +265,7 @@ func TestTopKCodecSelection(t *testing.T) {
 	c := &TopKCodec{K: 0.4} // keep 2 of 5
 	data := []float32{0.1, -5, 0.2, 4, -0.3}
 	residual := make([]float32, 5)
-	frame := c.Encode(nil, data, residual)
+	frame := c.Encode(nil, data, residual, nil)
 	out := make([]float32, 5)
 	if err := c.Decode(frame, out); err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestTopKCodecSelection(t *testing.T) {
 	// With feedback, the residual rides into the next frame: 0.3 is now
 	// the biggest leftover and must be selected once data is quiet.
 	quiet := make([]float32, 5)
-	frame2 := c.Encode(nil, quiet, residual)
+	frame2 := c.Encode(nil, quiet, residual, nil)
 	if err := c.Decode(frame2, out); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestErrorFeedbackAccumulates(t *testing.T) {
 		const iters = 400
 		out := make([]float32, len(truth))
 		for it := 0; it < iters; it++ {
-			frame := c.Encode(nil, truth, residual)
+			frame := c.Encode(nil, truth, residual, nil)
 			if err := c.Decode(frame, out); err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +371,7 @@ func TestOneBitOverflowingResidualDropped(t *testing.T) {
 	c := &OneBitCodec{}
 	data := []float32{3e38, 1, -1}
 	residual := []float32{3e38, 0, 0} // 3e38+3e38 overflows float32
-	frame := c.Encode(nil, data, residual)
+	frame := c.Encode(nil, data, residual, nil)
 	out := make([]float32, 3)
 	if err := c.Decode(frame, out); err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func TestFloat16SaturationKeepsResidualFinite(t *testing.T) {
 	c := Float16Codec{}
 	data := []float32{1e5, -1e5, 1}
 	residual := make([]float32, 3)
-	frame := c.Encode(nil, data, residual)
+	frame := c.Encode(nil, data, residual, nil)
 	out := make([]float32, 3)
 	if err := c.Decode(frame, out); err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestFloat16SaturationKeepsResidualFinite(t *testing.T) {
 		t.Fatalf("saturation error must be carried in the residual: %v", residual)
 	}
 	// Without error feedback the wire stays finite too.
-	frame = c.Encode(nil, []float32{1e6}, nil)
+	frame = c.Encode(nil, []float32{1e6}, nil, nil)
 	if err := c.Decode(frame, out[:1]); err != nil {
 		t.Fatal(err)
 	}

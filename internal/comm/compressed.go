@@ -49,45 +49,54 @@ func CompressedAllReduce(pg ProcessGroup, data []float32, op ReduceOp, codec Wir
 	if gc, ok := pg.(GradientCompressor); ok {
 		return gc.CompressedAllReduce(data, op, codec, residual)
 	}
-	// Generic fallback: quantize in place, reduce exactly. The residual
-	// is committed only if the AllReduce succeeds (see the meshGroup
-	// method for why a failed collective must not update it).
-	var pre []float32
-	if residual != nil {
-		pre = append([]float32(nil), residual...)
-	}
-	if err := quantizeThrough(codec, data, residual); err != nil {
-		if residual != nil {
-			copy(residual, pre)
-		}
-		return CompletedWork(err)
-	}
-	w := pg.AllReduce(data, op)
-	if residual == nil {
-		return w
-	}
-	return &residualGuard{inner: w, residual: residual, pre: pre}
+	// Generic fallback: quantize in place, reduce exactly.
+	backup := backUpResidual(residual)
+	quantizeThrough(codec, data, residual)
+	return &residualGuard{inner: pg.AllReduce(data, op), backup: backup}
 }
 
-// residualGuard rolls a residual vector back to its pre-collective
-// contents when the wrapped Work fails.
+// residualBackup makes a collective's residual update transactional: the
+// collective updates the caller's residual in place, and a failure puts
+// the pre-collective contents back. A collective aborted mid-flight (the
+// elastic failure path) transmitted nothing, so the residual must not
+// claim it did — a half-updated accumulator would skew every subsequent
+// gradient, and nondeterministically, since the abort point depends on
+// timing. The caller reads its residual only after Wait, so the
+// intermediate state is never observed. A nil residual backs up to
+// nothing.
+type residualBackup struct {
+	residual, pre []float32
+}
+
+func backUpResidual(residual []float32) residualBackup {
+	pre := transport.GetFloats(len(residual))
+	copy(pre, residual)
+	return residualBackup{residual, pre}
+}
+
+// settle ends the transaction under the collective's outcome, which it
+// returns: the update stands on success and is undone on failure.
+func (b residualBackup) settle(err error) error {
+	if err != nil {
+		copy(b.residual, b.pre)
+	}
+	transport.PutFloats(b.pre)
+	return err
+}
+
+// residualGuard settles a residual backup when the wrapped Work
+// completes.
 type residualGuard struct {
-	inner    Work
-	once     sync.Once
-	residual []float32
-	pre      []float32
-	err      error
+	inner  Work
+	backup residualBackup
+	once   sync.Once
+	err    error
 }
 
 // Wait reports the wrapped collective's result, undoing the residual
 // update on failure.
 func (w *residualGuard) Wait() error {
-	w.once.Do(func() {
-		w.err = w.inner.Wait()
-		if w.err != nil {
-			copy(w.residual, w.pre)
-		}
-	})
+	w.once.Do(func() { w.err = w.backup.settle(w.inner.Wait()) })
 	return w.err
 }
 
@@ -104,38 +113,26 @@ func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec WireC
 	algo := g.resolveAlgorithm(len(data))
 	return g.submitCompressed(data, codec, residual,
 		func(start time.Time) { observeAllReduce("compressed", len(data), start, nil) },
-		func(tag uint64, shadow []float32) (int, error) {
-			return compressedAllReduce(g.mesh, tag, data, op, codec, shadow, algo, g.topo)
+		func(tag uint64) (int, error) {
+			return compressedAllReduce(g.mesh, tag, data, op, codec, residual, algo, g.topo)
 		})
 }
 
 // submitCompressed submits one compressed collective. run receives the
-// reserved tag and the residual to update, and returns the encoded
-// bytes this rank shipped; observe records the success.
-//
-// Residual updates are transactional: the collective runs against a
-// shadow copy that is committed only on success. A collective aborted
-// mid-flight (the elastic failure path) transmitted nothing, so the
-// residual must not claim it did — a half-updated accumulator would
-// skew every subsequent gradient, and nondeterministically, since the
-// abort point depends on timing.
-func (g *meshGroup) submitCompressed(data []float32, codec WireCodec, residual []float32, observe func(start time.Time), run func(tag uint64, shadow []float32) (int, error)) Work {
+// reserved tag and returns the encoded bytes this rank shipped; observe
+// records the success. The residual update is transactional (see
+// residualBackup).
+func (g *meshGroup) submitCompressed(data []float32, codec WireCodec, residual []float32, observe func(start time.Time), run func(tag uint64) (int, error)) Work {
 	if residual != nil && len(residual) != len(data) {
 		return CompletedWork(fmt.Errorf("comm: residual has %d elements for %d data elements", len(residual), len(data)))
 	}
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
-		shadow := residual
-		if residual != nil {
-			shadow = transport.GetFloats(len(residual))
-			defer transport.PutFloats(shadow)
-			copy(shadow, residual)
-		}
-		wire, err := run(tag, shadow)
-		if err != nil {
+		backup := backUpResidual(residual)
+		wire, err := run(tag)
+		if backup.settle(err) != nil {
 			return err
 		}
-		copy(residual, shadow)
 		observe(start)
 		if wire > 0 {
 			mCompressedWireBytes.With(codec.Name()).Observe(float64(wire))
@@ -156,42 +153,41 @@ func (r *RoundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec Wire
 
 // quantizeThrough applies codec's wire round trip to data in place —
 // the degradation a compressed transfer would have produced — updating
-// residual under error feedback.
-func quantizeThrough(codec WireCodec, data, residual []float32) error {
-	if len(data) == 0 {
-		return nil
-	}
-	frame := encodePooled(codec, data, residual)
-	defer transport.PutBytes(frame)
-	if err := codec.Decode(frame, data); err != nil {
-		return fmt.Errorf("comm: codec %s round trip: %w", codec.Name(), err)
-	}
-	return nil
+// residual under error feedback. One pass, and no frame: nobody would
+// receive it.
+func quantizeThrough(codec WireCodec, data, residual []float32) {
+	codec.Encode(nil, data, residual, data)
 }
 
 // encodePooled encodes data into a buffer from the transport's pool;
 // the caller hands the frame back with transport.PutBytes once nothing
-// reads it any more.
-func encodePooled(codec WireCodec, data, residual []float32) []byte {
-	return codec.Encode(transport.GetBytes(codec.EncodedSize(len(data)))[:0], data, residual)
+// reads it any more. deq is Encode's.
+func encodePooled(codec WireCodec, data, residual, deq []float32) []byte {
+	return codec.Encode(transport.GetBytes(codec.EncodedSize(len(data)))[:0], data, residual, deq)
 }
 
 // compressedAllReduce is the wire-level compressed AllReduce: a
 // reduce-scatter + all-gather in which every frame is the codec's byte
-// representation riding the transport's byte lanes.
+// representation riding the transport's byte lanes. The buffer is split
+// into k chunks, chunk j owned by rank j.
 //
-// Stage 1 (compressed reduce-scatter): the buffer is split into k
-// chunks, chunk j owned by rank j. Every rank encodes each chunk — with
-// its slice of the error-feedback residual — and sends frame j to rank
-// j. The owner decodes all k contributions (its own included, so every
-// contribution passes through the same quantization) and folds them in
-// rank order.
+// Stage 1 (compressed reduce-scatter, compressedReduceScatterChunks):
+// every rank quantizes each chunk — with its slice of the error-feedback
+// residual — and sends frame j to rank j; the owner folds the k
+// dequantized contributions, its own included, in rank order.
 //
 // Stage 2 (compressed all-gather): each owner re-encodes its reduced
 // chunk (no residual: this second quantization is of the already-
-// reduced sum) and broadcasts the frame; every rank — the owner too —
-// decodes the identical bytes, so all ranks finish bitwise-identical,
-// the invariant DDP's replica consistency rests on.
+// reduced sum) and broadcasts the frame. The encoding pass leaves in
+// the owner's chunk the values its frame decodes to, and every other
+// rank decodes the identical bytes, so all ranks finish
+// bitwise-identical, the invariant DDP's replica consistency rests on.
+//
+// A rank never builds, ships or decodes a frame for itself: what Decode
+// of that frame would have yielded comes out of Encode's deq in the
+// quantizing pass. Nor does it hold the frames back: exchange asks for
+// frame j when it is about to send it, so each is on the wire as soon
+// as it exists and the rank's own quantization runs while they fly.
 //
 // Per rank the wire carries 2(k-1) compressed chunk frames instead of
 // the flat ring's 2(k-1) float32 chunks: the full codec ratio, minus
@@ -209,9 +205,7 @@ func encodePooled(codec WireCodec, data, residual []float32) []byte {
 func compressedAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, codec WireCodec, residual []float32, algo Algorithm, topo *Topology) (int, error) {
 	bm, ok := compressedLanes(m, op)
 	if !ok {
-		if err := quantizeThrough(codec, data, residual); err != nil {
-			return 0, err
-		}
+		quantizeThrough(codec, data, residual)
 		return 0, allReduce(m, tag, algo, topo, data, op)
 	}
 	k, rank := m.Size(), m.Rank()
@@ -223,18 +217,19 @@ func compressedAllReduce(m transport.Mesh, tag uint64, data []float32, op Reduce
 		return hierarchicalAllReduce(m, tag, data, op, topo, codec, residual)
 	}
 
-	acc, wire, err := compressedReduceScatterChunks(m, bm, tag, data, codec, residual)
+	wire, err := compressedReduceScatterChunks(m, bm, tag, data, codec, residual)
 	if err != nil {
 		return 0, err
 	}
 
-	// Stage 2: broadcast the re-encoded reduced chunk; decode everyone's
-	// (own included — all ranks must hold the decode of the same bytes).
-	reduced := encodePooled(codec, acc, nil)
-	transport.PutFloats(acc)
+	// Stage 2: broadcast the re-encoded reduced chunk, keeping what it
+	// decodes to, and decode everyone else's.
+	lo, hi := chunkBounds(len(data), k, rank)
+	reduced := encodePooled(codec, data[lo:hi], nil, data[lo:hi])
 	defer transport.PutBytes(reduced) // exchange has joined every send by then
 	wire += (k - 1) * len(reduced)
-	err = exchange(byteLane(bm), tag, rank, otherRanks(k, rank), allRanks(k),
+	peers := otherRanks(k, rank)
+	err = exchange(byteLane(bm), tag, rank, peers, peers,
 		func(int) []byte { return reduced },
 		func(r int, frame []byte) error {
 			lo, hi := chunkBounds(len(data), k, r)
@@ -265,54 +260,65 @@ func compressedLanes(m transport.Mesh, op ReduceOp) (transport.ByteMesh, bool) {
 }
 
 // compressedReduceScatterChunks is stage 1 of the compressed schedule —
-// a compressed reduce-scatter over chunkBounds chunks: every rank
-// encodes each chunk of data (with its slice of the error-feedback
-// residual) and ships frame j to rank j; the owner decodes all k
-// contributions (its own included, so every contribution passes through
-// the same quantization) and folds them in rank order.
+// a compressed reduce-scatter over chunkBounds chunks, in place: every
+// rank encodes each peer's chunk of data (with its slice of the
+// error-feedback residual) and ships frame j to rank j, and leaves in
+// its own chunk of data the EXACT float32 fold, in rank order, of the k
+// dequantized contributions — every one of them, its own included,
+// passed through the same quantization. The caller decides whether to
+// re-quantize that fold (compressedAllReduce's stage 2) or consume it
+// exactly (the ZeRO-2/3 gradient-shard path, where the reduced chunk
+// feeds the local optimizer shard and is never re-broadcast). The other
+// chunks of data are not modified. Returned are the encoded payload
+// bytes this rank put on the byte lanes; every pooled buffer used here
+// has gone back by the time the function returns.
 //
-// It returns the EXACT float32 fold of the decoded contributions for
-// this rank's own chunk — the caller decides whether to re-quantize it
-// (compressedAllReduce's stage 2) or consume it exactly (the ZeRO-2/3
-// gradient-shard path, where the reduced chunk feeds the local
-// optimizer shard and is never re-broadcast) — plus the encoded payload
-// bytes this rank put on the byte lanes. data itself is not modified.
-// The fold is a buffer from the transport's pool, the caller's to hand
-// back (transport.PutFloats); every other buffer used here has gone
-// back by the time the function returns.
-func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag uint64, data []float32, codec WireCodec, residual []float32) ([]float32, int, error) {
+// Rank 0's contribution opens the fold, so it is quantized in place.
+// Any other rank quantizes its own into a side buffer — while its frames
+// and rank 0's are in flight — and adds it when its turn in the order
+// comes; peers' frames are decode-added as they arrive.
+func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag uint64, data []float32, codec WireCodec, residual []float32) (int, error) {
 	k, rank := m.Size(), m.Rank()
-	n := len(data)
-	wire := 0
-
-	encs := make([][]byte, k)
-	for j := 0; j < k; j++ {
-		lo, hi := chunkBounds(n, k, j)
-		var res []float32
+	chunk := func(j int) (d, res []float32) {
+		lo, hi := chunkBounds(len(data), k, j)
 		if residual != nil {
 			res = residual[lo:hi]
 		}
-		encs[j] = encodePooled(codec, data[lo:hi], res)
-		if j != rank {
-			wire += len(encs[j])
-		}
+		return data[lo:hi], res
 	}
-
-	lo, hi := chunkBounds(n, k, rank)
-	acc := transport.GetFloats(hi - lo)
-	scratch := transport.GetFloats(hi - lo)
+	acc, accRes := chunk(rank)
+	own := acc
+	if rank > 0 {
+		own = transport.GetFloats(len(acc))
+		defer transport.PutFloats(own)
+	}
+	wire := 0
+	encs := make([][]byte, k)
 	err := exchange(byteLane(bm), tag, rank, otherRanks(k, rank), allRanks(k),
-		func(j int) []byte { return encs[j] },
+		func(j int) []byte {
+			if j == rank {
+				codec.Encode(nil, acc, accRes, own)
+				return nil
+			}
+			d, res := chunk(j)
+			encs[j] = encodePooled(codec, d, res, nil)
+			wire += len(encs[j])
+			return encs[j]
+		},
 		func(r int, frame []byte) error {
-			dst := acc
-			if r > 0 {
-				dst = scratch
+			var err error
+			switch {
+			case r == rank:
+				if rank > 0 {
+					reduceInto(acc, own, Sum)
+				}
+			case r == 0:
+				err = codec.Decode(frame, acc)
+			default:
+				err = codec.DecodeAdd(frame, acc)
 			}
-			if err := codec.Decode(frame, dst); err != nil {
+			if err != nil {
 				return fmt.Errorf("comm: decoding chunk contribution from rank %d: %w", r, err)
-			}
-			if r > 0 {
-				reduceInto(acc, scratch, Sum)
 			}
 			return nil
 		})
@@ -320,12 +326,7 @@ func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag 
 	for _, enc := range encs {
 		transport.PutBytes(enc)
 	}
-	transport.PutFloats(scratch)
-	if err != nil {
-		transport.PutFloats(acc)
-		return nil, 0, err
-	}
-	return acc, wire, nil
+	return wire, err
 }
 
 var _ GradientCompressor = (*meshGroup)(nil)

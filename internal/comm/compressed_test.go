@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -407,5 +408,258 @@ func TestErrorFeedbackConvergence(t *testing.T) {
 	}
 	if withoutEF < 4*withEF {
 		t.Fatalf("without error feedback, 1-bit descent should stall well above the feedback run (%.4f vs %.4f)", withoutEF, withEF)
+	}
+}
+
+// compressedReference is the sequential statement of the compressed
+// collectives, written the way they first shipped and over the scalar
+// oracle (codec_ref_test.go): for every chunk, EVERY contribution — the
+// owner's included — goes through encode then decode (with its rank's
+// residual slice), the decoded contributions are folded in rank order,
+// and the fold is the reduce-scatter's result; the all-reduce re-encodes
+// it (no residual) and every rank holds the decode of those bytes,
+// scaled once for Avg. A world of one quantizes its whole buffer once.
+// residuals[r] is nil or rank r's accumulator, updated in place.
+func compressedReference(rc refCodec, inputs, residuals [][]float32, op ReduceOp, requantize bool) []float32 {
+	k, n := len(inputs), len(inputs[0])
+	roundTrip := func(dst, data, residual []float32) {
+		frame := rc.encode(nil, data, residual)
+		if err := rc.decode(frame, dst); err != nil {
+			panic(err)
+		}
+	}
+	out := make([]float32, n)
+	if k == 1 {
+		roundTrip(out, inputs[0], residuals[0])
+		return out
+	}
+	for owner := 0; owner < k; owner++ {
+		lo, hi := chunkBounds(n, k, owner)
+		acc, scratch := out[lo:hi], make([]float32, hi-lo)
+		for r := 0; r < k; r++ {
+			var res []float32
+			if residuals[r] != nil {
+				res = residuals[r][lo:hi]
+			}
+			if r == 0 {
+				roundTrip(acc, inputs[r][lo:hi], res)
+				continue
+			}
+			roundTrip(scratch, inputs[r][lo:hi], res)
+			reduceRange(acc, scratch, Sum)
+		}
+		if requantize {
+			roundTrip(acc, slices.Clone(acc), nil)
+		}
+	}
+	finishAvg(out, op, k)
+	return out
+}
+
+// gradientInput is rank's contribution to round `round` of a compressed
+// agreement run: inexact magnitudes over several binades, every second
+// round shrunk so that fp16 lands in its subnormal range.
+func gradientInput(rank, n, round int) []float32 {
+	data := inexactInput(rank+31*round, n)
+	if round%2 == 1 {
+		for i := range data {
+			data[i] *= 1e-7
+		}
+	}
+	return data
+}
+
+// TestCompressedCollectivesMatchSequentialReference: the fused schedule
+// — own contribution quantized straight to floats, peers' frames
+// decode-added, the owner keeping the values of its own stage-2 encode,
+// frames built on demand, own work ahead of the first receive — leaves
+// every rank's data AND residual bitwise what the unfused two-stage
+// algorithm over the scalar codec bodies leaves: CompressedAllReduce and
+// CompressedReduceScatterV, worlds 1-9 in-proc and 2/3/5 over loopback
+// TCP, the chunking edge sizes, every codec, Sum and Avg, with and
+// without error feedback, three collectives back to back (the residual
+// of one round feeds the next).
+func TestCompressedCollectivesMatchSequentialReference(t *testing.T) {
+	type row struct {
+		tcp   bool
+		world int
+	}
+	var rows []row
+	for world := 1; world <= 9; world++ {
+		rows = append(rows, row{false, world})
+	}
+	for _, world := range []int{2, 3, 5} {
+		rows = append(rows, row{true, world})
+	}
+	for _, rw := range rows {
+		k := rw.world
+		meshes := transport.NewInProcMeshes(k)
+		if rw.tcp {
+			meshes = tcpTestMeshes(t, k)
+		}
+		groups := asSharded(t, groupsOver(meshes, Options{}))
+		for _, rc := range refCodecs()[:3] {
+			for _, n := range []int{0, 1, k - 1, k, k + 1, 4099} {
+				for _, op := range []ReduceOp{Sum, Avg} {
+					for _, feedback := range []bool{false, true} {
+						for _, scatterOnly := range []bool{false, true} {
+							name := fmt.Sprintf("tcp=%v world=%d %s n=%d %v feedback=%v scatterOnly=%v", rw.tcp, k, rc.codec.Name(), n, op, feedback, scatterOnly)
+							residuals, wantRes := make([][]float32, k), make([][]float32, k)
+							if feedback {
+								for r := range residuals {
+									residuals[r], wantRes[r] = make([]float32, n), make([]float32, n)
+								}
+							}
+							for round := 0; round < 3; round++ {
+								inputs, got := make([][]float32, k), make([][]float32, k)
+								for r := range inputs {
+									inputs[r] = gradientInput(r, n, round)
+									got[r] = slices.Clone(inputs[r])
+								}
+								errs := make([]error, k)
+								var wg sync.WaitGroup
+								for r := range groups {
+									wg.Add(1)
+									go func() {
+										defer wg.Done()
+										if scatterOnly {
+											errs[r] = groups[r].CompressedReduceScatterV(got[r], op, rc.codec, residuals[r]).Wait()
+										} else {
+											errs[r] = CompressedAllReduce(groups[r], got[r], op, rc.codec, residuals[r]).Wait()
+										}
+									}()
+								}
+								wg.Wait()
+								want := compressedReference(rc, inputs, wantRes, op, !scatterOnly)
+								for r := range groups {
+									if errs[r] != nil {
+										t.Fatalf("%s round %d rank %d: %v", name, round, r, errs[r])
+									}
+									lo, hi := 0, n
+									if scatterOnly && k > 1 {
+										lo, hi = chunkBounds(n, k, r)
+									}
+									if i := sameBits(got[r][lo:hi], want[lo:hi]); i >= 0 {
+										t.Fatalf("%s round %d rank %d: data[%d] = %v, sequential reference %v", name, round, r, lo+i, got[r][lo+i], want[lo+i])
+									}
+									if i := sameBits(residuals[r], wantRes[r]); i >= 0 {
+										t.Fatalf("%s round %d rank %d: residual[%d] = %v, sequential reference %v", name, round, r, i, residuals[r][i], wantRes[r][i])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		for _, g := range groups {
+			g.Close()
+		}
+	}
+}
+
+// TestCompressedLeaderRingMatchesSequentialReference: the compressed
+// leader ring is the exact binomial fold onto the outermost leaders,
+// compressedReference among them (their residuals only), the verbatim
+// copy back down and one scale — bitwise, data and residuals, on a
+// layout with hosts of three sizes and on one whose hosts interleave.
+func TestCompressedLeaderRingMatchesSequentialReference(t *testing.T) {
+	const k, n = 6, 1031
+	for _, layout := range []string{"uneven", "interleaved"} {
+		topo := NewTopology(hostLayouts(k)[layout])
+		leaders := topo.levelLeaders(0)
+		for _, rc := range refCodecs()[:3] {
+			for _, op := range []ReduceOp{Sum, Avg} {
+				groups := compressedHierGroups(transport.NewInProcMeshes(k), topo)
+				residuals, wantRes := make([][]float32, k), make([][]float32, len(leaders))
+				for r := range residuals {
+					residuals[r] = make([]float32, n)
+				}
+				for l := range wantRes {
+					wantRes[l] = make([]float32, n)
+				}
+				for round := 0; round < 3; round++ {
+					inputs, got := make([][]float32, k), make([][]float32, k)
+					for r := range inputs {
+						inputs[r] = gradientInput(r, n, round)
+						got[r] = slices.Clone(inputs[r])
+					}
+					runCollective(t, groups, func(rank int, g ProcessGroup) error {
+						return CompressedAllReduce(g, got[rank], op, rc.codec, residuals[rank]).Wait()
+					})
+					want := compressedReference(rc, leaderPartials(inputs, topo), wantRes, Sum, true)
+					finishAvg(want, op, k)
+					for r := range got {
+						if i := sameBits(got[r], want); i >= 0 {
+							t.Fatalf("%s %s %v round %d rank %d: data[%d] = %v, sequential reference %v", layout, rc.codec.Name(), op, round, r, i, got[r][i], want[i])
+						}
+						wantR := make([]float32, n) // a rank off the ring quantizes nothing
+						if l := slices.Index(leaders, r); l >= 0 {
+							wantR = wantRes[l]
+						}
+						if i := sameBits(residuals[r], wantR); i >= 0 {
+							t.Fatalf("%s %s %v round %d rank %d: residual[%d] = %v, want %v", layout, rc.codec.Name(), op, round, r, i, residuals[r][i], wantR[i])
+						}
+					}
+				}
+				closeAll(groups)
+			}
+		}
+	}
+}
+
+// plainGroup hides a group's GradientCompressor, so CompressedAllReduce
+// takes its generic quantize-then-AllReduce fallback.
+type plainGroup struct{ ProcessGroup }
+
+// TestAbortedCollectiveRestoresResidual: a compressed collective that
+// fails mid-exchange — the peer's mesh goes away while this rank, having
+// quantized and shipped its share and updated its residual in place,
+// waits for the peer's frame — leaves the residual bit-equal to its
+// pre-call contents: on the wire path, on the mesh's float fallback and
+// on the generic fallback, for both collectives.
+func TestAbortedCollectiveRestoresResidual(t *testing.T) {
+	const n = 1000
+	for name, tc := range map[string]struct {
+		wrapMesh  func(transport.Mesh) transport.Mesh
+		wrapGroup func(ProcessGroup) ProcessGroup
+		scatter   bool
+	}{
+		"wire":                {},
+		"wire scatter":        {scatter: true},
+		"float mesh":          {wrapMesh: func(m transport.Mesh) transport.Mesh { return floatOnly{m} }},
+		"float mesh scatter":  {wrapMesh: func(m transport.Mesh) transport.Mesh { return floatOnly{m} }, scatter: true},
+		"generic quantize":    {wrapGroup: func(g ProcessGroup) ProcessGroup { return plainGroup{g} }},
+		"generic, float mesh": {wrapMesh: func(m transport.Mesh) transport.Mesh { return floatOnly{m} }, wrapGroup: func(g ProcessGroup) ProcessGroup { return plainGroup{g} }},
+	} {
+		for _, codec := range wireCodecs()[:3] {
+			meshes := transport.NewInProcMeshes(2)
+			mesh := meshes[0]
+			if tc.wrapMesh != nil {
+				mesh = tc.wrapMesh(mesh)
+			}
+			group := NewGroup(mesh, Options{})
+			data, residual := gradientInput(0, n, 0), gradientInput(7, n, 1)
+			before := slices.Clone(residual)
+			var work Work
+			switch {
+			case tc.scatter:
+				work = group.(ShardedGroup).CompressedReduceScatterV(data, Avg, codec, residual)
+			case tc.wrapGroup != nil:
+				work = CompressedAllReduce(tc.wrapGroup(group), data, Avg, codec, residual)
+			default:
+				work = CompressedAllReduce(group, data, Avg, codec, residual)
+			}
+			// Rank 1 never joins: rank 0 has its frame out and blocks in
+			// the receive until the peer's view closes.
+			meshes[1].Close()
+			if err := work.Wait(); err == nil {
+				t.Fatalf("%s/%s: the collective succeeded without a peer", name, codec.Name())
+			}
+			if i := sameBits(residual, before); i >= 0 {
+				t.Fatalf("%s/%s: residual[%d] = %v after the abort, %v before the call", name, codec.Name(), i, residual[i], before[i])
+			}
+			group.Close()
+		}
 	}
 }

@@ -135,10 +135,32 @@
 // accumulates each element's quantization error across iterations
 // (1-bit SGD's convergence trick). DDP keys these residuals by
 // parameter identity so bucket rebuilds re-map them, and elastic
-// recovery broadcasts them with the rest of the training state.
-// Non-finite gradient elements are dropped and counted
-// (DroppedNonFinite) instead of poisoning scales and residuals with
-// NaN.
+// recovery broadcasts them with the rest of the training state. A
+// collective updates the residual in place and a failed one puts the
+// pre-call contents back (residualBackup), on the wire path and on
+// both fallbacks; read it only after Wait. Non-finite gradient elements
+// are dropped and counted (DroppedNonFinite) instead of poisoning
+// scales and residuals with NaN.
+//
+// The collective costs what its arithmetic costs. Decode defines what a
+// frame means, and two fused entry points yield the same values bit for
+// bit without the passes in between: Encode's deq out-parameter
+// receives what Decode of the produced frame yields in the pass that
+// quantizes (nil dst: no frame at all), and DecodeAdd folds a peer's
+// frame into the accumulator without a scratch buffer. So in stage 1 a
+// rank encodes chunk j when exchange is about to send it (frame j flies
+// while chunk j+1 is encoded), quantizes its own chunk straight to
+// floats between its last send and its first receive, and decode-adds
+// the peers' frames in rank order, its own values at their position; in
+// stage 2 the owner's re-encode leaves in the chunk the values its frame
+// decodes to, which is what every other rank gets from the bytes. No
+// rank ever builds, ships or decodes a frame for itself. The fp16
+// kernels are bulk loops over integer bits (both roundings computed,
+// one selected by a mask; decode through a 65 536-entry table) whose
+// rounding rule — nearest-even for normal results, half-UP for
+// subnormal ones, ±65504 saturation in Encode, ±Inf in Quantize — is
+// stated at halfBits and pinned, like every bit the codecs produce, to
+// the scalar converters kept in codec_ref_test.go.
 //
 // # Topology
 //

@@ -16,7 +16,8 @@ func fuzzWireCodecs() []WireCodec {
 // frames arrive off the network from peers, so the decoder must reject
 // (not index out of range on) any frame: truncated, oversized, a
 // frame from a different codec, or one whose embedded counts and
-// indices lie about the payload. It also checks the encode side on the
+// indices lie about the payload — and DecodeAdd must draw the same line.
+// It also checks the encode side on the
 // same input reinterpreted as floats: frames fit EncodedSize, decode
 // cleanly, and never materialize non-finite values from finite input.
 func FuzzWireCodecDecode(f *testing.F) {
@@ -24,7 +25,7 @@ func FuzzWireCodecDecode(f *testing.F) {
 	// classic malformations, seed the corpus.
 	sample := []float32{1, -2.5, 0.125, 3e-9, -42, 0, 7.75, -0.001}
 	for _, c := range fuzzWireCodecs() {
-		f.Add(c.Encode(nil, sample, nil), uint16(len(sample)))
+		f.Add(c.Encode(nil, sample, nil, nil), uint16(len(sample)))
 	}
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0x01}, uint16(4))
@@ -36,11 +37,22 @@ func FuzzWireCodecDecode(f *testing.F) {
 		if n > 4096 {
 			n = 4096
 		}
-		out := make([]float32, n)
+		out, acc := make([]float32, n), make([]float32, n)
 		for _, c := range fuzzWireCodecs() {
 			// Arbitrary frames: any outcome but a panic or an
-			// out-of-range write is acceptable.
-			_ = c.Decode(frame, out)
+			// out-of-range write is acceptable — as long as DecodeAdd
+			// takes exactly the frames Decode takes and adds to its
+			// (zero) accumulator what Decode wrote.
+			clear(acc)
+			err, errAdd := c.Decode(frame, out), c.DecodeAdd(frame, acc)
+			if (err == nil) != (errAdd == nil) {
+				t.Fatalf("%s: Decode says %v, DecodeAdd %v", c.Name(), err, errAdd)
+			}
+			for i := range out {
+				if err == nil && acc[i] != out[i] && (acc[i] == acc[i] || out[i] == out[i]) {
+					t.Fatalf("%s: DecodeAdd[%d] = %v, Decode %v", c.Name(), i, acc[i], out[i])
+				}
+			}
 		}
 
 		// Reinterpret the input as float32 data and check the
@@ -59,7 +71,7 @@ func FuzzWireCodecDecode(f *testing.F) {
 			}
 		}
 		for _, c := range fuzzWireCodecs() {
-			enc := c.Encode(nil, data, nil)
+			enc := c.Encode(nil, data, nil, nil)
 			if len(enc) > c.EncodedSize(len(data)) {
 				t.Fatalf("%s: frame %d bytes exceeds EncodedSize bound %d for %d elems",
 					c.Name(), len(enc), c.EncodedSize(len(data)), len(data))

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -150,23 +151,31 @@ func byteLane(bm transport.ByteMesh) lane[byte] {
 // exchange is the all-peers pattern: out(p) is shipped concurrently to
 // every rank p in to, then in(p, frame) consumes the frame of every
 // rank p in from, in the order listed — which is what fixes a fold
-// order. Listing this rank in from hands in its own out(rank) without
-// touching the wire, so a caller folding or decoding in rank order
-// treats its own contribution like any other. A frame is only in's
-// for the duration of the call: received frames go back to the
-// transport's pool as soon as in returns. Every outstanding send is
-// joined before exchange returns, on the error paths too: no goroutine
-// is left reading a caller's buffer.
+// order. Each out(p) is asked for when its send is about to start, so a
+// caller that builds frames on demand has frame p on the wire while it
+// builds the next. Listing this rank in from hands in its own out(rank)
+// without touching the wire, at its position in the order like any
+// other contribution; out(rank) itself is evaluated once every send is
+// under way and before the first receive blocks, so whatever it costs
+// is spent while the frames fly instead of after the wait for a peer's.
+// A frame is only in's for the duration of the call: received frames go
+// back to the transport's pool as soon as in returns. Every outstanding
+// send is joined before exchange returns, on the error paths too: no
+// goroutine is left reading a caller's buffer.
 func exchange[T any](l lane[T], tag uint64, rank int, to, from []int, out func(p int) []T, in func(p int, frame []T) error) error {
 	sent := make(chan error, len(to)) // one slot per send: none blocks on the join
 	for _, p := range to {
 		frame := out(p)
 		go func() { sent <- l.send(p, tag, frame) }()
 	}
+	var own []T
+	if slices.Contains(from, rank) {
+		own = out(rank)
+	}
 	var err error
 	for _, p := range from {
 		if p == rank {
-			err = in(p, out(p))
+			err = in(p, own)
 		} else {
 			var frame []T
 			if frame, err = l.recv(p, tag); err == nil {

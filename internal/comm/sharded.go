@@ -77,7 +77,7 @@ func (g *meshGroup) AllGatherV(data []float32) Work {
 
 // CompressedReduceScatterV implements the compressed sharded
 // reduce-scatter, with the same transactional residual as
-// CompressedAllReduce (see submitCompressed). Falls back to
+// CompressedAllReduce (see residualBackup). Falls back to
 // quantize-then-exact-ring when the mesh has no byte lanes or the op
 // is not Sum/Avg.
 func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
@@ -86,8 +86,8 @@ func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec 
 	}
 	return g.submitCompressed(data, codec, residual,
 		func(start time.Time) { observeCollective("compressed_reduce_scatter_v", len(data), start, nil) },
-		func(tag uint64, shadow []float32) (int, error) {
-			return compressedReduceScatterOwned(g.mesh, tag, data, op, codec, shadow)
+		func(tag uint64) (int, error) {
+			return compressedReduceScatterOwned(g.mesh, tag, data, op, codec, residual)
 		})
 }
 
@@ -115,25 +115,21 @@ func ringAllGatherOwned(m transport.Mesh, tag uint64, data []float32) error {
 
 // compressedReduceScatterOwned is the wire-level compressed sharded
 // reduce-scatter: stage 1 of the compressed AllReduce schedule
-// (compressedReduceScatterChunks), with the exact fold written into
-// the owner chunk and scaled for Avg — no second quantization, since
-// the reduced gradient shard feeds a local optimizer and never rides
-// the wire again. Returns the encoded payload bytes this rank shipped.
+// (compressedReduceScatterChunks), which leaves the exact fold in the
+// owner chunk, scaled here for Avg — no second quantization, since the
+// reduced gradient shard feeds a local optimizer and never rides the
+// wire again. Returns the encoded payload bytes this rank shipped.
 func compressedReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, op ReduceOp, codec WireCodec, residual []float32) (int, error) {
 	bm, ok := compressedLanes(m, op)
 	if !ok {
-		if err := quantizeThrough(codec, data, residual); err != nil {
-			return 0, err
-		}
+		quantizeThrough(codec, data, residual)
 		return 0, ringReduceScatterOwned(m, tag, data, op)
 	}
-	acc, wire, err := compressedReduceScatterChunks(m, bm, tag, data, codec, residual)
+	wire, err := compressedReduceScatterChunks(m, bm, tag, data, codec, residual)
 	if err != nil {
 		return 0, err
 	}
 	lo, hi := chunkBounds(len(data), m.Size(), m.Rank())
-	copy(data[lo:hi], acc)
-	transport.PutFloats(acc)
 	finishAvg(data[lo:hi], op, m.Size())
 	return wire, nil
 }

@@ -114,8 +114,20 @@ func doubleTreeReference(inputs [][]float32, op ReduceOp) []float32 {
 // v's lowest set bit — then the outermost leaders' partials take the
 // ring chain, and the result is scaled once for Avg.
 func hierarchicalReference(inputs [][]float32, op ReduceOp, topo *Topology) []float32 {
-	world := len(inputs)
-	part := make([][]float32, world)
+	out := ringReference(leaderPartials(inputs, topo), Sum)
+	if op == Avg {
+		for i := range out {
+			out[i] *= 1 / float32(len(inputs))
+		}
+	}
+	return out
+}
+
+// leaderPartials is the part of the hierarchical fold below the leader
+// ring: what each outermost leader, in rank order, holds once every
+// level has folded onto its leader along the binomial tree.
+func leaderPartials(inputs [][]float32, topo *Topology) [][]float32 {
+	part := make([][]float32, len(inputs))
 	for r := range part {
 		part[r] = slices.Clone(inputs[r])
 	}
@@ -138,13 +150,7 @@ func hierarchicalReference(inputs [][]float32, op ReduceOp, topo *Topology) []fl
 	for _, leader := range topo.levelLeaders(0) {
 		tops = append(tops, part[leader])
 	}
-	out := ringReference(tops, Sum)
-	if op == Avg {
-		for i := range out {
-			out[i] *= 1 / float32(world)
-		}
-	}
-	return out
+	return tops
 }
 
 // TestReduceScatterVBitwiseMatchesAllReduce is the contract fsdp's
@@ -410,9 +416,7 @@ func TestCompressedReduceScatterVRankOrderFold(t *testing.T) {
 	for r := 0; r < world; r++ {
 		rt := make([]float32, n)
 		copy(rt, inputs[r])
-		if err := quantizeThrough(codec, rt, nil); err != nil {
-			t.Fatal(err)
-		}
+		quantizeThrough(codec, rt, nil)
 		for i := range want {
 			if r == 0 {
 				want[i] = rt[i]
@@ -452,9 +456,7 @@ func TestCompressedReduceScatterVRankOrderFold(t *testing.T) {
 		}
 		// Error feedback: residual = original - decode(encode(original)).
 		rt := append([]float32(nil), inputs[rank]...)
-		if err := quantizeThrough(codec, rt, nil); err != nil {
-			t.Fatal(err)
-		}
+		quantizeThrough(codec, rt, nil)
 		for i := range rt {
 			if want := inputs[rank][i] - rt[i]; res[rank][i] != want {
 				t.Fatalf("rank %d residual %d = %v, want %v", rank, i, res[rank][i], want)
