@@ -9,11 +9,33 @@
 //     for only its chunk of every bucket, updates its parameter chunk,
 //     and AllGathers the updated parameters.
 //   - ZeRO-3: additionally shards the parameters themselves. Each rank
-//     persistently stores only its owned chunk per bucket; full
-//     parameters exist transiently, gathered bucket-by-bucket on demand
-//     just before each layer's forward and (via an autograd
-//     backward-hook identity op) just before each layer's backward, and
-//     freed as soon as the last consumer has run.
+//     persistently holds only its owned chunk per bucket; full
+//     parameters exist transiently, gathered bucket by bucket ahead of
+//     each unit's forward and (via an autograd backward-hook identity
+//     op) ahead of each unit's backward, and freed as soon as the last
+//     consumer has run.
+//
+// Parameter storage: the wrapper keeps one flat per bucket and re-points
+// every parameter's Value at its range of it, so AllGatherV fills the
+// tensors the layers read, the optimizer updates the owned chunk where
+// it stands, and freeing a bucket zeroes the ranges outside that chunk.
+// Nothing is packed, unpacked or allocated per step.
+//
+// The ZeRO-3 gather schedule is data, emitted once per install/rebind
+// (mapUnits): per pass, the buckets in the order the module's units —
+// a Sequential's children — first read them, and per unit how far into
+// that sequence it reads. Forward and the backward hooks only advance a
+// cursor (advance): launch the gathers through what the unit reads plus
+// one bucket, then wait for exactly what it reads. Launching before
+// waiting keeps the group's serial worker busy while the unit computes;
+// the one bucket of look-ahead is all the extra residency it costs
+// (Stats.PeakParamBytes ≤ shards + the running unit's buckets + one
+// bucket). The last unit's buckets are what backward reads first, so
+// forward keeps them gathered: a step launches 2·NumBuckets gathers
+// less those. Launches happen on the training goroutine in plan order,
+// identically on every rank. A failed gather or buffer broadcast is
+// deferred to Backward, which returns it; no gather outlives the step
+// that launched it, successful or not.
 //
 // The bitwise contract: fsdp uses the SAME bucket assignment as DDP
 // (reverse registration order, cap-based packing) and comm's sharded

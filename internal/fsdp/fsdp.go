@@ -3,6 +3,7 @@ package fsdp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/autograd"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/optim"
 	"repro/internal/reduce"
 	"repro/internal/replica"
+	"repro/internal/tensor"
 )
 
 // Strategy selects how much replica state is sharded.
@@ -20,8 +22,8 @@ const (
 	// ZeRO2 shards gradients and optimizer state; parameters stay
 	// replicated.
 	ZeRO2 Strategy = iota
-	// ZeRO3 additionally shards parameters, gathering them on demand
-	// per bucket during forward and backward.
+	// ZeRO3 additionally shards parameters, gathering them per bucket
+	// one bucket ahead of the forward and backward units that read them.
 	ZeRO3
 )
 
@@ -80,7 +82,9 @@ type Options struct {
 	// externally (the elastic agent's checkpoint-restore path).
 	SkipInitialBroadcast bool
 	// TestingOnGather, when non-nil, runs immediately before every
-	// ZeRO-3 parameter AllGatherV with the bucket index. The chaos
+	// ZeRO-3 parameter AllGatherV launch with the bucket index. Gathers
+	// are launched one bucket ahead of need, so the call may come one
+	// bucket earlier than the unit that reads the bucket. The chaos
 	// harness uses it to kill ranks mid-gather; never set it outside
 	// tests.
 	TestingOnGather func(bucket int)
@@ -95,7 +99,11 @@ type Stats struct {
 	// rank: the owned chunks under ZeRO3, the full model under ZeRO2.
 	ShardParamBytes int
 	// PeakParamBytes is the maximum transiently resident parameter
-	// bytes observed (shards plus materialized buckets).
+	// bytes observed: shards plus every bucket that is gathered or whose
+	// gather is in flight. Under ZeRO3 that is at most the shards, the
+	// buckets of the running unit and one bucket of look-ahead (plus the
+	// kept buckets of the last unit when Forward runs again without a
+	// Backward in between).
 	PeakParamBytes int
 	// OptimizerBytes is the momentum shard size — the state ZeRO
 	// divides by world.
@@ -107,7 +115,9 @@ type Stats struct {
 	// engine's transient buffers release after every step.
 	PeakGradBytes int
 	// Gathers and Reduces count parameter AllGatherV and gradient
-	// ReduceScatterV launches.
+	// ReduceScatterV launches. A ZeRO3 step launches one gather per
+	// bucket in forward and one in backward, less the last unit's
+	// buckets, which stay gathered from forward into backward.
 	Gathers int
 	Reduces int
 }
@@ -136,22 +146,62 @@ type FSDP struct {
 	// comm.ChunkBounds(BucketElems[b], world, rank).
 	ownedLo, ownedHi []int
 	velocity         [][]float32 // owned momentum chunks
-	ownedParams      [][]float32 // ZeRO-3 persistent parameter shards
-	materialized     []bool
-	remaining        []int   // ZeRO-3: member grads outstanding before free
-	unitBuckets      [][]int // buckets each unit's parameters touch
-	lastUnitOf       []int   // last forward unit touching each bucket
+	// flats[b] is bucket b's parameter storage in the bucket's offset
+	// layout, and every member parameter's Value is a view of its range
+	// of it: AllGatherV runs on the flat itself and the optimizer
+	// updates flats[b][ownedLo[b]:ownedHi[b]] in place. Under ZeRO-3 the
+	// ranges outside the owned chunk are zero unless the bucket is
+	// gathered.
+	flats       [][]float32
+	state       []residency
+	remaining   []int   // ZeRO-3: member grads outstanding before free
+	unitBuckets [][]int // buckets each unit's parameters touch
+	lastUnitOf  []int   // last forward unit touching each bucket
+
+	// The ZeRO-3 gather schedule (see mapUnits): one plan per pass, the
+	// buckets forward leaves gathered for backward, the position of the
+	// running pass's next launch, and the gathers launched but not yet
+	// waited for, oldest first.
+	fwd, bwd gatherPlan
+	kept     []bool
+	cursor   int
+	inflight []gather
 
 	bufferSyncPending bool
 	residentParam     int // current resident param bytes (ZeRO-3)
-	// deferred records a gather failure hit inside the forward/backward
-	// graph walk, where the nn.Module interfaces leave no error channel;
+	// deferred records a collective failure hit where there is no error
+	// channel — the buffer broadcast ahead of forward, a gather inside
+	// the forward/backward graph walk behind the nn.Module interfaces;
 	// Backward surfaces it. Once set, further gathers are skipped and
 	// the affected layers compute on zeroed parameters — garbage that is
 	// discarded when Backward returns the error (the elastic agent then
 	// tears the world down and rolls back).
 	deferred error
 	stats    Stats
+}
+
+// residency is where a ZeRO-3 bucket's non-owned parameter ranges
+// stand. ZeRO-2 buckets are always gathered.
+type residency uint8
+
+const (
+	sharded   residency = iota // only the owned chunk is held; the rest is zero
+	gathering                  // an AllGatherV into the flat is in flight
+	gathered                   // the flat holds every rank's chunk
+)
+
+// gatherPlan is one pass's gather schedule: the buckets in the order
+// the pass first needs them and, per unit, how many entries of that
+// sequence must have landed before the unit runs.
+type gatherPlan struct {
+	seq  []int
+	need []int
+}
+
+// gather is one launched AllGatherV.
+type gather struct {
+	bucket int
+	work   comm.Work
 }
 
 // New wraps module for sharded training over pg, which must support
@@ -228,23 +278,15 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	}
 	f.stats.ShardParamBytes = f.shardParamBytes()
 	f.residentParam = f.stats.FullParamBytes // fully resident until sharded
-	if opts.Strategy == ZeRO3 {
-		// Shard the just-aligned parameters: keep the owned chunks,
-		// drop the rest.
-		for b := range f.assign.Buckets {
-			flat := make([]float32, f.assign.BucketElems[b])
-			f.packParams(b, flat)
-			copy(f.ownedParams[b], flat[f.ownedLo[b]:f.ownedHi[b]])
-			f.freeBucket(b)
-		}
-	}
+	f.shardAll()
 	f.stats.PeakParamBytes = f.currentParamBytes()
 	return f, nil
 }
 
 // installShards adopts a bucket assignment and (re)builds the shard
-// layout derived from it: owned chunk bounds, momentum shards, and —
-// under ZeRO3 — the persistent parameter shards.
+// layout derived from it: owned chunk bounds, momentum shards, and the
+// per-bucket parameter flats, which take over the parameters' current
+// (full) values and become their storage.
 func (f *FSDP) installShards(assign *reduce.Assignment) {
 	f.assign = assign
 	f.engine.Install(assign)
@@ -254,26 +296,47 @@ func (f *FSDP) installShards(assign *reduce.Assignment) {
 	f.ownedLo = make([]int, nb)
 	f.ownedHi = make([]int, nb)
 	f.velocity = make([][]float32, nb)
-	f.materialized = make([]bool, nb)
+	f.flats = make([][]float32, nb)
+	f.state = make([]residency, nb)
 	f.remaining = make([]int, nb)
-	if f.opts.Strategy == ZeRO3 {
-		f.ownedParams = make([][]float32, nb)
-	}
-	for b := range assign.Buckets {
+	f.inflight = make([]gather, 0, nb)
+	for b, members := range assign.Buckets {
 		lo, hi := comm.ChunkBounds(assign.BucketElems[b], world, rank)
 		f.ownedLo[b], f.ownedHi[b] = lo, hi
 		f.velocity[b] = make([]float32, hi-lo)
-		f.materialized[b] = true // params start resident
-		if f.opts.Strategy == ZeRO3 {
-			f.ownedParams[b] = make([]float32, hi-lo)
+		f.flats[b] = make([]float32, assign.BucketElems[b])
+		f.state[b] = gathered // params start resident
+		for _, idx := range members {
+			p, off := f.params[idx], assign.OffsetOf[idx]
+			view := f.flats[b][off : off+f.sizes[idx]]
+			copy(view, p.Value.Data())
+			p.Value = tensor.FromSlice(view, p.Value.Shape()...)
 		}
 	}
 }
 
+// shardAll drops every bucket's non-owned parameter ranges under ZeRO3
+// — the step from "full parameters are in the model's tensors" (after
+// the constructor's broadcast, or a caller's restore ahead of Rebind) to
+// the steady sharded state.
+func (f *FSDP) shardAll() {
+	if f.opts.Strategy != ZeRO3 {
+		return
+	}
+	for b := range f.flats {
+		f.freeBucket(b)
+	}
+}
+
 // mapUnits decomposes the module into forward units — the gather/free
-// granularity of ZeRO-3. A Sequential's children are its units; any
-// other module is a single unit. For each unit the touched buckets are
-// precomputed, as is each bucket's last forward consumer.
+// granularity of ZeRO-3 — and emits the gather schedule they imply. A
+// Sequential's children are its units; any other module is a single
+// unit. For each unit the touched buckets are precomputed, as is each
+// bucket's last forward consumer; the forward plan lists the buckets in
+// the order units first read them, the backward plan in the order the
+// units' backward hooks do (last unit first); the buckets of the last
+// unit that has any come first in the backward plan, so forward keeps
+// them gathered.
 func (f *FSDP) mapUnits() {
 	if seq, ok := f.module.(*nn.Sequential); ok {
 		f.units = seq.Children()
@@ -282,20 +345,46 @@ func (f *FSDP) mapUnits() {
 	}
 	// Parameters() of a Sequential concatenates child parameters in
 	// order, so a running offset recovers each unit's index range.
+	nb := f.assign.NumBuckets()
 	f.unitBuckets = make([][]int, len(f.units))
-	f.lastUnitOf = make([]int, f.assign.NumBuckets())
+	f.lastUnitOf = make([]int, nb)
 	next := 0
 	for u, unit := range f.units {
-		seen := map[int]bool{}
 		for range unit.Parameters() {
 			b := f.assign.BucketOf[next]
-			if !seen[b] {
-				seen[b] = true
+			if !slices.Contains(f.unitBuckets[u], b) {
 				f.unitBuckets[u] = append(f.unitBuckets[u], b)
 			}
 			f.lastUnitOf[b] = u
 			next++
 		}
+	}
+	f.fwd = gatherPlan{need: make([]int, len(f.units))}
+	f.bwd = gatherPlan{need: make([]int, len(f.units))}
+	for u := range f.units {
+		f.fwd.add(u, f.unitBuckets[u])
+	}
+	f.kept = make([]bool, nb)
+	for u := len(f.units) - 1; u >= 0; u-- {
+		if len(f.bwd.seq) == 0 {
+			for _, b := range f.unitBuckets[u] {
+				f.kept[b] = true
+			}
+		}
+		f.bwd.add(u, f.unitBuckets[u])
+	}
+}
+
+// add appends the buckets the plan has not listed yet and records how
+// far into the sequence unit u reads.
+func (p *gatherPlan) add(u int, buckets []int) {
+	for _, b := range buckets {
+		pos := slices.Index(p.seq, b)
+		if pos < 0 {
+			pos = len(p.seq)
+			p.seq = append(p.seq, b)
+		}
+		p.need[u] = max(p.need[u], pos+1)
 	}
 }
 
@@ -320,9 +409,10 @@ func (f *FSDP) Module() nn.Module { return f.module }
 // ProcessGroup returns the communication backend in use.
 func (f *FSDP) ProcessGroup() comm.ProcessGroup { return f.pg }
 
-// Parameters exposes the wrapped model's parameters. Under ZeRO3 the
-// tensors hold zeros for non-owned elements except while materialized;
-// use Materialize before reading full values.
+// Parameters exposes the wrapped model's parameters, whose Value
+// tensors are views of the wrapper's per-bucket flats. Under ZeRO3 they
+// hold zeros for non-owned elements except while gathered; use
+// Materialize before reading full values.
 func (f *FSDP) Parameters() []*nn.Parameter { return f.params }
 
 // NumBuckets reports the gradient bucket count.
@@ -364,7 +454,8 @@ func (f *FSDP) shardParamBytes() int {
 }
 
 // currentParamBytes is the resident parameter bytes right now: shards
-// plus fully materialized buckets (ZeRO2 is always fully resident).
+// plus the buckets gathered or being gathered (ZeRO2 is always fully
+// resident).
 func (f *FSDP) currentParamBytes() int {
 	if f.opts.Strategy != ZeRO3 {
 		return f.stats.FullParamBytes
@@ -379,101 +470,121 @@ func (f *FSDP) notePeak() {
 	}
 }
 
-// packParams flattens the bucket's member parameter values into dst
-// using the bucket's offset layout.
-func (f *FSDP) packParams(b int, dst []float32) {
-	for _, idx := range f.assign.Buckets[b] {
-		off := f.assign.OffsetOf[idx]
-		copy(dst[off:off+f.sizes[idx]], f.params[idx].Value.Data())
-	}
+// nonOwnedBytes is what gathering bucket b adds to this rank's resident
+// parameter bytes.
+func (f *FSDP) nonOwnedBytes(b int) int {
+	return 4 * (f.assign.BucketElems[b] - (f.ownedHi[b] - f.ownedLo[b]))
 }
 
-// unpackParams scatters a bucket flat back into member tensors.
-func (f *FSDP) unpackParams(b int, src []float32) {
-	for _, idx := range f.assign.Buckets[b] {
-		off := f.assign.OffsetOf[idx]
-		copy(f.params[idx].Value.Data(), src[off:off+f.sizes[idx]])
-	}
-}
-
-// freeBucket drops a ZeRO-3 bucket's full parameters: member tensors
-// are zeroed, which both releases the only full copy of non-owned
-// values (the owned chunk lives on in ownedParams) and makes any read
-// of an un-gathered parameter loudly wrong instead of silently stale.
+// freeBucket drops a gathered ZeRO-3 bucket's non-owned parameters:
+// their ranges of the flat are zeroed, which both gives up the only
+// copy of them this rank has (the owned chunk stays where it is) and
+// makes any read of an un-gathered parameter loudly wrong instead of
+// silently stale.
 func (f *FSDP) freeBucket(b int) {
-	if !f.materialized[b] {
+	if f.state[b] != gathered {
 		return
 	}
-	for _, idx := range f.assign.Buckets[b] {
-		data := f.params[idx].Value.Data()
-		for i := range data {
-			data[i] = 0
-		}
-	}
-	f.materialized[b] = false
-	f.residentParam -= 4*f.assign.BucketElems[b] - 4*(f.ownedHi[b]-f.ownedLo[b])
+	clear(f.flats[b][:f.ownedLo[b]])
+	clear(f.flats[b][f.ownedHi[b]:])
+	f.state[b] = sharded
+	f.residentParam -= f.nonOwnedBytes(b)
 }
 
-// materializeBucket gathers a ZeRO-3 bucket's full parameters back
-// into the member tensors: the owned chunk seeds an in-place
-// AllGatherV and every rank receives every owner's chunk verbatim.
-func (f *FSDP) materializeBucket(b int) error {
-	if f.materialized[b] {
-		return nil
+// launchGather starts the in-place AllGatherV that fills a sharded
+// bucket's flat from every owner's chunk. The bucket counts as resident
+// from here on. A bucket that is already gathered (kept from forward, or
+// by Materialize) or on its way is left alone.
+func (f *FSDP) launchGather(b int) {
+	if f.state[b] != sharded {
+		return
 	}
-	flat := make([]float32, f.assign.BucketElems[b])
-	copy(flat[f.ownedLo[b]:f.ownedHi[b]], f.ownedParams[b])
 	if f.opts.TestingOnGather != nil {
 		f.opts.TestingOnGather(b)
 	}
 	f.stats.Gathers++
-	if err := f.sg.AllGatherV(flat).Wait(); err != nil {
-		return fmt.Errorf("fsdp: gathering bucket %d parameters: %w", b, err)
-	}
-	f.unpackParams(b, flat)
-	f.materialized[b] = true
-	f.residentParam += 4*f.assign.BucketElems[b] - 4*(f.ownedHi[b]-f.ownedLo[b])
+	f.state[b] = gathering
+	f.residentParam += f.nonOwnedBytes(b)
 	f.notePeak()
+	f.inflight = append(f.inflight, gather{bucket: b, work: f.sg.AllGatherV(f.flats[b])})
+}
+
+// land waits for the oldest gather in flight. A failed gather's partial
+// result is discarded: the bucket goes back to sharded.
+func (f *FSDP) land() error {
+	g := f.inflight[0]
+	f.inflight = f.inflight[:copy(f.inflight, f.inflight[1:])]
+	err := g.work.Wait()
+	f.state[g.bucket] = gathered
+	if err != nil {
+		f.freeBucket(g.bucket)
+		return fmt.Errorf("gathering bucket %d parameters: %w", g.bucket, err)
+	}
 	return nil
 }
 
+// drain waits out every gather in flight and returns the first failure.
+func (f *FSDP) drain() error {
+	var first error
+	for len(f.inflight) > 0 {
+		if err := f.land(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// advance is all a unit does about gathers: move the running pass's
+// cursor. It launches the plan's gathers through what unit u reads plus
+// one bucket — before waiting, so the group's serial worker goes from
+// one gather straight into the next while the unit computes — and then
+// waits for exactly the buckets the unit reads. Launches happen here, on
+// the training goroutine, in plan order, so every rank submits the same
+// collectives in the same order. A failure is downgraded to the deferred
+// error Backward reports: a gather can only fail when the process group
+// broke (a peer died, the group was aborted), and the graph walk it
+// interrupts runs inside interfaces with no error return. Once one is
+// recorded nothing more is launched and the remaining units compute on
+// zeroed parameters, keeping tensor shapes (and the caller's loss
+// construction) intact while the iteration's results are doomed to be
+// discarded.
+func (f *FSDP) advance(p *gatherPlan, u int) {
+	need := p.need[u]
+	for ; f.deferred == nil && f.cursor <= need && f.cursor < len(p.seq); f.cursor++ {
+		f.launchGather(p.seq[f.cursor])
+	}
+	for len(f.inflight) > 0 && slices.Index(p.seq, f.inflight[0].bucket) < need {
+		if err := f.land(); err != nil && f.deferred == nil {
+			f.deferred = err
+		}
+	}
+}
+
 // Forward runs the model's forward pass. ZeRO2 runs it directly (full
-// parameters are resident); ZeRO3 walks the units, gathering each
-// unit's buckets just before its forward, inserting the backward-hook
-// re-gather on its output, and freeing each bucket after its last
-// forward consumer — the veScale-style gather-on-demand schedule.
+// parameters are resident); ZeRO3 walks the units, advancing the forward
+// gather plan ahead of each unit's forward, inserting the backward hook
+// that advances the backward plan on its output, and freeing each bucket
+// after its last forward consumer — except the last unit's buckets,
+// which are the first thing backward reads and stay gathered for it.
 func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
+	f.deferred = nil
 	f.broadcastBuffersIfPending()
 	f.engine.Reset()
-	f.deferred = nil
-	if g := f.engine.BucketBytes(); g > f.stats.PeakGradBytes {
-		f.stats.PeakGradBytes = g
-	}
 	if f.opts.Strategy != ZeRO3 {
 		return f.module.Forward(x)
 	}
 	for b := range f.remaining {
 		f.remaining[b] = len(f.assign.Buckets[b])
 	}
+	f.cursor = 0
 	for u, unit := range f.units {
-		for _, b := range f.unitBuckets[u] {
-			if err := f.gatherDeferred(b); err != nil {
-				break
-			}
-		}
+		f.advance(&f.fwd, u)
 		x = unit.Forward(x)
-		if buckets := f.unitBuckets[u]; len(buckets) > 0 {
-			captured := append([]int(nil), buckets...)
-			x = autograd.BackwardHook(x, func() {
-				for _, b := range captured {
-					if err := f.gatherDeferred(b); err != nil {
-						return
-					}
-				}
-			})
+		if len(f.unitBuckets[u]) > 0 {
+			x = autograd.BackwardHook(x, func() { f.advance(&f.bwd, u) })
 		}
 		for _, b := range f.unitBuckets[u] {
-			if f.lastUnitOf[b] == u {
+			if f.lastUnitOf[b] == u && !f.kept[b] {
 				f.freeBucket(b)
 			}
 		}
@@ -483,7 +594,8 @@ func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 
 // broadcastBuffersIfPending mirrors DDP's buffer handling: rank 0's
 // buffer values are pushed to all ranks before the forward pass
-// following a synchronized backward.
+// following a synchronized backward. A failure (a peer died since that
+// backward) is deferred to Backward like a failed gather.
 func (f *FSDP) broadcastBuffersIfPending() {
 	if !f.bufferSyncPending {
 		return
@@ -498,33 +610,27 @@ func (f *FSDP) broadcastBuffersIfPending() {
 		works[i] = f.pg.Broadcast(b.Data.Data(), 0)
 	}
 	if err := comm.WaitAll(works...); err != nil {
-		panic(fmt.Sprintf("fsdp: buffer broadcast failed: %v", err))
+		f.deferred = fmt.Errorf("broadcasting buffers: %w", err)
+		return
 	}
 	f.bufferSyncPending = false
 }
 
-// gatherDeferred materializes a bucket, downgrading a collective
-// failure to the deferred error Backward reports: a gather can only
-// fail when the process group broke (a peer died, the group was
-// aborted), and the graph walk it interrupts runs inside interfaces
-// with no error return. Once a failure is recorded all later gathers
-// are skipped — their buckets compute on zeroed parameters, keeping
-// tensor shapes (and the caller's loss construction) intact while the
-// iteration's results are doomed to be discarded.
-func (f *FSDP) gatherDeferred(b int) error {
-	if f.deferred != nil {
-		return f.deferred
-	}
-	if err := f.materializeBucket(b); err != nil {
-		f.deferred = err
-	}
-	return f.deferred
-}
-
-// takeDeferred returns and clears the recorded graph-walk failure.
+// takeDeferred returns and clears the recorded failure.
 func (f *FSDP) takeDeferred() error {
 	err := f.deferred
 	f.deferred = nil
+	return err
+}
+
+// abandon is how Backward leaves a failed step: no gather stays in
+// flight — each is waited out and its result discarded with the rest —
+// and every gathered ZeRO-3 bucket is dropped, so the residency
+// accounting is back at the shards and nothing stale is taken for
+// gathered should the caller go on. It returns err.
+func (f *FSDP) abandon(err error) error {
+	_ = f.drain() // the step already failed with err; a second failure adds nothing
+	f.shardAll()
 	return err
 }
 
@@ -554,11 +660,12 @@ func (f *FSDP) autogradHook(idx int) {
 // consumed by the step and cleared.
 func (f *FSDP) Backward(loss *autograd.Variable) error {
 	if err := f.takeDeferred(); err != nil {
-		return fmt.Errorf("fsdp: forward gather: %w", err)
+		return f.abandon(fmt.Errorf("fsdp: forward: %w", err))
 	}
+	f.cursor = 0
 	autograd.Backward(loss, nil)
 	if err := f.takeDeferred(); err != nil {
-		return fmt.Errorf("fsdp: backward re-gather: %w", err)
+		return f.abandon(fmt.Errorf("fsdp: backward: %w", err))
 	}
 	if f.engine.Launched() < f.engine.NumBuckets() {
 		var missing []string
@@ -569,32 +676,30 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 				}
 			}
 		}
-		return fmt.Errorf(
+		return f.abandon(fmt.Errorf(
 			"fsdp: backward pass finished with %d bucket(s) incomplete; parameters %s received no gradient — fsdp requires every parameter to participate in every iteration",
-			f.engine.NumBuckets()-f.engine.Launched(), strings.Join(missing, ", "))
+			f.engine.NumBuckets()-f.engine.Launched(), strings.Join(missing, ", ")))
 	}
-	if g := f.engine.BucketBytes(); g > f.stats.PeakGradBytes {
-		f.stats.PeakGradBytes = g
+	// Every parameter has its gradient, so every unit's backward ran and
+	// waited for its buckets; the drain makes "no gather is reading the
+	// owned chunks the optimizer is about to write" hold by construction.
+	if err := f.drain(); err != nil {
+		return f.abandon(fmt.Errorf("fsdp: backward: %w", err))
 	}
 	err := f.engine.WaitAll(func(bucket int, flat []float32) error {
-		grad := flat[f.ownedLo[bucket]:f.ownedHi[bucket]]
-		switch f.opts.Strategy {
-		case ZeRO3:
-			optim.ShardedMomentumStep(f.ownedParams[bucket], grad, f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
-		default: // ZeRO2
-			pflat := make([]float32, f.assign.BucketElems[bucket])
-			f.packParams(bucket, pflat)
-			optim.ShardedMomentumStep(pflat[f.ownedLo[bucket]:f.ownedHi[bucket]], grad, f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
-			if err := f.sg.AllGatherV(pflat).Wait(); err != nil {
-				return fmt.Errorf("fsdp: gathering updated parameters for bucket %d: %w", bucket, err)
-			}
-			f.stats.Gathers++
-			f.unpackParams(bucket, pflat)
+		lo, hi := f.ownedLo[bucket], f.ownedHi[bucket]
+		optim.ShardedMomentumStep(f.flats[bucket][lo:hi], flat[lo:hi], f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
+		if f.opts.Strategy == ZeRO3 {
+			return nil
+		}
+		f.stats.Gathers++
+		if err := f.sg.AllGatherV(f.flats[bucket]).Wait(); err != nil {
+			return fmt.Errorf("fsdp: gathering updated parameters for bucket %d: %w", bucket, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return f.abandon(err)
 	}
 	for _, p := range f.params {
 		p.ZeroGrad()
@@ -606,15 +711,14 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 // Materialize gathers the full parameter set into the model's tensors
 // (a per-bucket AllGatherV under ZeRO3; a no-op otherwise). All ranks
 // must call it at the same point. Use it before reading parameters for
-// evaluation or checkpointing; the next Forward re-frees on schedule.
+// evaluation or checkpointing; the next Forward gathers nothing it
+// still holds and re-frees on schedule.
 func (f *FSDP) Materialize() error {
-	if f.opts.Strategy != ZeRO3 {
-		return nil
+	for b := range f.flats {
+		f.launchGather(b)
 	}
-	for b := range f.assign.Buckets {
-		if err := f.materializeBucket(b); err != nil {
-			return err
-		}
+	if err := f.drain(); err != nil {
+		return fmt.Errorf("fsdp: %w", err)
 	}
 	return nil
 }
@@ -635,6 +739,9 @@ func (f *FSDP) HoldsFullState() bool { return false }
 // residuals are this rank's own quantization errors — per-rank state,
 // not replicated state.
 func (f *FSDP) CaptureState() (replica.State, error) {
+	if err := f.drain(); err != nil {
+		return replica.State{}, fmt.Errorf("fsdp: %w", err)
+	}
 	out := make([]float32, f.total)
 	for b := range f.assign.Buckets {
 		vflat := make([]float32, f.assign.BucketElems[b])
@@ -693,20 +800,14 @@ func (f *FSDP) Rebind(pg comm.ProcessGroup) error {
 	if err != nil {
 		return err
 	}
+	_ = f.drain() // the outgoing group's failures are why the caller is here
 	f.pg = pg
 	f.sg = sg
 	f.installShards(assign)
 	f.stats.OptimizerBytes = f.optimizerBytes()
 	f.stats.ShardParamBytes = f.shardParamBytes()
 	f.residentParam = f.stats.FullParamBytes // caller restored full params
-	if f.opts.Strategy == ZeRO3 {
-		for b := range f.assign.Buckets {
-			flat := make([]float32, f.assign.BucketElems[b])
-			f.packParams(b, flat)
-			copy(f.ownedParams[b], flat[f.ownedLo[b]:f.ownedHi[b]])
-			f.freeBucket(b)
-		}
-	}
+	f.shardAll()
 	f.mapUnits()
 	f.bufferSyncPending = false
 	f.notePeak()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/transport"
 )
 
 // Launcher starts the collective for one ready bucket and returns its
@@ -38,13 +39,15 @@ type Config struct {
 	// chaos harness plants it to prove its bitwise invariants catch a
 	// recovery-path regression. Never set outside tests.
 	TestingResetResidualsOnInstall bool
-	// Transient releases bucket buffers after WaitAll and reallocates
-	// them on Reset, so gradient flats are per-iteration state. The
-	// sharded wrappers set it to keep peak-memory accounting honest:
+	// Transient makes bucket buffers per-iteration state: a bucket draws
+	// its buffers from the transport pool at its first slot write and
+	// WaitAll hands them back once its consume has returned, so nothing
+	// is held between iterations and nothing is allocated in a warm one.
+	// The sharded wrappers set it to keep peak-memory accounting honest:
 	// ZeRO's claim is about steady-state bytes, and permanently resident
 	// full-size gradient buffers would silently falsify it. Residuals
 	// still survive — they are flushed to the per-parameter store before
-	// the buffers are dropped.
+	// the buffers are handed back.
 	Transient bool
 	// ObserveReduce, when non-nil, receives each bucket's
 	// launch-to-completion latency as WaitAll observes it done — the
@@ -124,15 +127,28 @@ func (e *Engine) Install(assign *Assignment) {
 	e.assign = assign
 	e.bucket = make([]*bucketState, assign.NumBuckets())
 	for b, members := range assign.Buckets {
-		bs := &bucketState{
-			members: members,
-			flat:    make([]float32, assign.BucketElems[b]),
-		}
-		if e.cfg.TrackResiduals {
-			bs.resFlat = make([]float32, assign.BucketElems[b])
-			e.scatterResiduals(bs, members)
+		bs := &bucketState{members: members}
+		if !e.cfg.Transient {
+			bs.flat = make([]float32, assign.BucketElems[b])
+			if e.cfg.TrackResiduals {
+				bs.resFlat = make([]float32, assign.BucketElems[b])
+				e.scatterResiduals(bs, members)
+			}
 		}
 		e.bucket[b] = bs
+	}
+}
+
+// acquire draws a Transient bucket's buffers from the transport pool.
+// Their contents are whatever the last user left (NaN under the race
+// detector): every slot is written in full before its bucket launches,
+// and the residual buffer is filled from the per-parameter store here.
+func (e *Engine) acquire(b int) {
+	bs := e.bucket[b]
+	bs.flat = transport.GetFloats(e.assign.BucketElems[b])
+	if e.cfg.TrackResiduals {
+		bs.resFlat = transport.GetFloats(e.assign.BucketElems[b])
+		e.scatterResiduals(bs, bs.members)
 	}
 }
 
@@ -147,8 +163,8 @@ func (e *Engine) scatterResiduals(bs *bucketState, members []int) {
 
 // FlushResiduals folds the current bucket layout's residual buffers
 // back into the per-parameter store. No-op without residual tracking,
-// before the first Install, or for buckets whose buffers a Transient
-// engine already released.
+// before the first Install, or for buckets a Transient engine holds no
+// buffers for.
 func (e *Engine) FlushResiduals() {
 	if !e.cfg.TrackResiduals || e.assign == nil {
 		return
@@ -187,15 +203,14 @@ func (e *Engine) ObservedReady() []int {
 // iteration left in them: every slot is written in full — by its owner
 // through Slot, or by CopyIn — before it is marked ready, so clearing
 // them here would only be a second pass over memory. A Transient
-// engine reallocates the buffers WaitAll released.
+// engine holds no buffers at this point unless the last iteration
+// failed before WaitAll consumed every bucket; those are dropped for
+// the garbage collector rather than handed back to the pool, because a
+// collective nobody waited for may still be writing into them.
 func (e *Engine) Reset() {
-	for b, bs := range e.bucket {
-		if bs.flat == nil {
-			bs.flat = make([]float32, e.assign.BucketElems[b])
-		}
-		if e.cfg.TrackResiduals && bs.resFlat == nil {
-			bs.resFlat = make([]float32, e.assign.BucketElems[b])
-			e.scatterResiduals(bs, bs.members)
+	for _, bs := range e.bucket {
+		if e.cfg.Transient {
+			bs.flat, bs.resFlat = nil, nil
 		}
 		bs.pending = len(bs.members)
 		bs.ready = false
@@ -210,11 +225,16 @@ func (e *Engine) Reset() {
 // gradient must stand when the parameter is marked ready, and where the
 // reduced gradient stands after WaitAll. The slice stays valid, and
 // keeps its contents between iterations, until the next Install (for a
-// Transient engine: until WaitAll releases the bucket) — which is what
-// lets ddp keep a parameter's Grad as a view of it.
+// Transient engine: from the bucket's first Slot call of an iteration
+// until WaitAll releases the bucket) — which is what lets ddp keep a
+// parameter's Grad as a view of it.
 func (e *Engine) Slot(idx int) []float32 {
+	b := e.assign.BucketOf[idx]
+	if e.bucket[b].flat == nil {
+		e.acquire(b)
+	}
 	off := e.assign.OffsetOf[idx]
-	return e.bucket[e.assign.BucketOf[idx]].flat[off : off+e.cfg.Sizes[idx]]
+	return e.bucket[b].flat[off : off+e.cfg.Sizes[idx]]
 }
 
 // CopyIn writes a parameter's gradient into its slot, for callers whose
@@ -257,9 +277,10 @@ func (e *Engine) launchReady() {
 // step for fsdp; ddp passes nil, its gradients being views of the
 // buffers already). The caller must
 // have verified all buckets launched — waiting on an unlaunched bucket
-// is a caller bug and errors out. A Transient engine releases each
-// bucket's buffers after its consume returns, flushing residuals to
-// the per-parameter store first.
+// is a caller bug and errors out. A Transient engine hands each
+// bucket's buffers back to the transport pool after its consume
+// returns, flushing residuals to the per-parameter store first; consume
+// must not keep flat.
 func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 	for bi, bs := range e.bucket {
 		if !bs.launched {
@@ -282,8 +303,10 @@ func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 					off := e.assign.OffsetOf[idx]
 					copy(e.residuals[idx], bs.resFlat[off:off+e.cfg.Sizes[idx]])
 				}
+				transport.PutFloats(bs.resFlat)
 				bs.resFlat = nil
 			}
+			transport.PutFloats(bs.flat)
 			bs.flat = nil
 		}
 	}
@@ -292,8 +315,9 @@ func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 
 // BucketBytes reports the bytes currently held in bucket gradient and
 // residual buffers — the quantity Transient keeps at zero between
-// iterations, and the term the sharding ablation's peak accounting
-// samples.
+// iterations and, within one, at the buckets that have a gradient and
+// are not consumed yet; the term the sharding ablation's peak
+// accounting samples.
 func (e *Engine) BucketBytes() int {
 	total := 0
 	for _, bs := range e.bucket {

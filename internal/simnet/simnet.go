@@ -80,9 +80,10 @@ type Config struct {
 	// replicated DDP (per-bucket AllReduce), "zero2" shards gradients
 	// and optimizer state (per-bucket ReduceScatter in backward, one
 	// parameter AllGather after the sharded optimizer step), "zero3"
-	// also shards parameters (per-bucket AllGather in forward, re-gather
-	// plus ReduceScatter in backward). The half-collectives are priced
-	// with the flat-ring model (hw.ReduceScatterSeconds /
+	// also shards parameters (per-bucket AllGather one bucket ahead of
+	// forward compute, re-gather plus ReduceScatter in backward except
+	// for the bucket forward leaves gathered). The half-collectives are
+	// priced with the flat-ring model (hw.ReduceScatterSeconds /
 	// hw.AllGatherSeconds); Hierarchical/DoubleTree only affect
 	// AllReduce, matching comm's algorithm policy.
 	Strategy string
@@ -254,16 +255,26 @@ func simulate(cfg Config, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, e
 	lastCommEnd := 0.0
 	events := make([]BucketEvent, 0, assign.NumBuckets())
 	// Sharded strategies exchange state outside the backward stream
-	// loop too: ZeRO-3 gathers every parameter bucket in forward (fully
-	// exposed — compute cannot start on unmaterialized layers), ZeRO-2
-	// re-gathers replicated parameters once after the sharded optimizer
-	// step. Gathers move raw parameter bytes; gradient compression only
-	// applies to the reduction path.
-	var gatherExposed float64
+	// loop too. ZeRO-2 re-gathers replicated parameters once after the
+	// sharded optimizer step, all of it exposed. ZeRO-3 gathers every
+	// parameter bucket in forward, in forward order (the last bucket
+	// first) and one bucket ahead of the layers that read it (fsdp's
+	// gather plan): the first gather is exposed — compute cannot start on
+	// unmaterialized layers — and the rest hide behind forward compute
+	// as far as it goes. Gathers move raw parameter bytes; gradient
+	// compression only applies to the reduction path.
+	gather := func(b int) float64 {
+		return cfg.Cluster.AllGatherSeconds(cfg.Backend, assign.BucketElems[b]*4, cfg.World)
+	}
+	var gatherBusy, gatherExposed float64
 	if cfg.Strategy != "" {
 		for b := 0; b < assign.NumBuckets(); b++ {
-			raw := assign.BucketElems[b] * 4
-			gatherExposed += cfg.Cluster.AllGatherSeconds(cfg.Backend, raw, cfg.World)
+			gatherBusy += gather(b)
+		}
+		gatherExposed = gatherBusy
+		if cfg.Strategy == "zero3" {
+			first := gather(assign.NumBuckets() - 1)
+			gatherExposed = first + max(0, gatherBusy-first-forward)
 		}
 	}
 	for b := 0; b < assign.NumBuckets(); b++ {
@@ -276,8 +287,12 @@ func simulate(cfg Config, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, e
 		case "zero3":
 			// Backward re-gathers the (freed) parameter bucket for
 			// gradient computation, then reduce-scatters the gradients.
-			cost = cfg.Cluster.AllGatherSeconds(cfg.Backend, assign.BucketElems[b]*4, cfg.World) +
-				cfg.Cluster.ReduceScatterSeconds(cfg.Backend, bytes, cfg.World)
+			// Bucket 0 holds the last layers, which backward reads
+			// first: forward leaves it gathered.
+			cost = cfg.Cluster.ReduceScatterSeconds(cfg.Backend, bytes, cfg.World)
+			if b > 0 {
+				cost += gather(b)
+			}
 		default:
 			cost = cfg.allReduceCost(bytes)
 		}
@@ -311,9 +326,9 @@ func simulate(cfg Config, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, e
 	}
 	exposed := backwardSpan - backward
 	if cfg.World > 1 {
-		// Gather traffic never hides under backward compute: ZeRO-3
-		// pays it before forward can run, ZeRO-2 after the optimizer.
-		commBusy += gatherExposed
+		// This gather traffic never hides under backward compute:
+		// ZeRO-3 pays it in forward, ZeRO-2 after the optimizer.
+		commBusy += gatherBusy
 		exposed += gatherExposed
 	} else {
 		gatherExposed = 0
