@@ -358,6 +358,41 @@ func TestBackwardYieldsToWorkStartedByHooks(t *testing.T) {
 	}
 }
 
+func TestBackwardYieldsRightAfterALeafHook(t *testing.T) {
+	// The other half of the guarantee: what a leaf's hook starts runs
+	// before the next node's backward function, not after it. On one
+	// processor the goroutine w2's hook starts can run only if Backward
+	// yields between that hook and the hook node under it, the very next
+	// thing it pops. The scheduler resumes the yielding goroutine first
+	// on one tick in 61, hence the repetitions and the margin.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(18))
+	const runs = 40
+	seen := 0
+	for i := 0; i < runs; i++ {
+		x := Constant(tensor.RandN(rng, 1, 2, 2))
+		w1, w2 := randVar(rng, 2, 2), randVar(rng, 2, 2)
+		var ran atomic.Bool
+		done := make(chan struct{})
+		w2.RegisterPostAccumulateHook(func(*Variable) {
+			go func() {
+				ran.Store(true)
+				close(done)
+			}()
+		})
+		h1 := BackwardHook(MatMul(x, w1), func() {
+			if ran.Load() {
+				seen++
+			}
+		})
+		Backward(Sum(MatMul(h1, w2)), nil)
+		<-done
+	}
+	if seen < runs*3/4 {
+		t.Fatalf("a goroutine started by a leaf's hook had run before the next backward node in %d of %d passes", seen, runs)
+	}
+}
+
 func TestUnusedLeafGetsNoGradientOrHook(t *testing.T) {
 	// The Fig 3(b) failure mode: a parameter skipped by the forward pass
 	// never fires its hook. DDP must detect this by graph traversal.

@@ -37,11 +37,14 @@ type pendingGrad struct {
 // the same order, on the same values, as if every hand-off had cloned.
 //
 // Progress guarantee: Backward yields the processor once after every
-// node's backward function, so a collective launched from a hook gets
-// to run at least once per backward node even when every processor is
-// busy running a rank. Without the yield the goroutine a hook has just
+// node's backward function, and once after a leaf whose hooks ran, so a
+// collective launched from a hook starts at once and gets to run at
+// least once per backward node even when every processor is busy
+// running a rank. Without the first yield the goroutine a hook has just
 // woken, and every later hop of its collective, would wait for the
-// runtime's 10 ms forced preemption while this pass computes on.
+// runtime's 10 ms forced preemption while this pass computes on; without
+// the second a launch waits out the next node's whole backward function
+// (~0.8 ms on ddp_bert_shaped) before its first frame leaves.
 func Backward(root *Variable, grad *tensor.Tensor) {
 	seedOwned := grad == nil
 	if grad == nil {
@@ -94,6 +97,9 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 		if v.node == nil {
 			if v.requiresGrad {
 				v.accumulate(g)
+				if len(v.hooks) > 0 {
+					runtime.Gosched()
+				}
 			}
 			continue
 		}

@@ -14,7 +14,8 @@ type Algorithm int
 // Supported AllReduce algorithms.
 const (
 	// Ring uses reduce-scatter followed by all-gather around a ring:
-	// bandwidth-optimal for large tensors, 2(k-1) latency terms.
+	// bandwidth-optimal for large tensors, 2(k-1) latency terms — one,
+	// between two ranks, up to ringPairMaxElems (ringAllReduceSteps).
 	Ring Algorithm = iota
 	// Tree reduces along a binomial tree to rank 0 and broadcasts back:
 	// log(k) latency, good for small tensors.
@@ -150,21 +151,30 @@ func stepsAllReduce(m transport.Mesh, tag uint64, collective string, data []floa
 	return nil
 }
 
-// ringAllReduce IS the sharded pair: a ring reduce-scatter onto the
-// chunk owners, then a ring all-gather of the owned chunks, over the
-// same chunkBounds layout. After it returns, every rank holds
-// bitwise-identical reduced data: each chunk's final value is computed
-// on exactly one rank (its owner) and then propagated verbatim, which
-// is what lets DDP guarantee identical gradients (and therefore
+// ringAllReduce runs ringAllReduceSteps: the sharded pair — a ring
+// reduce-scatter onto the chunk owners, then a ring all-gather of the
+// owned chunks, over the same chunkBounds layout — or, between two
+// ranks, the one exchange that evaluates the same expressions. After it
+// returns, every rank holds bitwise-identical reduced data, each
+// element the value its chunk's owner computes in the reduce-scatter,
+// which is what lets DDP guarantee identical gradients (and therefore
 // identical models) on every replica — and what lets ZeRO-style
-// sharding splice an optimizer update between the halves and still
-// produce bitwise the values a DDP AllReduce would have (see
-// internal/fsdp).
+// sharding splice an optimizer update between ReduceScatterV and
+// AllGatherV and still produce bitwise the values a DDP AllReduce would
+// have (see internal/fsdp). Avg is scaled where ReduceScatterV scales
+// it: on the range the last fold completes on this rank, before the
+// verbatim steps carry it on.
 func ringAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	if err := ringReduceScatterOwned(m, tag, data, op); err != nil {
+	k := m.Size()
+	if k == 1 {
+		return nil
+	}
+	steps := ringAllReduceSteps(m.Rank(), k, len(data))
+	if err := runSteps(m, tag, "ring allreduce", data, op, steps[:k-1]); err != nil {
 		return err
 	}
-	return ringAllGatherOwned(m, tag, data)
+	finishAvg(data[steps[k-2].rLo:steps[k-2].rHi], op, k)
+	return runSteps(m, tag, "ring allreduce, gather pass", data, op, steps[k-1:])
 }
 
 // naiveAllReduce is the paper's strawman: every rank broadcasts its full

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,6 +207,87 @@ func BenchmarkAllReduceDeepWorld(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkRingPairCrossover is the measurement behind
+// ringPairMaxElems: two ranks, both transports, a quarter of the cutoff,
+// the cutoff and four times it, each under both branches of
+// ringAllReduceSteps — the one exchange (ringPairStep) and the two ring
+// passes — whatever the generator would pick at that size. Next to
+// ns/op it reports γ, the per-element cost of the fold the exchange
+// runs twice, timed with both ranks folding at once as they do inside
+// the collective. The exchange saves a hop α and spends γ·n/2, so on a
+// mesh whose hops are free pair − twopass at the cutoff is the most the
+// constant can cost, and n* = 2α/γ is where it stops paying on a link
+// whose hop costs α (ARCHITECTURE.md has the numbers).
+func BenchmarkRingPairCrossover(b *testing.B) {
+	for _, tr := range []string{"inproc", "tcp"} {
+		for _, n := range []int{ringPairMaxElems / 4, ringPairMaxElems, 4 * ringPairMaxElems} {
+			for _, sched := range []string{"pair", "twopass"} {
+				b.Run(fmt.Sprintf("%s/%d/%s", tr, n, sched), func(b *testing.B) {
+					benchRingPair(b, tr, n, sched == "pair")
+				})
+			}
+		}
+	}
+}
+
+func benchRingPair(b *testing.B, tr string, n int, pair bool) {
+	meshes := benchMeshes(b, tr, 2)
+	defer func() {
+		for _, m := range meshes {
+			m.Close()
+		}
+	}()
+	var bufs, srcs [2][]float32
+	var steps [2][]step
+	for r := range bufs {
+		bufs[r], srcs[r] = make([]float32, n), make([]float32, n)
+		steps[r] = append(ringSteps(r, 2, n, r-1, true), ringSteps(r, 2, n, r, false)...)
+		if pair {
+			steps[r] = []step{ringPairStep(r, n)}
+		}
+	}
+	// both runs fn on the two ranks at once and returns when both are done.
+	both := func(fn func(r int)) {
+		var wg sync.WaitGroup
+		for r := range bufs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(r)
+			}()
+		}
+		wg.Wait()
+	}
+	// Medians: the reference box's speed flips under a mean.
+	median := func(runs int, fn func()) float64 {
+		ns := make([]float64, runs)
+		for i := range ns {
+			start := time.Now()
+			fn()
+			ns[i] = float64(time.Since(start).Nanoseconds())
+		}
+		slices.Sort(ns)
+		return ns[runs/2]
+	}
+	fold := func() { both(func(r int) { reduceInto(bufs[r][:n/2], srcs[r][:n/2], Sum) }) }
+	fold() // faults the pages in
+	gamma := median(21, fold) / float64(n/2)
+
+	tag := uint64(0)
+	b.SetBytes(int64(4 * n))
+	b.ResetTimer()
+	p50 := median(b.N, func() {
+		tag++
+		both(func(r int) {
+			if err := stepsAllReduce(meshes[r], tag, "bench", bufs[r], Sum, steps[r]); err != nil {
+				b.Errorf("rank %d: %v", r, err)
+			}
+		})
+	})
+	b.ReportMetric(p50, "p50-ns/op")
+	b.ReportMetric(gamma, "γ-ns/elem")
 }
 
 var benchTCPSeq atomic.Int64

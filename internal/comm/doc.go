@@ -20,7 +20,7 @@
 //   - Ring: reduce-scatter + all-gather around a ring — literally the
 //     sharded pair ReduceScatterV then AllGatherV (see "Schedules"
 //     below). Bandwidth optimal (2(k-1)/k of the buffer per link),
-//     2(k-1) latency terms.
+//     2(k-1) latency terms; one, between two ranks, up to 1 MiB.
 //   - Tree: binomial reduce to rank 0 + broadcast back; log(k)
 //     latency, the right shape for small messages.
 //   - DoubleTree: NCCL 2.4's double binary trees — two complementary
@@ -68,12 +68,14 @@
 // # Schedules
 //
 // A collective over one flat buffer is a per-rank list of steps
-// {to, from, send [lo,hi), recv [lo,hi), fold|copy}, produced by a pure
-// generator — ringSteps, binomialReduceSteps, binomialBroadcastSteps,
-// doubleTreeSteps, and treeSteps and hierarchicalSteps, which
-// concatenate the first three — and run by the one executor, runSteps. It
-// overlaps each step's send with its receive, joins that send on every
-// path, and length-checks every frame, failing with an error that names
+// {to, from, send [lo,hi), recv [lo,hi), land|fold into|fold under},
+// produced by a pure generator — ringSteps, binomialReduceSteps,
+// binomialBroadcastSteps, doubleTreeSteps, and ringAllReduceSteps,
+// treeSteps and hierarchicalSteps, which concatenate the first three —
+// and run by the one executor, runSteps. It overlaps each step's send
+// with its receive, joins that send on every path and before the frame
+// lands (so a send ships its range as it was before the step), and
+// length-checks every frame, failing with an error that names
 // collective, rank, peer, step and got/want. The all-peers collectives
 // (Naive, AllGather, AllToAll, Gather, Scatter, both stages of the
 // compressed AllReduce) share the generic exchange over the float and
@@ -94,12 +96,16 @@
 // first, AllGatherV the second, the Ring AllReduce is one after the
 // other, and the equal-chunk ReduceScatter is ReduceScatterV over a
 // copy of its source — which is why a ZeRO step (reduce-scatter, local
-// update, all-gather) is bitwise a DDP step. Because schedules exist
-// without a mesh, a unit test checks every generator at worlds 1-33
-// statically: sends meet receives of equal length in per-link FIFO
-// order, nothing can block forever, every ring chunk follows that
-// chain, and every AllReduce list leaves every contribution on every
-// rank exactly once.
+// update, all-gather) is bitwise a DDP step. Between two ranks, up to
+// ringPairMaxElems, ringAllReduceSteps is one step instead: each ships
+// the whole buffer and folds its own chunk into the buffer, the peer's
+// under it (the same kernel, operands swapped), which is that chain
+// with the owner's operand roles on both ranks, bit for bit. Because
+// schedules exist without a mesh, a unit test checks every generator at
+// worlds 1-33 statically: sends meet receives of equal length in
+// per-link FIFO order, nothing can block forever, every ring chunk
+// follows that chain, and every AllReduce list leaves every
+// contribution on every rank exactly once.
 //
 // ExtendedGroup.ReduceScatter has had no caller outside the tests since
 // optim.ZeroSGD, the duplicate ZeRO, was deleted (internal/fsdp shards

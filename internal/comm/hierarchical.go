@@ -17,7 +17,7 @@ import (
 //     level leader (the group's lowest rank) along a binomial tree;
 //     only leaders continue outward;
 //  2. ring — the level-0 leaders alone run the bandwidth-optimal ring
-//     reduce-scatter and all-gather;
+//     AllReduce (ringAllReduceSteps: two leaders meet in one exchange);
 //  3. down — retracing the levels inward, each leader propagates the
 //     finished buffer verbatim to its level's participants.
 //
@@ -53,7 +53,7 @@ func hierarchicalSteps(rank, n int, topo *Topology) (up, ring, down []step) {
 	}
 	leaders := topo.levelLeaders(0)
 	me := slices.Index(leaders, rank)
-	ring = onto(leaders, append(ringSteps(me, len(leaders), n, me-1, true), ringSteps(me, len(leaders), n, me, false)...))
+	ring = onto(leaders, ringAllReduceSteps(me, len(leaders), n))
 	return up, ring, down
 }
 

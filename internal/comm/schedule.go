@@ -9,29 +9,38 @@ import (
 
 // A collective over one flat buffer is data before it is traffic: each
 // rank's part is a list of steps produced by a pure generator
-// (ringSteps, binomialReduceSteps, binomialBroadcastSteps, treeSteps,
-// doubleTreeSteps, hierarchicalSteps), and runSteps is the one loop that
-// turns any such list into Send/Recv calls. The all-peers collectives,
-// whose frames do not address one flat buffer, share exchange instead.
-// Nothing outside this file touches the transport, so the frame-length
-// check, the join of the in-flight send, the hand-back of every received
-// frame to the transport's buffer pool and every future pipelining
-// change are written once — and because a schedule exists without a
-// mesh, schedule_test.go checks every generator statically: matching
-// sends and receives in per-link FIFO order, no cycle of blocking waits,
-// the documented fold chain.
+// (ringSteps, ringAllReduceSteps, binomialReduceSteps,
+// binomialBroadcastSteps, treeSteps, doubleTreeSteps, hierarchicalSteps),
+// and runSteps is the one loop that turns any such list into Send/Recv
+// calls. The all-peers collectives, whose frames do not address one flat
+// buffer, share exchange instead. Nothing outside this file touches the
+// transport, so the frame-length check, the join of the in-flight send,
+// the hand-back of every received frame to the transport's buffer pool
+// and every future pipelining change are written once — and because a
+// schedule exists without a mesh, schedule_test.go checks every
+// generator statically: matching sends and receives in per-link FIFO
+// order, no cycle of blocking waits, the documented fold chain.
+//
+// The contract between the two: a step's send ships its range as it was
+// BEFORE the step, because runSteps joins the send before it lets the
+// received frame touch the buffer — so a step may send a range it is
+// receiving, as the two-rank exchange does.
 
 // step is one rank's move in a schedule over a flat buffer: ship
 // data[sLo:sHi] to rank `to` while taking a frame of exactly rHi-rLo
 // elements from rank `from` into data[rLo:rHi]. A peer of -1 means no
-// send (or no receive) this step.
+// send (or no receive) this step. The frame lands one of three ways:
+// verbatim (fold unset); folded INTO the buffer, data = data ∘ frame
+// under the collective's op (fold); or, over the sub-range [uLo,uHi) of
+// a folding step, folded UNDER it — frame = frame ∘ data, the same
+// kernel with the operands swapped, then landed verbatim — which is what
+// the sender evaluates when it folds this rank's frame INTO its buffer.
 type step struct {
 	to, from int
 	sLo, sHi int
 	rLo, rHi int
-	// fold combines the frame into the buffer under the collective's
-	// op; otherwise the frame overwrites it verbatim.
-	fold bool
+	fold     bool
+	uLo, uHi int
 }
 
 // ringSteps is one pass around the ring over the chunkBounds layout:
@@ -63,6 +72,39 @@ func ringSteps(rank, k, n, first int, fold bool) []step {
 	return steps
 }
 
+// ringPairMaxElems is the largest buffer (1 MiB) two ranks AllReduce in
+// one exchange. The exchange saves a hop, α, and pays a second fold of
+// n/2 elements at γ each, so it wins up to n* = 2α/γ: γ = 0.75 ns for
+// the memory-bound fold (BenchmarkRingPairCrossover measures it) and
+// α = 0.1 ms. A link whose hop costs more gains on every collective; one
+// whose hops are free loses that fold, 0.15 ms measured at the cutoff.
+const ringPairMaxElems = 256 << 10
+
+// ringAllReduceSteps is the ring AllReduce: the reduce-scatter pass,
+// then the all-gather pass, 2(k-1) dependent hops. Two ranks need only
+// one — both passes cross the same link — so up to ringPairMaxElems
+// they ship each other the whole buffer once (2(k-1)/k·n = n elements
+// either way) and fold it owner-ordered: this rank's chunk as the
+// reduce-scatter would (data ∘ frame), the peer's chunk UNDER the
+// buffer (frame ∘ data, what the peer computes as its owner). Every
+// element is the expression the two passes evaluate, operand roles
+// included, so the result is bitwise theirs for every op, NaN payloads
+// and signed zeros too, with no appeal to commutativity. Either way the
+// first k-1 steps fold and the last of them completes what it receives.
+func ringAllReduceSteps(rank, k, n int) []step {
+	if k == 2 && n <= ringPairMaxElems {
+		return []step{ringPairStep(rank, n)}
+	}
+	return append(ringSteps(rank, k, n, rank-1, true), ringSteps(rank, k, n, rank, false)...)
+}
+
+// ringPairStep is the two-rank exchange of ringAllReduceSteps.
+func ringPairStep(rank, n int) step {
+	st := step{to: 1 - rank, from: 1 - rank, sHi: n, rHi: n, fold: true}
+	st.uLo, st.uHi = chunkBounds(n, 2, 1-rank)
+	return st
+}
+
 // frameLenError reports a received frame whose length is not the one
 // the schedule fixed for it: the peers disagree on the buffer size, or
 // the transport truncated the frame. It names the collective, the rank
@@ -92,10 +134,11 @@ func checkFrame(collective string, rank, peer, step, got, want int) error {
 // runSteps executes one rank's steps in order over data. A step that
 // both sends and receives issues the send on its own goroutine so the
 // matching receive can proceed concurrently, preventing head-of-line
-// deadlock on large messages; that send is joined on every path, so no
-// goroutine outlives the call or reads data after it returns. Every
-// received frame goes back to the transport's pool once it has been
-// folded or copied. collective names the schedule in errors.
+// deadlock on large messages; that send is joined on every path and
+// before the frame lands, so no goroutine outlives the call, reads data
+// after it returns, or sees a range the step's own receive has written.
+// Every received frame goes back to the transport's pool once it has
+// been folded or copied. collective names the schedule in errors.
 func runSteps(m transport.Mesh, tag uint64, collective string, data []float32, op ReduceOp, steps []step) error {
 	sent := make(chan error, 1) // at most one send is in flight
 	for i, st := range steps {
@@ -121,10 +164,17 @@ func runSteps(m transport.Mesh, tag uint64, collective string, data []float32, o
 			transport.PutFloats(buf)
 			return err
 		}
-		if st.fold {
-			reduceInto(data[st.rLo:st.rHi], buf, op)
-		} else {
-			copy(data[st.rLo:st.rHi], buf)
+		switch dst := data[st.rLo:st.rHi]; {
+		case !st.fold:
+			copy(dst, buf)
+		case st.uLo == st.uHi:
+			reduceInto(dst, buf, op)
+		default:
+			lo, hi := st.uLo-st.rLo, st.uHi-st.rLo
+			reduceInto(dst[:lo], buf[:lo], op)
+			reduceInto(buf[lo:hi], dst[lo:hi], op)
+			copy(dst[lo:hi], buf[lo:hi])
+			reduceInto(dst[hi:], buf[hi:], op)
 		}
 		transport.PutFloats(buf)
 	}

@@ -35,6 +35,9 @@ func newSymbolic(k, n int, gens ...func(rank int) []step) *symbolic {
 		for r := 0; r < k; r++ {
 			for _, st := range gen(r) {
 				bounds = append(bounds, st.sLo, st.sHi, st.rLo, st.rHi)
+				if st.uLo < st.uHi {
+					bounds = append(bounds, st.uLo, st.uHi)
+				}
 			}
 		}
 	}
@@ -59,6 +62,14 @@ func (s *symbolic) chunk(rank, c int) [][]int {
 	return s.vals[rank][s.atom[lo]:s.atom[hi]]
 }
 
+// atoms returns the atom indices covering [lo,hi), and whether both ends
+// are boundaries newSymbolic was given.
+func (s *symbolic) atoms(lo, hi int) (int, int, bool) {
+	a, okA := s.atom[lo]
+	b, okB := s.atom[hi]
+	return a, b, okA && okB
+}
+
 // run executes every rank's step list (gen(rank)) against the symbolic
 // buffers. Sends are modelled as rendezvous — a send completes only
 // once its receiver has reached the matching receive, the most blocking
@@ -66,16 +77,32 @@ func (s *symbolic) chunk(rank, c int) [][]int {
 // no cycle of blocking waits under any buffering. Because each rank
 // keeps at most one send and one receive in flight and retires steps in
 // order, matching each link's pending send with its pending receive is
-// per-link FIFO matching. It fails if a matched pair disagrees on the
-// range (and so the frame length) — an in-place collective never moves
-// an element to another index — if a step's send and receive ranges
-// overlap (the executor runs them concurrently), or if the ranks stop
-// making progress.
+// per-link FIFO matching. A send ships what its range held when the
+// rank ENTERED the step, which is runSteps' contract (the send is joined
+// before the step's frame lands) and what lets a step ship a range it
+// is receiving. A frame folded INTO the buffer extends the chain it
+// carries with the receiver's (received ++ own, the order ringSteps
+// documents); one folded UNDER it is the mirror image, own ++ received.
+// run fails if a matched pair disagrees on the range (and so the frame
+// length) — an in-place collective never moves an element to another
+// index — or if the ranks stop making progress.
 func (s *symbolic) run(gen func(rank int) []step) error {
 	k := s.k
 	steps := make([][]step, k)
 	for r := range steps {
 		steps[r] = gen(r)
+	}
+	// pre[r] is rank r's buffer as it was when r entered its step: a
+	// copy if the step also receives, which is all that can change it.
+	pre := make([][][]int, k)
+	enter := func(r, pc int) {
+		pre[r] = s.vals[r]
+		if pc < len(steps[r]) && steps[r][pc].to >= 0 && steps[r][pc].from >= 0 {
+			pre[r] = slices.Clone(pre[r])
+		}
+	}
+	for r := range steps {
+		enter(r, 0)
 	}
 	pc := make([]int, k)
 	sent := make([]bool, k)
@@ -91,24 +118,30 @@ func (s *symbolic) run(gen func(rank int) []step) error {
 			if st.to == a || st.from == a || st.to >= k || st.from >= k {
 				return fmt.Errorf("rank %d step %d: bad peers to=%d from=%d", a, pc[a], st.to, st.from)
 			}
-			if st.to >= 0 && st.from >= 0 && st.sLo < st.rHi && st.rLo < st.sHi {
-				return fmt.Errorf("rank %d step %d: send [%d,%d) overlaps recv [%d,%d)", a, pc[a], st.sLo, st.sHi, st.rLo, st.rHi)
-			}
 			if b := st.to; b >= 0 && !sent[a] && pc[b] < len(steps[b]) && !rcvd[b] && steps[b][pc[b]].from == a {
 				rt := steps[b][pc[b]]
 				if st.sLo != rt.rLo || st.sHi != rt.rHi {
 					return fmt.Errorf("rank %d step %d ships [%d,%d), rank %d step %d expects [%d,%d)",
 						a, pc[a], st.sLo, st.sHi, b, pc[b], rt.rLo, rt.rHi)
 				}
-				lo, okLo := s.atom[st.sLo]
-				hi, okHi := s.atom[st.sHi]
-				if !okLo || !okHi {
-					return fmt.Errorf("rank %d step %d: [%d,%d) is not on the boundaries newSymbolic was given", a, pc[a], st.sLo, st.sHi)
+				lo, hi, ok := s.atoms(st.sLo, st.sHi)
+				uLo, uHi := hi, hi // no atom folds under, unless the receiver names some
+				if rt.uLo < rt.uHi {
+					var okU bool
+					uLo, uHi, okU = s.atoms(rt.uLo, rt.uHi)
+					ok = ok && okU && rt.fold && rt.rLo <= rt.uLo && rt.uHi <= rt.rHi
+				}
+				if !ok {
+					return fmt.Errorf("rank %d step %d: [%d,%d) folding under [%d,%d) is off the boundaries newSymbolic was given, or not a sub-range of a fold",
+						b, pc[b], rt.rLo, rt.rHi, rt.uLo, rt.uHi)
 				}
 				for i := lo; i < hi; i++ {
-					in := s.vals[a][i]
-					if rt.fold {
-						in = append(slices.Clone(in), s.vals[b][i]...)
+					in, own := pre[a][i], s.vals[b][i]
+					switch {
+					case rt.fold && uLo <= i && i < uHi:
+						in = append(slices.Clone(own), in...)
+					case rt.fold:
+						in = append(slices.Clone(in), own...)
 					}
 					s.vals[b][i] = in
 				}
@@ -116,6 +149,7 @@ func (s *symbolic) run(gen func(rank int) []step) error {
 			}
 			if (st.to < 0 || sent[a]) && (st.from < 0 || rcvd[a]) {
 				pc[a]++
+				enter(a, pc[a])
 				sent[a], rcvd[a], progress = false, false, true
 			}
 		}
@@ -161,22 +195,41 @@ func allReduced(k, n int, gen func(rank int) []step) error {
 	return nil
 }
 
+// ringReducedEverywhere fails unless every rank holds, in every chunk,
+// the documented reduce-scatter chain of that chunk.
+func (s *symbolic) ringReducedEverywhere() error {
+	for r := 0; r < s.k; r++ {
+		for c := 0; c < s.k; c++ {
+			for _, got := range s.chunk(r, c) {
+				if want := ringChain(c, s.k); !slices.Equal(got, want) {
+					return fmt.Errorf("rank %d holds %v in chunk %d, want %v", r, got, c, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // TestSchedulesStatically checks every step generator at worlds 1-33
 // and the buffer sizes around the chunking edge cases, on the schedule
 // alone: sends meet receives of equal length in per-link FIFO order,
-// nothing blocks forever, no step sends a range it is receiving, the
-// ring reduce-scatter folds every chunk exactly once per rank along the
-// documented chain and finishes it on its owner, the all-gather then
-// leaves every chunk on every rank, the binomial pair folds every rank
-// exactly once and delivers the root's buffer verbatim, and the whole
-// AllReduce lists — Tree, DoubleTree across its pipeline chunk edges,
-// Hierarchical over every layout the numeric suites use — leave every
+// nothing blocks forever, the ring reduce-scatter folds every chunk
+// exactly once per rank along the documented chain and finishes it on
+// its owner, the all-gather then leaves every chunk on every rank, the
+// ring AllReduce list is those two passes back to back — except between
+// two ranks up to ringPairMaxElems, where it is one exchange that leaves
+// the same chain in every chunk on both — the binomial pair folds every
+// rank exactly once and delivers the root's buffer verbatim, and the
+// whole AllReduce lists — Tree, DoubleTree across its pipeline chunk
+// edges, Hierarchical over every layout the numeric suites use, and at
+// the exchange's size limit wherever two leaders meet — leave every
 // contribution on every rank exactly once, identically.
 func TestSchedulesStatically(t *testing.T) {
 	const chunk = doubleTreeChunkElems
 	for k := 1; k <= 33; k++ {
-		for _, n := range []int{0, 1, 2, k - 1, k, k + 1, 4099, 2 * chunk, 2*chunk + 1, 9*chunk + 5} {
-			// The ring pair, composed the way ringAllReduce composes it.
+		for _, n := range []int{0, 1, 2, k - 1, k, k + 1, 4099, 2 * chunk, 2*chunk + 1, 9*chunk + 5,
+			ringPairMaxElems - 1, ringPairMaxElems, ringPairMaxElems + 1} {
+			// The two passes, as ReduceScatterV and AllGatherV run them.
 			scatter := func(r int) []step { return ringSteps(r, k, n, r-1, true) }
 			gather := func(r int) []step { return ringSteps(r, k, n, r, false) }
 			s := newSymbolic(k, n, scatter, gather)
@@ -193,14 +246,32 @@ func TestSchedulesStatically(t *testing.T) {
 			if err := s.run(gather); err != nil {
 				t.Fatalf("ring all-gather k=%d n=%d: %v", k, n, err)
 			}
+			if err := s.ringReducedEverywhere(); err != nil {
+				t.Fatalf("ring all-gather k=%d n=%d: %v", k, n, err)
+			}
+
+			// The ring AllReduce, as ringAllReduce, Barrier and the
+			// leader ring obtain it.
+			allReduce := func(r int) []step { return ringAllReduceSteps(r, k, n) }
+			s = newSymbolic(k, n, allReduce)
+			if err := s.run(allReduce); err != nil {
+				t.Fatalf("ring allreduce k=%d n=%d: %v", k, n, err)
+			}
+			if err := s.ringReducedEverywhere(); err != nil {
+				t.Fatalf("ring allreduce k=%d n=%d: %v", k, n, err)
+			}
 			for r := 0; r < k; r++ {
-				for c := 0; c < k; c++ {
-					for _, got := range s.chunk(r, c) {
-						if want := ringChain(c, k); !slices.Equal(got, want) {
-							t.Fatalf("ring all-gather k=%d n=%d: rank %d holds %v in chunk %d, want %v", k, n, r, got, c, want)
-						}
-					}
+				want := append(scatter(r), gather(r)...)
+				if k == 2 && n <= ringPairMaxElems {
+					want = []step{ringPairStep(r, n)}
 				}
+				if got := allReduce(r); !slices.Equal(got, want) {
+					t.Fatalf("ring allreduce k=%d n=%d rank %d: steps %+v, want %+v", k, n, r, got, want)
+				}
+			}
+			if n >= ringPairMaxElems-1 {
+				hierarchicalLayouts(t, k, n, true)
+				continue
 			}
 
 			// The binomial pair, from every kind of broadcast root.
@@ -234,26 +305,35 @@ func TestSchedulesStatically(t *testing.T) {
 			if err := allReduced(k, n, func(r int) []step { return doubleTreeSteps(r, k, n) }); err != nil {
 				t.Fatalf("double tree k=%d n=%d: %v", k, n, err)
 			}
-			if n > 4099 {
-				continue
+			if n <= 4099 {
+				hierarchicalLayouts(t, k, n, false)
 			}
-			layouts := hostLayouts(k)
-			if k == 6 {
-				layouts["nlevel-uneven"] = nLevelUnevenHosts
-			}
-			if k == 8 {
-				layouts["nlevel-pods"] = nLevelPodHosts
-			}
-			for name, hosts := range layouts {
-				if hosts == nil {
-					continue
-				}
-				topo := NewTopology(hosts)
-				err := allReduced(k, n, func(r int) []step { return slices.Concat(hierarchicalSteps(r, n, topo)) })
-				if err != nil {
-					t.Fatalf("hierarchical %s k=%d n=%d: %v", name, k, n, err)
-				}
-			}
+		}
+	}
+}
+
+// hierarchicalLayouts checks hierarchicalSteps over every layout the
+// numeric suites use at world k — or, with twoLeaders, only those whose
+// leader ring has two members, the ring that is one exchange.
+func hierarchicalLayouts(t *testing.T, k, n int, twoLeaders bool) {
+	layouts := hostLayouts(k)
+	if k == 6 {
+		layouts["nlevel-uneven"] = nLevelUnevenHosts
+	}
+	if k == 8 {
+		layouts["nlevel-pods"] = nLevelPodHosts
+	}
+	for name, hosts := range layouts {
+		if hosts == nil {
+			continue
+		}
+		topo := NewTopology(hosts)
+		if twoLeaders && len(topo.levelLeaders(0)) != 2 {
+			continue
+		}
+		err := allReduced(k, n, func(r int) []step { return slices.Concat(hierarchicalSteps(r, n, topo)) })
+		if err != nil {
+			t.Fatalf("hierarchical %s k=%d n=%d: %v", name, k, n, err)
 		}
 	}
 }
@@ -293,7 +373,10 @@ func TestShortFrameIsAnError(t *testing.T) {
 		want       int
 		run        func(g ProcessGroup, data []float32) Work
 	}{
-		{"AllReduce", Ring, nil, "ring reduce-scatter", 0, 0, n / 3, sum},
+		{"AllReduce", Ring, nil, "ring allreduce", 0, 0, n / 3, sum},
+		// Two ranks (Ring reads no layout): the one exchange step carries
+		// the whole buffer.
+		{"AllReducePair", Ring, []string{"a", "b"}, "ring allreduce", 0, 0, n, sum},
 		{"ReduceScatterV", Ring, nil, "ring reduce-scatter", 0, 0, n / 3, func(g ProcessGroup, data []float32) Work {
 			return g.(ShardedGroup).ReduceScatterV(data, Avg)
 		}},

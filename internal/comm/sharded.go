@@ -11,10 +11,11 @@ import (
 // two halves of the ring AllReduce exposed separately, literally:
 // ReduceScatterV is one ringSteps pass that folds (chunk c travels
 // x[c+1], ..., x[c-1] and takes its last fold, x[c], on its owner, rank
-// c), AllGatherV one pass that copies, and ringAllReduce is the first
-// followed by the second. A reduce-scatter + local-update + all-gather
-// sequence therefore produces bitwise the parameter values a DDP
-// AllReduce + full local update would have — the property the
+// c), AllGatherV one pass that copies, and ringAllReduceSteps is the
+// first followed by the second — or, between two ranks, one exchange
+// that evaluates the same expressions. A reduce-scatter + local-update
+// + all-gather sequence therefore produces bitwise the parameter values
+// a DDP AllReduce + full local update would have — the property the
 // DDP-vs-ZeRO agreement suites assert. The equal-chunk ReduceScatter in
 // extended.go is the same pass over a copy of its source, since equal
 // chunks are what ChunkBounds yields when the world divides the length.
