@@ -22,10 +22,15 @@ import "repro/internal/tensor"
 // the forward twice — prefer checkpointing pure segments.
 func Checkpoint(fn func(*Variable) *Variable, x *Variable) *Variable {
 	detachedOut := fn(Constant(x.Value))
-	backward := func(g *tensor.Tensor) []*tensor.Tensor {
-		in := NewLeaf(x.Value, true)
+	backward := func(g *tensor.Tensor, req []request) []*tensor.Tensor {
+		// The need is passed on: when nothing reads x's gradient, the
+		// re-executed fn sees a constant and computes none.
+		in := NewLeaf(x.Value, req[0].need)
 		out := fn(in)
 		Backward(out, g)
+		if !req[0].need {
+			return []*tensor.Tensor{nil}
+		}
 		if in.Grad == nil {
 			// fn ignored its input (e.g. returned a constant); the
 			// input gradient is zero.

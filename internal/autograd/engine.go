@@ -28,6 +28,11 @@ type pendingGrad struct {
 // "ready" one at a time while the pass is still executing, which is what
 // lets DDP overlap AllReduce with the remaining backward computation.
 //
+// Each backward function is told what is wanted of it (see request): an
+// input whose gradient nothing reads — a leaf without RequiresGrad — is
+// asked for none, and a leaf whose whole gradient this one call
+// produces is offered its registered destination to write it in.
+//
 // Gradients are handed on, not copied: what a backward function
 // returns (see node.backward) is stored as is and, if it reaches a leaf
 // with no gradient yet, becomes that leaf's Grad. A copy is made only
@@ -87,6 +92,7 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 	grads := map[*Variable]pendingGrad{root: {grad, seedOwned}}
 	pending := uses // alias: pending contributions remaining per variable
 	queue := []*Variable{root}
+	var req []request
 
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
@@ -104,14 +110,24 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 			continue
 		}
 
-		inGrads := v.node.backward(g.t)
+		req = req[:0]
+		for _, in := range v.node.inputs {
+			r := request{need: in.requiresGrad}
+			if in.gradDst != nil && in.node == nil && in.Grad == nil && pending[in] == 1 {
+				if _, contributed := grads[in]; !contributed {
+					r.into = in.gradDst()
+				}
+			}
+			req = append(req, r)
+		}
+		inGrads := v.node.backward(g.t, req)
 		runtime.Gosched()
 		if len(inGrads) != len(v.node.inputs) {
 			panic(fmt.Sprintf("autograd: op %s returned %d gradients for %d inputs", v.node.op, len(inGrads), len(v.node.inputs)))
 		}
 		for i, in := range v.node.inputs {
 			gi := inGrads[i]
-			if gi != nil {
+			if gi != nil && in.requiresGrad {
 				if !gi.SameShape(in.Value) {
 					panic(fmt.Sprintf("autograd: op %s produced gradient shape %v for input shape %v", v.node.op, gi.Shape(), in.Value.Shape()))
 				}

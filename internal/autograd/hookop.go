@@ -15,7 +15,7 @@ import "repro/internal/tensor"
 // not participate in the graph the hook never fires (there is no
 // backward to intercept) and a detached constant is returned.
 func BackwardHook(v *Variable, fn func()) *Variable {
-	return newOp("backward_hook", v.Value, func(grad *tensor.Tensor) []*tensor.Tensor {
+	return newOp("backward_hook", v.Value, func(grad *tensor.Tensor, _ []request) []*tensor.Tensor {
 		fn()
 		return []*tensor.Tensor{grad}
 	}, v)

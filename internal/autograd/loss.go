@@ -20,7 +20,7 @@ func MSELoss(pred, target *Variable) *Variable {
 		sum += d * d
 	}
 	out := tensor.Scalar(float32(sum) / n)
-	return newOp("mse", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("mse", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		scale := 2 * g.Item() / n
 		gp := tensor.New(pv.Shape()...)
 		gt := tensor.New(tv.Shape()...)
@@ -55,7 +55,7 @@ func CrossEntropyLoss(logits *Variable, targets []int) *Variable {
 	}
 	out := tensor.Scalar(float32(sum) / float32(batch))
 	sm := tensor.SoftmaxRows(lv)
-	return newOp("crossEntropy", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("crossEntropy", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		scale := g.Item() / float32(batch)
 		gl := tensor.New(batch, classes)
 		for i := 0; i < batch; i++ {
@@ -76,14 +76,14 @@ func CrossEntropyLoss(logits *Variable, targets []int) *Variable {
 func SoftmaxRows(a *Variable) *Variable {
 	out := tensor.SoftmaxRows(a.Value)
 	rows, cols := out.Dims(0), out.Dims(1)
-	return newOp("softmax", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("softmax", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gin := tensor.New(rows, cols)
 		for i := 0; i < rows; i++ {
 			srow := out.Data()[i*cols : (i+1)*cols]
 			grow := g.Data()[i*cols : (i+1)*cols]
 			var dot float32
 			for j := range srow {
-				dot += srow[j] * grow[j]
+				dot += float32(srow[j] * grow[j])
 			}
 			irow := gin.Data()[i*cols : (i+1)*cols]
 			for j := range srow {

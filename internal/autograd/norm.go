@@ -75,7 +75,7 @@ func BatchNorm(x, gamma, beta *Variable, runningMean, runningVar []float32, eps 
 			for i := 0; i < spatial; i++ {
 				xh := (xv.Data()[base+i] - mean[ch]) * invStd[ch]
 				xhat.Data()[base+i] = xh
-				out.Data()[base+i] = gv[ch]*xh + bv[ch]
+				out.Data()[base+i] = float32(gv[ch]*xh) + bv[ch]
 			}
 		}
 	}
@@ -85,14 +85,14 @@ func BatchNorm(x, gamma, beta *Variable, runningMean, runningVar []float32, eps 
 		stats = &BatchNormStats{Mean: mean, Var: variance}
 	}
 
-	backward := func(g *tensor.Tensor) []*tensor.Tensor {
+	backward := func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gGamma := tensor.New(c)
 		gBeta := tensor.New(c)
 		for b := 0; b < n; b++ {
 			for ch := 0; ch < c; ch++ {
 				base := (b*c + ch) * spatial
 				for i := 0; i < spatial; i++ {
-					gGamma.Data()[ch] += g.Data()[base+i] * xhat.Data()[base+i]
+					gGamma.Data()[ch] += float32(g.Data()[base+i] * xhat.Data()[base+i])
 					gBeta.Data()[ch] += g.Data()[base+i]
 				}
 			}
@@ -107,7 +107,7 @@ func BatchNorm(x, gamma, beta *Variable, runningMean, runningVar []float32, eps 
 					for i := 0; i < spatial; i++ {
 						dy := g.Data()[base+i]
 						gx.Data()[base+i] = gv[ch] * invStd[ch] / count *
-							(count*dy - gBeta.Data()[ch] - xhat.Data()[base+i]*gGamma.Data()[ch])
+							(float32(count*dy) - gBeta.Data()[ch] - float32(xhat.Data()[base+i]*gGamma.Data()[ch]))
 					}
 				}
 			}
@@ -155,26 +155,26 @@ func LayerNorm(x, gain, bias *Variable, eps float32) *Variable {
 		for j, v := range row {
 			xh := (v - m) * inv
 			xhat.Data()[r*dim+j] = xh
-			out.Data()[r*dim+j] = gv[j]*xh + bv[j]
+			out.Data()[r*dim+j] = float32(gv[j]*xh) + bv[j]
 		}
 	}
-	backward := func(g *tensor.Tensor) []*tensor.Tensor {
+	backward := func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gGain := tensor.New(dim)
 		gBias := tensor.New(dim)
 		gx := tensor.New(rows, dim)
 		for r := 0; r < rows; r++ {
 			var sumDy, sumDyXhat float32
 			for j := 0; j < dim; j++ {
-				dy := g.Data()[r*dim+j] * gv[j]
+				dy := float32(g.Data()[r*dim+j] * gv[j])
 				sumDy += dy
-				sumDyXhat += dy * xhat.Data()[r*dim+j]
-				gGain.Data()[j] += g.Data()[r*dim+j] * xhat.Data()[r*dim+j]
+				sumDyXhat += float32(dy * xhat.Data()[r*dim+j])
+				gGain.Data()[j] += float32(g.Data()[r*dim+j] * xhat.Data()[r*dim+j])
 				gBias.Data()[j] += g.Data()[r*dim+j]
 			}
 			d := float32(dim)
 			for j := 0; j < dim; j++ {
 				dy := g.Data()[r*dim+j] * gv[j]
-				gx.Data()[r*dim+j] = invStd[r] / d * (d*dy - sumDy - xhat.Data()[r*dim+j]*sumDyXhat)
+				gx.Data()[r*dim+j] = invStd[r] / d * (float32(d*dy) - sumDy - float32(xhat.Data()[r*dim+j]*sumDyXhat))
 			}
 		}
 		return []*tensor.Tensor{gx, gGain, gBias}

@@ -9,7 +9,7 @@ import (
 // Add returns a + b elementwise.
 func Add(a, b *Variable) *Variable {
 	out := tensor.Add(a.Value, b.Value)
-	return newOp("add", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("add", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{g, g}
 	}, a, b)
 }
@@ -17,7 +17,7 @@ func Add(a, b *Variable) *Variable {
 // Sub returns a - b elementwise.
 func Sub(a, b *Variable) *Variable {
 	out := tensor.Sub(a.Value, b.Value)
-	return newOp("sub", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("sub", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{g, tensor.Neg(g)}
 	}, a, b)
 }
@@ -26,7 +26,7 @@ func Sub(a, b *Variable) *Variable {
 func Mul(a, b *Variable) *Variable {
 	av, bv := a.Value, b.Value
 	out := tensor.Mul(av, bv)
-	return newOp("mul", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("mul", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{tensor.Mul(g, bv), tensor.Mul(g, av)}
 	}, a, b)
 }
@@ -34,7 +34,7 @@ func Mul(a, b *Variable) *Variable {
 // MulScalar returns a * s.
 func MulScalar(a *Variable, s float32) *Variable {
 	out := tensor.MulScalar(a.Value, s)
-	return newOp("mulScalar", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("mulScalar", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{tensor.MulScalar(g, s)}
 	}, a)
 }
@@ -44,7 +44,7 @@ func MulScalar(a *Variable, s float32) *Variable {
 func AddRow(m, row *Variable) *Variable {
 	n := row.Value.Size()
 	out := tensor.AddRow(m.Value, row.Value)
-	return newOp("addRow", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("addRow", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{g, tensor.SumRows(g, n)}
 	}, m, row)
 }
@@ -55,7 +55,7 @@ func MulRow(m, row *Variable) *Variable {
 	n := row.Value.Size()
 	mv, rv := m.Value, row.Value
 	out := tensor.MulRow(mv, rv)
-	return newOp("mulRow", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("mulRow", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gm := tensor.MulRow(g, rv)
 		grow := tensor.SumRows(tensor.Mul(g, mv), n)
 		return []*tensor.Tensor{gm, grow}
@@ -66,10 +66,26 @@ func MulRow(m, row *Variable) *Variable {
 func MatMul(a, b *Variable) *Variable {
 	av, bv := a.Value, b.Value
 	out := tensor.MatMul(av, bv)
-	return newOp("matmul", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("matmul", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
 		// dA = g·bᵀ, dB = aᵀ·g
-		return []*tensor.Tensor{tensor.MatMulTransB(g, bv), tensor.MatMulTransA(av, g)}
+		var da, db *tensor.Tensor
+		if req[0].need {
+			da = tensor.MatMulTransB(g, bv)
+		}
+		if req[1].need {
+			db = matMulTransA(req[1].into, av, g)
+		}
+		return []*tensor.Tensor{da, db}
 	}, a, b)
+}
+
+// matMulTransA is aᵀ·b, written into the destination the engine offered
+// when there is one.
+func matMulTransA(into, a, b *tensor.Tensor) *tensor.Tensor {
+	if into == nil {
+		return tensor.MatMulTransA(a, b)
+	}
+	return tensor.MatMulTransAInto(into, a, b)
 }
 
 // MatMulTransB returns a·bᵀ for a [m,k] and b [n,k] — the form attention
@@ -77,9 +93,16 @@ func MatMul(a, b *Variable) *Variable {
 func MatMulTransB(a, b *Variable) *Variable {
 	av, bv := a.Value, b.Value
 	out := tensor.MatMulTransB(av, bv)
-	return newOp("matmulTransB", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("matmulTransB", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
 		// C = A·Bᵀ: dA = g·B, dB = gᵀ·A.
-		return []*tensor.Tensor{tensor.MatMul(g, bv), tensor.MatMulTransA(g, av)}
+		var da, db *tensor.Tensor
+		if req[0].need {
+			da = tensor.MatMul(g, bv)
+		}
+		if req[1].need {
+			db = matMulTransA(req[1].into, g, av)
+		}
+		return []*tensor.Tensor{da, db}
 	}, a, b)
 }
 
@@ -97,7 +120,7 @@ func SliceCols(a *Variable, start, end int) *Variable {
 	for r := 0; r < rows; r++ {
 		copy(out.Data()[r*width:(r+1)*width], av.Data()[r*cols+start:r*cols+end])
 	}
-	return newOp("sliceCols", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("sliceCols", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gin := tensor.New(rows, cols)
 		for r := 0; r < rows; r++ {
 			copy(gin.Data()[r*cols+start:r*cols+end], g.Data()[r*width:(r+1)*width])
@@ -111,7 +134,7 @@ func SliceCols(a *Variable, start, end int) *Variable {
 func Reshape(a *Variable, shape ...int) *Variable {
 	inShape := a.Value.Shape()
 	out := a.Value.Reshape(shape...)
-	return newOp("reshape", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("reshape", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{g.Reshape(inShape...)}
 	}, a)
 }
@@ -120,7 +143,7 @@ func Reshape(a *Variable, shape ...int) *Variable {
 func Relu(a *Variable) *Variable {
 	av := a.Value
 	out := tensor.Relu(av)
-	return newOp("relu", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("relu", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gin := tensor.New(av.Shape()...)
 		gd, ad, od := gin.Data(), av.Data(), g.Data()
 		for i := range gd {
@@ -135,11 +158,11 @@ func Relu(a *Variable) *Variable {
 // Tanh returns tanh(x).
 func Tanh(a *Variable) *Variable {
 	out := tensor.Tanh(a.Value)
-	return newOp("tanh", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("tanh", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gin := tensor.New(out.Shape()...)
 		gd, od, gg := gin.Data(), out.Data(), g.Data()
 		for i := range gd {
-			gd[i] = gg[i] * (1 - od[i]*od[i])
+			gd[i] = gg[i] * (1 - float32(od[i]*od[i]))
 		}
 		return []*tensor.Tensor{gin}
 	}, a)
@@ -148,7 +171,7 @@ func Tanh(a *Variable) *Variable {
 // Sigmoid returns 1/(1+e^-x).
 func Sigmoid(a *Variable) *Variable {
 	out := tensor.Sigmoid(a.Value)
-	return newOp("sigmoid", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("sigmoid", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gin := tensor.New(out.Shape()...)
 		gd, od, gg := gin.Data(), out.Data(), g.Data()
 		for i := range gd {
@@ -162,7 +185,7 @@ func Sigmoid(a *Variable) *Variable {
 func Gelu(a *Variable) *Variable {
 	av := a.Value
 	out := tensor.Gelu(av)
-	return newOp("gelu", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("gelu", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		const c = 0.7978845608028654
 		gin := tensor.New(av.Shape()...)
 		gd, ad, gg := gin.Data(), av.Data(), g.Data()
@@ -182,7 +205,7 @@ func Gelu(a *Variable) *Variable {
 func Sum(a *Variable) *Variable {
 	av := a.Value
 	out := tensor.Sum(av)
-	return newOp("sum", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("sum", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{tensor.Full(g.Item(), av.Shape()...)}
 	}, a)
 }
@@ -192,7 +215,7 @@ func Mean(a *Variable) *Variable {
 	av := a.Value
 	out := tensor.Mean(av)
 	inv := 1 / float32(av.Size())
-	return newOp("mean", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("mean", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{tensor.Full(g.Item()*inv, av.Shape()...)}
 	}, a)
 }
@@ -214,7 +237,7 @@ func AddChannel(m, bias *Variable) *Variable {
 			}
 		}
 	}
-	return newOp("addChannel", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("addChannel", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gb := tensor.New(c)
 		for b := 0; b < n; b++ {
 			for ch := 0; ch < c; ch++ {
@@ -234,7 +257,7 @@ func AddChannel(m, bias *Variable) *Variable {
 func Conv2D(in, w *Variable, stride, pad int) *Variable {
 	iv, wv := in.Value, w.Value
 	out := tensor.Conv2D(iv, wv, stride, pad)
-	return newOp("conv2d", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("conv2d", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gin, gw := tensor.Conv2DBackward(iv, wv, g, stride, pad)
 		return []*tensor.Tensor{gin, gw}
 	}, in, w)
@@ -245,7 +268,7 @@ func AvgPool2D(in *Variable) *Variable {
 	iv := in.Value
 	h, w := iv.Dims(2), iv.Dims(3)
 	out := tensor.AvgPool2D(iv)
-	return newOp("avgpool2d", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("avgpool2d", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{tensor.AvgPool2DBackward(g, h, w)}
 	}, in)
 }
@@ -255,7 +278,7 @@ func MaxPool2D(in *Variable) *Variable {
 	iv := in.Value
 	out, arg := tensor.MaxPool2D(iv)
 	shape := iv.Shape()
-	return newOp("maxpool2d", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("maxpool2d", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{tensor.MaxPool2DBackward(g, arg, shape)}
 	}, in)
 }
@@ -269,7 +292,7 @@ func Embedding(w *Variable, indices []int) *Variable {
 	for i, idx := range indices {
 		copy(out.Data()[i*dim:(i+1)*dim], wv.Data()[idx*dim:(idx+1)*dim])
 	}
-	return newOp("embedding", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("embedding", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gw := tensor.New(wv.Shape()...)
 		for i, idx := range indices {
 			row := gw.Data()[idx*dim : (idx+1)*dim]
@@ -298,7 +321,7 @@ func Dropout(a *Variable, keep []bool, p float32) *Variable {
 			od[i] = ad[i] * scale
 		}
 	}
-	return newOp("dropout", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("dropout", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		gin := tensor.New(av.Shape()...)
 		gd, gg := gin.Data(), g.Data()
 		for i := range gd {
@@ -331,7 +354,7 @@ func Concat(vs ...*Variable) *Variable {
 	for i, v := range vs {
 		widths[i] = v.Value.Dims(1)
 	}
-	return newOp("concat", out, func(g *tensor.Tensor) []*tensor.Tensor {
+	return newOp("concat", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		grads := make([]*tensor.Tensor, len(vs))
 		col := 0
 		for i, c := range widths {

@@ -12,7 +12,7 @@ import (
 // referenceBackward is the clone-always engine Backward replaced, kept
 // as the oracle: every gradient is cloned when it is first stored and
 // cloned again when it is installed as a leaf's Grad, so nothing can
-// alias anything. Backward must produce bitwise the same leaf
+// alias anything, and every input's gradient is asked for. Backward must produce bitwise the same leaf
 // gradients with the copies left out.
 func referenceBackward(root *Variable, grad *tensor.Tensor) {
 	if grad == nil {
@@ -65,7 +65,12 @@ func referenceBackward(root *Variable, grad *tensor.Tensor) {
 			}
 			continue
 		}
-		for i, gi := range v.node.backward(g) {
+		// The oracle asks for every gradient and offers no destination.
+		req := make([]request, len(v.node.inputs))
+		for i := range req {
+			req[i].need = true
+		}
+		for i, gi := range v.node.backward(g, req) {
 			in := v.node.inputs[i]
 			if gi != nil {
 				if acc, ok := grads[in]; ok {
@@ -96,7 +101,8 @@ type diffCase struct {
 // runDiff runs the case under both engines, twice each without
 // zeroing in between (the second pass accumulates into the Grad the
 // first installed), and compares every leaf gradient bitwise after each
-// pass.
+// pass. Backward's leaves have gradient destinations, holding NaN, so
+// whichever gradients a case lets be born in place are compared too.
 func runDiff(t *testing.T, c diffCase, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -105,6 +111,8 @@ func runDiff(t *testing.T, c diffCase, seed int64) {
 	for i, shape := range c.shapes {
 		v := tensor.RandN(rng, 1, shape...)
 		got[i], want[i] = NewLeaf(v, true), NewLeaf(v.Clone(), true)
+		dst := poisoned(shape...)
+		got[i].SetGradDestination(func() *tensor.Tensor { return dst })
 	}
 	for pass := 0; pass < 2; pass++ {
 		root, g := c.build(got)

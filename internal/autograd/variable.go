@@ -29,15 +29,34 @@ type Variable struct {
 	// Grad accumulates gradients across backward passes until ZeroGrad,
 	// matching PyTorch's .grad accumulation semantics that no_sync
 	// gradient accumulation depends on. Nil until first backward. The
-	// tensor is the variable's alone — Backward installs a gradient it
-	// owns or a clone — until a post-accumulation hook replaces it: DDP
-	// points it at the parameter's bucket slot.
+	// tensor shares storage with nothing else the graph holds: Backward
+	// installs a gradient it owns, a clone, or — when the backward
+	// function that produced it wrote there — the tensor the variable's
+	// gradient destination supplied (see SetGradDestination), which is
+	// how a DDP parameter's Grad comes to be its bucket slot without a
+	// copy. A post-accumulation hook may replace it.
 	Grad *tensor.Tensor
 
 	name         string
 	requiresGrad bool
 	node         *node
 	hooks        []Hook
+	gradDst      func() *tensor.Tensor
+}
+
+// request is what Backward asks a node's backward function about one
+// input.
+type request struct {
+	// need is false when nothing reads the input's gradient: the input
+	// is a leaf that does not require one. The function may skip the
+	// work and return nil for it.
+	need bool
+	// into, when non-nil, is where the input's gradient belongs: the
+	// input is a leaf with a gradient destination and no Grad, and no
+	// other gradient for it has been produced in this pass. A function
+	// that honours it overwrites into — what it held is garbage — and
+	// returns into itself for that input.
+	into *tensor.Tensor
 }
 
 // node records how a non-leaf variable was produced.
@@ -45,15 +64,21 @@ type node struct {
 	op     string
 	inputs []*Variable
 	// backward maps the gradient of the node's output to gradients of
-	// each input (nil entries for inputs that do not require grad).
+	// each input, given one request per input (nil entries for inputs
+	// that need no gradient or receive none).
 	//
-	// Contract: it only reads grad, and each tensor it returns is grad
-	// itself, a Reshape view of grad, or a tensor it allocated and does
+	// Contract: it only reads grad, does not retain req, and each tensor
+	// it returns is grad itself, a Reshape view of grad, the req[i].into
+	// it was handed for that input, or a tensor it allocated and does
 	// not retain. Backward hands these on without copying — a returned
 	// tensor may end up as a leaf's Grad and be accumulated into in
 	// place — so returning a captured forward value, or keeping a
-	// reference to a returned tensor, corrupts gradients.
-	backward func(grad *tensor.Tensor) []*tensor.Tensor
+	// reference to a returned tensor, corrupts gradients. Both halves of
+	// a request are offers: a function that ignores them is still
+	// correct, because Backward drops a gradient it did not need and a
+	// gradient that did not land in its destination is a tensor like
+	// any other.
+	backward func(grad *tensor.Tensor, req []request) []*tensor.Tensor
 }
 
 // NewLeaf returns a leaf variable. If requiresGrad is true, gradients are
@@ -92,6 +117,19 @@ func (v *Variable) RegisterPostAccumulateHook(fn Hook) {
 	v.hooks = append(v.hooks, fn)
 }
 
+// SetGradDestination registers where v's gradient belongs once a
+// backward pass has produced it: dst returns a tensor of v's shape
+// (whatever it holds is overwritten), or nil for "nowhere in
+// particular". Backward calls dst when v has no Grad and exactly one
+// gradient is about to be computed for it, and offers the result to the
+// backward function that computes it; if that function writes there,
+// the destination becomes v.Grad as is. Everything else — a gradient
+// accumulated across passes or over several uses of v, an op that
+// allocates its own result — leaves the destination untouched and Grad
+// a tensor of v's own, for a hook to copy. DDP registers each
+// parameter's bucket slot; a nil dst unregisters.
+func (v *Variable) SetGradDestination(dst func() *tensor.Tensor) { v.gradDst = dst }
+
 // ClearHooks removes all registered hooks.
 func (v *Variable) ClearHooks() { v.hooks = nil }
 
@@ -120,7 +158,7 @@ func anyRequiresGrad(inputs ...*Variable) bool {
 
 // newOp wires up a non-leaf variable if any input participates in the
 // graph; otherwise it returns a detached constant (pure inference).
-func newOp(op string, out *tensor.Tensor, backward func(grad *tensor.Tensor) []*tensor.Tensor, inputs ...*Variable) *Variable {
+func newOp(op string, out *tensor.Tensor, backward func(grad *tensor.Tensor, req []request) []*tensor.Tensor, inputs ...*Variable) *Variable {
 	if !anyRequiresGrad(inputs...) {
 		return Constant(out)
 	}

@@ -6,6 +6,19 @@
 // internal/reduce, shared with the sharded wrapper in internal/fsdp;
 // this package re-exports the assignment types so existing callers
 // (bench, simnet, tests) keep working unchanged.
+//
+// Gradients are born in their bucket: each parameter's slot in the
+// engine's flat bucket buffer is registered as its gradient destination
+// (autograd.Variable.SetGradDestination), so the backward kernel that
+// produces a weight gradient writes it there, autograd installs the
+// slot's view as Grad, the AllReduce averages it in place and the
+// optimizer reads it where it stands — Algorithm 1's copy into the
+// bucket does not happen. The hook still copies a gradient that could
+// not be written in place: one accumulated under no_sync or over
+// several uses of a parameter, one from an op that allocates its own
+// result, one a FindUnusedParameters forward has to stage. Which path a
+// gradient takes follows from what the backward pass observes; there is
+// no setting.
 package ddp
 
 import "repro/internal/reduce"

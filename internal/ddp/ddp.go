@@ -96,10 +96,12 @@ type DDP struct {
 	sizes  []int // element counts, model order
 	engine *reduce.Engine
 	// views[i] is parameter i's slot in the engine's bucket buffer as a
-	// tensor of the parameter's shape. After a synchronized backward it
-	// IS params[i].Grad: the hook copies the produced gradient into the
-	// slot once, AllReduce averages it in place, and the optimizer reads
-	// it there. Rebuilt with every bucket assignment.
+	// tensor of the parameter's shape, and the parameter's registered
+	// gradient destination. After a synchronized backward it IS
+	// params[i].Grad: the backward kernel wrote the gradient there (or
+	// the hook copied it in, when it could not), AllReduce averages it
+	// in place, and the optimizer reads it there. Rebuilt with every
+	// bucket assignment.
 	views  []*tensor.Tensor
 	codecs []comm.Codec   // per-bucket quantizers (plain, non-wire codecs)
 	wire   comm.WireCodec // wire-level codec; residual state lives in the engine
@@ -117,6 +119,11 @@ type DDP struct {
 	// Buffer handling: sync pending means the next synchronized forward
 	// must broadcast buffers from rank 0 first (Section 4.1).
 	bufferSyncPending bool
+	// deferred records a collective failure hit in Forward, which has no
+	// error return — the buffer or traced-order broadcast, when a peer
+	// died since the last backward; Backward surfaces it instead of
+	// running.
+	deferred error
 
 	// Gradient-order tracing (Section 6.2.1): rebuildPending means the
 	// next synchronized forward starts by rebuilding buckets from the
@@ -210,7 +217,8 @@ func (d *DDP) launchBucket(bucket int, flat, resFlat []float32) comm.Work {
 
 // installAssignment hands the engine a new assignment (the engine
 // carries error-feedback residuals across the swap) and rebuilds the
-// gradient views and the per-bucket plain-codec instances for the new
+// gradient views — registering each as its parameter's gradient
+// destination — and the per-bucket plain-codec instances for the new
 // layout. A Grad still viewing the old layout keeps its values and its
 // storage; the next synchronized hook copies it into the new slot like
 // any other gradient that is not yet in place.
@@ -218,7 +226,9 @@ func (d *DDP) installAssignment(assign *Assignment) {
 	d.engine.Install(assign)
 	d.views = make([]*tensor.Tensor, len(d.params))
 	for i, p := range d.params {
-		d.views[i] = tensor.FromSlice(d.engine.Slot(i), p.Value.Shape()...)
+		view := tensor.FromSlice(d.engine.Slot(i), p.Value.Shape()...)
+		d.views[i] = view
+		p.SetGradDestination(func() *tensor.Tensor { return view })
 	}
 	d.codecs = nil
 	if d.opts.NewCodec != nil && d.wire == nil {
@@ -300,13 +310,16 @@ func (d *DDP) NoSync(fn func() error) error {
 // the output to proactively mark unused parameters as ready.
 func (d *DDP) Forward(x *autograd.Variable) *autograd.Variable {
 	d.syncThisBackward = !d.noSync
+	d.deferred = nil
 	if d.syncThisBackward {
 		if d.rebuildPending {
-			d.rebuildFromTracedOrder()
+			d.deferred = d.rebuildFromTracedOrder()
 			d.rebuildPending = false
 			d.rebuilt = true
 		}
-		d.broadcastBuffersIfPending()
+		if d.deferred == nil {
+			d.deferred = d.broadcastBuffersIfPending()
+		}
 		d.engine.Reset()
 		d.bitmapWork = nil
 	}
@@ -368,7 +381,14 @@ func (d *DDP) Forward(x *autograd.Variable) *autograd.Variable {
 // The averaged .Grad is valid until the next synchronized Backward
 // overwrites the slot (or accumulates into it, if the gradient was not
 // zeroed in between); Clone it to keep a value across iterations.
+//
+// A collective that failed in Forward (a peer died since the last
+// step) is returned here, before any gradient is computed.
 func (d *DDP) Backward(loss *autograd.Variable) error {
+	if err := d.deferred; err != nil {
+		d.deferred = nil
+		return fmt.Errorf("ddp: forward: %w", err)
+	}
 	autograd.Backward(loss, nil)
 	if !d.syncThisBackward {
 		return nil
@@ -379,14 +399,14 @@ func (d *DDP) Backward(loss *autograd.Variable) error {
 // broadcastBuffersIfPending pushes rank 0's buffer values to all ranks
 // before a synchronized forward pass, if the previous synchronized
 // backward has happened since the last broadcast.
-func (d *DDP) broadcastBuffersIfPending() {
+func (d *DDP) broadcastBuffersIfPending() error {
 	if !d.bufferSyncPending {
-		return
+		return nil
 	}
 	buffers := d.module.Buffers()
 	if len(buffers) == 0 {
 		d.bufferSyncPending = false
-		return
+		return nil
 	}
 	works := make([]comm.Work, len(buffers))
 	for i, b := range buffers {
@@ -394,18 +414,24 @@ func (d *DDP) broadcastBuffersIfPending() {
 	}
 	// Buffers are read by the imminent forward pass; block here.
 	if err := comm.WaitAll(works...); err != nil {
-		panic(fmt.Sprintf("ddp: buffer broadcast failed: %v", err))
+		return fmt.Errorf("broadcasting buffers: %w", err)
 	}
 	d.bufferSyncPending = false
+	return nil
 }
 
 // autogradHook is Algorithm 1's autograd_hook: fired by the engine after
 // a parameter's gradient is fully accumulated. In no_sync iterations it
-// does nothing (hooks disabled); otherwise it copies the gradient into
-// its bucket slot, makes the slot the parameter's Grad, and marks the
-// parameter ready. A Grad that is the slot already — autograd
+// does nothing (hooks disabled); otherwise it makes sure the gradient
+// stands in its bucket slot and the slot is the parameter's Grad, and
+// marks the parameter ready. Normally there is nothing to do: the slot
+// is the parameter's gradient destination, so the backward kernel wrote
+// the gradient there and autograd installed the view as Grad (or
 // accumulated into last iteration's average in place, because nothing
-// zeroed it — is where it has to be.
+// zeroed it). The copy is the fallback for a gradient that could not be
+// born in place: one accumulated before this pass (no_sync) or over
+// several uses of the parameter, one produced by an op that allocates
+// its own result, or a Grad still viewing a replaced bucket layout.
 func (d *DDP) autogradHook(idx int) {
 	if !d.syncThisBackward {
 		return
@@ -480,7 +506,7 @@ func (d *DDP) finalizeBackward() error {
 // Section 6.2.1: rank 0 broadcasts its observed gradient-ready order
 // (as float32 indices — exact for any realistic parameter count) and
 // every rank repacks its buckets to follow it.
-func (d *DDP) rebuildFromTracedOrder() {
+func (d *DDP) rebuildFromTracedOrder() error {
 	buf := make([]float32, len(d.params))
 	if d.pg.Rank() == 0 {
 		for i, idx := range d.engine.ObservedReady() {
@@ -488,7 +514,7 @@ func (d *DDP) rebuildFromTracedOrder() {
 		}
 	}
 	if err := d.pg.Broadcast(buf, 0).Wait(); err != nil {
-		panic(fmt.Sprintf("ddp: broadcasting traced gradient order: %v", err))
+		return fmt.Errorf("broadcasting traced gradient order: %w", err)
 	}
 	order := make([]int, len(buf))
 	for i, v := range buf {
@@ -498,10 +524,11 @@ func (d *DDP) rebuildFromTracedOrder() {
 	if err != nil {
 		// A corrupt trace (should be impossible) falls back to the
 		// existing assignment rather than killing training.
-		return
+		return nil
 	}
 	d.installAssignment(assign)
 	mBucketRebuilds.Inc()
+	return nil
 }
 
 // Rebuilt reports whether the one-shot automatic bucket rebuild has

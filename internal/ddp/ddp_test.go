@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -654,6 +655,51 @@ func TestBufferBroadcastFromRankZero(t *testing.T) {
 	if bns[0].NumBatchesTracked.Data.At(0) != bns[1].NumBatchesTracked.Data.At(0) {
 		t.Fatal("num_batches_tracked diverged")
 	}
+}
+
+// TestBufferBroadcastFailureIsAnError: a peer that dies between a
+// synchronized backward and the next forward must not take this process
+// down with it — the failed buffer broadcast comes back from Backward
+// as an error the elastic agent can roll back from, before any gradient
+// is computed.
+func TestBufferBroadcastFailureIsAnError(t *testing.T) {
+	const world = 2
+	groups := comm.NewInProcGroups(world, comm.Options{})
+	wrappers := make([]*DDP, world)
+	step := func(rank int) error {
+		x := autograd.Constant(tensor.RandN(rand.New(rand.NewSource(int64(20+rank))), 1, 4, 3))
+		return wrappers[rank].Backward(autograd.Sum(wrappers[rank].Forward(x)))
+	}
+	runRanks(t, world, func(rank int) error {
+		rng := rand.New(rand.NewSource(10))
+		m := nn.NewSequential(nn.NewLinear(rng, "fc1", 3, 3), nn.NewBatchNorm("bn", 3), nn.NewLinear(rng, "fc2", 3, 2))
+		d, err := New(m, groups[rank], Options{})
+		if err != nil {
+			return err
+		}
+		wrappers[rank] = d
+		return step(rank)
+	})
+	for _, g := range groups {
+		if err := comm.AbortGroup(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runRanks(t, world, func(rank int) error {
+		for _, p := range wrappers[rank].Parameters() {
+			p.ZeroGrad()
+		}
+		err := step(rank)
+		if err == nil || !strings.HasPrefix(err.Error(), "ddp: forward: broadcasting buffers: ") {
+			return fmt.Errorf("step on an aborted group returned %v, want the buffer broadcast's failure", err)
+		}
+		for _, p := range wrappers[rank].Parameters() {
+			if p.Grad != nil {
+				return fmt.Errorf("%s has a gradient although Backward refused to run", p.Name)
+			}
+		}
+		return nil
+	})
 }
 
 func TestGradientCompressionFp16StillTrains(t *testing.T) {

@@ -21,6 +21,16 @@
 // it stands, and freeing a bucket zeroes the ranges outside that chunk.
 // Nothing is packed, unpacked or allocated per step.
 //
+// Gradient storage: the engine's bucket flats are transient — drawn from
+// the transport pool at a bucket's first gradient, handed back once the
+// fused step has consumed the reduced shard. Each parameter's gradient
+// destination is its slot of that flat, looked up when the backward
+// pass asks (which is what draws the flat), so a weight gradient is
+// written by its kernel straight into the buffer ReduceScatterV runs
+// on; a gradient that arrives as a tensor of its own is copied in by
+// the hook. Every Grad is cleared when Backward returns, failed steps
+// included: it may view a flat that has gone back to the pool.
+//
 // The ZeRO-3 gather schedule is data, emitted once per install/rebind
 // (mapUnits): per pass, the buckets in the order the module's units —
 // a Sequential's children — first read them, and per unit how far into

@@ -267,8 +267,13 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	f.mapUnits()
 
 	for i, p := range f.params {
-		idx := i
+		idx, shape := i, p.Value.Shape()
 		p.RegisterPostAccumulateHook(func(*autograd.Variable) { f.autogradHook(idx) })
+		// The gradient's destination is its slot in the engine's
+		// transient bucket flat, looked up when backward asks: that call
+		// is what draws the flat from the pool, at the bucket's first
+		// gradient as before.
+		p.SetGradDestination(func() *tensor.Tensor { return tensor.FromSlice(f.engine.Slot(idx), shape...) })
 	}
 	f.stats.FullParamBytes = 4 * f.total
 	f.stats.OptimizerBytes = f.optimizerBytes()
@@ -625,20 +630,26 @@ func (f *FSDP) takeDeferred() error {
 
 // abandon is how Backward leaves a failed step: no gather stays in
 // flight — each is waited out and its result discarded with the rest —
-// and every gathered ZeRO-3 bucket is dropped, so the residency
-// accounting is back at the shards and nothing stale is taken for
-// gathered should the caller go on. It returns err.
+// every gathered ZeRO-3 bucket is dropped, so the residency accounting
+// is back at the shards and nothing stale is taken for gathered should
+// the caller go on, and every gradient is cleared: one that was born in
+// its slot views a transient flat the engine has handed back to the
+// pool or is about to drop. It returns err.
 func (f *FSDP) abandon(err error) error {
 	_ = f.drain() // the step already failed with err; a second failure adds nothing
 	f.shardAll()
+	for _, p := range f.params {
+		p.ZeroGrad()
+	}
 	return err
 }
 
 // autogradHook fires after a parameter's gradient is fully
-// accumulated: copy it into the bucket, mark it ready (the engine
-// launches the sharded reduce over the in-order prefix), and — under
-// ZeRO3 — free the bucket's parameters once the last member gradient
-// is in, since no remaining backward op can read them.
+// accumulated: copy it into the bucket unless the backward kernel wrote
+// it there (the slot is the gradient's destination), mark it ready (the
+// engine launches the sharded reduce over the in-order prefix), and —
+// under ZeRO3 — free the bucket's parameters once the last member
+// gradient is in, since no remaining backward op can read them.
 func (f *FSDP) autogradHook(idx int) {
 	f.engine.CopyIn(idx, f.params[idx].Grad.Data())
 	f.engine.MarkReady(idx)

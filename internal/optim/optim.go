@@ -111,8 +111,8 @@ func (a *Adam) Step() {
 		}
 		md, vd, gd, pd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
 		for i := range gd {
-			md[i] = a.Beta1*md[i] + (1-a.Beta1)*gd[i]
-			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*gd[i]*gd[i]
+			md[i] = float32(a.Beta1*md[i]) + float32((1-a.Beta1)*gd[i])
+			vd[i] = float32(a.Beta2*vd[i]) + float32((1-a.Beta2)*gd[i]*gd[i])
 			mhat := md[i] / c1
 			vhat := vd[i] / c2
 			pd[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Eps)

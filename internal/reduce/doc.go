@@ -11,10 +11,10 @@
 // bitwise DDP-vs-ZeRO agreement suites possible.
 //
 // The engine deliberately knows nothing about autograd, models, or
-// process groups: callers put each gradient in its slot (writing
-// through Slot, or CopyIn), signal readiness (MarkReady), and the
-// engine launches the collective returned by the configured Launcher
-// over the maximal in-order prefix of ready buckets, so the collective
-// sequence is identical on every rank regardless of local gradient
-// arrival order.
+// process groups: callers put each gradient in its slot (having the
+// kernel that produces it write through Slot, or CopyIn), signal
+// readiness (MarkReady), and the engine launches the collective
+// returned by the configured Launcher over the maximal in-order prefix
+// of ready buckets, so the collective sequence is identical on every
+// rank regardless of local gradient arrival order.
 package reduce

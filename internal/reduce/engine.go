@@ -226,8 +226,9 @@ func (e *Engine) Reset() {
 // reduced gradient stands after WaitAll. The slice stays valid, and
 // keeps its contents between iterations, until the next Install (for a
 // Transient engine: from the bucket's first Slot call of an iteration
-// until WaitAll releases the bucket) — which is what lets ddp keep a
-// parameter's Grad as a view of it.
+// until WaitAll releases the bucket) — which is what lets ddp and fsdp
+// register it as the parameter's gradient destination, so the backward
+// kernel writes the gradient here and Grad is a view of it.
 func (e *Engine) Slot(idx int) []float32 {
 	b := e.assign.BucketOf[idx]
 	if e.bucket[b].flat == nil {
@@ -237,10 +238,16 @@ func (e *Engine) Slot(idx int) []float32 {
 	return e.bucket[b].flat[off : off+e.cfg.Sizes[idx]]
 }
 
-// CopyIn writes a parameter's gradient into its slot, for callers whose
+// CopyIn makes a parameter's slot hold its gradient, for callers whose
 // gradients live elsewhere (fsdp, whose bucket buffers are transient).
+// A gradient that already is the slot — the backward kernel wrote it
+// there — is not copied.
 func (e *Engine) CopyIn(idx int, grad []float32) {
-	copy(e.Slot(idx), grad)
+	slot := e.Slot(idx)
+	if len(slot) > 0 && &slot[0] == &grad[0] {
+		return
+	}
+	copy(slot, grad)
 }
 
 // MarkReady decrements the parameter's bucket pending count and

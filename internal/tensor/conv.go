@@ -37,7 +37,7 @@ func Conv2D(in, w *Tensor, stride, pad int) *Tensor {
 								if ix < 0 || ix >= wd {
 									continue
 								}
-								acc += in.data[inBase+ix] * w.data[wBase+kx]
+								acc += float32(in.data[inBase+ix] * w.data[wBase+kx])
 							}
 						}
 					}
@@ -79,8 +79,8 @@ func Conv2DBackward(in, w, gout *Tensor, stride, pad int) (gin, gw *Tensor) {
 								if ix < 0 || ix >= wd {
 									continue
 								}
-								gin.data[inBase+ix] += g * w.data[wBase+kx]
-								gw.data[wBase+kx] += g * in.data[inBase+ix]
+								gin.data[inBase+ix] += float32(g * w.data[wBase+kx])
+								gw.data[wBase+kx] += float32(g * in.data[inBase+ix])
 							}
 						}
 					}

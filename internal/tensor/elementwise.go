@@ -74,7 +74,7 @@ func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 		panic("tensor: AxpyInPlace size mismatch")
 	}
 	for i := range dst.data {
-		dst.data[i] += alpha * src.data[i]
+		dst.data[i] += float32(alpha * src.data[i])
 	}
 }
 

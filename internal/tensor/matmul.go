@@ -30,18 +30,31 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulTransA returns aᵀ·b for a [k,m] and b [k,n] as [m,n], without
 // materializing the transpose. Used in linear-layer weight gradients.
-// Output row i is finished before row i+1 is touched, reading column i
-// of a; like MatMul it skips a term whose a factor is ±0.
 func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.Dim() != 2 || b.Dim() != 2 || a.shape[0] != b.shape[0] {
+	if a.Dim() != 2 || b.Dim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes %v x %v invalid", a.shape, b.shape))
 	}
-	m, n := a.shape[1], b.shape[1]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		mulAddRows(out.data[i*n:(i+1)*n], a.data, i, m, b.data)
+	return MatMulTransAInto(New(a.shape[1], b.shape[1]), a, b)
+}
+
+// MatMulTransAInto computes aᵀ·b into dst, which must be [m,n] for a
+// [k,m] and b [k,n] and share storage with neither, and returns dst.
+// What dst held is never read: each output row is cleared, then
+// finished before row i+1 is touched, reading column i of a. Like
+// MatMul it skips a term whose a factor is ±0. This is how a weight
+// gradient is written straight into its bucket slot.
+func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
+	if a.Dim() != 2 || b.Dim() != 2 || a.shape[0] != b.shape[0] ||
+		dst.Dim() != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransA shapes %v x %v into %v invalid", a.shape, b.shape, dst.shape))
 	}
-	return out
+	m, n := a.shape[1], b.shape[1]
+	for i := 0; i < m; i++ {
+		row := dst.data[i*n : (i+1)*n]
+		clear(row)
+		mulAddRows(row, a.data, i, m, b.data)
+	}
+	return dst
 }
 
 // mulAddRows adds a[first+p*stride]·(row p of b) to o for p = 0, 1, … in

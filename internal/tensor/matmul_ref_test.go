@@ -80,7 +80,23 @@ var matmulKernels = []struct {
 }{
 	{"MatMul", MatMul, refMatMul, false, false},
 	{"MatMulTransA", MatMulTransA, refMatMulTransA, true, false},
+	{"MatMulTransAInto", matMulTransAIntoGarbage, refMatMulTransA, true, false},
 	{"MatMulTransB", MatMulTransB, refMatMulTransB, false, true},
+}
+
+// matMulTransAIntoGarbage runs the into-form over a destination that
+// holds NaN, ±Inf and finite garbage — a bucket slot after the last
+// step, or a pooled buffer — none of which may reach the result.
+func matMulTransAIntoGarbage(a, b *Tensor) *Tensor {
+	dst := New(a.shape[1], b.shape[1])
+	garbage := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), -3e30, 7}
+	for i := range dst.data {
+		dst.data[i] = garbage[i%len(garbage)]
+	}
+	if got := MatMulTransAInto(dst, a, b); got != dst {
+		panic("MatMulTransAInto did not return its destination")
+	}
+	return dst
 }
 
 // newOperands returns zero operands of the shapes under which a kernel

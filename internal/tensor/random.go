@@ -21,7 +21,7 @@ func RandN(rng *rand.Rand, std float32, shape ...int) *Tensor {
 func RandUniform(rng *rand.Rand, lo, hi float32, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*rng.Float32()
+		t.data[i] = lo + float32((hi-lo)*rng.Float32())
 	}
 	return t
 }

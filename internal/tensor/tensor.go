@@ -8,7 +8,9 @@
 // slice it is given — which is how DDP makes a parameter's gradient a
 // view of its slot in a flat bucket buffer. The kernels (Add, MatMul,
 // ...) allocate their results; the *InPlace ones write their first
-// argument. SharesStorage tells the two situations apart.
+// argument, and MatMulTransAInto the destination it is handed — which
+// is how a weight gradient is written straight into that slot.
+// SharesStorage tells the situations apart.
 package tensor
 
 import (
