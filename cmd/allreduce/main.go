@@ -65,18 +65,11 @@ func main() {
 func parseAlgos(s string) ([]comm.Algorithm, error) {
 	var out []comm.Algorithm
 	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(name) {
-		case "ring":
-			out = append(out, comm.Ring)
-		case "tree":
-			out = append(out, comm.Tree)
-		case "doubletree":
-			out = append(out, comm.DoubleTree)
-		case "naive":
-			out = append(out, comm.Naive)
-		default:
-			return nil, fmt.Errorf("allreduce: unknown algorithm %q", name)
+		algo, err := comm.ParseAlgorithm(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, algo)
 	}
 	return out, nil
 }

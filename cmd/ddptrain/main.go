@@ -164,7 +164,7 @@ func parseFlags() *options {
 	flag.IntVar(&o.bucketMB, "bucket-mb", 25, "DDP bucket size in MB (0 = per-parameter buckets)")
 	flag.StringVar(&o.strategy, "strategy", "ddp", "data-parallel strategy: ddp (replicated), zero2 (sharded gradients+optimizer), or zero3 (sharded parameters too)")
 	flag.StringVar(&o.algo, "algo", "ring", "allreduce algorithm: ring, tree, doubletree, naive, hierarchical, auto")
-	flag.StringVar(&o.compress, "compress", "", "gradient compression codec: fp16, 1bit, or topk (empty: none); compressed frames ride the TCP byte lanes with error feedback; with -algo hierarchical/auto only the leader ring compresses")
+	flag.StringVar(&o.compress, "compress", "", "gradient compression codec: fp16, 1bit, or topk (empty: none); frames ride the byte lanes with error feedback, or the step fails with comm.ErrCompressionUnsupported; with -algo hierarchical/auto only the leader ring compresses")
 	flag.StringVar(&o.hosts, "hosts", "", "comma-separated host label per rank (topology for hierarchical/auto; labels may nest with '/', e.g. pod0/rack0/h0; empty: derive from peer addresses)")
 	flag.IntVar(&o.topoLevels, "topo-levels", 0, "assert the -hosts labels parsed into exactly this many topology levels (0: no check)")
 	flag.IntVar(&o.syncEvery, "sync-every", 1, "synchronize gradients every n iterations (no_sync)")
@@ -245,9 +245,9 @@ func (o *options) validate() error {
 	return err
 }
 
-// codecFactory maps the -compress flag to a NewCodec factory; every
-// name yields a comm.WireCodec, so both strategies take the wire-level
-// compressed path with engine-owned error-feedback residuals.
+// codecFactory maps the -compress flag to a NewCodec factory; both
+// strategies take the one compressed path, with engine-owned
+// error-feedback residuals.
 func codecFactory(name string) (func() comm.Codec, error) {
 	switch name {
 	case "":
@@ -304,13 +304,9 @@ func newReplica(o *options, m nn.Module, pg comm.ProcessGroup, aligned bool) (r 
 
 // commOptions turns -algo, -hosts and -topo-levels into group options.
 func (o *options) commOptions() (comm.Options, error) {
-	algorithms := map[string]comm.Algorithm{
-		"ring": comm.Ring, "tree": comm.Tree, "doubletree": comm.DoubleTree,
-		"naive": comm.Naive, "hierarchical": comm.Hierarchical, "auto": comm.Auto,
-	}
-	algorithm, ok := algorithms[o.algo]
-	if !ok {
-		return comm.Options{}, fmt.Errorf("unknown algorithm %q", o.algo)
+	algorithm, err := comm.ParseAlgorithm(o.algo)
+	if err != nil {
+		return comm.Options{}, err
 	}
 	// -hosts lays out a simulated (or real) topology explicitly: one
 	// label per rank. Without it, TCP meshes derive placement from the

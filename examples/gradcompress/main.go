@@ -1,11 +1,10 @@
 // The gradcompress example exercises the gradient compression extension
 // of the paper's Section 6.2.3: the same training run with no
 // compression, fp16, 1-bit, and top-k quantization with error feedback,
-// comparing final losses. All three codecs implement comm.WireCodec, so
-// DDP routes buckets through comm.CompressedAllReduce: the accuracy
-// effect is real AND the byte savings are real wherever the transport
-// carries byte frames (in-proc here; see BenchmarkCompressedAllReduce
-// for the measured TCP wire bytes).
+// comparing final losses. DDP routes buckets through
+// comm.CompressedAllReduce: the accuracy effect is real AND the byte
+// savings are real (in-proc byte frames here; see
+// BenchmarkCompressedAllReduce for the measured TCP wire bytes).
 //
 //	go run ./examples/gradcompress
 package main

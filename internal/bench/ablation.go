@@ -77,7 +77,7 @@ func Ablation(w io.Writer) error {
 	fmt.Fprintf(w, "%-8s %12s %12s %14s %14s\n", "codec", "bytes/bucket", "wire ratio", "latency (s)", "vs none")
 	for _, c := range []struct {
 		name  string
-		codec comm.WireCodec
+		codec comm.Codec
 	}{{"none", nil}, {"fp16", comm.Float16Codec{}}, {"1bit", &comm.OneBitCodec{}}, {"topk", &comm.TopKCodec{}}} {
 		bytes := 4 * bucketElems
 		ratio := 1.0

@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/transport"
 )
@@ -48,24 +50,32 @@ const (
 	Auto
 )
 
+// algorithmNames is the one name table, indexed by Algorithm: String
+// reads it and ParseAlgorithm inverts it.
+var algorithmNames = [...]string{
+	Ring:         "ring",
+	Tree:         "tree",
+	Naive:        "naive",
+	Hierarchical: "hierarchical",
+	DoubleTree:   "doubletree",
+	Auto:         "auto",
+}
+
 // String returns the algorithm name.
 func (a Algorithm) String() string {
-	switch a {
-	case Ring:
-		return "ring"
-	case Tree:
-		return "tree"
-	case Naive:
-		return "naive"
-	case Hierarchical:
-		return "hierarchical"
-	case DoubleTree:
-		return "doubletree"
-	case Auto:
-		return "auto"
-	default:
+	if a < 0 || int(a) >= len(algorithmNames) {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return algorithmNames[a]
+}
+
+// ParseAlgorithm maps a name String returns back to its Algorithm — the
+// spelling of the commands' -algo and -algos flags.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	if i := slices.Index(algorithmNames[:], s); i >= 0 {
+		return Algorithm(i), nil
+	}
+	return 0, fmt.Errorf("comm: unknown algorithm %q (want one of %s)", s, strings.Join(algorithmNames[:], ", "))
 }
 
 // Auto's selection cutoffs, in elements. They mirror NCCL's
@@ -132,8 +142,7 @@ func allReduce(m transport.Mesh, tag uint64, algo Algorithm, topo *Topology, dat
 	case Naive:
 		return naiveAllReduce(m, tag, data, op)
 	case Hierarchical:
-		_, err := hierarchicalAllReduce(m, tag, data, op, topo, nil, nil)
-		return err
+		return hierarchicalAllReduce(m, tag, data, op, topo)
 	case DoubleTree:
 		return stepsAllReduce(m, tag, "double-tree allreduce", data, op, doubleTreeSteps(rank, k, n))
 	default:
@@ -184,7 +193,8 @@ func naiveAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) e
 	k, rank := m.Size(), m.Rank()
 	// The folds overwrite data while the sends are still reading.
 	local := append([]float32(nil), data...)
-	err := exchange(floatLane(m), tag, rank, otherRanks(k, rank), allRanks(k),
+	ranks := allRanks(k)
+	err := exchange(floatLane(m), tag, rank, without(ranks, rank), ranks,
 		func(int) []float32 { return local },
 		func(p int, frame []float32) error {
 			if err := checkFrame("naive allreduce", rank, p, 0, len(frame), len(data)); err != nil {
@@ -211,7 +221,8 @@ func allGather(m transport.Mesh, tag uint64, dst [][]float32, src []float32) err
 	if len(dst) != k {
 		return fmt.Errorf("comm: allgather dst has %d slots for world %d", len(dst), k)
 	}
-	return exchange(floatLane(m), tag, rank, otherRanks(k, rank), allRanks(k),
+	ranks := allRanks(k)
+	return exchange(floatLane(m), tag, rank, without(ranks, rank), ranks,
 		func(int) []float32 { return src },
 		landIn("allgather", rank, func(p int) []float32 { return dst[p] }))
 }

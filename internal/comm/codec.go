@@ -12,31 +12,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Codec models the gradient compression direction of Section 6.2.3:
-// gradients are projected into a lower-precision representation before
-// communication and reconstructed afterwards. Quantize applies the
-// accuracy effect in place (values are actually degraded); codecs that
-// additionally implement WireCodec produce the real byte
-// representation, which CompressedAllReduce ships over the transports'
-// byte lanes so the volume effect is real too.
-type Codec interface {
-	// Name identifies the codec in benchmark output.
-	Name() string
-	// CompressionRatio is original bytes / compressed bytes.
-	CompressionRatio() float64
-	// Quantize applies the round trip through the compressed
-	// representation to data in place, before AllReduce.
-	Quantize(data []float32)
-}
-
-// WireCodec is a Codec that can materialize the compressed byte
-// representation itself — the lossy projection AND the wire format.
-// Encode/Decode round-tripping defines the quantization: for finite
-// in-range inputs, Quantize(data) is equivalent to Decode(Encode(data)).
-// (For non-finite inputs Encode applies the drop guard — see
-// DroppedNonFinite — and fp16's Encode saturates out-of-range values to
-// ±65504 where the legacy Quantize, predating error feedback,
-// saturates to ±Inf.)
+// Codec is the gradient compression of Section 6.2.3: a lossy projection
+// of gradients into a lower-precision representation AND its wire
+// format, which the compressed collectives ship over the transports'
+// byte lanes. Decode(Encode(x)) defines the quantization. Non-finite
+// inputs meet the drop guard (see DroppedNonFinite), and fp16 saturates
+// out-of-range values to ±65504.
 //
 // Error feedback is caller-owned: when Encode receives a non-nil
 // residual (same length as data), the value quantized for element i is
@@ -59,8 +40,11 @@ type Codec interface {
 // None of the methods may mutate receiver state: one codec instance may
 // serve concurrent collectives (round-robin groups run one worker per
 // sub-group). All state rides in the arguments.
-type WireCodec interface {
-	Codec
+type Codec interface {
+	// Name identifies the codec in benchmark output.
+	Name() string
+	// CompressionRatio is original bytes / compressed bytes.
+	CompressionRatio() float64
 	// EncodedSize returns an upper bound on the bytes Encode produces
 	// for n elements (exact for fixed-rate codecs; adaptive codecs like
 	// top-k may produce less).
@@ -81,6 +65,10 @@ type WireCodec interface {
 	// element, without materializing them.
 	DecodeAdd(buf []byte, acc []float32) error
 }
+
+// WireCodec is Codec under the name it had while a codec without a wire
+// format could exist; the frozen benchmark module spells it this way.
+type WireCodec = Codec
 
 // nonFiniteDropped counts gradient elements dropped because they were
 // Inf/NaN at encode time (see DroppedNonFinite).
@@ -120,7 +108,7 @@ func extend(dst []byte, n int) (grown, tail []byte) {
 }
 
 // wantsFrame reports whether an Encode call has to build its frame:
-// always, unless the caller passed only deq (see WireCodec.Encode).
+// always, unless the caller passed only deq (see Codec.Encode).
 func wantsFrame(dst []byte, deq []float32) bool { return dst != nil || deq == nil }
 
 // Float16Codec rounds values through IEEE half precision (2x smaller).
@@ -134,14 +122,7 @@ func (Float16Codec) Name() string { return "fp16" }
 // CompressionRatio implements Codec.
 func (Float16Codec) CompressionRatio() float64 { return 2 }
 
-// Quantize rounds every element to the nearest representable float16.
-func (Float16Codec) Quantize(data []float32) {
-	for i, v := range data {
-		data[i] = Float16Round(v)
-	}
-}
-
-// EncodedSize implements WireCodec: two bytes per element.
+// EncodedSize implements Codec: two bytes per element.
 func (Float16Codec) EncodedSize(n int) int { return 2 * n }
 
 // maxHalfBits is the float32 bit pattern of 65504, the largest finite
@@ -152,7 +133,7 @@ func (Float16Codec) EncodedSize(n int) int { return 2 * n }
 // like the non-finite inputs the drop guard exists for.
 const maxHalfBits = 0x477fe000
 
-// Encode implements WireCodec: each element's binary16 bits,
+// Encode implements Codec: each element's binary16 bits,
 // little-endian, saturating to ±65504. With error feedback the rounding
 // (and saturation) error accumulates in residual instead of being lost:
 // the residual is measured against the ORIGINAL value, so saturation
@@ -211,12 +192,12 @@ func halfEncode(frame []byte, data, residual, deq []float32) (dropped int) {
 	return dropped
 }
 
-// Decode implements WireCodec.
+// Decode implements Codec.
 func (Float16Codec) Decode(buf []byte, out []float32) error {
 	return halfDecode(buf, out, false)
 }
 
-// DecodeAdd implements WireCodec.
+// DecodeAdd implements Codec.
 func (Float16Codec) DecodeAdd(buf []byte, acc []float32) error {
 	return halfDecode(buf, acc, true)
 }
@@ -250,14 +231,7 @@ func halfDecode(buf []byte, out []float32, add bool) error {
 // residual into the next iteration (Seide et al., the 1-bit SGD scheme
 // the paper cites). On the wire a frame is a 4-byte scale followed by a
 // sign bitmap (~32x smaller).
-//
-// Quantize uses a codec-internal residual for standalone use; DDP and
-// CompressedAllReduce instead pass a caller-owned residual to Encode,
-// keyed by parameter identity, so the accumulated error survives
-// bucket rebuilds and process-group swaps.
-type OneBitCodec struct {
-	residual []float32
-}
+type OneBitCodec struct{}
 
 // Name implements Codec.
 func (c *OneBitCodec) Name() string { return "1bit" }
@@ -265,16 +239,7 @@ func (c *OneBitCodec) Name() string { return "1bit" }
 // CompressionRatio implements Codec.
 func (c *OneBitCodec) CompressionRatio() float64 { return 32 }
 
-// Quantize replaces data with sign(data+residual) * mean|data+residual|
-// and stores the quantization error for the next call.
-func (c *OneBitCodec) Quantize(data []float32) {
-	if len(c.residual) != len(data) {
-		c.residual = make([]float32, len(data))
-	}
-	c.Encode(nil, data, c.residual, data)
-}
-
-// EncodedSize implements WireCodec: a 4-byte scale plus one bit per
+// EncodedSize implements Codec: a 4-byte scale plus one bit per
 // element.
 func (c *OneBitCodec) EncodedSize(n int) int {
 	if n == 0 {
@@ -310,7 +275,7 @@ func effective(vals, data, residual []float32) (sumAbs float64, dropped int) {
 	return sumAbs, dropped
 }
 
-// Encode implements WireCodec: [scale float32][sign bitmap], bit set =
+// Encode implements Codec: [scale float32][sign bitmap], bit set =
 // negative. The scale is the mean magnitude over the finite values;
 // non-finite elements are dropped (treated as zero: excluded from the
 // scale, transmitted as the zero sign) instead of making the scale —
@@ -360,12 +325,12 @@ func (c *OneBitCodec) Encode(dst []byte, data, residual, deq []float32) []byte {
 	return dst
 }
 
-// Decode implements WireCodec.
+// Decode implements Codec.
 func (c *OneBitCodec) Decode(buf []byte, out []float32) error {
 	return c.decode(buf, out, false)
 }
 
-// DecodeAdd implements WireCodec.
+// DecodeAdd implements Codec.
 func (c *OneBitCodec) DecodeAdd(buf []byte, acc []float32) error {
 	return c.decode(buf, acc, true)
 }
@@ -398,15 +363,13 @@ const DefaultTopKFraction = 0.1
 
 // TopKCodec transmits only the largest-magnitude fraction of the
 // elements as (index, value) pairs; everything else is carried forward
-// by error feedback (Quantize's internal residual, or the caller-owned
-// residual handed to Encode). Values selected are transmitted exactly,
+// by error feedback (the caller-owned residual handed to Encode).
+// Values selected are transmitted exactly,
 // so with error feedback every gradient element eventually arrives —
 // just spread over iterations.
 type TopKCodec struct {
 	// K is the kept fraction in (0, 1]; 0 selects DefaultTopKFraction.
 	K float64
-
-	residual []float32
 }
 
 // fraction returns the effective kept fraction.
@@ -440,16 +403,7 @@ func (c *TopKCodec) Name() string { return "topk" }
 // asymptotic ratio is 1/(2K).
 func (c *TopKCodec) CompressionRatio() float64 { return 1 / (2 * c.fraction()) }
 
-// Quantize keeps the top-K fraction in place, zeroing the rest into an
-// internal error-feedback residual.
-func (c *TopKCodec) Quantize(data []float32) {
-	if len(c.residual) != len(data) {
-		c.residual = make([]float32, len(data))
-	}
-	c.Encode(nil, data, c.residual, data)
-}
-
-// EncodedSize implements WireCodec: a 4-byte count plus 8 bytes per
+// EncodedSize implements Codec: a 4-byte count plus 8 bytes per
 // kept element.
 func (c *TopKCodec) EncodedSize(n int) int {
 	if n == 0 {
@@ -458,7 +412,7 @@ func (c *TopKCodec) EncodedSize(n int) int {
 	return 4 + 8*c.kept(n)
 }
 
-// Encode implements WireCodec:
+// Encode implements Codec:
 // [count uint32][count x index uint32][count x value float32].
 // Selection is by descending magnitude with ascending-index
 // tie-breaking — a deterministic total order, found by quickselect in
@@ -574,12 +528,12 @@ func selectTopK(idx []int, vals []float32, k int) {
 	}
 }
 
-// Decode implements WireCodec: zero the output and scatter the pairs.
+// Decode implements Codec: zero the output and scatter the pairs.
 func (c *TopKCodec) Decode(buf []byte, out []float32) error {
 	return c.decode(buf, out, false)
 }
 
-// DecodeAdd implements WireCodec. The elements between the pairs get
+// DecodeAdd implements Codec. The elements between the pairs get
 // the +0 Decode would have written added to them, not skipped: that is
 // what turns a -0 in acc into the +0 the unfused fold leaves.
 func (c *TopKCodec) DecodeAdd(buf []byte, acc []float32) error {
@@ -625,20 +579,6 @@ func (c *TopKCodec) decode(buf []byte, out []float32, add bool) error {
 		out[next] += 0
 	}
 	return nil
-}
-
-// Float16Round converts f to IEEE 754 half precision and back under
-// halfBits' rounding rule, saturating to ±Inf outside the range (Encode
-// saturates to ±65504 instead). A NaN comes back as the infinity of its
-// sign, as it always has here; Encode never sees one (the drop guard).
-func Float16Round(f float32) float32 {
-	b := math.Float32bits(f)
-	a := b &^ signMask
-	h := uint32(0x7c00) // 65536 and beyond
-	if a < 0x47800000 {
-		h = halfBits(a) // [65520, 65536) rounds up to 0x7c00 by itself
-	}
-	return halfToFloat[uint16(h|b>>16&0x8000)]
 }
 
 // halfBits rounds a non-negative float32 below 65536, given as its bit
@@ -694,7 +634,7 @@ func init() {
 }
 
 var (
-	_ WireCodec = Float16Codec{}
-	_ WireCodec = (*OneBitCodec)(nil)
-	_ WireCodec = (*TopKCodec)(nil)
+	_ Codec = Float16Codec{}
+	_ Codec = (*OneBitCodec)(nil)
+	_ Codec = (*TopKCodec)(nil)
 )

@@ -9,16 +9,27 @@ import (
 	"repro/internal/testutil"
 )
 
-func TestFloat16RoundExactValues(t *testing.T) {
+// quantized returns what c's wire round trip makes of data, leaving
+// data alone: Encode's deq with no frame built.
+func quantized(c Codec, data, residual []float32) []float32 {
+	deq := make([]float32, len(data))
+	c.Encode(nil, data, residual, deq)
+	return deq
+}
+
+// halfRound is one value through the fp16 codec.
+func halfRound(v float32) float32 { return quantized(Float16Codec{}, []float32{v}, nil)[0] }
+
+func TestFloat16ExactValues(t *testing.T) {
 	// Values exactly representable in fp16 must survive unchanged.
 	for _, v := range []float32{0, 1, -1, 0.5, 2, 1024, -0.25, 65504} {
-		if got := Float16Round(v); got != v {
-			t.Fatalf("Float16Round(%v) = %v", v, got)
+		if got := halfRound(v); got != v {
+			t.Fatalf("fp16(%v) = %v", v, got)
 		}
 	}
 }
 
-func TestFloat16RoundError(t *testing.T) {
+func TestFloat16RelativeError(t *testing.T) {
 	// fp16 has ~3 decimal digits; relative error must be < 2^-10.
 	f := func(v float32) bool {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
@@ -27,7 +38,7 @@ func TestFloat16RoundError(t *testing.T) {
 		if v > 65000 || v < -65000 || (v != 0 && math.Abs(float64(v)) < 6.2e-5) {
 			return true // outside normal fp16 range
 		}
-		got := Float16Round(v)
+		got := halfRound(v)
 		if v == 0 {
 			return got == 0
 		}
@@ -40,22 +51,22 @@ func TestFloat16RoundError(t *testing.T) {
 }
 
 func TestFloat16Overflow(t *testing.T) {
-	if !math.IsInf(float64(Float16Round(1e20)), 1) {
-		t.Fatal("large values must saturate to +Inf")
+	if got := halfRound(1e20); got != 65504 {
+		t.Fatalf("1e20 becomes %v: large values must saturate to the largest finite half", got)
 	}
-	if !math.IsInf(float64(Float16Round(-1e20)), -1) {
-		t.Fatal("large negatives must saturate to -Inf")
+	if got := halfRound(-1e20); got != -65504 {
+		t.Fatalf("-1e20 becomes %v: large negatives must saturate to -65504", got)
 	}
 }
 
 func TestFloat16Subnormals(t *testing.T) {
 	// 1e-7 is below the subnormal threshold; must flush to zero.
-	if got := Float16Round(1e-8); got != 0 {
+	if got := halfRound(1e-8); got != 0 {
 		t.Fatalf("tiny value = %v, want 0", got)
 	}
 	// Smallest fp16 subnormal is ~5.96e-8; 1e-5 is subnormal but
 	// representable.
-	got := Float16Round(1e-5)
+	got := halfRound(1e-5)
 	if got == 0 || math.Abs(float64(got-1e-5))/1e-5 > 0.05 {
 		t.Fatalf("subnormal round-trip = %v", got)
 	}
@@ -67,9 +78,9 @@ func TestFloat16CodecQuantizesInPlace(t *testing.T) {
 		t.Fatal("codec metadata wrong")
 	}
 	data := []float32{0.1, 0.2, 0.3}
-	c.Quantize(data)
+	c.Encode(nil, data, nil, data) // deq aliasing data quantizes in place
 	for _, v := range data {
-		if Float16Round(v) != v {
+		if halfRound(v) != v || v == 0 {
 			t.Fatalf("%v is not an fp16 value", v)
 		}
 	}
@@ -80,8 +91,7 @@ func TestOneBitCodecSignsAndScale(t *testing.T) {
 	if c.Name() != "1bit" || c.CompressionRatio() != 32 {
 		t.Fatal("codec metadata wrong")
 	}
-	data := []float32{1, -2, 3, -4}
-	c.Quantize(data)
+	data := quantized(c, []float32{1, -2, 3, -4}, nil)
 	// mean |x| = 2.5; outputs must be ±2.5 matching input signs.
 	want := []float32{2.5, -2.5, 2.5, -2.5}
 	for i := range data {
@@ -97,12 +107,11 @@ func TestOneBitCodecErrorFeedbackConverges(t *testing.T) {
 	// sum converges to n * true gradient.
 	c := &OneBitCodec{}
 	truth := []float32{0.5, -1.5, 0.25}
+	residual := make([]float32, len(truth))
 	var sent [3]float64
 	const iters = 400
 	for it := 0; it < iters; it++ {
-		buf := append([]float32(nil), truth...)
-		c.Quantize(buf)
-		for i, v := range buf {
+		for i, v := range quantized(c, truth, residual) {
 			sent[i] += float64(v)
 		}
 	}
@@ -150,31 +159,14 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			if err := c.Decode(frame, out); err != nil {
 				t.Fatalf("%s case %d: decode: %v", c.Name(), ti, err)
 			}
-			// Decode(Encode(x)) must equal Quantize(x) for finite x.
-			want := append([]float32(nil), in...)
-			freshQuantizer(c).Quantize(want)
+			// Decode(Encode(x)) must equal Encode's deq.
+			want := quantized(c, in, nil)
 			for j := range want {
 				if out[j] != want[j] {
-					t.Fatalf("%s case %d elem %d: wire %v, quantize %v", c.Name(), ti, j, out[j], want[j])
+					t.Fatalf("%s case %d elem %d: wire %v, deq %v", c.Name(), ti, j, out[j], want[j])
 				}
 			}
 		}
-	}
-}
-
-// freshQuantizer returns an unused instance of the same codec type, so
-// internal Quantize residuals start from zero like a nil Encode
-// residual.
-func freshQuantizer(c WireCodec) Codec {
-	switch v := c.(type) {
-	case Float16Codec:
-		return Float16Codec{}
-	case *OneBitCodec:
-		return &OneBitCodec{}
-	case *TopKCodec:
-		return &TopKCodec{K: v.K}
-	default:
-		return c
 	}
 }
 
@@ -235,24 +227,21 @@ func TestCodecNonFiniteGuard(t *testing.T) {
 	}
 }
 
-// TestOneBitQuantizeGuards covers the legacy Quantize entry points: an
-// empty slice is a no-op (no 0/0 scale), and a non-finite element no
-// longer corrupts the internal residual forever.
+// TestOneBitQuantizeGuards: quantizing an empty slice is a no-op (no
+// 0/0 scale), and a non-finite element does not corrupt the residual
+// forever.
 func TestOneBitQuantizeGuards(t *testing.T) {
 	c := &OneBitCodec{}
-	c.Quantize(nil) // must not panic or divide by zero
+	c.Encode(nil, nil, nil, nil) // must not panic or divide by zero
 
-	data := []float32{1, float32(math.Inf(1)), -3}
-	c.Quantize(data)
-	for i, v := range data {
+	residual := make([]float32, 3)
+	for i, v := range quantized(c, []float32{1, float32(math.Inf(1)), -3}, residual) {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatalf("quantized[%d] = %v", i, v)
 		}
 	}
 	// The next iteration sees finite values and a finite residual.
-	data2 := []float32{1, 2, -3}
-	c.Quantize(data2)
-	for i, v := range data2 {
+	for i, v := range quantized(c, []float32{1, 2, -3}, residual) {
 		if math.IsNaN(float64(v)) {
 			t.Fatalf("iteration 2 element %d is NaN: residual was poisoned", i)
 		}

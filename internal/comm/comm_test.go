@@ -343,3 +343,19 @@ func TestReduceOpString(t *testing.T) {
 		t.Fatal("string names wrong")
 	}
 }
+
+// TestParseAlgorithmRoundTrip: ParseAlgorithm inverts String over the
+// whole enum, and rejects what String would never print.
+func TestParseAlgorithmRoundTrip(t *testing.T) {
+	for a := Ring; a <= Auto; a++ { // Auto is the enum's last value
+		got, err := ParseAlgorithm(a.String())
+		if err != nil || got != a || a.String() == "" {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", a.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "Ring", (Auto + 1).String()} {
+		if a, err := ParseAlgorithm(bad); err == nil {
+			t.Fatalf("ParseAlgorithm(%q) = %v, want an error", bad, a)
+		}
+	}
+}

@@ -1,58 +1,66 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/transport"
 )
 
 // GradientCompressor is implemented by process groups whose AllReduce
-// can ship a codec's byte representation on the wire instead of full
+// ships a codec's byte representation on the wire instead of full
 // float32 frames (Section 6.2.3 made real: the byte savings exist on
 // the sockets, not just in the simulator's cost model). meshGroup and
-// RoundRobin implement it; CompressedAllReduce is the capability-probing
-// entry point callers (DDP) should use.
+// RoundRobin implement it, and a group decorator must forward it:
+// CompressedAllReduce, the entry point callers (DDP) use, refuses a
+// group without it.
 type GradientCompressor interface {
 	// CompressedAllReduce reduces data in place across all ranks like
 	// AllReduce, quantizing through codec. residual is nil or a
 	// caller-owned error-feedback accumulator of len(data), updated
 	// during execution (read it only after Wait).
-	CompressedAllReduce(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work
+	CompressedAllReduce(data []float32, op ReduceOp, codec Codec, residual []float32) Work
 }
 
+// ErrCompressionUnsupported is what a compressed collective fails with,
+// at submission and wrapped with the reason, when it cannot ride the
+// byte lanes: the group does not implement GradientCompressor, its mesh
+// carries no byte frames (transport.ByteLanes), or the op is not Sum or
+// Avg — decode-reduce-reencode of Min/Max/Prod through a lossy
+// representation compounds unpredictably. All three are properties of
+// the configuration, identical on every rank, so every rank fails the
+// same call: no tag is reserved, no frame is sent, data and residual are
+// untouched and the group stays usable. There is no float fallback — a
+// quantize-then-AllReduce is a different numerical trajectory, and a run
+// must not switch trajectories because a decorator forgot a method.
+var ErrCompressionUnsupported = errors.New("comm: compressed collective unsupported")
+
 // CompressedAllReduce reduces data across pg through codec's compressed
-// representation, shipping real bytes when the group supports it
-// (GradientCompressor over a byte-lane transport) and degrading to
-// quantize-then-AllReduce otherwise. The two paths are NOT numerically
-// interchangeable: the wire path quantizes twice (each rank's
-// contribution, then the reduced chunk before the all-gather), while
-// the fallback quantizes once and reduces exactly in float32 — both
-// converge under error feedback, but runs on byte-lane and float-only
-// transports follow different trajectories, like switching AllReduce
-// algorithms does. residual enables error feedback; see WireCodec.
+// representation, shipping real bytes, or fails with
+// ErrCompressionUnsupported. residual enables error feedback; see Codec.
 // Like AllReduce, every rank must submit the same collectives in the
-// same order, and all ranks finish with bitwise-identical data.
+// same order, and all ranks finish with bitwise-identical data. A nil
+// codec is a plain AllReduce.
 //
-// The compressed schedule is topology-aware: a group configured (or
-// Auto-resolved) to Hierarchical with a hierarchical topology runs the
-// COMPRESSED LEADER RING — exact float32 reduce/broadcast within each
-// host (and each level of a structured topology), with only the
-// outermost leader ring riding the codec's byte lanes — compression
-// exactly where bytes are expensive. Every other configuration takes
-// the flat compressed reduce-scatter/all-gather.
-func CompressedAllReduce(pg ProcessGroup, data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
+// The schedule depends only on the resolved algorithm and the topology:
+// a group configured (or Auto-resolved) to Hierarchical with a
+// hierarchical topology runs the COMPRESSED LEADER RING — exact float32
+// reduce/broadcast within each host (and each level of a structured
+// topology), with only the outermost leader ring riding the codec's
+// byte lanes — compression exactly where bytes are expensive. Every
+// other configuration takes the flat compressed
+// reduce-scatter/all-gather.
+func CompressedAllReduce(pg ProcessGroup, data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	if codec == nil {
 		return pg.AllReduce(data, op)
 	}
-	if gc, ok := pg.(GradientCompressor); ok {
-		return gc.CompressedAllReduce(data, op, codec, residual)
+	gc, ok := pg.(GradientCompressor)
+	if !ok {
+		return CompletedWork(fmt.Errorf("%w: %T does not implement GradientCompressor", ErrCompressionUnsupported, pg))
 	}
-	// Generic fallback: quantize in place, reduce exactly.
-	backup := backUpResidual(residual)
-	quantizeThrough(codec, data, residual)
-	return &residualGuard{inner: pg.AllReduce(data, op), backup: backup}
+	return gc.CompressedAllReduce(data, op, codec, residual)
 }
 
 // residualBackup makes a collective's residual update transactional: the
@@ -84,52 +92,48 @@ func (b residualBackup) settle(err error) error {
 	return err
 }
 
-// residualGuard settles a residual backup when the wrapped Work
-// completes.
-type residualGuard struct {
-	inner  Work
-	backup residualBackup
-	once   sync.Once
-	err    error
-}
-
-// Wait reports the wrapped collective's result, undoing the residual
-// update on failure.
-func (w *residualGuard) Wait() error {
-	w.once.Do(func() { w.err = w.backup.settle(w.inner.Wait()) })
-	return w.err
-}
-
 // CompressedAllReduce implements GradientCompressor on the mesh-backed
 // group: the collective executes on the group's worker in submission
 // order, exactly like AllReduce.
-func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
+func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	if codec == nil {
 		return g.AllReduce(data, op)
 	}
-	// The float fallback (byte-lane-less mesh, or Min/Max/Prod) honors
-	// the group's configured algorithm and topology exactly like
-	// AllReduce, instead of hard-coding Ring.
-	algo := g.resolveAlgorithm(len(data))
-	return g.submitCompressed(data, codec, residual,
+	leaderRing := g.resolveAlgorithm(len(data)) == Hierarchical && g.topo != nil && g.topo.Size() == g.Size() && g.topo.Hierarchical()
+	return g.submitCompressed(data, op, codec, residual,
 		func(start time.Time) { observeAllReduce("compressed", len(data), start, nil) },
-		func(tag uint64) (int, error) {
-			return compressedAllReduce(g.mesh, tag, data, op, codec, residual, algo, g.topo)
+		func(bm transport.ByteMesh, tag uint64) (int, error) {
+			if leaderRing {
+				return compressedLeaderRing(g.mesh, bm, tag, data, op, g.topo, codec, residual)
+			}
+			wire, err := compressedAllReduce(bm, tag, g.Rank(), allRanks(g.Size()), data, codec, residual)
+			if err == nil {
+				finishAvg(data, op, g.Size())
+			}
+			return wire, err
 		})
 }
 
-// submitCompressed submits one compressed collective. run receives the
-// reserved tag and returns the encoded bytes this rank shipped; observe
-// records the success. The residual update is transactional (see
-// residualBackup).
-func (g *meshGroup) submitCompressed(data []float32, codec WireCodec, residual []float32, observe func(start time.Time), run func(tag uint64) (int, error)) Work {
+// submitCompressed submits one compressed collective, or refuses it
+// with ErrCompressionUnsupported before a tag is reserved. run receives
+// the mesh's byte lanes and the reserved tag and returns the encoded
+// bytes this rank shipped; observe records the success. The residual
+// update is transactional (see residualBackup).
+func (g *meshGroup) submitCompressed(data []float32, op ReduceOp, codec Codec, residual []float32, observe func(start time.Time), run func(bm transport.ByteMesh, tag uint64) (int, error)) Work {
+	if op != Sum && op != Avg {
+		return CompletedWork(fmt.Errorf("%w: op %v (only sum and avg reduce through a codec)", ErrCompressionUnsupported, op))
+	}
+	bm, ok := transport.ByteLanes(g.mesh)
+	if !ok {
+		return CompletedWork(fmt.Errorf("%w: mesh %T has no byte lanes", ErrCompressionUnsupported, g.mesh))
+	}
 	if residual != nil && len(residual) != len(data) {
 		return CompletedWork(fmt.Errorf("comm: residual has %d elements for %d data elements", len(residual), len(data)))
 	}
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
 		backup := backUpResidual(residual)
-		wire, err := run(tag)
+		wire, err := run(bm, tag)
 		if backup.settle(err) != nil {
 			return err
 		}
@@ -141,9 +145,9 @@ func (g *meshGroup) submitCompressed(data []float32, codec WireCodec, residual [
 	})
 }
 
-// CompressedAllReduce dispatches to the next sub-group, using its
-// wire-level path when available (GradientCompressor on RoundRobin).
-func (r *RoundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
+// CompressedAllReduce dispatches to the next sub-group
+// (GradientCompressor on RoundRobin).
+func (r *RoundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	g := r.pick()
 	if g == nil {
 		return CompletedWork(ErrClosed)
@@ -151,29 +155,23 @@ func (r *RoundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec Wire
 	return CompressedAllReduce(g, data, op, codec, residual)
 }
 
-// quantizeThrough applies codec's wire round trip to data in place —
-// the degradation a compressed transfer would have produced — updating
-// residual under error feedback. One pass, and no frame: nobody would
-// receive it.
-func quantizeThrough(codec WireCodec, data, residual []float32) {
-	codec.Encode(nil, data, residual, data)
-}
-
 // encodePooled encodes data into a buffer from the transport's pool;
 // the caller hands the frame back with transport.PutBytes once nothing
 // reads it any more. deq is Encode's.
-func encodePooled(codec WireCodec, data, residual, deq []float32) []byte {
+func encodePooled(codec Codec, data, residual, deq []float32) []byte {
 	return codec.Encode(transport.GetBytes(codec.EncodedSize(len(data)))[:0], data, residual, deq)
 }
 
-// compressedAllReduce is the wire-level compressed AllReduce: a
-// reduce-scatter + all-gather in which every frame is the codec's byte
-// representation riding the transport's byte lanes. The buffer is split
-// into k chunks, chunk j owned by rank j.
+// compressedAllReduce is the wire-level compressed AllReduce (Sum) among
+// ranks — ascending, this rank one of them: every rank of a flat group,
+// the outermost leaders of a hierarchical one. It is a reduce-scatter +
+// all-gather in which every frame is the codec's byte representation
+// riding the transport's byte lanes. The buffer is split into
+// k = len(ranks) chunks, chunk j owned by ranks[j].
 //
 // Stage 1 (compressed reduce-scatter, compressedReduceScatterChunks):
 // every rank quantizes each chunk — with its slice of the error-feedback
-// residual — and sends frame j to rank j; the owner folds the k
+// residual — and sends frame j to its owner; the owner folds the k
 // dequantized contributions, its own included, in rank order.
 //
 // Stage 2 (compressed all-gather): each owner re-encodes its reduced
@@ -182,6 +180,10 @@ func encodePooled(codec WireCodec, data, residual, deq []float32) []byte {
 // the owner's chunk the values its frame decodes to, and every other
 // rank decodes the identical bytes, so all ranks finish
 // bitwise-identical, the invariant DDP's replica consistency rests on.
+// Alone (k = 1) there is nobody to broadcast to and stage 1's single
+// quantization stands: quantization must not depend on world size — a
+// single rank still pays the codec's accuracy cost and keeps its
+// residual trajectory comparable to any other world's.
 //
 // A rank never builds, ships or decodes a frame for itself: what Decode
 // of that frame would have yielded comes out of Encode's deq in the
@@ -191,80 +193,42 @@ func encodePooled(codec WireCodec, data, residual, deq []float32) []byte {
 //
 // Per rank the wire carries 2(k-1) compressed chunk frames instead of
 // the flat ring's 2(k-1) float32 chunks: the full codec ratio, minus
-// headers.
-//
-// Falls back to quantize-then-AllReduce (under the caller's configured
-// algorithm) when the mesh has no byte lanes or when the op is not
-// Sum/Avg — decode-reduce-reencode of Min/Max/Prod through a lossy
-// representation compounds unpredictably, so those take the exact
-// float path on quantized inputs.
-//
-// The int result is the number of encoded payload bytes this rank put
-// on the byte lanes (0 on the float fallback paths) — the sample the
+// headers. The int result is the number of encoded payload bytes this
+// rank put on the byte lanes — the sample the
 // comm_compressed_wire_bytes histogram records.
-func compressedAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, codec WireCodec, residual []float32, algo Algorithm, topo *Topology) (int, error) {
-	bm, ok := compressedLanes(m, op)
-	if !ok {
-		quantizeThrough(codec, data, residual)
-		return 0, allReduce(m, tag, algo, topo, data, op)
-	}
-	k, rank := m.Size(), m.Rank()
-
-	// Compressed leader ring: with a hierarchical topology, keep the
-	// intra-host (and intra-level) phases exact and compress only the
-	// outermost leader ring, where every byte crosses the network.
-	if algo == Hierarchical && topo != nil && topo.Size() == k && topo.Hierarchical() {
-		return hierarchicalAllReduce(m, tag, data, op, topo, codec, residual)
-	}
-
-	wire, err := compressedReduceScatterChunks(m, bm, tag, data, codec, residual)
-	if err != nil {
-		return 0, err
+func compressedAllReduce(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
+	wire, err := compressedReduceScatterChunks(bm, tag, rank, ranks, data, codec, residual)
+	k := len(ranks)
+	if err != nil || k == 1 {
+		return wire, err
 	}
 
 	// Stage 2: broadcast the re-encoded reduced chunk, keeping what it
 	// decodes to, and decode everyone else's.
-	lo, hi := chunkBounds(len(data), k, rank)
+	lo, hi := chunkBounds(len(data), k, slices.Index(ranks, rank))
 	reduced := encodePooled(codec, data[lo:hi], nil, data[lo:hi])
 	defer transport.PutBytes(reduced) // exchange has joined every send by then
 	wire += (k - 1) * len(reduced)
-	peers := otherRanks(k, rank)
+	peers := without(ranks, rank)
 	err = exchange(byteLane(bm), tag, rank, peers, peers,
 		func(int) []byte { return reduced },
 		func(r int, frame []byte) error {
-			lo, hi := chunkBounds(len(data), k, r)
+			lo, hi := chunkBounds(len(data), k, slices.Index(ranks, r))
 			if err := codec.Decode(frame, data[lo:hi]); err != nil {
 				return fmt.Errorf("comm: decoding reduced chunk from rank %d: %w", r, err)
 			}
 			return nil
 		})
-	if err != nil {
-		return 0, err
-	}
-	finishAvg(data, op, k)
-	return wire, nil
-}
-
-// compressedLanes returns the byte lanes a compressed collective over m
-// under op rides, or false when it must take the float path on
-// quantized inputs instead: a world of one (quantization must not
-// depend on world size — a single rank still pays the codec's accuracy
-// cost and keeps its residual trajectory comparable to any other
-// world's — and the float collectives are no-ops there), a mesh
-// without byte lanes, or an op other than Sum/Avg.
-func compressedLanes(m transport.Mesh, op ReduceOp) (transport.ByteMesh, bool) {
-	if m.Size() == 1 || (op != Sum && op != Avg) {
-		return nil, false
-	}
-	return transport.ByteLanes(m)
+	return wire, err
 }
 
 // compressedReduceScatterChunks is stage 1 of the compressed schedule —
-// a compressed reduce-scatter over chunkBounds chunks, in place: every
+// a compressed reduce-scatter among ranks (see compressedAllReduce) over
+// chunkBounds chunks, chunk j owned by ranks[j], in place: every
 // rank encodes each peer's chunk of data (with its slice of the
-// error-feedback residual) and ships frame j to rank j, and leaves in
-// its own chunk of data the EXACT float32 fold, in rank order, of the k
-// dequantized contributions — every one of them, its own included,
+// error-feedback residual) and ships it to the chunk's owner, and leaves
+// in its own chunk of data the EXACT float32 fold, in rank order, of the
+// k dequantized contributions — every one of them, its own included,
 // passed through the same quantization. The caller decides whether to
 // re-quantize that fold (compressedAllReduce's stage 2) or consume it
 // exactly (the ZeRO-2/3 gradient-shard path, where the reduced chunk
@@ -273,12 +237,12 @@ func compressedLanes(m transport.Mesh, op ReduceOp) (transport.ByteMesh, bool) {
 // bytes this rank put on the byte lanes; every pooled buffer used here
 // has gone back by the time the function returns.
 //
-// Rank 0's contribution opens the fold, so it is quantized in place.
-// Any other rank quantizes its own into a side buffer — while its frames
-// and rank 0's are in flight — and adds it when its turn in the order
-// comes; peers' frames are decode-added as they arrive.
-func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag uint64, data []float32, codec WireCodec, residual []float32) (int, error) {
-	k, rank := m.Size(), m.Rank()
+// The lowest rank's contribution opens the fold, so it is quantized in
+// place. Any other rank quantizes its own into a side buffer — while its
+// frames and the lowest rank's are in flight — and adds it when its turn
+// in the order comes; peers' frames are decode-added as they arrive.
+func compressedReduceScatterChunks(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
+	k, me := len(ranks), slices.Index(ranks, rank)
 	chunk := func(j int) (d, res []float32) {
 		lo, hi := chunkBounds(len(data), k, j)
 		if residual != nil {
@@ -286,20 +250,21 @@ func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag 
 		}
 		return data[lo:hi], res
 	}
-	acc, accRes := chunk(rank)
+	acc, accRes := chunk(me)
 	own := acc
-	if rank > 0 {
+	if me > 0 {
 		own = transport.GetFloats(len(acc))
 		defer transport.PutFloats(own)
 	}
 	wire := 0
 	encs := make([][]byte, k)
-	err := exchange(byteLane(bm), tag, rank, otherRanks(k, rank), allRanks(k),
-		func(j int) []byte {
-			if j == rank {
+	err := exchange(byteLane(bm), tag, rank, without(ranks, rank), ranks,
+		func(p int) []byte {
+			if p == rank {
 				codec.Encode(nil, acc, accRes, own)
 				return nil
 			}
+			j := slices.Index(ranks, p)
 			d, res := chunk(j)
 			encs[j] = encodePooled(codec, d, res, nil)
 			wire += len(encs[j])
@@ -309,10 +274,10 @@ func compressedReduceScatterChunks(m transport.Mesh, bm transport.ByteMesh, tag 
 			var err error
 			switch {
 			case r == rank:
-				if rank > 0 {
+				if me > 0 {
 					reduceInto(acc, own, Sum)
 				}
-			case r == 0:
+			case r == ranks[0]:
 				err = codec.Decode(frame, acc)
 			default:
 				err = codec.DecodeAdd(frame, acc)

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -139,78 +140,99 @@ func TestCompressedAllReduceFp16Accuracy(t *testing.T) {
 	}
 }
 
-// TestCompressedAllReduceFallbackOps: Min/Max/Prod take the
-// quantize-then-Ring path and must equal a plain Ring reduction over
-// quantized inputs.
-func TestCompressedAllReduceFallbackOps(t *testing.T) {
-	const world, n = 3, 64
-	for _, op := range []ReduceOp{Min, Max, Prod} {
-		groups := NewInProcGroups(world, Options{})
-		results := make([][]float32, world)
+// refusal is one way to submit a compressed collective that cannot ride
+// the byte lanes.
+type refusal struct {
+	name   string
+	launch func(g ProcessGroup, data, residual []float32) Work
+}
+
+// bothCompressedCollectives submits CompressedAllReduce and
+// CompressedReduceScatterV under op.
+func bothCompressedCollectives(op ReduceOp) []refusal {
+	return []refusal{
+		{"allreduce " + op.String(), func(g ProcessGroup, data, residual []float32) Work {
+			return CompressedAllReduce(g, data, op, &OneBitCodec{}, residual)
+		}},
+		{"reduce-scatter-v " + op.String(), func(g ProcessGroup, data, residual []float32) Work {
+			return g.(ShardedGroup).CompressedReduceScatterV(data, op, &OneBitCodec{}, residual)
+		}},
+	}
+}
+
+// checkRefused is the contract of ErrCompressionUnsupported: every rank
+// of a world of three, its mesh wrapped by wrapMesh and its group by
+// wrapGroup (either may be nil), gets the typed error from each
+// refusal; data and residual keep every bit; no frame leaves any rank;
+// and the group then runs a plain AllReduce.
+func checkRefused(t *testing.T, wrapMesh func(transport.Mesh) transport.Mesh, wrapGroup func(ProcessGroup) ProcessGroup, refusals []refusal) {
+	t.Helper()
+	const world, n = 3, 100
+	var sent atomic.Int64
+	meshes := transport.NewInProcMeshes(world)
+	for r, m := range meshes {
+		if wrapMesh != nil {
+			m = wrapMesh(m)
+		}
+		meshes[r] = &wireCounter{Mesh: m, bytes: &sent}
+	}
+	groups := groupsOver(meshes, Options{})
+	defer closeAll(groups)
+	for r, g := range groups {
+		if wrapGroup != nil {
+			groups[r] = wrapGroup(g)
+		}
+	}
+	for _, rf := range refusals {
 		runCollective(t, groups, func(rank int, g ProcessGroup) error {
-			data := make([]float32, n)
-			for i := range data {
-				data[i] = float32(rank+1) + float32(i)/64
+			data, residual := gradientInput(rank, n, 0), gradientInput(rank+world, n, 1)
+			wantData, wantRes := slices.Clone(data), slices.Clone(residual)
+			err := rf.launch(g, data, residual).Wait()
+			if !errors.Is(err, ErrCompressionUnsupported) {
+				return fmt.Errorf("%s: got %v, want ErrCompressionUnsupported", rf.name, err)
 			}
-			if err := CompressedAllReduce(g, data, op, Float16Codec{}, nil).Wait(); err != nil {
-				return err
+			if i := sameBits(data, wantData); i >= 0 {
+				return fmt.Errorf("%s: the refused call changed data[%d]", rf.name, i)
 			}
-			results[rank] = data
+			if i := sameBits(residual, wantRes); i >= 0 {
+				return fmt.Errorf("%s: the refused call changed residual[%d]", rf.name, i)
+			}
 			return nil
 		})
-		closeAll(groups)
-		// Reference: quantize locally, then exact reduce.
-		want := make([][]float32, world)
-		for rank := 0; rank < world; rank++ {
-			want[rank] = make([]float32, n)
-			for i := range want[rank] {
-				want[rank][i] = Float16Round(float32(rank+1) + float32(i)/64)
-			}
+		if got := sent.Load(); got != 0 {
+			t.Fatalf("%s: %d bytes were sent by a refused collective", rf.name, got)
 		}
-		ref := append([]float32(nil), want[0]...)
-		for rank := 1; rank < world; rank++ {
-			reduceInto(ref, want[rank], op)
+	}
+	runCollective(t, groups, func(rank int, g ProcessGroup) error {
+		one := []float32{1}
+		if err := g.AllReduce(one, Sum).Wait(); err != nil || one[0] != world {
+			return fmt.Errorf("allreduce after the refusals: %v, %v", one, err)
 		}
-		for r := range results {
-			for i := range ref {
-				if results[r][i] != ref[i] {
-					t.Fatalf("op %v rank %d elem %d: %v want %v", op, r, i, results[r][i], ref[i])
-				}
-			}
-		}
+		return nil
+	})
+}
+
+// TestCompressedAllReduceFallbackOps: the ops a codec cannot reduce —
+// Min, Max and Prod, which once fell back to a float AllReduce of
+// quantized inputs — are refused by both compressed collectives.
+func TestCompressedAllReduceFallbackOps(t *testing.T) {
+	for _, op := range []ReduceOp{Min, Max, Prod} {
+		checkRefused(t, nil, nil, bothCompressedCollectives(op))
 	}
 }
 
 // TestCompressedAllReduceNoByteLanes: a group over a float-only mesh
-// must fall back transparently and still agree on every rank.
+// refuses both compressed collectives instead of quantizing and
+// reducing in float32.
 func TestCompressedAllReduceNoByteLanes(t *testing.T) {
-	const world, n = 3, 100
-	meshes := transport.NewInProcMeshes(world)
-	wrapped := make([]transport.Mesh, world)
-	for r := range meshes {
-		wrapped[r] = floatOnly{meshes[r]}
-	}
-	groups := groupsOver(wrapped, Options{})
-	defer closeAll(groups)
-	results := make([][]float32, world)
-	runCollective(t, groups, func(rank int, g ProcessGroup) error {
-		data := make([]float32, n)
-		for i := range data {
-			data[i] = float32(rank) - float32(i%5)
-		}
-		if err := CompressedAllReduce(g, data, Avg, &OneBitCodec{}, make([]float32, n)).Wait(); err != nil {
-			return err
-		}
-		results[rank] = data
-		return nil
-	})
-	for r := 1; r < world; r++ {
-		for i := range results[0] {
-			if results[r][i] != results[0][i] {
-				t.Fatalf("rank %d diverges at %d", r, i)
-			}
-		}
-	}
+	checkRefused(t, func(m transport.Mesh) transport.Mesh { return floatOnly{m} }, nil, bothCompressedCollectives(Avg))
+}
+
+// TestCompressedAllReduceRefusesGroupWithoutCompressor: a group
+// decorator that does not forward GradientCompressor gets the typed
+// error, not a quantize-then-AllReduce of its own.
+func TestCompressedAllReduceRefusesGroupWithoutCompressor(t *testing.T) {
+	checkRefused(t, nil, func(g ProcessGroup) ProcessGroup { return plainGroup{g} }, bothCompressedCollectives(Avg)[:1])
 }
 
 // floatOnly hides a mesh's byte lanes.
@@ -608,8 +630,8 @@ func TestCompressedLeaderRingMatchesSequentialReference(t *testing.T) {
 	}
 }
 
-// plainGroup hides a group's GradientCompressor, so CompressedAllReduce
-// takes its generic quantize-then-AllReduce fallback.
+// plainGroup hides a group's GradientCompressor, as a decorator that
+// forgot to forward it would.
 type plainGroup struct{ ProcessGroup }
 
 // TestAbortedCollectiveRestoresResidual: a compressed collective that

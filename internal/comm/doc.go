@@ -46,10 +46,10 @@
 //     Topology (nested "/" labels: pod/rack/host) generalizes this to
 //     reduce-up/broadcast-down per level with the ring at the top
 //     among top-level leaders only (hw.NLevelAllReduceSeconds prices
-//     the latency/bandwidth tradeoff). When the group carries a
-//     WireCodec (see below), the top leader ring — the only phase
-//     crossing the expensive boundary — runs compressed over the byte
-//     lanes while intra-level phases stay exact.
+//     the latency/bandwidth tradeoff). Under a compressed collective
+//     (see below) the top leader ring — the only phase crossing the
+//     expensive boundary — runs compressed over the byte lanes while
+//     intra-level phases stay exact.
 //   - Auto: picks per collective from the message size, world size,
 //     and the group's Topology, like NCCL's size-driven algorithm
 //     switch: small messages take the log-depth Tree, large messages
@@ -77,10 +77,10 @@
 // lands (so a send ships its range as it was before the step), and
 // length-checks every frame, failing with an error that names
 // collective, rank, peer, step and got/want. The all-peers collectives
-// (Naive, AllGather, AllToAll, Gather, Scatter, both stages of the
-// compressed AllReduce) share the generic exchange over the float and
-// byte lanes, which joins every outstanding send before it returns and
-// consumes frames in the listed rank order. Those two, both in
+// (Naive, AllGather, both stages of the compressed AllReduce) share the
+// generic exchange over the float and byte lanes, which joins every
+// outstanding send before it returns and consumes frames in the listed
+// rank order. Those two, both in
 // schedule.go, are the only code in this package that touches the
 // transport (a CI gate keeps it so).
 //
@@ -93,10 +93,9 @@
 //
 // computed on exactly one rank. Copying, and started at the rank, the
 // same pass is the all-gather of owned chunks. ReduceScatterV is the
-// first, AllGatherV the second, the Ring AllReduce is one after the
-// other, and the equal-chunk ReduceScatter is ReduceScatterV over a
-// copy of its source — which is why a ZeRO step (reduce-scatter, local
-// update, all-gather) is bitwise a DDP step. Between two ranks, up to
+// first, AllGatherV the second and the Ring AllReduce is one after the
+// other — which is why a ZeRO step (reduce-scatter, local update,
+// all-gather) is bitwise a DDP step. Between two ranks, up to
 // ringPairMaxElems, ringAllReduceSteps is one step instead: each ships
 // the whole buffer and folds its own chunk into the buffer, the peer's
 // under it (the same kernel, operands swapped), which is that chain
@@ -107,35 +106,21 @@
 // follows that chain, and every AllReduce list leaves every
 // contribution on every rank exactly once.
 //
-// ExtendedGroup.ReduceScatter has had no caller outside the tests since
-// optim.ZeroSGD, the duplicate ZeRO, was deleted (internal/fsdp shards
-// through ReduceScatterV). It stays for two reasons. It is the c10d
-// reduce_scatter — out of place, source preserved — that the rest of
-// ExtendedGroup (Gather, Scatter, AllToAll) exists to round out, and
-// the agreement table pins it to the same chain as the other three
-// spellings of the ring reduction. And it is the only reduce-scatter
-// that is topology-aware: on a Hierarchical group it bounds cross-host
-// volume by the leader ring, which ReduceScatterV (flat ring only, by
-// its bitwise contract) cannot. A sharded strategy over multi-host
-// layouts is its intended next caller; if none arrives, delete it with
-// its table rows.
-//
 // # Gradient compression
 //
-// The Codec interface models Section 6.2.3's compression direction;
-// codecs that also implement WireCodec (Float16Codec, OneBitCodec,
-// TopKCodec) produce the real byte representation, and
-// CompressedAllReduce ships it over the transports' byte lanes
-// (transport.ByteMesh): a reduce-scatter + all-gather in which every
-// frame is compressed, so the codec's ratio lands on the wire rather
-// than only in the simulator's cost model. Groups expose the
-// capability through GradientCompressor; the package-level
-// CompressedAllReduce probes for it and falls back to
-// quantize-then-AllReduce (one quantization, exact float32 reduction —
-// a different numerical trajectory than the wire path's two-stage
-// quantization, though both converge under error feedback) when the
-// group or transport cannot carry bytes, or for Min/Max/Prod where the
-// compressed form cannot be reduced exactly.
+// A Codec (Float16Codec, OneBitCodec, TopKCodec) is Section 6.2.3's
+// lossy projection together with its byte representation, and
+// CompressedAllReduce ships that representation over the transports'
+// byte lanes (transport.ByteMesh): a reduce-scatter + all-gather in
+// which every frame is compressed, so the codec's ratio lands on the
+// wire rather than only in the simulator's cost model. There is one
+// trajectory per (codec, resolved algorithm): the flat schedule, or the
+// compressed leader ring on a Hierarchical group. A call that cannot
+// ride the byte lanes — a group that does not implement
+// GradientCompressor, a mesh without byte lanes, an op other than
+// Sum/Avg — fails at submission with ErrCompressionUnsupported on every
+// rank, nothing sent and nothing changed; it is never replaced by a
+// quantize-then-AllReduce, which would be different numbers.
 //
 // Error feedback is caller-owned: Encode takes a residual vector that
 // accumulates each element's quantization error across iterations
@@ -143,10 +128,9 @@
 // parameter identity so bucket rebuilds re-map them, and elastic
 // recovery broadcasts them with the rest of the training state. A
 // collective updates the residual in place and a failed one puts the
-// pre-call contents back (residualBackup), on the wire path and on
-// both fallbacks; read it only after Wait. Non-finite gradient elements
-// are dropped and counted (DroppedNonFinite) instead of poisoning
-// scales and residuals with NaN.
+// pre-call contents back (residualBackup); read it only after Wait.
+// Non-finite gradient elements are dropped and counted
+// (DroppedNonFinite) instead of poisoning scales and residuals with NaN.
 //
 // The collective costs what its arithmetic costs. Decode defines what a
 // frame means, and two fused entry points yield the same values bit for
@@ -164,8 +148,8 @@
 // kernels are bulk loops over integer bits (both roundings computed,
 // one selected by a mask; decode through a 65 536-entry table) whose
 // rounding rule — nearest-even for normal results, half-UP for
-// subnormal ones, ±65504 saturation in Encode, ±Inf in Quantize — is
-// stated at halfBits and pinned, like every bit the codecs produce, to
+// subnormal ones, saturation to ±65504 — is stated at halfBits and
+// pinned, like every bit the codecs produce, to
 // the scalar converters kept in codec_ref_test.go.
 //
 // # Topology
@@ -181,8 +165,7 @@
 // rendezvous round's member hosts through Options.Topology — nested
 // labels flow through rendezvous unchanged — so regenerated groups
 // stay topology-aware across membership changes. The hierarchical
-// levels are step lists over subsets of the group's ranks, run on its
-// single transport.Mesh — no extra connections, no extra rendezvous;
-// only the compressed leader ring still takes a rank-remapped view of
-// it (transport.NewSubMesh).
+// levels, the compressed leader ring included, run over subsets of the
+// group's ranks on its single transport.Mesh — no extra connections, no
+// extra rendezvous, no view of the mesh.
 package comm

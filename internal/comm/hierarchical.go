@@ -66,20 +66,6 @@ func hierarchicalSteps(rank, n int, topo *Topology) (up, ring, down []step) {
 // the hierarchy so each level's links carry one buffer per group below
 // them. The schedule is hierarchicalSteps.
 //
-// codec, when non-nil, turns the leader ring into the compressed leader
-// ring: between the up list and the down list the leaders run the
-// wire-level compressed reduce-scatter/all-gather (compressedAllReduce)
-// among themselves, with residual as the caller-owned error-feedback
-// accumulator, while the intra-host phases stay exact float32 —
-// compression where the bytes are expensive, full precision where they
-// are nearly free. Only leaders touch residual; non-leader ranks'
-// accumulators are left unchanged. The int result is the number of
-// encoded payload bytes this rank put on the byte lanes (0 for
-// non-leaders and on the uncompressed path). Callers must pre-check
-// that the mesh has byte lanes and the op is Sum/Avg
-// (meshGroup.CompressedAllReduce does); a byte-lane-less leader
-// sub-mesh falls back to quantize-then-ring among the leaders.
-//
 // The bitwise-identical-on-every-rank guarantee of the ring path is
 // preserved: the ring leaves every top leader with bitwise-identical
 // data (each chunk reduced on exactly one leader, propagated
@@ -92,41 +78,52 @@ func hierarchicalSteps(rank, n int, topo *Topology) (up, ring, down []step) {
 // Degenerate layouts fall back to the flat ring: no topology, a single
 // host (nothing crosses the network anyway), or a flat topology (one
 // rank per host — the hierarchy has nothing to shed).
-func hierarchicalAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, topo *Topology, codec WireCodec, residual []float32) (int, error) {
-	const name = "hierarchical allreduce"
+func hierarchicalAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, topo *Topology) error {
 	k := m.Size()
 	if k == 1 {
-		return 0, nil
+		return nil
 	}
 	if topo == nil || !topo.Hierarchical() {
-		return 0, ringAllReduce(m, tag, data, op)
+		return ringAllReduce(m, tag, data, op)
 	}
 	if topo.Size() != k {
-		return 0, fmt.Errorf("comm: topology covers %d ranks but mesh has %d", topo.Size(), k)
+		return fmt.Errorf("comm: topology covers %d ranks but mesh has %d", topo.Size(), k)
 	}
 	up, ring, down := hierarchicalSteps(m.Rank(), len(data), topo)
-	if codec == nil {
-		return 0, stepsAllReduce(m, tag, name, data, op, slices.Concat(up, ring, down))
-	}
+	return stepsAllReduce(m, tag, hierarchicalName, data, op, slices.Concat(up, ring, down))
+}
 
-	if err := runSteps(m, tag, name, data, op, up); err != nil {
+// hierarchicalName is what frame-length errors call the schedule,
+// compressed leader ring or not.
+const hierarchicalName = "hierarchical allreduce"
+
+// compressedLeaderRing is hierarchicalAllReduce with the leader ring
+// compressed: between the up list and the down list the outermost
+// leaders run the wire-level compressed reduce-scatter/all-gather
+// (compressedAllReduce) among themselves over bm, m's byte lanes, with
+// residual as the caller-owned error-feedback accumulator, while the
+// intra-host phases stay exact float32 — compression where the bytes are
+// expensive, full precision where they are nearly free. Only leaders
+// touch residual; non-leader ranks' accumulators are left unchanged.
+// topo must cover m and be hierarchical. The int result is the number of
+// encoded payload bytes this rank put on the byte lanes (0 for
+// non-leaders).
+func compressedLeaderRing(m transport.Mesh, bm transport.ByteMesh, tag uint64, data []float32, op ReduceOp, topo *Topology, codec Codec, residual []float32) (int, error) {
+	up, ring, down := hierarchicalSteps(m.Rank(), len(data), topo)
+	if err := runSteps(m, tag, hierarchicalName, data, op, up); err != nil {
 		return 0, err
 	}
 	wire := 0
 	if len(ring) > 0 { // a top leader, and not the only one
-		sub, err := transport.NewSubMesh(m, topo.levelLeaders(0))
-		if err != nil {
-			return 0, err
-		}
-		// Sum, not Avg: the 1/world scale below is over the whole mesh,
-		// not the leaders.
-		if wire, err = compressedAllReduce(sub, tag, data, Sum, codec, residual, Ring, nil); err != nil {
+		var err error
+		if wire, err = compressedAllReduce(bm, tag, m.Rank(), topo.levelLeaders(0), data, codec, residual); err != nil {
 			return 0, err
 		}
 	}
-	if err := runSteps(m, tag, name, data, op, down); err != nil {
+	if err := runSteps(m, tag, hierarchicalName, data, op, down); err != nil {
 		return 0, err
 	}
-	finishAvg(data, op, k)
+	// One 1/world scale over the whole mesh, not the leaders.
+	finishAvg(data, op, m.Size())
 	return wire, nil
 }

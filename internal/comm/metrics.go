@@ -22,18 +22,18 @@ var (
 		metrics.SizeBuckets, "algorithm")
 	mCompressedWireBytes = metrics.Default().HistogramVec(
 		"comm_compressed_wire_bytes",
-		"Encoded bytes this rank put on the byte lanes per compressed AllReduce, by codec (0-byte fallbacks to the float path are not observed).",
+		"Encoded bytes this rank put on the byte lanes per compressed collective, by codec (a rank that shipped none, such as a non-leader of the compressed leader ring, is not observed).",
 		metrics.SizeBuckets, "codec")
 	mDroppedNonFinite = metrics.Default().Counter(
 		"comm_dropped_nonfinite_total",
 		"Non-finite gradient elements dropped by compression codecs; mirrors DroppedNonFinite().")
 	mCollectiveDur = metrics.Default().HistogramVec(
 		"comm_collective_duration_seconds",
-		"Wall time of the extended and sharded collectives (reduce_scatter, all_gather, all_to_all, gather, scatter, reduce_scatter_v, all_gather_v, compressed_reduce_scatter_v) from worker dispatch to completion; AllReduce has its own per-algorithm family.",
+		"Wall time of the collectives other than AllReduce (all_gather, reduce_scatter_v, all_gather_v, compressed_reduce_scatter_v) from worker dispatch to completion; AllReduce has its own per-algorithm family.",
 		metrics.DurationBuckets, "collective")
 	mCollectiveBytes = metrics.Default().HistogramVec(
 		"comm_collective_payload_bytes",
-		"Payload size of the extended and sharded collectives in float32 bytes: the full vector the collective operates over (src for reduce_scatter/all_to_all, world*src for all_gather, the in-place buffer for the *_v sharded forms).",
+		"Payload size of the collectives other than AllReduce in float32 bytes: the full vector the collective operates over (world*src for all_gather, the in-place buffer for the *_v sharded forms).",
 		metrics.SizeBuckets, "collective")
 )
 
@@ -47,8 +47,8 @@ func observeAllReduce(algo string, elems int, start time.Time, err error) {
 	mAllReduceBytes.With(algo).Observe(float64(4 * elems))
 }
 
-// observeCollective records one completed extended/sharded collective
-// under its kind label. Like observeAllReduce, failures are not
+// observeCollective records one completed collective other than
+// AllReduce under its kind label. Like observeAllReduce, failures are not
 // observed: an aborted collective measures time-to-abort, not latency.
 func observeCollective(kind string, elems int, start time.Time, err error) {
 	if err != nil {

@@ -245,13 +245,19 @@ func exchange[T any](l lane[T], tag uint64, rank int, to, from []int, out func(p
 	return err
 }
 
-// allRanks lists 0..k-1, and otherRanks the same without rank: the
-// usual peer sets of an exchange.
-func allRanks(k int) []int { return otherRanks(k, -1) }
+// allRanks lists 0..k-1 and without drops rank from a list: the usual
+// peer sets of an exchange.
+func allRanks(k int) []int {
+	ps := make([]int, k)
+	for p := range ps {
+		ps[p] = p
+	}
+	return ps
+}
 
-func otherRanks(k, rank int) []int {
-	ps := make([]int, 0, k)
-	for p := 0; p < k; p++ {
+func without(ranks []int, rank int) []int {
+	ps := make([]int, 0, len(ranks))
+	for _, p := range ranks {
 		if p != rank {
 			ps = append(ps, p)
 		}

@@ -381,9 +381,6 @@ func TestShortFrameIsAnError(t *testing.T) {
 			return g.(ShardedGroup).ReduceScatterV(data, Avg)
 		}},
 		{"AllGatherV", Ring, nil, "ring all-gather", 0, 0, n / 3, func(g ProcessGroup, data []float32) Work { return g.(ShardedGroup).AllGatherV(data) }},
-		{"ReduceScatter", Ring, nil, "ring reduce-scatter", 0, 0, n / 3, func(g ProcessGroup, data []float32) Work {
-			return g.(ExtendedGroup).ReduceScatter(make([]float32, n/3), data, Sum)
-		}},
 		{"Broadcast", Ring, nil, "binomial broadcast", 0, 0, n, func(g ProcessGroup, data []float32) Work { return g.Broadcast(data, 0) }},
 		// Rank 1 sends its buffer up, then takes the result from rank 0.
 		{"Tree", Tree, nil, "tree allreduce", 0, 1, n, sum},
@@ -463,9 +460,6 @@ func TestFanOutJoinsSendsOnRecvError(t *testing.T) {
 		"naive": func(g ProcessGroup) Work { return g.AllReduce(make([]float32, n), Sum) },
 		"allgather": func(g ProcessGroup) Work {
 			return g.AllGather([][]float32{make([]float32, n), make([]float32, n), make([]float32, n)}, make([]float32, n))
-		},
-		"alltoall": func(g ProcessGroup) Work {
-			return g.(ExtendedGroup).AllToAll(make([]float32, n), make([]float32, n))
 		},
 	}
 	for name, run := range cases {

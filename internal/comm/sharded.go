@@ -16,9 +16,7 @@ import (
 // that evaluates the same expressions. A reduce-scatter + local-update
 // + all-gather sequence therefore produces bitwise the parameter values
 // a DDP AllReduce + full local update would have — the property the
-// DDP-vs-ZeRO agreement suites assert. The equal-chunk ReduceScatter in
-// extended.go is the same pass over a copy of its source, since equal
-// chunks are what ChunkBounds yields when the world divides the length.
+// DDP-vs-ZeRO agreement suites assert.
 
 // ChunkBounds is the shard layout of the sharded collectives: n
 // elements over k ranks split into nearly-equal chunks with the
@@ -30,7 +28,7 @@ func ChunkBounds(n, k, i int) (int, int) { return chunkBounds(n, k, i) }
 
 // ShardedGroup is the optional interface for the in-place sharded
 // collectives. Mesh-backed groups implement it; capability-probe with
-// a type assertion like for ExtendedGroup.
+// a type assertion.
 type ShardedGroup interface {
 	ProcessGroup
 	// ReduceScatterV reduces data in place across ranks over the
@@ -48,7 +46,9 @@ type ShardedGroup interface {
 	// sender's residual slice absorbing the error), the fold is exact,
 	// and the owned chunk is NOT re-quantized. residual is nil or a
 	// caller-owned accumulator of len(data), committed only on success.
-	CompressedReduceScatterV(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work
+	// Like CompressedAllReduce it rides the byte lanes or fails with
+	// ErrCompressionUnsupported.
+	CompressedReduceScatterV(data []float32, op ReduceOp, codec Codec, residual []float32) Work
 }
 
 // ReduceScatterV implements the sharded reduce-scatter on the
@@ -77,18 +77,28 @@ func (g *meshGroup) AllGatherV(data []float32) Work {
 }
 
 // CompressedReduceScatterV implements the compressed sharded
-// reduce-scatter, with the same transactional residual as
-// CompressedAllReduce (see residualBackup). Falls back to
-// quantize-then-exact-ring when the mesh has no byte lanes or the op
-// is not Sum/Avg.
-func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec WireCodec, residual []float32) Work {
+// reduce-scatter, with the same transactional residual and the same
+// refusal as CompressedAllReduce (see residualBackup,
+// ErrCompressionUnsupported): stage 1 of the compressed AllReduce
+// schedule (compressedReduceScatterChunks), which leaves the exact fold
+// in the owner chunk, scaled here for Avg — no second quantization,
+// since the reduced gradient shard feeds a local optimizer and never
+// rides the wire again.
+func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	if codec == nil {
 		return g.ReduceScatterV(data, op)
 	}
-	return g.submitCompressed(data, codec, residual,
+	return g.submitCompressed(data, op, codec, residual,
 		func(start time.Time) { observeCollective("compressed_reduce_scatter_v", len(data), start, nil) },
-		func(tag uint64) (int, error) {
-			return compressedReduceScatterOwned(g.mesh, tag, data, op, codec, residual)
+		func(bm transport.ByteMesh, tag uint64) (int, error) {
+			k, rank := g.Size(), g.Rank()
+			wire, err := compressedReduceScatterChunks(bm, tag, rank, allRanks(k), data, codec, residual)
+			if err != nil {
+				return 0, err
+			}
+			lo, hi := chunkBounds(len(data), k, rank)
+			finishAvg(data[lo:hi], op, k)
+			return wire, nil
 		})
 }
 
@@ -112,27 +122,6 @@ func ringReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, op Red
 func ringAllGatherOwned(m transport.Mesh, tag uint64, data []float32) error {
 	rank := m.Rank()
 	return runSteps(m, tag, "ring all-gather", data, Sum, ringSteps(rank, m.Size(), len(data), rank, false))
-}
-
-// compressedReduceScatterOwned is the wire-level compressed sharded
-// reduce-scatter: stage 1 of the compressed AllReduce schedule
-// (compressedReduceScatterChunks), which leaves the exact fold in the
-// owner chunk, scaled here for Avg — no second quantization, since the
-// reduced gradient shard feeds a local optimizer and never rides the
-// wire again. Returns the encoded payload bytes this rank shipped.
-func compressedReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, op ReduceOp, codec WireCodec, residual []float32) (int, error) {
-	bm, ok := compressedLanes(m, op)
-	if !ok {
-		quantizeThrough(codec, data, residual)
-		return 0, ringReduceScatterOwned(m, tag, data, op)
-	}
-	wire, err := compressedReduceScatterChunks(m, bm, tag, data, codec, residual)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := chunkBounds(len(data), m.Size(), m.Rank())
-	finishAvg(data[lo:hi], op, m.Size())
-	return wire, nil
 }
 
 var _ ShardedGroup = (*meshGroup)(nil)

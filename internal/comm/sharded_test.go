@@ -157,14 +157,12 @@ func leaderPartials(inputs [][]float32, topo *Topology) [][]float32 {
 // bitwise guarantee rests on, as one agreement table: for every world
 // size, transport, buffer size around the chunking edge cases (uneven
 // tails, empty chunks, empty buffers, several double-tree pipeline
-// chunks) and Sum/Avg, four statements of the ring reduction agree
+// chunks) and Sum/Avg, three statements of the ring reduction agree
 // bitwise — AllReduce(Ring) on every rank, ReduceScatterV's owned chunk
-// and the buffer AllGatherV rebuilds from it, ReduceScatter wherever the
-// world divides the length, and the sequential fold along the
-// documented chain. The same table holds the other documented chains to
-// their sequential folds: AllReduce(DoubleTree), and AllReduce and
-// ReduceScatter under Hierarchical on every layout of the world that
-// has a hierarchy.
+// and the buffer AllGatherV rebuilds from it, and the sequential fold
+// along the documented chain. The same table holds the other documented
+// chains to their sequential folds: AllReduce(DoubleTree), and AllReduce
+// under Hierarchical on every layout of the world that has a hierarchy.
 func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 	type row struct {
 		tcp   bool
@@ -190,13 +188,13 @@ func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 		type hier struct {
 			name   string
 			topo   *Topology
-			groups []ExtendedGroup
+			groups []ProcessGroup
 		}
 		var hiers []hier
 		layouts := hostLayouts(world)
 		for _, name := range slices.Sorted(maps.Keys(layouts)) {
 			if topo := NewTopology(layouts[name]); topo.Hierarchical() {
-				hiers = append(hiers, hier{name, topo, asExtended(t, groupsWith(Options{Algorithm: Hierarchical, Topology: topo}))})
+				hiers = append(hiers, hier{name, topo, groupsWith(Options{Algorithm: Hierarchical, Topology: topo})})
 			}
 		}
 		for _, n := range []int{0, 1, world - 1, world, world + 1, 103, 4099, 96 * world, 2*doubleTreeChunkElems + 3} {
@@ -255,7 +253,6 @@ func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 							if err := agree("double-tree allreduce vs sequential tree fold", c, wantTrees); err != nil {
 								return err
 							}
-							dst := make([]float32, n/world)
 							for i, h := range hiers {
 								d := slices.Clone(inputs[rank])
 								if err := h.groups[rank].AllReduce(d, op).Wait(); err != nil {
@@ -264,23 +261,8 @@ func TestReduceScatterVBitwiseMatchesAllReduce(t *testing.T) {
 								if err := agree("hierarchical allreduce ("+h.name+") vs sequential level fold", d, wantHier[i]); err != nil {
 									return err
 								}
-								if n%world != 0 {
-									continue
-								}
-								if err := h.groups[rank].ReduceScatter(dst, inputs[rank], op).Wait(); err != nil {
-									return err
-								}
-								if err := agree("hierarchical reduce-scatter ("+h.name+")", dst, wantHier[i][lo:hi]); err != nil {
-									return err
-								}
 							}
-							if n%world != 0 {
-								return nil
-							}
-							if err := g.(ExtendedGroup).ReduceScatter(dst, inputs[rank], op).Wait(); err != nil {
-								return err
-							}
-							return agree("reduce-scatter", dst, want[lo:hi])
+							return nil
 						}()
 					}(r)
 				}
@@ -416,7 +398,7 @@ func TestCompressedReduceScatterVRankOrderFold(t *testing.T) {
 	for r := 0; r < world; r++ {
 		rt := make([]float32, n)
 		copy(rt, inputs[r])
-		quantizeThrough(codec, rt, nil)
+		codec.Encode(nil, rt, nil, rt)
 		for i := range want {
 			if r == 0 {
 				want[i] = rt[i]
@@ -456,64 +438,10 @@ func TestCompressedReduceScatterVRankOrderFold(t *testing.T) {
 		}
 		// Error feedback: residual = original - decode(encode(original)).
 		rt := append([]float32(nil), inputs[rank]...)
-		quantizeThrough(codec, rt, nil)
+		codec.Encode(nil, rt, nil, rt)
 		for i := range rt {
 			if want := inputs[rank][i] - rt[i]; res[rank][i] != want {
 				t.Fatalf("rank %d residual %d = %v, want %v", rank, i, res[rank][i], want)
-			}
-		}
-	}
-}
-
-// TestHierarchicalReduceScatterMatchesFlat: with integer-valued inputs
-// (exact float sums in any fold order) the hierarchical submesh path
-// must produce exactly the flat ring's chunks, on a 2-hosts-of-4
-// topology at world 8.
-func TestHierarchicalReduceScatterMatchesFlat(t *testing.T) {
-	const world = 8
-	const chunk = 5
-	topo := NewTopology([]string{"h0", "h0", "h0", "h0", "h1", "h1", "h1", "h1"})
-	flat := asExtended(t, NewInProcGroups(world, Options{Algorithm: Ring}))
-	hier := asExtended(t, NewInProcGroups(world, Options{Algorithm: Hierarchical, Topology: topo}))
-	defer func() {
-		for i := range flat {
-			flat[i].Close()
-			hier[i].Close()
-		}
-	}()
-	for _, op := range []ReduceOp{Sum, Avg} {
-		outF := make([][]float32, world)
-		outH := make([][]float32, world)
-		var wg sync.WaitGroup
-		errs := make([]error, world)
-		for r := 0; r < world; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				src := make([]float32, world*chunk)
-				for i := range src {
-					src[i] = float32((rank*31 + i*7) % 64)
-				}
-				df := make([]float32, chunk)
-				dh := make([]float32, chunk)
-				if err := flat[rank].ReduceScatter(df, src, op).Wait(); err != nil {
-					errs[rank] = err
-					return
-				}
-				errs[rank] = hier[rank].ReduceScatter(dh, src, op).Wait()
-				outF[rank], outH[rank] = df, dh
-			}(r)
-		}
-		wg.Wait()
-		for rank, err := range errs {
-			if err != nil {
-				t.Fatalf("op %v rank %d: %v", op, rank, err)
-			}
-			for i := range outF[rank] {
-				if outF[rank][i] != outH[rank][i] {
-					t.Fatalf("op %v rank %d elem %d: hierarchical %v != flat %v",
-						op, rank, i, outH[rank][i], outF[rank][i])
-				}
 			}
 		}
 	}

@@ -13,9 +13,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// DefaultBucketCapBytes matches the paper's 25MB default for
-// bucket_cap_mb (Section 4.2, "Bucket Allreduce").
-const DefaultBucketCapBytes = 25 << 20
+// DefaultBucketCapBytes is reduce.DefaultBucketCapBytes, the paper's
+// 25MB bucket_cap_mb default.
+const DefaultBucketCapBytes = reduce.DefaultBucketCapBytes
 
 // Options are the configurable knobs of Section 4.1.
 type Options struct {
@@ -36,18 +36,14 @@ type Options struct {
 	// AllReduce per iteration, so it is off by default, exactly as in
 	// PyTorch.
 	FindUnusedParameters bool
-	// NewCodec optionally compresses bucket gradients before
-	// communication (Section 6.2.3 extension). When the factory's
-	// product implements comm.WireCodec (all built-in codecs do), DDP
-	// keeps ONE instance and routes buckets through
-	// comm.CompressedAllReduce — real bytes on the wire — with
-	// error-feedback residuals owned by the reduction engine and keyed
-	// by parameter identity, so they survive the Section 6.2.1 bucket
-	// rebuild and SetProcessGroup instead of silently resetting. A
-	// plain Codec is cloned per bucket and only degrades values in
-	// place; if such a codec keeps internal error-feedback state, that
-	// state is lost on every rebuild — implement comm.WireCodec to get
-	// the carried residuals.
+	// NewCodec optionally compresses bucket gradients on the wire
+	// (Section 6.2.3 extension). DDP keeps ONE instance and routes
+	// buckets through comm.CompressedAllReduce — real bytes on the byte
+	// lanes, or comm.ErrCompressionUnsupported from the first Backward
+	// when the process group cannot carry them — with error-feedback
+	// residuals owned by the reduction engine and keyed by parameter
+	// identity, so they survive the Section 6.2.1 bucket rebuild and
+	// SetProcessGroup instead of silently resetting.
 	NewCodec func() comm.Codec
 	// SkipInitialBroadcast suppresses the constructor's rank-0
 	// broadcast of parameters and buffers. Only safe when replica
@@ -102,9 +98,8 @@ type DDP struct {
 	// the hook copied it in, when it could not), AllReduce averages it
 	// in place, and the optimizer reads it there. Rebuilt with every
 	// bucket assignment.
-	views  []*tensor.Tensor
-	codecs []comm.Codec   // per-bucket quantizers (plain, non-wire codecs)
-	wire   comm.WireCodec // wire-level codec; residual state lives in the engine
+	views []*tensor.Tensor
+	codec comm.Codec // nil without compression; residual state lives in the engine
 
 	// Per-iteration reducer state.
 	noSync           bool
@@ -150,14 +145,12 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*DDP, error) {
 		d.sizes[i] = p.Value.Size()
 	}
 	if opts.NewCodec != nil {
-		if wc, ok := opts.NewCodec().(comm.WireCodec); ok {
-			d.wire = wc
-		}
+		d.codec = opts.NewCodec()
 	}
 	engine, err := reduce.NewEngine(reduce.Config{
 		Sizes:                          d.sizes,
 		Launch:                         d.launchBucket,
-		TrackResiduals:                 d.wire != nil,
+		TrackResiduals:                 d.codec != nil,
 		TestingResetResidualsOnInstall: opts.TestingResetResidualsOnRebuild,
 		ObserveReduce:                  func(dur time.Duration) { mBucketReduceDur.Observe(dur.Seconds()) },
 	})
@@ -198,28 +191,19 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*DDP, error) {
 }
 
 // launchBucket is the reduce.Launcher DDP plugs into its engine: a
-// full AllReduce per bucket, through the wire codec's byte lanes when
-// one is configured (this bucket's error-feedback residuals are
-// updated during execution — they are only read back at the next
-// rebuild or state sync, both of which happen after Wait), or
-// quantize-then-AllReduce for plain codecs.
+// full AllReduce per bucket, through the codec's byte lanes when one is
+// configured (this bucket's error-feedback residuals are updated during
+// execution — they are only read back at the next rebuild or state
+// sync, both of which happen after Wait). A nil codec is a plain
+// AllReduce.
 func (d *DDP) launchBucket(bucket int, flat, resFlat []float32) comm.Work {
-	switch {
-	case d.wire != nil:
-		return comm.CompressedAllReduce(d.pg, flat, comm.Avg, d.wire, resFlat)
-	case d.codecs != nil:
-		d.codecs[bucket].Quantize(flat)
-		return d.pg.AllReduce(flat, comm.Avg)
-	default:
-		return d.pg.AllReduce(flat, comm.Avg)
-	}
+	return comm.CompressedAllReduce(d.pg, flat, comm.Avg, d.codec, resFlat)
 }
 
 // installAssignment hands the engine a new assignment (the engine
 // carries error-feedback residuals across the swap) and rebuilds the
 // gradient views — registering each as its parameter's gradient
-// destination — and the per-bucket plain-codec instances for the new
-// layout. A Grad still viewing the old layout keeps its values and its
+// destination — for the new layout. A Grad still viewing the old layout keeps its values and its
 // storage; the next synchronized hook copies it into the new slot like
 // any other gradient that is not yet in place.
 func (d *DDP) installAssignment(assign *Assignment) {
@@ -229,13 +213,6 @@ func (d *DDP) installAssignment(assign *Assignment) {
 		view := tensor.FromSlice(d.engine.Slot(i), p.Value.Shape()...)
 		d.views[i] = view
 		p.SetGradDestination(func() *tensor.Tensor { return view })
-	}
-	d.codecs = nil
-	if d.opts.NewCodec != nil && d.wire == nil {
-		d.codecs = make([]comm.Codec, assign.NumBuckets())
-		for b := range d.codecs {
-			d.codecs[b] = d.opts.NewCodec()
-		}
 	}
 }
 
@@ -560,7 +537,7 @@ func (d *DDP) ResidualState() []float32 {
 // layout. Like ResidualState, it must not be called between Forward
 // and Backward.
 func (d *DDP) SetResidualState(flat []float32) error {
-	if d.wire == nil {
+	if d.codec == nil {
 		if len(flat) == 0 {
 			return nil
 		}

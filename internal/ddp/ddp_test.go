@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -724,6 +725,34 @@ func TestGradientCompressionFp16StillTrains(t *testing.T) {
 			t.Fatalf("param %d grads differ under compression", i)
 		}
 	}
+}
+
+// bareGroup is a ProcessGroup decorator that forwards the core
+// collectives only, not comm.GradientCompressor.
+type bareGroup struct{ comm.ProcessGroup }
+
+// TestCompressionOverBareGroupFailsBackward: with a codec configured, a
+// process group that cannot carry compressed frames stops the first
+// synchronized Backward with comm.ErrCompressionUnsupported on every
+// rank — it does not train on quantize-then-AllReduce numbers instead.
+func TestCompressionOverBareGroupFailsBackward(t *testing.T) {
+	const world = 2
+	groups := comm.NewInProcGroups(world, comm.Options{})
+	runRanks(t, world, func(rank int) error {
+		d, err := New(buildMLP(12, 4, 8, 2), bareGroup{groups[rank]}, Options{
+			NewCodec: func() comm.Codec { return comm.Float16Codec{} },
+		})
+		if err != nil {
+			return err
+		}
+		dataRng := rand.New(rand.NewSource(30))
+		out := d.Forward(autograd.Constant(tensor.RandN(dataRng, 1, 2, 4)))
+		err = d.Backward(autograd.MSELoss(out, autograd.Constant(tensor.RandN(dataRng, 1, 2, 2))))
+		if !errors.Is(err, comm.ErrCompressionUnsupported) {
+			return fmt.Errorf("Backward returned %v, want comm.ErrCompressionUnsupported", err)
+		}
+		return nil
+	})
 }
 
 func TestRebuildBucketsFollowsObservedOrder(t *testing.T) {

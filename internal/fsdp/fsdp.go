@@ -58,24 +58,22 @@ type Options struct {
 	// BucketCapBytes bounds each gradient bucket exactly like
 	// ddp.Options.BucketCapBytes — the SAME packing, which is what
 	// keeps element ownership aligned with a DDP reference run. Zero
-	// selects ddp's 25MB default; negative means one bucket per
-	// parameter.
+	// selects reduce.DefaultBucketCapBytes; negative means one bucket
+	// per parameter.
 	BucketCapBytes int
 	// LR and Momentum parameterize the fused sharded momentum-SGD
 	// step (optim.ShardedMomentumStep — the same operation sequence as
 	// optim.SGD).
 	LR       float32
 	Momentum float32
-	// NewCodec optionally compresses gradient shards on the wire.
-	// When the product implements comm.WireCodec, buckets ride
-	// comm.CompressedReduceScatterV with engine-owned error-feedback
-	// residuals keyed by parameter identity. Compressed runs are NOT
-	// bitwise-comparable to compressed DDP: DDP's AllReduce
-	// re-quantizes the reduced bucket for its broadcast stage, while
-	// the sharded reduce feeds the exact fold straight to the local
-	// optimizer. Plain (non-wire) codecs are rejected — quantizing the
-	// full bucket before a sharded reduce would charge every rank for
-	// bytes it never sends.
+	// NewCodec optionally compresses gradient shards on the wire:
+	// buckets ride comm.CompressedReduceScatterV (byte lanes, or
+	// comm.ErrCompressionUnsupported from Backward) with engine-owned
+	// error-feedback residuals keyed by parameter identity. Compressed
+	// runs are NOT bitwise-comparable to compressed DDP: DDP's
+	// AllReduce re-quantizes the reduced bucket for its broadcast
+	// stage, while the sharded reduce feeds the exact fold straight to
+	// the local optimizer.
 	NewCodec func() comm.Codec
 	// SkipInitialBroadcast suppresses the constructor's rank-0
 	// parameter/buffer broadcast, for callers that aligned replicas
@@ -140,7 +138,7 @@ type FSDP struct {
 	total   int   // element count of that vector
 	engine  *reduce.Engine
 	assign  *reduce.Assignment
-	wire    comm.WireCodec
+	codec   comm.Codec
 
 	// Per-bucket shard layout: rank owns bucket chunk
 	// comm.ChunkBounds(BucketElems[b], world, rank).
@@ -214,7 +212,7 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		return nil, errors.New("fsdp: process group does not support the sharded collectives")
 	}
 	if opts.BucketCapBytes == 0 {
-		opts.BucketCapBytes = 25 << 20
+		opts.BucketCapBytes = reduce.DefaultBucketCapBytes
 	}
 	f := &FSDP{module: module, pg: pg, sg: sg, opts: opts, params: module.Parameters()}
 	if len(f.params) == 0 {
@@ -228,17 +226,13 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		f.total += f.sizes[i]
 	}
 	if opts.NewCodec != nil {
-		wc, ok := opts.NewCodec().(comm.WireCodec)
-		if !ok {
-			return nil, errors.New("fsdp: codec must implement comm.WireCodec for sharded reduction")
-		}
-		f.wire = wc
+		f.codec = opts.NewCodec()
 	}
 
 	engine, err := reduce.NewEngine(reduce.Config{
 		Sizes:          f.sizes,
 		Launch:         f.launchBucket,
-		TrackResiduals: f.wire != nil,
+		TrackResiduals: f.codec != nil,
 		Transient:      true,
 	})
 	if err != nil {
@@ -278,7 +272,7 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	f.stats.FullParamBytes = 4 * f.total
 	f.stats.OptimizerBytes = f.optimizerBytes()
 	f.stats.ResidualBytes = 0
-	if f.wire != nil {
+	if f.codec != nil {
 		f.stats.ResidualBytes = 4 * f.total
 	}
 	f.stats.ShardParamBytes = f.shardParamBytes()
@@ -402,8 +396,8 @@ func (f *FSDP) launchBucket(bucket int, flat, resFlat []float32) comm.Work {
 	if g := f.engine.BucketBytes(); g > f.stats.PeakGradBytes {
 		f.stats.PeakGradBytes = g
 	}
-	if f.wire != nil {
-		return f.sg.CompressedReduceScatterV(flat, comm.Avg, f.wire, resFlat)
+	if f.codec != nil {
+		return f.sg.CompressedReduceScatterV(flat, comm.Avg, f.codec, resFlat)
 	}
 	return f.sg.ReduceScatterV(flat, comm.Avg)
 }
@@ -790,7 +784,7 @@ func (f *FSDP) InstallState(st replica.State) error {
 	if len(st.Residuals) == 0 {
 		return nil
 	}
-	if f.wire == nil {
+	if f.codec == nil {
 		return errors.New("fsdp: residual state offered but no wire codec is configured")
 	}
 	return f.engine.SetResidualState(st.Residuals)

@@ -494,24 +494,6 @@ func TestCompressedShardedReduceSelfConsistent(t *testing.T) {
 	}
 }
 
-// TestRejectsPlainCodec: quantizing the full bucket before a sharded
-// reduce would misaccount bytes; only wire codecs are accepted.
-func TestRejectsPlainCodec(t *testing.T) {
-	groups := inProcGroups(t, 1)
-	_, err := New(buildMLP(3, tIn, tHidden, tOut), groups[0], Options{
-		NewCodec: func() comm.Codec { return plainCodec{} },
-	})
-	if err == nil {
-		t.Fatal("plain (non-wire) codec accepted")
-	}
-}
-
-type plainCodec struct{}
-
-func (plainCodec) Name() string              { return "plain" }
-func (plainCodec) Quantize([]float32)        {}
-func (plainCodec) CompressionRatio() float64 { return 1 }
-
 func TestParseStrategy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -2,6 +2,11 @@ package reduce
 
 import "fmt"
 
+// DefaultBucketCapBytes is the paper's 25MB default for bucket_cap_mb
+// (Section 4.2, "Bucket Allreduce"), the cap ddp and fsdp pack under
+// when their Options leave it zero.
+const DefaultBucketCapBytes = 25 << 20
+
 // Assignment is a parameter-to-bucket mapping (paper Section 4.2,
 // "Parameter-to-Bucket Mapping"). Bucket 0 is the first bucket expected
 // to become ready during the backward pass, i.e. it holds the

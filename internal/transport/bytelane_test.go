@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-
 	"sync"
 	"testing"
 	"time"
@@ -140,40 +139,31 @@ func errorsAsLane(err error) bool {
 	return errors.As(err, &lm)
 }
 
-// TestSubMeshByteLanePassthrough: views forward byte frames over the
-// base mesh's links and report the base's capability.
-func TestSubMeshByteLanePassthrough(t *testing.T) {
-	meshes := NewInProcMeshes(3)
-	subs := make([]Mesh, 2)
-	for i, base := range meshes[:2] {
-		var err error
-		subs[i], err = NewSubMesh(base, []int{0, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestByteLanesProbesTheMesh: a mesh without the byte-frame methods has
+// no byte lanes, and neither has a decorator that has the methods but
+// wraps such a mesh (ByteLaneProber).
+func TestByteLanesProbesTheMesh(t *testing.T) {
+	floatOnly := floatOnlyMesh{NewInProcMeshes(1)[0]}
+	if _, ok := ByteLanes(floatOnly); ok {
+		t.Fatal("a float-only mesh claims byte lanes")
 	}
-	bm0, ok := ByteLanes(subs[0])
-	if !ok {
-		t.Fatal("submesh over a byte-capable base must report byte lanes")
+	if _, ok := ByteLanes(probingMesh{floatOnly}); ok {
+		t.Fatal("a decorator over a float-only mesh claims byte lanes")
 	}
-	bm1, _ := ByteLanes(subs[1])
-	go bm0.SendBytes(1, 7, []byte("hi"))
-	got, err := bm1.RecvBytes(0, 7)
-	if err != nil || string(got) != "hi" {
-		t.Fatalf("submesh byte frame: %q %v", got, err)
+	if _, ok := ByteLanes(probingMesh{NewInProcMeshes(1)[0]}); !ok {
+		t.Fatal("a decorator over a byte-capable mesh reports no byte lanes")
 	}
+}
 
-	// A view over a float-only base must NOT report byte lanes.
-	sub, err := NewSubMesh(floatOnlyMesh{meshes[2]}, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ByteLanes(sub); ok {
-		t.Fatal("submesh over a float-only base claims byte lanes")
-	}
-	if err := sub.(ByteMesh).SendBytes(0, 0, nil); err == nil {
-		t.Fatal("SendBytes over a float-only base must error")
-	}
+// probingMesh is the shape of a mesh decorator: it has the byte-frame
+// methods whatever it wraps, and reports the wrapped mesh's capability.
+type probingMesh struct{ Mesh }
+
+func (p probingMesh) SendBytes(int, uint64, []byte) error   { return errors.New("unused") }
+func (p probingMesh) RecvBytes(int, uint64) ([]byte, error) { return nil, errors.New("unused") }
+func (p probingMesh) HasByteLanes() bool {
+	_, ok := ByteLanes(p.Mesh)
+	return ok
 }
 
 // floatOnlyMesh hides a mesh's byte lanes (simulating a transport that

@@ -107,19 +107,18 @@ type ByteMesh interface {
 	RecvBytes(from int, tag uint64) ([]byte, error)
 }
 
-// ByteLaneProber is implemented by meshes whose byte-lane support
-// depends on something else (sub-meshes delegate to their base mesh;
-// instrumentation wrappers delegate to what they wrap). ByteLanes
-// consults it so a view over a float-only mesh is not mistaken for a
-// byte-capable one just because the methods exist.
+// ByteLaneProber is implemented by mesh decorators, whose byte-lane
+// support is that of the mesh they wrap. ByteLanes consults it so a
+// wrapper over a float-only mesh is not mistaken for a byte-capable one
+// just because the methods exist.
 type ByteLaneProber interface {
 	// HasByteLanes reports whether SendBytes/RecvBytes actually work.
 	HasByteLanes() bool
 }
 
 // ByteLanes returns m's byte-frame lane when it has a working one. Both
-// built-in meshes do; callers (the compressed collectives) fall back to
-// float32 frames when it reports false.
+// built-in meshes do; the compressed collectives refuse a mesh that
+// does not (comm.ErrCompressionUnsupported).
 func ByteLanes(m Mesh) (ByteMesh, bool) {
 	bm, ok := m.(ByteMesh)
 	if !ok {
