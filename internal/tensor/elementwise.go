@@ -73,9 +73,7 @@ func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 	if len(dst.data) != len(src.data) {
 		panic("tensor: AxpyInPlace size mismatch")
 	}
-	for i := range dst.data {
-		dst.data[i] += float32(alpha * src.data[i])
-	}
+	mulAdd1(dst.data, alpha, src.data)
 }
 
 // AddScalar returns a + s elementwise.

@@ -12,6 +12,18 @@ import "fmt"
 // element. Every product is written float32(x*y): the conversion rounds
 // it before the add, so no architecture may fuse the two into one
 // differently-rounded multiply-add.
+//
+// The loops in this file are the definition of every result. On amd64
+// with AVX the three leaves that do the multiply-adds (mulAdd4, mulAdd1
+// and dotRows) first hand the part of their work that fills whole
+// eight-float vectors to matmul_amd64.s, where a lane is one output
+// element and receives the same rounded products in the same order; what
+// is left over, and everything on any other machine, runs here.
+
+// useAVX says whether the leaves call their assembly bodies. It is read
+// once from the processor and never set again outside this package's
+// tests, which run every kernel suite under both bodies.
+var useAVX = hasAVX()
 
 // MatMul returns the matrix product of a [m,k] and b [k,n] as [m,n].
 // A term whose a factor is ±0 is skipped (a ReLU output row is half
@@ -90,6 +102,9 @@ func mulAddRows(o, a []float32, first, stride int, b []float32) {
 func mulAdd4(o []float32, c *[4]float32, b []float32, row *[4]int) {
 	n := len(o)
 	b0, b1, b2, b3 := b[row[0]*n:][:n], b[row[1]*n:][:n], b[row[2]*n:][:n], b[row[3]*n:][:n]
+	v := mulAdd4Vec(o, c, b0, b1, b2, b3)
+	o = o[v:]
+	b0, b1, b2, b3 = b0[v:][:len(o)], b1[v:][:len(o)], b2[v:][:len(o)], b3[v:][:len(o)]
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	for j := range o {
 		s := o[j]
@@ -104,6 +119,9 @@ func mulAdd4(o []float32, c *[4]float32, b []float32, row *[4]int) {
 // mulAdd1 is o += c·b.
 func mulAdd1(o []float32, c float32, b []float32) {
 	b = b[:len(o)]
+	v := mulAdd1Vec(o, c, b)
+	o = o[v:]
+	b = b[v:][:len(o)]
 	for j := range o {
 		o[j] += float32(c * b[j])
 	}
@@ -112,28 +130,35 @@ func mulAdd1(o []float32, c float32, b []float32) {
 // MatMulTransB returns a·bᵀ for a [m,k] and b [n,k] as [m,n], without
 // materializing the transpose. Used in linear-layer input gradients.
 // No term is skipped: a zero factor opposite Inf or NaN yields NaN.
-// Four output elements are computed at once, each its own ascending-p
-// chain, so the adds of one chain overlap the others' instead of
-// waiting out the floating-point add latency.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	if a.Dim() != 2 || b.Dim() != 2 || a.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %v x %v invalid", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
 	out := New(m, n)
+	dotRows(out.data, a.data, b.data, m, k, n)
+	return out
+}
+
+// dotRows stores in o[i*n+j] the product of row i of a and row j of b,
+// both k long, for all m rows of a and n rows of b. Four output elements
+// are computed at once, each its own ascending-p chain, so the adds of
+// one chain overlap the others' instead of waiting out the
+// floating-point add latency.
+func dotRows(o, a, b []float32, m, k, n int) {
+	v := dotRowsVec(o, a, b, m, k, n)
 	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		j := 0
+		arow := a[i*k : (i+1)*k]
+		orow := o[i*n : (i+1)*n]
+		j := v
 		for ; j+4 <= n; j += 4 {
-			bs := b.data[j*k : (j+4)*k]
+			bs := b[j*k : (j+4)*k]
 			dot4((*[4]float32)(orow[j:]), arow, bs[:k], bs[k:2*k], bs[2*k:3*k], bs[3*k:])
 		}
 		for ; j < n; j++ {
-			orow[j] = dot1(arow, b.data[j*k:(j+1)*k])
+			orow[j] = dot1(arow, b[j*k:(j+1)*k])
 		}
 	}
-	return out
 }
 
 // dot4 stores a·b0, a·b1, a·b2 and a·b3 in o.

@@ -113,9 +113,10 @@ func newOperands(transA, transB bool, m, k, n int) (a, b *Tensor) {
 }
 
 // benchShapes are the (m, k, n) the benchmark's models put through the
-// kernels: the compute MLP's hidden layer, the wide MLP's, and the
-// transformer's feed-forward and per-head attention products.
-var benchShapes = [][3]int{{64, 512, 512}, {2, 1024, 1024}, {16, 128, 512}, {16, 32, 16}}
+// kernels: the compute MLP's hidden layer and its head (one vector and a
+// tail of two), the wide MLP's, and the transformer's feed-forward (both
+// directions) and per-head attention products.
+var benchShapes = [][3]int{{64, 512, 512}, {64, 512, 10}, {2, 1024, 1024}, {16, 128, 512}, {16, 512, 128}, {16, 32, 16}}
 
 // Left-operand fills. The specials put −0, NaN and ±Inf in the left
 // operand and zeros opposite them in the right one, so a skipped 0·Inf
@@ -180,13 +181,19 @@ func requireBitwise(t *testing.T, what string, got, want *Tensor) {
 	}
 }
 
+// checkAgainstReference holds every kernel to its oracle under each body
+// of the leaves (kernelBodies), so each suite built on it covers the Go
+// loops and the assembly in one run.
 func checkAgainstReference(t *testing.T, rng *rand.Rand, m, k, n, fill int) {
 	t.Helper()
 	for _, kr := range matmulKernels {
 		a, b := newOperands(kr.transA, kr.transB, m, k, n)
 		fillOperands(rng, fill, a, b)
-		what := fmt.Sprintf("%s m=%d k=%d n=%d %s", kr.name, m, k, n, fillNames[fill])
-		requireBitwise(t, what, kr.kernel(a, b), kr.ref(a, b))
+		want := kr.ref(a, b)
+		kernelBodies(func(body string) {
+			what := fmt.Sprintf("%s/%s m=%d k=%d n=%d %s", body, kr.name, m, k, n, fillNames[fill])
+			requireBitwise(t, what, kr.kernel(a, b), want)
+		})
 	}
 }
 
