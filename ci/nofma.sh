@@ -14,11 +14,15 @@
 # forbids the fusion. This script cross-compiles each of them for arm64
 # and fails on any single-precision fused instruction. There is no list
 # of known exceptions. The same cross-compile proves that the files which
-# stand in for the amd64 assembly (internal/tensor/matmul_other.go) build.
+# stand in for the amd64 assembly (internal/tensor/matmul_other.go and
+# stream_other.go) build.
 #
-# Hand-written amd64 assembly gets the same rule by grep: it multiplies
-# with VMULPS and adds with VADDPS so that every product is rounded before
-# it is added, as float32(x*y) is. Two more things are checked on it
+# Hand-written amd64 assembly — internal/tensor/matmul_amd64.s (mulAdd4,
+# mulAdd1, dotRows) and stream_amd64.s (AddFloats, ScaleFloats,
+# MomentumStep), and any *_amd64.s that joins them in the three packages
+# — gets the same rule by grep: it multiplies with VMULPS and adds or
+# subtracts with VADDPS or VSUBPS so that every product is rounded before
+# it is used, as float32(x*y) is. Two more things are checked on it
 # here because nothing else would notice: go vet's asmdecl (frame sizes
 # and argument offsets against the Go declarations; vet runs for arm64
 # too, over the fallback file), and that every routine executes

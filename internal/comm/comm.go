@@ -37,6 +37,17 @@ func (op ReduceOp) String() string {
 	}
 }
 
+// check refuses an op outside the declared set. The collectives call it
+// at submission, before a tag is reserved: the fold would otherwise find
+// out on the group's worker mid-collective, with the peers blocked, and
+// at world 1, where nothing folds, never.
+func (op ReduceOp) check() error {
+	if op < Sum || op > Avg {
+		return fmt.Errorf("comm: unknown reduce op %v", op)
+	}
+	return nil
+}
+
 // Work is an async handle for a submitted collective, like
 // torch.distributed's Work: Wait blocks until the operation completed
 // on this rank and returns its error.

@@ -1,8 +1,11 @@
 package comm
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -198,6 +201,55 @@ func TestBroadcastInvalidRoot(t *testing.T) {
 	defer closeAll(groups)
 	if err := groups[0].Broadcast([]float32{1}, 9).Wait(); err == nil {
 		t.Fatal("expected error for out-of-range root")
+	}
+}
+
+// TestUnknownReduceOpIsRefusedAtSubmission: an op outside the declared
+// set never reaches the fold (whose default case panics on the group's
+// worker, with the peers blocked) and is not waved through at world 1,
+// where nothing folds. Every rank refuses it without reserving a tag, so
+// the group still works afterwards. Through a codec the refusal is the
+// one every op but Sum and Avg gets there.
+func TestUnknownReduceOpIsRefusedAtSubmission(t *testing.T) {
+	for _, world := range []int{1, 2} {
+		groups := NewInProcGroups(world, Options{Algorithm: Ring})
+		for _, op := range []ReduceOp{-1, Avg + 1} {
+			submits := map[string]func(g ProcessGroup, data []float32) Work{
+				"AllReduce":      func(g ProcessGroup, data []float32) Work { return g.AllReduce(data, op) },
+				"ReduceScatterV": func(g ProcessGroup, data []float32) Work { return g.(ShardedGroup).ReduceScatterV(data, op) },
+				"CompressedAllReduce": func(g ProcessGroup, data []float32) Work {
+					return CompressedAllReduce(g, data, op, Float16Codec{}, nil)
+				},
+				"CompressedReduceScatterV": func(g ProcessGroup, data []float32) Work {
+					return g.(ShardedGroup).CompressedReduceScatterV(data, op, Float16Codec{}, nil)
+				},
+			}
+			for name, submit := range submits {
+				for rank, g := range groups {
+					data := []float32{1, 2, 3}
+					err := submit(g, data).Wait()
+					if compressed := strings.HasPrefix(name, "Compressed"); err == nil ||
+						compressed != errors.Is(err, ErrCompressionUnsupported) ||
+						!compressed && !strings.Contains(err.Error(), "unknown reduce op") {
+						t.Fatalf("world %d rank %d %s op %v: err = %v, want the refusal", world, rank, name, op, err)
+					}
+					if data[0] != 1 || data[1] != 2 || data[2] != 3 {
+						t.Fatalf("world %d rank %d %s op %v: refused collective changed data to %v", world, rank, name, op, data)
+					}
+				}
+			}
+		}
+		runCollective(t, groups, func(rank int, g ProcessGroup) error {
+			buf := []float32{float32(rank + 1)}
+			if err := g.AllReduce(buf, Sum).Wait(); err != nil {
+				return err
+			}
+			if want := float32(world * (world + 1) / 2); buf[0] != want {
+				return fmt.Errorf("after the refusals the sum is %v, want %v", buf[0], want)
+			}
+			return nil
+		})
+		closeAll(groups)
 	}
 }
 

@@ -106,6 +106,20 @@
 // follows that chain, and every AllReduce list leaves every
 // contribution on every rank exactly once.
 //
+// Every fold of every schedule — ring, tree, pair exchange, Naive,
+// ReduceScatterV, the compressed own-chunk fold — is reduceInto, which
+// from reduceParallelThreshold elements up splits the range over up to
+// GOMAXPROCS goroutines (elementwise, so the split cannot change a bit)
+// and hands each part to reduceRange. Sum and Avg fold there through
+// tensor.AddFloats and Avg's closing 1/world scale (finishAvg) is
+// tensor.ScaleFloats: the repository's one add loop and one scale loop,
+// which on amd64 run eight lanes wide and keep every bit of the Go loops
+// that define them (ARCHITECTURE.md, "Tensor kernels"). Prod, Min and
+// Max are plain loops. An op outside the declared five is refused when
+// the collective is submitted (through a codec, as every op but Sum and
+// Avg is), on every rank alike and before a tag is reserved, world 1
+// included; it never reaches a fold.
+//
 // # Gradient compression
 //
 // A Codec (Float16Codec, OneBitCodec, TopKCodec) is Section 6.2.3's

@@ -166,6 +166,9 @@ func (g *meshGroup) resolveAlgorithm(elems int) Algorithm {
 }
 
 func (g *meshGroup) AllReduce(data []float32, op ReduceOp) Work {
+	if err := op.check(); err != nil {
+		return CompletedWork(err)
+	}
 	algo := g.resolveAlgorithm(len(data))
 	return g.submit(func(tag uint64) error {
 		start := time.Now()

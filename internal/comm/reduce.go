@@ -3,16 +3,23 @@ package comm
 import (
 	"runtime"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
-// reduceParallelThreshold is the element count above which reduceInto
+// reduceParallelThreshold is the element count from which reduceInto
 // fans the fold out across goroutines. Below it the goroutine
-// create/join overhead exceeds the arithmetic saved; the crossover is
-// measured by BenchmarkReduceIntoCrossover (on the benchmarked
-// hardware the parallel path wins from a few tens of KiB up, with a
-// wide flat region around this value — large DDP buckets are 1–2
-// orders of magnitude past it either way).
-const reduceParallelThreshold = 64 << 10
+// create/join overhead exceeds the arithmetic saved. The crossover is
+// measured by BenchmarkReduceIntoCrossover, run with this constant
+// lowered so that every size fans out; the Sum fold (tensor.AddFloats,
+// eight lanes) on the two-core reference box, serial against fanned-out:
+// 128 Ki elements 14 against 38 µs, 256 Ki 48 against 82, 512 Ki 170
+// against 162, 1 Mi 340 against 260–400, 4 Mi 1425 against 830. The
+// serial fold stays ahead for as long as both operands sit in one core's
+// cache, and the two meet here. The benchmark's wide row folds half a
+// bucket, 512.5 Ki elements, at a time and so fans out; the shaped rows
+// fold 128 Ki.
+const reduceParallelThreshold = 512 << 10
 
 // reduceInto folds src into dst elementwise under op (Avg folds as Sum;
 // the caller scales at the end). Large slices are folded in parallel
@@ -52,9 +59,7 @@ func reduceInto(dst, src []float32, op ReduceOp) {
 func reduceRange(dst, src []float32, op ReduceOp) {
 	switch op {
 	case Sum, Avg:
-		for i := range dst {
-			dst[i] += src[i]
-		}
+		tensor.AddFloats(dst, src)
 	case Prod:
 		for i := range dst {
 			dst[i] *= src[i]

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/testutil"
@@ -32,6 +33,49 @@ func TestParallelReduceMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestReduceIntoOddLengthsMatchPlainLoop folds buffers whose length is
+// not a multiple of eight on both sides of reduceParallelThreshold, so
+// that the serial path ends in a scalar tail and the parallel path's
+// chunk boundaries land inside a vector, and holds every op to a plain
+// loop over the whole slice, bit for bit.
+func TestReduceIntoOddLengthsMatchPlainLoop(t *testing.T) {
+	plain := map[ReduceOp]func(d, s float32) float32{
+		Sum:  func(d, s float32) float32 { return d + s },
+		Avg:  func(d, s float32) float32 { return d + s },
+		Prod: func(d, s float32) float32 { return d * s },
+		Min: func(d, s float32) float32 {
+			if s < d {
+				return s
+			}
+			return d
+		},
+		Max: func(d, s float32) float32 {
+			if s > d {
+				return s
+			}
+			return d
+		},
+	}
+	rng := testutil.SeededRand(t)
+	for _, n := range []int{1, 7, 9, reduceParallelThreshold - 3, reduceParallelThreshold + 5, 3*reduceParallelThreshold + 13} {
+		src := make([]float32, n)
+		base := make([]float32, n)
+		for i := range src {
+			src[i] = rng.Float32()*2 - 1
+			base[i] = rng.Float32()*2 - 1
+		}
+		for op, f := range plain {
+			got := append([]float32(nil), base...)
+			reduceInto(got, src, op)
+			for i := range got {
+				if want := f(base[i], src[i]); math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("n=%d op %v: element %d is %v, the plain loop gives %v", n, op, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestReduceIntoSmallStaysSerialAndCorrect(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	reduceInto(dst, []float32{10, 20, 30}, Sum)
@@ -46,7 +90,7 @@ func TestReduceIntoSmallStaysSerialAndCorrect(t *testing.T) {
 // below the threshold make reduceInto take the serial path, so those
 // pairs should tie; above it the parallel rows should win.
 func BenchmarkReduceIntoCrossover(b *testing.B) {
-	for _, n := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22} {
+	for _, n := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 22} {
 		dst := make([]float32, n)
 		src := make([]float32, n)
 		for i := range src {

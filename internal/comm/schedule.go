@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -288,8 +289,5 @@ func finishAvg(data []float32, op ReduceOp, world int) {
 	if op != Avg {
 		return
 	}
-	scale := 1 / float32(world)
-	for i := range data {
-		data[i] *= scale
-	}
+	tensor.ScaleFloats(data, 1/float32(world))
 }

@@ -57,6 +57,9 @@ type ShardedGroup interface {
 // agreement contract is defined against the ring fold chain, and a
 // topology-dependent schedule here would silently break it.
 func (g *meshGroup) ReduceScatterV(data []float32, op ReduceOp) Work {
+	if err := op.check(); err != nil {
+		return CompletedWork(err)
+	}
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
 		err := ringReduceScatterOwned(g.mesh, tag, data, op)

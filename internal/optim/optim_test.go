@@ -161,12 +161,15 @@ func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor
 // TestSGDStepIsBitwiseTheThreePassUpdate: over several steps, for every
 // combination of momentum and weight decay, with one parameter that
 // never gets a gradient, SGD.Step leaves bitwise the values and
-// velocities the three-pass update does, and does not write Grad.
+// velocities the three-pass update does, and does not write Grad. The
+// parameter sizes sit on both sides of eight, so the vector body of the
+// momentum leaf, its tail, and a parameter that is all tail are each held
+// to the reference.
 func TestSGDStepIsBitwiseTheThreePassUpdate(t *testing.T) {
 	for _, momentum := range []float32{0, 0.9} {
 		for _, weightDecay := range []float32{0, 1e-4} {
 			rng := rand.New(rand.NewSource(9))
-			shapes := [][]int{{7, 5}, {5}, {3, 3}}
+			shapes := [][]int{{1}, {7}, {8}, {9}, {13, 79}, {3, 3}} // 13·79 = 1027
 			var got, want []*nn.Parameter
 			for _, shape := range shapes {
 				v := tensor.RandN(rng, 1, shape...)
@@ -177,7 +180,7 @@ func TestSGDStepIsBitwiseTheThreePassUpdate(t *testing.T) {
 			opt.Momentum, opt.WeightDecay = momentum, weightDecay
 			velocity := make(map[*nn.Parameter]*tensor.Tensor)
 			for step := 0; step < 4; step++ {
-				for i := range got[:2] { // the last parameter's Grad stays nil
+				for i := range got[:len(got)-1] { // the last parameter's Grad stays nil
 					g := tensor.RandN(rng, 1, shapes[i]...)
 					got[i].Grad, want[i].Grad = g, g.Clone()
 				}
@@ -195,7 +198,7 @@ func TestSGDStepIsBitwiseTheThreePassUpdate(t *testing.T) {
 					}
 				}
 			}
-			if opt.VelocityOf(got[2]) != nil {
+			if opt.VelocityOf(got[len(got)-1]) != nil {
 				t.Fatalf("momentum %v: a parameter without gradient got a velocity", momentum)
 			}
 		}

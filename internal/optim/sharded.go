@@ -1,5 +1,7 @@
 package optim
 
+import "repro/internal/tensor"
+
 // ShardedMomentumStep applies one momentum-SGD update in place to a
 // contiguous run of parameter values: the one update loop in this
 // package, which SGD.Step runs over each parameter and internal/fsdp's
@@ -23,9 +25,19 @@ package optim
 // AllReduce result produces bitwise the parameters a replicated SGD
 // would, the equivalence the DDP-vs-ZeRO agreement suites assert. Since
 // SGD.Step is this function, the two cannot drift apart.
+//
+// Momentum without weight decay — what every trainer in this repository
+// runs — is tensor.MomentumStep: the same two statements without the
+// branches, with an eight-lane body on amd64 that keeps every bit
+// (ARCHITECTURE.md, "Tensor kernels"). The loop below serves the other
+// cases and remains the definition of all of them.
 func ShardedMomentumStep(shard, gradAvg, velocity []float32, lr, momentum, weightDecay float32) {
+	if momentum != 0 && weightDecay == 0 {
+		tensor.MomentumStep(shard, gradAvg, velocity, lr, momentum)
+		return
+	}
 	// Pinning the lengths lets the compiler drop the bounds checks in
-	// the loop (about a tenth of its time on a 12 MB parameter).
+	// the loop.
 	gradAvg = gradAvg[:len(shard)]
 	if momentum != 0 {
 		velocity = velocity[:len(shard)]

@@ -56,17 +56,11 @@ func AddInPlace(dst, src *Tensor) {
 	if len(dst.data) != len(src.data) {
 		panic("tensor: AddInPlace size mismatch")
 	}
-	for i := range dst.data {
-		dst.data[i] += src.data[i]
-	}
+	AddFloats(dst.data, src.data)
 }
 
 // ScaleInPlace multiplies every element of t by s.
-func ScaleInPlace(t *Tensor, s float32) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
+func ScaleInPlace(t *Tensor, s float32) { ScaleFloats(t.data, s) }
 
 // AxpyInPlace computes dst += alpha*src elementwise.
 func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
@@ -105,8 +99,11 @@ func AddRow(m, row *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: AddRow shapes %v and %v incompatible", m.shape, row.shape))
 	}
 	out := New(m.shape...)
-	for i := range m.data {
-		out.data[i] = m.data[i] + row.data[i%n]
+	for lo := 0; lo < len(m.data); lo += n {
+		o, in := out.data[lo:][:n], m.data[lo:][:n]
+		for j, b := range row.data {
+			o[j] = in[j] + b
+		}
 	}
 	return out
 }
@@ -118,8 +115,11 @@ func MulRow(m, row *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MulRow shapes %v and %v incompatible", m.shape, row.shape))
 	}
 	out := New(m.shape...)
-	for i := range m.data {
-		out.data[i] = m.data[i] * row.data[i%n]
+	for lo := 0; lo < len(m.data); lo += n {
+		o, in := out.data[lo:][:n], m.data[lo:][:n]
+		for j, b := range row.data {
+			o[j] = in[j] * b
+		}
 	}
 	return out
 }

@@ -8,11 +8,12 @@ import (
 	"unsafe"
 )
 
-// The differential test of matmul_amd64.s: each leaf runs once with the
-// assembly switched off and once with it on, over operands that differ
-// only in which body wrote them, and every bit must agree — inside the
-// slices (any NaN standing for any NaN, as in requireBitwise) and in the
-// canaries on both sides of them, which neither body may touch.
+// The differential test of matmul_amd64.s and stream_amd64.s: each leaf
+// runs once with the assembly switched off and once with it on, over
+// operands that differ only in which body wrote them, and every bit must
+// agree — inside the slices (any NaN standing for any NaN, as in
+// requireBitwise) and in the canaries on both sides of them, which
+// neither body may touch.
 
 const (
 	canaryFloats = 8          // on each side of an operand
@@ -133,6 +134,33 @@ func TestAssemblyDotMatchesGoDot(t *testing.T) {
 			fillKernelValues(rng, b.s)
 			runBothBodies(t, fmt.Sprintf("dotRows m=%d n=%d k=%d off=%d", m, n, k, off), off, []operand{o, a, b}, func(s [][]float32) {
 				dotRows(s[0], s[1], s[2], m, k, n)
+			})
+		}
+	}
+}
+
+func TestAssemblyStreamsMatchGoStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	lengths := []int{1<<20 + 13} // chunks of a bucket, then a tail
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			p, g, v, c := newOperand(n, 0), newOperand(n+off, 0), newOperand(n, 0), newOperand(2, 0)
+			for _, o := range []operand{p, g, v, c} {
+				fillKernelValues(rng, o.s)
+			}
+			lr, momentum := c.s[0], c.s[1]
+			// src longer than dst, as a caller may pass it.
+			runBothBodies(t, fmt.Sprintf("AddFloats n=%d off=%d", n, off), off, []operand{p, g}, func(s [][]float32) {
+				AddFloats(s[0], s[1])
+			})
+			runBothBodies(t, fmt.Sprintf("ScaleFloats n=%d off=%d s=%v", n, off, lr), off, []operand{p}, func(s [][]float32) {
+				ScaleFloats(s[0], lr)
+			})
+			runBothBodies(t, fmt.Sprintf("MomentumStep n=%d off=%d lr=%v momentum=%v", n, off, lr, momentum), off, []operand{p, g, v}, func(s [][]float32) {
+				MomentumStep(s[0], s[1], s[2], lr, momentum)
 			})
 		}
 	}

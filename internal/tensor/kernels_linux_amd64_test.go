@@ -78,6 +78,15 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 			run("mulAdd1", [3]int{n, 1, n}, atEnd, func(s [3][]float32) {
 				mulAdd1(s[0], s[1][0], s[2])
 			})
+			run("AddFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+				AddFloats(s[0], s[1])
+			})
+			run("ScaleFloats", [3]int{n, 1, 0}, atEnd, func(s [3][]float32) {
+				ScaleFloats(s[0], s[1][0])
+			})
+			run("MomentumStep", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+				MomentumStep(s[0], s[1], s[2], 0.01, 0.9)
+			})
 			for k := 1; k <= maxN; k++ {
 				m := 1 + (n+k)%maxM
 				run("dotRows", [3]int{m * n, m * k, n * k}, atEnd, func(s [3][]float32) {
