@@ -19,13 +19,15 @@
 #
 # Hand-written amd64 assembly — internal/tensor/matmul_amd64.s (mulAdd4,
 # mulAdd1, dotRows) and stream_amd64.s (AddFloats, ScaleFloats,
-# MomentumStep), and any *_amd64.s that joins them in the three packages
-# — gets the same rule by grep: it multiplies with VMULPS and adds or
-# subtracts with VADDPS or VSUBPS so that every product is rounded before
-# it is used, as float32(x*y) is. Two more things are checked on it
-# here because nothing else would notice: go vet's asmdecl (frame sizes
-# and argument offsets against the Go declarations; vet runs for arm64
-# too, over the fallback file), and that every routine executes
+# MomentumStep, and HalfEncode, comm's binary16 encoder, whose float work
+# is adds and subtracts alone), and any *_amd64.s that joins them in the
+# three packages — gets the same rule by grep: it multiplies with VMULPS
+# and adds or subtracts with VADDPS or VSUBPS so that every product is
+# rounded before it is used, as float32(x*y) is. Two more things are
+# checked on it here because nothing else would notice: go vet's asmdecl
+# (frame sizes and argument offsets against the Go declarations; vet
+# runs for arm64 and 386 too, over the fallback files), and that every
+# routine executes
 # VZEROUPPER right before each RET, since the Go code it returns to is
 # legacy SSE and pays for dirty upper halves on every scalar instruction.
 set -eu
@@ -74,5 +76,11 @@ for f in internal/tensor/*_amd64.s internal/autograd/*_amd64.s internal/optim/*_
 done
 go vet ./internal/tensor || fail=1
 GOARCH=arm64 go vet ./internal/tensor || fail=1
+GOARCH=386 go vet ./internal/tensor || fail=1
+# HalfEncode's Go loop is the definition, but on an AVX2 host comm's
+# sweep against the scalar oracle reaches only the assembly body (its
+# chunks are whole multiples of eight lanes). A 386 binary, which runs
+# here and has no assembly body, holds the Go loop to the same sweep.
+GOARCH=386 go test -count=1 -run 'HalfKernelsMatchScalar|Float16TieRounding' ./internal/comm || fail=1
 [ "$fail" -eq 0 ] || exit 1
-echo "nofma: no fused multiply-add in internal/tensor, internal/autograd, internal/optim on arm64 or in their amd64 assembly"
+echo "nofma: no fused multiply-add in internal/tensor, internal/autograd, internal/optim on arm64 or in their amd64 assembly; HalfEncode's Go loop matches the scalar oracle"

@@ -210,29 +210,42 @@ func BenchmarkAllReduceDeepWorld(b *testing.B) {
 }
 
 // BenchmarkRingPairCrossover is the measurement behind
-// ringPairMaxElems: two ranks, both transports, a quarter of the cutoff,
-// the cutoff and four times it, each under both branches of
-// ringAllReduceSteps — the one exchange (ringPairStep) and the two ring
-// passes — whatever the generator would pick at that size. Next to
-// ns/op it reports γ, the per-element cost of the fold the exchange
-// runs twice, timed with both ranks folding at once as they do inside
-// the collective. The exchange saves a hop α and spends γ·n/2, so on a
-// mesh whose hops are free pair − twopass at the cutoff is the most the
-// constant can cost, and n* = 2α/γ is where it stops paying on a link
-// whose hop costs α (ARCHITECTURE.md has the numbers).
+// ringPairMaxElems, the one cutoff below which two ranks AllReduce in a
+// single exchange: two ranks, both transports, a quarter of the cutoff,
+// the cutoff and four times it, each under both branches whatever the
+// dispatcher would pick at that size — for float32 frames
+// ringAllReduceSteps' one exchange (ringPairStep) against its two ring
+// passes, for each codec's byte frames compressedPairAllReduce (with
+// error feedback and Avg's scale, as DDP runs it) against
+// compressedTwoStage. Next to ns/op it reports γ, the per-element cost
+// of the work the exchange adds on the peer's half, timed with both
+// ranks at it at once as inside the collective: the float fold, or —
+// compressed — decode-adding the peer's frame and the round-trip
+// re-encode, less the decode the two stages do instead. The exchange
+// saves a hop α and spends γ·n/2, so on a mesh whose hops are free
+// pair − twopass at the cutoff is the most the constant can cost, and
+// n* = 2α/γ is where it stops paying on a link whose hop costs α
+// (ARCHITECTURE.md has the numbers). Only the lanes whose pair path is
+// no slower at the cutoff take it (compressedAllReduce).
 func BenchmarkRingPairCrossover(b *testing.B) {
-	for _, tr := range []string{"inproc", "tcp"} {
-		for _, n := range []int{ringPairMaxElems / 4, ringPairMaxElems, 4 * ringPairMaxElems} {
-			for _, sched := range []string{"pair", "twopass"} {
-				b.Run(fmt.Sprintf("%s/%d/%s", tr, n, sched), func(b *testing.B) {
-					benchRingPair(b, tr, n, sched == "pair")
-				})
+	lanes := []struct {
+		name  string
+		codec Codec // nil: the float32 lane
+	}{{"float32", nil}, {"fp16", Float16Codec{}}, {"1bit", &OneBitCodec{}}, {"topk", &TopKCodec{}}}
+	for _, lane := range lanes {
+		for _, tr := range []string{"inproc", "tcp"} {
+			for _, n := range []int{ringPairMaxElems / 4, ringPairMaxElems, 4 * ringPairMaxElems} {
+				for _, sched := range []string{"pair", "twopass"} {
+					b.Run(fmt.Sprintf("%s/%s/%d/%s", lane.name, tr, n, sched), func(b *testing.B) {
+						benchRingPair(b, lane.codec, tr, n, sched == "pair")
+					})
+				}
 			}
 		}
 	}
 }
 
-func benchRingPair(b *testing.B, tr string, n int, pair bool) {
+func benchRingPair(b *testing.B, codec Codec, tr string, n int, pair bool) {
 	meshes := benchMeshes(b, tr, 2)
 	defer func() {
 		for _, m := range meshes {
@@ -240,12 +253,13 @@ func benchRingPair(b *testing.B, tr string, n int, pair bool) {
 		}
 	}()
 	var bufs, srcs [2][]float32
-	var steps [2][]step
+	rng := rand.New(rand.NewSource(1))
 	for r := range bufs {
 		bufs[r], srcs[r] = make([]float32, n), make([]float32, n)
-		steps[r] = append(ringSteps(r, 2, n, r-1, true), ringSteps(r, 2, n, r, false)...)
-		if pair {
-			steps[r] = []step{ringPairStep(r, n)}
+		if codec != nil {
+			for i := range bufs[r] {
+				bufs[r][i] = float32(rng.NormFloat64() * 1e-2)
+			}
 		}
 	}
 	// both runs fn on the two ranks at once and returns when both are done.
@@ -271,9 +285,49 @@ func benchRingPair(b *testing.B, tr string, n int, pair bool) {
 		slices.Sort(ns)
 		return ns[runs/2]
 	}
-	fold := func() { both(func(r int) { reduceInto(bufs[r][:n/2], srcs[r][:n/2], Sum) }) }
-	fold() // faults the pages in
-	gamma := median(21, fold) / float64(n/2)
+
+	var gamma float64
+	var collective func(r int, tag uint64) error
+	if codec != nil {
+		schedule := compressedTwoStage
+		if pair {
+			schedule = compressedPairAllReduce
+		}
+		var frames [2][]byte
+		for r := range frames {
+			frames[r] = codec.Encode(nil, bufs[r][:n/2], nil, nil)
+		}
+		half := func(r int) []float32 { return srcs[r][:n/2] }
+		added := func() {
+			both(func(r int) {
+				_ = codec.DecodeAdd(frames[r], half(r))
+				codec.Encode(nil, half(r), nil, half(r))
+			})
+		}
+		decoded := func() { both(func(r int) { _ = codec.Decode(frames[r], half(r)) }) }
+		added() // faults the pages in
+		gamma = (median(21, added) - median(21, decoded)) / float64(n/2)
+		collective = func(r int, tag uint64) error {
+			bm, _ := transport.ByteLanes(meshes[r])
+			_, err := schedule(bm, tag, r, []int{0, 1}, bufs[r], codec, srcs[r])
+			finishAvg(bufs[r], Avg, 2)
+			return err
+		}
+	} else {
+		var steps [2][]step
+		for r := range steps {
+			steps[r] = append(ringSteps(r, 2, n, r-1, true), ringSteps(r, 2, n, r, false)...)
+			if pair {
+				steps[r] = []step{ringPairStep(r, n)}
+			}
+		}
+		fold := func() { both(func(r int) { reduceInto(bufs[r][:n/2], srcs[r][:n/2], Sum) }) }
+		fold() // faults the pages in
+		gamma = median(21, fold) / float64(n/2)
+		collective = func(r int, tag uint64) error {
+			return stepsAllReduce(meshes[r], tag, "bench", bufs[r], Sum, steps[r])
+		}
+	}
 
 	tag := uint64(0)
 	b.SetBytes(int64(4 * n))
@@ -281,7 +335,7 @@ func benchRingPair(b *testing.B, tr string, n int, pair bool) {
 	p50 := median(b.N, func() {
 		tag++
 		both(func(r int) {
-			if err := stepsAllReduce(meshes[r], tag, "bench", bufs[r], Sum, steps[r]); err != nil {
+			if err := collective(r, tag); err != nil {
 				b.Errorf("rank %d: %v", r, err)
 			}
 		})
@@ -411,8 +465,7 @@ func benchAllReduce(b *testing.B, tr string, algo Algorithm, n, world int) {
 // simulated host boundaries, on BOTH lanes — float frames and the
 // compressed byte-lane frames. The byte lane forwards explicitly:
 // embedding alone would hide the base mesh's ByteMesh from
-// transport.ByteLanes and silently push codecs onto the float
-// fallback.
+// transport.ByteLanes, and the compressed collective would be refused.
 type benchCrossHostCounter struct {
 	transport.Mesh
 	topo  *Topology

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -45,9 +46,10 @@ type Codec interface {
 	Name() string
 	// CompressionRatio is original bytes / compressed bytes.
 	CompressionRatio() float64
-	// EncodedSize returns an upper bound on the bytes Encode produces
-	// for n elements (exact for fixed-rate codecs; adaptive codecs like
-	// top-k may produce less).
+	// EncodedSize returns the number of bytes Encode appends for n
+	// elements, exactly: it depends on n alone, never on the values, so a
+	// receiver can find where one chunk's frame ends inside a frame that
+	// carries several (the two-rank compressed AllReduce does).
 	EncodedSize(n int) int
 	// Encode appends the compressed representation of data to dst and
 	// returns the extended slice. residual is nil (no error feedback)
@@ -113,7 +115,7 @@ func wantsFrame(dst []byte, deq []float32) bool { return dst != nil || deq == ni
 
 // Float16Codec rounds values through IEEE half precision (2x smaller).
 // On the wire each element travels as its binary16 bits. The rounding
-// rule is halfBits'.
+// rule is tensor.HalfEncode's.
 type Float16Codec struct{}
 
 // Name implements Codec.
@@ -125,71 +127,19 @@ func (Float16Codec) CompressionRatio() float64 { return 2 }
 // EncodedSize implements Codec: two bytes per element.
 func (Float16Codec) EncodedSize(n int) int { return 2 * n }
 
-// maxHalfBits is the float32 bit pattern of 65504, the largest finite
-// half-precision value. Encode saturates to it instead of ±Inf: a
-// finite-but-out-of-range element must stay finite on the wire (an Inf
-// frame element turns the whole reduced sum Inf) and must leave a finite
-// residual — v-Inf is -Inf, which would poison the accumulator exactly
-// like the non-finite inputs the drop guard exists for.
-const maxHalfBits = 0x477fe000
-
 // Encode implements Codec: each element's binary16 bits,
-// little-endian, saturating to ±65504. With error feedback the rounding
-// (and saturation) error accumulates in residual instead of being lost:
-// the residual is measured against the ORIGINAL value, so saturation
-// error (v - 65504) is carried forward like any other quantization
-// error.
+// little-endian, saturating to ±65504 (tensor.HalfEncode, which states
+// the rounding rule). With error feedback the rounding (and saturation)
+// error accumulates in residual instead of being lost: the residual is
+// measured against the ORIGINAL value, so saturation error (v - 65504)
+// is carried forward like any other quantization error.
 func (Float16Codec) Encode(dst []byte, data, residual, deq []float32) []byte {
 	var frame []byte
 	if wantsFrame(dst, deq) {
 		dst, frame = extend(dst, 2*len(data))
 	}
-	countDropped(halfEncode(frame, data, residual, deq))
+	countDropped(tensor.HalfEncode(frame, data, residual, deq))
 	return dst
-}
-
-// halfEncode is Encode's kernel: it quantizes data (plus residual) into
-// frame, residual and deq, each of which may be nil, and returns the
-// number of non-finite elements dropped.
-//
-// One pass over integer bits, no call and no data-dependent branch per
-// element other than the out-of-range test: normal and subnormal
-// results cost the same, so a gradient whose magnitudes straddle 2^-14
-// (where a branch would mispredict every other element) encodes as fast
-// as any other. The optional slices are guarded by their lengths, which
-// is also what lets the compiler drop every bounds check in the loop; it
-// is a function of its own so that the loop's few live values stay in
-// registers.
-func halfEncode(frame []byte, data, residual, deq []float32) (dropped int) {
-	for i, v := range data {
-		if i < len(residual) {
-			v += residual[i]
-		}
-		b := math.Float32bits(v)
-		a := b &^ signMask
-		if a > maxHalfBits {
-			if a >= expMask {
-				// Dropped: transmitted as +0, residual discarded (0 - 0).
-				dropped++
-				v, a, b = 0, 0, 0
-			} else {
-				a = maxHalfBits
-			}
-		}
-		h := halfBits(a) | b>>16&0x8000
-		if len(frame) >= 2 {
-			frame[0], frame[1] = byte(h), byte(h>>8)
-			frame = frame[2:]
-		}
-		q := halfToFloat[uint16(h)]
-		if i < len(residual) {
-			residual[i] = v - q
-		}
-		if i < len(deq) {
-			deq[i] = q
-		}
-	}
-	return dropped
 }
 
 // Decode implements Codec.
@@ -579,38 +529,6 @@ func (c *TopKCodec) decode(buf []byte, out []float32, add bool) error {
 		out[next] += 0
 	}
 	return nil
-}
-
-// halfBits rounds a non-negative float32 below 65536, given as its bit
-// pattern, to binary16 bits. The rule is the one this repository has
-// always shipped, kept bit for bit because frames, residuals and
-// therefore training trajectories depend on it:
-//
-//   - a normal result (|x| >= 2^-14) is rounded to nearest, ties to even;
-//   - a subnormal result (|x| < 2^-14, a multiple of 2^-24) is rounded
-//     to nearest with ties UP (half-up): 2^-25 becomes 2^-24, 2.5*2^-24
-//     becomes 3*2^-24. Anything below 2^-25 becomes zero (the caller
-//     keeps the sign, so -1e-9 becomes -0).
-//
-// Both candidates are computed and one is selected by a mask, so the
-// cost does not depend on which side of 2^-14 the input falls.
-//
-// Normal: rebias the exponent (127 -> 15, i.e. subtract 112<<23), add
-// just under half a unit of the 13 dropped mantissa bits plus the lowest
-// kept bit, and shift; a mantissa that rounds up to 2 carries into the
-// exponent by itself.
-//
-// Subnormal: adding 0.5 makes the float adder do the work — in
-// [0.5, 1) a float32 is a multiple of 2^-24, so the sum's mantissa IS
-// the input rounded to a multiple of 2^-24. The adder rounds ties to
-// even; setting the input's lowest bit first nudges an exact tie (whose
-// low bits are all zero) just above it and moves no other input across
-// a rounding boundary, which turns that into half-up.
-func halfBits(a uint32) uint32 {
-	normal := (a - 112<<23 + 0xfff + a>>13&1) >> 13
-	subnormal := math.Float32bits(math.Float32frombits(a|1)+0.5) - math.Float32bits(0.5)
-	isSub := uint32(int32(a-113<<23) >> 31) // all ones below 2^-14
-	return normal ^ (normal^subnormal)&isSub
 }
 
 // halfToFloat maps every binary16 bit pattern to its float32 value

@@ -128,8 +128,8 @@ func wireCodecs() []WireCodec {
 	return []WireCodec{Float16Codec{}, &OneBitCodec{}, &TopKCodec{}, &TopKCodec{K: 0.5}}
 }
 
-// TestWireCodecRoundTrip: Encode must produce a frame within
-// EncodedSize that Decode expands losslessly for values already in the
+// TestWireCodecRoundTrip: Encode must produce a frame of EncodedSize
+// bytes that Decode expands losslessly for values already in the
 // codec's representable set, across the awkward shapes (empty, single
 // element, non-power-of-two lengths).
 func TestWireCodecRoundTrip(t *testing.T) {
@@ -147,8 +147,8 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		for ti, in := range inputs {
 			data := append([]float32(nil), in...)
 			frame := c.Encode(nil, data, nil, nil)
-			if len(frame) > c.EncodedSize(len(in)) {
-				t.Fatalf("%s case %d: frame %d bytes exceeds EncodedSize %d", c.Name(), ti, len(frame), c.EncodedSize(len(in)))
+			if len(frame) != c.EncodedSize(len(in)) {
+				t.Fatalf("%s case %d: frame %d bytes, EncodedSize %d", c.Name(), ti, len(frame), c.EncodedSize(len(in)))
 			}
 			for j := range in {
 				if data[j] != in[j] {
@@ -164,6 +164,38 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			for j := range want {
 				if out[j] != want[j] {
 					t.Fatalf("%s case %d elem %d: wire %v, deq %v", c.Name(), ti, j, out[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestEncodedSizeIsExact: Encode appends exactly EncodedSize(len(data))
+// bytes — the two-rank compressed AllReduce finds where one chunk's frame
+// ends by it — for every codec, lengths on both sides of a bitmap byte
+// and a multi-block length, every combination of residual and deq, a
+// prefix already in dst, and top-k inputs full of magnitude ties.
+func TestEncodedSizeIsExact(t *testing.T) {
+	for _, c := range wireCodecs() {
+		for _, n := range []int{0, 1, 7, 8, 9, 4099} {
+			for _, ties := range []bool{false, true} {
+				data := make([]float32, n)
+				for i := range data {
+					data[i] = float32(i%13) - 6.5
+					if ties {
+						data[i] = float32(1 - 2*(i%2)) // ±1: every magnitude ties
+					}
+				}
+				for _, residual := range [][]float32{nil, make([]float32, n)} {
+					for _, deq := range [][]float32{nil, make([]float32, n)} {
+						for _, prefix := range [][]byte{{}, {0xAB, 0xCD, 0xEF}} {
+							frame := c.Encode(prefix, data, residual, deq)
+							if got := len(frame) - len(prefix); got != c.EncodedSize(n) {
+								t.Fatalf("%s n=%d ties=%v residual=%v deq=%v prefix=%d: appended %d bytes, EncodedSize %d",
+									c.Name(), n, ties, residual != nil, deq != nil, len(prefix), got, c.EncodedSize(n))
+							}
+						}
+					}
 				}
 			}
 		}

@@ -185,18 +185,37 @@ func encodePooled(codec Codec, data, residual, deq []float32) []byte {
 // single rank still pays the codec's accuracy cost and keeps its
 // residual trajectory comparable to any other world's.
 //
+// Two ranks, up to ringPairMaxElems, run both stages in one exchange
+// instead (compressedPairAllReduce), every bit the same — under
+// Float16Codec only. The exchange saves a hop and has each rank repeat
+// its peer's fold and re-encode; BenchmarkRingPairCrossover measured
+// that repeat cheap enough for fp16 (γ within 2× of the float fold's)
+// and slower than the saved hop at every size it tries for 1-bit (γ ≈ 5
+// ns/element) and top-k (γ ≈ 30, a quickselect per encode), so those
+// keep the two stages.
+//
 // A rank never builds, ships or decodes a frame for itself: what Decode
 // of that frame would have yielded comes out of Encode's deq in the
 // quantizing pass. Nor does it hold the frames back: exchange asks for
 // frame j when it is about to send it, so each is on the wire as soon
 // as it exists and the rank's own quantization runs while they fly.
 //
-// Per rank the wire carries 2(k-1) compressed chunk frames instead of
-// the flat ring's 2(k-1) float32 chunks: the full codec ratio, minus
-// headers. The int result is the number of encoded payload bytes this
-// rank put on the byte lanes — the sample the
-// comm_compressed_wire_bytes histogram records.
+// Per rank the wire carries 2(k-1) compressed chunk frames — one frame
+// holding both chunks on the pair path — instead of the flat ring's
+// 2(k-1) float32 chunks: the full codec ratio, minus headers. The int
+// result is the number of encoded payload bytes this rank put on the
+// byte lanes — the sample the comm_compressed_wire_bytes histogram
+// records.
 func compressedAllReduce(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
+	if _, fp16 := codec.(Float16Codec); fp16 && len(ranks) == 2 && len(data) <= ringPairMaxElems {
+		return compressedPairAllReduce(bm, tag, rank, ranks, data, codec, residual)
+	}
+	return compressedTwoStage(bm, tag, rank, ranks, data, codec, residual)
+}
+
+// compressedTwoStage is compressedAllReduce's reduce-scatter and
+// all-gather, at any world and size.
+func compressedTwoStage(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
 	wire, err := compressedReduceScatterChunks(bm, tag, rank, ranks, data, codec, residual)
 	k := len(ranks)
 	if err != nil || k == 1 {
@@ -220,6 +239,91 @@ func compressedAllReduce(bm transport.ByteMesh, tag uint64, rank int, ranks []in
 			return nil
 		})
 	return wire, err
+}
+
+// errFrameSize is what the two-rank compressed AllReduce fails with when
+// a frame is not the size Codec.EncodedSize fixes for its two chunks:
+// the receiver finds the boundary between them by that size, so a frame
+// of any other length cannot be parsed. A rank whose own frame comes out
+// the wrong size ships an empty one instead — its peer fails the same
+// way rather than split it in the wrong place — and fails itself.
+var errFrameSize = errors.New("comm: compressed frame is not the size its codec declares")
+
+// compressedPairAllReduce is compressedAllReduce between two ranks in one
+// exchange — the compressed twin of ringPairStep. Each rank encodes its
+// two chunkBounds chunks back to back, each with its own residual slice,
+// into one frame and ships it. Then both ranks evaluate, for each chunk,
+// the fold its owner evaluates in stage 1: ranks[0]'s values open it
+// (ranks[0] takes them from its Encode deq, ranks[1] decodes them) and
+// ranks[1]'s are added (decode-added by ranks[0], added from the deq
+// side buffer by ranks[1]) — each rank computes the same sums in the same
+// order. Stage 2 becomes a local round trip, Encode(nil, chunk, nil,
+// chunk) on both chunks, which by the Codec contract leaves exactly what
+// the owner's stage-2 frame decodes to. Data and residuals are therefore
+// bitwise the two stages', and the frame carries the element counts of
+// the two stages' frames together, so the wire bytes are theirs too: one
+// frame a rank instead of two, and one hop instead of two.
+func compressedPairAllReduce(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
+	n := len(data)
+	mid, _ := chunkBounds(n, 2, 1)
+	split := codec.EncodedSize(mid)
+	size := split + codec.EncodedSize(n-mid)
+	opens := rank == ranks[0]
+	deq := data
+	if !opens {
+		deq = transport.GetFloats(n)
+		defer transport.PutFloats(deq)
+	}
+	frame := transport.GetBytes(size)[:0]
+	encode := func(lo, hi int) {
+		var res []float32
+		if residual != nil {
+			res = residual[lo:hi]
+		}
+		frame = codec.Encode(frame, data[lo:hi], res, deq[lo:hi])
+	}
+	encode(0, mid)
+	sized := len(frame) == split
+	encode(mid, n)
+	sized = sized && len(frame) == size
+	defer transport.PutBytes(frame) // exchange has joined the send by then
+	out := frame
+	if !sized {
+		out = nil
+	}
+	peer := ranks[0] + ranks[1] - rank
+	err := exchange(byteLane(bm), tag, rank, []int{peer}, []int{peer},
+		func(int) []byte { return out },
+		func(_ int, got []byte) error {
+			if len(got) != size {
+				return fmt.Errorf("%w: rank %d got %d bytes from rank %d for %d elements, want %d", errFrameSize, rank, len(got), peer, n, size)
+			}
+			parts := [2][]byte{got[:split], got[split:]}
+			for i, chunk := range [2][]float32{data[:mid], data[mid:]} {
+				var err error
+				if opens {
+					err = codec.DecodeAdd(parts[i], chunk)
+				} else {
+					err = codec.Decode(parts[i], chunk)
+				}
+				if err != nil {
+					return fmt.Errorf("comm: decoding chunk contribution from rank %d: %w", peer, err)
+				}
+			}
+			if !opens {
+				reduceInto(data, deq, Sum)
+			}
+			return nil
+		})
+	if err == nil && !sized {
+		err = fmt.Errorf("%w: rank %d encoded %d bytes for %d elements, want %d", errFrameSize, rank, len(frame), n, size)
+	}
+	if err != nil {
+		return len(out), err
+	}
+	codec.Encode(nil, data[:mid], nil, data[:mid])
+	codec.Encode(nil, data[mid:], nil, data[mid:])
+	return len(out), nil
 }
 
 // compressedReduceScatterChunks is stage 1 of the compressed schedule —

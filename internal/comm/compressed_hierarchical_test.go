@@ -138,8 +138,8 @@ func TestCompressedLeaderRingAllRanksAgree(t *testing.T) {
 // crossHostByteMesh counts payload bytes crossing host boundaries on
 // BOTH lanes. Unlike an interface-embedding wrapper, it forwards the
 // byte lanes explicitly — embedding would hide the base mesh's
-// ByteMesh from transport.ByteLanes and silently push the compressed
-// path onto its float fallback.
+// ByteMesh from transport.ByteLanes, and the compressed collective
+// would be refused with ErrCompressionUnsupported.
 type crossHostByteMesh struct {
 	transport.Mesh
 	topo  *Topology

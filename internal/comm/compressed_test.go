@@ -634,54 +634,246 @@ func TestCompressedLeaderRingMatchesSequentialReference(t *testing.T) {
 // forgot to forward it would.
 type plainGroup struct{ ProcessGroup }
 
+// dyingMesh is a rank's mesh that closes itself instead of sending byte
+// frame number at+1: by then the rank has quantized, updated its residual
+// in place and shipped at frames, and its peers are waiting on it.
+type dyingMesh struct {
+	transport.Mesh
+	at    int32
+	sends atomic.Int32
+}
+
+// SendBytes forwards the first at frames and closes the mesh on the next.
+func (d *dyingMesh) SendBytes(to int, tag uint64, data []byte) error {
+	if d.sends.Add(1) > d.at {
+		d.Mesh.Close()
+		return errors.New("dyingMesh: closed instead of sending")
+	}
+	bm, _ := transport.ByteLanes(d.Mesh)
+	return bm.SendBytes(to, tag, data)
+}
+
+// RecvBytes forwards a byte-lane receive.
+func (d *dyingMesh) RecvBytes(from int, tag uint64) ([]byte, error) {
+	bm, _ := transport.ByteLanes(d.Mesh)
+	return bm.RecvBytes(from, tag)
+}
+
 // TestAbortedCollectiveRestoresResidual: a compressed collective that
-// fails mid-exchange — the peer's mesh goes away while this rank, having
-// quantized and shipped its share and updated its residual in place,
-// waits for the peer's frame — leaves the residual bit-equal to its
-// pre-call contents: on the wire path, on the mesh's float fallback and
-// on the generic fallback, for both collectives.
+// fails mid-exchange — the last rank's mesh goes away where it would
+// have sent its next frame, while every rank has quantized, shipped what
+// it could and updated its residual in place — leaves every rank's
+// residual bit-equal to its pre-call contents: on the two-rank one
+// exchange (fp16; the other codecs take stage 1 of two there), on both
+// stages of the two-stage schedule (two ranks above ringPairMaxElems,
+// three ranks), and on CompressedReduceScatterV. A call
+// refused at submission (a mesh without byte lanes, a group that does
+// not forward GradientCompressor) fails with ErrCompressionUnsupported
+// and touches nothing.
 func TestAbortedCollectiveRestoresResidual(t *testing.T) {
-	const n = 1000
-	for name, tc := range map[string]struct {
-		wrapMesh  func(transport.Mesh) transport.Mesh
-		wrapGroup func(ProcessGroup) ProcessGroup
-		scatter   bool
+	for _, tc := range []struct {
+		name       string
+		world, n   int
+		scatter    bool
+		victimSent int32 // frames the last rank ships before its mesh closes
 	}{
-		"wire":                {},
-		"wire scatter":        {scatter: true},
-		"float mesh":          {wrapMesh: func(m transport.Mesh) transport.Mesh { return floatOnly{m} }},
-		"float mesh scatter":  {wrapMesh: func(m transport.Mesh) transport.Mesh { return floatOnly{m} }, scatter: true},
-		"generic quantize":    {wrapGroup: func(g ProcessGroup) ProcessGroup { return plainGroup{g} }},
-		"generic, float mesh": {wrapMesh: func(m transport.Mesh) transport.Mesh { return floatOnly{m} }, wrapGroup: func(g ProcessGroup) ProcessGroup { return plainGroup{g} }},
+		{"world 2, first frame", 2, 1000, false, 0},
+		{"two-stage world 2, stage 2", 2, ringPairMaxElems + 1, false, 1},
+		{"two-stage world 3, stage 2", 3, 1000, false, 2},
+		{"reduce-scatter-v world 2", 2, 1000, true, 0},
+		{"reduce-scatter-v world 3", 3, 1000, true, 0},
 	} {
 		for _, codec := range wireCodecs()[:3] {
-			meshes := transport.NewInProcMeshes(2)
-			mesh := meshes[0]
-			if tc.wrapMesh != nil {
-				mesh = tc.wrapMesh(mesh)
+			name := tc.name + "/" + codec.Name()
+			meshes := transport.NewInProcMeshes(tc.world)
+			last := tc.world - 1
+			meshes[last] = &dyingMesh{Mesh: meshes[last], at: tc.victimSent}
+			groups := groupsOver(meshes, Options{})
+			residuals, before := make([][]float32, tc.world), make([][]float32, tc.world)
+			errs := make([]error, tc.world)
+			var wg sync.WaitGroup
+			for r, g := range groups {
+				residuals[r] = gradientInput(r+7, tc.n, 1)
+				before[r] = slices.Clone(residuals[r])
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					data := gradientInput(r, tc.n, 0)
+					if tc.scatter {
+						errs[r] = g.(ShardedGroup).CompressedReduceScatterV(data, Avg, codec, residuals[r]).Wait()
+					} else {
+						errs[r] = CompressedAllReduce(g, data, Avg, codec, residuals[r]).Wait()
+					}
+				}()
 			}
-			group := NewGroup(mesh, Options{})
-			data, residual := gradientInput(0, n, 0), gradientInput(7, n, 1)
-			before := slices.Clone(residual)
-			var work Work
-			switch {
-			case tc.scatter:
-				work = group.(ShardedGroup).CompressedReduceScatterV(data, Avg, codec, residual)
-			case tc.wrapGroup != nil:
-				work = CompressedAllReduce(tc.wrapGroup(group), data, Avg, codec, residual)
-			default:
-				work = CompressedAllReduce(group, data, Avg, codec, residual)
+			wg.Wait()
+			for r := range groups {
+				if errs[r] == nil {
+					t.Fatalf("%s: rank %d finished a collective its peer abandoned", name, r)
+				}
+				if i := sameBits(residuals[r], before[r]); i >= 0 {
+					t.Fatalf("%s: rank %d residual[%d] = %v after the abort, %v before the call", name, r, i, residuals[r][i], before[r][i])
+				}
 			}
-			// Rank 1 never joins: rank 0 has its frame out and blocks in
-			// the receive until the peer's view closes.
-			meshes[1].Close()
-			if err := work.Wait(); err == nil {
-				t.Fatalf("%s/%s: the collective succeeded without a peer", name, codec.Name())
+			closeAll(groups)
+		}
+	}
+
+	for name, group := range map[string]func(transport.Mesh) ProcessGroup{
+		"no byte lanes": func(m transport.Mesh) ProcessGroup { return NewGroup(floatOnly{m}, Options{}) },
+		"no compressor": func(m transport.Mesh) ProcessGroup { return plainGroup{NewGroup(m, Options{})} },
+	} {
+		g := group(transport.NewInProcMeshes(2)[0])
+		data, residual := gradientInput(0, 100, 0), gradientInput(7, 100, 1)
+		before := slices.Clone(residual)
+		if err := CompressedAllReduce(g, data, Avg, Float16Codec{}, residual).Wait(); !errors.Is(err, ErrCompressionUnsupported) {
+			t.Fatalf("%s: got %v, want ErrCompressionUnsupported", name, err)
+		}
+		if i := sameBits(residual, before); i >= 0 {
+			t.Fatalf("%s: the refused call changed residual[%d]", name, i)
+		}
+		g.Close()
+	}
+}
+
+// countedBytes is a rank's byte lane with the frames it sends counted.
+type countedBytes struct {
+	transport.ByteMesh
+	frames, bytes atomic.Int64
+}
+
+func (c *countedBytes) SendBytes(to int, tag uint64, data []byte) error {
+	c.frames.Add(1)
+	c.bytes.Add(int64(len(data)))
+	return c.ByteMesh.SendBytes(to, tag, data)
+}
+
+// pairSchedule is compressedPairAllReduce, compressedTwoStage or the
+// dispatcher between them, compressedAllReduce.
+type pairSchedule func(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error)
+
+// runPairSchedule runs one schedule between two in-proc ranks, each on a
+// copy of its input and on its residual in place, and returns the results
+// and, per rank, the frames it sent and the bytes it reported.
+func runPairSchedule(t *testing.T, schedule pairSchedule, codecs [2]Codec, inputs, residuals [2][]float32) (out [2][]float32, frames, wire [2]int64, errs [2]error) {
+	t.Helper()
+	meshes := transport.NewInProcMeshes(2)
+	var wg sync.WaitGroup
+	for r := range 2 {
+		bm, _ := transport.ByteLanes(meshes[r])
+		lane := &countedBytes{ByteMesh: bm}
+		out[r] = slices.Clone(inputs[r])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var w int
+			w, errs[r] = schedule(lane, 1, r, []int{0, 1}, out[r], codecs[r], residuals[r])
+			frames[r], wire[r] = lane.frames.Load(), int64(w)
+			if errs[r] == nil && lane.bytes.Load() != wire[r] {
+				t.Errorf("rank %d reported %d wire bytes and sent %d", r, w, lane.bytes.Load())
 			}
-			if i := sameBits(residual, before); i >= 0 {
-				t.Fatalf("%s/%s: residual[%d] = %v after the abort, %v before the call", name, codec.Name(), i, residual[i], before[i])
+		}()
+	}
+	wg.Wait()
+	for _, m := range meshes {
+		m.Close()
+	}
+	return out, frames, wire, errs
+}
+
+// TestCompressedPairMatchesTwoStage: between two ranks the one exchange
+// leaves data and residuals bitwise what the two stages leave — every
+// codec, the chunking edges, a size past the cutoff (the schedules take
+// any size when called directly), with and without error feedback, three
+// rounds so each residual feeds the next — while a rank ships one frame
+// instead of two and the same bytes.
+func TestCompressedPairMatchesTwoStage(t *testing.T) {
+	for _, codec := range wireCodecs() {
+		for _, n := range []int{0, 1, 2, 3, 4099, ringPairMaxElems + 1} {
+			for _, feedback := range []bool{false, true} {
+				name := fmt.Sprintf("%s n=%d feedback=%v", codec.Name(), n, feedback)
+				var pairRes, twoRes [2][]float32
+				if feedback {
+					for r := range 2 {
+						pairRes[r], twoRes[r] = make([]float32, n), make([]float32, n)
+					}
+				}
+				codecs := [2]Codec{codec, codec}
+				for round := range 3 {
+					inputs := [2][]float32{gradientInput(0, n, round), gradientInput(1, n, round)}
+					got, gotFrames, gotWire, errs := runPairSchedule(t, compressedPairAllReduce, codecs, inputs, pairRes)
+					want, wantFrames, wantWire, wantErrs := runPairSchedule(t, compressedTwoStage, codecs, inputs, twoRes)
+					for r := range 2 {
+						if errs[r] != nil || wantErrs[r] != nil {
+							t.Fatalf("%s round %d rank %d: pair %v, two-stage %v", name, round, r, errs[r], wantErrs[r])
+						}
+						if i := sameBits(got[r], want[r]); i >= 0 {
+							t.Fatalf("%s round %d rank %d: data[%d] = %v, two stages %v", name, round, r, i, got[r][i], want[r][i])
+						}
+						if i := sameBits(pairRes[r], twoRes[r]); i >= 0 {
+							t.Fatalf("%s round %d rank %d: residual[%d] = %v, two stages %v", name, round, r, i, pairRes[r][i], twoRes[r][i])
+						}
+						if gotFrames[r] != 1 || wantFrames[r] != 2 {
+							t.Fatalf("%s rank %d: %d frames on the pair path, %d on two stages; want 1 and 2", name, r, gotFrames[r], wantFrames[r])
+						}
+						if gotWire[r] != wantWire[r] {
+							t.Fatalf("%s rank %d: %d bytes on the pair path, %d on two stages", name, r, gotWire[r], wantWire[r])
+						}
+					}
+				}
 			}
-			group.Close()
+		}
+	}
+}
+
+// TestCompressedPairOnlyForFloat16: two ranks up to the cutoff take the
+// one exchange under fp16 alone; 1-bit and top-k, whose re-encode costs
+// more than the hop it saves (BenchmarkRingPairCrossover), ship two
+// frames a rank.
+func TestCompressedPairOnlyForFloat16(t *testing.T) {
+	const n = 1000
+	inputs := [2][]float32{gradientInput(0, n, 0), gradientInput(1, n, 0)}
+	for _, codec := range wireCodecs() {
+		_, frames, _, errs := runPairSchedule(t, compressedAllReduce, [2]Codec{codec, codec}, inputs, [2][]float32{})
+		want := int64(2)
+		if _, fp16 := codec.(Float16Codec); fp16 {
+			want = 1
+		}
+		for r := range 2 {
+			if errs[r] != nil || frames[r] != want {
+				t.Fatalf("%s rank %d: %d frames (%v), want %d", codec.Name(), r, frames[r], errs[r], want)
+			}
+		}
+	}
+}
+
+// misSized is a codec whose EncodedSize claims extra bytes it never
+// produces.
+type misSized struct {
+	Codec
+	extra int
+}
+
+func (c misSized) EncodedSize(n int) int { return c.Codec.EncodedSize(n) + c.extra }
+
+// TestCompressedPairRefusesMisSizedFrames: the pair path finds the
+// boundary between a frame's two chunks by EncodedSize, so a frame of any
+// other size fails both ranks with errFrameSize instead of being split in
+// the wrong place — whether both ranks' codec lies or only one rank's
+// does (that rank ships an empty frame instead of its own).
+func TestCompressedPairRefusesMisSizedFrames(t *testing.T) {
+	const n = 100
+	inputs := [2][]float32{gradientInput(0, n, 0), gradientInput(1, n, 0)}
+	for name, codecs := range map[string][2]Codec{
+		"both":   {misSized{Float16Codec{}, 1}, misSized{Float16Codec{}, 1}},
+		"rank 0": {misSized{&OneBitCodec{}, 1}, &OneBitCodec{}},
+		"rank 1": {&TopKCodec{}, misSized{&TopKCodec{}, -1}},
+	} {
+		_, _, _, errs := runPairSchedule(t, compressedPairAllReduce, codecs, inputs, [2][]float32{})
+		for r, err := range errs {
+			if !errors.Is(err, errFrameSize) {
+				t.Errorf("%s: rank %d got %v, want errFrameSize", name, r, err)
+			}
 		}
 	}
 }

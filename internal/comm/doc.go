@@ -77,10 +77,10 @@
 // lands (so a send ships its range as it was before the step), and
 // length-checks every frame, failing with an error that names
 // collective, rank, peer, step and got/want. The all-peers collectives
-// (Naive, AllGather, both stages of the compressed AllReduce) share the
-// generic exchange over the float and byte lanes, which joins every
-// outstanding send before it returns and consumes frames in the listed
-// rank order. Those two, both in
+// (Naive, AllGather, the compressed AllReduce's stages and its two-rank
+// exchange) share the generic exchange over the float and byte lanes,
+// which joins every outstanding send before it returns and consumes
+// frames in the listed rank order. Those two, both in
 // schedule.go, are the only code in this package that touches the
 // transport (a CI gate keeps it so).
 //
@@ -126,8 +126,9 @@
 // lossy projection together with its byte representation, and
 // CompressedAllReduce ships that representation over the transports'
 // byte lanes (transport.ByteMesh): a reduce-scatter + all-gather in
-// which every frame is compressed, so the codec's ratio lands on the
-// wire rather than only in the simulator's cost model. There is one
+// which every frame is compressed (one exchange between two ranks under
+// fp16), so the codec's ratio lands on the wire rather than only in the
+// simulator's cost model. There is one
 // trajectory per (codec, resolved algorithm): the flat schedule, or the
 // compressed leader ring on a Hierarchical group. A call that cannot
 // ride the byte lanes — a group that does not implement
@@ -158,13 +159,28 @@
 // the peers' frames in rank order, its own values at their position; in
 // stage 2 the owner's re-encode leaves in the chunk the values its frame
 // decodes to, which is what every other rank gets from the bytes. No
-// rank ever builds, ships or decodes a frame for itself. The fp16
-// kernels are bulk loops over integer bits (both roundings computed,
-// one selected by a mask; decode through a 65 536-entry table) whose
-// rounding rule — nearest-even for normal results, half-UP for
-// subnormal ones, saturation to ±65504 — is stated at halfBits and
-// pinned, like every bit the codecs produce, to
-// the scalar converters kept in codec_ref_test.go.
+// rank ever builds, ships or decodes a frame for itself.
+//
+// Two ranks (two top leaders, under Hierarchical) need only one
+// exchange up to ringPairMaxElems, the float ring's cutoff: each ships
+// one frame holding both chunks, each encoded with its residual slice,
+// and both ranks then evaluate each chunk's owner fold — rank 0's
+// values first (its Encode deq, or decoded from its frame), rank 1's
+// added — and stage 2 as a local round trip, Encode(nil, chunk, nil,
+// chunk), which by the contract above is what the owner's frame would
+// decode to. Data, residuals and wire bytes are the two stages'; the
+// frame splits at EncodedSize of chunk 0, which is exact for every
+// codec, and a frame of any other size fails the collective rather than
+// being misparsed. Only Float16Codec takes this path: 1-bit's and top-k's
+// round trip costs more than the hop it saves (BenchmarkRingPairCrossover),
+// so they keep the two stages.
+//
+// fp16's encoder is tensor.HalfEncode, a leaf with an eight-lane amd64
+// body under the tensor kernels' contract, and its decoder a 65 536-entry
+// table; the rounding rule — nearest-even for normal results, half-UP
+// for subnormal ones, saturation to ±65504 — is stated at tensor's
+// halfBits and pinned, like every bit the codecs produce, to the scalar
+// converters kept in codec_ref_test.go.
 //
 // # Topology
 //

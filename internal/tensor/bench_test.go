@@ -81,6 +81,46 @@ func BenchmarkStreamKernels(b *testing.B) {
 	})
 }
 
+// BenchmarkHalfEncode times HalfEncode under both bodies at comm's
+// BenchmarkCodecKernels size (131 072 elements of N(0, 10⁻²), all normal
+// halves, and of N(0, 10⁻⁴), straddling 2⁻¹⁴), building a frame with and
+// without a residual, and the deq-only round trip the two-rank
+// compressed AllReduce ends with; ns/element, one goroutine:
+//
+//	go test -run '^$' -bench HalfEncode -cpu 1 ./internal/tensor
+func BenchmarkHalfEncode(b *testing.B) {
+	const n = 1 << 17
+	kernelBodies(func(body string) {
+		for _, scale := range []struct {
+			name  string
+			sigma float64
+		}{{"normal", 1e-2}, {"mixed", 1e-4}} {
+			rng := rand.New(rand.NewSource(18))
+			data, residual, deq := make([]float32, n), make([]float32, n), make([]float32, n)
+			for i := range data {
+				data[i] = float32(rng.NormFloat64() * scale.sigma)
+			}
+			frame := make([]byte, 2*n)
+			for _, call := range []struct {
+				name string
+				run  func()
+			}{
+				{"encode", func() { HalfEncode(frame, data, nil, nil) }},
+				{"encode+residual", func() { HalfEncode(frame, data, residual, nil) }},
+				{"round-trip", func() { HalfEncode(nil, data, nil, deq) }},
+			} {
+				b.Run(fmt.Sprintf("%s/%s/%s", body, scale.name, call.name), func(b *testing.B) {
+					clear(residual)
+					for b.Loop() {
+						call.run()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/element")
+				})
+			}
+		}
+	})
+}
+
 // TestMatMulAllocatesOnlyItsOutput holds the kernels to one tensor's
 // worth of allocations per call: no scratch escapes to the heap.
 func TestMatMulAllocatesOnlyItsOutput(t *testing.T) {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -87,7 +88,7 @@ func runBothBodies(t *testing.T, what string, off int, operands []operand, call 
 		results = append(results, mine)
 	})
 	if len(results) < 2 {
-		t.Skip("no AVX on this machine: the Go bodies are the only bodies")
+		t.Skip("no AVX2 on this machine: the Go bodies are the only bodies")
 	}
 	for i := range operands {
 		got, want := results[1][i].region, results[0][i].region
@@ -162,6 +163,118 @@ func TestAssemblyStreamsMatchGoStreams(t *testing.T) {
 			runBothBodies(t, fmt.Sprintf("MomentumStep n=%d off=%d lr=%v momentum=%v", n, off, lr, momentum), off, []operand{p, g, v}, func(s [][]float32) {
 				MomentumStep(s[0], s[1], s[2], lr, momentum)
 			})
+		}
+	}
+}
+
+// halfValues are the inputs around every boundary of the binary16
+// rounding rule — both sides of 2^-14, 2^-25, the subnormal ties, 65504
+// and 65520 — which fillHalfValues mixes with kernelValues and with
+// gradients at three scales: normal, straddling 2^-14, and saturating.
+var halfValues = []float32{
+	65504, 65519.996, 65520, -65520, 65536, 1e5, 1.0 / (1 << 14), 1.0/(1<<14) - 1.0/(1<<26),
+	1.0 / (1 << 24), 1.0 / (1 << 25), -1.0 / (1 << 25), 1.0/(1<<25) - 1.0/(1<<49), 1.5 / (1 << 24),
+	2.5 / (1 << 24), 1023.5 / (1 << 24), -1e-9, 1 + 1.0/(1<<11), 1 + 3.0/(1<<11), 2 - 1.0/2048,
+}
+
+func fillHalfValues(rng *rand.Rand, s []float32) {
+	for i := range s {
+		switch rng.Intn(6) {
+		case 0:
+			s[i] = kernelValues[rng.Intn(len(kernelValues))]
+		case 1:
+			s[i] = halfValues[rng.Intn(len(halfValues))]
+		default:
+			s[i] = float32(rng.NormFloat64() * []float64{1e-2, 1e-4, 4e4, 1}[rng.Intn(4)])
+		}
+	}
+}
+
+// frameCanary is the byte around a frame that neither body may write.
+const frameCanary = 0xA5
+
+// newFrame is n bytes starting off bytes past a 32-byte boundary, with
+// canaryFloats·4 canary bytes on each side; it returns the whole region
+// and the frame inside it.
+func newFrame(n, off int) (region, frame []byte) {
+	const pad = 4 * canaryFloats
+	buf := make([]byte, n+2*pad+32)
+	skip := 0
+	for (uintptr(unsafe.Pointer(&buf[skip+pad]))-uintptr(off))%32 != 0 {
+		skip++
+	}
+	region = buf[skip : skip+n+2*pad]
+	for i := range region {
+		region[i] = frameCanary
+	}
+	return region, region[pad : pad+n : pad+n]
+}
+
+// TestAssemblyHalfEncodeMatchesGoLoop: HalfEncode's two bodies write the
+// same frame bytes, residuals and dequantized values and count the same
+// drops, for every length 0–17 and 4099, every start offset 0–7 of every
+// operand, and every calling convention — each of frame, residual and deq
+// present or nil, and deq the data itself.
+func TestAssemblyHalfEncodeMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	lengths := []int{4099}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	type conv struct{ frame, residual, deq, inPlace bool }
+	var convs []conv
+	for m := range 8 {
+		convs = append(convs, conv{m&1 != 0, m&2 != 0, m&4 != 0, false})
+	}
+	convs = append(convs, conv{true, true, true, true}, conv{false, false, true, true})
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			data, residual, deq := newOperand(n, 0), newOperand(n, 0), newOperand(n, 0)
+			fillHalfValues(rng, data.s)
+			fillHalfValues(rng, residual.s)
+			fillKernelValues(rng, deq.s)
+			for _, c := range convs {
+				what := fmt.Sprintf("HalfEncode n=%d off=%d %+v", n, off, c)
+				type result struct {
+					frame              []byte
+					data, residual, dq operand
+					dropped            int
+				}
+				var results []result
+				kernelBodies(func(string) {
+					r := result{data: data.clone(off), residual: residual.clone((off + 3) % 8), dq: deq.clone((off + 5) % 8)}
+					var frame []byte
+					var res, dq []float32
+					if c.frame {
+						r.frame, frame = newFrame(2*n, (2*off+1)%32)
+					}
+					if c.residual {
+						res = r.residual.s
+					}
+					if c.deq {
+						dq = r.dq.s
+					}
+					if c.inPlace {
+						dq = r.data.s
+					}
+					r.dropped = HalfEncode(frame, r.data.s, res, dq)
+					results = append(results, r)
+				})
+				if len(results) < 2 {
+					t.Skip("no AVX2 on this machine: the Go loop is the only body")
+				}
+				got, want := results[1], results[0]
+				if got.dropped != want.dropped {
+					t.Fatalf("%s: dropped %d, Go loop %d", what, got.dropped, want.dropped)
+				}
+				if !bytes.Equal(got.frame, want.frame) {
+					t.Fatalf("%s: frame (with canaries)\n got %x\nwant %x", what, got.frame, want.frame)
+				}
+				for _, o := range [][2]operand{{got.data, want.data}, {got.residual, want.residual}, {got.dq, want.dq}} {
+					g, w := o[0].region, o[1].region
+					requireBitwise(t, what, FromSlice(g, len(g)), FromSlice(w, len(w)))
+				}
+			}
 		}
 	}
 }

@@ -45,7 +45,7 @@ func (g guardedArea) floats(n int, atEnd bool) []float32 {
 
 func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 	if !useAVX {
-		t.Skip("no AVX on this machine: the Go bodies are the only bodies")
+		t.Skip("no AVX2 on this machine: the Go bodies are the only bodies")
 	}
 	const maxN = 70
 	const maxM = 5 // the four-row dot kernel, and one row after it
@@ -86,6 +86,18 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 			})
 			run("MomentumStep", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
 				MomentumStep(s[0], s[1], s[2], 0.01, 0.9)
+			})
+			run("HalfEncode deq", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+				HalfEncode(nil, s[1], s[2], s[0])
+			})
+			// The frame is the 2n bytes of s[0] that touch the guard page.
+			run("HalfEncode frame", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+				raw := unsafe.Slice((*byte)(unsafe.Pointer(&s[0][0])), 4*n)
+				frame := raw[:2*n]
+				if atEnd {
+					frame = raw[2*n:]
+				}
+				HalfEncode(frame, s[1], s[2], nil)
 			})
 			for k := 1; k <= maxN; k++ {
 				m := 1 + (n+k)%maxM

@@ -14,7 +14,7 @@ import "fmt"
 // differently-rounded multiply-add.
 //
 // The loops in this file are the definition of every result. On amd64
-// with AVX the three leaves that do the multiply-adds (mulAdd4, mulAdd1
+// with AVX2 the three leaves that do the multiply-adds (mulAdd4, mulAdd1
 // and dotRows) first hand the part of their work that fills whole
 // eight-float vectors to matmul_amd64.s, where a lane is one output
 // element and receives the same rounded products in the same order; what
@@ -23,7 +23,7 @@ import "fmt"
 // useAVX says whether the leaves call their assembly bodies. It is read
 // once from the processor and never set again outside this package's
 // tests, which run every kernel suite under both bodies.
-var useAVX = hasAVX()
+var useAVX = hasAVX2()
 
 // MatMul returns the matrix product of a [m,k] and b [k,n] as [m,n].
 // A term whose a factor is ±0 is skipped (a ReLU output row is half

@@ -2,13 +2,18 @@ package tensor
 
 // The Go side of matmul_amd64.s. Each Vec function does the leading part
 // of its leaf's work that fills whole eight-float vectors and returns how
-// many output elements that was, a multiple of eight (zero without AVX);
+// many output elements that was, a multiple of eight (zero without AVX2);
 // the caller's own loop finishes the rest. Bounds are checked here: the
 // assembly trusts its arguments.
 
-// hasAVX reports whether the processor has AVX and the operating system
-// saves the upper halves of the vector registers (CPUID, then XGETBV).
-func hasAVX() bool
+// hasAVX2 reports whether the processor has AVX, AVX2 and F16C and the
+// operating system saves the upper halves of the vector registers (CPUID,
+// then XGETBV). The matmul and float stream bodies need only AVX; the
+// binary16 encoder's 256-bit integer operations need AVX2 and its frame
+// packing F16C, which every AVX2 processor has, and one probe serves all
+// seven bodies. The price: an AVX-only processor (Sandy Bridge, Ivy
+// Bridge, Bulldozer, Piledriver) now runs every leaf as its Go loop.
+func hasAVX2() bool
 
 // mulAdd4AVX is mulAdd4 over n elements, n a positive multiple of eight.
 //

@@ -15,14 +15,23 @@
 // so that what the linker puts ahead of this package cannot move them
 // across a fetch boundary.
 
-// func hasAVX() bool
-TEXT ·hasAVX(SB), NOSPLIT, $0-1
+// func hasAVX2() bool
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID                // EAX: the highest standard leaf
+	CMPL AX, $7
+	JLT  no
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x18000000, CX // OSXSAVE and AVX
-	CMPL CX, $0x18000000
+	ANDL $0x38000000, CX // F16C, OSXSAVE and AVX
+	CMPL CX, $0x38000000
 	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x20, BX       // leaf 7, EBX bit 5: AVX2
+	JEQ  no
 	XORL CX, CX
 	XGETBV               // XCR0 bits 1 and 2: the OS saves XMM and YMM state
 	ANDL $6, AX

@@ -1,16 +1,19 @@
 package tensor
 
-// The three elementwise float32 streams a gradient crosses between
-// "bucket reduced" and "parameter updated": the fold of a peer's frame
-// into the bucket, the 1/world scale that finishes an average, and the
-// momentum update. They work on bare slices because their callers
+import "math"
+
+// The elementwise float32 streams a gradient crosses between "bucket
+// reduced" and "parameter updated": the fold of a peer's frame into the
+// bucket, the 1/world scale that finishes an average, and the momentum
+// update — and, under fp16 compression, the binary16 quantizer that
+// builds the frames. They work on bare slices because their callers
 // (internal/comm, internal/optim, internal/fsdp's shards) hold flat
 // buffers, not tensors; AddInPlace and ScaleInPlace are the same two
 // loops under their tensor names.
 //
 // They are leaves under the same contract as mulAdd4, mulAdd1 and
 // dotRows (matmul.go): the loops here are the definition, and on amd64
-// with AVX the leading multiple of eight elements goes to stream_amd64.s
+// with AVX2 the leading multiple of eight elements goes to stream_amd64.s
 // first, where a lane is one element and every product is rounded by
 // VMULPS before VADDPS or VSUBPS consumes it.
 
@@ -52,4 +55,107 @@ func MomentumStep(p, g, v []float32, lr, momentum float32) {
 		v[i] = u
 		p[i] -= float32(lr * u)
 	}
+}
+
+// The sign bit and the exponent field of a float32; a value is Inf or
+// NaN exactly when the exponent field is all ones.
+const (
+	signMask = 0x80000000
+	expMask  = 0x7f800000
+)
+
+// maxHalfBits is the float32 bit pattern of 65504, the largest finite
+// half-precision value. HalfEncode saturates to it instead of ±Inf: a
+// finite-but-out-of-range element must stay finite on the wire (an Inf
+// frame element turns the whole reduced sum Inf) and must leave a finite
+// residual — v-Inf is -Inf, which would poison the accumulator exactly
+// like the non-finite inputs the drop guard exists for.
+const maxHalfBits = 0x477fe000
+
+// pointFive is the float32 bit pattern of 0.5.
+const pointFive = 0x3f000000
+
+// HalfEncode is the quantizer of comm's fp16 codec: it rounds data[i]
+// (plus residual[i] under error feedback) to binary16 by halfBits' rule,
+// saturating to ±65504, and writes the two little-endian bytes to frame,
+// the float32 value they stand for to deq and the quantization error —
+// against the unsaturated value — to residual. Each of frame, residual
+// and deq is nil or long enough for every element (2·len(data) bytes,
+// len(data) floats); deq may be data itself. A non-finite element is
+// dropped: it travels as +0 and leaves a zero residual. Returned is the
+// number dropped.
+//
+// The loop is one pass with no data-dependent branch but the
+// out-of-range test, so normal and subnormal results cost the same.
+func HalfEncode(frame []byte, data, residual, deq []float32) (dropped int) {
+	n, dropped := halfEncodeVec(frame, data, residual, deq)
+	data = data[n:]
+	frame = frame[min(2*n, len(frame)):]
+	residual = residual[min(n, len(residual)):]
+	deq = deq[min(n, len(deq)):]
+	for i, v := range data {
+		if i < len(residual) {
+			v += residual[i]
+		}
+		b := math.Float32bits(v)
+		a := b &^ signMask
+		if a > maxHalfBits {
+			if a >= expMask {
+				// Dropped: transmitted as +0, residual discarded (0 - 0).
+				dropped++
+				v, a, b = 0, 0, 0
+			} else {
+				a = maxHalfBits
+			}
+		}
+		h, q := halfBits(a)
+		h |= b >> 16 & 0x8000
+		if len(frame) >= 2 {
+			frame[0], frame[1] = byte(h), byte(h>>8)
+			frame = frame[2:]
+		}
+		deqd := math.Float32frombits(q | b&signMask)
+		if i < len(residual) {
+			residual[i] = v - deqd
+		}
+		if i < len(deq) {
+			deq[i] = deqd
+		}
+	}
+	return dropped
+}
+
+// halfBits rounds a non-negative float32 no larger than 65504, given as
+// its bit pattern, to binary16: h is the half's bits and q the bit
+// pattern of the float32 value they stand for. The rule is the one this
+// repository has always shipped, kept bit for bit because frames,
+// residuals and therefore training trajectories depend on it:
+//
+//   - a normal result (|x| >= 2^-14) is rounded to nearest, ties to even;
+//   - a subnormal result (|x| < 2^-14, a multiple of 2^-24) is rounded
+//     to nearest with ties UP (half-up): 2^-25 becomes 2^-24, 2.5*2^-24
+//     becomes 3*2^-24. Anything below 2^-25 becomes zero (the caller
+//     keeps the sign, so -1e-9 becomes -0).
+//
+// One float addition does the rounding, on either side of 2^-14 alike.
+// m is the power of two whose float32 spacing is the half's spacing at
+// a: 2^(e+13) for a in [2^e, 2^(e+1)) with e >= -14, and 0.5 below 2^-14,
+// where halves are the multiples of 2^-24 — the subnormal case is adding
+// 0.5. So the adder rounds a+m to the half's precision, to nearest with
+// ties to even (m's own bits there are zero). s-m is exact and is q, and
+// s's bits past m's count the half's steps above m: that count plus the
+// half's exponent above 2^-14 is h (a sum that rounds up to the next
+// binade carries into the exponent by itself).
+//
+// Below 2^-14 the input's lowest bit is set first: an exact tie has its
+// low bits all zero, so this nudges it just above the tie and moves no
+// other input across a rounding boundary, which turns the adder's
+// ties-to-even into half-up.
+func halfBits(a uint32) (h, q uint32) {
+	m := a&expMask + 13<<23
+	sub := uint32(int32(m-pointFive) >> 31) // all ones below 2^-14
+	m = max(m, pointFive)
+	s := math.Float32frombits(a|sub&1) + math.Float32frombits(m)
+	q = math.Float32bits(s - math.Float32frombits(m))
+	return math.Float32bits(s) - m + (m-pointFive)>>13, q
 }

@@ -2,9 +2,10 @@ package tensor
 
 // The Go side of stream_amd64.s, in the shape of matmul_amd64.go: each
 // Vec function does the leading multiple of eight elements and returns
-// how many that was (zero without AVX); the loops in stream.go finish
+// how many that was (zero without AVX2); the loops in stream.go finish
 // the rest. The callers have already cut every slice to the first one's
-// length; the assembly trusts its arguments.
+// length, except HalfEncode's optional ones, which halfEncodeVec checks;
+// the assembly trusts its arguments.
 
 // addAVX is dst[i] += src[i] over n elements, n a positive multiple of
 // eight.
@@ -48,4 +49,36 @@ func momentumVec(p, g, v []float32, lr, momentum float32) int {
 	}
 	momentumAVX(&p[0], n, &g[:n][0], &v[:n][0], lr, momentum)
 	return n
+}
+
+// halfEncodeAVX is HalfEncode over n elements, n a positive multiple of
+// eight; a nil frame, residual or deq is one the call does not have.
+//
+//go:noescape
+func halfEncodeAVX(frame *byte, data *float32, n int, residual, deq *float32) (dropped int)
+
+func halfEncodeVec(frame []byte, data, residual, deq []float32) (n, dropped int) {
+	n = len(data) &^ 7
+	if !useAVX || n == 0 {
+		return 0, 0
+	}
+	f, okF := leading(frame, 2*n)
+	r, okR := leading(residual, n)
+	d, okD := leading(deq, n)
+	if !okF || !okR || !okD {
+		return 0, 0 // a short optional slice: the Go loop's length guards decide
+	}
+	return n, halfEncodeAVX(f, &data[0], n, r, d)
+}
+
+// leading returns &s[0] if s holds at least n elements and nil if it is
+// empty; ok is false for anything in between.
+func leading[T any](s []T, n int) (p *T, ok bool) {
+	switch {
+	case len(s) == 0:
+		return nil, true
+	case len(s) < n:
+		return nil, false
+	}
+	return &s[0], true
 }

@@ -10,3 +10,5 @@ func addVec(dst, src []float32) int { return 0 }
 func scaleVec(dst []float32, s float32) int { return 0 }
 
 func momentumVec(p, g, v []float32, lr, momentum float32) int { return 0 }
+
+func halfEncodeVec(frame []byte, data, residual, deq []float32) (n, dropped int) { return 0, 0 }
