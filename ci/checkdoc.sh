@@ -16,6 +16,11 @@
 # (metrics, trace), and the correctness tooling (lint, testutil,
 # testutil/leakcheck, chaos) — the packages whose exported surface the
 # architecture docs point into.
+#
+# It also caps the prose of CHANGES.md: an entry runs from its numbered
+# `- PR N:` line to the next such line, and an entry numbered 26 or
+# more may not exceed 6 KB — a measurement lives once, in a table, not
+# in narrative. Older entries predate the cap.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,3 +70,16 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "checkdoc: all exported identifiers documented"
+
+long=$(LC_ALL=C awk '
+    function done() { if (pr >= 26 && size > 6144) printf "entry %d: %d bytes\n", pr, size }
+    /^- PR [0-9]+:/ { done(); pr = $3 + 0; size = 0 }
+    { size += length($0) + 1 }
+    END { done() }
+' CHANGES.md)
+if [ -n "$long" ]; then
+    echo "checkdoc: CHANGES.md entries over the 6 KB cap:" >&2
+    echo "$long" >&2
+    exit 1
+fi
+echo "checkdoc: every capped CHANGES.md entry is within 6 KB"

@@ -142,7 +142,8 @@ func allReduce(m transport.Mesh, tag uint64, algo Algorithm, topo *Topology, dat
 	case Naive:
 		return naiveAllReduce(m, tag, data, op)
 	case Hierarchical:
-		return hierarchicalAllReduce(m, tag, data, op, topo)
+		_, err := hierarchicalAllReduce(run{m: m, rank: rank, tag: tag, data: data, op: op}, topo)
+		return err
 	case DoubleTree:
 		return stepsAllReduce(m, tag, "double-tree allreduce", data, op, doubleTreeSteps(rank, k, n))
 	default:
@@ -150,10 +151,10 @@ func allReduce(m transport.Mesh, tag uint64, algo Algorithm, topo *Topology, dat
 	}
 }
 
-// stepsAllReduce runs a step list that leaves every rank holding the
-// same fully folded buffer, then scales it for Avg.
+// stepsAllReduce runs a float step list that leaves every rank holding
+// the same fully folded buffer, then scales it for Avg.
 func stepsAllReduce(m transport.Mesh, tag uint64, collective string, data []float32, op ReduceOp, steps []step) error {
-	if err := runSteps(m, tag, collective, data, op, steps); err != nil {
+	if _, err := runSteps(run{m: m, rank: m.Rank(), tag: tag, name: collective, data: data, op: op}, steps); err != nil {
 		return err
 	}
 	finishAvg(data, op, m.Size())
@@ -179,50 +180,84 @@ func ringAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) er
 		return nil
 	}
 	steps := ringAllReduceSteps(m.Rank(), k, len(data))
-	if err := runSteps(m, tag, "ring allreduce", data, op, steps[:k-1]); err != nil {
+	r := run{m: m, rank: m.Rank(), tag: tag, name: "ring allreduce", data: data, op: op}
+	if _, err := runSteps(r, steps[:k-1]); err != nil {
 		return err
 	}
 	finishAvg(data[steps[k-2].rLo:steps[k-2].rHi], op, k)
-	return runSteps(m, tag, "ring allreduce, gather pass", data, op, steps[k-1:])
+	r.name = "ring allreduce, gather pass"
+	_, err := runSteps(r, steps[k-1:])
+	return err
 }
 
-// naiveAllReduce is the paper's strawman: every rank broadcasts its full
-// input to all peers and reduces locally. Reduction order is fixed by
-// rank so all replicas compute bitwise-identical results.
+// allPeers lists mk(p) for every rank p of k but me, in rank order.
+func allPeers(me, k int, mk func(p int) step) []step {
+	steps := make([]step, 0, 2*k)
+	for p := range k {
+		if p != me {
+			steps = append(steps, mk(p))
+		}
+	}
+	return steps
+}
+
+// naiveSteps is the paper's strawman over a buffer of 2n elements, the
+// accumulator then a snapshot of the input: ship the snapshot to every
+// peer, then fold every rank's, this rank's own at its place, into the
+// accumulator in rank order, so all replicas compute bitwise-identical
+// results. The sends read the snapshot, never the range the folds write:
+// a send reading the accumulator would have to be joined before the
+// first fold, and at k >= 3 a blocking transport would deadlock on that.
+func naiveSteps(rank, k, n int) []step {
+	steps := allPeers(rank, k, func(p int) step { return step{to: p, from: -1, sLo: n, sHi: 2 * n} })
+	for p := range k {
+		st := step{to: -1, from: p, rHi: n, fold: p > 0}
+		if p == rank {
+			st.to, st.sLo, st.sHi = rank, n, 2*n
+		}
+		steps = append(steps, st)
+	}
+	return steps
+}
+
+// naiveAllReduce runs naiveSteps over a pooled copy of data.
 func naiveAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k, rank := m.Size(), m.Rank()
-	// The folds overwrite data while the sends are still reading.
-	local := append([]float32(nil), data...)
-	ranks := allRanks(k)
-	err := exchange(floatLane(m), tag, rank, without(ranks, rank), ranks,
-		func(int) []float32 { return local },
-		func(p int, frame []float32) error {
-			if err := checkFrame("naive allreduce", rank, p, 0, len(frame), len(data)); err != nil {
-				return err
-			}
-			if p == 0 {
-				copy(data, frame)
-			} else {
-				reduceInto(data, frame, op)
-			}
-			return nil
-		})
-	if err != nil {
+	k, rank, n := m.Size(), m.Rank(), len(data)
+	buf := transport.GetFloats(2 * n)
+	defer transport.PutFloats(buf)
+	copy(buf[n:], data)
+	if _, err := runSteps(run{m: m, rank: rank, tag: tag, name: "naive allreduce", data: buf, op: op}, naiveSteps(rank, k, n)); err != nil {
 		return err
 	}
+	copy(data, buf[:n])
 	finishAvg(data, op, k)
 	return nil
 }
 
-// allGather distributes src from every rank into dst[rank] on all ranks
-// using pairwise exchange.
+// allGatherSteps gathers over k slots of n elements, slot p rank p's:
+// ship the own slot to every peer, take every peer's into its slot.
+func allGatherSteps(rank, k, n int) []step {
+	return append(allPeers(rank, k, func(p int) step { return step{to: p, from: -1, sLo: rank * n, sHi: (rank + 1) * n} }),
+		allPeers(rank, k, func(p int) step { return step{to: -1, from: p, rLo: p * n, rHi: (p + 1) * n} })...)
+}
+
+// allGather distributes src from every rank into dst[rank] on all ranks,
+// running allGatherSteps over a pooled buffer.
 func allGather(m transport.Mesh, tag uint64, dst [][]float32, src []float32) error {
-	k, rank := m.Size(), m.Rank()
+	k, rank, n := m.Size(), m.Rank(), len(src)
 	if len(dst) != k {
 		return fmt.Errorf("comm: allgather dst has %d slots for world %d", len(dst), k)
 	}
-	ranks := allRanks(k)
-	return exchange(floatLane(m), tag, rank, without(ranks, rank), ranks,
-		func(int) []float32 { return src },
-		landIn("allgather", rank, func(p int) []float32 { return dst[p] }))
+	buf := transport.GetFloats(k * n)
+	defer transport.PutFloats(buf)
+	copy(buf[rank*n:], src)
+	if _, err := runSteps(run{m: m, rank: rank, tag: tag, name: "allgather", data: buf}, allGatherSteps(rank, k, n)); err != nil {
+		return err
+	}
+	for p, d := range dst {
+		if copy(d, buf[p*n:]) != n || len(d) != n {
+			return fmt.Errorf("comm: allgather dst[%d] has %d elements for %d", p, len(d), n)
+		}
+	}
+	return nil
 }

@@ -215,9 +215,9 @@ func BenchmarkAllReduceDeepWorld(b *testing.B) {
 // the cutoff and four times it, each under both branches whatever the
 // dispatcher would pick at that size — for float32 frames
 // ringAllReduceSteps' one exchange (ringPairStep) against its two ring
-// passes, for each codec's byte frames compressedPairAllReduce (with
-// error feedback and Avg's scale, as DDP runs it) against
-// compressedTwoStage. Next to ns/op it reports γ, the per-element cost
+// passes, for each codec's byte frames compressedSteps' pair exchange
+// (with error feedback and Avg's scale, as DDP runs it) against its two
+// stages. Next to ns/op it reports γ, the per-element cost
 // of the work the exchange adds on the peer's half, timed with both
 // ranks at it at once as inside the collective: the float fold, or —
 // compressed — decode-adding the peer's frame and the round-trip
@@ -226,7 +226,7 @@ func BenchmarkAllReduceDeepWorld(b *testing.B) {
 // pair − twopass at the cutoff is the most the constant can cost, and
 // n* = 2α/γ is where it stops paying on a link whose hop costs α
 // (ARCHITECTURE.md has the numbers). Only the lanes whose pair path is
-// no slower at the cutoff take it (compressedAllReduce).
+// no slower at the cutoff take it (pairs).
 func BenchmarkRingPairCrossover(b *testing.B) {
 	lanes := []struct {
 		name  string
@@ -289,9 +289,9 @@ func benchRingPair(b *testing.B, codec Codec, tr string, n int, pair bool) {
 	var gamma float64
 	var collective func(r int, tag uint64) error
 	if codec != nil {
-		schedule := compressedTwoStage
+		schedule := twoStages
 		if pair {
-			schedule = compressedPairAllReduce
+			schedule = pairExchange
 		}
 		var frames [2][]byte
 		for r := range frames {

@@ -1,7 +1,5 @@
 package comm
 
-import "repro/internal/transport"
-
 // binomialRelation returns vrank's neighbours in the binomial tree over
 // k ranks rooted at vrank 0 — the one tree binomialReduceSteps and
 // binomialBroadcastSteps walk, in opposite directions. The parent is
@@ -73,9 +71,4 @@ func binomialBroadcastSteps(rank, k, n, root int) []step {
 // the binomial broadcast of the result back down the same tree.
 func treeSteps(rank, k, n int) []step {
 	return append(binomialReduceSteps(rank, k, n), binomialBroadcastSteps(rank, k, n, 0)...)
-}
-
-// binomialBroadcast propagates root's data verbatim to all ranks.
-func binomialBroadcast(m transport.Mesh, tag uint64, data []float32, root int) error {
-	return runSteps(m, tag, "binomial broadcast", data, Sum, binomialBroadcastSteps(m.Rank(), m.Size(), len(data), root))
 }

@@ -3,7 +3,6 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/transport"
@@ -99,18 +98,15 @@ func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec Codec
 	if codec == nil {
 		return g.AllReduce(data, op)
 	}
-	leaderRing := g.resolveAlgorithm(len(data)) == Hierarchical && g.topo != nil && g.topo.Size() == g.Size() && g.topo.Hierarchical()
+	algo := g.resolveAlgorithm(len(data))
 	return g.submitCompressed(data, op, codec, residual,
 		func(start time.Time) { observeAllReduce("compressed", len(data), start, nil) },
 		func(bm transport.ByteMesh, tag uint64) (int, error) {
-			if leaderRing {
-				return compressedLeaderRing(g.mesh, bm, tag, data, op, g.topo, codec, residual)
+			r := run{m: g.mesh, bm: bm, rank: g.Rank(), tag: tag, data: data, op: op, codec: codec, residual: residual}
+			if algo == Hierarchical {
+				return hierarchicalAllReduce(r, g.topo)
 			}
-			wire, err := compressedAllReduce(bm, tag, g.Rank(), allRanks(g.Size()), data, codec, residual)
-			if err == nil {
-				finishAvg(data, op, g.Size())
-			}
-			return wire, err
+			return flatCompressed(r)
 		})
 }
 
@@ -155,245 +151,103 @@ func (r *RoundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec Code
 	return CompressedAllReduce(g, data, op, codec, residual)
 }
 
-// encodePooled encodes data into a buffer from the transport's pool;
-// the caller hands the frame back with transport.PutBytes once nothing
-// reads it any more. deq is Encode's.
-func encodePooled(codec Codec, data, residual, deq []float32) []byte {
-	return codec.Encode(transport.GetBytes(codec.EncodedSize(len(data)))[:0], data, residual, deq)
+// compressedSteps is rank me's part of the wire-level compressed
+// AllReduce (Sum) among k participants over n elements — every rank of a
+// flat group, the outermost leaders of a hierarchical one: a
+// reduce-scatter + all-gather over the chunkBounds layout, chunk j owned
+// by participant j, in which every frame is the codec's byte
+// representation riding the byte lanes.
+//
+// Stage 1 (compressedScatterSteps) leaves on each owner the exact
+// float32 fold, in participant order, of the k quantized contributions to
+// its chunk, its own included. Stage 2 (compressedGatherSteps) quantizes
+// the reduced chunk once more, without the residual, and every rank
+// decodes the same bytes the owner's chunk now holds, so all ranks
+// finish bitwise-identical, the invariant DDP's replica consistency
+// rests on. Alone (k = 1) there is nobody to gather from and stage 1's
+// single quantization stands: quantization must not depend on world
+// size — a single rank still pays the codec's accuracy cost and keeps
+// its residual trajectory comparable to any other world's.
+//
+// With pair (two participants; see pairs) both stages are one exchange
+// instead: ringPairStep as a codec step — each rank ships both chunks,
+// each quantized with its residual slice, and adds the peer's frame to
+// its own quantized values, which is the owner's stage-1 fold on every
+// chunk, since the one addition commutes — then a local round trip of
+// both chunks, which by the Codec contract leaves exactly what the
+// owner's stage-2 frame would decode to. Data, residuals and wire bytes
+// are the two stages', in one frame a rank instead of two.
+func compressedSteps(me, k, n int, pair bool) []step {
+	if pair {
+		st := ringPairStep(me, n)
+		st.kind = contribution
+		return []step{st, {to: me, from: me, sHi: n, rHi: n, kind: reduced}}
+	}
+	return append(compressedScatterSteps(me, k, n), compressedGatherSteps(me, k, n)...)
 }
 
-// compressedAllReduce is the wire-level compressed AllReduce (Sum) among
-// ranks — ascending, this rank one of them: every rank of a flat group,
-// the outermost leaders of a hierarchical one. It is a reduce-scatter +
-// all-gather in which every frame is the codec's byte representation
-// riding the transport's byte lanes. The buffer is split into
-// k = len(ranks) chunks, chunk j owned by ranks[j].
-//
-// Stage 1 (compressed reduce-scatter, compressedReduceScatterChunks):
-// every rank quantizes each chunk — with its slice of the error-feedback
-// residual — and sends frame j to its owner; the owner folds the k
-// dequantized contributions, its own included, in rank order.
-//
-// Stage 2 (compressed all-gather): each owner re-encodes its reduced
-// chunk (no residual: this second quantization is of the already-
-// reduced sum) and broadcasts the frame. The encoding pass leaves in
-// the owner's chunk the values its frame decodes to, and every other
-// rank decodes the identical bytes, so all ranks finish
-// bitwise-identical, the invariant DDP's replica consistency rests on.
-// Alone (k = 1) there is nobody to broadcast to and stage 1's single
-// quantization stands: quantization must not depend on world size — a
-// single rank still pays the codec's accuracy cost and keeps its
-// residual trajectory comparable to any other world's.
-//
-// Two ranks, up to ringPairMaxElems, run both stages in one exchange
-// instead (compressedPairAllReduce), every bit the same — under
-// Float16Codec only. The exchange saves a hop and has each rank repeat
-// its peer's fold and re-encode; BenchmarkRingPairCrossover measured
-// that repeat cheap enough for fp16 (γ within 2× of the float fold's)
-// and slower than the saved hop at every size it tries for 1-bit (γ ≈ 5
-// ns/element) and top-k (γ ≈ 30, a quickselect per encode), so those
-// keep the two stages.
-//
-// A rank never builds, ships or decodes a frame for itself: what Decode
-// of that frame would have yielded comes out of Encode's deq in the
-// quantizing pass. Nor does it hold the frames back: exchange asks for
-// frame j when it is about to send it, so each is on the wire as soon
-// as it exists and the rank's own quantization runs while they fly.
-//
-// Per rank the wire carries 2(k-1) compressed chunk frames — one frame
-// holding both chunks on the pair path — instead of the flat ring's
-// 2(k-1) float32 chunks: the full codec ratio, minus headers. The int
-// result is the number of encoded payload bytes this rank put on the
-// byte lanes — the sample the comm_compressed_wire_bytes histogram
-// records.
-func compressedAllReduce(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
-	if _, fp16 := codec.(Float16Codec); fp16 && len(ranks) == 2 && len(data) <= ringPairMaxElems {
-		return compressedPairAllReduce(bm, tag, rank, ranks, data, codec, residual)
-	}
-	return compressedTwoStage(bm, tag, rank, ranks, data, codec, residual)
-}
-
-// compressedTwoStage is compressedAllReduce's reduce-scatter and
-// all-gather, at any world and size.
-func compressedTwoStage(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
-	wire, err := compressedReduceScatterChunks(bm, tag, rank, ranks, data, codec, residual)
-	k := len(ranks)
-	if err != nil || k == 1 {
-		return wire, err
-	}
-
-	// Stage 2: broadcast the re-encoded reduced chunk, keeping what it
-	// decodes to, and decode everyone else's.
-	lo, hi := chunkBounds(len(data), k, slices.Index(ranks, rank))
-	reduced := encodePooled(codec, data[lo:hi], nil, data[lo:hi])
-	defer transport.PutBytes(reduced) // exchange has joined every send by then
-	wire += (k - 1) * len(reduced)
-	peers := without(ranks, rank)
-	err = exchange(byteLane(bm), tag, rank, peers, peers,
-		func(int) []byte { return reduced },
-		func(r int, frame []byte) error {
-			lo, hi := chunkBounds(len(data), k, slices.Index(ranks, r))
-			if err := codec.Decode(frame, data[lo:hi]); err != nil {
-				return fmt.Errorf("comm: decoding reduced chunk from rank %d: %w", r, err)
-			}
-			return nil
-		})
-	return wire, err
-}
-
-// errFrameSize is what the two-rank compressed AllReduce fails with when
-// a frame is not the size Codec.EncodedSize fixes for its two chunks:
-// the receiver finds the boundary between them by that size, so a frame
-// of any other length cannot be parsed. A rank whose own frame comes out
-// the wrong size ships an empty one instead — its peer fails the same
-// way rather than split it in the wrong place — and fails itself.
-var errFrameSize = errors.New("comm: compressed frame is not the size its codec declares")
-
-// compressedPairAllReduce is compressedAllReduce between two ranks in one
-// exchange — the compressed twin of ringPairStep. Each rank encodes its
-// two chunkBounds chunks back to back, each with its own residual slice,
-// into one frame and ships it. Then both ranks evaluate, for each chunk,
-// the fold its owner evaluates in stage 1: ranks[0]'s values open it
-// (ranks[0] takes them from its Encode deq, ranks[1] decodes them) and
-// ranks[1]'s are added (decode-added by ranks[0], added from the deq
-// side buffer by ranks[1]) — each rank computes the same sums in the same
-// order. Stage 2 becomes a local round trip, Encode(nil, chunk, nil,
-// chunk) on both chunks, which by the Codec contract leaves exactly what
-// the owner's stage-2 frame decodes to. Data and residuals are therefore
-// bitwise the two stages', and the frame carries the element counts of
-// the two stages' frames together, so the wire bytes are theirs too: one
-// frame a rank instead of two, and one hop instead of two.
-func compressedPairAllReduce(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
-	n := len(data)
-	mid, _ := chunkBounds(n, 2, 1)
-	split := codec.EncodedSize(mid)
-	size := split + codec.EncodedSize(n-mid)
-	opens := rank == ranks[0]
-	deq := data
-	if !opens {
-		deq = transport.GetFloats(n)
-		defer transport.PutFloats(deq)
-	}
-	frame := transport.GetBytes(size)[:0]
-	encode := func(lo, hi int) {
-		var res []float32
-		if residual != nil {
-			res = residual[lo:hi]
-		}
-		frame = codec.Encode(frame, data[lo:hi], res, deq[lo:hi])
-	}
-	encode(0, mid)
-	sized := len(frame) == split
-	encode(mid, n)
-	sized = sized && len(frame) == size
-	defer transport.PutBytes(frame) // exchange has joined the send by then
-	out := frame
-	if !sized {
-		out = nil
-	}
-	peer := ranks[0] + ranks[1] - rank
-	err := exchange(byteLane(bm), tag, rank, []int{peer}, []int{peer},
-		func(int) []byte { return out },
-		func(_ int, got []byte) error {
-			if len(got) != size {
-				return fmt.Errorf("%w: rank %d got %d bytes from rank %d for %d elements, want %d", errFrameSize, rank, len(got), peer, n, size)
-			}
-			parts := [2][]byte{got[:split], got[split:]}
-			for i, chunk := range [2][]float32{data[:mid], data[mid:]} {
-				var err error
-				if opens {
-					err = codec.DecodeAdd(parts[i], chunk)
-				} else {
-					err = codec.Decode(parts[i], chunk)
-				}
-				if err != nil {
-					return fmt.Errorf("comm: decoding chunk contribution from rank %d: %w", peer, err)
-				}
-			}
-			if !opens {
-				reduceInto(data, deq, Sum)
-			}
-			return nil
-		})
-	if err == nil && !sized {
-		err = fmt.Errorf("%w: rank %d encoded %d bytes for %d elements, want %d", errFrameSize, rank, len(frame), n, size)
-	}
-	if err != nil {
-		return len(out), err
-	}
-	codec.Encode(nil, data[:mid], nil, data[:mid])
-	codec.Encode(nil, data[mid:], nil, data[mid:])
-	return len(out), nil
-}
-
-// compressedReduceScatterChunks is stage 1 of the compressed schedule —
-// a compressed reduce-scatter among ranks (see compressedAllReduce) over
-// chunkBounds chunks, chunk j owned by ranks[j], in place: every
-// rank encodes each peer's chunk of data (with its slice of the
-// error-feedback residual) and ships it to the chunk's owner, and leaves
-// in its own chunk of data the EXACT float32 fold, in rank order, of the
-// k dequantized contributions — every one of them, its own included,
-// passed through the same quantization. The caller decides whether to
-// re-quantize that fold (compressedAllReduce's stage 2) or consume it
-// exactly (the ZeRO-2/3 gradient-shard path, where the reduced chunk
-// feeds the local optimizer shard and is never re-broadcast). The other
-// chunks of data are not modified. Returned are the encoded payload
-// bytes this rank put on the byte lanes; every pooled buffer used here
-// has gone back by the time the function returns.
-//
-// The lowest rank's contribution opens the fold, so it is quantized in
-// place. Any other rank quantizes its own into a side buffer — while its
-// frames and the lowest rank's are in flight — and adds it when its turn
-// in the order comes; peers' frames are decode-added as they arrive.
-func compressedReduceScatterChunks(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
-	k, me := len(ranks), slices.Index(ranks, rank)
-	chunk := func(j int) (d, res []float32) {
-		lo, hi := chunkBounds(len(data), k, j)
-		if residual != nil {
-			res = residual[lo:hi]
-		}
-		return data[lo:hi], res
-	}
-	acc, accRes := chunk(me)
-	own := acc
+// compressedScatterSteps is stage 1, the compressed reduce-scatter: post
+// each peer's chunk, quantized with its residual slice, to its owner,
+// then quantize the own chunk into a local frame, while those fly, and
+// land the k contributions to the own chunk in participant order — the
+// first verbatim, the rest folded. Participant 0's own frame lands first,
+// so it just quantizes its chunk in place.
+func compressedScatterSteps(me, k, n int) []step {
+	lo, hi := chunkBounds(n, k, me)
+	steps := allPeers(me, k, func(p int) step {
+		lo, hi := chunkBounds(n, k, p)
+		return step{to: p, from: -1, sLo: lo, sHi: hi, kind: contribution}
+	})
 	if me > 0 {
-		own = transport.GetFloats(len(acc))
-		defer transport.PutFloats(own)
+		steps = append(steps, step{to: me, from: -1, sLo: lo, sHi: hi, kind: contribution})
 	}
-	wire := 0
-	encs := make([][]byte, k)
-	err := exchange(byteLane(bm), tag, rank, without(ranks, rank), ranks,
-		func(p int) []byte {
-			if p == rank {
-				codec.Encode(nil, acc, accRes, own)
-				return nil
-			}
-			j := slices.Index(ranks, p)
-			d, res := chunk(j)
-			encs[j] = encodePooled(codec, d, res, nil)
-			wire += len(encs[j])
-			return encs[j]
-		},
-		func(r int, frame []byte) error {
-			var err error
-			switch {
-			case r == rank:
-				if me > 0 {
-					reduceInto(acc, own, Sum)
-				}
-			case r == ranks[0]:
-				err = codec.Decode(frame, acc)
-			default:
-				err = codec.DecodeAdd(frame, acc)
-			}
-			if err != nil {
-				return fmt.Errorf("comm: decoding chunk contribution from rank %d: %w", r, err)
-			}
-			return nil
-		})
-	// exchange has joined every send: nothing reads the frames any more.
-	for _, enc := range encs {
-		transport.PutBytes(enc)
+	for p := range k {
+		st := step{to: -1, from: p, rLo: lo, rHi: hi, fold: p > 0, kind: contribution}
+		if p == me && me == 0 {
+			st.to, st.sLo, st.sHi = me, lo, hi
+		}
+		steps = append(steps, st)
+	}
+	return steps
+}
+
+// compressedGatherSteps is stage 2, the compressed all-gather: post the
+// reduced own chunk to every peer — one frame, quantized without the
+// residual, which leaves in the chunk what it decodes to — and decode
+// every peer's into its chunk.
+func compressedGatherSteps(me, k, n int) []step {
+	lo, hi := chunkBounds(n, k, me)
+	return append(allPeers(me, k, func(p int) step { return step{to: p, from: -1, sLo: lo, sHi: hi, kind: reduced} }),
+		allPeers(me, k, func(p int) step {
+			lo, hi := chunkBounds(n, k, p)
+			return step{to: -1, from: p, rLo: lo, rHi: hi, kind: reduced}
+		})...)
+}
+
+// pairs reports whether k participants run compressedSteps' one
+// exchange: two, up to ringPairMaxElems, under Float16Codec only. The
+// exchange saves a hop and has each rank repeat its peer's fold and
+// round trip; BenchmarkRingPairCrossover measured that repeat cheap
+// enough for fp16 (γ within 2× of the float fold's) and slower than the
+// saved hop at every size it tries for 1-bit (γ ≈ 5 ns/element) and
+// top-k (γ ≈ 30, a quickselect per encode), so those keep the two stages.
+func pairs(codec Codec, k, n int) bool {
+	_, fp16 := codec.(Float16Codec)
+	return fp16 && k == 2 && n <= ringPairMaxElems
+}
+
+// flatCompressed runs compressedSteps among every rank of r's mesh and
+// scales for Avg. It returns the encoded payload bytes this rank put on
+// the byte lanes — the sample the comm_compressed_wire_bytes histogram
+// records. Per rank the wire carries 2(k-1) compressed chunk frames (one
+// holding both chunks on the pair path) instead of the flat ring's
+// 2(k-1) float32 chunks: the full codec ratio, minus headers.
+func flatCompressed(r run) (int, error) {
+	k, n := r.m.Size(), len(r.data)
+	r.name, r.parts = "compressed allreduce", k
+	wire, err := runSteps(r, compressedSteps(r.rank, k, n, pairs(r.codec, k, n)))
+	if err == nil {
+		finishAvg(r.data, r.op, k)
 	}
 	return wire, err
 }

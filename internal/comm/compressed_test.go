@@ -634,21 +634,36 @@ func TestCompressedLeaderRingMatchesSequentialReference(t *testing.T) {
 // forgot to forward it would.
 type plainGroup struct{ ProcessGroup }
 
-// dyingMesh is a rank's mesh that closes itself instead of sending byte
-// frame number at+1: by then the rank has quantized, updated its residual
-// in place and shipped at frames, and its peers are waiting on it.
+// dyingMesh is a rank's mesh that closes itself instead of sending any
+// peer its byte frame number at+1, once every peer has its first at: by
+// then the rank has quantized, updated its residual in place and shipped
+// at frames to each peer, and its peers are waiting on it. Sends to one
+// peer leave in schedule order but posted sends to different peers race,
+// so the fault is counted per peer and the fatal frame waits for the
+// at·(k-1) before it: the rank dies at the same point of its schedule on
+// every run.
 type dyingMesh struct {
 	transport.Mesh
-	at    int32
-	sends atomic.Int32
+	at      int32
+	started []atomic.Int32 // byte frames begun, by peer
+	shipped sync.WaitGroup // the frames before the fault
 }
 
-// SendBytes forwards the first at frames and closes the mesh on the next.
+func newDyingMesh(m transport.Mesh, at int32) *dyingMesh {
+	d := &dyingMesh{Mesh: m, at: at, started: make([]atomic.Int32, m.Size())}
+	d.shipped.Add(int(at) * (m.Size() - 1))
+	return d
+}
+
+// SendBytes forwards the first at frames to each peer and closes the
+// mesh on the next, once those have all left.
 func (d *dyingMesh) SendBytes(to int, tag uint64, data []byte) error {
-	if d.sends.Add(1) > d.at {
+	if d.started[to].Add(1) > d.at {
+		d.shipped.Wait()
 		d.Mesh.Close()
 		return errors.New("dyingMesh: closed instead of sending")
 	}
+	defer d.shipped.Done()
 	bm, _ := transport.ByteLanes(d.Mesh)
 	return bm.SendBytes(to, tag, data)
 }
@@ -662,8 +677,9 @@ func (d *dyingMesh) RecvBytes(from int, tag uint64) ([]byte, error) {
 // TestAbortedCollectiveRestoresResidual: a compressed collective that
 // fails mid-exchange — the last rank's mesh goes away where it would
 // have sent its next frame, while every rank has quantized, shipped what
-// it could and updated its residual in place — leaves every rank's
-// residual bit-equal to its pre-call contents: on the two-rank one
+// it could and updated its residual in place — fails on every rank, with
+// no outside abort, and leaves every rank's residual bit-equal to its
+// pre-call contents: on the two-rank one
 // exchange (fp16; the other codecs take stage 1 of two there), on both
 // stages of the two-stage schedule (two ranks above ringPairMaxElems,
 // three ranks), and on CompressedReduceScatterV. A call
@@ -675,11 +691,11 @@ func TestAbortedCollectiveRestoresResidual(t *testing.T) {
 		name       string
 		world, n   int
 		scatter    bool
-		victimSent int32 // frames the last rank ships before its mesh closes
+		victimSent int32 // frames the last rank ships each peer before its mesh closes
 	}{
 		{"world 2, first frame", 2, 1000, false, 0},
 		{"two-stage world 2, stage 2", 2, ringPairMaxElems + 1, false, 1},
-		{"two-stage world 3, stage 2", 3, 1000, false, 2},
+		{"two-stage world 3, stage 2", 3, 1000, false, 1},
 		{"reduce-scatter-v world 2", 2, 1000, true, 0},
 		{"reduce-scatter-v world 3", 3, 1000, true, 0},
 	} {
@@ -687,7 +703,7 @@ func TestAbortedCollectiveRestoresResidual(t *testing.T) {
 			name := tc.name + "/" + codec.Name()
 			meshes := transport.NewInProcMeshes(tc.world)
 			last := tc.world - 1
-			meshes[last] = &dyingMesh{Mesh: meshes[last], at: tc.victimSent}
+			meshes[last] = newDyingMesh(meshes[last], tc.victimSent)
 			groups := groupsOver(meshes, Options{})
 			residuals, before := make([][]float32, tc.world), make([][]float32, tc.world)
 			errs := make([]error, tc.world)
@@ -748,9 +764,36 @@ func (c *countedBytes) SendBytes(to int, tag uint64, data []byte) error {
 	return c.ByteMesh.SendBytes(to, tag, data)
 }
 
-// pairSchedule is compressedPairAllReduce, compressedTwoStage or the
-// dispatcher between them, compressedAllReduce.
+// pairSchedule is pairExchange, twoStages or the dispatcher between
+// them, compressedAllReduce.
 type pairSchedule func(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error)
+
+// compressedAllReduce runs compressedSteps among ranks (ascending, this
+// rank one of them) over the byte lanes alone, taking the one exchange
+// where pairs does; pairExchange and twoStages force it on and off,
+// whatever the codec and size.
+var (
+	compressedAllReduce = compressedAmong(pairs)
+	pairExchange        = compressedAmong(func(Codec, int, int) bool { return true })
+	twoStages           = compressedAmong(func(Codec, int, int) bool { return false })
+)
+
+func compressedAmong(pair func(codec Codec, k, n int) bool) pairSchedule {
+	return func(bm transport.ByteMesh, tag uint64, rank int, ranks []int, data []float32, codec Codec, residual []float32) (int, error) {
+		k, n := len(ranks), len(data)
+		steps := onto(ranks, compressedSteps(slices.Index(ranks, rank), k, n, pair(codec, k, n)))
+		return runSteps(run{bm: bm, rank: rank, tag: tag, name: "compressed allreduce", data: data, codec: codec, residual: residual, parts: k}, steps)
+	}
+}
+
+// allRanks lists 0..k-1.
+func allRanks(k int) []int {
+	ps := make([]int, k)
+	for p := range ps {
+		ps[p] = p
+	}
+	return ps
+}
 
 // runPairSchedule runs one schedule between two in-proc ranks, each on a
 // copy of its input and on its residual in place, and returns the results
@@ -801,8 +844,8 @@ func TestCompressedPairMatchesTwoStage(t *testing.T) {
 				codecs := [2]Codec{codec, codec}
 				for round := range 3 {
 					inputs := [2][]float32{gradientInput(0, n, round), gradientInput(1, n, round)}
-					got, gotFrames, gotWire, errs := runPairSchedule(t, compressedPairAllReduce, codecs, inputs, pairRes)
-					want, wantFrames, wantWire, wantErrs := runPairSchedule(t, compressedTwoStage, codecs, inputs, twoRes)
+					got, gotFrames, gotWire, errs := runPairSchedule(t, pairExchange, codecs, inputs, pairRes)
+					want, wantFrames, wantWire, wantErrs := runPairSchedule(t, twoStages, codecs, inputs, twoRes)
 					for r := range 2 {
 						if errs[r] != nil || wantErrs[r] != nil {
 							t.Fatalf("%s round %d rank %d: pair %v, two-stage %v", name, round, r, errs[r], wantErrs[r])
@@ -858,22 +901,57 @@ func (c misSized) EncodedSize(n int) int { return c.Codec.EncodedSize(n) + c.ext
 
 // TestCompressedPairRefusesMisSizedFrames: the pair path finds the
 // boundary between a frame's two chunks by EncodedSize, so a frame of any
-// other size fails both ranks with errFrameSize instead of being split in
-// the wrong place — whether both ranks' codec lies or only one rank's
-// does (that rank ships an empty frame instead of its own).
+// other size fails both ranks with a byte-counting frameLenError instead
+// of being split in the wrong place — whether both ranks' codec lies or
+// only one rank's does (that rank ships an empty frame instead of its
+// own). At three ranks the two stages post a frame to every peer before
+// any receive, and a lying rank ships each of them empty, so every rank
+// fails instead of one waiting for a frame that never leaves.
 func TestCompressedPairRefusesMisSizedFrames(t *testing.T) {
 	const n = 100
 	inputs := [2][]float32{gradientInput(0, n, 0), gradientInput(1, n, 0)}
+	isFrameLen := func(err error) bool {
+		var fe *frameLenError
+		return errors.As(err, &fe) && fe.unit == "bytes"
+	}
 	for name, codecs := range map[string][2]Codec{
 		"both":   {misSized{Float16Codec{}, 1}, misSized{Float16Codec{}, 1}},
 		"rank 0": {misSized{&OneBitCodec{}, 1}, &OneBitCodec{}},
 		"rank 1": {&TopKCodec{}, misSized{&TopKCodec{}, -1}},
 	} {
-		_, _, _, errs := runPairSchedule(t, compressedPairAllReduce, codecs, inputs, [2][]float32{})
+		_, _, _, errs := runPairSchedule(t, pairExchange, codecs, inputs, [2][]float32{})
 		for r, err := range errs {
-			if !errors.Is(err, errFrameSize) {
-				t.Errorf("%s: rank %d got %v, want errFrameSize", name, r, err)
+			if !isFrameLen(err) {
+				t.Errorf("%s: rank %d got %v, want a frameLenError counting bytes", name, r, err)
 			}
+		}
+	}
+
+	const k = 3
+	for liar := range k {
+		meshes := transport.NewInProcMeshes(k)
+		errs := make([]error, k)
+		var wg sync.WaitGroup
+		for r, m := range meshes {
+			var codec Codec = &OneBitCodec{}
+			if r == liar {
+				codec = misSized{codec, 1}
+			}
+			bm, _ := transport.ByteLanes(m)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[r] = twoStages(bm, 1, r, allRanks(k), gradientInput(r, n, 0), codec, nil)
+			}()
+		}
+		wg.Wait()
+		for r, err := range errs {
+			if !isFrameLen(err) {
+				t.Errorf("world %d, rank %d lies: rank %d got %v, want a frameLenError counting bytes", k, liar, r, err)
+			}
+		}
+		for _, m := range meshes {
+			m.Close()
 		}
 	}
 }

@@ -67,22 +67,24 @@
 //
 // # Schedules
 //
-// A collective over one flat buffer is a per-rank list of steps
-// {to, from, send [lo,hi), recv [lo,hi), land|fold into|fold under},
-// produced by a pure generator — ringSteps, binomialReduceSteps,
-// binomialBroadcastSteps, doubleTreeSteps, and ringAllReduceSteps,
-// treeSteps and hierarchicalSteps, which concatenate the first three —
-// and run by the one executor, runSteps. It overlaps each step's send
-// with its receive, joins that send on every path and before the frame
-// lands (so a send ships its range as it was before the step), and
-// length-checks every frame, failing with an error that names
-// collective, rank, peer, step and got/want. The all-peers collectives
-// (Naive, AllGather, the compressed AllReduce's stages and its two-rank
-// exchange) share the generic exchange over the float and byte lanes,
-// which joins every outstanding send before it returns and consumes
-// frames in the listed rank order. Those two, both in
-// schedule.go, are the only code in this package that touches the
-// transport (a CI gate keeps it so).
+// Every collective is a per-rank list of steps {to, from, send [lo,hi),
+// recv [lo,hi), land|fold into|fold under, frame kind}, produced by a
+// pure generator — ringSteps, binomialReduceSteps,
+// binomialBroadcastSteps, doubleTreeSteps, naiveSteps, allGatherSteps,
+// the compressed builders, and ringAllReduceSteps, treeSteps and
+// hierarchicalSteps, which concatenate others — and run by the one
+// executor, runSteps, the only code in this package that touches the
+// transport (a CI gate keeps it so). Its rules: a step that sends and
+// receives overlaps the two and joins its send before the frame lands; a
+// step with no receive posts its send and moves on, and a posted send is
+// joined before a later step writes a range it still reads, and before
+// runSteps returns on every path; sends to one peer leave in list order.
+// So a float send ships its range as it was when its step began, and
+// Naive and AllGather, whose sends must not read what their folds write,
+// run over a snapshot and a slot buffer. Every frame is length-checked,
+// and a wrong one fails with an error that names collective, rank, peer,
+// step, got/want and the unit (elements or bytes). A step whose peer is
+// the rank itself is local: its frame never touches the wire.
 //
 // One ring pass is k-1 steps over the ChunkBounds layout. Folding, and
 // started one chunk behind the rank, it is the reduce-scatter: chunk c
@@ -101,12 +103,14 @@
 // under it (the same kernel, operands swapped), which is that chain
 // with the owner's operand roles on both ranks, bit for bit. Because
 // schedules exist without a mesh, a unit test checks every generator at
-// worlds 1-33 statically: sends meet receives of equal length in
-// per-link FIFO order, nothing can block forever, every ring chunk
-// follows that chain, and every AllReduce list leaves every
-// contribution on every rank exactly once.
+// worlds 1-33 statically, under the executor's rules: sends meet
+// receives of equal length and lane in per-link FIFO order, nothing can
+// block forever, every ring chunk follows that chain, every compressed
+// reduce-scatter chunk folds in rank order, and every AllReduce list,
+// compressed or not, leaves every contribution on every rank exactly
+// once.
 //
-// Every fold of every schedule — ring, tree, pair exchange, Naive,
+// Every float fold of every schedule — ring, tree, pair exchange, Naive,
 // ReduceScatterV, the compressed own-chunk fold — is reduceInto, which
 // from reduceParallelThreshold elements up splits the range over up to
 // GOMAXPROCS goroutines (elementwise, so the split cannot change a bit)
@@ -147,33 +151,42 @@
 // Non-finite gradient elements are dropped and counted
 // (DroppedNonFinite) instead of poisoning scales and residuals with NaN.
 //
-// The collective costs what its arithmetic costs. Decode defines what a
-// frame means, and two fused entry points yield the same values bit for
-// bit without the passes in between: Encode's deq out-parameter
-// receives what Decode of the produced frame yields in the pass that
-// quantizes (nil dst: no frame at all), and DecodeAdd folds a peer's
-// frame into the accumulator without a scratch buffer. So in stage 1 a
-// rank encodes chunk j when exchange is about to send it (frame j flies
-// while chunk j+1 is encoded), quantizes its own chunk straight to
-// floats between its last send and its first receive, and decode-adds
-// the peers' frames in rank order, its own values at their position; in
-// stage 2 the owner's re-encode leaves in the chunk the values its frame
-// decodes to, which is what every other rank gets from the bytes. No
-// rank ever builds, ships or decodes a frame for itself.
+// A codec step is a step whose frames are the collective's codec on the
+// byte lane; runSteps runs it like any other. Its send encodes its range
+// chunk by chunk along the collective's chunkBounds layout into one
+// pooled frame — each chunk with its residual slice when it ships a
+// contribution — and, where the list reads the quantized value again (a
+// reduced value, or a range the step also receives into), quantizes the
+// range in place, since Encode's deq receives exactly what Decode of the
+// frame yields; a send repeating the step before it to another peer ships
+// the same frame. A received frame must be the sum of its chunks'
+// EncodedSize (a rank whose own encode is mis-sized ships every frame
+// from then on empty and fails at its next receive) and lands chunk by
+// chunk: Decode
+// verbatim, DecodeAdd folded — also under a fold-under range, since a
+// codec fold adds one finite value and finite addition commutes. A local
+// codec step holds Encode's deq in a pooled float buffer until its local
+// receive lands it, or, landing verbatim where it reads, quantizes in
+// place. No rank ever builds, ships or decodes a frame for itself.
 //
-// Two ranks (two top leaders, under Hierarchical) need only one
-// exchange up to ringPairMaxElems, the float ring's cutoff: each ships
-// one frame holding both chunks, each encoded with its residual slice,
-// and both ranks then evaluate each chunk's owner fold — rank 0's
-// values first (its Encode deq, or decoded from its frame), rank 1's
-// added — and stage 2 as a local round trip, Encode(nil, chunk, nil,
-// chunk), which by the contract above is what the owner's frame would
-// decode to. Data, residuals and wire bytes are the two stages'; the
-// frame splits at EncodedSize of chunk 0, which is exact for every
-// codec, and a frame of any other size fails the collective rather than
-// being misparsed. Only Float16Codec takes this path: 1-bit's and top-k's
-// round trip costs more than the hop it saves (BenchmarkRingPairCrossover),
-// so they keep the two stages.
+// The compressed AllReduce (compressedSteps) is two such lists. Stage 1,
+// which is CompressedReduceScatterV's whole schedule, posts each peer's
+// chunk to its owner, quantizes its own chunk locally while those fly,
+// and lands the k contributions to its chunk in rank order — the first
+// verbatim, the rest folded, its own at its position. Stage 2 posts the
+// reduced chunk, quantized once without the residual, to every peer and
+// decodes theirs. Two ranks (two top leaders, under Hierarchical) need
+// only one exchange up to ringPairMaxElems, the float ring's cutoff:
+// ringPairStep as a codec step — both chunks in one frame, each with its
+// residual slice, the peer's frame added to the own quantized values,
+// which is each chunk's owner fold — then a local round trip of both
+// chunks, which by the contract above is what the owner's stage-2 frame
+// would decode to. Data, residuals and wire bytes are the two stages'.
+// Only Float16Codec takes this path: 1-bit's and top-k's round trip costs
+// more than the hop it saves (BenchmarkRingPairCrossover), so they keep
+// the two stages. The compressed leader ring is hierarchicalSteps with
+// compressedSteps over the top leaders in place of the ring: one list,
+// one executor, for both lanes.
 //
 // fp16's encoder is tensor.HalfEncode, a leaf with an eight-lane amd64
 // body under the tensor kernels' contract, and its decoder a 65 536-entry

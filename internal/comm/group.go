@@ -183,7 +183,8 @@ func (g *meshGroup) Broadcast(data []float32, root int) Work {
 		return CompletedWork(fmt.Errorf("comm: broadcast root %d out of range", root))
 	}
 	return g.submit(func(tag uint64) error {
-		return binomialBroadcast(g.mesh, tag, data, root)
+		_, err := runSteps(run{m: g.mesh, rank: g.Rank(), tag: tag, name: "binomial broadcast", data: data}, binomialBroadcastSteps(g.Rank(), g.Size(), len(data), root))
+		return err
 	})
 }
 

@@ -3,8 +3,6 @@ package comm
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/transport"
 )
 
 // hierarchicalSteps is rank's part of the topology-aware AllReduce over
@@ -16,29 +14,17 @@ import (
 //     the child groups' leaders above it) fold their buffers onto the
 //     level leader (the group's lowest rank) along a binomial tree;
 //     only leaders continue outward;
-//  2. ring — the level-0 leaders alone run the bandwidth-optimal ring
-//     AllReduce (ringAllReduceSteps: two leaders meet in one exchange);
+//  2. top — the level-0 leaders alone, when there are several, run
+//     top(me, k), me's part of an AllReduce among k participants: the
+//     bandwidth-optimal ring (ringAllReduceSteps: two leaders meet in
+//     one exchange), or the compressed schedule (compressedSteps);
 //  3. down — retracing the levels inward, each leader propagates the
 //     finished buffer verbatim to its level's participants.
 //
-// The three parts come back separately because the compressed leader
-// ring replaces part 2 with a byte-lane exchange; every other caller
-// runs them as one list. With a plain two-level topology (unstructured
-// labels) this is intra-host reduce, leader ring, intra-host broadcast.
-func hierarchicalSteps(rank, n int, topo *Topology) (up, ring, down []step) {
-	// onto renumbers a schedule over len(ranks) participants onto them.
-	onto := func(ranks []int, steps []step) []step {
-		for i := range steps {
-			st := &steps[i]
-			if st.to >= 0 {
-				st.to = ranks[st.to]
-			}
-			if st.from >= 0 {
-				st.from = ranks[st.from]
-			}
-		}
-		return steps
-	}
+// With a plain two-level topology (unstructured labels) this is
+// intra-host reduce, leader ring, intra-host broadcast.
+func hierarchicalSteps(rank, n int, topo *Topology, top func(me, k int) []step) []step {
+	var up, down []step
 	for l := topo.Levels() - 1; l >= 0; l-- {
 		parts := topo.phaseParticipants(l, rank)
 		me := slices.Index(parts, rank)
@@ -48,13 +34,13 @@ func hierarchicalSteps(rank, n int, topo *Topology) (up, ring, down []step) {
 		if me != 0 {
 			// Not this level's leader: the next frame this rank sees is
 			// the broadcast back down.
-			return up, nil, down
+			return append(up, down...)
 		}
 	}
-	leaders := topo.levelLeaders(0)
-	me := slices.Index(leaders, rank)
-	ring = onto(leaders, ringAllReduceSteps(me, len(leaders), n))
-	return up, ring, down
+	if leaders := topo.levelLeaders(0); len(leaders) > 1 {
+		up = append(up, onto(leaders, top(slices.Index(leaders, rank), len(leaders)))...)
+	}
+	return append(up, down...)
 }
 
 // hierarchicalAllReduce is the topology-aware AllReduce (Section 6.1's
@@ -64,66 +50,46 @@ func hierarchicalSteps(rank, n int, topo *Topology) (up, ring, down []step) {
 // rank's worth of data per host ever crosses the network, and — with a
 // structured topology — repeats the same contraction at every level of
 // the hierarchy so each level's links carry one buffer per group below
-// them. The schedule is hierarchicalSteps.
+// them. The schedule is hierarchicalSteps, its top the ring — or, under
+// a codec (r.codec set), the compressed schedule: the COMPRESSED LEADER
+// RING, compression exactly where bytes are expensive, exact float32
+// everywhere else. Only top leaders touch the residual; it returns the
+// encoded bytes this rank shipped (0 off the top).
 //
 // The bitwise-identical-on-every-rank guarantee of the ring path is
-// preserved: the ring leaves every top leader with bitwise-identical
-// data (each chunk reduced on exactly one leader, propagated
-// verbatim), and the downward broadcasts copy leader bytes verbatim,
-// so all ranks agree exactly. Note the reduction ORDER differs from a
-// flat ring's, so results can differ from Ring in the low bits for
-// inexact float sums — identical across ranks either way, which is the
-// invariant DDP needs.
+// preserved: the top leaves every top leader with bitwise-identical
+// data (each chunk reduced on exactly one leader, or by the same finite
+// additions on both of a pair, propagated verbatim), and the downward
+// broadcasts copy leader bytes verbatim, so all ranks agree exactly.
+// Note the reduction ORDER differs from a flat ring's, so results can
+// differ from Ring in the low bits for inexact float sums — identical
+// across ranks either way, which is the invariant DDP needs.
 //
-// Degenerate layouts fall back to the flat ring: no topology, a single
-// host (nothing crosses the network anyway), or a flat topology (one
-// rank per host — the hierarchy has nothing to shed).
-func hierarchicalAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp, topo *Topology) error {
-	k := m.Size()
-	if k == 1 {
-		return nil
-	}
-	if topo == nil || !topo.Hierarchical() {
-		return ringAllReduce(m, tag, data, op)
+// Degenerate layouts fall back to the lane's flat schedule: one rank, no
+// topology, a single host (nothing crosses the network anyway), or a
+// flat topology (one rank per host — the hierarchy has nothing to shed).
+// A topology of another world fails, on either lane.
+func hierarchicalAllReduce(r run, topo *Topology) (int, error) {
+	k, n := r.m.Size(), len(r.data)
+	if k == 1 || topo == nil || !topo.Hierarchical() {
+		if r.codec != nil {
+			return flatCompressed(r)
+		}
+		return 0, ringAllReduce(r.m, r.tag, r.data, r.op)
 	}
 	if topo.Size() != k {
-		return fmt.Errorf("comm: topology covers %d ranks but mesh has %d", topo.Size(), k)
+		return 0, fmt.Errorf("comm: topology covers %d ranks but mesh has %d", topo.Size(), k)
 	}
-	up, ring, down := hierarchicalSteps(m.Rank(), len(data), topo)
-	return stepsAllReduce(m, tag, hierarchicalName, data, op, slices.Concat(up, ring, down))
-}
-
-// hierarchicalName is what frame-length errors call the schedule,
-// compressed leader ring or not.
-const hierarchicalName = "hierarchical allreduce"
-
-// compressedLeaderRing is hierarchicalAllReduce with the leader ring
-// compressed: between the up list and the down list the outermost
-// leaders run the wire-level compressed reduce-scatter/all-gather
-// (compressedAllReduce) among themselves over bm, m's byte lanes, with
-// residual as the caller-owned error-feedback accumulator, while the
-// intra-host phases stay exact float32 — compression where the bytes are
-// expensive, full precision where they are nearly free. Only leaders
-// touch residual; non-leader ranks' accumulators are left unchanged.
-// topo must cover m and be hierarchical. The int result is the number of
-// encoded payload bytes this rank put on the byte lanes (0 for
-// non-leaders).
-func compressedLeaderRing(m transport.Mesh, bm transport.ByteMesh, tag uint64, data []float32, op ReduceOp, topo *Topology, codec Codec, residual []float32) (int, error) {
-	up, ring, down := hierarchicalSteps(m.Rank(), len(data), topo)
-	if err := runSteps(m, tag, hierarchicalName, data, op, up); err != nil {
-		return 0, err
+	top := func(me, k int) []step { return ringAllReduceSteps(me, k, n) }
+	if r.codec != nil {
+		r.parts = len(topo.levelLeaders(0))
+		top = func(me, k int) []step { return compressedSteps(me, k, n, pairs(r.codec, k, n)) }
 	}
-	wire := 0
-	if len(ring) > 0 { // a top leader, and not the only one
-		var err error
-		if wire, err = compressedAllReduce(bm, tag, m.Rank(), topo.levelLeaders(0), data, codec, residual); err != nil {
-			return 0, err
-		}
+	r.name = "hierarchical allreduce"
+	wire, err := runSteps(r, hierarchicalSteps(r.rank, n, topo, top))
+	if err == nil {
+		// One 1/world scale over the whole mesh, not the leaders.
+		finishAvg(r.data, r.op, k)
 	}
-	if err := runSteps(m, tag, hierarchicalName, data, op, down); err != nil {
-		return 0, err
-	}
-	// One 1/world scale over the whole mesh, not the leaders.
-	finishAvg(data, op, m.Size())
-	return wire, nil
+	return wire, err
 }

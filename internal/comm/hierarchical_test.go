@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -328,20 +329,30 @@ func TestHierarchicalMovesFewerCrossHostBytes(t *testing.T) {
 	}
 }
 
+// TestHierarchicalTopologyMismatchErrors: a Hierarchical group whose
+// topology covers another world fails every rank with the same error,
+// plain and compressed alike — neither falls back to a flat schedule.
 func TestHierarchicalTopologyMismatchErrors(t *testing.T) {
 	groups := NewInProcGroups(3, Options{
 		Algorithm: Hierarchical,
 		Topology:  NewTopology([]string{"a", "a", "b", "b"}), // wrong world
 	})
 	defer closeAll(groups)
-	errs := make([]error, 3)
-	runCollectiveAllowErr(t, groups, func(rank int, g ProcessGroup) error {
-		errs[rank] = g.AllReduce(make([]float32, 8), Sum).Wait()
-		return nil
-	})
-	for rank, err := range errs {
-		if err == nil {
-			t.Fatalf("rank %d: expected topology mismatch error", rank)
+	for name, launch := range map[string]func(g ProcessGroup) Work{
+		"allreduce": func(g ProcessGroup) Work { return g.AllReduce(make([]float32, 8), Sum) },
+		"compressed": func(g ProcessGroup) Work {
+			return CompressedAllReduce(g, make([]float32, 8), Sum, Float16Codec{}, nil)
+		},
+	} {
+		errs := make([]error, 3)
+		runCollectiveAllowErr(t, groups, func(rank int, g ProcessGroup) error {
+			errs[rank] = launch(g).Wait()
+			return nil
+		})
+		for rank, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "topology covers 4 ranks but mesh has 3") {
+				t.Fatalf("%s rank %d: got %v, want the topology mismatch error", name, rank, err)
+			}
 		}
 	}
 }

@@ -137,16 +137,10 @@ func TestRingPairMatchesTwoPasses(t *testing.T) {
 // all-gather passes, down.
 func TestHierarchicalLeaderPairMatchesTwoPasses(t *testing.T) {
 	topo := NewTopology([]string{"a", "a", "b", "b"})
-	leaders := topo.levelLeaders(0)
 	reference := func(rank, n int) []step {
-		up, ring, down := hierarchicalSteps(rank, n, topo)
-		if me := slices.Index(leaders, rank); me >= 0 {
-			ring = append(ringSteps(me, 2, n, me-1, true), ringSteps(me, 2, n, me, false)...)
-			for i := range ring {
-				ring[i].to, ring[i].from = leaders[ring[i].to], leaders[ring[i].from]
-			}
-		}
-		return slices.Concat(up, ring, down)
+		return hierarchicalSteps(rank, n, topo, func(me, k int) []step {
+			return append(ringSteps(me, k, n, me-1, true), ringSteps(me, k, n, me, false)...)
+		})
 	}
 	// The leaders' buffers pair their specials like pairInput; the second
 	// rank of each host contributes one ordinary value everywhere.
@@ -228,45 +222,64 @@ func (m *hookMesh) Recv(from int, tag uint64) ([]float32, error) {
 	return m.Mesh.Recv(from, tag)
 }
 
-// TestExchangeSendSeesThePreStepBuffer pins the contract the exchange
-// step rests on: runSteps joins a step's send before the received frame
-// lands, so a send still running when the frame arrives ships — and
-// reads, which is what the race detector checks — the range as it was
-// before the step, although the step receives into that very range.
+// TestExchangeSendSeesThePreStepBuffer pins runSteps' join rule: a
+// float send still running when a frame for the range it reads arrives
+// ships — and reads, which is what the race detector checks — the range
+// as it was when its step began, whether the frame is its own step's
+// (the two-rank exchange, which receives into the range it ships) or a
+// later step's (Tree's posted send up, then the result coming back
+// down into the same buffer).
 func TestExchangeSendSeesThePreStepBuffer(t *testing.T) {
 	const n = 4099
-	meshes := transport.NewInProcMeshes(2)
-	before := pairInput(0, n, 0)
-	arrived := make(chan struct{})
-	late := &hookMesh{Mesh: meshes[0]}
-	late.recv = func(from int, tag uint64) ([]float32, error) {
-		defer close(arrived)
-		return meshes[0].Recv(from, tag)
-	}
-	late.send = func(to int, tag uint64, data []float32) error {
-		// The peer's frame is in runSteps' hands and ours has not left:
-		// leave room for a landing that does not wait for it.
-		<-arrived
-		time.Sleep(2 * time.Millisecond)
-		if i := sameBits(data, before); i >= 0 {
-			t.Errorf("the send found element %d already overwritten by the step's receive", i)
-		}
-		return meshes[0].Send(to, tag, data)
-	}
-	groups := groupsOver([]transport.Mesh{late, meshes[1]}, Options{Algorithm: Ring})
-	defer closeAll(groups)
-	var out [2][]float32
-	runCollective(t, groups, func(rank int, g ProcessGroup) error {
-		out[rank] = pairInput(rank, n, 0)
-		return g.AllReduce(out[rank], Sum).Wait()
-	})
-	if i := sameBits(out[0], out[1]); i >= 0 {
-		t.Fatalf("ranks disagree at element %d", i)
+	for name, algo := range map[string]Algorithm{"exchange": Ring, "posted": Tree} {
+		t.Run(name, func(t *testing.T) {
+			meshes := transport.NewInProcMeshes(2)
+			// Rank 1's send outlives the arrival of the frame that lands
+			// where it reads. Ring's exchange step sends and receives at
+			// once; Tree's reduce posts the send before the broadcast
+			// frame can exist, so there it is shipped first and held.
+			before := pairInput(1, n, 0)
+			arrived := make(chan struct{})
+			late := &hookMesh{Mesh: meshes[1]}
+			late.recv = func(from int, tag uint64) ([]float32, error) {
+				defer close(arrived)
+				return meshes[1].Recv(from, tag)
+			}
+			late.send = func(to int, tag uint64, data []float32) error {
+				var err error
+				if algo == Tree {
+					err = meshes[1].Send(to, tag, data)
+				}
+				// The peer's frame is in runSteps' hands and the send has
+				// not returned: leave room for a landing that does not wait
+				// for it.
+				<-arrived
+				time.Sleep(2 * time.Millisecond)
+				if i := sameBits(data, before); i >= 0 {
+					t.Errorf("the send found element %d already overwritten by a receive", i)
+				}
+				if algo == Tree {
+					return err
+				}
+				return meshes[1].Send(to, tag, data)
+			}
+			groups := groupsOver([]transport.Mesh{meshes[0], late}, Options{Algorithm: algo})
+			defer closeAll(groups)
+			var out [2][]float32
+			runCollective(t, groups, func(rank int, g ProcessGroup) error {
+				out[rank] = pairInput(rank, n, 0)
+				return g.AllReduce(out[rank], Sum).Wait()
+			})
+			if i := sameBits(out[0], out[1]); i >= 0 {
+				t.Fatalf("ranks disagree at element %d", i)
+			}
+		})
 	}
 }
 
-// TestExchangePeerDiesMidStep: the peer takes this rank's frame — so the
-// send is complete, and joined — and dies before shipping its own. The
+// TestExchangePeerDiesMidStep: in runSteps' two-rank exchange step the
+// peer takes this rank's frame — so the send is complete, and joined —
+// and dies before shipping its own. The
 // survivor must fail with the transport's own error, and every frame
 // that was received must have gone back to the pool once: released
 // frames are poisoned under the race detector and a frame released

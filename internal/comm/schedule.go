@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -8,41 +9,51 @@ import (
 	"repro/internal/transport"
 )
 
-// A collective over one flat buffer is data before it is traffic: each
-// rank's part is a list of steps produced by a pure generator
-// (ringSteps, ringAllReduceSteps, binomialReduceSteps,
-// binomialBroadcastSteps, treeSteps, doubleTreeSteps, hierarchicalSteps),
-// and runSteps is the one loop that turns any such list into Send/Recv
-// calls. The all-peers collectives, whose frames do not address one flat
-// buffer, share exchange instead. Nothing outside this file touches the
-// transport, so the frame-length check, the join of the in-flight send,
-// the hand-back of every received frame to the transport's buffer pool
-// and every future pipelining change are written once — and because a
-// schedule exists without a mesh, schedule_test.go checks every
-// generator statically: matching sends and receives in per-link FIFO
-// order, no cycle of blocking waits, the documented fold chain.
-//
-// The contract between the two: a step's send ships its range as it was
-// BEFORE the step, because runSteps joins the send before it lets the
-// received frame touch the buffer — so a step may send a range it is
-// receiving, as the two-rank exchange does.
+// Every collective is data before it is traffic: each rank's part is a
+// list of steps produced by a pure generator (ringSteps,
+// ringAllReduceSteps, binomialReduceSteps, binomialBroadcastSteps,
+// treeSteps, doubleTreeSteps, hierarchicalSteps, naiveSteps,
+// allGatherSteps and the compressed builders), and runSteps is the one
+// loop that turns any such list into Send/Recv calls on the float lane
+// and SendBytes/RecvBytes calls on the byte lane. Nothing else in this
+// package touches the transport, so the frame-length check, the joins of
+// the sends in flight, the hand-back of every frame to the transport's
+// buffer pool and every future pipelining change are written once — and
+// because a schedule exists without a mesh, schedule_test.go checks
+// every generator statically: matching sends and receives in per-link
+// FIFO order, no cycle of blocking waits, the documented fold chains.
 
 // step is one rank's move in a schedule over a flat buffer: ship
-// data[sLo:sHi] to rank `to` while taking a frame of exactly rHi-rLo
-// elements from rank `from` into data[rLo:rHi]. A peer of -1 means no
-// send (or no receive) this step. The frame lands one of three ways:
-// verbatim (fold unset); folded INTO the buffer, data = data ∘ frame
-// under the collective's op (fold); or, over the sub-range [uLo,uHi) of
-// a folding step, folded UNDER it — frame = frame ∘ data, the same
-// kernel with the operands swapped, then landed verbatim — which is what
-// the sender evaluates when it folds this rank's frame INTO its buffer.
+// data[sLo:sHi] to rank `to` while taking a frame for data[rLo:rHi] from
+// rank `from`. A peer of -1 means no send (or no receive) this step; a
+// peer that is the rank itself makes a local step, which never touches
+// the wire (see runSteps). The frame lands one of three ways: verbatim
+// (fold unset); folded INTO the buffer, data = data ∘ frame under the
+// collective's op (fold); or, over the sub-range [uLo,uHi) of a folding
+// step, folded UNDER it — frame = frame ∘ data, the same kernel with the
+// operands swapped, then landed verbatim — which is what the sender
+// evaluates when it folds this rank's frame INTO its buffer. kind says
+// what the frames carry.
 type step struct {
 	to, from int
 	sLo, sHi int
 	rLo, rHi int
 	fold     bool
 	uLo, uHi int
+	kind     frameKind
 }
+
+// frameKind is what a step's frames carry: the buffer's float32 values,
+// or the collective's codec on the byte lane — this rank's contribution,
+// quantized with the caller's residual, or an already reduced value,
+// quantized without it.
+type frameKind uint8
+
+const (
+	floats frameKind = iota
+	contribution
+	reduced
+)
 
 // ringSteps is one pass around the ring over the chunkBounds layout:
 // k-1 steps, at step s shipping chunk first-s to the right neighbour
@@ -106,178 +117,311 @@ func ringPairStep(rank, n int) step {
 	return st
 }
 
-// frameLenError reports a received frame whose length is not the one
-// the schedule fixed for it: the peers disagree on the buffer size, or
-// the transport truncated the frame. It names the collective, the rank
-// that noticed, the sending peer and the step, so a wrong result can
-// never hide behind a short copy.
+// onto renumbers a schedule over len(ranks) participants onto them.
+func onto(ranks []int, steps []step) []step {
+	for i := range steps {
+		st := &steps[i]
+		if st.to >= 0 {
+			st.to = ranks[st.to]
+		}
+		if st.from >= 0 {
+			st.from = ranks[st.from]
+		}
+	}
+	return steps
+}
+
+// frameLenError reports a frame whose length is not the one the
+// schedule fixed for it: the peers disagree on the buffer size, the
+// transport truncated the frame, or a codec's frame is not the size its
+// EncodedSize declares (peer is then the rank that built it — this one,
+// for its own encode). It names the collective, the rank that noticed,
+// the peer, the step and the unit counted, so a wrong result can never
+// hide behind a short copy or a misparsed frame.
 type frameLenError struct {
 	collective string
 	rank, peer int
 	step       int
 	got, want  int
+	unit       string // "elements" on the float lane, "bytes" on the byte lane
 }
 
 func (e *frameLenError) Error() string {
-	return fmt.Sprintf("comm: %s on rank %d: step %d frame from rank %d has %d elements, want %d",
-		e.collective, e.rank, e.step, e.peer, e.got, e.want)
+	return fmt.Sprintf("comm: %s on rank %d: step %d frame from rank %d has %d %s, want %d",
+		e.collective, e.rank, e.step, e.peer, e.got, e.unit, e.want)
 }
 
 // checkFrame is the one frame-length check: nil when a frame of got
-// elements is what the schedule expects, the frameLenError otherwise.
-func checkFrame(collective string, rank, peer, step, got, want int) error {
+// units is what the schedule expects, the frameLenError otherwise.
+func checkFrame(collective string, rank, peer, step, got, want int, unit string) error {
 	if got == want {
 		return nil
 	}
-	return &frameLenError{collective: collective, rank: rank, peer: peer, step: step, got: got, want: want}
+	return &frameLenError{collective, rank, peer, step, got, want, unit}
 }
 
-// runSteps executes one rank's steps in order over data. A step that
-// both sends and receives issues the send on its own goroutine so the
-// matching receive can proceed concurrently, preventing head-of-line
-// deadlock on large messages; that send is joined on every path and
-// before the frame lands, so no goroutine outlives the call, reads data
-// after it returns, or sees a range the step's own receive has written.
-// Every received frame goes back to the transport's pool once it has
-// been folded or copied. collective names the schedule in errors.
-func runSteps(m transport.Mesh, tag uint64, collective string, data []float32, op ReduceOp, steps []step) error {
-	sent := make(chan error, 1) // at most one send is in flight
+// run is what a step list executes against: the mesh's float lane, its
+// byte lane when the list has codec steps, this rank, the collective's
+// tag and name (for errors), the buffer and op, and for codec steps the
+// codec, the caller's residual (nil for none) and the layout codec
+// frames are cut along, chunkBounds(len(data), parts, ·). The rest is
+// runSteps' own state.
+type run struct {
+	m        transport.Mesh
+	bm       transport.ByteMesh
+	rank     int
+	tag      uint64
+	name     string
+	data     []float32
+	op       ReduceOp
+	codec    Codec
+	residual []float32
+	parts    int
+
+	wire   int         // encoded bytes shipped
+	sends  []*inflight // in flight, oldest first
+	local  [][]float32 // local frames not yet landed, oldest first
+	frames [][]byte    // codec frames, released once every send is joined
+	encErr error       // the first own frame's length error
+}
+
+// inflight is a send under way and the range of data it reads (empty
+// for a codec frame, which reads only itself).
+type inflight struct {
+	to, lo, hi int
+	pendingWork
+}
+
+// runSteps executes one rank's steps in order over r.data and returns
+// the encoded bytes it put on the byte lane.
+//
+// A step that both sends and receives runs its send on its own goroutine
+// while it receives, and joins it before the frame lands, so the receive
+// never waits on the send (no head-of-line deadlock on large messages).
+// A step with no receive posts its send and moves on; a posted send is
+// joined before a later step writes any range it still reads. Sends to
+// one peer leave in list order. Every send is joined before runSteps
+// returns, on every path, so no goroutine outlives the call or reads
+// data after it returns — and a float send ships its range as it was
+// when its step began, although the step (or a later one) receives into
+// that very range.
+//
+// A codec step's send encodes its range chunk by chunk along the layout
+// into one pooled frame, each chunk with its residual slice when it ships
+// a contribution. Where the list reads the quantized value again — a
+// reduced value, or a range the step also receives into — it quantizes
+// the range in place (Encode's deq is the range itself), so this rank
+// holds what its peers will decode; a contribution it only ships leaves
+// the range alone. A send that repeats the step before it to another peer
+// ships the same frame. A frame whose length is not the sum of its
+// chunks' EncodedSize fails: a received one before it is decoded, and
+// this rank's own at the next receive or at the end of the list, every
+// frame it sends from then on going out empty so its peers fail too. A
+// received frame lands chunk by
+// chunk — Decode verbatim, DecodeAdd folded, and DecodeAdd also under a
+// fold-under range: a codec fold adds one finite decoded value, and
+// finite float addition commutes bit for bit.
+//
+// A local step moves no bytes. A local send's frame is its range — for a
+// codec step, Encode's deq, with no wire frame built — held in a pooled
+// float buffer until the local receive lands it where the list puts it;
+// a codec step that sends and receives its own range verbatim just
+// quantizes it in place. Every received frame goes back to the
+// transport's pool once it has landed.
+func runSteps(r run, steps []step) (wire int, err error) {
+	x := &r
+	defer func() {
+		err = cmp.Or(err, x.join(func(*inflight) bool { return true }))
+		for _, f := range x.frames {
+			transport.PutBytes(f)
+		}
+		for _, f := range x.local {
+			transport.PutFloats(f)
+		}
+		wire = x.wire
+	}()
 	for i, st := range steps {
-		if st.from < 0 {
-			if err := m.Send(st.to, tag, data[st.sLo:st.sHi]); err != nil {
-				return err
+		var deq []float32 // where a codec send leaves what its frame decodes to
+		if st.to >= 0 && st.kind != floats && (st.kind == reduced || st.from >= 0) {
+			// The encode writes the range: nothing may still read it.
+			if err := x.joinReading(st.sLo, st.sHi); err != nil {
+				return 0, err
 			}
+			deq = x.data[st.sLo:st.sHi]
+		}
+		var frame []byte
+		switch {
+		case st.to < 0:
+		case st.to == x.rank && st.from == x.rank && st.kind != floats && !st.fold && st.sLo == st.rLo && st.sHi == st.rHi:
+			x.encode(st, nil, deq)
+			continue
+		case st.to == x.rank:
+			buf := transport.GetFloats(st.sHi - st.sLo)
+			if st.kind == floats {
+				copy(buf, x.data[st.sLo:st.sHi])
+			} else {
+				x.encode(st, nil, buf)
+			}
+			x.local = append(x.local, buf)
+		case st.kind != floats:
+			before := steps[max(i-1, 0)]
+			repeat := i > 0 && before.to >= 0 && before.to != x.rank
+			if before.to = st.to; !repeat || before != st {
+				want := x.encodedSize(st.sLo, st.sHi)
+				x.frames = append(x.frames, x.encode(st, transport.GetBytes(want)[:0], deq))
+				x.encErr = cmp.Or(x.encErr, checkFrame(x.name, x.rank, x.rank, i, len(x.frames[len(x.frames)-1]), want, "bytes"))
+			}
+			if frame = x.frames[len(x.frames)-1]; x.encErr != nil {
+				frame = frame[:0]
+			}
+			x.wire += len(frame)
+		}
+		var own *inflight
+		if st.to >= 0 && st.to != x.rank {
+			own = &inflight{to: st.to, pendingWork: pendingWork{done: make(chan struct{})}}
+			if st.kind == floats {
+				own.lo, own.hi = st.sLo, st.sHi
+			}
+			var prev *inflight // the send before it to the same peer
+			for _, s := range x.sends {
+				if s.to == st.to {
+					prev = s
+				}
+			}
+			x.sends = append(x.sends, own)
+			m, bm, tag, data := x.m, x.bm, x.tag, x.data[own.lo:own.hi]
+			go func() {
+				if prev != nil {
+					<-prev.done
+				}
+				if st.kind == floats {
+					own.finish(m.Send(st.to, tag, data))
+				} else {
+					own.finish(bm.SendBytes(st.to, tag, frame))
+				}
+			}()
+		}
+		if st.from < 0 {
 			continue
 		}
-		if st.to >= 0 {
-			go func() { sent <- m.Send(st.to, tag, data[st.sLo:st.sHi]) }()
-		}
-		buf, err := m.Recv(st.from, tag)
-		if err == nil {
-			err = checkFrame(collective, m.Rank(), st.from, i, len(buf), st.rHi-st.rLo)
-		}
-		if st.to >= 0 {
-			if serr := <-sent; err == nil {
-				err = serr
+
+		var buf []float32
+		var raw []byte
+		switch {
+		case st.from == x.rank:
+			buf, x.local = x.local[0], x.local[1:]
+		case st.kind == floats:
+			if buf, err = x.m.Recv(st.from, x.tag); err == nil {
+				err = checkFrame(x.name, x.rank, st.from, i, len(buf), st.rHi-st.rLo, "elements")
+			}
+		default:
+			if raw, err = x.bm.RecvBytes(st.from, x.tag); err == nil {
+				err = checkFrame(x.name, x.rank, st.from, i, len(raw), x.encodedSize(st.rLo, st.rHi), "bytes")
 			}
 		}
-		if err != nil {
-			transport.PutFloats(buf)
-			return err
+		err = cmp.Or(err, x.join(func(s *inflight) bool { return s == own })) // the step's own send, if any
+		if err = cmp.Or(err, x.encErr); err == nil {
+			err = x.joinReading(st.rLo, st.rHi)
 		}
-		switch dst := data[st.rLo:st.rHi]; {
-		case !st.fold:
-			copy(dst, buf)
-		case st.uLo == st.uHi:
-			reduceInto(dst, buf, op)
-		default:
-			lo, hi := st.uLo-st.rLo, st.uHi-st.rLo
-			reduceInto(dst[:lo], buf[:lo], op)
-			reduceInto(buf[lo:hi], dst[lo:hi], op)
-			copy(dst[lo:hi], buf[lo:hi])
-			reduceInto(dst[hi:], buf[hi:], op)
+		if err == nil {
+			if st.kind == floats || st.from == x.rank {
+				x.land(st, buf)
+			} else if err = x.decode(st, raw); err != nil {
+				err = fmt.Errorf("comm: %s on rank %d: step %d frame from rank %d: %w", x.name, x.rank, i, st.from, err)
+			}
 		}
 		transport.PutFloats(buf)
-	}
-	return nil
-}
-
-// lane is one frame kind of a mesh — float32 frames or the byte frames
-// of transport.ByteMesh — so exchange is written once for both. free
-// hands a received frame back to the transport's pool.
-type lane[T any] struct {
-	send func(to int, tag uint64, data []T) error
-	recv func(from int, tag uint64) ([]T, error)
-	free func(frame []T)
-}
-
-func floatLane(m transport.Mesh) lane[float32] {
-	return lane[float32]{m.Send, m.Recv, transport.PutFloats}
-}
-
-func byteLane(bm transport.ByteMesh) lane[byte] {
-	return lane[byte]{bm.SendBytes, bm.RecvBytes, transport.PutBytes}
-}
-
-// exchange is the all-peers pattern: out(p) is shipped concurrently to
-// every rank p in to, then in(p, frame) consumes the frame of every
-// rank p in from, in the order listed — which is what fixes a fold
-// order. Each out(p) is asked for when its send is about to start, so a
-// caller that builds frames on demand has frame p on the wire while it
-// builds the next. Listing this rank in from hands in its own out(rank)
-// without touching the wire, at its position in the order like any
-// other contribution; out(rank) itself is evaluated once every send is
-// under way and before the first receive blocks, so whatever it costs
-// is spent while the frames fly instead of after the wait for a peer's.
-// A frame is only in's for the duration of the call: received frames go
-// back to the transport's pool as soon as in returns. Every outstanding
-// send is joined before exchange returns, on the error paths too: no
-// goroutine is left reading a caller's buffer.
-func exchange[T any](l lane[T], tag uint64, rank int, to, from []int, out func(p int) []T, in func(p int, frame []T) error) error {
-	sent := make(chan error, len(to)) // one slot per send: none blocks on the join
-	for _, p := range to {
-		frame := out(p)
-		go func() { sent <- l.send(p, tag, frame) }()
-	}
-	var own []T
-	if slices.Contains(from, rank) {
-		own = out(rank)
-	}
-	var err error
-	for _, p := range from {
-		if p == rank {
-			err = in(p, own)
-		} else {
-			var frame []T
-			if frame, err = l.recv(p, tag); err == nil {
-				err = in(p, frame)
-				l.free(frame)
-			}
-		}
+		transport.PutBytes(raw)
 		if err != nil {
-			break
+			return 0, err
 		}
 	}
-	for range to {
-		if serr := <-sent; err == nil {
-			err = serr
+	return 0, x.encErr
+}
+
+// join waits for the sends in flight that match, drops them and returns
+// the first error among them.
+func (x *run) join(match func(*inflight) bool) error {
+	var err error
+	x.sends = slices.DeleteFunc(x.sends, func(s *inflight) bool {
+		joined := match(s)
+		if joined {
+			err = cmp.Or(err, s.Wait())
 		}
-	}
+		return joined
+	})
 	return err
 }
 
-// allRanks lists 0..k-1 and without drops rank from a list: the usual
-// peer sets of an exchange.
-func allRanks(k int) []int {
-	ps := make([]int, k)
-	for p := range ps {
-		ps[p] = p
-	}
-	return ps
+// joinReading joins the sends in flight that read data[lo:hi].
+func (x *run) joinReading(lo, hi int) error {
+	return x.join(func(s *inflight) bool { return s.lo < hi && lo < s.hi })
 }
 
-func without(ranks []int, rank int) []int {
-	ps := make([]int, 0, len(ranks))
-	for _, p := range ranks {
-		if p != rank {
-			ps = append(ps, p)
-		}
+// land lands a float frame, received or local, as st says.
+func (x *run) land(st step, buf []float32) {
+	switch dst := x.data[st.rLo:st.rHi]; {
+	case !st.fold:
+		copy(dst, buf)
+	case st.uLo == st.uHi || st.kind != floats:
+		reduceInto(dst, buf, x.op)
+	default:
+		lo, hi := st.uLo-st.rLo, st.uHi-st.rLo
+		reduceInto(dst[:lo], buf[:lo], x.op)
+		reduceInto(buf[lo:hi], dst[lo:hi], x.op)
+		copy(dst[lo:hi], buf[lo:hi])
+		reduceInto(dst[hi:], buf[hi:], x.op)
 	}
-	return ps
 }
 
-// landIn returns the exchange sink of the float collectives that only
-// move data: rank p's frame must have exactly the length of dst(p) and
-// is copied into it.
-func landIn(collective string, rank int, dst func(p int) []float32) func(p int, frame []float32) error {
-	return func(p int, frame []float32) error {
-		d := dst(p)
-		if err := checkFrame(collective, rank, p, 0, len(frame), len(d)); err != nil {
-			return err
+// pieces calls fn on every nonempty part of [lo,hi) that one chunk of
+// the layout holds, in order.
+func (x *run) pieces(lo, hi int, fn func(lo, hi int)) {
+	for c := range x.parts {
+		cLo, cHi := chunkBounds(len(x.data), x.parts, c)
+		if a, b := max(lo, cLo), min(hi, cHi); a < b {
+			fn(a, b)
 		}
-		copy(d, frame)
-		return nil
 	}
+}
+
+// encodedSize is the length of the codec frame of data[lo:hi].
+func (x *run) encodedSize(lo, hi int) int {
+	size := 0
+	x.pieces(lo, hi, func(lo, hi int) { size += x.codec.EncodedSize(hi - lo) })
+	return size
+}
+
+// encode appends st's frame to frame and leaves in deq, which is nil or
+// aligned with data[sLo:sHi], what the frame decodes to.
+func (x *run) encode(st step, frame []byte, deq []float32) []byte {
+	x.pieces(st.sLo, st.sHi, func(lo, hi int) {
+		var res, d []float32
+		if st.kind == contribution && x.residual != nil {
+			res = x.residual[lo:hi]
+		}
+		if deq != nil {
+			d = deq[lo-st.sLo : hi-st.sLo]
+		}
+		frame = x.codec.Encode(frame, x.data[lo:hi], res, d)
+	})
+	return frame
+}
+
+// decode lands a received codec frame, checked to be exactly its
+// chunks' encodings back to back.
+func (x *run) decode(st step, frame []byte) error {
+	var err error
+	decode := x.codec.Decode
+	if st.fold {
+		decode = x.codec.DecodeAdd
+	}
+	x.pieces(st.rLo, st.rHi, func(lo, hi int) {
+		part := frame[:x.codec.EncodedSize(hi-lo)]
+		frame = frame[len(part):]
+		err = cmp.Or(err, decode(part, x.data[lo:hi]))
+	})
+	return err
 }
 
 // finishAvg applies Avg's 1/world scale; every other op is already

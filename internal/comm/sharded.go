@@ -55,14 +55,21 @@ type ShardedGroup interface {
 // mesh-backed group. It always runs the flat ring schedule regardless
 // of the group's configured Algorithm: the bitwise DDP-vs-ZeRO
 // agreement contract is defined against the ring fold chain, and a
-// topology-dependent schedule here would silently break it.
+// topology-dependent schedule here would silently break it. It is
+// ringAllReduce's first pass, so the owned chunk, scaled for Avg, is
+// bitwise what ringAllReduce leaves there.
 func (g *meshGroup) ReduceScatterV(data []float32, op ReduceOp) Work {
 	if err := op.check(); err != nil {
 		return CompletedWork(err)
 	}
+	k, rank := g.Size(), g.Rank()
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
-		err := ringReduceScatterOwned(g.mesh, tag, data, op)
+		_, err := runSteps(run{m: g.mesh, rank: rank, tag: tag, name: "ring reduce-scatter", data: data, op: op}, ringSteps(rank, k, len(data), rank-1, true))
+		if err == nil {
+			lo, hi := chunkBounds(len(data), k, rank)
+			finishAvg(data[lo:hi], op, k)
+		}
 		observeCollective("reduce_scatter_v", len(data), start, err)
 		return err
 	})
@@ -73,7 +80,8 @@ func (g *meshGroup) ReduceScatterV(data []float32, op ReduceOp) Work {
 func (g *meshGroup) AllGatherV(data []float32) Work {
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
-		err := ringAllGatherOwned(g.mesh, tag, data)
+		rank := g.Rank()
+		_, err := runSteps(run{m: g.mesh, rank: rank, tag: tag, name: "ring all-gather", data: data}, ringSteps(rank, g.Size(), len(data), rank, false))
 		observeCollective("all_gather_v", len(data), start, err)
 		return err
 	})
@@ -83,10 +91,10 @@ func (g *meshGroup) AllGatherV(data []float32) Work {
 // reduce-scatter, with the same transactional residual and the same
 // refusal as CompressedAllReduce (see residualBackup,
 // ErrCompressionUnsupported): stage 1 of the compressed AllReduce
-// schedule (compressedReduceScatterChunks), which leaves the exact fold
-// in the owner chunk, scaled here for Avg — no second quantization,
-// since the reduced gradient shard feeds a local optimizer and never
-// rides the wire again.
+// schedule (compressedScatterSteps), which leaves the exact fold in the
+// owner chunk, scaled here for Avg — no second quantization, since the
+// reduced gradient shard feeds a local optimizer and never rides the
+// wire again.
 func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	if codec == nil {
 		return g.ReduceScatterV(data, op)
@@ -94,37 +102,15 @@ func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec 
 	return g.submitCompressed(data, op, codec, residual,
 		func(start time.Time) { observeCollective("compressed_reduce_scatter_v", len(data), start, nil) },
 		func(bm transport.ByteMesh, tag uint64) (int, error) {
-			k, rank := g.Size(), g.Rank()
-			wire, err := compressedReduceScatterChunks(bm, tag, rank, allRanks(k), data, codec, residual)
-			if err != nil {
-				return 0, err
+			k, rank, n := g.Size(), g.Rank(), len(data)
+			r := run{bm: bm, rank: rank, tag: tag, name: "compressed reduce-scatter", data: data, op: op, codec: codec, residual: residual, parts: k}
+			wire, err := runSteps(r, compressedScatterSteps(rank, k, n))
+			if err == nil {
+				lo, hi := chunkBounds(n, k, rank)
+				finishAvg(data[lo:hi], op, k)
 			}
-			lo, hi := chunkBounds(len(data), k, rank)
-			finishAvg(data[lo:hi], op, k)
-			return wire, nil
+			return wire, err
 		})
-}
-
-// ringReduceScatterOwned is the ring reduce-scatter: rank r ends with
-// the full reduction in data[chunkBounds(n, k, r)], scaled for Avg —
-// bitwise the value ringAllReduce leaves there, being its first half.
-// The other chunks hold partial folds.
-func ringReduceScatterOwned(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
-	k, rank := m.Size(), m.Rank()
-	if err := runSteps(m, tag, "ring reduce-scatter", data, op, ringSteps(rank, k, len(data), rank-1, true)); err != nil {
-		return err
-	}
-	lo, hi := chunkBounds(len(data), k, rank)
-	finishAvg(data[lo:hi], op, k)
-	return nil
-}
-
-// ringAllGatherOwned is the in-place ring all-gather over the owner
-// layout: each rank enters holding chunk rank and leaves holding every
-// chunk, all copies verbatim.
-func ringAllGatherOwned(m transport.Mesh, tag uint64, data []float32) error {
-	rank := m.Rank()
-	return runSteps(m, tag, "ring all-gather", data, Sum, ringSteps(rank, m.Size(), len(data), rank, false))
 }
 
 var _ ShardedGroup = (*meshGroup)(nil)

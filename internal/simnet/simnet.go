@@ -64,18 +64,6 @@ type Config struct {
 	// instead of the flat ring. Identical to the flat model while the
 	// world fits one server.
 	Hierarchical bool
-	// DoubleTree prices AllReduces with the double-binary-tree cost
-	// model (hw.DoubleTreeAllReduceSeconds: two complementary pipelined
-	// trees, log-depth latency) instead of the flat ring. Takes
-	// precedence over Hierarchical — comm's Auto policy never selects
-	// both for the same bucket.
-	DoubleTree bool
-	// TopologyGroupSizes, when non-empty, prices hierarchical
-	// AllReduces with the N-level model (hw.NLevelAllReduceSeconds)
-	// over these per-level group sizes, outermost-first with ranks-
-	// per-host last — matching comm.Topology's structured "/" labels.
-	// Only consulted when Hierarchical is set.
-	TopologyGroupSizes []int
 	// Strategy selects the data-parallel state layout: "" or "ddp" is
 	// replicated DDP (per-bucket AllReduce), "zero2" shards gradients
 	// and optimizer state (per-bucket ReduceScatter in backward, one
@@ -84,8 +72,8 @@ type Config struct {
 	// forward compute, re-gather plus ReduceScatter in backward except
 	// for the bucket forward leaves gathered). The half-collectives are
 	// priced with the flat-ring model (hw.ReduceScatterSeconds /
-	// hw.AllGatherSeconds); Hierarchical/DoubleTree only affect
-	// AllReduce, matching comm's algorithm policy.
+	// hw.AllGatherSeconds); Hierarchical only affects AllReduce,
+	// matching comm's algorithm policy.
 	Strategy string
 	// Jitter enables the stochastic effects observed in the paper's
 	// box-whisker plots: per-iteration noise, stragglers growing with
@@ -121,19 +109,12 @@ func (c Config) withDefaults() Config {
 }
 
 // allReduceCost prices one bucket's AllReduce under the configured
-// algorithm family: double tree, N-level or two-level hierarchy, or
-// the flat ring.
+// algorithm family: the two-level hierarchy or the flat ring.
 func (c Config) allReduceCost(bytes int) float64 {
-	switch {
-	case c.DoubleTree:
-		return c.Cluster.DoubleTreeAllReduceSeconds(c.Backend, bytes, c.World)
-	case c.Hierarchical && len(c.TopologyGroupSizes) > 0:
-		return c.Cluster.NLevelAllReduceSeconds(c.Backend, bytes, c.World, c.TopologyGroupSizes)
-	case c.Hierarchical:
+	if c.Hierarchical {
 		return c.Cluster.HierarchicalAllReduceSeconds(c.Backend, bytes, c.World)
-	default:
-		return c.Cluster.AllReduceSeconds(c.Backend, bytes, c.World)
 	}
+	return c.Cluster.AllReduceSeconds(c.Backend, bytes, c.World)
 }
 
 // Breakdown is the per-iteration latency decomposition of Fig 6.

@@ -224,45 +224,6 @@ func TestCompressionReducesCommTime(t *testing.T) {
 	}
 }
 
-func TestDoubleTreeCutsCommAtSmallBuckets(t *testing.T) {
-	// With tiny buckets the per-bucket AllReduce is latency-bound, so
-	// pricing them with the log-depth double tree must shrink comm
-	// time relative to the 2(k-1)-step ring at a deep world.
-	cfg := resnetCfg()
-	cfg.World = 64
-	cfg.BucketCapBytes = 64 << 10
-	ring, err := SimulateIteration(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DoubleTree = true
-	dt, err := SimulateIteration(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dt.CommSeconds >= ring.CommSeconds {
-		t.Fatalf("double tree (%v) should cut comm time vs ring (%v) at 64KB buckets", dt.CommSeconds, ring.CommSeconds)
-	}
-}
-
-func TestNLevelTopologyChangesHierarchicalCost(t *testing.T) {
-	cfg := resnetCfg()
-	cfg.World = 64
-	cfg.Hierarchical = true
-	two, err := SimulateIteration(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.TopologyGroupSizes = []int{2, 8} // 4 pods x 2 racks x 8 GPUs
-	three, err := SimulateIteration(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if three.CommSeconds == two.CommSeconds {
-		t.Fatal("three-level group sizes should re-price communication")
-	}
-}
-
 func TestJitterProducesSpreadAndSpikes(t *testing.T) {
 	cfg := resnetCfg()
 	cfg.Jitter = true
