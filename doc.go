@@ -24,9 +24,9 @@
 // with sub-mesh views for hierarchy phases and host discovery from peer
 // addresses), and internal/store (the rendezvous key-value store:
 // in-mem and TCP, with Watch, CompareAndSwap, and cancellable Get).
-// internal/hw prices flat and hierarchical collectives on the paper's
-// testbed model; internal/bench and internal/simnet regenerate the
-// paper's figures and the flat-vs-hierarchical ablation.
+// internal/hw prices collectives on the paper's testbed model by walking
+// the step lists internal/comm runs; internal/bench and internal/simnet
+// regenerate the paper's figures and the flat-vs-hierarchical ablation.
 //
 // # Subsystem 2: elastic fault tolerance (internal/elastic)
 //

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/comm"
 	"repro/internal/hw"
 	"repro/internal/models"
 )
@@ -46,4 +47,37 @@ func capBytes(mb int) int {
 		return -1
 	}
 	return mb << 20
+}
+
+// SweepRow is one point of a modeled comparison of two AllReduces.
+type SweepRow struct {
+	// World is the number of GPUs.
+	World int
+	// Elems is the AllReduce payload in float32 elements.
+	Elems int
+	// A and B are the two AllReduces' modeled wall times, seconds.
+	A, B float64
+}
+
+// Speedup returns A/B (>1 when B wins).
+func (r SweepRow) Speedup() float64 { return r.A / r.B }
+
+// Sweep prices one AllReduce of every payload at every world under a and
+// under b, each given the payload's bytes and the world.
+func Sweep(worlds, elemCounts []int, a, b func(nBytes, world int) float64) []SweepRow {
+	rows := make([]SweepRow, 0, len(worlds)*len(elemCounts))
+	for _, w := range worlds {
+		for _, n := range elemCounts {
+			rows = append(rows, SweepRow{World: w, Elems: n, A: a(4*n, w), B: b(4*n, w)})
+		}
+	}
+	return rows
+}
+
+// nccl is the cluster's NCCL-profile AllReduce under algo over
+// groupSizes (hw.Cluster.AllReduceSeconds), as Sweep takes it.
+func nccl(c hw.Cluster, algo comm.Algorithm, groupSizes ...int) func(nBytes, world int) float64 {
+	return func(nBytes, world int) float64 {
+		return c.AllReduceSeconds(hw.NCCLLike, algo, nBytes, world, groupSizes...)
+	}
 }

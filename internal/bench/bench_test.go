@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/hw"
 )
 
@@ -239,9 +240,9 @@ func TestFig12RoundRobinShape(t *testing.T) {
 }
 
 func TestHierarchicalSweepShowsCrossMachineRecovery(t *testing.T) {
-	rows := HierarchicalSweep(hw.DefaultCluster(),
-		[]int{8, 16, 32, 64, 128, 256},
-		[]int{1 << 12, 1 << 20, 1 << 24})
+	c := hw.DefaultCluster()
+	rows := Sweep([]int{8, 16, 32, 64, 128, 256}, []int{1 << 12, 1 << 20, 1 << 24},
+		nccl(c, comm.Ring), nccl(c, comm.Hierarchical))
 	for _, r := range rows {
 		if r.World <= 8 {
 			// One server: the hierarchy is empty, the models must agree.
@@ -250,8 +251,8 @@ func TestHierarchicalSweepShowsCrossMachineRecovery(t *testing.T) {
 			}
 			continue
 		}
-		if r.HierSeconds >= r.FlatSeconds {
-			t.Fatalf("world %d elems %d: hierarchical (%v) not beating flat (%v)", r.World, r.Elems, r.HierSeconds, r.FlatSeconds)
+		if r.B >= r.A {
+			t.Fatalf("world %d elems %d: hierarchical (%v) not beating flat (%v)", r.World, r.Elems, r.B, r.A)
 		}
 		// The acceptance bar: at >= 1M elements the recovery is the
 		// structural NIC-share win, not a rounding artifact.
@@ -284,27 +285,28 @@ func TestDoubleTreeSweepMatchesAutoPolicyBands(t *testing.T) {
 	// The modeled sweep must justify comm's Auto policy: double tree
 	// wins the <=4Ki-element band at world >= 8, and the ring keeps
 	// the bandwidth-bound band at shallow worlds.
-	rows := DoubleTreeSweep(hw.DefaultCluster(),
-		[]int{8, 32, 256},
-		[]int{1 << 10, 1 << 12, 1 << 24})
+	c := hw.DefaultCluster()
+	rows := Sweep([]int{8, 32, 256}, []int{1 << 10, 1 << 12, 1 << 24},
+		nccl(c, comm.Ring), nccl(c, comm.DoubleTree))
 	for _, r := range rows {
-		if r.Elems <= 4<<10 && r.TreeSeconds >= r.RingSeconds {
+		if r.Elems <= 4<<10 && r.B >= r.A {
 			t.Fatalf("world %d elems %d: double tree (%v) not beating ring (%v) in the small band",
-				r.World, r.Elems, r.TreeSeconds, r.RingSeconds)
+				r.World, r.Elems, r.B, r.A)
 		}
-		if r.World == 8 && r.Elems == 1<<24 && r.RingSeconds >= r.TreeSeconds {
+		if r.World == 8 && r.Elems == 1<<24 && r.A >= r.B {
 			t.Fatalf("world 8 elems 16M: ring (%v) should win the bandwidth band over double tree (%v)",
-				r.RingSeconds, r.TreeSeconds)
+				r.A, r.B)
 		}
 	}
 }
 
 func TestNLevelSweepLatencyWin(t *testing.T) {
-	rows := NLevelSweep(hw.DefaultCluster(), []int{64}, []int{1 << 10, 1 << 12}, []int{2, 8})
+	c := hw.DefaultCluster()
+	rows := Sweep([]int{64}, []int{1 << 10, 1 << 12}, nccl(c, comm.Hierarchical), nccl(c, comm.Hierarchical, 2, 8))
 	for _, r := range rows {
-		if r.NLevelSeconds >= r.TwoLevelSeconds {
+		if r.B >= r.A {
 			t.Fatalf("world %d elems %d: three-level (%v) not beating two-level (%v) on small payloads",
-				r.World, r.Elems, r.NLevelSeconds, r.TwoLevelSeconds)
+				r.World, r.Elems, r.B, r.A)
 		}
 	}
 }

@@ -4,100 +4,31 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/comm"
 	"repro/internal/hw"
 )
-
-// DoubleTreeRow is one point of the modeled ring-vs-double-tree
-// AllReduce comparison.
-type DoubleTreeRow struct {
-	// World is the number of GPUs.
-	World int
-	// Elems is the AllReduce payload in float32 elements.
-	Elems int
-	// RingSeconds is the flat ring's modeled wall time.
-	RingSeconds float64
-	// TreeSeconds is the double binary tree's modeled wall time.
-	TreeSeconds float64
-}
-
-// Speedup returns ring/doubletree (>1 when the trees win).
-func (r DoubleTreeRow) Speedup() float64 { return r.RingSeconds / r.TreeSeconds }
-
-// DoubleTreeSweep prices one AllReduce under the flat ring and the
-// double binary trees for every (world, payload) pair on the NCCL
-// profile — the modeled case for comm.DoubleTree's slot in the Auto
-// policy: log-depth latency wins the small-payload band and deep
-// worlds, loses the bandwidth-bound band to the ring's 2(k-1)/k.
-func DoubleTreeSweep(c hw.Cluster, worlds, elemCounts []int) []DoubleTreeRow {
-	rows := make([]DoubleTreeRow, 0, len(worlds)*len(elemCounts))
-	for _, w := range worlds {
-		for _, n := range elemCounts {
-			rows = append(rows, DoubleTreeRow{
-				World:       w,
-				Elems:       n,
-				RingSeconds: c.AllReduceSeconds(hw.NCCLLike, 4*n, w),
-				TreeSeconds: c.DoubleTreeAllReduceSeconds(hw.NCCLLike, 4*n, w),
-			})
-		}
-	}
-	return rows
-}
-
-// NLevelRow is one point of the two-level-vs-N-level hierarchical
-// AllReduce comparison over the same placement.
-type NLevelRow struct {
-	// World is the number of GPUs.
-	World int
-	// Elems is the AllReduce payload in float32 elements.
-	Elems int
-	// GroupSizes are the per-level group sizes, outermost-first.
-	GroupSizes []int
-	// TwoLevelSeconds is the host/world hierarchy's modeled wall time.
-	TwoLevelSeconds float64
-	// NLevelSeconds is the full structured hierarchy's modeled time.
-	NLevelSeconds float64
-}
-
-// NLevelSweep prices hierarchical AllReduces under the two-level and
-// N-level cost models for every (world, payload) pair.
-func NLevelSweep(c hw.Cluster, worlds, elemCounts []int, groupSizes []int) []NLevelRow {
-	rows := make([]NLevelRow, 0, len(worlds)*len(elemCounts))
-	for _, w := range worlds {
-		for _, n := range elemCounts {
-			rows = append(rows, NLevelRow{
-				World:           w,
-				Elems:           n,
-				GroupSizes:      groupSizes,
-				TwoLevelSeconds: c.HierarchicalAllReduceSeconds(hw.NCCLLike, 4*n, w),
-				NLevelSeconds:   c.NLevelAllReduceSeconds(hw.NCCLLike, 4*n, w, groupSizes),
-			})
-		}
-	}
-	return rows
-}
 
 // DoubleTreeAblation prints the modeled raw-speed collective
 // comparison: flat ring vs double binary trees across the payload
 // bands of comm's Auto policy, and two-level vs three-level
-// hierarchical scheduling on a pod/rack/host placement.
+// hierarchical scheduling on a pod/rack/host placement — each priced
+// by walking the schedule comm runs.
 func DoubleTreeAblation(w io.Writer) error {
 	c := hw.DefaultCluster()
 
 	header(w, "Double binary trees: one AllReduce, ring vs double tree (NCCL profile)")
 	fmt.Fprintf(w, "%-8s %12s %14s %14s %10s\n", "world", "elements", "ring (s)", "dtree (s)", "speedup")
-	for _, r := range DoubleTreeSweep(c,
-		[]int{8, 32, 64, 256},
-		[]int{1 << 10, 1 << 12, 1 << 16, 1 << 20, 1 << 24}) {
-		fmt.Fprintf(w, "%-8d %12d %14.6f %14.6f %9.2fx\n",
-			r.World, r.Elems, r.RingSeconds, r.TreeSeconds, r.Speedup())
+	for _, r := range Sweep([]int{8, 32, 64, 256}, []int{1 << 10, 1 << 12, 1 << 16, 1 << 20, 1 << 24},
+		nccl(c, comm.Ring), nccl(c, comm.DoubleTree)) {
+		fmt.Fprintf(w, "%-8d %12d %14.6f %14.6f %9.2fx\n", r.World, r.Elems, r.A, r.B, r.Speedup())
 	}
-	fmt.Fprintln(w, "(log-depth latency wins the <=4Ki band and deep worlds; the 3/2-volume term loses the bandwidth band)")
+	fmt.Fprintln(w, "(log-depth latency wins the <=4Ki band and deep worlds; a 32 KiB chunk crosses an edge every other round, up then down — ~4 hops' latency each — and loses the bandwidth band)")
 
 	header(w, "N-level hierarchy: two-level vs pod/rack/host on 64 GPUs (4 pods x 2 racks x 8 GPUs)")
 	fmt.Fprintf(w, "%-8s %12s %14s %14s %10s\n", "world", "elements", "2-level (s)", "3-level (s)", "speedup")
-	for _, r := range NLevelSweep(c, []int{64}, []int{1 << 10, 1 << 16, 1 << 20, 1 << 24}, []int{2, 8}) {
-		fmt.Fprintf(w, "%-8d %12d %14.6f %14.6f %9.2fx\n",
-			r.World, r.Elems, r.TwoLevelSeconds, r.NLevelSeconds, r.TwoLevelSeconds/r.NLevelSeconds)
+	for _, r := range Sweep([]int{64}, []int{1 << 10, 1 << 16, 1 << 20, 1 << 24},
+		nccl(c, comm.Hierarchical), nccl(c, comm.Hierarchical, 2, 8)) {
+		fmt.Fprintf(w, "%-8d %12d %14.6f %14.6f %9.2fx\n", r.World, r.Elems, r.A, r.B, r.Speedup())
 	}
 	fmt.Fprintln(w, "(the extra level sheds top-ring steps — a latency win; its full-buffer binomial hops pay it back on big buffers)")
 	return nil

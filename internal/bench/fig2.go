@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/comm"
 	"repro/internal/hw"
 	"repro/internal/models"
 )
@@ -27,7 +28,7 @@ func Fig2CommCurve(backend hw.Backend) []Fig2Point {
 	points := make([]Fig2Point, 0, len(sizes))
 	for _, perOp := range sizes {
 		ops := totalParams / perOp
-		t := float64(ops) * c.AllReduceSeconds(backend, perOp*4, 2)
+		t := float64(ops) * c.AllReduceSeconds(backend, comm.Ring, perOp*4, 2)
 		points = append(points, Fig2Point{ParamsPerOp: perOp, TotalSeconds: t})
 	}
 	return points

@@ -4,43 +4,11 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/comm"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/simnet"
 )
-
-// HierarchicalRow is one point of the modeled flat-ring-vs-hierarchical
-// AllReduce comparison.
-type HierarchicalRow struct {
-	// World is the number of GPUs.
-	World int
-	// Elems is the AllReduce payload in float32 elements.
-	Elems int
-	// FlatSeconds is the flat ring's modeled wall time.
-	FlatSeconds float64
-	// HierSeconds is the hierarchical algorithm's modeled wall time.
-	HierSeconds float64
-}
-
-// Speedup returns flat/hierarchical (>1 when the hierarchy wins).
-func (r HierarchicalRow) Speedup() float64 { return r.FlatSeconds / r.HierSeconds }
-
-// HierarchicalSweep prices one AllReduce under both algorithms for
-// every (world, payload) pair on the NCCL profile.
-func HierarchicalSweep(c hw.Cluster, worlds, elemCounts []int) []HierarchicalRow {
-	rows := make([]HierarchicalRow, 0, len(worlds)*len(elemCounts))
-	for _, w := range worlds {
-		for _, n := range elemCounts {
-			rows = append(rows, HierarchicalRow{
-				World:       w,
-				Elems:       n,
-				FlatSeconds: c.AllReduceSeconds(hw.NCCLLike, 4*n, w),
-				HierSeconds: c.HierarchicalAllReduceSeconds(hw.NCCLLike, 4*n, w),
-			})
-		}
-	}
-	return rows
-}
 
 // HierarchicalIterRow is one point of the end-to-end iteration
 // comparison: ResNet50 on the simulated cluster with the DDP reducer's
@@ -102,11 +70,9 @@ func HierarchicalAblation(w io.Writer) error {
 
 	header(w, "Hierarchical AllReduce: one collective, flat ring vs hierarchical (NCCL profile)")
 	fmt.Fprintf(w, "%-8s %12s %14s %14s %10s\n", "world", "elements", "flat (s)", "hier (s)", "speedup")
-	for _, r := range HierarchicalSweep(c,
-		[]int{8, 16, 32, 64, 128, 256},
-		[]int{1 << 12, 1 << 18, 1 << 20, 1 << 24}) {
-		fmt.Fprintf(w, "%-8d %12d %14.6f %14.6f %9.2fx\n",
-			r.World, r.Elems, r.FlatSeconds, r.HierSeconds, r.Speedup())
+	for _, r := range Sweep([]int{8, 16, 32, 64, 128, 256}, []int{1 << 12, 1 << 18, 1 << 20, 1 << 24},
+		nccl(c, comm.Ring), nccl(c, comm.Hierarchical)) {
+		fmt.Fprintf(w, "%-8d %12d %14.6f %14.6f %9.2fx\n", r.World, r.Elems, r.A, r.B, r.Speedup())
 	}
 	fmt.Fprintln(w, "(worlds of <= 8 GPUs fit one server: the hierarchy is empty and the models agree)")
 

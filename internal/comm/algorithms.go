@@ -84,8 +84,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // dominate and Tree's log(k) rounds win; from autoHierarchicalMinElems
 // up, a multi-host world is bandwidth-bound on the shared NICs and the
 // hierarchy's cross-machine volume reduction pays for its extra
-// intra-host hops (hw.HierarchicalAllReduceSeconds models the same
-// crossover).
+// intra-host hops (walking both schedules, hw.Cluster.AllReduceSeconds
+// prices the same crossover).
 const (
 	autoTreeMaxElems         = 4 << 10
 	autoHierarchicalMinElems = 64 << 10

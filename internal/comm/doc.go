@@ -28,9 +28,9 @@
 //     payload in the rounds of one two-coloured schedule, with every
 //     rank an inner node in at most one tree. Log-depth like Tree but
 //     at full bandwidth (no half-idle leaves), with chunk pipelining
-//     so large buffers stream through the trees
-//     (hw.DoubleTreeAllReduceSeconds models the latency win over
-//     Ring; doubletree.go has the construction and the colouring).
+//     so large buffers stream through the trees (doubletree.go has the
+//     construction and the colouring; walking its rounds, below, prices
+//     the latency win over Ring).
 //   - Naive: full exchange with every peer — the strawman baseline.
 //   - Hierarchical: the topology-aware AllReduce. With the classic
 //     two-level Topology it reduces onto per-host leaders, runs the
@@ -38,15 +38,15 @@
 //     ring spanning machines makes every server's NIC carry the
 //     crossing edges of all concurrent rings, collapsing per-ring
 //     bandwidth to NIC/GPUsPerServer (the paper's Section 6.1
-//     observation, modeled in hw.AllReduceSeconds); reducing within
+//     observation, modeled in hw.Cluster's links); reducing within
 //     the host first sends only one rank's worth of data per host
-//     across the network, recovering most of that loss
-//     (hw.HierarchicalAllReduceSeconds models the recovery; the bench
-//     package's hierarchical ablation quantifies it). An N-level
-//     Topology (nested "/" labels: pod/rack/host) generalizes this to
-//     reduce-up/broadcast-down per level with the ring at the top
-//     among top-level leaders only (hw.NLevelAllReduceSeconds prices
-//     the latency/bandwidth tradeoff). Under a compressed collective
+//     across the network, recovering most of that loss (the bench
+//     package's hierarchical ablation prices the recovery by walking
+//     this schedule). An N-level Topology (nested "/" labels:
+//     pod/rack/host) generalizes this to reduce-up/broadcast-down per
+//     level with the ring at the top among top-level leaders only
+//     (hw.Cluster.AllReduceSeconds over group sizes prices the
+//     latency/bandwidth tradeoff). Under a compressed collective
 //     (see below) the top leader ring — the only phase crossing the
 //     expensive boundary — runs compressed over the byte lanes while
 //     intra-level phases stay exact.
@@ -109,6 +109,12 @@
 // reduce-scatter chunk folds in rank order, and every AllReduce list,
 // compressed or not, leaves every contribution on every rank exactly
 // once.
+//
+// The same lists are the cost model. WalkAllReduce, WalkReduceScatterV,
+// WalkAllGatherV and WalkBroadcast time every rank's list on links a Hop
+// prices per frame, under runSteps' rules (walk.go), so internal/hw
+// prices each algorithm from the schedule that runs, not from a closed
+// form written beside it.
 //
 // Every float fold of every schedule — ring, tree, pair exchange, Naive,
 // ReduceScatterV, the compressed own-chunk fold — is reduceInto, which

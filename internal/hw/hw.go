@@ -1,6 +1,9 @@
 // Package hw models the hardware the paper's evaluation ran on: V100
 // GPUs (NVLink within a server, 100 Gb/s NICs across servers), NCCL and
 // Gloo collective cost curves, and GPU/CPU backward-pass compute curves.
+// An NCCL-profile collective is priced by walking the step lists
+// internal/comm runs for it over the cluster's links, so the model
+// follows the schedules instead of restating them.
 //
 // This is the substitution for the physical testbed (see
 // ARCHITECTURE.md, "Substitutions and the experiment index"): the
@@ -14,6 +17,10 @@ package hw
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
+
+	"repro/internal/comm"
 )
 
 // Backend identifies a collective communication cost profile.
@@ -76,8 +83,8 @@ type Cluster struct {
 	// GPUsPerServer concurrent rings effectively obtains (ring edges are
 	// not all simultaneously active, so the share exceeds 1/n slightly).
 	CrossMachineEfficiency float64
-	// NCCLStepLatency is the per-ring-step base latency of the NCCL
-	// profile, seconds.
+	// NCCLStepLatency is the base latency of one NCCL-profile frame on
+	// any link (one hop of a walked schedule), seconds.
 	NCCLStepLatency float64
 	// GlooStepLatency is the per-round base latency of the Gloo profile,
 	// seconds (Gloo's CPU/TCP path is far slower per op). Gloo uses
@@ -108,259 +115,128 @@ func DefaultCluster() Cluster {
 }
 
 // AllReduceSeconds returns the modeled wall time of one AllReduce of
-// nBytes across world ranks using a ring algorithm. The ring AllReduce
-// is a ring reduce-scatter followed by a ring all-gather — in comm
-// literally so — and is priced as that sum:
-//
-//	T = 2(k-1) * stepLatency + 2 (k-1)/k * nBytes / edgeBandwidth
-//
-// The edge bandwidth is NVLink while the ring stays inside one server.
-// Once the ring spans servers, every server's NIC carries the crossing
-// edges of all GPUsPerServer concurrent rings (NCCL opens one ring per
-// GPU), so the effective per-ring edge bandwidth collapses to
-// NIC/GPUsPerServer — which is why the paper observes a marked slowdown
-// when crossing machine boundaries (Section 6.1, Resource Allocation).
-func (c Cluster) AllReduceSeconds(b Backend, nBytes int, world int) float64 {
-	return c.ReduceScatterSeconds(b, nBytes, world) + c.AllGatherSeconds(b, nBytes, world)
+// nBytes across world ranks under algo (resolved, not comm.Auto). The
+// NCCL profile walks the step lists comm runs for algo over the
+// cluster's links (comm.WalkAllReduce, priced by hop); groupSizes lay a
+// Hierarchical world out as nested comm.Topology labels, outermost level
+// first and the server innermost, one group per server without them.
+// The Gloo profile is halving-doubling whatever algo asks for (see
+// cost).
+func (c Cluster) AllReduceSeconds(b Backend, algo comm.Algorithm, nBytes, world int, groupSizes ...int) float64 {
+	return c.cost(b, world, 2*c.halvingSeconds(nBytes, world), func() float64 {
+		return comm.WalkAllReduce(algo, c.topology(world, groupSizes), world, nBytes/4, c.hop(algo == comm.Hierarchical))
+	})
 }
 
 // ReduceScatterSeconds returns the modeled wall time of one
-// ReduceScatter of nBytes across world ranks — the first half of the
-// ring AllReduce:
-//
-//	T = (k-1) * stepLatency + (k-1)/k * nBytes / edgeBandwidth
-//
-// This is the collective ZeRO-2/3 replaces gradient AllReduce with:
-// each rank keeps only the reduced 1/k it owns, so sharded data
-// parallel pays half the ring's steps and half its volume per
-// direction of the state exchange.
+// ReduceScatter of nBytes across world ranks: comm.ReduceScatterV's ring
+// pass, the collective ZeRO-2/3 replaces gradient AllReduce with. Each
+// rank keeps only the reduced 1/k it owns, so sharded data parallel pays
+// half the ring's steps and half its volume per direction of the state
+// exchange.
 func (c Cluster) ReduceScatterSeconds(b Backend, nBytes int, world int) float64 {
-	return c.halfRingSeconds(b, nBytes, world)
+	return c.cost(b, world, c.halvingSeconds(nBytes, world), func() float64 {
+		return comm.WalkReduceScatterV(world, nBytes/4, c.hop(false))
+	})
 }
 
 // AllGatherSeconds returns the modeled wall time of one AllGather of
-// nBytes (the full, concatenated buffer size) across world ranks — the
-// second half of the ring AllReduce. ZeRO-2 runs one per step to
-// rebuild replicated parameters from sharded optimizer updates; ZeRO-3
-// runs one per bucket per pass to materialize parameters on demand.
+// nBytes (the full, concatenated buffer size) across world ranks:
+// comm.AllGatherV's ring pass. ZeRO-2 runs one per step to rebuild
+// replicated parameters from sharded optimizer updates; ZeRO-3 runs one
+// per bucket per pass to materialize parameters on demand.
 func (c Cluster) AllGatherSeconds(b Backend, nBytes int, world int) float64 {
-	return c.halfRingSeconds(b, nBytes, world)
+	return c.cost(b, world, c.halvingSeconds(nBytes, world), func() float64 {
+		return comm.WalkAllGatherV(world, nBytes/4, c.hop(false))
+	})
 }
 
-// halfRingSeconds is the shared cost of the two half-collectives: a
-// ring pass of k-1 steps moving (k-1)/k of the buffer over the busiest
-// edge (the Gloo profile gets its halving-doubling analogue,
-// ceil(log2 k) rounds). Edge bandwidth collapses across machine
-// boundaries as AllReduceSeconds describes. The k-1 steps are what
-// comm.ReduceScatterV and AllGatherV each execute: the reduce-scatter's
-// last fold lands on the chunk's owner, with no extra hop to hand the
-// chunk over.
-func (c Cluster) halfRingSeconds(b Backend, nBytes int, world int) float64 {
+// BroadcastSeconds returns the modeled wall time of a binomial-tree
+// broadcast of nBytes from rank 0 across world ranks: comm's Broadcast.
+func (c Cluster) BroadcastSeconds(b Backend, nBytes int, world int) float64 {
+	gloo := math.Ceil(math.Log2(float64(world))) * (c.GlooStepLatency + float64(nBytes)/c.GlooBandwidth)
+	return c.cost(b, world, gloo, func() float64 {
+		return comm.WalkBroadcast(world, nBytes/4, c.hop(false))
+	})
+}
+
+// cost is the one switch between the profiles: a collective over world
+// ranks costs gloo on the Gloo profile and what walk finds on the NCCL
+// one, either scaled by the shared entitlement when the cluster has one.
+// Gloo keeps a closed form because its algorithm is not one comm runs:
+// recursive halving-doubling, which Fig 2(b) is calibrated to.
+func (c Cluster) cost(b Backend, world int, gloo float64, walk func() float64) float64 {
 	if world <= 1 {
 		return 0
 	}
+	var t float64
+	switch b {
+	case NCCLLike:
+		t = walk()
+	case GlooLike:
+		t = gloo
+	default:
+		panic("hw: unknown backend")
+	}
+	if c.SharedEntitlement {
+		t *= c.entitlementFactor(world)
+	}
+	return t
+}
+
+// halvingSeconds is one half of Gloo's halving-doubling AllReduce, a
+// reduce-scatter or an all-gather of nBytes over k = world ranks:
+// ceil(log2 k) rounds moving (k-1)/k of the buffer in all.
+func (c Cluster) halvingSeconds(nBytes int, world int) float64 {
 	k := float64(world)
-	volume := (k - 1) / k * float64(nBytes)
-	var t float64
-	switch b {
-	case NCCLLike:
-		steps := k - 1
-		edge := c.NVLinkBandwidth
-		if world > c.GPUsPerServer {
-			edge = c.NICBandwidth * c.CrossMachineEfficiency / float64(c.GPUsPerServer)
-		}
-		t = steps*c.NCCLStepLatency + volume/edge
-	case GlooLike:
-		rounds := math.Ceil(math.Log2(k))
-		bw := c.GlooBandwidth
-		if world > 2 {
-			bw *= 2 // distinct full-duplex paths per directed edge
-		}
-		t = rounds*c.GlooStepLatency + volume/bw
-	default:
-		panic("hw: unknown backend")
+	bw := c.GlooBandwidth
+	if world > 2 {
+		bw *= 2 // distinct full-duplex paths per directed edge
 	}
-	if c.SharedEntitlement {
-		t *= c.entitlementFactor(world)
-	}
-	return t
+	return math.Ceil(math.Log2(k))*c.GlooStepLatency + (k-1)/k*float64(nBytes)/bw
 }
 
-// Servers returns how many machines a world of the given size spans
-// (GPUs fill servers in rank order, GPUsPerServer per machine).
-func (c Cluster) Servers(world int) int {
-	if world <= 0 {
-		return 0
+// hop is the NCCL profile's link, NCCLStepLatency plus the frame over
+// the link's bandwidth: NVLink between GPUs of one server (ranks fill
+// servers in order), the NIC between servers. A flat schedule shares
+// the NIC with the GPUsPerServer rings NCCL runs at once, so each of its
+// crossings gets CrossMachineEfficiency/GPUsPerServer of it — the
+// collapse the paper observes when a job spans machines (Section 6.1,
+// Resource Allocation). A hierarchical one (ownNIC) crosses with one
+// leader per server, which owns the NIC.
+func (c Cluster) hop(ownNIC bool) comm.Hop {
+	nic := c.NICBandwidth * c.CrossMachineEfficiency / float64(c.GPUsPerServer)
+	if ownNIC {
+		nic = c.NICBandwidth
 	}
-	return (world + c.GPUsPerServer - 1) / c.GPUsPerServer
+	return func(from, to, bytes int) float64 {
+		bw := c.NVLinkBandwidth
+		if from/c.GPUsPerServer != to/c.GPUsPerServer {
+			bw = nic
+		}
+		return c.NCCLStepLatency + float64(bytes)/bw
+	}
 }
 
-// HierarchicalAllReduceSeconds returns the modeled wall time of one
-// topology-aware hierarchical AllReduce of nBytes across world ranks:
-// intra-host binomial reduce onto per-server leaders, ring AllReduce
-// among the h leaders, intra-host binomial broadcast back:
-//
-//	T = 2 ceil(log2 g) * (stepLatency + nBytes/intraEdge)   // phases 1+3
-//	  + 2(h-1) * stepLatency + 2 (h-1)/h * nBytes / nic     // phase 2
-//
-// The win over the flat ring (AllReduceSeconds) is in phase 2's edge
-// bandwidth: only ONE ring per server crosses machines, so its edges
-// get the whole NIC instead of a 1/GPUsPerServer share — at the price
-// of the extra intra-host hops, which ride NVLink and are cheap for
-// large buffers. Below one full server the hierarchy is empty and the
-// model equals the flat ring's.
-func (c Cluster) HierarchicalAllReduceSeconds(b Backend, nBytes int, world int) float64 {
-	if world <= c.GPUsPerServer {
-		return c.AllReduceSeconds(b, nBytes, world)
-	}
-	h := float64(c.Servers(world))
-	hops := 2 * math.Ceil(math.Log2(float64(c.GPUsPerServer)))
-	ringSteps := 2 * (h - 1)
-	ringVolume := 2 * (h - 1) / h * float64(nBytes)
-
-	var t float64
-	switch b {
-	case NCCLLike:
-		// Leaders' ring edges own the NIC outright (one crossing ring
-		// per server), so no GPUsPerServer division and no concurrency
-		// bonus to claim back.
-		t = hops*(c.NCCLStepLatency+float64(nBytes)/c.NVLinkBandwidth) +
-			ringSteps*c.NCCLStepLatency + ringVolume/c.NICBandwidth
-	case GlooLike:
-		intraBW := c.GlooBandwidth
-		ringBW := c.GlooBandwidth
-		if h > 2 {
-			ringBW *= 2 // distinct full-duplex paths per directed ring edge
-		}
-		t = hops*(c.GlooStepLatency+float64(nBytes)/intraBW) +
-			ringSteps*c.GlooStepLatency + ringVolume/ringBW
-	default:
-		panic("hw: unknown backend")
-	}
-	if c.SharedEntitlement {
-		t *= c.entitlementFactor(world)
-	}
-	return t
-}
-
-// doubleTreeChunkBytes mirrors comm's pipeline granularity (8Ki float32
-// elements per chunk) so the modeled critical path counts the same
-// number of pipelined hops the implementation issues.
-const doubleTreeChunkBytes = 32 << 10
-
-// DoubleTreeAllReduceSeconds returns the modeled wall time of one
-// double-binary-tree AllReduce of nBytes across world ranks (the
-// NCCL-2.4 construction: two complementary trees, each carrying half
-// the payload, pipelined in fixed-size chunks):
-//
-//	depth  = ceil(log2(k+1))
-//	chunks = ceil((nBytes/2) / chunkBytes)
-//	T = 2 (depth + chunks - 1) * stepLatency + 3/2 * nBytes / edgeBandwidth
-//
-// Latency is logarithmic in k instead of the ring's linear 2(k-1)
-// steps, which is the whole point for small buffers on deep worlds.
-// The bandwidth term reflects that an inner node of one tree forwards
-// its half twice (up and down) while being a leaf of the other tree,
-// for ~3/2 of the buffer over the busiest edge — slightly worse than
-// the ring's 2(k-1)/k but within a constant. Edge bandwidth follows the
-// same cross-machine collapse as AllReduceSeconds: NVLink inside one
-// server, NIC/GPUsPerServer once tree edges span machines.
-func (c Cluster) DoubleTreeAllReduceSeconds(b Backend, nBytes int, world int) float64 {
-	if world <= 1 {
-		return 0
-	}
-	depth := math.Ceil(math.Log2(float64(world + 1)))
-	chunks := math.Ceil(float64(nBytes) / 2 / doubleTreeChunkBytes)
-	if chunks < 1 {
-		chunks = 1
-	}
-	hops := 2 * (depth + chunks - 1)
-	volume := 1.5 * float64(nBytes)
-	var t float64
-	switch b {
-	case NCCLLike:
-		edge := c.NVLinkBandwidth
-		if world > c.GPUsPerServer {
-			edge = c.NICBandwidth * c.CrossMachineEfficiency / float64(c.GPUsPerServer)
-		}
-		t = hops*c.NCCLStepLatency + volume/edge
-	case GlooLike:
-		bw := c.GlooBandwidth
-		if world > 2 {
-			bw *= 2 // distinct full-duplex paths per directed tree edge
-		}
-		t = hops*c.GlooStepLatency + volume/bw
-	default:
-		panic("hw: unknown backend")
-	}
-	if c.SharedEntitlement {
-		t *= c.entitlementFactor(world)
-	}
-	return t
-}
-
-// NLevelAllReduceSeconds returns the modeled wall time of an N-level
-// hierarchical AllReduce over the given per-level group sizes, listed
-// outermost-first (e.g. hosts-per-rack at index 0 ... ranks-per-host
-// last, matching comm.Topology's level order). Each level contributes a
-// binomial reduce on the way up and a broadcast on the way down:
-//
-//	T = sum over levels: 2 ceil(log2 g_l) * (stepLatency + nBytes/edge_l)
-//	  + 2(h-1) * stepLatency + 2 (h-1)/h * nBytes / nic   // top leader ring
-//
-// where h = world / prod(g_l) leaders remain for the top ring. The
-// innermost level rides NVLink; every outer level and the top ring pay
-// the NIC, but — as in HierarchicalAllReduceSeconds — with full
-// ownership, since only one leader per group crosses that boundary.
-// An empty groupSizes falls back to the two-level model.
-func (c Cluster) NLevelAllReduceSeconds(b Backend, nBytes int, world int, groupSizes []int) float64 {
-	if world <= 1 {
-		return 0
-	}
+// topology labels world ranks with their groups, outermost first: a
+// rank's label at level i is its index among groups of groupSizes[i] ·
+// ... · groupSizes[last] consecutive ranks, the last size being a
+// server's (the default).
+func (c Cluster) topology(world int, groupSizes []int) *comm.Topology {
 	if len(groupSizes) == 0 {
-		return c.HierarchicalAllReduceSeconds(b, nBytes, world)
+		groupSizes = []int{c.GPUsPerServer}
 	}
-	remaining := world
-	var t float64
-	for i := len(groupSizes) - 1; i >= 0; i-- {
-		g := groupSizes[i]
-		if g <= 1 {
-			continue
+	hosts := make([]string, world)
+	for r := range hosts {
+		labels := make([]string, len(groupSizes))
+		span := 1
+		for i := len(groupSizes) - 1; i >= 0; i-- {
+			span *= groupSizes[i]
+			labels[i] = strconv.Itoa(r / span)
 		}
-		hops := 2 * math.Ceil(math.Log2(float64(g)))
-		var edge float64
-		switch b {
-		case NCCLLike:
-			edge = c.NVLinkBandwidth
-			if i < len(groupSizes)-1 {
-				edge = c.NICBandwidth // leaders own the cross-group links
-			}
-			t += hops * (c.NCCLStepLatency + float64(nBytes)/edge)
-		case GlooLike:
-			t += hops * (c.GlooStepLatency + float64(nBytes)/c.GlooBandwidth)
-		default:
-			panic("hw: unknown backend")
-		}
-		remaining = (remaining + g - 1) / g
+		hosts[r] = strings.Join(labels, "/")
 	}
-	if h := float64(remaining); h > 1 {
-		ringSteps := 2 * (h - 1)
-		ringVolume := 2 * (h - 1) / h * float64(nBytes)
-		switch b {
-		case NCCLLike:
-			t += ringSteps*c.NCCLStepLatency + ringVolume/c.NICBandwidth
-		case GlooLike:
-			ringBW := c.GlooBandwidth
-			if h > 2 {
-				ringBW *= 2
-			}
-			t += ringSteps*c.GlooStepLatency + ringVolume/ringBW
-		}
-	}
-	if c.SharedEntitlement {
-		t *= c.entitlementFactor(world)
-	}
-	return t
+	return comm.NewTopology(hosts)
 }
 
 // entitlementFactor models the shared entitlement of Section 5.3: mild
@@ -372,27 +248,6 @@ func (c Cluster) entitlementFactor(world int) float64 {
 		f *= 1.45 // "slow or congested links among some of those 256 nodes"
 	}
 	return f
-}
-
-// BroadcastSeconds returns the modeled wall time of a binomial-tree
-// broadcast of nBytes across world ranks.
-func (c Cluster) BroadcastSeconds(b Backend, nBytes int, world int) float64 {
-	if world <= 1 {
-		return 0
-	}
-	hops := math.Ceil(math.Log2(float64(world)))
-	switch b {
-	case NCCLLike:
-		edge := c.NVLinkBandwidth
-		if world > c.GPUsPerServer {
-			edge = c.NICBandwidth * c.CrossMachineEfficiency / float64(c.GPUsPerServer)
-		}
-		return hops * (c.NCCLStepLatency + float64(nBytes)/edge)
-	case GlooLike:
-		return hops * (c.GlooStepLatency + float64(nBytes)/c.GlooBandwidth)
-	default:
-		panic("hw: unknown backend")
-	}
 }
 
 // Reference points for the compute model, from the paper's Fig 2(c)/(d):

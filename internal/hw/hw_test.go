@@ -3,6 +3,8 @@ package hw
 import (
 	"math"
 	"testing"
+
+	"repro/internal/comm"
 )
 
 func TestAllReduceMonotoneInSize(t *testing.T) {
@@ -10,7 +12,7 @@ func TestAllReduceMonotoneInSize(t *testing.T) {
 	for _, b := range []Backend{NCCLLike, GlooLike} {
 		prev := 0.0
 		for _, bytes := range []int{4 << 10, 4 << 14, 4 << 18, 4 << 22} {
-			got := c.AllReduceSeconds(b, bytes, 8)
+			got := c.AllReduceSeconds(b, comm.Ring, bytes, 8)
 			if got <= prev {
 				t.Fatalf("%v: time not increasing with size", b)
 			}
@@ -21,7 +23,7 @@ func TestAllReduceMonotoneInSize(t *testing.T) {
 
 func TestAllReduceWorldOfOneFree(t *testing.T) {
 	c := DefaultCluster()
-	if c.AllReduceSeconds(NCCLLike, 1<<20, 1) != 0 {
+	if c.AllReduceSeconds(NCCLLike, comm.Ring, 1<<20, 1) != 0 {
 		t.Fatal("single rank needs no communication")
 	}
 	if c.BroadcastSeconds(GlooLike, 1<<20, 1) != 0 {
@@ -35,8 +37,8 @@ func TestNCCLFasterThanGloo(t *testing.T) {
 	c := DefaultCluster()
 	for _, bytes := range []int{4 << 10, 4 << 20, 100 << 20} {
 		for _, world := range []int{2, 8, 32} {
-			n := c.AllReduceSeconds(NCCLLike, bytes, world)
-			g := c.AllReduceSeconds(GlooLike, bytes, world)
+			n := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, world)
+			g := c.AllReduceSeconds(GlooLike, comm.Ring, bytes, world)
 			if n >= g {
 				t.Fatalf("NCCL (%v) not faster than Gloo (%v) at %dB world %d", n, g, bytes, world)
 			}
@@ -52,7 +54,7 @@ func TestFig2aShapeNCCLTotalTimeDecreases(t *testing.T) {
 	prev := math.Inf(1)
 	for _, perOp := range []int{1000, 10_000, 100_000, 1_000_000, 10_000_000, 20_000_000} {
 		ops := int(totalParams) / perOp
-		total := float64(ops) * c.AllReduceSeconds(NCCLLike, perOp*4, 2)
+		total := float64(ops) * c.AllReduceSeconds(NCCLLike, comm.Ring, perOp*4, 2)
 		if total >= prev {
 			t.Fatalf("NCCL total time should fall through 20M params/op: %v then %v at %d", prev, total, perOp)
 		}
@@ -67,7 +69,7 @@ func TestFig2bShapeGlooSaturates(t *testing.T) {
 	const totalParams = 60e6
 	total := func(perOp int) float64 {
 		ops := int(totalParams) / perOp
-		return float64(ops) * c.AllReduceSeconds(GlooLike, perOp*4, 2)
+		return float64(ops) * c.AllReduceSeconds(GlooLike, comm.Ring, perOp*4, 2)
 	}
 	small := total(1000)
 	at500K := total(500_000)
@@ -85,15 +87,15 @@ func TestFig2bShapeGlooSaturates(t *testing.T) {
 // ~1e-1..1e1 s for Gloo over 60M params.
 func TestFig2Magnitudes(t *testing.T) {
 	c := DefaultCluster()
-	ncclSmall := 60_000 * c.AllReduceSeconds(NCCLLike, 1000*4, 2)
+	ncclSmall := 60_000 * c.AllReduceSeconds(NCCLLike, comm.Ring, 1000*4, 2)
 	if ncclSmall < 0.3 || ncclSmall > 3 {
 		t.Fatalf("NCCL 1K-param total = %v, want order 1e0", ncclSmall)
 	}
-	ncclBig := 3 * c.AllReduceSeconds(NCCLLike, 20_000_000*4, 2)
+	ncclBig := 3 * c.AllReduceSeconds(NCCLLike, comm.Ring, 20_000_000*4, 2)
 	if ncclBig > 0.05 || ncclBig < 0.001 {
 		t.Fatalf("NCCL 20M-param total = %v, want order 1e-2", ncclBig)
 	}
-	glooSmall := 60_000 * c.AllReduceSeconds(GlooLike, 1000*4, 2)
+	glooSmall := 60_000 * c.AllReduceSeconds(GlooLike, comm.Ring, 1000*4, 2)
 	if glooSmall < 3 || glooSmall > 30 {
 		t.Fatalf("Gloo 1K-param total = %v, want order 1e1", glooSmall)
 	}
@@ -103,8 +105,8 @@ func TestCrossMachinePenalty(t *testing.T) {
 	// Section 6.1: NCCL slows down when the ring crosses machines.
 	c := DefaultCluster()
 	bytes := 25 << 20
-	within := c.AllReduceSeconds(NCCLLike, bytes, 8)
-	across := c.AllReduceSeconds(NCCLLike, bytes, 9)
+	within := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, 8)
+	across := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, 9)
 	if across < 2*within {
 		t.Fatalf("crossing machines should hurt: %v vs %v", within, across)
 	}
@@ -114,8 +116,8 @@ func TestHierarchicalMatchesFlatWithinOneServer(t *testing.T) {
 	c := DefaultCluster()
 	for _, world := range []int{1, 2, 4, 8} {
 		for _, b := range []Backend{NCCLLike, GlooLike} {
-			flat := c.AllReduceSeconds(b, 4<<20, world)
-			hier := c.HierarchicalAllReduceSeconds(b, 4<<20, world)
+			flat := c.AllReduceSeconds(b, comm.Ring, 4<<20, world)
+			hier := c.AllReduceSeconds(b, comm.Hierarchical, 4<<20, world)
 			if flat != hier {
 				t.Fatalf("%v world %d: hierarchy inside one server should be a no-op: %v vs %v", b, world, flat, hier)
 			}
@@ -130,8 +132,8 @@ func TestHierarchicalRecoversCrossMachineBandwidth(t *testing.T) {
 	c := DefaultCluster()
 	bytes := 1_000_000 * 4
 	for _, world := range []int{16, 32, 64, 128, 256} {
-		flat := c.AllReduceSeconds(NCCLLike, bytes, world)
-		hier := c.HierarchicalAllReduceSeconds(NCCLLike, bytes, world)
+		flat := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, world)
+		hier := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, bytes, world)
 		if hier >= flat {
 			t.Fatalf("world %d: hierarchical (%v) should beat flat ring (%v)", world, hier, flat)
 		}
@@ -149,7 +151,7 @@ func TestHierarchicalTinyPayloadsStayLatencyBound(t *testing.T) {
 	// log(k)-hop tree (2 binomial sweeps ~ 2*BroadcastSeconds' hop
 	// count) — the reason comm.Auto keeps small buckets on Tree.
 	c := DefaultCluster()
-	hier := c.HierarchicalAllReduceSeconds(NCCLLike, 256, 256)
+	hier := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, 256, 256)
 	treeish := 2 * c.BroadcastSeconds(NCCLLike, 256, 256)
 	if hier <= treeish {
 		t.Fatalf("tiny payload at 256 ranks: hierarchical (%v) should lose to the log-k tree path (%v)", hier, treeish)
@@ -158,16 +160,15 @@ func TestHierarchicalTinyPayloadsStayLatencyBound(t *testing.T) {
 
 func TestDoubleTreeBeatsRingLatencyOnSmallPayloads(t *testing.T) {
 	// The tentpole claim for the small-bucket band: at <= 4Ki elements
-	// the double tree's 2*ceil(log2(k+1)) hop latency beats the ring's
-	// 2(k-1) steps once the world is deep enough that log2 k << k. Only
-	// the NCCL row rings: the Gloo baseline models halving-doubling,
-	// which is already log-depth, so the double tree's edge there is
-	// bandwidth (pipelining), not latency — see the huge-payload test.
+	// the double tree's log-depth rounds beat the ring's 2(k-1) steps
+	// once the world is deep enough that log2 k << k. Only the NCCL
+	// profile walks the trees: the Gloo baseline models halving-doubling
+	// whatever the algorithm.
 	c := DefaultCluster()
 	bytes := 4096 * 4
 	for _, world := range []int{8, 32, 256} {
-		ring := c.AllReduceSeconds(NCCLLike, bytes, world)
-		dt := c.DoubleTreeAllReduceSeconds(NCCLLike, bytes, world)
+		ring := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, world)
+		dt := c.AllReduceSeconds(NCCLLike, comm.DoubleTree, bytes, world)
 		if dt >= ring {
 			t.Fatalf("world %d: double tree (%v) should beat ring (%v) at 16KiB", world, dt, ring)
 		}
@@ -175,19 +176,21 @@ func TestDoubleTreeBeatsRingLatencyOnSmallPayloads(t *testing.T) {
 }
 
 func TestDoubleTreeLosesBandwidthToRingOnHugePayloads(t *testing.T) {
-	// The 3/2 volume term exceeds the ring's 2(k-1)/k once latency is
-	// amortized — the reason Auto keeps the large band off DoubleTree.
+	// Each 32 KiB chunk crosses a tree edge every other round, up then
+	// down, so a huge payload pays about four hop latencies per chunk
+	// where the ring pays 2(k-1) in all — the reason Auto keeps the large
+	// band off DoubleTree.
 	c := DefaultCluster()
 	bytes := 100 << 20
-	ring := c.AllReduceSeconds(NCCLLike, bytes, 8)
-	dt := c.DoubleTreeAllReduceSeconds(NCCLLike, bytes, 8)
+	ring := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, 8)
+	dt := c.AllReduceSeconds(NCCLLike, comm.DoubleTree, bytes, 8)
 	if dt <= ring {
 		t.Fatalf("100MB world 8: ring (%v) should beat double tree (%v)", ring, dt)
 	}
 }
 
 func TestDoubleTreeWorldOfOneFree(t *testing.T) {
-	if DefaultCluster().DoubleTreeAllReduceSeconds(NCCLLike, 1<<20, 1) != 0 {
+	if DefaultCluster().AllReduceSeconds(NCCLLike, comm.DoubleTree, 1<<20, 1) != 0 {
 		t.Fatal("single rank needs no communication")
 	}
 }
@@ -195,8 +198,8 @@ func TestDoubleTreeWorldOfOneFree(t *testing.T) {
 func TestNLevelFallsBackToTwoLevel(t *testing.T) {
 	c := DefaultCluster()
 	for _, world := range []int{4, 16, 64} {
-		got := c.NLevelAllReduceSeconds(NCCLLike, 4<<20, world, nil)
-		want := c.HierarchicalAllReduceSeconds(NCCLLike, 4<<20, world)
+		got := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, 4<<20, world)
+		want := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, 4<<20, world, c.GPUsPerServer)
 		if got != want {
 			t.Fatalf("world %d: empty groupSizes should equal two-level: %v vs %v", world, got, want)
 		}
@@ -210,8 +213,8 @@ func TestNLevelDeepHierarchyShedsTopRingLatency(t *testing.T) {
 	// log-depth binomial hops — a latency win on small buffers.
 	c := DefaultCluster()
 	small := 4 << 10
-	two := c.HierarchicalAllReduceSeconds(NCCLLike, small, 64)
-	three := c.NLevelAllReduceSeconds(NCCLLike, small, 64, []int{2, 8})
+	two := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, small, 64)
+	three := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, small, 64, 2, 8)
 	if three >= two {
 		t.Fatalf("three-level (%v) should beat two-level (%v) at 4KB x 64 ranks", three, two)
 	}
@@ -220,33 +223,22 @@ func TestNLevelDeepHierarchyShedsTopRingLatency(t *testing.T) {
 	// 2(h-1)/h factor they displace: the model must expose that
 	// bandwidth tradeoff rather than pretend deeper is always better...
 	big := 25 << 20
-	twoBig := c.HierarchicalAllReduceSeconds(NCCLLike, big, 64)
-	threeBig := c.NLevelAllReduceSeconds(NCCLLike, big, 64, []int{2, 8})
+	twoBig := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, big, 64)
+	threeBig := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, big, 64, 2, 8)
 	if threeBig <= twoBig {
 		t.Fatalf("three-level (%v) should pay for its extra level vs two-level (%v) at 25MB", threeBig, twoBig)
 	}
 	// ...while still beating the flat ring, whose per-ring NIC share
 	// collapsed to 1/GPUsPerServer.
-	flat := c.AllReduceSeconds(NCCLLike, big, 64)
+	flat := c.AllReduceSeconds(NCCLLike, comm.Ring, big, 64)
 	if threeBig >= flat {
 		t.Fatalf("three-level (%v) should beat the flat ring (%v)", threeBig, flat)
 	}
 }
 
 func TestNLevelWorldOfOneFree(t *testing.T) {
-	if DefaultCluster().NLevelAllReduceSeconds(GlooLike, 1<<20, 1, []int{1}) != 0 {
+	if DefaultCluster().AllReduceSeconds(GlooLike, comm.Hierarchical, 1<<20, 1, 1) != 0 {
 		t.Fatal("single rank needs no communication")
-	}
-}
-
-func TestServers(t *testing.T) {
-	c := DefaultCluster()
-	for _, tc := range []struct{ world, want int }{
-		{0, 0}, {1, 1}, {8, 1}, {9, 2}, {16, 2}, {17, 3}, {256, 32},
-	} {
-		if got := c.Servers(tc.world); got != tc.want {
-			t.Fatalf("Servers(%d) = %d, want %d", tc.world, got, tc.want)
-		}
 	}
 }
 
@@ -254,16 +246,16 @@ func TestSharedEntitlementJumpAt256(t *testing.T) {
 	c := DefaultCluster()
 	c.SharedEntitlement = true
 	bytes := 25 << 20
-	at128 := c.AllReduceSeconds(NCCLLike, bytes, 128)
-	at256 := c.AllReduceSeconds(NCCLLike, bytes, 256)
+	at128 := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, 128)
+	at256 := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, 256)
 	// Volume per rank grows only ~0.4% from 128 to 256; the jump must
 	// come from the congestion factor.
 	if at256 < 1.3*at128 {
 		t.Fatalf("no congestion jump: %v -> %v", at128, at256)
 	}
 	c.SharedEntitlement = false
-	smooth128 := c.AllReduceSeconds(NCCLLike, bytes, 128)
-	smooth256 := c.AllReduceSeconds(NCCLLike, bytes, 256)
+	smooth128 := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, 128)
+	smooth256 := c.AllReduceSeconds(NCCLLike, comm.Ring, bytes, 256)
 	// The exclusive model still grows (ring latency term), but the
 	// entitlement jump must be distinctly larger.
 	if at256/at128 < 1.25*(smooth256/smooth128) {
@@ -312,13 +304,20 @@ func TestHalfCollectivesComposeToAllReduce(t *testing.T) {
 	// A ring ReduceScatter followed by a ring AllGather moves exactly
 	// the ring AllReduce's steps and volume, so without entitlement
 	// effects the halves must sum to the whole (NCCL profile; the Gloo
-	// profile splits the halving-doubling rounds the same way).
+	// profile splits the halving-doubling rounds the same way) — except
+	// on the NCCL profile between two ranks up to comm's ringPairMaxElems
+	// (256Ki elements), where the AllReduce is one exchange: the whole
+	// buffer either way, one hop's latency fewer.
+	const pairMaxBytes = 4 * 256 << 10
 	c := DefaultCluster()
 	for _, b := range []Backend{NCCLLike, GlooLike} {
 		for _, world := range []int{2, 8, 32} {
 			for _, bytes := range []int{4 << 10, 4 << 20} {
 				sum := c.ReduceScatterSeconds(b, bytes, world) + c.AllGatherSeconds(b, bytes, world)
-				whole := c.AllReduceSeconds(b, bytes, world)
+				if b == NCCLLike && world == 2 && bytes <= pairMaxBytes {
+					sum -= c.NCCLStepLatency
+				}
+				whole := c.AllReduceSeconds(b, comm.Ring, bytes, world)
 				if diff := math.Abs(sum - whole); diff > 1e-12*whole {
 					t.Fatalf("%v world %d %dB: RS+AG=%v, AllReduce=%v", b, world, bytes, sum, whole)
 				}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/comm"
 	"repro/internal/ddp"
 	"repro/internal/hw"
 )
@@ -58,10 +59,10 @@ type Config struct {
 	// CompressionRatio divides communicated bytes (Section 6.2.3
 	// gradient compression ablation); 0 or 1 means uncompressed.
 	CompressionRatio float64
-	// Hierarchical prices AllReduces with the topology-aware
-	// hierarchical cost model (hw.HierarchicalAllReduceSeconds: intra-
-	// host reduce, leader-only inter-host ring, intra-host broadcast)
-	// instead of the flat ring. Identical to the flat model while the
+	// Hierarchical prices AllReduces as comm.Hierarchical runs them
+	// (hw.Cluster.AllReduceSeconds walks its schedule: intra-server
+	// reduce, leader-only inter-server ring, intra-server broadcast)
+	// instead of as the flat ring. Identical to the flat ring while the
 	// world fits one server.
 	Hierarchical bool
 	// Strategy selects the data-parallel state layout: "" or "ddp" is
@@ -71,9 +72,10 @@ type Config struct {
 	// also shards parameters (per-bucket AllGather one bucket ahead of
 	// forward compute, re-gather plus ReduceScatter in backward except
 	// for the bucket forward leaves gathered). The half-collectives are
-	// priced with the flat-ring model (hw.ReduceScatterSeconds /
-	// hw.AllGatherSeconds); Hierarchical only affects AllReduce,
-	// matching comm's algorithm policy.
+	// priced as the flat ring passes comm.ReduceScatterV and AllGatherV
+	// run (hw.Cluster.ReduceScatterSeconds / AllGatherSeconds);
+	// Hierarchical only affects AllReduce, matching comm's algorithm
+	// policy.
 	Strategy string
 	// Jitter enables the stochastic effects observed in the paper's
 	// box-whisker plots: per-iteration noise, stragglers growing with
@@ -108,13 +110,46 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// allReduceCost prices one bucket's AllReduce under the configured
-// algorithm family: the two-level hierarchy or the flat ring.
-func (c Config) allReduceCost(bytes int) float64 {
-	if c.Hierarchical {
-		return c.Cluster.HierarchicalAllReduceSeconds(c.Backend, bytes, c.World)
+// prices memoizes what a configuration's collectives cost, keyed by
+// collective, payload and world: a price depends on the config, never on
+// the iteration, and walking a schedule at world 256 is worth doing once
+// per distinct bucket. World is part of the key because Run drops it to
+// 1 on no_sync iterations.
+type prices map[priceKey]float64
+
+type priceKey struct {
+	collective   int // allReduce, reduceScatter or allGather
+	bytes, world int
+}
+
+const (
+	allReduce = iota
+	reduceScatter
+	allGather
+)
+
+// of returns, computing it once, what the collective of bytes costs
+// under cfg: AllReduce under the configured algorithm, Hierarchical or
+// the flat ring, and the sharded halves always flat, as comm runs them.
+func (p prices) of(cfg Config, collective, bytes int) float64 {
+	key := priceKey{collective, bytes, cfg.World}
+	t, ok := p[key]
+	if !ok {
+		switch collective {
+		case allReduce:
+			algo := comm.Ring
+			if cfg.Hierarchical {
+				algo = comm.Hierarchical
+			}
+			t = cfg.Cluster.AllReduceSeconds(cfg.Backend, algo, bytes, cfg.World)
+		case reduceScatter:
+			t = cfg.Cluster.ReduceScatterSeconds(cfg.Backend, bytes, cfg.World)
+		default:
+			t = cfg.Cluster.AllGatherSeconds(cfg.Backend, bytes, cfg.World)
+		}
+		p[key] = t
 	}
-	return c.Cluster.AllReduceSeconds(c.Backend, bytes, c.World)
+	return t
 }
 
 // Breakdown is the per-iteration latency decomposition of Fig 6.
@@ -167,12 +202,12 @@ func SimulateIteration(cfg Config) (Breakdown, error) {
 // per-bucket schedule as well, for schedule-level analysis and tests.
 func SimulateIterationTimeline(cfg Config) (Breakdown, []BucketEvent, error) {
 	cfg = cfg.withDefaults()
-	return simulate(cfg, nil, 0)
+	return simulate(cfg, prices{}, nil, 0)
 }
 
-// simulate runs the event model; rng may be nil for determinism. iter is
-// used for 100-iteration boundary spikes.
-func simulate(cfg Config, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, error) {
+// simulate runs the event model, pricing collectives through p; rng may
+// be nil for determinism. iter is used for 100-iteration boundary spikes.
+func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, error) {
 	n := len(cfg.ParamSizes)
 	if n == 0 {
 		return Breakdown{}, nil, fmt.Errorf("simnet: empty model")
@@ -245,7 +280,7 @@ func simulate(cfg Config, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, e
 	// as far as it goes. Gathers move raw parameter bytes; gradient
 	// compression only applies to the reduction path.
 	gather := func(b int) float64 {
-		return cfg.Cluster.AllGatherSeconds(cfg.Backend, assign.BucketElems[b]*4, cfg.World)
+		return p.of(cfg, allGather, assign.BucketElems[b]*4)
 	}
 	var gatherBusy, gatherExposed float64
 	if cfg.Strategy != "" {
@@ -264,18 +299,18 @@ func simulate(cfg Config, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, e
 		switch cfg.Strategy {
 		case "zero2":
 			// Backward reduces each bucket to its owner shard only.
-			cost = cfg.Cluster.ReduceScatterSeconds(cfg.Backend, bytes, cfg.World)
+			cost = p.of(cfg, reduceScatter, bytes)
 		case "zero3":
 			// Backward re-gathers the (freed) parameter bucket for
 			// gradient computation, then reduce-scatters the gradients.
 			// Bucket 0 holds the last layers, which backward reads
 			// first: forward leaves it gathered.
-			cost = cfg.Cluster.ReduceScatterSeconds(cfg.Backend, bytes, cfg.World)
+			cost = p.of(cfg, reduceScatter, bytes)
 			if b > 0 {
 				cost += gather(b)
 			}
 		default:
-			cost = cfg.allReduceCost(bytes)
+			cost = p.of(cfg, allReduce, bytes)
 		}
 		commBusy += cost
 		s := b % cfg.CommStreams
@@ -337,6 +372,7 @@ func Run(cfg Config, iters int) ([]float64, error) {
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	latencies := make([]float64, 0, iters)
+	p := prices{}
 	for i := 0; i < iters; i++ {
 		syncIter := (i+1)%cfg.SyncEveryN == 0
 		c := cfg
@@ -344,7 +380,7 @@ func Run(cfg Config, iters int) ([]float64, error) {
 			// Local-only iteration: same compute, no communication.
 			c.World = 1
 		}
-		b, _, err := simulate(c, rng, i)
+		b, _, err := simulate(c, p, rng, i)
 		if err != nil {
 			return nil, err
 		}
