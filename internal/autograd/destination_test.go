@@ -44,37 +44,40 @@ func withDestination(v *Variable, dst *tensor.Tensor) *int {
 func TestGradientIsBornInItsDestination(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	xv, wv, uv := tensor.RandN(rng, 1, 5, 4), tensor.RandN(rng, 1, 4, 3), tensor.RandN(rng, 1, 6, 3)
+	bv := tensor.RandN(rng, 1, 3)
 
-	// w is the right operand of a MatMul (dW = xᵀ·g), u the right
-	// operand of a MatMulTransB (dU = gᵀ·h), each used once.
-	lossOver := func(w, u *Variable) *Variable {
-		return Sum(MatMulTransB(Tanh(MatMul(Constant(xv), w)), u))
+	// w is the right operand of a MatMul (dW = xᵀ·g), b the bias row of
+	// an AddRow (dB = g summed over rows), u the right operand of a
+	// MatMulTransB (dU = gᵀ·h), each used once.
+	lossOver := func(w, b, u *Variable) *Variable {
+		return Sum(MatMulTransB(Tanh(AddRow(MatMul(Constant(xv), w), b)), u))
 	}
-	w0, u0 := NewLeaf(wv.Clone(), true), NewLeaf(uv.Clone(), true)
-	Backward(lossOver(w0, u0), nil)
+	w0, b0, u0 := NewLeaf(wv.Clone(), true), NewLeaf(bv.Clone(), true), NewLeaf(uv.Clone(), true)
+	Backward(lossOver(w0, b0, u0), nil)
 
-	w, u := NewLeaf(wv.Clone(), true), NewLeaf(uv.Clone(), true)
-	wDst, uDst := poisoned(4, 3), poisoned(6, 3)
-	wAsked, uAsked := withDestination(w, wDst), withDestination(u, uDst)
-	Backward(lossOver(w, u), nil)
-	if w.Grad != wDst || u.Grad != uDst {
+	w, b, u := NewLeaf(wv.Clone(), true), NewLeaf(bv.Clone(), true), NewLeaf(uv.Clone(), true)
+	wDst, bDst, uDst := poisoned(4, 3), poisoned(3), poisoned(6, 3)
+	wAsked, bAsked, uAsked := withDestination(w, wDst), withDestination(b, bDst), withDestination(u, uDst)
+	Backward(lossOver(w, b, u), nil)
+	if w.Grad != wDst || b.Grad != bDst || u.Grad != uDst {
 		t.Fatal("a gradient written into its destination must be installed as Grad as is")
 	}
-	if *wAsked != 1 || *uAsked != 1 {
-		t.Fatalf("destinations asked for %d and %d times, want once each", *wAsked, *uAsked)
+	if *wAsked != 1 || *bAsked != 1 || *uAsked != 1 {
+		t.Fatalf("destinations asked for %d, %d and %d times, want once each", *wAsked, *bAsked, *uAsked)
 	}
-	if !testutil.SameBits(w.Grad, w0.Grad) || !testutil.SameBits(u.Grad, u0.Grad) {
+	if !testutil.SameBits(w.Grad, w0.Grad) || !testutil.SameBits(b.Grad, b0.Grad) || !testutil.SameBits(u.Grad, u0.Grad) {
 		t.Fatal("gradients born in place differ from the ones the kernels allocate")
 	}
 
 	// Not zeroed: the second pass accumulates into Grad — here the
 	// destination itself, as ddp's Grad is after a step — and is offered
 	// nothing.
-	Backward(lossOver(w, u), nil)
-	if *wAsked != 1 || *uAsked != 1 {
+	Backward(lossOver(w, b, u), nil)
+	if *wAsked != 1 || *bAsked != 1 || *uAsked != 1 {
 		t.Fatal("a leaf that already has a gradient must not be offered its destination")
 	}
-	if w.Grad != wDst || !testutil.SameBits(w.Grad, tensor.Add(w0.Grad, w0.Grad)) {
+	if w.Grad != wDst || !testutil.SameBits(w.Grad, tensor.Add(w0.Grad, w0.Grad)) ||
+		b.Grad != bDst || !testutil.SameBits(b.Grad, tensor.Add(b0.Grad, b0.Grad)) {
 		t.Fatal("second pass did not accumulate into the installed gradient")
 	}
 }

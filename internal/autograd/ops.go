@@ -44,9 +44,22 @@ func MulScalar(a *Variable, s float32) *Variable {
 func AddRow(m, row *Variable) *Variable {
 	n := row.Value.Size()
 	out := tensor.AddRow(m.Value, row.Value)
-	return newOp("addRow", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		return []*tensor.Tensor{g, tensor.SumRows(g, n)}
+	return newOp("addRow", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
+		var grow *tensor.Tensor
+		if req[1].need {
+			grow = sumRows(req[1].into, g, n)
+		}
+		return []*tensor.Tensor{g, grow}
 	}, m, row)
+}
+
+// sumRows is g summed over its rows of n, written into the destination
+// the engine offered when there is one.
+func sumRows(into, g *tensor.Tensor, n int) *tensor.Tensor {
+	if into == nil {
+		return tensor.SumRows(g, n)
+	}
+	return tensor.SumRowsInto(into, g)
 }
 
 // MulRow returns m * row with row broadcast over leading dimensions
@@ -144,14 +157,7 @@ func Relu(a *Variable) *Variable {
 	av := a.Value
 	out := tensor.Relu(av)
 	return newOp("relu", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := tensor.New(av.Shape()...)
-		gd, ad, od := gin.Data(), av.Data(), g.Data()
-		for i := range gd {
-			if ad[i] > 0 {
-				gd[i] = od[i]
-			}
-		}
-		return []*tensor.Tensor{gin}
+		return []*tensor.Tensor{tensor.ReluGrad(av, g)}
 	}, a)
 }
 

@@ -243,13 +243,13 @@ func TestGradViewsFollowAutoRebuild(t *testing.T) {
 }
 
 // TestWeightGradientsAreBornInTheirSlot: with nothing accumulated, a
-// Linear layer's weight gradient is already the view of its bucket slot
-// when the parameter's hooks run — MatMul's backward wrote it there —
-// and the destination follows every installAssignment (the automatic
-// rebuild, RebuildBuckets, SetProcessGroup). A gradient that cannot be
-// born in place (a bias, summed by an op that allocates; any gradient
-// accumulated under no_sync or onto one that was not zeroed) arrives as
-// a tensor of its own and the hook moves it.
+// Linear layer's weight and bias gradients are already the views of
+// their bucket slots when the parameter's hooks run — MatMul's and
+// AddRow's backward wrote them there — and the destination follows
+// every installAssignment (the automatic rebuild, RebuildBuckets,
+// SetProcessGroup). A gradient that cannot be born in place (one
+// accumulated onto a Grad that views a replaced layout) arrives as a
+// tensor of its own and the hook moves it.
 func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
 	next := comm.NewInProcGroups(viewWorld, comm.Options{Algorithm: comm.Ring})
 	defer func() {
@@ -285,26 +285,26 @@ func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
 				p.ZeroGrad()
 			}
 		}
-		weights := []bool{true, false, true, false} // fc1.w, fc1.b, fc2.w, fc2.b
-		none := make([]bool, len(weights))
+		all := []bool{true, true, true, true} // fc1.w, fc1.b, fc2.w, fc2.b
+		none := make([]bool, len(all))
 		script := []struct {
 			what   string
 			before func() error
 			noSync bool
 			want   []bool
 		}{
-			{"first step", nil, false, weights},
-			{"after the automatic rebuild", func() error { zero(); return nil }, false, weights},
-			{"not zeroed: accumulates into the view it already is", nil, false, []bool{true, true, true, true}},
-			{"after RebuildBuckets", func() error { zero(); return d.RebuildBuckets() }, false, weights},
-			{"no_sync: born in the slot all the same", func() error { zero(); return nil }, true, weights},
+			{"first step", nil, false, all},
+			{"after the automatic rebuild", func() error { zero(); return nil }, false, all},
+			{"not zeroed: accumulates into the view it already is", nil, false, all},
+			{"after RebuildBuckets", func() error { zero(); return d.RebuildBuckets() }, false, all},
+			{"no_sync: born in the slot all the same", func() error { zero(); return nil }, true, all},
 			{"after SetProcessGroup, accumulating onto the stale view", func() error {
 				if err := d.ProcessGroup().Close(); err != nil {
 					return err
 				}
 				return d.SetProcessGroup(next[rank])
 			}, false, none},
-			{"after SetProcessGroup, zeroed", func() error { zero(); return nil }, false, weights},
+			{"after SetProcessGroup, zeroed", func() error { zero(); return nil }, false, all},
 		}
 		for _, sc := range script {
 			if sc.before != nil {
@@ -328,13 +328,13 @@ func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
 
 // TestBackwardAllocatesNoGradientCopy is the allocation gate for the
 // gradient data path: in a warm world-2 in-proc training step of an MLP
-// whose bytes are almost all weights, the weight gradients are written
-// by their kernels straight into the bucket slots, so the whole step —
+// whose bytes are almost all weights, the gradients are written by
+// their kernels straight into the bucket slots, so the whole step —
 // both ranks — allocates less than a quarter of one model's bytes
-// (activations, bias gradients, graph bookkeeping). When the kernels
-// still allocated their results and the hook copied them in, a step
-// allocated twice the model's bytes; before gradients were handed on,
-// viewed and recycled, about eight times.
+// (activations, graph bookkeeping). When the kernels still allocated
+// their results and the hook copied them in, a step allocated twice the
+// model's bytes; before gradients were handed on, viewed and recycled,
+// about eight times.
 func TestBackwardAllocatesNoGradientCopy(t *testing.T) {
 	if transport.RaceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")

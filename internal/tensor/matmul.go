@@ -35,7 +35,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
 	for i := 0; i < m; i++ {
-		mulAddRows(out.data[i*n:(i+1)*n], a.data, i*k, 1, b.data)
+		mulAddRows(out.data[i*n:(i+1)*n], a.data, i*k, 1, k, b.data)
 	}
 	return out
 }
@@ -60,40 +60,88 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 		dst.Dim() != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes %v x %v into %v invalid", a.shape, b.shape, dst.shape))
 	}
-	m, n := a.shape[1], b.shape[1]
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
 	for i := 0; i < m; i++ {
 		row := dst.data[i*n : (i+1)*n]
 		clear(row)
-		mulAddRows(row, a.data, i, m, b.data)
+		mulAddRows(row, a.data, i, m, k, b.data)
 	}
 	return dst
 }
 
-// mulAddRows adds a[first+p*stride]·(row p of b) to o for p = 0, 1, … in
-// ascending order, skipping every p whose coefficient is ±0. b holds
-// rows of len(o) elements and a has a coefficient for each of them.
-// The next four non-zero coefficients are applied in one pass over o, so
-// o is loaded and stored once per four multiply-adds; into any one
-// element the additions still happen one p at a time.
-func mulAddRows(o, a []float32, first, stride int, b []float32) {
+// scanBlock is how many coefficients mulAddRows reads between two
+// flushes of its pending list.
+const scanBlock = 16
+
+// mulAddRows adds a[first+p*stride]·(row p of b) to o for p = 0, 1, …,
+// k-1 in ascending order, skipping every p whose coefficient is ±0. b
+// holds k rows of len(o) elements. The next four non-zero coefficients
+// are applied in one pass over o, so o is loaded and stored once per
+// four multiply-adds; into any one element the additions still happen
+// one p at a time.
+//
+// The scan never branches on one coefficient: after a ReLU half of them
+// are zero, in random places, and such a branch is mispredicted half the
+// time. It reads four at once. If all four are non-zero and none is
+// pending they are applied there and then, which is every group of a
+// dense operand, so on one the branch always goes the same way.
+// Otherwise each is written to the end of the pending list, which grows
+// by one only if it is non-zero; after scanBlock coefficients the list is
+// applied four at a time and up to three stay pending.
+func mulAddRows(o, a []float32, first, stride, k int, b []float32) {
 	n := len(o)
-	var c [4]float32
-	var row [4]int
+	var c [scanBlock + 3]float32
+	var row [scanBlock + 3]int
 	found := 0
-	for p := 0; p*n < len(b); p++ {
-		v := a[first+p*stride]
-		if v == 0 {
-			continue
+	for lo := 0; lo < k; lo += scanBlock {
+		hi, at := min(lo+scanBlock, k), first+lo*stride
+		p := lo
+		for ; p+4 <= hi; p += 4 {
+			v0, v1, v2, v3 := a[at], a[at+stride], a[at+2*stride], a[at+3*stride]
+			at += 4 * stride
+			nz0, nz1, nz2, nz3 := nonZero(v0), nonZero(v1), nonZero(v2), nonZero(v3)
+			if nz0+nz1+nz2+nz3 == found+4 {
+				c[0], c[1], c[2], c[3] = v0, v1, v2, v3
+				row[0], row[1], row[2], row[3] = p, p+1, p+2, p+3
+				mulAdd4(o, (*[4]float32)(c[:]), b, (*[4]int)(row[:]))
+				continue
+			}
+			c[found], row[found] = v0, p
+			found += nz0
+			c[found], row[found] = v1, p+1
+			found += nz1
+			c[found], row[found] = v2, p+2
+			found += nz2
+			c[found], row[found] = v3, p+3
+			found += nz3
 		}
-		c[found], row[found] = v, p
-		if found++; found == 4 {
-			mulAdd4(o, &c, b, &row)
-			found = 0
+		for ; p < hi; p++ {
+			v := a[at]
+			at += stride
+			c[found], row[found] = v, p
+			found += nonZero(v)
 		}
+		t := 0
+		for ; t+4 <= found; t += 4 {
+			mulAdd4(o, (*[4]float32)(c[t:]), b, (*[4]int)(row[t:]))
+		}
+		c[0], c[1], c[2] = c[t], c[t+1], c[t+2]
+		row[0], row[1], row[2] = row[t], row[t+1], row[t+2]
+		found -= t
 	}
 	for t := 0; t < found; t++ {
 		mulAdd1(o, c[t], b[row[t]*n:])
 	}
+}
+
+// nonZero is 0 for ±0 and 1 for any other v, NaN included, computed
+// without a jump.
+func nonZero(v float32) int {
+	z := 0
+	if v != 0 {
+		z = 1
+	}
+	return z
 }
 
 // mulAdd4 is o += c[0]·(row[0] of b), then c[1]·(row[1] of b) and so on,

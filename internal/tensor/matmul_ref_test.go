@@ -88,11 +88,7 @@ var matmulKernels = []struct {
 // holds NaN, ±Inf and finite garbage — a bucket slot after the last
 // step, or a pooled buffer — none of which may reach the result.
 func matMulTransAIntoGarbage(a, b *Tensor) *Tensor {
-	dst := New(a.shape[1], b.shape[1])
-	garbage := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), -3e30, 7}
-	for i := range dst.data {
-		dst.data[i] = garbage[i%len(garbage)]
-	}
+	dst := garbage(a.shape[1], b.shape[1])
 	if got := MatMulTransAInto(dst, a, b); got != dst {
 		panic("MatMulTransAInto did not return its destination")
 	}
@@ -198,10 +194,11 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, m, k, n, fill int) {
 }
 
 // TestMatMulMatchesReference sweeps every combination of tile tails
-// (sizes around the 4-wide tiles, empty dimensions included) and every
-// left-operand fill.
+// (sizes around the 4-wide tiles, empty dimensions included), of k
+// around the zero-skip scan's block (scanBlock − 1, scanBlock,
+// scanBlock + 1, 2·scanBlock + 3), and every left-operand fill.
 func TestMatMulMatchesReference(t *testing.T) {
-	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 64}
+	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock + 3, 64}
 	rng := rand.New(rand.NewSource(15))
 	for _, m := range sizes {
 		for _, k := range sizes {
@@ -245,7 +242,7 @@ func TestMatMulZeroSkipIsObservable(t *testing.T) {
 
 // FuzzMatMulMatchesReference lets the fuzzer pick the shape, the fill
 // and the data seed; dimensions stay below 70 so one input costs
-// microseconds.
+// microseconds, which still spans four of the scan's blocks.
 func FuzzMatMulMatchesReference(f *testing.F) {
 	for _, s := range benchShapes {
 		for fill := 0; fill < numFills; fill++ {
