@@ -84,6 +84,8 @@
 // sharded world recovers by rolling back to a committed checkpoint, not
 // from a survivor); zero3 is refused there, because a finisher's final
 // parameters can only be gathered while its process group is still up.
+// Elastic groups run Ring and synchronize every step, so the elastic
+// modes refuse -algo, -hosts, -topo-levels, -sync-every and -rr.
 package main
 
 import (
@@ -240,6 +242,21 @@ func (o *options) validate() error {
 		}
 	default:
 		return fmt.Errorf("-strategy: unknown strategy %q (want ddp, zero2 or zero3)", o.strategy)
+	}
+	if o.elastic {
+		// The elastic builders form plain Ring groups and every elastic
+		// step synchronizes: these flags would be accepted and dropped.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-algo", o.algo != "ring"}, {"-hosts", o.hosts != ""}, {"-topo-levels", o.topoLevels != 0},
+			{"-sync-every", o.syncEvery != 1}, {"-rr", o.rr != 1},
+		} {
+			if f.set {
+				return fmt.Errorf("-elastic does not support %s (elastic groups run Ring and synchronize every step)", f.name)
+			}
+		}
 	}
 	_, err := codecFactory(o.compress)
 	return err

@@ -19,9 +19,10 @@ import (
 // JSON dump is non-trivial.
 func newTestTracer() *trace.Tracer {
 	tr := trace.NewTracer()
-	s := tr.StartSpan("recovery")
-	s.Phase("rendezvous")
-	s.Finish()
+	_ = tr.WithSpan("recovery", func(s *trace.Span) error {
+		s.Phase("rendezvous")
+		return nil
+	})
 	return tr
 }
 
@@ -155,6 +156,23 @@ func TestRunRejectsWhatNoStrategyHonours(t *testing.T) {
 		edit(&o)
 		if _, err := run(&o); err == nil {
 			t.Errorf("%s: run accepted it", name)
+		}
+	}
+	// The elastic builders would drop these flags, so -elastic refuses
+	// each by name. At world 1 a flag that slipped through would train
+	// and return instead of waiting for a peer.
+	for flag, edit := range map[string]func(*options){
+		"-algo":        func(o *options) { o.algo = "tree" },
+		"-hosts":       func(o *options) { o.hosts = "a" },
+		"-topo-levels": func(o *options) { o.topoLevels = 1 },
+		"-sync-every":  func(o *options) { o.syncEvery = 2 },
+		"-rr":          func(o *options) { o.rr = 2 },
+	} {
+		o := testOptions(t, 1)
+		o.elastic = true
+		edit(&o)
+		if _, err := run(&o); err == nil || !strings.Contains(err.Error(), "-elastic does not support "+flag) {
+			t.Errorf("-elastic %s: run returned %v, want it refused by name", flag, err)
 		}
 	}
 }

@@ -116,8 +116,8 @@ func TestChaosSmokeSeedSet(t *testing.T) {
 }
 
 // TestPlantedBugCanary proves the harness can actually catch a real
-// historical defect: with ddp's test-only residual-reset flag armed
-// (the bug PR 5 fixed), some schedule in the CI seed set must produce
+// historical defect: with the residual-reset bug planted at the
+// recovery install, some schedule in the CI seed set must produce
 // a bitwise violation, the violation must shrink, and the shrunk JSON
 // reproducer must replay to the same invariant from its bytes alone.
 func TestPlantedBugCanary(t *testing.T) {

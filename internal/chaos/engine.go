@@ -61,8 +61,8 @@ func (r *Report) String() string {
 // Options tweaks a run. The zero value is the production configuration.
 type Options struct {
 	// PlantResidualResetBug re-introduces the historical
-	// residuals-zeroed-on-rebuild bug (ddp's test-only flag) — the
-	// harness's own canary: the bitwise invariant must catch it.
+	// residuals-zeroed-on-rebuild bug (residualResetBug) — the harness's
+	// own canary: the bitwise invariant must catch it.
 	PlantResidualResetBug bool
 }
 
@@ -370,7 +370,7 @@ func (e *engine) workerConfig(w *runWorker) elastic.Config {
 // ZeRO-3 parameter AllGatherV.
 func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
 	if e.p.s.Strategy == "" {
-		r, err := chDDPReplica(m, pg, e.p.s.Codec == "1bit", e.opts.PlantResidualResetBug)
+		r, err := chDDPReplica(m, pg, e.p.s.Codec == "1bit")
 		if err != nil || !e.opts.PlantResidualResetBug {
 			return r, err
 		}
@@ -394,15 +394,13 @@ func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (re
 	})
 }
 
-// residualResetBug is the recovery half of the planted bug. ddp's
-// test-only flag makes a rebuild forget the residuals, but recovery
-// captures the source's before any rebind and installs them after, which
-// would quietly heal that; dropping them from the install lets every
-// reconfiguration zero the error feedback, as the historical bug did.
+// residualResetBug is the planted bug: every reconfiguration installs
+// zeroed error-feedback residuals in place of the source's, as the
+// historical bug did when a rebuild or a process-group swap reset them.
 type residualResetBug struct{ replica.Replica }
 
 func (b residualResetBug) InstallState(st replica.State) error {
-	st.Residuals = nil
+	st.Residuals = make([]float32, len(st.Residuals))
 	return b.Replica.InstallState(st)
 }
 

@@ -65,14 +65,10 @@ func chBatchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
 
 // chDDPReplica builds the replicated arm — DDP over pg plus the
 // fixture's SGD — for the cluster under test and for the reference
-// alike; only the former ever plants the residual-reset bug. Replicas
-// are aligned before either builds one, so no constructor broadcast.
-func chDDPReplica(m nn.Module, pg comm.ProcessGroup, codec, plantBug bool) (*ddp.Replica, error) {
-	opts := ddp.Options{
-		BucketCapBytes:                 chBucketCap,
-		SkipInitialBroadcast:           true,
-		TestingResetResidualsOnRebuild: plantBug,
-	}
+// alike. Replicas are aligned before either builds one, so no
+// constructor broadcast.
+func chDDPReplica(m nn.Module, pg comm.ProcessGroup, codec bool) (*ddp.Replica, error) {
+	opts := ddp.Options{BucketCapBytes: chBucketCap, SkipInitialBroadcast: true}
 	if codec {
 		opts.NewCodec = func() comm.Codec { return &comm.OneBitCodec{} }
 	}
@@ -176,7 +172,7 @@ func (rf *reference) phase(start, end int64, world int) error {
 			defer wg.Done()
 			w := rf.workers[r]
 			if w.r == nil {
-				rep, err := chDDPReplica(w.model, groups[r], rf.codec, false)
+				rep, err := chDDPReplica(w.model, groups[r], rf.codec)
 				if err == nil {
 					err = rep.InstallState(w.pending)
 				}

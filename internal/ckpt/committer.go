@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/store"
 )
 
@@ -16,25 +15,14 @@ import (
 // manifest references them, and retention eventually sweeps them.
 var ErrAbandoned = errors.New("ckpt: save abandoned before commit")
 
-// Committer coordinates the commit point of a sharded save. Done marks
-// the calling rank's shard durable; on the committing rank (rank 0) it
-// additionally blocks until every rank of the save's world has done so
-// — the barrier after which the manifest may be written. Non-committing
-// ranks return as soon as their own shard is acknowledged: the commit
-// protocol is asymmetric, only the manifest writer needs the barrier.
-//
-// Closing cancel (may be nil) obliges Done to unwind promptly with
-// ErrAbandoned.
-type Committer interface {
-	Done(generation int, step int64, rank, world int, cancel <-chan struct{}) error
-}
-
-// StoreCommitter coordinates commits through the rendezvous store: each
-// rank bumps a per-(generation, step) arrival counter once its shard is
-// durable, and rank 0 polls the counter until it reaches the world
-// size. This keeps checkpoint coordination entirely off the collective
-// data plane, so asynchronous saves never interleave store traffic with
-// training collectives (whose submission order must match across ranks).
+// StoreCommitter coordinates the commit point of a sharded save through
+// the rendezvous store: each rank bumps a per-(generation, step) arrival
+// counter once its shard is durable, and rank 0 polls the counter until
+// it reaches the world size — the barrier after which the manifest may
+// be written. This keeps checkpoint coordination entirely off the
+// collective data plane, so asynchronous saves never interleave store
+// traffic with training collectives (whose submission order must match
+// across ranks).
 type StoreCommitter struct {
 	// St is the shared store; required.
 	St store.Store
@@ -59,8 +47,11 @@ func (c *StoreCommitter) doneKey(g int, s int64) string {
 	return fmt.Sprintf("%s/g%d/s%d/done", prefix, g, s)
 }
 
-// Done bumps the save's arrival counter; rank 0 then waits for all
-// world arrivals and garbage-collects the counter before returning.
+// Done marks the calling rank's shard durable by bumping the save's
+// arrival counter. Other ranks return at once: only the manifest writer
+// needs the barrier, so rank 0 alone waits for all world arrivals and
+// garbage-collects the counter before returning. Closing cancel (may be
+// nil) unwinds rank 0's wait promptly with ErrAbandoned.
 func (c *StoreCommitter) Done(generation int, step int64, rank, world int, cancel <-chan struct{}) error {
 	key := c.doneKey(generation, step)
 	n, err := c.St.Add(key, 1)
@@ -101,30 +92,3 @@ func (c *StoreCommitter) Done(generation int, step int64, rank, world int, cance
 	_ = c.St.Delete(key)
 	return nil
 }
-
-// GroupCommitter coordinates commits with a collective Barrier on a
-// process group. Correct only for synchronous in-loop saves, where
-// every rank submits the Barrier at the same point of its collective
-// schedule; asynchronous saves must use StoreCommitter instead, or the
-// background Barrier would race training collectives for submission
-// order. An aborted group (elastic recovery) surfaces here as a Barrier
-// error, which Save reports without committing.
-type GroupCommitter struct {
-	// PG is the group to rendezvous on; required. Its Rank/Size must
-	// match the save's.
-	PG comm.ProcessGroup
-}
-
-// Done runs a Barrier on the group; cancel is ignored (aborting the
-// group is the cancellation path for collectives).
-func (c *GroupCommitter) Done(generation int, step int64, rank, world int, _ <-chan struct{}) error {
-	if err := c.PG.Barrier().Wait(); err != nil {
-		return fmt.Errorf("ckpt: commit barrier for step %d (generation %d): %w", step, generation, err)
-	}
-	return nil
-}
-
-var (
-	_ Committer = (*StoreCommitter)(nil)
-	_ Committer = (*GroupCommitter)(nil)
-)

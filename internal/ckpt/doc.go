@@ -40,13 +40,12 @@
 // # Commit protocol
 //
 // A checkpoint is committed if and only if its manifest is present and
-// checksum-valid. Ranks write shards in parallel; a Committer then
+// checksum-valid. Ranks write shards in parallel; a StoreCommitter then
 // provides the commit barrier — rank 0 publishes the manifest only
-// after every rank has reported its shard durable. Two committers are
-// provided: GroupCommitter (a collective Barrier, for synchronous
-// in-loop saves) and StoreCommitter (an arrival counter in the
-// rendezvous store, for asynchronous saves — store traffic cannot
-// disturb the collective data plane's submission order). A crash at any
+// after every rank has reported its shard durable, counted by an
+// arrival counter in the rendezvous store. The barrier stays off the
+// collective data plane, so a save running asynchronously cannot
+// disturb the collectives' submission order. A crash at any
 // point before the manifest rename leaves only ignorable debris:
 // .tmp- files and orphan shards that no manifest references and that
 // retention later sweeps.

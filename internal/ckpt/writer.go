@@ -24,7 +24,7 @@ type Writer struct {
 	// host) for restore to see every shard.
 	Dir string
 	// Committer coordinates the all-shards-durable point; required.
-	Committer Committer
+	Committer *StoreCommitter
 	// Keep is how many committed checkpoints to retain (default 2 — the
 	// newest plus one fallback, so a checkpoint corrupted at rest never
 	// strands the run with nothing to load).

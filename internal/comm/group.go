@@ -21,18 +21,12 @@ type Options struct {
 	// round's host layout and how tests lay out simulated hosts over
 	// in-proc or loopback meshes.
 	Topology *Topology
-	// QueueDepth bounds the number of queued-but-unstarted collectives
-	// (default 1024). DDP launches at most one AllReduce per bucket per
-	// iteration, so the default is generous.
-	QueueDepth int
 }
 
-func (o Options) withDefaults() Options {
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 1024
-	}
-	return o
-}
+// queueDepth bounds a group's queued-but-unstarted collectives. DDP
+// launches at most one AllReduce per bucket per iteration, so 1024 is
+// generous.
+const queueDepth = 1024
 
 // meshGroup is a ProcessGroup over a point-to-point Mesh. A dedicated
 // worker goroutine executes collectives in submission order — the
@@ -57,12 +51,11 @@ type meshGroup struct {
 
 // NewGroup wraps a mesh in a ProcessGroup.
 func NewGroup(mesh transport.Mesh, opts Options) ProcessGroup {
-	opts = opts.withDefaults()
 	g := &meshGroup{
 		mesh: mesh,
 		opts: opts,
 		topo: resolveTopology(mesh, opts),
-		ops:  make(chan func(), opts.QueueDepth),
+		ops:  make(chan func(), queueDepth),
 		done: make(chan struct{}),
 	}
 	go g.worker()

@@ -63,14 +63,6 @@ type Options struct {
 	// rebuilding). Rebuilding happens once — the paper notes
 	// re-allocation is expensive and should be infrequent.
 	AutoRebuildBuckets bool
-	// TestingResetResidualsOnRebuild reintroduces, behind a test-only
-	// switch, the historical bug the per-parameter residual store fixed:
-	// error-feedback residuals are zeroed instead of carried whenever
-	// the bucket assignment is reinstalled (Section 6.2.1 rebuilds and
-	// elastic SetProcessGroup swaps). The chaos harness plants it to
-	// prove its bitwise invariants catch a recovery-path regression.
-	// Never set this outside tests.
-	TestingResetResidualsOnRebuild bool
 }
 
 // DDP wraps an nn.Module and transparently synchronizes gradients
@@ -148,11 +140,10 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*DDP, error) {
 		d.codec = opts.NewCodec()
 	}
 	engine, err := reduce.NewEngine(reduce.Config{
-		Sizes:                          d.sizes,
-		Launch:                         d.launchBucket,
-		TrackResiduals:                 d.codec != nil,
-		TestingResetResidualsOnInstall: opts.TestingResetResidualsOnRebuild,
-		ObserveReduce:                  func(dur time.Duration) { mBucketReduceDur.Observe(dur.Seconds()) },
+		Sizes:          d.sizes,
+		Launch:         d.launchBucket,
+		TrackResiduals: d.codec != nil,
+		ObserveReduce:  func(dur time.Duration) { mBucketReduceDur.Observe(dur.Seconds()) },
 	})
 	if err != nil {
 		return nil, err

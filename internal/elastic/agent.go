@@ -286,165 +286,165 @@ func (a *Agent) teardownGroup() {
 // (bumping the generation) when a round collapses mid-way, up to
 // MaxRestarts attempts.
 //
-// With a Config.Tracer each attempt records one "recovery" span whose
-// phases tile it exactly (trace.Span.Phase), so phase durations sum to
-// the attempt's duration; the elastic_* gauges and recovery histogram
-// are updated on success only.
+// With a Config.Tracer each attempt runs inside one "recovery" span
+// (trace.Tracer.WithSpan) whose phases tile it exactly (trace.Span.Phase),
+// so phase durations sum to the attempt's duration and the span closes
+// on every exit; the elastic_* gauges and recovery histogram are
+// updated on success only, after the span.
 func (a *Agent) reconfigure() error {
 	for attempt := 0; attempt < a.cfg.MaxRestarts; attempt++ {
 		if a.isKilled() {
 			return ErrKilled
 		}
 		start := time.Now()
-		var root *trace.Span
-		if a.cfg.Tracer != nil {
-			root = a.cfg.Tracer.StartSpan("recovery")
-		}
-		root.Phase("teardown")
-		a.teardownGroup()
-		a.cancelSaves()
+		// Declared per attempt: the round's watcher goroutine captures it.
+		var assign *Assignment
+		var rollback bool
+		err := a.cfg.Tracer.WithSpan("recovery", func(root *trace.Span) (err error) {
+			root.Phase("teardown")
+			a.teardownGroup()
+			a.cancelSaves()
 
-		root.Phase("rendezvous")
-		r := a.Replica()
-		assign, err := a.rdzv.Join(Member{
-			ID: a.cfg.ID, Step: a.Step(), Host: a.cfg.Host,
-			Sharded: r != nil && !r.HoldsFullState(),
-		})
-		if err != nil {
-			root.Finish()
-			return fmt.Errorf("elastic: rendezvous: %w", err)
-		}
-
-		// Arm a cancellation handle for the build: if the generation
-		// moves past this round while the mesh is still forming (a
-		// member died between seal and build), or the agent is killed,
-		// the builder unwinds instead of blocking on the dead peer.
-		// One watcher goroutine is parked per round; it first cancels
-		// any in-flight build, then interrupts the built group —
-		// freeing collectives blocked on a dead or departed peer
-		// (stale watchers no-op via interrupt's generation guard).
-		cancel := make(chan struct{})
-		var cancelOnce sync.Once
-		closeCancel := func() { cancelOnce.Do(func() { close(cancel) }) }
-		a.mu.Lock()
-		a.buildCancel = closeCancel
-		// A Kill that landed after the loop-top check snapshotted a nil
-		// buildCancel and closed nothing; the killed flag is set under
-		// this same lock, so re-checking here closes that window.
-		killed := a.killed
-		a.mu.Unlock()
-		if killed {
-			closeCancel()
-		}
-		go func() {
-			if _, werr := a.rdzv.WaitGenerationAbove(assign.Generation); werr != nil {
-				return // store closed: the job is over
+			root.Phase("rendezvous")
+			r := a.Replica()
+			if assign, err = a.rdzv.Join(Member{
+				ID: a.cfg.ID, Step: a.Step(), Host: a.cfg.Host,
+				Sharded: r != nil && !r.HoldsFullState(),
+			}); err != nil {
+				return fmt.Errorf("elastic: rendezvous: %w", err)
 			}
-			closeCancel() // harmless after the build completed
-			a.interrupt(assign.Generation)
-		}()
 
-		root.Phase("mesh-build")
-		pg, err := a.cfg.Builder.Build(assign, cancel)
-		a.mu.Lock()
-		a.buildCancel = nil
-		a.mu.Unlock()
-		if err != nil {
-			root.Finish()
-			// The round was viable but the group could not form (e.g. a
-			// member died between seal and build); force the next round.
-			if _, perr := a.rdzv.ProposeGeneration(assign.Generation); perr != nil {
-				return perr
+			// Arm a cancellation handle for the build: if the generation
+			// moves past this round while the mesh is still forming (a
+			// member died between seal and build), or the agent is killed,
+			// the builder unwinds instead of blocking on the dead peer.
+			// One watcher goroutine is parked per round; it first cancels
+			// any in-flight build, then interrupts the built group —
+			// freeing collectives blocked on a dead or departed peer
+			// (stale watchers no-op via interrupt's generation guard).
+			cancel := make(chan struct{})
+			var cancelOnce sync.Once
+			closeCancel := func() { cancelOnce.Do(func() { close(cancel) }) }
+			a.mu.Lock()
+			a.buildCancel = closeCancel
+			// A Kill that landed after the loop-top check snapshotted a nil
+			// buildCancel and closed nothing; the killed flag is set under
+			// this same lock, so re-checking here closes that window.
+			killed := a.killed
+			a.mu.Unlock()
+			if killed {
+				closeCancel()
 			}
-			continue
-		}
+			go func() {
+				if _, werr := a.rdzv.WaitGenerationAbove(assign.Generation); werr != nil {
+					return // store closed: the job is over
+				}
+				closeCancel() // harmless after the build completed
+				a.interrupt(assign.Generation)
+			}()
 
-		a.mu.Lock()
-		a.assign = assign
-		a.pg = pg
-		a.reconfig = false
-		a.mu.Unlock()
+			root.Phase("mesh-build")
+			pg, err := a.cfg.Builder.Build(assign, cancel)
+			a.mu.Lock()
+			a.buildCancel = nil
+			a.mu.Unlock()
+			if err != nil {
+				// The round was viable but the group could not form (e.g. a
+				// member died between seal and build); force the next round.
+				return errRetryRound
+			}
 
-		// Cover the sync phase: peers that die during the state
-		// broadcast must still be detected (the monitor), and
-		// generation bumps still break us out of blocked collectives
-		// (the round's watcher goroutine armed before the build).
-		a.mon.SetPeers(peerIDs(assign, a.cfg.ID))
+			a.mu.Lock()
+			a.assign = assign
+			a.pg = pg
+			a.reconfig = false
+			a.mu.Unlock()
 
-		// Obtain the full state. A sharded source cannot re-seed anyone:
-		// a dead rank's parameter and optimizer shards died with it, so
-		// every rank rolls back to the newest committed checkpoint (full
-		// state, world-size independent by construction) — a terminal
-		// error if there is none, since once the replica has freed its
-		// non-owned shards the state exists nowhere else. Otherwise the
-		// source broadcasts what it holds; that fails only because a
-		// peer vanished, which another round fixes.
-		root.Phase("state-sync")
-		source, step := assign.Source()
-		rollback := assign.Members[source].Sharded
-		var st replica.State
-		if rollback {
-			var meta ckpt.Meta
-			st, meta, err = a.restoreNewest()
-			step = meta.Step
-		} else {
-			if r == nil {
-				st = a.pending
-			} else if assign.Rank == source {
-				st, err = r.CaptureState()
-			}
-			if err == nil {
-				st, err = SyncState(pg, source, a.model, st)
-			}
-		}
-		if err != nil {
-			root.Finish()
-			if a.isKilled() {
-				return ErrKilled
-			}
+			// Cover the sync phase: peers that die during the state
+			// broadcast must still be detected (the monitor), and
+			// generation bumps still break us out of blocked collectives
+			// (the round's watcher goroutine armed before the build).
+			a.mon.SetPeers(peerIDs(assign, a.cfg.ID))
+
+			// Obtain the full state. A sharded source cannot re-seed anyone:
+			// a dead rank's parameter and optimizer shards died with it, so
+			// every rank rolls back to the newest committed checkpoint (full
+			// state, world-size independent by construction) — a terminal
+			// error if there is none, since once the replica has freed its
+			// non-owned shards the state exists nowhere else. Otherwise the
+			// source broadcasts what it holds; that fails only because a
+			// peer vanished, which another round fixes.
+			root.Phase("state-sync")
+			source, step := assign.Source()
+			rollback = assign.Members[source].Sharded
+			var st replica.State
 			if rollback {
-				return fmt.Errorf("elastic: a sharded world recovers only from a committed checkpoint (a lost rank's shards exist nowhere else; configure Config.Checkpoint): %w", err)
+				var meta ckpt.Meta
+				st, meta, err = a.restoreNewest()
+				step = meta.Step
+			} else {
+				if r == nil {
+					st = a.pending
+				} else if assign.Rank == source {
+					st, err = r.CaptureState()
+				}
+				if err == nil {
+					st, err = SyncState(pg, source, a.model, st)
+				}
 			}
+			if err != nil {
+				if a.isKilled() {
+					return ErrKilled
+				}
+				if rollback {
+					return fmt.Errorf("elastic: a sharded world recovers only from a committed checkpoint (a lost rank's shards exist nowhere else; configure Config.Checkpoint): %w", err)
+				}
+				return errRetryRound
+			}
+			a.mu.Lock()
+			a.step = step
+			a.mu.Unlock()
+			// Drop any gradients accumulated by an aborted iteration; the
+			// retried step must start from a clean slate.
+			nn.ZeroGrad(a.model)
+
+			// Rebind: the model's tensors now hold the full parameters, which
+			// is what a sharded replica re-derives its shards from. Both
+			// branches are local and deterministic, so a failure is terminal.
+			root.Phase("rebind")
+			if r == nil {
+				r, err = a.cfg.Replica(a.model, pg)
+			} else {
+				err = r.Rebind(pg)
+			}
+			// Install: optimizer state and error-feedback residuals are
+			// training state too, but they live in the replica — so they land
+			// only now that every rank holds one laid out for the new world.
+			if err == nil {
+				root.Phase("install")
+				err = r.InstallState(st)
+			}
+			if err != nil {
+				return fmt.Errorf("elastic: rebinding replica: %w", err)
+			}
+			a.mu.Lock()
+			a.r = r
+			a.pending = replica.State{}
+			a.mu.Unlock()
+			// The new world is fully formed; its saves get a fresh abandon
+			// signal (closed again by the next interrupt or Kill).
+			a.armSaves()
+			return nil
+		})
+		if err == errRetryRound {
 			if _, perr := a.rdzv.ProposeGeneration(assign.Generation); perr != nil {
 				return perr
 			}
 			continue
 		}
-		a.mu.Lock()
-		a.step = step
-		a.mu.Unlock()
-		// Drop any gradients accumulated by an aborted iteration; the
-		// retried step must start from a clean slate.
-		nn.ZeroGrad(a.model)
-
-		// Rebind: the model's tensors now hold the full parameters, which
-		// is what a sharded replica re-derives its shards from. Both
-		// branches are local and deterministic, so a failure is terminal.
-		root.Phase("rebind")
-		if r == nil {
-			r, err = a.cfg.Replica(a.model, pg)
-		} else {
-			err = r.Rebind(pg)
-		}
-		// Install: optimizer state and error-feedback residuals are
-		// training state too, but they live in the replica — so they land
-		// only now that every rank holds one laid out for the new world.
-		if err == nil {
-			root.Phase("install")
-			err = r.InstallState(st)
-		}
 		if err != nil {
-			root.Finish()
-			return fmt.Errorf("elastic: rebinding replica: %w", err)
+			return err
 		}
-		a.mu.Lock()
-		a.r = r
-		a.pending = replica.State{}
-		a.mu.Unlock()
-		// The new world is fully formed; its saves get a fresh abandon
-		// signal (closed again by the next interrupt or Kill).
-		a.armSaves()
-		root.Finish()
 		mGeneration.With(a.cfg.ID).Set(float64(assign.Generation))
 		mWorldSize.With(a.cfg.ID).Set(float64(assign.World))
 		mRecoveries.Inc()
@@ -452,7 +452,7 @@ func (a *Agent) reconfigure() error {
 		if a.strag != nil {
 			a.strag.SetPeers(peerIDs(assign, a.cfg.ID))
 		}
-		if !rollback && !r.HoldsFullState() {
+		if !rollback && !a.Replica().HoldsFullState() {
 			// A sharded world seeded by broadcast has no rollback point
 			// for the step it stands at: commit one now (formation happens
 			// at save points — step 0, or a restored checkpoint's step), so

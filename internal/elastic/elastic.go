@@ -72,6 +72,10 @@ var (
 	// itself — typically after waiting for a pending membership change
 	// (see Agent.AwaitGenerationChange).
 	ErrReconfigure = errors.New("elastic: reconfiguration requested")
+	// errRetryRound is a recovery attempt's verdict that its round
+	// collapsed but a later one can form: reconfigure proposes the next
+	// generation once the attempt's span has closed, and tries again.
+	errRetryRound = errors.New("elastic: round collapsed; retrying")
 )
 
 // Member is one worker's registration in a rendezvous round.

@@ -5,145 +5,49 @@ import (
 	"go/types"
 )
 
-// Atomic64Align reports 64-bit sync/atomic operations on struct fields
-// whose offset within their allocation is not 8-byte aligned under
-// 32-bit (GOARCH=386) layout rules. On 32-bit platforms the Go runtime
-// only guarantees 64-bit alignment for the first word of an allocation,
-// so an atomic on a misaligned field panics at runtime — a class of bug
-// invisible on the 64-bit machines that run the tests.
+// Atomic64Align bans the function-form 64-bit sync/atomic operations.
+// On GOARCH=386 (and other 32-bit targets) they fault at runtime unless
+// their operand is 8-byte aligned, and struct layout only guarantees
+// that for the first word of an allocation — a class of bug invisible on
+// the 64-bit machines that run the tests. The typed atomic.Int64 and
+// atomic.Uint64 carry an alignment marker the compiler honours on every
+// GOARCH, so a tree that uses only them is aligned by construction and
+// needs no layout check.
 var Atomic64Align = &Analyzer{
 	Name: "atomic64align",
-	Doc:  "64-bit sync/atomic operations on struct fields must be 8-aligned on 32-bit targets",
+	Doc:  "64-bit atomics use the self-aligning atomic.Int64/Uint64 types, never the function forms",
 	Run:  runAtomic64Align,
 }
 
-// atomic64Funcs are the sync/atomic functions that require an 8-aligned
-// 64-bit word.
-var atomic64Funcs = map[string]bool{
-	"AddInt64": true, "AddUint64": true,
-	"LoadInt64": true, "LoadUint64": true,
-	"StoreInt64": true, "StoreUint64": true,
-	"SwapInt64": true, "SwapUint64": true,
-	"CompareAndSwapInt64": true, "CompareAndSwapUint64": true,
+// atomic64Funcs maps each banned sync/atomic function to the typed
+// atomic that replaces it.
+var atomic64Funcs = map[string]string{
+	"AddInt64": "Int64", "AddUint64": "Uint64",
+	"LoadInt64": "Int64", "LoadUint64": "Uint64",
+	"StoreInt64": "Int64", "StoreUint64": "Uint64",
+	"SwapInt64": "Int64", "SwapUint64": "Uint64",
+	"CompareAndSwapInt64": "Int64", "CompareAndSwapUint64": "Uint64",
 }
 
+// runAtomic64Align flags every use of a banned function, whether it is
+// called or taken as a function value.
 func runAtomic64Align(pkg *Package) []Finding {
-	sizes := types.SizesFor("gc", "386")
 	var out []Finding
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			fn := calleeOf(pkg.Info, call)
-			if fn == nil || !atomic64Funcs[fn.Name()] || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-				return true
-			}
-			addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-			if !ok || addr.Op.String() != "&" {
-				return true
-			}
-			sel, ok := ast.Unparen(addr.X).(*ast.SelectorExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			off, field, ok := fieldOffset386(pkg.Info, sizes, sel)
-			if ok && off%8 != 0 {
-				out = append(out, pkg.finding("atomic64align", call,
-					"atomic.%s on field %s at offset %d (not 8-aligned on GOARCH=386); reorder fields or use atomic.%s",
-					fn.Name(), field, off, fixedWidthType(fn.Name())))
+			fn, ok := pkg.Info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || atomic64Funcs[fn.Name()] == "" {
+				return true
 			}
+			out = append(out, pkg.finding("atomic64align", id,
+				"atomic.%s needs an 8-aligned operand, which 32-bit struct layout does not guarantee; declare the word as atomic.%s instead",
+				fn.Name(), atomic64Funcs[fn.Name()]))
 			return true
 		})
 	}
 	return out
-}
-
-// fixedWidthType names the self-aligning sync/atomic wrapper type for a
-// 64-bit function name (atomic.Int64 / atomic.Uint64 carry an align64
-// marker the compiler honors on every platform).
-func fixedWidthType(fn string) string {
-	for i := 0; i < len(fn); i++ {
-		if fn[i] == 'I' {
-			return "Int64"
-		}
-		if fn[i] == 'U' {
-			return "Uint64"
-		}
-	}
-	return "Int64"
-}
-
-// fieldOffset386 computes the byte offset of the field selected by sel
-// from the start of its allocation under 386 layout, following nested
-// field selections but resetting at pointer indirections (a pointed-to
-// struct is its own allocation, whose first word is 8-aligned). The
-// bool result is false when sel does not resolve to a struct field.
-func fieldOffset386(info *types.Info, sizes types.Sizes, sel *ast.SelectorExpr) (int64, string, bool) {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return 0, "", false
-	}
-	// Offset of the selected (possibly promoted) field within the
-	// receiver's type, accumulated across the implicit embedding path.
-	off, contiguous := offsetOfIndexPath(sizes, s.Recv(), s.Index())
-	name := s.Obj().Name()
-	if !contiguous {
-		// An embedded-pointer hop: the field lives at the front of its
-		// own allocation; off is already relative to it.
-		return off, name, true
-	}
-	// Walk down the explicit selector chain (a.b.c): add the offsets of
-	// enclosing fields while the chain stays within one allocation.
-	x := ast.Unparen(sel.X)
-	for {
-		inner, ok := x.(*ast.SelectorExpr)
-		if !ok {
-			break
-		}
-		is, ok := info.Selections[inner]
-		if !ok || is.Kind() != types.FieldVal {
-			break
-		}
-		if _, isPtr := is.Obj().Type().Underlying().(*types.Pointer); isPtr {
-			// a.b.c where b is *T: c's offset is relative to b's
-			// allocation, which starts 8-aligned.
-			break
-		}
-		innerOff, innerContig := offsetOfIndexPath(sizes, is.Recv(), is.Index())
-		off += innerOff
-		if !innerContig {
-			break
-		}
-		x = ast.Unparen(inner.X)
-	}
-	return off, name, true
-}
-
-// offsetOfIndexPath accumulates field offsets along a go/types selection
-// index path. The bool result reports whether the path stayed within a
-// single allocation (false once it crosses an embedded pointer).
-func offsetOfIndexPath(sizes types.Sizes, recv types.Type, index []int) (int64, bool) {
-	off := int64(0)
-	contiguous := true
-	t := recv
-	for _, idx := range index {
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-			off = 0
-			contiguous = false
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok {
-			return off, contiguous
-		}
-		fields := make([]*types.Var, st.NumFields())
-		for i := 0; i < st.NumFields(); i++ {
-			fields[i] = st.Field(i)
-		}
-		off += sizes.Offsetsof(fields)[idx]
-		t = st.Field(idx).Type()
-	}
-	return off, contiguous
 }

@@ -1,12 +1,14 @@
-// Package lint is the project's static-analysis gate: five analyzers
+// Package lint is the project's static-analysis gate: four analyzers
 // encoding invariants that ordinary vet checks cannot see because they
-// are about THIS codebase's contracts — span lifecycles, store error
-// discipline, collective/lock ordering, metric registration, and
-// 32-bit atomic alignment. The driver (cmd/ddplint) loads every
-// package in the module with the pure go/types stack (no external
-// dependencies: go/parser for syntax, go/types with the source
-// importer for semantics), runs the analyzers, and exits non-zero on
-// any finding, which makes the gate blocking in CI.
+// are about THIS codebase's contracts — store error discipline,
+// collective/lock ordering, metric registration, and 32-bit atomic
+// alignment. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// the only way to open a root span, finishes it by construction. The
+// driver (cmd/ddplint) loads every package in the module with the pure
+// go/types stack (no external dependencies: go/parser for syntax,
+// go/types with the source importer for semantics), runs the analyzers,
+// and exits non-zero on any finding, which makes the gate blocking in
+// CI.
 //
 // # Suppressing a finding
 //
@@ -23,18 +25,6 @@
 // they excused.
 //
 // # The analyzers
-//
-// spanfinish — every trace span must finish. A *trace.Span obtained
-// from Tracer.StartSpan or Span.StartChild must have Finish called on
-// every return path of the function that created it (directly, via
-// defer, or via a deferred closure), unless ownership escapes: the
-// span is returned, stored in a field or composite, passed to a call,
-// or sent on a channel. A span that is never finished renders as a
-// still-open region in the recovery trace JSON and corrupts
-// duration-based SLO accounting; this is the lostcancel shape, but for
-// the tracing plane. Spans started conditionally (behind a nil-tracer
-// guard) and per-iteration spans in loops are modeled: each loop
-// iteration must finish the span it starts.
 //
 // storeerr — rendezvous-store, transport, and checkpoint errors must
 // be checked. Calls to store.Store methods, transport send/recv/abort,
@@ -71,16 +61,16 @@
 // issued while any lock is held. The internal/comm package is exempt
 // (the implementation synchronizes its own internals).
 //
-// atomic64align — 64-bit atomics must land on 8-byte-aligned fields.
-// On GOARCH=386 (and other 32-bit targets), sync/atomic's 64-bit
-// operations fault at runtime when their operand is not 8-byte
-// aligned, and struct fields after a 4-byte field are exactly where
-// that happens. The analyzer computes each operand field's offset
-// under 386 struct layout (resetting at pointer indirections, whose
-// targets are allocator-aligned) and flags misaligned ones; the fix is
-// field reordering, explicit padding, or the self-aligning
-// atomic.Int64/Uint64 types. CI's GOARCH=386 build smoke keeps the
-// tree compiling for the architecture this analyzer guards.
+// atomic64align — 64-bit atomics are the typed atomic.Int64 and
+// atomic.Uint64. On GOARCH=386 (and other 32-bit targets), sync/atomic's
+// 64-bit functions fault at runtime when their operand is not 8-byte
+// aligned, and a struct field after a 4-byte field is exactly where that
+// happens. The typed forms carry an alignment marker the compiler
+// honours on every GOARCH, so the analyzer bans the ten function forms
+// (Add, Load, Store, Swap and CompareAndSwap of Int64 and Uint64),
+// called or taken as values, and needs no layout arithmetic to give the
+// same guarantee. CI's GOARCH=386 build smoke keeps the tree compiling
+// for the targets where the ban matters.
 //
 // # Testing convention
 //
@@ -91,6 +81,6 @@
 // unmarked flagged) and that clean fixtures stay silent under the full
 // suite, so analyzer false positives and false negatives both fail the
 // build. Fixture packages import the real repro packages they lint
-// against — they type-check against the actual Span, Store, and Group
-// APIs, not stand-ins.
+// against — they type-check against the actual Store, Group and
+// metrics APIs, not stand-ins.
 package lint

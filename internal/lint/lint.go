@@ -43,7 +43,6 @@ func All() []*Analyzer {
 		Atomic64Align,
 		LockedCollective,
 		MetricStatic,
-		SpanFinish,
 		StoreErr,
 	}
 }

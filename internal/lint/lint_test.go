@@ -72,7 +72,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		analyzer string
 		bad, ok  string
 	}{
-		{"spanfinish", "spanfinish_bad", "spanfinish_ok"},
 		{"storeerr", "storeerr_bad", "storeerr_ok"},
 		{"metricstatic", "metricstatic_bad", "metricstatic_ok"},
 		{"lockedcollective", "lockedcollective_bad", "lockedcollective_ok"},
@@ -115,8 +114,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 // its own.
 func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
-		"spanfinish_ok", "storeerr_ok", "metricstatic_ok",
-		"lockedcollective_ok", "atomic64align_ok",
+		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
 	} {
 		pkg := fixturePkg(t, name)
 		res := Run([]*Package{pkg}, All())

@@ -1,12 +1,12 @@
-// Package fixture seeds atomic64align violations: 64-bit atomics on
-// fields that land at 4-byte offsets under GOARCH=386 layout.
+// Package fixture seeds atomic64align violations: the function-form
+// 64-bit atomics, wherever their operand sits.
 package fixture
 
 import "sync/atomic"
 
 type counters struct {
 	flag uint32
-	ops  uint64 // offset 4 on 386
+	ops  uint64 // offset 4 on 386: the fault the ban prevents
 }
 
 func bump(c *counters) {
@@ -14,9 +14,8 @@ func bump(c *counters) {
 }
 
 type stats struct {
-	ready int32
-	total int64 // offset 4 on 386
-	last  int64 // offset 12 on 386
+	total int64 // offset 0: aligned today, one field insertion from not
+	last  int64
 }
 
 func record(s *stats, v int64) {
@@ -27,13 +26,14 @@ func record(s *stats, v int64) {
 	atomic.CompareAndSwapInt64(&s.last, 0, v) //lint:want atomic64align
 }
 
-type outer struct {
-	tag   uint32
-	inner struct {
-		n uint64 // offset 4 (0 within inner, inner at 4)
-	}
+var global uint64
+
+func viaFuncValue() func(*uint64, uint64) uint64 {
+	return atomic.AddUint64 //lint:want atomic64align
 }
 
-func nested(o *outer) {
-	atomic.AddUint64(&o.inner.n, 1) //lint:want atomic64align
+func local() uint64 {
+	var n uint64
+	atomic.StoreUint64(&n, 1)         //lint:want atomic64align
+	return atomic.LoadUint64(&global) //lint:want atomic64align
 }

@@ -1,58 +1,20 @@
 // Package fixture holds 64-bit atomic usage the atomic64align analyzer
-// must accept: fields at 8-aligned offsets, self-aligning atomic types,
-// and non-field words.
+// must accept: the self-aligning typed atomics, and the 32-bit function
+// forms, which need no more than the 4-byte alignment every field has.
 package fixture
 
 import "sync/atomic"
 
-type firstField struct {
-	ops  uint64 // offset 0: aligned by the allocator's first-word rule
-	flag uint32
-}
-
-func bump(c *firstField) {
-	atomic.AddUint64(&c.ops, 1)
-}
-
-type padded struct {
-	flag uint32
-	_    uint32 // explicit pad keeps the counter 8-aligned on 386
-	ops  uint64 // offset 8
-}
-
-func bumpPadded(c *padded) {
-	atomic.AddUint64(&c.ops, 1)
-}
-
-type selfAligning struct {
+type counters struct {
 	flag uint32
 	ops  atomic.Uint64 // carries its own align64 marker on every GOARCH
+	last atomic.Int64
 }
 
-func bumpSelf(c *selfAligning) {
+func bump(c *counters) int64 {
 	c.ops.Add(1)
-}
-
-var global uint64
-
-func bumpGlobal() {
-	// Package-level 64-bit words are always 8-aligned.
-	atomic.AddUint64(&global, 1)
-}
-
-func bumpLocal() int64 {
-	var n int64
-	// Not a struct field: the compiler aligns escaping locals.
-	atomic.AddInt64(&n, 1)
-	return atomic.LoadInt64(&n)
-}
-
-type ptrHop struct {
-	tag  uint32
-	next *firstField
-}
-
-func bumpThroughPointer(p *ptrHop) {
-	// next points at its own allocation; ops is at offset 0 there.
-	atomic.AddUint64(&p.next.ops, 1)
+	c.last.Store(int64(c.ops.Load()))
+	c.last.CompareAndSwap(0, 1)
+	atomic.AddUint32(&c.flag, 1)
+	return c.last.Swap(2)
 }

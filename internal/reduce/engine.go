@@ -33,12 +33,6 @@ type Config struct {
 	// rebuilds and process-group swaps re-map rather than drop the
 	// accumulated quantization error.
 	TrackResiduals bool
-	// TestingResetResidualsOnInstall reintroduces, behind a test-only
-	// switch, the historical bug the per-parameter residual store fixed:
-	// residuals are zeroed instead of carried on every Install. The
-	// chaos harness plants it to prove its bitwise invariants catch a
-	// recovery-path regression. Never set outside tests.
-	TestingResetResidualsOnInstall bool
 	// Transient makes bucket buffers per-iteration state: a bucket draws
 	// its buffers from the transport pool at its first slot write and
 	// WaitAll hands them back once its consume has returned, so nothing
@@ -115,15 +109,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // elastic process-group swap, exactly when accumulated error matters
 // most.
 func (e *Engine) Install(assign *Assignment) {
-	if e.cfg.TestingResetResidualsOnInstall && e.cfg.TrackResiduals {
-		for _, r := range e.residuals {
-			for i := range r {
-				r[i] = 0
-			}
-		}
-	} else {
-		e.FlushResiduals()
-	}
+	e.FlushResiduals()
 	e.assign = assign
 	e.bucket = make([]*bucketState, assign.NumBuckets())
 	for b, members := range assign.Buckets {

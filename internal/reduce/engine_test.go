@@ -91,38 +91,24 @@ func TestDoubleMarkReadyPanics(t *testing.T) {
 }
 
 // TestResidualsCarriedAcrossInstall: accumulated residuals survive a
-// bucket-layout swap, keyed by parameter identity; with the planted
-// testing bug they reset instead.
+// bucket-layout swap, keyed by parameter identity.
 func TestResidualsCarriedAcrossInstall(t *testing.T) {
 	sizes := []int{2, 3}
-	for _, planted := range []bool{false, true} {
-		f := &fakeLaunch{}
-		e := newTestEngine(t, sizes, 1<<20, f, Config{
-			TrackResiduals:                 true,
-			TestingResetResidualsOnInstall: planted,
-		})
-		if err := e.SetResidualState([]float32{1, 2, 3, 4, 5}); err != nil {
-			t.Fatal(err)
-		}
-		// Swap to per-parameter buckets (different layout).
-		assign, err := AssignBuckets(sizes, -1, 4, ReverseOrder(len(sizes)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Install(assign)
-		got := e.ResidualState()
-		if planted {
-			for i, v := range got {
-				if v != 0 {
-					t.Fatalf("planted bug: residual %d = %v, want 0", i, v)
-				}
-			}
-			continue
-		}
-		for i, want := range []float32{1, 2, 3, 4, 5} {
-			if got[i] != want {
-				t.Fatalf("residual %d = %v, want %v after rebuild", i, got[i], want)
-			}
+	f := &fakeLaunch{}
+	e := newTestEngine(t, sizes, 1<<20, f, Config{TrackResiduals: true})
+	if err := e.SetResidualState([]float32{1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	// Swap to per-parameter buckets (different layout).
+	assign, err := AssignBuckets(sizes, -1, 4, ReverseOrder(len(sizes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Install(assign)
+	got := e.ResidualState()
+	for i, want := range []float32{1, 2, 3, 4, 5} {
+		if got[i] != want {
+			t.Fatalf("residual %d = %v, want %v after rebuild", i, got[i], want)
 		}
 	}
 }

@@ -35,9 +35,22 @@ func NewTracer() *Tracer { return &Tracer{now: time.Now} }
 // NewTracerWithClock returns a tracer driven by the given clock (tests).
 func NewTracerWithClock(now func() time.Time) *Tracer { return &Tracer{now: now} }
 
-// StartSpan opens a new root span. The span is recorded immediately, so
-// a trace dump taken mid-flight shows the span with a zero End.
-func (t *Tracer) StartSpan(name string) *Span {
+// WithSpan is the one way to open a root span: it runs fn with a new
+// span and finishes the span when fn returns or panics, so no span can
+// outlive the function that opened it. The span is recorded before fn
+// runs, so a trace dump taken mid-flight shows it with no end. On a nil
+// Tracer fn runs with a nil span, on which every Span method no-ops.
+func (t *Tracer) WithSpan(name string, fn func(*Span) error) error {
+	if t == nil {
+		return fn(nil)
+	}
+	s := t.startSpan(name)
+	defer s.Finish()
+	return fn(s)
+}
+
+// startSpan opens and records a new root span.
+func (t *Tracer) startSpan(name string) *Span {
 	s := &Span{Name: name, Start: t.now(), now: t.now}
 	t.mu.Lock()
 	t.roots = append(t.roots, s)
@@ -61,20 +74,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	return enc.Encode(t.Roots())
 }
 
-// StartChild opens a nested span at the current time. Unlike Phase it
-// does not close the previously opened child — use it for genuinely
-// overlapping or independently-ended regions, and Phase for a strict
-// sequence that must tile the parent. A nil receiver no-ops and returns
-// nil, so code instrumented against an optional tracer needs no guards.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{Name: name, Start: s.now(), now: s.now}
-	s.Children = append(s.Children, c)
-	return c
-}
-
 // Phase ends the span's current phase (if any) and starts the next one
 // at the same instant. Because each phase begins exactly where the
 // previous one ends — and Finish closes the last phase at the span's
@@ -83,8 +82,9 @@ func (s *Span) StartChild(name string) *Span {
 // is what lets a recovery-time regression be attributed to a phase.
 // The first phase of a span is anchored at the span's own Start, so the
 // partition covers the span from its very beginning even if a few
-// instructions ran between StartSpan and the first Phase call.
-// A nil receiver no-ops and returns nil.
+// instructions ran between the span's start and the first Phase call.
+// A nil receiver no-ops and returns nil, so code instrumented against
+// an optional tracer needs no guards.
 func (s *Span) Phase(name string) *Span {
 	if s == nil {
 		return nil

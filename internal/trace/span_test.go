@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 )
@@ -26,7 +27,7 @@ func TestResetMidPhaseKeepsPhaseRunning(t *testing.T) {
 func TestSpanPhasesTileParentExactly(t *testing.T) {
 	c := &fakeClock{}
 	tr := NewTracerWithClock(c.now)
-	root := tr.StartSpan("recovery")
+	root := tr.startSpan("recovery")
 	root.Phase("rendezvous")
 	c.advance(7 * time.Millisecond)
 	root.Phase("mesh-build")
@@ -63,7 +64,7 @@ func TestSpanPhasesTileParentExactly(t *testing.T) {
 func TestSpanFinishIdempotent(t *testing.T) {
 	c := &fakeClock{}
 	tr := NewTracerWithClock(c.now)
-	s := tr.StartSpan("s")
+	s := tr.startSpan("s")
 	c.advance(time.Millisecond)
 	s.Finish()
 	end := s.End
@@ -74,36 +75,70 @@ func TestSpanFinishIdempotent(t *testing.T) {
 	}
 }
 
-func TestStartChildOverlaps(t *testing.T) {
+// TestWithSpanFinishesOnPanic: a function that panics inside WithSpan
+// still leaves its span finished, with the last phase closed at the
+// span's end.
+func TestWithSpanFinishesOnPanic(t *testing.T) {
 	c := &fakeClock{}
 	tr := NewTracerWithClock(c.now)
-	root := tr.StartSpan("root")
-	a := root.StartChild("a")
-	c.advance(time.Millisecond)
-	b := root.StartChild("b") // a still open: overlapping children
-	c.advance(time.Millisecond)
-	a.Finish()
-	b.Finish()
-	root.Finish()
-	if a.Duration() != 2*time.Millisecond || b.Duration() != time.Millisecond {
-		t.Fatalf("a=%v b=%v", a.Duration(), b.Duration())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panic did not propagate out of WithSpan")
+			}
+		}()
+		_ = tr.WithSpan("recovery", func(s *Span) error {
+			s.Phase("rendezvous")
+			c.advance(3 * time.Millisecond)
+			panic("round collapsed")
+		})
+	}()
+	roots := tr.Roots()
+	if len(roots) != 1 || len(roots[0].Children) != 1 {
+		t.Fatalf("roots = %+v, want one span with one phase", roots)
+	}
+	s, last := roots[0], roots[0].Children[0]
+	if s.Duration() != 3*time.Millisecond {
+		t.Fatalf("span duration = %v, want 3ms", s.Duration())
+	}
+	if !last.End.Equal(s.End) {
+		t.Fatalf("last phase ended at %v, span at %v", last.End, s.End)
+	}
+}
+
+// TestWithSpanNilTracer: a nil Tracer runs the function with a nil span,
+// on which Phase and Finish are safe, and returns the function's error.
+func TestWithSpanNilTracer(t *testing.T) {
+	var tr *Tracer
+	want := errors.New("attempt failed")
+	called := false
+	err := tr.WithSpan("recovery", func(s *Span) error {
+		called = true
+		if s != nil {
+			t.Fatalf("nil tracer handed out span %+v", s)
+		}
+		s.Phase("rendezvous")
+		s.Finish()
+		return want
+	})
+	if !called || err != want {
+		t.Fatalf("called = %v, err = %v; want true, %v", called, err, want)
 	}
 }
 
 func TestTracerJSONDump(t *testing.T) {
 	c := &fakeClock{t: time.Unix(1000, 0).UTC()}
 	tr := NewTracerWithClock(c.now)
-	root := tr.StartSpan("recovery")
+	root := tr.startSpan("recovery")
 	root.Phase("rendezvous")
 	c.advance(4 * time.Millisecond)
 	root.Phase("mesh-build")
 	c.advance(6 * time.Millisecond)
 	root.Finish()
-	open := tr.StartSpan("in-flight") // dumped with no end
-	_ = open
 
+	// A dump taken while a span's function runs shows that span with no end.
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := tr.WithSpan("in-flight", func(*Span) error { return tr.WriteJSON(&buf) }); err != nil {
 		t.Fatal(err)
 	}
 	var dump []struct {
