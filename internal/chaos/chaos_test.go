@@ -69,9 +69,10 @@ func TestEventKinds(t *testing.T) {
 		{"codec-kill-all", Schedule{World: 2, Steps: 7, Codec: "1bit", CkptEvery: 3, Events: []Event{{Kind: EvKillAll, Step: 4}}}},
 		// Sharded (ZeRO) runs: Normalize forces CkptEvery to 1, so every
 		// recovery is a rollback onto the live state. kill-mid-step under
-		// ZeRO-3 dies inside the forward gather phase (the engine arms a
-		// TestingOnGather hook), the hardest window — a rank vanishing
-		// while peers wait on its parameter shards.
+		// ZeRO-3 dies inside the forward gather phase (the engine runs
+		// fsdp over a gatherHookGroup and arms its kill), the hardest
+		// window — a rank vanishing while peers wait on its parameter
+		// shards.
 		{"zero2-kill", Schedule{World: 3, Steps: 5, Strategy: "zero2", Events: []Event{{Kind: EvKill, Worker: 0, Step: 2}}}},
 		{"zero2-leave", Schedule{World: 3, Steps: 5, Strategy: "zero2", Events: []Event{{Kind: EvLeave, Worker: 2, Step: 2}}}},
 		{"zero3-gather-kill", Schedule{World: 3, Steps: 5, Strategy: "zero3", Events: []Event{{Kind: EvKillMidStep, Worker: 2, Step: 1}}}},

@@ -234,9 +234,9 @@ type runWorker struct {
 	mu     sync.Mutex
 	err    error
 	parked bool
-	// killOnGather arms the sharded mid-step kill: the fsdp
-	// TestingOnGather hook fires Kill right before the next ZeRO-3
-	// parameter AllGatherV, so peers die blocked inside the gather phase.
+	// killOnGather arms the sharded mid-step kill: the replica's
+	// gatherHookGroup fires Kill right before the next ZeRO-3 parameter
+	// AllGatherV, so peers die blocked inside the gather phase.
 	killOnGather bool
 }
 
@@ -366,8 +366,8 @@ func (e *engine) workerConfig(w *runWorker) elastic.Config {
 
 // newReplica is the one place the harness turns a schedule's strategy
 // into a replica: DDP + SGD (optionally with the planted residual bug),
-// or fsdp with the gather hook that lets a mid-step kill land inside a
-// ZeRO-3 parameter AllGatherV.
+// or fsdp over a gatherHookGroup, which lets a mid-step kill land inside
+// a ZeRO-3 parameter AllGatherV.
 func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
 	if e.p.s.Strategy == "" {
 		r, err := chDDPReplica(m, pg, e.p.s.Codec == "1bit")
@@ -380,18 +380,56 @@ func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (re
 	if err != nil {
 		return nil, err // normal-form schedules only carry zero2/zero3 (walk)
 	}
-	return fsdp.New(m, pg, fsdp.Options{
+	// An AllGatherV issued while the worker's mid-step kill is armed
+	// kills the worker first, so peers die blocked inside the gather.
+	kill := func() {
+		if w.gatherKillArmed() {
+			w.agent.Kill()
+		}
+	}
+	f, err := fsdp.New(m, gatherHooked(pg, kill), fsdp.Options{
 		Strategy:             st,
 		BucketCapBytes:       chBucketCap,
 		LR:                   chLR,
 		Momentum:             chMom,
 		SkipInitialBroadcast: true,
-		TestingOnGather: func(int) {
-			if w.gatherKillArmed() {
-				w.agent.Kill()
-			}
-		},
 	})
+	if err != nil {
+		return nil, err
+	}
+	return gatherHookReplica{f, kill}, nil
+}
+
+// gatherHookGroup runs hook ahead of every AllGatherV issued on the
+// group it wraps.
+type gatherHookGroup struct {
+	comm.ShardedGroup
+	hook func()
+}
+
+func (g gatherHookGroup) AllGatherV(data []float32) comm.Work {
+	g.hook()
+	return g.ShardedGroup.AllGatherV(data)
+}
+
+// gatherHooked wraps pg in a gatherHookGroup; a group without the
+// sharded collectives is passed on for fsdp to refuse.
+func gatherHooked(pg comm.ProcessGroup, hook func()) comm.ProcessGroup {
+	if sg, ok := pg.(comm.ShardedGroup); ok {
+		return gatherHookGroup{sg, hook}
+	}
+	return pg
+}
+
+// gatherHookReplica keeps its hook across reconfigurations: the group
+// every Rebind hands over is wrapped too.
+type gatherHookReplica struct {
+	*fsdp.FSDP
+	hook func()
+}
+
+func (r gatherHookReplica) Rebind(pg comm.ProcessGroup) error {
+	return r.FSDP.Rebind(gatherHooked(pg, r.hook))
 }
 
 // residualResetBug is the planted bug: every reconfiguration installs

@@ -5,9 +5,47 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autograd"
 	"repro/internal/ckpt"
+	"repro/internal/comm"
+	"repro/internal/fsdp"
 	"repro/internal/store"
 )
+
+// TestGatherHookFollowsTheReplica: the hook the engine arms a ZeRO-3
+// mid-step kill with runs inside Forward, ahead of its parameter
+// gathers, and still does on the group a Rebind hands over.
+func TestGatherHookFollowsTheReplica(t *testing.T) {
+	groups := append(comm.NewInProcGroups(1, comm.Options{}), comm.NewInProcGroups(1, comm.Options{})...)
+	defer func() {
+		for _, g := range groups {
+			g.Close()
+		}
+	}()
+	calls := 0
+	hook := func() { calls++ }
+	f, err := fsdp.New(chModel(), gatherHooked(groups[0], hook), fsdp.Options{Strategy: fsdp.ZeRO3, BucketCapBytes: chBucketCap, LR: chLR, Momentum: chMom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := gatherHookReplica{f, hook}
+	x, _ := chBatchFor(0, 0, 1)
+	for i, pg := range groups {
+		if i > 0 {
+			if err := r.Rebind(pg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := calls
+		r.Forward(autograd.Constant(x))
+		if calls == before {
+			t.Fatalf("forward on group %d ran no hooked gather", i)
+		}
+		if err := r.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // TestShrinkMutantsAreSmallerAndNormal: every proposed mutant must be
 // runnable (normal form) and must not grow the schedule — the two

@@ -12,8 +12,8 @@
 //     persistently holds only its owned chunk per bucket; full
 //     parameters exist transiently, gathered bucket by bucket ahead of
 //     each unit's forward and (via an autograd backward-hook identity
-//     op) ahead of each unit's backward, and freed as soon as the last
-//     consumer has run.
+//     op) ahead of each unit's backward, and freed once the plan no
+//     longer holds them.
 //
 // Parameter storage: the wrapper keeps one flat per bucket and re-points
 // every parameter's Value at its range of it, so AllGatherV fills the
@@ -31,21 +31,26 @@
 // the hook. Every Grad is cleared when Backward returns, failed steps
 // included: it may view a flat that has gone back to the pool.
 //
-// The ZeRO-3 gather schedule is data, emitted once per install/rebind
-// (mapUnits): per pass, the buckets in the order the module's units —
-// a Sequential's children — first read them, and per unit how far into
-// that sequence it reads. Forward and the backward hooks only advance a
-// cursor (advance): launch the gathers through what the unit reads plus
-// one bucket, then wait for exactly what it reads. Launching before
-// waiting keeps the group's serial worker busy while the unit computes;
-// the one bucket of look-ahead is all the extra residency it costs
-// (Stats.PeakParamBytes ≤ shards + the running unit's buckets + one
-// bucket). The last unit's buckets are what backward reads first, so
-// forward keeps them gathered: a step launches 2·NumBuckets gathers
-// less those. Launches happen on the training goroutine in plan order,
-// identically on every rank. A failed gather or buffer broadcast is
-// deferred to Backward, which returns it; no gather outlives the step
-// that launched it, successful or not.
+// The ZeRO-3 gather schedule is data, one plan per step, emitted once
+// per install/rebind (mapUnits, PlanStep): over the step's visits — the
+// forward visits of the module's units (a Sequential's children) in
+// order, then their backward visits in reverse — which gathers to
+// launch, which must have landed, and which buckets to drop after each
+// visit. Forward and the backward hooks only advance a cursor (advance):
+// launch what the plan says, then wait for exactly what the visit reads.
+// Launching before waiting keeps the group's serial worker busy while
+// the unit computes. The plan keeps what is gathered or in flight within
+// a budget — the largest sum of one visit's buckets plus the largest
+// single bucket, in bucket sizes — and spends it first on holding a
+// bucket whose next read comes no later than the plan's next gather of
+// another bucket, then on launching the next gather as soon as it fits,
+// even across the forward/backward turn. A step therefore launches
+// 2·NumBuckets gathers less the buckets held across the turn. In
+// backward a bucket is dropped when its last gradient is in. The plan
+// depends only on the layout, so launches happen on the training
+// goroutine in the same order on every rank. A failed gather or buffer
+// broadcast is deferred to Backward, which returns it; no gather outlives
+// the step that launched it, successful or not.
 //
 // The bitwise contract: fsdp uses the SAME bucket assignment as DDP
 // (reverse registration order, cap-based packing) and comm's sharded

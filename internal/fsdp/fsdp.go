@@ -23,7 +23,7 @@ const (
 	// replicated.
 	ZeRO2 Strategy = iota
 	// ZeRO3 additionally shards parameters, gathering them per bucket
-	// one bucket ahead of the forward and backward units that read them.
+	// one gather ahead of the forward and backward units that read them.
 	ZeRO3
 )
 
@@ -79,13 +79,6 @@ type Options struct {
 	// parameter/buffer broadcast, for callers that aligned replicas
 	// externally (the elastic agent's checkpoint-restore path).
 	SkipInitialBroadcast bool
-	// TestingOnGather, when non-nil, runs immediately before every
-	// ZeRO-3 parameter AllGatherV launch with the bucket index. Gathers
-	// are launched one bucket ahead of need, so the call may come one
-	// bucket earlier than the unit that reads the bucket. The chaos
-	// harness uses it to kill ranks mid-gather; never set it outside
-	// tests.
-	TestingOnGather func(bucket int)
 }
 
 // Stats is the memory/traffic accounting the sharding ablation and the
@@ -98,10 +91,11 @@ type Stats struct {
 	ShardParamBytes int
 	// PeakParamBytes is the maximum transiently resident parameter
 	// bytes observed: shards plus every bucket that is gathered or whose
-	// gather is in flight. Under ZeRO3 that is at most the shards, the
-	// buckets of the running unit and one bucket of look-ahead (plus the
-	// kept buckets of the last unit when Forward runs again without a
-	// Backward in between).
+	// gather is in flight. Under ZeRO3 the step's plan (PlanStep) keeps
+	// the gathered and in-flight buckets within the largest sum of one
+	// unit's buckets plus the largest single bucket, what it holds across
+	// the forward/backward turn included; a Forward that runs again
+	// without a Backward in between may find more still gathered.
 	PeakParamBytes int
 	// OptimizerBytes is the momentum shard size — the state ZeRO
 	// divides by world.
@@ -114,8 +108,8 @@ type Stats struct {
 	PeakGradBytes int
 	// Gathers and Reduces count parameter AllGatherV and gradient
 	// ReduceScatterV launches. A ZeRO3 step launches one gather per
-	// bucket in forward and one in backward, less the last unit's
-	// buckets, which stay gathered from forward into backward.
+	// bucket for forward and one for backward, less the buckets its plan
+	// holds gathered from forward into backward.
 	Gathers int
 	Reduces int
 }
@@ -154,14 +148,11 @@ type FSDP struct {
 	state       []residency
 	remaining   []int   // ZeRO-3: member grads outstanding before free
 	unitBuckets [][]int // buckets each unit's parameters touch
-	lastUnitOf  []int   // last forward unit touching each bucket
 
-	// The ZeRO-3 gather schedule (see mapUnits): one plan per pass, the
-	// buckets forward leaves gathered for backward, the position of the
-	// running pass's next launch, and the gathers launched but not yet
-	// waited for, oldest first.
-	fwd, bwd gatherPlan
-	kept     []bool
+	// The ZeRO-3 gather schedule (see mapUnits): the step's plan, the
+	// position in its Seq of the next launch, and the gathers launched
+	// but not yet waited for, oldest first.
+	plan     Plan
 	cursor   int
 	inflight []gather
 
@@ -188,18 +179,11 @@ const (
 	gathered                   // the flat holds every rank's chunk
 )
 
-// gatherPlan is one pass's gather schedule: the buckets in the order
-// the pass first needs them and, per unit, how many entries of that
-// sequence must have landed before the unit runs.
-type gatherPlan struct {
-	seq  []int
-	need []int
-}
-
-// gather is one launched AllGatherV.
+// gather is one launched AllGatherV: entry pos of the plan's Seq, or −1
+// outside the plan (Materialize).
 type gather struct {
-	bucket int
-	work   comm.Work
+	bucket, pos int
+	work        comm.Work
 }
 
 // New wraps module for sharded training over pg, which must support
@@ -328,14 +312,9 @@ func (f *FSDP) shardAll() {
 }
 
 // mapUnits decomposes the module into forward units — the gather/free
-// granularity of ZeRO-3 — and emits the gather schedule they imply. A
+// granularity of ZeRO-3 — and plans the step they imply (PlanStep). A
 // Sequential's children are its units; any other module is a single
-// unit. For each unit the touched buckets are precomputed, as is each
-// bucket's last forward consumer; the forward plan lists the buckets in
-// the order units first read them, the backward plan in the order the
-// units' backward hooks do (last unit first); the buckets of the last
-// unit that has any come first in the backward plan, so forward keeps
-// them gathered.
+// unit.
 func (f *FSDP) mapUnits() {
 	if seq, ok := f.module.(*nn.Sequential); ok {
 		f.units = seq.Children()
@@ -344,9 +323,7 @@ func (f *FSDP) mapUnits() {
 	}
 	// Parameters() of a Sequential concatenates child parameters in
 	// order, so a running offset recovers each unit's index range.
-	nb := f.assign.NumBuckets()
 	f.unitBuckets = make([][]int, len(f.units))
-	f.lastUnitOf = make([]int, nb)
 	next := 0
 	for u, unit := range f.units {
 		for range unit.Parameters() {
@@ -354,37 +331,10 @@ func (f *FSDP) mapUnits() {
 			if !slices.Contains(f.unitBuckets[u], b) {
 				f.unitBuckets[u] = append(f.unitBuckets[u], b)
 			}
-			f.lastUnitOf[b] = u
 			next++
 		}
 	}
-	f.fwd = gatherPlan{need: make([]int, len(f.units))}
-	f.bwd = gatherPlan{need: make([]int, len(f.units))}
-	for u := range f.units {
-		f.fwd.add(u, f.unitBuckets[u])
-	}
-	f.kept = make([]bool, nb)
-	for u := len(f.units) - 1; u >= 0; u-- {
-		if len(f.bwd.seq) == 0 {
-			for _, b := range f.unitBuckets[u] {
-				f.kept[b] = true
-			}
-		}
-		f.bwd.add(u, f.unitBuckets[u])
-	}
-}
-
-// add appends the buckets the plan has not listed yet and records how
-// far into the sequence unit u reads.
-func (p *gatherPlan) add(u int, buckets []int) {
-	for _, b := range buckets {
-		pos := slices.Index(p.seq, b)
-		if pos < 0 {
-			pos = len(p.seq)
-			p.seq = append(p.seq, b)
-		}
-		p.need[u] = max(p.need[u], pos+1)
-	}
+	f.plan = PlanStep(f.unitBuckets, f.assign.BucketElems)
 }
 
 // launchBucket is the reduce.Launcher fsdp plugs into the shared
@@ -491,21 +441,19 @@ func (f *FSDP) freeBucket(b int) {
 }
 
 // launchGather starts the in-place AllGatherV that fills a sharded
-// bucket's flat from every owner's chunk. The bucket counts as resident
-// from here on. A bucket that is already gathered (kept from forward, or
-// by Materialize) or on its way is left alone.
-func (f *FSDP) launchGather(b int) {
+// bucket's flat from every owner's chunk, as entry pos of the plan (−1
+// outside it). The bucket counts as resident from here on. A bucket that
+// is already gathered (by Materialize, or by a Forward that ran without
+// a Backward after it) or on its way is left alone.
+func (f *FSDP) launchGather(b, pos int) {
 	if f.state[b] != sharded {
 		return
-	}
-	if f.opts.TestingOnGather != nil {
-		f.opts.TestingOnGather(b)
 	}
 	f.stats.Gathers++
 	f.state[b] = gathering
 	f.residentParam += f.nonOwnedBytes(b)
 	f.notePeak()
-	f.inflight = append(f.inflight, gather{bucket: b, work: f.sg.AllGatherV(f.flats[b])})
+	f.inflight = append(f.inflight, gather{bucket: b, pos: pos, work: f.sg.AllGatherV(f.flats[b])})
 }
 
 // land waits for the oldest gather in flight. A failed gather's partial
@@ -533,26 +481,24 @@ func (f *FSDP) drain() error {
 	return first
 }
 
-// advance is all a unit does about gathers: move the running pass's
-// cursor. It launches the plan's gathers through what unit u reads plus
-// one bucket — before waiting, so the group's serial worker goes from
-// one gather straight into the next while the unit computes — and then
-// waits for exactly the buckets the unit reads. Launches happen here, on
-// the training goroutine, in plan order, so every rank submits the same
-// collectives in the same order. A failure is downgraded to the deferred
-// error Backward reports: a gather can only fail when the process group
-// broke (a peer died, the group was aborted), and the graph walk it
-// interrupts runs inside interfaces with no error return. Once one is
-// recorded nothing more is launched and the remaining units compute on
-// zeroed parameters, keeping tensor shapes (and the caller's loss
-// construction) intact while the iteration's results are doomed to be
-// discarded.
-func (f *FSDP) advance(p *gatherPlan, u int) {
-	need := p.need[u]
-	for ; f.deferred == nil && f.cursor <= need && f.cursor < len(p.seq); f.cursor++ {
-		f.launchGather(p.seq[f.cursor])
+// advance is all a visit does about gathers: move the plan's cursor. It
+// launches the plan's gathers through visit v's — before waiting, so the
+// group's serial worker goes from one gather straight into the next
+// while the unit computes — and then waits for exactly the buckets the
+// visit reads. Launches happen here, on the training goroutine, in plan
+// order, so every rank submits the same collectives in the same order. A
+// failure is downgraded to the deferred error Backward reports: a gather
+// can only fail when the process group broke (a peer died, the group was
+// aborted), and the graph walk it interrupts runs inside interfaces with
+// no error return. Once one is recorded nothing more is launched and the
+// remaining units compute on zeroed parameters, keeping tensor shapes
+// (and the caller's loss construction) intact while the iteration's
+// results are doomed to be discarded.
+func (f *FSDP) advance(v int) {
+	for ; f.deferred == nil && f.cursor < f.plan.launch[v]; f.cursor++ {
+		f.launchGather(f.plan.Seq[f.cursor], f.cursor)
 	}
-	for len(f.inflight) > 0 && slices.Index(p.seq, f.inflight[0].bucket) < need {
+	for len(f.inflight) > 0 && f.inflight[0].pos < f.plan.need[v] {
 		if err := f.land(); err != nil && f.deferred == nil {
 			f.deferred = err
 		}
@@ -560,13 +506,15 @@ func (f *FSDP) advance(p *gatherPlan, u int) {
 }
 
 // Forward runs the model's forward pass. ZeRO2 runs it directly (full
-// parameters are resident); ZeRO3 walks the units, advancing the forward
-// gather plan ahead of each unit's forward, inserting the backward hook
-// that advances the backward plan on its output, and freeing each bucket
-// after its last forward consumer — except the last unit's buckets,
-// which are the first thing backward reads and stay gathered for it.
+// parameters are resident); ZeRO3 walks the units through the step's
+// plan: it advances the plan ahead of each unit's forward, puts the hook
+// that advances it ahead of the unit's backward on the unit's output,
+// and drops what the plan frees after the unit. What the plan holds
+// stays gathered into backward, and a gather it launches for backward
+// may still be in flight when Forward returns; a Forward that follows a
+// Forward lands it first.
 func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
-	f.deferred = nil
+	f.deferred = f.drain()
 	f.broadcastBuffersIfPending()
 	f.engine.Reset()
 	if f.opts.Strategy != ZeRO3 {
@@ -576,16 +524,12 @@ func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 		f.remaining[b] = len(f.assign.Buckets[b])
 	}
 	f.cursor = 0
+	last := 2*len(f.units) - 1
 	for u, unit := range f.units {
-		f.advance(&f.fwd, u)
-		x = unit.Forward(x)
-		if len(f.unitBuckets[u]) > 0 {
-			x = autograd.BackwardHook(x, func() { f.advance(&f.bwd, u) })
-		}
-		for _, b := range f.unitBuckets[u] {
-			if f.lastUnitOf[b] == u && !f.kept[b] {
-				f.freeBucket(b)
-			}
+		f.advance(u)
+		x = autograd.BackwardHook(unit.Forward(x), func() { f.advance(last - u) })
+		for _, b := range f.plan.free[u] {
+			f.freeBucket(b)
 		}
 	}
 	return x
@@ -667,7 +611,6 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	if err := f.takeDeferred(); err != nil {
 		return f.abandon(fmt.Errorf("fsdp: forward: %w", err))
 	}
-	f.cursor = 0
 	autograd.Backward(loss, nil)
 	if err := f.takeDeferred(); err != nil {
 		return f.abandon(fmt.Errorf("fsdp: backward: %w", err))
@@ -720,7 +663,7 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 // still holds and re-frees on schedule.
 func (f *FSDP) Materialize() error {
 	for b := range f.flats {
-		f.launchGather(b)
+		f.launchGather(b, -1)
 	}
 	if err := f.drain(); err != nil {
 		return fmt.Errorf("fsdp: %w", err)

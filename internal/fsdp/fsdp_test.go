@@ -63,8 +63,8 @@ var (
 	mlpFixture = fixture{"mlp", func() nn.Module { return buildMLP(3, tIn, tHidden, tOut) }, tCap, tIn, tOut}
 	// bertFixture is the benchmark's zero3_bert_shaped layout: four
 	// buckets, and every transformer block straddles two of them by a
-	// 128-element tail, so each unit waits for two gathers and every
-	// bucket but one is freed and re-gathered mid-pass.
+	// 128-element tail, so each unit waits for two gathers and the plan
+	// frees and re-gathers two of the four buckets for backward.
 	bertFixture = fixture{"bert-1MiB", func() nn.Module { return models.NewTinyTransformer(3, 128, 4, 512, 4) }, 1 << 20, 128, 128}
 	// checkpointedFixture wraps the MLP's layers in activation
 	// checkpointing: the recompute runs in backward, after the unit's
@@ -591,19 +591,22 @@ var _ comm.ShardedGroup = (*scriptedGroup)(nil)
 // loggedUnit logs when the wrapped unit's forward runs and when its
 // backward is about to (a hook on its own output, which fires after the
 // wrapper's hook on the same value and before the unit's gradient math),
-// together with the parameter bytes resident at that moment.
+// records the parameter bytes resident at that moment, and notes any of
+// the unit's buckets that has not landed by then.
 type loggedUnit struct {
 	nn.Module
-	u    int
-	g    *scriptedGroup
-	f    **FSDP
-	seen map[string]int // event → resident parameter bytes when it was logged
+	u int
+	s *scripted
 }
 
 func (l loggedUnit) note(event string) {
-	l.g.logf("%s %d", event, l.u)
-	if *l.f != nil { // nil while the constructor runs
-		l.seen[fmt.Sprintf("%s %d", event, l.u)] = (*l.f).residentParam
+	s, e := l.s, fmt.Sprintf("%s %d", event, l.u)
+	s.g.logf("%s", e)
+	s.seen[e] = s.f.residentParam
+	for _, b := range s.f.unitBuckets[l.u] {
+		if s.f.state[b] != gathered {
+			s.unlanded = append(s.unlanded, fmt.Sprintf("%s ran before bucket %d landed", e, b))
+		}
 	}
 }
 
@@ -614,10 +617,11 @@ func (l loggedUnit) Forward(x *autograd.Variable) *autograd.Variable {
 
 // scripted is one rank's ZeRO-3 wrapper over a scriptedGroup.
 type scripted struct {
-	f    *FSDP
-	g    *scriptedGroup
-	seen map[string]int
-	x, y *autograd.Variable
+	f        *FSDP
+	g        *scriptedGroup
+	seen     map[string]int // event → resident parameter bytes when it was logged
+	unlanded []string       // units that ran on a bucket still sharded or in flight
+	x, y     *autograd.Variable
 }
 
 // newScripted wraps the fixture's model, unit by unit in loggedUnits,
@@ -627,7 +631,7 @@ func newScripted(t *testing.T, fx fixture, rank, world int) *scripted {
 	s := &scripted{g: &scriptedGroup{rank: rank, world: world, bucketOf: map[*float32]int{}}, seen: map[string]int{}}
 	seq := nn.NewSequential()
 	for u, unit := range fx.build().(*nn.Sequential).Children() {
-		seq.Append(loggedUnit{Module: unit, u: u, g: s.g, f: &s.f, seen: s.seen})
+		seq.Append(loggedUnit{Module: unit, u: u, s: s})
 	}
 	f, err := New(seq, s.g, Options{Strategy: ZeRO3, BucketCapBytes: fx.cap, LR: tLR, Momentum: tMomentum})
 	if err != nil {
@@ -649,17 +653,6 @@ func (s *scripted) step() ([]string, error) {
 	return s.g.events[first:], err
 }
 
-func indexOf(t *testing.T, events []string, event string) int {
-	t.Helper()
-	for i, e := range events {
-		if e == event {
-			return i
-		}
-	}
-	t.Fatalf("event %q missing from %v", event, events)
-	return -1
-}
-
 func launchesIn(events []string) []int {
 	var out []int
 	for _, e := range events {
@@ -669,6 +662,149 @@ func launchesIn(events []string) []int {
 		}
 	}
 	return out
+}
+
+// heldAcrossTurn lists the buckets the plan keeps gathered from forward
+// into backward: read in forward, and not freed after their last
+// forward read.
+func heldAcrossTurn(f *FSDP) []int {
+	resident := make([]bool, f.NumBuckets())
+	for u, buckets := range f.unitBuckets {
+		for _, b := range buckets {
+			resident[b] = true
+		}
+		for _, b := range f.plan.free[u] {
+			resident[b] = false
+		}
+	}
+	var held []int
+	for b, r := range resident {
+		if r {
+			held = append(held, b)
+		}
+	}
+	return held
+}
+
+// planEvents is the event log the plan prescribes for a step: per
+// visit, its launches, then its waits, then the unit.
+func planEvents(f *FSDP) []string {
+	n := len(f.units)
+	var out []string
+	launched, landed := 0, 0
+	for v := range 2 * n {
+		for ; launched < f.plan.launch[v]; launched++ {
+			out = append(out, fmt.Sprintf("launch %d", f.plan.Seq[launched]))
+		}
+		for ; landed < f.plan.need[v]; landed++ {
+			b := f.plan.Seq[landed]
+			out = append(out, fmt.Sprintf("wait %d", b), fmt.Sprintf("landed %d", b))
+		}
+		if v < n {
+			out = append(out, fmt.Sprintf("forward %d", v))
+		} else {
+			out = append(out, fmt.Sprintf("backward %d", 2*n-1-v))
+		}
+	}
+	return out
+}
+
+// budget is the plan's bound on this rank's resident parameter bytes:
+// the shards, the largest sum of one unit's buckets and the largest
+// single bucket, each bucket counted by what gathering it adds.
+func (f *FSDP) budget() int {
+	visit, largest := 0, 0
+	for _, buckets := range f.unitBuckets {
+		sum := 0
+		for _, b := range buckets {
+			sum += f.nonOwnedBytes(b)
+			largest = max(largest, f.nonOwnedBytes(b))
+		}
+		visit = max(visit, sum)
+	}
+	return f.Stats().ShardParamBytes + visit + largest
+}
+
+// checkPlan replays a plan over its layout and fails unless every
+// bucket a visit reads is resident and landed when the visit runs, no
+// bucket is gathered while it is resident, what is resident never
+// exceeds the budget (in elements), backward drops each bucket right
+// after its last read, and nothing stays resident after the step.
+func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
+	t.Helper()
+	n := len(unitBuckets)
+	budget, largest := 0, 0
+	lastRead := make([]int, len(size)) // the backward visit of the lowest unit reading b
+	for u, buckets := range unitBuckets {
+		sum := 0
+		for _, b := range buckets {
+			sum += size[b]
+			if lastRead[b] == 0 {
+				lastRead[b] = 2*n - 1 - u
+			}
+		}
+		budget = max(budget, sum)
+	}
+	for _, s := range size {
+		largest = max(largest, s)
+	}
+	budget += largest
+	resident := make([]bool, len(size))
+	lastPos := make([]int, len(size))
+	load, launched := 0, 0
+	for v := range 2 * n {
+		u := v
+		if v >= n {
+			u = 2*n - 1 - v
+		}
+		for ; launched < p.launch[v]; launched++ {
+			b := p.Seq[launched]
+			if resident[b] {
+				t.Fatalf("visit %d gathers bucket %d while it is resident (plan %v)", v, b, p.Seq)
+			}
+			resident[b], lastPos[b] = true, launched
+			load += size[b]
+		}
+		if load > budget {
+			t.Fatalf("visit %d holds %d elements, budget %d (plan %v)", v, load, budget, p.Seq)
+		}
+		for _, b := range unitBuckets[u] {
+			if !resident[b] || lastPos[b] >= p.need[v] {
+				t.Fatalf("visit %d reads bucket %d before it landed (plan %v)", v, b, p.Seq)
+			}
+		}
+		for _, b := range p.free[v] {
+			if v >= n && lastRead[b] != v {
+				t.Fatalf("backward visit %d drops bucket %d, whose last read is visit %d", v, b, lastRead[b])
+			}
+			resident[b] = false
+			load -= size[b]
+		}
+	}
+	if launched != len(p.Seq) || load != 0 {
+		t.Fatalf("%d of %d gathers launched and %d elements resident after the step", launched, len(p.Seq), load)
+	}
+}
+
+// scriptedWorld builds a world of scripted wrappers of the fixture and
+// runs two steps on each (the first starts from the same sharded state
+// as any other), returning the second step's events per rank.
+func scriptedWorld(t *testing.T, fx fixture, world int) ([]*scripted, [][]string) {
+	t.Helper()
+	ranks := make([]*scripted, world)
+	events := make([][]string, world)
+	for rank := range ranks {
+		s := newScripted(t, fx, rank, world)
+		if _, err := s.step(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if events[rank], err = s.step(); err != nil {
+			t.Fatal(err)
+		}
+		ranks[rank] = s
+	}
+	return ranks, events
 }
 
 // deepFixture has many buckets per unit: one bucket per parameter, four
@@ -684,186 +820,198 @@ var deepFixture = fixture{"deep", func() nn.Module {
 	)
 }, -1, tIn, tOut}
 
-// TestGatherPlanOfTheBenchmarkLayout pins the schedule mapUnits emits
-// for the benchmark's model: four buckets in reverse registration
-// order, every block reading its own bucket and, by its last bias, the
-// next block's.
+// TestGatherPlanOfTheBenchmarkLayout pins the plan mapUnits emits for
+// the benchmark's model — four buckets in reverse registration order,
+// every block reading its own bucket and, by its last bias, the next
+// block's — and that a Forward leaves the turn as planned: buckets 0
+// and 1 held, bucket 2's gather for backward launched.
 func TestGatherPlanOfTheBenchmarkLayout(t *testing.T) {
-	f := newScripted(t, bertFixture, 0, 2).f
-	want := func(name string, got, want []int) {
-		t.Helper()
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s = %v, want %v", name, got, want)
-		}
+	s := newScripted(t, bertFixture, 0, 2)
+	f := s.f
+	if got := fmt.Sprint(f.plan.Seq); got != "[3 2 1 0 2 3]" {
+		t.Fatalf("plan launches %s, want [3 2 1 0 2 3]", got)
 	}
-	want("forward sequence", f.fwd.seq, []int{3, 2, 1, 0})
-	want("forward need", f.fwd.need, []int{2, 3, 4, 4, 4})
-	want("backward sequence", f.bwd.seq, []int{0, 1, 2, 3})
-	want("backward need", f.bwd.need, []int{4, 3, 2, 1, 1})
-	if fmt.Sprint(f.kept) != "[true false false false]" {
-		t.Fatalf("kept = %v, want only bucket 0 (the last unit's)", f.kept)
+	if got := fmt.Sprint(heldAcrossTurn(f)); got != "[0 1]" {
+		t.Fatalf("plan holds %s across the turn, want [0 1]", got)
+	}
+	n := len(f.units)
+	if got := f.plan.launch[n-1]; got != 5 {
+		t.Fatalf("forward launches %d gathers, want 5: the second gather of bucket 2 crosses the turn", got)
+	}
+	f.Forward(s.x)
+	want := []residency{gathered, gathered, gathering, sharded}
+	if fmt.Sprint(f.state) != fmt.Sprint(want) {
+		t.Fatalf("after forward buckets stand at %v, want %v", f.state, want)
+	}
+	if err := f.Materialize(); err != nil { // lands the gather in flight
+		t.Fatal(err)
 	}
 }
 
 // TestGatherSchedule drives whole steps over the scripted group and
-// pins what the plan promises: launches are the plan, on every rank;
-// each gather is launched before the wait on the one ahead of it
-// returns and before any unit that reads it runs; at no point is more
-// than one bucket resident or in flight that the running unit does not
-// read; and the gather count is 2·NB less the kept buckets.
+// pins what the plan promises: (a) launches are the plan, on every
+// rank; (b) each visit launches, then waits, then runs, and every bucket
+// a unit reads has landed before it runs; (c) at no visit is more
+// resident than the budget; and (d) a step launches 2·NB gathers less
+// the buckets held across the turn.
 func TestGatherSchedule(t *testing.T) {
 	for _, fx := range []fixture{deepFixture, bertFixture} {
 		t.Run(fx.name, func(t *testing.T) {
-			const world = 3
-			var rank0 []string
-			for rank := 0; rank < world; rank++ {
-				s := newScripted(t, fx, rank, world)
+			ranks, events := scriptedWorld(t, fx, 3)
+			for rank, s := range ranks {
 				f := s.f
-				nb := f.NumBuckets()
-				if _, err := s.step(); err != nil { // first step: parameters start sharded, same as any other
-					t.Fatal(err)
+				checkPlan(t, f.plan, f.unitBuckets, f.assign.BucketElems)
+				// (a) and (b): the event log is the plan's, on every rank.
+				if want := planEvents(f); fmt.Sprint(events[rank]) != fmt.Sprint(want) {
+					t.Fatalf("rank %d's step:\n%v\nthe plan's:\n%v", rank, events[rank], want)
 				}
-				before := f.Stats().Gathers
-				events, err := s.step()
-				if err != nil {
-					t.Fatal(err)
+				if len(s.unlanded) > 0 {
+					t.Fatalf("rank %d: %v", rank, s.unlanded)
 				}
-
-				// (a) The launch log is the plan: the forward sequence,
-				// then the backward sequence without the kept buckets.
-				var plan []int
-				plan = append(plan, f.fwd.seq...)
-				kept := 0
-				for _, b := range f.bwd.seq {
-					if f.kept[b] {
-						kept++
-						continue
-					}
-					plan = append(plan, b)
-				}
-				if got := launchesIn(events); fmt.Sprint(got) != fmt.Sprint(plan) {
-					t.Fatalf("rank %d launched %v, the plan is %v", rank, got, plan)
-				}
-				if rank == 0 {
-					rank0 = append([]string(nil), events...)
-				} else if fmt.Sprint(events) != fmt.Sprint(rank0) {
-					t.Fatalf("rank %d's step differs from rank 0's:\n%v\n%v", rank, events, rank0)
-				}
-
-				// (d) 2·NB gathers less the kept buckets.
-				if got, want := f.Stats().Gathers-before, 2*nb-kept; got != want || kept != len(f.unitBuckets[f.lastUnitWithBuckets()]) {
-					t.Fatalf("rank %d: %d gathers in a step, want 2·%d − %d", rank, got, nb, kept)
-				}
-
-				// (b) Within each pass, the gather at position i+1 is
-				// launched before the wait on position i returns, and
-				// every gather a unit reads has landed — and the one
-				// after it has been launched — before the unit runs.
-				split := indexOf(t, events, fmt.Sprintf("forward %d", len(f.units)-1)) + 1
-				for _, pass := range []struct {
-					name   string
-					p      *gatherPlan
-					events []string
-				}{{"forward", &f.fwd, events[:split]}, {"backward", &f.bwd, events[split:]}} {
-					var seq []int // the pass's launches
-					for _, b := range pass.p.seq {
-						if pass.name == "forward" || !f.kept[b] {
-							seq = append(seq, b)
-						}
-					}
-					for i := 0; i+1 < len(seq); i++ {
-						if indexOf(t, pass.events, fmt.Sprintf("launch %d", seq[i+1])) > indexOf(t, pass.events, fmt.Sprintf("landed %d", seq[i])) {
-							t.Fatalf("rank %d %s: gather of bucket %d launched only after the wait on bucket %d returned: %v",
-								rank, pass.name, seq[i+1], seq[i], pass.events)
-						}
-					}
-					for u, buckets := range f.unitBuckets {
-						if len(buckets) == 0 {
-							continue
-						}
-						ran := indexOf(t, pass.events, fmt.Sprintf("%s %d", pass.name, u))
-						for _, b := range buckets {
-							if pass.name == "backward" && f.kept[b] {
-								continue
-							}
-							if indexOf(t, pass.events, fmt.Sprintf("landed %d", b)) > ran {
-								t.Fatalf("rank %d: unit %d's %s ran before bucket %d landed: %v", rank, u, pass.name, b, pass.events)
-							}
-						}
-						if next := pass.p.need[u]; next < len(pass.p.seq) {
-							if indexOf(t, pass.events, fmt.Sprintf("launch %d", pass.p.seq[next])) > ran {
-								t.Fatalf("rank %d: unit %d's %s ran before the look-ahead gather of bucket %d was launched: %v",
-									rank, u, pass.name, pass.p.seq[next], pass.events)
-							}
-						}
+				// (c) The budget at every visit, and as the peak.
+				budget := f.budget()
+				for event, got := range s.seen {
+					if got > budget {
+						t.Fatalf("rank %d: %d parameter bytes resident at %s, budget %d", rank, got, event, budget)
 					}
 				}
-
-				// (c) Residency: the shards, the running unit's buckets
-				// and one more.
-				shards, oneMore := f.Stats().ShardParamBytes, 0
-				for b := 0; b < nb; b++ {
-					oneMore = max(oneMore, f.nonOwnedBytes(b))
+				if got := f.Stats().PeakParamBytes; got > budget {
+					t.Fatalf("rank %d: PeakParamBytes %d above the budget %d", rank, got, budget)
 				}
-				worst := 0
-				for u, buckets := range f.unitBuckets {
-					bound := shards + oneMore
-					for _, b := range buckets {
-						bound += f.nonOwnedBytes(b)
-					}
-					worst = max(worst, bound)
-					for _, pass := range []string{"forward", "backward"} {
-						if got, ok := s.seen[fmt.Sprintf("%s %d", pass, u)]; ok && got > bound {
-							t.Fatalf("rank %d: %d parameter bytes resident while unit %d's %s runs, bound %d", rank, got, u, pass, bound)
-						}
-					}
-				}
-				if got := f.Stats().PeakParamBytes; got > worst {
-					t.Fatalf("rank %d: PeakParamBytes %d above shards + a unit's buckets + one = %d", rank, got, worst)
-				}
-				if got := f.residentParam; got != shards || len(f.inflight) != 0 {
+				if got, shards := f.residentParam, f.Stats().ShardParamBytes; got != shards || len(f.inflight) != 0 {
 					t.Fatalf("rank %d: %d bytes resident and %d gathers in flight after the step, want the %d shard bytes and none", rank, got, len(f.inflight), shards)
+				}
+				// (d) 2·NB gathers less the held buckets.
+				nb, held := f.NumBuckets(), len(heldAcrossTurn(f))
+				if got := len(launchesIn(events[rank])); got != 2*nb-held {
+					t.Fatalf("rank %d: %d gathers in a step, want 2·%d − %d", rank, got, nb, held)
 				}
 			}
 		})
 	}
 }
 
-// lastUnitWithBuckets is the unit whose buckets forward keeps.
-func (f *FSDP) lastUnitWithBuckets() int {
-	for u := len(f.units) - 1; u >= 0; u-- {
-		if len(f.unitBuckets[u]) > 0 {
-			return u
+// lin is a 4×4 Linear: 20 parameters, 80 bytes.
+func lin(rng *rand.Rand) nn.Module { return nn.NewLinear(rng, "lin", 4, 4) }
+
+// TestGatherPlanSweep plans and runs synthetic unit→bucket layouts (at
+// an 80-byte cap every lin is one bucket) and checks what every plan
+// must keep: each read landed, no bucket gathered while resident, the
+// peak within the budget, the same launches on every rank. It then
+// checks the plans of random layouts.
+func TestGatherPlanSweep(t *testing.T) {
+	build := func(units func(rng *rand.Rand) []nn.Module) func() nn.Module {
+		return func() nn.Module { return nn.NewSequential(units(rand.New(rand.NewSource(3)))...) }
+	}
+	for _, tc := range []struct {
+		fx      fixture
+		buckets string // the layout, pinned
+		held    int    // buckets held across the turn, or −1 for any
+		seq     string // the plan's launches, or "" for any
+	}{
+		{fixture{"eight one-bucket units", build(func(rng *rand.Rand) []nn.Module {
+			var units []nn.Module
+			for range 8 {
+				units = append(units, lin(rng))
+			}
+			return units
+		}), 80, 4, 4}, "[[7] [6] [5] [4] [3] [2] [1] [0]]", 2, ""},
+		{fixture{"three-bucket first unit", build(func(rng *rand.Rand) []nn.Module {
+			return []nn.Module{nn.NewSequential(lin(rng), nn.Tanh{}, lin(rng), nn.Tanh{}, lin(rng)), lin(rng), lin(rng)}
+		}), 80, 4, 4}, "[[4 3 2] [1] [0]]", -1, ""},
+		{fixture{"last unit spans two buckets", build(func(rng *rand.Rand) []nn.Module {
+			return []nn.Module{lin(rng), nn.Tanh{}, lin(rng), nn.NewSequential(lin(rng), nn.Tanh{}, lin(rng))}
+		}), 80, 4, 4}, "[[3] [] [2] [1 0]]", -1, ""},
+		{fixture{"cap -1", mlpFixture.build, -1, tIn, tOut}, "[[3 2] [] [1 0]]", -1, ""},
+		// Bucket 2's next read comes at unit 2, together with bucket 0's
+		// gather: no later than the plan's next gather, so it is held
+		// across unit 1 instead of gathered twice.
+		{fixture{"a bucket read again after a unit without parameters", build(func(rng *rand.Rand) []nn.Module {
+			return []nn.Module{nn.NewSequential(lin(rng), nn.Tanh{}, lin(rng)), nn.Tanh{}, nn.NewSequential(lin(rng), nn.Tanh{}, lin(rng), nn.Tanh{}, lin(rng))}
+		}), 120, 4, 4}, "[[4 3 2] [] [2 1 0]]", 3, "[4 3 2 1 0 4 3]"},
+	} {
+		t.Run(tc.fx.name, func(t *testing.T) {
+			ranks, events := scriptedWorld(t, tc.fx, 3)
+			f := ranks[0].f
+			if got := fmt.Sprint(f.unitBuckets); got != tc.buckets {
+				t.Fatalf("layout %s, want %s", got, tc.buckets)
+			}
+			checkPlan(t, f.plan, f.unitBuckets, f.assign.BucketElems)
+			for rank, s := range ranks {
+				if len(s.unlanded) > 0 {
+					t.Fatalf("rank %d: %v", rank, s.unlanded)
+				}
+				// A planned gather of a resident bucket would be skipped.
+				if got := launchesIn(events[rank]); fmt.Sprint(got) != fmt.Sprint(f.plan.Seq) {
+					t.Fatalf("rank %d launched %v, rank 0's plan is %v", rank, got, f.plan.Seq)
+				}
+				if got, budget := s.f.Stats().PeakParamBytes, s.f.budget(); got > budget {
+					t.Fatalf("rank %d: PeakParamBytes %d above the budget %d", rank, got, budget)
+				}
+			}
+			if held := heldAcrossTurn(f); tc.held >= 0 && len(held) != tc.held {
+				t.Fatalf("the plan holds %v across the turn, want %d buckets", held, tc.held)
+			}
+			if got := fmt.Sprint(f.plan.Seq); tc.seq != "" && got != tc.seq {
+				t.Fatalf("the plan launches %s, want %s", got, tc.seq)
+			}
+		})
+	}
+	// Random layouts: units over fresh buckets of mixed sizes, some
+	// without parameters, some sharing a bucket with the unit before.
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		var units [][]int
+		var size []int
+		for range 2 + rng.Intn(8) {
+			var reads []int
+			if rng.Intn(4) > 0 {
+				if len(size) > 0 && rng.Intn(2) == 0 {
+					reads = append(reads, len(size)-1)
+				}
+				for range 1 + rng.Intn(3) {
+					reads = append(reads, len(size))
+					size = append(size, 1+rng.Intn(10)*(1+99*rng.Intn(2)))
+				}
+			}
+			units = append(units, reads)
+		}
+		if len(size) > 0 {
+			checkPlan(t, PlanStep(units, size), units, size)
 		}
 	}
-	return 0
 }
 
 // TestEvaluationForwardKeepsWhatItHolds: a Forward that follows a
-// Forward (evaluation, no Backward in between) finds the last unit's
-// buckets still gathered and does not gather them again; neither does a
-// Forward after Materialize gather anything.
+// Forward (evaluation, no Backward in between) lands the gather the
+// first left in flight and does not gather again what it holds; a
+// Forward after Materialize gathers only what its own plan freed before
+// backward reads it.
 func TestEvaluationForwardKeepsWhatItHolds(t *testing.T) {
 	s := newScripted(t, bertFixture, 1, 2)
-	f, nb := s.f, s.f.NumBuckets()
+	f := s.f
 	f.Forward(s.x)
-	if got := f.Stats().Gathers; got != nb {
-		t.Fatalf("first forward launched %d gathers, want %d", got, nb)
+	if got := launchesIn(s.g.events); fmt.Sprint(got) != "[3 2 1 0 2]" {
+		t.Fatalf("first forward launched %v, want the buckets in order and bucket 2 again for backward", got)
 	}
+	first := len(s.g.events)
 	f.Forward(s.x)
-	if got, want := f.Stats().Gathers-nb, nb-1; got != want {
-		t.Fatalf("second forward launched %d gathers, want %d: bucket 0 was kept", got, want)
+	if got := launchesIn(s.g.events[first:]); fmt.Sprint(got) != "[3 2]" {
+		t.Fatalf("second forward launched %v, want [3 2]: buckets 0 and 1 were held and 2 was in flight", got)
 	}
 	if err := f.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	before := f.Stats().Gathers
 	if got := f.residentParam; got != f.Stats().FullParamBytes {
 		t.Fatalf("%d bytes resident after Materialize, want the full %d", got, f.Stats().FullParamBytes)
 	}
+	first = len(s.g.events)
 	f.Forward(s.x)
-	if got := f.Stats().Gathers - before; got != 0 {
-		t.Fatalf("forward after Materialize launched %d gathers, want 0", got)
+	if got := launchesIn(s.g.events[first:]); fmt.Sprint(got) != "[2]" {
+		t.Fatalf("forward after Materialize launched %v, want only bucket 2, freed after unit 1 and read again in backward", got)
+	}
+	if err := f.Materialize(); err != nil {
+		t.Fatal(err)
 	}
 	for n, waits := range s.g.waited {
 		if waits != 1 {
@@ -875,10 +1023,12 @@ func TestEvaluationForwardKeepsWhatItHolds(t *testing.T) {
 // TestFailedGatherSurfacesFromBackward fails the k-th gather of a step
 // while the one after it is in flight. Backward must return the failure
 // wrapped with the bucket, having waited out every gather that was
-// launched and dropped what they fetched.
+// launched and dropped what they fetched. A step launches five gathers
+// in forward and one in backward; the fifth crosses the turn, so its
+// failure surfaces from backward's wait.
 func TestFailedGatherSurfacesFromBackward(t *testing.T) {
 	boom := fmt.Errorf("peer vanished")
-	for k := 0; k < 7; k++ { // 4 forward + 3 backward gathers a step
+	for k := 0; k < 6; k++ {
 		s := newScripted(t, bertFixture, 0, 2)
 		f := s.f
 		if _, err := s.step(); err != nil {
@@ -891,7 +1041,9 @@ func TestFailedGatherSurfacesFromBackward(t *testing.T) {
 				return nil
 			}
 			failed = bucket
-			if k != 3 && k != 6 && len(s.g.waited) < n+2 { // a pass's last gather has none behind it
+			// Gather 3 is waited for before the budget lets gather 4
+			// launch, and gather 5 is the last.
+			if k != 3 && k != 5 && len(s.g.waited) < n+2 {
 				t.Errorf("gather %d of the step failed with no later gather in flight", k)
 			}
 			return boom
@@ -917,8 +1069,8 @@ func TestFailedGatherSurfacesFromBackward(t *testing.T) {
 		if _, err := s.step(); err != nil {
 			t.Fatalf("k=%d: step after the failure: %v", k, err)
 		}
-		if got := f.Stats().Gathers - before; got != 7 {
-			t.Fatalf("k=%d: step after the failure launched %d gathers, want 7", k, got)
+		if got := f.Stats().Gathers - before; got != 6 {
+			t.Fatalf("k=%d: step after the failure launched %d gathers, want 6", k, got)
 		}
 	}
 }
@@ -979,10 +1131,10 @@ type detach struct{ nn.Tanh }
 func (detach) Forward(x *autograd.Variable) *autograd.Variable { return autograd.Constant(x.Value) }
 
 // TestIncompleteBackwardLeavesNoGatherInFlight: when part of the model
-// is cut off from the loss, its backward hook never fires, so the
-// look-ahead gather launched for it is never waited for by a unit.
-// Backward reports the parameters that got no gradient — and must first
-// wait that gather out and drop what it fetched.
+// is cut off from the loss, its backward hook never fires, so the gather
+// forward launched for it across the turn is never waited for by a
+// unit. Backward reports the parameters that got no gradient — and must
+// first wait that gather out and drop what it fetched.
 func TestIncompleteBackwardLeavesNoGatherInFlight(t *testing.T) {
 	fx := fixture{"cut", func() nn.Module {
 		rng := rand.New(rand.NewSource(3))
@@ -993,9 +1145,12 @@ func TestIncompleteBackwardLeavesNoGatherInFlight(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "incomplete") || !strings.Contains(err.Error(), "fc1") {
 		t.Fatalf("Backward returned %v, want the incomplete-bucket error naming fc1's parameters", err)
 	}
-	// fc2's hook launched fc1's first bucket as its look-ahead.
+	// fc2's forward launched fc1's first bucket again for backward.
 	if got := launchesIn(events); fmt.Sprint(got) != "[3 2 1 0 3]" {
-		t.Fatalf("launched %v, want the forward plan and one look-ahead gather of bucket 3", got)
+		t.Fatalf("launched %v, want every bucket once and bucket 3 again across the turn", got)
+	}
+	if got := fmt.Sprint(s.f.plan.Seq); got != "[3 2 1 0 3 2]" {
+		t.Fatalf("plan %s, want [3 2 1 0 3 2]: bucket 3 launched in forward, bucket 2 by fc1's hook", got)
 	}
 	for n, waits := range s.g.waited {
 		if waits != 1 {

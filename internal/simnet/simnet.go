@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/ddp"
+	"repro/internal/fsdp"
 	"repro/internal/hw"
 )
 
@@ -69,9 +70,10 @@ type Config struct {
 	// replicated DDP (per-bucket AllReduce), "zero2" shards gradients
 	// and optimizer state (per-bucket ReduceScatter in backward, one
 	// parameter AllGather after the sharded optimizer step), "zero3"
-	// also shards parameters (per-bucket AllGather one bucket ahead of
+	// also shards parameters (per-bucket AllGather one gather ahead of
 	// forward compute, re-gather plus ReduceScatter in backward except
-	// for the bucket forward leaves gathered). The half-collectives are
+	// for the buckets fsdp's plan holds gathered from forward). The
+	// half-collectives are
 	// priced as the flat ring passes comm.ReduceScatterV and AllGatherV
 	// run (hw.Cluster.ReduceScatterSeconds / AllGatherSeconds);
 	// Hierarchical only affects AllReduce, matching comm's algorithm
@@ -274,7 +276,7 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 	// loop too. ZeRO-2 re-gathers replicated parameters once after the
 	// sharded optimizer step, all of it exposed. ZeRO-3 gathers every
 	// parameter bucket in forward, in forward order (the last bucket
-	// first) and one bucket ahead of the layers that read it (fsdp's
+	// first) and one gather ahead of the layers that read it (fsdp's
 	// gather plan): the first gather is exposed — compute cannot start on
 	// unmaterialized layers — and the rest hide behind forward compute
 	// as far as it goes. Gathers move raw parameter bytes; gradient
@@ -283,6 +285,10 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 		return p.of(cfg, allGather, assign.BucketElems[b]*4)
 	}
 	var gatherBusy, gatherExposed float64
+	var regather []bool
+	if cfg.Strategy == "zero3" {
+		regather = zero3Regathers(assign)
+	}
 	if cfg.Strategy != "" {
 		for b := 0; b < assign.NumBuckets(); b++ {
 			gatherBusy += gather(b)
@@ -301,12 +307,10 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 			// Backward reduces each bucket to its owner shard only.
 			cost = p.of(cfg, reduceScatter, bytes)
 		case "zero3":
-			// Backward re-gathers the (freed) parameter bucket for
+			// Backward re-gathers a parameter bucket forward freed for
 			// gradient computation, then reduce-scatters the gradients.
-			// Bucket 0 holds the last layers, which backward reads
-			// first: forward leaves it gathered.
 			cost = p.of(cfg, reduceScatter, bytes)
-			if b > 0 {
+			if regather[b] {
 				cost += gather(b)
 			}
 		default:
@@ -360,6 +364,23 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 		TotalSeconds:           totalLatency,
 		Buckets:                assign.NumBuckets(),
 	}, events, nil
+}
+
+// zero3Regathers marks the buckets a ZeRO-3 step gathers a second time,
+// for backward: what fsdp's plan for the layout does with every
+// parameter its own unit. The rest stay gathered from forward.
+func zero3Regathers(assign *ddp.Assignment) []bool {
+	units := make([][]int, len(assign.BucketOf))
+	for i, b := range assign.BucketOf {
+		units[i] = []int{b}
+	}
+	gathered := make([]bool, assign.NumBuckets())
+	again := make([]bool, assign.NumBuckets())
+	for _, b := range fsdp.PlanStep(units, assign.BucketElems).Seq {
+		again[b] = gathered[b]
+		gathered[b] = true
+	}
+	return again
 }
 
 // Run simulates iters training iterations and returns each iteration's

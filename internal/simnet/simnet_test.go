@@ -1,11 +1,13 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/models"
+	"repro/internal/reduce"
 )
 
 func resnetCfg() Config {
@@ -377,18 +379,28 @@ func TestShardedStrategiesChangeCostShape(t *testing.T) {
 	// Sharding trades communication for memory. ZeRO-2 moves DDP's
 	// bytes (ReduceScatter + AllGather is the ring AllReduce) but its
 	// parameter AllGather waits for the optimizer, so all of it is
-	// exposed traffic DDP never pays. ZeRO-3 moves half as much again —
-	// every bucket but the kept one is gathered twice — yet gathers one
-	// bucket ahead of compute, so only the first forward gather and the
-	// longer backward tail are exposed: the most traffic of the three,
-	// and a step below ZeRO-2's. (Against DDP it comes down to that
-	// exposure versus the sharded optimizer's saving, which no ordering
-	// pins; the measured zero3_bert_shaped row lands on ddp_bert_shaped.)
+	// exposed traffic DDP never pays. ZeRO-3 gathers again for backward
+	// every bucket fsdp's plan does not hold across the turn — three of
+	// ResNet-50's five, the last two stay gathered — so it moves between
+	// 1.2 and 1.5 times ZeRO-2's traffic, yet gathers one gather ahead of
+	// compute, so only the first forward gather and the longer backward
+	// tail are exposed: the most traffic of the three, and a step below
+	// ZeRO-2's. (Against DDP it comes down to that exposure versus the
+	// sharded optimizer's saving, which no ordering pins; the measured
+	// zero3_bert_shaped row lands on ddp_bert_shaped.)
+	cfg := z3cfg.withDefaults()
+	assign, err := reduce.AssignBuckets(cfg.ParamSizes, cfg.BucketCapBytes, 4, reduce.ReverseOrder(len(cfg.ParamSizes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(zero3Regathers(assign)); got != "[false false true true true]" {
+		t.Fatalf("ZeRO-3 re-gathers %s, want every bucket but the last two layers'", got)
+	}
 	if !(ddp.TotalSeconds < z2.TotalSeconds && z3.TotalSeconds < z2.TotalSeconds) {
 		t.Fatalf("latency order ddp, zero3 < zero2 violated: %v, %v, %v",
 			ddp.TotalSeconds, z2.TotalSeconds, z3.TotalSeconds)
 	}
-	if !(math.Abs(z2.CommSeconds-ddp.CommSeconds) <= 1e-12*ddp.CommSeconds && z3.CommSeconds > 1.3*z2.CommSeconds) {
+	if !(math.Abs(z2.CommSeconds-ddp.CommSeconds) <= 1e-12*ddp.CommSeconds && z3.CommSeconds > 1.2*z2.CommSeconds && z3.CommSeconds < 1.5*z2.CommSeconds) {
 		t.Fatalf("traffic order ddp = zero2 < zero3 violated: %v, %v, %v",
 			ddp.CommSeconds, z2.CommSeconds, z3.CommSeconds)
 	}
