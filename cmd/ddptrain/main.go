@@ -42,50 +42,60 @@
 // log-depth latency). -hosts labels may be structured with "/"
 // (pod0/rack0/host0,...) to build an N-level topology: hierarchical
 // and auto then reduce within each level and ring only the top-level
-// leaders. -topo-levels asserts the labels parsed to the expected
-// depth. Combining -algo hierarchical (or auto) with -compress runs
-// the inter-host leader ring over compressed byte lanes while
-// intra-host phases stay exact — the compressed leader ring.
+// leaders. Every label must nest to the same depth; -hosts is refused,
+// naming two labels that disagree, rather than run as one opaque level.
+// Combining -algo hierarchical (or auto) with -compress runs the
+// inter-host leader ring over compressed byte lanes while intra-host
+// phases stay exact — the compressed leader ring.
 //
-// The -elastic mode demonstrates fault-tolerant training instead: it
-// runs `-world` in-process elastic workers, crashes one mid-iteration
-// at -kill-step, lets the survivors detect the failure and
-// re-rendezvous at the shrunken world, then (with -respawn) boots a
-// replacement worker that joins the running job and receives model and
-// optimizer state from a survivor:
+// The -elastic mode runs one fault-tolerance scenario instead. A
+// supervisor starts -world elastic workers, and the last of them
+// crashes mid-iteration at -kill-step. The survivors detect the failure,
+// re-rendezvous at the shrunken world and train three steps there; then
+// (with -respawn) they stop and tell the supervisor, through the store,
+// to start a replacement, which joins the running job and receives model
+// and optimizer state from a survivor. At the end the supervisor checks
+// through the store that every finisher — the replacement included —
+// published the same final step and parameter hash:
 //
 //	ddptrain -elastic -world 3 -iters 60 -kill-step 20
 //
-// Combining -elastic with -launch lifts the same scenario to real OS
-// processes: this process becomes the supervisor — it hosts the TCP
-// store and spawns `-world` elastic worker subprocesses that rendezvous
-// and build TCP meshes. One worker hard-exits mid-iteration (no
-// cleanup, like a SIGKILL); the supervisor detects the child's death
-// and (with -respawn) spawns a replacement process that rejoins the
-// running job and is brought up to date via state sync. At the end the
-// supervisor verifies through the store that every finisher — including
-// the respawned process — holds a bit-identical replica:
+// A worker starts one of two ways, and the scenario and its hash are
+// the same either way. By default it is a goroutine over an in-memory
+// store and in-proc process groups, and it crashes with Agent.Kill.
+// With -launch it is a child process over the TCP store the supervisor
+// hosts and TCP meshes, and it crashes with a hard os.Exit — no
+// cleanup, like a SIGKILL:
 //
 //	ddptrain -elastic -launch -world 3 -iters 60 -kill-step 20
 //
-// With -ckpt-dir the elastic modes additionally persist durable sharded
-// checkpoints every -ckpt-every steps (asynchronously unless
-// -ckpt-async=false), and -resume cold-starts from the newest committed
-// checkpoint. The -kill-all variant demonstrates the failure elastic
-// recovery alone cannot survive: every worker process is crashed at
-// -kill-step, and the supervisor relaunches the whole world with
-// -resume — the run continues from the last committed checkpoint
-// instead of being lost:
+// With -ckpt-dir the workers also persist durable sharded checkpoints
+// every -ckpt-every steps (asynchronously unless -ckpt-async=false), and
+// -resume cold-starts from the newest committed checkpoint. -kill-all
+// shows the failure elastic recovery alone cannot survive: every worker
+// crashes at -kill-step, and the supervisor restarts the whole world
+// with -resume, goroutines or processes alike — the run continues from
+// the last committed checkpoint instead of being lost:
 //
-//	ddptrain -elastic -launch -world 3 -iters 60 -kill-step 20 \
+//	ddptrain -elastic -world 3 -iters 60 -kill-step 20 \
 //	    -ckpt-dir /tmp/ddpckpt -ckpt-every 5 -kill-all
 //
-// The elastic modes take -strategy zero2 as well (with -ckpt-dir: a
+// The elastic mode takes -strategy zero2 as well (with -ckpt-dir: a
 // sharded world recovers by rolling back to a committed checkpoint, not
 // from a survivor); zero3 is refused there, because a finisher's final
 // parameters can only be gathered while its process group is still up.
-// Elastic groups run Ring and synchronize every step, so the elastic
-// modes refuse -algo, -hosts, -topo-levels, -sync-every and -rr.
+//
+// Each mode reads a fixed set of flags (modeReads) and refuses, by name,
+// any other flag set off its default. Every mode reads -world, -iters,
+// -batch, -lr, -bucket-mb, -strategy, -compress and -metrics-addr.
+// Training also reads -rank, -launch, -store, -algo, -hosts,
+// -sync-every and -rr. -elastic also reads -kill-step, -kill-all,
+// -respawn, -ckpt-dir, -ckpt-every, -ckpt-async, -resume and
+// -trace-out, and with -launch, -store. A process given an -id is an
+// elastic worker — the supervisor starts its child processes that way —
+// and reads what -elastic -launch reads but -launch, plus -id. A child's
+// command line is every flag its parent set off its default, plus its
+// own -rank or -id.
 package main
 
 import (
@@ -95,8 +105,8 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/autograd"
@@ -134,7 +144,6 @@ type options struct {
 	algo         string
 	compress     string
 	hosts        string
-	topoLevels   int
 	syncEvery    int
 	rr           int
 
@@ -146,81 +155,117 @@ type options struct {
 	ckptEvery int
 	ckptAsync bool
 	resume    bool
-	worker    bool
 	id        string
-	admitStep int
 
 	metricsAddr string
 	traceOut    string
 }
 
-func parseFlags() *options {
+// flags binds every option to a new flag set, the one list of flags:
+// parsing the set writes o, and each flag's Value reads o back. A
+// malformed command line exits.
+func (o *options) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("ddptrain", flag.ExitOnError)
+	fs.IntVar(&o.rank, "rank", 0, "this process's rank")
+	fs.IntVar(&o.world, "world", 1, "number of processes")
+	fs.StringVar(&o.store, "store", "127.0.0.1:29500", "rendezvous store address (rank 0, or the elastic supervisor, binds it)")
+	fs.BoolVar(&o.launch, "launch", false, "spawn ranks 1..world-1 (with -elastic: every worker) as subprocesses of this one")
+	fs.IntVar(&o.iters, "iters", 100, "training iterations")
+	fs.IntVar(&o.batch, "batch", 16, "per-rank batch size")
+	fs.Float64Var(&o.lr, "lr", 0.05, "learning rate")
+	fs.IntVar(&o.bucketMB, "bucket-mb", 25, "DDP bucket size in MB (0 = per-parameter buckets)")
+	fs.StringVar(&o.strategy, "strategy", "ddp", "data-parallel strategy: ddp (replicated), zero2 (sharded gradients+optimizer), or zero3 (sharded parameters too)")
+	fs.StringVar(&o.algo, "algo", "ring", "allreduce algorithm: ring, tree, doubletree, naive, hierarchical, auto")
+	fs.StringVar(&o.compress, "compress", "", "gradient compression codec: fp16, 1bit, or topk (empty: none); frames ride the byte lanes with error feedback, or the step fails with comm.ErrCompressionUnsupported; with -algo hierarchical/auto only the leader ring compresses")
+	fs.StringVar(&o.hosts, "hosts", "", "comma-separated host label per rank (topology for hierarchical/auto; labels may nest with '/', e.g. pod0/rack0/h0, all to the same depth; empty: derive from peer addresses)")
+	fs.IntVar(&o.syncEvery, "sync-every", 1, "synchronize gradients every n iterations (no_sync)")
+	fs.IntVar(&o.rr, "rr", 1, "number of round-robin process groups (Section 5.4)")
+	fs.BoolVar(&o.elastic, "elastic", false, "run the elastic fault-tolerance demo instead (in-proc workers; with -launch, worker processes)")
+	fs.IntVar(&o.killStep, "kill-step", -1, "elastic: step at which the victim is crashed (default iters/3)")
+	fs.BoolVar(&o.killAll, "kill-all", false, "elastic: crash EVERY worker at -kill-step, then cold-restart the whole world from the last checkpoint (requires -ckpt-dir)")
+	fs.BoolVar(&o.respawn, "respawn", true, "elastic: start a replacement worker after the crash")
+	fs.StringVar(&o.ckptDir, "ckpt-dir", "", "elastic: durable checkpoint directory (empty: checkpointing disabled)")
+	fs.IntVar(&o.ckptEvery, "ckpt-every", 10, "elastic: save a sharded checkpoint every n steps")
+	fs.BoolVar(&o.ckptAsync, "ckpt-async", true, "elastic: persist checkpoints on a background goroutine instead of the training hot path")
+	fs.BoolVar(&o.resume, "resume", false, "elastic: cold-start restore from the newest committed checkpoint in -ckpt-dir")
+	fs.StringVar(&o.id, "id", "", "run as the elastic worker with this identity (how -elastic -launch starts its workers)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus text-format metrics at this address under /metrics (empty: disabled)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "elastic: write recovery span trees as JSON to this file on exit (worker processes append -<id>.json)")
+	return fs
+}
+
+// parse reads a command line into options.
+func parse(args []string) *options {
 	o := &options{}
-	flag.IntVar(&o.rank, "rank", 0, "this process's rank")
-	flag.IntVar(&o.world, "world", 1, "number of processes")
-	flag.StringVar(&o.store, "store", "127.0.0.1:29500", "rendezvous store address (rank 0 binds it)")
-	flag.BoolVar(&o.launch, "launch", false, "spawn ranks 1..world-1 as subprocesses of this one")
-	flag.IntVar(&o.iters, "iters", 100, "training iterations")
-	flag.IntVar(&o.batch, "batch", 16, "per-rank batch size")
-	flag.Float64Var(&o.lr, "lr", 0.05, "learning rate")
-	flag.IntVar(&o.bucketMB, "bucket-mb", 25, "DDP bucket size in MB (0 = per-parameter buckets)")
-	flag.StringVar(&o.strategy, "strategy", "ddp", "data-parallel strategy: ddp (replicated), zero2 (sharded gradients+optimizer), or zero3 (sharded parameters too)")
-	flag.StringVar(&o.algo, "algo", "ring", "allreduce algorithm: ring, tree, doubletree, naive, hierarchical, auto")
-	flag.StringVar(&o.compress, "compress", "", "gradient compression codec: fp16, 1bit, or topk (empty: none); frames ride the byte lanes with error feedback, or the step fails with comm.ErrCompressionUnsupported; with -algo hierarchical/auto only the leader ring compresses")
-	flag.StringVar(&o.hosts, "hosts", "", "comma-separated host label per rank (topology for hierarchical/auto; labels may nest with '/', e.g. pod0/rack0/h0; empty: derive from peer addresses)")
-	flag.IntVar(&o.topoLevels, "topo-levels", 0, "assert the -hosts labels parsed into exactly this many topology levels (0: no check)")
-	flag.IntVar(&o.syncEvery, "sync-every", 1, "synchronize gradients every n iterations (no_sync)")
-	flag.IntVar(&o.rr, "rr", 1, "number of round-robin process groups (Section 5.4)")
-	flag.BoolVar(&o.elastic, "elastic", false, "run the elastic fault-tolerance demo instead (in-proc; with -launch, across OS processes)")
-	flag.IntVar(&o.killStep, "kill-step", -1, "elastic: step at which one worker is crashed (default iters/3)")
-	flag.BoolVar(&o.killAll, "kill-all", false, "elastic -launch: crash EVERY worker at -kill-step, then cold-restart the whole world from the last checkpoint (requires -ckpt-dir)")
-	flag.BoolVar(&o.respawn, "respawn", true, "elastic: boot a replacement worker after the crash")
-	flag.StringVar(&o.ckptDir, "ckpt-dir", "", "elastic: durable checkpoint directory (empty: checkpointing disabled)")
-	flag.IntVar(&o.ckptEvery, "ckpt-every", 10, "elastic: save a sharded checkpoint every n steps")
-	flag.BoolVar(&o.ckptAsync, "ckpt-async", true, "elastic: persist checkpoints on a background goroutine instead of the training hot path")
-	flag.BoolVar(&o.resume, "resume", false, "elastic: cold-start restore from the newest committed checkpoint in -ckpt-dir")
-	flag.BoolVar(&o.worker, "worker", false, "internal: run as a single elastic worker process (spawned by -elastic -launch)")
-	flag.StringVar(&o.id, "id", "", "internal: elastic worker identity")
-	flag.IntVar(&o.admitStep, "admit-step", -1, "internal: step at which incumbents yield to admit a respawned worker")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus text-format metrics at this address under /metrics (empty: disabled)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "elastic: write recovery span trees as JSON to this file on exit (worker processes append -<id>.json)")
-	flag.Parse()
+	_ = o.flags().Parse(args) // ExitOnError: Parse returns only on success
 	return o
 }
 
-func main() {
-	o := parseFlags()
-	if o.metricsAddr != "" {
-		msrv, err := metrics.Default().Serve(o.metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ddptrain: metrics server: %v\n", err)
-			os.Exit(1)
+// changed returns the flags o holds off their defaults, in name order.
+func (o *options) changed() []*flag.Flag {
+	var c options
+	fs := c.flags()
+	c = *o // the set's Values now read this copy of o
+	var set []*flag.Flag
+	fs.VisitAll(func(f *flag.Flag) {
+		if f.Value.String() != f.DefValue {
+			set = append(set, f)
 		}
-		defer msrv.Close()
-		fmt.Printf("[metrics] serving http://%s/metrics\n", msrv.Addr())
-	}
-	var err error
-	switch {
-	case !o.elastic:
-		if _, err = run(o); err != nil {
-			err = fmt.Errorf("rank %d: %w", o.rank, err)
-		}
-	case o.worker:
-		err = runElasticWorker(o)
-	case o.launch:
-		err = runElasticSupervisor(o)
-	default:
-		err = runElastic(o)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddptrain: %v\n", err)
-		os.Exit(1)
-	}
+	})
+	return set
 }
 
-// validate rejects, before anything is spawned or bound, the flag
-// combinations no mode can honour.
+// argv is the command line that parses back into o.
+func (o *options) argv() []string {
+	var args []string
+	for _, f := range o.changed() {
+		args = append(args, "-"+f.Name+"="+f.Value.String())
+	}
+	return args
+}
+
+// The flags every mode reads, and those every elastic mode reads.
+const (
+	everyMode    = "world iters batch lr bucket-mb strategy compress metrics-addr "
+	elasticFlags = everyMode + "elastic kill-step kill-all respawn ckpt-dir ckpt-every ckpt-async resume trace-out "
+)
+
+// modeReads lists the flags each mode reads. validate refuses any other
+// flag set off its default, so a flag is refused everywhere until a
+// mode claims it.
+var modeReads = map[string]string{
+	"train":           everyMode + "rank launch store algo hosts sync-every rr",
+	"elastic":         elasticFlags,
+	"elastic -launch": elasticFlags + "launch store",
+	"worker":          elasticFlags + "store id",
+}
+
+// mode names the way o runs: a process given an -id is an elastic
+// worker, whatever else is set.
+func (o *options) mode() string {
+	switch {
+	case o.id != "":
+		return "worker"
+	case o.elastic && o.launch:
+		return "elastic -launch"
+	case o.elastic:
+		return "elastic"
+	}
+	return "train"
+}
+
+// validate rejects, before anything is spawned or bound, every flag the
+// mode does not read and the combinations of values no mode can honour.
+// It resolves -kill-step's default.
 func (o *options) validate() error {
+	m := o.mode()
+	reads := strings.Fields(modeReads[m])
+	for _, f := range o.changed() {
+		if !slices.Contains(reads, f.Name) {
+			return fmt.Errorf("-%s is not read in %s mode", f.Name, m)
+		}
+	}
+	elasticRun := m != "train"
 	switch o.strategy {
 	case "ddp":
 	case "zero2", "zero3":
@@ -234,32 +279,67 @@ func (o *options) validate() error {
 		if o.rr > 1 {
 			return fmt.Errorf("-strategy %s does not support -rr round-robin groups", o.strategy)
 		}
-		if o.elastic && o.ckptDir == "" {
-			return fmt.Errorf("-elastic -strategy %s needs -ckpt-dir: a sharded world recovers from a committed checkpoint, not from a survivor", o.strategy)
-		}
-		if o.elastic && o.strategy == "zero3" {
+		if elasticRun && o.strategy == "zero3" {
 			return errors.New("-elastic does not support -strategy zero3: a finisher's full parameters can only be gathered while its process group is up")
+		}
+		if elasticRun && o.ckptDir == "" {
+			return fmt.Errorf("-elastic -strategy %s needs -ckpt-dir: a sharded world recovers from a committed checkpoint, not from a survivor", o.strategy)
 		}
 	default:
 		return fmt.Errorf("-strategy: unknown strategy %q (want ddp, zero2 or zero3)", o.strategy)
 	}
-	if o.elastic {
-		// The elastic builders form plain Ring groups and every elastic
-		// step synchronizes: these flags would be accepted and dropped.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-algo", o.algo != "ring"}, {"-hosts", o.hosts != ""}, {"-topo-levels", o.topoLevels != 0},
-			{"-sync-every", o.syncEvery != 1}, {"-rr", o.rr != 1},
-		} {
-			if f.set {
-				return fmt.Errorf("-elastic does not support %s (elastic groups run Ring and synchronize every step)", f.name)
-			}
+	if elasticRun {
+		if o.world < 2 {
+			return fmt.Errorf("-elastic needs -world >= 2, got %d", o.world)
 		}
+		if o.killAll && o.ckptDir == "" {
+			return errors.New("-kill-all needs -ckpt-dir: with no checkpoint, killing every worker simply loses the run")
+		}
+		if o.killStep < 0 {
+			o.killStep = o.iters / 3
+		}
+		if o.killStep >= o.iters {
+			return fmt.Errorf("-kill-step %d must be below -iters %d", o.killStep, o.iters)
+		}
+	}
+	if _, err := o.commOptions(); err != nil {
+		return err
 	}
 	_, err := codecFactory(o.compress)
 	return err
+}
+
+func main() {
+	if err := runMode(parse(os.Args[1:])); err != nil {
+		fmt.Fprintf(os.Stderr, "ddptrain: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// runMode validates o and runs its mode.
+func runMode(o *options) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
+	if o.metricsAddr != "" {
+		msrv, err := metrics.Default().Serve(o.metricsAddr)
+		if err != nil {
+			return fmt.Errorf("metrics server: %w", err)
+		}
+		defer msrv.Close()
+		fmt.Printf("[metrics] serving http://%s/metrics\n", msrv.Addr())
+	}
+	switch {
+	case o.id != "":
+		return workerProcess(o)
+	case o.elastic:
+		_, err := supervise(o)
+		return err
+	}
+	if _, err := run(o); err != nil {
+		return fmt.Errorf("rank %d: %w", o.rank, err)
+	}
+	return nil
 }
 
 // codecFactory maps the -compress flag to a NewCodec factory; both
@@ -319,7 +399,7 @@ func newReplica(o *options, m nn.Module, pg comm.ProcessGroup, aligned bool) (r 
 	}, nil
 }
 
-// commOptions turns -algo, -hosts and -topo-levels into group options.
+// commOptions turns -algo and -hosts into group options.
 func (o *options) commOptions() (comm.Options, error) {
 	algorithm, err := comm.ParseAlgorithm(o.algo)
 	if err != nil {
@@ -330,28 +410,83 @@ func (o *options) commOptions() (comm.Options, error) {
 	// peers' rendezvous addresses — correct for genuinely multi-host
 	// jobs, while an all-loopback run degrades hierarchical to ring.
 	topology, err := parseHosts(o.hosts, o.world)
-	if err != nil {
-		return comm.Options{}, err
-	}
-	// -topo-levels guards against placement typos: structured labels
-	// with uneven depth silently degrade to one opaque level, which
-	// would quietly run the two-level schedule where the operator
-	// expected pod/rack/host phases.
-	if o.topoLevels > 0 {
-		if topology == nil {
-			return comm.Options{}, fmt.Errorf("-topo-levels %d requires -hosts", o.topoLevels)
-		}
-		if got := topology.Levels(); got != o.topoLevels {
-			return comm.Options{}, fmt.Errorf("-hosts labels parsed into %d topology level(s), want %d", got, o.topoLevels)
-		}
-	}
-	return comm.Options{Algorithm: algorithm, Topology: topology}, nil
+	return comm.Options{Algorithm: algorithm, Topology: topology}, err
 }
 
-// launchRank builds the command for one of rank 0's -launch children.
-// A variable so the regression test for leaked children can hand them
-// flags under which they outlive a failing rank 0.
-var launchRank = func(args ...string) *exec.Cmd { return exec.Command(os.Args[0], args...) }
+// exit is how one worker or child process ended: err is nil when it
+// finished.
+type exit struct {
+	id  string
+	err error
+}
+
+// fleet is what one run started — child processes, or goroutines (in-proc
+// workers, the supervisor's admission watch) — each reporting its exit
+// on exits. running counts the exits not yet received; only goRun and
+// wait change it. Every run that spawns defers stop, so no return leaves
+// a child running or unreaped.
+type fleet struct {
+	exits   chan exit
+	running int
+	procs   []*os.Process
+}
+
+// newFleet returns a fleet with room for size exits, so a goroutine
+// that outlives its run never blocks on its report.
+func newFleet(size int) *fleet { return &fleet{exits: make(chan exit, size)} }
+
+// command builds the command for one child process. A variable so tests
+// can run their children from the test binary.
+var command = func(args ...string) *exec.Cmd { return exec.Command(os.Args[0], args...) }
+
+// crashStatus is the exit status of a worker process that crashed as
+// planned. spawn reports it as elastic.ErrKilled, the error an in-proc
+// victim returns, so one check tells a planned crash from a failure.
+const crashStatus = 3
+
+// spawn starts this binary as a child whose command line parses back
+// into o, writing to this process's stdout and stderr.
+func (f *fleet) spawn(o *options, id string) error {
+	cmd := command(o.argv()...)
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+	if err := cmd.Start(); err != nil {
+		return fmt.Errorf("launching %s: %w", id, err)
+	}
+	f.procs = append(f.procs, cmd.Process)
+	f.goRun(id, func() error {
+		if err := cmd.Wait(); cmd.ProcessState.ExitCode() != crashStatus {
+			return err
+		}
+		return elastic.ErrKilled
+	})
+	return nil
+}
+
+// goRun runs fn on a goroutine that reports its end as id's exit.
+func (f *fleet) goRun(id string, fn func() error) {
+	f.running++
+	go func() { f.exits <- exit{id, fn()} }()
+}
+
+// wait receives the next exit; ok is false once none is left to come.
+func (f *fleet) wait() (e exit, ok bool) {
+	if f.running == 0 {
+		return exit{}, false
+	}
+	f.running--
+	return <-f.exits, true
+}
+
+// stop kills every child process still running and reaps it, receiving
+// every exit still to come. In-proc workers are not waited for: they end
+// when their store closes.
+func (f *fleet) stop() {
+	for _, p := range f.procs {
+		_ = p.Kill()
+	}
+	for ok := len(f.procs) > 0; ok; _, ok = f.wait() {
+	}
+}
 
 // accumulator is the one capability outside the seam the loop uses:
 // DDP's no_sync (Section 3.2.4), which only -sync-every > 1 reaches
@@ -361,26 +496,18 @@ type accumulator interface{ NoSync(fn func() error) error }
 // run is the non-elastic trainer, one rank of it: the same loop for
 // every strategy. It returns the parameter hash all ranks agreed on.
 func run(o *options) (uint64, error) {
-	if err := o.validate(); err != nil {
-		return 0, err
-	}
 	opts, err := o.commOptions()
 	if err != nil {
 		return 0, err
 	}
 
 	// Rank 0 hosts the rendezvous store; everyone (including rank 0)
-	// connects as a client.
-	var children []*exec.Cmd
-	// The last thing a successful run does is wait for every child; on
-	// any error before that, the ranks still running are killed and
-	// reaped here rather than left blocked on a rank 0 that is gone.
-	defer func() {
-		for _, cmd := range children {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	}()
+	// connects as a client. The last thing a successful run does is wait
+	// for every child; on any error before that, the ranks still running
+	// are killed and reaped rather than left blocked on a rank 0 that is
+	// gone.
+	f := newFleet(o.world)
+	defer f.stop()
 	if o.rank == 0 {
 		srv, err := store.ServeTCP(o.store, 60*time.Second)
 		if err != nil {
@@ -388,21 +515,11 @@ func run(o *options) (uint64, error) {
 		}
 		defer srv.Close()
 		for r := 1; o.launch && r < o.world; r++ {
-			cmd := launchRank(
-				"-rank", fmt.Sprint(r), "-world", fmt.Sprint(o.world),
-				"-store", o.store, "-iters", fmt.Sprint(o.iters),
-				"-batch", fmt.Sprint(o.batch), "-lr", fmt.Sprint(o.lr),
-				"-bucket-mb", fmt.Sprint(o.bucketMB), "-strategy", o.strategy,
-				"-algo", o.algo,
-				"-compress", o.compress, "-hosts", o.hosts,
-				"-topo-levels", fmt.Sprint(o.topoLevels),
-				"-sync-every", fmt.Sprint(o.syncEvery), "-rr", fmt.Sprint(o.rr))
-			cmd.Stdout = os.Stdout
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				return 0, fmt.Errorf("launching rank %d: %w", r, err)
+			c := *o
+			c.rank, c.launch, c.metricsAddr = r, false, ""
+			if err := f.spawn(&c, fmt.Sprintf("rank %d", r)); err != nil {
+				return 0, err
 			}
-			children = append(children, cmd)
 		}
 	}
 
@@ -511,11 +628,9 @@ func run(o *options) (uint64, error) {
 		return hash, errors.New("model replicas diverged")
 	}
 
-	for len(children) > 0 {
-		cmd := children[0]
-		children = children[1:]
-		if err := cmd.Wait(); err != nil {
-			return hash, fmt.Errorf("child: %w", err)
+	for e, ok := f.wait(); ok; e, ok = f.wait() {
+		if e.err != nil {
+			return hash, fmt.Errorf("%s: %w", e.id, e.err)
 		}
 	}
 	return hash, nil
@@ -531,10 +646,18 @@ func parseHosts(hosts string, world int) (*comm.Topology, error) {
 	if len(labels) != world {
 		return nil, fmt.Errorf("-hosts lists %d labels for world %d", len(labels), world)
 	}
+	depth := func(l string) int { return strings.Count(l, "/") + 1 }
 	for i, l := range labels {
 		labels[i] = strings.TrimSpace(l)
 		if labels[i] == "" {
 			return nil, fmt.Errorf("-hosts label %d is empty", i)
+		}
+		// comm.NewTopology would build one opaque level from labels of
+		// uneven depth, quietly running the two-level schedule where the
+		// operator expected pod/rack/host phases.
+		if depth(labels[i]) != depth(labels[0]) {
+			return nil, fmt.Errorf("-hosts labels nest to different depths: %q has %d level(s), %q has %d",
+				labels[0], depth(labels[0]), labels[i], depth(labels[i]))
 		}
 	}
 	return comm.NewTopology(labels), nil
@@ -546,48 +669,228 @@ func dumpTrace(tr *trace.Tracer, path string) error {
 	if err != nil {
 		return fmt.Errorf("creating trace file: %w", err)
 	}
-	if err := tr.WriteJSON(f); err != nil {
-		_ = f.Close()
+	if err := errors.Join(tr.WriteJSON(f), f.Close()); err != nil {
 		return fmt.Errorf("writing trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing trace file: %w", err)
 	}
 	fmt.Printf("[trace] wrote %d recovery span tree(s) to %s\n", len(tr.Roots()), path)
 	return nil
 }
 
-// ---- elastic: what all three modes share -----------------------------------
+// ---- elastic -----------------------------------------------------------------
 
-// validateElastic is validate plus the elastic demo's own constraints;
-// it resolves -kill-step's default.
-func (o *options) validateElastic() error {
-	if err := o.validate(); err != nil {
-		return err
-	}
-	if o.world < 2 {
-		return fmt.Errorf("-elastic needs -world >= 2, got %d", o.world)
-	}
-	if o.killStep < 0 {
-		o.killStep = o.iters / 3
-	}
-	if o.killStep >= o.iters {
-		return fmt.Errorf("-kill-step %d must be below -iters %d", o.killStep, o.iters)
-	}
-	return nil
+// prefix namespaces every elastic key in the store; admitKey is the one
+// the survivors set when they are ready to admit a replacement.
+const (
+	prefix   = "elastic"
+	admitKey = prefix + "/admit"
+)
+
+// victim reports whether worker id crashes at -kill-step: the last
+// worker of the first world, or with -kill-all every one of them.
+// Replacements (r…) and cold-restarted workers (c…) never do.
+func (o *options) victim(id string) bool {
+	return id == fmt.Sprintf("w%d", o.world-1) || o.killAll && strings.HasPrefix(id, "w")
 }
 
-// elasticConfig is one worker's agent configuration: everything but
-// where the store and the process groups come from is the same in-proc
-// and across OS processes. The straggler detector runs with default
-// thresholds and surfaces every verdict transition as a log line (the
-// elastic_straggler gauge carries the same signal to -metrics-addr
-// scrapes).
-func (o *options) elasticConfig(id string, st store.Store, builder elastic.GroupBuilder, tracer *trace.Tracer) elastic.Config {
+// supervise runs the elastic scenario. It starts -world workers, one of
+// which (with -kill-all, all of which) crashes at -kill-step. Once the
+// survivors are ready to admit a replacement it starts one; once the
+// whole world is dead it restarts it from the last checkpoint. It
+// returns the result every finisher published, after checking they
+// agree. Workers are goroutines over an in-memory store, or with
+// -launch child processes over the TCP store this process hosts: both
+// report their exits on one channel, and everything after the start is
+// the same.
+func supervise(o *options) (string, error) {
+	// Room for the first world, then an admission watch and a replacement,
+	// or a restarted world. stop is deferred first so it runs after the
+	// store closes, which ends a pending admission watch.
+	f := newFleet(2 * o.world)
+	defer f.stop()
+	var st store.Store
+	var startWorker func(w *options) error
+	if o.launch {
+		srv, err := store.ServeTCP(o.store, 120*time.Second)
+		if err != nil {
+			return "", fmt.Errorf("starting store: %w", err)
+		}
+		defer srv.Close()
+		client, err := store.DialTCP(o.store)
+		if err != nil {
+			return "", fmt.Errorf("dialing store: %w", err)
+		}
+		defer client.Close()
+		st = client
+		startWorker = func(w *options) error { return f.spawn(w, w.id) }
+	} else {
+		mem := store.NewInMem(60 * time.Second)
+		defer mem.Close()
+		reg := comm.NewInProcRegistry()
+		// One tracer shared by every in-proc worker: each recovery is built
+		// by its own goroutine, the tracer only serializes the root list, so
+		// the dump interleaves all workers' span trees in start order.
+		tracer := trace.NewTracer()
+		if o.traceOut != "" {
+			defer func() {
+				if err := dumpTrace(tracer, o.traceOut); err != nil {
+					fmt.Fprintf(os.Stderr, "[supervisor] %v\n", err)
+				}
+			}()
+		}
+		st = mem
+		startWorker = func(w *options) error {
+			f.goRun(w.id, func() error {
+				return runElasticWorker(w, mem, &elastic.InProcBuilder{Registry: reg}, tracer, (*elastic.Agent).Kill)
+			})
+			return nil
+		}
+	}
+	start := func(id string, resume bool) error {
+		w := *o
+		w.id, w.resume, w.launch, w.metricsAddr = id, resume, false, ""
+		return startWorker(&w)
+	}
+	for i := 0; i < o.world; i++ {
+		if err := start(fmt.Sprintf("w%d", i), o.resume); err != nil {
+			return "", err
+		}
+	}
+
+	// The demo injects exactly the planned crashes: a victim must end in
+	// one, and any other end but finishing is a real failure.
+	crashes, respawns := 0, 0
+	var finishers []string
+	for e, ok := f.wait(); ok; e, ok = f.wait() {
+		switch {
+		case e.id == admitKey && e.err != nil:
+			return "", fmt.Errorf("waiting for the survivors to admit a replacement: %w", e.err)
+		case e.id == admitKey:
+			respawns++
+			fmt.Printf("[supervisor] respawning replacement r%d\n", respawns)
+			if err := start(fmt.Sprintf("r%d", respawns), o.resume); err != nil {
+				return "", err
+			}
+			continue
+		case e.err == nil && o.victim(e.id):
+			return "", fmt.Errorf("victim %s finished instead of crashing at step %d", e.id, o.killStep)
+		case e.err == nil:
+			finishers = append(finishers, e.id)
+			continue
+		}
+		fmt.Printf("[supervisor] worker %s exited: %v\n", e.id, e.err)
+		if !o.victim(e.id) || !errors.Is(e.err, elastic.ErrKilled) {
+			return "", fmt.Errorf("worker %s failed unexpectedly: %w", e.id, e.err)
+		}
+		crashes++
+		switch {
+		case o.killAll && crashes < o.world:
+			// The rest of the doomed world is still dying.
+		case o.killAll:
+			// Every worker is dead: the scenario elastic recovery alone
+			// cannot survive. Cold-restart the full world from the last
+			// committed checkpoint.
+			meta, err := ckpt.LatestMeta(o.ckptDir)
+			if err != nil {
+				return "", fmt.Errorf("kill-all: no checkpoint to cold-restart from: %w", err)
+			}
+			fmt.Printf("[supervisor] all %d workers dead; cold-restarting from checkpoint at step %d (saved by world %d)\n",
+				o.world, meta.Step, meta.World)
+			// The store still holds the dead world's sealed round; open a
+			// fresh one or the restarted workers would park as standbys of
+			// a generation whose members no longer exist.
+			if err := advanceGeneration(st); err != nil {
+				return "", fmt.Errorf("kill-all: opening a fresh rendezvous round: %w", err)
+			}
+			for i := 0; i < o.world; i++ {
+				if err := start(fmt.Sprintf("c%d", i), true); err != nil {
+					return "", err
+				}
+			}
+		case o.respawn:
+			// Store.Watch blocks until the survivors set the key; on its own
+			// goroutine, reporting as one more exit, so an exit meanwhile is
+			// still seen.
+			f.goRun(admitKey, func() error {
+				_, err := st.Watch(admitKey, nil)
+				return err
+			})
+		default:
+			fmt.Printf("[supervisor] -respawn=false: survivors continue at world %d\n", o.world-1)
+		}
+	}
+	if len(finishers) == 0 {
+		return "", errors.New("no worker finished")
+	}
+
+	// Every finisher published its final step and parameter hash.
+	base := ""
+	for _, id := range finishers {
+		v, err := st.Get(elastic.ResultKey(prefix, id))
+		if err != nil {
+			return "", fmt.Errorf("result of %s: %w", id, err)
+		}
+		if base == "" {
+			base = string(v)
+		} else if string(v) != base {
+			return "", fmt.Errorf("replica %s diverged: %s vs %s", id, v, base)
+		}
+	}
+	fmt.Printf("[supervisor] done: %d finishers (%d respawned), all replicas consistent: %s\n",
+		len(finishers), respawns, base)
+	return base, nil
+}
+
+// advanceGeneration bumps the elastic generation on the shared store,
+// abandoning any round sealed by a now-dead world so freshly started
+// workers rendezvous from a clean slate.
+func advanceGeneration(st store.Store) error {
+	rdzv, err := elastic.NewRendezvous(elastic.Config{Store: st, Prefix: prefix})
+	if err != nil {
+		return err
+	}
+	g, err := rdzv.CurrentGeneration()
+	if err != nil {
+		return err
+	}
+	_, err = rdzv.ProposeGeneration(g)
+	return err
+}
+
+// workerProcess is one elastic worker as a child process, over the TCP
+// store and TCP meshes. Its crash is a hard os.Exit: no cleanup runs, so
+// peers observe exactly what a SIGKILL produces — heartbeat silence and
+// connections closed by the kernel.
+func workerProcess(o *options) error {
+	client, err := store.DialTCP(o.store)
+	if err != nil {
+		return fmt.Errorf("dialing store: %w", err)
+	}
+	defer client.Close()
+	tracer := trace.NewTracer()
+	if o.traceOut != "" {
+		defer func() {
+			if err := dumpTrace(tracer, fmt.Sprintf("%s-%s.json", o.traceOut, o.id)); err != nil {
+				fmt.Fprintf(os.Stderr, "[%s] %v\n", o.id, err)
+			}
+		}()
+	}
+	return runElasticWorker(o, client, &elastic.TCPBuilder{Store: client}, tracer, func(*elastic.Agent) { os.Exit(crashStatus) })
+}
+
+// runElasticWorker is the body of one elastic worker, goroutine or
+// process: it trains over st and builder, crashes the way crash says if
+// it is a victim, and publishes its result for the supervisor. The
+// straggler detector runs with default thresholds and surfaces every
+// verdict transition as a log line (the elastic_straggler gauge carries
+// the same signal to -metrics-addr scrapes).
+func runElasticWorker(o *options, st store.Store, builder elastic.GroupBuilder, tracer *trace.Tracer, crash func(*elastic.Agent)) error {
+	// full records that this worker has been part of a world of -world
+	// workers: at its first formation, or at any step since.
+	full := false
 	cfg := elastic.Config{
 		Store:             st,
-		ID:                id,
-		Prefix:            "elastic",
+		ID:                o.id,
+		Prefix:            prefix,
 		MinWorld:          o.world - 1,
 		MaxWorld:          o.world,
 		Grace:             500 * time.Millisecond,
@@ -597,6 +900,7 @@ func (o *options) elasticConfig(id string, st store.Store, builder elastic.Group
 		DrainTimeout:      200 * time.Millisecond,
 		Builder:           builder,
 		Replica: func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+			full = full || pg.Size() == o.world
 			r, _, err := newReplica(o, m, pg, true)
 			return r, err
 		},
@@ -615,7 +919,19 @@ func (o *options) elasticConfig(id string, st store.Store, builder elastic.Group
 	if o.ckptDir != "" {
 		cfg.Checkpoint = &elastic.CheckpointConfig{Dir: o.ckptDir, Every: int64(o.ckptEvery), Async: o.ckptAsync, Resume: o.resume}
 	}
-	return cfg
+	model := models.NewMLP(7, features, hidden, classes)
+	agent, err := elastic.NewAgent(cfg, model)
+	if err != nil {
+		return err
+	}
+	if err := agent.Run(int64(o.iters), elasticStep(o, st, agent, &full, crash)); err != nil {
+		return err
+	}
+	if err := elastic.PublishResult(st, prefix, o.id, agent.Step(), model); err != nil {
+		return fmt.Errorf("publishing result: %w", err)
+	}
+	fmt.Printf("[%s] done: %s\n", o.id, elastic.FormatResult(agent.Step(), model))
+	return nil
 }
 
 // elasticBatch derives a deterministic batch from (step, rank, world),
@@ -635,33 +951,46 @@ func elasticBatch(step int64, rank, world, batch int) (*tensor.Tensor, []int) {
 	return x, labels
 }
 
-// elasticStep is the one elastic StepFunc. crash is nil except on the
-// planned victim, which runs its forward pass at -kill-step — so peers
-// are left mid-iteration — and then dies the way crash says (a hard
-// os.Exit across processes, Agent.Kill in-proc). admit reports whether
-// the step must yield to a pending membership change instead of
-// training: the deterministic hand-over to a respawned worker.
-func elasticStep(o *options, tag string, agent *elastic.Agent, crash func() error, admit func(elastic.StepContext) bool) elastic.StepFunc {
-	logged := false
+// elasticStep is the one elastic StepFunc. A victim runs its forward
+// pass at -kill-step — so peers are left mid-iteration — and then dies
+// the way crash says. Two rules make the trajectory independent of the
+// wall clock; under both the step yields until a generation bump
+// reforms the world:
+//   - until a worker has been part of a full world (*full), a short
+//     world only means a peer is still on its way: a slow starter that
+//     missed the grace window, or a cold-restarted peer;
+//   - with -respawn, the survivors of the crash train three steps at the
+//     shrunken world, then set admitKey, on which the supervisor starts
+//     the replacement.
+func elasticStep(o *options, st store.Store, agent *elastic.Agent, full *bool, crash func(*elastic.Agent)) elastic.StepFunc {
+	admitStep := int64(-1)
+	if o.respawn && !o.killAll {
+		admitStep = int64(min(o.killStep+3, o.iters-1))
+	}
+	victim := o.victim(o.id)
+	gen := -1
 	return func(ctx elastic.StepContext) error {
-		if crash != nil && ctx.Step == int64(o.killStep) {
+		if victim && ctx.Step == int64(o.killStep) {
 			x, _ := elasticBatch(ctx.Step, ctx.Rank, ctx.World, o.batch)
 			ctx.Replica.Forward(autograd.Constant(x))
 			fmt.Printf("[%s] worker crashed mid-iteration at step %d (gen %d, world %d)\n",
-				tag, ctx.Step, ctx.Generation, ctx.World)
-			return crash()
+				o.id, ctx.Step, ctx.Generation, ctx.World)
+			crash(agent)
+			return errors.New("simulated crash")
 		}
-		// A slow-starting worker can miss the initial grace window; yield
-		// until its generation bump reforms the full world. Generation 0
-		// only — at later generations a small world at step 0 is a
-		// legitimate post-crash state, not an incomplete formation.
-		if (ctx.Step == 0 && ctx.Generation == 0 && ctx.World < o.world) || admit(ctx) {
+		*full = *full || ctx.World == o.world
+		if ctx.World < o.world && (!*full || ctx.Step == admitStep) {
+			if *full {
+				if err := st.Set(admitKey, []byte(fmt.Sprint(ctx.Step))); err != nil {
+					return err
+				}
+			}
 			return agent.AwaitGenerationChange()
 		}
-		if !logged {
-			logged = true
+		if ctx.Generation != gen {
+			gen = ctx.Generation
 			fmt.Printf("[%s] rank %d/%d at generation %d, resuming from step %d\n",
-				tag, ctx.Rank, ctx.World, ctx.Generation, ctx.Step)
+				o.id, ctx.Rank, ctx.World, ctx.Generation, ctx.Step)
 		}
 		x, labels := elasticBatch(ctx.Step, ctx.Rank, ctx.World, o.batch)
 		out := ctx.Replica.Forward(autograd.Constant(x))
@@ -672,416 +1001,8 @@ func elasticStep(o *options, tag string, agent *elastic.Agent, crash func() erro
 		ctx.Replica.Step()
 		if ctx.Rank == 0 && (ctx.Step+1)%20 == 0 {
 			fmt.Printf("[%s] step %4d loss %.4f (gen %d, world %d)\n",
-				tag, ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)
+				o.id, ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)
 		}
 		return nil
 	}
-}
-
-// ---- elastic across OS processes -------------------------------------------
-
-// runElasticSupervisor hosts the rendezvous store and supervises
-// `world` elastic worker subprocesses: it detects child exits and, when
-// a worker dies before finishing, spawns a replacement process that
-// rejoins the running job — the cross-process analogue of
-// torchelastic's agent. One worker is told to crash at killStep, so a
-// full failure+recovery cycle is exercised end to end.
-//
-// With -kill-all (requires -ckpt-dir), every worker crashes at
-// killStep instead — the failure elastic recovery alone cannot survive
-// — and the supervisor relaunches the whole world with -resume, which
-// cold-starts from the last committed checkpoint.
-func runElasticSupervisor(o *options) error {
-	if err := o.validateElastic(); err != nil {
-		return err
-	}
-	if o.killAll && o.ckptDir == "" {
-		return errors.New("-kill-all needs -ckpt-dir: with no checkpoint, killing every worker simply loses the run")
-	}
-	world, iters, killStep, killAll, respawn := o.world, o.iters, o.killStep, o.killAll, o.respawn
-	// Incumbents yield at admitStep until the replacement's generation
-	// bump lands, so the training loop cannot outrun the respawn.
-	// Without -respawn there is nothing to wait for: survivors just
-	// finish at the shrunken world. (In -kill-all mode the admit step is
-	// set later, to the restored step of the cold-restarted world.)
-	admitStep := -1
-	if respawn && !killAll {
-		admitStep = killStep + 3
-		if admitStep >= iters {
-			admitStep = iters - 1
-		}
-	}
-	srv, err := store.ServeTCP(o.store, 120*time.Second)
-	if err != nil {
-		return fmt.Errorf("starting store: %w", err)
-	}
-	defer srv.Close()
-
-	type exit struct {
-		id   string
-		code int
-	}
-	exits := make(chan exit, 2*world+2)
-	running := 0
-	launchWorker := func(id string, victim, resume bool) error {
-		args := []string{"-elastic", "-worker", "-id", id, "-store", o.store,
-			"-world", fmt.Sprint(world), "-iters", fmt.Sprint(iters),
-			"-batch", fmt.Sprint(o.batch), "-lr", fmt.Sprint(o.lr),
-			"-bucket-mb", fmt.Sprint(o.bucketMB), "-strategy", o.strategy,
-			"-compress", o.compress,
-			"-admit-step", fmt.Sprint(admitStep)}
-		if o.traceOut != "" {
-			args = append(args, "-trace-out", o.traceOut)
-		}
-		if o.ckptDir != "" {
-			args = append(args, "-ckpt-dir", o.ckptDir, "-ckpt-every", fmt.Sprint(o.ckptEvery),
-				fmt.Sprintf("-ckpt-async=%v", o.ckptAsync), fmt.Sprintf("-resume=%v", resume))
-		}
-		if victim {
-			args = append(args, "-kill-step", fmt.Sprint(killStep))
-		}
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("launching worker %s: %w", id, err)
-		}
-		running++
-		go func() {
-			err := cmd.Wait()
-			code := 0
-			if ee, ok := err.(*exec.ExitError); ok {
-				code = ee.ExitCode()
-			} else if err != nil {
-				code = -1
-			}
-			exits <- exit{id: id, code: code}
-		}()
-		return nil
-	}
-
-	victims := map[string]bool{fmt.Sprintf("w%d", world-1): true}
-	if killAll {
-		for i := 0; i < world; i++ {
-			victims[fmt.Sprintf("w%d", i)] = true
-		}
-	}
-	for i := 0; i < world; i++ {
-		id := fmt.Sprintf("w%d", i)
-		if err := launchWorker(id, victims[id], o.resume); err != nil {
-			return err
-		}
-	}
-
-	// The demo injects exactly the planned crashes (one victim, or the
-	// whole world with -kill-all); any other failure is real.
-	crashes := 0
-	respawns := 0
-	coldRestarted := false
-	var finishers []string
-	for running > 0 {
-		e := <-exits
-		running--
-		if e.code == 0 {
-			finishers = append(finishers, e.id)
-			continue
-		}
-		fmt.Printf("[supervisor] worker %s exited with code %d\n", e.id, e.code)
-		if !victims[e.id] || coldRestarted {
-			return fmt.Errorf("worker %s failed unexpectedly (code %d)", e.id, e.code)
-		}
-		crashes++
-		if killAll {
-			if crashes < world {
-				continue // the rest of the doomed world is still dying
-			}
-			// Every worker is dead: the scenario elastic recovery alone
-			// cannot survive. Cold-restart the full world from the last
-			// committed checkpoint; incumbents park at the restored step
-			// until the whole world has re-formed, keeping the resumed
-			// schedule deterministic.
-			meta, err := ckpt.LatestMeta(o.ckptDir)
-			if err != nil {
-				return fmt.Errorf("kill-all: no checkpoint to cold-restart from: %w", err)
-			}
-			fmt.Printf("[supervisor] all %d workers dead; cold-restarting from checkpoint at step %d (saved by world %d)\n",
-				world, meta.Step, meta.World)
-			// The store still holds the dead world's sealed round; open a
-			// fresh one or the relaunched workers would park as standbys
-			// of a generation whose members no longer exist. (A job
-			// restarted against a brand-new store skips this naturally.)
-			if err := advanceGeneration(o.store); err != nil {
-				return fmt.Errorf("kill-all: opening a fresh rendezvous round: %w", err)
-			}
-			admitStep = int(meta.Step)
-			coldRestarted = true
-			for i := 0; i < world; i++ {
-				if err := launchWorker(fmt.Sprintf("c%d", i), false, true); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if crashes > 1 {
-			return fmt.Errorf("worker %s failed unexpectedly (code %d)", e.id, e.code)
-		}
-		if !respawn {
-			fmt.Printf("[supervisor] -respawn=false: survivors continue at world %d\n", world-1)
-			continue
-		}
-		respawns++
-		id := fmt.Sprintf("r%d", respawns)
-		fmt.Printf("[supervisor] respawning replacement process %s\n", id)
-		if err := launchWorker(id, false, o.resume); err != nil {
-			return err
-		}
-	}
-	if len(finishers) == 0 {
-		return fmt.Errorf("no worker finished")
-	}
-
-	// Verify across process boundaries: every finisher published its
-	// final step and parameter hash to the store.
-	client, err := store.DialTCP(o.store)
-	if err != nil {
-		return fmt.Errorf("dialing store for verification: %w", err)
-	}
-	defer client.Close()
-	base := ""
-	for _, id := range finishers {
-		v, err := client.Get(elastic.ResultKey("elastic", id))
-		if err != nil {
-			return fmt.Errorf("result of %s: %w", id, err)
-		}
-		if base == "" {
-			base = string(v)
-		} else if string(v) != base {
-			return fmt.Errorf("replica %s diverged: %s vs %s", id, v, base)
-		}
-	}
-	fmt.Printf("[supervisor] done: %d finishers (%d respawned), all replicas consistent: %s\n",
-		len(finishers), respawns, base)
-	return nil
-}
-
-// advanceGeneration bumps the elastic generation on the shared store,
-// abandoning any round sealed by a now-dead world so freshly launched
-// workers rendezvous from a clean slate.
-func advanceGeneration(storeAddr string) error {
-	client, err := store.DialTCP(storeAddr)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	rdzv, err := elastic.NewRendezvous(elastic.Config{Store: client, Prefix: "elastic"})
-	if err != nil {
-		return err
-	}
-	g, err := rdzv.CurrentGeneration()
-	if err != nil {
-		return err
-	}
-	_, err = rdzv.ProposeGeneration(g)
-	return err
-}
-
-// runElasticWorker is one elastic trainer process, spawned by the
-// supervisor. With -kill-step it hard-exits mid-iteration at that step
-// — os.Exit runs no cleanup, so peers observe exactly what a SIGKILL
-// produces: heartbeat silence and connections closed by the kernel.
-func runElasticWorker(o *options) error {
-	if o.id == "" {
-		return errors.New("-worker requires -id")
-	}
-	if err := o.validate(); err != nil {
-		return err
-	}
-	client, err := store.DialTCP(o.store)
-	if err != nil {
-		return fmt.Errorf("dialing store: %w", err)
-	}
-	defer client.Close()
-
-	model := models.NewMLP(7, features, hidden, classes)
-	agent, err := elastic.NewAgent(o.elasticConfig(o.id, client, &elastic.TCPBuilder{Store: client}, trace.NewTracer()), model)
-	if err != nil {
-		return err
-	}
-	if o.traceOut != "" {
-		defer func() {
-			if err := dumpTrace(agent.Tracer(), fmt.Sprintf("%s-%s.json", o.traceOut, o.id)); err != nil {
-				fmt.Fprintf(os.Stderr, "[%s] %v\n", o.id, err)
-			}
-		}()
-	}
-
-	var crash func() error
-	if o.killStep >= 0 {
-		crash = func() error { os.Exit(1); return nil }
-	}
-	admit := func(ctx elastic.StepContext) bool {
-		return o.admitStep >= 0 && ctx.Step == int64(o.admitStep) && ctx.World < o.world
-	}
-	if err := agent.Run(int64(o.iters), elasticStep(o, o.id, agent, crash, admit)); err != nil {
-		return err
-	}
-	if err := elastic.PublishResult(client, "elastic", o.id, agent.Step(), model); err != nil {
-		return fmt.Errorf("publishing result: %w", err)
-	}
-	fmt.Printf("[%s] done: %s\n", o.id, elastic.FormatResult(agent.Step(), model))
-	return nil
-}
-
-// ---- elastic in one process ------------------------------------------------
-
-// runElastic is the end-to-end fault-tolerance proof: `world` elastic
-// workers train in-proc; one is crashed mid-iteration, survivors
-// detect it and reconfigure, a replacement rejoins and is brought up
-// to date, and every surviving replica ends bit-identical.
-func runElastic(o *options) error {
-	if err := o.validateElastic(); err != nil {
-		return err
-	}
-	st := store.NewInMem(60 * time.Second)
-	defer st.Close()
-	reg := comm.NewInProcRegistry()
-	// One tracer shared by every in-proc worker: each recovery is built
-	// by its own goroutine, the tracer only serializes the root list, so
-	// the dump interleaves all workers' span trees in start order.
-	tracer := trace.NewTracer()
-	if o.traceOut != "" {
-		defer func() {
-			if err := dumpTrace(tracer, o.traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "[elastic] %v\n", err)
-			}
-		}()
-	}
-
-	type worker struct {
-		agent *elastic.Agent
-		model nn.Module
-	}
-	mkWorker := func(id string) (*worker, error) {
-		model := models.NewMLP(7, features, hidden, classes)
-		a, err := elastic.NewAgent(o.elasticConfig(id, st, &elastic.InProcBuilder{Registry: reg}, tracer), model)
-		if err != nil {
-			return nil, err
-		}
-		return &worker{agent: a, model: model}, nil
-	}
-	// After the crash is survived, incumbents admit the replacement at
-	// a fixed step: they release its spawn and yield until its
-	// generation bump lands, so the demo cannot race the (fast,
-	// in-proc) training loop against the (wall-clock) respawn.
-	admitStep := int64(min(o.killStep+3, o.iters-1))
-	spawnReplacement := make(chan struct{})
-	var admitOnce sync.Once
-	admit := func(ctx elastic.StepContext) bool {
-		if !o.respawn || ctx.World != o.world-1 || ctx.Step != admitStep {
-			return false
-		}
-		admitOnce.Do(func() { close(spawnReplacement) })
-		return true
-	}
-
-	workers := make([]*worker, o.world)
-	for i := range workers {
-		w, err := mkWorker(fmt.Sprintf("w%d", i))
-		if err != nil {
-			return err
-		}
-		workers[i] = w
-	}
-	victim := workers[o.world-1]
-
-	// wg tracks every worker; initialWG tracks only the initial set so
-	// the monitor below never Waits on the group the late replacement
-	// joins (an Add-from-zero concurrent with Wait is WaitGroup misuse).
-	var wg, initialWG sync.WaitGroup
-	errs := make(map[string]error)
-	var mu sync.Mutex
-	runWorker := func(name string, w *worker, extra *sync.WaitGroup) {
-		var crash func() error
-		if w == victim {
-			crash = func() error { w.agent.Kill(); return errors.New("simulated crash") }
-		}
-		wg.Add(1)
-		if extra != nil {
-			extra.Add(1)
-		}
-		go func() {
-			defer wg.Done()
-			if extra != nil {
-				defer extra.Done()
-			}
-			err := w.agent.Run(int64(o.iters), elasticStep(o, "elastic", w.agent, crash, admit))
-			mu.Lock()
-			errs[name] = err
-			mu.Unlock()
-		}()
-	}
-	for i, w := range workers {
-		runWorker(fmt.Sprintf("w%d", i), w, &initialWG)
-	}
-
-	var replacement *worker
-	if o.respawn {
-		// Boot the replacement when the survivors signal they are past
-		// the crash and ready to admit it — or bail out if they all
-		// ended (e.g. on error) before admitting anyone, so a failed
-		// run reports instead of hanging here.
-		allDone := make(chan struct{})
-		go func() {
-			initialWG.Wait()
-			close(allDone)
-		}()
-		select {
-		case <-spawnReplacement:
-			var err error
-			replacement, err = mkWorker("respawned")
-			if err != nil {
-				return err
-			}
-			fmt.Printf("[elastic] respawning replacement worker\n")
-			runWorker("respawned", replacement, nil)
-		case <-allDone:
-		}
-	}
-	wg.Wait()
-
-	finishers := make([]*worker, 0, o.world)
-	for i, w := range workers {
-		name := fmt.Sprintf("w%d", i)
-		if w == victim {
-			if !errors.Is(errs[name], elastic.ErrKilled) {
-				return fmt.Errorf("victim returned %v, want ErrKilled", errs[name])
-			}
-			fmt.Printf("[elastic] victim exit confirmed: %v\n", errs[name])
-			continue
-		}
-		if errs[name] != nil {
-			return fmt.Errorf("worker %s: %w", name, errs[name])
-		}
-		finishers = append(finishers, w)
-	}
-	if replacement != nil {
-		if errs["respawned"] != nil {
-			return fmt.Errorf("respawned worker: %w", errs["respawned"])
-		}
-		finishers = append(finishers, replacement)
-	}
-
-	// The same record the cross-process supervisor compares.
-	base := elastic.FormatResult(finishers[0].agent.Step(), finishers[0].model)
-	consistent := true
-	for _, w := range finishers[1:] {
-		if elastic.FormatResult(w.agent.Step(), w.model) != base {
-			consistent = false
-		}
-	}
-	fmt.Printf("[elastic] done: %d finishers, %s, replicas consistent: %v\n", len(finishers), base, consistent)
-	if !consistent {
-		return errors.New("replicas diverged after recovery")
-	}
-	return nil
 }

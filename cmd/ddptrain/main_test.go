@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -67,13 +69,52 @@ func TestDumpTraceReportsCreateError(t *testing.T) {
 }
 
 // TestMain lets the test binary stand in for the ddptrain binary:
-// re-executed with DDPTRAIN_TEST_CHILD set, it is a spawned rank.
+// re-executed with DDPTRAIN_TEST_CHILD set, it is a spawned rank or
+// elastic worker — one that, with the value "fail", exits non-zero
+// after it finished.
 func TestMain(m *testing.M) {
-	if os.Getenv("DDPTRAIN_TEST_CHILD") != "" {
+	switch os.Getenv("DDPTRAIN_TEST_CHILD") {
+	case "":
+		os.Exit(m.Run())
+	case "fail":
 		main()
-		os.Exit(0)
+		os.Exit(2)
 	}
-	os.Exit(m.Run())
+	main()
+	os.Exit(0)
+}
+
+// useTestBinary points command at this test binary until the test
+// ends. edit, when non-nil, may rewrite each child's arguments and
+// environment; the returned slice collects every command built.
+func useTestBinary(t *testing.T, edit func(*exec.Cmd)) *[]*exec.Cmd {
+	prev := command
+	t.Cleanup(func() { command = prev })
+	var spawned []*exec.Cmd
+	command = func(args ...string) *exec.Cmd {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "DDPTRAIN_TEST_CHILD=1")
+		if edit != nil {
+			edit(cmd)
+		}
+		spawned = append(spawned, cmd)
+		return cmd
+	}
+	return &spawned
+}
+
+// assertReaped fails the test for every child that is still alive or
+// was never waited for.
+func assertReaped(t *testing.T, cmds []*exec.Cmd) {
+	t.Helper()
+	for i, cmd := range cmds {
+		if cmd.ProcessState == nil {
+			t.Errorf("child %d (pid %d) was not reaped", i, cmd.Process.Pid)
+		}
+		if err := cmd.Process.Signal(syscall.Signal(0)); err == nil {
+			t.Errorf("child %d (pid %d) is still alive", i, cmd.Process.Pid)
+		}
+	}
 }
 
 // freeAddr reserves a loopback port for a run's rendezvous store.
@@ -89,10 +130,33 @@ func freeAddr(t *testing.T) string {
 
 // testOptions is the command line's defaults, shortened.
 func testOptions(t *testing.T, world int) options {
-	return options{
-		world: world, store: freeAddr(t), iters: 12, batch: 8, lr: 0.05, bucketMB: 25,
-		strategy: "ddp", algo: "ring", syncEvery: 1, rr: 1,
+	o := *parse(nil)
+	o.world, o.store, o.iters, o.batch = world, freeAddr(t), 12, 8
+	return o
+}
+
+// withFlagOff returns o with the named flag set off its default,
+// through the flag's own Value.
+func withFlagOff(t *testing.T, o options, name string) options {
+	var c options
+	fs := c.flags()
+	c = o
+	f := fs.Lookup(name)
+	v := map[string]string{"true": "false", "false": "true", "7": "8"}[f.DefValue]
+	if v == "" {
+		v = "7"
 	}
+	if err := f.Value.Set(v); err != nil {
+		t.Fatalf("-%s=%s: %v", name, v, err)
+	}
+	return c
+}
+
+// flagNames lists every flag the binding declares.
+func flagNames() []string {
+	var names []string
+	(&options{}).flags().VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
 }
 
 // TestRunAgreesAcrossStrategies drives the one training loop for every
@@ -142,38 +206,76 @@ func TestRunAgreesAcrossStrategies(t *testing.T) {
 }
 
 // TestRunRejectsWhatNoStrategyHonours pins validate: nothing is bound
-// or spawned for a combination the loop cannot run.
+// or spawned for a combination of values no mode can run, or for any
+// flag set off its default in a mode that does not read it.
 func TestRunRejectsWhatNoStrategyHonours(t *testing.T) {
-	for name, edit := range map[string]func(*options){
-		"unknown strategy":                    func(o *options) { o.strategy = "zero9" },
-		"sharded no_sync":                     func(o *options) { o.strategy, o.syncEvery = "zero2", 2 },
-		"sharded roundrobin":                  func(o *options) { o.strategy, o.rr = "zero3", 2 },
-		"unknown codec":                       func(o *options) { o.compress = "lz4" },
-		"elastic zero3":                       func(o *options) { o.elastic, o.strategy, o.ckptDir = true, "zero3", t.TempDir() },
-		"elastic sharded without checkpoints": func(o *options) { o.elastic, o.strategy = true, "zero2" },
+	elastic := func(o *options) { o.elastic, o.launch = true, true }
+	for _, c := range []struct {
+		want string
+		edit func(*options)
+	}{
+		{"unknown strategy", func(o *options) { o.strategy = "zero9" }},
+		{"does not support -sync-every", func(o *options) { o.strategy, o.syncEvery = "zero2", 2 }},
+		{"does not support -rr", func(o *options) { o.strategy, o.rr = "zero3", 2 }},
+		{"unknown compression codec", func(o *options) { o.compress = "lz4" }},
+		{`"p0/a" has 2 level(s), "b" has 1`, func(o *options) { o.world, o.hosts = 4, "p0/a,p0/a,p1/b,b" }},
+		{"does not support -strategy zero3", func(o *options) { elastic(o); o.strategy, o.ckptDir = "zero3", t.TempDir() }},
+		{"zero2 needs -ckpt-dir", func(o *options) { elastic(o); o.strategy = "zero2" }},
+		{"-kill-all needs -ckpt-dir", func(o *options) { elastic(o); o.killAll = true }},
 	} {
 		o := testOptions(t, 2)
-		edit(&o)
-		if _, err := run(&o); err == nil {
-			t.Errorf("%s: run accepted it", name)
+		c.edit(&o)
+		if err := runMode(&o); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("got %v, want it refused with %q", err, c.want)
 		}
 	}
-	// The elastic builders would drop these flags, so -elastic refuses
-	// each by name. At world 1 a flag that slipped through would train
-	// and return instead of waiting for a peer.
-	for flag, edit := range map[string]func(*options){
-		"-algo":        func(o *options) { o.algo = "tree" },
-		"-hosts":       func(o *options) { o.hosts = "a" },
-		"-topo-levels": func(o *options) { o.topoLevels = 1 },
-		"-sync-every":  func(o *options) { o.syncEvery = 2 },
-		"-rr":          func(o *options) { o.rr = 2 },
-	} {
-		o := testOptions(t, 1)
-		o.elastic = true
-		edit(&o)
-		if _, err := run(&o); err == nil || !strings.Contains(err.Error(), "-elastic does not support "+flag) {
-			t.Errorf("-elastic %s: run returned %v, want it refused by name", flag, err)
+	// Every mode refuses, by name, each flag it does not read. At world 1
+	// a flag that slipped through would train and return (or fail for
+	// another reason) instead of waiting for a peer.
+	bases := map[string]func(*options){
+		"train":           func(*options) {},
+		"elastic":         func(o *options) { o.elastic, o.store = true, parse(nil).store },
+		"elastic -launch": func(o *options) { o.elastic, o.launch = true, true },
+		"worker":          func(o *options) { o.elastic, o.id = true, "w0" },
+	}
+	if len(bases) != len(modeReads) {
+		t.Fatalf("%d modes tested, %d declared", len(bases), len(modeReads))
+	}
+	for mode, edit := range bases {
+		base := testOptions(t, 1)
+		edit(&base)
+		if base.mode() != mode {
+			t.Fatalf("base options for %s run in %s mode", mode, base.mode())
 		}
+		for _, name := range flagNames() {
+			o := withFlagOff(t, base, name)
+			if o.mode() != mode || slices.Contains(strings.Fields(modeReads[mode]), name) {
+				continue // it selects another mode, or this one reads it
+			}
+			if err := runMode(&o); err == nil || !strings.HasPrefix(err.Error(), "-"+name+" ") {
+				t.Errorf("%s mode with -%s set: got %v, want it refused by name", mode, name, err)
+			}
+		}
+	}
+}
+
+// TestFlagsRoundTrip pins argv, the one source of a child's command
+// line: options with any flag off its default, or all of them, parse
+// back from their argv unchanged, and defaults serialize to nothing.
+func TestFlagsRoundTrip(t *testing.T) {
+	if args := parse(nil).argv(); len(args) != 0 {
+		t.Errorf("defaults serialize to %q", args)
+	}
+	all := *parse(nil)
+	for _, name := range flagNames() {
+		want := withFlagOff(t, *parse(nil), name)
+		if got := *parse(want.argv()); got != want {
+			t.Errorf("-%s: %q parsed into %+v, want %+v", name, want.argv(), got, want)
+		}
+		all = withFlagOff(t, all, name)
+	}
+	if got := *parse(all.argv()); got != all {
+		t.Errorf("every flag set: %q parsed into %+v, want %+v", all.argv(), got, all)
 	}
 }
 
@@ -184,34 +286,130 @@ func TestRunRejectsWhatNoStrategyHonours(t *testing.T) {
 // first AllReduce waiting for it). It must not return before both
 // children are dead and reaped.
 func TestLaunchReapsChildrenWhenRankZeroFails(t *testing.T) {
-	defer func(l func(...string) *exec.Cmd) { launchRank = l }(launchRank)
-	var spawned []*exec.Cmd
-	launchRank = func(args ...string) *exec.Cmd {
-		for i, a := range args {
-			if a == "-batch" {
-				args[i+1] = "8"
+	spawned := useTestBinary(t, func(cmd *exec.Cmd) {
+		for i, a := range cmd.Args {
+			if a == "-batch=0" {
+				cmd.Args[i] = "-batch=8"
 			}
 		}
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "DDPTRAIN_TEST_CHILD=1")
-		spawned = append(spawned, cmd)
-		return cmd
-	}
+	})
 	o := testOptions(t, 3)
 	o.launch, o.batch, o.iters = true, 0, 1_000_000
 	_, err := run(&o)
 	if err == nil || !strings.Contains(err.Error(), "batch size") {
 		t.Fatalf("rank 0 returned %v, want its batch-size failure", err)
 	}
-	if len(spawned) != 2 {
-		t.Fatalf("spawned %d children, want 2", len(spawned))
+	if len(*spawned) != 2 {
+		t.Fatalf("spawned %d children, want 2", len(*spawned))
 	}
-	for i, cmd := range spawned {
-		if cmd.ProcessState == nil {
-			t.Errorf("child %d (pid %d) was not reaped", i+1, cmd.Process.Pid)
+	assertReaped(t, *spawned)
+}
+
+// TestLaunchReportsChildFailingAfterRankZero pins the other side of the
+// wait for children: rank 2 trains to the end with ranks 0 and 1, then
+// exits non-zero. Rank 0 must return that failure, not hang or succeed,
+// and leave every child reaped.
+func TestLaunchReportsChildFailingAfterRankZero(t *testing.T) {
+	spawned := useTestBinary(t, func(cmd *exec.Cmd) {
+		if slices.Contains(cmd.Args, "-rank=2") {
+			cmd.Env = append(cmd.Env, "DDPTRAIN_TEST_CHILD=fail")
 		}
-		if err := cmd.Process.Signal(syscall.Signal(0)); err == nil {
-			t.Errorf("child %d (pid %d) is still alive", i+1, cmd.Process.Pid)
+	})
+	o := testOptions(t, 3)
+	o.launch = true
+	_, err := run(&o)
+	if err == nil || !strings.Contains(err.Error(), "rank 2: exit status 2") {
+		t.Fatalf("rank 0 returned %v, want rank 2's exit status", err)
+	}
+	if len(*spawned) != 2 {
+		t.Fatalf("spawned %d children, want 2", len(*spawned))
+	}
+	assertReaped(t, *spawned)
+}
+
+// TestSupervisorReapsWorkersWhenOneFails is the supervisor's
+// counterpart. A worker fails for a real reason (it is handed a flag
+// that does not exist), or the victim finishes under another identity
+// instead of crashing. Either way the supervisor must return that
+// worker's failure — a victim's included, which only a planned crash
+// may end — and not before every worker process is dead and reaped.
+func TestSupervisorReapsWorkersWhenOneFails(t *testing.T) {
+	for _, c := range []struct {
+		id, want string
+		edit     func(*exec.Cmd)
+	}{
+		{"w0", "worker w0 failed unexpectedly", func(cmd *exec.Cmd) { cmd.Args = append(cmd.Args, "-no-such-flag") }},
+		{"w2", "worker w2 failed unexpectedly", func(cmd *exec.Cmd) { cmd.Args = append(cmd.Args, "-no-such-flag") }},
+		{"w2", "victim w2 finished", func(cmd *exec.Cmd) { cmd.Args[slices.Index(cmd.Args, "-id=w2")] = "-id=x2" }},
+	} {
+		spawned := useTestBinary(t, func(cmd *exec.Cmd) {
+			if slices.Contains(cmd.Args, "-id="+c.id) {
+				c.edit(cmd)
+			}
+		})
+		o := testOptions(t, 3)
+		o.elastic, o.launch = true, true
+		if err := o.validate(); err != nil {
+			t.Fatal(err)
 		}
+		if _, err := supervise(&o); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("supervisor returned %v, want %q", err, c.want)
+		}
+		if len(*spawned) != 3 {
+			t.Errorf("spawned %d workers, want 3", len(*spawned))
+		}
+		assertReaped(t, *spawned)
+	}
+}
+
+// superviseElastic runs the elastic scenario at world 3 — 12 steps, the
+// victim crashed at step 4 — with worker goroutines or, with launch,
+// worker processes, and returns the result every finisher published.
+func superviseElastic(t *testing.T, launch bool, edit func(*options)) string {
+	t.Helper()
+	o := testOptions(t, 3)
+	o.elastic, o.launch, o.killStep = true, launch, 4
+	if !launch {
+		o.store = parse(nil).store // in-proc workers share no TCP store
+	}
+	edit(&o)
+	if err := o.validate(); err != nil {
+		t.Fatal(err)
+	}
+	result, err := supervise(&o)
+	if err != nil {
+		t.Fatalf("-launch=%v: %v", launch, err)
+	}
+	return result
+}
+
+// TestElasticLaunchMatchesInProc runs each elastic scenario both ways —
+// worker goroutines in this process, and worker processes re-executing
+// this test binary — and requires the same result from both.
+func TestElasticLaunchMatchesInProc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four multi-second elastic runs")
+	}
+	useTestBinary(t, nil)
+	results := map[string]string{}
+	for _, c := range []struct {
+		name string
+		edit func(*options)
+	}{
+		{"respawn", func(*options) {}},
+		// Synchronous saves: a checkpoint is committed before the crash.
+		{"kill-all", func(o *options) { o.killAll, o.ckptDir, o.ckptEvery, o.ckptAsync = true, t.TempDir(), 2, false }},
+	} {
+		inProc := superviseElastic(t, false, c.edit)
+		if launched := superviseElastic(t, true, c.edit); launched != inProc {
+			t.Errorf("%s: -launch ended on %s, in-proc on %s", c.name, launched, inProc)
+		}
+		results[c.name] = inProc
+	}
+	// The cold restart resumes the trajectory of a run with no failure;
+	// the respawn run trains three steps at world 2 first, so it must end
+	// elsewhere.
+	if results["respawn"] == results["kill-all"] {
+		t.Errorf("respawn ended on the no-failure result %s: did it train at the shrunken world?", results["respawn"])
 	}
 }

@@ -7,8 +7,10 @@
 // completed step.
 //
 // For the crash (rather than clean-exit) scenario, see
-// `ddptrain -elastic`, which kills a worker mid-backward and respawns
-// a replacement.
+// `ddptrain -elastic`, which crashes a worker mid-iteration, trains on
+// at the shrunken world, and then starts a replacement — as goroutines
+// like this example, or with -launch as OS processes, on the same
+// trajectory.
 package main
 
 import (
