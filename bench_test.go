@@ -23,6 +23,7 @@ import (
 	"repro/internal/optim"
 	"repro/internal/pipeline"
 	"repro/internal/ps"
+	"repro/internal/reduce"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -261,10 +262,10 @@ func BenchmarkDDPTrainingStep(b *testing.B) {
 func BenchmarkBucketAssignment(b *testing.B) {
 	b.ReportAllocs()
 	sizes := models.BERTLarge().Sizes()
-	order := ddp.ReverseOrder(len(sizes))
+	order := reduce.ReverseOrder(len(sizes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ddp.AssignBuckets(sizes, 25<<20, 4, order); err != nil {
+		if _, err := reduce.AssignBuckets(sizes, 25<<20, 4, order); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,19 +321,19 @@ func BenchmarkAblationOverlap(b *testing.B) {
 func BenchmarkAblationBucketOrder(b *testing.B) {
 	b.ReportAllocs()
 	sizes := models.ResNet50().Sizes()
-	reverse := ddp.ReverseOrder(len(sizes))
+	reverse := reduce.ReverseOrder(len(sizes))
 	forward := make([]int, len(sizes))
 	for i := range forward {
 		forward[i] = i
 	}
-	var rev, fwd *ddp.Assignment
+	var rev, fwd *reduce.Assignment
 	for i := 0; i < b.N; i++ {
 		var err error
-		rev, err = ddp.AssignBuckets(sizes, 25<<20, 4, reverse)
+		rev, err = reduce.AssignBuckets(sizes, 25<<20, 4, reverse)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fwd, err = ddp.AssignBuckets(sizes, 25<<20, 4, forward)
+		fwd, err = reduce.AssignBuckets(sizes, 25<<20, 4, forward)
 		if err != nil {
 			b.Fatal(err)
 		}

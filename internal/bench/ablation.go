@@ -5,9 +5,9 @@ import (
 	"io"
 
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/hw"
 	"repro/internal/models"
+	"repro/internal/reduce"
 	"repro/internal/simnet"
 )
 
@@ -49,7 +49,7 @@ func Ablation(w io.Writer) error {
 	// ready-time mapping: with forward packing, bucket 0 contains the
 	// LAST-ready parameters, so its ready time is the full backward
 	// pass; equivalent to no overlap for bucket 0 plus queueing.
-	rev, err := ddp.AssignBuckets(profile.Sizes(), 25<<20, 4, ddp.ReverseOrder(len(profile.Sizes())))
+	rev, err := reduce.AssignBuckets(profile.Sizes(), 25<<20, 4, reduce.ReverseOrder(len(profile.Sizes())))
 	if err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func Ablation(w io.Writer) error {
 	for i := range fwdOrder {
 		fwdOrder[i] = i
 	}
-	fwd, err := ddp.AssignBuckets(profile.Sizes(), 25<<20, 4, fwdOrder)
+	fwd, err := reduce.AssignBuckets(profile.Sizes(), 25<<20, 4, fwdOrder)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/reduce"
 	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
@@ -258,7 +259,7 @@ func ShardingAblation(w io.Writer) error {
 		total += s
 	}
 	fullBytes := 4 * total
-	assign, err := ddp.AssignBuckets(sizes, shCap, 4, ddp.ReverseOrder(len(sizes)))
+	assign, err := reduce.AssignBuckets(sizes, shCap, 4, reduce.ReverseOrder(len(sizes)))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/optim"
 	"repro/internal/store"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // reversedModel registers parameters in the opposite order of their
@@ -121,6 +123,87 @@ func TestAutoRebuildBucketsFollowsExecutionOrder(t *testing.T) {
 	runRanks(t, world, func(rank int) error { return iteration(ddps[rank], rank, 99) })
 	if ddps[0].Assignment().Buckets[0][0] != order0 {
 		t.Fatal("assignment changed after the one-shot rebuild")
+	}
+}
+
+// eitherModel runs exactly one of its two layers: the situation where
+// ranks' graphs, and so their gradient-ready orders, differ.
+type eitherModel struct {
+	fa, fb *nn.Linear
+	useB   bool
+}
+
+func (m *eitherModel) Forward(x *autograd.Variable) *autograd.Variable {
+	if m.useB {
+		return m.fb.Forward(x)
+	}
+	return m.fa.Forward(x)
+}
+
+func (m *eitherModel) Parameters() []*nn.Parameter {
+	return append(m.fa.Parameters(), m.fb.Parameters()...)
+}
+func (m *eitherModel) Buffers() []*nn.Buffer { return nil }
+func (m *eitherModel) SetTraining(bool)      {}
+
+// TestAutoRebuildAgreesAcrossDivergentReadyOrders: rank 0 runs only fa,
+// rank 1 only fb, so rank 0 traces the ready order [2 3 1 0] and rank 1
+// [0 1 3 2]. Packing each rank's buckets by its own trace would make the
+// next AllReduce sum fb's gradient on one rank with fa's on the other;
+// the rebuild follows rank 0's trace on every rank, so after it both
+// replicas hold, bitwise, the average an unwrapped pair computes.
+func TestAutoRebuildAgreesAcrossDivergentReadyOrders(t *testing.T) {
+	const world, steps = 2, 2 // the traced rebuild fires in the second step's Forward
+	newModel := func(rank int) *eitherModel {
+		rng := rand.New(rand.NewSource(7))
+		return &eitherModel{fa: nn.NewLinear(rng, "fa", 3, 3), fb: nn.NewLinear(rng, "fb", 3, 3), useB: rank == 1}
+	}
+	input := func(step, rank int) *autograd.Variable {
+		return autograd.Constant(tensor.RandN(rand.New(rand.NewSource(int64(10*step+rank))), 1, 2, 3))
+	}
+	// Reference: each rank's local gradients, the absent layer's as
+	// zeros, averaged as the world-2 ring does: (g0 + g1) * 0.5.
+	var want [world][]*tensor.Tensor
+	for rank := 0; rank < world; rank++ {
+		m := newModel(rank)
+		autograd.Backward(autograd.Sum(m.Forward(input(steps-1, rank))), nil)
+		for _, p := range m.Parameters() {
+			g := p.Grad
+			if g == nil {
+				g = tensor.New(p.Value.Shape()...)
+			}
+			want[rank] = append(want[rank], g)
+		}
+	}
+	groups := comm.NewInProcGroups(world, comm.Options{Algorithm: comm.Ring})
+	got := make([][]*tensor.Tensor, world)
+	runRanks(t, world, func(rank int) error {
+		m := newModel(rank)
+		d, err := New(m, groups[rank], Options{FindUnusedParameters: true, BucketCapBytes: -1, AutoRebuildBuckets: true})
+		if err != nil {
+			return err
+		}
+		for s := 0; s < steps; s++ {
+			for _, p := range d.Parameters() {
+				p.ZeroGrad()
+			}
+			if err := d.Backward(autograd.Sum(d.Forward(input(s, rank)))); err != nil {
+				return err
+			}
+		}
+		if !d.Rebuilt() {
+			return fmt.Errorf("the traced rebuild did not fire")
+		}
+		got[rank] = gradSnapshot(m)
+		return nil
+	})
+	for i := range want[0] {
+		avg := tensor.MulScalar(tensor.Add(want[0][i], want[1][i]), 0.5)
+		for rank := 0; rank < world; rank++ {
+			if !testutil.SameBits(got[rank][i], avg) {
+				t.Fatalf("rank %d parameter %d: Grad %v, want the average %v", rank, i, got[rank][i], avg)
+			}
+		}
 	}
 }
 

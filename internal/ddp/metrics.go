@@ -14,5 +14,5 @@ var (
 		metrics.DurationBuckets)
 	mBucketRebuilds = metrics.Default().Counter(
 		"ddp_bucket_rebuilds_total",
-		"Bucket layout rebuilds (traced-order one-shot rebuilds plus explicit RebuildBuckets calls).")
+		"Bucket layout rebuilds from rank 0's traced gradient-ready order (the one-shot Section 6.2.1 rebuild, re-armed by each process-group swap).")
 )

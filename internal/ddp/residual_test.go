@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,8 @@ func residualNonZero(res []float32) bool {
 // change) used to recreate every codec, silently zeroing 1-bit error
 // feedback after the first iteration of every run. Residuals are now
 // keyed by parameter identity and must be bitwise-identical across the
-// rebuild.
+// traced rebuild, which fires inside the second synchronized Forward —
+// before any bucket launches, so they can be read on either side of it.
 func TestResidualSurvivesRebuildBitwise(t *testing.T) {
 	const world = 2
 	groups := comm.NewInProcGroups(world, comm.Options{})
@@ -52,34 +54,37 @@ func TestResidualSurvivesRebuildBitwise(t *testing.T) {
 			g.Close()
 		}
 	}()
-	ddps := make([]*DDP, world)
 	before := make([][]float32, world)
 	after := make([][]float32, world)
 	runRanks(t, world, func(rank int) error {
 		m := buildMLP(21, 4, 8, 2)
 		// Tiny cap: several buckets, so the rebuild genuinely reshuffles.
 		d, err := New(m, groups[rank], Options{
-			BucketCapBytes: 64,
-			NewCodec:       func() comm.Codec { return &comm.OneBitCodec{} },
+			BucketCapBytes:     64,
+			AutoRebuildBuckets: true,
+			NewCodec:           func() comm.Codec { return &comm.OneBitCodec{} },
 		})
 		if err != nil {
 			return err
 		}
-		ddps[rank] = d
 		opt := optim.NewSGD(d.Parameters(), 0.05)
-		if err := trainSteps(d, opt, int64(100+rank), 2); err != nil {
+		if err := trainSteps(d, opt, int64(100+rank), 1); err != nil {
 			return err
 		}
 		before[rank] = d.ResidualState()
-		if err := d.RebuildBuckets(); err != nil {
-			return err
+		rng := rand.New(rand.NewSource(int64(200 + rank)))
+		opt.ZeroGrad()
+		out := d.Forward(autograd.Constant(tensor.RandN(rng, 1, 2, 4)))
+		if !d.Rebuilt() {
+			return fmt.Errorf("the traced rebuild did not fire")
 		}
 		after[rank] = d.ResidualState()
-		// Training must keep working against the remapped layout.
-		if err := trainSteps(d, opt, int64(200+rank), 1); err != nil {
+		if err := d.Backward(autograd.MSELoss(out, autograd.Constant(tensor.RandN(rng, 1, 2, 2)))); err != nil {
 			return err
 		}
-		return nil
+		opt.Step()
+		// Training must keep working against the remapped layout.
+		return trainSteps(d, opt, int64(300+rank), 1)
 	})
 	for rank := 0; rank < world; rank++ {
 		if !residualNonZero(before[rank]) {
@@ -99,7 +104,8 @@ func TestResidualSurvivesRebuildBitwise(t *testing.T) {
 
 // TestResidualSurvivesAutoRebuild: the one-shot automatic rebuild of
 // Section 6.2.1 (armed by AutoRebuildBuckets, fired inside Forward)
-// must carry residuals exactly like the explicit RebuildBuckets.
+// must leave error feedback in place and training running, with the
+// rebuild run as a whole iteration through trainSteps.
 func TestResidualSurvivesAutoRebuild(t *testing.T) {
 	const world = 2
 	groups := comm.NewInProcGroups(world, comm.Options{})

@@ -157,7 +157,7 @@ func runViewScript(t *testing.T, script []viewStep, opts Options) {
 				// The averaged gradient was not copied out: Grad is the
 				// bucket slot.
 				for i, p := range d.Parameters() {
-					if p.Grad != d.views[i] || !p.Grad.SharesStorage(tensor.FromSlice(d.engine.Slot(i), p.Value.Size())) {
+					if p.Grad != d.views[i] || !p.Grad.SharesStorage(tensor.FromSlice(d.Engine().Slot(i), p.Value.Size())) {
 						return fmt.Errorf("step %d: parameter %d's Grad is not the view of its bucket slot", s, i)
 					}
 				}
@@ -207,31 +207,39 @@ func TestGradViewsFindUnusedWithSkippedSubgraph(t *testing.T) {
 	}, Options{FindUnusedParameters: true, BucketCapBytes: -1})
 }
 
-func TestGradViewsSurviveRebuildBuckets(t *testing.T) {
-	rebuild := func(d *DDP, _ int) error { return d.RebuildBuckets() }
-	runViewScript(t, []viewStep{
-		{},
-		{before: rebuild}, // Grads still view the old layout's buffers
-		{before: rebuild, noSync: true},
-		{},
-		{zero: true, before: rebuild},
-	}, Options{BucketCapBytes: 40})
-}
-
-func TestGradViewsSurviveSetProcessGroup(t *testing.T) {
+// swapGroups returns a viewStep.before that moves each rank onto a
+// fresh world-2 group, closed when the test ends.
+func swapGroups(t *testing.T) func(d *DDP, rank int) error {
 	next := comm.NewInProcGroups(viewWorld, comm.Options{Algorithm: comm.Ring})
-	defer func() {
+	t.Cleanup(func() {
 		for _, g := range next {
 			g.Close()
 		}
-	}()
-	swap := func(d *DDP, rank int) error {
+	})
+	return func(d *DDP, rank int) error {
 		if err := d.ProcessGroup().Close(); err != nil {
 			return err
 		}
 		return d.SetProcessGroup(next[rank])
 	}
-	runViewScript(t, []viewStep{{}, {before: swap}, {}, {zero: true}}, Options{BucketCapBytes: 40})
+}
+
+// TestGradViewsSurviveRebuildBuckets: the traced rebuild fires in the
+// first synchronized Forward after a complete trace — here onto Grads
+// that no_sync accumulated into the old layout's views, and, re-armed
+// by a group swap, onto zeroed Grads.
+func TestGradViewsSurviveRebuildBuckets(t *testing.T) {
+	runViewScript(t, []viewStep{
+		{},
+		{noSync: true}, // accumulates into the views of the layout ...
+		{},             // ... this step's Forward replaces
+		{before: swapGroups(t)},
+		{zero: true},
+	}, Options{AutoRebuildBuckets: true, BucketCapBytes: 40})
+}
+
+func TestGradViewsSurviveSetProcessGroup(t *testing.T) {
+	runViewScript(t, []viewStep{{}, {before: swapGroups(t)}, {}, {zero: true}}, Options{BucketCapBytes: 40})
 }
 
 // TestGradViewsFollowAutoRebuild: the one-shot Section 6.2.1 rebuild
@@ -246,8 +254,8 @@ func TestGradViewsFollowAutoRebuild(t *testing.T) {
 // Linear layer's weight and bias gradients are already the views of
 // their bucket slots when the parameter's hooks run — MatMul's and
 // AddRow's backward wrote them there — and the destination follows
-// every installAssignment (the automatic rebuild, RebuildBuckets,
-// SetProcessGroup). A gradient that cannot be born in place (one
+// every new layout (the automatic rebuild, SetProcessGroup and the
+// rebuild it re-arms). A gradient that cannot be born in place (one
 // accumulated onto a Grad that views a replaced layout) arrives as a
 // tensor of its own and the hook moves it.
 func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
@@ -296,7 +304,6 @@ func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
 			{"first step", nil, false, all},
 			{"after the automatic rebuild", func() error { zero(); return nil }, false, all},
 			{"not zeroed: accumulates into the view it already is", nil, false, all},
-			{"after RebuildBuckets", func() error { zero(); return d.RebuildBuckets() }, false, all},
 			{"no_sync: born in the slot all the same", func() error { zero(); return nil }, true, all},
 			{"after SetProcessGroup, accumulating onto the stale view", func() error {
 				if err := d.ProcessGroup().Close(); err != nil {
@@ -304,7 +311,7 @@ func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
 				}
 				return d.SetProcessGroup(next[rank])
 			}, false, none},
-			{"after SetProcessGroup, zeroed", func() error { zero(); return nil }, false, all},
+			{"after SetProcessGroup, zeroed: the re-armed rebuild", func() error { zero(); return nil }, false, all},
 		}
 		for _, sc := range script {
 			if sc.before != nil {

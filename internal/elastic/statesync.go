@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/comm"
@@ -9,7 +10,7 @@ import (
 )
 
 // SyncState broadcasts the full training state — model parameters and
-// buffers, then st, the optimizer state and error-feedback residuals
+// buffers (replica.Align), then st, the optimizer state and error-feedback residuals
 // the source's replica captured — from source rank to every rank of pg,
 // and returns the state every rank now shares. After it returns, all
 // replicas hold bit-identical model tensors, re-establishing DDP's
@@ -31,14 +32,8 @@ import (
 // membership).
 func SyncState(pg comm.ProcessGroup, source int, model nn.Module, st replica.State) (replica.State, error) {
 	lens := append(replica.Limbs(uint64(len(st.Optimizer))), replica.Limbs(uint64(len(st.Residuals)))...)
-	works := []comm.Work{pg.Broadcast(lens, source)}
-	for _, p := range model.Parameters() {
-		works = append(works, pg.Broadcast(p.Value.Data(), source))
-	}
-	for _, b := range model.Buffers() {
-		works = append(works, pg.Broadcast(b.Data.Data(), source))
-	}
-	if err := comm.WaitAll(works...); err != nil {
+	lensWork := pg.Broadcast(lens, source)
+	if err := errors.Join(replica.Align(pg, source, model), lensWork.Wait()); err != nil {
 		return st, fmt.Errorf("elastic: broadcasting model state: %w", err)
 	}
 	if pg.Rank() != source {
@@ -47,7 +42,7 @@ func SyncState(pg comm.ProcessGroup, source int, model nn.Module, st replica.Sta
 			Residuals: make([]float32, replica.FromLimbs(lens[4:])),
 		}
 	}
-	works = works[:0]
+	var works []comm.Work
 	for _, v := range [][]float32{st.Optimizer, st.Residuals} {
 		if len(v) > 0 {
 			works = append(works, pg.Broadcast(v, source))

@@ -118,20 +118,17 @@ type Stats struct {
 // fused sharded optimizer: Backward both reduces gradients and applies
 // the momentum-SGD update, so there is no separate optimizer Step.
 // Gradient bucketing, launch ordering, and residuals come from the
-// same reduce.Engine DDP uses; only the launched collective differs.
+// same reduce.Engine DDP uses, and the lifecycle around it (alignment,
+// layout, buffer re-sync, deferred failures) from the same replica.Core;
+// only the launched collective and what is done with its result differ.
 type FSDP struct {
-	module nn.Module
-	units  []nn.Module
-	pg     comm.ProcessGroup
-	sg     comm.ShardedGroup
-	opts   Options
+	replica.Core
+	units []nn.Module
+	sg    comm.ShardedGroup
+	opts  Options
 
-	params  []*nn.Parameter
-	sizes   []int
 	offsets []int // element offset of each parameter in the model-order flat vector
 	total   int   // element count of that vector
-	engine  *reduce.Engine
-	assign  *reduce.Assignment
 	codec   comm.Codec
 
 	// Per-bucket shard layout: rank owns bucket chunk
@@ -156,17 +153,8 @@ type FSDP struct {
 	cursor   int
 	inflight []gather
 
-	bufferSyncPending bool
-	residentParam     int // current resident param bytes (ZeRO-3)
-	// deferred records a collective failure hit where there is no error
-	// channel — the buffer broadcast ahead of forward, a gather inside
-	// the forward/backward graph walk behind the nn.Module interfaces;
-	// Backward surfaces it. Once set, further gathers are skipped and
-	// the affected layers compute on zeroed parameters — garbage that is
-	// discarded when Backward returns the error (the elastic agent then
-	// tears the world down and rolls back).
-	deferred error
-	stats    Stats
+	residentParam int // current resident param bytes (ZeRO-3)
+	stats         Stats
 }
 
 // residency is where a ZeRO-3 bucket's non-owned parameter ranges
@@ -195,26 +183,12 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	if !ok {
 		return nil, errors.New("fsdp: process group does not support the sharded collectives")
 	}
-	if opts.BucketCapBytes == 0 {
-		opts.BucketCapBytes = reduce.DefaultBucketCapBytes
-	}
-	f := &FSDP{module: module, pg: pg, sg: sg, opts: opts, params: module.Parameters()}
-	if len(f.params) == 0 {
-		return nil, errors.New("fsdp: module has no parameters")
-	}
-	f.sizes = make([]int, len(f.params))
-	f.offsets = make([]int, len(f.params))
-	for i, p := range f.params {
-		f.sizes[i] = p.Value.Size()
-		f.offsets[i] = f.total
-		f.total += f.sizes[i]
-	}
+	f := &FSDP{sg: sg, opts: opts}
 	if opts.NewCodec != nil {
 		f.codec = opts.NewCodec()
 	}
-
-	engine, err := reduce.NewEngine(reduce.Config{
-		Sizes:          f.sizes,
+	var err error
+	f.Core, err = replica.NewCore("fsdp", module, pg, opts.BucketCapBytes, !opts.SkipInitialBroadcast, reduce.Config{
 		Launch:         f.launchBucket,
 		TrackResiduals: f.codec != nil,
 		Transient:      true,
@@ -222,36 +196,22 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.engine = engine
-
-	if !opts.SkipInitialBroadcast {
-		var works []comm.Work
-		for _, p := range f.params {
-			works = append(works, pg.Broadcast(p.Value.Data(), 0))
-		}
-		for _, b := range module.Buffers() {
-			works = append(works, pg.Broadcast(b.Data.Data(), 0))
-		}
-		if err := comm.WaitAll(works...); err != nil {
-			return nil, fmt.Errorf("fsdp: broadcasting initial state: %w", err)
-		}
+	f.offsets = make([]int, len(f.Sizes()))
+	for i, n := range f.Sizes() {
+		f.offsets[i] = f.total
+		f.total += n
 	}
-
-	assign, err := reduce.AssignBuckets(f.sizes, opts.BucketCapBytes, 4, reduce.ReverseOrder(len(f.params)))
-	if err != nil {
-		return nil, err
-	}
-	f.installShards(assign)
+	f.installShards()
 	f.mapUnits()
 
-	for i, p := range f.params {
+	for i, p := range f.Parameters() {
 		idx, shape := i, p.Value.Shape()
 		p.RegisterPostAccumulateHook(func(*autograd.Variable) { f.autogradHook(idx) })
 		// The gradient's destination is its slot in the engine's
 		// transient bucket flat, looked up when backward asks: that call
 		// is what draws the flat from the pool, at the bucket's first
 		// gradient as before.
-		p.SetGradDestination(func() *tensor.Tensor { return tensor.FromSlice(f.engine.Slot(idx), shape...) })
+		p.SetGradDestination(func() *tensor.Tensor { return tensor.FromSlice(f.Engine().Slot(idx), shape...) })
 	}
 	f.stats.FullParamBytes = 4 * f.total
 	f.stats.OptimizerBytes = f.optimizerBytes()
@@ -266,15 +226,14 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	return f, nil
 }
 
-// installShards adopts a bucket assignment and (re)builds the shard
-// layout derived from it: owned chunk bounds, momentum shards, and the
+// installShards (re)builds the shard layout derived from the engine's
+// bucket layout: owned chunk bounds, momentum shards, and the
 // per-bucket parameter flats, which take over the parameters' current
 // (full) values and become their storage.
-func (f *FSDP) installShards(assign *reduce.Assignment) {
-	f.assign = assign
-	f.engine.Install(assign)
-	world := f.pg.Size()
-	rank := f.pg.Rank()
+func (f *FSDP) installShards() {
+	assign := f.Assignment()
+	world := f.ProcessGroup().Size()
+	rank := f.ProcessGroup().Rank()
 	nb := assign.NumBuckets()
 	f.ownedLo = make([]int, nb)
 	f.ownedHi = make([]int, nb)
@@ -290,8 +249,8 @@ func (f *FSDP) installShards(assign *reduce.Assignment) {
 		f.flats[b] = make([]float32, assign.BucketElems[b])
 		f.state[b] = gathered // params start resident
 		for _, idx := range members {
-			p, off := f.params[idx], assign.OffsetOf[idx]
-			view := f.flats[b][off : off+f.sizes[idx]]
+			p, off := f.Parameters()[idx], assign.OffsetOf[idx]
+			view := f.flats[b][off : off+p.Value.Size()]
 			copy(view, p.Value.Data())
 			p.Value = tensor.FromSlice(view, p.Value.Shape()...)
 		}
@@ -316,25 +275,25 @@ func (f *FSDP) shardAll() {
 // Sequential's children are its units; any other module is a single
 // unit.
 func (f *FSDP) mapUnits() {
-	if seq, ok := f.module.(*nn.Sequential); ok {
+	if seq, ok := f.Module().(*nn.Sequential); ok {
 		f.units = seq.Children()
 	} else {
-		f.units = []nn.Module{f.module}
+		f.units = []nn.Module{f.Module()}
 	}
 	// Parameters() of a Sequential concatenates child parameters in
 	// order, so a running offset recovers each unit's index range.
 	f.unitBuckets = make([][]int, len(f.units))
-	next := 0
+	assign, next := f.Assignment(), 0
 	for u, unit := range f.units {
 		for range unit.Parameters() {
-			b := f.assign.BucketOf[next]
+			b := assign.BucketOf[next]
 			if !slices.Contains(f.unitBuckets[u], b) {
 				f.unitBuckets[u] = append(f.unitBuckets[u], b)
 			}
 			next++
 		}
 	}
-	f.plan = PlanStep(f.unitBuckets, f.assign.BucketElems)
+	f.plan = PlanStep(f.unitBuckets, assign.BucketElems)
 }
 
 // launchBucket is the reduce.Launcher fsdp plugs into the shared
@@ -343,7 +302,7 @@ func (f *FSDP) mapUnits() {
 // AllReduce result.
 func (f *FSDP) launchBucket(bucket int, flat, resFlat []float32) comm.Work {
 	f.stats.Reduces++
-	if g := f.engine.BucketBytes(); g > f.stats.PeakGradBytes {
+	if g := f.Engine().BucketBytes(); g > f.stats.PeakGradBytes {
 		f.stats.PeakGradBytes = g
 	}
 	if f.codec != nil {
@@ -351,25 +310,6 @@ func (f *FSDP) launchBucket(bucket int, flat, resFlat []float32) comm.Work {
 	}
 	return f.sg.ReduceScatterV(flat, comm.Avg)
 }
-
-// Module returns the wrapped local model.
-func (f *FSDP) Module() nn.Module { return f.module }
-
-// ProcessGroup returns the communication backend in use.
-func (f *FSDP) ProcessGroup() comm.ProcessGroup { return f.pg }
-
-// Parameters exposes the wrapped model's parameters, whose Value
-// tensors are views of the wrapper's per-bucket flats. Under ZeRO3 they
-// hold zeros for non-owned elements except while gathered; use
-// Materialize before reading full values.
-func (f *FSDP) Parameters() []*nn.Parameter { return f.params }
-
-// NumBuckets reports the gradient bucket count.
-func (f *FSDP) NumBuckets() int { return f.assign.NumBuckets() }
-
-// Assignment returns the parameter-to-bucket mapping (identical to the
-// one ddp.New would build for the same model and cap).
-func (f *FSDP) Assignment() *reduce.Assignment { return f.assign }
 
 // Strategy reports the configured sharding strategy.
 func (f *FSDP) Strategy() Strategy { return f.opts.Strategy }
@@ -422,7 +362,7 @@ func (f *FSDP) notePeak() {
 // nonOwnedBytes is what gathering bucket b adds to this rank's resident
 // parameter bytes.
 func (f *FSDP) nonOwnedBytes(b int) int {
-	return 4 * (f.assign.BucketElems[b] - (f.ownedHi[b] - f.ownedLo[b]))
+	return 4 * (f.Assignment().BucketElems[b] - (f.ownedHi[b] - f.ownedLo[b]))
 }
 
 // freeBucket drops a gathered ZeRO-3 bucket's non-owned parameters:
@@ -495,13 +435,11 @@ func (f *FSDP) drain() error {
 // (and the caller's loss construction) intact while the iteration's
 // results are doomed to be discarded.
 func (f *FSDP) advance(v int) {
-	for ; f.deferred == nil && f.cursor < f.plan.launch[v]; f.cursor++ {
+	for ; !f.Failed() && f.cursor < f.plan.launch[v]; f.cursor++ {
 		f.launchGather(f.plan.Seq[f.cursor], f.cursor)
 	}
 	for len(f.inflight) > 0 && f.inflight[0].pos < f.plan.need[v] {
-		if err := f.land(); err != nil && f.deferred == nil {
-			f.deferred = err
-		}
+		f.Defer(f.land())
 	}
 }
 
@@ -514,14 +452,12 @@ func (f *FSDP) advance(v int) {
 // may still be in flight when Forward returns; a Forward that follows a
 // Forward lands it first.
 func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
-	f.deferred = f.drain()
-	f.broadcastBuffersIfPending()
-	f.engine.Reset()
+	f.BeginForward(true, f.drain())
 	if f.opts.Strategy != ZeRO3 {
-		return f.module.Forward(x)
+		return f.Module().Forward(x)
 	}
-	for b := range f.remaining {
-		f.remaining[b] = len(f.assign.Buckets[b])
+	for b, members := range f.Assignment().Buckets {
+		f.remaining[b] = len(members)
 	}
 	f.cursor = 0
 	last := 2*len(f.units) - 1
@@ -535,37 +471,6 @@ func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	return x
 }
 
-// broadcastBuffersIfPending mirrors DDP's buffer handling: rank 0's
-// buffer values are pushed to all ranks before the forward pass
-// following a synchronized backward. A failure (a peer died since that
-// backward) is deferred to Backward like a failed gather.
-func (f *FSDP) broadcastBuffersIfPending() {
-	if !f.bufferSyncPending {
-		return
-	}
-	buffers := f.module.Buffers()
-	if len(buffers) == 0 {
-		f.bufferSyncPending = false
-		return
-	}
-	works := make([]comm.Work, len(buffers))
-	for i, b := range buffers {
-		works[i] = f.pg.Broadcast(b.Data.Data(), 0)
-	}
-	if err := comm.WaitAll(works...); err != nil {
-		f.deferred = fmt.Errorf("broadcasting buffers: %w", err)
-		return
-	}
-	f.bufferSyncPending = false
-}
-
-// takeDeferred returns and clears the recorded failure.
-func (f *FSDP) takeDeferred() error {
-	err := f.deferred
-	f.deferred = nil
-	return err
-}
-
 // abandon is how Backward leaves a failed step: no gather stays in
 // flight — each is waited out and its result discarded with the rest —
 // every gathered ZeRO-3 bucket is dropped, so the residency accounting
@@ -576,7 +481,7 @@ func (f *FSDP) takeDeferred() error {
 func (f *FSDP) abandon(err error) error {
 	_ = f.drain() // the step already failed with err; a second failure adds nothing
 	f.shardAll()
-	for _, p := range f.params {
+	for _, p := range f.Parameters() {
 		p.ZeroGrad()
 	}
 	return err
@@ -589,10 +494,10 @@ func (f *FSDP) abandon(err error) error {
 // under ZeRO3 — free the bucket's parameters once the last member
 // gradient is in, since no remaining backward op can read them.
 func (f *FSDP) autogradHook(idx int) {
-	f.engine.CopyIn(idx, f.params[idx].Grad.Data())
-	f.engine.MarkReady(idx)
+	f.Engine().CopyIn(idx, f.Parameters()[idx].Grad.Data())
+	f.Engine().MarkReady(idx)
 	if f.opts.Strategy == ZeRO3 {
-		b := f.assign.BucketOf[idx]
+		b := f.Assignment().BucketOf[idx]
 		f.remaining[b]--
 		if f.remaining[b] == 0 {
 			f.freeBucket(b)
@@ -608,25 +513,15 @@ func (f *FSDP) autogradHook(idx int) {
 // leaves them sharded for the next forward's gathers). Gradients are
 // consumed by the step and cleared.
 func (f *FSDP) Backward(loss *autograd.Variable) error {
-	if err := f.takeDeferred(); err != nil {
-		return f.abandon(fmt.Errorf("fsdp: forward: %w", err))
+	if err := f.TakeDeferred("forward"); err != nil {
+		return f.abandon(err)
 	}
 	autograd.Backward(loss, nil)
-	if err := f.takeDeferred(); err != nil {
-		return f.abandon(fmt.Errorf("fsdp: backward: %w", err))
+	if err := f.TakeDeferred("backward"); err != nil {
+		return f.abandon(err)
 	}
-	if f.engine.Launched() < f.engine.NumBuckets() {
-		var missing []string
-		for _, members := range f.assign.Buckets[f.engine.Launched():] {
-			for _, idx := range members {
-				if f.params[idx].Grad == nil {
-					missing = append(missing, f.params[idx].Name)
-				}
-			}
-		}
-		return f.abandon(fmt.Errorf(
-			"fsdp: backward pass finished with %d bucket(s) incomplete; parameters %s received no gradient — fsdp requires every parameter to participate in every iteration",
-			f.engine.NumBuckets()-f.engine.Launched(), strings.Join(missing, ", ")))
+	if err := f.Unlaunched("fsdp requires every parameter to participate in every iteration"); err != nil {
+		return f.abandon(err)
 	}
 	// Every parameter has its gradient, so every unit's backward ran and
 	// waited for its buckets; the drain makes "no gather is reading the
@@ -634,7 +529,7 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	if err := f.drain(); err != nil {
 		return f.abandon(fmt.Errorf("fsdp: backward: %w", err))
 	}
-	err := f.engine.WaitAll(func(bucket int, flat []float32) error {
+	err := f.Engine().WaitAll(func(bucket int, flat []float32) error {
 		lo, hi := f.ownedLo[bucket], f.ownedHi[bucket]
 		optim.ShardedMomentumStep(f.flats[bucket][lo:hi], flat[lo:hi], f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
 		if f.opts.Strategy == ZeRO3 {
@@ -649,10 +544,10 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	if err != nil {
 		return f.abandon(err)
 	}
-	for _, p := range f.params {
+	for _, p := range f.Parameters() {
 		p.ZeroGrad()
 	}
-	f.bufferSyncPending = len(f.module.Buffers()) > 0
+	f.Synchronized()
 	return nil
 }
 
@@ -691,19 +586,20 @@ func (f *FSDP) CaptureState() (replica.State, error) {
 		return replica.State{}, fmt.Errorf("fsdp: %w", err)
 	}
 	out := make([]float32, f.total)
-	for b := range f.assign.Buckets {
-		vflat := make([]float32, f.assign.BucketElems[b])
+	assign, sizes := f.Assignment(), f.Sizes()
+	for b, members := range assign.Buckets {
+		vflat := make([]float32, assign.BucketElems[b])
 		copy(vflat[f.ownedLo[b]:f.ownedHi[b]], f.velocity[b])
 		if err := f.sg.AllGatherV(vflat).Wait(); err != nil {
 			return replica.State{}, fmt.Errorf("fsdp: gathering optimizer state: %w", err)
 		}
 		// Scatter bucket layout back to model order.
-		for _, idx := range f.assign.Buckets[b] {
-			off, mo := f.assign.OffsetOf[idx], f.offsets[idx]
-			copy(out[mo:mo+f.sizes[idx]], vflat[off:off+f.sizes[idx]])
+		for _, idx := range members {
+			off, mo := assign.OffsetOf[idx], f.offsets[idx]
+			copy(out[mo:mo+sizes[idx]], vflat[off:off+sizes[idx]])
 		}
 	}
-	return replica.State{Optimizer: out, Residuals: f.engine.ResidualState()}, nil
+	return replica.State{Optimizer: out, Residuals: f.ResidualState()}, nil
 }
 
 // InstallState adopts a full momentum vector (CaptureState's layout),
@@ -715,11 +611,12 @@ func (f *FSDP) InstallState(st replica.State) error {
 		if len(st.Optimizer) != f.total {
 			return fmt.Errorf("fsdp: optimizer state has %d elements, expected %d", len(st.Optimizer), f.total)
 		}
-		for b := range f.assign.Buckets {
-			vflat := make([]float32, f.assign.BucketElems[b])
-			for _, idx := range f.assign.Buckets[b] {
-				off, mo := f.assign.OffsetOf[idx], f.offsets[idx]
-				copy(vflat[off:off+f.sizes[idx]], st.Optimizer[mo:mo+f.sizes[idx]])
+		assign, sizes := f.Assignment(), f.Sizes()
+		for b, members := range assign.Buckets {
+			vflat := make([]float32, assign.BucketElems[b])
+			for _, idx := range members {
+				off, mo := assign.OffsetOf[idx], f.offsets[idx]
+				copy(vflat[off:off+sizes[idx]], st.Optimizer[mo:mo+sizes[idx]])
 			}
 			copy(f.velocity[b], vflat[f.ownedLo[b]:f.ownedHi[b]])
 		}
@@ -727,10 +624,7 @@ func (f *FSDP) InstallState(st replica.State) error {
 	if len(st.Residuals) == 0 {
 		return nil
 	}
-	if f.codec == nil {
-		return errors.New("fsdp: residual state offered but no wire codec is configured")
-	}
-	return f.engine.SetResidualState(st.Residuals)
+	return f.SetResidualState(st.Residuals)
 }
 
 // Rebind rebuilds the shard layout over a new process group — the
@@ -744,20 +638,17 @@ func (f *FSDP) Rebind(pg comm.ProcessGroup) error {
 	if !ok {
 		return errors.New("fsdp: process group does not support the sharded collectives")
 	}
-	assign, err := reduce.AssignBuckets(f.sizes, f.opts.BucketCapBytes, 4, reduce.ReverseOrder(len(f.params)))
-	if err != nil {
+	_ = f.drain() // the outgoing group's failures are why the caller is here
+	if err := f.Regroup(pg); err != nil {
 		return err
 	}
-	_ = f.drain() // the outgoing group's failures are why the caller is here
-	f.pg = pg
 	f.sg = sg
-	f.installShards(assign)
+	f.installShards()
 	f.stats.OptimizerBytes = f.optimizerBytes()
 	f.stats.ShardParamBytes = f.shardParamBytes()
 	f.residentParam = f.stats.FullParamBytes // caller restored full params
 	f.shardAll()
 	f.mapUnits()
-	f.bufferSyncPending = false
 	f.notePeak()
 	return nil
 }

@@ -860,7 +860,7 @@ func TestGatherSchedule(t *testing.T) {
 			ranks, events := scriptedWorld(t, fx, 3)
 			for rank, s := range ranks {
 				f := s.f
-				checkPlan(t, f.plan, f.unitBuckets, f.assign.BucketElems)
+				checkPlan(t, f.plan, f.unitBuckets, f.Assignment().BucketElems)
 				// (a) and (b): the event log is the plan's, on every rank.
 				if want := planEvents(f); fmt.Sprint(events[rank]) != fmt.Sprint(want) {
 					t.Fatalf("rank %d's step:\n%v\nthe plan's:\n%v", rank, events[rank], want)
@@ -936,7 +936,7 @@ func TestGatherPlanSweep(t *testing.T) {
 			if got := fmt.Sprint(f.unitBuckets); got != tc.buckets {
 				t.Fatalf("layout %s, want %s", got, tc.buckets)
 			}
-			checkPlan(t, f.plan, f.unitBuckets, f.assign.BucketElems)
+			checkPlan(t, f.plan, f.unitBuckets, f.Assignment().BucketElems)
 			for rank, s := range ranks {
 				if len(s.unlanded) > 0 {
 					t.Fatalf("rank %d: %v", rank, s.unlanded)

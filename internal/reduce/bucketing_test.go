@@ -1,4 +1,4 @@
-package ddp
+package reduce
 
 import (
 	"math/rand"
@@ -67,7 +67,7 @@ func TestAssignBucketsOversizedParamGetsOwnBucket(t *testing.T) {
 }
 
 func TestAssignBucketsCustomOrder(t *testing.T) {
-	// RebuildBuckets passes an observed order; packing must follow it.
+	// A rebuild passes a traced order; packing must follow it.
 	a, err := AssignBuckets([]int{1, 1, 1}, 8, 4, []int{1, 0, 2})
 	if err != nil {
 		t.Fatal(err)

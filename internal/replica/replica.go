@@ -14,6 +14,10 @@
 // ddp and fsdp in exactly one place, the function that turns a strategy
 // name into a Replica. ARCHITECTURE.md ("Replica seam") has the table
 // of which method each strategy makes a no-op and why.
+//
+// Below the seam, both implementations embed Core, the lifecycle they
+// share around their reduction engine, and align replicas through
+// Align, as the elastic agent does when it re-seeds a world.
 package replica
 
 import (

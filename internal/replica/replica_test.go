@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -279,5 +280,91 @@ func TestConsistentReportsDivergence(t *testing.T) {
 				t.Fatalf("diverge=%v: rank %d reported consistent=%v", diverge, rank, ok)
 			}
 		}
+	}
+}
+
+// probe records a BatchNorm's running statistics each time the wrapped
+// model's forward starts: what the replica entered it with.
+type probe struct {
+	nn.Module
+	bn      *nn.BatchNorm
+	entered []*tensor.Tensor
+}
+
+func (p *probe) Forward(x *autograd.Variable) *autograd.Variable {
+	p.entered = append(p.entered, runningStats(p.bn))
+	return p.Module.Forward(x)
+}
+
+func runningStats(bn *nn.BatchNorm) *tensor.Tensor {
+	return tensor.FromSlice(append(slices.Clone(bn.RunningMean.Data.Data()), bn.RunningVar.Data.Data()...), 2*cHidden)
+}
+
+func bnModel(seed int64) (nn.Module, *nn.BatchNorm) {
+	rng := rand.New(rand.NewSource(seed))
+	bn := nn.NewBatchNorm("bn", cHidden)
+	return nn.NewSequential(nn.NewLinear(rng, "fc1", cIn, cHidden), bn, nn.Tanh{}, nn.NewLinear(rng, "fc2", cHidden, cClasses)), bn
+}
+
+// TestBuffersEnterForwardAsRankZeros: every strategy re-broadcasts rank
+// 0's buffers ahead of the forward that follows a synchronized backward
+// (Section 4.1). The ranks start from different initializations and
+// see different data, so their BatchNorm statistics part in the first
+// step; every rank must enter the second Forward holding, bitwise, what
+// an unwrapped copy of rank 0's model folds in from rank 0's first
+// batch — which holds only if the constructor aligned the replicas from
+// rank 0 and the re-sync broadcast rank 0's buffers.
+func TestBuffersEnterForwardAsRankZeros(t *testing.T) {
+	const world = 3
+	folded := func(rank int) *tensor.Tensor {
+		m, bn := bnModel(0)
+		x, _ := cBatchFor(0, rank, world)
+		m.Forward(x)
+		return runningStats(bn)
+	}
+	want := folded(0)
+	if testutil.SameBits(folded(1), want) {
+		t.Fatal("fixture: the ranks' first batches fold in the same statistics")
+	}
+	sharded := func(strategy fsdp.Strategy) func(nn.Module, comm.ProcessGroup) (replica.Replica, error) {
+		return func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+			return fsdp.New(m, pg, fsdp.Options{Strategy: strategy, BucketCapBytes: cCap, LR: cLR, Momentum: cMomentum})
+		}
+	}
+	for _, row := range []struct {
+		name  string
+		build func(nn.Module, comm.ProcessGroup) (replica.Replica, error)
+	}{
+		{"ddp", func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+			return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: cCap}, cSGD(m))
+		}},
+		{"zero2", sharded(fsdp.ZeRO2)},
+		{"zero3", sharded(fsdp.ZeRO3)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			groups := groupsOf(t, world)
+			probes := make([]*probe, world)
+			runRanks(t, world, func(rank int) error {
+				m, bn := bnModel(int64(rank))
+				probes[rank] = &probe{Module: m, bn: bn}
+				r, err := row.build(probes[rank], groups[rank])
+				if err != nil {
+					return err
+				}
+				for s := 0; s < 2; s++ {
+					x, labels := cBatchFor(s, rank, world)
+					if err := r.Backward(autograd.CrossEntropyLoss(r.Forward(x), labels)); err != nil {
+						return err
+					}
+					r.Step()
+				}
+				return nil
+			})
+			for rank, p := range probes {
+				if !testutil.SameBits(p.entered[1], want) {
+					t.Fatalf("rank %d entered the second Forward with running statistics %v, want rank 0's %v", rank, p.entered[1], want)
+				}
+			}
+		})
 	}
 }

@@ -2,7 +2,7 @@
 // paper's 32–256 GPU testbed (see ARCHITECTURE.md, "Substitutions and
 // the experiment index"). It replays
 // the *same bucket schedule the real DDP reducer computes* — via
-// ddp.AssignBuckets — against the hw package's calibrated NCCL/Gloo and
+// reduce.AssignBuckets — against the hw package's calibrated NCCL/Gloo and
 // GPU/CPU cost curves, reproducing per-iteration latency as a function
 // of bucket size, world size, overlap, no_sync frequency, and the number
 // of round-robin communication streams.
@@ -23,9 +23,9 @@ import (
 	"math/rand"
 
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/fsdp"
 	"repro/internal/hw"
+	"repro/internal/reduce"
 )
 
 // Config describes one simulated training configuration.
@@ -89,7 +89,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.BucketCapBytes == 0 {
-		c.BucketCapBytes = ddp.DefaultBucketCapBytes
+		c.BucketCapBytes = reduce.DefaultBucketCapBytes
 	}
 	if c.SyncEveryN <= 0 {
 		c.SyncEveryN = 1
@@ -220,7 +220,7 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 	}
 	prof := hw.ProfileScaled(cfg.Device, total, cfg.ComputeIntensity)
 
-	assign, err := ddp.AssignBuckets(cfg.ParamSizes, cfg.BucketCapBytes, 4, ddp.ReverseOrder(n))
+	assign, err := reduce.AssignBuckets(cfg.ParamSizes, cfg.BucketCapBytes, 4, reduce.ReverseOrder(n))
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
@@ -369,7 +369,7 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 // zero3Regathers marks the buckets a ZeRO-3 step gathers a second time,
 // for backward: what fsdp's plan for the layout does with every
 // parameter its own unit. The rest stay gathered from forward.
-func zero3Regathers(assign *ddp.Assignment) []bool {
+func zero3Regathers(assign *reduce.Assignment) []bool {
 	units := make([][]int, len(assign.BucketOf))
 	for i, b := range assign.BucketOf {
 		units[i] = []int{b}
