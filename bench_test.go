@@ -24,7 +24,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/ps"
 	"repro/internal/reduce"
-	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
 
@@ -288,86 +287,16 @@ func BenchmarkBackwardMLP(b *testing.B) {
 // --- Ablation benchmarks for the design choices ARCHITECTURE.md's
 // experiment index calls out ---
 
-// BenchmarkAblationOverlap quantifies what turning off overlap costs
-// (the paper's central optimization), at 32 GPUs on the simulator.
-func BenchmarkAblationOverlap(b *testing.B) {
+// BenchmarkAblation regenerates the "ablation" experiment: overlap on
+// and off, bucket packing order, gradient compression and round-robin
+// streams, as `ddpbench -exp ablation` prints them.
+func BenchmarkAblation(b *testing.B) {
 	b.ReportAllocs()
-	cfg := simnet.Config{
-		ParamSizes: models.ResNet50().Sizes(),
-		World:      32,
-		Backend:    hw.NCCLLike,
-		Device:     hw.GPU,
-	}
-	var on, off simnet.Breakdown
 	for i := 0; i < b.N; i++ {
-		var err error
-		cfg.Overlap = true
-		on, err = simnet.SimulateIteration(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Overlap = false
-		off, err = simnet.SimulateIteration(cfg)
-		if err != nil {
+		if err := bench.Ablation(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(100*(1-on.TotalSeconds/off.TotalSeconds), "overlap-speedup-%")
-}
-
-// BenchmarkAblationBucketOrder compares reverse-parameter-order buckets
-// (DDP's heuristic) against forward-order buckets, which strand the
-// first-ready gradients in the last bucket and destroy overlap.
-func BenchmarkAblationBucketOrder(b *testing.B) {
-	b.ReportAllocs()
-	sizes := models.ResNet50().Sizes()
-	reverse := reduce.ReverseOrder(len(sizes))
-	forward := make([]int, len(sizes))
-	for i := range forward {
-		forward[i] = i
-	}
-	var rev, fwd *reduce.Assignment
-	for i := 0; i < b.N; i++ {
-		var err error
-		rev, err = reduce.AssignBuckets(sizes, 25<<20, 4, reverse)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fwd, err = reduce.AssignBuckets(sizes, 25<<20, 4, forward)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rev.NumBuckets()), "reverse-buckets")
-	b.ReportMetric(float64(fwd.NumBuckets()), "forward-buckets")
-}
-
-// BenchmarkAblationCompression measures the simulated latency effect of
-// fp16 and 1-bit gradient compression at 64 GPUs (Section 6.2.3).
-func BenchmarkAblationCompression(b *testing.B) {
-	b.ReportAllocs()
-	base := simnet.Config{
-		ParamSizes: models.ResNet50().Sizes(),
-		World:      64,
-		Backend:    hw.NCCLLike,
-		Device:     hw.GPU,
-		Overlap:    true,
-	}
-	ratios := map[string]float64{"none": 1, "fp16": 2, "1bit": 32}
-	results := map[string]float64{}
-	for i := 0; i < b.N; i++ {
-		for name, ratio := range ratios {
-			cfg := base
-			cfg.CompressionRatio = ratio
-			r, err := simnet.SimulateIteration(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[name] = r.TotalSeconds
-		}
-	}
-	b.ReportMetric(100*(1-results["fp16"]/results["none"]), "fp16-latency-gain-%")
-	b.ReportMetric(100*(1-results["1bit"]/results["none"]), "1bit-latency-gain-%")
 }
 
 // BenchmarkAblationFindUnused measures the real cost of the extra bitmap

@@ -2,18 +2,10 @@
 // evaluation (see ARCHITECTURE.md, "Substitutions and the experiment
 // index"):
 //
-//	ddpbench -exp fig2        # AllReduce + backward cost curves
-//	ddpbench -exp fig6        # latency breakdown, overlap speedups
-//	ddpbench -exp fig7        # bucket-size sweep, 16 GPUs
-//	ddpbench -exp fig8        # bucket-size sweep, 32 GPUs
-//	ddpbench -exp fig9        # scalability to 256 GPUs
-//	ddpbench -exp fig10       # skipping gradient synchronization
-//	ddpbench -exp fig11       # convergence with no_sync (real training)
-//	ddpbench -exp fig12       # round-robin process groups
-//	ddpbench -exp table1      # taxonomy of distributed training schemes
-//	ddpbench -exp hierarchical # flat-ring vs topology-aware hierarchical AllReduce
-//	ddpbench -exp doubletree  # ring vs double binary trees; 2-level vs N-level hierarchy
-//	ddpbench -exp all         # everything above
+//	ddpbench -exp fig6,fig7   # the named experiments, in the order given
+//	ddpbench -exp all         # every experiment
+//
+// `ddpbench -h` lists the experiment ids and what each regenerates.
 package main
 
 import (
@@ -21,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -28,10 +21,35 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig2, fig6, fig7, fig8, fig9, fig10, fig11, fig12, table1, ablation, hierarchical, doubletree, or all")
 	iters := flag.Int("iters", 400, "iterations per simulated latency distribution")
 	trainIters := flag.Int("train-iters", 350, "training iterations for the fig11 convergence runs")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text-format metrics at this address under /metrics while experiments run (empty: disabled)")
+	// The one list of experiments, in the order "all" runs them.
+	experiments := []struct {
+		id, about string
+		run       func(io.Writer) error
+	}{
+		{"fig2", "AllReduce + backward cost curves", bench.Fig2},
+		{"fig6", "latency breakdown, overlap speedups", bench.Fig6},
+		{"fig7", "bucket-size sweep, 16 GPUs", func(w io.Writer) error { return bench.Fig7(w, *iters) }},
+		{"fig8", "bucket-size sweep, 32 GPUs", func(w io.Writer) error { return bench.Fig8(w, *iters) }},
+		{"fig9", "scalability to 256 GPUs", func(w io.Writer) error { return bench.Fig9(w, *iters/4) }},
+		{"fig10", "skipping gradient synchronization", func(w io.Writer) error { return bench.Fig10(w, *iters/4) }},
+		{"fig11", "convergence with no_sync (real training)", func(w io.Writer) error { return bench.Fig11(w, *trainIters) }},
+		{"fig12", "round-robin process groups", bench.Fig12},
+		{"table1", "taxonomy of distributed training schemes", bench.Table1},
+		{"ablation", "overlap, bucket order, compression and stream ablations", bench.Ablation},
+		{"hierarchical", "flat-ring vs topology-aware hierarchical AllReduce", bench.HierarchicalAblation},
+		{"doubletree", "ring vs double binary trees; 2-level vs N-level hierarchy", bench.DoubleTreeAblation},
+		{"sharding", "ZeRO-2/3 vs DDP on real clusters; writes BENCH_sharding.json", bench.ShardingAblation},
+	}
+	ids := make([]string, len(experiments))
+	help := "comma-separated experiment ids, or all:"
+	for i, e := range experiments {
+		ids[i] = e.id
+		help += fmt.Sprintf("\n  %-13s %s", e.id, e.about)
+	}
+	exp := flag.String("exp", "all", help)
 	flag.Parse()
 
 	if *metricsAddr != "" {
@@ -44,39 +62,21 @@ func main() {
 		fmt.Printf("[metrics] serving http://%s/metrics\n", msrv.Addr())
 	}
 
-	runners := map[string]func(io.Writer) error{
-		"fig2":         bench.Fig2,
-		"fig6":         bench.Fig6,
-		"fig7":         func(w io.Writer) error { return bench.Fig7(w, *iters) },
-		"fig8":         func(w io.Writer) error { return bench.Fig8(w, *iters) },
-		"fig9":         func(w io.Writer) error { return bench.Fig9(w, *iters/4) },
-		"fig10":        func(w io.Writer) error { return bench.Fig10(w, *iters/4) },
-		"fig11":        func(w io.Writer) error { return bench.Fig11(w, *trainIters) },
-		"fig12":        bench.Fig12,
-		"table1":       bench.Table1,
-		"ablation":     bench.Ablation,
-		"hierarchical": bench.HierarchicalAblation,
-		"doubletree":   bench.DoubleTreeAblation,
-		"sharding":     bench.ShardingAblation,
-	}
-	order := []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table1", "ablation", "hierarchical", "doubletree", "sharding"}
-
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else {
+	selected := experiments
+	if *exp != "all" {
+		selected = nil
 		for _, id := range strings.Split(*exp, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := runners[id]; !ok {
-				fmt.Fprintf(os.Stderr, "ddpbench: unknown experiment %q (known: %s, all)\n", id, strings.Join(order, ", "))
+			i := slices.Index(ids, strings.TrimSpace(id))
+			if i < 0 {
+				fmt.Fprintf(os.Stderr, "ddpbench: unknown experiment %q (known: %s, all)\n", strings.TrimSpace(id), strings.Join(ids, ", "))
 				os.Exit(2)
 			}
-			selected = append(selected, id)
+			selected = append(selected, experiments[i])
 		}
 	}
-	for _, id := range selected {
-		if err := runners[id](os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ddpbench: %s: %v\n", id, err)
+	for _, e := range selected {
+		if err := e.run(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "ddpbench: %s: %v\n", e.id, err)
 			os.Exit(1)
 		}
 	}

@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/hw"
@@ -38,6 +39,33 @@ func header(w io.Writer, title string) {
 		fmt.Fprint(w, "-")
 	}
 	fmt.Fprintln(w)
+}
+
+// runRanks runs fn for every rank of world on its own goroutine and
+// returns the lowest rank's error.
+func runRanks(world int, fn func(rank int) error) error {
+	var wg sync.WaitGroup
+	errs := make([]error, world)
+	for r := 0; r < world; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			errs[rank] = fn(rank)
+		}(r)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", rank, err)
+		}
+	}
+	return nil
+}
+
+func closeGroups(groups []comm.ProcessGroup) {
+	for _, g := range groups {
+		g.Close()
+	}
 }
 
 // capBytes converts a bucket_cap_mb sweep value to the simulator's

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/autograd"
 	"repro/internal/comm"
@@ -46,11 +45,7 @@ type Fig11Curve struct {
 // actual execution, not simulation: every AllReduce moves real bytes.
 func runConvergence(cfg Fig11Config) (Fig11Curve, error) {
 	groups := comm.NewInProcGroups(cfg.World, comm.Options{})
-	defer func() {
-		for _, g := range groups {
-			g.Close()
-		}
-	}()
+	defer closeGroups(groups)
 
 	// Substantial class overlap gives the task a nonzero loss floor, so
 	// overshooting from accumulated no_sync gradients shows up as a
@@ -58,72 +53,61 @@ func runConvergence(cfg Fig11Config) (Fig11Curve, error) {
 	dataset := data.NewSyntheticNoise(99, 4096, 32, 10, 1.8)
 	losses := make([]float64, cfg.Iterations)
 
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.World)
-	for r := 0; r < cfg.World; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = func() error {
-				model := models.NewMLP(7, dataset.Features(), 32, dataset.Classes())
-				d, err := ddp.New(model, groups[rank], ddp.Options{})
-				if err != nil {
-					return err
-				}
-				opt := optim.NewSGD(d.Parameters(), cfg.LR)
-				opt.Momentum = 0.9
-				sampler, err := data.NewDistributedSampler(dataset.Len(), rank, cfg.World)
-				if err != nil {
-					return err
-				}
-				loader, err := data.NewLoader(dataset, sampler, cfg.BatchPerRank)
-				if err != nil {
-					return err
-				}
-				epoch := int64(0)
-				loader.Reset(epoch)
-				for it := 0; it < cfg.Iterations; it++ {
-					x, labels, ok := loader.Next()
-					if !ok {
-						epoch++
-						loader.Reset(epoch)
-						x, labels, ok = loader.Next()
-						if !ok {
-							return fmt.Errorf("bench: loader empty after reset")
-						}
-					}
-					syncIter := (it+1)%cfg.SyncEvery == 0
-					step := func() error {
-						out := d.Forward(autograd.Constant(x))
-						loss := autograd.CrossEntropyLoss(out, labels)
-						if rank == 0 {
-							losses[it] = float64(loss.Value.Item())
-						}
-						return d.Backward(loss)
-					}
-					var err error
-					if syncIter {
-						err = step()
-					} else {
-						err = d.NoSync(step)
-					}
-					if err != nil {
-						return err
-					}
-					if syncIter {
-						opt.Step()
-						opt.ZeroGrad()
-					}
-				}
-				return nil
-			}()
-		}(r)
-	}
-	wg.Wait()
-	for rank, err := range errs {
+	err := runRanks(cfg.World, func(rank int) error {
+		model := models.NewMLP(7, dataset.Features(), 32, dataset.Classes())
+		d, err := ddp.New(model, groups[rank], ddp.Options{})
 		if err != nil {
-			return Fig11Curve{}, fmt.Errorf("rank %d: %w", rank, err)
+			return err
 		}
+		opt := optim.NewSGD(d.Parameters(), cfg.LR)
+		opt.Momentum = 0.9
+		sampler, err := data.NewDistributedSampler(dataset.Len(), rank, cfg.World)
+		if err != nil {
+			return err
+		}
+		loader, err := data.NewLoader(dataset, sampler, cfg.BatchPerRank)
+		if err != nil {
+			return err
+		}
+		epoch := int64(0)
+		loader.Reset(epoch)
+		for it := 0; it < cfg.Iterations; it++ {
+			x, labels, ok := loader.Next()
+			if !ok {
+				epoch++
+				loader.Reset(epoch)
+				x, labels, ok = loader.Next()
+				if !ok {
+					return fmt.Errorf("bench: loader empty after reset")
+				}
+			}
+			syncIter := (it+1)%cfg.SyncEvery == 0
+			step := func() error {
+				out := d.Forward(autograd.Constant(x))
+				loss := autograd.CrossEntropyLoss(out, labels)
+				if rank == 0 {
+					losses[it] = float64(loss.Value.Item())
+				}
+				return d.Backward(loss)
+			}
+			var err error
+			if syncIter {
+				err = step()
+			} else {
+				err = d.NoSync(step)
+			}
+			if err != nil {
+				return err
+			}
+			if syncIter {
+				opt.Step()
+				opt.ZeroGrad()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return Fig11Curve{}, err
 	}
 
 	smoothed := stats.SmoothLosses(losses)

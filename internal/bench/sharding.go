@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
+	"slices"
 
 	"repro/internal/autograd"
 	"repro/internal/comm"
@@ -105,25 +105,6 @@ func shRows(t *tensor.Tensor, rank int) *tensor.Tensor {
 	return out
 }
 
-func shRunRanks(world int, fn func(rank int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, world)
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = fn(rank)
-		}(r)
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			return fmt.Errorf("rank %d: %w", rank, err)
-		}
-	}
-	return nil
-}
-
 // shReplica is the ablation's one place that turns a strategy name
 // into a replica.
 func shReplica(strategy string, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
@@ -147,7 +128,7 @@ func shTrain(strategy string, world int, batches, labels []*tensor.Tensor) ([][]
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer closeGroups(groups)
 	reps := make([]replica.Replica, world)
-	err := shRunRanks(world, func(rank int) error {
+	err := runRanks(world, func(rank int) error {
 		r, err := shReplica(strategy, shModel(), groups[rank])
 		if err != nil {
 			return err
@@ -173,7 +154,7 @@ func shTrain(strategy string, world int, batches, labels []*tensor.Tensor) ([][]
 		stats = f.Stats()
 	}
 	final := make([][]float32, world)
-	err = shRunRanks(world, func(rank int) error {
+	err = runRanks(world, func(rank int) error {
 		if err := reps[rank].Materialize(); err != nil {
 			return err
 		}
@@ -185,41 +166,21 @@ func shTrain(strategy string, world int, batches, labels []*tensor.Tensor) ([][]
 	return final, stats, err
 }
 
-func closeGroups(groups []comm.ProcessGroup) {
-	for _, g := range groups {
-		g.Close()
+// shSchedule is one step of strategy on the ablation's layout, as
+// reduce.Schedule lists it, and the layout: the replicas' packing, and
+// the Sequential's children as units.
+func shSchedule(strategy string) (reduce.Step, *reduce.Assignment, error) {
+	sizes, units := shSizes(), shModel().(*nn.Sequential).Children()
+	counts := make([]int, len(units))
+	for u, unit := range units {
+		counts[u] = len(unit.Parameters())
 	}
-}
-
-func sameFlat(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// shModeledStep prices one iteration of the layout with the simnet
-// cost rows (NCCL profile, overlap on) — the time side of the
-// memory/traffic trade the byte columns quantify.
-func shModeledStep(strategy string, world int) (float64, error) {
-	b, err := simnet.SimulateIteration(simnet.Config{
-		ParamSizes:     shSizes(),
-		BucketCapBytes: shCap,
-		World:          world,
-		Backend:        hw.NCCLLike,
-		Device:         hw.GPU,
-		Overlap:        true,
-		Strategy:       strategy,
-	})
+	assign, err := reduce.AssignBuckets(sizes, shCap, 4, reduce.ReverseOrder(len(sizes)))
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	return b.TotalSeconds, nil
+	step, err := reduce.Schedule(strategy, assign, reduce.UnitBuckets(assign, counts))
+	return step, assign, err
 }
 
 // shardingOutPath resolves where BENCH_sharding.json lands: the
@@ -259,16 +220,6 @@ func ShardingAblation(w io.Writer) error {
 		total += s
 	}
 	fullBytes := 4 * total
-	assign, err := reduce.AssignBuckets(sizes, shCap, 4, reduce.ReverseOrder(len(sizes)))
-	if err != nil {
-		return err
-	}
-	maxBucketBytes := 0
-	for _, elems := range assign.BucketElems {
-		if b := 4 * elems; b > maxBucketBytes {
-			maxBucketBytes = b
-		}
-	}
 
 	var records []shardingRecord
 	fmt.Fprintf(w, "%-8s %6s %12s %12s %12s %12s %9s %9s %12s %9s\n",
@@ -277,7 +228,17 @@ func ShardingAblation(w io.Writer) error {
 		batches, labels := shData(world)
 		var ref []float32 // rank 0 of the "ddp" row, trained first
 		for _, strategy := range []string{"ddp", "zero2", "zero3"} {
-			modeled, err := shModeledStep(strategy, world)
+			// The simnet cost rows (NCCL profile, overlap on) price the
+			// time side of the trade the byte columns quantify.
+			modeled, err := simnet.SimulateIteration(simnet.Config{
+				ParamSizes:     sizes,
+				BucketCapBytes: shCap,
+				World:          world,
+				Backend:        hw.NCCLLike,
+				Device:         hw.GPU,
+				Overlap:        true,
+				Strategy:       strategy,
+			})
 			if err != nil {
 				return err
 			}
@@ -285,7 +246,7 @@ func ShardingAblation(w io.Writer) error {
 				Strategy:           strategy,
 				World:              world,
 				FullParamBytes:     fullBytes,
-				ModeledStepSeconds: modeled,
+				ModeledStepSeconds: modeled.TotalSeconds,
 			}
 			final, stats, err := shTrain(strategy, world, batches, labels)
 			if err != nil {
@@ -293,15 +254,20 @@ func ShardingAblation(w io.Writer) error {
 			}
 			if strategy == "ddp" {
 				// Replicated layout, by construction: full parameters and
-				// full momentum on every rank, one AllReduce per bucket
-				// per step.
+				// full momentum on every rank, and the schedule's
+				// AllReduces every step.
+				step, assign, err := shSchedule(strategy)
+				if err != nil {
+					return err
+				}
 				ref = final[0]
 				stats = fsdp.Stats{
 					ShardParamBytes: fullBytes,
 					PeakParamBytes:  fullBytes,
 					OptimizerBytes:  fullBytes,
-					PeakGradBytes:   maxBucketBytes,
-					Reduces:         shIters * assign.NumBuckets(),
+					PeakGradBytes:   4 * slices.Max(assign.BucketElems),
+					Gathers:         shIters * step.Count(reduce.AllGatherV),
+					Reduces:         shIters * step.Count(reduce.AllReduce),
 				}
 			}
 			rec.ShardParamBytes = stats.ShardParamBytes
@@ -312,7 +278,7 @@ func ShardingAblation(w io.Writer) error {
 			rec.Reduces = stats.Reduces
 			rec.BitwiseVsDDP = true
 			for _, flat := range final {
-				if !sameFlat(flat, ref) {
+				if !slices.Equal(flat, ref) {
 					return fmt.Errorf("%s world %d diverged from the DDP reference", strategy, world)
 				}
 			}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/reduce"
 )
 
 // TestShardingAblation runs the real-cluster ablation end to end and
@@ -13,7 +15,8 @@ import (
 // per-rank param+opt bytes collapse to ~1/world of DDP's, its peak
 // parameter residency stays strictly below the full model (it trains a
 // model no single rank ever fully holds), and every sharded run
-// matched the DDP trajectory bitwise.
+// matched the DDP trajectory bitwise, and every row's gathers and
+// reduces are shIters steps of reduce.Schedule's.
 func TestShardingAblation(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_sharding.json")
 	t.Setenv("BENCH_SHARDING_OUT", out)
@@ -47,6 +50,17 @@ func TestShardingAblation(t *testing.T) {
 	for _, r := range env.Records {
 		if !r.BitwiseVsDDP {
 			t.Fatalf("%s world %d not bitwise vs DDP", r.Strategy, r.World)
+		}
+		// A trained row's fsdp.Stats count what the replicas submitted:
+		// shIters steps of the schedule simnet prices.
+		step, _, err := shSchedule(r.Strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gathers := step.Count(reduce.AllGatherV)
+		if r.Gathers != shIters*gathers || r.Reduces != shIters*(len(step)-gathers) {
+			t.Fatalf("%s world %d: %d gathers and %d reduces, the schedule says %d per step of %d",
+				r.Strategy, r.World, r.Gathers, r.Reduces, gathers, len(step))
 		}
 	}
 	const world = 4

@@ -31,26 +31,19 @@
 // the hook. Every Grad is cleared when Backward returns, failed steps
 // included: it may view a flat that has gone back to the pool.
 //
-// The ZeRO-3 gather schedule is data, one plan per step, emitted once
-// per install/rebind (mapUnits, PlanStep): over the step's visits — the
-// forward visits of the module's units (a Sequential's children) in
-// order, then their backward visits in reverse — which gathers to
-// launch, which must have landed, and which buckets to drop after each
-// visit. Forward and the backward hooks only advance a cursor (advance):
-// launch what the plan says, then wait for exactly what the visit reads.
-// Launching before waiting keeps the group's serial worker busy while
-// the unit computes. The plan keeps what is gathered or in flight within
-// a budget — the largest sum of one visit's buckets plus the largest
-// single bucket, in bucket sizes — and spends it first on holding a
-// bucket whose next read comes no later than the plan's next gather of
-// another bucket, then on launching the next gather as soon as it fits,
-// even across the forward/backward turn. A step therefore launches
-// 2·NumBuckets gathers less the buckets held across the turn. In
-// backward a bucket is dropped when its last gradient is in. The plan
-// depends only on the layout, so launches happen on the training
-// goroutine in the same order on every rank. A failed gather or buffer
-// broadcast is deferred to Backward, which returns it; no gather outlives
-// the step that launched it, successful or not.
+// The ZeRO-3 gather schedule is data, one reduce.Plan per step, emitted
+// once per install/rebind (mapUnits, reduce.PlanStep, which documents
+// the plan's memory budget): over the step's visits — the forward visits
+// of the module's units (a Sequential's children) in order, then their
+// backward visits in reverse — which gathers to launch, which must have
+// landed, and which buckets to drop after each visit. Forward and the
+// backward hooks only advance a cursor (advance): launch what the plan
+// says, then wait for exactly what the visit reads, so the group's
+// serial worker stays busy while the unit computes. The plan depends
+// only on the layout, so every rank submits the same collectives in the
+// same order: the ones reduce.Schedule lists, which simnet prices. A
+// failed gather or buffer broadcast is deferred to Backward, which
+// returns it; no gather outlives the step that launched it.
 //
 // The bitwise contract: fsdp uses the SAME bucket assignment as DDP
 // (reverse registration order, cap-based packing) and comm's sharded

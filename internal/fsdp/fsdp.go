@@ -3,7 +3,6 @@ package fsdp
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/autograd"
@@ -91,7 +90,7 @@ type Stats struct {
 	ShardParamBytes int
 	// PeakParamBytes is the maximum transiently resident parameter
 	// bytes observed: shards plus every bucket that is gathered or whose
-	// gather is in flight. Under ZeRO3 the step's plan (PlanStep) keeps
+	// gather is in flight. Under ZeRO3 the step's plan (reduce.PlanStep) keeps
 	// the gathered and in-flight buckets within the largest sum of one
 	// unit's buckets plus the largest single bucket, what it holds across
 	// the forward/backward turn included; a Forward that runs again
@@ -149,7 +148,7 @@ type FSDP struct {
 	// The ZeRO-3 gather schedule (see mapUnits): the step's plan, the
 	// position in its Seq of the next launch, and the gathers launched
 	// but not yet waited for, oldest first.
-	plan     Plan
+	plan     reduce.Plan
 	cursor   int
 	inflight []gather
 
@@ -271,9 +270,9 @@ func (f *FSDP) shardAll() {
 }
 
 // mapUnits decomposes the module into forward units — the gather/free
-// granularity of ZeRO-3 — and plans the step they imply (PlanStep). A
-// Sequential's children are its units; any other module is a single
-// unit.
+// granularity of ZeRO-3 — and plans the step they imply
+// (reduce.PlanStep). A Sequential's children are its units; any other
+// module is a single unit.
 func (f *FSDP) mapUnits() {
 	if seq, ok := f.Module().(*nn.Sequential); ok {
 		f.units = seq.Children()
@@ -281,19 +280,13 @@ func (f *FSDP) mapUnits() {
 		f.units = []nn.Module{f.Module()}
 	}
 	// Parameters() of a Sequential concatenates child parameters in
-	// order, so a running offset recovers each unit's index range.
-	f.unitBuckets = make([][]int, len(f.units))
-	assign, next := f.Assignment(), 0
+	// order, so each unit's parameter count recovers its index range.
+	counts := make([]int, len(f.units))
 	for u, unit := range f.units {
-		for range unit.Parameters() {
-			b := assign.BucketOf[next]
-			if !slices.Contains(f.unitBuckets[u], b) {
-				f.unitBuckets[u] = append(f.unitBuckets[u], b)
-			}
-			next++
-		}
+		counts[u] = len(unit.Parameters())
 	}
-	f.plan = PlanStep(f.unitBuckets, assign.BucketElems)
+	f.unitBuckets = reduce.UnitBuckets(f.Assignment(), counts)
+	f.plan = reduce.PlanStep(f.unitBuckets, f.Assignment().BucketElems)
 }
 
 // launchBucket is the reduce.Launcher fsdp plugs into the shared
@@ -435,10 +428,10 @@ func (f *FSDP) drain() error {
 // (and the caller's loss construction) intact while the iteration's
 // results are doomed to be discarded.
 func (f *FSDP) advance(v int) {
-	for ; !f.Failed() && f.cursor < f.plan.launch[v]; f.cursor++ {
+	for ; !f.Failed() && f.cursor < f.plan.Launch[v]; f.cursor++ {
 		f.launchGather(f.plan.Seq[f.cursor], f.cursor)
 	}
-	for len(f.inflight) > 0 && f.inflight[0].pos < f.plan.need[v] {
+	for len(f.inflight) > 0 && f.inflight[0].pos < f.plan.Need[v] {
 		f.Defer(f.land())
 	}
 }
@@ -464,7 +457,7 @@ func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	for u, unit := range f.units {
 		f.advance(u)
 		x = autograd.BackwardHook(unit.Forward(x), func() { f.advance(last - u) })
-		for _, b := range f.plan.free[u] {
+		for _, b := range f.plan.Free[u] {
 			f.freeBucket(b)
 		}
 	}

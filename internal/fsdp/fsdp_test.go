@@ -15,6 +15,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/reduce"
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -673,7 +674,7 @@ func heldAcrossTurn(f *FSDP) []int {
 		for _, b := range buckets {
 			resident[b] = true
 		}
-		for _, b := range f.plan.free[u] {
+		for _, b := range f.plan.Free[u] {
 			resident[b] = false
 		}
 	}
@@ -693,10 +694,10 @@ func planEvents(f *FSDP) []string {
 	var out []string
 	launched, landed := 0, 0
 	for v := range 2 * n {
-		for ; launched < f.plan.launch[v]; launched++ {
+		for ; launched < f.plan.Launch[v]; launched++ {
 			out = append(out, fmt.Sprintf("launch %d", f.plan.Seq[launched]))
 		}
-		for ; landed < f.plan.need[v]; landed++ {
+		for ; landed < f.plan.Need[v]; landed++ {
 			b := f.plan.Seq[landed]
 			out = append(out, fmt.Sprintf("wait %d", b), fmt.Sprintf("landed %d", b))
 		}
@@ -730,7 +731,7 @@ func (f *FSDP) budget() int {
 // bucket is gathered while it is resident, what is resident never
 // exceeds the budget (in elements), backward drops each bucket right
 // after its last read, and nothing stays resident after the step.
-func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
+func checkPlan(t *testing.T, p reduce.Plan, unitBuckets [][]int, size []int) {
 	t.Helper()
 	n := len(unitBuckets)
 	budget, largest := 0, 0
@@ -757,7 +758,7 @@ func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 		if v >= n {
 			u = 2*n - 1 - v
 		}
-		for ; launched < p.launch[v]; launched++ {
+		for ; launched < p.Launch[v]; launched++ {
 			b := p.Seq[launched]
 			if resident[b] {
 				t.Fatalf("visit %d gathers bucket %d while it is resident (plan %v)", v, b, p.Seq)
@@ -769,11 +770,11 @@ func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 			t.Fatalf("visit %d holds %d elements, budget %d (plan %v)", v, load, budget, p.Seq)
 		}
 		for _, b := range unitBuckets[u] {
-			if !resident[b] || lastPos[b] >= p.need[v] {
+			if !resident[b] || lastPos[b] >= p.Need[v] {
 				t.Fatalf("visit %d reads bucket %d before it landed (plan %v)", v, b, p.Seq)
 			}
 		}
-		for _, b := range p.free[v] {
+		for _, b := range p.Free[v] {
 			if v >= n && lastRead[b] != v {
 				t.Fatalf("backward visit %d drops bucket %d, whose last read is visit %d", v, b, lastRead[b])
 			}
@@ -835,7 +836,7 @@ func TestGatherPlanOfTheBenchmarkLayout(t *testing.T) {
 		t.Fatalf("plan holds %s across the turn, want [0 1]", got)
 	}
 	n := len(f.units)
-	if got := f.plan.launch[n-1]; got != 5 {
+	if got := f.plan.Launch[n-1]; got != 5 {
 		t.Fatalf("forward launches %d gathers, want 5: the second gather of bucket 2 crosses the turn", got)
 	}
 	f.Forward(s.x)
@@ -977,7 +978,7 @@ func TestGatherPlanSweep(t *testing.T) {
 			units = append(units, reads)
 		}
 		if len(size) > 0 {
-			checkPlan(t, PlanStep(units, size), units, size)
+			checkPlan(t, reduce.PlanStep(units, size), units, size)
 		}
 	}
 }

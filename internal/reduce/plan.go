@@ -1,4 +1,4 @@
-package fsdp
+package reduce
 
 import "slices"
 
@@ -10,11 +10,11 @@ type Plan struct {
 	// Seq lists the buckets in launch order, once per gather; a bucket
 	// that is dropped and read again appears again.
 	Seq []int
-	// Per visit v: the first launch[v] entries of Seq are launched once
-	// v starts, the first need[v] have landed before it runs, and free[v]
+	// Per visit v: the first Launch[v] entries of Seq are launched once
+	// v starts, the first Need[v] have landed before it runs, and Free[v]
 	// lists the buckets dropped once it has run.
-	launch, need []int
-	free         [][]int
+	Launch, Need []int
+	Free         [][]int
 }
 
 // PlanStep computes the plan for units whose parameters touch
@@ -116,7 +116,7 @@ func PlanStep(unitBuckets [][]int, size []int) Plan {
 		return at, bucket
 	}
 
-	p := Plan{launch: make([]int, nv), need: make([]int, nv), free: make([][]int, nv)}
+	p := Plan{Launch: make([]int, nv), Need: make([]int, nv), Free: make([][]int, nv)}
 	lastPos := make([]int, nb)
 	gather := func(b int) {
 		lastPos[b] = len(p.Seq)
@@ -137,7 +137,7 @@ func PlanStep(unitBuckets [][]int, size []int) Plan {
 				keep(b, v, at)
 			}
 		}
-		p.launch[v], p.need[v] = len(p.Seq), need
+		p.Launch[v], p.Need[v] = len(p.Seq), need
 
 		// Decide for the soonest-read bucket first: it has the best claim
 		// on the budget.
@@ -154,7 +154,7 @@ func PlanStep(unitBuckets [][]int, size []int) Plan {
 				continue
 			}
 			resident[b] = false
-			p.free[v] = append(p.free[v], b)
+			p.Free[v] = append(p.Free[v], b)
 		}
 	}
 	return p

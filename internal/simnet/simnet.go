@@ -1,29 +1,24 @@
 // Package simnet is the discrete-event simulator that stands in for the
 // paper's 32–256 GPU testbed (see ARCHITECTURE.md, "Substitutions and
-// the experiment index"). It replays
-// the *same bucket schedule the real DDP reducer computes* — via
-// reduce.AssignBuckets — against the hw package's calibrated NCCL/Gloo and
-// GPU/CPU cost curves, reproducing per-iteration latency as a function
-// of bucket size, world size, overlap, no_sync frequency, and the number
-// of round-robin communication streams.
-//
-// The simulated timeline of one synchronized iteration:
-//
-//	forward ──► backward compute (gradients ready in reverse parameter
-//	order, at times proportional to cumulative size) ──► each bucket
-//	becomes ready when its last gradient lands ──► AllReduces launch in
-//	bucket order on one of s communication streams ──► the optimizer
-//	runs after both the backward compute and the last AllReduce finish.
-//
-// which is exactly Algorithm 1's behaviour.
+// the experiment index"). It walks the step the replicas run —
+// reduce.Schedule over reduce.AssignBuckets' layout — against the hw
+// package's calibrated NCCL/Gloo and GPU/CPU cost curves. The training
+// clock runs the forward visits of the parameters, their backward
+// visits in reverse, then one optimizer update per bucket, each taking
+// its element share of hw.ComputeProfile's time; one clock per stream
+// serves the collectives in submission order, each priced as comm runs
+// it; a segment starts once what the schedule says it waits for is done.
+// Under DDP that is Algorithm 1: AllReduces launch in bucket order as
+// gradients land, and the optimizer runs after the last one. The
+// sharded strategies' shape is the schedule's alone.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/comm"
-	"repro/internal/fsdp"
 	"repro/internal/hw"
 	"repro/internal/reduce"
 )
@@ -57,8 +52,8 @@ type Config struct {
 	// CommStreams is the number of round-robin process groups (Fig 12);
 	// 0 or 1 means a single group.
 	CommStreams int
-	// CompressionRatio divides communicated bytes (Section 6.2.3
-	// gradient compression ablation); 0 or 1 means uncompressed.
+	// CompressionRatio divides communicated gradient bytes (Section
+	// 6.2.3 gradient compression ablation); 0 or 1 means uncompressed.
 	CompressionRatio float64
 	// Hierarchical prices AllReduces as comm.Hierarchical runs them
 	// (hw.Cluster.AllReduceSeconds walks its schedule: intra-server
@@ -66,18 +61,13 @@ type Config struct {
 	// instead of as the flat ring. Identical to the flat ring while the
 	// world fits one server.
 	Hierarchical bool
-	// Strategy selects the data-parallel state layout: "" or "ddp" is
-	// replicated DDP (per-bucket AllReduce), "zero2" shards gradients
-	// and optimizer state (per-bucket ReduceScatter in backward, one
-	// parameter AllGather after the sharded optimizer step), "zero3"
-	// also shards parameters (per-bucket AllGather one gather ahead of
-	// forward compute, re-gather plus ReduceScatter in backward except
-	// for the buckets fsdp's plan holds gathered from forward). The
-	// half-collectives are
-	// priced as the flat ring passes comm.ReduceScatterV and AllGatherV
-	// run (hw.Cluster.ReduceScatterSeconds / AllGatherSeconds);
-	// Hierarchical only affects AllReduce, matching comm's algorithm
-	// policy.
+	// Strategy names the step reduce.Schedule builds: "" or "ddp", or a
+	// sharded ZeRO stage as fsdp.Strategy spells it, whose optimizer
+	// updates 1/World of the state, whose gathers move raw bytes, and
+	// which no replica runs with Overlap false, SyncEveryN or
+	// CommStreams: those are errors. The half-collectives are priced as
+	// the flat ring passes comm.ReduceScatterV and AllGatherV run;
+	// Hierarchical only affects AllReduce, matching comm's policy.
 	Strategy string
 	// Jitter enables the stochastic effects observed in the paper's
 	// box-whisker plots: per-iteration noise, stragglers growing with
@@ -91,60 +81,37 @@ func (c Config) withDefaults() Config {
 	if c.BucketCapBytes == 0 {
 		c.BucketCapBytes = reduce.DefaultBucketCapBytes
 	}
-	if c.SyncEveryN <= 0 {
-		c.SyncEveryN = 1
-	}
-	if c.CommStreams <= 0 {
-		c.CommStreams = 1
-	}
+	c.SyncEveryN = max(c.SyncEveryN, 1)
+	c.CommStreams = max(c.CommStreams, 1)
 	if c.CompressionRatio <= 0 {
 		c.CompressionRatio = 1
 	}
-	if c.ComputeIntensity <= 0 {
-		c.ComputeIntensity = 1
-	}
 	if c.Cluster.GPUsPerServer == 0 {
 		c.Cluster = hw.DefaultCluster()
-	}
-	if c.Strategy == "ddp" {
-		c.Strategy = ""
 	}
 	return c
 }
 
 // prices memoizes what a configuration's collectives cost, keyed by
-// collective, payload and world: a price depends on the config, never on
-// the iteration, and walking a schedule at world 256 is worth doing once
-// per distinct bucket. World is part of the key because Run drops it to
-// 1 on no_sync iterations.
-type prices map[priceKey]float64
-
-type priceKey struct {
-	collective   int // allReduce, reduceScatter or allGather
-	bytes, world int
-}
-
-const (
-	allReduce = iota
-	reduceScatter
-	allGather
-)
+// kind, payload bytes and world (Run drops it to 1 on no_sync
+// iterations): walking a schedule at world 256 is worth doing once.
+type prices map[[3]int]float64
 
 // of returns, computing it once, what the collective of bytes costs
 // under cfg: AllReduce under the configured algorithm, Hierarchical or
 // the flat ring, and the sharded halves always flat, as comm runs them.
-func (p prices) of(cfg Config, collective, bytes int) float64 {
-	key := priceKey{collective, bytes, cfg.World}
+func (p prices) of(cfg Config, kind reduce.Kind, bytes int) float64 {
+	key := [3]int{int(kind), bytes, cfg.World}
 	t, ok := p[key]
 	if !ok {
-		switch collective {
-		case allReduce:
+		switch kind {
+		case reduce.AllReduce:
 			algo := comm.Ring
 			if cfg.Hierarchical {
 				algo = comm.Hierarchical
 			}
 			t = cfg.Cluster.AllReduceSeconds(cfg.Backend, algo, bytes, cfg.World)
-		case reduceScatter:
+		case reduce.ReduceScatterV:
 			t = cfg.Cluster.ReduceScatterSeconds(cfg.Backend, bytes, cfg.World)
 		default:
 			t = cfg.Cluster.AllGatherSeconds(cfg.Backend, bytes, cfg.World)
@@ -160,12 +127,12 @@ type Breakdown struct {
 	ForwardSeconds float64
 	// BackwardComputeSeconds is gradient computation.
 	BackwardComputeSeconds float64
-	// CommSeconds is the total AllReduce busy time (Fig 6's
+	// CommSeconds is the total collective busy time (Fig 6's
 	// "communication" segment; with overlap much of it hides under
-	// backward compute).
+	// compute).
 	CommSeconds float64
 	// ExposedCommSeconds is the communication time NOT hidden by
-	// backward computation — what actually lengthens the iteration.
+	// computation — what actually lengthens the iteration.
 	ExposedCommSeconds float64
 	// OptimizerSeconds is the optimizer-step segment.
 	OptimizerSeconds float64
@@ -175,19 +142,21 @@ type Breakdown struct {
 	Buckets int
 }
 
-// BucketEvent is one bucket's simulated schedule within an iteration —
-// the event log of Algorithm 1's communication side.
+// BucketEvent is one collective of the simulated step, in submission
+// order. Times are seconds from the start of the step.
 type BucketEvent struct {
+	// Kind is the collective.
+	Kind reduce.Kind
 	// Bucket is the bucket index (launch order).
 	Bucket int
 	// Bytes is the communicated size after compression.
 	Bytes int
-	// ReadySeconds is when the bucket's last gradient landed.
+	// ReadySeconds is when the training clock submitted it.
 	ReadySeconds float64
-	// StartSeconds is when its AllReduce began (>= ready, and >= the
-	// previous op's end on the same communication stream).
+	// StartSeconds is when it began (>= ready, and >= the previous op's
+	// end on the same communication stream).
 	StartSeconds float64
-	// EndSeconds is when its AllReduce finished.
+	// EndSeconds is when it finished.
 	EndSeconds float64
 	// Stream is the round-robin communication stream it ran on.
 	Stream int
@@ -201,14 +170,13 @@ func SimulateIteration(cfg Config) (Breakdown, error) {
 }
 
 // SimulateIterationTimeline is SimulateIteration returning the
-// per-bucket schedule as well, for schedule-level analysis and tests.
+// per-collective schedule as well, for schedule-level analysis and tests.
 func SimulateIterationTimeline(cfg Config) (Breakdown, []BucketEvent, error) {
-	cfg = cfg.withDefaults()
-	return simulate(cfg, prices{}, nil, 0)
+	return simulate(cfg.withDefaults(), prices{}, nil, 0)
 }
 
-// simulate runs the event model, pricing collectives through p; rng may
-// be nil for determinism. iter is used for 100-iteration boundary spikes.
+// simulate walks the step's schedule, pricing collectives through p; rng
+// may be nil for determinism. iter places the 100-iteration spikes.
 func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []BucketEvent, error) {
 	n := len(cfg.ParamSizes)
 	if n == 0 {
@@ -224,6 +192,20 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
+	// Every parameter is its own unit: its own forward and backward visit.
+	step, err := reduce.Schedule(cfg.Strategy, assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, n)))
+	if err != nil {
+		return Breakdown{}, nil, fmt.Errorf("simnet: Strategy: %w", err)
+	}
+	sharded := step.Count(reduce.AllReduce) == 0
+	switch {
+	case sharded && cfg.CommStreams > 1:
+		return Breakdown{}, nil, fmt.Errorf("simnet: CommStreams %d: round-robin groups run no sharded collectives", cfg.CommStreams)
+	case sharded && cfg.SyncEveryN > 1:
+		return Breakdown{}, nil, fmt.Errorf("simnet: SyncEveryN %d: strategy %q has no no_sync", cfg.SyncEveryN, cfg.Strategy)
+	case sharded && !cfg.Overlap:
+		return Breakdown{}, nil, fmt.Errorf("simnet: Overlap false: strategy %q has no barrier baseline", cfg.Strategy)
+	}
 
 	// Jitter: compute noise is a straggler effect (max over world of
 	// per-rank noise, so it grows with scale); spikes at 100-iteration
@@ -234,153 +216,88 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 	if cfg.Jitter && rng != nil {
 		straggler := 0.0
 		for r := 0; r < cfg.World; r++ {
-			if v := rng.NormFloat64() * 0.015; v > straggler {
-				straggler = v
-			}
+			straggler = max(straggler, rng.NormFloat64()*0.015)
 		}
-		computeScale = 1 + straggler + 0.005*rng.NormFloat64()
-		if computeScale < 0.9 {
-			computeScale = 0.9
-		}
+		computeScale = max(0.9, 1+straggler+0.005*rng.NormFloat64())
 		if iter > 0 && iter%100 == 0 {
 			spike = prof.TotalSeconds() * (0.3 + 0.2*rng.Float64())
 		}
 	}
 
-	forward := prof.ForwardSeconds * computeScale
-	backward := prof.BackwardSeconds * computeScale
 	optimizer := prof.OptimizerSeconds
-	if cfg.Strategy != "" {
+	if sharded {
 		// The sharded optimizer touches only the owned 1/world of the
 		// state (a memory-bound pass, so it scales with elements).
 		optimizer /= float64(cfg.World)
 	}
-
-	// Bucket ready times: gradients land in reverse registration order;
-	// a bucket is ready when its last (largest-cumulative) member lands.
-	readyAt := make([]float64, assign.NumBuckets())
-	cum := 0
-	for b, members := range assign.Buckets {
-		for _, idx := range members {
-			cum += cfg.ParamSizes[idx]
-		}
-		readyAt[b] = prof.GradReadySeconds(cum, total) * computeScale
+	// Per phase — forward, backward, update — its compute time, and the
+	// elements the segment at each point covers.
+	base, scale := [3]float64{prof.ForwardSeconds, prof.BackwardSeconds, optimizer}, [3]float64{computeScale, computeScale, 1}
+	phase := [3]float64{base[0] * scale[0], base[1] * scale[1], base[2] * scale[2]}
+	backward := slices.Clone(cfg.ParamSizes)
+	slices.Reverse(backward)
+	covers := slices.Concat(cfg.ParamSizes, backward, assign.BucketElems)
+	// upTo is when a phase's compute has covered cum elements, unstalled.
+	upTo := func(ph, cum int) float64 {
+		return base[ph] * (float64(cum) / float64(total)) * scale[ph]
 	}
 
-	// Communication: buckets launch in order onto s round-robin streams.
-	streams := make([]float64, cfg.CommStreams) // per-stream free time
-	commBusy := 0.0
-	lastCommEnd := 0.0
-	events := make([]BucketEvent, 0, assign.NumBuckets())
-	// Sharded strategies exchange state outside the backward stream
-	// loop too. ZeRO-2 re-gathers replicated parameters once after the
-	// sharded optimizer step, all of it exposed. ZeRO-3 gathers every
-	// parameter bucket in forward, in forward order (the last bucket
-	// first) and one gather ahead of the layers that read it (fsdp's
-	// gather plan): the first gather is exposed — compute cannot start on
-	// unmaterialized layers — and the rest hide behind forward compute
-	// as far as it goes. Gathers move raw parameter bytes; gradient
-	// compression only applies to the reduction path.
-	gather := func(b int) float64 {
-		return p.of(cfg, allGather, assign.BucketElems[b]*4)
-	}
-	var gatherBusy, gatherExposed float64
-	var regather []bool
-	if cfg.Strategy == "zero3" {
-		regather = zero3Regathers(assign)
-	}
-	if cfg.Strategy != "" {
-		for b := 0; b < assign.NumBuckets(); b++ {
-			gatherBusy += gather(b)
-		}
-		gatherExposed = gatherBusy
-		if cfg.Strategy == "zero3" {
-			first := gather(assign.NumBuckets() - 1)
-			gatherExposed = first + max(0, gatherBusy-first-forward)
-		}
-	}
-	for b := 0; b < assign.NumBuckets(); b++ {
-		bytes := int(float64(assign.BucketElems[b]*4) / cfg.CompressionRatio)
-		var cost float64
-		switch cfg.Strategy {
-		case "zero2":
-			// Backward reduces each bucket to its owner shard only.
-			cost = p.of(cfg, reduceScatter, bytes)
-		case "zero3":
-			// Backward re-gathers a parameter bucket forward freed for
-			// gradient computation, then reduce-scatters the gradients.
-			cost = p.of(cfg, reduceScatter, bytes)
-			if regather[b] {
-				cost += gather(b)
+	// The walk. Each phase runs on its own clock from 0, so a step is the
+	// sum of its phase spans as Fig 6 stacks them; what is in flight when
+	// one ends carries into the next. The clocks are each collective's
+	// end, then each stream's free time.
+	var span [3]float64
+	clocks := make([]float64, len(step)+cfg.CommStreams)
+	ends, streams := clocks[:len(step)], clocks[len(step):]
+	events := make([]BucketEvent, 0, len(step))
+	commBusy, origin, t, cum, ph, next := 0.0, 0.0, 0.0, 0, 0, 0
+	for point := 0; ; point++ {
+		for ; next < len(step) && step[next].Submit == point; next++ {
+			c := step[next]
+			bytes := 4 * assign.BucketElems[c.Bucket]
+			if c.Kind != reduce.AllGatherV {
+				bytes = int(float64(bytes) / cfg.CompressionRatio)
 			}
-		default:
-			cost = p.of(cfg, allReduce, bytes)
+			cost := p.of(cfg, c.Kind, bytes)
+			commBusy += cost
+			s := c.Bucket % cfg.CommStreams
+			start := max(t, streams[s])
+			if !cfg.Overlap {
+				start = max(phase[1], streams[s]) // barrier: communication begins after backward
+			}
+			ends[next], streams[s] = start+cost, start+cost
+			events = append(events, BucketEvent{c.Kind, c.Bucket, bytes, origin + t, origin + start, origin + start + cost, s})
 		}
-		commBusy += cost
-		s := b % cfg.CommStreams
-		start := readyAt[b]
-		if !cfg.Overlap {
-			start = backward // barrier: communication begins after backward
+		for i, c := range step[:next] {
+			if c.Wait == point {
+				t = max(t, ends[i])
+			}
 		}
-		if streams[s] > start {
-			start = streams[s]
+		if point == n || point == 2*n || point == 2*n+assign.NumBuckets() {
+			span[ph], origin = t, origin+t
+			for i := range clocks {
+				clocks[i] -= t
+			}
+			t, cum, ph = 0, 0, ph+1
+			if ph == len(span) {
+				break
+			}
 		}
-		end := start + cost
-		streams[s] = end
-		if end > lastCommEnd {
-			lastCommEnd = end
-		}
-		events = append(events, BucketEvent{
-			Bucket:       b,
-			Bytes:        bytes,
-			ReadySeconds: readyAt[b],
-			StartSeconds: start,
-			EndSeconds:   end,
-			Stream:       s,
-		})
+		// Run segment point; without a stall t is exactly upTo(ph, cum).
+		t -= upTo(ph, cum)
+		cum += covers[point]
+		t += upTo(ph, cum)
 	}
 
-	backwardSpan := backward
-	if cfg.World > 1 && lastCommEnd > backwardSpan {
-		backwardSpan = lastCommEnd
-	}
-	exposed := backwardSpan - backward
-	if cfg.World > 1 {
-		// This gather traffic never hides under backward compute:
-		// ZeRO-3 pays it in forward, ZeRO-2 after the optimizer.
-		commBusy += gatherBusy
-		exposed += gatherExposed
-	} else {
-		gatherExposed = 0
-	}
-
-	totalLatency := forward + backwardSpan + optimizer + gatherExposed + spike
 	return Breakdown{
-		ForwardSeconds:         forward,
-		BackwardComputeSeconds: backward,
+		ForwardSeconds:         phase[0],
+		BackwardComputeSeconds: phase[1],
 		CommSeconds:            commBusy,
-		ExposedCommSeconds:     exposed,
+		ExposedCommSeconds:     (span[0] - phase[0]) + (span[1] - phase[1]) + (span[2] - phase[2]),
 		OptimizerSeconds:       optimizer,
-		TotalSeconds:           totalLatency,
+		TotalSeconds:           span[0] + span[1] + span[2] + spike,
 		Buckets:                assign.NumBuckets(),
 	}, events, nil
-}
-
-// zero3Regathers marks the buckets a ZeRO-3 step gathers a second time,
-// for backward: what fsdp's plan for the layout does with every
-// parameter its own unit. The rest stay gathered from forward.
-func zero3Regathers(assign *reduce.Assignment) []bool {
-	units := make([][]int, len(assign.BucketOf))
-	for i, b := range assign.BucketOf {
-		units[i] = []int{b}
-	}
-	gathered := make([]bool, assign.NumBuckets())
-	again := make([]bool, assign.NumBuckets())
-	for _, b := range fsdp.PlanStep(units, assign.BucketElems).Seq {
-		again[b] = gathered[b]
-		gathered[b] = true
-	}
-	return again
 }
 
 // Run simulates iters training iterations and returns each iteration's
@@ -388,16 +305,12 @@ func zero3Regathers(assign *reduce.Assignment) []bool {
 // communication at all (DDP hooks disabled under no_sync).
 func Run(cfg Config, iters int) ([]float64, error) {
 	cfg = cfg.withDefaults()
-	var rng *rand.Rand
-	if cfg.Jitter {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	latencies := make([]float64, 0, iters)
 	p := prices{}
 	for i := 0; i < iters; i++ {
-		syncIter := (i+1)%cfg.SyncEveryN == 0
 		c := cfg
-		if !syncIter {
+		if (i+1)%cfg.SyncEveryN != 0 {
 			// Local-only iteration: same compute, no communication.
 			c.World = 1
 		}

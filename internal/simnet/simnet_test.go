@@ -3,6 +3,8 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -393,8 +395,18 @@ func TestShardedStrategiesChangeCostShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(zero3Regathers(assign)); got != "[false false true true true]" {
-		t.Fatalf("ZeRO-3 re-gathers %s, want every bucket but the last two layers'", got)
+	step, err := reduce.Schedule("zero3", assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, len(cfg.ParamSizes))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathers := make([]int, assign.NumBuckets())
+	for _, c := range step {
+		if c.Kind == reduce.AllGatherV {
+			gathers[c.Bucket]++
+		}
+	}
+	if got := fmt.Sprint(gathers); got != "[1 1 2 2 2]" {
+		t.Fatalf("ZeRO-3 gathers buckets %s times, want every bucket twice but the last two layers'", got)
 	}
 	if !(ddp.TotalSeconds < z2.TotalSeconds && z3.TotalSeconds < z2.TotalSeconds) {
 		t.Fatalf("latency order ddp, zero3 < zero2 violated: %v, %v, %v",
@@ -435,5 +447,39 @@ func TestShardedSingleGPUHasNoCommunication(t *testing.T) {
 	}
 	if b.CommSeconds != 0 || b.ExposedCommSeconds != 0 {
 		t.Fatalf("single-rank sharded run should not communicate: %+v", b)
+	}
+}
+
+// TestRefusesWhatNoReplicaRuns: a strategy reduce.Schedule does not know,
+// and the knobs only DDP's schedule has (round-robin groups, no_sync, the
+// barrier baseline) under a sharded one, are errors that name the field
+// instead of a latency for a step nothing runs.
+func TestRefusesWhatNoReplicaRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name, field string
+		edit        func(*Config)
+		run         bool // through Run, which honours SyncEveryN
+	}{
+		{"zero1", "Strategy", func(c *Config) { c.Strategy = "zero1" }, false},
+		{"fsdp", "Strategy", func(c *Config) { c.Strategy = "fsdp" }, false},
+		{"zero2 rr3", "CommStreams", func(c *Config) { c.Strategy, c.CommStreams = "zero2", 3 }, false},
+		{"zero3 rr3", "CommStreams", func(c *Config) { c.Strategy, c.CommStreams = "zero3", 3 }, false},
+		{"zero2 no_sync", "SyncEveryN", func(c *Config) { c.Strategy, c.SyncEveryN = "zero2", 4 }, true},
+		{"zero3 no_sync", "SyncEveryN", func(c *Config) { c.Strategy, c.SyncEveryN = "zero3", 4 }, true},
+		{"zero3 barrier", "Overlap", func(c *Config) { c.Strategy, c.Overlap = "zero3", false }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := resnetCfg()
+			tc.edit(&cfg)
+			var err error
+			if tc.run {
+				_, err = Run(cfg, 8)
+			} else {
+				_, err = SimulateIteration(cfg)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("got %v, want an error naming %s", err, tc.field)
+			}
+		})
 	}
 }
