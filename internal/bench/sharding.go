@@ -49,6 +49,7 @@ type shardingRecord struct {
 	FullParamBytes     int     `json:"full_param_bytes"`
 	ShardParamBytes    int     `json:"shard_param_bytes"`
 	PeakParamBytes     int     `json:"peak_param_bytes"`
+	BudgetParamBytes   int     `json:"budget_param_bytes,omitempty"`
 	OptimizerBytes     int     `json:"optimizer_bytes"`
 	PeakGradBytes      int     `json:"peak_grad_bytes"`
 	Gathers            int     `json:"gathers"`
@@ -272,6 +273,9 @@ func ShardingAblation(w io.Writer) error {
 			}
 			rec.ShardParamBytes = stats.ShardParamBytes
 			rec.PeakParamBytes = stats.PeakParamBytes
+			if strategy == "zero3" {
+				rec.BudgetParamBytes = stats.BudgetParamBytes
+			}
 			rec.OptimizerBytes = stats.OptimizerBytes
 			rec.PeakGradBytes = stats.PeakGradBytes
 			rec.Gathers = stats.Gathers

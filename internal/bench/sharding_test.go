@@ -14,9 +14,10 @@ import (
 // pins the properties ci/bench_check.sh gates on: ZeRO-3's persistent
 // per-rank param+opt bytes collapse to ~1/world of DDP's, its peak
 // parameter residency stays strictly below the full model (it trains a
-// model no single rank ever fully holds), and every sharded run
-// matched the DDP trajectory bitwise, and every row's gathers and
-// reduces are shIters steps of reduce.Schedule's.
+// model no single rank ever fully holds) and within its plan's budget at
+// every world, every sharded run matched the DDP trajectory bitwise, and
+// every row's gathers and reduces are shIters steps of
+// reduce.Schedule's.
 func TestShardingAblation(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_sharding.json")
 	t.Setenv("BENCH_SHARDING_OUT", out)
@@ -61,6 +62,9 @@ func TestShardingAblation(t *testing.T) {
 		if r.Gathers != shIters*gathers || r.Reduces != shIters*(len(step)-gathers) {
 			t.Fatalf("%s world %d: %d gathers and %d reduces, the schedule says %d per step of %d",
 				r.Strategy, r.World, r.Gathers, r.Reduces, gathers, len(step))
+		}
+		if r.Strategy == "zero3" && (r.BudgetParamBytes == 0 || r.PeakParamBytes > r.BudgetParamBytes) {
+			t.Fatalf("zero3 world %d: peak %d above the budget %d", r.World, r.PeakParamBytes, r.BudgetParamBytes)
 		}
 	}
 	const world = 4

@@ -22,7 +22,9 @@ const (
 	// replicated.
 	ZeRO2 Strategy = iota
 	// ZeRO3 additionally shards parameters, gathering them per bucket
-	// one gather ahead of the forward and backward units that read them.
+	// for the forward and backward units that read them, as early and
+	// as rarely as the memory bound of the step's plan (reduce.PlanStep)
+	// allows.
 	ZeRO3
 )
 
@@ -90,12 +92,19 @@ type Stats struct {
 	ShardParamBytes int
 	// PeakParamBytes is the maximum transiently resident parameter
 	// bytes observed: shards plus every bucket that is gathered or whose
-	// gather is in flight. Under ZeRO3 the step's plan (reduce.PlanStep) keeps
-	// the gathered and in-flight buckets within the largest sum of one
-	// unit's buckets plus the largest single bucket, what it holds across
-	// the forward/backward turn included; a Forward that runs again
-	// without a Backward in between may find more still gathered.
+	// gather is in flight. Under ZeRO3 the step's plan (reduce.PlanStep)
+	// keeps the gathered and in-flight buckets within the largest sum of
+	// one unit's buckets plus the largest single bucket, what it holds
+	// across the forward/backward turn included, so the peak stays
+	// within BudgetParamBytes; a Forward that runs again without a
+	// Backward in between may find more still gathered.
 	PeakParamBytes int
+	// BudgetParamBytes is that bound in this rank's bytes: under ZeRO3
+	// the shards plus what gathering buckets of the plan's Budget
+	// elements can add, where a bucket of e elements adds at most
+	// (e+1)(w−1)/w of them at world w (its chunks differ by at most one);
+	// the full model under ZeRO2.
+	BudgetParamBytes int
 	// OptimizerBytes is the momentum shard size — the state ZeRO
 	// divides by world.
 	OptimizerBytes int
@@ -106,9 +115,9 @@ type Stats struct {
 	// engine's transient buffers release after every step.
 	PeakGradBytes int
 	// Gathers and Reduces count parameter AllGatherV and gradient
-	// ReduceScatterV launches. A ZeRO3 step launches one gather per
-	// bucket for forward and one for backward, less the buckets its plan
-	// holds gathered from forward into backward.
+	// ReduceScatterV launches. A ZeRO3 step launches the gathers of its
+	// plan: every bucket once for forward, and again for backward each
+	// bucket the plan drops before backward reads it.
 	Gathers int
 	Reduces int
 }
@@ -201,7 +210,6 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		f.total += n
 	}
 	f.installShards()
-	f.mapUnits()
 
 	for i, p := range f.Parameters() {
 		idx, shape := i, p.Value.Shape()
@@ -219,6 +227,7 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		f.stats.ResidualBytes = 4 * f.total
 	}
 	f.stats.ShardParamBytes = f.shardParamBytes()
+	f.mapUnits()
 	f.residentParam = f.stats.FullParamBytes // fully resident until sharded
 	f.shardAll()
 	f.stats.PeakParamBytes = f.currentParamBytes()
@@ -271,8 +280,9 @@ func (f *FSDP) shardAll() {
 
 // mapUnits decomposes the module into forward units — the gather/free
 // granularity of ZeRO-3 — and plans the step they imply
-// (reduce.PlanStep). A Sequential's children are its units; any other
-// module is a single unit.
+// (reduce.PlanStep) and its bound on resident parameter bytes. A
+// Sequential's children are its units; any other module is a single
+// unit.
 func (f *FSDP) mapUnits() {
 	if seq, ok := f.Module().(*nn.Sequential); ok {
 		f.units = seq.Children()
@@ -287,6 +297,11 @@ func (f *FSDP) mapUnits() {
 	}
 	f.unitBuckets = reduce.UnitBuckets(f.Assignment(), counts)
 	f.plan = reduce.PlanStep(f.unitBuckets, f.Assignment().BucketElems)
+	f.stats.BudgetParamBytes = f.stats.FullParamBytes
+	if f.opts.Strategy == ZeRO3 {
+		w := f.ProcessGroup().Size()
+		f.stats.BudgetParamBytes = f.stats.ShardParamBytes + 4*((f.plan.Budget+f.NumBuckets())*(w-1)/w)
+	}
 }
 
 // launchBucket is the reduce.Launcher fsdp plugs into the shared

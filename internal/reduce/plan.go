@@ -1,6 +1,9 @@
 package reduce
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // Plan is one ZeRO-3 training step's parameter-gather schedule, computed
 // as data once per install or rebind. A step makes 2n visits to its n
@@ -15,6 +18,9 @@ type Plan struct {
 	// lists the buckets dropped once it has run.
 	Launch, Need []int
 	Free         [][]int
+	// Budget bounds the elements of the buckets resident while any
+	// visit runs, a bucket counting from its launch.
+	Budget int
 }
 
 // PlanStep computes the plan for units whose parameters touch
@@ -23,20 +29,33 @@ type Plan struct {
 // size.
 //
 // The plan keeps the resident buckets within a budget: the largest sum
-// of one visit's buckets plus the largest single bucket. Walking the
-// visits in order, it spends that budget in two ways:
+// of one visit's buckets plus the largest single bucket. Within it, a
+// step is a caching problem over the visits' reads, solved in two
+// passes:
 //
-//   - Hold: after a visit, a bucket whose next visit comes no later than
-//     the plan's next gather of another bucket is not dropped, if
-//     holding it fits the budget until then. This keeps the buckets
-//     the last units read gathered into backward.
-//   - Launch: a visit launches what it reads that is not resident, then
-//     at most one gather ahead: the plan's next gather, as soon as it
-//     fits the budget until the visit that reads it, even across the
-//     forward/backward turn.
+//   - Which gathers happen, by Belady's rule (L. A. Belady, "A study of
+//     replacement algorithms for a virtual-storage computer", IBM
+//     Systems Journal 5(2), 1966). Walking the visits, a visit that
+//     reads a bucket that is not resident first makes room: while the
+//     bucket does not fit, it drops the resident bucket it does not read
+//     whose next read is farthest away (the larger on a tie), as of that
+//     bucket's last read before the visit. Backward never drops a bucket
+//     it still reads — the runtime frees a bucket in backward only on
+//     its last gradient — and every bucket is dropped after its last
+//     read of the step.
+//   - When each gather launches, by conservative prefetching (P. Cao,
+//     E. W. Felten, A. R. Karlin and K. Li, "A study of integrated
+//     prefetching and caching strategies", SIGMETRICS 1995). Taking the
+//     gathers in order, each launches at the earliest visit, no earlier
+//     than the gather before it nor before its bucket's last drop, from
+//     which it fits the budget until the visit that reads it.
 //
-// A visit waits for exactly the buckets it reads. In backward a bucket
-// is dropped after its last read, which is when its last gradient is in.
+// A visit waits for exactly the buckets it reads. With buckets of equal
+// size no plan within the budget gathers less; with unequal sizes the
+// rule is a heuristic that can gather once more than the fewest. A
+// layout whose backward must hold more than the budget — buckets read
+// by units far apart, as tied weights are — has no plan within it, and
+// gets one that holds what backward must.
 func PlanStep(unitBuckets [][]int, size []int) Plan {
 	n, nb := len(unitBuckets), len(size)
 	nv := 2 * n
@@ -51,111 +70,90 @@ func PlanStep(unitBuckets [][]int, size []int) Plan {
 	// none).
 	after := make([][]int, nv+1)
 	after[nv] = slices.Repeat([]int{nv}, nb)
+	budget, largest := 0, 0
 	for v := nv - 1; v >= 0; v-- {
 		after[v] = slices.Clone(after[v+1])
+		sum := 0
 		for _, b := range reads(v) {
 			after[v][b] = v
-		}
-	}
-
-	// held[v][b] marks b as resident while v runs; load[v] sums the sizes
-	// of what is marked. A visit's own buckets are marked from the start,
-	// so the budget covers every visit's reads. Every bucket is read.
-	held := make([][]bool, nv)
-	load := make([]int, nv)
-	budget, largest := 0, 0
-	for v := range held {
-		held[v] = make([]bool, nb)
-		for _, b := range reads(v) {
-			held[v][b] = true
-			load[v] += size[b]
+			sum += size[b]
 			largest = max(largest, size[b])
 		}
-		budget = max(budget, load[v])
+		budget = max(budget, sum)
 	}
 	budget += largest
-	fits := func(b, from, to int) bool {
-		for v := from; v <= to; v++ {
-			if !held[v][b] && load[v]+size[b] > budget {
-				return false
-			}
-		}
-		return true
-	}
-	keep := func(b, from, to int) {
-		for v := from; v <= to; v++ {
-			if !held[v][b] {
-				held[v][b] = true
-				load[v] += size[b]
-			}
-		}
-	}
 
-	resident := make([]bool, nb)
-	// nextGather is the earliest gather the plan will need at or after
-	// visit from, other than of bucket skip, assuming every bucket is
-	// dropped once its current run of reads ends: the visit that needs
-	// it and the bucket.
-	nextGather := func(from, skip int) (int, int) {
-		at, bucket := nv, -1
-		for b := range nb {
-			v := after[from][b]
-			if resident[b] { // held through its run of reads, then gathered again
-				for v < nv && after[v+1][b] == v+1 {
-					v++
-				}
-				v = after[min(v+1, nv)][b]
-			}
-			if b == skip || v == nv {
-				continue
-			}
-			if v < at || v == at && slices.Index(reads(v), b) < slices.Index(reads(v), bucket) {
-				at, bucket = v, b
-			}
-		}
-		return at, bucket
+	// Pass 1: the gathers, each with the visit that first reads it and
+	// the visit after which it is dropped. cur[b] is b's resident gather
+	// (−1 if none) and last[b] the latest visit so far that read b.
+	type gather struct{ bucket, read, drop int }
+	var gathers []gather
+	cur := slices.Repeat([]int{-1}, nb)
+	last := make([]int, nb)
+	load := 0 // elements resident
+	drop := func(b, v int) {
+		gathers[cur[b]].drop = v
+		cur[b] = -1
+		load -= size[b]
 	}
-
-	p := Plan{Launch: make([]int, nv), Need: make([]int, nv), Free: make([][]int, nv)}
-	lastPos := make([]int, nb)
-	gather := func(b int) {
-		lastPos[b] = len(p.Seq)
-		p.Seq = append(p.Seq, b)
-		resident[b] = true
-	}
-	need := 0
 	for v := range nv {
 		for _, b := range reads(v) {
-			if !resident[b] {
-				gather(b)
+			for cur[b] < 0 && load+size[b] > budget {
+				// A candidate was last read in forward: a bucket backward has
+				// read is either read again or already dropped.
+				victim := -1
+				for c := range nb {
+					if cur[c] >= 0 && last[c] < n && !slices.Contains(reads(v), c) &&
+						(victim < 0 || cmp.Or(cmp.Compare(after[v][c], after[v][victim]), size[c]-size[victim]) > 0) {
+						victim = c
+					}
+				}
+				if victim < 0 {
+					break // every resident bucket is still read in backward
+				}
+				drop(victim, last[victim])
 			}
-			need = max(need, lastPos[b]+1)
+			if cur[b] < 0 {
+				cur[b] = len(gathers)
+				gathers = append(gathers, gather{bucket: b, read: v})
+				load += size[b]
+			}
+			last[b] = v
 		}
-		if len(p.Seq) == need {
-			if at, b := nextGather(v, -1); at < nv && !resident[b] && fits(b, v, at) {
-				gather(b)
-				keep(b, v, at)
+		for _, b := range reads(v) {
+			if after[v+1][b] == nv {
+				drop(b, v)
 			}
 		}
-		p.Launch[v], p.Need[v] = len(p.Seq), need
+	}
 
-		// Decide for the soonest-read bucket first: it has the best claim
-		// on the budget.
-		visit := slices.Clone(reads(v))
-		slices.SortStableFunc(visit, func(a, b int) int { return after[v+1][a] - after[v+1][b] })
-		for _, b := range visit {
-			next := after[v+1][b]
-			if v >= n && next < nv {
-				keep(b, v+1, next) // backward drops a bucket only after its last read
-				continue
-			}
-			if at, _ := nextGather(v+1, b); next < nv && next <= at && fits(b, v+1, next) {
-				keep(b, v+1, next)
-				continue
-			}
-			resident[b] = false
-			p.Free[v] = append(p.Free[v], b)
+	// Pass 2: launch each gather as early as the budget lets it.
+	resident := make([]int, nv) // elements resident while each visit runs
+	for _, g := range gathers {
+		for v := g.read; v <= g.drop; v++ {
+			resident[v] += size[g.bucket]
 		}
+	}
+	p := Plan{Launch: make([]int, nv), Need: make([]int, nv), Free: make([][]int, nv), Budget: budget}
+	dropped := slices.Repeat([]int{-1}, nb) // the visit after which b was last dropped
+	prev := 0                               // the gather before's launch visit
+	for i, g := range gathers {
+		from, at := max(prev, dropped[g.bucket]+1), g.read
+		for at > from && resident[at-1]+size[g.bucket] <= budget {
+			at--
+		}
+		for v := at; v < g.read; v++ {
+			resident[v] += size[g.bucket]
+		}
+		prev, dropped[g.bucket] = at, g.drop
+		p.Seq = append(p.Seq, g.bucket)
+		p.Launch[at] = i + 1
+		p.Need[g.read] = i + 1
+		p.Free[g.drop] = append(p.Free[g.drop], g.bucket)
+	}
+	for v := 1; v < nv; v++ {
+		p.Launch[v] = max(p.Launch[v], p.Launch[v-1])
+		p.Need[v] = max(p.Need[v], p.Need[v-1])
 	}
 	return p
 }

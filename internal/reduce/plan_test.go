@@ -1,0 +1,245 @@
+package reduce
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// planBudget is PlanStep's bound on the resident elements: the largest
+// sum of one unit's buckets plus the largest single bucket.
+func planBudget(unitBuckets [][]int, size []int) int {
+	visit, largest := 0, 0
+	for _, buckets := range unitBuckets {
+		sum := 0
+		for _, b := range buckets {
+			sum += size[b]
+			largest = max(largest, size[b])
+		}
+		visit = max(visit, sum)
+	}
+	return visit + largest
+}
+
+// checkPlan replays a plan over its layout and fails unless launches
+// and waits only move forward, every bucket a visit reads is resident
+// and landed when the visit runs, no bucket is gathered while it is
+// resident, what is resident never exceeds the budget (in elements),
+// backward drops each bucket right after its last read, and nothing
+// stays resident after the step.
+func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
+	t.Helper()
+	n := len(unitBuckets)
+	budget := planBudget(unitBuckets, size)
+	if p.Budget != budget {
+		t.Fatalf("plan's budget is %d elements, want %d", p.Budget, budget)
+	}
+	lastRead := make([]int, len(size)) // the backward visit of the lowest unit reading b
+	for u := n - 1; u >= 0; u-- {
+		for _, b := range unitBuckets[u] {
+			lastRead[b] = 2*n - 1 - u
+		}
+	}
+	resident := make([]bool, len(size))
+	lastPos := make([]int, len(size))
+	load, launched := 0, 0
+	for v := range 2 * n {
+		if p.Need[v] > p.Launch[v] || v > 0 && (p.Launch[v] < p.Launch[v-1] || p.Need[v] < p.Need[v-1]) {
+			t.Fatalf("visit %d launches %d and waits for %d gathers (plan %v)", v, p.Launch[v], p.Need[v], p)
+		}
+		u := v
+		if v >= n {
+			u = 2*n - 1 - v
+		}
+		for ; launched < p.Launch[v]; launched++ {
+			b := p.Seq[launched]
+			if resident[b] {
+				t.Fatalf("visit %d gathers bucket %d while it is resident (plan %v)", v, b, p.Seq)
+			}
+			resident[b], lastPos[b] = true, launched
+			load += size[b]
+		}
+		if load > budget {
+			t.Fatalf("visit %d holds %d elements, budget %d (plan %v)", v, load, budget, p.Seq)
+		}
+		for _, b := range unitBuckets[u] {
+			if !resident[b] || lastPos[b] >= p.Need[v] {
+				t.Fatalf("visit %d reads bucket %d before it landed (plan %v)", v, b, p.Seq)
+			}
+		}
+		for _, b := range p.Free[v] {
+			if v >= n && lastRead[b] != v {
+				t.Fatalf("backward visit %d drops bucket %d, whose last read is visit %d", v, b, lastRead[b])
+			}
+			resident[b] = false
+			load -= size[b]
+		}
+	}
+	if launched != len(p.Seq) || load != 0 {
+		t.Fatalf("%d of %d gathers launched and %d elements resident after the step", launched, len(p.Seq), load)
+	}
+}
+
+// minGathers is the fewest gathers any plan within the budget makes, or
+// −1 if none fits, by a dynamic program over the set of resident buckets
+// (a bit mask) between visits. A visit gathers what it reads that is not resident, and what
+// is then resident must fit the budget. After a forward visit any
+// resident bucket may be dropped; after a backward visit exactly the
+// buckets no later visit reads are, as the runtime frees them. Gathering
+// only at the visit that reads a bucket loses nothing: an earlier
+// gather only takes budget sooner.
+func minGathers(unitBuckets [][]int, size []int) int {
+	n, nv := len(unitBuckets), 2*len(unitBuckets)
+	budget := planBudget(unitBuckets, size)
+	reads := make([]uint, nv) // the buckets each visit reads
+	for u, buckets := range unitBuckets {
+		for _, b := range buckets {
+			reads[u] |= 1 << b
+			reads[nv-1-u] |= 1 << b
+		}
+	}
+	weight := func(set uint) (w int) {
+		for b, s := range size {
+			w += s * int(set>>b&1)
+		}
+		return w
+	}
+	best := map[uint]int{0: 0} // resident set → fewest gathers so far
+	for v := range nv {
+		var later uint // the buckets a visit after v reads
+		for _, r := range reads[v+1:] {
+			later |= r
+		}
+		next := map[uint]int{}
+		keep := func(set uint, gathers int) {
+			if old, ok := next[set]; !ok || gathers < old {
+				next[set] = gathers
+			}
+		}
+		for set, gathers := range best {
+			held := set | reads[v]
+			if weight(held) > budget {
+				continue
+			}
+			gathers += bits.OnesCount(reads[v] &^ set)
+			if v >= n {
+				keep(held&later, gathers)
+				continue
+			}
+			for kept := held; ; kept = (kept - 1) & held { // every subset of held
+				keep(kept, gathers)
+				if kept == 0 {
+					break
+				}
+			}
+		}
+		best = next
+	}
+	if g, ok := best[0]; ok {
+		return g
+	}
+	return -1
+}
+
+// randomLayout draws 2…maxUnits units over fresh buckets, at most
+// maxBuckets of them, some units without parameters and some sharing a
+// bucket with the unit before, as a model's units share a bucket that
+// straddles them.
+func randomLayout(rng *rand.Rand, maxUnits, maxBuckets int, newSize func() int) ([][]int, []int) {
+	var units [][]int
+	var size []int
+	for range 2 + rng.Intn(maxUnits-1) {
+		var reads []int
+		if rng.Intn(4) > 0 {
+			if len(size) > 0 && rng.Intn(2) == 0 {
+				reads = append(reads, len(size)-1)
+			}
+			for range min(1+rng.Intn(3), maxBuckets-len(size)) {
+				reads = append(reads, len(size))
+				size = append(size, newSize())
+			}
+		}
+		units = append(units, reads)
+	}
+	return units, size
+}
+
+// TestPlanStepGathersTheFewest holds the plan to the oracle: on random
+// layouts of equal-size buckets it is valid and makes exactly the
+// fewest gathers the budget allows. Some units also read an earlier
+// unit's bucket, as a tied weight does; without such reads every
+// dropped bucket costs one gather whichever is dropped, and the oracle
+// could not tell the farthest next read from any other. A layout whose
+// backward must hold more than the budget has no valid plan and is
+// skipped.
+func TestPlanStepGathersTheFewest(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	checked := 0
+	for range 1500 {
+		units, size := randomLayout(rng, 5, 6, func() int { return 1 })
+		for u := range units {
+			if b := rng.Intn(len(size) + 1); b < len(size) && rng.Intn(3) == 0 && !slices.Contains(units[u], b) {
+				units[u] = append(units[u], b)
+			}
+		}
+		want := minGathers(units, size)
+		if want < 0 {
+			continue
+		}
+		p := PlanStep(units, size)
+		checkPlan(t, p, units, size)
+		if len(p.Seq) != want {
+			t.Fatalf("layout %v: plan %v makes %d gathers, the fewest is %d", units, p.Seq, len(p.Seq), want)
+		}
+		checked++
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d of 1500 layouts have a valid plan", checked)
+	}
+}
+
+// TestPlanStepKeepsItsPromises checks the plans of random layouts of
+// mixed bucket sizes, where the farthest next read is only a heuristic.
+func TestPlanStepKeepsItsPromises(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for range 20000 {
+		units, size := randomLayout(rng, 9, 27, func() int { return 1 + rng.Intn(10)*(1+99*rng.Intn(2)) })
+		checkPlan(t, PlanStep(units, size), units, size)
+	}
+}
+
+// TestPlanOfPinnedLayouts pins plans whose shape the documentation
+// states.
+func TestPlanOfPinnedLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		units      [][]int
+		size       []int
+		seq        string
+		fewestPlus int // gathers above the fewest
+	}{
+		// The benchmark's model: four buckets, every block reading its
+		// own and, by its last bias, the next block's. Buckets 0, 1 and
+		// 2 stay gathered across the turn; bucket 3, read first in
+		// forward and last in backward, is dropped to make room for 0
+		// and gathered again for backward.
+		{"benchmark", [][]int{{3, 2}, {2, 1}, {1, 0}, {0}, {0}}, []int{198656, 198272, 198272, 198144}, "[3 2 1 0 3]", 0},
+		// Unequal sizes: making room for bucket 3 drops buckets 0 and 1,
+		// whose next reads are farthest away, where dropping bucket 2
+		// alone would do. One gather more than the fewest.
+		{"unequal sizes", [][]int{{0}, {1}, {2}, {3}}, []int{1, 1, 4, 4}, "[0 1 2 3 1 0]", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := PlanStep(tc.units, tc.size)
+			checkPlan(t, p, tc.units, tc.size)
+			if got := fmt.Sprint(p.Seq); got != tc.seq {
+				t.Fatalf("plan launches %s, want %s", got, tc.seq)
+			}
+			if got, want := len(p.Seq), minGathers(tc.units, tc.size)+tc.fewestPlus; got != want {
+				t.Fatalf("plan %v makes %d gathers, want %d", p.Seq, got, want)
+			}
+		})
+	}
+}

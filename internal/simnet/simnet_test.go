@@ -384,9 +384,9 @@ func TestShardedStrategiesChangeCostShape(t *testing.T) {
 	// exposed traffic DDP never pays. ZeRO-3 gathers again for backward
 	// every bucket fsdp's plan does not hold across the turn — three of
 	// ResNet-50's five, the last two stay gathered — so it moves between
-	// 1.2 and 1.5 times ZeRO-2's traffic, yet gathers one gather ahead of
-	// compute, so only the first forward gather and the longer backward
-	// tail are exposed: the most traffic of the three, and a step below
+	// 1.2 and 1.5 times ZeRO-2's traffic, yet gathers ahead of compute
+	// as far as its budget allows, so only the first forward gather and
+	// the longer backward tail are exposed: the most traffic of the three, and a step below
 	// ZeRO-2's. (Against DDP it comes down to that exposure versus the
 	// sharded optimizer's saving, which no ordering pins; the measured
 	// zero3_bert_shaped row lands on ddp_bert_shaped.)
