@@ -27,15 +27,15 @@
 // compressed AllReduce leaves bitwise-identical gradients everywhere.
 //
 // -strategy zero2|zero3 swaps DDP's replicated state for the sharded
-// engine: gradients ReduceScatter into per-rank owned chunks and the
-// momentum-SGD update is fused into Backward against optimizer shards
-// (ZeRO-2); zero3 additionally keeps parameters as shards, AllGathering
-// each bucket on demand for forward/backward and freeing it after use,
-// so no rank ever holds the full model between steps. Over plain Ring
-// groups the sharded run reproduces the DDP trajectory bitwise: the
-// final hash (zero3 ranks Materialize the full parameters first) equals
-// the one -strategy ddp prints. -sync-every and -rr do not compose with
-// sharding.
+// engine: gradients ReduceScatter into per-rank owned chunks, the
+// momentum-SGD update is fused into Backward against optimizer shards,
+// and parameters persist as shards, each bucket AllGathered for the
+// units that read it within a memory budget — the whole model (zero2)
+// or one layer plus one bucket (zero3) — and freed after its last read.
+// Over plain Ring groups the sharded run reproduces the DDP trajectory
+// bitwise: the final hash (ranks Materialize the full parameters first)
+// equals the one -strategy ddp prints. -sync-every and -rr do not
+// compose with sharding.
 //
 // -algo doubletree selects the double-binary-tree AllReduce (NCCL-2.4
 // style: two complementary trees each carrying half the payload,
@@ -80,10 +80,10 @@
 //	ddptrain -elastic -world 3 -iters 60 -kill-step 20 \
 //	    -ckpt-dir /tmp/ddpckpt -ckpt-every 5 -kill-all
 //
-// The elastic mode takes -strategy zero2 as well (with -ckpt-dir: a
-// sharded world recovers by rolling back to a committed checkpoint, not
-// from a survivor); zero3 is refused there, because a finisher's final
-// parameters can only be gathered while its process group is still up.
+// The elastic mode takes -strategy zero2|zero3 as well, with -ckpt-dir:
+// a sharded world recovers by rolling back to a committed checkpoint,
+// not from a survivor, and every worker materializes its parameters
+// inside the final step, so finishers publish the same result as ddp's.
 //
 // Each mode reads a fixed set of flags (modeReads) and refuses, by name,
 // any other flag set off its default. Every mode reads -world, -iters,
@@ -174,7 +174,7 @@ func (o *options) flags() *flag.FlagSet {
 	fs.IntVar(&o.batch, "batch", 16, "per-rank batch size")
 	fs.Float64Var(&o.lr, "lr", 0.05, "learning rate")
 	fs.IntVar(&o.bucketMB, "bucket-mb", 25, "DDP bucket size in MB (0 = per-parameter buckets)")
-	fs.StringVar(&o.strategy, "strategy", "ddp", "data-parallel strategy: ddp (replicated), zero2 (sharded gradients+optimizer), or zero3 (sharded parameters too)")
+	fs.StringVar(&o.strategy, "strategy", "ddp", "data-parallel strategy: ddp (replicated), or sharded with a parameter-gather budget of zero2 (the whole model) or zero3 (one layer plus one bucket)")
 	fs.StringVar(&o.algo, "algo", "ring", "allreduce algorithm: ring, tree, doubletree, naive, hierarchical, auto")
 	fs.StringVar(&o.compress, "compress", "", "gradient compression codec: fp16, 1bit, or topk (empty: none); frames ride the byte lanes with error feedback, or the step fails with comm.ErrCompressionUnsupported; with -algo hierarchical/auto only the leader ring compresses")
 	fs.StringVar(&o.hosts, "hosts", "", "comma-separated host label per rank (topology for hierarchical/auto; labels may nest with '/', e.g. pod0/rack0/h0, all to the same depth; empty: derive from peer addresses)")
@@ -278,9 +278,6 @@ func (o *options) validate() error {
 		}
 		if o.rr > 1 {
 			return fmt.Errorf("-strategy %s does not support -rr round-robin groups", o.strategy)
-		}
-		if elasticRun && o.strategy == "zero3" {
-			return errors.New("-elastic does not support -strategy zero3: a finisher's full parameters can only be gathered while its process group is up")
 		}
 		if elasticRun && o.ckptDir == "" {
 			return fmt.Errorf("-elastic -strategy %s needs -ckpt-dir: a sharded world recovers from a committed checkpoint, not from a survivor", o.strategy)
@@ -962,6 +959,9 @@ func elasticBatch(step int64, rank, world, batch int) (*tensor.Tensor, []int) {
 //   - with -respawn, the survivors of the crash train three steps at the
 //     shrunken world, then set admitKey, on which the supervisor starts
 //     the replacement.
+//
+// The final step ends by materializing the parameters the published
+// result hashes; a failure there recovers like any step's.
 func elasticStep(o *options, st store.Store, agent *elastic.Agent, full *bool, crash func(*elastic.Agent)) elastic.StepFunc {
 	admitStep := int64(-1)
 	if o.respawn && !o.killAll {
@@ -1002,6 +1002,9 @@ func elasticStep(o *options, st store.Store, agent *elastic.Agent, full *bool, c
 		if ctx.Rank == 0 && (ctx.Step+1)%20 == 0 {
 			fmt.Printf("[%s] step %4d loss %.4f (gen %d, world %d)\n",
 				o.id, ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)
+		}
+		if ctx.Step == int64(o.iters)-1 {
+			return ctx.Replica.Materialize()
 		}
 		return nil
 	}

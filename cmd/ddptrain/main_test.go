@@ -219,7 +219,6 @@ func TestRunRejectsWhatNoStrategyHonours(t *testing.T) {
 		{"does not support -rr", func(o *options) { o.strategy, o.rr = "zero3", 2 }},
 		{"unknown compression codec", func(o *options) { o.compress = "lz4" }},
 		{`"p0/a" has 2 level(s), "b" has 1`, func(o *options) { o.world, o.hosts = 4, "p0/a,p0/a,p1/b,b" }},
-		{"does not support -strategy zero3", func(o *options) { elastic(o); o.strategy, o.ckptDir = "zero3", t.TempDir() }},
 		{"zero2 needs -ckpt-dir", func(o *options) { elastic(o); o.strategy = "zero2" }},
 		{"-kill-all needs -ckpt-dir", func(o *options) { elastic(o); o.killAll = true }},
 	} {
@@ -359,6 +358,29 @@ func TestSupervisorReapsWorkersWhenOneFails(t *testing.T) {
 			t.Errorf("spawned %d workers, want 3", len(*spawned))
 		}
 		assertReaped(t, *spawned)
+	}
+}
+
+// TestElasticColdRestartAgreesAcrossStrategies runs the -kill-all
+// scenario in-proc under every strategy, with -iters not a multiple of
+// -ckpt-every so the last step is not a save point: each must end on the
+// result ddp ends on, the finishers' full parameters gathered inside the
+// final step.
+func TestElasticColdRestartAgreesAcrossStrategies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three multi-second elastic runs")
+	}
+	var want string
+	for _, strategy := range []string{"ddp", "zero2", "zero3"} {
+		got := superviseElastic(t, false, func(o *options) {
+			o.strategy, o.killStep, o.killAll = strategy, 6, true
+			o.ckptDir, o.ckptEvery, o.ckptAsync = t.TempDir(), 5, false
+		})
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("-strategy %s ended on %s, -strategy ddp on %s", strategy, got, want)
+		}
 	}
 }
 

@@ -114,6 +114,12 @@ func train(dataset *data.Synthetic, build func(nn.Module, comm.ProcessGroup) (re
 					fmt.Printf("  iter %3d loss %.4f\n", it+1, loss.Value.Item())
 				}
 			}
+			// A sharded replica holds only its shards between steps:
+			// every rank gathers the full parameters before rank 0 reads
+			// them, as the replica.Replica contract asks.
+			if err := r.Materialize(); err != nil {
+				log.Fatal(err)
+			}
 			if rank == 0 {
 				weights, stateBytes = snapshot(m), bytes
 			}

@@ -168,7 +168,7 @@ func shTrain(strategy string, world int, batches, labels []*tensor.Tensor) ([][]
 }
 
 // shSchedule is one step of strategy on the ablation's layout, as
-// reduce.Schedule lists it, and the layout: the replicas' packing, and
+// replica.Schedule lists it, and the layout: the replicas' packing, and
 // the Sequential's children as units.
 func shSchedule(strategy string) (reduce.Step, *reduce.Assignment, error) {
 	sizes, units := shSizes(), shModel().(*nn.Sequential).Children()
@@ -180,7 +180,7 @@ func shSchedule(strategy string) (reduce.Step, *reduce.Assignment, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	step, err := reduce.Schedule(strategy, assign, reduce.UnitBuckets(assign, counts))
+	step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, counts))
 	return step, assign, err
 }
 
@@ -273,9 +273,7 @@ func ShardingAblation(w io.Writer) error {
 			}
 			rec.ShardParamBytes = stats.ShardParamBytes
 			rec.PeakParamBytes = stats.PeakParamBytes
-			if strategy == "zero3" {
-				rec.BudgetParamBytes = stats.BudgetParamBytes
-			}
+			rec.BudgetParamBytes = stats.BudgetParamBytes
 			rec.OptimizerBytes = stats.OptimizerBytes
 			rec.PeakGradBytes = stats.PeakGradBytes
 			rec.Gathers = stats.Gathers

@@ -9,13 +9,14 @@
 //
 // A Schedule is a replayable scenario: initial world size, step count,
 // gradient codec, sharding strategy, checkpoint cadence, and a list of
-// Events. A non-empty Strategy ("zero2" or "zero3") makes the one
-// replica factory (engine.newReplica) build internal/fsdp instead of
-// ddp — nothing else in the engine changes: checkpoint cadence is forced to every
-// step so each rollback restores exactly the live state (a sharded
-// world cannot re-form after churn without a committed checkpoint —
-// a lost rank's shards are unrecoverable), and under ZeRO-3 a
-// kill-mid-step fires inside the forward gather phase. Each Event
+// Events. A non-empty Strategy ("zero2" or "zero3", two memory budgets
+// of fsdp's one mechanism) makes the one replica factory
+// (engine.newReplica) build internal/fsdp instead of ddp — nothing else
+// changes: checkpoint cadence is forced to every step so each rollback
+// restores exactly the live state (a sharded world cannot re-form
+// after churn without a committed checkpoint — a lost rank's shards are
+// unrecoverable), and a kill-mid-step fires inside the forward's
+// parameter gathers. Each Event
 // names a kind (kill, kill-mid-step, hang, partition, leave, join,
 // kill-all, disk-fault, slow-disk, straggle), a target worker ordinal,
 // and the global step it fires at. Schedules serialize to JSON;

@@ -235,7 +235,7 @@ type runWorker struct {
 	err    error
 	parked bool
 	// killOnGather arms the sharded mid-step kill: the replica's
-	// gatherHookGroup fires Kill right before the next ZeRO-3 parameter
+	// gatherHookGroup fires Kill right before the next sharded parameter
 	// AllGatherV, so peers die blocked inside the gather phase.
 	killOnGather bool
 }
@@ -367,7 +367,7 @@ func (e *engine) workerConfig(w *runWorker) elastic.Config {
 // newReplica is the one place the harness turns a schedule's strategy
 // into a replica: DDP + SGD (optionally with the planted residual bug),
 // or fsdp over a gatherHookGroup, which lets a mid-step kill land inside
-// a ZeRO-3 parameter AllGatherV.
+// a parameter AllGatherV.
 func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
 	if e.p.s.Strategy == "" {
 		r, err := chDDPReplica(m, pg, e.p.s.Codec == "1bit")
@@ -467,10 +467,10 @@ func (e *engine) stepFn(w *runWorker) elastic.StepFunc {
 			case EvKillMidStep:
 				// Submit the forward pass so peers are left blocked in
 				// the backward collectives, then die. In a sharded run
-				// the gather hook kills before a ZeRO-3 parameter
-				// AllGatherV instead, so peers die blocked inside the
-				// gather phase itself (ZeRO-2 forwards are
-				// collective-free; the trailing Kill covers them).
+				// the gather hook kills before a parameter AllGatherV
+				// instead, so peers die blocked inside the gather phase
+				// (a forward the last save left gathered launches none;
+				// the trailing Kill covers it).
 				x, _ := chBatchFor(ctx.Step, e.refRank(ctx), e.refWorld(ctx))
 				w.armGatherKill()
 				ctx.Replica.Forward(autograd.Constant(x))
@@ -526,7 +526,8 @@ func (e *engine) refWorld(ctx elastic.StepContext) int {
 }
 
 // train executes one step, injecting any straggle delay into the
-// compute-only phase (sleep + forward, which contains no collectives)
+// compute phase (sleep + forward, which waits on no collective but a
+// sharded forward's parameter gathers; see the straggle viability rule)
 // and self-reporting that phase's latency to the straggler detector —
 // whole-step wall time would include the collectives, which stall at
 // the pace of the slowest rank and so cannot attribute slowness.

@@ -270,12 +270,13 @@ func (e *engine) compare(what string, params, wantParams []float32, st, want rep
 
 // checkBitwiseSharded is the sharded-run (ZeRO-2/3) form of the bitwise
 // invariant. Survivors have no SGD instance to read (fsdp fuses the
-// optimizer into Backward) and ZeRO-3 survivors hold only their own
-// parameter shards in memory, so the full end state is asserted through
+// optimizer into Backward), so the full end state is asserted through
 // the final committed checkpoint — which sharded schedules guarantee
-// exists at the final step (CkptEvery is forced to 1). The oracle is
-// still the plain-DDP reference replay: a ZeRO run over Ring groups IS
-// the DDP+SGD trajectory, bitwise.
+// exists at the final step (CkptEvery is forced to 1) — and, since that
+// save materialized the full parameters into every survivor's tensors,
+// through each survivor's parameters as well. The oracle is still the
+// plain-DDP reference replay: a ZeRO run over Ring groups IS the DDP+SGD
+// trajectory, bitwise.
 func (e *engine) checkBitwiseSharded(survivors []*runWorker, restore int64) {
 	ref, err := runReference(e.p, restore)
 	if err != nil {
@@ -289,14 +290,9 @@ func (e *engine) checkBitwiseSharded(survivors []*runWorker, restore int64) {
 	r0 := ref.workers[0]
 	refParams := chFlattenParams(r0.model)
 	refOpt := r0.state().Optimizer
-	if e.p.s.Strategy == "zero2" {
-		// ZeRO-2 replicates parameters, so every survivor holds the full
-		// set in memory and must match the reference directly. (ZeRO-3
-		// member tensors are freed shards; skip the in-memory compare.)
-		for _, w := range survivors {
-			if i, ok := sameF32(chFlattenParams(w.model), refParams); !ok {
-				e.rep.add(invBitwise, fmt.Sprintf("survivor %s params diverge from the failure-free reference (index %d)", w.id, i))
-			}
+	for _, w := range survivors {
+		if i, ok := sameF32(chFlattenParams(w.model), refParams); !ok {
+			e.rep.add(invBitwise, fmt.Sprintf("survivor %s params diverge from the failure-free reference (index %d)", w.id, i))
 		}
 	}
 	snap, man, err := ckpt.Load(e.dir)

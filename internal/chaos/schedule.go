@@ -586,6 +586,8 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 		// straggler's sleep stalls every peer inside the same collective
 		// and the world's self-reported compute median absorbs the delay
 		// — the fault still injects, but the flag obligation is voided.
+		// ZeRO-2's forward gathers only what the last save's Materialize
+		// left unresident — at a world's first step — so it stands.
 		sp.viable = sp.count >= 4 && sp.start+sp.count <= eraEnd(sp.era) && s.Strategy != "zero3"
 		wt := p.world0
 		if sp.era == 1 {

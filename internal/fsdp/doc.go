@@ -2,18 +2,22 @@
 // ZeRO-style sharded training the paper's Section 7 positions against
 // replicated DDP — on the same reduce.Engine that powers internal/ddp.
 //
-// Two strategies share one code path:
+// There is one mechanism. Gradients are ReduceScattered so each rank
+// owns the averaged gradient — and the momentum state — for only its
+// chunk of every bucket, and updates its parameter chunk in place. Each
+// rank persistently holds only its owned chunk of the parameters too;
+// full parameters exist transiently, gathered bucket by bucket ahead of
+// each unit's forward and (via an autograd backward-hook identity op)
+// ahead of each unit's backward, and freed once the step's plan no
+// longer holds them. The two strategies are presets of the plan's
+// memory budget (replica.Budget), and nothing else:
 //
-//   - ZeRO-2: parameters stay replicated; gradients are ReduceScattered
-//     so each rank owns the averaged gradient — and the momentum state —
-//     for only its chunk of every bucket, updates its parameter chunk,
-//     and AllGathers the updated parameters.
-//   - ZeRO-3: additionally shards the parameters themselves. Each rank
-//     persistently holds only its owned chunk per bucket; full
-//     parameters exist transiently, gathered bucket by bucket ahead of
-//     each unit's forward and (via an autograd backward-hook identity
-//     op) ahead of each unit's backward, and freed once the plan no
-//     longer holds them.
+//   - ZeRO-2 may hold the whole model: every bucket is gathered once a
+//     step, all launched ahead of the first unit, and freed on its last
+//     gradient — ZeRO-2's traffic and peak residency.
+//   - ZeRO-3 holds the largest unit's buckets plus one more
+//     (reduce.PrefetchBudget): a bucket is gathered shortly before it is
+//     read, and gathered again for backward where the plan dropped it.
 //
 // Parameter storage: the wrapper keeps one flat per bucket and re-points
 // every parameter's Value at its range of it, so AllGatherV fills the
@@ -31,9 +35,9 @@
 // the hook. Every Grad is cleared when Backward returns, failed steps
 // included: it may view a flat that has gone back to the pool.
 //
-// The ZeRO-3 gather schedule is data, one reduce.Plan per step, emitted
-// once per install/rebind (mapUnits, reduce.PlanStep, which documents
-// the plan's memory budget): over the step's visits — the forward visits
+// The gather schedule is data, one reduce.Plan per step, emitted
+// once per install/rebind (mapUnits, reduce.PlanStep within the
+// preset's budget): over the step's visits — the forward visits
 // of the module's units (a Sequential's children) in order, then their
 // backward visits in reverse — which gathers to launch, which must have
 // landed, and which buckets to drop after each visit. Forward and the
@@ -41,7 +45,7 @@
 // says, then wait for exactly what the visit reads, so the group's
 // serial worker stays busy while the unit computes. The plan depends
 // only on the layout, so every rank submits the same collectives in the
-// same order: the ones reduce.Schedule lists, which simnet prices. A
+// same order: the ones replica.Schedule lists, which simnet prices. A
 // failed gather or buffer broadcast is deferred to Backward, which
 // returns it; no gather outlives the step that launched it.
 //
@@ -49,8 +53,8 @@
 // (reverse registration order, cap-based packing) and comm's sharded
 // collectives, whose owned chunk is by construction bitwise the ring
 // AllReduce result. The fused optimizer applies the same operation
-// sequence as optim.SGD (optim.ShardedMomentumStep). A ZeRO-2 or
-// ZeRO-3 run over a Ring process group therefore produces parameters
+// sequence as optim.SGD (optim.ShardedMomentumStep). A run under either
+// preset over a Ring process group therefore produces parameters
 // bitwise identical to DDP + SGD on the same data — the agreement the
 // package tests assert across world sizes, including uneven shard
 // tails. Other AllReduce algorithms give self-consistent but different

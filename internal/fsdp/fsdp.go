@@ -14,17 +14,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// Strategy selects how much replica state is sharded.
+// Strategy names a preset of the one sharded mechanism: the memory
+// budget of the step's plan (reduce.PlanStep), which is all that tells
+// the presets apart; replica.Budget maps each, by the name String
+// spells, to its budget. Under both, gradients, optimizer state and
+// parameters are sharded, and each bucket's parameters are gathered for
+// the forward and backward units that read them, as early and as rarely
+// as the budget allows.
 type Strategy int
 
 const (
-	// ZeRO2 shards gradients and optimizer state; parameters stay
-	// replicated.
+	// ZeRO2's budget is the whole model: each bucket is gathered once a
+	// step, every gather launched ahead of the first unit, and freed at
+	// its last backward read — ZeRO-2's traffic and peak, with only the
+	// shards resident between steps.
 	ZeRO2 Strategy = iota
-	// ZeRO3 additionally shards parameters, gathering them per bucket
-	// for the forward and backward units that read them, as early and
-	// as rarely as the memory bound of the step's plan (reduce.PlanStep)
-	// allows.
+	// ZeRO3's budget is reduce.PrefetchBudget: a bucket is gathered
+	// shortly before the unit that reads it, and again for backward if
+	// the plan dropped it in between.
 	ZeRO3
 )
 
@@ -54,7 +61,7 @@ func ParseStrategy(s string) (Strategy, error) {
 
 // Options configures an FSDP wrapper.
 type Options struct {
-	// Strategy picks ZeRO2 (default) or ZeRO3.
+	// Strategy picks the preset budget: ZeRO2 (default) or ZeRO3.
 	Strategy Strategy
 	// BucketCapBytes bounds each gradient bucket exactly like
 	// ddp.Options.BucketCapBytes — the SAME packing, which is what
@@ -88,22 +95,22 @@ type Stats struct {
 	// FullParamBytes is the unsharded model size.
 	FullParamBytes int
 	// ShardParamBytes is the persistently resident parameter bytes per
-	// rank: the owned chunks under ZeRO3, the full model under ZeRO2.
+	// rank: the owned chunks, under either preset.
 	ShardParamBytes int
 	// PeakParamBytes is the maximum transiently resident parameter
 	// bytes observed: shards plus every bucket that is gathered or whose
-	// gather is in flight. Under ZeRO3 the step's plan (reduce.PlanStep)
-	// keeps the gathered and in-flight buckets within the largest sum of
-	// one unit's buckets plus the largest single bucket, what it holds
+	// gather is in flight. The step's plan (reduce.PlanStep) keeps the
+	// gathered and in-flight buckets within its budget, what it holds
 	// across the forward/backward turn included, so the peak stays
-	// within BudgetParamBytes; a Forward that runs again without a
+	// within BudgetParamBytes — the full model under ZeRO2, whose plan
+	// gathers everything at once; a Forward that runs again without a
 	// Backward in between may find more still gathered.
 	PeakParamBytes int
-	// BudgetParamBytes is that bound in this rank's bytes: under ZeRO3
-	// the shards plus what gathering buckets of the plan's Budget
-	// elements can add, where a bucket of e elements adds at most
-	// (e+1)(w−1)/w of them at world w (its chunks differ by at most one);
-	// the full model under ZeRO2.
+	// BudgetParamBytes is that bound in this rank's bytes: the shards
+	// plus what gathering buckets of the plan's Budget elements can add,
+	// where a bucket of e elements adds at most (e+1)(w−1)/w of them at
+	// world w (its chunks differ by at most one), and never more than
+	// the full model.
 	BudgetParamBytes int
 	// OptimizerBytes is the momentum shard size — the state ZeRO
 	// divides by world.
@@ -115,9 +122,9 @@ type Stats struct {
 	// engine's transient buffers release after every step.
 	PeakGradBytes int
 	// Gathers and Reduces count parameter AllGatherV and gradient
-	// ReduceScatterV launches. A ZeRO3 step launches the gathers of its
-	// plan: every bucket once for forward, and again for backward each
-	// bucket the plan drops before backward reads it.
+	// ReduceScatterV launches. A step launches the gathers of its plan:
+	// every bucket once for forward, and again for backward each bucket
+	// the plan drops before backward reads it (none under ZeRO2).
 	Gathers int
 	Reduces int
 }
@@ -134,6 +141,8 @@ type FSDP struct {
 	units []nn.Module
 	sg    comm.ShardedGroup
 	opts  Options
+	// budget is opts.Strategy's plan budget as a function of the layout.
+	budget func(unitBuckets [][]int, size []int) int
 
 	offsets []int // element offset of each parameter in the model-order flat vector
 	total   int   // element count of that vector
@@ -146,27 +155,25 @@ type FSDP struct {
 	// flats[b] is bucket b's parameter storage in the bucket's offset
 	// layout, and every member parameter's Value is a view of its range
 	// of it: AllGatherV runs on the flat itself and the optimizer
-	// updates flats[b][ownedLo[b]:ownedHi[b]] in place. Under ZeRO-3 the
-	// ranges outside the owned chunk are zero unless the bucket is
-	// gathered.
+	// updates flats[b][ownedLo[b]:ownedHi[b]] in place. The ranges
+	// outside the owned chunk are zero unless the bucket is gathered.
 	flats       [][]float32
 	state       []residency
-	remaining   []int   // ZeRO-3: member grads outstanding before free
+	remaining   []int   // member grads outstanding before free
 	unitBuckets [][]int // buckets each unit's parameters touch
 
-	// The ZeRO-3 gather schedule (see mapUnits): the step's plan, the
+	// The gather schedule (see mapUnits): the step's plan, the
 	// position in its Seq of the next launch, and the gathers launched
 	// but not yet waited for, oldest first.
 	plan     reduce.Plan
 	cursor   int
 	inflight []gather
 
-	residentParam int // current resident param bytes (ZeRO-3)
+	residentParam int // current resident param bytes
 	stats         Stats
 }
 
-// residency is where a ZeRO-3 bucket's non-owned parameter ranges
-// stand. ZeRO-2 buckets are always gathered.
+// residency is where a bucket's non-owned parameter ranges stand.
 type residency uint8
 
 const (
@@ -184,18 +191,21 @@ type gather struct {
 
 // New wraps module for sharded training over pg, which must support
 // the sharded collectives (mesh-backed groups do). Replicas are
-// aligned by a rank-0 broadcast exactly like ddp.New, then — under
-// ZeRO3 — every rank drops the parameter elements it does not own.
+// aligned by a rank-0 broadcast exactly like ddp.New, then every rank
+// drops the parameter elements it does not own.
 func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	sg, ok := pg.(comm.ShardedGroup)
 	if !ok {
 		return nil, errors.New("fsdp: process group does not support the sharded collectives")
 	}
-	f := &FSDP{sg: sg, opts: opts}
+	budget, err := replica.Budget(opts.Strategy.String())
+	if err != nil {
+		return nil, fmt.Errorf("fsdp: %w", err)
+	}
+	f := &FSDP{sg: sg, opts: opts, budget: budget}
 	if opts.NewCodec != nil {
 		f.codec = opts.NewCodec()
 	}
-	var err error
 	f.Core, err = replica.NewCore("fsdp", module, pg, opts.BucketCapBytes, !opts.SkipInitialBroadcast, reduce.Config{
 		Launch:         f.launchBucket,
 		TrackResiduals: f.codec != nil,
@@ -221,23 +231,21 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		p.SetGradDestination(func() *tensor.Tensor { return tensor.FromSlice(f.Engine().Slot(idx), shape...) })
 	}
 	f.stats.FullParamBytes = 4 * f.total
-	f.stats.OptimizerBytes = f.optimizerBytes()
-	f.stats.ResidualBytes = 0
 	if f.codec != nil {
 		f.stats.ResidualBytes = 4 * f.total
 	}
-	f.stats.ShardParamBytes = f.shardParamBytes()
 	f.mapUnits()
 	f.residentParam = f.stats.FullParamBytes // fully resident until sharded
 	f.shardAll()
-	f.stats.PeakParamBytes = f.currentParamBytes()
+	f.stats.PeakParamBytes = f.residentParam
 	return f, nil
 }
 
 // installShards (re)builds the shard layout derived from the engine's
 // bucket layout: owned chunk bounds, momentum shards, and the
 // per-bucket parameter flats, which take over the parameters' current
-// (full) values and become their storage.
+// (full) values and become their storage. The owned chunks' bytes are
+// both the persistent parameter shards and the momentum shards.
 func (f *FSDP) installShards() {
 	assign := f.Assignment()
 	world := f.ProcessGroup().Size()
@@ -250,9 +258,11 @@ func (f *FSDP) installShards() {
 	f.state = make([]residency, nb)
 	f.remaining = make([]int, nb)
 	f.inflight = make([]gather, 0, nb)
+	f.stats.ShardParamBytes = 0
 	for b, members := range assign.Buckets {
 		lo, hi := comm.ChunkBounds(assign.BucketElems[b], world, rank)
 		f.ownedLo[b], f.ownedHi[b] = lo, hi
+		f.stats.ShardParamBytes += 4 * (hi - lo)
 		f.velocity[b] = make([]float32, hi-lo)
 		f.flats[b] = make([]float32, assign.BucketElems[b])
 		f.state[b] = gathered // params start resident
@@ -263,24 +273,22 @@ func (f *FSDP) installShards() {
 			p.Value = tensor.FromSlice(view, p.Value.Shape()...)
 		}
 	}
+	f.stats.OptimizerBytes = f.stats.ShardParamBytes
 }
 
-// shardAll drops every bucket's non-owned parameter ranges under ZeRO3
-// — the step from "full parameters are in the model's tensors" (after
+// shardAll drops every bucket's non-owned parameter ranges — the step
+// from "full parameters are in the model's tensors" (after
 // the constructor's broadcast, or a caller's restore ahead of Rebind) to
 // the steady sharded state.
 func (f *FSDP) shardAll() {
-	if f.opts.Strategy != ZeRO3 {
-		return
-	}
 	for b := range f.flats {
 		f.freeBucket(b)
 	}
 }
 
 // mapUnits decomposes the module into forward units — the gather/free
-// granularity of ZeRO-3 — and plans the step they imply
-// (reduce.PlanStep) and its bound on resident parameter bytes. A
+// granularity — and plans the step they imply within the preset's
+// budget (reduce.PlanStep), and its bound on resident parameter bytes. A
 // Sequential's children are its units; any other module is a single
 // unit.
 func (f *FSDP) mapUnits() {
@@ -296,12 +304,10 @@ func (f *FSDP) mapUnits() {
 		counts[u] = len(unit.Parameters())
 	}
 	f.unitBuckets = reduce.UnitBuckets(f.Assignment(), counts)
-	f.plan = reduce.PlanStep(f.unitBuckets, f.Assignment().BucketElems)
-	f.stats.BudgetParamBytes = f.stats.FullParamBytes
-	if f.opts.Strategy == ZeRO3 {
-		w := f.ProcessGroup().Size()
-		f.stats.BudgetParamBytes = f.stats.ShardParamBytes + 4*((f.plan.Budget+f.NumBuckets())*(w-1)/w)
-	}
+	elems := f.Assignment().BucketElems
+	f.plan = reduce.PlanStep(f.unitBuckets, elems, f.budget(f.unitBuckets, elems))
+	w := f.ProcessGroup().Size()
+	f.stats.BudgetParamBytes = min(f.stats.FullParamBytes, f.stats.ShardParamBytes+4*((f.plan.Budget+f.NumBuckets())*(w-1)/w))
 }
 
 // launchBucket is the reduce.Launcher fsdp plugs into the shared
@@ -319,9 +325,6 @@ func (f *FSDP) launchBucket(bucket int, flat, resFlat []float32) comm.Work {
 	return f.sg.ReduceScatterV(flat, comm.Avg)
 }
 
-// Strategy reports the configured sharding strategy.
-func (f *FSDP) Strategy() Strategy { return f.opts.Strategy }
-
 // Stats returns the current memory/traffic accounting.
 func (f *FSDP) Stats() Stats { return f.stats }
 
@@ -329,42 +332,10 @@ func (f *FSDP) Stats() Stats { return f.stats }
 // state bytes — the quantity the CI memory gate bounds against DDP.
 func (f *FSDP) ShardBytes() int { return f.stats.ShardParamBytes + f.stats.OptimizerBytes }
 
-// optimizerBytes sums the momentum shard lengths.
-func (f *FSDP) optimizerBytes() int {
-	total := 0
-	for _, v := range f.velocity {
-		total += 4 * len(v)
-	}
-	return total
-}
-
-// shardParamBytes is the persistently resident parameter bytes.
-func (f *FSDP) shardParamBytes() int {
-	if f.opts.Strategy != ZeRO3 {
-		return f.stats.FullParamBytes
-	}
-	total := 0
-	for b := range f.ownedLo {
-		total += 4 * (f.ownedHi[b] - f.ownedLo[b])
-	}
-	return total
-}
-
-// currentParamBytes is the resident parameter bytes right now: shards
-// plus the buckets gathered or being gathered (ZeRO2 is always fully
-// resident).
-func (f *FSDP) currentParamBytes() int {
-	if f.opts.Strategy != ZeRO3 {
-		return f.stats.FullParamBytes
-	}
-	return f.residentParam
-}
-
-// notePeak folds the current residency into the peak.
+// notePeak folds the current residency — shards plus the buckets
+// gathered or being gathered — into the peak.
 func (f *FSDP) notePeak() {
-	if cur := f.currentParamBytes(); cur > f.stats.PeakParamBytes {
-		f.stats.PeakParamBytes = cur
-	}
+	f.stats.PeakParamBytes = max(f.stats.PeakParamBytes, f.residentParam)
 }
 
 // nonOwnedBytes is what gathering bucket b adds to this rank's resident
@@ -373,7 +344,7 @@ func (f *FSDP) nonOwnedBytes(b int) int {
 	return 4 * (f.Assignment().BucketElems[b] - (f.ownedHi[b] - f.ownedLo[b]))
 }
 
-// freeBucket drops a gathered ZeRO-3 bucket's non-owned parameters:
+// freeBucket drops a gathered bucket's non-owned parameters:
 // their ranges of the flat are zeroed, which both gives up the only
 // copy of them this rank has (the owned chunk stays where it is) and
 // makes any read of an un-gathered parameter loudly wrong instead of
@@ -451,19 +422,15 @@ func (f *FSDP) advance(v int) {
 	}
 }
 
-// Forward runs the model's forward pass. ZeRO2 runs it directly (full
-// parameters are resident); ZeRO3 walks the units through the step's
-// plan: it advances the plan ahead of each unit's forward, puts the hook
-// that advances it ahead of the unit's backward on the unit's output,
-// and drops what the plan frees after the unit. What the plan holds
-// stays gathered into backward, and a gather it launches for backward
-// may still be in flight when Forward returns; a Forward that follows a
-// Forward lands it first.
+// Forward runs the model's forward pass, walking the units through the
+// step's plan: it advances the plan ahead of each unit's forward, puts
+// the hook that advances it ahead of the unit's backward on the unit's
+// output, and drops what the plan frees after the unit. What the plan
+// holds stays gathered into backward, and a gather it launches for
+// backward may still be in flight when Forward returns; a Forward that
+// follows a Forward lands it first.
 func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	f.BeginForward(true, f.drain())
-	if f.opts.Strategy != ZeRO3 {
-		return f.Module().Forward(x)
-	}
 	for b, members := range f.Assignment().Buckets {
 		f.remaining[b] = len(members)
 	}
@@ -481,7 +448,7 @@ func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 
 // abandon is how Backward leaves a failed step: no gather stays in
 // flight — each is waited out and its result discarded with the rest —
-// every gathered ZeRO-3 bucket is dropped, so the residency accounting
+// every gathered bucket is dropped, so the residency accounting
 // is back at the shards and nothing stale is taken for gathered should
 // the caller go on, and every gradient is cleared: one that was born in
 // its slot views a transient flat the engine has handed back to the
@@ -498,18 +465,16 @@ func (f *FSDP) abandon(err error) error {
 // autogradHook fires after a parameter's gradient is fully
 // accumulated: copy it into the bucket unless the backward kernel wrote
 // it there (the slot is the gradient's destination), mark it ready (the
-// engine launches the sharded reduce over the in-order prefix), and —
-// under ZeRO3 — free the bucket's parameters once the last member
-// gradient is in, since no remaining backward op can read them.
+// engine launches the sharded reduce over the in-order prefix), and
+// free the bucket's parameters once the last member gradient is in,
+// since no remaining backward op can read them.
 func (f *FSDP) autogradHook(idx int) {
 	f.Engine().CopyIn(idx, f.Parameters()[idx].Grad.Data())
 	f.Engine().MarkReady(idx)
-	if f.opts.Strategy == ZeRO3 {
-		b := f.Assignment().BucketOf[idx]
-		f.remaining[b]--
-		if f.remaining[b] == 0 {
-			f.freeBucket(b)
-		}
+	b := f.Assignment().BucketOf[idx]
+	f.remaining[b]--
+	if f.remaining[b] == 0 {
+		f.freeBucket(b)
 	}
 }
 
@@ -517,9 +482,8 @@ func (f *FSDP) autogradHook(idx int) {
 // reduce-and-step: waits for the sharded reductions bucket by bucket,
 // applies the momentum update to each owned chunk
 // (optim.ShardedMomentumStep — SGD's exact operation sequence), and
-// publishes updated parameters (ZeRO2 AllGathers them now; ZeRO3
-// leaves them sharded for the next forward's gathers). Gradients are
-// consumed by the step and cleared.
+// leaves the updated parameters sharded for the next forward's gathers.
+// Gradients are consumed by the step and cleared.
 func (f *FSDP) Backward(loss *autograd.Variable) error {
 	if err := f.TakeDeferred("forward"); err != nil {
 		return f.abandon(err)
@@ -540,13 +504,6 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	err := f.Engine().WaitAll(func(bucket int, flat []float32) error {
 		lo, hi := f.ownedLo[bucket], f.ownedHi[bucket]
 		optim.ShardedMomentumStep(f.flats[bucket][lo:hi], flat[lo:hi], f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
-		if f.opts.Strategy == ZeRO3 {
-			return nil
-		}
-		f.stats.Gathers++
-		if err := f.sg.AllGatherV(f.flats[bucket]).Wait(); err != nil {
-			return fmt.Errorf("fsdp: gathering updated parameters for bucket %d: %w", bucket, err)
-		}
 		return nil
 	})
 	if err != nil {
@@ -559,8 +516,9 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	return nil
 }
 
-// Materialize gathers the full parameter set into the model's tensors
-// (a per-bucket AllGatherV under ZeRO3; a no-op otherwise). All ranks
+// Materialize gathers the full parameter set into the model's tensors,
+// a per-bucket AllGatherV of every bucket not already gathered, under
+// either preset: between steps only the shards are resident. All ranks
 // must call it at the same point. Use it before reading parameters for
 // evaluation or checkpointing; the next Forward gathers nothing it
 // still holds and re-frees on schedule.
@@ -577,9 +535,9 @@ func (f *FSDP) Materialize() error {
 // Step is a no-op: Backward already applied the fused sharded update.
 func (f *FSDP) Step() {}
 
-// HoldsFullState is false under both strategies: optimizer state is
-// sharded even where parameters are not, so a lost rank's momentum
-// chunk exists nowhere else.
+// HoldsFullState is false: optimizer state and parameters are sharded
+// under either preset, so a lost rank's momentum and parameter chunks
+// exist nowhere else.
 func (f *FSDP) HoldsFullState() bool { return false }
 
 // CaptureState returns the full momentum state in parameter order (the
@@ -652,8 +610,6 @@ func (f *FSDP) Rebind(pg comm.ProcessGroup) error {
 	}
 	f.sg = sg
 	f.installShards()
-	f.stats.OptimizerBytes = f.optimizerBytes()
-	f.stats.ShardParamBytes = f.shardParamBytes()
 	f.residentParam = f.stats.FullParamBytes // caller restored full params
 	f.shardAll()
 	f.mapUnits()

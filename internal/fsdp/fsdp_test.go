@@ -380,27 +380,51 @@ func TestZeRO3ShardsExceedBudget(t *testing.T) {
 	}
 }
 
-// TestZeRO2StatsReplicateParams pins the ZeRO-2 accounting: parameters
-// fully resident, optimizer state sharded.
-func TestZeRO2StatsReplicateParams(t *testing.T) {
+// TestZeRO2HoldsShardsBetweenSteps pins what the ZeRO-2 preset's
+// whole-model budget means for memory: between steps it persists the
+// same parameter shards as ZeRO-3 and 1/world of the optimizer state,
+// while its peak — every bucket gathered at once — is the full model,
+// gathered once per bucket per step and nothing more. Nothing stays
+// gathered after a step: Materialize has to gather every bucket again.
+func TestZeRO2HoldsShardsBetweenSteps(t *testing.T) {
 	const world = 4
-	groups := inProcGroups(t, world)
-	wrappers := make([]*FSDP, world)
-	runRanks(t, world, func(rank int) error {
-		f, err := New(buildMLP(11, tIn, tHidden, tOut), groups[rank], Options{
-			Strategy: ZeRO2, BucketCapBytes: tCap, LR: tLR,
+	batches, labels := mlpFixture.makeData(world, tIters)
+	wrappers := map[Strategy][]*FSDP{}
+	for _, strategy := range []Strategy{ZeRO2, ZeRO3} {
+		groups := inProcGroups(t, world)
+		wrappers[strategy] = make([]*FSDP, world)
+		runRanks(t, world, func(rank int) error {
+			f, err := New(mlpFixture.build(), groups[rank], Options{
+				Strategy: strategy, BucketCapBytes: tCap, LR: tLR, Momentum: tMomentum,
+			})
+			if err != nil {
+				return err
+			}
+			wrappers[strategy][rank] = f
+			return fsdpTrainRank(f, rank, batches, labels)
 		})
-		wrappers[rank] = f
-		return err
-	})
-	for rank, f := range wrappers {
-		s := f.Stats()
-		if s.ShardParamBytes != s.FullParamBytes || s.PeakParamBytes != s.FullParamBytes {
-			t.Fatalf("rank %d ZeRO-2 must keep params replicated: %+v", rank, s)
+	}
+	z2 := wrappers[ZeRO2]
+	for rank, f := range z2 {
+		s, z3 := f.Stats(), wrappers[ZeRO3][rank].Stats()
+		if s.ShardParamBytes != z3.ShardParamBytes || s.ShardParamBytes >= s.FullParamBytes {
+			t.Fatalf("rank %d ZeRO-2 shard bytes %d, ZeRO-3 %d, full %d", rank, s.ShardParamBytes, z3.ShardParamBytes, s.FullParamBytes)
+		}
+		if s.PeakParamBytes != s.FullParamBytes || s.BudgetParamBytes != s.FullParamBytes {
+			t.Fatalf("rank %d ZeRO-2 peak %d and budget %d, want the full model %d", rank, s.PeakParamBytes, s.BudgetParamBytes, s.FullParamBytes)
+		}
+		if want := tIters * f.NumBuckets(); s.Gathers != want {
+			t.Fatalf("rank %d ZeRO-2 gathered %d times in %d steps of %d buckets", rank, s.Gathers, tIters, f.NumBuckets())
 		}
 		slack := 4 * world * f.NumBuckets()
 		if s.OptimizerBytes > s.FullParamBytes/world+slack {
 			t.Fatalf("rank %d ZeRO-2 optimizer bytes %d not ~1/world of %d", rank, s.OptimizerBytes, s.FullParamBytes)
+		}
+	}
+	runRanks(t, world, func(rank int) error { return z2[rank].Materialize() })
+	for rank, f := range z2 {
+		if got, want := f.Stats().Gathers, (tIters+1)*f.NumBuckets(); got != want {
+			t.Fatalf("rank %d: %d gathers after Materialize, want %d: a bucket stayed gathered between steps", rank, got, want)
 		}
 	}
 }
@@ -510,6 +534,11 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if ZeRO2.String() != "zero2" || ZeRO3.String() != "zero3" {
 		t.Fatal("Strategy.String spelling changed")
+	}
+	// A value that is not a preset has no budget: New refuses it, by
+	// name, instead of training it as one.
+	if _, err := New(mlpFixture.build(), inProcGroups(t, 1)[0], Options{Strategy: Strategy(2)}); err == nil || !strings.Contains(err.Error(), "Strategy(2)") {
+		t.Fatalf("New with Strategy(2): got %v, want it refused by name", err)
 	}
 }
 

@@ -74,8 +74,8 @@ func unitCounts(module nn.Module) []int {
 // TestStepMatchesSchedule holds the two descriptions of a step to each
 // other: the collectives a real ddp, zero2 or zero3 replica submits in
 // its second synchronized step, by kind, size and order, on every rank,
-// are the ones reduce.Schedule lists for that replica's layout and
-// units — the schedule simnet walks.
+// are the ones replica.Schedule lists for that replica's layout and units — the
+// schedule simnet walks.
 func TestStepMatchesSchedule(t *testing.T) {
 	for _, fx := range []fixture{bertFixture, deepFixture} {
 		for _, strategy := range []string{"ddp", "zero2", "zero3"} {
@@ -110,7 +110,7 @@ func TestStepMatchesSchedule(t *testing.T) {
 							Module() nn.Module
 						})
 						assign := core.Assignment()
-						step, err := reduce.Schedule(strategy, assign, reduce.UnitBuckets(assign, unitCounts(core.Module())))
+						step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, unitCounts(core.Module())))
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -142,9 +142,10 @@ func (c Cluster) ReduceScatterSeconds(b Backend, nBytes int, world int) float64 
 
 // AllGatherSeconds returns the modeled wall time of one AllGather of
 // nBytes (the full, concatenated buffer size) across world ranks:
-// comm.AllGatherV's ring pass. ZeRO-2 runs one per step to rebuild
-// replicated parameters from sharded optimizer updates; ZeRO-3 runs one
-// per bucket per pass to materialize parameters on demand.
+// comm.AllGatherV's ring pass. Sharded data parallel runs one per
+// bucket gather its step's plan makes, to materialize parameters on
+// demand: once a step under ZeRO-2's whole-model budget, again for
+// backward where ZeRO-3's budget dropped the bucket.
 func (c Cluster) AllGatherSeconds(b Backend, nBytes int, world int) float64 {
 	return c.cost(b, world, c.halvingSeconds(nBytes, world), func() float64 {
 		return comm.WalkAllGatherV(world, nBytes/4, c.hop(false))

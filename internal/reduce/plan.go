@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// Plan is one ZeRO-3 training step's parameter-gather schedule, computed
+// Plan is one sharded training step's parameter-gather schedule, computed
 // as data once per install or rebind. A step makes 2n visits to its n
 // units: the forward visits of units 0…n−1, then the backward visits of
 // units n−1…0. A visit reads the buckets its unit's parameters touch.
@@ -18,20 +18,35 @@ type Plan struct {
 	// lists the buckets dropped once it has run.
 	Launch, Need []int
 	Free         [][]int
-	// Budget bounds the elements of the buckets resident while any
-	// visit runs, a bucket counting from its launch.
+	// Budget is the bound PlanStep was given on the elements of the
+	// buckets resident while any visit runs, a bucket counting from its
+	// launch.
 	Budget int
 }
 
+// PrefetchBudget is the tightest budget, in elements, that leaves room
+// for what any visit reads and one gather ahead of it: the largest sum
+// of one visit's buckets plus the largest single bucket.
+func PrefetchBudget(unitBuckets [][]int, size []int) int {
+	budget, largest := 0, 0
+	for _, unit := range unitBuckets {
+		sum := 0
+		for _, b := range unit {
+			sum += size[b]
+			largest = max(largest, size[b])
+		}
+		budget = max(budget, sum)
+	}
+	return budget + largest
+}
+
 // PlanStep computes the plan for units whose parameters touch
-// unitBuckets[u], bucket b holding size[b] elements. Every rank derives
-// the same plan from the same layout; nothing in it depends on the world
-// size.
+// unitBuckets[u], bucket b holding size[b] elements, that keeps the
+// resident buckets within budget elements. Every rank derives the same
+// plan from the same layout; nothing in it depends on the world size.
 //
-// The plan keeps the resident buckets within a budget: the largest sum
-// of one visit's buckets plus the largest single bucket. Within it, a
-// step is a caching problem over the visits' reads, solved in two
-// passes:
+// Within the budget, a step is a caching problem over the visits'
+// reads, solved in two passes:
 //
 //   - Which gathers happen, by Belady's rule (L. A. Belady, "A study of
 //     replacement algorithms for a virtual-storage computer", IBM
@@ -53,10 +68,12 @@ type Plan struct {
 // A visit waits for exactly the buckets it reads. With buckets of equal
 // size no plan within the budget gathers less; with unequal sizes the
 // rule is a heuristic that can gather once more than the fewest. A
-// layout whose backward must hold more than the budget — buckets read
-// by units far apart, as tied weights are — has no plan within it, and
-// gets one that holds what backward must.
-func PlanStep(unitBuckets [][]int, size []int) Plan {
+// budget that holds every bucket never drops one before its last read:
+// each is gathered once, all launched at the first visit. A visit that
+// reads more than the budget, or a backward that must hold more — buckets
+// read by units far apart, as tied weights are — has no plan within it,
+// and gets one that holds what the visit or backward must.
+func PlanStep(unitBuckets [][]int, size []int, budget int) Plan {
 	n, nb := len(unitBuckets), len(size)
 	nv := 2 * n
 	reads := func(v int) []int {
@@ -70,18 +87,12 @@ func PlanStep(unitBuckets [][]int, size []int) Plan {
 	// none).
 	after := make([][]int, nv+1)
 	after[nv] = slices.Repeat([]int{nv}, nb)
-	budget, largest := 0, 0
 	for v := nv - 1; v >= 0; v-- {
 		after[v] = slices.Clone(after[v+1])
-		sum := 0
 		for _, b := range reads(v) {
 			after[v][b] = v
-			sum += size[b]
-			largest = max(largest, size[b])
 		}
-		budget = max(budget, sum)
 	}
-	budget += largest
 
 	// Pass 1: the gathers, each with the visit that first reads it and
 	// the visit after which it is dropped. cur[b] is b's resident gather

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// planBudget is PlanStep's bound on the resident elements: the largest
-// sum of one unit's buckets plus the largest single bucket.
+// planBudget is PrefetchBudget's bound on the resident elements: the
+// largest sum of one unit's buckets plus the largest single bucket.
 func planBudget(unitBuckets [][]int, size []int) int {
 	visit, largest := 0, 0
 	for _, buckets := range unitBuckets {
@@ -23,19 +23,31 @@ func planBudget(unitBuckets [][]int, size []int) int {
 	return visit + largest
 }
 
-// checkPlan replays a plan over its layout and fails unless launches
-// and waits only move forward, every bucket a visit reads is resident
-// and landed when the visit runs, no bucket is gathered while it is
-// resident, what is resident never exceeds the budget (in elements),
-// backward drops each bucket right after its last read, and nothing
-// stays resident after the step.
+// prefetchPlan is the plan within PrefetchBudget, the ZeRO-3 preset's.
+func prefetchPlan(unitBuckets [][]int, size []int) Plan {
+	return PlanStep(unitBuckets, size, PrefetchBudget(unitBuckets, size))
+}
+
+// checkPlan checks a plan within PrefetchBudget: its budget is
+// planBudget's, and it keeps the promises replayPlan checks.
 func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 	t.Helper()
-	n := len(unitBuckets)
 	budget := planBudget(unitBuckets, size)
 	if p.Budget != budget {
 		t.Fatalf("plan's budget is %d elements, want %d", p.Budget, budget)
 	}
+	replayPlan(t, p, unitBuckets, size)
+}
+
+// replayPlan replays a plan over its layout and fails unless launches
+// and waits only move forward, every bucket a visit reads is resident
+// and landed when the visit runs, no bucket is gathered while it is
+// resident, what is resident never exceeds the plan's budget (in
+// elements), backward drops each bucket right after its last read, and
+// nothing stays resident after the step.
+func replayPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
+	t.Helper()
+	n, budget := len(unitBuckets), p.Budget
 	lastRead := make([]int, len(size)) // the backward visit of the lowest unit reading b
 	for u := n - 1; u >= 0; u-- {
 		for _, b := range unitBuckets[u] {
@@ -188,7 +200,7 @@ func TestPlanStepGathersTheFewest(t *testing.T) {
 		if want < 0 {
 			continue
 		}
-		p := PlanStep(units, size)
+		p := prefetchPlan(units, size)
 		checkPlan(t, p, units, size)
 		if len(p.Seq) != want {
 			t.Fatalf("layout %v: plan %v makes %d gathers, the fewest is %d", units, p.Seq, len(p.Seq), want)
@@ -206,7 +218,7 @@ func TestPlanStepKeepsItsPromises(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for range 20000 {
 		units, size := randomLayout(rng, 9, 27, func() int { return 1 + rng.Intn(10)*(1+99*rng.Intn(2)) })
-		checkPlan(t, PlanStep(units, size), units, size)
+		checkPlan(t, prefetchPlan(units, size), units, size)
 	}
 }
 
@@ -232,7 +244,7 @@ func TestPlanOfPinnedLayouts(t *testing.T) {
 		{"unequal sizes", [][]int{{0}, {1}, {2}, {3}}, []int{1, 1, 4, 4}, "[0 1 2 3 1 0]", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := PlanStep(tc.units, tc.size)
+			p := prefetchPlan(tc.units, tc.size)
 			checkPlan(t, p, tc.units, tc.size)
 			if got := fmt.Sprint(p.Seq); got != tc.seq {
 				t.Fatalf("plan launches %s, want %s", got, tc.seq)
@@ -241,5 +253,44 @@ func TestPlanOfPinnedLayouts(t *testing.T) {
 				t.Fatalf("plan %v makes %d gathers, want %d", p.Seq, got, want)
 			}
 		})
+	}
+}
+
+// TestPlanStepWithinTheWholeModel checks the ZeRO-2 preset's plan: with
+// a budget that holds every bucket, nothing is dropped before its last
+// read, so on random layouts — tied weights included — the plan gathers
+// each bucket exactly once, launches every gather at the first visit,
+// and frees nothing in forward.
+func TestPlanStepWithinTheWholeModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for range 5000 {
+		units, size := randomLayout(rng, 9, 27, func() int { return 1 + rng.Intn(10)*(1+99*rng.Intn(2)) })
+		for u := range units {
+			if b := rng.Intn(len(size) + 1); b < len(size) && rng.Intn(3) == 0 && !slices.Contains(units[u], b) {
+				units[u] = append(units[u], b)
+			}
+		}
+		total := 0
+		for _, n := range size {
+			total += n
+		}
+		p := PlanStep(units, size, total)
+		replayPlan(t, p, units, size)
+		nb := len(size)
+		each := make([]int, nb)
+		for b := range each {
+			each[b] = b
+		}
+		if !slices.Equal(slices.Sorted(slices.Values(p.Seq)), each) {
+			t.Fatalf("layout %v: plan %v does not gather each of %d buckets once", units, p.Seq, nb)
+		}
+		if p.Launch[0] != nb {
+			t.Fatalf("layout %v: %d of %d gathers launched at the first visit", units, p.Launch[0], nb)
+		}
+		for v, free := range p.Free[:len(units)] {
+			if len(free) > 0 {
+				t.Fatalf("layout %v: forward visit %d frees buckets %v", units, v, free)
+			}
+		}
 	}
 }

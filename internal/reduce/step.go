@@ -1,9 +1,6 @@
 package reduce
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Kind is the collective a step submits for one bucket.
 type Kind uint8
@@ -65,27 +62,15 @@ func UnitBuckets(assign *Assignment, counts []int) [][]int {
 	return units
 }
 
-// Schedule returns the collectives one synchronized step of strategy
-// ("ddp" or "", "zero2", "zero3") submits over the layout assign, for
-// units whose parameters touch units[u] (UnitBuckets). A bucket's
+// Schedule returns the collectives one synchronized step submits over
+// the layout assign, for units whose parameters touch units[u]
+// (UnitBuckets): ddp's when plan is nil, else a sharded step's that
+// gathers as plan (PlanStep over the same units) says. A bucket's
 // gradient reduce is submitted after the visit at which its last
 // gradient lands, in bucket order, as the Engine launches it; ddp waits
-// for its AllReduces at the end of backward, the sharded strategies for
-// each ReduceScatterV at its bucket's update. zero3 gathers as PlanStep
-// plans. zero2 gathers each bucket after its update and waits for the
-// gather before the next update.
-func Schedule(strategy string, assign *Assignment, units [][]int) (Step, error) {
-	var plan Plan
-	reduce := ReduceScatterV
-	switch strategy {
-	case "", "ddp":
-		reduce = AllReduce
-	case "zero3":
-		plan = PlanStep(units, assign.BucketElems)
-	case "zero2":
-	default:
-		return nil, fmt.Errorf("reduce: unknown strategy %q (want ddp, zero2 or zero3)", strategy)
-	}
+// for its AllReduces at the end of backward, a sharded step for each
+// ReduceScatterV at its bucket's update.
+func Schedule(assign *Assignment, units [][]int, plan *Plan) Step {
 	n, nb := len(units), assign.NumBuckets()
 	end := 2 * n // the end of backward
 	// lands[b] is the backward visit of the lowest unit reading b.
@@ -99,21 +84,18 @@ func Schedule(strategy string, assign *Assignment, units [][]int) (Step, error) 
 	reduced, gathered, waiter := 0, 0, 0
 	for p := 0; p <= end; p++ {
 		for ; reduced < nb && lands[reduced] < p; reduced++ {
-			wait := end + reduced // the bucket's update
-			if reduce == AllReduce {
-				wait = end
+			c := Collective{ReduceScatterV, reduced, p, end + reduced} // waited at the bucket's update
+			if plan == nil {
+				c.Kind, c.Wait = AllReduce, end
 			}
-			step = append(step, Collective{reduce, reduced, p, wait})
+			step = append(step, c)
 		}
-		for ; p < len(plan.Launch) && gathered < plan.Launch[p]; gathered++ {
+		for ; plan != nil && p < end && gathered < plan.Launch[p]; gathered++ {
 			for plan.Need[waiter] <= gathered {
 				waiter++
 			}
 			step = append(step, Collective{AllGatherV, plan.Seq[gathered], p, waiter})
 		}
 	}
-	for b := 0; strategy == "zero2" && b < nb; b++ {
-		step = append(step, Collective{AllGatherV, b, end + b + 1, end + b + 1})
-	}
-	return step, nil
+	return step
 }

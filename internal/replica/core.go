@@ -95,7 +95,7 @@ func (c *Core) Module() nn.Module { return c.module }
 func (c *Core) ProcessGroup() comm.ProcessGroup { return c.pg }
 
 // Parameters exposes the wrapped model's parameters in model order (for
-// optimizers). Under ZeRO-3 they hold zeros for non-owned elements
+// optimizers). Under fsdp they hold zeros for non-owned elements
 // except while gathered; fsdp.FSDP.Materialize gathers them.
 func (c *Core) Parameters() []*nn.Parameter { return c.params }
 

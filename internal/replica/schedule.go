@@ -1,0 +1,45 @@
+package replica
+
+import (
+	"fmt"
+
+	"repro/internal/reduce"
+)
+
+// Budget is the one place a sharded preset becomes a memory budget: it
+// returns the function of the layout that gives the elements the step's
+// plan (reduce.PlanStep) may hold gathered, for units whose parameters
+// touch unitBuckets[u] over buckets of size[b] elements. "zero2" holds
+// the whole model, so each bucket is gathered once a step; "zero3"
+// holds reduce.PrefetchBudget. Any other name is an error that names it.
+func Budget(strategy string) (func(unitBuckets [][]int, size []int) int, error) {
+	switch strategy {
+	case "zero2":
+		return func(_ [][]int, size []int) (total int) {
+			for _, n := range size {
+				total += n
+			}
+			return total
+		}, nil
+	case "zero3":
+		return reduce.PrefetchBudget, nil
+	default:
+		return nil, fmt.Errorf("unknown sharded strategy %q (want zero2 or zero3)", strategy)
+	}
+}
+
+// Schedule returns the collectives one synchronized step of strategy
+// submits over the layout assign, for units whose parameters touch
+// units[u] (reduce.UnitBuckets): "ddp" (or "") for the replicated step,
+// else a sharded preset's, planned within its Budget.
+func Schedule(strategy string, assign *reduce.Assignment, units [][]int) (reduce.Step, error) {
+	if strategy == "" || strategy == "ddp" {
+		return reduce.Schedule(assign, units, nil), nil
+	}
+	budget, err := Budget(strategy)
+	if err != nil {
+		return nil, fmt.Errorf("unknown strategy %q (want ddp, zero2 or zero3)", strategy)
+	}
+	plan := reduce.PlanStep(units, assign.BucketElems, budget(units, assign.BucketElems))
+	return reduce.Schedule(assign, units, &plan), nil
+}

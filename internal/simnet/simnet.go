@@ -1,7 +1,7 @@
 // Package simnet is the discrete-event simulator that stands in for the
 // paper's 32–256 GPU testbed (see ARCHITECTURE.md, "Substitutions and
 // the experiment index"). It walks the step the replicas run —
-// reduce.Schedule over reduce.AssignBuckets' layout — against the hw
+// replica.Schedule over reduce.AssignBuckets' layout — against the hw
 // package's calibrated NCCL/Gloo and GPU/CPU cost curves. The training
 // clock runs the forward visits of the parameters, their backward
 // visits in reverse, then one optimizer update per bucket, each taking
@@ -21,6 +21,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/hw"
 	"repro/internal/reduce"
+	"repro/internal/replica"
 )
 
 // Config describes one simulated training configuration.
@@ -61,8 +62,8 @@ type Config struct {
 	// instead of as the flat ring. Identical to the flat ring while the
 	// world fits one server.
 	Hierarchical bool
-	// Strategy names the step reduce.Schedule builds: "" or "ddp", or a
-	// sharded ZeRO stage as fsdp.Strategy spells it, whose optimizer
+	// Strategy names the step replica.Schedule builds: "" or "ddp", or a
+	// sharded preset as fsdp.Strategy spells it, whose optimizer
 	// updates 1/World of the state, whose gathers move raw bytes, and
 	// which no replica runs with Overlap false, SyncEveryN or
 	// CommStreams: those are errors. The half-collectives are priced as
@@ -193,7 +194,7 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 		return Breakdown{}, nil, err
 	}
 	// Every parameter is its own unit: its own forward and backward visit.
-	step, err := reduce.Schedule(cfg.Strategy, assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, n)))
+	step, err := replica.Schedule(cfg.Strategy, assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, n)))
 	if err != nil {
 		return Breakdown{}, nil, fmt.Errorf("simnet: Strategy: %w", err)
 	}

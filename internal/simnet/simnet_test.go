@@ -10,6 +10,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/reduce"
+	"repro/internal/replica"
 )
 
 func resnetCfg() Config {
@@ -379,23 +380,24 @@ func TestShardedStrategiesChangeCostShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sharding trades communication for memory. ZeRO-2 moves DDP's
-	// bytes (ReduceScatter + AllGather is the ring AllReduce) but its
-	// parameter AllGather waits for the optimizer, so all of it is
-	// exposed traffic DDP never pays. ZeRO-3 gathers again for backward
-	// every bucket fsdp's plan does not hold across the turn — three of
-	// ResNet-50's five, the last two stay gathered — so it moves between
-	// 1.2 and 1.5 times ZeRO-2's traffic, yet gathers ahead of compute
-	// as far as its budget allows, so only the first forward gather and
-	// the longer backward tail are exposed: the most traffic of the three, and a step below
-	// ZeRO-2's. (Against DDP it comes down to that exposure versus the
-	// sharded optimizer's saving, which no ordering pins; the measured
-	// zero3_bert_shaped row lands on ddp_bert_shaped.)
+	// bytes (ReduceScatter + AllGather is the ring AllReduce): its plan
+	// holds the whole model, so it gathers every bucket once, all
+	// launched ahead of the first forward visit, and only the first
+	// gathers are exposed — less than DDP's AllReduce tail, and with the
+	// sharded optimizer's saving the fastest step of the three. ZeRO-3
+	// gathers again for backward every bucket its tighter plan does not
+	// hold across the turn — three of ResNet-50's five, the last two
+	// stay gathered — so it moves between 1.2 and 1.5 times ZeRO-2's
+	// traffic, and its longer backward tail leaves it the most exposed
+	// communication; the sharded optimizer's saving still puts its step
+	// below DDP's here. (The measured zero3_bert_shaped row lands behind
+	// ddp_bert_shaped.)
 	cfg := z3cfg.withDefaults()
 	assign, err := reduce.AssignBuckets(cfg.ParamSizes, cfg.BucketCapBytes, 4, reduce.ReverseOrder(len(cfg.ParamSizes)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := reduce.Schedule("zero3", assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, len(cfg.ParamSizes))))
+	step, err := replica.Schedule("zero3", assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, len(cfg.ParamSizes))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,17 +410,17 @@ func TestShardedStrategiesChangeCostShape(t *testing.T) {
 	if got := fmt.Sprint(gathers); got != "[1 1 2 2 2]" {
 		t.Fatalf("ZeRO-3 gathers buckets %s times, want every bucket twice but the last two layers'", got)
 	}
-	if !(ddp.TotalSeconds < z2.TotalSeconds && z3.TotalSeconds < z2.TotalSeconds) {
-		t.Fatalf("latency order ddp, zero3 < zero2 violated: %v, %v, %v",
-			ddp.TotalSeconds, z2.TotalSeconds, z3.TotalSeconds)
+	if !(z2.TotalSeconds < z3.TotalSeconds && z3.TotalSeconds < ddp.TotalSeconds) {
+		t.Fatalf("latency order zero2 < zero3 < ddp violated: %v, %v, %v",
+			z2.TotalSeconds, z3.TotalSeconds, ddp.TotalSeconds)
 	}
 	if !(math.Abs(z2.CommSeconds-ddp.CommSeconds) <= 1e-12*ddp.CommSeconds && z3.CommSeconds > 1.2*z2.CommSeconds && z3.CommSeconds < 1.5*z2.CommSeconds) {
 		t.Fatalf("traffic order ddp = zero2 < zero3 violated: %v, %v, %v",
 			ddp.CommSeconds, z2.CommSeconds, z3.CommSeconds)
 	}
-	if !(ddp.ExposedCommSeconds < z3.ExposedCommSeconds && z3.ExposedCommSeconds < z2.ExposedCommSeconds) {
-		t.Fatalf("exposed comm order ddp < zero3 < zero2 violated: %v, %v, %v",
-			ddp.ExposedCommSeconds, z3.ExposedCommSeconds, z2.ExposedCommSeconds)
+	if !(z2.ExposedCommSeconds < ddp.ExposedCommSeconds && ddp.ExposedCommSeconds < z3.ExposedCommSeconds) {
+		t.Fatalf("exposed comm order zero2 < ddp < zero3 violated: %v, %v, %v",
+			z2.ExposedCommSeconds, ddp.ExposedCommSeconds, z3.ExposedCommSeconds)
 	}
 	// The sharded optimizer touches only the owned 1/world of the state.
 	if z2.OptimizerSeconds >= ddp.OptimizerSeconds {
@@ -450,7 +452,7 @@ func TestShardedSingleGPUHasNoCommunication(t *testing.T) {
 	}
 }
 
-// TestRefusesWhatNoReplicaRuns: a strategy reduce.Schedule does not know,
+// TestRefusesWhatNoReplicaRuns: a strategy replica.Schedule does not know,
 // and the knobs only DDP's schedule has (round-robin groups, no_sync, the
 // barrier baseline) under a sharded one, are errors that name the field
 // instead of a latency for a step nothing runs.
