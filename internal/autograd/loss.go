@@ -17,7 +17,7 @@ func MSELoss(pred, target *Variable) *Variable {
 	var sum float64
 	for i, p := range pv.Data() {
 		d := float64(p - tv.Data()[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	out := tensor.Scalar(float32(sum) / n)
 	return newOp("mse", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {

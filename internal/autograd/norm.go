@@ -51,7 +51,7 @@ func BatchNorm(x, gamma, beta *Variable, runningMean, runningVar []float32, eps 
 				base := (b*c + ch) * spatial
 				for i := 0; i < spatial; i++ {
 					d := float64(xv.Data()[base+i]) - m
-					s += d * d
+					s += float64(d * d)
 				}
 			}
 			variance[ch] = float32(s / float64(count))
@@ -148,7 +148,7 @@ func LayerNorm(x, gain, bias *Variable, eps float32) *Variable {
 		var sq float64
 		for _, v := range row {
 			d := float64(v - m)
-			sq += d * d
+			sq += float64(d * d)
 		}
 		inv := float32(1 / math.Sqrt(sq/float64(dim)+float64(eps)))
 		invStd[r] = inv

@@ -1,10 +1,6 @@
 package autograd
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Add returns a + b elementwise.
 func Add(a, b *Variable) *Variable {
@@ -192,18 +188,7 @@ func Gelu(a *Variable) *Variable {
 	av := a.Value
 	out := tensor.Gelu(av)
 	return newOp("gelu", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		const c = 0.7978845608028654
-		gin := tensor.New(av.Shape()...)
-		gd, ad, gg := gin.Data(), av.Data(), g.Data()
-		for i := range gd {
-			x := float64(ad[i])
-			u := c * (x + 0.044715*x*x*x)
-			t := math.Tanh(u)
-			du := c * (1 + 3*0.044715*x*x)
-			d := 0.5*(1+t) + 0.5*x*(1-t*t)*du
-			gd[i] = gg[i] * float32(d)
-		}
-		return []*tensor.Tensor{gin}
+		return []*tensor.Tensor{tensor.GeluGrad(av, g)}
 	}, a)
 }
 

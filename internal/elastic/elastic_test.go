@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,43 +289,44 @@ func TestRendezvousLateArrivalForcesNextGeneration(t *testing.T) {
 	r0, _ := NewRendezvous(cfg)
 	r1, _ := NewRendezvous(cfg)
 
-	var wg sync.WaitGroup
+	var g namedGroup
 	first := make([]*Assignment, 2)
 	for i, r := range []*Rendezvous{r0, r1} {
-		wg.Add(1)
-		go func(i int, r *Rendezvous) {
-			defer wg.Done()
+		g.Go(fmt.Sprintf("initial join w%d", i), func() {
 			a, err := r.Join(Member{ID: fmt.Sprintf("w%d", i)})
 			if err != nil {
 				t.Errorf("join: %v", err)
 				return
 			}
 			first[i] = a
-		}(i, r)
+		})
 	}
-	wg.Wait()
+	g.Wait(t, 30*time.Second)
 	if first[0] == nil || first[0].World != 2 || first[0].Generation != 0 {
 		t.Fatalf("initial round: %+v", first[0])
 	}
 
 	// A latecomer lands in the sealed round, bumps the generation, and
-	// the incumbents (told by the gen watch) rejoin alongside it.
+	// the incumbents (told by the gen watch) rejoin alongside it. The
+	// next round's leader — whichever of the three arrives first — holds
+	// the door open until all three are in: with no grace it may seal at
+	// MinWorld, and the one left out (after proposing another round,
+	// which nobody here joins) would wait alone for a quorum forever.
+	cfg.Grace = 20 * time.Second
 	rl, _ := NewRendezvous(cfg)
+	r0, _ = NewRendezvous(cfg)
+	r1, _ = NewRendezvous(cfg)
 	results := make([]*Assignment, 3)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	g.Go("late join", func() {
 		a, err := rl.Join(Member{ID: "late"})
 		if err != nil {
 			t.Errorf("late join: %v", err)
 			return
 		}
 		results[2] = a
-	}()
+	})
 	for i, r := range []*Rendezvous{r0, r1} {
-		wg.Add(1)
-		go func(i int, r *Rendezvous) {
-			defer wg.Done()
+		g.Go(fmt.Sprintf("rejoin w%d", i), func() {
 			if _, err := r.WaitGenerationAbove(0); err != nil {
 				t.Errorf("watch: %v", err)
 				return
@@ -333,9 +337,9 @@ func TestRendezvousLateArrivalForcesNextGeneration(t *testing.T) {
 				return
 			}
 			results[i] = a
-		}(i, r)
+		})
 	}
-	wg.Wait()
+	g.Wait(t, 30*time.Second)
 	for i, a := range results {
 		if a == nil {
 			t.Fatalf("worker %d has no assignment", i)
@@ -346,6 +350,60 @@ func TestRendezvousLateArrivalForcesNextGeneration(t *testing.T) {
 		if a.Generation < 1 {
 			t.Fatalf("worker %d: generation did not advance: %d", i, a.Generation)
 		}
+	}
+}
+
+// namedGroup is a sync.WaitGroup whose Wait has a deadline: past it the
+// test fails, naming each goroutine that has not returned, with every
+// goroutine's stack. A rendezvous that never completes then fails the
+// test instead of hanging the package until the suite's -timeout.
+type namedGroup struct {
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	running map[string]bool
+}
+
+// Go runs f on a goroutine of its own, known by name until it returns.
+func (g *namedGroup) Go(name string, f func()) {
+	g.mu.Lock()
+	if g.running == nil {
+		g.running = make(map[string]bool)
+	}
+	g.running[name] = true
+	g.mu.Unlock()
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() {
+			g.mu.Lock()
+			delete(g.running, name)
+			g.mu.Unlock()
+		}()
+		f()
+	}()
+}
+
+// Wait waits for every goroutine started by Go, at most d.
+func (g *namedGroup) Wait(t *testing.T, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		g.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		g.mu.Lock()
+		names := make([]string, 0, len(g.running))
+		for name := range g.running {
+			names = append(names, name)
+		}
+		g.mu.Unlock()
+		sort.Strings(names)
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		t.Fatalf("%s did not return within %v; every goroutine:\n%s", strings.Join(names, ", "), d, stacks)
 	}
 }
 

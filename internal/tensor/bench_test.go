@@ -182,3 +182,30 @@ func TestMatMulAllocatesOnlyItsOutput(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkGelu times GELU forward and backward under both bodies on the
+// [16, 512] activation of the benchmark's BERT-shaped feed-forward block,
+// N(0, 1) inputs, and reports ns/element:
+//
+//	go test -run '^$' -bench Gelu -cpu 1 ./internal/tensor
+func BenchmarkGelu(b *testing.B) {
+	const rows, n = 16, 512
+	rng := rand.New(rand.NewSource(41))
+	x, g := RandN(rng, 1, rows, n), RandN(rng, 1, rows, n)
+	kernelBodies(func(body string) {
+		for _, call := range []struct {
+			name string
+			run  func()
+		}{
+			{"forward", func() { Gelu(x) }},
+			{"backward", func() { GeluGrad(x, g) }},
+		} {
+			b.Run(body+"/"+call.name, func(b *testing.B) {
+				for b.Loop() {
+					call.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(rows*n), "ns/element")
+			})
+		}
+	})
+}

@@ -197,9 +197,11 @@ func ReluGrad(x, g *Tensor) *Tensor {
 	return out
 }
 
-// Tanh returns tanh(x) elementwise.
+// Tanh returns tanh(x) elementwise, by tanhDef (tanh.go).
 func Tanh(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Tanh(float64(v))) })
+	out := New(a.shape...)
+	tanhFloats(out.data, a.data)
+	return out
 }
 
 // Sigmoid returns 1/(1+exp(-x)) elementwise.
@@ -208,13 +210,24 @@ func Sigmoid(a *Tensor) *Tensor {
 }
 
 // Gelu returns the Gaussian error linear unit using the tanh approximation,
-// matching the activation used in BERT.
+// matching the activation used in BERT: ½x·(1 + tanh(√(2/π)·(x +
+// 0.044715x³))), evaluated in float64 by tanhDef (tanh.go).
 func Gelu(a *Tensor) *Tensor {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	return Apply(a, func(v float32) float32 {
-		x := float64(v)
-		return float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
-	})
+	out := New(a.shape...)
+	geluFloats(out.data, a.data)
+	return out
+}
+
+// GeluGrad returns the gradient of Gelu at x given the gradient g of its
+// output: g times GELU's derivative at x rounded to float32, the product
+// in float32. x and g must have the same size.
+func GeluGrad(x, g *Tensor) *Tensor {
+	if len(x.data) != len(g.data) {
+		panic("tensor: GeluGrad size mismatch")
+	}
+	out := New(x.shape...)
+	geluGradFloats(out.data, x.data, g.data)
+	return out
 }
 
 // Exp returns e^x elementwise.

@@ -9,12 +9,12 @@ import (
 	"unsafe"
 )
 
-// The differential test of matmul_amd64.s and stream_amd64.s: each leaf
-// runs once with the assembly switched off and once with it on, over
-// operands that differ only in which body wrote them, and every bit must
-// agree — inside the slices (any NaN standing for any NaN, as in
-// requireBitwise) and in the canaries on both sides of them, which
-// neither body may touch.
+// The differential test of matmul_amd64.s, stream_amd64.s and
+// tanh_amd64.s: each leaf runs once with the assembly switched off and
+// once with it on, over operands that differ only in which body wrote
+// them, and every bit must agree — inside the slices (any NaN standing
+// for any NaN, as in requireBitwise) and in the canaries on both sides of
+// them, which neither body may touch.
 
 const (
 	canaryFloats = 8          // on each side of an operand
@@ -162,6 +162,41 @@ func TestAssemblyStreamsMatchGoStreams(t *testing.T) {
 			})
 			runBothBodies(t, fmt.Sprintf("MomentumStep n=%d off=%d lr=%v momentum=%v", n, off, lr, momentum), off, []operand{p, g, v}, func(s [][]float32) {
 				MomentumStep(s[0], s[1], s[2], lr, momentum)
+			})
+		}
+	}
+}
+
+// TestAssemblyTanhLeavesMatchGoLoops runs tanh, GELU and GELU's gradient
+// under both bodies for every length 0–40 and 4099 (blocks of 64, then a
+// tail of three) and every start offset 0–7 of every operand, on the
+// special values and on inputs of three scales — around the branch
+// points, and out to where tanh saturates.
+func TestAssemblyTanhLeavesMatchGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	lengths := []int{4099}
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			dst, x, g := newOperand(n, 0), newOperand(n, 0), newOperand(n, 0)
+			fillKernelValues(rng, dst.s)
+			fillKernelValues(rng, g.s)
+			for i := range x.s {
+				x.s[i] = float32(rng.NormFloat64() * []float64{0.5, 3, 40}[rng.Intn(3)])
+				if rng.Intn(4) == 0 {
+					x.s[i] = kernelValues[rng.Intn(len(kernelValues))]
+				}
+			}
+			runBothBodies(t, fmt.Sprintf("Tanh n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
+				tanhFloats(s[0], s[1])
+			})
+			runBothBodies(t, fmt.Sprintf("Gelu n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
+				geluFloats(s[0], s[1])
+			})
+			runBothBodies(t, fmt.Sprintf("GeluGrad n=%d off=%d", n, off), off, []operand{dst, x, g}, func(s [][]float32) {
+				geluGradFloats(s[0], s[1], s[2])
 			})
 		}
 	}

@@ -99,6 +99,15 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 				}
 				HalfEncode(frame, s[1], s[2], nil)
 			})
+			run("tanhFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+				tanhFloats(s[0], s[1])
+			})
+			run("geluFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+				geluFloats(s[0], s[1])
+			})
+			run("geluGradFloats", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+				geluGradFloats(s[0], s[1], s[2])
+			})
 			for k := 1; k <= maxN; k++ {
 				m := 1 + (n+k)%maxM
 				run("dotRows", [3]int{m * n, m * k, n * k}, atEnd, func(s [3][]float32) {

@@ -10,9 +10,10 @@ package tensor
 // operating system saves the upper halves of the vector registers (CPUID,
 // then XGETBV). The matmul and float stream bodies need only AVX; the
 // binary16 encoder's 256-bit integer operations need AVX2 and its frame
-// packing F16C, which every AVX2 processor has, and one probe serves all
-// seven bodies. The price: an AVX-only processor (Sandy Bridge, Ivy
-// Bridge, Bulldozer, Piledriver) now runs every leaf as its Go loop.
+// packing F16C, which every AVX2 processor has, the tanh body's 256-bit
+// shift AVX2 too, and one probe serves all ten leaves. The price: an
+// AVX-only processor (Sandy Bridge, Ivy Bridge, Bulldozer, Piledriver)
+// now runs every leaf as its Go loop.
 func hasAVX2() bool
 
 // mulAdd4AVX is mulAdd4 over n elements, n a positive multiple of eight.

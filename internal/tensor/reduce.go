@@ -130,7 +130,7 @@ func MeanVar(a *Tensor) (mean, variance float32) {
 	var sq float64
 	for _, v := range a.data {
 		d := float64(v) - m
-		sq += d * d
+		sq += float64(d * d)
 	}
 	return float32(m), float32(sq / n)
 }

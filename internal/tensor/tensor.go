@@ -219,7 +219,7 @@ func (t *Tensor) AllClose(o *Tensor, rtol, atol float32) bool {
 	}
 	for i := range t.data {
 		d := float64(t.data[i] - o.data[i])
-		if math.Abs(d) > float64(atol)+float64(rtol)*math.Abs(float64(o.data[i])) {
+		if math.Abs(d) > float64(atol)+float64(float64(rtol)*math.Abs(float64(o.data[i]))) {
 			return false
 		}
 	}
