@@ -220,8 +220,9 @@ func BenchmarkAllReduceDeepWorld(b *testing.B) {
 // stages. Next to ns/op it reports γ, the per-element cost
 // of the work the exchange adds on the peer's half, timed with both
 // ranks at it at once as inside the collective: the float fold, or —
-// compressed — decode-adding the peer's frame and the round-trip
-// re-encode, less the decode the two stages do instead. The exchange
+// compressed — landing the peer's frame (landRounded: its decode-add
+// and the round trip, in one pass for fp16), less the decode the two
+// stages do instead. The exchange
 // saves a hop α and spends γ·n/2, so on a mesh whose hops are free
 // pair − twopass at the cutoff is the most the constant can cost, and
 // n* = 2α/γ is where it stops paying on a link whose hop costs α
@@ -298,12 +299,7 @@ func benchRingPair(b *testing.B, codec Codec, tr string, n int, pair bool) {
 			frames[r] = codec.Encode(nil, bufs[r][:n/2], nil, nil)
 		}
 		half := func(r int) []float32 { return srcs[r][:n/2] }
-		added := func() {
-			both(func(r int) {
-				_ = codec.DecodeAdd(frames[r], half(r))
-				codec.Encode(nil, half(r), nil, half(r))
-			})
-		}
+		added := func() { both(func(r int) { _ = landRounded(codec, frames[r], half(r), 1) }) }
 		decoded := func() { both(func(r int) { _ = codec.Decode(frames[r], half(r)) }) }
 		added() // faults the pages in
 		gamma = (median(21, added) - median(21, decoded)) / float64(n/2)

@@ -144,34 +144,50 @@ func (Float16Codec) Encode(dst []byte, data, residual, deq []float32) []byte {
 
 // Decode implements Codec.
 func (Float16Codec) Decode(buf []byte, out []float32) error {
-	return halfDecode(buf, out, false)
+	if err := checkHalfFrame(buf, out); err != nil {
+		return err
+	}
+	tensor.HalfDecode(buf, out)
+	return nil
 }
 
 // DecodeAdd implements Codec.
 func (Float16Codec) DecodeAdd(buf []byte, acc []float32) error {
-	return halfDecode(buf, acc, true)
+	if err := checkHalfFrame(buf, acc); err != nil {
+		return err
+	}
+	tensor.HalfDecodeAdd(buf, acc)
+	return nil
 }
 
-// halfDecode expands (add false) or accumulates (add true) a frame of
-// binary16 elements: four table lookups per eight-byte load.
-func halfDecode(buf []byte, out []float32, add bool) error {
+// checkHalfFrame fails a binary16 frame that is not two bytes for each
+// of out's elements.
+func checkHalfFrame(buf []byte, out []float32) error {
 	if len(buf) != 2*len(out) {
 		return fmt.Errorf("comm: fp16 frame is %d bytes for %d elements", len(buf), len(out))
 	}
-	for ; len(out) >= 4 && len(buf) >= 8; out, buf = out[4:], buf[8:] {
-		w := binary.LittleEndian.Uint64(buf)
-		q0, q1, q2, q3 := halfToFloat[uint16(w)], halfToFloat[uint16(w>>16)], halfToFloat[uint16(w>>32)], halfToFloat[uint16(w>>48)]
-		if add {
-			q0, q1, q2, q3 = out[0]+q0, out[1]+q1, out[2]+q2, out[3]+q3
+	return nil
+}
+
+// landRounded lands the two-rank exchange's frame (compressedSteps'
+// pair path) on acc: acc[i] = quant(acc[i] + dec(buf[i])) · s, where quant
+// is the codec's round trip without a residual — the float32 operations
+// of DecodeAdd, a round trip of acc in place and ScaleFloats (skipped
+// when s is 1), which fp16 performs in one pass (tensor.HalfLand).
+func landRounded(c Codec, buf []byte, acc []float32, s float32) error {
+	if _, fp16 := c.(Float16Codec); fp16 {
+		if err := checkHalfFrame(buf, acc); err != nil {
+			return err
 		}
-		out[0], out[1], out[2], out[3] = q0, q1, q2, q3
+		countDropped(tensor.HalfLand(buf, acc, s))
+		return nil
 	}
-	for i := range out {
-		q := halfToFloat[binary.LittleEndian.Uint16(buf[2*i:])]
-		if add {
-			q = out[i] + q
-		}
-		out[i] = q
+	if err := c.DecodeAdd(buf, acc); err != nil {
+		return err
+	}
+	c.Encode(nil, acc, nil, acc)
+	if s != 1 {
+		tensor.ScaleFloats(acc, s)
 	}
 	return nil
 }
@@ -529,26 +545,6 @@ func (c *TopKCodec) decode(buf []byte, out []float32, add bool) error {
 		out[next] += 0
 	}
 	return nil
-}
-
-// halfToFloat maps every binary16 bit pattern to its float32 value
-// (256 KB, filled at package init), so decoding an element is one load.
-var halfToFloat [1 << 16]float32
-
-func init() {
-	for h := range halfToFloat {
-		exp, mant := uint32(h>>10&0x1f), uint32(h&0x3ff)
-		var f float32
-		switch exp {
-		case 0: // zero or subnormal: mant * 2^-24, exact
-			f = float32(mant) / (1 << 24)
-		case 0x1f: // Inf, NaN
-			f = math.Float32frombits(expMask | mant<<13)
-		default:
-			f = math.Float32frombits((exp+112)<<23 | mant<<13)
-		}
-		halfToFloat[h] = math.Float32frombits(math.Float32bits(f) | uint32(h&0x8000)<<16)
-	}
 }
 
 var (

@@ -3,6 +3,8 @@ package comm
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // kernelScales are the input magnitudes the codec kernels are timed at,
@@ -31,7 +33,8 @@ var kernelScales = []struct {
 // input scale, in ns per element, each next to the per-element scalar
 // body it replaced (codec_ref_test.go's oracle; decode-add's baseline
 // is the oracle's Decode into scratch plus the fold) measured in the
-// same run. Run with -cpu 1: the kernels are single-threaded and the
+// same run, and the two-rank exchange's landing (landRounded, a Avg
+// landing) next to the three passes it fuses. Run with -cpu 1: the kernels are single-threaded and the
 // fold's fan-out would otherwise flatter the baseline.
 func BenchmarkCodecKernels(b *testing.B) {
 	const n = 1 << 17
@@ -57,6 +60,12 @@ func BenchmarkCodecKernels(b *testing.B) {
 				{"decode/scalar", func() { _ = rc.decode(frame, out) }},
 				{"decode-add", func() { _ = rc.codec.DecodeAdd(frame, out) }},
 				{"decode-add/scalar", func() { _ = rc.decode(frame, residual); reduceInto(out, residual, Sum) }},
+				{"land", func() { _ = landRounded(rc.codec, frame, out, 0.5) }},
+				{"land/three-pass", func() {
+					_ = rc.codec.DecodeAdd(frame, out)
+					rc.codec.Encode(nil, out, nil, out)
+					tensor.ScaleFloats(out, 0.5)
+				}},
 			} {
 				b.Run(rc.codec.Name()+"/"+scale.name+"/"+k.name, func(b *testing.B) {
 					clear(residual)

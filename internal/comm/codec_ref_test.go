@@ -375,12 +375,34 @@ var halfSpecials = []float32{
 	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 1, -1, 1 + 1.0/(1<<11), 1 + 3.0/(1<<11),
 }
 
-// TestHalfDecodeTableMatchesScalar: all 65 536 halves.
-func TestHalfDecodeTableMatchesScalar(t *testing.T) {
-	for h := 0; h < 1<<16; h++ {
-		got, want := math.Float32bits(halfToFloat[h]), math.Float32bits(refFloat16ToFloat32(uint16(h)))
-		if got != want {
-			t.Fatalf("half %#04x decodes to %#08x, scalar converter %#08x", h, got, want)
+// TestHalfDecodeMatchesScalar: all 65 536 halves, in one frame, through
+// Float16Codec's Decode and its DecodeAdd onto ±0, bit for bit against
+// the scalar converter — NaN payloads included.
+func TestHalfDecodeMatchesScalar(t *testing.T) {
+	frame := make([]byte, 0, 2<<16)
+	for h := range 1 << 16 {
+		frame = binary.LittleEndian.AppendUint16(frame, uint16(h))
+	}
+	out := make([]float32, 1<<16)
+	for _, acc := range []float32{-1, 0, float32(math.Copysign(0, -1))} {
+		decode := Float16Codec{}.DecodeAdd
+		if acc == -1 {
+			decode = Float16Codec{}.Decode // acc is only the fill
+		}
+		for i := range out {
+			out[i] = acc
+		}
+		if err := decode(frame, out); err != nil {
+			t.Fatal(err)
+		}
+		for h, got := range out {
+			want := refFloat16ToFloat32(uint16(h))
+			if acc != -1 {
+				want = acc + want
+			}
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("half %#04x (acc %v) decodes to %#08x, scalar converter %#08x", h, acc, math.Float32bits(got), math.Float32bits(want))
+			}
 		}
 	}
 }
@@ -628,7 +650,9 @@ func TestTopKDecodeWantsAscendingIndices(t *testing.T) {
 // FuzzHalfKernelsMatchScalar feeds arbitrary float32 bit patterns, as
 // data and as residuals, through the bulk fp16 kernels and the scalar
 // oracle: frame, residual, deq, drop count, Decode and DecodeAdd agree
-// on every input.
+// on every input. The same bytes, read as a frame — any half, NaN
+// payloads included — go through Decode, DecodeAdd and the pair path's
+// landing (checkHalfFrameKernels).
 func FuzzHalfKernelsMatchScalar(f *testing.F) {
 	seed := make([]byte, 0, 4*len(halfSpecials))
 	for _, v := range halfSpecials {
@@ -640,6 +664,7 @@ func FuzzHalfKernelsMatchScalar(f *testing.F) {
 	rc := refCodecs()[0]
 	f.Fuzz(func(t *testing.T, raw []byte, withResidual bool) {
 		vals := make([]float32, 0, len(raw)/4)
+		checkHalfFrameKernels(t, raw[:min(len(raw), 8192)&^1])
 		for ; len(raw) >= 4 && len(vals) < 4096; raw = raw[4:] {
 			vals = append(vals, math.Float32frombits(binary.LittleEndian.Uint32(raw)))
 		}
@@ -668,10 +693,73 @@ func FuzzHalfKernelsMatchScalar(f *testing.F) {
 	})
 }
 
+// checkHalfFrameKernels holds Float16Codec's Decode to the scalar
+// converter bit for bit on an arbitrary frame, and DecodeAdd and the pair
+// path's landing (landRounded, for a sum and a two-rank average) to the
+// oracle's decode, fold and round trip, onto an accumulator read from the
+// same bytes: the same bits — any NaN for any NaN where a NaN accumulator
+// meets a NaN half — and the landing's drop count.
+func checkHalfFrameKernels(t *testing.T, frame []byte) {
+	t.Helper()
+	n := len(frame) / 2
+	dec, want := make([]float32, n), make([]float32, n)
+	if err := refHalfDecode(frame, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := (Float16Codec{}).Decode(frame, dec); err != nil {
+		t.Fatal(err)
+	}
+	if i := sameBits(dec, want); i >= 0 {
+		t.Fatalf("Decode[%d] of half %#04x = %#08x, scalar converter %#08x", i, binary.LittleEndian.Uint16(frame[2*i:]), math.Float32bits(dec[i]), math.Float32bits(want[i]))
+	}
+	acc := make([]float32, n) // any bit pattern, assembled from the frame's bytes
+	for i := range acc {
+		acc[i] = math.Float32frombits(uint32(binary.BigEndian.Uint16(frame[2*(n-1-i):]))<<16 | uint32(frame[2*i]))
+	}
+	sums := slices.Clone(acc)
+	reduceRange(sums, want, Sum)
+	got := slices.Clone(acc)
+	if err := (Float16Codec{}).DecodeAdd(frame, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(sums[i]) && !(got[i] != got[i] && sums[i] != sums[i]) {
+			t.Fatalf("DecodeAdd[%d] = %#08x, decode-then-fold %#08x", i, math.Float32bits(got[i]), math.Float32bits(sums[i]))
+		}
+	}
+	nonFinite := 0
+	for _, v := range sums {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			nonFinite++
+		}
+	}
+	rounded := make([]float32, n)
+	if err := refHalfDecode(refHalfEncode(nil, sums, nil), rounded); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []float32{1, 0.5} {
+		got := slices.Clone(acc)
+		dropped := dropsDuring(func() {
+			if err := landRounded(Float16Codec{}, frame, got, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if dropped != nonFinite {
+			t.Fatalf("landing (s=%v) dropped %d, %d sums are not finite", s, dropped, nonFinite)
+		}
+		for i, q := range rounded {
+			if w := q * s; math.Float32bits(got[i]) != math.Float32bits(w) {
+				t.Fatalf("landing (s=%v)[%d] = %#08x, oracle %#08x (acc %#08x, half %#04x)", s, i, math.Float32bits(got[i]), math.Float32bits(w), math.Float32bits(acc[i]), binary.LittleEndian.Uint16(frame[2*i:]))
+			}
+		}
+	}
+}
+
 // TestCodecsAllocateNothingWarm: once the pools hold their scratch, a
 // codec call allocates nothing — not the effective values, not the
 // selection indices, not the frame (given a dst with room, as the
-// collectives' pooled frames have).
+// collectives' pooled frames have) — and neither does the pair path's
+// landing.
 func TestCodecsAllocateNothingWarm(t *testing.T) {
 	if transport.RaceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
@@ -692,6 +780,7 @@ func TestCodecsAllocateNothingWarm(t *testing.T) {
 			"Encode deq only": func() { c.Encode(nil, data, residual, deq) },
 			"Decode":          func() { _ = c.Decode(frame, deq) },
 			"DecodeAdd":       func() { _ = c.DecodeAdd(frame, acc) },
+			"landRounded":     func() { _ = landRounded(c, frame, acc, 0.5) },
 		} {
 			if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
 				t.Errorf("%s %s: %v allocations per warm call, want 0", c.Name(), name, allocs)

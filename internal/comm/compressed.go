@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/transport"
@@ -18,8 +19,19 @@ import (
 type GradientCompressor interface {
 	// CompressedAllReduce reduces data in place across all ranks like
 	// AllReduce, quantizing through codec. residual is nil or a
-	// caller-owned error-feedback accumulator of len(data), updated
-	// during execution (read it only after Wait).
+	// caller-owned error-feedback accumulator of len(data), updated in
+	// place (read it only after Wait).
+	//
+	// A compressed collective reads its contribution — data, and residual
+	// — from its submission on, not when the group's worker reaches it:
+	// the call may quantize its contribution, update residual and
+	// quantize data in place before it returns (or, with two of the
+	// group's compressed collectives launched ahead of it, once the first
+	// of them finishes), so that the worker only sends, receives and lands
+	// (PyTorch's fp16_compress_hook casts the bucket before all_reduce the
+	// same way). Two collectives in flight over one buffer or one residual
+	// therefore do not see each other's result; data and residual belong
+	// to the collective from the call until Wait returns.
 	CompressedAllReduce(data []float32, op ReduceOp, codec Codec, residual []float32) Work
 }
 
@@ -62,83 +74,175 @@ func CompressedAllReduce(pg ProcessGroup, data []float32, op ReduceOp, codec Cod
 	return gc.CompressedAllReduce(data, op, codec, residual)
 }
 
-// residualBackup makes a collective's residual update transactional: the
-// collective updates the caller's residual in place, and a failure puts
-// the pre-collective contents back. A collective aborted mid-flight (the
-// elastic failure path) transmitted nothing, so the residual must not
-// claim it did — a half-updated accumulator would skew every subsequent
-// gradient, and nondeterministically, since the abort point depends on
-// timing. The caller reads its residual only after Wait, so the
-// intermediate state is never observed. A nil residual backs up to
-// nothing.
-type residualBackup struct {
-	residual, pre []float32
-}
-
-func backUpResidual(residual []float32) residualBackup {
-	pre := transport.GetFloats(len(residual))
+// backUpResidual makes a collective's residual update transactional: the
+// collective updates the caller's residual in place, from its submission
+// on, and a failure puts back the pre-collective contents, which this
+// copies into a pooled buffer, pre (see settleResidual). A collective
+// aborted mid-flight (the elastic failure path) transmitted nothing, so
+// the residual must not claim it did — a half-updated accumulator would
+// skew every subsequent gradient, and nondeterministically, since the
+// abort point depends on timing. The caller reads its residual only after
+// Wait, so the intermediate state is never observed. A nil residual backs
+// up to nothing.
+func backUpResidual(residual []float32) (pre []float32) {
+	pre = transport.GetFloats(len(residual))
 	copy(pre, residual)
-	return residualBackup{residual, pre}
+	return pre
 }
 
-// settle ends the transaction under the collective's outcome, which it
-// returns: the update stands on success and is undone on failure.
-func (b residualBackup) settle(err error) error {
+// settleResidual ends the transaction under the collective's outcome,
+// which it returns: the update stands on success and is undone on
+// failure.
+func settleResidual(residual, pre []float32, err error) error {
 	if err != nil {
-		copy(b.residual, b.pre)
+		copy(residual, pre)
 	}
-	transport.PutFloats(b.pre)
+	transport.PutFloats(pre)
 	return err
 }
 
 // CompressedAllReduce implements GradientCompressor on the mesh-backed
 // group: the collective executes on the group's worker in submission
-// order, exactly like AllReduce.
+// order, exactly like AllReduce, once the flat schedule's contribution
+// frames are built (see submitCompressed); the hierarchical schedule,
+// whose first steps are float reductions, does all its work on the
+// worker.
 func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	if codec == nil {
 		return g.AllReduce(data, op)
 	}
-	algo := g.resolveAlgorithm(len(data))
-	return g.submitCompressed(data, op, codec, residual,
-		func(start time.Time) { observeAllReduce("compressed", len(data), start, nil) },
-		func(bm transport.ByteMesh, tag uint64) (int, error) {
-			r := run{m: g.mesh, bm: bm, rank: g.Rank(), tag: tag, data: data, op: op, codec: codec, residual: residual}
-			if algo == Hierarchical {
-				return hierarchicalAllReduce(r, g.topo)
-			}
-			return flatCompressed(r)
-		})
+	r := run{m: g.mesh, rank: g.Rank(), data: data, op: op, codec: codec, residual: residual}
+	observe := func(elems int, start time.Time) { observeAllReduce("compressed", elems, start, nil) }
+	if g.resolveAlgorithm(len(data)) == Hierarchical {
+		return g.submitCompressed(r, nil, nil, observe)
+	}
+	steps, avg := flatCompressed(&r)
+	return g.submitCompressed(r, steps, avg, observe)
 }
 
-// submitCompressed submits one compressed collective, or refuses it
-// with ErrCompressionUnsupported before a tag is reserved. run receives
-// the mesh's byte lanes and the reserved tag and returns the encoded
-// bytes this rank shipped; observe records the success. The residual
-// update is transactional (see residualBackup).
-func (g *meshGroup) submitCompressed(data []float32, op ReduceOp, codec Codec, residual []float32, observe func(start time.Time), run func(bm transport.ByteMesh, tag uint64) (int, error)) Work {
-	if op != Sum && op != Avg {
-		return CompletedWork(fmt.Errorf("%w: op %v (only sum and avg reduce through a codec)", ErrCompressionUnsupported, op))
+// submitCompressed submits r's compressed collective, or refuses it with
+// ErrCompressionUnsupported before a tag is reserved. steps is its list,
+// and avg the part of r.data that Avg's closing 1/world scale covers once
+// the list has run; nil steps run the hierarchical schedule instead,
+// which builds its own list on the worker. observe records the success.
+//
+// Once the tag is reserved the collective is launched (compressedCall.
+// launch): its residual is backed up — the update is transactional (see
+// backUpResidual) — and the list's leading contribution frames are
+// quantized (run.launch), so that the worker only sends, receives and
+// lands. That happens on the submitting goroutine while fewer than
+// maxLaunched of the group's compressed collectives are launched and
+// unfinished; a later one is launched, off the worker, as soon as one
+// ahead of it finishes. The bound keeps the buffers a launch holds — a
+// residual backup and frames — to what the running collective and the
+// next one need, however deep the queue: the transport's pool grows to
+// the most that were ever held at once, so an unbounded number would keep
+// growing it whenever the queue reached a new depth.
+func (g *meshGroup) submitCompressed(r run, steps []step, avg []float32, observe func(elems int, start time.Time)) Work {
+	if r.op != Sum && r.op != Avg {
+		return CompletedWork(fmt.Errorf("%w: op %v (only sum and avg reduce through a codec)", ErrCompressionUnsupported, r.op))
 	}
 	bm, ok := transport.ByteLanes(g.mesh)
 	if !ok {
 		return CompletedWork(fmt.Errorf("%w: mesh %T has no byte lanes", ErrCompressionUnsupported, g.mesh))
 	}
-	if residual != nil && len(residual) != len(data) {
-		return CompletedWork(fmt.Errorf("comm: residual has %d elements for %d data elements", len(residual), len(data)))
+	if r.residual != nil && len(r.residual) != len(r.data) {
+		return CompletedWork(fmt.Errorf("comm: residual has %d elements for %d data elements", len(r.residual), len(r.data)))
 	}
-	return g.submit(func(tag uint64) error {
-		start := time.Now()
-		backup := backUpResidual(residual)
-		wire, err := run(bm, tag)
-		if backup.settle(err) != nil {
-			return err
-		}
-		observe(start)
-		if wire > 0 {
-			mCompressedWireBytes.With(codec.Name()).Observe(float64(wire))
-		}
-		return nil
-	})
+	tag, w, err := g.reserve()
+	if err != nil {
+		return CompletedWork(err)
+	}
+	defer g.sending.Done()
+	r.bm, r.tag = bm, tag
+	c := &compressedCall{r: r, steps: steps, avg: avg, observe: observe}
+	c.launched.Add(1)
+	g.launchMu.Lock()
+	now := g.launches < maxLaunched
+	if now {
+		g.launches++
+	} else {
+		g.deferred = append(g.deferred, c)
+	}
+	g.launchMu.Unlock()
+	if now {
+		c.launch()
+	}
+	g.ops <- func() { w.finish(g.runCompressed(c)) }
+	return w
+}
+
+// maxLaunched bounds a group's compressed collectives that are launched
+// and unfinished: the one its worker runs and the next (see
+// submitCompressed).
+const maxLaunched = 2
+
+// A compressedCall is one compressed collective between its submission
+// and its end on the group's worker.
+type compressedCall struct {
+	r        run
+	steps    []step
+	avg      []float32
+	observe  func(elems int, start time.Time)
+	pre      []float32      // the residual's backup, taken at launch
+	launched sync.WaitGroup // done once launch has run
+}
+
+// launch backs up the residual and runs the list's submission-time work.
+func (c *compressedCall) launch() {
+	c.pre = backUpResidual(c.r.residual)
+	c.r.launch(c.steps)
+	c.launched.Done()
+}
+
+// runCompressed is the worker's part of a submitted compressed
+// collective: it waits for the launch, runs the list and Avg's closing
+// scale over avg, settles the residual transaction and records the
+// observations, and then lets the next deferred collective launch.
+func (g *meshGroup) runCompressed(c *compressedCall) error {
+	c.launched.Wait()
+	defer g.launchNext()
+	start := time.Now()
+	var wire int
+	var err error
+	if c.steps == nil {
+		wire, err = hierarchicalAllReduce(c.r, g.topo)
+	} else {
+		wire, err = runScaled(c.r, c.steps, c.avg)
+	}
+	if settleResidual(c.r.residual, c.pre, err) != nil {
+		return err
+	}
+	c.observe(len(c.r.data), start)
+	if wire > 0 {
+		mCompressedWireBytes.With(c.r.codec.Name()).Observe(float64(wire))
+	}
+	return nil
+}
+
+// launchNext hands a finished collective's launch slot to the oldest
+// deferred one, which launches on a goroutine of its own while the worker
+// runs the collective ahead of it.
+func (g *meshGroup) launchNext() {
+	g.launchMu.Lock()
+	defer g.launchMu.Unlock()
+	if len(g.deferred) == 0 {
+		g.launches--
+		return
+	}
+	c := g.deferred[0]
+	g.deferred = g.deferred[1:]
+	go c.launch()
+}
+
+// runScaled runs steps and then Avg's closing 1/world scale over avg,
+// world being r's participant count.
+func runScaled(r run, steps []step, avg []float32) (int, error) {
+	wire, err := runSteps(r, steps)
+	if err == nil {
+		finishAvg(avg, r.op, r.parts)
+	}
+	return wire, err
 }
 
 // CompressedAllReduce dispatches to the next sub-group
@@ -170,18 +274,19 @@ func (r *RoundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec Code
 // its residual trajectory comparable to any other world's.
 //
 // With pair (two participants; see pairs) both stages are one exchange
-// instead: ringPairStep as a codec step — each rank ships both chunks,
-// each quantized with its residual slice, and adds the peer's frame to
-// its own quantized values, which is the owner's stage-1 fold on every
-// chunk, since the one addition commutes — then a local round trip of
-// both chunks, which by the Codec contract leaves exactly what the
-// owner's stage-2 frame would decode to. Data, residuals and wire bytes
-// are the two stages', in one frame a rank instead of two.
+// instead: ringPairStep as a rounding codec step — each rank ships both
+// chunks, each quantized with its residual slice, and lands the peer's
+// frame on its own quantized values in one pass: the addition is the
+// owner's stage-1 fold on every chunk, since the one addition commutes,
+// and rounding the sum without the residual leaves, by the Codec
+// contract, exactly what the owner's stage-2 frame would decode to (then
+// the run's scale, which finishes a flat Avg). Data, residuals and wire
+// bytes are the two stages', in one frame a rank instead of two.
 func compressedSteps(me, k, n int, pair bool) []step {
 	if pair {
 		st := ringPairStep(me, n)
-		st.kind = contribution
-		return []step{st, {to: me, from: me, sHi: n, rHi: n, kind: reduced}}
+		st.kind, st.round = contribution, true
+		return []step{st}
 	}
 	return append(compressedScatterSteps(me, k, n), compressedGatherSteps(me, k, n)...)
 }
@@ -236,20 +341,23 @@ func pairs(codec Codec, k, n int) bool {
 	return fp16 && k == 2 && n <= ringPairMaxElems
 }
 
-// flatCompressed runs compressedSteps among every rank of r's mesh and
-// scales for Avg. It returns the encoded payload bytes this rank put on
-// the byte lanes — the sample the comm_compressed_wire_bytes histogram
-// records. Per rank the wire carries 2(k-1) compressed chunk frames (one
-// holding both chunks on the pair path) instead of the flat ring's
-// 2(k-1) float32 chunks: the full codec ratio, minus headers.
-func flatCompressed(r run) (int, error) {
+// flatCompressed is the compressed AllReduce among every rank of r's
+// mesh: it names r and sets its layout and landing scale, and returns
+// the list and the part of r.data that Avg's closing scale covers after
+// it — all of it after the two stages, none on the pair path, whose
+// landing scales. Per rank the wire carries 2(k-1) compressed chunk
+// frames (one holding both chunks on the pair path) instead of the flat
+// ring's 2(k-1) float32 chunks: the full codec ratio, minus headers.
+func flatCompressed(r *run) (steps []step, avg []float32) {
 	k, n := r.m.Size(), len(r.data)
 	r.name, r.parts = "compressed allreduce", k
-	wire, err := runSteps(r, compressedSteps(r.rank, k, n, pairs(r.codec, k, n)))
-	if err == nil {
-		finishAvg(r.data, r.op, k)
+	if !pairs(r.codec, k, n) {
+		return compressedSteps(r.rank, k, n, false), r.data
 	}
-	return wire, err
+	if r.op == Avg {
+		r.scale = 1 / float32(k)
+	}
+	return compressedSteps(r.rank, k, n, true), nil
 }
 
 var _ GradientCompressor = (*meshGroup)(nil)

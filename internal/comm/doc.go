@@ -153,7 +153,19 @@
 // parameter identity so bucket rebuilds re-map them, and elastic
 // recovery broadcasts them with the rest of the training state. A
 // collective updates the residual in place and a failed one puts the
-// pre-call contents back (residualBackup); read it only after Wait.
+// pre-call contents back (backUpResidual); read it only after Wait.
+//
+// A flat compressed collective quantizes its contribution when it is
+// submitted (run.launch, called by submitCompressed between tag
+// reservation and enqueue): the schedule's leading contribution steps —
+// the two-rank frame, stage 1's peer frames and its own chunk — read only
+// the caller's data and residual, so they run on the submitting goroutine
+// and the group's worker, which runs one collective at a time, only
+// sends, receives and lands. At most maxLaunched collectives are launched
+// ahead of their end, which bounds the buffers launches hold; a later one
+// launches as soon as one ahead of it finishes. The caller's contract
+// follows: a compressed collective reads its data and residual from its
+// submission on, and both belong to it until Wait returns.
 // Non-finite gradient elements are dropped and counted
 // (DroppedNonFinite) instead of poisoning scales and residuals with NaN.
 //
@@ -183,20 +195,23 @@
 // reduced chunk, quantized once without the residual, to every peer and
 // decodes theirs. Two ranks (two top leaders, under Hierarchical) need
 // only one exchange up to ringPairMaxElems, the float ring's cutoff:
-// ringPairStep as a codec step — both chunks in one frame, each with its
-// residual slice, the peer's frame added to the own quantized values,
-// which is each chunk's owner fold — then a local round trip of both
-// chunks, which by the contract above is what the owner's stage-2 frame
-// would decode to. Data, residuals and wire bytes are the two stages'.
+// ringPairStep as a rounding codec step — both chunks in one frame, each
+// with its residual slice, and the peer's frame landed on the own
+// quantized values in one pass (tensor.HalfLand for fp16): the addition
+// is each chunk's owner fold, and re-quantizing the sum without the
+// residual is, by the contract above, what the owner's stage-2 frame
+// would decode to; a flat Avg's 1/2 is applied in the same pass. Data,
+// residuals and wire bytes are the two stages'.
 // Only Float16Codec takes this path: 1-bit's and top-k's round trip costs
 // more than the hop it saves (BenchmarkRingPairCrossover), so they keep
 // the two stages. The compressed leader ring is hierarchicalSteps with
 // compressedSteps over the top leaders in place of the ring: one list,
 // one executor, for both lanes.
 //
-// fp16's encoder is tensor.HalfEncode, a leaf with an eight-lane amd64
-// body under the tensor kernels' contract, and its decoder a 65 536-entry
-// table; the rounding rule — nearest-even for normal results, half-UP
+// fp16's encoder, decoders and pair landing are tensor's HalfEncode,
+// HalfDecode, HalfDecodeAdd and HalfLand, leaves with eight-lane amd64
+// bodies (F16C conversions) under the tensor kernels' contract; the
+// rounding rule — nearest-even for normal results, half-UP
 // for subnormal ones, saturation to ±65504 — is stated at tensor's
 // halfBits and pinned, like every bit the codecs produce, to the scalar
 // converters kept in codec_ref_test.go.

@@ -47,6 +47,13 @@ type meshGroup struct {
 	// enqueue; Close/Abort wait for it so the channel never closes
 	// under an in-flight send even when the queue is full.
 	sending sync.WaitGroup
+
+	// launchMu guards the compressed collectives' launch slots (see
+	// submitCompressed): launches is how many are launched and
+	// unfinished, deferred those waiting for a slot, oldest first.
+	launchMu sync.Mutex
+	launches int
+	deferred []*compressedCall
 }
 
 // NewGroup wraps a mesh in a ProcessGroup.
@@ -131,20 +138,29 @@ func (g *meshGroup) Size() int { return g.mesh.Size() }
 // then wait out registered senders before closing the channel, so no
 // send can hit a closed channel.
 func (g *meshGroup) submit(run func(tag uint64) error) Work {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return CompletedWork(ErrClosed)
+	tag, w, err := g.reserve()
+	if err != nil {
+		return CompletedWork(err)
 	}
-	tag := g.nextTag
-	g.nextTag++
-	w := newPendingWork()
-	g.sending.Add(1)
-	g.mu.Unlock()
-
 	defer g.sending.Done()
 	g.ops <- func() { w.finish(run(tag)) }
 	return w
+}
+
+// reserve reserves the next tag and a handle for one collective and
+// registers its sender in g.sending; unless it fails (a closed group),
+// the caller enqueues exactly one op on g.ops and then calls
+// g.sending.Done.
+func (g *meshGroup) reserve() (tag uint64, w *pendingWork, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return 0, nil, ErrClosed
+	}
+	tag = g.nextTag
+	g.nextTag++
+	g.sending.Add(1)
+	return tag, newPendingWork(), nil
 }
 
 // resolveAlgorithm is the algorithm a collective over elems elements

@@ -73,7 +73,8 @@ func hierarchicalAllReduce(r run, topo *Topology) (int, error) {
 	k, n := r.m.Size(), len(r.data)
 	if k == 1 || topo == nil || !topo.Hierarchical() {
 		if r.codec != nil {
-			return flatCompressed(r)
+			steps, avg := flatCompressed(&r)
+			return runScaled(r, steps, avg)
 		}
 		return 0, ringAllReduce(r.m, r.tag, r.data, r.op)
 	}

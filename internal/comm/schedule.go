@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/tensor"
 	"repro/internal/transport"
@@ -33,7 +34,10 @@ import (
 // step, folded UNDER it — frame = frame ∘ data, the same kernel with the
 // operands swapped, then landed verbatim — which is what the sender
 // evaluates when it folds this rank's frame INTO its buffer. kind says
-// what the frames carry.
+// what the frames carry. A codec fold with round set also rounds what it
+// lands: each sum is quantized once more, without the residual, and
+// scaled by the run's scale — the two-rank exchange's landing, which
+// leaves what the owner's stage-2 frame would decode to (compressedSteps).
 type step struct {
 	to, from int
 	sLo, sHi int
@@ -41,6 +45,7 @@ type step struct {
 	fold     bool
 	uLo, uHi int
 	kind     frameKind
+	round    bool
 }
 
 // frameKind is what a step's frames carry: the buffer's float32 values,
@@ -163,9 +168,10 @@ func checkFrame(collective string, rank, peer, step, got, want int, unit string)
 // run is what a step list executes against: the mesh's float lane, its
 // byte lane when the list has codec steps, this rank, the collective's
 // tag and name (for errors), the buffer and op, and for codec steps the
-// codec, the caller's residual (nil for none) and the layout codec
-// frames are cut along, chunkBounds(len(data), parts, ·). The rest is
-// runSteps' own state.
+// codec, the caller's residual (nil for none), the layout codec
+// frames are cut along, chunkBounds(len(data), parts, ·), and the scale a
+// rounding landing ends with (zero stands for 1). launch fills frames
+// and launched before runSteps starts; the rest is runSteps' own state.
 type run struct {
 	m        transport.Mesh
 	bm       transport.ByteMesh
@@ -177,19 +183,23 @@ type run struct {
 	codec    Codec
 	residual []float32
 	parts    int
+	scale    float32
 
-	wire   int         // encoded bytes shipped
-	sends  []*inflight // in flight, oldest first
-	local  [][]float32 // local frames not yet landed, oldest first
-	frames [][]byte    // codec frames, released once every send is joined
-	encErr error       // the first own frame's length error
+	launched int         // leading steps whose frames launch built
+	wire     int         // encoded bytes shipped
+	sends    []*inflight // in flight, oldest first
+	local    [][]float32 // local frames not yet landed, oldest first
+	frames   [][]byte    // codec frames, released once every send is joined
+	encErr   error       // the first own frame's length error
 }
 
 // inflight is a send under way and the range of data it reads (empty
-// for a codec frame, which reads only itself).
+// for a codec frame, which reads only itself); err is its outcome once
+// sent is done.
 type inflight struct {
 	to, lo, hi int
-	pendingWork
+	sent       sync.WaitGroup
+	err        error
 }
 
 // runSteps executes one rank's steps in order over r.data and returns
@@ -227,7 +237,8 @@ type inflight struct {
 // float buffer until the local receive lands it where the list puts it;
 // a codec step that sends and receives its own range verbatim just
 // quantizes it in place. Every received frame goes back to the
-// transport's pool once it has landed.
+// transport's pool once it has landed. The leading steps run.launch did
+// before the list started ship and land what it built.
 func runSteps(r run, steps []step) (wire int, err error) {
 	x := &r
 	defer func() {
@@ -242,7 +253,7 @@ func runSteps(r run, steps []step) (wire int, err error) {
 	}()
 	for i, st := range steps {
 		var deq []float32 // where a codec send leaves what its frame decodes to
-		if st.to >= 0 && st.kind != floats && (st.kind == reduced || st.from >= 0) {
+		if i >= x.launched && st.to >= 0 && st.kind != floats && (st.kind == reduced || st.from >= 0) {
 			// The encode writes the range: nothing may still read it.
 			if err := x.joinReading(st.sLo, st.sHi); err != nil {
 				return 0, err
@@ -252,33 +263,32 @@ func runSteps(r run, steps []step) (wire int, err error) {
 		var frame []byte
 		switch {
 		case st.to < 0:
-		case st.to == x.rank && st.from == x.rank && st.kind != floats && !st.fold && st.sLo == st.rLo && st.sHi == st.rHi:
+		case i < x.launched && st.to == x.rank:
+			continue // launched: quantized in place, or its local frame queued
+		case st.to == x.rank && st.from == x.rank && st.inPlace():
 			x.encode(st, nil, deq)
 			continue
 		case st.to == x.rank:
-			buf := transport.GetFloats(st.sHi - st.sLo)
-			if st.kind == floats {
-				copy(buf, x.data[st.sLo:st.sHi])
-			} else {
-				x.encode(st, nil, buf)
-			}
-			x.local = append(x.local, buf)
+			x.local = append(x.local, x.encodeLocal(st))
 		case st.kind != floats:
 			before := steps[max(i-1, 0)]
 			repeat := i > 0 && before.to >= 0 && before.to != x.rank
-			if before.to = st.to; !repeat || before != st {
-				want := x.encodedSize(st.sLo, st.sHi)
-				x.frames = append(x.frames, x.encode(st, transport.GetBytes(want)[:0], deq))
-				x.encErr = cmp.Or(x.encErr, checkFrame(x.name, x.rank, x.rank, i, len(x.frames[len(x.frames)-1]), want, "bytes"))
+			if before.to = st.to; i >= x.launched && (!repeat || before != st) {
+				x.encodeFrame(i, st, deq)
 			}
-			if frame = x.frames[len(x.frames)-1]; x.encErr != nil {
+			frame = x.frames[len(x.frames)-1]
+			if i < x.launched {
+				frame = x.frames[i] // launch builds peer frames before its local step
+			}
+			if x.encErr != nil {
 				frame = frame[:0]
 			}
 			x.wire += len(frame)
 		}
 		var own *inflight
 		if st.to >= 0 && st.to != x.rank {
-			own = &inflight{to: st.to, pendingWork: pendingWork{done: make(chan struct{})}}
+			own = &inflight{to: st.to}
+			own.sent.Add(1)
 			if st.kind == floats {
 				own.lo, own.hi = st.sLo, st.sHi
 			}
@@ -289,16 +299,18 @@ func runSteps(r run, steps []step) (wire int, err error) {
 				}
 			}
 			x.sends = append(x.sends, own)
-			m, bm, tag, data := x.m, x.bm, x.tag, x.data[own.lo:own.hi]
+			// The goroutine captures what it reads, not the whole step.
+			m, bm, tag, data, to, onFloats := x.m, x.bm, x.tag, x.data[own.lo:own.hi], st.to, st.kind == floats
 			go func() {
 				if prev != nil {
-					<-prev.done
+					prev.sent.Wait()
 				}
-				if st.kind == floats {
-					own.finish(m.Send(st.to, tag, data))
+				if onFloats {
+					own.err = m.Send(to, tag, data)
 				} else {
-					own.finish(bm.SendBytes(st.to, tag, frame))
+					own.err = bm.SendBytes(to, tag, frame)
 				}
+				own.sent.Done()
 			}()
 		}
 		if st.from < 0 {
@@ -339,6 +351,64 @@ func runSteps(r run, steps []step) (wire int, err error) {
 	return 0, x.encErr
 }
 
+// launch does, before runSteps starts, the list's leading contribution
+// steps — the two-rank exchange's frame, stage 1's peer frames and its
+// own chunk — which is all the codec work of a collective that reads the
+// caller's data and residual: on the submitting goroutine it takes that
+// work off the group worker's serial chain of collectives. Each is done
+// as runSteps would do it: a peer's frame is built (quantizing its range
+// in place where the step also receives into it), the own chunk is
+// quantized in place or into a local frame; runSteps then ships and lands
+// what launch built and skips the rest of those steps.
+func (x *run) launch(steps []step) {
+	for i, st := range steps {
+		switch {
+		case st.kind != contribution || st.to < 0 || st.to != x.rank && len(x.frames) != i:
+			return // runSteps finds a launched peer frame at its step's index
+		case st.to != x.rank:
+			var deq []float32
+			if st.from >= 0 {
+				deq = x.data[st.sLo:st.sHi]
+			}
+			x.encodeFrame(i, st, deq)
+		case st.from < 0:
+			x.local = append(x.local, x.encodeLocal(st))
+		case st.inPlace():
+			x.encode(st, nil, x.data[st.sLo:st.sHi])
+		default:
+			return
+		}
+		x.launched++
+	}
+}
+
+// inPlace reports whether st, a local codec step, just quantizes its
+// range in place: it lands its own frame verbatim where it read it.
+func (st step) inPlace() bool {
+	return st.kind != floats && !st.fold && st.sLo == st.rLo && st.sHi == st.rHi
+}
+
+// encodeLocal is a local send's frame: st's range, or for a codec step
+// what its frame decodes to, in a pooled float buffer.
+func (x *run) encodeLocal(st step) []float32 {
+	buf := transport.GetFloats(st.sHi - st.sLo)
+	if st.kind == floats {
+		copy(buf, x.data[st.sLo:st.sHi])
+	} else {
+		x.encode(st, nil, buf)
+	}
+	return buf
+}
+
+// encodeFrame builds step i's codec frame in a pooled buffer, appends it
+// to x.frames and records a length error.
+func (x *run) encodeFrame(i int, st step, deq []float32) {
+	want := x.encodedSize(st.sLo, st.sHi)
+	frame := x.encode(st, transport.GetBytes(want)[:0], deq)
+	x.frames = append(x.frames, frame)
+	x.encErr = cmp.Or(x.encErr, checkFrame(x.name, x.rank, x.rank, i, len(frame), want, "bytes"))
+}
+
 // join waits for the sends in flight that match, drops them and returns
 // the first error among them.
 func (x *run) join(match func(*inflight) bool) error {
@@ -346,7 +416,8 @@ func (x *run) join(match func(*inflight) bool) error {
 	x.sends = slices.DeleteFunc(x.sends, func(s *inflight) bool {
 		joined := match(s)
 		if joined {
-			err = cmp.Or(err, s.Wait())
+			s.sent.Wait()
+			err = cmp.Or(err, s.err)
 		}
 		return joined
 	})
@@ -413,7 +484,10 @@ func (x *run) encode(st step, frame []byte, deq []float32) []byte {
 func (x *run) decode(st step, frame []byte) error {
 	var err error
 	decode := x.codec.Decode
-	if st.fold {
+	switch {
+	case st.round:
+		decode = func(buf []byte, acc []float32) error { return landRounded(x.codec, buf, acc, cmp.Or(x.scale, 1)) }
+	case st.fold:
 		decode = x.codec.DecodeAdd
 	}
 	x.pieces(st.rLo, st.rHi, func(lo, hi int) {

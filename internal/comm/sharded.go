@@ -2,8 +2,6 @@ package comm
 
 import (
 	"time"
-
-	"repro/internal/transport"
 )
 
 // The sharded collectives are the in-place, uneven-chunk primitives
@@ -88,29 +86,22 @@ func (g *meshGroup) AllGatherV(data []float32) Work {
 }
 
 // CompressedReduceScatterV implements the compressed sharded
-// reduce-scatter, with the same transactional residual and the same
-// refusal as CompressedAllReduce (see residualBackup,
-// ErrCompressionUnsupported): stage 1 of the compressed AllReduce
-// schedule (compressedScatterSteps), which leaves the exact fold in the
-// owner chunk, scaled here for Avg — no second quantization, since the
-// reduced gradient shard feeds a local optimizer and never rides the
-// wire again.
+// reduce-scatter, with the same transactional residual, the same
+// refusal and the same submission-time contribution frames as
+// CompressedAllReduce (see backUpResidual, ErrCompressionUnsupported,
+// run.launch): stage 1 of the compressed AllReduce schedule
+// (compressedScatterSteps), which leaves the exact fold in the owner
+// chunk, scaled here for Avg — no second quantization, since the reduced
+// gradient shard feeds a local optimizer and never rides the wire again.
 func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	if codec == nil {
 		return g.ReduceScatterV(data, op)
 	}
-	return g.submitCompressed(data, op, codec, residual,
-		func(start time.Time) { observeCollective("compressed_reduce_scatter_v", len(data), start, nil) },
-		func(bm transport.ByteMesh, tag uint64) (int, error) {
-			k, rank, n := g.Size(), g.Rank(), len(data)
-			r := run{bm: bm, rank: rank, tag: tag, name: "compressed reduce-scatter", data: data, op: op, codec: codec, residual: residual, parts: k}
-			wire, err := runSteps(r, compressedScatterSteps(rank, k, n))
-			if err == nil {
-				lo, hi := chunkBounds(n, k, rank)
-				finishAvg(data[lo:hi], op, k)
-			}
-			return wire, err
-		})
+	k, rank, n := g.Size(), g.Rank(), len(data)
+	r := run{rank: rank, name: "compressed reduce-scatter", data: data, op: op, codec: codec, residual: residual, parts: k}
+	lo, hi := chunkBounds(n, k, rank)
+	return g.submitCompressed(r, compressedScatterSteps(rank, k, n), data[lo:hi],
+		func(elems int, start time.Time) { observeCollective("compressed_reduce_scatter_v", elems, start, nil) })
 }
 
 var _ ShardedGroup = (*meshGroup)(nil)

@@ -208,14 +208,17 @@ func (a *Agent) reconfigNeeded() bool {
 	return a.reconfig
 }
 
-// interrupt flags a reconfiguration immediately and aborts the group
-// after DrainTimeout, but only if the agent is still on generation g —
-// stale watchers and monitors otherwise no-op. The delay lets an
-// in-flight step whose collectives are fully fed (e.g. the final step
-// a cleanly departing peer took part in) drain to completion, so a
-// membership change never rolls back a step that was going to finish;
-// a collective genuinely stuck on a vanished peer is freed once the
-// window closes.
+// interrupt flags a reconfiguration immediately and, after
+// DrainTimeout, abandons the saves in flight and aborts the group, but
+// only if the agent is still on generation g — stale watchers and
+// monitors otherwise no-op. The delay lets an in-flight step whose
+// collectives are fully fed (e.g. the final step a cleanly departing
+// peer took part in) drain to completion, and a save every member has
+// contributed its shard to commit, so a membership change never rolls
+// back a step that was going to finish; a collective genuinely stuck on
+// a vanished peer, or a commit barrier waiting for its shard, is freed
+// once the window closes (the next generation's saves take over, and the
+// previous committed checkpoint stays loadable throughout).
 func (a *Agent) interrupt(g int) {
 	a.mu.Lock()
 	if a.killed || a.assign == nil || a.assign.Generation != g {
@@ -224,11 +227,6 @@ func (a *Agent) interrupt(g int) {
 	}
 	a.reconfig = true
 	a.mu.Unlock()
-	// Abandon saves of the interrupted generation: a dead member may
-	// never contribute its shard, so their commit barriers can only be
-	// satisfied by the next generation's saves. The previous committed
-	// checkpoint stays loadable throughout.
-	a.cancelSaves()
 	go func() {
 		a.cfg.Clock.Sleep(a.cfg.DrainTimeout)
 		a.mu.Lock()
@@ -238,6 +236,7 @@ func (a *Agent) interrupt(g int) {
 		}
 		pg := a.pg
 		a.mu.Unlock()
+		a.cancelSaves()
 		if pg != nil {
 			_ = comm.AbortGroup(pg)
 		}
@@ -303,7 +302,7 @@ func (a *Agent) reconfigure() error {
 		err := a.cfg.Tracer.WithSpan("recovery", func(root *trace.Span) (err error) {
 			root.Phase("teardown")
 			a.teardownGroup()
-			a.cancelSaves()
+			a.drainSaves()
 
 			root.Phase("rendezvous")
 			r := a.Replica()

@@ -3,6 +3,7 @@ package elastic
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/replica"
@@ -238,25 +239,48 @@ func (a *Agent) commitBeforeLeaving() error {
 	if err := a.finishCheckpoint(); err != nil {
 		return err
 	}
+	a.awaitCommit(a.cfg.RoundTimeout)
+	return nil
+}
+
+// drainSaves ends this generation's saves when its membership changes.
+// A sharded world recovers only from a committed checkpoint, so its
+// newest save — the step every member just finished, whose shards are
+// all on their way when no member died — gets the window
+// Config.DrainTimeout gives an in-flight step to commit: abandoned at
+// once, it would make the new world reload the checkpoint before it and
+// train that step again. Whatever has not committed when the window
+// closes is abandoned (cancelSaves); a world that holds full replicas is
+// re-seeded by broadcast and abandons at once.
+func (a *Agent) drainSaves() {
+	if r := a.Replica(); r != nil && !r.HoldsFullState() {
+		a.awaitCommit(a.cfg.DrainTimeout)
+	}
+	a.cancelSaves()
+}
+
+// awaitCommit waits, for at most d, until the checkpoint this agent last
+// contributed a shard to is committed; it returns early when there is
+// none or this generation's saves are canceled.
+func (a *Agent) awaitCommit(d time.Duration) {
 	a.mu.Lock()
 	cancel := a.saveCancel
 	a.mu.Unlock()
 	if a.ck == nil || a.ck.saved == 0 || cancel == nil {
-		return nil
+		return
 	}
-	deadline := a.cfg.Clock.Now().Add(a.cfg.RoundTimeout)
+	deadline := a.cfg.Clock.Now().Add(d)
 	for a.cfg.Clock.Now().Before(deadline) {
 		if meta, err := ckpt.LatestMeta(a.ck.cfg.Dir); err == nil && meta.Step >= a.ck.saved {
-			return nil
+			return
 		}
 		select {
 		case <-cancel:
-			return nil
+			return
 		default:
 		}
 		a.cfg.Clock.Sleep(a.cfg.PollInterval)
 	}
-	return nil
 }
 
 // abortCheckpoint tears the checkpoint machinery down on failure paths:

@@ -272,12 +272,16 @@ type Config struct {
 	// a new generation (default 30s).
 	RoundTimeout time.Duration
 	// DrainTimeout is how long a generation change lets an in-flight
-	// step drain before the process group is aborted (default 500ms).
+	// step drain before the process group is aborted, and a sharded
+	// world's newest save commit before it is abandoned (default 500ms).
 	// A step whose collectives every participant already submitted
 	// completes within this window — e.g. the final step a cleanly
-	// departing peer took part in — so completed work is never rolled
-	// back by the membership change; collectives genuinely stuck on a
-	// vanished peer are still freed once the window closes.
+	// departing peer took part in — and so does the save of a step every
+	// member finished, which is the only state a sharded world can
+	// resume from; so completed work is never rolled back by the
+	// membership change. Collectives genuinely stuck on a vanished peer,
+	// and saves waiting for its shard, are still freed once the window
+	// closes.
 	DrainTimeout time.Duration
 	// MaxRestarts caps consecutive reconfigurations without a completed
 	// step before the agent gives up (default 10).

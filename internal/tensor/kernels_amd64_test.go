@@ -313,3 +313,73 @@ func TestAssemblyHalfEncodeMatchesGoLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestAssemblyHalfDecodeMatchesGoLoop: HalfDecode, HalfDecodeAdd and
+// HalfLand write the same bits under both bodies — NaN payloads too,
+// which requireBitwise would let differ — and count the same drops, for
+// every length 0–40 and 4099, every start offset 0–7 of frame and
+// accumulator, frames of arbitrary bytes (every half, infinities and
+// NaNs among them) and of encoded values, and accumulators of the
+// special values; neither body touches the canaries around either
+// operand.
+func TestAssemblyHalfDecodeMatchesGoLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	lengths := []int{4099}
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	leaves := []struct {
+		name string
+		call func(frame []byte, acc []float32) int
+	}{
+		{"HalfDecode", func(frame []byte, acc []float32) int { HalfDecode(frame, acc); return 0 }},
+		{"HalfDecodeAdd", func(frame []byte, acc []float32) int { HalfDecodeAdd(frame, acc); return 0 }},
+		{"HalfLand sum", func(frame []byte, acc []float32) int { return HalfLand(frame, acc, 1) }},
+		{"HalfLand avg", func(frame []byte, acc []float32) int { return HalfLand(frame, acc, 0.5) }},
+	}
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			acc, peer := newOperand(n, 0), newOperand(n, 0)
+			fillHalfValues(rng, acc.s)
+			fillHalfValues(rng, peer.s)
+			encoded := make([]byte, 2*n)
+			HalfEncode(encoded, peer.s, nil, nil)
+			arbitrary := make([]byte, 2*n)
+			rng.Read(arbitrary)
+			for _, src := range [][]byte{encoded, arbitrary} {
+				for _, leaf := range leaves {
+					what := fmt.Sprintf("%s n=%d off=%d", leaf.name, n, off)
+					type result struct {
+						frame   []byte
+						acc     operand
+						dropped int
+					}
+					var results []result
+					kernelBodies(func(string) {
+						r := result{acc: acc.clone(off)}
+						var frame []byte
+						r.frame, frame = newFrame(2*n, (2*off+3)%32)
+						copy(frame, src)
+						r.dropped = leaf.call(frame, r.acc.s)
+						results = append(results, r)
+					})
+					if len(results) < 2 {
+						t.Skip("no AVX2 on this machine: the Go loop is the only body")
+					}
+					got, want := results[1], results[0]
+					if got.dropped != want.dropped {
+						t.Fatalf("%s: dropped %d, Go loop %d", what, got.dropped, want.dropped)
+					}
+					if !bytes.Equal(got.frame, want.frame) {
+						t.Fatalf("%s: frame (with canaries) changed\n got %x\nwant %x", what, got.frame, want.frame)
+					}
+					for i, w := range want.acc.region {
+						if g := got.acc.region[i]; math.Float32bits(g) != math.Float32bits(w) {
+							t.Fatalf("%s: element %d of canaries+acc+canaries = %#08x, Go loop %#08x", what, i, math.Float32bits(g), math.Float32bits(w))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -99,6 +99,23 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 				}
 				HalfEncode(frame, s[1], s[2], nil)
 			})
+			// The decoders read the 2n bytes of s[1] that touch the guard page.
+			halfFrame := func(s []float32) []byte {
+				raw := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*n)
+				if atEnd {
+					return raw[2*n:]
+				}
+				return raw[:2*n]
+			}
+			run("HalfDecode", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+				HalfDecode(halfFrame(s[1]), s[0])
+			})
+			run("HalfDecodeAdd", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+				HalfDecodeAdd(halfFrame(s[1]), s[0])
+			})
+			run("HalfLand", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+				HalfLand(halfFrame(s[1]), s[0], 0.5)
+			})
 			run("tanhFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
 				tanhFloats(s[0], s[1])
 			})

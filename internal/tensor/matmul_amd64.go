@@ -10,8 +10,9 @@ package tensor
 // operating system saves the upper halves of the vector registers (CPUID,
 // then XGETBV). The matmul and float stream bodies need only AVX; the
 // binary16 encoder's 256-bit integer operations need AVX2 and its frame
-// packing F16C, which every AVX2 processor has, the tanh body's 256-bit
-// shift AVX2 too, and one probe serves all ten leaves. The price: an
+// packing F16C, which every AVX2 processor has, as do the decoders'
+// VCVTPH2PS and the landing, the tanh body's 256-bit shift AVX2 too, and
+// one probe serves all thirteen leaves. The price: an
 // AVX-only processor (Sandy Bridge, Ivy Bridge, Bulldozer, Piledriver)
 // now runs every leaf as its Go loop.
 func hasAVX2() bool

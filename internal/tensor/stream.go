@@ -6,7 +6,8 @@ import "math"
 // reduced" and "parameter updated": the fold of a peer's frame into the
 // bucket, the 1/world scale that finishes an average, and the momentum
 // update — and, under fp16 compression, the binary16 quantizer that
-// builds the frames. They work on bare slices because their callers
+// builds the frames, the decoders that read them and the two-rank
+// exchange's landing. They work on bare slices because their callers
 // (internal/comm, internal/optim, internal/fsdp's shards) hold flat
 // buffers, not tensors; AddInPlace and ScaleInPlace are the same two
 // loops under their tensor names.
@@ -97,24 +98,16 @@ func HalfEncode(frame []byte, data, residual, deq []float32) (dropped int) {
 		if i < len(residual) {
 			v += residual[i]
 		}
-		b := math.Float32bits(v)
-		a := b &^ signMask
-		if a > maxHalfBits {
-			if a >= expMask {
-				// Dropped: transmitted as +0, residual discarded (0 - 0).
-				dropped++
-				v, a, b = 0, 0, 0
-			} else {
-				a = maxHalfBits
-			}
+		h, deqd, drop := halfQuantize(v)
+		if drop {
+			// Dropped: transmitted as +0, residual discarded (0 - 0).
+			dropped++
+			v = 0
 		}
-		h, q := halfBits(a)
-		h |= b >> 16 & 0x8000
 		if len(frame) >= 2 {
 			frame[0], frame[1] = byte(h), byte(h>>8)
 			frame = frame[2:]
 		}
-		deqd := math.Float32frombits(q | b&signMask)
 		if i < len(residual) {
 			residual[i] = v - deqd
 		}
@@ -123,6 +116,81 @@ func HalfEncode(frame []byte, data, residual, deq []float32) (dropped int) {
 		}
 	}
 	return dropped
+}
+
+// halfQuantize is HalfEncode's rule for one value v: h is the binary16
+// bits it travels as and d the float32 value they stand for. A value
+// past ±65504 saturates; a non-finite one is dropped (drop), travelling
+// as +0.
+func halfQuantize(v float32) (h uint32, d float32, drop bool) {
+	b := math.Float32bits(v)
+	a := b &^ signMask
+	if a > maxHalfBits {
+		if a >= expMask {
+			return 0, 0, true
+		}
+		a = maxHalfBits
+	}
+	h, q := halfBits(a)
+	return h | b>>16&0x8000, math.Float32frombits(q | b&signMask), false
+}
+
+// HalfDecode writes to out the float32 value of each binary16 element of
+// frame, two little-endian bytes an element; frame holds at least
+// 2·len(out) bytes. Every half has an exact float32 value (halfValue), a
+// signaling NaN's payload included, so decoding rounds nothing.
+func HalfDecode(frame []byte, out []float32) {
+	for i := halfDecodeVec(frame, out, false); i < len(out); i++ {
+		out[i] = halfValue(frame[2*i:])
+	}
+}
+
+// HalfDecodeAdd is HalfDecode into scratch followed by acc[i] += scratch[i],
+// without the scratch: one float32 addition an element.
+func HalfDecodeAdd(frame []byte, acc []float32) {
+	for i := halfDecodeVec(frame, acc, true); i < len(acc); i++ {
+		acc[i] = acc[i] + halfValue(frame[2*i:])
+	}
+}
+
+// HalfLand lands a peer's binary16 frame on the two-rank path of comm's
+// fp16 AllReduce in one pass:
+//
+//	acc[i] = quant(acc[i] + dec(frame[i])) · s
+//
+// dec is HalfDecode's value, quant HalfEncode's rounding without a
+// residual (saturating to ±65504; a non-finite sum is dropped to +0 and
+// counted) and s the closing scale, 1 for a sum and 1/2 for a two-rank
+// average. These are the float32 operations of HalfDecodeAdd, then
+// HalfEncode(nil, acc, nil, acc), then ScaleFloats(acc, s), in that order,
+// so the result and the drop count are theirs bit for bit. frame holds at
+// least 2·len(acc) bytes; returned is the number dropped.
+func HalfLand(frame []byte, acc []float32, s float32) (dropped int) {
+	n, dropped := halfLandVec(frame, acc, s)
+	for i := n; i < len(acc); i++ {
+		_, d, drop := halfQuantize(acc[i] + halfValue(frame[2*i:]))
+		if drop {
+			dropped++
+		}
+		acc[i] = d * s
+	}
+	return dropped
+}
+
+// halfValue is the float32 value of the binary16 element in h[0:2],
+// little-endian, exactly: a shift for normals, infinities and NaNs (whose
+// payload, signaling or quiet, it keeps), and one exact conversion for
+// zeros and subnormals, the multiples of 2^-24 below 2^-14.
+func halfValue(h []byte) float32 {
+	w := uint32(h[0]) | uint32(h[1])<<8
+	sign, mag := w>>15<<31, w&0x7fff
+	switch {
+	case mag >= 0x7c00:
+		return math.Float32frombits(sign | expMask | mag<<13)
+	case mag >= 0x400:
+		return math.Float32frombits(sign | (mag<<13 + 112<<23))
+	}
+	return math.Float32frombits(sign | math.Float32bits(float32(mag)*0x1p-24))
 }
 
 // halfBits rounds a non-negative float32 no larger than 65504, given as

@@ -71,6 +71,35 @@ func halfEncodeVec(frame []byte, data, residual, deq []float32) (n, dropped int)
 	return n, halfEncodeAVX(f, &data[0], n, r, d)
 }
 
+// halfDecodeAVX is HalfDecode (add false) or HalfDecodeAdd (add true)
+// over n elements, n a positive multiple of eight.
+//
+//go:noescape
+func halfDecodeAVX(frame *byte, out *float32, n int, add bool)
+
+// halfLandAVX is HalfLand over n elements, n a positive multiple of
+// eight.
+//
+//go:noescape
+func halfLandAVX(frame *byte, acc *float32, n int, s float32) (dropped int)
+
+func halfDecodeVec(frame []byte, out []float32, add bool) int {
+	n := len(out) &^ 7
+	if !useAVX || n == 0 {
+		return 0
+	}
+	halfDecodeAVX(&frame[:2*n][0], &out[0], n, add)
+	return n
+}
+
+func halfLandVec(frame []byte, acc []float32, s float32) (n, dropped int) {
+	n = len(acc) &^ 7
+	if !useAVX || n == 0 {
+		return 0, 0
+	}
+	return n, halfLandAVX(&frame[:2*n][0], &acc[0], n, s)
+}
+
 // leading returns &s[0] if s holds at least n elements and nil if it is
 // empty; ok is false for anything in between.
 func leading[T any](s []T, n int) (p *T, ok bool) {
