@@ -167,10 +167,10 @@ func shTrain(strategy string, world int, batches, labels []*tensor.Tensor) ([][]
 	return final, stats, err
 }
 
-// shSchedule is one step of strategy on the ablation's layout, as
-// replica.Schedule lists it, and the layout: the replicas' packing, and
-// the Sequential's children as units.
-func shSchedule(strategy string) (reduce.Step, *reduce.Assignment, error) {
+// shSchedule is one step of strategy at world on the ablation's layout,
+// as replica.Schedule lists it, and the layout: the replicas' packing,
+// and the Sequential's children as units.
+func shSchedule(strategy string, world int) (reduce.Step, *reduce.Assignment, error) {
 	sizes, units := shSizes(), shModel().(*nn.Sequential).Children()
 	counts := make([]int, len(units))
 	for u, unit := range units {
@@ -180,7 +180,7 @@ func shSchedule(strategy string) (reduce.Step, *reduce.Assignment, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, counts))
+	step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, counts), world)
 	return step, assign, err
 }
 
@@ -257,7 +257,7 @@ func ShardingAblation(w io.Writer) error {
 				// Replicated layout, by construction: full parameters and
 				// full momentum on every rank, and the schedule's
 				// AllReduces every step.
-				step, assign, err := shSchedule(strategy)
+				step, assign, err := shSchedule(strategy, world)
 				if err != nil {
 					return err
 				}
@@ -267,7 +267,7 @@ func ShardingAblation(w io.Writer) error {
 					PeakParamBytes:  fullBytes,
 					OptimizerBytes:  fullBytes,
 					PeakGradBytes:   4 * slices.Max(assign.BucketElems),
-					Gathers:         shIters * step.Count(reduce.AllGatherV),
+					Gathers:         shIters * step.Buckets(reduce.AllGatherV),
 					Reduces:         shIters * step.Count(reduce.AllReduce),
 				}
 			}

@@ -54,15 +54,16 @@ func TestShardingAblation(t *testing.T) {
 			t.Fatalf("%s world %d not bitwise vs DDP", r.Strategy, r.World)
 		}
 		// A trained row's fsdp.Stats count what the replicas submitted:
-		// shIters steps of the schedule simnet prices.
-		step, _, err := shSchedule(r.Strategy)
+		// shIters steps of the schedule simnet prices, whose gathers
+		// carry a launch group's buckets each.
+		step, _, err := shSchedule(r.Strategy, r.World)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gathers := step.Count(reduce.AllGatherV)
-		if r.Gathers != shIters*gathers || r.Reduces != shIters*(len(step)-gathers) {
-			t.Fatalf("%s world %d: %d gathers and %d reduces, the schedule says %d per step of %d",
-				r.Strategy, r.World, r.Gathers, r.Reduces, gathers, len(step))
+		gathers, reduces := step.Buckets(reduce.AllGatherV), len(step)-step.Count(reduce.AllGatherV)
+		if r.Gathers != shIters*gathers || r.Reduces != shIters*reduces {
+			t.Fatalf("%s world %d: %d gathers and %d reduces, the schedule says %d and %d per step",
+				r.Strategy, r.World, r.Gathers, r.Reduces, gathers, reduces)
 		}
 		if r.Strategy != "ddp" && (r.BudgetParamBytes == 0 || r.PeakParamBytes > r.BudgetParamBytes) {
 			t.Fatalf("%s world %d: peak %d above the budget %d", r.Strategy, r.World, r.PeakParamBytes, r.BudgetParamBytes)

@@ -20,10 +20,10 @@
 //     read, and gathered again for backward where the plan dropped it.
 //
 // Parameter storage: the wrapper keeps one flat per bucket and re-points
-// every parameter's Value at its range of it, so AllGatherV fills the
+// every parameter's Value at its range of it, so a gather fills the
 // tensors the layers read, the optimizer updates the owned chunk where
 // it stands, and freeing a bucket zeroes the ranges outside that chunk.
-// Nothing is packed, unpacked or allocated per step.
+// Nothing is allocated per step.
 //
 // Gradient storage: the engine's bucket flats are transient — drawn from
 // the transport pool at a bucket's first gradient, handed back once the
@@ -42,12 +42,27 @@
 // backward visits in reverse — which gathers to launch, which must have
 // landed, and which buckets to drop after each visit. Forward and the
 // backward hooks only advance a cursor (advance): launch what the plan
-// says, then wait for exactly what the visit reads, so the group's
-// serial worker stays busy while the unit computes. The plan depends
-// only on the layout, so every rank submits the same collectives in the
-// same order: the ones replica.Schedule lists, which simnet prices. A
-// failed gather or buffer broadcast is deferred to Backward, which
-// returns it; no gather outlives the step that launched it.
+// says, then wait for what the visit reads, so the group's serial worker
+// stays busy while the unit computes. The plan depends only on the
+// layout, so every rank submits the same collectives in the same order:
+// the ones replica.Schedule lists, which simnet prices. A failed gather
+// or buffer broadcast is deferred to Backward, which returns it; no
+// gather outlives the step that launched it.
+//
+// Launch groups: the gathers the plan launches at one visit for one
+// later visit to read (reduce.Plan.Groups) are one AllGatherV, so they
+// pay one collective's latency, and no visit waits for a transfer it
+// does not read. A group of one bucket is gathered in place on its
+// flat. A group of several runs on a staging buffer, reduce.GatherElems
+// long: rank r's chunks of the group's buckets, each padded to its
+// bucket's largest chunk, fill the r-th of its w equal parts, copied in
+// at launch and every peer's copied out into the flats when the gather
+// lands (restage). A failed group gather leaves every bucket of it
+// sharded. Materialize launches the groups in order. The staging is one
+// arena per install/rebind — a region per group of several, as all of
+// them may be in flight at once — and counts toward no residency:
+// Stats.Gathers still counts bucket gathers, and the peaks and budgets
+// count buckets.
 //
 // The bitwise contract: fsdp uses the SAME bucket assignment as DDP
 // (reverse registration order, cap-based packing) and comm's sharded

@@ -121,10 +121,11 @@ type Stats struct {
 	// PeakGradBytes is the maximum gradient bucket bytes observed; the
 	// engine's transient buffers release after every step.
 	PeakGradBytes int
-	// Gathers and Reduces count parameter AllGatherV and gradient
-	// ReduceScatterV launches. A step launches the gathers of its plan:
-	// every bucket once for forward, and again for backward each bucket
-	// the plan drops before backward reads it (none under ZeRO2).
+	// Gathers counts bucket gathers — the buckets parameter AllGatherVs
+	// fill, several to one collective for a launch group — and Reduces gradient ReduceScatterV launches. A step
+	// gathers as its plan says: every bucket once for forward, and again
+	// for backward each bucket the plan drops before backward reads it
+	// (none under ZeRO2).
 	Gathers int
 	Reduces int
 }
@@ -154,19 +155,21 @@ type FSDP struct {
 	velocity         [][]float32 // owned momentum chunks
 	// flats[b] is bucket b's parameter storage in the bucket's offset
 	// layout, and every member parameter's Value is a view of its range
-	// of it: AllGatherV runs on the flat itself and the optimizer
-	// updates flats[b][ownedLo[b]:ownedHi[b]] in place. The ranges
-	// outside the owned chunk are zero unless the bucket is gathered.
+	// of it: a bucket gathered alone is gathered on the flat itself, and
+	// the optimizer updates flats[b][ownedLo[b]:ownedHi[b]] in place.
+	// The ranges outside the owned chunk are zero unless the bucket is
+	// gathered.
 	flats       [][]float32
 	state       []residency
 	remaining   []int   // member grads outstanding before free
 	unitBuckets [][]int // buckets each unit's parameters touch
 
-	// The gather schedule (see mapUnits): the step's plan, the
-	// position in its Seq of the next launch, and the gathers launched
-	// but not yet waited for, oldest first.
+	// The gather schedule (see mapUnits): the step's plan, its launch
+	// groups in launch order, the next of them to launch, and the
+	// gathers launched but not yet waited for, oldest first.
 	plan     reduce.Plan
-	cursor   int
+	groups   []group
+	next     int
 	inflight []gather
 
 	residentParam int // current resident param bytes
@@ -182,11 +185,28 @@ const (
 	gathered                   // the flat holds every rank's chunk
 )
 
-// gather is one launched AllGatherV: entry pos of the plan's Seq, or −1
-// outside the plan (Materialize).
+// group is one of the plan's launch groups (reduce.Plan.Groups): the
+// buckets one AllGatherV gathers, its first entry of the plan's Seq, and
+// the visit that launches it. Several buckets are gathered through a
+// staging buffer (see restage): its region of one arena,
+// reduce.GatherElems long, allocated per install.
+type group struct {
+	buckets []int
+	pos, at int
+	staging []float32
+	// launched holds the buckets of its latest launch: those that were
+	// still sharded.
+	launched []int
+}
+
+// gather is one launched AllGatherV: the buckets it fills, the staging
+// it runs on (nil when it runs on its one bucket's flat), and the first
+// of its entries in the plan's Seq, or −1 outside the plan.
 type gather struct {
-	bucket, pos int
-	work        comm.Work
+	buckets []int
+	staging []float32
+	pos     int
+	work    comm.Work
 }
 
 // New wraps module for sharded training over pg, which must support
@@ -288,9 +308,9 @@ func (f *FSDP) shardAll() {
 
 // mapUnits decomposes the module into forward units — the gather/free
 // granularity — and plans the step they imply within the preset's
-// budget (reduce.PlanStep), and its bound on resident parameter bytes. A
-// Sequential's children are its units; any other module is a single
-// unit.
+// budget (reduce.PlanStep), its launch groups with their staging, and
+// its bound on resident parameter bytes. A Sequential's children are its
+// units; any other module is a single unit.
 func (f *FSDP) mapUnits() {
 	if seq, ok := f.Module().(*nn.Sequential); ok {
 		f.units = seq.Children()
@@ -308,6 +328,25 @@ func (f *FSDP) mapUnits() {
 	f.plan = reduce.PlanStep(f.unitBuckets, elems, f.budget(f.unitBuckets, elems))
 	w := f.ProcessGroup().Size()
 	f.stats.BudgetParamBytes = min(f.stats.FullParamBytes, f.stats.ShardParamBytes+4*((f.plan.Budget+f.NumBuckets())*(w-1)/w))
+
+	// Staging: one region per launch group of several buckets, as all of
+	// them may be in flight at once.
+	f.groups = f.groups[:0]
+	need := 0
+	for _, lg := range f.plan.Groups() {
+		buckets := f.plan.Seq[lg.Lo:lg.Hi:lg.Hi]
+		f.groups = append(f.groups, group{buckets: buckets, pos: lg.Lo, at: lg.Launch, launched: make([]int, 0, len(buckets))})
+		if len(buckets) > 1 {
+			need += reduce.GatherElems(elems, buckets, w)
+		}
+	}
+	arena := make([]float32, need)
+	for i := range f.groups {
+		if g := &f.groups[i]; len(g.buckets) > 1 {
+			n := reduce.GatherElems(elems, g.buckets, w)
+			g.staging, arena = arena[:n], arena[n:]
+		}
+	}
 }
 
 // launchBucket is the reduce.Launcher fsdp plugs into the shared
@@ -359,32 +398,85 @@ func (f *FSDP) freeBucket(b int) {
 	f.residentParam -= f.nonOwnedBytes(b)
 }
 
-// launchGather starts the in-place AllGatherV that fills a sharded
-// bucket's flat from every owner's chunk, as entry pos of the plan (−1
-// outside it). The bucket counts as resident from here on. A bucket that
-// is already gathered (by Materialize, or by a Forward that ran without
-// a Backward after it) or on its way is left alone.
-func (f *FSDP) launchGather(b, pos int) {
-	if f.state[b] != sharded {
-		return
+// launch starts the one AllGatherV that fills g's sharded buckets from
+// every owner's chunks, as the plan's entries from pos (−1 outside the
+// step, for Materialize):
+// in place on the flat when one bucket is sharded, else on g's staging,
+// this rank's chunks copied in first. The buckets count as resident from
+// here on. A bucket that is already gathered (by Materialize, or by a
+// Forward that ran without a Backward after it) or on its way is left
+// alone.
+func (f *FSDP) launch(g *group, pos int) {
+	g.launched = g.launched[:0]
+	for _, b := range g.buckets {
+		if f.state[b] == sharded {
+			g.launched = append(g.launched, b)
+			f.state[b] = gathering
+			f.residentParam += f.nonOwnedBytes(b)
+		}
 	}
-	f.stats.Gathers++
-	f.state[b] = gathering
-	f.residentParam += f.nonOwnedBytes(b)
+	switch len(g.launched) {
+	case 0:
+		return
+	case 1:
+		f.inflight = append(f.inflight, gather{g.launched, nil, pos, f.sg.AllGatherV(f.flats[g.launched[0]])})
+	default:
+		staging := g.staging[:reduce.GatherElems(f.Assignment().BucketElems, g.launched, f.ProcessGroup().Size())]
+		f.restage(g.launched, staging, true)
+		f.inflight = append(f.inflight, gather{g.launched, staging, pos, f.sg.AllGatherV(staging)})
+	}
+	f.stats.Gathers += len(g.launched)
 	f.notePeak()
-	f.inflight = append(f.inflight, gather{bucket: b, pos: pos, work: f.sg.AllGatherV(f.flats[b])})
 }
 
-// land waits for the oldest gather in flight. A failed gather's partial
-// result is discarded: the bucket goes back to sharded.
+// restage copies between buckets' flats and their staging: this rank's
+// owned chunks in, or every other rank's chunks out. Rank q's region is
+// [qP, (q+1)P) of the staging, P its length over the world, and holds
+// q's chunk of each bucket in turn, each at an offset of the buckets
+// before it padded to their largest chunk. At world 1 the one rank owns
+// every chunk, and nothing moves.
+func (f *FSDP) restage(buckets []int, staging []float32, in bool) {
+	w, rank := f.ProcessGroup().Size(), f.ProcessGroup().Rank()
+	if w == 1 {
+		return
+	}
+	p, off := len(staging)/w, 0
+	for _, b := range buckets {
+		n := f.Assignment().BucketElems[b]
+		for q := range w {
+			if (q == rank) != in {
+				continue
+			}
+			lo, hi := comm.ChunkBounds(n, w, q)
+			region := staging[q*p+off : q*p+off+hi-lo]
+			if in {
+				copy(region, f.flats[b][lo:hi])
+			} else {
+				copy(f.flats[b][lo:hi], region)
+			}
+		}
+		off += (n + w - 1) / w
+	}
+}
+
+// land waits for the oldest gather in flight and unstages what it
+// fetched. A failed gather's partial result is discarded: every bucket
+// it was to fill goes back to sharded.
 func (f *FSDP) land() error {
 	g := f.inflight[0]
 	f.inflight = f.inflight[:copy(f.inflight, f.inflight[1:])]
 	err := g.work.Wait()
-	f.state[g.bucket] = gathered
+	for _, b := range g.buckets {
+		f.state[b] = gathered
+		if err != nil {
+			f.freeBucket(b)
+		}
+	}
 	if err != nil {
-		f.freeBucket(g.bucket)
-		return fmt.Errorf("gathering bucket %d parameters: %w", g.bucket, err)
+		return fmt.Errorf("gathering buckets %v parameters: %w", g.buckets, err)
+	}
+	if g.staging != nil {
+		f.restage(g.buckets, g.staging, false)
 	}
 	return nil
 }
@@ -401,21 +493,23 @@ func (f *FSDP) drain() error {
 }
 
 // advance is all a visit does about gathers: move the plan's cursor. It
-// launches the plan's gathers through visit v's — before waiting, so the
-// group's serial worker goes from one gather straight into the next
-// while the unit computes — and then waits for exactly the buckets the
-// visit reads. Launches happen here, on the training goroutine, in plan
-// order, so every rank submits the same collectives in the same order. A
-// failure is downgraded to the deferred error Backward reports: a gather
-// can only fail when the process group broke (a peer died, the group was
+// launches the plan's groups through visit v's, one collective each —
+// before waiting, so the process group's serial worker goes from one
+// gather straight into the next while the unit computes — and then
+// waits for the groups whose buckets the visit is the first to read. Launches
+// happen here, on the training goroutine, in plan order, so every rank
+// submits the same collectives in the same order. A failure is
+// downgraded to the deferred error Backward reports: a gather can only
+// fail when the process group broke (a peer died, the group was
 // aborted), and the graph walk it interrupts runs inside interfaces with
 // no error return. Once one is recorded nothing more is launched and the
 // remaining units compute on zeroed parameters, keeping tensor shapes
 // (and the caller's loss construction) intact while the iteration's
 // results are doomed to be discarded.
 func (f *FSDP) advance(v int) {
-	for ; !f.Failed() && f.cursor < f.plan.Launch[v]; f.cursor++ {
-		f.launchGather(f.plan.Seq[f.cursor], f.cursor)
+	for ; !f.Failed() && f.next < len(f.groups) && f.groups[f.next].at <= v; f.next++ {
+		g := &f.groups[f.next]
+		f.launch(g, g.pos)
 	}
 	for len(f.inflight) > 0 && f.inflight[0].pos < f.plan.Need[v] {
 		f.Defer(f.land())
@@ -434,7 +528,7 @@ func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	for b, members := range f.Assignment().Buckets {
 		f.remaining[b] = len(members)
 	}
-	f.cursor = 0
+	f.next = 0
 	last := 2*len(f.units) - 1
 	for u, unit := range f.units {
 		f.advance(u)
@@ -516,17 +610,22 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	return nil
 }
 
-// Materialize gathers the full parameter set into the model's tensors,
-// a per-bucket AllGatherV of every bucket not already gathered, under
-// either preset: between steps only the shards are resident. All ranks
-// must call it at the same point. Use it before reading parameters for
-// evaluation or checkpointing; the next Forward gathers nothing it
-// still holds and re-frees on schedule.
+// Materialize gathers the full parameter set into the model's tensors
+// once the gathers in flight have landed: the step's launch groups in
+// order, one AllGatherV each of its buckets not already gathered, under
+// either preset (every bucket is in a forward group): between steps only the
+// shards are resident. All ranks must call it at the same point. Use it
+// before reading parameters for evaluation or checkpointing; the next
+// Forward gathers nothing it still holds and re-frees on schedule.
 func (f *FSDP) Materialize() error {
-	for b := range f.flats {
-		f.launchGather(b, -1)
+	err := f.drain()
+	if err == nil {
+		for i := range f.groups {
+			f.launch(&f.groups[i], -1)
+		}
+		err = f.drain()
 	}
-	if err := f.drain(); err != nil {
+	if err != nil {
 		return fmt.Errorf("fsdp: %w", err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -558,16 +559,21 @@ func sameF32(a, b []float32) bool {
 // driven from the test's own goroutine. It moves no data. An AllGatherV
 // it hands out completes only inside Wait, when the test's release
 // script lets it — the latest any gather can land — and launches,
-// waits and landings go to an event log the schedule tests read back.
-// Every other collective completes at once.
+// waits and landings go to an event log the schedule tests read back,
+// each naming the gather's buckets in ascending order. Every other
+// collective completes at once.
 type scriptedGroup struct {
 	rank, world int
 	events      []string
 	// release, when non-nil, decides how the n-th launched gather
 	// (counting from 0) ends once somebody waits for it.
-	release  func(n, bucket int) error
-	bucketOf map[*float32]int // a flat's first element → its bucket
-	waited   []int            // waits per launched gather
+	release func(n int, buckets []int) error
+	// gathering lists the wrapper's buckets whose gather is launched and
+	// not landed: those of the gather being launched, and those of the
+	// gathers out.
+	gathering func() []int
+	out       map[int]bool // the buckets of the gathers handed out and not waited for
+	waited    []int        // waits per launched gather
 }
 
 func (g *scriptedGroup) logf(format string, args ...any) {
@@ -575,32 +581,44 @@ func (g *scriptedGroup) logf(format string, args ...any) {
 }
 
 type scriptedGather struct {
-	g         *scriptedGroup
-	n, bucket int
+	g       *scriptedGroup
+	n       int
+	buckets []int
 }
 
 func (w scriptedGather) Wait() error {
 	w.g.waited[w.n]++
-	w.g.logf("wait %d", w.bucket)
+	w.g.logf("wait %v", w.buckets)
 	var err error
 	if w.g.release != nil {
-		err = w.g.release(w.n, w.bucket)
+		err = w.g.release(w.n, w.buckets)
 	}
-	w.g.logf("landed %d", w.bucket)
+	for _, b := range w.buckets {
+		delete(w.g.out, b)
+	}
+	w.g.logf("landed %v", w.buckets)
 	return err
 }
 
 func (g *scriptedGroup) Rank() int { return g.rank }
 func (g *scriptedGroup) Size() int { return g.world }
 
-func (g *scriptedGroup) AllGatherV(data []float32) comm.Work {
-	b, ok := g.bucketOf[&data[0]]
-	if !ok {
+// AllGatherV hands out a gather of the buckets the wrapper has marked
+// gathering since the last launch.
+func (g *scriptedGroup) AllGatherV([]float32) comm.Work {
+	var buckets []int
+	for _, b := range g.gathering() {
+		if !g.out[b] {
+			buckets = append(buckets, b)
+			g.out[b] = true
+		}
+	}
+	if len(buckets) == 0 {
 		return comm.CompletedWork(nil) // CaptureState's momentum gathers
 	}
-	g.logf("launch %d", b)
+	g.logf("launch %v", buckets)
 	g.waited = append(g.waited, 0)
-	return scriptedGather{g: g, n: len(g.waited) - 1, bucket: b}
+	return scriptedGather{g: g, n: len(g.waited) - 1, buckets: buckets}
 }
 
 func (g *scriptedGroup) ReduceScatterV([]float32, comm.ReduceOp) comm.Work {
@@ -658,7 +676,7 @@ type scripted struct {
 // for rank of world.
 func newScripted(t *testing.T, fx fixture, rank, world int) *scripted {
 	t.Helper()
-	s := &scripted{g: &scriptedGroup{rank: rank, world: world, bucketOf: map[*float32]int{}}, seen: map[string]int{}}
+	s := &scripted{g: &scriptedGroup{rank: rank, world: world, out: map[int]bool{}}, seen: map[string]int{}}
 	seq := nn.NewSequential()
 	for u, unit := range fx.build().(*nn.Sequential).Children() {
 		seq.Append(loggedUnit{Module: unit, u: u, s: s})
@@ -668,8 +686,13 @@ func newScripted(t *testing.T, fx fixture, rank, world int) *scripted {
 		t.Fatal(err)
 	}
 	s.f = f
-	for b, flat := range f.flats {
-		s.g.bucketOf[&flat[0]] = b
+	s.g.gathering = func() (buckets []int) {
+		for b, st := range f.state {
+			if st == gathering {
+				buckets = append(buckets, b)
+			}
+		}
+		return buckets
 	}
 	batches, labels := fx.makeData(1, 1)
 	s.x, s.y = autograd.Constant(batches[0]), autograd.Constant(labels[0])
@@ -683,13 +706,23 @@ func (s *scripted) step() ([]string, error) {
 	return s.g.events[first:], err
 }
 
-func launchesIn(events []string) []int {
-	var out []int
+// launchesIn lists the gathers launched in events, each as its buckets.
+func launchesIn(events []string) []string {
+	var out []string
 	for _, e := range events {
-		var b int
-		if n, _ := fmt.Sscanf(e, "launch %d", &b); n == 1 {
-			out = append(out, b)
+		if buckets, ok := strings.CutPrefix(e, "launch "); ok {
+			out = append(out, buckets)
 		}
+	}
+	return out
+}
+
+// sortedGroups is the plan's launch groups in launch order, each with
+// its buckets in ascending order, as the event log names them.
+func sortedGroups(f *FSDP) []string {
+	var out []string
+	for _, g := range f.plan.Groups() {
+		out = append(out, fmt.Sprint(slices.Sorted(slices.Values(f.plan.Seq[g.Lo:g.Hi]))))
 	}
 	return out
 }
@@ -717,18 +750,22 @@ func heldAcrossTurn(f *FSDP) []int {
 }
 
 // planEvents is the event log the plan prescribes for a step: per
-// visit, its launches, then its waits, then the unit.
+// visit, the launch of each group it launches, then the wait for each
+// group it is the first to read, whole, then the unit.
 func planEvents(f *FSDP) []string {
 	n := len(f.units)
 	var out []string
-	launched, landed := 0, 0
+	groups, names := f.plan.Groups(), sortedGroups(f)
 	for v := range 2 * n {
-		for ; launched < f.plan.Launch[v]; launched++ {
-			out = append(out, fmt.Sprintf("launch %d", f.plan.Seq[launched]))
+		for i, g := range groups {
+			if g.Launch == v {
+				out = append(out, "launch "+names[i])
+			}
 		}
-		for ; landed < f.plan.Need[v]; landed++ {
-			b := f.plan.Seq[landed]
-			out = append(out, fmt.Sprintf("wait %d", b), fmt.Sprintf("landed %d", b))
+		for i, g := range groups {
+			if g.Wait == v {
+				out = append(out, "wait "+names[i], "landed "+names[i])
+			}
 		}
 		if v < n {
 			out = append(out, fmt.Sprintf("forward %d", v))
@@ -776,13 +813,20 @@ var deepFixture = fixture{"deep", func() nn.Module {
 // TestGatherPlanOfTheBenchmarkLayout pins the plan mapUnits emits for
 // the benchmark's model — four buckets in reverse registration order,
 // every block reading its own bucket and, by its last bias, the next
-// block's — and that a Forward leaves the turn as planned: buckets 0, 1
-// and 2 held, bucket 3 dropped after u0, and no gather in flight.
+// block's — its four launch groups, and that a Forward leaves the turn
+// as planned: buckets 0, 1 and 2 held, bucket 3 dropped after u0, and no
+// gather in flight.
 func TestGatherPlanOfTheBenchmarkLayout(t *testing.T) {
 	s := newScripted(t, bertFixture, 0, 2)
 	f := s.f
 	if got := fmt.Sprint(f.plan.Seq); got != "[3 2 1 0 3]" {
 		t.Fatalf("plan launches %s, want [3 2 1 0 3]", got)
+	}
+	// Seq[0:2] = [3 2] launched and read by u0; [1] launched by u0 and
+	// read by u1; [0] launched by u1 and read by u2; [3] launched by u1's
+	// backward (visit 8) and read by u0's (visit 9).
+	if got := fmt.Sprint(f.plan.Groups()); got != "[{0 2 0 0} {2 3 0 1} {3 4 1 2} {4 5 8 9}]" {
+		t.Fatalf("plan's launch groups are %s, want [3 2] and [1] at u0, [0] at u1 and [3] at u1's backward", got)
 	}
 	if got := fmt.Sprint(heldAcrossTurn(f)); got != "[0 1 2]" {
 		t.Fatalf("plan holds %s across the turn, want [0 1 2]", got)
@@ -802,11 +846,12 @@ func TestGatherPlanOfTheBenchmarkLayout(t *testing.T) {
 }
 
 // TestGatherSchedule drives whole steps over the scripted group and
-// pins what the plan promises: (a) launches are the plan, on every
-// rank; (b) each visit launches, then waits, then runs, and every bucket
+// pins what the plan promises: (a) launches are the plan's groups, one
+// collective each, on every rank; (b) each visit launches, then waits
+// for every group holding a bucket it reads, then runs, and every bucket
 // a unit reads has landed before it runs; (c) at no visit is more
-// resident than the budget; and (d) a step launches 2·NB gathers less
-// the buckets held across the turn.
+// resident than the budget; and (d) a step's collectives gather 2·NB
+// buckets less the buckets held across the turn.
 func TestGatherSchedule(t *testing.T) {
 	for _, fx := range []fixture{deepFixture, bertFixture} {
 		t.Run(fx.name, func(t *testing.T) {
@@ -833,10 +878,15 @@ func TestGatherSchedule(t *testing.T) {
 				if got, shards := f.residentParam, f.Stats().ShardParamBytes; got != shards || len(f.inflight) != 0 {
 					t.Fatalf("rank %d: %d bytes resident and %d gathers in flight after the step, want the %d shard bytes and none", rank, got, len(f.inflight), shards)
 				}
-				// (d) 2·NB gathers less the held buckets.
+				// (d) 2·NB bucket gathers less the held buckets, in as many
+				// collectives as the plan has groups.
 				nb, held := f.NumBuckets(), len(heldAcrossTurn(f))
-				if got := len(launchesIn(events[rank])); got != 2*nb-held {
-					t.Fatalf("rank %d: %d gathers in a step, want 2·%d − %d", rank, got, nb, held)
+				launches, buckets := launchesIn(events[rank]), 0
+				for _, l := range launches {
+					buckets += len(strings.Fields(l))
+				}
+				if buckets != 2*nb-held || len(launches) != len(sortedGroups(f)) {
+					t.Fatalf("rank %d: %d bucket gathers in %d collectives in a step, want 2·%d − %d in %d", rank, buckets, len(launches), nb, held, len(sortedGroups(f)))
 				}
 			}
 		})
@@ -850,7 +900,8 @@ func lin(rng *rand.Rand) nn.Module { return nn.NewLinear(rng, "lin", 4, 4) }
 // an 80-byte cap every lin is one bucket) and checks what every plan
 // must keep at run time: each read landed, no bucket gathered while
 // resident, the peak within the budget, the same launches on every
-// rank. reduce's tests check the plans of random layouts.
+// rank, each of the plan's groups one collective. reduce's tests check
+// the plans of random layouts.
 func TestGatherPlanSweep(t *testing.T) {
 	build := func(units func(rng *rand.Rand) []nn.Module) func() nn.Module {
 		return func() nn.Module { return nn.NewSequential(units(rand.New(rand.NewSource(3)))...) }
@@ -894,8 +945,8 @@ func TestGatherPlanSweep(t *testing.T) {
 					t.Fatalf("rank %d: %v", rank, s.unlanded)
 				}
 				// A planned gather of a resident bucket would be skipped.
-				if got := launchesIn(events[rank]); fmt.Sprint(got) != fmt.Sprint(f.plan.Seq) {
-					t.Fatalf("rank %d launched %v, rank 0's plan is %v", rank, got, f.plan.Seq)
+				if got, want := launchesIn(events[rank]), sortedGroups(f); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("rank %d launched %v, rank 0's plan launches %v", rank, got, want)
 				}
 				if got, budget := s.f.Stats().PeakParamBytes, s.f.Stats().BudgetParamBytes; got > budget {
 					t.Fatalf("rank %d: PeakParamBytes %d above the budget %d", rank, got, budget)
@@ -913,23 +964,30 @@ func TestGatherPlanSweep(t *testing.T) {
 
 // TestEvaluationForwardKeepsWhatItHolds: a Forward that follows a
 // Forward (evaluation, no Backward in between) does not gather again
-// what it holds; a Forward after Materialize gathers nothing at all, as
-// its plan drops bucket 3 after unit 0 and gathers it again only in
-// backward. No Forward leaves a gather in flight on this layout.
+// what it holds — of u0's group it gathers only bucket 3, in place; a
+// Forward after Materialize gathers nothing at all, as its plan drops
+// bucket 3 after unit 0 and gathers it again only in backward.
+// Materialize gathers what is sharded of each launch group as one
+// collective. No Forward leaves a gather in flight on this layout.
 func TestEvaluationForwardKeepsWhatItHolds(t *testing.T) {
 	s := newScripted(t, bertFixture, 1, 2)
 	f := s.f
 	f.Forward(s.x)
-	if got := launchesIn(s.g.events); fmt.Sprint(got) != "[3 2 1 0]" || len(f.inflight) != 0 {
-		t.Fatalf("first forward launched %v and left %d in flight, want every bucket once, in order, and none", got, len(f.inflight))
+	if got := launchesIn(s.g.events); fmt.Sprint(got) != "[[2 3] [1] [0]]" || len(f.inflight) != 0 {
+		t.Fatalf("first forward launched %v and left %d in flight, want u0's two groups and u1's, every bucket once, and none", got, len(f.inflight))
 	}
 	first := len(s.g.events)
 	f.Forward(s.x)
-	if got := launchesIn(s.g.events[first:]); fmt.Sprint(got) != "[3]" {
-		t.Fatalf("second forward launched %v, want [3]: buckets 0, 1 and 2 were held", got)
+	if got := launchesIn(s.g.events[first:]); fmt.Sprint(got) != "[[3]]" {
+		t.Fatalf("second forward launched %v, want [[3]]: buckets 0, 1 and 2 were held", got)
 	}
+	first = len(s.g.events)
+	f.freeBucket(2)
 	if err := f.Materialize(); err != nil {
 		t.Fatal(err)
+	}
+	if got := launchesIn(s.g.events[first:]); fmt.Sprint(got) != "[[2 3]]" {
+		t.Fatalf("Materialize launched %v, want one gather of u0's group, buckets 2 and 3, both sharded", got)
 	}
 	if got := f.residentParam; got != f.Stats().FullParamBytes {
 		t.Fatalf("%d bytes resident after Materialize, want the full %d", got, f.Stats().FullParamBytes)
@@ -949,58 +1007,87 @@ func TestEvaluationForwardKeepsWhatItHolds(t *testing.T) {
 	}
 }
 
-// TestFailedGatherSurfacesFromBackward fails the k-th gather of a step
-// while the one after it is in flight. Backward must return the failure
-// wrapped with the bucket, having waited out every gather that was
-// launched and dropped what they fetched. A step launches four gathers
-// in forward and one in backward; the fifth (k = 4, bucket 3 again for
-// u0's backward) surfaces from backward's wait.
+// TestFailedGatherSurfacesFromBackward fails the k-th collective of a
+// step's gathers, for every k, on the benchmark layout and on the deep
+// one. Backward must return the failure wrapped with the group's
+// buckets, having waited out every gather that was launched and dropped
+// what they fetched: every bucket sharded, only the shards resident,
+// nothing in flight. Where the plan launches a later group before the
+// failed one is waited for — on the benchmark layout, bucket 1's gather
+// launched beside u0's [3 2] and bucket 0's launched by u1, which reads
+// bucket 1 — that gather is in flight when the failure lands, and it is
+// waited out and dropped too; nothing launches after the failure. A
+// group first read in backward surfaces from backward's wait.
 func TestFailedGatherSurfacesFromBackward(t *testing.T) {
 	boom := fmt.Errorf("peer vanished")
-	for k := 0; k < 5; k++ {
-		s := newScripted(t, bertFixture, 0, 2)
-		f := s.f
-		if _, err := s.step(); err != nil {
-			t.Fatal(err)
-		}
-		first := len(s.g.waited)
-		failed := -1
-		s.g.release = func(n, bucket int) error {
-			if n != first+k {
-				return nil
+	for _, fx := range []fixture{bertFixture, deepFixture} {
+		t.Run(fx.name, func(t *testing.T) {
+			overlapped := 0 // the k with a later gather in flight
+			groups := newScripted(t, fx, 0, 2).f.plan.Groups()
+			for k, failing := range groups {
+				// The groups launched by the time failing is waited for.
+				launched := 0
+				for _, g := range groups {
+					if g.Launch <= failing.Wait {
+						launched++
+					}
+				}
+				s := newScripted(t, fx, 0, 2)
+				f := s.f
+				if _, err := s.step(); err != nil {
+					t.Fatal(err)
+				}
+				first := len(s.g.waited)
+				s.g.release = func(n int, _ []int) error {
+					if n != first+k {
+						return nil
+					}
+					if inFlight := len(s.g.waited) - n - 1; inFlight != launched-k-1 {
+						t.Errorf("k=%d: collective %d of the step failed with %d later ones in flight, want %d", k, k, inFlight, launched-k-1)
+					}
+					return boom
+				}
+				if launched > k+1 {
+					overlapped++
+				}
+				_, err := s.step()
+				buckets := fmt.Sprint(f.plan.Seq[failing.Lo:failing.Hi])
+				if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "buckets "+buckets+" ") {
+					t.Fatalf("k=%d: Backward returned %v, want the failure of buckets %s", k, err, buckets)
+				}
+				if want := map[bool]string{true: "fsdp: forward:", false: "fsdp: backward:"}[failing.Wait < len(f.units)]; !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("k=%d: error %q does not say %q", k, err, want)
+				}
+				if got := len(s.g.waited) - first; got != launched {
+					t.Fatalf("k=%d: the failed step launched %d collectives, want the %d launched by the failure and none after", k, got, launched)
+				}
+				for n, waits := range s.g.waited {
+					if waits != 1 {
+						t.Fatalf("k=%d: gather %d was waited for %d times, want exactly once", k, n, waits)
+					}
+				}
+				for b, st := range f.state {
+					if st != sharded {
+						t.Fatalf("k=%d: bucket %d stands at %v after the failed step, want sharded", k, b, st)
+					}
+				}
+				if got, want := f.residentParam, f.Stats().ShardParamBytes; got != want || len(f.inflight) != 0 {
+					t.Fatalf("k=%d: %d bytes resident and %d gathers in flight after the failed step, want %d and none", k, got, len(f.inflight), want)
+				}
+				// The wrapper is usable again: the next step gathers everything anew.
+				s.g.release = nil
+				before, collectives := f.Stats().Gathers, len(s.g.waited)
+				if _, err := s.step(); err != nil {
+					t.Fatalf("k=%d: step after the failure: %v", k, err)
+				}
+				if got, n := f.Stats().Gathers-before, len(s.g.waited)-collectives; got != len(f.plan.Seq) || n != len(groups) {
+					t.Fatalf("k=%d: step after the failure gathered %d buckets in %d collectives, want %d in %d", k, got, n, len(f.plan.Seq), len(groups))
+				}
 			}
-			failed = bucket
-			// Gather 3 is waited for in forward, and gather 4, the last,
-			// launches in backward.
-			if k < 3 && len(s.g.waited) < n+2 {
-				t.Errorf("gather %d of the step failed with no later gather in flight", k)
+			if overlapped == 0 {
+				t.Fatalf("no collective of the %s layout fails with a later one in flight", fx.name)
 			}
-			return boom
-		}
-		_, err := s.step()
-		if err == nil || !errors.Is(err, boom) || failed < 0 || !strings.Contains(err.Error(), fmt.Sprintf("bucket %d", failed)) {
-			t.Fatalf("k=%d: Backward returned %v, want the failure of bucket %d", k, err, failed)
-		}
-		if want := map[bool]string{true: "fsdp: forward:", false: "fsdp: backward:"}[k < 4]; !strings.HasPrefix(err.Error(), want) {
-			t.Fatalf("k=%d: error %q does not say %q", k, err, want)
-		}
-		for n, waits := range s.g.waited {
-			if waits != 1 {
-				t.Fatalf("k=%d: gather %d was waited for %d times, want exactly once", k, n, waits)
-			}
-		}
-		if got, want := f.residentParam, f.Stats().ShardParamBytes; got != want || len(f.inflight) != 0 {
-			t.Fatalf("k=%d: %d bytes resident and %d gathers in flight after the failed step, want %d and none", k, got, len(f.inflight), want)
-		}
-		// The wrapper is usable again: the next step gathers everything anew.
-		s.g.release = nil
-		before := f.Stats().Gathers
-		if _, err := s.step(); err != nil {
-			t.Fatalf("k=%d: step after the failure: %v", k, err)
-		}
-		if got := f.Stats().Gathers - before; got != 5 {
-			t.Fatalf("k=%d: step after the failure launched %d gathers, want 5", k, got)
-		}
+		})
 	}
 }
 
@@ -1081,8 +1168,8 @@ func TestIncompleteBackwardLeavesNoGatherInFlight(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "incomplete") || !strings.Contains(err.Error(), "fc1") {
 		t.Fatalf("Backward returned %v, want the incomplete-bucket error naming fc1's parameters", err)
 	}
-	if got := launchesIn(events); fmt.Sprint(got) != fmt.Sprint(p.Seq) {
-		t.Fatalf("launched %v, want the whole plan %v", got, p.Seq)
+	if got, want := launchesIn(events), sortedGroups(s.f); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("launched %v, want the whole plan's groups %v", got, want)
 	}
 	for n, waits := range s.g.waited {
 		if waits != 1 {

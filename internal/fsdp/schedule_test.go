@@ -110,13 +110,13 @@ func TestStepMatchesSchedule(t *testing.T) {
 							Module() nn.Module
 						})
 						assign := core.Assignment()
-						step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, unitCounts(core.Module())))
+						step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, unitCounts(core.Module())), world)
 						if err != nil {
 							t.Fatal(err)
 						}
 						want := make([]string, len(step))
 						for i, c := range step {
-							want[i] = fmt.Sprintf("%v[%d]", c.Kind, assign.BucketElems[c.Bucket])
+							want[i] = fmt.Sprintf("%v[%d]", c.Kind, c.Elems)
 						}
 						if got := recs[rank].log; fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("rank %d submitted\n%v\nthe schedule lists\n%v", rank, got, want)

@@ -1,8 +1,9 @@
-// Package lint is the project's static-analysis gate: four analyzers
+// Package lint is the project's static-analysis gate: five analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
-// collective/lock ordering, metric registration, and 32-bit atomic
-// alignment. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// collective/lock ordering, metric registration, 32-bit atomic
+// alignment, and cost models that price the schedules the runtime
+// runs. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -71,6 +72,19 @@
 // called or taken as values, and needs no layout arithmetic to give the
 // same guarantee. CI's GOARCH=386 build smoke keeps the tree compiling
 // for the targets where the ban matters.
+//
+// costtwins — the cost models price what the runtime describes, with
+// no closed form of their own. internal/hw prices comm's algorithms by
+// walking the step lists comm runs, so a method of an hw type named
+// after an algorithm (hierarchical, doubletree, nlevel, tree), declared
+// or promoted from an embedded field, is a hand-written twin growing
+// back. internal/simnet walks the step replica.Schedule lists, so a
+// constant there whose value spells a sharded preset ("zero2",
+// "zero3" — a literal, a concatenation or another package's constant),
+// an identifier, string or comment naming a regather, or a reference to
+// package ddp or fsdp (an import, or a type reached through an alias)
+// is a per-strategy closed form. The analyzer keys on the package names
+// hw and simnet.
 //
 // # Testing convention
 //

@@ -41,6 +41,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Atomic64Align,
+		CostTwins,
 		LockedCollective,
 		MetricStatic,
 		StoreErr,

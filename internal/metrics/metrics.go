@@ -116,6 +116,20 @@ func (r *Registry) register(name, help string, k kind, labels []string, bounds [
 	return f
 }
 
+// Families returns every registered family's name and type ("counter",
+// "gauge" or "histogram"), labeled families included before their first
+// sample, when a scrape does not show them yet: the catalogue the
+// registry can export.
+func (r *Registry) Families() map[string]string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make(map[string]string, len(r.families))
+	for name, f := range r.families {
+		out[name] = f.kind.String()
+	}
+	return out
+}
+
 // with returns the child for the given label values, creating it on
 // first use.
 func (f *family) with(values []string) *child {

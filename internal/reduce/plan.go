@@ -24,6 +24,38 @@ type Plan struct {
 	Budget int
 }
 
+// Group is one of a plan's launch groups: the entries Seq[Lo:Hi], all
+// launched once visit Launch starts and all first read by visit Wait.
+type Group struct {
+	Lo, Hi       int
+	Launch, Wait int
+}
+
+// Groups returns the plan's launch groups in launch order: Seq cut
+// wherever one visit's launches end (Launch) and wherever one visit's
+// reads end (Need). The gathers a visit launches thus split by the visit
+// that first reads them, and the replicas run each group as one
+// collective: fewer collectives, and no visit waits for a transfer it
+// does not read.
+func (p Plan) Groups() []Group {
+	var groups []Group
+	launch, wait := 0, 0
+	for i := range p.Seq {
+		for p.Launch[launch] <= i {
+			launch++
+		}
+		for p.Need[wait] <= i {
+			wait++
+		}
+		if n := len(groups); n > 0 && groups[n-1].Launch == launch && groups[n-1].Wait == wait {
+			groups[n-1].Hi++
+		} else {
+			groups = append(groups, Group{i, i + 1, launch, wait})
+		}
+	}
+	return groups
+}
+
 // PrefetchBudget is the tightest budget, in elements, that leaves room
 // for what any visit reads and one gather ahead of it: the largest sum
 // of one visit's buckets plus the largest single bucket.

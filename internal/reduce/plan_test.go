@@ -44,9 +44,11 @@ func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 // and landed when the visit runs, no bucket is gathered while it is
 // resident, what is resident never exceeds the plan's budget (in
 // elements), backward drops each bucket right after its last read, and
-// nothing stays resident after the step.
+// nothing stays resident after the step; and that its launch groups
+// (checkGroups) are sound.
 func replayPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 	t.Helper()
+	checkGroups(t, p, unitBuckets)
 	n, budget := len(unitBuckets), p.Budget
 	lastRead := make([]int, len(size)) // the backward visit of the lowest unit reading b
 	for u := n - 1; u >= 0; u-- {
@@ -91,6 +93,40 @@ func replayPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 	}
 	if launched != len(p.Seq) || load != 0 {
 		t.Fatalf("%d of %d gathers launched and %d elements resident after the step", launched, len(p.Seq), load)
+	}
+}
+
+// checkGroups fails unless the plan's launch groups cover Seq in order,
+// each launched whole at its Launch visit and read first, every entry of
+// it, by its Wait visit, and no two neighbours share both visits.
+func checkGroups(t *testing.T, p Plan, unitBuckets [][]int) {
+	t.Helper()
+	n, next := len(unitBuckets), 0
+	groups := p.Groups()
+	for i, g := range groups {
+		if g.Lo != next || g.Hi <= g.Lo {
+			t.Fatalf("group %d covers Seq[%d:%d], want from %d (plan %v, groups %v)", i, g.Lo, g.Hi, next, p, groups)
+		}
+		next = g.Hi
+		if g.Launch > 0 && p.Launch[g.Launch-1] > g.Lo || p.Launch[g.Launch] < g.Hi ||
+			g.Wait > 0 && p.Need[g.Wait-1] > g.Lo || p.Need[g.Wait] < g.Hi {
+			t.Fatalf("group %v is not launched at one visit and needed at one (plan %v)", g, p)
+		}
+		u := g.Wait
+		if u >= n {
+			u = 2*n - 1 - u
+		}
+		for _, b := range p.Seq[g.Lo:g.Hi] {
+			if !slices.Contains(unitBuckets[u], b) {
+				t.Fatalf("group %v waits at visit %d, which does not read bucket %d (plan %v)", g, g.Wait, b, p)
+			}
+		}
+		if i > 0 && groups[i-1].Launch == g.Launch && groups[i-1].Wait == g.Wait {
+			t.Fatalf("groups %v and %v launch and are read at the same visits (plan %v)", groups[i-1], g, p)
+		}
+	}
+	if next != len(p.Seq) {
+		t.Fatalf("groups %v cover %d of the %d entries of Seq", groups, next, len(p.Seq))
 	}
 }
 
@@ -230,24 +266,31 @@ func TestPlanOfPinnedLayouts(t *testing.T) {
 		units      [][]int
 		size       []int
 		seq        string
+		groups     string
 		fewestPlus int // gathers above the fewest
 	}{
 		// The benchmark's model: four buckets, every block reading its
 		// own and, by its last bias, the next block's. Buckets 0, 1 and
 		// 2 stay gathered across the turn; bucket 3, read first in
 		// forward and last in backward, is dropped to make room for 0
-		// and gathered again for backward.
-		{"benchmark", [][]int{{3, 2}, {2, 1}, {1, 0}, {0}, {0}}, []int{198656, 198272, 198272, 198144}, "[3 2 1 0 3]", 0},
+		// and gathered again for backward. The first visit launches 3, 2
+		// and 1, and reads only 3 and 2: [3 2] is one group, [1] the next.
+		{"benchmark", [][]int{{3, 2}, {2, 1}, {1, 0}, {0}, {0}}, []int{198656, 198272, 198272, 198144}, "[3 2 1 0 3]",
+			"[{0 2 0 0} {2 3 0 1} {3 4 1 2} {4 5 8 9}]", 0},
 		// Unequal sizes: making room for bucket 3 drops buckets 0 and 1,
 		// whose next reads are farthest away, where dropping bucket 2
 		// alone would do. One gather more than the fewest.
-		{"unequal sizes", [][]int{{0}, {1}, {2}, {3}}, []int{1, 1, 4, 4}, "[0 1 2 3 1 0]", 1},
+		{"unequal sizes", [][]int{{0}, {1}, {2}, {3}}, []int{1, 1, 4, 4}, "[0 1 2 3 1 0]",
+			"[{0 1 0 0} {1 2 0 1} {2 3 0 2} {3 4 2 3} {4 5 5 6} {5 6 5 7}]", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := prefetchPlan(tc.units, tc.size)
 			checkPlan(t, p, tc.units, tc.size)
 			if got := fmt.Sprint(p.Seq); got != tc.seq {
 				t.Fatalf("plan launches %s, want %s", got, tc.seq)
+			}
+			if got := fmt.Sprint(p.Groups()); got != tc.groups {
+				t.Fatalf("plan's launch groups are %s, want %s", got, tc.groups)
 			}
 			if got, want := len(p.Seq), minGathers(tc.units, tc.size)+tc.fewestPlus; got != want {
 				t.Fatalf("plan %v makes %d gathers, want %d", p.Seq, got, want)

@@ -10,7 +10,9 @@ const (
 	AllReduce Kind = iota
 	// ReduceScatterV averages each rank's chunk of a gradient bucket.
 	ReduceScatterV
-	// AllGatherV fills a parameter bucket from every rank's chunk.
+	// AllGatherV fills parameter buckets from every rank's chunks: one
+	// bucket in place, or a launch group's through a staging buffer
+	// (GatherElems).
 	AllGatherV
 )
 
@@ -27,8 +29,14 @@ func (k Kind) String() string {
 // 2n+NumBuckets. A collective is submitted at point Submit, before the
 // waits there, and first waited for at point Wait.
 type Collective struct {
-	Kind         Kind
-	Bucket       int
+	Kind Kind
+	// Buckets are the buckets it carries: one, or a launch group's for
+	// an AllGatherV (Plan.Groups), in the order the staging lays them
+	// out.
+	Buckets []int
+	// Elems is the length of the buffer the collective runs on: the
+	// bucket's elements, or a group's GatherElems.
+	Elems        int
 	Submit, Wait int
 }
 
@@ -44,6 +52,34 @@ func (s Step) Count(k Kind) (n int) {
 		}
 	}
 	return n
+}
+
+// Buckets returns how many buckets the step's collectives of kind k
+// carry.
+func (s Step) Buckets(k Kind) (n int) {
+	for _, c := range s {
+		if c.Kind == k {
+			n += len(c.Buckets)
+		}
+	}
+	return n
+}
+
+// GatherElems is the length of the buffer one AllGatherV of buckets runs
+// on at world w, bucket b holding size[b] elements: the bucket itself
+// when it is alone, else a staging buffer of w·P elements, where P is
+// the sum of the buckets' largest chunks, ⌈size[b]/w⌉. comm.ChunkBounds
+// gives rank r exactly [rP, (r+1)P) of it, where its chunks sit in
+// bucket order, each padded to the largest.
+func GatherElems(size, buckets []int, w int) int {
+	if len(buckets) == 1 {
+		return size[buckets[0]]
+	}
+	p := 0
+	for _, b := range buckets {
+		p += (size[b] + w - 1) / w
+	}
+	return w * p
 }
 
 // UnitBuckets lists, per unit, the buckets its parameters fall in, in
@@ -62,15 +98,17 @@ func UnitBuckets(assign *Assignment, counts []int) [][]int {
 	return units
 }
 
-// Schedule returns the collectives one synchronized step submits over
-// the layout assign, for units whose parameters touch units[u]
-// (UnitBuckets): ddp's when plan is nil, else a sharded step's that
-// gathers as plan (PlanStep over the same units) says. A bucket's
-// gradient reduce is submitted after the visit at which its last
-// gradient lands, in bucket order, as the Engine launches it; ddp waits
-// for its AllReduces at the end of backward, a sharded step for each
-// ReduceScatterV at its bucket's update.
-func Schedule(assign *Assignment, units [][]int, plan *Plan) Step {
+// Schedule returns the collectives one synchronized step submits at
+// world w over the layout assign, for units whose parameters touch
+// units[u] (UnitBuckets): ddp's when plan is nil, else a sharded step's
+// that gathers as plan (PlanStep over the same units) says, one
+// AllGatherV per launch group (Plan.Groups), first waited for by the
+// visit that reads its buckets. A bucket's gradient reduce is submitted
+// after the visit at which its last gradient lands, in bucket order, as
+// the Engine launches it; ddp waits for its AllReduces at the end of
+// backward, a sharded step for each ReduceScatterV at its bucket's
+// update.
+func Schedule(assign *Assignment, units [][]int, plan *Plan, w int) Step {
 	n, nb := len(units), assign.NumBuckets()
 	end := 2 * n // the end of backward
 	// lands[b] is the backward visit of the lowest unit reading b.
@@ -80,21 +118,24 @@ func Schedule(assign *Assignment, units [][]int, plan *Plan) Step {
 			lands[b] = end - 1 - u
 		}
 	}
+	var groups []Group
+	if plan != nil {
+		groups = plan.Groups()
+	}
 	var step Step
-	reduced, gathered, waiter := 0, 0, 0
+	reduced, gathered := 0, 0
 	for p := 0; p <= end; p++ {
 		for ; reduced < nb && lands[reduced] < p; reduced++ {
-			c := Collective{ReduceScatterV, reduced, p, end + reduced} // waited at the bucket's update
+			c := Collective{ReduceScatterV, []int{reduced}, assign.BucketElems[reduced], p, end + reduced} // waited at the bucket's update
 			if plan == nil {
 				c.Kind, c.Wait = AllReduce, end
 			}
 			step = append(step, c)
 		}
-		for ; plan != nil && p < end && gathered < plan.Launch[p]; gathered++ {
-			for plan.Need[waiter] <= gathered {
-				waiter++
-			}
-			step = append(step, Collective{AllGatherV, plan.Seq[gathered], p, waiter})
+		for ; gathered < len(groups) && groups[gathered].Launch == p; gathered++ {
+			g := groups[gathered]
+			buckets := plan.Seq[g.Lo:g.Hi:g.Hi]
+			step = append(step, Collective{AllGatherV, buckets, GatherElems(assign.BucketElems, buckets, w), p, g.Wait})
 		}
 	}
 	return step

@@ -29,17 +29,17 @@ func Budget(strategy string) (func(unitBuckets [][]int, size []int) int, error) 
 }
 
 // Schedule returns the collectives one synchronized step of strategy
-// submits over the layout assign, for units whose parameters touch
-// units[u] (reduce.UnitBuckets): "ddp" (or "") for the replicated step,
-// else a sharded preset's, planned within its Budget.
-func Schedule(strategy string, assign *reduce.Assignment, units [][]int) (reduce.Step, error) {
+// submits at world w over the layout assign, for units whose parameters
+// touch units[u] (reduce.UnitBuckets): "ddp" (or "") for the replicated
+// step, else a sharded preset's, planned within its Budget.
+func Schedule(strategy string, assign *reduce.Assignment, units [][]int, w int) (reduce.Step, error) {
 	if strategy == "" || strategy == "ddp" {
-		return reduce.Schedule(assign, units, nil), nil
+		return reduce.Schedule(assign, units, nil, w), nil
 	}
 	budget, err := Budget(strategy)
 	if err != nil {
 		return nil, fmt.Errorf("unknown strategy %q (want ddp, zero2 or zero3)", strategy)
 	}
 	plan := reduce.PlanStep(units, assign.BucketElems, budget(units, assign.BucketElems))
-	return reduce.Schedule(assign, units, &plan), nil
+	return reduce.Schedule(assign, units, &plan, w), nil
 }

@@ -148,8 +148,9 @@ type Breakdown struct {
 type BucketEvent struct {
 	// Kind is the collective.
 	Kind reduce.Kind
-	// Bucket is the bucket index (launch order).
-	Bucket int
+	// Buckets are the buckets it carries (launch order): one, or a
+	// launch group's for a sharded step's AllGatherV.
+	Buckets []int
 	// Bytes is the communicated size after compression.
 	Bytes int
 	// ReadySeconds is when the training clock submitted it.
@@ -194,7 +195,7 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 		return Breakdown{}, nil, err
 	}
 	// Every parameter is its own unit: its own forward and backward visit.
-	step, err := replica.Schedule(cfg.Strategy, assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, n)))
+	step, err := replica.Schedule(cfg.Strategy, assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, n)), cfg.World)
 	if err != nil {
 		return Breakdown{}, nil, fmt.Errorf("simnet: Strategy: %w", err)
 	}
@@ -255,19 +256,19 @@ func simulate(cfg Config, p prices, rng *rand.Rand, iter int) (Breakdown, []Buck
 	for point := 0; ; point++ {
 		for ; next < len(step) && step[next].Submit == point; next++ {
 			c := step[next]
-			bytes := 4 * assign.BucketElems[c.Bucket]
+			bytes := 4 * c.Elems
 			if c.Kind != reduce.AllGatherV {
 				bytes = int(float64(bytes) / cfg.CompressionRatio)
 			}
 			cost := p.of(cfg, c.Kind, bytes)
 			commBusy += cost
-			s := c.Bucket % cfg.CommStreams
+			s := c.Buckets[0] % cfg.CommStreams
 			start := max(t, streams[s])
 			if !cfg.Overlap {
 				start = max(phase[1], streams[s]) // barrier: communication begins after backward
 			}
 			ends[next], streams[s] = start+cost, start+cost
-			events = append(events, BucketEvent{c.Kind, c.Bucket, bytes, origin + t, origin + start, origin + start + cost, s})
+			events = append(events, BucketEvent{c.Kind, c.Buckets, bytes, origin + t, origin + start, origin + start + cost, s})
 		}
 		for i, c := range step[:next] {
 			if c.Wait == point {

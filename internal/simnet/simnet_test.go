@@ -287,25 +287,25 @@ func TestTimelineInvariants(t *testing.T) {
 		streamEnd := map[int]float64{}
 		for i, e := range events {
 			if e.StartSeconds < e.ReadySeconds {
-				t.Fatalf("bucket %d started before ready", e.Bucket)
+				t.Fatalf("bucket %d started before ready", e.Buckets[0])
 			}
 			if e.EndSeconds <= e.StartSeconds {
-				t.Fatalf("bucket %d has non-positive duration", e.Bucket)
+				t.Fatalf("bucket %d has non-positive duration", e.Buckets[0])
 			}
 			if e.StartSeconds < streamEnd[e.Stream] {
-				t.Fatalf("bucket %d overlaps previous op on stream %d", e.Bucket, e.Stream)
+				t.Fatalf("bucket %d overlaps previous op on stream %d", e.Buckets[0], e.Stream)
 			}
 			streamEnd[e.Stream] = e.EndSeconds
 			if i > 0 {
 				if e.ReadySeconds < events[i-1].ReadySeconds {
-					t.Fatalf("bucket %d ready before bucket %d", e.Bucket, events[i-1].Bucket)
+					t.Fatalf("bucket %d ready before bucket %d", e.Buckets[0], events[i-1].Buckets[0])
 				}
 				if e.StartSeconds < events[i-1].StartSeconds {
-					t.Fatalf("bucket %d launched before bucket %d (Fig 3(a) violation)", e.Bucket, events[i-1].Bucket)
+					t.Fatalf("bucket %d launched before bucket %d (Fig 3(a) violation)", e.Buckets[0], events[i-1].Buckets[0])
 				}
 			}
-			if e.Stream != e.Bucket%streams {
-				t.Fatalf("bucket %d on stream %d, want round-robin", e.Bucket, e.Stream)
+			if e.Stream != e.Buckets[0]%streams {
+				t.Fatalf("bucket %d on stream %d, want round-robin", e.Buckets[0], e.Stream)
 			}
 		}
 	}
@@ -397,14 +397,16 @@ func TestShardedStrategiesChangeCostShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := replica.Schedule("zero3", assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, len(cfg.ParamSizes))))
+	step, err := replica.Schedule("zero3", assign, reduce.UnitBuckets(assign, slices.Repeat([]int{1}, len(cfg.ParamSizes))), cfg.World)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gathers := make([]int, assign.NumBuckets())
 	for _, c := range step {
 		if c.Kind == reduce.AllGatherV {
-			gathers[c.Bucket]++
+			for _, b := range c.Buckets {
+				gathers[b]++
+			}
 		}
 	}
 	if got := fmt.Sprint(gathers); got != "[1 1 2 2 2]" {
