@@ -26,7 +26,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 fail=0
-for dir in internal/elastic internal/store internal/transport internal/ckpt internal/comm internal/reduce internal/replica internal/ddp internal/fsdp internal/hw internal/metrics internal/trace internal/lint internal/testutil internal/testutil/leakcheck internal/chaos; do
+for dir in internal/elastic internal/store internal/buffer internal/transport internal/ckpt internal/comm internal/reduce internal/replica internal/ddp internal/fsdp internal/hw internal/metrics internal/trace internal/lint internal/testutil internal/testutil/leakcheck internal/chaos; do
     for f in "$dir"/*.go; do
         case "$f" in
         *_test.go | *'*'*) continue ;;

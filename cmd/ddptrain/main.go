@@ -391,8 +391,8 @@ func newReplica(o *options, m nn.Module, pg comm.ProcessGroup, aligned bool) (r 
 	}
 	return f, func() string {
 		s := f.Stats()
-		return fmt.Sprintf("%s memory: param shard %d B + optimizer shard %d B per rank, peak params %d B (full %d B), peak grad bucket %d B, %d gathers, %d reduces",
-			o.strategy, s.ShardParamBytes, s.OptimizerBytes, s.PeakParamBytes, s.FullParamBytes, s.PeakGradBytes, s.Gathers, s.Reduces)
+		return fmt.Sprintf("%s memory: param shard %d B + optimizer shard %d B per rank, peak params %d B (full %d B), peak grad bucket %d B, gather staging %d B, %d gathers, %d reduces",
+			o.strategy, s.ShardParamBytes, s.OptimizerBytes, s.PeakParamBytes, s.FullParamBytes, s.PeakGradBytes, s.StagingBytes, s.Gathers, s.Reduces)
 	}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/autograd"
+	"repro/internal/buffer"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -77,6 +78,9 @@ var auditOps = map[string]auditCase{
 	}, 4, 3),
 	"BackwardHook": unary(func(a *autograd.Variable) *autograd.Variable {
 		return autograd.BackwardHook(a, func() {})
+	}, 2, 3),
+	"InPool": unary(func(a *autograd.Variable) *autograd.Variable {
+		return autograd.InPool(a, buffer.NewFloats())
 	}, 2, 3),
 	"Concat": {[][]int{{2, 2}, {2, 3}}, func(l []*autograd.Variable) *autograd.Variable {
 		return autograd.Concat(l[0], l[1], l[0])

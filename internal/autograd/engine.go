@@ -3,18 +3,42 @@ package autograd
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/tensor"
 )
 
-// pendingGrad is a gradient on its way down the graph. owned means the
-// engine holds the only reference to t's storage, so it may accumulate
-// into t in place or install t as a leaf's Grad; a tensor that is not
-// owned (the caller's seed, or one gradient handed to several inputs)
-// is only ever read.
+// pendingGrad is a gradient on its way down the graph, and who holds
+// its storage. owned means the engine holds the only reference to t's
+// storage, so it may accumulate into t in place or install t as a
+// leaf's Grad; a tensor that is not owned is only ever read. The engine
+// hands storage it allocated back to the buffer pool once the last
+// pending gradient over it is consumed: an owned one at once, a shared
+// one (several inputs handed one tensor, as Add hands its gradient to
+// both operands) when its share's last holder is. A tensor that is
+// neither owned nor shared — the caller's seed, or a view of it — is
+// not the engine's to hand back.
 type pendingGrad struct {
 	t     *tensor.Tensor
 	owned bool
+	share *share
+}
+
+// share counts the pending gradients that hold one tensor the engine
+// allocated.
+type share struct{ holders int }
+
+// drop ends p's claim on its storage: the last claim on storage the
+// engine allocated hands it back to the pool.
+func (p pendingGrad) drop() {
+	switch {
+	case p.owned:
+		p.t.Release()
+	case p.share != nil:
+		if p.share.holders--; p.share.holders == 0 {
+			p.t.Release()
+		}
+	}
 }
 
 // Backward runs reverse-mode differentiation from root, seeding the
@@ -51,19 +75,20 @@ type pendingGrad struct {
 // the second a launch waits out the next node's whole backward function
 // (~0.8 ms on ddp_bert_shaped) before its first frame leaves.
 func Backward(root *Variable, grad *tensor.Tensor) {
-	seedOwned := grad == nil
 	if grad == nil {
 		if root.Value.Size() != 1 {
 			panic(fmt.Sprintf("autograd: Backward without explicit gradient on tensor of %d elements", root.Value.Size()))
 		}
-		grad = tensor.Ones(root.Value.Shape()...)
+		// A one held like the caller's own seed: it is never written,
+		// and one float is not worth a pool round trip.
+		grad = tensor.Scalar(1).Reshape(root.Value.Shape()...)
 	}
 	if !grad.SameShape(root.Value) {
 		panic(fmt.Sprintf("autograd: gradient shape %v does not match root %v", grad.Shape(), root.Value.Shape()))
 	}
 	if root.node == nil {
 		if root.requiresGrad {
-			root.accumulate(pendingGrad{grad, seedOwned})
+			root.accumulate(pendingGrad{t: grad})
 		}
 		return
 	}
@@ -89,10 +114,11 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 	}
 	dfs(root)
 
-	grads := map[*Variable]pendingGrad{root: {grad, seedOwned}}
+	grads := map[*Variable]pendingGrad{root: {t: grad}}
 	pending := uses // alias: pending contributions remaining per variable
 	queue := []*Variable{root}
 	var req []request
+	var handed []pendingGrad
 
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
@@ -113,7 +139,7 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 		req = req[:0]
 		for _, in := range v.node.inputs {
 			r := request{need: in.requiresGrad}
-			if in.gradDst != nil && in.node == nil && in.Grad == nil && pending[in] == 1 {
+			if r.need && in.gradDst != nil && in.node == nil && in.Grad == nil && pending[in] == 1 {
 				if _, contributed := grads[in]; !contributed {
 					r.into = in.gradDst()
 				}
@@ -125,18 +151,22 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 		if len(inGrads) != len(v.node.inputs) {
 			panic(fmt.Sprintf("autograd: op %s returned %d gradients for %d inputs", v.node.op, len(inGrads), len(v.node.inputs)))
 		}
+		handed = claim(handed[:0], g, inGrads, v.node.inputs)
 		for i, in := range v.node.inputs {
-			gi := inGrads[i]
-			if gi != nil && in.requiresGrad {
+			if gi := inGrads[i]; gi != nil && in.requiresGrad {
 				if !gi.SameShape(in.Value) {
 					panic(fmt.Sprintf("autograd: op %s produced gradient shape %v for input shape %v", v.node.op, gi.Shape(), in.Value.Shape()))
 				}
-				if acc, ok := grads[in]; !ok {
-					grads[in] = pendingGrad{gi, ownedOutput(g, inGrads, i)}
-				} else if acc.owned {
+				switch acc, ok := grads[in]; {
+				case !ok:
+					grads[in] = handed[i]
+				case acc.owned:
 					tensor.AddInPlace(acc.t, gi)
-				} else {
-					grads[in] = pendingGrad{tensor.Add(acc.t, gi), true}
+					handed[i].drop()
+				default:
+					grads[in] = pendingGrad{t: tensor.Add(acc.t, gi), owned: true}
+					acc.drop()
+					handed[i].drop()
 				}
 			}
 			pending[in]--
@@ -147,19 +177,79 @@ func Backward(root *Variable, grad *tensor.Tensor) {
 			}
 		}
 	}
+	// A gradient whose variable never became complete — a consumer of
+	// it received no gradient at all — is dropped like any other.
+	for _, g := range grads {
+		g.drop()
+	}
 }
 
-// ownedOutput reports whether outs[i], returned by a backward function
-// that was given g, is the engine's alone: it shares storage with no
-// other output, and if it is g (or a view of g) the engine owned g,
-// whose own entry is gone by now.
-func ownedOutput(g pendingGrad, outs []*tensor.Tensor, i int) bool {
-	for j, o := range outs {
-		if j != i && o != nil && o.SharesStorage(outs[i]) {
-			return false
+// claim decides who holds the storage of what a backward function given
+// g returned: handed[i] is output i's pending gradient, the zero value
+// for an output the engine does not keep (nil, or for an input that
+// requires no gradient). Outputs over one tensor the engine allocated —
+// g, or a tensor the function returned for several inputs — share it;
+// outputs over the caller's seed stay the caller's. What no kept output
+// holds is handed back: g, and an output the function allocated for an
+// input that needs no gradient.
+func claim(handed []pendingGrad, g pendingGrad, outs []*tensor.Tensor, inputs []*Variable) []pendingGrad {
+	handed = slices.Grow(handed[:0], len(outs))[:len(outs)]
+	clear(handed)
+	// over reports whether output j is kept and views o's storage.
+	over := func(j int, o *tensor.Tensor) bool {
+		return outs[j] != nil && inputs[j].requiresGrad && outs[j].SharesStorage(o)
+	}
+	holders := func(o *tensor.Tensor, first int) int {
+		n := 0
+		for j := first; j < len(outs); j++ {
+			if over(j, o) {
+				n++
+			}
+		}
+		return n
+	}
+	// hold hands o's storage, which the engine holds alone, to the kept
+	// outputs from first on over it: one owns it, several share it, and
+	// with none it goes back to the pool.
+	hold := func(o *tensor.Tensor, first int) {
+		n := holders(o, first)
+		if n == 0 {
+			o.Release()
+			return
+		}
+		var sh *share
+		if n > 1 {
+			sh = &share{holders: n}
+		}
+		for j := first; j < len(outs); j++ {
+			if over(j, o) {
+				handed[j] = pendingGrad{t: outs[j], owned: n == 1, share: sh}
+			}
 		}
 	}
-	return g.owned || !outs[i].SharesStorage(g.t)
+	for i, o := range outs {
+		if o != nil && !o.SharesStorage(g.t) && !slices.ContainsFunc(outs[:i], func(p *tensor.Tensor) bool { return p != nil && p.SharesStorage(o) }) {
+			hold(o, i)
+		}
+	}
+	switch {
+	case g.share != nil && g.share.holders > 1:
+		g.share.holders += holders(g.t, 0) - 1
+		for j := range outs {
+			if over(j, g.t) {
+				handed[j] = pendingGrad{t: outs[j], share: g.share}
+			}
+		}
+	case g.owned || g.share != nil:
+		hold(g.t, 0)
+	default:
+		for j := range outs {
+			if over(j, g.t) {
+				handed[j] = pendingGrad{t: outs[j]}
+			}
+		}
+	}
+	return handed
 }
 
 // Leaves returns every leaf variable reachable from root through the

@@ -1,6 +1,9 @@
 package autograd
 
-import "repro/internal/tensor"
+import (
+	"repro/internal/buffer"
+	"repro/internal/tensor"
+)
 
 // BackwardHook returns a variable with v's value whose backward pass
 // calls fn before propagating the gradient — unchanged — into v's
@@ -17,6 +20,18 @@ import "repro/internal/tensor"
 func BackwardHook(v *Variable, fn func()) *Variable {
 	return newOp("backward_hook", v.Value, func(grad *tensor.Tensor, _ []request) []*tensor.Tensor {
 		fn()
+		return []*tensor.Tensor{grad}
+	}, v)
+}
+
+// InPool returns a view of v whose ops draw the storage of what they
+// compute from pool (tensor.Tensor.InPool): every activation computed
+// from it, and every gradient its backward pass computes, comes from
+// and goes back to pool. The gradient passes into v unchanged.
+// replica.Core routes a replica's input through it, giving each rank of
+// an in-process world a pool of its own.
+func InPool(v *Variable, pool *buffer.Floats) *Variable {
+	return newOp("in_pool", v.Value.InPool(pool), func(grad *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{grad}
 	}, v)
 }

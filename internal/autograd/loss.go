@@ -22,8 +22,8 @@ func MSELoss(pred, target *Variable) *Variable {
 	out := tensor.Scalar(float32(sum) / n)
 	return newOp("mse", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		scale := 2 * g.Item() / n
-		gp := tensor.New(pv.Shape()...)
-		gt := tensor.New(tv.Shape()...)
+		gp := pv.New(pv.Shape()...)
+		gt := pv.New(tv.Shape()...)
 		for i := range gp.Data() {
 			d := (pv.Data()[i] - tv.Data()[i]) * scale
 			gp.Data()[i] = d
@@ -53,11 +53,13 @@ func CrossEntropyLoss(logits *Variable, targets []int) *Variable {
 		}
 		sum -= float64(logp.At(i, t))
 	}
+	logp.Release()
 	out := tensor.Scalar(float32(sum) / float32(batch))
-	sm := tensor.SoftmaxRows(lv)
 	return newOp("crossEntropy", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
+		sm := tensor.SoftmaxRows(lv)
+		defer sm.Release()
 		scale := g.Item() / float32(batch)
-		gl := tensor.New(batch, classes)
+		gl := lv.New(batch, classes)
 		for i := 0; i < batch; i++ {
 			for j := 0; j < classes; j++ {
 				d := sm.At(i, j)
@@ -77,7 +79,7 @@ func SoftmaxRows(a *Variable) *Variable {
 	out := tensor.SoftmaxRows(a.Value)
 	rows, cols := out.Dims(0), out.Dims(1)
 	return newOp("softmax", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := tensor.New(rows, cols)
+		gin := out.New(rows, cols)
 		for i := 0; i < rows; i++ {
 			srow := out.Data()[i*cols : (i+1)*cols]
 			grow := g.Data()[i*cols : (i+1)*cols]

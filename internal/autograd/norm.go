@@ -66,16 +66,17 @@ func BatchNorm(x, gamma, beta *Variable, runningMean, runningVar []float32, eps 
 		invStd[ch] = float32(1 / math.Sqrt(float64(variance[ch]+eps)))
 	}
 
-	xhat := tensor.New(xv.Shape()...)
-	out := tensor.New(xv.Shape()...)
+	// xhat is recomputed wherever it is read, by the one expression
+	// (x-mean)*invStd: no normalized copy of x lives from forward to
+	// backward, and every read sees the bits forward computed.
+	out := xv.New(xv.Shape()...)
+	xd, od := xv.Data(), out.Data()
 	gv, bv := gamma.Value.Data(), beta.Value.Data()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				xh := (xv.Data()[base+i] - mean[ch]) * invStd[ch]
-				xhat.Data()[base+i] = xh
-				out.Data()[base+i] = float32(gv[ch]*xh) + bv[ch]
+			base, m, inv := (b*c+ch)*spatial, mean[ch], invStd[ch]
+			for i := base; i < base+spatial; i++ {
+				od[i] = float32(gv[ch]*((xd[i]-m)*inv)) + bv[ch]
 			}
 		}
 	}
@@ -85,29 +86,29 @@ func BatchNorm(x, gamma, beta *Variable, runningMean, runningVar []float32, eps 
 		stats = &BatchNormStats{Mean: mean, Var: variance}
 	}
 
-	backward := func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gGamma := tensor.New(c)
-		gBeta := tensor.New(c)
+	backward := func(g *tensor.Tensor, req []request) []*tensor.Tensor {
+		gGamma := zeroedInto(req[1].into, xv, c)
+		gBeta := zeroedInto(req[2].into, xv, c)
 		for b := 0; b < n; b++ {
 			for ch := 0; ch < c; ch++ {
-				base := (b*c + ch) * spatial
-				for i := 0; i < spatial; i++ {
-					gGamma.Data()[ch] += float32(g.Data()[base+i] * xhat.Data()[base+i])
-					gBeta.Data()[ch] += g.Data()[base+i]
+				base, m, inv := (b*c+ch)*spatial, mean[ch], invStd[ch]
+				for i := base; i < base+spatial; i++ {
+					gGamma.Data()[ch] += float32(g.Data()[i] * ((xd[i] - m) * inv))
+					gBeta.Data()[ch] += g.Data()[i]
 				}
 			}
 		}
-		gx := tensor.New(xv.Shape()...)
+		gx := xv.New(xv.Shape()...)
 		if training {
 			// Full batch-norm backward: dx = (gamma*invStd/count) *
 			// (count*dy - sum(dy) - xhat*sum(dy*xhat)).
 			for b := 0; b < n; b++ {
 				for ch := 0; ch < c; ch++ {
-					base := (b*c + ch) * spatial
-					for i := 0; i < spatial; i++ {
-						dy := g.Data()[base+i]
-						gx.Data()[base+i] = gv[ch] * invStd[ch] / count *
-							(float32(count*dy) - gBeta.Data()[ch] - float32(xhat.Data()[base+i]*gGamma.Data()[ch]))
+					base, m, inv := (b*c+ch)*spatial, mean[ch], invStd[ch]
+					for i := base; i < base+spatial; i++ {
+						dy := g.Data()[i]
+						gx.Data()[i] = gv[ch] * inv / count *
+							(float32(count*dy) - gBeta.Data()[ch] - float32(((xd[i]-m)*inv)*gGamma.Data()[ch]))
 					}
 				}
 			}
@@ -134,9 +135,12 @@ func LayerNorm(x, gain, bias *Variable, eps float32) *Variable {
 		panic(fmt.Sprintf("autograd: LayerNorm on shape %v", xv.Shape()))
 	}
 	rows, dim := xv.Dims(0), xv.Dims(1)
-	xhat := tensor.New(rows, dim)
-	invStd := make([]float32, rows)
-	out := tensor.New(rows, dim)
+	// Each row's mean and inverse deviation are kept, and xhat is
+	// recomputed from them wherever it is read, by the one expression
+	// (x-mean)*invStd: no normalized copy of x lives from forward to
+	// backward, and every read sees the bits forward computed.
+	mean, invStd := make([]float32, rows), make([]float32, rows)
+	out := xv.New(rows, dim)
 	gv, bv := gain.Value.Data(), bias.Value.Data()
 	for r := 0; r < rows; r++ {
 		row := xv.Data()[r*dim : (r+1)*dim]
@@ -151,30 +155,33 @@ func LayerNorm(x, gain, bias *Variable, eps float32) *Variable {
 			sq += float64(d * d)
 		}
 		inv := float32(1 / math.Sqrt(sq/float64(dim)+float64(eps)))
-		invStd[r] = inv
+		mean[r], invStd[r] = m, inv
+		orow := out.Data()[r*dim : (r+1)*dim]
 		for j, v := range row {
-			xh := (v - m) * inv
-			xhat.Data()[r*dim+j] = xh
-			out.Data()[r*dim+j] = float32(gv[j]*xh) + bv[j]
+			orow[j] = float32(gv[j]*((v-m)*inv)) + bv[j]
 		}
 	}
-	backward := func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gGain := tensor.New(dim)
-		gBias := tensor.New(dim)
-		gx := tensor.New(rows, dim)
+	backward := func(g *tensor.Tensor, req []request) []*tensor.Tensor {
+		gGain := zeroedInto(req[1].into, xv, dim)
+		gBias := zeroedInto(req[2].into, xv, dim)
+		gx := xv.New(rows, dim)
+		gg, gb := gGain.Data(), gBias.Data()
 		for r := 0; r < rows; r++ {
+			row, grow, gxrow := xv.Data()[r*dim:(r+1)*dim], g.Data()[r*dim:(r+1)*dim], gx.Data()[r*dim:(r+1)*dim]
+			m, inv := mean[r], invStd[r]
 			var sumDy, sumDyXhat float32
-			for j := 0; j < dim; j++ {
-				dy := float32(g.Data()[r*dim+j] * gv[j])
+			for j, v := range row {
+				dy := float32(grow[j] * gv[j])
 				sumDy += dy
-				sumDyXhat += float32(dy * xhat.Data()[r*dim+j])
-				gGain.Data()[j] += float32(g.Data()[r*dim+j] * xhat.Data()[r*dim+j])
-				gBias.Data()[j] += g.Data()[r*dim+j]
+				xh := (v - m) * inv
+				sumDyXhat += float32(dy * xh)
+				gg[j] += float32(grow[j] * xh)
+				gb[j] += grow[j]
 			}
 			d := float32(dim)
-			for j := 0; j < dim; j++ {
-				dy := g.Data()[r*dim+j] * gv[j]
-				gx.Data()[r*dim+j] = invStd[r] / d * (float32(d*dy) - sumDy - float32(xhat.Data()[r*dim+j]*sumDyXhat))
+			for j, v := range row {
+				dy := grow[j] * gv[j]
+				gxrow[j] = inv / d * (float32(d*dy) - sumDy - float32(((v-m)*inv)*sumDyXhat))
 			}
 		}
 		return []*tensor.Tensor{gx, gGain, gBias}

@@ -58,16 +58,28 @@ func sumRows(into, g *tensor.Tensor, n int) *tensor.Tensor {
 	return tensor.SumRowsInto(into, g)
 }
 
+// zeroedInto is where a gradient that is summed into belongs: the
+// destination the engine offered, cleared, or a new tensor of the shape
+// from like's pool when there is none.
+func zeroedInto(into, like *tensor.Tensor, shape ...int) *tensor.Tensor {
+	if into == nil {
+		return like.New(shape...)
+	}
+	into.Zero()
+	return into
+}
+
 // MulRow returns m * row with row broadcast over leading dimensions
 // (per-feature scaling, e.g. a norm layer's gain).
 func MulRow(m, row *Variable) *Variable {
 	n := row.Value.Size()
 	mv, rv := m.Value, row.Value
 	out := tensor.MulRow(mv, rv)
-	return newOp("mulRow", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
+	return newOp("mulRow", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
 		gm := tensor.MulRow(g, rv)
-		grow := tensor.SumRows(tensor.Mul(g, mv), n)
-		return []*tensor.Tensor{gm, grow}
+		prod := tensor.Mul(g, mv)
+		defer prod.Release()
+		return []*tensor.Tensor{gm, sumRows(req[1].into, prod, n)}
 	}, m, row)
 }
 
@@ -125,12 +137,12 @@ func SliceCols(a *Variable, start, end int) *Variable {
 		panic("autograd: SliceCols range invalid")
 	}
 	width := end - start
-	out := tensor.New(rows, width)
+	out := av.New(rows, width)
 	for r := 0; r < rows; r++ {
 		copy(out.Data()[r*width:(r+1)*width], av.Data()[r*cols+start:r*cols+end])
 	}
 	return newOp("sliceCols", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := tensor.New(rows, cols)
+		gin := av.New(rows, cols)
 		for r := 0; r < rows; r++ {
 			copy(gin.Data()[r*cols+start:r*cols+end], g.Data()[r*width:(r+1)*width])
 		}
@@ -161,7 +173,7 @@ func Relu(a *Variable) *Variable {
 func Tanh(a *Variable) *Variable {
 	out := tensor.Tanh(a.Value)
 	return newOp("tanh", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := tensor.New(out.Shape()...)
+		gin := out.New(out.Shape()...)
 		gd, od, gg := gin.Data(), out.Data(), g.Data()
 		for i := range gd {
 			gd[i] = gg[i] * (1 - float32(od[i]*od[i]))
@@ -174,7 +186,7 @@ func Tanh(a *Variable) *Variable {
 func Sigmoid(a *Variable) *Variable {
 	out := tensor.Sigmoid(a.Value)
 	return newOp("sigmoid", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := tensor.New(out.Shape()...)
+		gin := out.New(out.Shape()...)
 		gd, od, gg := gin.Data(), out.Data(), g.Data()
 		for i := range gd {
 			gd[i] = gg[i] * od[i] * (1 - od[i])
@@ -197,7 +209,9 @@ func Sum(a *Variable) *Variable {
 	av := a.Value
 	out := tensor.Sum(av)
 	return newOp("sum", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Full(g.Item(), av.Shape()...)}
+		gin := av.New(av.Shape()...)
+		gin.Fill(g.Item())
+		return []*tensor.Tensor{gin}
 	}, a)
 }
 
@@ -207,7 +221,9 @@ func Mean(a *Variable) *Variable {
 	out := tensor.Mean(av)
 	inv := 1 / float32(av.Size())
 	return newOp("mean", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Full(g.Item()*inv, av.Shape()...)}
+		gin := av.New(av.Shape()...)
+		gin.Fill(g.Item() * inv)
+		return []*tensor.Tensor{gin}
 	}, a)
 }
 
@@ -218,7 +234,7 @@ func AddChannel(m, bias *Variable) *Variable {
 	n, c := mv.Dims(0), mv.Dims(1)
 	spatial := mv.Size() / (n * c)
 	bv := bias.Value
-	out := tensor.New(mv.Shape()...)
+	out := mv.New(mv.Shape()...)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
 			base := (b*c + ch) * spatial
@@ -228,8 +244,8 @@ func AddChannel(m, bias *Variable) *Variable {
 			}
 		}
 	}
-	return newOp("addChannel", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gb := tensor.New(c)
+	return newOp("addChannel", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
+		gb := zeroedInto(req[1].into, mv, c)
 		for b := 0; b < n; b++ {
 			for ch := 0; ch < c; ch++ {
 				base := (b*c + ch) * spatial
@@ -279,12 +295,12 @@ func MaxPool2D(in *Variable) *Variable {
 func Embedding(w *Variable, indices []int) *Variable {
 	wv := w.Value
 	dim := wv.Dims(1)
-	out := tensor.New(len(indices), dim)
+	out := wv.New(len(indices), dim)
 	for i, idx := range indices {
 		copy(out.Data()[i*dim:(i+1)*dim], wv.Data()[idx*dim:(idx+1)*dim])
 	}
 	return newOp("embedding", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gw := tensor.New(wv.Shape()...)
+		gw := wv.New(wv.Shape()...)
 		for i, idx := range indices {
 			row := gw.Data()[idx*dim : (idx+1)*dim]
 			grow := g.Data()[i*dim : (i+1)*dim]
@@ -305,7 +321,7 @@ func Dropout(a *Variable, keep []bool, p float32) *Variable {
 	}
 	scale := 1 / (1 - p)
 	av := a.Value
-	out := tensor.New(av.Shape()...)
+	out := av.New(av.Shape()...)
 	od, ad := out.Data(), av.Data()
 	for i := range od {
 		if keep[i] {
@@ -313,7 +329,7 @@ func Dropout(a *Variable, keep []bool, p float32) *Variable {
 		}
 	}
 	return newOp("dropout", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := tensor.New(av.Shape()...)
+		gin := av.New(av.Shape()...)
 		gd, gg := gin.Data(), g.Data()
 		for i := range gd {
 			if keep[i] {
@@ -332,7 +348,7 @@ func Concat(vs ...*Variable) *Variable {
 	for _, v := range vs {
 		total += v.Value.Dims(1)
 	}
-	out := tensor.New(rows, total)
+	out := vs[0].Value.New(rows, total)
 	col := 0
 	for _, v := range vs {
 		c := v.Value.Dims(1)
@@ -349,7 +365,7 @@ func Concat(vs ...*Variable) *Variable {
 		grads := make([]*tensor.Tensor, len(vs))
 		col := 0
 		for i, c := range widths {
-			gi := tensor.New(rows, c)
+			gi := out.New(rows, c)
 			for r := 0; r < rows; r++ {
 				copy(gi.Data()[r*c:(r+1)*c], g.Data()[r*total+col:r*total+col+c])
 			}

@@ -12,6 +12,7 @@ package autograd
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -42,6 +43,10 @@ type Variable struct {
 	node         *node
 	hooks        []Hook
 	gradDst      func() *tensor.Tensor
+	// seen and kept carry the number of the latest release walk that
+	// reached the variable, and that must keep its storage (see
+	// Release).
+	seen, kept uint64
 }
 
 // request is what Backward asks a node's backward function about one
@@ -63,6 +68,10 @@ type request struct {
 type node struct {
 	op     string
 	inputs []*Variable
+	// alias is the index of the input whose storage the output's Value
+	// shares — a view, as Reshape and BackwardHook produce — or −1 when
+	// the op allocated its output.
+	alias int
 	// backward maps the gradient of the node's output to gradients of
 	// each input, given one request per input (nil entries for inputs
 	// that need no gradient or receive none).
@@ -162,29 +171,30 @@ func newOp(op string, out *tensor.Tensor, backward func(grad *tensor.Tensor, req
 	if !anyRequiresGrad(inputs...) {
 		return Constant(out)
 	}
-	return &Variable{
-		Value:        out,
-		requiresGrad: true,
-		node: &node{
-			op:       op,
-			inputs:   append([]*Variable(nil), inputs...),
-			backward: backward,
-		},
-	}
+	return &Variable{Value: out, requiresGrad: true, node: newNode(op, out, backward, inputs...)}
+}
+
+// newNode records an op that produced out from inputs.
+func newNode(op string, out *tensor.Tensor, backward func(grad *tensor.Tensor, req []request) []*tensor.Tensor, inputs ...*Variable) *node {
+	alias := slices.IndexFunc(inputs, func(in *Variable) bool { return out.SharesStorage(in.Value) })
+	return &node{op: op, inputs: append([]*Variable(nil), inputs...), alias: alias, backward: backward}
 }
 
 // accumulate adds a completed gradient into the leaf's Grad and fires
 // its post-accumulation hooks. A first gradient the engine owns becomes
 // Grad as is; one it does not own is cloned, so Grad never shares
-// storage with anything else.
+// storage with anything else. A gradient added into Grad, or cloned, is
+// done with: the engine's claim on it ends.
 func (v *Variable) accumulate(g pendingGrad) {
 	switch {
 	case v.Grad != nil:
 		tensor.AddInPlace(v.Grad, g.t)
+		g.drop()
 	case g.owned:
 		v.Grad = g.t
 	default:
 		v.Grad = g.t.Clone()
+		g.drop()
 	}
 	for _, h := range v.hooks {
 		h(v)

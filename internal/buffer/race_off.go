@@ -1,6 +1,6 @@
 //go:build !race
 
-package transport
+package buffer
 
 // RaceEnabled reports whether the binary was built with the race
 // detector; see race_on.go.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/buffer"
 	"repro/internal/transport"
 )
 
@@ -223,8 +224,8 @@ func naiveSteps(rank, k, n int) []step {
 // naiveAllReduce runs naiveSteps over a pooled copy of data.
 func naiveAllReduce(m transport.Mesh, tag uint64, data []float32, op ReduceOp) error {
 	k, rank, n := m.Size(), m.Rank(), len(data)
-	buf := transport.GetFloats(2 * n)
-	defer transport.PutFloats(buf)
+	buf := buffer.GetFloats(2 * n)
+	defer buffer.PutFloats(buf)
 	copy(buf[n:], data)
 	if _, err := runSteps(run{m: m, rank: rank, tag: tag, name: "naive allreduce", data: buf, op: op}, naiveSteps(rank, k, n)); err != nil {
 		return err
@@ -248,8 +249,8 @@ func allGather(m transport.Mesh, tag uint64, dst [][]float32, src []float32) err
 	if len(dst) != k {
 		return fmt.Errorf("comm: allgather dst has %d slots for world %d", len(dst), k)
 	}
-	buf := transport.GetFloats(k * n)
-	defer transport.PutFloats(buf)
+	buf := buffer.GetFloats(k * n)
+	defer buffer.PutFloats(buf)
 	copy(buf[rank*n:], src)
 	if _, err := runSteps(run{m: m, rank: rank, tag: tag, name: "allgather", data: buf}, allGatherSteps(rank, k, n)); err != nil {
 		return err

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/transport"
+	"repro/internal/buffer"
 )
 
 // TestRingAllReduceAllocatesNoFrames is the allocation gate for the
@@ -15,7 +15,7 @@ import (
 // It allocated 25 MB per call when every in-proc Send copied its frame
 // into a fresh slice.
 func TestRingAllReduceAllocatesNoFrames(t *testing.T) {
-	if transport.RaceEnabled {
+	if buffer.RaceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
 	}
 	const world, n, calls = 4, 1 << 20, 10

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/buffer"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 // Codec is the gradient compression of Section 6.2.3: a lossy projection
@@ -253,8 +253,8 @@ func (c *OneBitCodec) Encode(dst []byte, data, residual, deq []float32) []byte {
 	}
 	vals := deq
 	if vals == nil {
-		vals = transport.GetFloats(n)
-		defer transport.PutFloats(vals)
+		vals = buffer.GetFloats(n)
+		defer buffer.PutFloats(vals)
 	}
 	sumAbs, dropped := effective(vals, data, residual)
 	var scale float32
@@ -397,8 +397,8 @@ func (c *TopKCodec) Encode(dst []byte, data, residual, deq []float32) []byte {
 	// call on the hot path.
 	vals := deq
 	if vals == nil {
-		vals = transport.GetFloats(n)
-		defer transport.PutFloats(vals)
+		vals = buffer.GetFloats(n)
+		defer buffer.PutFloats(vals)
 	}
 	effective(vals, data, residual)
 	ip := topkIdxPool.Get().(*[]int)

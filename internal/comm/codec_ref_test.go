@@ -10,7 +10,7 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/transport"
+	"repro/internal/buffer"
 )
 
 // The oracle: the scalar binary16 converters and the per-element
@@ -416,7 +416,7 @@ func TestHalfDecodeMatchesScalar(t *testing.T) {
 // and -race runs take every 61st pattern.
 func TestHalfKernelsMatchScalar(t *testing.T) {
 	stride := uint32(1)
-	if testing.Short() || transport.RaceEnabled {
+	if testing.Short() || buffer.RaceEnabled {
 		stride = 61
 	}
 	rc := refCodecs()[0]
@@ -761,7 +761,7 @@ func checkHalfFrameKernels(t *testing.T, frame []byte) {
 // collectives' pooled frames have) — and neither does the pair path's
 // landing.
 func TestCodecsAllocateNothingWarm(t *testing.T) {
-	if transport.RaceEnabled {
+	if buffer.RaceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
 	}
 	const n = 4099

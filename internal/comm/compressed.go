@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/transport"
 )
 
@@ -85,7 +86,7 @@ func CompressedAllReduce(pg ProcessGroup, data []float32, op ReduceOp, codec Cod
 // Wait, so the intermediate state is never observed. A nil residual backs
 // up to nothing.
 func backUpResidual(residual []float32) (pre []float32) {
-	pre = transport.GetFloats(len(residual))
+	pre = buffer.GetFloats(len(residual))
 	copy(pre, residual)
 	return pre
 }
@@ -97,7 +98,7 @@ func settleResidual(residual, pre []float32, err error) error {
 	if err != nil {
 		copy(residual, pre)
 	}
-	transport.PutFloats(pre)
+	buffer.PutFloats(pre)
 	return err
 }
 
@@ -135,7 +136,7 @@ func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec Codec
 // unfinished; a later one is launched, off the worker, as soon as one
 // ahead of it finishes. The bound keeps the buffers a launch holds — a
 // residual backup and frames — to what the running collective and the
-// next one need, however deep the queue: the transport's pool grows to
+// next one need, however deep the queue: the buffer pool grows to
 // the most that were ever held at once, so an unbounded number would keep
 // growing it whenever the queue reached a new depth.
 func (g *meshGroup) submitCompressed(r run, steps []step, avg []float32, observe func(elems int, start time.Time)) Work {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/buffer"
 	"repro/internal/transport"
 )
 
@@ -39,7 +40,7 @@ func (s *frameSpy) RecvBytes(from int, tag uint64) ([]byte, error) {
 // already moved when the group is aborted before its worker reaches the
 // collective — it waits behind an AllReduce no peer joins. The abort
 // fails both, puts every residual bit back, and hands every frame the
-// submission built back to the transport's pool: the pool's next buffers
+// submission built back to the buffer pool: the pool's next buffers
 // of that size are those frames. Covered: the two-rank exchange (fp16),
 // and stage 1's peer frames of CompressedReduceScatterV at world 3.
 func TestAbortAfterSubmissionRestoresResidual(t *testing.T) {
@@ -84,7 +85,7 @@ func TestAbortAfterSubmissionRestoresResidual(t *testing.T) {
 			if tc.frames == 1 {
 				size = Float16Codec{}.EncodedSize(n)
 			}
-			got := unsafe.SliceData(transport.GetBytes(size))
+			got := unsafe.SliceData(buffer.GetBytes(size))
 			if !slices.Contains(spy.frames, got) {
 				t.Fatalf("%s: the pool's next %d-byte buffer is not one of the frames the submission built", tc.name, size)
 			}

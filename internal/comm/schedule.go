@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/buffer"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -237,17 +238,17 @@ type inflight struct {
 // float buffer until the local receive lands it where the list puts it;
 // a codec step that sends and receives its own range verbatim just
 // quantizes it in place. Every received frame goes back to the
-// transport's pool once it has landed. The leading steps run.launch did
+// buffer pool once it has landed. The leading steps run.launch did
 // before the list started ship and land what it built.
 func runSteps(r run, steps []step) (wire int, err error) {
 	x := &r
 	defer func() {
 		err = cmp.Or(err, x.join(func(*inflight) bool { return true }))
 		for _, f := range x.frames {
-			transport.PutBytes(f)
+			buffer.PutBytes(f)
 		}
 		for _, f := range x.local {
-			transport.PutFloats(f)
+			buffer.PutFloats(f)
 		}
 		wire = x.wire
 	}()
@@ -342,8 +343,8 @@ func runSteps(r run, steps []step) (wire int, err error) {
 				err = fmt.Errorf("comm: %s on rank %d: step %d frame from rank %d: %w", x.name, x.rank, i, st.from, err)
 			}
 		}
-		transport.PutFloats(buf)
-		transport.PutBytes(raw)
+		buffer.PutFloats(buf)
+		buffer.PutBytes(raw)
 		if err != nil {
 			return 0, err
 		}
@@ -391,7 +392,7 @@ func (st step) inPlace() bool {
 // encodeLocal is a local send's frame: st's range, or for a codec step
 // what its frame decodes to, in a pooled float buffer.
 func (x *run) encodeLocal(st step) []float32 {
-	buf := transport.GetFloats(st.sHi - st.sLo)
+	buf := buffer.GetFloats(st.sHi - st.sLo)
 	if st.kind == floats {
 		copy(buf, x.data[st.sLo:st.sHi])
 	} else {
@@ -404,7 +405,7 @@ func (x *run) encodeLocal(st step) []float32 {
 // to x.frames and records a length error.
 func (x *run) encodeFrame(i int, st step, deq []float32) {
 	want := x.encodedSize(st.sLo, st.sHi)
-	frame := x.encode(st, transport.GetBytes(want)[:0], deq)
+	frame := x.encode(st, buffer.GetBytes(want)[:0], deq)
 	x.frames = append(x.frames, frame)
 	x.encErr = cmp.Or(x.encErr, checkFrame(x.name, x.rank, x.rank, i, len(frame), want, "bytes"))
 }

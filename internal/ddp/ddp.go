@@ -218,6 +218,11 @@ func (d *DDP) NoSync(fn func() error) error {
 // reset of replica.Core.BeginForward, and — with FindUnusedParameters —
 // traversing the autograd graph from the output to proactively mark
 // unused parameters as ready.
+//
+// No Variable the pass creates escapes except the return value: once a
+// Backward over it returns nil, every intermediate's storage goes back
+// to the buffer pool (replica.Core.ReleaseForward), and reading one
+// afterwards panics. The return value, x and the parameters stay.
 func (d *DDP) Forward(x *autograd.Variable) *autograd.Variable {
 	d.syncThisBackward = !d.noSync
 	var err error
@@ -226,7 +231,7 @@ func (d *DDP) Forward(x *autograd.Variable) *autograd.Variable {
 		d.rebuildPending, d.rebuilt = false, true
 	}
 	d.BeginForward(d.syncThisBackward, err)
-	out := d.Module().Forward(x)
+	out := d.Module().Forward(d.Input(x))
 	if d.opts.FindUnusedParameters {
 		used := autograd.LeafSet(out)
 		for i, p := range d.Parameters() {
@@ -271,7 +276,7 @@ func (d *DDP) Forward(x *autograd.Variable) *autograd.Variable {
 			}
 		}
 	}
-	return out
+	return d.EndForward(x, out)
 }
 
 // Backward runs autograd from loss and, if this iteration synchronizes,
@@ -292,10 +297,13 @@ func (d *DDP) Backward(loss *autograd.Variable) error {
 		return err
 	}
 	autograd.Backward(loss, nil)
-	if !d.syncThisBackward {
-		return nil
+	if d.syncThisBackward {
+		if err := d.finalizeBackward(); err != nil {
+			return err
+		}
 	}
-	return d.finalizeBackward()
+	d.ReleaseForward()
+	return nil
 }
 
 // autogradHook is Algorithm 1's autograd_hook: fired by the engine after

@@ -8,12 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/autograd"
+	"repro/internal/buffer"
 	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
-	"repro/internal/transport"
 )
 
 // After a synchronized backward a parameter's Grad is a view of its
@@ -343,7 +343,7 @@ func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
 // model's bytes; before gradients were handed on, viewed and recycled,
 // about eight times.
 func TestBackwardAllocatesNoGradientCopy(t *testing.T) {
-	if transport.RaceEnabled {
+	if buffer.RaceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
 	}
 	const world, width, batch, steps = 2, 256, 4, 20

@@ -26,7 +26,7 @@
 // Nothing is allocated per step.
 //
 // Gradient storage: the engine's bucket flats are transient — drawn from
-// the transport pool at a bucket's first gradient, handed back once the
+// the buffer pool at a bucket's first gradient, handed back once the
 // fused step has consumed the reduced shard. Each parameter's gradient
 // destination is its slot of that flat, looked up when the backward
 // pass asks (which is what draws the flat), so a weight gradient is

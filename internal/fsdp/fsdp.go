@@ -121,6 +121,10 @@ type Stats struct {
 	// PeakGradBytes is the maximum gradient bucket bytes observed; the
 	// engine's transient buffers release after every step.
 	PeakGradBytes int
+	// StagingBytes is the launch groups' staging (see group): allocated
+	// once per install, held for the wrapper's life, and outside every
+	// residency count above.
+	StagingBytes int
 	// Gathers counts bucket gathers — the buckets parameter AllGatherVs
 	// fill, several to one collective for a launch group — and Reduces gradient ReduceScatterV launches. A step
 	// gathers as its plan says: every bucket once for forward, and again
@@ -341,6 +345,7 @@ func (f *FSDP) mapUnits() {
 		}
 	}
 	arena := make([]float32, need)
+	f.stats.StagingBytes = 4 * need
 	for i := range f.groups {
 		if g := &f.groups[i]; len(g.buckets) > 1 {
 			n := reduce.GatherElems(elems, g.buckets, w)
@@ -523,6 +528,11 @@ func (f *FSDP) advance(v int) {
 // holds stays gathered into backward, and a gather it launches for
 // backward may still be in flight when Forward returns; a Forward that
 // follows a Forward lands it first.
+//
+// No Variable the pass creates escapes except the return value: once a
+// Backward over it returns nil, every intermediate's storage goes back
+// to the buffer pool (replica.Core.ReleaseForward), and reading one
+// afterwards panics. The return value, x and the parameters stay.
 func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	f.BeginForward(true, f.drain())
 	for b, members := range f.Assignment().Buckets {
@@ -530,14 +540,15 @@ func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	}
 	f.next = 0
 	last := 2*len(f.units) - 1
+	out := f.Input(x)
 	for u, unit := range f.units {
 		f.advance(u)
-		x = autograd.BackwardHook(unit.Forward(x), func() { f.advance(last - u) })
+		out = autograd.BackwardHook(unit.Forward(out), func() { f.advance(last - u) })
 		for _, b := range f.plan.Free[u] {
 			f.freeBucket(b)
 		}
 	}
-	return x
+	return f.EndForward(x, out)
 }
 
 // abandon is how Backward leaves a failed step: no gather stays in
@@ -607,6 +618,7 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 		p.ZeroGrad()
 	}
 	f.Synchronized()
+	f.ReleaseForward()
 	return nil
 }
 

@@ -141,3 +141,32 @@ func TestWarmStepAllocatesNoStaging(t *testing.T) {
 		return nil
 	})
 }
+
+// TestStatsReportStaging: the launch groups' staging is memory a rank
+// holds beside its shards and gathered buckets, and Stats says how much:
+// every region of the arena. On the benchmark's layout at world 2 that
+// is u0's group of buckets 3 and 2, 2·(99 072 + 99 136) elements:
+// 1 585 664 bytes a rank.
+func TestStatsReportStaging(t *testing.T) {
+	const world = 2
+	groups := inProcGroups(t, world)
+	for _, c := range []struct {
+		strategy Strategy
+		want     int // bytes; -1 where only the sum of the regions is pinned
+	}{{ZeRO3, 1585664}, {ZeRO2, -1}} {
+		runRanks(t, world, func(rank int) error {
+			f, err := New(bertFixture.build(), groups[rank], Options{Strategy: c.strategy, BucketCapBytes: bertFixture.cap, LR: tLR})
+			if err != nil {
+				return err
+			}
+			regions := 0
+			for _, g := range f.groups {
+				regions += 4 * len(g.staging)
+			}
+			if got := f.Stats().StagingBytes; got != regions || (c.want >= 0 && got != c.want) {
+				return fmt.Errorf("%s: Stats reports %d staging bytes; the groups hold %d, want %d", c.strategy, got, regions, c.want)
+			}
+			return nil
+		})
+	}
+}

@@ -1,9 +1,9 @@
-// Package lint is the project's static-analysis gate: five analyzers
+// Package lint is the project's static-analysis gate: six analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
 // collective/lock ordering, metric registration, 32-bit atomic
-// alignment, and cost models that price the schedules the runtime
-// runs. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// alignment, cost models that price the schedules the runtime runs, and
+// comm's one transport call site. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -85,6 +85,14 @@
 // package ddp or fsdp (an import, or a type reached through an alias)
 // is a per-strategy closed form. The analyzer keys on the package names
 // hw and simnet.
+//
+// transportcalls — package comm reaches the transport only from
+// schedule.go, where runSteps owns the frame-length check, the send
+// join and the frame hand-back. A Send, Recv, SendBytes or RecvBytes
+// method of a transport type, used in any other non-test file of comm —
+// called, or taken as a method value or expression — is reported; a
+// method of comm's own with one of those names is not. The analyzer
+// keys on the package name comm.
 //
 // # Testing convention
 //

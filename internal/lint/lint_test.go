@@ -78,6 +78,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"atomic64align", "atomic64align_bad", "atomic64align_ok"},
 		{"costtwins", "costtwins_hw_bad", "costtwins_hw_ok"},
 		{"costtwins", "costtwins_simnet_bad", "costtwins_simnet_ok"},
+		{"transportcalls", "transportcalls_bad", "transportcalls_ok"},
 	}
 	for _, tc := range cases {
 		a := analyzerByName(t, tc.analyzer)
@@ -117,7 +118,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
 		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
-		"costtwins_hw_ok", "costtwins_simnet_ok",
+		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok",
 	} {
 		pkg := fixturePkg(t, name)
 		res := Run([]*Package{pkg}, All())

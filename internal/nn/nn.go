@@ -36,6 +36,10 @@ type Buffer struct {
 // Module is the interface all layers and containers implement.
 type Module interface {
 	// Forward computes the layer output and records the autograd graph.
+	// It lets no Variable it creates escape except its return value —
+	// none is kept in the module or handed out otherwise — so that once
+	// a backward pass over the result is done, a wrapper may hand every
+	// intermediate's storage back to the buffer pool (autograd.Release).
 	Forward(x *autograd.Variable) *autograd.Variable
 	// Parameters returns learnable parameters in registration order.
 	Parameters() []*Parameter

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/comm"
-	"repro/internal/transport"
 )
 
 // Launcher starts the collective for one ready bucket and returns its
@@ -34,7 +34,7 @@ type Config struct {
 	// accumulated quantization error.
 	TrackResiduals bool
 	// Transient makes bucket buffers per-iteration state: a bucket draws
-	// its buffers from the transport pool at its first slot write and
+	// its buffers from the buffer pool at its first slot write and
 	// WaitAll hands them back once its consume has returned, so nothing
 	// is held between iterations and nothing is allocated in a warm one.
 	// The sharded wrappers set it to keep peak-memory accounting honest:
@@ -125,15 +125,15 @@ func (e *Engine) Install(assign *Assignment) {
 	}
 }
 
-// acquire draws a Transient bucket's buffers from the transport pool.
+// acquire draws a Transient bucket's buffers from the buffer pool.
 // Their contents are whatever the last user left (NaN under the race
 // detector): every slot is written in full before its bucket launches,
 // and the residual buffer is filled from the per-parameter store here.
 func (e *Engine) acquire(b int) {
 	bs := e.bucket[b]
-	bs.flat = transport.GetFloats(e.assign.BucketElems[b])
+	bs.flat = buffer.GetFloats(e.assign.BucketElems[b])
 	if e.cfg.TrackResiduals {
-		bs.resFlat = transport.GetFloats(e.assign.BucketElems[b])
+		bs.resFlat = buffer.GetFloats(e.assign.BucketElems[b])
 		e.scatterResiduals(bs, bs.members)
 	}
 }
@@ -271,7 +271,7 @@ func (e *Engine) launchReady() {
 // buffers already). The caller must
 // have verified all buckets launched — waiting on an unlaunched bucket
 // is a caller bug and errors out. A Transient engine hands each
-// bucket's buffers back to the transport pool after its consume
+// bucket's buffers back to the buffer pool after its consume
 // returns, flushing residuals to the per-parameter store first; consume
 // must not keep flat.
 func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
@@ -296,10 +296,10 @@ func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 					off := e.assign.OffsetOf[idx]
 					copy(e.residuals[idx], bs.resFlat[off:off+e.cfg.Sizes[idx]])
 				}
-				transport.PutFloats(bs.resFlat)
+				buffer.PutFloats(bs.resFlat)
 				bs.resFlat = nil
 			}
-			transport.PutFloats(bs.flat)
+			buffer.PutFloats(bs.flat)
 			bs.flat = nil
 		}
 	}

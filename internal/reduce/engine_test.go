@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/comm"
-	"repro/internal/transport"
 )
 
 // fakeLaunch records launch order and completes immediately.
@@ -197,7 +197,7 @@ func TestTransientResidualsFollowTheLaunch(t *testing.T) {
 // transport pool and allocates under 1 KB. Reset used to make every
 // flat anew, 8 MB a cycle at these sizes.
 func TestTransientCycleAllocatesNothing(t *testing.T) {
-	if transport.RaceEnabled {
+	if buffer.RaceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
 	}
 	const params, elems, cycles = 4, 1 << 18, 10

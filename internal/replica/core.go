@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/autograd"
+	"repro/internal/buffer"
 	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/reduce"
@@ -35,10 +37,17 @@ func broadcast(pg comm.ProcessGroup, root int, params []*nn.Parameter, buffers [
 // canonical bucket layout (at construction and at every rebind), the
 // re-broadcast of rank 0's buffers ahead of the forward that follows a
 // synchronized backward, the collective failure a Forward records for
-// the next Backward to return, and the diagnosis of a backward pass
-// that left buckets unlaunched. Both wrappers embed it; what they still
-// write themselves is the collective they launch and what they do with
-// its result.
+// the next Backward to return, the diagnosis of a backward pass that
+// left buckets unlaunched, and the hand-back of a finished step's
+// activations. Both wrappers embed it; what they still write themselves
+// is the collective they launch and what they do with its result.
+//
+// A wrapper's Forward lets no Variable it creates escape except its
+// return value (nn.Module's contract): so once a Backward over that
+// return value has succeeded, EndForward's record lets ReleaseForward
+// hand every intermediate's storage back to the replica's own pool
+// (autograd.Release), which Input routes the step through, and a warm
+// step allocates no activations.
 type Core struct {
 	name     string // "ddp" or "fsdp": the prefix of every error
 	module   nn.Module
@@ -56,6 +65,12 @@ type Core struct {
 	// return (inside Forward, or inside the graph walk of Backward);
 	// Backward returns it.
 	deferred error
+	// pool is the replica's own buffer pool: Input routes the step's
+	// activations and gradients through it.
+	pool *buffer.Floats
+	// in and out are the latest Forward's input and return value, until
+	// ReleaseForward hands back the graph between them.
+	in, out *autograd.Variable
 }
 
 // NewCore sizes module's parameters and builds the engine from cfg
@@ -67,7 +82,7 @@ func NewCore(name string, module nn.Module, pg comm.ProcessGroup, capBytes int, 
 	if capBytes == 0 {
 		capBytes = reduce.DefaultBucketCapBytes
 	}
-	c := Core{name: name, module: module, pg: pg, params: module.Parameters(), buffers: module.Buffers(), capBytes: capBytes}
+	c := Core{name: name, module: module, pg: pg, params: module.Parameters(), buffers: module.Buffers(), capBytes: capBytes, pool: buffer.NewFloats()}
 	if len(c.params) == 0 {
 		return c, fmt.Errorf("%s: module has no parameters", name)
 	}
@@ -163,6 +178,34 @@ func (c *Core) BeginForward(synchronized bool, err error) {
 		}
 	}
 	c.engine.Reset()
+}
+
+// Input is x as the wrapper's module reads it: a view whose activations
+// and gradients draw from the replica's own pool (autograd.InPool), so
+// that no other rank of an in-process world decides whether this one's
+// warm step finds its buffers.
+func (c *Core) Input(x *autograd.Variable) *autograd.Variable { return autograd.InPool(x, c.pool) }
+
+// EndForward records x and out as a Forward's input and return value,
+// the graph the next successful Backward hands back, and returns out. A
+// Forward that no Backward follows (an evaluation pass) is forgotten at
+// the next one.
+func (c *Core) EndForward(x, out *autograd.Variable) *autograd.Variable {
+	c.in, c.out = x, out
+	return out
+}
+
+// ReleaseForward hands the storage of every intermediate of the
+// recorded Forward back to the buffer pool — never its input, its return
+// value, a leaf, or storage they share — and forgets the record. The
+// wrappers call it as a Backward returns nil, synchronized or not, and
+// not when it fails: a failed step's graph is left to the garbage
+// collector.
+func (c *Core) ReleaseForward() {
+	if c.out != nil {
+		autograd.Release(c.out, c.in)
+	}
+	c.in, c.out = nil, nil
 }
 
 // Defer records err as the pass's failure unless one is recorded

@@ -18,7 +18,7 @@ func Conv2D(in, w *Tensor, stride, pad int) *Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("tensor: Conv2D output %dx%d non-positive", oh, ow))
 	}
-	out := New(n, cout, oh, ow)
+	out := in.New(n, cout, oh, ow)
 	for b := 0; b < n; b++ {
 		for co := 0; co < cout; co++ {
 			for oy := 0; oy < oh; oy++ {
@@ -56,8 +56,8 @@ func Conv2DBackward(in, w, gout *Tensor, stride, pad int) (gin, gw *Tensor) {
 	n, cin, h, wd := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
 	cout, kh, kw := w.shape[0], w.shape[2], w.shape[3]
 	oh, ow := gout.shape[2], gout.shape[3]
-	gin = New(in.shape...)
-	gw = New(w.shape...)
+	gin = gout.New(in.shape...)
+	gw = gout.New(w.shape...)
 	for b := 0; b < n; b++ {
 		for co := 0; co < cout; co++ {
 			for oy := 0; oy < oh; oy++ {
@@ -98,7 +98,7 @@ func AvgPool2D(in *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: AvgPool2D on shape %v", in.shape))
 	}
 	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
-	out := New(n, c)
+	out := in.New(n, c)
 	area := float32(h * w)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -117,7 +117,7 @@ func AvgPool2D(in *Tensor) *Tensor {
 // positions of the input gradient [n, c, h, w].
 func AvgPool2DBackward(gout *Tensor, h, w int) *Tensor {
 	n, c := gout.shape[0], gout.shape[1]
-	gin := New(n, c, h, w)
+	gin := gout.New(n, c, h, w)
 	inv := 1 / float32(h*w)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -140,7 +140,7 @@ func MaxPool2D(in *Tensor) (*Tensor, []int) {
 	}
 	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
 	oh, ow := h/2, w/2
-	out := New(n, c, oh, ow)
+	out := in.New(n, c, oh, ow)
 	arg := make([]int, n*c*oh*ow)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -169,7 +169,7 @@ func MaxPool2D(in *Tensor) (*Tensor, []int) {
 // MaxPool2DBackward routes gout back to the argmax positions recorded by
 // MaxPool2D, producing the input gradient with the given input shape.
 func MaxPool2DBackward(gout *Tensor, arg []int, inShape []int) *Tensor {
-	gin := New(inShape...)
+	gin := gout.New(inShape...)
 	for o, idx := range arg {
 		gin.data[idx] += gout.data[o]
 	}

@@ -14,7 +14,7 @@ func checkSameShape(op string, a, b *Tensor) {
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	checkSameShape("Add", a, b)
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	for i := range a.data {
 		out.data[i] = a.data[i] + b.data[i]
 	}
@@ -24,7 +24,7 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a - b elementwise.
 func Sub(a, b *Tensor) *Tensor {
 	checkSameShape("Sub", a, b)
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	for i := range a.data {
 		out.data[i] = a.data[i] - b.data[i]
 	}
@@ -34,7 +34,7 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns a * b elementwise.
 func Mul(a, b *Tensor) *Tensor {
 	checkSameShape("Mul", a, b)
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	for i := range a.data {
 		out.data[i] = a.data[i] * b.data[i]
 	}
@@ -44,7 +44,7 @@ func Mul(a, b *Tensor) *Tensor {
 // Div returns a / b elementwise.
 func Div(a, b *Tensor) *Tensor {
 	checkSameShape("Div", a, b)
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	for i := range a.data {
 		out.data[i] = a.data[i] / b.data[i]
 	}
@@ -72,7 +72,7 @@ func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 
 // AddScalar returns a + s elementwise.
 func AddScalar(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	for i := range a.data {
 		out.data[i] = a.data[i] + s
 	}
@@ -81,7 +81,7 @@ func AddScalar(a *Tensor, s float32) *Tensor {
 
 // MulScalar returns a * s elementwise.
 func MulScalar(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	for i := range a.data {
 		out.data[i] = a.data[i] * s
 	}
@@ -98,7 +98,7 @@ func AddRow(m, row *Tensor) *Tensor {
 	if m.Size()%n != 0 || m.Dims(m.Dim()-1) != n {
 		panic(fmt.Sprintf("tensor: AddRow shapes %v and %v incompatible", m.shape, row.shape))
 	}
-	out := New(m.shape...)
+	out := m.New(m.shape...)
 	for lo := 0; lo < len(m.data); lo += n {
 		o, in := out.data[lo:][:n], m.data[lo:][:n]
 		for j, b := range row.data {
@@ -114,7 +114,7 @@ func MulRow(m, row *Tensor) *Tensor {
 	if m.Size()%n != 0 || m.Dims(m.Dim()-1) != n {
 		panic(fmt.Sprintf("tensor: MulRow shapes %v and %v incompatible", m.shape, row.shape))
 	}
-	out := New(m.shape...)
+	out := m.New(m.shape...)
 	for lo := 0; lo < len(m.data); lo += n {
 		o, in := out.data[lo:][:n], m.data[lo:][:n]
 		for j, b := range row.data {
@@ -127,7 +127,7 @@ func MulRow(m, row *Tensor) *Tensor {
 // SumRows reduces m of shape [..., n] over all leading dimensions,
 // returning a tensor of shape [n]. It is the gradient of AddRow.
 func SumRows(m *Tensor, n int) *Tensor {
-	return SumRowsInto(New(n), m)
+	return SumRowsInto(m.New(n), m)
 }
 
 // SumRowsInto is SumRows written into dst, whose size is the row length
@@ -149,7 +149,7 @@ func SumRowsInto(dst, m *Tensor) *Tensor {
 
 // Apply returns f applied elementwise to a.
 func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	for i, v := range a.data {
 		out.data[i] = f(v)
 	}
@@ -174,7 +174,7 @@ func positive(v float32) uint32 {
 // Relu returns max(0, x) elementwise: x where x > 0, and +0 everywhere
 // else, a NaN and −0 included.
 func Relu(a *Tensor) *Tensor {
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	o := out.data[:len(a.data)]
 	for i, v := range a.data {
 		o[i] = math.Float32frombits(math.Float32bits(v) & positive(v))
@@ -189,7 +189,7 @@ func ReluGrad(x, g *Tensor) *Tensor {
 	if len(x.data) != len(g.data) {
 		panic("tensor: ReluGrad size mismatch")
 	}
-	out := New(x.shape...)
+	out := x.New(x.shape...)
 	o, gd := out.data[:len(x.data)], g.data[:len(x.data)]
 	for i, v := range x.data {
 		o[i] = math.Float32frombits(math.Float32bits(gd[i]) & positive(v))
@@ -199,7 +199,7 @@ func ReluGrad(x, g *Tensor) *Tensor {
 
 // Tanh returns tanh(x) elementwise, by tanhDef (tanh.go).
 func Tanh(a *Tensor) *Tensor {
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	tanhFloats(out.data, a.data)
 	return out
 }
@@ -213,7 +213,7 @@ func Sigmoid(a *Tensor) *Tensor {
 // matching the activation used in BERT: ½x·(1 + tanh(√(2/π)·(x +
 // 0.044715x³))), evaluated in float64 by tanhDef (tanh.go).
 func Gelu(a *Tensor) *Tensor {
-	out := New(a.shape...)
+	out := a.New(a.shape...)
 	geluFloats(out.data, a.data)
 	return out
 }
@@ -225,7 +225,7 @@ func GeluGrad(x, g *Tensor) *Tensor {
 	if len(x.data) != len(g.data) {
 		panic("tensor: GeluGrad size mismatch")
 	}
-	out := New(x.shape...)
+	out := x.New(x.shape...)
 	geluGradFloats(out.data, x.data, g.data)
 	return out
 }

@@ -33,7 +33,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul shapes %v x %v invalid", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	out := New(m, n)
+	out := a.New(m, n)
 	for i := 0; i < m; i++ {
 		mulAddRows(out.data[i*n:(i+1)*n], a.data, i*k, 1, k, b.data)
 	}
@@ -46,7 +46,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	if a.Dim() != 2 || b.Dim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes %v x %v invalid", a.shape, b.shape))
 	}
-	return MatMulTransAInto(New(a.shape[1], b.shape[1]), a, b)
+	return MatMulTransAInto(a.New(a.shape[1], b.shape[1]), a, b)
 }
 
 // MatMulTransAInto computes aᵀ·b into dst, which must be [m,n] for a
@@ -183,7 +183,7 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %v x %v invalid", a.shape, b.shape))
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	out := New(m, n)
+	out := a.New(m, n)
 	dotRows(out.data, a.data, b.data, m, k, n)
 	return out
 }
@@ -238,7 +238,7 @@ func Transpose2D(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Transpose2D on shape %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
+	out := a.New(n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			out.data[j*m+i] = a.data[i*n+j]

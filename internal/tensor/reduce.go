@@ -64,7 +64,7 @@ func SoftmaxRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SoftmaxRows on shape %v", a.shape))
 	}
 	rows, cols := a.shape[0], a.shape[1]
-	out := New(rows, cols)
+	out := a.New(rows, cols)
 	for i := 0; i < rows; i++ {
 		row := a.data[i*cols : (i+1)*cols]
 		orow := out.data[i*cols : (i+1)*cols]
@@ -94,7 +94,7 @@ func LogSoftmaxRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: LogSoftmaxRows on shape %v", a.shape))
 	}
 	rows, cols := a.shape[0], a.shape[1]
-	out := New(rows, cols)
+	out := a.New(rows, cols)
 	for i := 0; i < rows; i++ {
 		row := a.data[i*cols : (i+1)*cols]
 		orow := out.data[i*cols : (i+1)*cols]

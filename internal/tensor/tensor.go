@@ -11,12 +11,20 @@
 // argument, and MatMulTransAInto the destination it is handed — which
 // is how a weight gradient is written straight into that slot.
 // SharesStorage tells the situations apart.
+//
+// Storage is drawn from a buffer pool (internal/buffer): New's from the
+// shared one, a kernel's result from its first operand's (see InPool),
+// and Release hands it back. The autograd engine releases gradient
+// temporaries it has consumed, and replica.Core the activations of a
+// finished step, so a warm training step allocates no tensor storage.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"repro/internal/buffer"
 )
 
 // Tensor is a dense float32 n-dimensional array in row-major order.
@@ -24,11 +32,23 @@ import (
 type Tensor struct {
 	data  []float32
 	shape []int
+	// pool is where the storage of what the kernels compute from t is
+	// drawn (nil: the shared pool), and where Release hands t's back.
+	pool *buffer.Floats
 }
 
-// New returns a zero-filled tensor with the given shape. A nil or empty
-// shape produces a scalar (one element, zero dimensions).
-func New(shape ...int) *Tensor {
+// New returns a zero-filled tensor with the given shape, its storage
+// drawn from the buffer pool. A nil or empty shape produces a scalar
+// (one element, zero dimensions).
+func New(shape ...int) *Tensor { return newIn(nil, shape) }
+
+// New returns a zero-filled tensor of the given shape whose storage is
+// drawn from the pool t's is: every kernel draws its result this way,
+// from its first operand's pool, and so does an autograd op, so that
+// what a replica computes stays in the replica's pool (see InPool).
+func (t *Tensor) New(shape ...int) *Tensor { return newIn(t.pool, shape) }
+
+func newIn(pool *buffer.Floats, shape []int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -36,8 +56,34 @@ func New(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	return &Tensor{data: make([]float32, n), shape: append([]int(nil), shape...)}
+	return &Tensor{data: pool.Get(n), shape: append([]int(nil), shape...), pool: pool}
 }
+
+// InPool returns a view of t, sharing its storage, whose results draw
+// their storage from pool: a training replica passes its input through
+// it, so that every activation and gradient of its step comes from, and
+// goes back to, its own pool.
+func (t *Tensor) InPool(pool *buffer.Floats) *Tensor {
+	return &Tensor{data: t.data, shape: t.shape, pool: pool}
+}
+
+// Release hands t's storage back to the buffer pool and detaches t: its
+// shape stays, but it holds no elements, so a late read panics instead
+// of reading whatever the storage's next owner wrote. The caller must
+// own the storage outright — New's (or a kernel's) result that no other
+// tensor views, or a Reshape view of it standing in for it — and must
+// release it once. The pool keeps any whole buffer whose capacity is a
+// power of two, so a FromSlice tensor over storage someone else holds
+// must never be released.
+func (t *Tensor) Release() {
+	t.pool.Put(t.data)
+	t.Detach()
+}
+
+// Detach drops t's hold on its storage without handing the storage
+// back — what a view gets whose storage is released through, or kept
+// by, another tensor: a late read of t panics all the same.
+func (t *Tensor) Detach() { t.data = nil }
 
 // FromSlice wraps data in a tensor of the given shape. The tensor takes
 // ownership of the slice; it is not copied. The length of data must equal
@@ -53,7 +99,9 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{data: data, shape: append([]int(nil), shape...)}
 }
 
-// Scalar returns a zero-dimensional tensor holding v.
+// Scalar returns a zero-dimensional tensor holding v, in a one-element
+// slice of its own: a loss outlives its step, and one float is not worth
+// a pool round trip.
 func Scalar(v float32) *Tensor {
 	return &Tensor{data: []float32{v}, shape: nil}
 }
@@ -116,9 +164,9 @@ func (t *Tensor) Item() float32 {
 	return t.data[0]
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, its storage drawn from t's pool.
 func (t *Tensor) Clone() *Tensor {
-	return &Tensor{data: append([]float32(nil), t.data...), shape: append([]int(nil), t.shape...)}
+	return &Tensor{data: append(t.pool.Get(len(t.data))[:0], t.data...), shape: append([]int(nil), t.shape...), pool: t.pool}
 }
 
 // CopyFrom copies src's elements into t. Sizes must match; shapes may
@@ -156,7 +204,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.data) {
 		panic(fmt.Sprintf("tensor: Reshape %v to %v changes element count", t.shape, shape))
 	}
-	return &Tensor{data: t.data, shape: shape}
+	return &Tensor{data: t.data, shape: shape, pool: t.pool}
 }
 
 // SharesStorage reports whether t and o overlap in memory, as a tensor

@@ -13,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/buffer"
 	"repro/internal/store"
 )
 
@@ -499,7 +500,7 @@ func (m *tcpMesh) SendBytes(to int, tag uint64, data []byte) error {
 
 // RecvBytes reads one byte-lane frame: header ReadFull, then the
 // payload lands directly in the result slice, a pooled buffer that is
-// the caller's to hand back (PutBytes). Tag and lane mismatches
+// the caller's to hand back (buffer.PutBytes). Tag and lane mismatches
 // surface as their dedicated error types with the stream drained, so
 // framing survives for callers that can continue.
 func (m *tcpMesh) RecvBytes(from int, tag uint64) ([]byte, error) {
@@ -527,9 +528,9 @@ func (m *tcpMesh) RecvBytes(from int, tag uint64) ([]byte, error) {
 		}
 		return nil, &LaneMismatchError{From: from, WantRaw: true, Tag: tag}
 	}
-	data := GetBytes(int(count &^ rawFrameFlag))
+	data := buffer.GetBytes(int(count &^ rawFrameFlag))
 	if _, err := io.ReadFull(p.conn, data); err != nil {
-		PutBytes(data)
+		buffer.PutBytes(data)
 		return nil, m.wireErr("recv payload from", from, err)
 	}
 	p.link.received(frameHeaderLen + len(data))
@@ -550,7 +551,7 @@ func framePayloadLen(count uint32) int64 {
 // payload. On little-endian hosts the payload lands directly in the
 // result slice (zero-copy, no decode pass); the portable fallback
 // reads into a reused buffer and bulk-decodes. The result is a pooled
-// buffer that is the caller's to hand back (PutFloats).
+// buffer that is the caller's to hand back (buffer.PutFloats).
 func (m *tcpMesh) Recv(from int, tag uint64) ([]float32, error) {
 	if from == m.rank || from < 0 || from >= m.size {
 		return nil, fmt.Errorf("transport: invalid recv source %d at rank %d", from, m.rank)
@@ -581,16 +582,16 @@ func (m *tcpMesh) Recv(from int, tag uint64) ([]float32, error) {
 		}
 		return nil, &LaneMismatchError{From: from, WantRaw: false, Tag: tag}
 	}
-	data := GetFloats(int(count))
+	data := buffer.GetFloats(int(count))
 	if hostLittleEndian {
 		if _, err := io.ReadFull(p.conn, float32Bytes(data)); err != nil {
-			PutFloats(data)
+			buffer.PutFloats(data)
 			return nil, m.wireErr("recv payload from", from, err)
 		}
 	} else {
 		p.rbuf = grow(p.rbuf, 4*int(count))
 		if _, err := io.ReadFull(p.conn, p.rbuf); err != nil {
-			PutFloats(data)
+			buffer.PutFloats(data)
 			return nil, m.wireErr("recv payload from", from, err)
 		}
 		decodePayload(p.rbuf, data)

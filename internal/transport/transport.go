@@ -59,6 +59,8 @@ package transport
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/buffer"
 )
 
 // Mesh is one rank's view of its point-to-point connectivity.
@@ -73,8 +75,8 @@ type Mesh interface {
 	// Recv returns the next message from peer `from`, which must carry
 	// the expected tag. The returned buffer belongs to the caller, and
 	// no mesh or decorator may keep a reference to it; a caller done
-	// with it should hand it back with PutFloats so the next frame
-	// reuses it (see pool.go).
+	// with it should hand it back with buffer.PutFloats so the next frame
+	// reuses it (see internal/buffer).
 	Recv(from int, tag uint64) ([]float32, error)
 	// Close releases the mesh's resources.
 	Close() error
@@ -103,7 +105,7 @@ type ByteMesh interface {
 	SendBytes(to int, tag uint64, data []byte) error
 	// RecvBytes returns the next byte frame from peer `from`, which must
 	// carry the expected tag. Like Recv's, the buffer is the caller's,
-	// to hand back with PutBytes.
+	// to hand back with buffer.PutBytes.
 	RecvBytes(from int, tag uint64) ([]byte, error)
 }
 
@@ -239,11 +241,11 @@ func (m *inProcMesh) Size() int { return m.size }
 // Recv hands to its caller; a frame that was not delivered goes back to
 // the pool here.
 func (m *inProcMesh) Send(to int, tag uint64, data []float32) error {
-	buf := GetFloats(len(data))
+	buf := buffer.GetFloats(len(data))
 	copy(buf, data)
 	err := m.send(to, frame{tag: tag, data: buf})
 	if err != nil {
-		PutFloats(buf)
+		buffer.PutFloats(buf)
 	}
 	return err
 }
@@ -251,11 +253,11 @@ func (m *inProcMesh) Send(to int, tag uint64, data []float32) error {
 // SendBytes implements ByteMesh over the same frame channels as Send;
 // byte and float frames share each link's FIFO order.
 func (m *inProcMesh) SendBytes(to int, tag uint64, data []byte) error {
-	buf := GetBytes(len(data))
+	buf := buffer.GetBytes(len(data))
 	copy(buf, data)
 	err := m.send(to, frame{tag: tag, raw: buf, isRaw: true})
 	if err != nil {
-		PutBytes(buf)
+		buffer.PutBytes(buf)
 	}
 	return err
 }
