@@ -12,8 +12,8 @@
 //
 //	ddptrain -world 4 -launch
 //
-// Every mode drives one replica.Replica — forward, backward, step — and
-// the one function that names a strategy is newReplica. After training,
+// Every mode drives one replica.Replica — forward, backward, step —
+// that strategy.Build makes from the flags' strategy.Spec. After training,
 // ranks AllGather a hash of the exact bits of every parameter and
 // verify every replica holds bit-identical parameters — the paper's
 // correctness guarantee, checked for real across process boundaries.
@@ -113,24 +113,20 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/data"
-	"repro/internal/ddp"
 	"repro/internal/elastic"
 	"repro/internal/fsdp"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/replica"
 	"repro/internal/store"
+	"repro/internal/strategy"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
 // The model and data shape every mode trains.
-const (
-	features, hidden, classes = 64, 64, 10
-	momentum                  = 0.9
-)
+const features, hidden, classes = 64, 64, 10
 
 // options is the parsed command line; every mode takes it whole.
 type options struct {
@@ -265,10 +261,11 @@ func (o *options) validate() error {
 			return fmt.Errorf("-%s is not read in %s mode", f.Name, m)
 		}
 	}
+	if err := o.spec(false).Check(); err != nil {
+		return err
+	}
 	elasticRun := m != "train"
-	switch o.strategy {
-	case "ddp":
-	case "zero2", "zero3":
+	if o.strategy != "" && o.strategy != "ddp" {
 		// The sharded engine fuses reduction and optimizer into Backward:
 		// there is no un-synchronized local step to accumulate into, and
 		// round-robin groups would break the stable shard ownership the
@@ -282,8 +279,6 @@ func (o *options) validate() error {
 		if elasticRun && o.ckptDir == "" {
 			return fmt.Errorf("-elastic -strategy %s needs -ckpt-dir: a sharded world recovers from a committed checkpoint, not from a survivor", o.strategy)
 		}
-	default:
-		return fmt.Errorf("-strategy: unknown strategy %q (want ddp, zero2 or zero3)", o.strategy)
 	}
 	if elasticRun {
 		if o.world < 2 {
@@ -299,10 +294,7 @@ func (o *options) validate() error {
 			return fmt.Errorf("-kill-step %d must be below -iters %d", o.killStep, o.iters)
 		}
 	}
-	if _, err := o.commOptions(); err != nil {
-		return err
-	}
-	_, err := codecFactory(o.compress)
+	_, err := o.commOptions()
 	return err
 }
 
@@ -339,61 +331,14 @@ func runMode(o *options) error {
 	return nil
 }
 
-// codecFactory maps the -compress flag to a NewCodec factory; both
-// strategies take the one compressed path, with engine-owned
-// error-feedback residuals.
-func codecFactory(name string) (func() comm.Codec, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "fp16":
-		return func() comm.Codec { return comm.Float16Codec{} }, nil
-	case "1bit":
-		return func() comm.Codec { return &comm.OneBitCodec{} }, nil
-	case "topk":
-		return func() comm.Codec { return &comm.TopKCodec{} }, nil
-	default:
-		return nil, fmt.Errorf("unknown compression codec %q (want fp16, 1bit, or topk)", name)
-	}
-}
-
-// newReplica is the one place this binary turns -strategy into a
-// replica: DDP with momentum SGD, or fsdp with the same update fused.
-// aligned reports that the caller already made the model's tensors
-// identical on every rank (the elastic agent does), so the
-// constructor's rank-0 broadcast is skipped. describe, when non-nil,
-// renders the strategy's memory accounting as of the call.
-func newReplica(o *options, m nn.Module, pg comm.ProcessGroup, aligned bool) (r replica.Replica, describe func() string, err error) {
-	newCodec, err := codecFactory(o.compress)
-	if err != nil {
-		return nil, nil, err
-	}
-	bucketBytes := o.bucketMB << 20
+// spec is the replica the flags ask for; aligned reports that the
+// caller already made the model's tensors identical on every rank.
+func (o *options) spec(aligned bool) strategy.Spec {
+	capBytes := o.bucketMB << 20
 	if o.bucketMB == 0 {
-		bucketBytes = -1
+		capBytes = -1
 	}
-	if o.strategy == "ddp" {
-		opt := optim.NewSGD(m.Parameters(), float32(o.lr))
-		opt.Momentum = momentum
-		r, err = ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: bucketBytes, NewCodec: newCodec, SkipInitialBroadcast: aligned}, opt)
-		return r, nil, err
-	}
-	st, err := fsdp.ParseStrategy(o.strategy)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := fsdp.New(m, pg, fsdp.Options{
-		Strategy: st, BucketCapBytes: bucketBytes, LR: float32(o.lr), Momentum: momentum,
-		NewCodec: newCodec, SkipInitialBroadcast: aligned,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() string {
-		s := f.Stats()
-		return fmt.Sprintf("%s memory: param shard %d B + optimizer shard %d B per rank, peak params %d B (full %d B), peak grad bucket %d B, gather staging %d B, %d gathers, %d reduces",
-			o.strategy, s.ShardParamBytes, s.OptimizerBytes, s.PeakParamBytes, s.FullParamBytes, s.PeakGradBytes, s.StagingBytes, s.Gathers, s.Reduces)
-	}, nil
+	return strategy.Spec{Strategy: o.strategy, BucketCapBytes: capBytes, Codec: o.compress, LR: float32(o.lr), Aligned: aligned}
 }
 
 // commOptions turns -algo and -hosts into group options.
@@ -549,19 +494,23 @@ func run(o *options) (uint64, error) {
 
 	dataset := data.NewSynthetic(42, 8192, features, classes)
 	model := models.NewMLP(int64(o.rank), features, hidden, classes) // per-rank seeds; the constructor's broadcast aligns
-	r, describe, err := newReplica(o, model, pg, false)
+	r, err := strategy.Build(model, pg, o.spec(false))
 	if err != nil {
 		return 0, fmt.Errorf("wrapping model (%s): %w", o.strategy, err)
 	}
 	tag := fmt.Sprintf("[rank %d]", o.rank)
-	if o.rank == 0 {
-		if describe != nil {
-			fmt.Println(tag, describe())
+	// describe renders a sharded replica's memory accounting as of the call.
+	describe := func() {
+		if f, ok := r.(*fsdp.FSDP); ok {
+			s := f.Stats()
+			fmt.Printf("%s %s memory: param shard %d B + optimizer shard %d B per rank, peak params %d B (full %d B), peak grad bucket %d B, gather staging %d B, %d gathers, %d reduces\n",
+				tag, o.strategy, s.ShardParamBytes, s.OptimizerBytes, s.PeakParamBytes, s.FullParamBytes, s.PeakGradBytes, s.StagingBytes, s.Gathers, s.Reduces)
 		}
-		if newCodec, _ := codecFactory(o.compress); newCodec != nil {
-			c := newCodec()
-			fmt.Printf("%s gradient compression: %s (~%.0fx smaller frames, error feedback on)\n",
-				tag, c.Name(), c.CompressionRatio())
+	}
+	if o.rank == 0 {
+		describe()
+		if o.compress != "" {
+			fmt.Printf("%s gradient compression: %s (error feedback on)\n", tag, o.compress)
 		}
 	}
 
@@ -612,9 +561,7 @@ func run(o *options) (uint64, error) {
 
 	// Report the strategy's accounting before the consistency check: its
 	// Materialize holding everything at once is not a training-time peak.
-	if describe != nil {
-		fmt.Println(tag, describe())
-	}
+	describe()
 	hash, consistent, err := replica.Consistent(pg, r)
 	if err != nil {
 		return 0, err
@@ -898,8 +845,7 @@ func runElasticWorker(o *options, st store.Store, builder elastic.GroupBuilder, 
 		Builder:           builder,
 		Replica: func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
 			full = full || pg.Size() == o.world
-			r, _, err := newReplica(o, m, pg, true)
-			return r, err
+			return strategy.Build(m, pg, o.spec(true))
 		},
 		Tracer: tracer,
 		Straggler: &elastic.StragglerConfig{

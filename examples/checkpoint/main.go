@@ -25,13 +25,12 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/ckpt"
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/elastic"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/replica"
 	"repro/internal/store"
+	"repro/internal/strategy"
 	"repro/internal/tensor"
 )
 
@@ -72,14 +71,6 @@ func trainStep(ctx elastic.StepContext) error {
 	return nil
 }
 
-// newReplica is the job's one choice of strategy: DDP plus momentum
-// SGD. The agent has aligned the replicas before it asks for one.
-func newReplica(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-	opt := optim.NewSGD(m.Parameters(), 0.05)
-	opt.Momentum = 0.9
-	return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: 1 << 12, SkipInitialBroadcast: true}, opt)
-}
-
 // runWorld drives `world` elastic workers over a fresh store/registry
 // pair to completion and returns their models. seed picks the initial
 // weights (overwritten by a restore, which is the point), crash makes
@@ -105,7 +96,11 @@ func runWorld(dir string, seed int64, crash, resume bool) ([]nn.Module, error) {
 			HeartbeatInterval: 10 * time.Millisecond,
 			LeaseTimeout:      time.Second,
 			Builder:           &elastic.InProcBuilder{Registry: reg},
-			Replica:           newReplica,
+			// The job's one choice of strategy: DDP plus momentum SGD. The
+			// agent has aligned the replicas before it asks for one.
+			Replica: func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+				return strategy.Build(m, pg, strategy.Spec{BucketCapBytes: 1 << 12, LR: 0.05, Aligned: true})
+			},
 			Checkpoint: &elastic.CheckpointConfig{
 				Dir:    dir,
 				Every:  every,
@@ -150,39 +145,10 @@ func runWorld(dir string, seed int64, crash, resume bool) ([]nn.Module, error) {
 }
 
 func main() {
-	dir, err := os.MkdirTemp("", "ckpt-example-")
+	resumed, ref, err := run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-
-	fmt.Printf("reference: %d workers, %d steps, uninterrupted\n", world, steps)
-	refDir, err := os.MkdirTemp("", "ckpt-example-ref-")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(refDir)
-	ref, err := runWorld(refDir, 7, false, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("phase 1: same schedule, sharded checkpoint every %d steps, ALL workers killed at step %d\n", every, crashAt)
-	if _, err := runWorld(dir, 7, true, false); err != nil {
-		log.Fatal(err)
-	}
-	meta, err := ckpt.LatestMeta(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  run is dead; last committed checkpoint: step %d, saved by world %d\n", meta.Step, meta.World)
-
-	fmt.Printf("phase 2: cold start — fresh store, fresh workers (different init), resume from %s\n", dir)
-	resumed, err := runWorld(dir, 1234, false, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	same := true
 	for i := range resumed {
 		if replica.Hash(resumed[i].Parameters()) != replica.Hash(ref[i].Parameters()) {
@@ -194,4 +160,39 @@ func main() {
 	if !same {
 		log.Fatal("resumed run diverged from the uninterrupted reference")
 	}
+}
+
+// run trains the uninterrupted reference, then the same schedule killed
+// at crashAt and cold-started from its checkpoint, and returns both
+// worlds' final models.
+func run() (resumed, ref []nn.Module, err error) {
+	dir, err := os.MkdirTemp("", "ckpt-example-")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer os.RemoveAll(dir)
+
+	fmt.Printf("reference: %d workers, %d steps, uninterrupted\n", world, steps)
+	refDir, err := os.MkdirTemp("", "ckpt-example-ref-")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer os.RemoveAll(refDir)
+	if ref, err = runWorld(refDir, 7, false, false); err != nil {
+		return nil, nil, err
+	}
+
+	fmt.Printf("phase 1: same schedule, sharded checkpoint every %d steps, ALL workers killed at step %d\n", every, crashAt)
+	if _, err := runWorld(dir, 7, true, false); err != nil {
+		return nil, nil, err
+	}
+	meta, err := ckpt.LatestMeta(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("  run is dead; last committed checkpoint: step %d, saved by world %d\n", meta.Step, meta.World)
+
+	fmt.Printf("phase 2: cold start — fresh store, fresh workers (different init), resume from %s\n", dir)
+	resumed, err = runWorld(dir, 1234, false, true)
+	return resumed, ref, err
 }

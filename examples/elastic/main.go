@@ -22,13 +22,12 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/elastic"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/replica"
 	"repro/internal/store"
+	"repro/internal/strategy"
 	"repro/internal/tensor"
 )
 
@@ -77,9 +76,7 @@ func newWorker(name string, st store.Store, reg *comm.InProcRegistry) *worker {
 		// The job's one choice of strategy: DDP plus momentum SGD. The
 		// agent has aligned the replicas before it asks for one.
 		Replica: func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-			opt := optim.NewSGD(m.Parameters(), 0.05)
-			opt.Momentum = 0.9
-			return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: 1 << 12, SkipInitialBroadcast: true}, opt)
+			return strategy.Build(m, pg, strategy.Spec{BucketCapBytes: 1 << 12, LR: 0.05, Aligned: true})
 		},
 	}, model)
 	if err != nil {
@@ -104,13 +101,27 @@ func (w *worker) trainStep(ctx elastic.StepContext) error {
 }
 
 func main() {
+	active, leaver := run()
+	hash := func(w *worker) uint64 { return replica.Hash(w.model.Parameters()) }
+	a, b, d := active[0], active[1], active[2]
+	fmt.Printf("final parameter hashes: alice %016x  bob %016x  dave %016x  (carol left at step %d with %d/%d steps)\n",
+		hash(a), hash(b), hash(d), leaveAt, leaver.agent.Step(), steps)
+	if hash(a) != hash(b) || hash(a) != hash(d) {
+		log.Fatal("replicas diverged")
+	}
+	fmt.Println("all active replicas identical — training survived scale-down and scale-up")
+}
+
+// run trains the scenario to its end and returns the workers active at
+// the end, alice, bob and dave, and carol, who left.
+func run() (active []*worker, leaver *worker) {
 	st := store.NewInMem(30 * time.Second)
 	defer st.Close()
 	reg := comm.NewInProcRegistry()
 
 	a := newWorker("alice", st, reg)
 	b := newWorker("bob", st, reg)
-	leaver := newWorker("carol", st, reg)
+	leaver = newWorker("carol", st, reg)
 	joinGate := make(chan struct{})
 	var admit sync.Once
 
@@ -166,11 +177,5 @@ func main() {
 			log.Fatalf("%s: %v", name, err)
 		}
 	}
-	hash := func(w *worker) uint64 { return replica.Hash(w.model.Parameters()) }
-	fmt.Printf("final parameter hashes: alice %016x  bob %016x  dave %016x  (carol left at step %d with %d/%d steps)\n",
-		hash(a), hash(b), hash(d), leaveAt, leaver.agent.Step(), steps)
-	if hash(a) != hash(b) || hash(a) != hash(d) {
-		log.Fatal("replicas diverged")
-	}
-	fmt.Println("all active replicas identical — training survived scale-down and scale-up")
+	return []*worker{a, b, d}, leaver
 }

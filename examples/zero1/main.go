@@ -4,9 +4,8 @@
 // momentum update is mathematically free), but the sharded optimizer
 // keeps only 1/world of the momentum state per rank, trading DDP's
 // single overlapped AllReduce for a ReduceScatter + AllGather per
-// bucket. Both arms run the same loop over replica.Replica; the only
-// difference is the one line that builds the replica (ddp.NewReplica
-// vs fsdp.New with ZeRO2).
+// bucket. Both arms run the same loop over the replica strategy.Build
+// makes; the only difference is the Spec's strategy, "ddp" or "zero2".
 //
 //	go run ./examples/zero1
 package main
@@ -19,57 +18,46 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/comm"
 	"repro/internal/data"
-	"repro/internal/ddp"
 	"repro/internal/fsdp"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/optim"
-	"repro/internal/replica"
+	"repro/internal/strategy"
 	"repro/internal/tensor"
 )
 
 const (
-	world    = 4
-	iters    = 60
-	batch    = 16
-	lr       = 0.05
-	momentum = 0.9
+	world = 4
+	iters = 60
+	batch = 16
+	lr    = 0.05
 )
 
 func main() {
-	dataset := data.NewSynthetic(17, 2048, 24, 6)
-
-	fmt.Println("DDP + SGD:")
-	ddpWeights, ddpStateBytes := train(dataset, func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, int, error) {
-		opt := optim.NewSGD(m.Parameters(), lr)
-		opt.Momentum = momentum
-		r, err := ddp.NewReplica(m, pg, ddp.Options{}, opt)
-		return r, 4 * nn.NumParams(m), err // full velocity on every rank
-	})
-	fmt.Println("ZeRO-2:")
-	zeroWeights, zeroStateBytes := train(dataset, func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, int, error) {
-		f, err := fsdp.New(m, pg, fsdp.Options{Strategy: fsdp.ZeRO2, LR: lr, Momentum: momentum})
-		if err != nil {
-			return nil, 0, err
-		}
-		return f, f.Stats().OptimizerBytes, nil
-	})
-
-	var maxDiff float32
-	for i := range ddpWeights {
-		if d := ddpWeights[i].MaxAbsDiff(zeroWeights[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
+	maxDiff, ddpStateBytes, zeroStateBytes := compare()
 	fmt.Printf("\nmax |DDP - ZeRO| over all weights after %d iterations: %v\n", iters, maxDiff)
 	fmt.Printf("optimizer state per rank: DDP %d bytes, ZeRO shard %d bytes (%.1fx smaller)\n",
 		ddpStateBytes, zeroStateBytes, float64(ddpStateBytes)/float64(zeroStateBytes))
 }
 
-// train runs the one training loop on `world` goroutine ranks and
-// returns rank 0's final weights and optimizer-state bytes. build is
-// where an arm chooses its strategy.
-func train(dataset *data.Synthetic, build func(nn.Module, comm.ProcessGroup) (replica.Replica, int, error)) ([]*tensor.Tensor, int) {
+// compare trains both arms on the same data and returns the largest
+// weight difference between them and each arm's optimizer-state bytes
+// per rank.
+func compare() (maxDiff float32, ddpStateBytes, zeroStateBytes int) {
+	dataset := data.NewSynthetic(17, 2048, 24, 6)
+	fmt.Println("DDP + SGD:")
+	ddpWeights, ddpStateBytes := train(dataset, "ddp")
+	fmt.Println("ZeRO-2:")
+	zeroWeights, zeroStateBytes := train(dataset, "zero2")
+	for i := range ddpWeights {
+		maxDiff = max(maxDiff, ddpWeights[i].MaxAbsDiff(zeroWeights[i]))
+	}
+	return maxDiff, ddpStateBytes, zeroStateBytes
+}
+
+// train runs the one training loop of strategy name on `world`
+// goroutine ranks and returns rank 0's final weights and
+// optimizer-state bytes.
+func train(dataset *data.Synthetic, name string) ([]*tensor.Tensor, int) {
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer func() {
 		for _, g := range groups {
@@ -84,9 +72,13 @@ func train(dataset *data.Synthetic, build func(nn.Module, comm.ProcessGroup) (re
 		go func(rank int) {
 			defer wg.Done()
 			m := models.NewMLP(33, dataset.Features(), 32, dataset.Classes())
-			r, bytes, err := build(m, groups[rank])
+			r, err := strategy.Build(m, groups[rank], strategy.Spec{Strategy: name, LR: lr})
 			if err != nil {
 				log.Fatal(err)
+			}
+			bytes := 4 * nn.NumParams(m) // DDP: full velocity on every rank
+			if f, ok := r.(*fsdp.FSDP); ok {
+				bytes = f.Stats().OptimizerBytes
 			}
 			sampler, err := data.NewDistributedSampler(dataset.Len(), rank, world)
 			if err != nil {

@@ -11,14 +11,13 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/fsdp"
 	"repro/internal/hw"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/reduce"
 	"repro/internal/replica"
 	"repro/internal/simnet"
+	"repro/internal/strategy"
 	"repro/internal/tensor"
 )
 
@@ -30,7 +29,7 @@ import (
 const (
 	shIn, shH1, shH2, shOut = 32, 48, 48, 32
 	shCap                   = 1 << 10 // 256 float32 elements per bucket
-	shLR, shMomentum        = 0.05, 0.9
+	shLR                    = 0.05
 	shIters, shPerRank      = 4, 2
 	shSeed                  = 11
 )
@@ -106,31 +105,16 @@ func shRows(t *tensor.Tensor, rank int) *tensor.Tensor {
 	return out
 }
 
-// shReplica is the ablation's one place that turns a strategy name
-// into a replica.
-func shReplica(strategy string, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-	if strategy == "ddp" {
-		opt := optim.NewSGD(m.Parameters(), shLR)
-		opt.Momentum = shMomentum
-		return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: shCap}, opt)
-	}
-	st, err := fsdp.ParseStrategy(strategy)
-	if err != nil {
-		return nil, err
-	}
-	return fsdp.New(m, pg, fsdp.Options{Strategy: st, BucketCapBytes: shCap, LR: shLR, Momentum: shMomentum})
-}
-
 // shTrain trains one (strategy, world) cluster and returns every rank's
 // final flattened parameters — rank 0's under "ddp" is the oracle every
 // sharded run must match bitwise — plus rank 0's fsdp accounting (zero
 // for "ddp", whose layout is replicated by construction).
-func shTrain(strategy string, world int, batches, labels []*tensor.Tensor) ([][]float32, fsdp.Stats, error) {
+func shTrain(name string, world int, batches, labels []*tensor.Tensor) ([][]float32, fsdp.Stats, error) {
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer closeGroups(groups)
 	reps := make([]replica.Replica, world)
 	err := runRanks(world, func(rank int) error {
-		r, err := shReplica(strategy, shModel(), groups[rank])
+		r, err := strategy.Build(shModel(), groups[rank], strategy.Spec{Strategy: name, BucketCapBytes: shCap, LR: shLR})
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,8 @@
 // gradient codec, sharding strategy, checkpoint cadence, and a list of
 // Events. A non-empty Strategy ("zero2" or "zero3", two memory budgets
 // of fsdp's one mechanism) makes the one replica factory
-// (engine.newReplica) build internal/fsdp instead of ddp — nothing else
+// (engine.newReplica, through strategy.Build) build a sharded replica
+// instead of DDP — nothing else
 // changes: checkpoint cadence is forced to every step so each rollback
 // restores exactly the live state (a sharded world cannot re-form
 // after churn without a committed checkpoint — a lost rank's shards are

@@ -11,10 +11,10 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/elastic"
-	"repro/internal/fsdp"
 	"repro/internal/nn"
 	"repro/internal/replica"
 	"repro/internal/store"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -364,21 +364,19 @@ func (e *engine) workerConfig(w *runWorker) elastic.Config {
 	return cfg
 }
 
-// newReplica is the one place the harness turns a schedule's strategy
-// into a replica: DDP + SGD (optionally with the planted residual bug),
-// or fsdp over a gatherHookGroup, which lets a mid-step kill land inside
-// a parameter AllGatherV.
+// newReplica builds the schedule's replica (chSpec): a DDP one with the
+// planted residual bug when asked, a sharded one over a gatherHookGroup,
+// which lets a mid-step kill land inside a parameter AllGatherV. DDP's
+// group stays unwrapped: the wrapper carries only the sharded
+// collectives, not the compressed AllReduce a codec run needs.
 func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-	if e.p.s.Strategy == "" {
-		r, err := chDDPReplica(m, pg, e.p.s.Codec == "1bit")
+	spec := chSpec(e.p.s.Strategy, e.p.s.Codec)
+	if spec.Strategy == "" {
+		r, err := strategy.Build(m, pg, spec)
 		if err != nil || !e.opts.PlantResidualResetBug {
 			return r, err
 		}
 		return residualResetBug{r}, nil
-	}
-	st, err := fsdp.ParseStrategy(e.p.s.Strategy)
-	if err != nil {
-		return nil, err // normal-form schedules only carry zero2/zero3 (walk)
 	}
 	// An AllGatherV issued while the worker's mid-step kill is armed
 	// kills the worker first, so peers die blocked inside the gather.
@@ -387,17 +385,11 @@ func (e *engine) newReplica(w *runWorker, m nn.Module, pg comm.ProcessGroup) (re
 			w.agent.Kill()
 		}
 	}
-	f, err := fsdp.New(m, gatherHooked(pg, kill), fsdp.Options{
-		Strategy:             st,
-		BucketCapBytes:       chBucketCap,
-		LR:                   chLR,
-		Momentum:             chMom,
-		SkipInitialBroadcast: true,
-	})
+	r, err := strategy.Build(m, gatherHooked(pg, kill), spec)
 	if err != nil {
 		return nil, err
 	}
-	return gatherHookReplica{f, kill}, nil
+	return gatherHookReplica{r, kill}, nil
 }
 
 // gatherHookGroup runs hook ahead of every AllGatherV issued on the
@@ -424,12 +416,12 @@ func gatherHooked(pg comm.ProcessGroup, hook func()) comm.ProcessGroup {
 // gatherHookReplica keeps its hook across reconfigurations: the group
 // every Rebind hands over is wrapped too.
 type gatherHookReplica struct {
-	*fsdp.FSDP
+	replica.Replica
 	hook func()
 }
 
 func (r gatherHookReplica) Rebind(pg comm.ProcessGroup) error {
-	return r.FSDP.Rebind(gatherHooked(pg, r.hook))
+	return r.Replica.Rebind(gatherHooked(pg, r.hook))
 }
 
 // residualResetBug is the planted bug: every reconfiguration installs

@@ -8,8 +8,9 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/ckpt"
 	"repro/internal/comm"
-	"repro/internal/fsdp"
+	"repro/internal/optim"
 	"repro/internal/store"
+	"repro/internal/strategy"
 )
 
 // TestGatherHookFollowsTheReplica: the hook the engine arms a ZeRO-3
@@ -24,7 +25,7 @@ func TestGatherHookFollowsTheReplica(t *testing.T) {
 	}()
 	calls := 0
 	hook := func() { calls++ }
-	f, err := fsdp.New(chModel(), gatherHooked(groups[0], hook), fsdp.Options{Strategy: fsdp.ZeRO3, BucketCapBytes: chBucketCap, LR: chLR, Momentum: chMom})
+	f, err := strategy.Build(chModel(), gatherHooked(groups[0], hook), chSpec("zero3", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,8 @@ func TestFaultHook(t *testing.T) {
 
 	// Wiring: a Writer with the armed hook must fail the save.
 	m := chModel()
-	opt := chOptimizer(m)
+	opt := optim.NewSGD(m.Parameters(), chLR)
+	opt.Momentum = 0.9
 	snap, cerr := ckpt.Capture(m, opt, ckpt.Meta{Generation: 1, Step: 2})
 	if cerr != nil {
 		t.Fatal(cerr)

@@ -7,11 +7,10 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/replica"
+	"repro/internal/strategy"
 	"repro/internal/tensor"
 )
 
@@ -30,19 +29,12 @@ const (
 	chClasses   = 3
 	chBatch     = 4
 	chLR        = 0.1
-	chMom       = 0.9
 	chModelSeed = 7
 	// Small bucket cap so rebuilds cross several buckets.
 	chBucketCap = 256
 )
 
 func chModel() nn.Module { return models.NewMLP(chModelSeed, chIn, chHidden, chClasses) }
-
-func chOptimizer(m nn.Module) *optim.SGD {
-	opt := optim.NewSGD(m.Parameters(), chLR)
-	opt.Momentum = chMom
-	return opt
-}
 
 // chBatchFor derives the batch purely from its coordinates. Codec runs
 // pass (step, 0, 1) for every rank: rank-independent batches keep the
@@ -63,16 +55,11 @@ func chBatchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
 	return x, labels
 }
 
-// chDDPReplica builds the replicated arm — DDP over pg plus the
-// fixture's SGD — for the cluster under test and for the reference
-// alike. Replicas are aligned before either builds one, so no
-// constructor broadcast.
-func chDDPReplica(m nn.Module, pg comm.ProcessGroup, codec bool) (*ddp.Replica, error) {
-	opts := ddp.Options{BucketCapBytes: chBucketCap, SkipInitialBroadcast: true}
-	if codec {
-		opts.NewCodec = func() comm.Codec { return &comm.OneBitCodec{} }
-	}
-	return ddp.NewReplica(m, pg, opts, chOptimizer(m))
+// chSpec is the fixture's replica of a strategy and codec, for the
+// cluster under test and for the reference alike. Replicas are aligned
+// before either builds one, so no constructor broadcast.
+func chSpec(name, codec string) strategy.Spec {
+	return strategy.Spec{Strategy: name, BucketCapBytes: chBucketCap, Codec: codec, LR: chLR, Aligned: true}
 }
 
 func chTrainStep(r replica.Replica, step int64, rank, world int) error {
@@ -110,7 +97,7 @@ func sameF32(a, b []float32) (int, bool) {
 // refWorker is one rank of the reference cluster.
 type refWorker struct {
 	model nn.Module
-	r     *ddp.Replica // built by the first phase that steps this rank
+	r     replica.Replica // built by the first phase that steps this rank
 	// pending is the state beyond the model a worker adopted before it
 	// had a replica to hold it: a joiner's copy of rank 0's optimizer
 	// state and residuals (elastic state-sync), or a restart's
@@ -135,7 +122,7 @@ func (w *refWorker) state() replica.State {
 // reset. Its end state is the oracle the bitwise invariant compares
 // survivors against.
 type reference struct {
-	codec   bool
+	codec   string
 	workers []*refWorker
 }
 
@@ -172,7 +159,7 @@ func (rf *reference) phase(start, end int64, world int) error {
 			defer wg.Done()
 			w := rf.workers[r]
 			if w.r == nil {
-				rep, err := chDDPReplica(w.model, groups[r], rf.codec)
+				rep, err := strategy.Build(w.model, groups[r], chSpec("", rf.codec))
 				if err == nil {
 					err = rep.InstallState(w.pending)
 				}
@@ -187,7 +174,7 @@ func (rf *reference) phase(start, end int64, world int) error {
 			}
 			for s := start; s < end; s++ {
 				rank, rw := r, world
-				if rf.codec {
+				if rf.codec != "" {
 					rank, rw = 0, 1
 				}
 				if err := chTrainStep(w.r, s, rank, rw); err != nil {
@@ -231,7 +218,7 @@ func (rf *reference) reset(restore int64) error {
 // contributes only steps [0, restore) — everything past the restored
 // checkpoint was rolled back — and era 1 re-executes [restore, Steps).
 func runReference(p *plan, restore int64) (*reference, error) {
-	rf := &reference{codec: p.s.Codec == "1bit"}
+	rf := &reference{codec: p.s.Codec}
 	segs := func(wt []int, start, end int64) error {
 		for at := start; at < end; {
 			w := wt[at]

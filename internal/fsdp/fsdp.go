@@ -3,7 +3,6 @@ package fsdp
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/autograd"
 	"repro/internal/comm"
@@ -44,18 +43,6 @@ func (s Strategy) String() string {
 		return "zero3"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// ParseStrategy maps the CLI spelling back to a Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(s) {
-	case "zero2":
-		return ZeRO2, nil
-	case "zero3":
-		return ZeRO3, nil
-	default:
-		return 0, fmt.Errorf("fsdp: unknown strategy %q (want zero2 or zero3)", s)
 	}
 }
 
@@ -126,11 +113,12 @@ type Stats struct {
 	// residency count above.
 	StagingBytes int
 	// Gathers counts bucket gathers — the buckets parameter AllGatherVs
-	// fill, several to one collective for a launch group — and Reduces gradient ReduceScatterV launches. A step
-	// gathers as its plan says: every bucket once for forward, and again
-	// for backward each bucket the plan drops before backward reads it
-	// (none under ZeRO2).
+	// fill, several to one collective for a launch group. A step gathers
+	// as its plan says: every bucket once for forward, and again for
+	// backward each bucket the plan drops before backward reads it (none
+	// under ZeRO2).
 	Gathers int
+	// Reduces counts gradient ReduceScatterV launches.
 	Reduces int
 }
 

@@ -520,19 +520,9 @@ func TestCompressedShardedReduceSelfConsistent(t *testing.T) {
 	}
 }
 
-func TestParseStrategy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Strategy
-	}{{"zero2", ZeRO2}, {"ZeRO3", ZeRO3}} {
-		got, err := ParseStrategy(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseStrategy("ddp"); err == nil {
-		t.Fatal("ParseStrategy accepted ddp")
-	}
+// TestStrategyNamesItsBudget: each preset spells the name replica.Budget
+// maps to its budget, and a value that is no preset is refused by New.
+func TestStrategyNamesItsBudget(t *testing.T) {
 	if ZeRO2.String() != "zero2" || ZeRO3.String() != "zero3" {
 		t.Fatal("Strategy.String spelling changed")
 	}

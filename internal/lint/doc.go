@@ -1,9 +1,9 @@
-// Package lint is the project's static-analysis gate: six analyzers
+// Package lint is the project's static-analysis gate: seven analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
 // collective/lock ordering, metric registration, 32-bit atomic
-// alignment, cost models that price the schedules the runtime runs, and
-// comm's one transport call site. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// alignment, cost models that price the schedules the runtime runs,
+// comm's one transport call site, and the one replica constructor. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -93,6 +93,14 @@
 // called, or taken as a method value or expression — is reported; a
 // method of comm's own with one of those names is not. The analyzer
 // keys on the package name comm.
+//
+// oneconstructor — strategy.Build is the only code that turns a
+// strategy name into a replica. ddp.NewReplica or fsdp.New named in any
+// other package — called, or taken as a value — is reported: a second
+// construction site is a second copy of the run's configuration. A
+// package whose path ends in internal/strategy or benchmark is exempt;
+// benchmark/ is frozen so its figures compare across commits, and it
+// builds through the constructors until it moves onto Build.
 //
 // # Testing convention
 //

@@ -44,6 +44,7 @@ func All() []*Analyzer {
 		CostTwins,
 		LockedCollective,
 		MetricStatic,
+		OneConstructor,
 		StoreErr,
 		TransportCalls,
 	}

@@ -79,6 +79,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"costtwins", "costtwins_hw_bad", "costtwins_hw_ok"},
 		{"costtwins", "costtwins_simnet_bad", "costtwins_simnet_ok"},
 		{"transportcalls", "transportcalls_bad", "transportcalls_ok"},
+		{"oneconstructor", "oneconstructor_bad", "oneconstructor_ok"},
 	}
 	for _, tc := range cases {
 		a := analyzerByName(t, tc.analyzer)
@@ -112,13 +113,32 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 }
 
+// TestOneConstructorExemptions: the two packages oneconstructor exempts
+// by name, strategy (Build) and the frozen benchmark harness, do name
+// the replica constructors, so neither exemption is idle, and the
+// analyzer passes both.
+func TestOneConstructorExemptions(t *testing.T) {
+	for _, dir := range []string{"internal/strategy", "benchmark"} {
+		pkg, err := sharedLoader(t).LoadDir(dir)
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		if len(constructorUses(pkg)) == 0 {
+			t.Errorf("%s names no replica constructor; drop its exemption", dir)
+		}
+		for _, f := range OneConstructor.Run(pkg) {
+			t.Errorf("%s: unexpected finding: %s", dir, f)
+		}
+	}
+}
+
 // TestCleanFixturesPassFullSuite runs the whole analyzer suite over the
 // clean fixtures: an _ok fixture must not trip any analyzer, not just
 // its own.
 func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
 		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
-		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok",
+		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok", "oneconstructor_ok",
 	} {
 		pkg := fixturePkg(t, name)
 		res := Run([]*Package{pkg}, All())

@@ -10,10 +10,10 @@
 // Two implementations exist: *fsdp.FSDP directly, and *ddp.Replica
 // (DDP together with the optimizer it trains). Their constructors and
 // Options stay concrete on purpose — how a replica is built is where
-// the strategies genuinely differ — so each binary or harness names
-// ddp and fsdp in exactly one place, the function that turns a strategy
-// name into a Replica. ARCHITECTURE.md ("Replica seam") has the table
-// of which method each strategy makes a no-op and why.
+// the strategies genuinely differ — and one function above both,
+// strategy.Build, turns a strategy name into a Replica for every binary
+// and harness. ARCHITECTURE.md ("Replica seam") has the table of which
+// method each strategy makes a no-op and why.
 //
 // Below the seam, both implementations embed Core, the lifecycle they
 // share around their reduction engine, and align replicas through
