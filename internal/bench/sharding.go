@@ -153,17 +153,14 @@ func shTrain(name string, world int, batches, labels []*tensor.Tensor) ([][]floa
 
 // shSchedule is one step of strategy at world on the ablation's layout,
 // as replica.Schedule lists it, and the layout: the replicas' packing,
-// and the Sequential's children as units.
+// and the model's units (replica.Units).
 func shSchedule(strategy string, world int) (reduce.Step, *reduce.Assignment, error) {
-	sizes, units := shSizes(), shModel().(*nn.Sequential).Children()
-	counts := make([]int, len(units))
-	for u, unit := range units {
-		counts[u] = len(unit.Parameters())
-	}
+	sizes := shSizes()
 	assign, err := reduce.AssignBuckets(sizes, shCap, 4, reduce.ReverseOrder(len(sizes)))
 	if err != nil {
 		return nil, nil, err
 	}
+	_, counts := replica.Units(shModel())
 	step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, counts), world)
 	return step, assign, err
 }

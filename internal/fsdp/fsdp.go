@@ -153,12 +153,11 @@ type FSDP struct {
 	// gathered.
 	flats       [][]float32
 	state       []residency
-	remaining   []int   // member grads outstanding before free
 	unitBuckets [][]int // buckets each unit's parameters touch
 
-	// The gather schedule (see mapUnits): the step's plan, its launch
-	// groups in launch order, the next of them to launch, and the
-	// gathers launched but not yet waited for, oldest first.
+	// The gather schedule (see mapUnits): the step's plan, a group per
+	// entry of its Gathers, the next of them to launch, and the gathers
+	// launched but not yet waited for, oldest first.
 	plan     reduce.Plan
 	groups   []group
 	next     int
@@ -177,27 +176,22 @@ const (
 	gathered                   // the flat holds every rank's chunk
 )
 
-// group is one of the plan's launch groups (reduce.Plan.Groups): the
-// buckets one AllGatherV gathers, its first entry of the plan's Seq, and
-// the visit that launches it. Several buckets are gathered through a
-// staging buffer (see restage): its region of one arena,
-// reduce.GatherElems long, allocated per install.
+// group is one entry of the plan's Gathers, a launch group, and what
+// running it takes: several buckets are gathered through a staging
+// buffer (see restage) Elems long, allocated per install.
 type group struct {
-	buckets []int
-	pos, at int
+	*reduce.Collective
 	staging []float32
 	// launched holds the buckets of its latest launch: those that were
 	// still sharded.
 	launched []int
 }
 
-// gather is one launched AllGatherV: the buckets it fills, the staging
-// it runs on (nil when it runs on its one bucket's flat), and the first
-// of its entries in the plan's Seq, or −1 outside the plan.
+// gather is one launched AllGatherV: the group it runs, the staging it
+// runs on (nil when it runs on its one bucket's flat), and its handle.
 type gather struct {
-	buckets []int
+	g       *group
 	staging []float32
-	pos     int
 	work    comm.Work
 }
 
@@ -231,8 +225,10 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		f.offsets[i] = f.total
 		f.total += n
 	}
-	f.installShards()
-
+	f.stats.FullParamBytes = 4 * f.total
+	if f.codec != nil {
+		f.stats.ResidualBytes = 4 * f.total
+	}
 	for i, p := range f.Parameters() {
 		idx, shape := i, p.Value.Shape()
 		p.RegisterPostAccumulateHook(func(*autograd.Variable) { f.autogradHook(idx) })
@@ -242,14 +238,9 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 		// gradient as before.
 		p.SetGradDestination(func() *tensor.Tensor { return tensor.FromSlice(f.Engine().Slot(idx), shape...) })
 	}
-	f.stats.FullParamBytes = 4 * f.total
-	if f.codec != nil {
-		f.stats.ResidualBytes = 4 * f.total
+	if err := f.installShards(); err != nil {
+		return nil, err
 	}
-	f.mapUnits()
-	f.residentParam = f.stats.FullParamBytes // fully resident until sharded
-	f.shardAll()
-	f.stats.PeakParamBytes = f.residentParam
 	return f, nil
 }
 
@@ -257,8 +248,10 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 // bucket layout: owned chunk bounds, momentum shards, and the
 // per-bucket parameter flats, which take over the parameters' current
 // (full) values and become their storage. The owned chunks' bytes are
-// both the persistent parameter shards and the momentum shards.
-func (f *FSDP) installShards() {
+// both the persistent parameter shards and the momentum shards. Then it
+// drops the rest, restarting the peak residency there, and plans the
+// step (mapUnits).
+func (f *FSDP) installShards() error {
 	assign := f.Assignment()
 	world := f.ProcessGroup().Size()
 	rank := f.ProcessGroup().Rank()
@@ -268,7 +261,6 @@ func (f *FSDP) installShards() {
 	f.velocity = make([][]float32, nb)
 	f.flats = make([][]float32, nb)
 	f.state = make([]residency, nb)
-	f.remaining = make([]int, nb)
 	f.inflight = make([]gather, 0, nb)
 	f.stats.ShardParamBytes = 0
 	for b, members := range assign.Buckets {
@@ -277,7 +269,7 @@ func (f *FSDP) installShards() {
 		f.stats.ShardParamBytes += 4 * (hi - lo)
 		f.velocity[b] = make([]float32, hi-lo)
 		f.flats[b] = make([]float32, assign.BucketElems[b])
-		f.state[b] = gathered // params start resident
+		f.state[b] = gathered
 		for _, idx := range members {
 			p, off := f.Parameters()[idx], assign.OffsetOf[idx]
 			view := f.flats[b][off : off+p.Value.Size()]
@@ -286,6 +278,10 @@ func (f *FSDP) installShards() {
 		}
 	}
 	f.stats.OptimizerBytes = f.stats.ShardParamBytes
+	f.residentParam = f.stats.FullParamBytes // params start resident
+	f.shardAll()
+	f.stats.PeakParamBytes = f.residentParam
+	return f.mapUnits()
 }
 
 // shardAll drops every bucket's non-owned parameter ranges — the step
@@ -298,48 +294,33 @@ func (f *FSDP) shardAll() {
 	}
 }
 
-// mapUnits decomposes the module into forward units — the gather/free
-// granularity — and plans the step they imply within the preset's
-// budget (reduce.PlanStep), its launch groups with their staging, and
-// its bound on resident parameter bytes. A Sequential's children are its
-// units; any other module is a single unit.
-func (f *FSDP) mapUnits() {
-	if seq, ok := f.Module().(*nn.Sequential); ok {
-		f.units = seq.Children()
-	} else {
-		f.units = []nn.Module{f.Module()}
+// mapUnits plans the step over the module's units (replica.Units)
+// within the preset's budget (reduce.PlanStep): a group with its staging
+// per entry of Gathers, and the bound on resident parameter bytes. It
+// returns the Check error of the step it will run.
+func (f *FSDP) mapUnits() error {
+	units, counts := replica.Units(f.Module())
+	f.units, f.unitBuckets = units, reduce.UnitBuckets(f.Assignment(), counts)
+	elems, w := f.Assignment().BucketElems, f.ProcessGroup().Size()
+	f.plan = reduce.PlanStep(f.unitBuckets, elems, f.budget(f.unitBuckets, elems), w)
+	if err := reduce.Schedule(f.Assignment(), f.unitBuckets, &f.plan).Check(f.unitBuckets); err != nil {
+		return fmt.Errorf("fsdp: %w", err)
 	}
-	// Parameters() of a Sequential concatenates child parameters in
-	// order, so each unit's parameter count recovers its index range.
-	counts := make([]int, len(f.units))
-	for u, unit := range f.units {
-		counts[u] = len(unit.Parameters())
-	}
-	f.unitBuckets = reduce.UnitBuckets(f.Assignment(), counts)
-	elems := f.Assignment().BucketElems
-	f.plan = reduce.PlanStep(f.unitBuckets, elems, f.budget(f.unitBuckets, elems))
-	w := f.ProcessGroup().Size()
 	f.stats.BudgetParamBytes = min(f.stats.FullParamBytes, f.stats.ShardParamBytes+4*((f.plan.Budget+f.NumBuckets())*(w-1)/w))
 
-	// Staging: one region per launch group of several buckets, as all of
-	// them may be in flight at once.
-	f.groups = f.groups[:0]
-	need := 0
-	for _, lg := range f.plan.Groups() {
-		buckets := f.plan.Seq[lg.Lo:lg.Hi:lg.Hi]
-		f.groups = append(f.groups, group{buckets: buckets, pos: lg.Lo, at: lg.Launch, launched: make([]int, 0, len(buckets))})
-		if len(buckets) > 1 {
-			need += reduce.GatherElems(elems, buckets, w)
-		}
-	}
-	arena := make([]float32, need)
-	f.stats.StagingBytes = 4 * need
+	// Staging: a buffer per group of several buckets, as all of them may
+	// be in flight at once.
+	f.groups = make([]group, len(f.plan.Gathers))
+	f.stats.StagingBytes = 0
 	for i := range f.groups {
-		if g := &f.groups[i]; len(g.buckets) > 1 {
-			n := reduce.GatherElems(elems, g.buckets, w)
-			g.staging, arena = arena[:n], arena[n:]
+		g := &f.groups[i]
+		*g = group{Collective: &f.plan.Gathers[i], launched: make([]int, 0, len(f.plan.Gathers[i].Buckets))}
+		if len(g.Buckets) > 1 {
+			g.staging = make([]float32, g.Elems)
+			f.stats.StagingBytes += 4 * g.Elems
 		}
 	}
+	return nil
 }
 
 // launchBucket is the reduce.Launcher fsdp plugs into the shared
@@ -364,12 +345,6 @@ func (f *FSDP) Stats() Stats { return f.stats }
 // state bytes — the quantity the CI memory gate bounds against DDP.
 func (f *FSDP) ShardBytes() int { return f.stats.ShardParamBytes + f.stats.OptimizerBytes }
 
-// notePeak folds the current residency — shards plus the buckets
-// gathered or being gathered — into the peak.
-func (f *FSDP) notePeak() {
-	f.stats.PeakParamBytes = max(f.stats.PeakParamBytes, f.residentParam)
-}
-
 // nonOwnedBytes is what gathering bucket b adds to this rank's resident
 // parameter bytes.
 func (f *FSDP) nonOwnedBytes(b int) int {
@@ -392,16 +367,14 @@ func (f *FSDP) freeBucket(b int) {
 }
 
 // launch starts the one AllGatherV that fills g's sharded buckets from
-// every owner's chunks, as the plan's entries from pos (−1 outside the
-// step, for Materialize):
-// in place on the flat when one bucket is sharded, else on g's staging,
-// this rank's chunks copied in first. The buckets count as resident from
-// here on. A bucket that is already gathered (by Materialize, or by a
-// Forward that ran without a Backward after it) or on its way is left
-// alone.
-func (f *FSDP) launch(g *group, pos int) {
+// every owner's chunks: in place on the flat when one bucket is sharded,
+// else on g's staging, this rank's chunks copied in first. The buckets
+// count as resident from here on. A bucket that is already gathered (by
+// Materialize, or by a Forward that ran without a Backward after it) or
+// on its way is left alone.
+func (f *FSDP) launch(g *group) {
 	g.launched = g.launched[:0]
-	for _, b := range g.buckets {
+	for _, b := range g.Buckets {
 		if f.state[b] == sharded {
 			g.launched = append(g.launched, b)
 			f.state[b] = gathering
@@ -412,14 +385,14 @@ func (f *FSDP) launch(g *group, pos int) {
 	case 0:
 		return
 	case 1:
-		f.inflight = append(f.inflight, gather{g.launched, nil, pos, f.sg.AllGatherV(f.flats[g.launched[0]])})
+		f.inflight = append(f.inflight, gather{g, nil, f.sg.AllGatherV(f.flats[g.launched[0]])})
 	default:
 		staging := g.staging[:reduce.GatherElems(f.Assignment().BucketElems, g.launched, f.ProcessGroup().Size())]
 		f.restage(g.launched, staging, true)
-		f.inflight = append(f.inflight, gather{g.launched, staging, pos, f.sg.AllGatherV(staging)})
+		f.inflight = append(f.inflight, gather{g, staging, f.sg.AllGatherV(staging)})
 	}
 	f.stats.Gathers += len(g.launched)
-	f.notePeak()
+	f.stats.PeakParamBytes = max(f.stats.PeakParamBytes, f.residentParam)
 }
 
 // restage copies between buckets' flats and their staging: this rank's
@@ -456,20 +429,20 @@ func (f *FSDP) restage(buckets []int, staging []float32, in bool) {
 // fetched. A failed gather's partial result is discarded: every bucket
 // it was to fill goes back to sharded.
 func (f *FSDP) land() error {
-	g := f.inflight[0]
+	in := f.inflight[0]
 	f.inflight = f.inflight[:copy(f.inflight, f.inflight[1:])]
-	err := g.work.Wait()
-	for _, b := range g.buckets {
+	err, buckets := in.work.Wait(), in.g.launched
+	for _, b := range buckets {
 		f.state[b] = gathered
 		if err != nil {
 			f.freeBucket(b)
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("gathering buckets %v parameters: %w", g.buckets, err)
+		return fmt.Errorf("gathering buckets %v parameters: %w", buckets, err)
 	}
-	if g.staging != nil {
-		f.restage(g.buckets, g.staging, false)
+	if in.staging != nil {
+		f.restage(buckets, in.staging, false)
 	}
 	return nil
 }
@@ -485,13 +458,12 @@ func (f *FSDP) drain() error {
 	return first
 }
 
-// advance is all a visit does about gathers: move the plan's cursor. It
-// launches the plan's groups through visit v's, one collective each —
-// before waiting, so the process group's serial worker goes from one
-// gather straight into the next while the unit computes — and then
-// waits for the groups whose buckets the visit is the first to read. Launches
-// happen here, on the training goroutine, in plan order, so every rank
-// submits the same collectives in the same order. A failure is
+// advance is all a visit does about gathers: it launches every entry of
+// the plan's Gathers submitted by visit v — before waiting, so the
+// process group's serial worker goes from one gather straight into the
+// next while the unit computes — then lands every one v waits for.
+// Launches happen here, on the training goroutine, in plan order, so
+// every rank submits the same collectives in the same order. A failure is
 // downgraded to the deferred error Backward reports: a gather can only
 // fail when the process group broke (a peer died, the group was
 // aborted), and the graph walk it interrupts runs inside interfaces with
@@ -500,11 +472,10 @@ func (f *FSDP) drain() error {
 // (and the caller's loss construction) intact while the iteration's
 // results are doomed to be discarded.
 func (f *FSDP) advance(v int) {
-	for ; !f.Failed() && f.next < len(f.groups) && f.groups[f.next].at <= v; f.next++ {
-		g := &f.groups[f.next]
-		f.launch(g, g.pos)
+	for ; !f.Failed() && f.next < len(f.groups) && f.groups[f.next].Submit <= v; f.next++ {
+		f.launch(&f.groups[f.next])
 	}
-	for len(f.inflight) > 0 && f.inflight[0].pos < f.plan.Need[v] {
+	for len(f.inflight) > 0 && f.inflight[0].g.Wait <= v {
 		f.Defer(f.land())
 	}
 }
@@ -523,9 +494,6 @@ func (f *FSDP) advance(v int) {
 // afterwards panics. The return value, x and the parameters stay.
 func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	f.BeginForward(true, f.drain())
-	for b, members := range f.Assignment().Buckets {
-		f.remaining[b] = len(members)
-	}
 	f.next = 0
 	last := 2*len(f.units) - 1
 	out := f.Input(x)
@@ -559,15 +527,12 @@ func (f *FSDP) abandon(err error) error {
 // accumulated: copy it into the bucket unless the backward kernel wrote
 // it there (the slot is the gradient's destination), mark it ready (the
 // engine launches the sharded reduce over the in-order prefix), and
-// free the bucket's parameters once the last member gradient is in,
-// since no remaining backward op can read them.
+// free the bucket's parameters once the engine reports the last member
+// gradient in, since no remaining backward op can read them.
 func (f *FSDP) autogradHook(idx int) {
 	f.Engine().CopyIn(idx, f.Parameters()[idx].Grad.Data())
-	f.Engine().MarkReady(idx)
-	b := f.Assignment().BucketOf[idx]
-	f.remaining[b]--
-	if f.remaining[b] == 0 {
-		f.freeBucket(b)
+	if f.Engine().MarkReady(idx) {
+		f.freeBucket(f.Assignment().BucketOf[idx])
 	}
 }
 
@@ -611,9 +576,9 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 }
 
 // Materialize gathers the full parameter set into the model's tensors
-// once the gathers in flight have landed: the step's launch groups in
-// order, one AllGatherV each of its buckets not already gathered, under
-// either preset (every bucket is in a forward group): between steps only the
+// once the gathers in flight have landed: the plan's Gathers in order,
+// one AllGatherV each of its buckets not already gathered, under either
+// preset (every bucket is in a forward gather): between steps only the
 // shards are resident. All ranks must call it at the same point. Use it
 // before reading parameters for evaluation or checkpointing; the next
 // Forward gathers nothing it still holds and re-frees on schedule.
@@ -621,7 +586,7 @@ func (f *FSDP) Materialize() error {
 	err := f.drain()
 	if err == nil {
 		for i := range f.groups {
-			f.launch(&f.groups[i], -1)
+			f.launch(&f.groups[i])
 		}
 		err = f.drain()
 	}
@@ -708,12 +673,7 @@ func (f *FSDP) Rebind(pg comm.ProcessGroup) error {
 		return err
 	}
 	f.sg = sg
-	f.installShards()
-	f.residentParam = f.stats.FullParamBytes // caller restored full params
-	f.shardAll()
-	f.mapUnits()
-	f.notePeak()
-	return nil
+	return f.installShards() // from the full parameters the caller restored
 }
 
 var _ replica.Replica = (*FSDP)(nil)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/reduce"
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -430,6 +432,42 @@ func TestZeRO2HoldsShardsBetweenSteps(t *testing.T) {
 	}
 }
 
+// TestRebindRestartsThePeak: Rebind restarts the peak at the rebound
+// residency, the shards, as New starts it. A ZeRO-3 wrapper of the
+// benchmark layout built at world 1, where the whole model is resident,
+// and rebound to world 2 reports a peak within the new budget — right
+// after Rebind and after a step there.
+func TestRebindRestartsThePeak(t *testing.T) {
+	const world = 2
+	solo := []comm.ProcessGroup{inProcGroups(t, 1)[0], inProcGroups(t, 1)[0]}
+	wide := inProcGroups(t, world)
+	batches, labels := bertFixture.makeData(world, 1)
+	runRanks(t, world, func(rank int) error {
+		f, err := New(bertFixture.build(), solo[rank], Options{Strategy: ZeRO3, BucketCapBytes: bertFixture.cap, LR: tLR, Momentum: tMomentum})
+		if err != nil {
+			return err
+		}
+		if got, full := f.Stats().PeakParamBytes, f.Stats().FullParamBytes; got != full {
+			return fmt.Errorf("world 1: peak %d, want the whole model's %d", got, full)
+		}
+		// At world 1 the model's tensors hold the full parameters Rebind
+		// re-shards from.
+		if err := f.Rebind(wide[rank]); err != nil {
+			return err
+		}
+		if s := f.Stats(); s.PeakParamBytes != s.ShardParamBytes || s.PeakParamBytes > s.BudgetParamBytes {
+			return fmt.Errorf("after Rebind: peak %d, want the %d shard bytes, within the budget %d", s.PeakParamBytes, s.ShardParamBytes, s.BudgetParamBytes)
+		}
+		if err := fsdpTrainRank(f, rank, batches, labels); err != nil {
+			return err
+		}
+		if s := f.Stats(); s.PeakParamBytes > s.BudgetParamBytes {
+			return fmt.Errorf("after a step at world 2: peak %d above the budget %d", s.PeakParamBytes, s.BudgetParamBytes)
+		}
+		return nil
+	})
+}
+
 // TestCaptureStateMatchesSGDAndRoundTrips checks the checkpoint path:
 // the collectively gathered momentum state must be bitwise the state
 // optim.SGD holds after the identical DDP trajectory, and must survive
@@ -707,14 +745,24 @@ func launchesIn(events []string) []string {
 	return out
 }
 
-// sortedGroups is the plan's launch groups in launch order, each with
-// its buckets in ascending order, as the event log names them.
+// sortedGroups is the plan's gathers in launch order, each with its
+// buckets in ascending order, as the event log names them.
 func sortedGroups(f *FSDP) []string {
 	var out []string
-	for _, g := range f.plan.Groups() {
-		out = append(out, fmt.Sprint(slices.Sorted(slices.Values(f.plan.Seq[g.Lo:g.Hi]))))
+	for _, g := range f.plan.Gathers {
+		out = append(out, fmt.Sprint(slices.Sorted(slices.Values(g.Buckets))))
 	}
 	return out
+}
+
+// planSeq lists the buckets the plan gathers, in launch order, once per
+// gather.
+func planSeq(f *FSDP) string {
+	var seq []int
+	for _, g := range f.plan.Gathers {
+		seq = append(seq, g.Buckets...)
+	}
+	return fmt.Sprint(seq)
 }
 
 // heldAcrossTurn lists the buckets the plan keeps gathered from forward
@@ -740,15 +788,15 @@ func heldAcrossTurn(f *FSDP) []int {
 }
 
 // planEvents is the event log the plan prescribes for a step: per
-// visit, the launch of each group it launches, then the wait for each
-// group it is the first to read, whole, then the unit.
+// visit, the launch of each gather it submits, then the wait for each
+// gather it is the first to read, whole, then the unit.
 func planEvents(f *FSDP) []string {
 	n := len(f.units)
 	var out []string
-	groups, names := f.plan.Groups(), sortedGroups(f)
+	groups, names := f.plan.Gathers, sortedGroups(f)
 	for v := range 2 * n {
 		for i, g := range groups {
-			if g.Launch == v {
+			if g.Submit == v {
 				out = append(out, "launch "+names[i])
 			}
 		}
@@ -803,27 +851,53 @@ var deepFixture = fixture{"deep", func() nn.Module {
 // TestGatherPlanOfTheBenchmarkLayout pins the plan mapUnits emits for
 // the benchmark's model — four buckets in reverse registration order,
 // every block reading its own bucket and, by its last bias, the next
-// block's — its four launch groups, and that a Forward leaves the turn
+// block's — its four gathers, which are the entries the wrapper runs
+// and the ones reduce.Schedule lists, and that a Forward leaves the turn
 // as planned: buckets 0, 1 and 2 held, bucket 3 dropped after u0, and no
 // gather in flight.
 func TestGatherPlanOfTheBenchmarkLayout(t *testing.T) {
 	s := newScripted(t, bertFixture, 0, 2)
 	f := s.f
-	if got := fmt.Sprint(f.plan.Seq); got != "[3 2 1 0 3]" {
+	if got := planSeq(f); got != "[3 2 1 0 3]" {
 		t.Fatalf("plan launches %s, want [3 2 1 0 3]", got)
 	}
-	// Seq[0:2] = [3 2] launched and read by u0; [1] launched by u0 and
-	// read by u1; [0] launched by u1 and read by u2; [3] launched by u1's
-	// backward (visit 8) and read by u0's (visit 9).
-	if got := fmt.Sprint(f.plan.Groups()); got != "[{0 2 0 0} {2 3 0 1} {3 4 1 2} {4 5 8 9}]" {
-		t.Fatalf("plan's launch groups are %s, want [3 2] and [1] at u0, [0] at u1 and [3] at u1's backward", got)
+	// [3 2] launched and read by u0; [1] launched by u0 and read by u1;
+	// [0] launched by u1 and read by u2; [3] launched by u1's backward
+	// (visit 8) and read by u0's (visit 9).
+	var gathers []string
+	for _, g := range f.plan.Gathers {
+		gathers = append(gathers, fmt.Sprintf("%v %d→%d", g.Buckets, g.Submit, g.Wait))
+	}
+	if got := strings.Join(gathers, ", "); got != "[3 2] 0→0, [1] 0→1, [0] 1→2, [3] 8→9" {
+		t.Fatalf("plan gathers %s, want [3 2] and [1] at u0, [0] at u1 and [3] at u1's backward", got)
+	}
+	// The wrapper runs the plan's entries themselves, and the schedule
+	// simnet walks lists the same entries.
+	var listed reduce.Step
+	for _, c := range reduce.Schedule(f.Assignment(), f.unitBuckets, &f.plan) {
+		if c.Kind == reduce.AllGatherV {
+			listed = append(listed, c)
+		}
+	}
+	if len(f.groups) != len(f.plan.Gathers) || len(listed) != len(f.plan.Gathers) {
+		t.Fatalf("the wrapper runs %d gathers and the schedule lists %d of the plan's %d", len(f.groups), len(listed), len(f.plan.Gathers))
+	}
+	for i := range f.groups {
+		if f.groups[i].Collective != &f.plan.Gathers[i] || !reflect.DeepEqual(listed[i], f.plan.Gathers[i]) {
+			t.Fatalf("gather %d: the wrapper runs %v, the plan has %v, the schedule lists %v", i, *f.groups[i].Collective, f.plan.Gathers[i], listed[i])
+		}
 	}
 	if got := fmt.Sprint(heldAcrossTurn(f)); got != "[0 1 2]" {
 		t.Fatalf("plan holds %s across the turn, want [0 1 2]", got)
 	}
-	n := len(f.units)
-	if got := f.plan.Launch[n-1]; got != 4 {
-		t.Fatalf("forward launches %d gathers, want 4: bucket 3's second gather waits for backward to free bucket 0", got)
+	n, forward := len(f.units), 0
+	for _, g := range f.plan.Gathers {
+		if g.Submit < n {
+			forward += len(g.Buckets)
+		}
+	}
+	if forward != 4 {
+		t.Fatalf("forward launches %d gathers, want 4: bucket 3's second gather waits for backward to free bucket 0", forward)
 	}
 	f.Forward(s.x)
 	want := []residency{gathered, gathered, gathered, sharded}
@@ -945,7 +1019,7 @@ func TestGatherPlanSweep(t *testing.T) {
 			if held := heldAcrossTurn(f); tc.held >= 0 && len(held) != tc.held {
 				t.Fatalf("the plan holds %v across the turn, want %d buckets", held, tc.held)
 			}
-			if got := fmt.Sprint(f.plan.Seq); tc.seq != "" && got != tc.seq {
+			if got := planSeq(f); tc.seq != "" && got != tc.seq {
 				t.Fatalf("the plan launches %s, want %s", got, tc.seq)
 			}
 		})
@@ -1013,12 +1087,12 @@ func TestFailedGatherSurfacesFromBackward(t *testing.T) {
 	for _, fx := range []fixture{bertFixture, deepFixture} {
 		t.Run(fx.name, func(t *testing.T) {
 			overlapped := 0 // the k with a later gather in flight
-			groups := newScripted(t, fx, 0, 2).f.plan.Groups()
+			groups := newScripted(t, fx, 0, 2).f.plan.Gathers
 			for k, failing := range groups {
-				// The groups launched by the time failing is waited for.
+				// The gathers launched by the time failing is waited for.
 				launched := 0
 				for _, g := range groups {
-					if g.Launch <= failing.Wait {
+					if g.Submit <= failing.Wait {
 						launched++
 					}
 				}
@@ -1041,7 +1115,7 @@ func TestFailedGatherSurfacesFromBackward(t *testing.T) {
 					overlapped++
 				}
 				_, err := s.step()
-				buckets := fmt.Sprint(f.plan.Seq[failing.Lo:failing.Hi])
+				buckets := fmt.Sprint(failing.Buckets)
 				if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "buckets "+buckets+" ") {
 					t.Fatalf("k=%d: Backward returned %v, want the failure of buckets %s", k, err, buckets)
 				}
@@ -1070,8 +1144,8 @@ func TestFailedGatherSurfacesFromBackward(t *testing.T) {
 				if _, err := s.step(); err != nil {
 					t.Fatalf("k=%d: step after the failure: %v", k, err)
 				}
-				if got, n := f.Stats().Gathers-before, len(s.g.waited)-collectives; got != len(f.plan.Seq) || n != len(groups) {
-					t.Fatalf("k=%d: step after the failure gathered %d buckets in %d collectives, want %d in %d", k, got, n, len(f.plan.Seq), len(groups))
+				if got, n, want := f.Stats().Gathers-before, len(s.g.waited)-collectives, groups.Buckets(reduce.AllGatherV); got != want || n != len(groups) {
+					t.Fatalf("k=%d: step after the failure gathered %d buckets in %d collectives, want %d in %d", k, got, n, want, len(groups))
 				}
 			}
 			if overlapped == 0 {
@@ -1151,8 +1225,8 @@ func TestIncompleteBackwardLeavesNoGatherInFlight(t *testing.T) {
 	// (bucket 5) after forward u0, and fc2's backward launches it again
 	// ahead of fc1's, which never runs.
 	p, fc2 := s.f.plan, 2*len(s.f.units)-1-2
-	if got := fmt.Sprint(p.Seq); got != "[5 4 3 2 1 0 5]" || p.Launch[fc2] != len(p.Seq) || p.Need[fc2] == len(p.Seq) {
-		t.Fatalf("plan %v, want [5 4 3 2 1 0 5] with bucket 5's second gather launched by fc2's backward for fc1's", p)
+	if last := p.Gathers[len(p.Gathers)-1]; planSeq(s.f) != "[5 4 3 2 1 0 5]" || last.Submit > fc2 || last.Wait <= fc2 {
+		t.Fatalf("plan %v, want [5 4 3 2 1 0 5] with bucket 5's second gather launched by fc2's backward for fc1's", p.Gathers)
 	}
 	events, err := s.step()
 	if err == nil || !strings.Contains(err.Error(), "incomplete") || !strings.Contains(err.Error(), "fc1") {

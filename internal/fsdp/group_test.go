@@ -48,8 +48,8 @@ func TestGroupGatherMatchesPerBucket(t *testing.T) {
 							return err
 						}
 					}
-					g := group{buckets: buckets, staging: make([]float32, reduce.GatherElems(elems, buckets, world))}
-					f.launch(&g, -1)
+					g := group{Collective: &reduce.Collective{Kind: reduce.AllGatherV, Buckets: buckets}, staging: make([]float32, reduce.GatherElems(elems, buckets, world))}
+					f.launch(&g)
 					if err := f.drain(); err != nil {
 						return err
 					}
@@ -109,7 +109,7 @@ func TestWarmStepAllocatesNoStaging(t *testing.T) {
 		}
 		installed := map[*float32]int{} // a buffer's first element → its length
 		for _, g := range f.groups {
-			if len(g.buckets) > 1 {
+			if len(g.Buckets) > 1 {
 				installed[&g.staging[0]] = len(g.staging)
 			}
 		}

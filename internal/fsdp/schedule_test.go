@@ -60,14 +60,7 @@ func (r *recorder) Barrier() comm.Work {
 // unitCounts is how many parameters each of module's units holds, the
 // units mapUnits takes.
 func unitCounts(module nn.Module) []int {
-	units := []nn.Module{module}
-	if seq, ok := module.(*nn.Sequential); ok {
-		units = seq.Children()
-	}
-	counts := make([]int, len(units))
-	for u, unit := range units {
-		counts[u] = len(unit.Parameters())
-	}
+	_, counts := replica.Units(module)
 	return counts
 }
 

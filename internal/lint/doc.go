@@ -1,9 +1,10 @@
-// Package lint is the project's static-analysis gate: seven analyzers
+// Package lint is the project's static-analysis gate: eight analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
 // collective/lock ordering, metric registration, 32-bit atomic
 // alignment, cost models that price the schedules the runtime runs,
-// comm's one transport call site, and the one replica constructor. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// comm's one transport call site, the one replica constructor, and
+// ddptrain's one spawn site. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -101,6 +102,15 @@
 // package whose path ends in internal/strategy or benchmark is exempt;
 // benchmark/ is frozen so its figures compare across commits, and it
 // builds through the constructors until it moves onto Build.
+//
+// onespawn — cmd/ddptrain starts every child process through
+// fleet.spawn: the command line comes from the flag binding, and the
+// kill-and-reap covers an early return. os/exec's
+// Command or CommandContext named in its non-test code — called, or
+// taken as a value, through any import name, a dot import included — is
+// reported wherever it is named more than once, and the package is
+// reported when it is named nowhere. The analyzer keys on a package
+// path ending in cmd/ddptrain, so its fixtures sit in such directories.
 //
 // # Testing convention
 //

@@ -45,6 +45,7 @@ func All() []*Analyzer {
 		LockedCollective,
 		MetricStatic,
 		OneConstructor,
+		OneSpawn,
 		StoreErr,
 		TransportCalls,
 	}

@@ -80,6 +80,8 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"costtwins", "costtwins_simnet_bad", "costtwins_simnet_ok"},
 		{"transportcalls", "transportcalls_bad", "transportcalls_ok"},
 		{"oneconstructor", "oneconstructor_bad", "oneconstructor_ok"},
+		{"onespawn", "onespawn_bad/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
+		{"onespawn", "onespawn_none/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
 	}
 	for _, tc := range cases {
 		a := analyzerByName(t, tc.analyzer)
@@ -139,6 +141,7 @@ func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
 		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
 		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok", "oneconstructor_ok",
+		"onespawn_ok/cmd/ddptrain",
 	} {
 		pkg := fixturePkg(t, name)
 		res := Run([]*Package{pkg}, All())

@@ -70,12 +70,10 @@ type Engine struct {
 // bucketState is the runtime companion of one Assignment bucket
 // (reducer.cpp's Bucket).
 type bucketState struct {
-	members  []int // param indices
-	flat     []float32
-	resFlat  []float32 // error-feedback residuals, same layout as flat
-	pending  int
-	ready    bool
-	launched bool
+	members []int // param indices
+	flat    []float32
+	resFlat []float32 // error-feedback residuals, same layout as flat
+	pending int       // member gradients outstanding; 0 means ready
 	// launchedAt stamps the collective launch for the
 	// backward-to-reduce latency observation.
 	launchedAt time.Time
@@ -110,7 +108,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // most.
 func (e *Engine) Install(assign *Assignment) {
 	e.FlushResiduals()
-	e.assign = assign
+	e.assign, e.nextToLaunch = assign, 0
 	e.bucket = make([]*bucketState, assign.NumBuckets())
 	for b, members := range assign.Buckets {
 		bs := &bucketState{members: members}
@@ -199,8 +197,6 @@ func (e *Engine) Reset() {
 			bs.flat, bs.resFlat = nil, nil
 		}
 		bs.pending = len(bs.members)
-		bs.ready = false
-		bs.launched = false
 		bs.work = nil
 	}
 	e.nextToLaunch = 0
@@ -236,33 +232,26 @@ func (e *Engine) CopyIn(idx int, grad []float32) {
 	copy(slot, grad)
 }
 
-// MarkReady decrements the parameter's bucket pending count and
-// launches the collective on the maximal in-order prefix of ready
-// buckets. Marking a parameter ready twice in one iteration panics —
-// it means the caller's hook wiring double-fired.
-func (e *Engine) MarkReady(idx int) {
+// MarkReady decrements the parameter's bucket pending count, launches
+// the collective on the maximal in-order prefix of ready buckets (those
+// below nextToLaunch are launched), and reports whether the parameter
+// was its bucket's last member outstanding. Marking a parameter ready
+// twice in one iteration panics — the caller's hook wiring double-fired.
+func (e *Engine) MarkReady(idx int) bool {
 	e.observedReady = append(e.observedReady, idx)
 	bs := e.bucket[e.assign.BucketOf[idx]]
 	if bs.pending <= 0 {
 		panic(fmt.Sprintf("reduce: parameter %d marked ready twice in one iteration", idx))
 	}
-	bs.pending--
-	if bs.pending == 0 {
-		bs.ready = true
-		e.launchReady()
+	if bs.pending--; bs.pending > 0 {
+		return false
 	}
-}
-
-// launchReady starts asynchronous collectives for the maximal in-order
-// prefix of ready buckets.
-func (e *Engine) launchReady() {
-	for e.nextToLaunch < len(e.bucket) && e.bucket[e.nextToLaunch].ready {
+	for ; e.nextToLaunch < len(e.bucket) && e.bucket[e.nextToLaunch].pending == 0; e.nextToLaunch++ {
 		bs := e.bucket[e.nextToLaunch]
 		bs.launchedAt = time.Now()
 		bs.work = e.cfg.Launch(e.nextToLaunch, bs.flat, bs.resFlat)
-		bs.launched = true
-		e.nextToLaunch++
 	}
+	return true
 }
 
 // WaitAll waits for every launched bucket's collective in bucket order
@@ -276,7 +265,7 @@ func (e *Engine) launchReady() {
 // must not keep flat.
 func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 	for bi, bs := range e.bucket {
-		if !bs.launched {
+		if bi >= e.nextToLaunch {
 			return fmt.Errorf("reduce: bucket %d was never launched", bi)
 		}
 		if err := bs.work.Wait(); err != nil {

@@ -1,7 +1,10 @@
 package reduce
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,6 +70,69 @@ func TestInOrderPrefixLaunch(t *testing.T) {
 	}
 	if seen != 4 {
 		t.Fatalf("consume saw %d buckets, want 4", seen)
+	}
+}
+
+// TestMarkReadyReportsTheLastMember: in every marking order — reverse
+// registration (the expected backward), shuffled, and the order of a
+// FindUnusedParameters run, whose Forward marks the unused parameters
+// ready in registration order before backward marks the rest —
+// MarkReady returns true exactly once per bucket and iteration, on the
+// bucket's last member outstanding, and the engine has launched the
+// maximal in-order prefix of complete buckets after every mark.
+func TestMarkReadyReportsTheLastMember(t *testing.T) {
+	f := &fakeLaunch{}
+	// Reverse-order packing under a 24-byte cap: buckets {6 5 4}, {3},
+	// {2} and {1 0}.
+	e := newTestEngine(t, []int{2, 3, 4, 5, 1, 2, 3}, 24, f, Config{})
+	if got := fmt.Sprint(e.Assignment().Buckets); got != "[[6 5 4] [3] [2] [1 0]]" {
+		t.Fatalf("buckets %s, want [[6 5 4] [3] [2] [1 0]]", got)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name  string
+		order func() []int
+	}{
+		{"reverse", func() []int { return ReverseOrder(7) }},
+		{"shuffled", func() []int { return rng.Perm(7) }},
+		{"unused marked in forward", func() []int { return []int{0, 4, 5, 6, 3, 2, 1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for iter := range 3 {
+				e.Reset()
+				f.order = f.order[:0]
+				order := tc.order()
+				marked := make([]bool, 7)
+				complete := func(b int) bool {
+					return !slices.ContainsFunc(e.Assignment().Buckets[b], func(m int) bool { return !marked[m] })
+				}
+				lasts := make([]int, e.NumBuckets())
+				for _, idx := range order {
+					marked[idx] = true
+					b := e.Assignment().BucketOf[idx]
+					if last := e.MarkReady(idx); last != complete(b) {
+						t.Fatalf("iteration %d, order %v: MarkReady(%d) = %v, want %v", iter, order, idx, last, complete(b))
+					} else if last {
+						lasts[b]++
+					}
+					prefix := 0
+					for prefix < e.NumBuckets() && complete(prefix) {
+						prefix++
+					}
+					if e.Launched() != prefix || !slices.Equal(f.order, []int{0, 1, 2, 3}[:prefix]) {
+						t.Fatalf("iteration %d, order %v: after marking %d, %d buckets launched (%v), want the prefix of %d", iter, order, idx, e.Launched(), f.order, prefix)
+					}
+				}
+				for b, n := range lasts {
+					if n != 1 {
+						t.Fatalf("iteration %d, order %v: bucket %d reported its last member %d times", iter, order, b, n)
+					}
+				}
+				if err := e.WaitAll(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

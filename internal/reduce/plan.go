@@ -10,50 +10,18 @@ import (
 // units: the forward visits of units 0…n−1, then the backward visits of
 // units n−1…0. A visit reads the buckets its unit's parameters touch.
 type Plan struct {
-	// Seq lists the buckets in launch order, once per gather; a bucket
-	// that is dropped and read again appears again.
-	Seq []int
-	// Per visit v: the first Launch[v] entries of Seq are launched once
-	// v starts, the first Need[v] have landed before it runs, and Free[v]
-	// lists the buckets dropped once it has run.
-	Launch, Need []int
-	Free         [][]int
+	// Gathers are the step's AllGatherVs in launch order, each submitted
+	// at the visit that launches it and waited for by the first visit
+	// that reads it. Those launched at one visit for one reader are one
+	// entry, a launch group. A bucket dropped and read again is gathered
+	// again.
+	Gathers Step
+	// Free[v] lists the buckets dropped once visit v has run.
+	Free [][]int
 	// Budget is the bound PlanStep was given on the elements of the
 	// buckets resident while any visit runs, a bucket counting from its
 	// launch.
 	Budget int
-}
-
-// Group is one of a plan's launch groups: the entries Seq[Lo:Hi], all
-// launched once visit Launch starts and all first read by visit Wait.
-type Group struct {
-	Lo, Hi       int
-	Launch, Wait int
-}
-
-// Groups returns the plan's launch groups in launch order: Seq cut
-// wherever one visit's launches end (Launch) and wherever one visit's
-// reads end (Need). The gathers a visit launches thus split by the visit
-// that first reads them, and the replicas run each group as one
-// collective: fewer collectives, and no visit waits for a transfer it
-// does not read.
-func (p Plan) Groups() []Group {
-	var groups []Group
-	launch, wait := 0, 0
-	for i := range p.Seq {
-		for p.Launch[launch] <= i {
-			launch++
-		}
-		for p.Need[wait] <= i {
-			wait++
-		}
-		if n := len(groups); n > 0 && groups[n-1].Launch == launch && groups[n-1].Wait == wait {
-			groups[n-1].Hi++
-		} else {
-			groups = append(groups, Group{i, i + 1, launch, wait})
-		}
-	}
-	return groups
 }
 
 // PrefetchBudget is the tightest budget, in elements, that leaves room
@@ -74,8 +42,9 @@ func PrefetchBudget(unitBuckets [][]int, size []int) int {
 
 // PlanStep computes the plan for units whose parameters touch
 // unitBuckets[u], bucket b holding size[b] elements, that keeps the
-// resident buckets within budget elements. Every rank derives the same
-// plan from the same layout; nothing in it depends on the world size.
+// resident buckets within budget elements, at world w. Every rank
+// derives the same plan from the same layout; only the gathers' Elems
+// depend on the world size (GatherElems).
 //
 // Within the budget, a step is a caching problem over the visits'
 // reads, solved in two passes:
@@ -105,15 +74,9 @@ func PrefetchBudget(unitBuckets [][]int, size []int) int {
 // reads more than the budget, or a backward that must hold more — buckets
 // read by units far apart, as tied weights are — has no plan within it,
 // and gets one that holds what the visit or backward must.
-func PlanStep(unitBuckets [][]int, size []int, budget int) Plan {
+func PlanStep(unitBuckets [][]int, size []int, budget, w int) Plan {
 	n, nb := len(unitBuckets), len(size)
 	nv := 2 * n
-	reads := func(v int) []int {
-		if v < n {
-			return unitBuckets[v]
-		}
-		return unitBuckets[nv-1-v]
-	}
 
 	// after[v][b] is the first visit at or after v that reads b (nv if
 	// none).
@@ -121,7 +84,7 @@ func PlanStep(unitBuckets [][]int, size []int, budget int) Plan {
 	after[nv] = slices.Repeat([]int{nv}, nb)
 	for v := nv - 1; v >= 0; v-- {
 		after[v] = slices.Clone(after[v+1])
-		for _, b := range reads(v) {
+		for _, b := range reads(unitBuckets, v) {
 			after[v][b] = v
 		}
 	}
@@ -140,13 +103,13 @@ func PlanStep(unitBuckets [][]int, size []int, budget int) Plan {
 		load -= size[b]
 	}
 	for v := range nv {
-		for _, b := range reads(v) {
+		for _, b := range reads(unitBuckets, v) {
 			for cur[b] < 0 && load+size[b] > budget {
 				// A candidate was last read in forward: a bucket backward has
 				// read is either read again or already dropped.
 				victim := -1
 				for c := range nb {
-					if cur[c] >= 0 && last[c] < n && !slices.Contains(reads(v), c) &&
+					if cur[c] >= 0 && last[c] < n && !slices.Contains(reads(unitBuckets, v), c) &&
 						(victim < 0 || cmp.Or(cmp.Compare(after[v][c], after[v][victim]), size[c]-size[victim]) > 0) {
 						victim = c
 					}
@@ -163,7 +126,7 @@ func PlanStep(unitBuckets [][]int, size []int, budget int) Plan {
 			}
 			last[b] = v
 		}
-		for _, b := range reads(v) {
+		for _, b := range reads(unitBuckets, v) {
 			if after[v+1][b] == nv {
 				drop(b, v)
 			}
@@ -177,10 +140,10 @@ func PlanStep(unitBuckets [][]int, size []int, budget int) Plan {
 			resident[v] += size[g.bucket]
 		}
 	}
-	p := Plan{Launch: make([]int, nv), Need: make([]int, nv), Free: make([][]int, nv), Budget: budget}
+	p := Plan{Free: make([][]int, nv), Budget: budget}
 	dropped := slices.Repeat([]int{-1}, nb) // the visit after which b was last dropped
 	prev := 0                               // the gather before's launch visit
-	for i, g := range gathers {
+	for _, g := range gathers {
 		from, at := max(prev, dropped[g.bucket]+1), g.read
 		for at > from && resident[at-1]+size[g.bucket] <= budget {
 			at--
@@ -189,14 +152,15 @@ func PlanStep(unitBuckets [][]int, size []int, budget int) Plan {
 			resident[v] += size[g.bucket]
 		}
 		prev, dropped[g.bucket] = at, g.drop
-		p.Seq = append(p.Seq, g.bucket)
-		p.Launch[at] = i + 1
-		p.Need[g.read] = i + 1
+		// A gather joins the entry before it when both share their visits.
+		last := len(p.Gathers) - 1
+		if last < 0 || p.Gathers[last].Submit != at || p.Gathers[last].Wait != g.read {
+			p.Gathers, last = append(p.Gathers, Collective{AllGatherV, nil, 0, at, g.read}), last+1
+		}
+		c := &p.Gathers[last]
+		c.Buckets = append(c.Buckets, g.bucket)
+		c.Elems = GatherElems(size, c.Buckets, w)
 		p.Free[g.drop] = append(p.Free[g.drop], g.bucket)
-	}
-	for v := 1; v < nv; v++ {
-		p.Launch[v] = max(p.Launch[v], p.Launch[v-1])
-		p.Need[v] = max(p.Need[v], p.Need[v-1])
 	}
 	return p
 }

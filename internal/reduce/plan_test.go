@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -23,9 +24,13 @@ func planBudget(unitBuckets [][]int, size []int) int {
 	return visit + largest
 }
 
+// planWorld is the world the tests' plans are made for: it only sets
+// the gathers' Elems, and at 3 the chunks of most buckets are padded.
+const planWorld = 3
+
 // prefetchPlan is the plan within PrefetchBudget, the ZeRO-3 preset's.
 func prefetchPlan(unitBuckets [][]int, size []int) Plan {
-	return PlanStep(unitBuckets, size, PrefetchBudget(unitBuckets, size))
+	return PlanStep(unitBuckets, size, PrefetchBudget(unitBuckets, size), planWorld)
 }
 
 // checkPlan checks a plan within PrefetchBudget: its budget is
@@ -39,17 +44,33 @@ func checkPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 	replayPlan(t, p, unitBuckets, size)
 }
 
-// replayPlan replays a plan over its layout and fails unless launches
-// and waits only move forward, every bucket a visit reads is resident
-// and landed when the visit runs, no bucket is gathered while it is
-// resident, what is resident never exceeds the plan's budget (in
-// elements), backward drops each bucket right after its last read, and
-// nothing stays resident after the step; and that its launch groups
-// (checkGroups) are sound.
+// replayPlan replays a plan over its layout and fails unless the step
+// it schedules passes Step.Check; its gathers are AllGatherVs of at
+// least one bucket on GatherElems' buffer, launched and waited for in
+// order, each launched at a visit, and no two neighbours launched and
+// read at the same visits (they would be one launch group); every
+// bucket a visit reads is resident and landed when the visit runs, no
+// bucket is gathered while it is resident, what is resident never
+// exceeds the plan's budget (in elements), backward drops each bucket
+// right after its last read, and nothing stays resident after the step.
 func replayPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 	t.Helper()
-	checkGroups(t, p, unitBuckets)
 	n, budget := len(unitBuckets), p.Budget
+	layout := &Assignment{Buckets: make([][]int, len(size)), BucketElems: size}
+	if err := Schedule(layout, unitBuckets, &p).Check(unitBuckets); err != nil {
+		t.Fatalf("plan %v: %v", p.Gathers, err)
+	}
+	for i, g := range p.Gathers {
+		if g.Kind != AllGatherV || len(g.Buckets) == 0 || g.Elems != GatherElems(size, g.Buckets, planWorld) {
+			t.Fatalf("gather %d is %v (plan %v)", i, g, p.Gathers)
+		}
+		if i > 0 && (g.Submit < p.Gathers[i-1].Submit || g.Wait < p.Gathers[i-1].Wait) {
+			t.Fatalf("gather %v launches or is waited for before %v (plan %v)", g, p.Gathers[i-1], p.Gathers)
+		}
+		if i > 0 && g.Submit == p.Gathers[i-1].Submit && g.Wait == p.Gathers[i-1].Wait {
+			t.Fatalf("gathers %v and %v launch and are read at the same visits (plan %v)", p.Gathers[i-1], g, p.Gathers)
+		}
+	}
 	lastRead := make([]int, len(size)) // the backward visit of the lowest unit reading b
 	for u := n - 1; u >= 0; u-- {
 		for _, b := range unitBuckets[u] {
@@ -57,30 +78,33 @@ func replayPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 		}
 	}
 	resident := make([]bool, len(size))
-	lastPos := make([]int, len(size))
-	load, launched := 0, 0
+	landed := make([]bool, len(size))
+	load, launched, waited := 0, 0, 0
 	for v := range 2 * n {
-		if p.Need[v] > p.Launch[v] || v > 0 && (p.Launch[v] < p.Launch[v-1] || p.Need[v] < p.Need[v-1]) {
-			t.Fatalf("visit %d launches %d and waits for %d gathers (plan %v)", v, p.Launch[v], p.Need[v], p)
-		}
 		u := v
 		if v >= n {
 			u = 2*n - 1 - v
 		}
-		for ; launched < p.Launch[v]; launched++ {
-			b := p.Seq[launched]
-			if resident[b] {
-				t.Fatalf("visit %d gathers bucket %d while it is resident (plan %v)", v, b, p.Seq)
+		for ; launched < len(p.Gathers) && p.Gathers[launched].Submit == v; launched++ {
+			for _, b := range p.Gathers[launched].Buckets {
+				if resident[b] {
+					t.Fatalf("visit %d gathers bucket %d while it is resident (plan %v)", v, b, p.Gathers)
+				}
+				resident[b], landed[b] = true, false
+				load += size[b]
 			}
-			resident[b], lastPos[b] = true, launched
-			load += size[b]
 		}
 		if load > budget {
-			t.Fatalf("visit %d holds %d elements, budget %d (plan %v)", v, load, budget, p.Seq)
+			t.Fatalf("visit %d holds %d elements, budget %d (plan %v)", v, load, budget, p.Gathers)
+		}
+		for ; waited < launched && p.Gathers[waited].Wait == v; waited++ {
+			for _, b := range p.Gathers[waited].Buckets {
+				landed[b] = true
+			}
 		}
 		for _, b := range unitBuckets[u] {
-			if !resident[b] || lastPos[b] >= p.Need[v] {
-				t.Fatalf("visit %d reads bucket %d before it landed (plan %v)", v, b, p.Seq)
+			if !resident[b] || !landed[b] {
+				t.Fatalf("visit %d reads bucket %d before it landed (plan %v)", v, b, p.Gathers)
 			}
 		}
 		for _, b := range p.Free[v] {
@@ -91,43 +115,19 @@ func replayPlan(t *testing.T, p Plan, unitBuckets [][]int, size []int) {
 			load -= size[b]
 		}
 	}
-	if launched != len(p.Seq) || load != 0 {
-		t.Fatalf("%d of %d gathers launched and %d elements resident after the step", launched, len(p.Seq), load)
+	if launched != len(p.Gathers) || waited != launched || load != 0 {
+		t.Fatalf("%d of %d gathers launched, %d waited for and %d elements resident after the step (plan %v)", launched, len(p.Gathers), waited, load, p.Gathers)
 	}
 }
 
-// checkGroups fails unless the plan's launch groups cover Seq in order,
-// each launched whole at its Launch visit and read first, every entry of
-// it, by its Wait visit, and no two neighbours share both visits.
-func checkGroups(t *testing.T, p Plan, unitBuckets [][]int) {
-	t.Helper()
-	n, next := len(unitBuckets), 0
-	groups := p.Groups()
-	for i, g := range groups {
-		if g.Lo != next || g.Hi <= g.Lo {
-			t.Fatalf("group %d covers Seq[%d:%d], want from %d (plan %v, groups %v)", i, g.Lo, g.Hi, next, p, groups)
-		}
-		next = g.Hi
-		if g.Launch > 0 && p.Launch[g.Launch-1] > g.Lo || p.Launch[g.Launch] < g.Hi ||
-			g.Wait > 0 && p.Need[g.Wait-1] > g.Lo || p.Need[g.Wait] < g.Hi {
-			t.Fatalf("group %v is not launched at one visit and needed at one (plan %v)", g, p)
-		}
-		u := g.Wait
-		if u >= n {
-			u = 2*n - 1 - u
-		}
-		for _, b := range p.Seq[g.Lo:g.Hi] {
-			if !slices.Contains(unitBuckets[u], b) {
-				t.Fatalf("group %v waits at visit %d, which does not read bucket %d (plan %v)", g, g.Wait, b, p)
-			}
-		}
-		if i > 0 && groups[i-1].Launch == g.Launch && groups[i-1].Wait == g.Wait {
-			t.Fatalf("groups %v and %v launch and are read at the same visits (plan %v)", groups[i-1], g, p)
-		}
+// gathersString writes a plan's gathers as the documentation states
+// them: each entry's buckets, launch visit → first reading visit.
+func gathersString(gathers Step) string {
+	var out []string
+	for _, g := range gathers {
+		out = append(out, fmt.Sprintf("%v %d→%d", g.Buckets, g.Submit, g.Wait))
 	}
-	if next != len(p.Seq) {
-		t.Fatalf("groups %v cover %d of the %d entries of Seq", groups, next, len(p.Seq))
-	}
+	return strings.Join(out, ", ")
 }
 
 // minGathers is the fewest gathers any plan within the budget makes, or
@@ -238,8 +238,8 @@ func TestPlanStepGathersTheFewest(t *testing.T) {
 		}
 		p := prefetchPlan(units, size)
 		checkPlan(t, p, units, size)
-		if len(p.Seq) != want {
-			t.Fatalf("layout %v: plan %v makes %d gathers, the fewest is %d", units, p.Seq, len(p.Seq), want)
+		if got := p.Gathers.Buckets(AllGatherV); got != want {
+			t.Fatalf("layout %v: plan %v makes %d gathers, the fewest is %d", units, p.Gathers, got, want)
 		}
 		checked++
 	}
@@ -265,8 +265,7 @@ func TestPlanOfPinnedLayouts(t *testing.T) {
 		name       string
 		units      [][]int
 		size       []int
-		seq        string
-		groups     string
+		gathers    string
 		fewestPlus int // gathers above the fewest
 	}{
 		// The benchmark's model: four buckets, every block reading its
@@ -274,26 +273,23 @@ func TestPlanOfPinnedLayouts(t *testing.T) {
 		// 2 stay gathered across the turn; bucket 3, read first in
 		// forward and last in backward, is dropped to make room for 0
 		// and gathered again for backward. The first visit launches 3, 2
-		// and 1, and reads only 3 and 2: [3 2] is one group, [1] the next.
-		{"benchmark", [][]int{{3, 2}, {2, 1}, {1, 0}, {0}, {0}}, []int{198656, 198272, 198272, 198144}, "[3 2 1 0 3]",
-			"[{0 2 0 0} {2 3 0 1} {3 4 1 2} {4 5 8 9}]", 0},
+		// and 1, and reads only 3 and 2: [3 2] is one gather, [1] the next.
+		{"benchmark", [][]int{{3, 2}, {2, 1}, {1, 0}, {0}, {0}}, []int{198656, 198272, 198272, 198144},
+			"[3 2] 0→0, [1] 0→1, [0] 1→2, [3] 8→9", 0},
 		// Unequal sizes: making room for bucket 3 drops buckets 0 and 1,
 		// whose next reads are farthest away, where dropping bucket 2
 		// alone would do. One gather more than the fewest.
-		{"unequal sizes", [][]int{{0}, {1}, {2}, {3}}, []int{1, 1, 4, 4}, "[0 1 2 3 1 0]",
-			"[{0 1 0 0} {1 2 0 1} {2 3 0 2} {3 4 2 3} {4 5 5 6} {5 6 5 7}]", 1},
+		{"unequal sizes", [][]int{{0}, {1}, {2}, {3}}, []int{1, 1, 4, 4},
+			"[0] 0→0, [1] 0→1, [2] 0→2, [3] 2→3, [1] 5→6, [0] 5→7", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := prefetchPlan(tc.units, tc.size)
 			checkPlan(t, p, tc.units, tc.size)
-			if got := fmt.Sprint(p.Seq); got != tc.seq {
-				t.Fatalf("plan launches %s, want %s", got, tc.seq)
+			if got := gathersString(p.Gathers); got != tc.gathers {
+				t.Fatalf("plan gathers %s, want %s", got, tc.gathers)
 			}
-			if got := fmt.Sprint(p.Groups()); got != tc.groups {
-				t.Fatalf("plan's launch groups are %s, want %s", got, tc.groups)
-			}
-			if got, want := len(p.Seq), minGathers(tc.units, tc.size)+tc.fewestPlus; got != want {
-				t.Fatalf("plan %v makes %d gathers, want %d", p.Seq, got, want)
+			if got, want := p.Gathers.Buckets(AllGatherV), minGathers(tc.units, tc.size)+tc.fewestPlus; got != want {
+				t.Fatalf("plan %v makes %d gathers, want %d", p.Gathers, got, want)
 			}
 		})
 	}
@@ -317,18 +313,26 @@ func TestPlanStepWithinTheWholeModel(t *testing.T) {
 		for _, n := range size {
 			total += n
 		}
-		p := PlanStep(units, size, total)
+		p := PlanStep(units, size, total, planWorld)
 		replayPlan(t, p, units, size)
 		nb := len(size)
 		each := make([]int, nb)
 		for b := range each {
 			each[b] = b
 		}
-		if !slices.Equal(slices.Sorted(slices.Values(p.Seq)), each) {
-			t.Fatalf("layout %v: plan %v does not gather each of %d buckets once", units, p.Seq, nb)
+		var gathered []int
+		first := 0 // buckets gathered at the first visit
+		for _, g := range p.Gathers {
+			gathered = append(gathered, g.Buckets...)
+			if g.Submit == 0 {
+				first += len(g.Buckets)
+			}
 		}
-		if p.Launch[0] != nb {
-			t.Fatalf("layout %v: %d of %d gathers launched at the first visit", units, p.Launch[0], nb)
+		if !slices.Equal(slices.Sorted(slices.Values(gathered)), each) {
+			t.Fatalf("layout %v: plan %v does not gather each of %d buckets once", units, p.Gathers, nb)
+		}
+		if first != nb {
+			t.Fatalf("layout %v: %d of %d gathers launched at the first visit", units, first, nb)
 		}
 		for v, free := range p.Free[:len(units)] {
 			if len(free) > 0 {

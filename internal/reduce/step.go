@@ -1,6 +1,9 @@
 package reduce
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind is the collective a step submits for one bucket.
 type Kind uint8
@@ -31,7 +34,7 @@ func (k Kind) String() string {
 type Collective struct {
 	Kind Kind
 	// Buckets are the buckets it carries: one, or a launch group's for
-	// an AllGatherV (Plan.Groups), in the order the staging lays them
+	// an AllGatherV (Plan.Gathers), in the order the staging lays them
 	// out.
 	Buckets []int
 	// Elems is the length of the buffer the collective runs on: the
@@ -98,32 +101,39 @@ func UnitBuckets(assign *Assignment, counts []int) [][]int {
 	return units
 }
 
-// Schedule returns the collectives one synchronized step submits at
-// world w over the layout assign, for units whose parameters touch
-// units[u] (UnitBuckets): ddp's when plan is nil, else a sharded step's
-// that gathers as plan (PlanStep over the same units) says, one
-// AllGatherV per launch group (Plan.Groups), first waited for by the
-// visit that reads its buckets. A bucket's gradient reduce is submitted
-// after the visit at which its last gradient lands, in bucket order, as
-// the Engine launches it; ddp waits for its AllReduces at the end of
-// backward, a sharded step for each ReduceScatterV at its bucket's
-// update.
-func Schedule(assign *Assignment, units [][]int, plan *Plan, w int) Step {
-	n, nb := len(units), assign.NumBuckets()
-	end := 2 * n // the end of backward
-	// lands[b] is the backward visit of the lowest unit reading b.
-	lands := make([]int, nb)
-	for u := n - 1; u >= 0; u-- {
-		for _, b := range units[u] {
-			lands[b] = end - 1 - u
+// reads returns the buckets visit v of a step over units reads: unit v's
+// in forward, unit 2n−1−v's in backward, and none outside the step.
+func reads(units [][]int, v int) []int {
+	switch n := len(units); {
+	case v >= 0 && v < n:
+		return units[v]
+	case v >= n && v < 2*n:
+		return units[2*n-1-v]
+	}
+	return nil
+}
+
+// Schedule returns the collectives one synchronized step submits over
+// the layout assign, for units whose parameters touch units[u]
+// (UnitBuckets): ddp's when plan is nil, else a sharded step's, whose
+// gathers are plan's (PlanStep over the same units), copied unchanged.
+// A bucket's gradient reduce is submitted after the visit at which its
+// last gradient lands, in bucket order, as the Engine launches it; ddp
+// waits for its AllReduces at the end of backward, a sharded step for
+// each ReduceScatterV at its bucket's update.
+func Schedule(assign *Assignment, units [][]int, plan *Plan) Step {
+	nb, end := assign.NumBuckets(), 2*len(units) // end: the end of backward
+	lands := make([]int, nb)                     // lands[b]: the last backward visit reading b
+	for v := len(units); v < end; v++ {
+		for _, b := range reads(units, v) {
+			lands[b] = v
 		}
 	}
-	var groups []Group
+	var gathers, step Step
 	if plan != nil {
-		groups = plan.Groups()
+		gathers = plan.Gathers
 	}
-	var step Step
-	reduced, gathered := 0, 0
+	reduced := 0
 	for p := 0; p <= end; p++ {
 		for ; reduced < nb && lands[reduced] < p; reduced++ {
 			c := Collective{ReduceScatterV, []int{reduced}, assign.BucketElems[reduced], p, end + reduced} // waited at the bucket's update
@@ -132,11 +142,49 @@ func Schedule(assign *Assignment, units [][]int, plan *Plan, w int) Step {
 			}
 			step = append(step, c)
 		}
-		for ; gathered < len(groups) && groups[gathered].Launch == p; gathered++ {
-			g := groups[gathered]
-			buckets := plan.Seq[g.Lo:g.Hi:g.Hi]
-			step = append(step, Collective{AllGatherV, buckets, GatherElems(assign.BucketElems, buckets, w), p, g.Wait})
+		for ; len(gathers) > 0 && gathers[0].Submit == p; gathers = gathers[1:] {
+			step = append(step, gathers[0])
 		}
 	}
 	return step
+}
+
+// Check returns an error naming the collective and the point at fault
+// unless the step can run over units (UnitBuckets): each collective is
+// waited for no earlier than it is submitted; a gather is waited for by
+// a visit that reads all of its buckets, and no visit reads one while it
+// is in flight; a reduce is submitted after the last visit reading its
+// buckets, and waited for no later than their updates (point 2n+b).
+func (s Step) Check(units [][]int) error {
+	n, last := len(units), map[int]int{} // last[b]: the last visit reading b
+	for v := range 2 * n {
+		for _, b := range reads(units, v) {
+			last[b] = v
+		}
+	}
+	for _, c := range s {
+		fail := func(format string, a ...any) error {
+			return fmt.Errorf("reduce: %v of buckets %v submitted at point %d and waited for at %d: "+format, append([]any{c.Kind, c.Buckets, c.Submit, c.Wait}, a...)...)
+		}
+		if c.Wait < c.Submit {
+			return fail("the wait comes first")
+		}
+		for _, b := range c.Buckets {
+			if v, read := last[b]; c.Kind != AllGatherV && read && v >= c.Submit {
+				return fail("point %d still reads bucket %d", v, b) // backward still adds to b's gradient
+			}
+			if c.Kind != AllGatherV && c.Wait > 2*n+b {
+				return fail("after bucket %d's update at point %d", b, 2*n+b)
+			}
+			for v := c.Submit; c.Kind == AllGatherV && v < c.Wait; v++ {
+				if slices.Contains(reads(units, v), b) {
+					return fail("point %d still reads bucket %d", v, b) // while the gather is in flight
+				}
+			}
+			if c.Kind == AllGatherV && !slices.Contains(reads(units, c.Wait), b) {
+				return fail("that point does not read bucket %d", b)
+			}
+		}
+	}
+	return nil
 }

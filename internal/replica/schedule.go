@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 
+	"repro/internal/nn"
 	"repro/internal/reduce"
 )
 
@@ -28,18 +29,36 @@ func Budget(strategy string) (func(unitBuckets [][]int, size []int) int, error) 
 	}
 }
 
+// Units decomposes module into the forward units a sharded step gathers
+// and frees by — a Sequential's children, or else the module itself —
+// and counts each unit's parameters, which reduce.UnitBuckets maps to
+// buckets: Parameters of a Sequential concatenates its children's.
+func Units(module nn.Module) (units []nn.Module, counts []int) {
+	units = []nn.Module{module}
+	if seq, ok := module.(*nn.Sequential); ok {
+		units = seq.Children()
+	}
+	for _, unit := range units {
+		counts = append(counts, len(unit.Parameters()))
+	}
+	return units, counts
+}
+
 // Schedule returns the collectives one synchronized step of strategy
 // submits at world w over the layout assign, for units whose parameters
-// touch units[u] (reduce.UnitBuckets): "ddp" (or "") for the replicated
-// step, else a sharded preset's, planned within its Budget.
+// touch units[u] (Units): "ddp" (or "") for the replicated step, else a
+// sharded preset's, planned within its Budget. It returns the step's
+// Check error, if any, beside it.
 func Schedule(strategy string, assign *reduce.Assignment, units [][]int, w int) (reduce.Step, error) {
-	if strategy == "" || strategy == "ddp" {
-		return reduce.Schedule(assign, units, nil, w), nil
+	var plan *reduce.Plan
+	if strategy != "" && strategy != "ddp" {
+		budget, err := Budget(strategy)
+		if err != nil {
+			return nil, fmt.Errorf("unknown strategy %q (want ddp, zero2 or zero3)", strategy)
+		}
+		p := reduce.PlanStep(units, assign.BucketElems, budget(units, assign.BucketElems), w)
+		plan = &p
 	}
-	budget, err := Budget(strategy)
-	if err != nil {
-		return nil, fmt.Errorf("unknown strategy %q (want ddp, zero2 or zero3)", strategy)
-	}
-	plan := reduce.PlanStep(units, assign.BucketElems, budget(units, assign.BucketElems))
-	return reduce.Schedule(assign, units, &plan, w), nil
+	step := reduce.Schedule(assign, units, plan)
+	return step, step.Check(units)
 }
