@@ -11,8 +11,9 @@
 #
 # Audited packages: the fault-tolerance stack (elastic, store,
 # transport), the checkpoint subsystem (ckpt), the collective layer
-# (comm), the gradient-reduction engine (reduce), its clients (ddp,
-# fsdp), the seam over them (replica) and the one constructor of both
+# (comm), the gradient-reduction engine (reduce), the update rule both
+# of its clients apply (optim), its clients (ddp, fsdp), the seam over
+# them (replica) and the one constructor of both
 # (strategy), the hardware cost model (hw), the observability plane
 # (metrics, trace), and the correctness tooling (lint, testutil,
 # testutil/leakcheck, chaos) — the packages whose exported surface the
@@ -27,7 +28,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 fail=0
-for dir in internal/elastic internal/store internal/buffer internal/transport internal/ckpt internal/comm internal/reduce internal/replica internal/strategy internal/ddp internal/fsdp internal/hw internal/metrics internal/trace internal/lint internal/testutil internal/testutil/leakcheck internal/chaos; do
+for dir in internal/elastic internal/store internal/buffer internal/transport internal/ckpt internal/comm internal/reduce internal/optim internal/replica internal/strategy internal/ddp internal/fsdp internal/hw internal/metrics internal/trace internal/lint internal/testutil internal/testutil/leakcheck internal/chaos; do
     for f in "$dir"/*.go; do
         case "$f" in
         *_test.go | *'*'*) continue ;;

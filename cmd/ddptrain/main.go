@@ -12,8 +12,9 @@
 //
 //	ddptrain -world 4 -launch
 //
-// Every mode drives one replica.Replica — forward, backward, step —
-// that strategy.Build makes from the flags' strategy.Spec. After training,
+// Every mode drives one replica.Replica — forward, then a backward that
+// ends with the update applied (timed as backward+comm) — that
+// strategy.Build makes from the flags' strategy.Spec. After training,
 // ranks AllGather a hash of the exact bits of every parameter and
 // verify every replica holds bit-identical parameters — the paper's
 // correctness guarantee, checked for real across process boundaries.
@@ -95,7 +96,9 @@
 // elastic worker — the supervisor starts its child processes that way —
 // and reads what -elastic -launch reads but -launch, plus -id. A child's
 // command line is every flag its parent set off its default, plus its
-// own -rank or -id.
+// own -rank or -id. Out-of-range values (-world, -sync-every or -batch
+// below 1, -rank outside -world, a training -batch above a rank's share
+// of the dataset) are refused by name before anything binds or spawns.
 package main
 
 import (
@@ -125,8 +128,9 @@ import (
 	"repro/internal/trace"
 )
 
-// The model and data shape every mode trains.
-const features, hidden, classes = 64, 64, 10
+// The model and data shape every mode trains; samples is the size of
+// the synthetic dataset the train mode shards across the ranks.
+const features, hidden, classes, samples = 64, 64, 10, 8192
 
 // options is the parsed command line; every mode takes it whole.
 type options struct {
@@ -251,7 +255,8 @@ func (o *options) mode() string {
 }
 
 // validate rejects, before anything is spawned or bound, every flag the
-// mode does not read and the combinations of values no mode can honour.
+// mode does not read, out-of-range values, and the combinations of
+// values no mode can honour.
 // It resolves -kill-step's default.
 func (o *options) validate() error {
 	m := o.mode()
@@ -263,6 +268,17 @@ func (o *options) validate() error {
 	}
 	if err := o.spec(false).Check(); err != nil {
 		return err
+	}
+	shard, err := data.NewDistributedSampler(samples, o.rank, o.world)
+	switch {
+	case err != nil:
+		return fmt.Errorf("-rank %d, -world %d: %w", o.rank, o.world, err)
+	case o.syncEvery < 1:
+		return fmt.Errorf("-sync-every %d, want at least 1", o.syncEvery)
+	case o.batch < 1:
+		return fmt.Errorf("-batch %d, want at least 1", o.batch)
+	case m == "train" && o.batch > shard.PerRank():
+		return fmt.Errorf("-batch %d exceeds a rank's %d samples at -world %d", o.batch, shard.PerRank(), o.world)
 	}
 	elasticRun := m != "train"
 	if o.strategy != "" && o.strategy != "ddp" {
@@ -294,7 +310,7 @@ func (o *options) validate() error {
 			return fmt.Errorf("-kill-step %d must be below -iters %d", o.killStep, o.iters)
 		}
 	}
-	_, err := o.commOptions()
+	_, err = o.commOptions()
 	return err
 }
 
@@ -492,7 +508,7 @@ func run(o *options) (uint64, error) {
 	}
 	defer pg.Close()
 
-	dataset := data.NewSynthetic(42, 8192, features, classes)
+	dataset := data.NewSynthetic(42, samples, features, classes)
 	model := models.NewMLP(int64(o.rank), features, hidden, classes) // per-rank seeds; the constructor's broadcast aligns
 	r, err := strategy.Build(model, pg, o.spec(false))
 	if err != nil {
@@ -543,10 +559,7 @@ func run(o *options) (uint64, error) {
 			return r.Backward(loss)
 		}
 		if (it+1)%o.syncEvery == 0 {
-			if err = step(); err == nil {
-				timer.Start("optimizer") // where Backward did not already fuse it
-				r.Step()
-			}
+			err = step()
 		} else {
 			err = r.(accumulator).NoSync(step)
 		}
@@ -944,7 +957,6 @@ func elasticStep(o *options, st store.Store, agent *elastic.Agent, full *bool, c
 		if err := ctx.Replica.Backward(loss); err != nil {
 			return err
 		}
-		ctx.Replica.Step()
 		if ctx.Rank == 0 && (ctx.Step+1)%20 == 0 {
 			fmt.Printf("[%s] step %4d loss %.4f (gen %d, world %d)\n",
 				o.id, ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)

@@ -221,6 +221,12 @@ func TestRunRejectsWhatNoStrategyHonours(t *testing.T) {
 		{`"p0/a" has 2 level(s), "b" has 1`, func(o *options) { o.world, o.hosts = 4, "p0/a,p0/a,p1/b,b" }},
 		{"zero2 needs -ckpt-dir", func(o *options) { elastic(o); o.strategy = "zero2" }},
 		{"-kill-all needs -ckpt-dir", func(o *options) { elastic(o); o.killAll = true }},
+		{"-rank 0, -world 0: data: invalid rank 0 of world 0", func(o *options) { o.world = 0 }},
+		{"-sync-every 0, want at least 1", func(o *options) { o.syncEvery = 0 }},
+		{"-batch 9000 exceeds a rank's 4096 samples at -world 2", func(o *options) { o.batch = 9000 }},
+		{"-batch 0, want at least 1", func(o *options) { o.batch = 0 }},
+		{"-rank 2, -world 2: data: invalid rank 2 of world 2", func(o *options) { o.rank = 2 }},
+		{"-rank -1, -world 2: data: invalid rank -1 of world 2", func(o *options) { o.rank = -1 }},
 	} {
 		o := testOptions(t, 2)
 		c.edit(&o)

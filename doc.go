@@ -13,8 +13,8 @@
 // internal/tensor and internal/autograd (the compute substrate),
 // internal/nn and internal/optim (modules and optimizers, including
 // state serialization — nn.SaveState/LoadState with a versioned
-// header, and optim.StateFlattener for momentum/Adam state as a flat
-// vector), internal/comm (the c10d-style collective layer: ProcessGroup
+// header, and optim.SGD.FlatState, the parameter-order momentum vector
+// every replica captures and checkpoints), internal/comm (the c10d-style collective layer: ProcessGroup
 // with async Work handles, ring/tree/naive AllReduce plus the
 // topology-aware Hierarchical algorithm — intra-host reduce, inter-host
 // ring among per-host leaders, intra-host broadcast — and Auto, which

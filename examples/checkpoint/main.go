@@ -64,11 +64,7 @@ func batchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
 func trainStep(ctx elastic.StepContext) error {
 	x, labels := batchFor(ctx.Step, ctx.Rank, ctx.World)
 	out := ctx.Replica.Forward(autograd.Constant(x))
-	if err := ctx.Replica.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
-		return err
-	}
-	ctx.Replica.Step()
-	return nil
+	return ctx.Replica.Backward(autograd.CrossEntropyLoss(out, labels))
 }
 
 // runWorld drives `world` elastic workers over a fresh store/registry

@@ -92,7 +92,6 @@ func (w *worker) trainStep(ctx elastic.StepContext) error {
 	if err := ctx.Replica.Backward(loss); err != nil {
 		return err
 	}
-	ctx.Replica.Step()
 	if ctx.Rank == 0 {
 		fmt.Printf("step %2d  gen %d  world %d  loss %.4f\n",
 			ctx.Step, ctx.Generation, ctx.World, loss.Value.Item())

@@ -101,7 +101,6 @@ func train(dataset *data.Synthetic, name string) ([]*tensor.Tensor, int) {
 				if err := r.Backward(loss); err != nil {
 					log.Fatal(err)
 				}
-				r.Step()
 				if rank == 0 && (it+1)%20 == 0 {
 					fmt.Printf("  iter %3d loss %.4f\n", it+1, loss.Value.Item())
 				}

@@ -125,7 +125,6 @@ func shTrain(name string, world int, batches, labels []*tensor.Tensor) ([][]floa
 			if err := r.Backward(autograd.MSELoss(r.Forward(x), y)); err != nil {
 				return err
 			}
-			r.Step()
 		}
 		return nil
 	})

@@ -536,7 +536,6 @@ func (e *engine) train(ctx elastic.StepContext, w *runWorker) error {
 	if err := ctx.Replica.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
 		return err
 	}
-	ctx.Replica.Step()
 	if det := w.agent.Straggler(); det != nil {
 		det.Record(compute)
 	}

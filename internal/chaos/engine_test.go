@@ -120,7 +120,7 @@ func TestFaultHook(t *testing.T) {
 	m := chModel()
 	opt := optim.NewSGD(m.Parameters(), chLR)
 	opt.Momentum = 0.9
-	snap, cerr := ckpt.Capture(m, opt, ckpt.Meta{Generation: 1, Step: 2})
+	snap, cerr := ckpt.Capture(m, opt.FlatState(), ckpt.Meta{Generation: 1, Step: 2})
 	if cerr != nil {
 		t.Fatal(cerr)
 	}

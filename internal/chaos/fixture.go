@@ -65,11 +65,7 @@ func chSpec(name, codec string) strategy.Spec {
 func chTrainStep(r replica.Replica, step int64, rank, world int) error {
 	x, labels := chBatchFor(step, rank, world)
 	out := r.Forward(autograd.Constant(x))
-	if err := r.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
-		return err
-	}
-	r.Step()
-	return nil
+	return r.Backward(autograd.CrossEntropyLoss(out, labels))
 }
 
 func chFlattenParams(m nn.Module) []float32 {

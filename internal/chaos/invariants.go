@@ -304,15 +304,15 @@ func (e *engine) checkBitwiseSharded(survivors []*runWorker, restore int64) {
 		e.rep.add(invBitwise, fmt.Sprintf("final sharded checkpoint at step %d, want %d", man.Meta.Step, e.p.s.Steps))
 	}
 	m := chModel()
-	var st replica.State
-	if _, err := snap.Apply(m, &st); err != nil {
+	_, opt, err := snap.Apply(m)
+	if err != nil {
 		e.rep.add(invBitwise, fmt.Sprintf("final sharded checkpoint does not apply: %v", err))
 		return
 	}
 	if i, ok := sameF32(chFlattenParams(m), refParams); !ok {
 		e.rep.add(invBitwise, fmt.Sprintf("final checkpoint params diverge from the failure-free reference (index %d)", i))
 	}
-	if i, ok := sameF32(st.Optimizer, refOpt); !ok {
+	if i, ok := sameF32(opt, refOpt); !ok {
 		e.rep.add(invBitwise, fmt.Sprintf("final checkpoint optimizer state diverges from the failure-free reference (index %d)", i))
 	}
 }

@@ -35,13 +35,22 @@ func newTestState(t testing.TB, seed int64) (nn.Module, *optim.SGD) {
 	return m, opt
 }
 
-func captureTest(t testing.TB, m nn.Module, opt optim.StateFlattener, meta Meta) *Snapshot {
+func captureTest(t testing.TB, m nn.Module, opt *optim.SGD, meta Meta) *Snapshot {
 	t.Helper()
-	snap, err := Capture(m, opt, meta)
+	snap, err := Capture(m, opt.FlatState(), meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// restoreInto is Restore with the optimizer vector installed into opt.
+func restoreInto(dir string, m nn.Module, opt *optim.SGD) (Meta, error) {
+	meta, flat, err := Restore(dir, m)
+	if err == nil {
+		err = opt.SetFlatState(flat)
+	}
+	return meta, err
 }
 
 // saveWorld runs one full sharded save: `world` goroutines, each
@@ -103,7 +112,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	saveWorld(t, w, captureTest(t, m, opt, meta), 3)
 
 	m2, opt2 := newTestState(t, 99) // different init and momentum
-	got, err := Restore(dir, m2, opt2)
+	got, err := restoreInto(dir, m2, opt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +138,7 @@ func TestCheckpointReshardAcrossWorldSizes(t *testing.T) {
 		w := newTestWriter(t, dir)
 		saveWorld(t, w, captureTest(t, m, opt, Meta{Step: 5, World: world}), world)
 		m2, opt2 := newTestState(t, 77)
-		meta, err := Restore(dir, m2, opt2)
+		meta, err := restoreInto(dir, m2, opt2)
 		if err != nil {
 			t.Fatalf("world %d: %v", world, err)
 		}
@@ -226,7 +235,7 @@ func TestCheckpointRetentionIgnoresCorruptManifests(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, opt2 := newTestState(t, 50)
-	meta, err := Restore(dir, m2, opt2)
+	meta, err := restoreInto(dir, m2, opt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +356,7 @@ func TestCheckpointCorruptionFallsBackToPrevious(t *testing.T) {
 			// The damaged checkpoint must not load; the run falls back
 			// to the previous committed one, bitwise intact.
 			m2, opt2 := newTestState(t, 50)
-			meta, err := Restore(dir, m2, opt2)
+			meta, err := restoreInto(dir, m2, opt2)
 			if err != nil {
 				t.Fatalf("fallback restore failed: %v", err)
 			}
@@ -613,7 +622,7 @@ func TestCheckpointRestoreDuringConcurrentRetentionSweep(t *testing.T) {
 			}
 			if restoreEvery > 0 && i%restoreEvery == 0 {
 				m2, opt2 := newTestState(t, 99)
-				meta, err := Restore(dir, m2, opt2)
+				meta, err := restoreInto(dir, m2, opt2)
 				if err != nil {
 					readerOnce.Do(func() { readerErr = err })
 					return

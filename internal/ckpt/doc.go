@@ -1,10 +1,11 @@
 // Package ckpt is the durable checkpoint subsystem: it persists full
 // training state — model parameters and buffers (nn.SaveState),
-// optimizer state (optim.StateFlattener), and progress (step,
-// generation, seed) — to disk in parallel shards, and restores it on a
-// cold start. It closes the gap the elastic layer alone cannot: elastic
-// recovery keeps a run alive as long as one worker survives, but when
-// every worker dies at once, only state that reached disk survives.
+// optimizer state (the flat momentum vector a replica captures as
+// replica.State's Optimizer), and progress (step, generation, seed) —
+// to disk in parallel shards, and restores it on a cold start. It
+// closes the gap the elastic layer alone cannot: elastic recovery keeps
+// a run alive as long as one worker survives, but when every worker
+// dies at once, only state that reached disk survives.
 // Together the two subsystems cover the full failure matrix (see the
 // root package doc and ARCHITECTURE.md).
 //

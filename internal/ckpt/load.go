@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/nn"
-	"repro/internal/optim"
 )
 
 // ErrNoCheckpoint is returned by Load and Restore when the directory
@@ -93,20 +92,20 @@ func newestCommitted(dir, what string, try func(name string) error) error {
 }
 
 // Restore loads the newest committed checkpoint in dir into model and
-// opt and returns its captured progress. See Load for the fallback and
-// error contract.
-func Restore(dir string, model nn.Module, opt optim.StateFlattener) (Meta, error) {
+// returns its captured progress and optimizer vector (Snapshot.Apply).
+// See Load for the fallback and error contract.
+func Restore(dir string, model nn.Module) (Meta, []float32, error) {
 	start := time.Now()
 	snap, m, err := Load(dir)
 	if err != nil {
-		return Meta{}, err
+		return Meta{}, nil, err
 	}
-	meta, err := snap.Apply(model, opt)
+	meta, opt, err := snap.Apply(model)
 	if err == nil {
 		mRestoreDur.Observe(time.Since(start).Seconds())
 		mRestoreBytes.Set(float64(m.BlobBytes))
 	}
-	return meta, err
+	return meta, opt, err
 }
 
 // LatestMeta reports the progress of the newest committed checkpoint

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/nn"
-	"repro/internal/optim"
 )
 
 // Meta is the training progress a checkpoint captures alongside the
@@ -41,7 +40,7 @@ type image struct {
 	// carrying its own format-version header.
 	Model []byte
 	// Opt is the optimizer's flattened state (nil when captured without
-	// an optimizer).
+	// one).
 	Opt []float32
 }
 
@@ -57,17 +56,14 @@ type Snapshot struct {
 }
 
 // Capture serializes the full training state — model parameters and
-// buffers (via nn.SaveState), optimizer state (opt's flattened vector;
-// opt may be nil), and meta — into a Snapshot.
-func Capture(model nn.Module, opt optim.StateFlattener, meta Meta) (*Snapshot, error) {
+// buffers (via nn.SaveState), the optimizer's flattened state opt (a
+// replica's State.Optimizer; nil for none), and meta — into a Snapshot.
+func Capture(model nn.Module, opt []float32, meta Meta) (*Snapshot, error) {
 	var modelBuf bytes.Buffer
 	if err := nn.SaveState(&modelBuf, model); err != nil {
 		return nil, fmt.Errorf("ckpt: capturing model state: %w", err)
 	}
-	img := image{Meta: meta, Model: modelBuf.Bytes()}
-	if opt != nil {
-		img.Opt = opt.FlatState()
-	}
+	img := image{Meta: meta, Model: modelBuf.Bytes(), Opt: opt}
 	var blob bytes.Buffer
 	if err := gob.NewEncoder(&blob).Encode(&img); err != nil {
 		return nil, fmt.Errorf("ckpt: encoding snapshot: %w", err)
@@ -88,27 +84,22 @@ func decodeSnapshot(blob []byte) (*Snapshot, error) {
 	return &Snapshot{Meta: img.Meta, blob: blob}, nil
 }
 
-// Apply restores the snapshot's state into model and opt (nil: model
-// only; a *replica.State: the detached vector, for when the optimizer
-// that will hold it does not exist yet) — bitwise: a
+// Apply restores the snapshot's model state into model — bitwise: a
 // restored replica is indistinguishable from one that never crashed —
-// and returns the captured progress. The model must have the
+// and returns the captured progress and the optimizer vector (nil if
+// none was captured), a fresh copy for the caller to install once the
+// replica that will hold it exists. The model must have the
 // architecture the checkpoint was taken from; mismatches are reported
 // by parameter name with both shapes.
-func (s *Snapshot) Apply(model nn.Module, opt optim.StateFlattener) (Meta, error) {
+func (s *Snapshot) Apply(model nn.Module) (Meta, []float32, error) {
 	var img image
 	if err := gob.NewDecoder(bytes.NewReader(s.blob)).Decode(&img); err != nil {
-		return Meta{}, fmt.Errorf("ckpt: decoding snapshot: %w", err)
+		return Meta{}, nil, fmt.Errorf("ckpt: decoding snapshot: %w", err)
 	}
 	if err := nn.LoadState(bytes.NewReader(img.Model), model); err != nil {
-		return Meta{}, fmt.Errorf("ckpt: restoring model state: %w", err)
+		return Meta{}, nil, fmt.Errorf("ckpt: restoring model state: %w", err)
 	}
-	if opt != nil && img.Opt != nil {
-		if err := opt.SetFlatState(img.Opt); err != nil {
-			return Meta{}, fmt.Errorf("ckpt: restoring optimizer state: %w", err)
-		}
-	}
-	return img.Meta, nil
+	return img.Meta, img.Opt, nil
 }
 
 // ShardRange returns the byte range [offset, offset+length) of the

@@ -203,9 +203,10 @@ func (d *DDP) SetProcessGroup(pg comm.ProcessGroup) error {
 func (d *DDP) SetTraining(t bool) { d.Module().SetTraining(t) }
 
 // NoSync runs fn with gradient synchronization disabled, the context
-// manager of Section 3.2.4: backward passes inside fn accumulate
-// gradients locally, and the first synchronized backward afterwards
-// reduces the accumulated gradients in one shot.
+// manager of Section 3.2.4: an iteration whose Forward runs inside fn
+// accumulates its gradients locally, and the first synchronized
+// iteration afterwards reduces them in one shot. DDP decides at
+// Forward, so fn must wrap the forward pass, as PyTorch's no_sync must.
 func (d *DDP) NoSync(fn func() error) error {
 	d.noSync = true
 	defer func() { d.noSync = false }()

@@ -13,7 +13,7 @@ import (
 
 // trainSteps runs n synchronized iterations on d with deterministic
 // data derived from seed.
-func trainSteps(d *DDP, opt optim.Optimizer, seed int64, n int) error {
+func trainSteps(d *DDP, opt *optim.SGD, seed int64, n int) error {
 	rng := rand.New(rand.NewSource(seed))
 	for it := 0; it < n; it++ {
 		opt.ZeroGrad()

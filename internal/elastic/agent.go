@@ -17,7 +17,7 @@ import (
 // data by them, because both change across reconfigurations.
 type StepContext struct {
 	// Replica is this rank's data-parallel replica; a step is
-	// Forward, Backward, Step on it, whatever the strategy.
+	// Forward, then Backward on it, whatever the strategy.
 	Replica    replica.Replica
 	Rank       int
 	World      int

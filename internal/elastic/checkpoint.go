@@ -84,27 +84,23 @@ func (a *Agent) restoreCheckpoint() error {
 
 // restoreNewest loads the newest committed checkpoint: the model's
 // parameters and buffers go straight into its tensors, the optimizer
-// state comes back detached, for the caller to install once a replica
-// laid out for the current world exists (ckpt.Snapshot.Apply into a
-// live sharded optimizer would slice the vector by the OLD world's
-// chunk bounds). Both users — a cold start and a sharded world's
-// rollback — record the first checkpoint they load for
+// vector comes back for the caller to install once a replica laid out
+// for the current world exists. Both users — a cold start and a sharded
+// world's rollback — record the first checkpoint they load for
 // RestoredCheckpoint.
 func (a *Agent) restoreNewest() (replica.State, ckpt.Meta, error) {
-	var st replica.State
 	if a.ck == nil {
-		return st, ckpt.Meta{}, ckpt.ErrNoCheckpoint
+		return replica.State{}, ckpt.Meta{}, ckpt.ErrNoCheckpoint
 	}
-	meta, err := ckpt.Restore(a.ck.cfg.Dir, a.model, &st)
-	if err != nil {
-		return st, meta, err
+	meta, opt, err := ckpt.Restore(a.ck.cfg.Dir, a.model)
+	if err == nil {
+		a.mu.Lock()
+		if a.restored == nil {
+			a.restored = &meta
+		}
+		a.mu.Unlock()
 	}
-	a.mu.Lock()
-	if a.restored == nil {
-		a.restored = &meta
-	}
-	a.mu.Unlock()
-	return st, meta, nil
+	return replica.State{Optimizer: opt}, meta, err
 }
 
 // RestoredCheckpoint reports the progress record of the checkpoint this
@@ -161,7 +157,7 @@ func (a *Agent) maybeSaveCheckpoint() error {
 	if err != nil {
 		return nil
 	}
-	snap, err := ckpt.Capture(a.model, &st, ckpt.Meta{
+	snap, err := ckpt.Capture(a.model, st.Optimizer, ckpt.Meta{
 		Step:       step,
 		Generation: assign.Generation,
 		World:      assign.World,

@@ -178,7 +178,7 @@ func TestCheckpointKillAllColdRestartBitwiseResume(t *testing.T) {
 				t.Fatalf("final checkpoint at step %d, want %d", final.Step, total)
 			}
 			restored := models.NewMLP(55, testIn, testHidden, testClasses)
-			if _, err := ckpt.Restore(dir, restored, nil); err != nil {
+			if _, _, err := ckpt.Restore(dir, restored); err != nil {
 				t.Fatal(err)
 			}
 			assertSameParams(t, "final checkpoint", flattenParams(restored), want)
@@ -246,7 +246,7 @@ func TestCheckpointSurvivorsKeepCheckpointingAfterCrash(t *testing.T) {
 		t.Fatalf("final checkpoint saved by world %d, want the shrunken world 2", meta.World)
 	}
 	restored := models.NewMLP(55, testIn, testHidden, testClasses)
-	if _, err := ckpt.Restore(dir, restored, nil); err != nil {
+	if _, _, err := ckpt.Restore(dir, restored); err != nil {
 		t.Fatal(err)
 	}
 	assertSameParams(t, "final checkpoint", flattenParams(restored), flattenParams(workers[0].model))
@@ -262,7 +262,7 @@ func TestCheckpointResumeFailsLoudlyWhenAllCorrupt(t *testing.T) {
 	m := models.NewMLP(7, testIn, testHidden, testClasses)
 	opt := optim.NewSGD(m.Parameters(), testLR)
 	w := &ckpt.Writer{Dir: dir, Committer: &ckpt.StoreCommitter{St: st}}
-	snap, err := ckpt.Capture(m, opt, ckpt.Meta{Step: 4, World: 1})
+	snap, err := ckpt.Capture(m, opt.FlatState(), ckpt.Meta{Step: 4, World: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

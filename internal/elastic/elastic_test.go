@@ -60,7 +60,7 @@ func batchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
 	return x, labels
 }
 
-func trainStep(d *ddp.DDP, opt optim.Optimizer, step int64, rank, world int) error {
+func trainStep(d *ddp.DDP, opt *optim.SGD, step int64, rank, world int) error {
 	x, labels := batchFor(step, rank, world)
 	out := d.Forward(autograd.Constant(x))
 	loss := autograd.CrossEntropyLoss(out, labels)
@@ -173,13 +173,11 @@ func testConfig(st store.Store, reg *comm.InProcRegistry, id string, minW, maxW 
 
 // ddpReplica is the tests' Config.Replica for replicated training: DDP
 // with the given options (the agent aligned the replicas already, so no
-// constructor broadcast) plus the fixture's momentum SGD.
+// constructor broadcast) and the fixture's momentum SGD.
 func ddpReplica(opts ddp.Options) func(nn.Module, comm.ProcessGroup) (replica.Replica, error) {
 	opts.SkipInitialBroadcast = true
 	return func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-		opt := optim.NewSGD(m.Parameters(), testLR)
-		opt.Momentum = testMom
-		return ddp.NewReplica(m, pg, opts, opt)
+		return ddp.NewReplica(m, pg, opts, testLR, testMom)
 	}
 }
 
@@ -199,14 +197,10 @@ func newTestWorker(t *testing.T, cfg Config) *testWorker {
 }
 
 // replicaStep is the whole training step through the seam — the same
-// three calls for every strategy.
+// two calls for every strategy.
 func replicaStep(r replica.Replica, x *tensor.Tensor, labels []int) error {
 	out := r.Forward(autograd.Constant(x))
-	if err := r.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
-		return err
-	}
-	r.Step()
-	return nil
+	return r.Backward(autograd.CrossEntropyLoss(out, labels))
 }
 
 func elasticStep(ctx StepContext) error {

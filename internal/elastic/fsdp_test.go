@@ -124,7 +124,7 @@ func TestFSDPElasticWorldShrinkReshardResume(t *testing.T) {
 				t.Fatalf("final checkpoint (step %d, world %d), want (step %d, world 2)", meta.Step, meta.World, total)
 			}
 			restored := testModel()
-			if _, err := ckpt.Restore(dir, restored, nil); err != nil {
+			if _, _, err := ckpt.Restore(dir, restored); err != nil {
 				t.Fatal(err)
 			}
 			assertSameParams(t, "final checkpoint", flattenParams(restored), want)

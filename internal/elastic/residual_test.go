@@ -27,7 +27,7 @@ func oneBitFactory() comm.Codec { return &comm.OneBitCodec{} }
 // trajectory a pure function of shared state, so a dropped residual (or
 // a joiner skipping the sync) still diverges bitwise from the
 // reference, which is exactly what this test must detect.
-func sharedBatchStep(d *ddp.DDP, opt optim.Optimizer, step int64) error {
+func sharedBatchStep(d *ddp.DDP, opt *optim.SGD, step int64) error {
 	x, labels := batchFor(step, 0, 1)
 	out := d.Forward(autograd.Constant(x))
 	loss := autograd.CrossEntropyLoss(out, labels)

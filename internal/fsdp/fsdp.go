@@ -596,9 +596,6 @@ func (f *FSDP) Materialize() error {
 	return nil
 }
 
-// Step is a no-op: Backward already applied the fused sharded update.
-func (f *FSDP) Step() {}
-
 // HoldsFullState is false: optimizer state and parameters are sharded
 // under either preset, so a lost rank's momentum and parameter chunks
 // exist nowhere else.

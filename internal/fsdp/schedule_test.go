@@ -8,7 +8,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/ddp"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/reduce"
 	"repro/internal/replica"
 )
@@ -93,7 +92,6 @@ func TestStepMatchesSchedule(t *testing.T) {
 							if err := r.Backward(autograd.MSELoss(r.Forward(x), y)); err != nil {
 								return err
 							}
-							r.Step()
 						}
 						return nil
 					})
@@ -126,9 +124,7 @@ func TestStepMatchesSchedule(t *testing.T) {
 func scheduleReplica(strategy string, fx fixture, pg comm.ShardedGroup) (replica.Replica, error) {
 	m := fx.build()
 	if strategy == "ddp" {
-		opt := optim.NewSGD(m.Parameters(), tLR)
-		opt.Momentum = tMomentum
-		return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: fx.cap}, opt)
+		return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: fx.cap}, tLR, tMomentum)
 	}
 	st := map[string]Strategy{"zero2": ZeRO2, "zero3": ZeRO3}[strategy]
 	return New(m, pg, Options{Strategy: st, BucketCapBytes: fx.cap, LR: tLR, Momentum: tMomentum})

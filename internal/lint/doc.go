@@ -1,10 +1,11 @@
-// Package lint is the project's static-analysis gate: eight analyzers
+// Package lint is the project's static-analysis gate: nine analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
 // collective/lock ordering, metric registration, 32-bit atomic
 // alignment, cost models that price the schedules the runtime runs,
-// comm's one transport call site, the one replica constructor, and
-// ddptrain's one spawn site. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// comm's one transport call site, the one replica constructor, the one
+// file that broadcasts a module's tensors, and ddptrain's one spawn
+// site. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -102,6 +103,11 @@
 // package whose path ends in internal/strategy or benchmark is exempt;
 // benchmark/ is frozen so its figures compare across commits, and it
 // builds through the constructors until it moves onto Build.
+//
+// onealign — only internal/replica's core.go broadcasts a module's
+// tensors (replica.Align, replica.Core's buffer re-sync): a comm
+// Broadcast of an nn.Parameter's Value.Data() or an nn.Buffer's
+// Data.Data() in any other file, in any package, is reported.
 //
 // onespawn — cmd/ddptrain starts every child process through
 // fleet.spawn: the command line comes from the flag binding, and the

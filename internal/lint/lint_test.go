@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -80,6 +81,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"costtwins", "costtwins_simnet_bad", "costtwins_simnet_ok"},
 		{"transportcalls", "transportcalls_bad", "transportcalls_ok"},
 		{"oneconstructor", "oneconstructor_bad", "oneconstructor_ok"},
+		{"onealign", "onealign_bad", "onealign_ok"},
 		{"onespawn", "onespawn_bad/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
 		{"onespawn", "onespawn_none/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
 	}
@@ -134,6 +136,36 @@ func TestOneConstructorExemptions(t *testing.T) {
 	}
 }
 
+// TestOneAlignExemption: internal/replica's core.go, the file onealign
+// exempts, does broadcast a module's parameters and buffers, so the
+// exemption is not idle, and the analyzer passes the package.
+func TestOneAlignExemption(t *testing.T) {
+	pkg, err := sharedLoader(t).LoadDir("internal/replica")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range OneAlign.Run(pkg) {
+		t.Errorf("unexpected finding: %s", f)
+	}
+	kinds := map[string]bool{}
+	for _, file := range pkg.Files {
+		if filepath.Base(pkg.Fset.Position(file.Pos()).Filename) != "core.go" {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+				if what := moduleStorage(pkg.Info, call.Args[0]); what != "" {
+					kinds[what] = true
+				}
+			}
+			return true
+		})
+	}
+	if !kinds["a parameter"] || !kinds["a buffer"] {
+		t.Errorf("core.go broadcasts %v; want a parameter and a buffer, or drop the exemption", kinds)
+	}
+}
+
 // TestCleanFixturesPassFullSuite runs the whole analyzer suite over the
 // clean fixtures: an _ok fixture must not trip any analyzer, not just
 // its own.
@@ -141,7 +173,7 @@ func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
 		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
 		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok", "oneconstructor_ok",
-		"onespawn_ok/cmd/ddptrain",
+		"onealign_ok", "onespawn_ok/cmd/ddptrain",
 	} {
 		pkg := fixturePkg(t, name)
 		res := Run([]*Package{pkg}, All())

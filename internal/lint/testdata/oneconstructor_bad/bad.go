@@ -7,7 +7,6 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/fsdp"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/replica"
 )
 
@@ -26,5 +25,5 @@ func later() func(nn.Module, comm.ProcessGroup, fsdp.Options) (*fsdp.FSDP, error
 var newDDP = ddp.NewReplica //lint:want oneconstructor
 
 func replicated(m nn.Module, pg comm.ProcessGroup) (*ddp.Replica, error) {
-	return newDDP(m, pg, ddp.Options{}, optim.NewSGD(m.Parameters(), 0.1))
+	return newDDP(m, pg, ddp.Options{}, 0.1, 0.9)
 }

@@ -10,20 +10,12 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the current gradients. Parameters
-	// with nil gradients are skipped entirely (no momentum decay).
-	Step()
-	// ZeroGrad clears all parameter gradients.
-	ZeroGrad()
-}
 
 // SGD implements stochastic gradient descent with optional momentum and
 // weight decay, matching torch.optim.SGD update rules.
@@ -68,6 +60,51 @@ func (s *SGD) ZeroGrad() {
 // used by tests demonstrating optimizer-state divergence under
 // parameter averaging.
 func (s *SGD) VelocityOf(p *nn.Parameter) *tensor.Tensor { return s.velocity[p] }
+
+// flatLen is the combined element count of a parameter list.
+func flatLen(params []*nn.Parameter) int {
+	n := 0
+	for _, p := range params {
+		n += p.Value.Size()
+	}
+	return n
+}
+
+// ensure returns the state tensor for p in m, materializing zeros on
+// first use. A zero velocity is update-equivalent to an absent one, so
+// materialization never changes training trajectories.
+func ensure(m map[*nn.Parameter]*tensor.Tensor, p *nn.Parameter) *tensor.Tensor {
+	t := m[p]
+	if t == nil {
+		t = tensor.New(p.Value.Shape()...)
+		m[p] = t
+	}
+	return t
+}
+
+// FlatState returns [velocity...] in parameter order, zeros for a
+// parameter that has taken no step: the layout of the momentum a
+// replica captures (internal/replica's State.Optimizer).
+func (s *SGD) FlatState() []float32 {
+	flat := make([]float32, 0, flatLen(s.Params))
+	for _, p := range s.Params {
+		flat = append(flat, ensure(s.velocity, p).Data()...)
+	}
+	return flat
+}
+
+// SetFlatState restores velocities exported by FlatState.
+func (s *SGD) SetFlatState(flat []float32) error {
+	if len(flat) != flatLen(s.Params) {
+		return fmt.Errorf("optim: SGD state has %d elements, expected %d", len(flat), flatLen(s.Params))
+	}
+	off := 0
+	for _, p := range s.Params {
+		v := ensure(s.velocity, p)
+		off += copy(v.Data(), flat[off:off+p.Value.Size()])
+	}
+	return nil
+}
 
 // Adam implements the Adam optimizer with PyTorch default
 // hyperparameters.
@@ -126,8 +163,3 @@ func (a *Adam) ZeroGrad() {
 		p.ZeroGrad()
 	}
 }
-
-var (
-	_ Optimizer = (*SGD)(nil)
-	_ Optimizer = (*Adam)(nil)
-)

@@ -4,11 +4,11 @@ import "repro/internal/tensor"
 
 // ShardedMomentumStep applies one momentum-SGD update in place to a
 // contiguous run of parameter values: the one update loop in this
-// package, which SGD.Step runs over each parameter and internal/fsdp's
-// sharded optimizers over their owned shard of the flattened parameter
-// vector. gradAvg holds the already-averaged
-// gradient and velocity the matching momentum state (not read when
-// momentum is zero); all three slices have equal length.
+// package, which SGD.Step and internal/ddp's Replica run over each
+// parameter and internal/fsdp over its owned shard of the flattened
+// parameter vector. gradAvg holds the already-averaged gradient and
+// velocity the matching momentum state (not read when momentum is
+// zero); all three slices have equal length.
 //
 // Per element, in one pass over memory and in this order:
 //

@@ -14,7 +14,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/replica"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
@@ -66,7 +65,8 @@ type releaseCase struct {
 	build    func(m *graphModel, x *autograd.Variable) *autograd.Variable
 	released []string
 	kept     []string
-	// noSync runs the step's Backward under ddp's NoSync (ddp only);
+	// noSync runs the step's Forward and Backward under ddp's NoSync
+	// (ddp only): DDP decides at Forward whether a step synchronizes;
 	// fails makes Backward fail (the unused parameter gets no gradient);
 	// eval runs an evaluation Forward first, whose graph no Backward
 	// follows.
@@ -158,7 +158,7 @@ var releaseWrappers = []struct {
 	make func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error)
 }{
 	{"ddp", func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-		return ddp.NewReplica(m, pg, ddp.Options{}, optim.NewSGD(m.Parameters(), cLR))
+		return ddp.NewReplica(m, pg, ddp.Options{}, cLR, 0)
 	}},
 	{"zero2", func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
 		return fsdp.New(m, pg, fsdp.Options{Strategy: fsdp.ZeRO2, LR: cLR})
@@ -199,15 +199,26 @@ func runReleaseCase(t *testing.T, wrap func(nn.Module, comm.ProcessGroup) (repli
 		r.Forward(x)
 		evalNoted, evalSnap = m.noted, snapshot(m.noted)
 	}
-	out := r.Forward(x)
-	noted, snap, outSnap := m.noted, snapshot(m.noted), out.Value.Clone()
 	wBefore := m.w.Value.Clone()
-	loss := autograd.Sum(autograd.Reshape(out, -1)) // the caller's own view of the result
-	step := func() error { return r.Backward(loss) }
-	if c.noSync {
-		step = func() error { return r.(*ddp.Replica).NoSync(func() error { return r.Backward(loss) }) }
+	var out *autograd.Variable
+	var noted map[string]*autograd.Variable
+	var snap map[string]*tensor.Tensor
+	var outSnap *tensor.Tensor
+	step := func() error {
+		out = r.Forward(x)
+		noted, snap, outSnap = m.noted, snapshot(m.noted), out.Value.Clone()
+		return r.Backward(autograd.Sum(autograd.Reshape(out, -1))) // the caller's own view of the result
 	}
-	if err := step(); (err != nil) != c.fails {
+	if c.noSync {
+		d := r.(*ddp.Replica)
+		err = d.NoSync(step)
+		if n := d.Engine().Launched(); n != 0 {
+			t.Errorf("the no_sync step launched %d bucket(s)", n)
+		}
+	} else {
+		err = step()
+	}
+	if (err != nil) != c.fails {
 		t.Fatalf("Backward returned %v; want a failure: %v", err, c.fails)
 	}
 
@@ -309,7 +320,6 @@ func TestWarmStepAllocatesNoTensorStorage(t *testing.T) {
 						if err := rs[rank].Backward(autograd.MSELoss(out, ys[rank])); err != nil {
 							return err
 						}
-						rs[rank].Step()
 						out.Value.Release() // the result is the caller's to hand back
 					}
 					return nil

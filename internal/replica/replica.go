@@ -3,12 +3,13 @@
 // without caring how the replica keeps its state: the elastic agent,
 // the chaos harness, the sharding ablation, ddptrain and the examples.
 // The paper's first design rule (Sections 3.1 and 4.1) is that going
-// distributed leaves the loop forward → backward → step alone; this
-// interface is what makes going from replicated (internal/ddp) to
-// sharded (internal/fsdp) leave it alone too.
+// distributed leaves the training loop alone; this interface is what
+// makes going from replicated (internal/ddp) to sharded (internal/fsdp)
+// leave it alone too. A step is Forward, then Backward, which ends
+// with the momentum-SGD update applied under either strategy.
 //
 // Two implementations exist: *fsdp.FSDP directly, and *ddp.Replica
-// (DDP together with the optimizer it trains). Their constructors and
+// (DDP together with the momentum update it applies). Their constructors and
 // Options stay concrete on purpose — how a replica is built is where
 // the strategies genuinely differ — and one function above both,
 // strategy.Build, turns a strategy name into a Replica for every binary
@@ -31,13 +32,12 @@ type Replica interface {
 	// Forward runs the model's forward pass with the wrapper's
 	// bookkeeping (buffer broadcast, reducer reset, ZeRO-3 gathers).
 	Forward(x *autograd.Variable) *autograd.Variable
-	// Backward runs autograd from loss and completes the gradient
-	// reduction. A sharded replica also applies the optimizer update
-	// here, against its shard.
+	// Backward runs autograd from loss, completes the gradient
+	// reduction and applies the momentum-SGD update (a sharded replica
+	// against its shard), then clears the gradients. An iteration that
+	// does not synchronize (ddp's NoSync) accumulates its gradients and
+	// applies nothing.
 	Backward(loss *autograd.Variable) error
-	// Step applies the optimizer update to the reduced gradients and
-	// clears them; a no-op where Backward already fused the update.
-	Step()
 	// Parameters exposes the wrapped model's parameters. Call
 	// Materialize first to read full values from a sharded replica.
 	Parameters() []*nn.Parameter
@@ -74,24 +74,9 @@ type Replica interface {
 // tensors, flattened in parameter order so it means the same thing at
 // every world size and under every bucket layout.
 type State struct {
-	// Optimizer is the optimizer's flattened state (momentum; empty
-	// when the optimizer keeps none or cannot flatten it).
+	// Optimizer is the momentum state, in optim.SGD.FlatState's layout.
 	Optimizer []float32
 	// Residuals is the wire codec's error-feedback residuals (empty
 	// without one).
 	Residuals []float32
-}
-
-// FlatState and SetFlatState make *State an optim.StateFlattener: the
-// checkpoint layer serializes a captured State and restores into an
-// empty one with no live optimizer at hand, which is how state crosses
-// the points where no replica exists yet (a cold start restores before
-// the first process group is built) or where the one that exists has
-// the wrong shard layout (a rollback restores before Rebind).
-func (s *State) FlatState() []float32 { return s.Optimizer }
-
-// SetFlatState keeps a copy of flat as the optimizer state.
-func (s *State) SetFlatState(flat []float32) error {
-	s.Optimizer = append([]float32(nil), flat...)
-	return nil
 }

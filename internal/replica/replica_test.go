@@ -129,7 +129,7 @@ func TestSeamConformance(t *testing.T) {
 	}
 	ddpWith := func(newCodec func() comm.Codec) func(nn.Module, comm.ProcessGroup) (replica.Replica, error) {
 		return func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-			return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: cCap, NewCodec: newCodec}, cSGD(m))
+			return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: cCap, NewCodec: newCodec}, cLR, cMomentum)
 		}
 	}
 	for _, row := range []struct {
@@ -156,7 +156,6 @@ func TestSeamConformance(t *testing.T) {
 					if err := r.Backward(autograd.CrossEntropyLoss(r.Forward(x), labels)); err != nil {
 						return err
 					}
-					r.Step()
 				}
 				return nil
 			}
@@ -264,7 +263,7 @@ func TestConsistentReportsDivergence(t *testing.T) {
 		same := make([]bool, 3)
 		runRanks(t, 3, func(rank int) error {
 			m := models.NewMLP(5, cIn, cHidden, cClasses)
-			r, err := ddp.NewReplica(m, groups[rank], ddp.Options{}, cSGD(m))
+			r, err := ddp.NewReplica(m, groups[rank], ddp.Options{}, cLR, cMomentum)
 			if err != nil {
 				return err
 			}
@@ -336,7 +335,7 @@ func TestBuffersEnterForwardAsRankZeros(t *testing.T) {
 		build func(nn.Module, comm.ProcessGroup) (replica.Replica, error)
 	}{
 		{"ddp", func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
-			return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: cCap}, cSGD(m))
+			return ddp.NewReplica(m, pg, ddp.Options{BucketCapBytes: cCap}, cLR, cMomentum)
 		}},
 		{"zero2", sharded(fsdp.ZeRO2)},
 		{"zero3", sharded(fsdp.ZeRO3)},
@@ -356,7 +355,6 @@ func TestBuffersEnterForwardAsRankZeros(t *testing.T) {
 					if err := r.Backward(autograd.CrossEntropyLoss(r.Forward(x), labels)); err != nil {
 						return err
 					}
-					r.Step()
 				}
 				return nil
 			})

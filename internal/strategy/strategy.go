@@ -15,7 +15,6 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/fsdp"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/replica"
 )
 
@@ -25,9 +24,9 @@ const momentum = 0.9
 
 // Spec is one rank's choice of data-parallel replica.
 type Spec struct {
-	// Strategy is "" or "ddp" for replicated DDP with momentum SGD, or
-	// the sharded preset "zero2" or "zero3" (replica.Budget), which
-	// fuses the same update into Backward.
+	// Strategy is "" or "ddp" for replicated DDP, or the sharded preset
+	// "zero2" or "zero3" (replica.Budget); each applies momentum SGD at
+	// the end of a synchronized Backward.
 	Strategy string
 	// BucketCapBytes bounds each gradient bucket as
 	// ddp.Options.BucketCapBytes does: zero selects the default,
@@ -82,11 +81,9 @@ func Build(module nn.Module, group comm.ProcessGroup, spec Spec) (replica.Replic
 			NewCodec: codecs[spec.Codec], SkipInitialBroadcast: spec.Aligned,
 		})
 	} else {
-		opt := optim.NewSGD(module.Parameters(), spec.LR)
-		opt.Momentum = momentum
 		r, err = ddp.NewReplica(module, group, ddp.Options{
 			BucketCapBytes: spec.BucketCapBytes, NewCodec: codecs[spec.Codec], SkipInitialBroadcast: spec.Aligned,
-		}, opt)
+		}, spec.LR, momentum)
 	}
 	if err != nil {
 		return nil, err

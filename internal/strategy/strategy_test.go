@@ -79,7 +79,6 @@ func TestBuildAcceptsTheFlagSpellings(t *testing.T) {
 				for step := 0; step < 3 && err == nil; step++ {
 					out := r.Forward(autograd.Constant(tensor.RandN(rng, 1, 4, 4)))
 					err = r.Backward(autograd.CrossEntropyLoss(out, []int{0, 1, 1, 0}))
-					r.Step()
 				}
 				if err == nil {
 					err = r.Materialize()

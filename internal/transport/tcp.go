@@ -109,8 +109,13 @@ func NewTCPMesh(rank, size int, st store.Store, prefix string) (Mesh, error) {
 // established so far, deletes this rank's address key, and returns an
 // error wrapping ErrAborted. Elastic recovery closes cancel when the
 // generation moves on mid-build — a worker that died between seal and
-// mesh build must not stall survivors until the store timeout.
+// mesh build must not stall survivors until the store timeout. A rank
+// outside [0, size) is refused before anything listens or touches the
+// store.
 func NewTCPMeshCancel(rank, size int, st store.Store, prefix string, cancel <-chan struct{}) (Mesh, error) {
+	if rank < 0 || rank >= size {
+		return nil, fmt.Errorf("transport: rank %d outside a mesh of size %d", rank, size)
+	}
 	if size == 1 {
 		return &tcpMesh{rank: 0, size: 1, hosts: []string{"local"}, aborted: make(chan struct{})}, nil
 	}
