@@ -21,9 +21,10 @@
 # stream_other.go and tanh_other.go) build.
 #
 # Hand-written amd64 assembly — internal/tensor/matmul_amd64.s (mulAdd4,
-# mulAdd1, dotRows), stream_amd64.s (AddFloats, ScaleFloats,
-# MomentumStep, and HalfEncode, comm's binary16 encoder, whose float work
-# is adds and subtracts alone) and tanh_amd64.s (tanh, GELU and GELU's
+# mulAdd1, dotRows, and mulAddTile's AVX-512 tile, whose skip of a ±0
+# coefficient is a merge-masked VADDPS), stream_amd64.s (AddFloats,
+# ScaleFloats, MomentumStep, and HalfEncode, comm's binary16 encoder,
+# whose float work is adds and subtracts alone) and tanh_amd64.s (tanh, GELU and GELU's
 # gradient, in float64 lanes), and any *_amd64.s that joins them in the
 # three packages — gets the same rule by grep: it multiplies with VMULPS
 # or VMULPD and adds or subtracts with VADDPS/VADDPD or VSUBPS/VSUBPD so
@@ -33,7 +34,9 @@
 # Go declarations; vet runs for arm64 and 386 too, over the fallback
 # files), and that every routine executes
 # VZEROUPPER right before each RET, since the Go code it returns to is
-# legacy SSE and pays for dirty upper halves on every scalar instruction.
+# legacy SSE and pays for dirty upper halves on every scalar instruction
+# (the two CPUID probes, hasAVX2 and hasAVX512, touch no vector register
+# and are exempt).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -8,11 +8,12 @@ import (
 )
 
 // BenchmarkMatMulKernels times the three kernels at the shapes the
-// benchmark's models use, under the Go loops (go/) and, where the machine
-// has them, the assembly bodies (asm/), and reports ns/mac, the unit of
-// the benchmark ladder's tensor.*_ns_per_mac. Each shape runs on a dense
-// left operand, which is what the ladder measures, and on a half-zero
-// one, which is what a layer after a ReLU gets:
+// benchmark's models use, under each body the machine has — the Go loops
+// (go/), the AVX2 bodies (avx2/), and the same with mulAddTile's AVX-512
+// body (avx512/) — and reports ns/mac, the unit of the benchmark ladder's
+// tensor.*_ns_per_mac, so one run prints the table of every body. Each
+// shape runs on a dense left operand, which is what the ladder measures,
+// and on a half-zero one, which is what a layer after a ReLU gets:
 //
 //	go test -run '^$' -bench MatMulKernels ./internal/tensor
 //
@@ -78,7 +79,7 @@ func BenchmarkActivations(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamKernels times the three stream leaves under both bodies
+// BenchmarkStreamKernels times the three stream leaves under every body
 // at 64 Ki, 1 Mi and 3 Mi elements (in cache, one weight of the
 // benchmark's wide model, all of its parameters), on two goroutines at
 // once with operands of their own, the way two in-process ranks run them,
@@ -126,7 +127,7 @@ func BenchmarkStreamKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkHalfEncode times HalfEncode under both bodies at comm's
+// BenchmarkHalfEncode times HalfEncode under every body at comm's
 // BenchmarkCodecKernels size (131 072 elements of N(0, 10⁻²), all normal
 // halves, and of N(0, 10⁻⁴), straddling 2⁻¹⁴), building a frame with and
 // without a residual, and the deq-only round trip the two-rank
@@ -183,7 +184,7 @@ func TestMatMulAllocatesOnlyItsOutput(t *testing.T) {
 	}
 }
 
-// BenchmarkGelu times GELU forward and backward under both bodies on the
+// BenchmarkGelu times GELU forward and backward under every body on the
 // [16, 512] activation of the benchmark's BERT-shaped feed-forward block,
 // N(0, 1) inputs, and reports ns/element:
 //

@@ -95,8 +95,13 @@ func TestHalfDecodeExhaustive(t *testing.T) {
 			bodies[body] = append(bodies[body], sums)
 		}
 	})
-	for i, asm := range bodies["asm"] {
-		compare(fmt.Sprintf("asm against go, output %d", i), asm, func(h int) float32 { return bodies["go"][i][h] }, 0)
+	for body, outputs := range bodies {
+		if body == "go" {
+			continue
+		}
+		for i, got := range outputs {
+			compare(fmt.Sprintf("%s against go, output %d", body, i), got, func(h int) float32 { return bodies["go"][i][h] }, 0)
+		}
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 )
 
 // The differential test of matmul_amd64.s, stream_amd64.s and
-// tanh_amd64.s: each leaf runs once with the assembly switched off and
-// once with it on, over operands that differ only in which body wrote
-// them, and every bit must agree — inside the slices (any NaN standing
-// for any NaN, as in requireBitwise) and in the canaries on both sides of
-// them, which neither body may touch.
+// tanh_amd64.s: each leaf runs once under every body the machine has (the
+// assembly switched off, AVX2, AVX-512), over operands that differ only in
+// which body wrote them, and every bit must agree with the Go body's —
+// inside the slices (any NaN standing for any NaN, as in requireBitwise)
+// and in the canaries on both sides of them, which no body may touch.
 
 const (
 	canaryFloats = 8          // on each side of an operand
@@ -70,14 +70,15 @@ func fillKernelValues(rng *rand.Rand, s []float32) {
 	}
 }
 
-// runBothBodies takes the operands of one leaf call (the first is the
+// runEveryBody takes the operands of one leaf call (the first is the
 // output), runs the call under each body on its own copy, and compares
-// every region, canaries included: the canary is no NaN, so
-// requireBitwise holds it to its exact bits.
-func runBothBodies(t *testing.T, what string, off int, operands []operand, call func(s [][]float32)) {
+// every region, canaries included, with the Go body's: the canary is no
+// NaN, so requireBitwise holds it to its exact bits.
+func runEveryBody(t *testing.T, what string, off int, operands []operand, call func(s [][]float32)) {
 	t.Helper()
+	var bodies []string
 	var results [][]operand
-	kernelBodies(func(string) {
+	kernelBodies(func(body string) {
 		mine := make([]operand, len(operands))
 		slices := make([][]float32, len(operands))
 		for i, o := range operands {
@@ -85,15 +86,18 @@ func runBothBodies(t *testing.T, what string, off int, operands []operand, call 
 			slices[i] = mine[i].s
 		}
 		call(slices)
+		bodies = append(bodies, body)
 		results = append(results, mine)
 	})
 	if len(results) < 2 {
 		t.Skip("no AVX2 on this machine: the Go bodies are the only bodies")
 	}
-	for i := range operands {
-		got, want := results[1][i].region, results[0][i].region
-		requireBitwise(t, fmt.Sprintf("%s operand %d (%d canaries, the slice, %d canaries)", what, i, canaryFloats, canaryFloats),
-			FromSlice(got, len(got)), FromSlice(want, len(want)))
+	for b := 1; b < len(results); b++ {
+		for i := range operands {
+			got, want := results[b][i].region, results[0][i].region
+			requireBitwise(t, fmt.Sprintf("%s/%s operand %d (%d canaries, the slice, %d canaries)", bodies[b], what, i, canaryFloats, canaryFloats),
+				FromSlice(got, len(got)), FromSlice(want, len(want)))
+		}
 	}
 }
 
@@ -107,7 +111,7 @@ func TestAssemblyBodiesMatchGoBodies(t *testing.T) {
 			fillKernelValues(rng, b.s)
 			fillKernelValues(rng, c.s)
 			row := [4]int{rng.Intn(6), rng.Intn(6), rng.Intn(6), rng.Intn(6)}
-			runBothBodies(t, fmt.Sprintf("mulAdd4 n=%d off=%d", n, off), off, []operand{o, b, c}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("mulAdd4 n=%d off=%d", n, off), off, []operand{o, b, c}, func(s [][]float32) {
 				mulAdd4(s[0], (*[4]float32)(s[2]), s[1], &row)
 			})
 
@@ -115,9 +119,35 @@ func TestAssemblyBodiesMatchGoBodies(t *testing.T) {
 			b = newOperand(n+off, 0)
 			fillKernelValues(rng, b.s)
 			coeff := c.s[0]
-			runBothBodies(t, fmt.Sprintf("mulAdd1 n=%d off=%d", n, off), off, []operand{o, b}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("mulAdd1 n=%d off=%d", n, off), off, []operand{o, b}, func(s [][]float32) {
 				mulAdd1(s[0], coeff, s[1])
 			})
+
+			// mulAddTile onto four rows that already hold special values,
+			// its coefficients laid out as MatMul's (rows k apart) and as
+			// MatMulTransA's (rows one apart, p six apart), half of them ±0.
+			k := 1 + (n+off)%19
+			first := off % 3
+			o, a, b := newOperand(4*n, 0), newOperand(6*k+3, 0), newOperand(k*n, 0)
+			fillKernelValues(rng, o.s)
+			fillKernelValues(rng, b.s)
+			fillCoefficients(rng, a.s)
+			for _, st := range [][2]int{{k, 1}, {1, 6}} {
+				runEveryBody(t, fmt.Sprintf("mulAddTile n=%d k=%d off=%d strides=%v", n, k, off, st), off, []operand{o, a, b}, func(s [][]float32) {
+					mulAddTile(s[0], s[1], first, st[0], st[1], k, s[2])
+				})
+			}
+		}
+	}
+}
+
+// fillCoefficients fills s as fillKernelValues does and then sets half of
+// it to +0 or −0, as a ReLU output's rows are.
+func fillCoefficients(rng *rand.Rand, s []float32) {
+	fillKernelValues(rng, s)
+	for i := range s {
+		if rng.Intn(2) == 0 {
+			s[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
 		}
 	}
 }
@@ -133,7 +163,7 @@ func TestAssemblyDotMatchesGoDot(t *testing.T) {
 			fillKernelValues(rng, o.s) // dotRows overwrites it
 			fillKernelValues(rng, a.s)
 			fillKernelValues(rng, b.s)
-			runBothBodies(t, fmt.Sprintf("dotRows m=%d n=%d k=%d off=%d", m, n, k, off), off, []operand{o, a, b}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("dotRows m=%d n=%d k=%d off=%d", m, n, k, off), off, []operand{o, a, b}, func(s [][]float32) {
 				dotRows(s[0], s[1], s[2], m, k, n)
 			})
 		}
@@ -154,13 +184,13 @@ func TestAssemblyStreamsMatchGoStreams(t *testing.T) {
 			}
 			lr, momentum := c.s[0], c.s[1]
 			// src longer than dst, as a caller may pass it.
-			runBothBodies(t, fmt.Sprintf("AddFloats n=%d off=%d", n, off), off, []operand{p, g}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("AddFloats n=%d off=%d", n, off), off, []operand{p, g}, func(s [][]float32) {
 				AddFloats(s[0], s[1])
 			})
-			runBothBodies(t, fmt.Sprintf("ScaleFloats n=%d off=%d s=%v", n, off, lr), off, []operand{p}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("ScaleFloats n=%d off=%d s=%v", n, off, lr), off, []operand{p}, func(s [][]float32) {
 				ScaleFloats(s[0], lr)
 			})
-			runBothBodies(t, fmt.Sprintf("MomentumStep n=%d off=%d lr=%v momentum=%v", n, off, lr, momentum), off, []operand{p, g, v}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("MomentumStep n=%d off=%d lr=%v momentum=%v", n, off, lr, momentum), off, []operand{p, g, v}, func(s [][]float32) {
 				MomentumStep(s[0], s[1], s[2], lr, momentum)
 			})
 		}
@@ -168,7 +198,7 @@ func TestAssemblyStreamsMatchGoStreams(t *testing.T) {
 }
 
 // TestAssemblyTanhLeavesMatchGoLoops runs tanh, GELU and GELU's gradient
-// under both bodies for every length 0–40 and 4099 (blocks of 64, then a
+// under every body for every length 0–40 and 4099 (blocks of 64, then a
 // tail of three) and every start offset 0–7 of every operand, on the
 // special values and on inputs of three scales — around the branch
 // points, and out to where tanh saturates.
@@ -189,13 +219,13 @@ func TestAssemblyTanhLeavesMatchGoLoops(t *testing.T) {
 					x.s[i] = kernelValues[rng.Intn(len(kernelValues))]
 				}
 			}
-			runBothBodies(t, fmt.Sprintf("Tanh n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("Tanh n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
 				tanhFloats(s[0], s[1])
 			})
-			runBothBodies(t, fmt.Sprintf("Gelu n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("Gelu n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
 				geluFloats(s[0], s[1])
 			})
-			runBothBodies(t, fmt.Sprintf("GeluGrad n=%d off=%d", n, off), off, []operand{dst, x, g}, func(s [][]float32) {
+			runEveryBody(t, fmt.Sprintf("GeluGrad n=%d off=%d", n, off), off, []operand{dst, x, g}, func(s [][]float32) {
 				geluGradFloats(s[0], s[1], s[2])
 			})
 		}
@@ -298,16 +328,18 @@ func TestAssemblyHalfEncodeMatchesGoLoop(t *testing.T) {
 				if len(results) < 2 {
 					t.Skip("no AVX2 on this machine: the Go loop is the only body")
 				}
-				got, want := results[1], results[0]
-				if got.dropped != want.dropped {
-					t.Fatalf("%s: dropped %d, Go loop %d", what, got.dropped, want.dropped)
-				}
-				if !bytes.Equal(got.frame, want.frame) {
-					t.Fatalf("%s: frame (with canaries)\n got %x\nwant %x", what, got.frame, want.frame)
-				}
-				for _, o := range [][2]operand{{got.data, want.data}, {got.residual, want.residual}, {got.dq, want.dq}} {
-					g, w := o[0].region, o[1].region
-					requireBitwise(t, what, FromSlice(g, len(g)), FromSlice(w, len(w)))
+				want := results[0]
+				for _, got := range results[1:] {
+					if got.dropped != want.dropped {
+						t.Fatalf("%s: dropped %d, Go loop %d", what, got.dropped, want.dropped)
+					}
+					if !bytes.Equal(got.frame, want.frame) {
+						t.Fatalf("%s: frame (with canaries)\n got %x\nwant %x", what, got.frame, want.frame)
+					}
+					for _, o := range [][2]operand{{got.data, want.data}, {got.residual, want.residual}, {got.dq, want.dq}} {
+						g, w := o[0].region, o[1].region
+						requireBitwise(t, what, FromSlice(g, len(g)), FromSlice(w, len(w)))
+					}
 				}
 			}
 		}
@@ -315,7 +347,7 @@ func TestAssemblyHalfEncodeMatchesGoLoop(t *testing.T) {
 }
 
 // TestAssemblyHalfDecodeMatchesGoLoop: HalfDecode, HalfDecodeAdd and
-// HalfLand write the same bits under both bodies — NaN payloads too,
+// HalfLand write the same bits under every body — NaN payloads too,
 // which requireBitwise would let differ — and count the same drops, for
 // every length 0–40 and 4099, every start offset 0–7 of frame and
 // accumulator, frames of arbitrary bytes (every half, infinities and
@@ -366,16 +398,18 @@ func TestAssemblyHalfDecodeMatchesGoLoop(t *testing.T) {
 					if len(results) < 2 {
 						t.Skip("no AVX2 on this machine: the Go loop is the only body")
 					}
-					got, want := results[1], results[0]
-					if got.dropped != want.dropped {
-						t.Fatalf("%s: dropped %d, Go loop %d", what, got.dropped, want.dropped)
-					}
-					if !bytes.Equal(got.frame, want.frame) {
-						t.Fatalf("%s: frame (with canaries) changed\n got %x\nwant %x", what, got.frame, want.frame)
-					}
-					for i, w := range want.acc.region {
-						if g := got.acc.region[i]; math.Float32bits(g) != math.Float32bits(w) {
-							t.Fatalf("%s: element %d of canaries+acc+canaries = %#08x, Go loop %#08x", what, i, math.Float32bits(g), math.Float32bits(w))
+					want := results[0]
+					for _, got := range results[1:] {
+						if got.dropped != want.dropped {
+							t.Fatalf("%s: dropped %d, Go loop %d", what, got.dropped, want.dropped)
+						}
+						if !bytes.Equal(got.frame, want.frame) {
+							t.Fatalf("%s: frame (with canaries) changed\n got %x\nwant %x", what, got.frame, want.frame)
+						}
+						for i, w := range want.acc.region {
+							if g := got.acc.region[i]; math.Float32bits(g) != math.Float32bits(w) {
+								t.Fatalf("%s: element %d of canaries+acc+canaries = %#08x, Go loop %#08x", what, i, math.Float32bits(g), math.Float32bits(w))
+							}
 						}
 					}
 				}

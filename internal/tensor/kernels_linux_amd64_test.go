@@ -3,10 +3,41 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"unsafe"
 )
+
+// TestProbesMatchCPUInfo holds the two CPUID probes to what the kernel
+// reports in /proc/cpuinfo, which lists a feature only where the
+// operating system also saves its registers: hasAVX2 to avx, avx2 and
+// f16c, hasAVX512 to avx512f.
+func TestProbesMatchCPUInfo(t *testing.T) {
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo: %v", err)
+	}
+	var flags []string
+	for line := range strings.Lines(string(info)) {
+		if name, value, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(value)
+			break
+		}
+	}
+	if flags == nil {
+		t.Skip("/proc/cpuinfo lists no flags")
+	}
+	has := func(f string) bool { return slices.Contains(flags, f) }
+	if got, want := hasAVX2(), has("avx") && has("avx2") && has("f16c"); got != want {
+		t.Errorf("hasAVX2() = %v, /proc/cpuinfo says %v", got, want)
+	}
+	if got, want := hasAVX512(), has("avx512f"); got != want {
+		t.Errorf("hasAVX512() = %v, /proc/cpuinfo says %v", got, want)
+	}
+}
 
 // Canaries catch a stray store; a stray load only shows when the memory
 // next to a slice is not there. guardedArea is a run of pages with an
@@ -44,31 +75,38 @@ func (g guardedArea) floats(n int, atEnd bool) []float32 {
 }
 
 func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
-	if !useAVX {
+	if !useAVX && !useAVX512 {
 		t.Skip("no AVX2 on this machine: the Go bodies are the only bodies")
 	}
 	const maxN = 70
-	const maxM = 5 // the four-row dot kernel, and one row after it
+	const maxM = 9 // two four-row tiles, and one row after them
 	areas := [3]guardedArea{newGuardedArea(t, 4*maxM*maxN), newGuardedArea(t, 4*maxM*maxN), newGuardedArea(t, 4*maxN*maxN)}
 	rng := rand.New(rand.NewSource(31))
-	// run calls leaf on operands of the given lengths, flush against the
-	// guard pages, and holds the first (the output) to the Go body's.
+	// run calls leaf on operands of the given lengths under the Go body,
+	// then under each assembly body on the same values flush against the
+	// guard pages, and holds the first operand (the output) to the Go
+	// body's.
 	run := func(what string, lens [3]int, atEnd bool, leaf func(s [3][]float32)) {
-		var guarded, heap [3][]float32
+		var orig, heap [3][]float32
 		for i, n := range lens {
-			guarded[i] = areas[i].floats(n, atEnd)
-			fillKernelValues(rng, guarded[i])
-			heap[i] = append([]float32(nil), guarded[i]...)
+			orig[i] = make([]float32, n)
+			fillKernelValues(rng, orig[i])
+			heap[i] = slices.Clone(orig[i])
 		}
 		kernelBodies(func(body string) {
-			if body == "asm" {
-				leaf(guarded)
-			} else {
+			if body == "go" {
 				leaf(heap)
+				return
 			}
+			var guarded [3][]float32
+			for i, n := range lens {
+				guarded[i] = areas[i].floats(n, atEnd)
+				copy(guarded[i], orig[i])
+			}
+			leaf(guarded)
+			requireBitwise(t, fmt.Sprintf("%s/%s lens=%v atEnd=%v", body, what, lens, atEnd),
+				FromSlice(guarded[0], lens[0]), FromSlice(heap[0], lens[0]))
 		})
-		got, want := FromSlice(guarded[0], lens[0]), FromSlice(heap[0], lens[0])
-		requireBitwise(t, fmt.Sprintf("%s lens=%v atEnd=%v", what, lens, atEnd), got, want)
 	}
 	for _, atEnd := range []bool{false, true} {
 		for n := 1; n <= maxN; n++ {
@@ -126,9 +164,21 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 				geluGradFloats(s[0], s[1], s[2])
 			})
 			for k := 1; k <= maxN; k++ {
-				m := 1 + (n+k)%maxM
+				m := 1 + (n+k)%5 // the four-row dot kernel, and one row after it
 				run("dotRows", [3]int{m * n, m * k, n * k}, atEnd, func(s [3][]float32) {
 					dotRows(s[0], s[1], s[2], m, k, n)
+				})
+			}
+			// The four-row tile and the rows after it, from both kernels
+			// that use it: every column count meets the 64-wide blocks and
+			// the masked 16-wide tail.
+			for m := 1; m <= maxM; m++ {
+				k := 1 + (n+m)%7
+				run("MatMul", [3]int{m * n, m * k, k * n}, atEnd, func(s [3][]float32) {
+					copy(s[0], MatMul(FromSlice(s[1], m, k), FromSlice(s[2], k, n)).data)
+				})
+				run("MatMulTransAInto", [3]int{m * n, k * m, k * n}, atEnd, func(s [3][]float32) {
+					MatMulTransAInto(FromSlice(s[0], m, n), FromSlice(s[1], k, m), FromSlice(s[2], k, n))
 				})
 			}
 		}

@@ -18,12 +18,20 @@ import "fmt"
 // and dotRows) first hand the part of their work that fills whole
 // eight-float vectors to matmul_amd64.s, where a lane is one output
 // element and receives the same rounded products in the same order; what
-// is left over, and everything on any other machine, runs here.
+// is left over, and everything on any other machine, runs here. MatMul
+// and MatMulTransA hand each block of four output rows to mulAddTile,
+// whose Go body is mulAddRows on each row; with AVX-512 it is one
+// assembly tile that keeps the four rows' sums in registers over the
+// whole k loop, so a row of b is loaded once for four rows of the output.
 
-// useAVX says whether the leaves call their assembly bodies. It is read
-// once from the processor and never set again outside this package's
-// tests, which run every kernel suite under both bodies.
-var useAVX = hasAVX2()
+// useAVX says whether the leaves call their AVX2 bodies, and useAVX512
+// whether mulAddTile calls its AVX-512 body. Both are read once from the
+// processor and never set again outside this package's tests, which run
+// every kernel suite under every body the machine has.
+var (
+	useAVX    = hasAVX2()
+	useAVX512 = hasAVX512()
+)
 
 // MatMul returns the matrix product of a [m,k] and b [k,n] as [m,n].
 // A term whose a factor is ±0 is skipped (a ReLU output row is half
@@ -34,7 +42,11 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := a.New(m, n)
-	for i := 0; i < m; i++ {
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		mulAddTile(out.data[i*n:(i+4)*n], a.data, i*k, k, 1, k, b.data)
+	}
+	for ; i < m; i++ {
 		mulAddRows(out.data[i*n:(i+1)*n], a.data, i*k, 1, k, b.data)
 	}
 	return out
@@ -50,23 +62,53 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransAInto computes aᵀ·b into dst, which must be [m,n] for a
-// [k,m] and b [k,n] and share storage with neither, and returns dst.
-// What dst held is never read: each output row is cleared, then
-// finished before row i+1 is touched, reading column i of a. Like
-// MatMul it skips a term whose a factor is ±0. This is how a weight
+// [k,m] and b [k,n] and share storage with neither, and returns dst; an
+// aliased dst panics, naming the operand. What dst held is never read:
+// each block of four output rows (then each row left over) is cleared,
+// then finished before the next is touched, reading those columns of a.
+// Like MatMul it skips a term whose a factor is ±0. This is how a weight
 // gradient is written straight into its bucket slot.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	if a.Dim() != 2 || b.Dim() != 2 || a.shape[0] != b.shape[0] ||
 		dst.Dim() != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes %v x %v into %v invalid", a.shape, b.shape, dst.shape))
 	}
+	if dst.SharesStorage(a) {
+		panic(fmt.Sprintf("tensor: MatMulTransAInto destination %v shares storage with a %v", dst.shape, a.shape))
+	}
+	if dst.SharesStorage(b) {
+		panic(fmt.Sprintf("tensor: MatMulTransAInto destination %v shares storage with b %v", dst.shape, b.shape))
+	}
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	for i := 0; i < m; i++ {
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		rows := dst.data[i*n : (i+4)*n]
+		clear(rows)
+		mulAddTile(rows, a.data, i, 1, m, k, b.data)
+	}
+	for ; i < m; i++ {
 		row := dst.data[i*n : (i+1)*n]
 		clear(row)
 		mulAddRows(row, a.data, i, m, k, b.data)
 	}
 	return dst
+}
+
+// mulAddTile is mulAddRows for four output rows: o holds them, each
+// len(o)/4 long, and row r adds a[first+r*rowStride+p*stride]·(row p of
+// b) for p = 0, 1, …, k-1, skipping every ±0 coefficient. Its Go body
+// (and the AVX2 one) runs mulAddRows on each row in turn; the AVX-512
+// body (matmul_amd64.s) applies each p to all four rows before the next,
+// which, each row being its own sums, is the same additions in the same
+// order.
+func mulAddTile(o, a []float32, first, rowStride, stride, k int, b []float32) {
+	if mulAddTileVec(o, a, first, rowStride, stride, k, b) {
+		return
+	}
+	n := len(o) / 4
+	for r := range 4 {
+		mulAddRows(o[r*n:(r+1)*n], a, first+r*rowStride, stride, k, b)
+	}
 }
 
 // scanBlock is how many coefficients mulAddRows reads between two

@@ -298,3 +298,202 @@ done:
 	VMOVUPS Y0, (DI)
 	VZEROUPPER
 	RET
+
+// func hasAVX512() bool
+//
+// CPUID leaf 7 EBX bit 16 (AVX-512F), and XCR0 bits 1, 2, 5, 6 and 7: the
+// operating system saves the XMM and YMM state, the opmask registers, the
+// upper halves of Z0–Z15 and all of Z16–Z31.
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID                // EAX: the highest standard leaf
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x08000000, CX // OSXSAVE: XGETBV may be executed
+	JEQ  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x10000, BX    // leaf 7, EBX bit 16: AVX-512F
+	JEQ  no
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// The AVX-512 tile of mulAddTile: four output rows, a 16-float vector per
+// lane group, the same lane rule as above. For each p the four
+// coefficients are broadcast and each is multiplied by the row p of b
+// that the tile's columns cover (VMULPS rounds the product); the add into
+// a row's accumulators is merge-masked by coefficient != 0, compared
+// NEQ_UQ so that a NaN coefficient is applied and a ±0 one leaves the sum
+// exactly as it was, as if the term had been skipped. The accumulators
+// start from o and stay in registers for the whole k loop, so every
+// element receives its products one p at a time, ascending.
+//
+// Registers: DI = &o[0][j], DX = bytes per row of o and of b, R12 = 3·DX,
+// SI = &a[0][0] (the first coefficient of row 0), R10 = bytes between two
+// rows' coefficients, R11 = 3·R10, R13 = bytes between two p of one row,
+// R9 = &b[0][j]; in the k loop AX = the coefficients of p, R8 = &b[p][j],
+// CX = p still to do. Z0–Z3 hold b, Z4–Z7 the broadcast coefficients of
+// rows 0–3, Z8–Z11 products, Z12 zero, Z16–Z31 the sums (four vectors a
+// row); K1 is the row's mask, K2 the columns of a narrow chunk.
+
+// ROW4 adds the products of one coefficient with Z0–Z3 into the four
+// sums of one row, where the coefficient is not ±0.
+#define ROW4(COEF, C, S0, S1, S2, S3) \
+	VBROADCASTSS COEF, C \
+	VCMPPS       $4, Z12, C, K1 \
+	VMULPS       Z0, C, Z8 \
+	VMULPS       Z1, C, Z9 \
+	VMULPS       Z2, C, Z10 \
+	VMULPS       Z3, C, Z11 \
+	VADDPS       Z8, S0, K1, S0 \
+	VADDPS       Z9, S1, K1, S1 \
+	VADDPS       Z10, S2, K1, S2 \
+	VADDPS       Z11, S3, K1, S3
+
+// ROW1 is ROW4 for a narrow chunk: one vector of b in Z0, one sum.
+#define ROW1(COEF, C, S) \
+	VBROADCASTSS COEF, C \
+	VCMPPS       $4, Z12, C, K1 \
+	VMULPS       Z0, C, Z8 \
+	VADDPS       Z8, S, K1, S
+
+// func mulAddTileAVX512(o *float32, n int, a *float32, rs, ps, k int, b *float32)
+//
+// Row r of o (n floats, rows n apart) adds a[r·rs + p·ps]·b[p·n + j] for
+// p = 0 … k-1 to each o[r·n + j], skipping every p whose coefficient is
+// ±0; n and k are positive. Columns go 64 at a time, then the rest 16 at
+// a time, the last chunk under a mask: no load or store leaves [0, n).
+TEXT ·mulAddTileAVX512(SB), NOSPLIT, $0-56
+	MOVQ    o+0(FP), DI
+	MOVQ    n+8(FP), DX
+	MOVQ    a+16(FP), SI
+	MOVQ    rs+24(FP), R10
+	MOVQ    ps+32(FP), R13
+	MOVQ    b+48(FP), R9
+	MOVQ    DX, BX
+	SHRQ    $6, BX           // whole blocks of 64 columns
+	SHLQ    $2, DX
+	LEAQ    (DX)(DX*2), R12
+	SHLQ    $2, R10
+	LEAQ    (R10)(R10*2), R11
+	SHLQ    $2, R13
+	VPXORD  Z12, Z12, Z12
+	TESTQ   BX, BX
+	JEQ     narrow
+
+wide:
+	VMOVUPS (DI), Z16
+	VMOVUPS 64(DI), Z17
+	VMOVUPS 128(DI), Z18
+	VMOVUPS 192(DI), Z19
+	VMOVUPS (DI)(DX*1), Z20
+	VMOVUPS 64(DI)(DX*1), Z21
+	VMOVUPS 128(DI)(DX*1), Z22
+	VMOVUPS 192(DI)(DX*1), Z23
+	VMOVUPS (DI)(DX*2), Z24
+	VMOVUPS 64(DI)(DX*2), Z25
+	VMOVUPS 128(DI)(DX*2), Z26
+	VMOVUPS 192(DI)(DX*2), Z27
+	VMOVUPS (DI)(R12*1), Z28
+	VMOVUPS 64(DI)(R12*1), Z29
+	VMOVUPS 128(DI)(R12*1), Z30
+	VMOVUPS 192(DI)(R12*1), Z31
+	MOVQ    SI, AX
+	MOVQ    R9, R8
+	MOVQ    k+40(FP), CX
+	PCALIGN $32
+
+wideK:
+	VMOVUPS (R8), Z0
+	VMOVUPS 64(R8), Z1
+	VMOVUPS 128(R8), Z2
+	VMOVUPS 192(R8), Z3
+	ROW4((AX), Z4, Z16, Z17, Z18, Z19)
+	ROW4((AX)(R10*1), Z5, Z20, Z21, Z22, Z23)
+	ROW4((AX)(R10*2), Z6, Z24, Z25, Z26, Z27)
+	ROW4((AX)(R11*1), Z7, Z28, Z29, Z30, Z31)
+	ADDQ    R13, AX
+	ADDQ    DX, R8
+	DECQ    CX
+	JNE     wideK
+	VMOVUPS Z16, (DI)
+	VMOVUPS Z17, 64(DI)
+	VMOVUPS Z18, 128(DI)
+	VMOVUPS Z19, 192(DI)
+	VMOVUPS Z20, (DI)(DX*1)
+	VMOVUPS Z21, 64(DI)(DX*1)
+	VMOVUPS Z22, 128(DI)(DX*1)
+	VMOVUPS Z23, 192(DI)(DX*1)
+	VMOVUPS Z24, (DI)(DX*2)
+	VMOVUPS Z25, 64(DI)(DX*2)
+	VMOVUPS Z26, 128(DI)(DX*2)
+	VMOVUPS Z27, 192(DI)(DX*2)
+	VMOVUPS Z28, (DI)(R12*1)
+	VMOVUPS Z29, 64(DI)(R12*1)
+	VMOVUPS Z30, 128(DI)(R12*1)
+	VMOVUPS Z31, 192(DI)(R12*1)
+	ADDQ    $256, DI
+	ADDQ    $256, R9
+	DECQ    BX
+	JNE     wide
+
+narrow:
+	MOVQ n+8(FP), BX
+	ANDQ $63, BX             // columns left, fewer than 64
+	JEQ  done
+
+chunk:
+	MOVL      $0xFFFF, AX
+	CMPQ      BX, $16
+	JAE       whole
+	MOVQ      BX, CX
+	MOVL      $1, AX
+	SHLL      CX, AX
+	DECL      AX             // the low BX bits
+
+whole:
+	KMOVW     AX, K2
+	VMOVUPS.Z (DI), K2, Z16
+	VMOVUPS.Z (DI)(DX*1), K2, Z20
+	VMOVUPS.Z (DI)(DX*2), K2, Z24
+	VMOVUPS.Z (DI)(R12*1), K2, Z28
+	MOVQ      SI, AX
+	MOVQ      R9, R8
+	MOVQ      k+40(FP), CX
+	PCALIGN   $32
+
+narrowK:
+	VMOVUPS.Z (R8), K2, Z0
+	ROW1((AX), Z4, Z16)
+	ROW1((AX)(R10*1), Z5, Z20)
+	ROW1((AX)(R10*2), Z6, Z24)
+	ROW1((AX)(R11*1), Z7, Z28)
+	ADDQ      R13, AX
+	ADDQ      DX, R8
+	DECQ      CX
+	JNE       narrowK
+	VMOVUPS   Z16, K2, (DI)
+	VMOVUPS   Z20, K2, (DI)(DX*1)
+	VMOVUPS   Z24, K2, (DI)(DX*2)
+	VMOVUPS   Z28, K2, (DI)(R12*1)
+	ADDQ      $64, DI
+	ADDQ      $64, R9
+	SUBQ      $16, BX
+	JGT       chunk
+
+done:
+	VZEROUPPER
+	RET

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -194,15 +195,18 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, m, k, n, fill int) {
 }
 
 // TestMatMulMatchesReference sweeps every combination of tile tails
-// (sizes around the 4-wide tiles, empty dimensions included), of k
-// around the zero-skip scan's block (scanBlock − 1, scanBlock,
-// scanBlock + 1, 2·scanBlock + 3), and every left-operand fill.
+// (sizes around the 4-wide tiles and the four-row tile, empty dimensions
+// included), of k around the zero-skip scan's block (scanBlock − 1,
+// scanBlock, scanBlock + 1, 2·scanBlock + 3), of columns around the
+// AVX-512 tile's 16-wide chunks and 64-wide blocks (15, 16, 17, 63, 64,
+// 65), and every left-operand fill.
 func TestMatMulMatchesReference(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock + 3, 64}
+	columns := append(sizes, 63, 65)
 	rng := rand.New(rand.NewSource(15))
 	for _, m := range sizes {
 		for _, k := range sizes {
-			for _, n := range sizes {
+			for _, n := range columns {
 				for fill := 0; fill < numFills; fill++ {
 					checkAgainstReference(t, rng, m, k, n, fill)
 				}
@@ -238,6 +242,70 @@ func TestMatMulZeroSkipIsObservable(t *testing.T) {
 	if got := MatMulTransB(left, right.Reshape(1, 5)).data[0]; !math.IsNaN(float64(got)) {
 		t.Fatalf("MatMulTransB dropped a 0·Inf term: got %v, want NaN", got)
 	}
+
+	// The same rule when four output rows are computed at once, 70
+	// columns wide (a 64-wide block and a masked tail): a row's ±0
+	// coefficients opposite Inf and NaN leave its sums finite, its
+	// neighbour's NaN coefficient is applied, and a row whose
+	// coefficients are all ±0 stays +0.
+	const k, n = 3, 70
+	nan := float32(math.NaN())
+	right = New(k, n)
+	for j := range n {
+		right.data[j] = inf   // p = 0
+		right.data[n+j] = nan // p = 1
+		right.data[2*n+j] = float32(j + 1)
+	}
+	left = FromSlice([]float32{
+		0, negZero, 2, // finite: 2·(j+1)
+		negZero, 0, nan, // NaN, from the NaN coefficient alone
+		negZero, 0, negZero, // nothing added: +0
+		negZero, 0, 3, // finite: 3·(j+1)
+	}, 4, k)
+	check := func(what string, out *Tensor) {
+		t.Helper()
+		for j := range n {
+			want := [4]float32{float32(2 * (j + 1)), nan, 0, float32(3 * (j + 1))}
+			for r, w := range want {
+				g := out.data[r*n+j]
+				if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+					t.Fatalf("%s: row %d column %d = %v (%#08x), want %v (%#08x)", what, r, j, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
+			}
+		}
+	}
+	kernelBodies(func(body string) {
+		check(body+"/MatMul", MatMul(left, right))
+		check(body+"/MatMulTransA", MatMulTransA(Transpose2D(left), right))
+		check(body+"/MatMulTransAInto", MatMulTransAInto(garbage(4, n), Transpose2D(left), right))
+	})
+}
+
+// TestMatMulTransAIntoRefusesAliasedDestination: a destination that
+// overlaps either operand would read what it has already written, so it
+// panics and names the operand.
+func TestMatMulTransAIntoRefusesAliasedDestination(t *testing.T) {
+	const k, m, n = 4, 4, 4
+	buf := make([]float32, k*m+k*n)
+	a, b := FromSlice(buf[:k*m], k, m), FromSlice(buf[k*m:], k, n)
+	for _, c := range []struct {
+		name, want string
+		dst        *Tensor
+	}{
+		{"dst is a", "with a [4 4]", FromSlice(buf[:m*n], m, n)},
+		{"dst is b", "with b [4 4]", FromSlice(buf[k*m:], m, n)},
+		{"dst overlaps the end of a", "with a [4 4]", FromSlice(buf[k*m-1:k*m-1+m*n], m, n)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "shares storage "+c.want) {
+					t.Fatalf("panic %q, want one naming the operand (%q)", msg, c.want)
+				}
+			}()
+			MatMulTransAInto(c.dst, a, b)
+		})
+	}
 }
 
 // FuzzMatMulMatchesReference lets the fuzzer pick the shape, the fill
@@ -250,6 +318,13 @@ func FuzzMatMulMatchesReference(f *testing.F) {
 		}
 	}
 	f.Add(uint8(5), uint8(9), uint8(17), uint8(fillSpecials), int64(1))
+	// The four-row tile: one and two tiles with and without rows after
+	// them, across its 16-wide chunks and 64-wide blocks.
+	for _, m := range []int{3, 4, 5, 8, 9} {
+		for _, n := range []int{15, 16, 17, 63, 64, 65} {
+			f.Add(uint8(m), uint8(m+n%7), uint8(n), uint8((m+n)%numFills), int64(m*n))
+		}
+	}
 	f.Fuzz(func(t *testing.T, m, k, n, fill uint8, seed int64) {
 		checkAgainstReference(t, rand.New(rand.NewSource(seed)), int(m%70), int(k%70), int(n%70), int(fill%numFills))
 	})
