@@ -105,6 +105,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -266,6 +267,14 @@ func (o *options) validate() error {
 			return fmt.Errorf("-%s is not read in %s mode", f.Name, m)
 		}
 	}
+	switch {
+	case o.bucketMB < 0 || o.bucketMB > math.MaxInt>>20:
+		return fmt.Errorf("-bucket-mb %d, want 0 (per-parameter buckets) to %d", o.bucketMB, math.MaxInt>>20)
+	case o.rr < 1:
+		return fmt.Errorf("-rr %d, want at least 1", o.rr)
+	case o.ckptEvery < 0:
+		return fmt.Errorf("-ckpt-every %d, want 0 (never) or more", o.ckptEvery)
+	}
 	if err := o.spec(false).Check(); err != nil {
 		return err
 	}
@@ -302,6 +311,9 @@ func (o *options) validate() error {
 		}
 		if o.killAll && o.ckptDir == "" {
 			return errors.New("-kill-all needs -ckpt-dir: with no checkpoint, killing every worker simply loses the run")
+		}
+		if o.killAll && o.ckptEvery == 0 {
+			return errors.New("-kill-all needs -ckpt-every of at least 1: -ckpt-every 0 saves no checkpoint, so killing every worker simply loses the run")
 		}
 		if o.killStep < 0 {
 			o.killStep = o.iters / 3

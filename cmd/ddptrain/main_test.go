@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -227,10 +229,17 @@ func TestRunRejectsWhatNoStrategyHonours(t *testing.T) {
 		{"-batch 0, want at least 1", func(o *options) { o.batch = 0 }},
 		{"-rank 2, -world 2: data: invalid rank 2 of world 2", func(o *options) { o.rank = 2 }},
 		{"-rank -1, -world 2: data: invalid rank -1 of world 2", func(o *options) { o.rank = -1 }},
+		{"-bucket-mb -1, want 0 (per-parameter buckets)", func(o *options) { o.bucketMB = -1 }},
+		{fmt.Sprintf("-bucket-mb %d, want", math.MaxInt>>20+1), func(o *options) { o.bucketMB = math.MaxInt>>20 + 1 }},
+		{"-rr 0, want at least 1", func(o *options) { o.rr = 0 }},
+		{"-ckpt-every -1, want 0 (never) or more", func(o *options) { elastic(o); o.ckptEvery = -1 }},
+		{"-kill-all needs -ckpt-every of at least 1", func(o *options) { elastic(o); o.killAll, o.ckptDir, o.ckptEvery = true, "ckpt", 0 }},
 	} {
+		// Through validate alone, so that a value it let through fails
+		// the row instead of starting a run.
 		o := testOptions(t, 2)
 		c.edit(&o)
-		if err := runMode(&o); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := o.validate(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("got %v, want it refused with %q", err, c.want)
 		}
 	}

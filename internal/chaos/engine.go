@@ -158,7 +158,8 @@ func RunWithOptions(s Schedule, opts Options) *Report {
 		// sealed pre-crash round, and any era-0 goroutine still parked
 		// in a generation watch gets woken to observe its kill.
 		if g, err := rdzv.CurrentGeneration(); err == nil {
-			//ddplint:ignore storeerr best-effort wakeup; a lost bump only delays the respawns one round timeout
+			// Best effort: a lost bump only delays the respawns one round
+			// timeout.
 			rdzv.ProposeGeneration(g)
 		}
 		for _, wp := range p.workers {

@@ -1,11 +1,11 @@
-// Package lint is the project's static-analysis gate: nine analyzers
+// Package lint is the project's static-analysis gate: five analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
-// collective/lock ordering, metric registration, 32-bit atomic
-// alignment, cost models that price the schedules the runtime runs,
-// comm's one transport call site, the one replica constructor, the one
-// file that broadcasts a module's tensors, and ddptrain's one spawn
-// site. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// collective/lock ordering, metric registration, cost models that price
+// the schedules the runtime runs, and a table of site rules: comm's one
+// transport call site, the one replica constructor, the one file that
+// broadcasts a module's tensors, ddptrain's one spawn site, and the ban
+// on the function-form 64-bit atomics. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -20,12 +20,13 @@
 //
 //	//ddplint:ignore <analyzer> <reason>
 //
-// The reason is mandatory — a pragma without one is itself reported —
-// and suppressed findings are counted in the driver's summary line, so
-// exceptions stay visible instead of silently accumulating. The
-// internal/lint tests additionally fail when the tree has zero
-// suppressed findings, which catches pragmas that outlive the code
-// they excused.
+// where <analyzer> is the name the finding carries: an analyzer's, or a
+// site rule's. The reason is mandatory, and suppressed findings are
+// counted in the driver's summary line, so exceptions stay visible
+// instead of silently accumulating. A pragma without a reason, one that
+// names no analyzer or rule (a typo), and one that suppresses nothing in
+// a run of its analyzer (it outlived the code it excused) are each
+// reported as a finding of the pseudo-analyzer "pragma".
 //
 // # The analyzers
 //
@@ -64,17 +65,6 @@
 // issued while any lock is held. The internal/comm package is exempt
 // (the implementation synchronizes its own internals).
 //
-// atomic64align — 64-bit atomics are the typed atomic.Int64 and
-// atomic.Uint64. On GOARCH=386 (and other 32-bit targets), sync/atomic's
-// 64-bit functions fault at runtime when their operand is not 8-byte
-// aligned, and a struct field after a 4-byte field is exactly where that
-// happens. The typed forms carry an alignment marker the compiler
-// honours on every GOARCH, so the analyzer bans the ten function forms
-// (Add, Load, Store, Swap and CompareAndSwap of Int64 and Uint64),
-// called or taken as values, and needs no layout arithmetic to give the
-// same guarantee. CI's GOARCH=386 build smoke keeps the tree compiling
-// for the targets where the ban matters.
-//
 // costtwins — the cost models price what the runtime describes, with
 // no closed form of their own. internal/hw prices comm's algorithms by
 // walking the step lists comm runs, so a method of an hw type named
@@ -88,45 +78,48 @@
 // is a per-strategy closed form. The analyzer keys on the package names
 // hw and simnet.
 //
-// transportcalls — package comm reaches the transport only from
-// schedule.go, where runSteps owns the frame-length check, the send
-// join and the frame hand-back. A Send, Recv, SendBytes or RecvBytes
-// method of a transport type, used in any other non-test file of comm —
-// called, or taken as a method value or expression — is reported; a
-// method of comm's own with one of those names is not. The analyzer
-// keys on the package name comm.
+// sites — the "written once" rules, one row of the table siteRules
+// each: within the row's scope (a package path suffix, or every
+// package), its symbols are named only at its allowed sites (a package
+// path suffix, or one file of a package), or, for a row marked once,
+// exactly once. A symbol counts wherever it is named — called, or taken
+// as a value or method value to call later, through any import name,
+// alias or dot import — and a function of another package, or a method
+// of another type, with the same name does not. A row may narrow its
+// uses to calls whose first argument a matcher describes. Each finding
+// carries its row's name, and each row's comment in sites.go gives the
+// row's reason. The rows:
 //
-// oneconstructor — strategy.Build is the only code that turns a
-// strategy name into a replica. ddp.NewReplica or fsdp.New named in any
-// other package — called, or taken as a value — is reported: a second
-// construction site is a second copy of the run's configuration. A
-// package whose path ends in internal/strategy or benchmark is exempt;
-// benchmark/ is frozen so its figures compare across commits, and it
-// builds through the constructors until it moves onto Build.
+//   - transportcalls: in internal/comm, the transport's Send, Recv,
+//     SendBytes and RecvBytes only in schedule.go, where runSteps owns
+//     the frame-length check, the send join and the frame hand-back.
+//   - oneconstructor: ddp.NewReplica and fsdp.New only in
+//     internal/strategy (Build) and the frozen benchmark/.
+//   - onealign: comm's Broadcast of an nn.Parameter's Value.Data() or
+//     an nn.Buffer's Data.Data() only in internal/replica/core.go.
+//   - onespawn: os/exec's Command or CommandContext exactly once in
+//     cmd/ddptrain, at the spawn site fleet.spawn runs.
+//   - atomic64align: sync/atomic's ten 64-bit function forms nowhere;
+//     on GOARCH=386 they fault on an operand that is not 8-aligned, and
+//     the typed atomic.Int64 and atomic.Uint64 align themselves. CI's
+//     GOARCH=386 build smoke keeps the tree compiling for those targets.
 //
-// onealign — only internal/replica's core.go broadcasts a module's
-// tensors (replica.Align, replica.Core's buffer re-sync): a comm
-// Broadcast of an nn.Parameter's Value.Data() or an nn.Buffer's
-// Data.Data() in any other file, in any package, is reported.
-//
-// onespawn — cmd/ddptrain starts every child process through
-// fleet.spawn: the command line comes from the flag binding, and the
-// kill-and-reap covers an early return. os/exec's
-// Command or CommandContext named in its non-test code — called, or
-// taken as a value, through any import name, a dot import included — is
-// reported wherever it is named more than once, and the package is
-// reported when it is named nowhere. The analyzer keys on a package
-// path ending in cmd/ddptrain, so its fixtures sit in such directories.
+// The scope of a row is a package path suffix, so the fixtures of a
+// scoped row sit in directories that end in it
+// (testdata/transportcalls_bad/internal/comm, onespawn_ok/cmd/ddptrain).
 //
 // # Testing convention
 //
-// Each analyzer has a seeded-violation fixture package and a clean
-// fixture package under testdata/; seeded lines carry a trailing
-// `//lint:want <analyzer>` marker. The tests assert an exact
-// line-level match in both directions (every marker found, nothing
-// unmarked flagged) and that clean fixtures stay silent under the full
-// suite, so analyzer false positives and false negatives both fail the
-// build. Fixture packages import the real repro packages they lint
+// Each analyzer, and each site rule, has a seeded-violation fixture
+// package and a clean fixture package under testdata/; seeded lines
+// carry a trailing `//lint:want <analyzer>` marker, naming the rule for
+// a site rule. The tests assert an exact line-level match in both
+// directions (every marker found, nothing unmarked flagged) and that
+// clean fixtures stay silent under the full suite, so analyzer false
+// positives and false negatives both fail the build. Every allowed site
+// of a site rule must name the row's symbols in the tree
+// (TestSiteRulesHaveNoIdleSite), so no exemption outlives the code it
+// allowed. Fixture packages import the real repro packages they lint
 // against — they type-check against the actual Store, Group and
 // metrics APIs, not stand-ins.
 package lint

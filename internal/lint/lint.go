@@ -32,23 +32,34 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description of the invariant it enforces.
 	Doc string
+	// Rules are the names its findings carry when they are not Name:
+	// each row of a table the analyzer checks keeps its own name.
+	Rules []string
 	// Run reports every violation in pkg. Findings are returned raw;
 	// the driver applies ignore pragmas.
 	Run func(pkg *Package) []Finding
 }
 
+// findingNames returns the analyzers' names and the names their findings
+// carry.
+func findingNames(analyzers []*Analyzer) map[string]bool {
+	names := map[string]bool{}
+	for _, a := range analyzers {
+		for _, name := range append([]string{a.Name}, a.Rules...) {
+			names[name] = true
+		}
+	}
+	return names
+}
+
 // All returns the full analyzer suite in deterministic order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Atomic64Align,
 		CostTwins,
 		LockedCollective,
 		MetricStatic,
-		OneAlign,
-		OneConstructor,
-		OneSpawn,
+		Sites,
 		StoreErr,
-		TransportCalls,
 	}
 }
 
@@ -56,9 +67,11 @@ func All() []*Analyzer {
 //
 //	//ddplint:ignore <analyzer> <reason>
 //
-// placed on the offending line or the line immediately above it. The
-// reason is mandatory — an ignore without a stated reason is itself
-// reported.
+// placed on the offending line or the line immediately above it, where
+// <analyzer> is the name the finding carries (an analyzer's, or a row's
+// of the site table). The reason is mandatory. A pragma without one, one
+// that names no analyzer or rule, and one that suppresses nothing in a
+// run of its analyzer are each reported.
 const IgnorePragma = "//ddplint:ignore"
 
 // Result is the outcome of a driver run.
@@ -73,15 +86,16 @@ type Result struct {
 
 // Run executes every analyzer over every package, filters findings
 // through //ddplint:ignore pragmas, and returns the kept findings
-// sorted by position plus the suppressed count. Malformed pragmas
-// (missing analyzer name or reason) are reported as findings from the
-// pseudo-analyzer "pragma".
+// sorted by position plus the suppressed count. A malformed pragma
+// (missing analyzer name or reason), one naming no analyzer or rule, and
+// one for a rule this run checks that suppresses nothing are reported as
+// findings from the pseudo-analyzer "pragma".
 func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 	var all []Finding
 	ignored := 0
+	known, ran := findingNames(append(All(), analyzers...)), findingNames(analyzers)
 	for _, pkg := range pkgs {
-		pragmas, bad := collectPragmas(pkg)
-		all = append(all, bad...)
+		pragmas := collectPragmas(pkg)
 		for _, a := range analyzers {
 			for _, f := range a.Run(pkg) {
 				if pragmas.suppresses(f) {
@@ -90,6 +104,20 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 				}
 				all = append(all, f)
 			}
+		}
+		for k, used := range pragmas {
+			var msg string
+			switch {
+			case used || known[k.analyzer] && !ran[k.analyzer]:
+				continue
+			case k.analyzer == "":
+				msg = "malformed ignore pragma: want " + IgnorePragma + " <analyzer> <reason>"
+			case !known[k.analyzer]:
+				msg = fmt.Sprintf("ignore pragma names no analyzer or rule: %q", k.analyzer)
+			default:
+				msg = fmt.Sprintf("ignore pragma for %s suppresses nothing; delete it", k.analyzer)
+			}
+			all = append(all, Finding{Pos: token.Position{Filename: k.file, Line: k.line}, Analyzer: "pragma", Message: msg})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -106,27 +134,33 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 }
 
 // pragmaKey identifies one ignore site: a file line and the analyzer it
-// silences.
+// silences, "" for a pragma without an analyzer and a reason.
 type pragmaKey struct {
 	file     string
 	line     int
 	analyzer string
 }
 
+// pragmaSet maps each pragma to whether it has suppressed a finding.
 type pragmaSet map[pragmaKey]bool
 
 // suppresses reports whether a pragma covers the finding: same file,
-// matching analyzer, on the finding's line or the line above.
+// matching analyzer, on the finding's line or the line above. It marks
+// that pragma used.
 func (s pragmaSet) suppresses(f Finding) bool {
-	return s[pragmaKey{f.Pos.Filename, f.Pos.Line, f.Analyzer}] ||
-		s[pragmaKey{f.Pos.Filename, f.Pos.Line - 1, f.Analyzer}]
+	for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
+		k := pragmaKey{f.Pos.Filename, line, f.Analyzer}
+		if _, ok := s[k]; ok {
+			s[k] = true
+			return true
+		}
+	}
+	return false
 }
 
-// collectPragmas scans a package's comments for ignore pragmas,
-// returning the well-formed set and a finding per malformed one.
-func collectPragmas(pkg *Package) (pragmaSet, []Finding) {
+// collectPragmas scans a package's comments for ignore pragmas.
+func collectPragmas(pkg *Package) pragmaSet {
 	set := make(pragmaSet)
-	var bad []Finding
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -135,20 +169,15 @@ func collectPragmas(pkg *Package) (pragmaSet, []Finding) {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					bad = append(bad, Finding{
-						Pos:      pos,
-						Analyzer: "pragma",
-						Message:  fmt.Sprintf("malformed ignore pragma %q: want %s <analyzer> <reason>", c.Text, IgnorePragma),
-					})
-					continue
+				name := ""
+				if fields := strings.Fields(rest); len(fields) >= 2 {
+					name = fields[0]
 				}
-				set[pragmaKey{pos.Filename, pos.Line, fields[0]}] = true
+				set[pragmaKey{pos.Filename, pos.Line, name}] = false
 			}
 		}
 	}
-	return set, bad
+	return set
 }
 
 // finding builds a Finding at node's position.
@@ -166,11 +195,17 @@ func (p *Package) finding(analyzer string, node ast.Node, format string, args ..
 // import path ends in suffix (matching by suffix keeps the analyzers
 // independent of the module name).
 func pkgHasSuffix(obj types.Object, suffix string) bool {
-	if obj == nil || obj.Pkg() == nil {
-		return false
+	return obj != nil && obj.Pkg() != nil && hasPathSuffix(obj.Pkg().Path(), suffix)
+}
+
+// hasPathSuffix reports whether importPath ends in suffix on a path
+// boundary.
+func hasPathSuffix(importPath, suffix string) bool {
+	if importPath == suffix {
+		return true
 	}
-	path := obj.Pkg().Path()
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+	n := len(importPath) - len(suffix)
+	return n > 0 && importPath[n-1] == '/' && importPath[n:] == suffix
 }
 
 // calleeOf resolves the called function or method object of a call
@@ -218,10 +253,7 @@ func rootIdentObj(info *types.Info, expr ast.Expr) types.Object {
 	for {
 		switch e := ast.Unparen(expr).(type) {
 		case *ast.Ident:
-			if o := info.Uses[e]; o != nil {
-				return o
-			}
-			return info.Defs[e]
+			return info.ObjectOf(e)
 		case *ast.SelectorExpr:
 			expr = e.X
 		case *ast.StarExpr:

@@ -1,8 +1,9 @@
 package lint
 
 import (
-	"go/ast"
+	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,21 +54,23 @@ func wantLines(pkg *Package, analyzer string) map[int]bool {
 	return want
 }
 
-func analyzerByName(t *testing.T, name string) *Analyzer {
+// ruleAnalyzer returns the analyzer whose findings carry name.
+func ruleAnalyzer(t *testing.T, name string) *Analyzer {
 	t.Helper()
 	for _, a := range All() {
-		if a.Name == name {
+		if findingNames([]*Analyzer{a})[name] {
 			return a
 		}
 	}
-	t.Fatalf("no analyzer named %q", name)
+	t.Fatalf("no analyzer reports %q", name)
 	return nil
 }
 
-// TestAnalyzersOnFixtures drives every analyzer over its seeded-bad and
-// clean fixture packages: each //lint:want line must produce a finding,
-// no finding may appear on an unannotated line, and the clean fixture
-// must stay silent.
+// TestAnalyzersOnFixtures drives every analyzer, and every row of the
+// site table, over its seeded-bad and clean fixture packages: each
+// //lint:want line must produce a finding of that name, no finding of it
+// may appear on an unannotated line, and the clean fixture must keep the
+// analyzer silent.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		analyzer string
@@ -79,14 +82,14 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"atomic64align", "atomic64align_bad", "atomic64align_ok"},
 		{"costtwins", "costtwins_hw_bad", "costtwins_hw_ok"},
 		{"costtwins", "costtwins_simnet_bad", "costtwins_simnet_ok"},
-		{"transportcalls", "transportcalls_bad", "transportcalls_ok"},
+		{"transportcalls", "transportcalls_bad/internal/comm", "transportcalls_ok/internal/comm"},
 		{"oneconstructor", "oneconstructor_bad", "oneconstructor_ok"},
 		{"onealign", "onealign_bad", "onealign_ok"},
 		{"onespawn", "onespawn_bad/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
 		{"onespawn", "onespawn_none/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
 	}
 	for _, tc := range cases {
-		a := analyzerByName(t, tc.analyzer)
+		a := ruleAnalyzer(t, tc.analyzer)
 		t.Run(tc.analyzer+"/seeded", func(t *testing.T) {
 			pkg := fixturePkg(t, tc.bad)
 			want := wantLines(pkg, tc.analyzer)
@@ -95,7 +98,9 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			}
 			got := map[int][]string{}
 			for _, f := range a.Run(pkg) {
-				got[f.Pos.Line] = append(got[f.Pos.Line], f.Message)
+				if f.Analyzer == tc.analyzer {
+					got[f.Pos.Line] = append(got[f.Pos.Line], f.Message)
+				}
 			}
 			for line := range want {
 				if len(got[line]) == 0 {
@@ -117,52 +122,50 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 }
 
-// TestOneConstructorExemptions: the two packages oneconstructor exempts
-// by name, strategy (Build) and the frozen benchmark harness, do name
-// the replica constructors, so neither exemption is idle, and the
-// analyzer passes both.
-func TestOneConstructorExemptions(t *testing.T) {
-	for _, dir := range []string{"internal/strategy", "benchmark"} {
-		pkg, err := sharedLoader(t).LoadDir(dir)
-		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
+// TestSiteRulesHaveNoIdleSite: each site rule's allowed sites do name
+// its symbols in the tree, so no exemption outlives the code it allowed,
+// and the site rules pass those packages. core.go broadcasts both kinds
+// of module storage, and a rule that wants its symbols named once finds
+// them named once in its scope.
+func TestSiteRulesHaveNoIdleSite(t *testing.T) {
+	kinds := map[string][]string{"onealign": {"a parameter", "a buffer"}}
+	for name, r := range siteRules {
+		sites := r.allowed
+		if r.once {
+			sites = []string{r.scope}
 		}
-		if len(constructorUses(pkg)) == 0 {
-			t.Errorf("%s names no replica constructor; drop its exemption", dir)
-		}
-		for _, f := range OneConstructor.Run(pkg) {
-			t.Errorf("%s: unexpected finding: %s", dir, f)
-		}
-	}
-}
-
-// TestOneAlignExemption: internal/replica's core.go, the file onealign
-// exempts, does broadcast a module's parameters and buffers, so the
-// exemption is not idle, and the analyzer passes the package.
-func TestOneAlignExemption(t *testing.T) {
-	pkg, err := sharedLoader(t).LoadDir("internal/replica")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range OneAlign.Run(pkg) {
-		t.Errorf("unexpected finding: %s", f)
-	}
-	kinds := map[string]bool{}
-	for _, file := range pkg.Files {
-		if filepath.Base(pkg.Fset.Position(file.Pos()).Filename) != "core.go" {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
-				if what := moduleStorage(pkg.Info, call.Args[0]); what != "" {
-					kinds[what] = true
+		for _, site := range sites {
+			dir := site
+			if strings.HasSuffix(site, ".go") {
+				dir = path.Dir(site)
+			}
+			pkg, err := sharedLoader(t).LoadDir(dir)
+			if err != nil {
+				t.Fatalf("loading %s: %v", dir, err)
+			}
+			seen := map[string]bool{}
+			n := 0
+			for _, u := range siteUses(pkg)[name] {
+				if u.at(site) {
+					seen[u.subject] = true
+					n++
 				}
 			}
-			return true
-		})
-	}
-	if !kinds["a parameter"] || !kinds["a buffer"] {
-		t.Errorf("core.go broadcasts %v; want a parameter and a buffer, or drop the exemption", kinds)
+			switch {
+			case r.once && n != 1:
+				t.Errorf("%s: %s names %v %d times, want once", name, site, r.symbols, n)
+			case n == 0:
+				t.Errorf("%s: %s names none of %v; drop the site", name, site, r.symbols)
+			}
+			for _, k := range kinds[name] {
+				if !seen[k] {
+					t.Errorf("%s: %s names %v on no %s; want %v", name, site, r.symbols, k, kinds[name])
+				}
+			}
+			for _, f := range Sites.Run(pkg) {
+				t.Errorf("%s: unexpected finding: %s", site, f)
+			}
+		}
 	}
 }
 
@@ -172,7 +175,7 @@ func TestOneAlignExemption(t *testing.T) {
 func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
 		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
-		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok", "oneconstructor_ok",
+		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok/internal/comm", "oneconstructor_ok",
 		"onealign_ok", "onespawn_ok/cmd/ddptrain",
 	} {
 		pkg := fixturePkg(t, name)
@@ -185,32 +188,49 @@ func TestCleanFixturesPassFullSuite(t *testing.T) {
 
 // TestIgnorePragmas checks the driver's pragma plumbing: a well-formed
 // pragma on the line or the line above suppresses exactly its analyzer
-// and increments the ignored count; a pragma without a reason is
-// reported and suppresses nothing.
+// and increments the ignored count. A pragma without a reason, one whose
+// name is misspelled and one over a clean line are each reported, and the
+// first two suppress nothing. A pragma suppresses nothing only in a run
+// that includes its analyzer.
 func TestIgnorePragmas(t *testing.T) {
 	pkg := fixturePkg(t, "pragma")
 	res := Run([]*Package{pkg}, All())
 	if res.Ignored != 2 {
 		t.Errorf("ignored count = %d, want 2", res.Ignored)
 	}
-	var gotMalformed, gotUnsuppressed bool
+	var pragmas []string
+	unsuppressed := 0
 	for _, f := range res.Findings {
 		switch f.Analyzer {
 		case "pragma":
-			gotMalformed = true
+			pragmas = append(pragmas, f.Message)
 		case "storeerr":
-			// The finding covered by the malformed pragma must survive.
-			gotUnsuppressed = true
+			unsuppressed++
 		default:
 			t.Errorf("unexpected finding: %s", f)
 		}
 	}
-	if !gotMalformed {
-		t.Error("malformed pragma was not reported")
+	if unsuppressed != 2 {
+		t.Errorf("%d storeerr findings survive, want the two under the malformed and the misspelled pragma", unsuppressed)
 	}
-	if !gotUnsuppressed {
-		t.Error("finding under a malformed pragma was suppressed")
+	wantPragmas := func(pragmas []string, want ...string) {
+		t.Helper()
+		for _, w := range want {
+			if !slices.ContainsFunc(pragmas, func(m string) bool { return strings.Contains(m, w) }) {
+				t.Errorf("no pragma finding says %q", w)
+			}
+		}
+		if len(pragmas) != len(want) {
+			t.Errorf("pragma findings %q, want one for each of %q", pragmas, want)
+		}
 	}
+	wantPragmas(pragmas, "malformed ignore pragma", `names no analyzer or rule: "storerr"`, "storeerr suppresses nothing")
+
+	pragmas = nil
+	for _, f := range Run([]*Package{pkg}, []*Analyzer{MetricStatic}).Findings {
+		pragmas = append(pragmas, f.Message)
+	}
+	wantPragmas(pragmas, "malformed ignore pragma", `names no analyzer or rule: "storerr"`)
 }
 
 // TestFindingsSortedAndFormatted pins the driver's output contract:
@@ -235,10 +255,9 @@ func TestFindingsSortedAndFormatted(t *testing.T) {
 }
 
 // TestTreeIsClean is the in-repo mirror of the CI gate: the current
-// tree must produce zero unsuppressed findings. It also asserts the
-// tree's intentional exceptions are actually exercised (ignored > 0),
-// so a stale pragma shows up as a failure here when its finding goes
-// away.
+// tree must produce zero unsuppressed findings, a pragma that suppresses
+// nothing among them. It also asserts the tree's intentional exceptions
+// are exercised (ignored > 0).
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module analysis in short mode")

@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -91,44 +92,27 @@ func NewLoader(modRoot string) (*Loader, error) {
 // LoadAll loads every package in the module (skipping testdata, hidden
 // and underscore directories) and returns them sorted by import path.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	var paths []string
+	var pkgs []*Package
 	err := filepath.WalkDir(l.ModRoot, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
-		}
-		if !d.IsDir() {
-			return nil
 		}
 		name := d.Name()
 		if p != l.ModRoot && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if hasGoFiles(p) {
-			rel, err := filepath.Rel(l.ModRoot, p)
-			if err != nil {
-				return err
-			}
-			if rel == "." {
-				paths = append(paths, l.ModPath)
-			} else {
-				paths = append(paths, l.ModPath+"/"+filepath.ToSlash(rel))
-			}
+		if !hasGoFiles(p) {
+			return nil
 		}
-		return nil
+		pkg, err := l.LoadDir(p)
+		pkgs = append(pkgs, pkg)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
-	pkgs := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		pkg, err := l.Load(p)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
 
@@ -143,7 +127,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err != nil || strings.HasPrefix(rel, "..") {
 		return nil, fmt.Errorf("lint: %s is outside module %s", dir, l.ModRoot)
 	}
-	return l.Load(l.ModPath + "/" + filepath.ToSlash(rel))
+	return l.Load(path.Join(l.ModPath, filepath.ToSlash(rel)))
 }
 
 // Load loads and type-checks the module package with the given import

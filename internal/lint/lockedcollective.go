@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
 // LockedCollective reports collective-communication calls made while a
@@ -68,10 +69,9 @@ func walkLocked(pkg *Package, stmts []ast.Stmt, held map[string]bool) []Finding 
 			}
 			out = append(out, findLockedCollectives(pkg, s, held)...)
 		case *ast.DeferStmt:
-			if key, op, ok := mutexOp(pkg.Info, s.Call); ok && (op == "Unlock" || op == "RUnlock") {
+			if _, op, ok := mutexOp(pkg.Info, s.Call); ok && (op == "Unlock" || op == "RUnlock") {
 				// defer mu.Unlock(): held until return — the held set
 				// keeps the key, so everything below stays flagged.
-				_ = key
 				continue
 			}
 			out = append(out, findLockedCollectives(pkg, s, held)...)
@@ -82,30 +82,30 @@ func walkLocked(pkg *Package, stmts []ast.Stmt, held map[string]bool) []Finding 
 				out = append(out, findLockedCollectives(pkg, s.Init, held)...)
 			}
 			out = append(out, findLockedCollectives(pkg, s.Cond, held)...)
-			out = append(out, walkLocked(pkg, s.Body.List, cloneSet(held))...)
+			out = append(out, walkLocked(pkg, s.Body.List, maps.Clone(held))...)
 			if s.Else != nil {
-				out = append(out, walkLocked(pkg, []ast.Stmt{s.Else}, cloneSet(held))...)
+				out = append(out, walkLocked(pkg, []ast.Stmt{s.Else}, maps.Clone(held))...)
 			}
 		case *ast.ForStmt:
-			out = append(out, walkLocked(pkg, s.Body.List, cloneSet(held))...)
+			out = append(out, walkLocked(pkg, s.Body.List, maps.Clone(held))...)
 		case *ast.RangeStmt:
-			out = append(out, walkLocked(pkg, s.Body.List, cloneSet(held))...)
+			out = append(out, walkLocked(pkg, s.Body.List, maps.Clone(held))...)
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					out = append(out, walkLocked(pkg, cc.Body, cloneSet(held))...)
+					out = append(out, walkLocked(pkg, cc.Body, maps.Clone(held))...)
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					out = append(out, walkLocked(pkg, cc.Body, cloneSet(held))...)
+					out = append(out, walkLocked(pkg, cc.Body, maps.Clone(held))...)
 				}
 			}
 		case *ast.SelectStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
-					out = append(out, walkLocked(pkg, cc.Body, cloneSet(held))...)
+					out = append(out, walkLocked(pkg, cc.Body, maps.Clone(held))...)
 				}
 			}
 		case *ast.LabeledStmt:
@@ -176,12 +176,4 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
 		}
 	}
 	return exprString(sel.X), sel.Sel.Name, true
-}
-
-func cloneSet(s map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
 }

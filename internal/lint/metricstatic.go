@@ -62,13 +62,3 @@ func runMetricStatic(pkg *Package) []Finding {
 	}
 	return out
 }
-
-// hasPathSuffix reports whether importPath ends in suffix on a path
-// boundary.
-func hasPathSuffix(importPath, suffix string) bool {
-	if importPath == suffix {
-		return true
-	}
-	n := len(importPath) - len(suffix)
-	return n > 0 && importPath[n-1] == '/' && importPath[n:] == suffix
-}

@@ -57,27 +57,21 @@ func checkStoreErrFunc(pkg *Package, body *ast.BlockStmt) []Finding {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
+			call, ok := s.Rhs[0].(*ast.CallExpr)
+			if !ok || len(s.Rhs) != 1 {
+				return true
+			}
 			// Track f, err := os.Create(...) / os.OpenFile(..., write flags, ...).
-			if len(s.Rhs) == 1 {
-				if call, ok := s.Rhs[0].(*ast.CallExpr); ok && isWriteOpen(pkg.Info, call) && len(s.Lhs) == 2 {
-					if id, ok := s.Lhs[0].(*ast.Ident); ok {
-						if obj := pkg.Info.Defs[id]; obj != nil {
-							written[obj] = true
-						} else if obj := pkg.Info.Uses[id]; obj != nil {
-							written[obj] = true
-						}
-					}
+			if isWriteOpen(pkg.Info, call) && len(s.Lhs) == 2 {
+				if id, ok := s.Lhs[0].(*ast.Ident); ok && pkg.Info.ObjectOf(id) != nil {
+					written[pkg.Info.ObjectOf(id)] = true
 				}
 			}
 			// v, _ := target(...) or _ = target(...): error discarded.
-			if len(s.Rhs) == 1 {
-				if call, ok := s.Rhs[0].(*ast.CallExpr); ok {
-					if name, ok := storeErrTarget(pkg.Info, call); ok && returnsError(pkg.Info, call) {
-						if last, ok := s.Lhs[len(s.Lhs)-1].(*ast.Ident); ok && last.Name == "_" {
-							out = append(out, pkg.finding("storeerr", call,
-								"error from %s discarded with _; handle or propagate it", name))
-						}
-					}
+			if name, ok := storeErrTarget(pkg.Info, call); ok && returnsError(pkg.Info, call) {
+				if last, ok := s.Lhs[len(s.Lhs)-1].(*ast.Ident); ok && last.Name == "_" {
+					out = append(out, pkg.finding("storeerr", call,
+						"error from %s discarded with _; handle or propagate it", name))
 				}
 			}
 		case *ast.ExprStmt:

@@ -1,6 +1,7 @@
 // Package fixture exercises the driver's //ddplint:ignore handling:
-// well-formed pragmas suppress findings (and are counted), malformed
-// ones are themselves reported.
+// well-formed pragmas suppress findings (and are counted); malformed
+// ones, misspelled ones and ones that suppress nothing are themselves
+// reported.
 package fixture
 
 import "repro/internal/store"
@@ -17,4 +18,14 @@ func suppressedSameLine(st store.Store) {
 func malformedPragma(st store.Store) {
 	//ddplint:ignore storeerr
 	st.Wait("k")
+}
+
+func misspelledPragma(st store.Store) {
+	//ddplint:ignore storerr fixture: a misspelled name suppresses nothing
+	st.Set("k", nil)
+}
+
+func stalePragma(st store.Store) error {
+	//ddplint:ignore storeerr fixture: the line below checks its error
+	return st.Set("k", nil)
 }

@@ -2,10 +2,10 @@
 // value, into a replica.Replica. Build is the only code in module repro
 // that names ddp.NewReplica or fsdp.New, the only code that maps a
 // strategy name to a constructor and a codec name to a codec, and
-// Check the one place either name is accepted or refused; ddplint's
-// oneconstructor analyzer holds the first of these in tier-1. It sits
-// above ddp and fsdp because replica cannot import them: both embed
-// replica.Core.
+// Check the one place either name is accepted or refused; the
+// oneconstructor row of ddplint's site table holds the first of these in
+// tier-1. It sits above ddp and fsdp because replica cannot import them:
+// both embed replica.Core.
 package strategy
 
 import (

@@ -25,7 +25,7 @@ import (
 // 64 of them.
 func BenchmarkMatMulKernels(b *testing.B) {
 	const benchCoefficients = 1 << 16
-	kernelBodies(func(body string) {
+	tileBodies(func(body string) {
 		rng := rand.New(rand.NewSource(1))
 		for _, kr := range matmulKernels {
 			for _, s := range benchShapes {
@@ -176,7 +176,7 @@ func TestMatMulAllocatesOnlyItsOutput(t *testing.T) {
 	for _, kr := range matmulKernels {
 		x, y := newOperands(kr.transA, kr.transB, m, k, n)
 		fillOperands(rng, fillDense, x, y)
-		kernelBodies(func(body string) {
+		kr.bodies(func(body string) {
 			if got := testing.AllocsPerRun(100, func() { kr.kernel(x, y) }); got != want {
 				t.Errorf("%s/%s: %v allocations per call, a bare New(m, n) makes %v", body, kr.name, got, want)
 			}

@@ -1,11 +1,9 @@
 package tensor
 
-// kernelBodies calls f once for each body of the matmul and stream leaves
-// this machine can run: "go" with the assembly switched off, then "avx2"
-// if the processor has it, then "avx512" (mulAddTile's AVX-512 body, every
-// other leaf on AVX2) if it has that too. This is the only place useAVX
-// and useAVX512 are ever written after initialisation, and it exists in
-// test binaries only.
+// kernelBodies calls f once for each body of the leaves this machine can
+// run: "go" with the assembly switched off, then "avx2" if the processor
+// has it. This is the only place useAVX and useAVX512 are ever written
+// after initialisation, and it exists in test binaries only.
 func kernelBodies(f func(body string)) {
 	had, had512 := useAVX, useAVX512
 	defer func() { useAVX, useAVX512 = had, had512 }()
@@ -15,8 +13,15 @@ func kernelBodies(f func(body string)) {
 		useAVX = true
 		f("avx2")
 	}
-	if had512 {
-		useAVX512 = true
+}
+
+// tileBodies is kernelBodies, then "avx512" if the processor has it: for
+// the leaves that have an AVX-512 body, mulAddTile and the kernels that
+// call it, MatMul and MatMulTransA. Every other leaf runs its AVX2 body
+// there, which kernelBodies already ran.
+func tileBodies(f func(body string)) {
+	kernelBodies(f)
+	if useAVX512 {
 		f("avx512")
 	}
 }

@@ -71,14 +71,15 @@ func fillKernelValues(rng *rand.Rand, s []float32) {
 }
 
 // runEveryBody takes the operands of one leaf call (the first is the
-// output), runs the call under each body on its own copy, and compares
+// output), runs the call under each body the leaf has (leafBodies) on its
+// own copy, and compares
 // every region, canaries included, with the Go body's: the canary is no
 // NaN, so requireBitwise holds it to its exact bits.
-func runEveryBody(t *testing.T, what string, off int, operands []operand, call func(s [][]float32)) {
+func runEveryBody(t *testing.T, leafBodies func(func(string)), what string, off int, operands []operand, call func(s [][]float32)) {
 	t.Helper()
 	var bodies []string
 	var results [][]operand
-	kernelBodies(func(body string) {
+	leafBodies(func(body string) {
 		mine := make([]operand, len(operands))
 		slices := make([][]float32, len(operands))
 		for i, o := range operands {
@@ -111,7 +112,7 @@ func TestAssemblyBodiesMatchGoBodies(t *testing.T) {
 			fillKernelValues(rng, b.s)
 			fillKernelValues(rng, c.s)
 			row := [4]int{rng.Intn(6), rng.Intn(6), rng.Intn(6), rng.Intn(6)}
-			runEveryBody(t, fmt.Sprintf("mulAdd4 n=%d off=%d", n, off), off, []operand{o, b, c}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("mulAdd4 n=%d off=%d", n, off), off, []operand{o, b, c}, func(s [][]float32) {
 				mulAdd4(s[0], (*[4]float32)(s[2]), s[1], &row)
 			})
 
@@ -119,7 +120,7 @@ func TestAssemblyBodiesMatchGoBodies(t *testing.T) {
 			b = newOperand(n+off, 0)
 			fillKernelValues(rng, b.s)
 			coeff := c.s[0]
-			runEveryBody(t, fmt.Sprintf("mulAdd1 n=%d off=%d", n, off), off, []operand{o, b}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("mulAdd1 n=%d off=%d", n, off), off, []operand{o, b}, func(s [][]float32) {
 				mulAdd1(s[0], coeff, s[1])
 			})
 
@@ -133,7 +134,7 @@ func TestAssemblyBodiesMatchGoBodies(t *testing.T) {
 			fillKernelValues(rng, b.s)
 			fillCoefficients(rng, a.s)
 			for _, st := range [][2]int{{k, 1}, {1, 6}} {
-				runEveryBody(t, fmt.Sprintf("mulAddTile n=%d k=%d off=%d strides=%v", n, k, off, st), off, []operand{o, a, b}, func(s [][]float32) {
+				runEveryBody(t, tileBodies, fmt.Sprintf("mulAddTile n=%d k=%d off=%d strides=%v", n, k, off, st), off, []operand{o, a, b}, func(s [][]float32) {
 					mulAddTile(s[0], s[1], first, st[0], st[1], k, s[2])
 				})
 			}
@@ -163,7 +164,7 @@ func TestAssemblyDotMatchesGoDot(t *testing.T) {
 			fillKernelValues(rng, o.s) // dotRows overwrites it
 			fillKernelValues(rng, a.s)
 			fillKernelValues(rng, b.s)
-			runEveryBody(t, fmt.Sprintf("dotRows m=%d n=%d k=%d off=%d", m, n, k, off), off, []operand{o, a, b}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("dotRows m=%d n=%d k=%d off=%d", m, n, k, off), off, []operand{o, a, b}, func(s [][]float32) {
 				dotRows(s[0], s[1], s[2], m, k, n)
 			})
 		}
@@ -184,13 +185,13 @@ func TestAssemblyStreamsMatchGoStreams(t *testing.T) {
 			}
 			lr, momentum := c.s[0], c.s[1]
 			// src longer than dst, as a caller may pass it.
-			runEveryBody(t, fmt.Sprintf("AddFloats n=%d off=%d", n, off), off, []operand{p, g}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("AddFloats n=%d off=%d", n, off), off, []operand{p, g}, func(s [][]float32) {
 				AddFloats(s[0], s[1])
 			})
-			runEveryBody(t, fmt.Sprintf("ScaleFloats n=%d off=%d s=%v", n, off, lr), off, []operand{p}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("ScaleFloats n=%d off=%d s=%v", n, off, lr), off, []operand{p}, func(s [][]float32) {
 				ScaleFloats(s[0], lr)
 			})
-			runEveryBody(t, fmt.Sprintf("MomentumStep n=%d off=%d lr=%v momentum=%v", n, off, lr, momentum), off, []operand{p, g, v}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("MomentumStep n=%d off=%d lr=%v momentum=%v", n, off, lr, momentum), off, []operand{p, g, v}, func(s [][]float32) {
 				MomentumStep(s[0], s[1], s[2], lr, momentum)
 			})
 		}
@@ -219,13 +220,13 @@ func TestAssemblyTanhLeavesMatchGoLoops(t *testing.T) {
 					x.s[i] = kernelValues[rng.Intn(len(kernelValues))]
 				}
 			}
-			runEveryBody(t, fmt.Sprintf("Tanh n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("Tanh n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
 				tanhFloats(s[0], s[1])
 			})
-			runEveryBody(t, fmt.Sprintf("Gelu n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("Gelu n=%d off=%d", n, off), off, []operand{dst, x}, func(s [][]float32) {
 				geluFloats(s[0], s[1])
 			})
-			runEveryBody(t, fmt.Sprintf("GeluGrad n=%d off=%d", n, off), off, []operand{dst, x, g}, func(s [][]float32) {
+			runEveryBody(t, kernelBodies, fmt.Sprintf("GeluGrad n=%d off=%d", n, off), off, []operand{dst, x, g}, func(s [][]float32) {
 				geluGradFloats(s[0], s[1], s[2])
 			})
 		}

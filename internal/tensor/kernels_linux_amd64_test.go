@@ -83,17 +83,17 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 	areas := [3]guardedArea{newGuardedArea(t, 4*maxM*maxN), newGuardedArea(t, 4*maxM*maxN), newGuardedArea(t, 4*maxN*maxN)}
 	rng := rand.New(rand.NewSource(31))
 	// run calls leaf on operands of the given lengths under the Go body,
-	// then under each assembly body on the same values flush against the
-	// guard pages, and holds the first operand (the output) to the Go
-	// body's.
-	run := func(what string, lens [3]int, atEnd bool, leaf func(s [3][]float32)) {
+	// then under each assembly body it has (bodies) on the same values
+	// flush against the guard pages, and holds the first operand (the
+	// output) to the Go body's.
+	run := func(bodies func(func(string)), what string, lens [3]int, atEnd bool, leaf func(s [3][]float32)) {
 		var orig, heap [3][]float32
 		for i, n := range lens {
 			orig[i] = make([]float32, n)
 			fillKernelValues(rng, orig[i])
 			heap[i] = slices.Clone(orig[i])
 		}
-		kernelBodies(func(body string) {
+		bodies(func(body string) {
 			if body == "go" {
 				leaf(heap)
 				return
@@ -110,26 +110,26 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 	}
 	for _, atEnd := range []bool{false, true} {
 		for n := 1; n <= maxN; n++ {
-			run("mulAdd4", [3]int{n, 4, 4 * n}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "mulAdd4", [3]int{n, 4, 4 * n}, atEnd, func(s [3][]float32) {
 				mulAdd4(s[0], (*[4]float32)(s[1]), s[2], &[4]int{3, 1, 0, 2})
 			})
-			run("mulAdd1", [3]int{n, 1, n}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "mulAdd1", [3]int{n, 1, n}, atEnd, func(s [3][]float32) {
 				mulAdd1(s[0], s[1][0], s[2])
 			})
-			run("AddFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "AddFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
 				AddFloats(s[0], s[1])
 			})
-			run("ScaleFloats", [3]int{n, 1, 0}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "ScaleFloats", [3]int{n, 1, 0}, atEnd, func(s [3][]float32) {
 				ScaleFloats(s[0], s[1][0])
 			})
-			run("MomentumStep", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "MomentumStep", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
 				MomentumStep(s[0], s[1], s[2], 0.01, 0.9)
 			})
-			run("HalfEncode deq", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "HalfEncode deq", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
 				HalfEncode(nil, s[1], s[2], s[0])
 			})
 			// The frame is the 2n bytes of s[0] that touch the guard page.
-			run("HalfEncode frame", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "HalfEncode frame", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
 				raw := unsafe.Slice((*byte)(unsafe.Pointer(&s[0][0])), 4*n)
 				frame := raw[:2*n]
 				if atEnd {
@@ -145,27 +145,27 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 				}
 				return raw[:2*n]
 			}
-			run("HalfDecode", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "HalfDecode", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
 				HalfDecode(halfFrame(s[1]), s[0])
 			})
-			run("HalfDecodeAdd", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "HalfDecodeAdd", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
 				HalfDecodeAdd(halfFrame(s[1]), s[0])
 			})
-			run("HalfLand", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "HalfLand", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
 				HalfLand(halfFrame(s[1]), s[0], 0.5)
 			})
-			run("tanhFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "tanhFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
 				tanhFloats(s[0], s[1])
 			})
-			run("geluFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "geluFloats", [3]int{n, n, 0}, atEnd, func(s [3][]float32) {
 				geluFloats(s[0], s[1])
 			})
-			run("geluGradFloats", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
+			run(kernelBodies, "geluGradFloats", [3]int{n, n, n}, atEnd, func(s [3][]float32) {
 				geluGradFloats(s[0], s[1], s[2])
 			})
 			for k := 1; k <= maxN; k++ {
 				m := 1 + (n+k)%5 // the four-row dot kernel, and one row after it
-				run("dotRows", [3]int{m * n, m * k, n * k}, atEnd, func(s [3][]float32) {
+				run(kernelBodies, "dotRows", [3]int{m * n, m * k, n * k}, atEnd, func(s [3][]float32) {
 					dotRows(s[0], s[1], s[2], m, k, n)
 				})
 			}
@@ -174,10 +174,10 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 			// the masked 16-wide tail.
 			for m := 1; m <= maxM; m++ {
 				k := 1 + (n+m)%7
-				run("MatMul", [3]int{m * n, m * k, k * n}, atEnd, func(s [3][]float32) {
+				run(tileBodies, "MatMul", [3]int{m * n, m * k, k * n}, atEnd, func(s [3][]float32) {
 					copy(s[0], MatMul(FromSlice(s[1], m, k), FromSlice(s[2], k, n)).data)
 				})
-				run("MatMulTransAInto", [3]int{m * n, k * m, k * n}, atEnd, func(s [3][]float32) {
+				run(tileBodies, "MatMulTransAInto", [3]int{m * n, k * m, k * n}, atEnd, func(s [3][]float32) {
 					MatMulTransAInto(FromSlice(s[0], m, n), FromSlice(s[1], k, m), FromSlice(s[2], k, n))
 				})
 			}

@@ -78,11 +78,12 @@ var matmulKernels = []struct {
 	name           string
 	kernel, ref    func(a, b *Tensor) *Tensor
 	transA, transB bool
+	bodies         func(f func(body string)) // the bodies its leaves have
 }{
-	{"MatMul", MatMul, refMatMul, false, false},
-	{"MatMulTransA", MatMulTransA, refMatMulTransA, true, false},
-	{"MatMulTransAInto", matMulTransAIntoGarbage, refMatMulTransA, true, false},
-	{"MatMulTransB", MatMulTransB, refMatMulTransB, false, true},
+	{"MatMul", MatMul, refMatMul, false, false, tileBodies},
+	{"MatMulTransA", MatMulTransA, refMatMulTransA, true, false, tileBodies},
+	{"MatMulTransAInto", matMulTransAIntoGarbage, refMatMulTransA, true, false, tileBodies},
+	{"MatMulTransB", MatMulTransB, refMatMulTransB, false, true, kernelBodies},
 }
 
 // matMulTransAIntoGarbage runs the into-form over a destination that
@@ -179,15 +180,15 @@ func requireBitwise(t *testing.T, what string, got, want *Tensor) {
 }
 
 // checkAgainstReference holds every kernel to its oracle under each body
-// of the leaves (kernelBodies), so each suite built on it covers the Go
-// loops and the assembly in one run.
+// of its leaves, so each suite built on it covers the Go loops and the
+// assembly in one run.
 func checkAgainstReference(t *testing.T, rng *rand.Rand, m, k, n, fill int) {
 	t.Helper()
 	for _, kr := range matmulKernels {
 		a, b := newOperands(kr.transA, kr.transB, m, k, n)
 		fillOperands(rng, fill, a, b)
 		want := kr.ref(a, b)
-		kernelBodies(func(body string) {
+		kr.bodies(func(body string) {
 			what := fmt.Sprintf("%s/%s m=%d k=%d n=%d %s", body, kr.name, m, k, n, fillNames[fill])
 			requireBitwise(t, what, kr.kernel(a, b), want)
 		})
@@ -274,7 +275,7 @@ func TestMatMulZeroSkipIsObservable(t *testing.T) {
 			}
 		}
 	}
-	kernelBodies(func(body string) {
+	tileBodies(func(body string) {
 		check(body+"/MatMul", MatMul(left, right))
 		check(body+"/MatMulTransA", MatMulTransA(Transpose2D(left), right))
 		check(body+"/MatMulTransAInto", MatMulTransAInto(garbage(4, n), Transpose2D(left), right))
