@@ -118,7 +118,8 @@
 // clean fixtures stay silent under the full suite, so analyzer false
 // positives and false negatives both fail the build. Every allowed site
 // of a site rule must name the row's symbols in the tree
-// (TestSiteRulesHaveNoIdleSite), so no exemption outlives the code it
+// (TestSiteRulesHaveNoIdleSite; TestOneConstructorExemptions and
+// TestOneAlignExemption for those two rows), so no exemption outlives the code it
 // allowed. Fixture packages import the real repro packages they lint
 // against — they type-check against the actual Store, Group and
 // metrics APIs, not stand-ins.

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"maps"
 	"path"
 	"path/filepath"
 	"slices"
@@ -122,49 +123,66 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 }
 
-// TestSiteRulesHaveNoIdleSite: each site rule's allowed sites do name
-// its symbols in the tree, so no exemption outlives the code it allowed,
-// and the site rules pass those packages. core.go broadcasts both kinds
-// of module storage, and a rule that wants its symbols named once finds
-// them named once in its scope.
+// TestSiteRulesHaveNoIdleSite runs checkSites on every row of the site
+// table that has no test of its own below.
 func TestSiteRulesHaveNoIdleSite(t *testing.T) {
-	kinds := map[string][]string{"onealign": {"a parameter", "a buffer"}}
-	for name, r := range siteRules {
-		sites := r.allowed
-		if r.once {
-			sites = []string{r.scope}
+	for _, name := range slices.Sorted(maps.Keys(siteRules)) {
+		if name != "oneconstructor" && name != "onealign" {
+			checkSites(t, name)
 		}
-		for _, site := range sites {
-			dir := site
-			if strings.HasSuffix(site, ".go") {
-				dir = path.Dir(site)
+	}
+}
+
+// TestOneConstructorExemptions: strategy and benchmark each name a
+// replica constructor, and pass the site rules.
+func TestOneConstructorExemptions(t *testing.T) { checkSites(t, "oneconstructor") }
+
+// TestOneAlignExemption: core.go broadcasts both kinds of module
+// storage, and internal/replica passes the site rules.
+func TestOneAlignExemption(t *testing.T) { checkSites(t, "onealign", "a parameter", "a buffer") }
+
+// checkSites holds the site rule called name to its allowed sites: each
+// names the rule's symbols in the tree, on every one of kinds when given,
+// so no exemption outlives the code it allowed, and the site rules pass
+// the site's package. A rule that wants its symbols named once finds them
+// named once in its scope.
+func checkSites(t *testing.T, name string, kinds ...string) {
+	t.Helper()
+	r := siteRules[name]
+	sites := r.allowed
+	if r.once {
+		sites = []string{r.scope}
+	}
+	for _, site := range sites {
+		dir := site
+		if strings.HasSuffix(site, ".go") {
+			dir = path.Dir(site)
+		}
+		pkg, err := sharedLoader(t).LoadDir(dir)
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		seen := map[string]bool{}
+		n := 0
+		for _, u := range siteUses(pkg)[name] {
+			if u.at(site) {
+				seen[u.subject] = true
+				n++
 			}
-			pkg, err := sharedLoader(t).LoadDir(dir)
-			if err != nil {
-				t.Fatalf("loading %s: %v", dir, err)
+		}
+		switch {
+		case r.once && n != 1:
+			t.Errorf("%s: %s names %v %d times, want once", name, site, r.symbols, n)
+		case n == 0:
+			t.Errorf("%s: %s names none of %v; drop the site", name, site, r.symbols)
+		}
+		for _, k := range kinds {
+			if !seen[k] {
+				t.Errorf("%s: %s names %v on no %s; want %v", name, site, r.symbols, k, kinds)
 			}
-			seen := map[string]bool{}
-			n := 0
-			for _, u := range siteUses(pkg)[name] {
-				if u.at(site) {
-					seen[u.subject] = true
-					n++
-				}
-			}
-			switch {
-			case r.once && n != 1:
-				t.Errorf("%s: %s names %v %d times, want once", name, site, r.symbols, n)
-			case n == 0:
-				t.Errorf("%s: %s names none of %v; drop the site", name, site, r.symbols)
-			}
-			for _, k := range kinds[name] {
-				if !seen[k] {
-					t.Errorf("%s: %s names %v on no %s; want %v", name, site, r.symbols, k, kinds[name])
-				}
-			}
-			for _, f := range Sites.Run(pkg) {
-				t.Errorf("%s: unexpected finding: %s", site, f)
-			}
+		}
+		for _, f := range Sites.Run(pkg) {
+			t.Errorf("%s: unexpected finding: %s", site, f)
 		}
 	}
 }
