@@ -12,9 +12,12 @@
 //
 //	ddptrain -world 4 -launch
 //
-// Every mode drives one replica.Replica — forward, then a backward that
-// ends with the update applied (timed as backward+comm) — that
-// strategy.Build makes from the flags' strategy.Spec. After training,
+// Every mode runs train.Step on one replica.Replica that strategy.Build
+// makes from the flags' strategy.Spec: forward and the loss (timed as
+// forward), then a backward that ends with the update applied (timed as
+// backward+comm); the timing line sums train.Stats over the run. The
+// training mode draws batches from a data.Loader over a synthetic
+// dataset, the elastic mode from data.Coords. After training,
 // ranks AllGather a hash of the exact bits of every parameter and
 // verify every replica holds bit-identical parameters — the paper's
 // correctness guarantee, checked for real across process boundaries.
@@ -98,7 +101,8 @@
 // command line is every flag its parent set off its default, plus its
 // own -rank or -id. Out-of-range values (-world, -sync-every or -batch
 // below 1, -rank outside -world, a training -batch above a rank's share
-// of the dataset) are refused by name before anything binds or spawns.
+// of the dataset, a -kill-all whose -ckpt-every saves nothing before
+// -kill-step) are refused by name before anything binds or spawns.
 package main
 
 import (
@@ -106,7 +110,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"os/exec"
 	"slices"
@@ -125,8 +128,8 @@ import (
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/strategy"
-	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // The model and data shape every mode trains; samples is the size of
@@ -321,6 +324,9 @@ func (o *options) validate() error {
 		if o.killStep >= o.iters {
 			return fmt.Errorf("-kill-step %d must be below -iters %d", o.killStep, o.iters)
 		}
+		if o.killAll && o.ckptEvery > o.killStep {
+			return fmt.Errorf("-kill-all needs a checkpoint before the kill: -ckpt-every %d saves none by -kill-step %d", o.ckptEvery, o.killStep)
+		}
 	}
 	_, err = o.commOptions()
 	return err
@@ -458,11 +464,6 @@ func (f *fleet) stop() {
 	}
 }
 
-// accumulator is the one capability outside the seam the loop uses:
-// DDP's no_sync (Section 3.2.4), which only -sync-every > 1 reaches
-// and validate admits for -strategy ddp alone.
-type accumulator interface{ NoSync(fn func() error) error }
-
 // run is the non-elastic trainer, one rank of it: the same loop for
 // every strategy. It returns the parameter hash all ranks agreed on.
 func run(o *options) (uint64, error) {
@@ -550,37 +551,19 @@ func run(o *options) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	loader.Reset(0)
 
-	timer := trace.NewTimer()
-	epoch := int64(0)
-	var lastLoss float32
+	// With -sync-every > 1, which validate admits for -strategy ddp
+	// alone, the steps between synchronizations run under NoSync.
+	var total train.Stats
 	for it := 0; it < o.iters; it++ {
-		x, labels, ok := loader.Next()
-		if !ok {
-			epoch++
-			loader.Reset(epoch)
-			x, labels, _ = loader.Next()
-		}
-		step := func() error {
-			timer.Start("forward")
-			out := r.Forward(autograd.Constant(x))
-			loss := autograd.CrossEntropyLoss(out, labels)
-			lastLoss = loss.Value.Item()
-			timer.Start("backward+comm")
-			return r.Backward(loss)
-		}
-		if (it+1)%o.syncEvery == 0 {
-			err = step()
-		} else {
-			err = r.(accumulator).NoSync(step)
-		}
+		x, labels := loader.Next()
+		st, err := train.Step(r, x, train.CrossEntropy(labels), (it+1)%o.syncEvery == 0)
 		if err != nil {
 			return 0, fmt.Errorf("iteration %d: %w", it, err)
 		}
-		timer.Stop()
+		total.Add(st)
 		if o.rank == 0 && (it+1)%20 == 0 {
-			fmt.Printf("%s iter %4d loss %.4f buckets %d\n", tag, it+1, lastLoss, r.NumBuckets())
+			fmt.Printf("%s iter %4d loss %.4f buckets %d\n", tag, it+1, st.Loss, r.NumBuckets())
 		}
 	}
 
@@ -591,8 +574,8 @@ func run(o *options) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	fmt.Printf("%s done: loss %.4f, hash %016x, replicas consistent: %v\n", tag, lastLoss, hash, consistent)
-	fmt.Printf("%s timing: %s\n", tag, timer.Breakdown())
+	fmt.Printf("%s done: loss %.4f, hash %016x, replicas consistent: %v\n", tag, total.Loss, hash, consistent)
+	fmt.Printf("%s timing: %s\n", tag, total.Breakdown())
 	if !consistent {
 		return hash, errors.New("model replicas diverged")
 	}
@@ -849,9 +832,10 @@ func workerProcess(o *options) error {
 // runElasticWorker is the body of one elastic worker, goroutine or
 // process: it trains over st and builder, crashes the way crash says if
 // it is a victim, and publishes its result for the supervisor. The
-// straggler detector runs with default thresholds and surfaces every
-// verdict transition as a log line (the elastic_straggler gauge carries
-// the same signal to -metrics-addr scrapes).
+// straggler detector runs with default thresholds on each step's
+// forward time and surfaces every verdict transition as a log line (the
+// elastic_straggler gauge carries the same signal to -metrics-addr
+// scrapes).
 func runElasticWorker(o *options, st store.Store, builder elastic.GroupBuilder, tracer *trace.Tracer, crash func(*elastic.Agent)) error {
 	// full records that this worker has been part of a world of -world
 	// workers: at its first formation, or at any step since.
@@ -902,23 +886,6 @@ func runElasticWorker(o *options, st store.Store, builder elastic.GroupBuilder, 
 	return nil
 }
 
-// elasticBatch derives a deterministic batch from (step, rank, world),
-// so workers shard data correctly across reconfigurations without a
-// stateful loader.
-func elasticBatch(step int64, rank, world, batch int) (*tensor.Tensor, []int) {
-	rng := rand.New(rand.NewSource(step*1_000_003 + int64(rank)*10_007 + int64(world)*101))
-	x := tensor.New(batch, features)
-	d := x.Data()
-	for i := range d {
-		d[i] = rng.Float32()*2 - 1
-	}
-	labels := make([]int, batch)
-	for i := range labels {
-		labels[i] = rng.Intn(classes)
-	}
-	return x, labels
-}
-
 // elasticStep is the one elastic StepFunc. A victim runs its forward
 // pass at -kill-step — so peers are left mid-iteration — and then dies
 // the way crash says. Two rules make the trajectory independent of the
@@ -931,9 +898,13 @@ func elasticBatch(step int64, rank, world, batch int) (*tensor.Tensor, []int) {
 //     shrunken world, then set admitKey, on which the supervisor starts
 //     the replacement.
 //
-// The final step ends by materializing the parameters the published
-// result hashes; a failure there recovers like any step's.
+// Batches are data.Coords, so workers shard data correctly across
+// reconfigurations without a stateful loader. Each completed step's
+// forward time goes to the straggler detector. The final step ends by
+// materializing the parameters the published result hashes; a failure
+// there recovers like any step's.
 func elasticStep(o *options, st store.Store, agent *elastic.Agent, full *bool, crash func(*elastic.Agent)) elastic.StepFunc {
+	batches := data.Coords{Batch: o.batch, Features: features, Classes: classes}
 	admitStep := int64(-1)
 	if o.respawn && !o.killAll {
 		admitStep = int64(min(o.killStep+3, o.iters-1))
@@ -942,7 +913,7 @@ func elasticStep(o *options, st store.Store, agent *elastic.Agent, full *bool, c
 	gen := -1
 	return func(ctx elastic.StepContext) error {
 		if victim && ctx.Step == int64(o.killStep) {
-			x, _ := elasticBatch(ctx.Step, ctx.Rank, ctx.World, o.batch)
+			x, _ := batches.At(ctx.Step, ctx.Rank, ctx.World)
 			ctx.Replica.Forward(autograd.Constant(x))
 			fmt.Printf("[%s] worker crashed mid-iteration at step %d (gen %d, world %d)\n",
 				o.id, ctx.Step, ctx.Generation, ctx.World)
@@ -963,15 +934,15 @@ func elasticStep(o *options, st store.Store, agent *elastic.Agent, full *bool, c
 			fmt.Printf("[%s] rank %d/%d at generation %d, resuming from step %d\n",
 				o.id, ctx.Rank, ctx.World, ctx.Generation, ctx.Step)
 		}
-		x, labels := elasticBatch(ctx.Step, ctx.Rank, ctx.World, o.batch)
-		out := ctx.Replica.Forward(autograd.Constant(x))
-		loss := autograd.CrossEntropyLoss(out, labels)
-		if err := ctx.Replica.Backward(loss); err != nil {
+		x, labels := batches.At(ctx.Step, ctx.Rank, ctx.World)
+		stats, err := train.Step(ctx.Replica, x, train.CrossEntropy(labels), true)
+		if err != nil {
 			return err
 		}
+		agent.Straggler().Record(stats.Forward)
 		if ctx.Rank == 0 && (ctx.Step+1)%20 == 0 {
 			fmt.Printf("[%s] step %4d loss %.4f (gen %d, world %d)\n",
-				o.id, ctx.Step+1, loss.Value.Item(), ctx.Generation, ctx.World)
+				o.id, ctx.Step+1, stats.Loss, ctx.Generation, ctx.World)
 		}
 		if ctx.Step == int64(o.iters)-1 {
 			return ctx.Replica.Materialize()

@@ -234,6 +234,10 @@ func TestRunRejectsWhatNoStrategyHonours(t *testing.T) {
 		{"-rr 0, want at least 1", func(o *options) { o.rr = 0 }},
 		{"-ckpt-every -1, want 0 (never) or more", func(o *options) { elastic(o); o.ckptEvery = -1 }},
 		{"-kill-all needs -ckpt-every of at least 1", func(o *options) { elastic(o); o.killAll, o.ckptDir, o.ckptEvery = true, "ckpt", 0 }},
+		{"-ckpt-every 30 saves none by -kill-step 20", func(o *options) {
+			elastic(o)
+			o.iters, o.killStep, o.killAll, o.ckptDir, o.ckptEvery = 60, 20, true, "ckpt", 30
+		}},
 	} {
 		// Through validate alone, so that a value it let through fails
 		// the row instead of starting a run.

@@ -17,21 +17,20 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
 
-	"repro/internal/autograd"
 	"repro/internal/ckpt"
 	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/elastic"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/strategy"
-	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 const (
@@ -45,26 +44,15 @@ const (
 	crashAt  = 8 // every worker dies here; last committed checkpoint is step 6
 )
 
-// batchFor derives the worker's shard purely from (step, rank, world) —
-// a resumed run rebuilds the exact schedule from the restored step.
-func batchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
-	rng := rand.New(rand.NewSource(step*1_000_003 + int64(rank)*10_007 + int64(world)*101))
-	x := tensor.New(batch, features)
-	d := x.Data()
-	for i := range d {
-		d[i] = rng.Float32()*2 - 1
-	}
-	labels := make([]int, batch)
-	for i := range labels {
-		labels[i] = rng.Intn(classes)
-	}
-	return x, labels
-}
+// batches is the worker's shard, a pure function of (step, rank,
+// world): a resumed run rebuilds the exact schedule from the restored
+// step.
+var batches = data.Coords{Batch: batch, Features: features, Classes: classes}
 
 func trainStep(ctx elastic.StepContext) error {
-	x, labels := batchFor(ctx.Step, ctx.Rank, ctx.World)
-	out := ctx.Replica.Forward(autograd.Constant(x))
-	return ctx.Replica.Backward(autograd.CrossEntropyLoss(out, labels))
+	x, labels := batches.At(ctx.Step, ctx.Rank, ctx.World)
+	_, err := train.Step(ctx.Replica, x, train.CrossEntropy(labels), true)
+	return err
 }
 
 // runWorld drives `world` elastic workers over a fresh store/registry

@@ -16,19 +16,18 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"sync"
 	"time"
 
-	"repro/internal/autograd"
 	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/elastic"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/strategy"
-	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 const (
@@ -41,21 +40,10 @@ const (
 	admitAt  = 8 // step at which the newcomer is admitted
 )
 
-// batchFor derives the worker's shard purely from (step, rank, world),
-// which is what makes re-sharding across reconfigurations trivial.
-func batchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
-	rng := rand.New(rand.NewSource(step*1_000_003 + int64(rank)*10_007 + int64(world)*101))
-	x := tensor.New(batch, features)
-	d := x.Data()
-	for i := range d {
-		d[i] = rng.Float32()*2 - 1
-	}
-	labels := make([]int, batch)
-	for i := range labels {
-		labels[i] = rng.Intn(classes)
-	}
-	return x, labels
-}
+// batches is the worker's shard, a pure function of (step, rank,
+// world), which is what makes re-sharding across reconfigurations
+// trivial.
+var batches = data.Coords{Batch: batch, Features: features, Classes: classes}
 
 type worker struct {
 	name  string
@@ -86,15 +74,14 @@ func newWorker(name string, st store.Store, reg *comm.InProcRegistry) *worker {
 }
 
 func (w *worker) trainStep(ctx elastic.StepContext) error {
-	x, labels := batchFor(ctx.Step, ctx.Rank, ctx.World)
-	out := ctx.Replica.Forward(autograd.Constant(x))
-	loss := autograd.CrossEntropyLoss(out, labels)
-	if err := ctx.Replica.Backward(loss); err != nil {
+	x, labels := batches.At(ctx.Step, ctx.Rank, ctx.World)
+	st, err := train.Step(ctx.Replica, x, train.CrossEntropy(labels), true)
+	if err != nil {
 		return err
 	}
 	if ctx.Rank == 0 {
 		fmt.Printf("step %2d  gen %d  world %d  loss %.4f\n",
-			ctx.Step, ctx.Generation, ctx.World, loss.Value.Item())
+			ctx.Step, ctx.Generation, ctx.World, st.Loss)
 	}
 	return nil
 }

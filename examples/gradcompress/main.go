@@ -77,15 +77,8 @@ func train(codec func() comm.Codec) float32 {
 			if err != nil {
 				log.Fatal(err)
 			}
-			loader.Reset(0)
-			epoch := int64(0)
 			for it := 0; it < iters; it++ {
-				x, labels, ok := loader.Next()
-				if !ok {
-					epoch++
-					loader.Reset(epoch)
-					x, labels, _ = loader.Next()
-				}
+				x, labels := loader.Next()
 				out := d.Forward(autograd.Constant(x))
 				loss := autograd.CrossEntropyLoss(out, labels)
 				losses[rank] = loss.Value.Item()

@@ -68,16 +68,9 @@ func train(syncEvery int) (accuracy float64, finalLoss float32) {
 			if err != nil {
 				log.Fatal(err)
 			}
-			loader.Reset(0)
-			epoch := int64(0)
 
 			for it := 0; it < iters; it++ {
-				flat, labels, ok := loader.Next()
-				if !ok {
-					epoch++
-					loader.Reset(epoch)
-					flat, labels, _ = loader.Next()
-				}
+				flat, labels := loader.Next()
 				x := autograd.Constant(flat.Reshape(batch, 1, imageSize, imageSize))
 				step := func() error {
 					out := d.Forward(x)

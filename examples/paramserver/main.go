@@ -120,16 +120,8 @@ func loop(dataset *data.Synthetic, rank int, step func(*tensor.Tensor, []int)) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	loader.Reset(0)
-	epoch := int64(0)
 	for it := 0; it < iters; it++ {
-		x, labels, ok := loader.Next()
-		if !ok {
-			epoch++
-			loader.Reset(epoch)
-			x, labels, _ = loader.Next()
-		}
-		step(x, labels)
+		step(loader.Next())
 	}
 }
 

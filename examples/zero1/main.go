@@ -15,7 +15,6 @@ import (
 	"log"
 	"sync"
 
-	"repro/internal/autograd"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/fsdp"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/strategy"
 	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 const (
@@ -45,19 +45,19 @@ func main() {
 func compare() (maxDiff float32, ddpStateBytes, zeroStateBytes int) {
 	dataset := data.NewSynthetic(17, 2048, 24, 6)
 	fmt.Println("DDP + SGD:")
-	ddpWeights, ddpStateBytes := train(dataset, "ddp")
+	ddpWeights, ddpStateBytes := trainArm(dataset, "ddp")
 	fmt.Println("ZeRO-2:")
-	zeroWeights, zeroStateBytes := train(dataset, "zero2")
+	zeroWeights, zeroStateBytes := trainArm(dataset, "zero2")
 	for i := range ddpWeights {
 		maxDiff = max(maxDiff, ddpWeights[i].MaxAbsDiff(zeroWeights[i]))
 	}
 	return maxDiff, ddpStateBytes, zeroStateBytes
 }
 
-// train runs the one training loop of strategy name on `world`
+// trainArm runs the one training loop of strategy name on `world`
 // goroutine ranks and returns rank 0's final weights and
 // optimizer-state bytes.
-func train(dataset *data.Synthetic, name string) ([]*tensor.Tensor, int) {
+func trainArm(dataset *data.Synthetic, name string) ([]*tensor.Tensor, int) {
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer func() {
 		for _, g := range groups {
@@ -88,21 +88,14 @@ func train(dataset *data.Synthetic, name string) ([]*tensor.Tensor, int) {
 			if err != nil {
 				log.Fatal(err)
 			}
-			loader.Reset(0)
-			epoch := int64(0)
 			for it := 0; it < iters; it++ {
-				x, labels, ok := loader.Next()
-				if !ok {
-					epoch++
-					loader.Reset(epoch)
-					x, labels, _ = loader.Next()
-				}
-				loss := autograd.CrossEntropyLoss(r.Forward(autograd.Constant(x)), labels)
-				if err := r.Backward(loss); err != nil {
+				x, labels := loader.Next()
+				st, err := train.Step(r, x, train.CrossEntropy(labels), true)
+				if err != nil {
 					log.Fatal(err)
 				}
 				if rank == 0 && (it+1)%20 == 0 {
-					fmt.Printf("  iter %3d loss %.4f\n", it+1, loss.Value.Item())
+					fmt.Printf("  iter %3d loss %.4f\n", it+1, st.Loss)
 				}
 			}
 			// A sharded replica holds only its shards between steps:

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/autograd"
 	"repro/internal/comm"
 	"repro/internal/data"
-	"repro/internal/ddp"
 	"repro/internal/models"
-	"repro/internal/optim"
 	"repro/internal/stats"
+	"repro/internal/strategy"
+	"repro/internal/train"
 )
 
 // Fig11Config parameterizes one convergence run of Fig 11.
@@ -52,15 +51,12 @@ func runConvergence(cfg Fig11Config) (Fig11Curve, error) {
 	// worse final loss rather than vanishing into a separable optimum.
 	dataset := data.NewSyntheticNoise(99, 4096, 32, 10, 1.8)
 	losses := make([]float64, cfg.Iterations)
-
 	err := runRanks(cfg.World, func(rank int) error {
 		model := models.NewMLP(7, dataset.Features(), 32, dataset.Classes())
-		d, err := ddp.New(model, groups[rank], ddp.Options{})
+		r, err := strategy.Build(model, groups[rank], strategy.Spec{LR: cfg.LR})
 		if err != nil {
 			return err
 		}
-		opt := optim.NewSGD(d.Parameters(), cfg.LR)
-		opt.Momentum = 0.9
 		sampler, err := data.NewDistributedSampler(dataset.Len(), rank, cfg.World)
 		if err != nil {
 			return err
@@ -69,39 +65,14 @@ func runConvergence(cfg Fig11Config) (Fig11Curve, error) {
 		if err != nil {
 			return err
 		}
-		epoch := int64(0)
-		loader.Reset(epoch)
-		for it := 0; it < cfg.Iterations; it++ {
-			x, labels, ok := loader.Next()
-			if !ok {
-				epoch++
-				loader.Reset(epoch)
-				x, labels, ok = loader.Next()
-				if !ok {
-					return fmt.Errorf("bench: loader empty after reset")
-				}
-			}
-			syncIter := (it+1)%cfg.SyncEvery == 0
-			step := func() error {
-				out := d.Forward(autograd.Constant(x))
-				loss := autograd.CrossEntropyLoss(out, labels)
-				if rank == 0 {
-					losses[it] = float64(loss.Value.Item())
-				}
-				return d.Backward(loss)
-			}
-			var err error
-			if syncIter {
-				err = step()
-			} else {
-				err = d.NoSync(step)
-			}
+		for it := range losses {
+			x, labels := loader.Next()
+			st, err := train.Step(r, x, train.CrossEntropy(labels), (it+1)%cfg.SyncEvery == 0)
 			if err != nil {
 				return err
 			}
-			if syncIter {
-				opt.Step()
-				opt.ZeroGrad()
+			if rank == 0 {
+				losses[it] = float64(st.Loss)
 			}
 		}
 		return nil

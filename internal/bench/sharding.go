@@ -19,6 +19,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/strategy"
 	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 // Sharding ablation fixture: a three-layer MLP so no single layer
@@ -120,9 +121,9 @@ func shTrain(name string, world int, batches, labels []*tensor.Tensor) ([][]floa
 		}
 		reps[rank] = r
 		for i := range batches {
-			x := autograd.Constant(shRows(batches[i], rank))
 			y := autograd.Constant(shRows(labels[i], rank))
-			if err := r.Backward(autograd.MSELoss(r.Forward(x), y)); err != nil {
+			mse := func(out *autograd.Variable) *autograd.Variable { return autograd.MSELoss(out, y) }
+			if _, err := train.Step(r, shRows(batches[i], rank), mse, true); err != nil {
 				return err
 			}
 		}

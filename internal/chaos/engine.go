@@ -16,6 +16,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/strategy"
 	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // Violation is one invariant breach found after a schedule ran.
@@ -158,8 +159,7 @@ func RunWithOptions(s Schedule, opts Options) *Report {
 		// sealed pre-crash round, and any era-0 goroutine still parked
 		// in a generation watch gets woken to observe its kill.
 		if g, err := rdzv.CurrentGeneration(); err == nil {
-			// Best effort: a lost bump only delays the respawns one round
-			// timeout.
+			//ddplint:ignore storeerr best effort: a lost bump only delays the respawns one round timeout
 			rdzv.ProposeGeneration(g)
 		}
 		for _, wp := range p.workers {
@@ -354,7 +354,6 @@ func (e *engine) workerConfig(w *runWorker) elastic.Config {
 			Factor:       2,
 			MinPeers:     1,
 			MinSamples:   2,
-			SelfReported: true,
 			OnFlag: func(f elastic.StragglerFlag) {
 				e.mu.Lock()
 				e.flags = append(e.flags, f)
@@ -464,7 +463,7 @@ func (e *engine) stepFn(w *runWorker) elastic.StepFunc {
 				// instead, so peers die blocked inside the gather phase
 				// (a forward the last save left gathered launches none;
 				// the trailing Kill covers it).
-				x, _ := chBatchFor(ctx.Step, e.refRank(ctx), e.refWorld(ctx))
+				x, _ := chBatchAt(e.p.s.Codec, ctx.Step, ctx.Rank, ctx.World)
 				w.armGatherKill()
 				ctx.Replica.Forward(autograd.Constant(x))
 				w.agent.Kill()
@@ -502,43 +501,27 @@ func (e *engine) stepFn(w *runWorker) elastic.StepFunc {
 	}
 }
 
-// refRank/refWorld pick the batch coordinates: codec runs use shared
-// rank-independent batches (see chBatchFor).
-func (e *engine) refRank(ctx elastic.StepContext) int {
-	if e.p.s.Codec == "1bit" {
-		return 0
-	}
-	return ctx.Rank
-}
-
-func (e *engine) refWorld(ctx elastic.StepContext) int {
-	if e.p.s.Codec == "1bit" {
-		return 1
-	}
-	return ctx.World
-}
-
-// train executes one step, injecting any straggle delay into the
-// compute phase (sleep + forward, which waits on no collective but a
-// sharded forward's parameter gathers; see the straggle viability rule)
-// and self-reporting that phase's latency to the straggler detector —
-// whole-step wall time would include the collectives, which stall at
-// the pace of the slowest rank and so cannot attribute slowness.
+// train executes one step, injecting any straggle delay ahead of it,
+// and reports the delay plus the step's forward time to the straggler
+// detector: the compute phase, which waits on no collective but a
+// sharded forward's parameter gathers (see the straggle viability
+// rule).
 func (e *engine) train(ctx elastic.StepContext, w *runWorker) error {
-	x, labels := chBatchFor(ctx.Step, e.refRank(ctx), e.refWorld(ctx))
-	computeStart := time.Now()
+	var slept time.Duration
 	for _, sp := range w.straggles {
 		if ctx.Step >= sp.start && ctx.Step < sp.start+sp.count {
-			time.Sleep(time.Duration(sp.slowMs) * time.Millisecond)
+			d := time.Duration(sp.slowMs) * time.Millisecond
+			time.Sleep(d)
+			slept += d
 		}
 	}
-	out := ctx.Replica.Forward(autograd.Constant(x))
-	compute := time.Since(computeStart)
-	if err := ctx.Replica.Backward(autograd.CrossEntropyLoss(out, labels)); err != nil {
+	x, labels := chBatchAt(e.p.s.Codec, ctx.Step, ctx.Rank, ctx.World)
+	st, err := train.Step(ctx.Replica, x, train.CrossEntropy(labels), true)
+	if err != nil {
 		return err
 	}
 	if det := w.agent.Straggler(); det != nil {
-		det.Record(compute)
+		det.Record(slept + st.Forward)
 	}
 	return nil
 }

@@ -2,16 +2,16 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
-	"repro/internal/autograd"
 	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/replica"
 	"repro/internal/strategy"
 	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 // ---- deterministic training fixture ---------------------------------------
@@ -36,23 +36,19 @@ const (
 
 func chModel() nn.Module { return models.NewMLP(chModelSeed, chIn, chHidden, chClasses) }
 
-// chBatchFor derives the batch purely from its coordinates. Codec runs
-// pass (step, 0, 1) for every rank: rank-independent batches keep the
-// error-feedback residuals bitwise identical across ranks, so they stay
-// comparable to the reference after any membership change.
-func chBatchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
-	seed := step*1_000_003 + int64(rank)*10_007 + int64(world)*101
-	rng := rand.New(rand.NewSource(seed))
-	x := tensor.New(chBatch, chIn)
-	d := x.Data()
-	for i := range d {
-		d[i] = rng.Float32()*2 - 1
+// chBatchFor derives the batch purely from its coordinates.
+var chBatchFor = data.Coords{Batch: chBatch, Features: chIn, Classes: chClasses}.At
+
+// chBatchAt is the batch rank of world trains at step, for the cluster
+// under test and the reference alike. Codec runs use (step, 0, 1) for
+// every rank: rank-independent batches keep the error-feedback
+// residuals bitwise identical across ranks, so they stay comparable to
+// the reference after any membership change.
+func chBatchAt(codec string, step int64, rank, world int) (*tensor.Tensor, []int) {
+	if codec != "" {
+		rank, world = 0, 1
 	}
-	labels := make([]int, chBatch)
-	for i := range labels {
-		labels[i] = rng.Intn(chClasses)
-	}
-	return x, labels
+	return chBatchFor(step, rank, world)
 }
 
 // chSpec is the fixture's replica of a strategy and codec, for the
@@ -60,12 +56,6 @@ func chBatchFor(step int64, rank, world int) (*tensor.Tensor, []int) {
 // before either builds one, so no constructor broadcast.
 func chSpec(name, codec string) strategy.Spec {
 	return strategy.Spec{Strategy: name, BucketCapBytes: chBucketCap, Codec: codec, LR: chLR, Aligned: true}
-}
-
-func chTrainStep(r replica.Replica, step int64, rank, world int) error {
-	x, labels := chBatchFor(step, rank, world)
-	out := r.Forward(autograd.Constant(x))
-	return r.Backward(autograd.CrossEntropyLoss(out, labels))
 }
 
 func chFlattenParams(m nn.Module) []float32 {
@@ -169,11 +159,8 @@ func (rf *reference) phase(start, end int64, world int) error {
 				return
 			}
 			for s := start; s < end; s++ {
-				rank, rw := r, world
-				if rf.codec != "" {
-					rank, rw = 0, 1
-				}
-				if err := chTrainStep(w.r, s, rank, rw); err != nil {
+				x, labels := chBatchAt(rf.codec, s, r, world)
+				if _, err := train.Step(w.r, x, train.CrossEntropy(labels), true); err != nil {
 					errs[r] = fmt.Errorf("ref step %d: %w", s, err)
 					return
 				}

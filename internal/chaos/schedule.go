@@ -584,7 +584,7 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 		sp := &p.straggle[i]
 		// Under ZeRO-3 the forward itself gathers parameters, so a
 		// straggler's sleep stalls every peer inside the same collective
-		// and the world's self-reported compute median absorbs the delay
+		// and the world's recorded compute median absorbs the delay
 		// — the fault still injects, but the flag obligation is voided.
 		// ZeRO-2's forward gathers only what the last save's Materialize
 		// left unresident — at a world's first step — so it stands.

@@ -1,5 +1,7 @@
-// Package data provides deterministic synthetic datasets and the
-// distributed sampling/loading machinery DDP training loops use.
+// Package data provides deterministic synthetic datasets and the two
+// batch sources every training loop draws from: Loader, which shards a
+// dataset the way PyTorch's DistributedSampler does, and Coords, which
+// derives each batch from (step, rank, world) alone.
 //
 // The MNIST-like dataset substitutes for the real MNIST download (the
 // environment is offline; see ARCHITECTURE.md, "Substitutions and the
@@ -132,41 +134,44 @@ func (s *DistributedSampler) Indices() []int {
 	return out
 }
 
-// Loader batches a dataset shard into tensors.
+// Loader batches a dataset shard into tensors, epoch after epoch.
 type Loader struct {
 	ds      Dataset
 	sampler *DistributedSampler
 	batch   int
 
+	epoch   int64
 	indices []int
 	cursor  int
 }
 
 // NewLoader creates a loader yielding batches of the given size from
-// the sampler's shard.
+// the sampler's shard, starting at epoch 0. A batch larger than the
+// shard would never fill, so it is refused.
 func NewLoader(ds Dataset, sampler *DistributedSampler, batch int) (*Loader, error) {
-	if batch <= 0 {
-		return nil, fmt.Errorf("data: batch size %d", batch)
+	if batch <= 0 || batch > sampler.PerRank() {
+		return nil, fmt.Errorf("data: batch size %d, want 1 to the %d samples per rank", batch, sampler.PerRank())
 	}
-	return &Loader{ds: ds, sampler: sampler, batch: batch}, nil
+	l := &Loader{ds: ds, sampler: sampler, batch: batch}
+	l.reset(0)
+	return l, nil
 }
 
-// Reset starts a new epoch.
-func (l *Loader) Reset(epoch int64) {
+// reset starts the given epoch.
+func (l *Loader) reset(epoch int64) {
+	l.epoch = epoch
 	l.sampler.SetEpoch(epoch)
 	l.indices = l.sampler.Indices()
 	l.cursor = 0
 }
 
 // Next returns the next batch as a [batch, features] tensor and its
-// labels, or ok=false at epoch end. Short final batches are dropped so
-// all ranks run the same number of equally-sized iterations.
-func (l *Loader) Next() (x *tensor.Tensor, labels []int, ok bool) {
-	if l.indices == nil {
-		l.Reset(0)
-	}
+// labels. At an epoch's end the short remainder is dropped, so all
+// ranks run the same number of equally-sized iterations, and the batch
+// comes from the next epoch's shuffle.
+func (l *Loader) Next() (x *tensor.Tensor, labels []int) {
 	if l.cursor+l.batch > len(l.indices) {
-		return nil, nil, false
+		l.reset(l.epoch + 1)
 	}
 	feat := l.ds.Features()
 	x = tensor.New(l.batch, feat)
@@ -177,5 +182,30 @@ func (l *Loader) Next() (x *tensor.Tensor, labels []int, ok bool) {
 		labels[b] = lab
 	}
 	l.cursor += l.batch
-	return x, labels, true
+	return x, labels
+}
+
+// Coords is the batch source that needs no state: the batch a rank
+// trains at a step is a pure function of (step, rank, world), so a
+// world that changes size mid-run, a worker that joins, or a run
+// resumed from a checkpoint re-derives exactly the batches an
+// uninterrupted run would have drawn.
+type Coords struct {
+	Batch, Features, Classes int
+}
+
+// At returns the [Batch, Features] batch, uniform in [-1, 1), and its
+// labels for rank of world at step.
+func (c Coords) At(step int64, rank, world int) (*tensor.Tensor, []int) {
+	rng := rand.New(rand.NewSource(step*1_000_003 + int64(rank)*10_007 + int64(world)*101))
+	x := tensor.New(c.Batch, c.Features)
+	d := x.Data()
+	for i := range d {
+		d[i] = rng.Float32()*2 - 1
+	}
+	labels := make([]int, c.Batch)
+	for i := range labels {
+		labels[i] = rng.Intn(c.Classes)
+	}
+	return x, labels
 }

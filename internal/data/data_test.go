@@ -1,7 +1,11 @@
 package data
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func TestSyntheticDeterministic(t *testing.T) {
@@ -110,35 +114,43 @@ func TestDistributedSamplerValidation(t *testing.T) {
 	}
 }
 
-func TestLoaderBatchesAndEpochEnd(t *testing.T) {
+// TestLoaderWrapsIntoNextEpoch: an epoch of 20 samples in batches of 6
+// yields three batches, drops the short remainder, and the fourth
+// batch is the head of epoch 1's shuffle.
+func TestLoaderWrapsIntoNextEpoch(t *testing.T) {
 	d := NewSynthetic(3, 40, 8, 3)
 	s, _ := NewDistributedSampler(d.Len(), 0, 2) // 20 per rank
 	l, err := NewLoader(d, s, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Reset(0)
-	batches := 0
-	for {
-		x, labels, ok := l.Next()
-		if !ok {
-			break
-		}
+	for i := 0; i < 3; i++ {
+		x, labels := l.Next()
 		if x.Dims(0) != 6 || x.Dims(1) != 8 || len(labels) != 6 {
 			t.Fatalf("batch shape %v, %d labels", x.Shape(), len(labels))
 		}
-		batches++
 	}
-	if batches != 3 { // floor(20/6)
-		t.Fatalf("batches = %d, want 3 (short batch dropped)", batches)
+	ref, _ := NewDistributedSampler(d.Len(), 0, 2)
+	ref.SetEpoch(1)
+	x, labels := l.Next()
+	for b, idx := range ref.Indices()[:6] {
+		vec, lab := d.Sample(idx)
+		if labels[b] != lab || !slices.Equal(x.Data()[b*8:(b+1)*8], vec) {
+			t.Fatalf("batch 4 row %d is not epoch 1's sample %d", b, idx)
+		}
 	}
 }
 
 func TestLoaderRejectsBadBatch(t *testing.T) {
 	d := NewSynthetic(3, 10, 4, 2)
-	s, _ := NewDistributedSampler(d.Len(), 0, 1)
-	if _, err := NewLoader(d, s, 0); err == nil {
-		t.Fatal("batch 0 must error")
+	s, _ := NewDistributedSampler(d.Len(), 0, 2) // 5 per rank
+	for _, batch := range []int{0, 6} {
+		if _, err := NewLoader(d, s, batch); err == nil {
+			t.Fatalf("batch %d must error", batch)
+		}
+	}
+	if _, err := NewLoader(d, s, 5); err != nil {
+		t.Fatalf("a batch of the whole shard: %v", err)
 	}
 }
 
@@ -193,7 +205,39 @@ func TestLoaderAutoResets(t *testing.T) {
 	d := NewSynthetic(4, 20, 4, 2)
 	s, _ := NewDistributedSampler(d.Len(), 0, 1)
 	l, _ := NewLoader(d, s, 5)
-	if _, _, ok := l.Next(); !ok {
-		t.Fatal("first Next must auto-reset to epoch 0")
+	_, labels := l.Next()
+	ref, _ := NewDistributedSampler(d.Len(), 0, 1)
+	for b, idx := range ref.Indices()[:5] {
+		if _, lab := d.Sample(idx); labels[b] != lab {
+			t.Fatalf("first batch row %d is not epoch 0's sample %d", b, idx)
+		}
+	}
+}
+
+// elasticBatch is the batch formula cmd/ddptrain wrote out before
+// Coords, kept verbatim (with its constants as parameters) as the
+// reference Coords.At must reproduce bit for bit.
+func elasticBatch(step int64, rank, world, batch, features, classes int) (*tensor.Tensor, []int) {
+	rng := rand.New(rand.NewSource(step*1_000_003 + int64(rank)*10_007 + int64(world)*101))
+	x := tensor.New(batch, features)
+	d := x.Data()
+	for i := range d {
+		d[i] = rng.Float32()*2 - 1
+	}
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = rng.Intn(classes)
+	}
+	return x, labels
+}
+
+func TestCoordsMatchElasticBatch(t *testing.T) {
+	c := Coords{Batch: 16, Features: 64, Classes: 10}
+	for _, at := range [][3]int{{0, 0, 1}, {20, 2, 3}, {59, 1, 2}, {1 << 20, 0, 4}} {
+		x, labels := c.At(int64(at[0]), at[1], at[2])
+		wx, wlabels := elasticBatch(int64(at[0]), at[1], at[2], 16, 64, 10)
+		if !slices.Equal(x.Data(), wx.Data()) || !slices.Equal(labels, wlabels) {
+			t.Fatalf("Coords.At%v differs from the reference batch", at)
+		}
 	}
 }

@@ -107,7 +107,8 @@ func NewAgent(cfg Config, model nn.Module) (*Agent, error) {
 func (a *Agent) Tracer() *trace.Tracer { return a.cfg.Tracer }
 
 // Straggler returns the straggler detector (nil when detection is
-// disabled).
+// disabled), which the StepFunc feeds each completed step's compute
+// time.
 func (a *Agent) Straggler() *StragglerDetector { return a.strag }
 
 // Step returns the number of completed training steps.
@@ -528,6 +529,7 @@ func (a *Agent) Run(totalSteps int64, step StepFunc) error {
 			a.mu.Lock()
 			g := a.assign.Generation
 			a.mu.Unlock()
+			//ddplint:ignore storeerr best effort: a lost announcement only leaves peers to notice the departure when this worker's heartbeat lease expires
 			_, _ = a.rdzv.ProposeGeneration(g)
 			return err
 		}
@@ -548,7 +550,6 @@ func (a *Agent) Run(totalSteps int64, step StepFunc) error {
 		}
 		a.mu.Unlock()
 
-		stepStart := time.Now()
 		err := step(ctx)
 		if a.isKilled() {
 			return ErrKilled
@@ -556,12 +557,6 @@ func (a *Agent) Run(totalSteps int64, step StepFunc) error {
 		switch {
 		case err == nil:
 			failures = 0
-			if a.strag != nil && !a.cfg.Straggler.SelfReported {
-				// Only completed steps enter the straggler window — a
-				// failed step's latency measures the failure, not this
-				// worker's pace.
-				a.strag.Record(time.Since(stepStart))
-			}
 			a.mu.Lock()
 			a.step++
 			a.mu.Unlock()

@@ -225,8 +225,9 @@ func TestStragglerDetectorFlagsSlowRank(t *testing.T) {
 }
 
 // TestAgentStragglerWiring runs a healthy elastic job with detection
-// enabled and checks the plumbing: medians are gossiped into the store
-// under the job prefix and no worker is falsely flagged (synchronous
+// enabled and checks the plumbing: each step records its latency
+// through Agent.Straggler, medians are gossiped into the store under
+// the job prefix and no worker is falsely flagged (synchronous
 // collectives equalize wall time across ranks, so a healthy world must
 // read as flat).
 func TestAgentStragglerWiring(t *testing.T) {
@@ -249,7 +250,14 @@ func TestAgentStragglerWiring(t *testing.T) {
 		wg.Add(1)
 		go func(i int, w *testWorker) {
 			defer wg.Done()
-			errs[i] = w.agent.Run(total, fullWorld(w.agent, 2, elasticStep))
+			errs[i] = w.agent.Run(total, fullWorld(w.agent, 2, func(ctx StepContext) error {
+				start := time.Now()
+				err := elasticStep(ctx)
+				if err == nil {
+					w.agent.Straggler().Record(time.Since(start))
+				}
+				return err
+			}))
 		}(i, w)
 	}
 	wg.Wait()

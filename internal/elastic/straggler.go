@@ -14,6 +14,13 @@ import (
 // of the paper's Figure 7 observation that one slow rank stretches
 // every collective, since AllReduce runs at the pace of its slowest
 // participant.
+//
+// The agent records nothing itself: the StepFunc records each completed
+// step's compute time (train.Stats.Forward, plus any delay it injects)
+// through Agent.Straggler().Record. Whole-step wall time cannot
+// attribute a slow rank: in synchronous data parallelism every rank's
+// step includes the slowest rank's compute, since peers stall inside
+// the gradient collectives, so whole-step latencies converge.
 type StragglerConfig struct {
 	// Window is how many recent step latencies the sliding median is
 	// computed over (default 16).
@@ -35,15 +42,6 @@ type StragglerConfig struct {
 	// OnFlag, if set, is called on every verdict transition (flagged
 	// and un-flagged) from the goroutine that recorded the step.
 	OnFlag func(StragglerFlag)
-	// SelfReported disables the agent's built-in whole-step wall-clock
-	// recording. In synchronous data parallelism every rank's wall time
-	// includes the slowest rank's compute — peers stall inside the
-	// gradient collectives — so whole-step latency converges across
-	// ranks and cannot attribute the slowness. A StepFunc that can
-	// measure its compute-only phase (work before the first collective)
-	// sets this and records through Agent.Straggler().Record itself;
-	// the chaos harness uses it to make straggler flagging assertable.
-	SelfReported bool
 }
 
 // StragglerFlag describes one verdict transition.
@@ -108,8 +106,9 @@ type StragglerDetector struct {
 }
 
 // NewStragglerDetector builds a detector gossiping under prefix in st.
-// The agent constructs one automatically when Config.Straggler is set;
-// direct construction is for tests and custom loops.
+// The agent constructs one when Config.Straggler is set, and its
+// StepFunc records into it; direct construction is for tests and
+// custom loops.
 func NewStragglerDetector(st store.Store, prefix, id string, cfg StragglerConfig) *StragglerDetector {
 	return &StragglerDetector{st: st, prefix: prefix, id: id, cfg: cfg.withDefaults()}
 }

@@ -7,7 +7,8 @@ import (
 
 // StoreErr reports dropped errors at the call sites whose failures the
 // system's durability and liveness stories depend on: rendezvous store
-// operations, transport send/recv/abort, checkpoint save/commit/close,
+// operations and the elastic Rendezvous calls made of them, transport
+// send/recv/abort, checkpoint save/commit/close,
 // and Close on files opened for writing. A dropped store error turns a
 // failed rendezvous write into a silent hang; a dropped commit or
 // written-file Close error turns data loss into "checkpoint saved".
@@ -27,6 +28,10 @@ var storeErrTargets = map[string]map[string]bool{
 	"internal/transport": {
 		"Send": true, "Recv": true, "SendBytes": true, "RecvBytes": true,
 		"Abort": true,
+	},
+	"internal/elastic": {
+		"CurrentGeneration": true, "ProposeGeneration": true,
+		"WaitGenerationAbove": true, "Join": true,
 	},
 	"internal/ckpt": {
 		"Save": true, "Done": true, "Submit": true, "Sync": true,

@@ -1,11 +1,13 @@
 // Package fixture seeds storeerr violations: dropped errors at store,
-// transport, checkpoint, and written-file call sites.
+// transport, elastic rendezvous, checkpoint, and written-file call
+// sites.
 package fixture
 
 import (
 	"os"
 
 	"repro/internal/ckpt"
+	"repro/internal/elastic"
 	"repro/internal/store"
 	"repro/internal/transport"
 )
@@ -24,6 +26,12 @@ func dropInGoAndDefer(st store.Store) {
 	_, _ = st.Add("n", 1)                     //lint:want storeerr
 	ok, _ := st.CompareAndSwap("k", nil, nil) //lint:want storeerr
 	_ = ok
+}
+
+func dropRendezvousErrors(r *elastic.Rendezvous) {
+	g, _ := r.CurrentGeneration() //lint:want storeerr
+	r.ProposeGeneration(g)        //lint:want storeerr
+	go r.WaitGenerationAbove(g)   //lint:want storeerr
 }
 
 func dropTransportErrors(m transport.Mesh) {

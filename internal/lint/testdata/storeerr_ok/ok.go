@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"repro/internal/ckpt"
+	"repro/internal/elastic"
 	"repro/internal/store"
 	"repro/internal/transport"
 )
@@ -27,6 +28,15 @@ func checkedStore(st store.Store) error {
 	}
 	_ = n
 	return st.Delete("k")
+}
+
+func checkedRendezvous(r *elastic.Rendezvous) error {
+	g, err := r.CurrentGeneration()
+	if err != nil {
+		return err
+	}
+	_, err = r.ProposeGeneration(g)
+	return err
 }
 
 func checkedTransport(m transport.Mesh) error {

@@ -101,15 +101,8 @@ func TestAsyncWorkersConverge(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			loader.Reset(0)
-			epoch := int64(0)
 			for i := 0; i < steps; i++ {
-				x, labels, ok := loader.Next()
-				if !ok {
-					epoch++
-					loader.Reset(epoch)
-					x, labels, _ = loader.Next()
-				}
+				x, labels := loader.Next()
 				_, err := worker.Step(func() (float32, error) {
 					out := worker.Model.Forward(autograd.Constant(x))
 					loss := autograd.CrossEntropyLoss(out, labels)

@@ -1,3 +1,9 @@
+// Package trace records hierarchical wall-clock spans with explicit
+// start and end timestamps and a JSON dump — the shape elastic
+// recovery uses, where a root "recovery" span is tiled exactly by its
+// rendezvous / mesh-build / state-sync / rebind / install phases so a
+// regression names the phase that slowed down. A training step's
+// forward / backward split is train.Stats, which train.Step measures.
 package trace
 
 import (

@@ -8,21 +8,13 @@ import (
 	"time"
 )
 
-func TestResetMidPhaseKeepsPhaseRunning(t *testing.T) {
-	c := &fakeClock{}
-	tm := NewTimerWithClock(c.now)
-	tm.Start("x")
-	c.advance(10 * time.Millisecond)
-	tm.Reset() // mid-phase: pre-Reset time is discarded, phase keeps running
-	c.advance(5 * time.Millisecond)
-	tm.Stop()
-	if got := tm.Phase("x"); got != 5*time.Millisecond {
-		t.Fatalf("post-Reset phase time = %v, want 5ms", got)
-	}
-	if got := tm.Phases(); len(got) != 1 || got[0] != "x" {
-		t.Fatalf("phases = %v, want [x]", got)
-	}
+// fakeClock is a clock that moves only when told to.
+type fakeClock struct {
+	t time.Time
 }
+
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
 
 func TestSpanPhasesTileParentExactly(t *testing.T) {
 	c := &fakeClock{}
