@@ -21,8 +21,9 @@
 # stream_other.go and tanh_other.go) build.
 #
 # Hand-written amd64 assembly — internal/tensor/matmul_amd64.s (mulAdd4,
-# mulAdd1, dotRows, and mulAddTile's AVX-512 tile, whose skip of a ±0
-# coefficient is a merge-masked VADDPS), stream_amd64.s (AddFloats,
+# mulAdd1, dotRows, the AVX-512 tile, whose skip of a ±0 coefficient is
+# a merge-masked VADDPS, and the pack leaf that transposes MatMulTransB's
+# b for it, which only moves floats), stream_amd64.s (AddFloats,
 # ScaleFloats, MomentumStep, and HalfEncode, comm's binary16 encoder,
 # whose float work is adds and subtracts alone) and tanh_amd64.s (tanh, GELU and GELU's
 # gradient, in float64 lanes), and any *_amd64.s that joins them in the

@@ -116,6 +116,11 @@ func NewFloats() *Floats {
 // Get returns a zeroed buffer of n elements from f.
 func (f *Floats) Get(n int) []float32 { return f.or().get(n) }
 
+// GetUncleared returns a buffer of n elements from f with unspecified
+// contents, as GetFloats does from the shared pool: a scratch buffer its
+// caller overwrites before reading need not pay for clearing.
+func (f *Floats) GetUncleared(n int) []float32 { return f.or().take(n, false) }
+
 // Put hands b, obtained from f, back to f for reuse. The caller must not
 // use b afterwards.
 func (f *Floats) Put(b []float32) { f.or().put(b) }

@@ -9,8 +9,8 @@ import (
 
 // BenchmarkMatMulKernels times the three kernels at the shapes the
 // benchmark's models use, under each body the machine has — the Go loops
-// (go/), the AVX2 bodies (avx2/), and the same with mulAddTile's AVX-512
-// body (avx512/) — and reports ns/mac, the unit of the benchmark ladder's
+// (go/), the AVX2 bodies (avx2/), and the same with the AVX-512 tile
+// (avx512/) — and reports ns/mac, the unit of the benchmark ladder's
 // tensor.*_ns_per_mac, so one run prints the table of every body. Each
 // shape runs on a dense left operand, which is what the ladder measures,
 // and on a half-zero one, which is what a layer after a ReLU gets:
@@ -22,13 +22,16 @@ import (
 // branch predictor learn where its zeros are, which no training step
 // offers: on the reference box a zero-skip scan that branches on each
 // coefficient read 0.25 ns/mac on one repeated 16×32 operand and 0.62 on
-// 64 of them.
+// 64 of them. Each result is released, as a training step releases its
+// temporaries, so the next call's output comes from the pool: allocating,
+// clearing and collecting a fresh 128 KB output read twice the kernel's
+// ns/mac at 64×10×512.
 func BenchmarkMatMulKernels(b *testing.B) {
 	const benchCoefficients = 1 << 16
 	tileBodies(func(body string) {
 		rng := rand.New(rand.NewSource(1))
 		for _, kr := range matmulKernels {
-			for _, s := range benchShapes {
+			for _, s := range kr.shapes {
 				for _, fill := range []int{fillDense, fillHalfZero} {
 					m, k, n := s[0], s[1], s[2]
 					xs := make([]*Tensor, (benchCoefficients+m*k-1)/(m*k))
@@ -41,7 +44,7 @@ func BenchmarkMatMulKernels(b *testing.B) {
 						b.ReportAllocs()
 						i := 0
 						for b.Loop() {
-							kr.kernel(xs[i], y)
+							kr.kernel(xs[i], y).Release()
 							i = (i + 1) % len(xs)
 						}
 						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m*k*n), "ns/mac")

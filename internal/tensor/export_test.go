@@ -17,8 +17,8 @@ func kernelBodies(f func(body string)) {
 
 // tileBodies is kernelBodies, then "avx512" if the processor has it: for
 // the leaves that have an AVX-512 body, mulAddTile and the kernels that
-// call it, MatMul and MatMulTransA. Every other leaf runs its AVX2 body
-// there, which kernelBodies already ran.
+// run the tile, MatMul, MatMulTransA and MatMulTransB. Every other leaf
+// runs its AVX2 body there, which kernelBodies already ran.
 func tileBodies(f func(body string)) {
 	kernelBodies(f)
 	if useAVX512 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -137,6 +138,66 @@ func TestAssemblyBodiesMatchGoBodies(t *testing.T) {
 				runEveryBody(t, tileBodies, fmt.Sprintf("mulAddTile n=%d k=%d off=%d strides=%v", n, k, off, st), off, []operand{o, a, b}, func(s [][]float32) {
 					mulAddTile(s[0], s[1], first, st[0], st[1], k, s[2])
 				})
+			}
+		}
+	}
+}
+
+// TestMatMulTransBPanelBoundaries straddles what MatMulTransB's AVX-512
+// path cuts its work into: the panel's 64-row groups of b (n around 64
+// and 128, a last group of one row, of exactly 16 and of 15), the pack's
+// 16-row blocks and four-p steps (k = 1 … 5), the panel's depth (k
+// around panelDepth, and past twice it), and the rows left to dotRows
+// (m = 3, 5, 9) beside the four-row blocks.
+func TestMatMulTransBPanelBoundaries(t *testing.T) {
+	transB := slices.IndexFunc(matmulKernels, func(kr matmulKernel) bool { return kr.name == "MatMulTransB" })
+	rng := rand.New(rand.NewSource(17))
+	for _, m := range []int{3, 4, 5, 8, 9} {
+		for _, k := range []int{1, 2, 3, 4, 5, panelDepth - 1, panelDepth, panelDepth + 1, 2*panelDepth + 3} {
+			for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 79, 80, 127, 129} {
+				for fill := 0; fill < numFills; fill++ {
+					checkKernel(t, rng, transB, m, k, n, fill)
+				}
+			}
+		}
+	}
+}
+
+// TestPackPanelMatchesTranspose holds MatMulTransB's panel pack to a
+// scalar transpose, bit for bit: for every group width 1–64 (the 16-row
+// blocks of the assembly and the rows after them), every depth 1–13 and
+// around panelDepth (its four-p steps and the p after them), b's rows up
+// to two floats longer than the depth, and every offset 0–7 of both
+// operands, panel[p·64+r] = b[r·k+p] where r < w and p < c, the rest of
+// the panel keeps what it held, b is untouched, and so are the canaries
+// around both.
+func TestPackPanelMatchesTranspose(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512 on this machine: MatMulTransB packs no panel")
+	}
+	rng := rand.New(rand.NewSource(53))
+	depths := []int{panelDepth - 1, panelDepth, panelDepth + 1}
+	for c := 1; c <= 13; c++ {
+		depths = append(depths, c)
+	}
+	for w := 1; w <= panelRows; w++ {
+		for _, c := range depths {
+			k := c + (w+c)%3
+			off := (w + c) % 8
+			panel, b := newOperand(c*panelRows, off), newOperand((w-1)*k+c, (off+3)%8)
+			fillKernelValues(rng, panel.s)
+			fillKernelValues(rng, b.s)
+			want, wantB := panel.clone(0), b.clone(0)
+			for r := range w {
+				for p := range c {
+					want.s[p*panelRows+r] = b.s[r*k+p]
+				}
+			}
+			packPanel(panel.s, b.s, k, w, c)
+			what := fmt.Sprintf("packPanel w=%d c=%d k=%d off=%d", w, c, k, off)
+			for _, o := range [][2]operand{{panel, want}, {b, wantB}} {
+				got, want := o[0].region, o[1].region
+				requireBitwise(t, what+" (canaries, the slice, canaries)", FromSlice(got, len(got)), FromSlice(want, len(want)))
 			}
 		}
 	}

@@ -169,9 +169,10 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 					dotRows(s[0], s[1], s[2], m, k, n)
 				})
 			}
-			// The four-row tile and the rows after it, from both kernels
-			// that use it: every column count meets the 64-wide blocks and
-			// the masked 16-wide tail.
+			// The four-row tile and the rows after it, from the three
+			// kernels that use it: every column count meets the 64-wide
+			// blocks and the masked 16-wide tail, and MatMulTransB's pack
+			// reads the rows of b nearest the guard page four p at a time.
 			for m := 1; m <= maxM; m++ {
 				k := 1 + (n+m)%7
 				run(tileBodies, "MatMul", [3]int{m * n, m * k, k * n}, atEnd, func(s [3][]float32) {
@@ -179,6 +180,9 @@ func TestAssemblyBodiesStayInsideTheirOperands(t *testing.T) {
 				})
 				run(tileBodies, "MatMulTransAInto", [3]int{m * n, k * m, k * n}, atEnd, func(s [3][]float32) {
 					MatMulTransAInto(FromSlice(s[0], m, n), FromSlice(s[1], k, m), FromSlice(s[2], k, n))
+				})
+				run(tileBodies, "MatMulTransB", [3]int{m * n, m * k, n * k}, atEnd, func(s [3][]float32) {
+					copy(s[0], MatMulTransB(FromSlice(s[1], m, k), FromSlice(s[2], n, k)).data)
 				})
 			}
 		}

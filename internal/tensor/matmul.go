@@ -23,6 +23,11 @@ import "fmt"
 // whose Go body is mulAddRows on each row; with AVX-512 it is one
 // assembly tile that keeps the four rows' sums in registers over the
 // whole k loop, so a row of b is loaded once for four rows of the output.
+// With AVX-512, MatMulTransB runs the same tile too, with its zero-skip
+// off: each group of 64 rows of b is packed once into a panel that holds
+// them as columns, and every block of four rows of a runs over it
+// (matmul_amd64.go). Its rows left over, and every other machine, run
+// dotRows.
 
 // useAVX says whether the leaves call their AVX2 bodies, and useAVX512
 // whether mulAddTile calls its AVX-512 body. Both are read once from the
@@ -226,7 +231,8 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
 	out := a.New(m, n)
-	dotRows(out.data, a.data, b.data, m, k, n)
+	i := matMulTransBVec(out.data, a.data, b.data, m, k, n, a.pool)
+	dotRows(out.data[i*n:], a.data[i*k:], b.data, m-i, k, n)
 	return out
 }
 

@@ -331,26 +331,30 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// The AVX-512 tile of mulAddTile: four output rows, a 16-float vector per
-// lane group, the same lane rule as above. For each p the four
-// coefficients are broadcast and each is multiplied by the row p of b
-// that the tile's columns cover (VMULPS rounds the product); the add into
-// a row's accumulators is merge-masked by coefficient != 0, compared
-// NEQ_UQ so that a NaN coefficient is applied and a ±0 one leaves the sum
-// exactly as it was, as if the term had been skipped. The accumulators
-// start from o and stay in registers for the whole k loop, so every
-// element receives its products one p at a time, ascending.
+// The AVX-512 tile, shared by all three kernels: four output rows, a
+// 16-float vector per lane group, the same lane rule as above. For each p
+// the four coefficients are broadcast and each is multiplied by the row p
+// of b that the tile's columns cover (VMULPS rounds the product); the add
+// into a row's accumulators is merge-masked by VCMPPS NEQ_UQ of the
+// coefficient against the zero argument. Against +0 (MatMul and
+// MatMulTransA) a NaN coefficient is applied and a ±0 one leaves the sum
+// exactly as it was, as if the term had been skipped; against NaN
+// (MatMulTransB) every comparison is unordered, so true, and no term is
+// skipped. The accumulators start from o and stay in registers for the
+// whole k loop, so every element receives its products one p at a time,
+// ascending.
 //
-// Registers: DI = &o[0][j], DX = bytes per row of o and of b, R12 = 3·DX,
-// SI = &a[0][0] (the first coefficient of row 0), R10 = bytes between two
-// rows' coefficients, R11 = 3·R10, R13 = bytes between two p of one row,
-// R9 = &b[0][j]; in the k loop AX = the coefficients of p, R8 = &b[p][j],
-// CX = p still to do. Z0–Z3 hold b, Z4–Z7 the broadcast coefficients of
-// rows 0–3, Z8–Z11 products, Z12 zero, Z16–Z31 the sums (four vectors a
-// row); K1 is the row's mask, K2 the columns of a narrow chunk.
+// Registers: DI = &o[0][j], DX = bytes per row of o, R12 = 3·DX, R14 =
+// bytes per row of b, SI = &a[0][0] (the first coefficient of row 0),
+// R10 = bytes between two rows' coefficients, R11 = 3·R10, R13 = bytes
+// between two p of one row, R9 = &b[0][j]; in the k loop AX = the
+// coefficients of p, R8 = &b[p][j], CX = p still to do. Z0–Z3 hold b,
+// Z4–Z7 the broadcast coefficients of rows 0–3, Z8–Z11 products, Z12 the
+// zero argument, Z16–Z31 the sums (four vectors a row); K1 is the row's
+// mask, K2 the columns of a narrow chunk.
 
 // ROW4 adds the products of one coefficient with Z0–Z3 into the four
-// sums of one row, where the coefficient is not ±0.
+// sums of one row, where the coefficient compares unequal to Z12.
 #define ROW4(COEF, C, S0, S1, S2, S3) \
 	VBROADCASTSS COEF, C \
 	VCMPPS       $4, Z12, C, K1 \
@@ -370,29 +374,32 @@ no:
 	VMULPS       Z0, C, Z8 \
 	VADDPS       Z8, S, K1, S
 
-// func mulAddTileAVX512(o *float32, n int, a *float32, rs, ps, k int, b *float32)
+// func mulAddTileAVX512(o *float32, n, os int, a *float32, rs, ps, k int, b *float32, bs int, zero float32)
 //
-// Row r of o (n floats, rows n apart) adds a[r·rs + p·ps]·b[p·n + j] for
-// p = 0 … k-1 to each o[r·n + j], skipping every p whose coefficient is
-// ±0; n and k are positive. Columns go 64 at a time, then the rest 16 at
-// a time, the last chunk under a mask: no load or store leaves [0, n).
-TEXT ·mulAddTileAVX512(SB), NOSPLIT, $0-56
-	MOVQ    o+0(FP), DI
-	MOVQ    n+8(FP), DX
-	MOVQ    a+16(FP), SI
-	MOVQ    rs+24(FP), R10
-	MOVQ    ps+32(FP), R13
-	MOVQ    b+48(FP), R9
-	MOVQ    DX, BX
-	SHRQ    $6, BX           // whole blocks of 64 columns
-	SHLQ    $2, DX
-	LEAQ    (DX)(DX*2), R12
-	SHLQ    $2, R10
-	LEAQ    (R10)(R10*2), R11
-	SHLQ    $2, R13
-	VPXORD  Z12, Z12, Z12
-	TESTQ   BX, BX
-	JEQ     narrow
+// Row r of o (n floats, rows os apart) adds a[r·rs + p·ps]·b[p·bs + j]
+// for p = 0 … k-1 to each o[r·os + j], skipping every p whose coefficient
+// equals zero (+0 skips ±0 coefficients, NaN none); n and k are positive.
+// Columns go 64 at a time, then the rest 16 at a time, the last chunk
+// under a mask: no load or store leaves [0, n) of a row.
+TEXT ·mulAddTileAVX512(SB), NOSPLIT, $0-76
+	MOVQ         o+0(FP), DI
+	MOVQ         n+8(FP), BX
+	MOVQ         os+16(FP), DX
+	MOVQ         a+24(FP), SI
+	MOVQ         rs+32(FP), R10
+	MOVQ         ps+40(FP), R13
+	MOVQ         b+56(FP), R9
+	MOVQ         bs+64(FP), R14
+	SHRQ         $6, BX           // whole blocks of 64 columns
+	SHLQ         $2, DX
+	LEAQ         (DX)(DX*2), R12
+	SHLQ         $2, R14
+	SHLQ         $2, R10
+	LEAQ         (R10)(R10*2), R11
+	SHLQ         $2, R13
+	VBROADCASTSS zero+72(FP), Z12
+	TESTQ        BX, BX
+	JEQ          narrow
 
 wide:
 	VMOVUPS (DI), Z16
@@ -413,7 +420,7 @@ wide:
 	VMOVUPS 192(DI)(R12*1), Z31
 	MOVQ    SI, AX
 	MOVQ    R9, R8
-	MOVQ    k+40(FP), CX
+	MOVQ    k+48(FP), CX
 	PCALIGN $32
 
 wideK:
@@ -426,7 +433,7 @@ wideK:
 	ROW4((AX)(R10*2), Z6, Z24, Z25, Z26, Z27)
 	ROW4((AX)(R11*1), Z7, Z28, Z29, Z30, Z31)
 	ADDQ    R13, AX
-	ADDQ    DX, R8
+	ADDQ    R14, R8
 	DECQ    CX
 	JNE     wideK
 	VMOVUPS Z16, (DI)
@@ -472,7 +479,7 @@ whole:
 	VMOVUPS.Z (DI)(R12*1), K2, Z28
 	MOVQ      SI, AX
 	MOVQ      R9, R8
-	MOVQ      k+40(FP), CX
+	MOVQ      k+48(FP), CX
 	PCALIGN   $32
 
 narrowK:
@@ -482,7 +489,7 @@ narrowK:
 	ROW1((AX)(R10*2), Z6, Z24)
 	ROW1((AX)(R11*1), Z7, Z28)
 	ADDQ      R13, AX
-	ADDQ      DX, R8
+	ADDQ      R14, R8
 	DECQ      CX
 	JNE       narrowK
 	VMOVUPS   Z16, K2, (DI)
@@ -495,5 +502,139 @@ narrowK:
 	JGT       chunk
 
 done:
+	VZEROUPPER
+	RET
+
+// UNPACK16 transposes, in each 128-bit lane, the four rows' four p held
+// in Z0–Z3 (one row a register): Z0 comes out as the lane's rows at p,
+// Z1 at p+1, Z2 at p+2, Z3 at p+3 — TRANSPOSE's unpacks at 512 bits.
+#define UNPACK16 \
+	VUNPCKLPS Z1, Z0, Z4 \
+	VUNPCKHPS Z1, Z0, Z5 \
+	VUNPCKLPS Z3, Z2, Z6 \
+	VUNPCKHPS Z3, Z2, Z7 \
+	VUNPCKLPD Z6, Z4, Z0 \
+	VUNPCKHPD Z6, Z4, Z1 \
+	VUNPCKLPD Z7, Z5, Z2 \
+	VUNPCKHPD Z7, Z5, Z3
+
+// func packAVX512(panel *float32, b *float32, k, rows, c int)
+//
+// panel[p·64 + r] = b[r·k + p] for r < rows and p < c: the rows of b, k
+// floats apart, become the columns of a panel whose rows are 64 floats
+// apart, which the tile reads as its b. rows is 16, 32, 48 or 64 and c
+// positive. It only moves floats, so no value changes.
+//
+// A step takes four p of 16 rows: each 16-byte load is four p of one row,
+// and rows t, t+4, t+8 and t+12 share a register, one per 128-bit lane
+// (VINSERTF32X4), so the unpacks of TRANSPOSE, at 512 bits, transpose all
+// four lanes at once: Z0 = b[0 … 15][p], Z1 the same at p+1, and so on.
+// The last one to three p are loaded under masks instead, each row's
+// into its own lane (K1–K4, c mod 4 floats from lane 0, 1, 2 or 3, a
+// masked-off float being neither read nor able to fault), and only their
+// vectors are stored.
+//
+// Registers: SI = &b[16·block][0], DI = &panel[0][16·block], BX = blocks
+// of 16 rows still to do, R10 = bytes per row of b, R11 = 3·R10, DX = c
+// mod 4; in the p loop R8, R9, R12 and R13 = &b[t][p] for rows t = 0, 4,
+// 8 and 12 of the block, AX = &panel[p][16·block], CX = steps of four p
+// still to do.
+TEXT ·packAVX512(SB), NOSPLIT, $0-40
+	MOVQ  panel+0(FP), DI
+	MOVQ  b+8(FP), SI
+	MOVQ  k+16(FP), R10
+	MOVQ  rows+24(FP), BX
+	MOVQ  c+32(FP), DX
+	SHLQ  $2, R10
+	LEAQ  (R10)(R10*2), R11
+	SHRQ  $4, BX
+	ANDQ  $3, DX
+	MOVL  $1, AX
+	MOVQ  DX, CX
+	SHLL  CX, AX
+	DECL  AX                 // the low c mod 4 bits
+	KMOVW AX, K1
+	SHLL  $4, AX
+	KMOVW AX, K2
+	SHLL  $4, AX
+	KMOVW AX, K3
+	SHLL  $4, AX
+	KMOVW AX, K4
+
+block:
+	MOVQ  SI, R8
+	LEAQ  (R8)(R10*4), R9
+	LEAQ  (R9)(R10*4), R12
+	LEAQ  (R12)(R10*4), R13
+	MOVQ  DI, AX
+	MOVQ  c+32(FP), CX
+	SHRQ  $2, CX
+	JEQ   tail
+	PCALIGN $32
+
+step:
+	VMOVUPS      (R8), X0
+	VMOVUPS      (R8)(R10*1), X1
+	VMOVUPS      (R8)(R10*2), X2
+	VMOVUPS      (R8)(R11*1), X3
+	VINSERTF32X4 $1, (R9), Z0, Z0
+	VINSERTF32X4 $1, (R9)(R10*1), Z1, Z1
+	VINSERTF32X4 $1, (R9)(R10*2), Z2, Z2
+	VINSERTF32X4 $1, (R9)(R11*1), Z3, Z3
+	VINSERTF32X4 $2, (R12), Z0, Z0
+	VINSERTF32X4 $2, (R12)(R10*1), Z1, Z1
+	VINSERTF32X4 $2, (R12)(R10*2), Z2, Z2
+	VINSERTF32X4 $2, (R12)(R11*1), Z3, Z3
+	VINSERTF32X4 $3, (R13), Z0, Z0
+	VINSERTF32X4 $3, (R13)(R10*1), Z1, Z1
+	VINSERTF32X4 $3, (R13)(R10*2), Z2, Z2
+	VINSERTF32X4 $3, (R13)(R11*1), Z3, Z3
+	UNPACK16
+	VMOVUPS      Z0, (AX)
+	VMOVUPS      Z1, 256(AX)
+	VMOVUPS      Z2, 512(AX)
+	VMOVUPS      Z3, 768(AX)
+	ADDQ         $16, R8
+	ADDQ         $16, R9
+	ADDQ         $16, R12
+	ADDQ         $16, R13
+	ADDQ         $1024, AX
+	DECQ         CX
+	JNE          step
+
+tail:
+	TESTQ     DX, DX
+	JEQ       next
+	VMOVUPS.Z (R8), K1, Z0
+	VMOVUPS.Z (R8)(R10*1), K1, Z1
+	VMOVUPS.Z (R8)(R10*2), K1, Z2
+	VMOVUPS.Z (R8)(R11*1), K1, Z3
+	VMOVUPS   -16(R9), K2, Z0
+	VMOVUPS   -16(R9)(R10*1), K2, Z1
+	VMOVUPS   -16(R9)(R10*2), K2, Z2
+	VMOVUPS   -16(R9)(R11*1), K2, Z3
+	VMOVUPS   -32(R12), K3, Z0
+	VMOVUPS   -32(R12)(R10*1), K3, Z1
+	VMOVUPS   -32(R12)(R10*2), K3, Z2
+	VMOVUPS   -32(R12)(R11*1), K3, Z3
+	VMOVUPS   -48(R13), K4, Z0
+	VMOVUPS   -48(R13)(R10*1), K4, Z1
+	VMOVUPS   -48(R13)(R10*2), K4, Z2
+	VMOVUPS   -48(R13)(R11*1), K4, Z3
+	UNPACK16
+	VMOVUPS   Z0, (AX)
+	CMPQ      DX, $2
+	JLT       next
+	VMOVUPS   Z1, 256(AX)
+	JEQ       next
+	VMOVUPS   Z2, 512(AX)
+
+next:
+	MOVQ R10, CX
+	SHLQ $4, CX
+	ADDQ CX, SI              // 16 rows on
+	ADDQ $64, DI
+	DECQ BX
+	JNE  block
 	VZEROUPPER
 	RET

@@ -72,19 +72,40 @@ func refMatMulTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matmulKernels pairs each kernel with its oracle and says which
-// operands it takes transposed, for an [m,n] result reduced over k.
-var matmulKernels = []struct {
+// matmulKernels pairs each kernel with its oracle, says which operands it
+// takes transposed, for an [m,n] result reduced over k, and lists the
+// (m, k, n) the benchmark's models call it with.
+var matmulKernels = []matmulKernel{
+	{"MatMul", MatMul, refMatMul, false, false, tileBodies, matMulShapes},
+	{"MatMulTransA", MatMulTransA, refMatMulTransA, true, false, tileBodies, transAShapes},
+	{"MatMulTransAInto", matMulTransAIntoGarbage, refMatMulTransA, true, false, tileBodies, transAShapes},
+	{"MatMulTransB", MatMulTransB, refMatMulTransB, false, true, tileBodies, transBShapes},
+}
+
+type matmulKernel struct {
 	name           string
 	kernel, ref    func(a, b *Tensor) *Tensor
 	transA, transB bool
 	bodies         func(f func(body string)) // the bodies its leaves have
-}{
-	{"MatMul", MatMul, refMatMul, false, false, tileBodies},
-	{"MatMulTransA", MatMulTransA, refMatMulTransA, true, false, tileBodies},
-	{"MatMulTransAInto", matMulTransAIntoGarbage, refMatMulTransA, true, false, tileBodies},
-	{"MatMulTransB", MatMulTransB, refMatMulTransB, false, true, kernelBodies},
+	shapes         [][3]int
 }
+
+// The (m, k, n) the benchmark's models put through each kernel in a step.
+// The compute MLP (64 rows, 256 → 512 → 512 → 10): its three forward
+// products, its three weight gradients, and the input gradients of its
+// hidden layer and head (the first layer's input needs none). The wide
+// MLP (two rows, 1024 wide): one shape of each. The transformer (16
+// tokens, width 128, four heads of 32, feed-forward 512): the
+// projections, the feed-forward in both directions, and per head the
+// scores q·kᵀ and their product with v, forward and backward.
+var (
+	matMulShapes = [][3]int{{64, 256, 512}, {64, 512, 512}, {64, 512, 10}, {2, 1024, 1024},
+		{16, 128, 128}, {16, 128, 512}, {16, 512, 128}, {16, 16, 32}}
+	transAShapes = [][3]int{{256, 64, 512}, {512, 64, 512}, {512, 64, 10}, {1024, 2, 1024},
+		{128, 16, 128}, {128, 16, 512}, {512, 16, 128}, {16, 16, 32}}
+	transBShapes = [][3]int{{64, 512, 512}, {64, 10, 512}, {2, 1024, 1024},
+		{16, 128, 128}, {16, 128, 512}, {16, 512, 128}, {16, 32, 16}}
+)
 
 // matMulTransAIntoGarbage runs the into-form over a destination that
 // holds NaN, ±Inf and finite garbage — a bucket slot after the last
@@ -109,12 +130,6 @@ func newOperands(transA, transB bool, m, k, n int) (a, b *Tensor) {
 	}
 	return a, b
 }
-
-// benchShapes are the (m, k, n) the benchmark's models put through the
-// kernels: the compute MLP's hidden layer and its head (one vector and a
-// tail of two), the wide MLP's, and the transformer's feed-forward (both
-// directions) and per-head attention products.
-var benchShapes = [][3]int{{64, 512, 512}, {64, 512, 10}, {2, 1024, 1024}, {16, 128, 512}, {16, 512, 128}, {16, 32, 16}}
 
 // Left-operand fills. The specials put −0, NaN and ±Inf in the left
 // operand and zeros opposite them in the right one, so a skipped 0·Inf
@@ -184,15 +199,22 @@ func requireBitwise(t *testing.T, what string, got, want *Tensor) {
 // assembly in one run.
 func checkAgainstReference(t *testing.T, rng *rand.Rand, m, k, n, fill int) {
 	t.Helper()
-	for _, kr := range matmulKernels {
-		a, b := newOperands(kr.transA, kr.transB, m, k, n)
-		fillOperands(rng, fill, a, b)
-		want := kr.ref(a, b)
-		kr.bodies(func(body string) {
-			what := fmt.Sprintf("%s/%s m=%d k=%d n=%d %s", body, kr.name, m, k, n, fillNames[fill])
-			requireBitwise(t, what, kr.kernel(a, b), want)
-		})
+	for i := range matmulKernels {
+		checkKernel(t, rng, i, m, k, n, fill)
 	}
+}
+
+// checkKernel is checkAgainstReference for matmulKernels[i] alone.
+func checkKernel(t *testing.T, rng *rand.Rand, i, m, k, n, fill int) {
+	t.Helper()
+	kr := matmulKernels[i]
+	a, b := newOperands(kr.transA, kr.transB, m, k, n)
+	fillOperands(rng, fill, a, b)
+	want := kr.ref(a, b)
+	kr.bodies(func(body string) {
+		what := fmt.Sprintf("%s/%s m=%d k=%d n=%d %s", body, kr.name, m, k, n, fillNames[fill])
+		requireBitwise(t, what, kr.kernel(a, b), want)
+	})
 }
 
 // TestMatMulMatchesReference sweeps every combination of tile tails
@@ -216,11 +238,15 @@ func TestMatMulMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMatMulMatchesReferenceBenchShapes holds each kernel to its oracle
+// at the shapes the benchmark's models call it with.
 func TestMatMulMatchesReferenceBenchShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	for _, s := range benchShapes {
-		for fill := 0; fill < numFills; fill++ {
-			checkAgainstReference(t, rng, s[0], s[1], s[2], fill)
+	for i, kr := range matmulKernels {
+		for _, s := range kr.shapes {
+			for fill := 0; fill < numFills; fill++ {
+				checkKernel(t, rng, i, s[0], s[1], s[2], fill)
+			}
 		}
 	}
 }
@@ -248,20 +274,23 @@ func TestMatMulZeroSkipIsObservable(t *testing.T) {
 	// columns wide (a 64-wide block and a masked tail): a row's ±0
 	// coefficients opposite Inf and NaN leave its sums finite, its
 	// neighbour's NaN coefficient is applied, and a row whose
-	// coefficients are all ±0 stays +0.
-	const k, n = 3, 70
+	// coefficients are all ±0 stays +0. MatMulTransB, whose AVX-512 body
+	// runs the same tile over b packed into panels, keeps every term, so
+	// each of its elements meets a 0·Inf and is NaN.
+	const k, n = 4, 70
 	nan := float32(math.NaN())
 	right = New(k, n)
 	for j := range n {
 		right.data[j] = inf   // p = 0
 		right.data[n+j] = nan // p = 1
 		right.data[2*n+j] = float32(j + 1)
+		right.data[3*n+j] = float32(j)
 	}
 	left = FromSlice([]float32{
-		0, negZero, 2, // finite: 2·(j+1)
-		negZero, 0, nan, // NaN, from the NaN coefficient alone
-		negZero, 0, negZero, // nothing added: +0
-		negZero, 0, 3, // finite: 3·(j+1)
+		0, negZero, 2, 0, // finite: 2·(j+1)
+		negZero, 0, nan, negZero, // NaN, from the NaN coefficient alone
+		negZero, 0, negZero, 0, // nothing added: +0
+		negZero, 0, 3, negZero, // finite: 3·(j+1)
 	}, 4, k)
 	check := func(what string, out *Tensor) {
 		t.Helper()
@@ -279,6 +308,11 @@ func TestMatMulZeroSkipIsObservable(t *testing.T) {
 		check(body+"/MatMul", MatMul(left, right))
 		check(body+"/MatMulTransA", MatMulTransA(Transpose2D(left), right))
 		check(body+"/MatMulTransAInto", MatMulTransAInto(garbage(4, n), Transpose2D(left), right))
+		for j, g := range MatMulTransB(left, Transpose2D(right)).data {
+			if g == g {
+				t.Fatalf("%s/MatMulTransB: row %d column %d = %v, want NaN", body, j/n, j%n, g)
+			}
+		}
 	})
 }
 
@@ -313,9 +347,11 @@ func TestMatMulTransAIntoRefusesAliasedDestination(t *testing.T) {
 // and the data seed; dimensions stay below 70 so one input costs
 // microseconds, which still spans four of the scan's blocks.
 func FuzzMatMulMatchesReference(f *testing.F) {
-	for _, s := range benchShapes {
-		for fill := 0; fill < numFills; fill++ {
-			f.Add(uint8(s[0]), uint8(s[1]%70), uint8(s[2]%70), uint8(fill), int64(s[1]))
+	for _, shapes := range [][][3]int{matMulShapes, transAShapes, transBShapes} {
+		for _, s := range shapes {
+			for fill := 0; fill < numFills; fill++ {
+				f.Add(uint8(s[0]%70), uint8(s[1]%70), uint8(s[2]%70), uint8(fill), int64(s[1]))
+			}
 		}
 	}
 	f.Add(uint8(5), uint8(9), uint8(17), uint8(fillSpecials), int64(1))
@@ -324,6 +360,18 @@ func FuzzMatMulMatchesReference(f *testing.F) {
 	for _, m := range []int{3, 4, 5, 8, 9} {
 		for _, n := range []int{15, 16, 17, 63, 64, 65} {
 			f.Add(uint8(m), uint8(m+n%7), uint8(n), uint8((m+n)%numFills), int64(m*n))
+		}
+	}
+	// MatMulTransB's panels: a group of 63 rows of b (three blocks of 16
+	// and 15 rows after them), a whole group, and a whole group and one
+	// row more, over k around the pack's four-p steps. The panel's depth
+	// is beyond the fuzzer's dimensions; TestMatMulTransBPanelBoundaries
+	// covers it.
+	for _, m := range []int{3, 4, 5, 8, 9} {
+		for k := 1; k <= 5; k++ {
+			for _, n := range []int{63, 64, 65} {
+				f.Add(uint8(m), uint8(k), uint8(n), uint8((m+k+n)%numFills), int64(m*k*n))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, m, k, n, fill uint8, seed int64) {
