@@ -97,7 +97,7 @@ const runBudget = 45 * time.Second
 // RunWithOptions is Run with knobs.
 func RunWithOptions(s Schedule, opts Options) *Report {
 	rep := &Report{Schedule: s}
-	p, err := analyze(s)
+	p, err := Validate(s)
 	if err != nil {
 		rep.add(invSchedule, err.Error())
 		return rep
@@ -754,8 +754,7 @@ func (g *genRecorder) Get(key string) ([]byte, error)     { return g.inner.Get(k
 func (g *genRecorder) Add(key string, delta int64) (int64, error) {
 	return g.inner.Add(key, delta)
 }
-func (g *genRecorder) Wait(keys ...string) error { return g.inner.Wait(keys...) }
-func (g *genRecorder) Delete(key string) error   { return g.inner.Delete(key) }
+func (g *genRecorder) Delete(key string) error { return g.inner.Delete(key) }
 func (g *genRecorder) Watch(key string, prev []byte) ([]byte, error) {
 	return g.inner.Watch(key, prev)
 }
@@ -763,5 +762,5 @@ func (g *genRecorder) Watch(key string, prev []byte) ([]byte, error) {
 // GetCancel keeps the recorder cancellation-transparent so mesh builds
 // through it stay abortable.
 func (g *genRecorder) GetCancel(key string, cancel <-chan struct{}) ([]byte, error) {
-	return store.GetCancel(g.inner, key, cancel)
+	return g.inner.GetCancel(key, cancel)
 }

@@ -62,7 +62,7 @@ func TestShrinkMutantsAreSmallerAndNormal(t *testing.T) {
 		t.Fatal("no mutants for a fully-loaded schedule")
 	}
 	for _, m := range muts {
-		if err := Validate(m); err != nil {
+		if _, err := Validate(m); err != nil {
 			t.Fatalf("mutant not normal form: %v\n%s", err, m.Encode())
 		}
 		if m.Steps > c.Steps || len(m.Events) > len(c.Events) {

@@ -14,7 +14,7 @@ func ReplayWithOptions(data []byte, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := Validate(s); err != nil {
+	if _, err := Validate(s); err != nil {
 		return nil, err
 	}
 	return RunWithOptions(s, opts), nil

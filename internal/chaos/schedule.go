@@ -225,9 +225,9 @@ func Normalize(s Schedule) Schedule {
 	// kept list out of step order; walking again from the re-sorted
 	// form converges — values are in bounds after one pass and event
 	// drops are monotone, so a handful of passes reaches a fixpoint.
-	out, _, _ := walk(s, true)
+	out, _ := walk(s)
 	for i := 0; i < 2+maxEvents; i++ {
-		next, _, _ := walk(out, true)
+		next, _ := walk(out)
 		if reflect.DeepEqual(next, out) {
 			break
 		}
@@ -237,54 +237,34 @@ func Normalize(s Schedule) Schedule {
 }
 
 // Validate checks that a schedule is already in normal form — the
-// contract for corpus entries and shrunk reproducers, which must
-// re-execute verbatim rather than be silently repaired.
-func Validate(s Schedule) error {
-	n, _, err := walk(s, true)
-	if err != nil {
-		return err
-	}
+// contract for every schedule the engine runs: corpus entries and
+// shrunk reproducers must re-execute verbatim rather than be silently
+// repaired — and returns the plan the engine executes against.
+func Validate(s Schedule) (*plan, error) {
+	n, p := walk(s)
 	if !reflect.DeepEqual(n, s) {
-		return fmt.Errorf("chaos: schedule not in normal form (Normalize changes it)")
+		return nil, fmt.Errorf("chaos: schedule not in normal form (Normalize changes it)")
 	}
-	return nil
+	return p, nil
 }
 
-// analyze predicts the run: it walks the (normal-form) schedule and
-// returns the plan the engine executes against.
-func analyze(s Schedule) (*plan, error) {
-	_, p, err := walk(s, false)
-	return p, err
-}
-
-// walk simulates a schedule's effect on the membership timeline. In
-// lenient mode invalid events are dropped and fields clamped; in
-// strict mode the schedule is assumed normal. It returns the (possibly
-// repaired) schedule and its plan.
-func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
-	if lenient {
-		s.World = clampI(s.World, minWorldBound, maxWorldBound)
-		s.Steps = clamp64(s.Steps, minStepsBound, maxStepsBound)
-		if s.Codec != "" && s.Codec != "1bit" {
-			s.Codec = "1bit"
-		}
-		s.CkptEvery = clamp64(s.CkptEvery, 0, s.Steps)
-		if s.Strategy != "" && s.Strategy != "zero2" && s.Strategy != "zero3" {
-			s.Strategy = "zero3"
-		}
-		if s.Strategy != "" {
-			s.Codec = ""
-			s.CkptEvery = 1
-		}
-	} else {
-		if s.World < minWorldBound || s.World > maxWorldBound ||
-			s.Steps < minStepsBound || s.Steps > maxStepsBound ||
-			(s.Codec != "" && s.Codec != "1bit") ||
-			(s.Strategy != "" && s.Strategy != "zero2" && s.Strategy != "zero3") ||
-			(s.Strategy != "" && (s.Codec != "" || s.CkptEvery != 1)) ||
-			s.CkptEvery < 0 || s.CkptEvery > s.Steps {
-			return s, nil, fmt.Errorf("chaos: schedule outside executable bounds: %+v", s)
-		}
+// walk simulates a schedule's effect on the membership timeline,
+// dropping events that cannot fire and clamping fields into bounds. It
+// returns the repaired schedule and its plan; a schedule in normal form
+// comes back unchanged.
+func walk(s Schedule) (Schedule, *plan) {
+	s.World = clampI(s.World, minWorldBound, maxWorldBound)
+	s.Steps = clamp64(s.Steps, minStepsBound, maxStepsBound)
+	if s.Codec != "" && s.Codec != "1bit" {
+		s.Codec = "1bit"
+	}
+	s.CkptEvery = clamp64(s.CkptEvery, 0, s.Steps)
+	if s.Strategy != "" && s.Strategy != "zero2" && s.Strategy != "zero3" {
+		s.Strategy = "zero3"
+	}
+	if s.Strategy != "" {
+		s.Codec = ""
+		s.CkptEvery = 1
 	}
 
 	events := append([]Event(nil), s.Events...)
@@ -301,9 +281,6 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 		ev.Worker, ev.Count, ev.SlowMs = 0, 0, 0
 		ev.Step = clamp64(ev.Step, 1, s.Steps-1)
 		if p.killAll != nil {
-			if !lenient {
-				return s, nil, fmt.Errorf("chaos: more than one kill-all")
-			}
 			continue
 		}
 		ka := ev
@@ -355,36 +332,20 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 			takeRespawn()
 			era = 1
 		}
-		bad := func(format string, args ...interface{}) error {
-			if lenient {
-				return nil
-			}
-			return fmt.Errorf("chaos: event %+v: "+format, append([]interface{}{ev}, args...)...)
-		}
 		ok := true
 		switch ev.Kind {
 		case EvKillAll:
 			takeRespawn()
 			era = 1
 		case EvKill, EvKillMidStep, EvHang, EvPartition:
-			if lenient {
-				ev.Count, ev.SlowMs = 0, 0
-				ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
-			} else if ev.Count != 0 || ev.SlowMs != 0 || ev.Step < 0 || ev.Step >= eraEnd(era) {
-				return s, nil, bad("fields out of range for era %d", era)
-			}
+			ev.Count, ev.SlowMs = 0, 0
+			ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
 			if !active[ev.Worker] || len(active) <= 1 {
-				if !lenient {
-					return s, nil, bad("target not an active non-final worker")
-				}
 				ok = false
 				break
 			}
 			if ev.Kind == EvHang || ev.Kind == EvPartition {
 				if expensive >= maxExpensive {
-					if !lenient {
-						return s, nil, bad("over the expensive-event budget")
-					}
 					ok = false
 					break
 				}
@@ -396,16 +357,9 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 			parked := ev.Kind == EvHang || ev.Kind == EvPartition
 			p.setWorkerExit(ev.Worker, era, exitKilled, -1, parked)
 		case EvLeave:
-			if lenient {
-				ev.Count, ev.SlowMs = 0, 0
-				ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
-			} else if ev.Count != 0 || ev.SlowMs != 0 || ev.Step < 0 || ev.Step >= eraEnd(era) {
-				return s, nil, bad("fields out of range for era %d", era)
-			}
+			ev.Count, ev.SlowMs = 0, 0
+			ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
 			if !active[ev.Worker] || len(active) <= 1 {
-				if !lenient {
-					return s, nil, bad("target not an active non-final worker")
-				}
 				ok = false
 				break
 			}
@@ -414,17 +368,10 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 			departAfter[key] = append(departAfter[key], ev.Worker)
 			p.setWorkerExit(ev.Worker, era, exitClean, ev.Step+1, false)
 		case EvJoin:
-			if lenient {
-				ev.Count, ev.SlowMs = 0, 0
-				ev.Step = clamp64(ev.Step, 1, eraEnd(era)-1)
-				ev.Worker = nextOrd
-			} else if ev.Count != 0 || ev.SlowMs != 0 || ev.Step < 1 || ev.Step >= eraEnd(era) || ev.Worker != nextOrd {
-				return s, nil, bad("fields out of range for era %d (join ordinals are assigned in order)", era)
-			}
+			ev.Count, ev.SlowMs = 0, 0
+			ev.Step = clamp64(ev.Step, 1, eraEnd(era)-1)
+			ev.Worker = nextOrd
 			if len(active) >= maxWorldBound {
-				if !lenient {
-					return s, nil, bad("join would exceed the world cap")
-				}
 				ok = false
 				break
 			}
@@ -438,16 +385,11 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 			})
 			nextOrd++
 		case EvDiskFault:
-			if lenient {
-				ev.Count, ev.SlowMs = 0, 0
-				ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
-			} else if ev.Count != 0 || ev.SlowMs != 0 || ev.Step < 0 || ev.Step >= eraEnd(era) {
-				return s, nil, bad("fields out of range for era %d", era)
-			}
+			ev.Count, ev.SlowMs = 0, 0
+			ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
+			// It needs checkpointing (non-sharded), an active non-final
+			// target, and expensive budget.
 			if s.CkptEvery <= 0 || s.Strategy != "" || !active[ev.Worker] || len(active) <= 1 || expensive >= maxExpensive {
-				if !lenient {
-					return s, nil, bad("needs checkpointing (non-sharded), an active non-final target, and expensive budget")
-				}
 				ok = false
 				break
 			}
@@ -455,10 +397,7 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 			// smallest multiple of CkptEvery at or above Step+1.
 			fatal := ((ev.Step + s.CkptEvery) / s.CkptEvery) * s.CkptEvery
 			if fatal > eraEnd(era) {
-				if !lenient {
-					return s, nil, bad("no save point before the era ends")
-				}
-				ok = false
+				ok = false // no save point before the era ends
 				break
 			}
 			expensive++
@@ -469,31 +408,16 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 			}
 			p.setWorkerExit(ev.Worker, era, exitError, -1, false)
 		case EvSlowDisk:
-			if lenient {
-				ev.Count = 0
-				ev.SlowMs = clampI(ev.SlowMs, minSlowMs, maxDiskMs)
-				ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
-			} else if ev.Count != 0 || ev.SlowMs < minSlowMs || ev.SlowMs > maxDiskMs || ev.Step < 0 || ev.Step >= eraEnd(era) {
-				return s, nil, bad("fields out of range for era %d", era)
-			}
-			if s.CkptEvery <= 0 || s.Strategy != "" || !active[ev.Worker] {
-				if !lenient {
-					return s, nil, bad("needs checkpointing (non-sharded) and an active target")
-				}
-				ok = false
-			}
+			ev.Count = 0
+			ev.SlowMs = clampI(ev.SlowMs, minSlowMs, maxDiskMs)
+			ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
+			// It needs checkpointing (non-sharded) and an active target.
+			ok = s.CkptEvery > 0 && s.Strategy == "" && active[ev.Worker]
 		case EvStraggle:
-			if lenient {
-				ev.Count = clamp64(ev.Count, minStraggleN, maxStraggleN)
-				ev.SlowMs = clampI(ev.SlowMs, minSlowMs, maxSlowMs)
-				ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
-			} else if ev.Count < minStraggleN || ev.Count > maxStraggleN || ev.SlowMs < minSlowMs || ev.SlowMs > maxSlowMs || ev.Step < 0 || ev.Step >= eraEnd(era) {
-				return s, nil, bad("fields out of range for era %d", era)
-			}
+			ev.Count = clamp64(ev.Count, minStraggleN, maxStraggleN)
+			ev.SlowMs = clampI(ev.SlowMs, minSlowMs, maxSlowMs)
+			ev.Step = clamp64(ev.Step, 0, eraEnd(era)-1)
 			if !active[ev.Worker] {
-				if !lenient {
-					return s, nil, bad("target not active")
-				}
 				ok = false
 				break
 			}
@@ -501,20 +425,14 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 				ord: ev.Worker, era: era, start: ev.Step, count: ev.Count, slowMs: ev.SlowMs,
 			})
 		default:
-			if !lenient {
-				return s, nil, bad("unknown kind")
-			}
 			ok = false
 		}
 		if ok {
 			kept = append(kept, ev)
-			if len(kept) >= maxEvents && lenient {
+			if len(kept) >= maxEvents {
 				break
 			}
 		}
-	}
-	if !lenient && len(kept) > maxEvents {
-		return s, nil, fmt.Errorf("chaos: more than %d events", maxEvents)
 	}
 	if len(kept) == 0 {
 		kept = nil // canonical empty form, so Normalize is idempotent
@@ -615,7 +533,7 @@ func walk(s Schedule, lenient bool) (Schedule, *plan, error) {
 	}
 
 	p.s = s
-	return s, p, nil
+	return s, p
 }
 
 func initialSet(n int) map[int]bool {

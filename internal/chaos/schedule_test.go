@@ -35,7 +35,7 @@ func TestNormalizeIdempotent(t *testing.T) {
 				SlowMs: rng.Intn(400) - 10,
 			})
 		}
-		if err := Validate(Normalize(s)); err != nil {
+		if _, err := Validate(Normalize(s)); err != nil {
 			t.Fatalf("Normalize not idempotent on %+v: %v", s, err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestFromBytesNormalForm(t *testing.T) {
 		buf := make([]byte, rng.Intn(26))
 		rng.Read(buf)
 		s := FromBytes(buf)
-		if err := Validate(s); err != nil {
+		if _, err := Validate(s); err != nil {
 			t.Fatalf("FromBytes(%v) not normal form: %v\n%s", buf, err, s.Encode())
 		}
 	}
@@ -63,7 +63,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: two draws differ:\n%s\n%s", seed, a.Encode(), b.Encode())
 		}
-		if err := Validate(a); err != nil {
+		if _, err := Validate(a); err != nil {
 			t.Fatalf("seed %d: generated schedule not normal form: %v", seed, err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestNormalizeClampsAndDrops(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			out := Normalize(tc.in)
-			if err := Validate(out); err != nil {
+			if _, err := Validate(out); err != nil {
 				t.Fatalf("not normal form: %v", err)
 			}
 			tc.want(t, out)
@@ -162,14 +162,14 @@ func TestValidateRejectsRepairable(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if err := Validate(tc.s); err == nil {
+			if _, err := Validate(tc.s); err == nil {
 				t.Fatalf("Validate accepted %+v", tc.s)
 			}
 		})
 	}
 }
 
-// TestPlanPrediction pins the analyzer's membership timeline on a
+// TestPlanPrediction pins the plan's membership timeline on a
 // composite schedule: era 0 loses a worker and gains a joiner, a
 // kill-all splits the run, era 1 respawns the survivors.
 func TestPlanPrediction(t *testing.T) {
@@ -178,10 +178,7 @@ func TestPlanPrediction(t *testing.T) {
 		{Kind: EvJoin, Step: 2},
 		{Kind: EvKillAll, Step: 5},
 	}})
-	if err := Validate(s); err != nil {
-		t.Fatal(err)
-	}
-	p, err := analyze(s)
+	p, err := Validate(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +242,7 @@ func TestPlanPrediction(t *testing.T) {
 func TestStraggleViability(t *testing.T) {
 	viable := func(s Schedule) bool {
 		t.Helper()
-		p, err := analyze(Normalize(s))
+		p, err := Validate(Normalize(s))
 		if err != nil {
 			t.Fatal(err)
 		}

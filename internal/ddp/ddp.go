@@ -57,7 +57,7 @@ type Options struct {
 	// buckets through comm.CompressedAllReduce — real bytes on the byte
 	// lanes, or comm.ErrCompressionUnsupported from the first Backward
 	// when the process group cannot carry them — with error-feedback
-	// residuals owned by the reduction engine and keyed by parameter
+	// residuals owned by the reduction engine and carried by parameter
 	// identity, so they survive the Section 6.2.1 bucket rebuild and
 	// SetProcessGroup instead of silently resetting.
 	NewCodec func() comm.Codec

@@ -463,6 +463,95 @@ func TestRendezvousStandbyParksWhenFull(t *testing.T) {
 	}
 }
 
+// TestWaitGenerationAboveOutlivesStoreTimeout: a parked generation wait
+// lasts past the store's per-call timeout — in memory and over TCP,
+// where the client hands back the store's ErrTimeout — and returns the
+// generation a bump makes three timeouts later; closing the store still
+// ends a parked wait.
+func TestWaitGenerationAboveOutlivesStoreTimeout(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		// open returns the store a rendezvous uses and the close that
+		// ends it.
+		open func(t *testing.T) (store.Store, func() error)
+	}{
+		{"inmem", func(t *testing.T) (store.Store, func() error) {
+			st := store.NewInMem(timeout)
+			return st, st.Close
+		}},
+		{"tcp", func(t *testing.T) (store.Store, func() error) {
+			srv, err := store.ServeTCP("127.0.0.1:0", timeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := store.DialTCP(srv.Addr())
+			if err != nil {
+				srv.Close()
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c, srv.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, closeStore := tc.open(t)
+			closed := false
+			defer func() {
+				if !closed {
+					closeStore()
+				}
+			}()
+			r, err := NewRendezvous(Config{Store: st, MinWorld: 1, MaxWorld: 1, PollInterval: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := r.CurrentGeneration()
+			if err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				gen int
+				err error
+			}
+			wait := func(above int) chan result {
+				done := make(chan result, 1)
+				go func() {
+					gen, err := r.WaitGenerationAbove(above)
+					done <- result{gen, err}
+				}()
+				return done
+			}
+			done := wait(g)
+			time.Sleep(3 * timeout)
+			if _, err := r.ProposeGeneration(g); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case res := <-done:
+				if res.err != nil || res.gen != g+1 {
+					t.Fatalf("WaitGenerationAbove(%d) = %d, %v; want %d after the bump", g, res.gen, res.err, g+1)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("WaitGenerationAbove did not return after the bump")
+			}
+
+			done = wait(g + 1)
+			time.Sleep(2 * timeout)
+			closed = true
+			closeStore()
+			select {
+			case res := <-done:
+				if res.err == nil {
+					t.Fatalf("WaitGenerationAbove on a closed store returned generation %d", res.gen)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("closing the store did not end a parked WaitGenerationAbove")
+			}
+		})
+	}
+}
+
 // TestRendezvousCleansUpOldRounds: sealing a round garbage-collects
 // rounds cleanupLag generations behind it.
 func TestRendezvousCleansUpOldRounds(t *testing.T) {

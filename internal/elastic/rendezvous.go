@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -120,7 +121,10 @@ func (r *Rendezvous) ProposeGeneration(from int) (int, error) {
 
 // WaitGenerationAbove blocks until the generation exceeds g and
 // returns it. It rides the store's Watch primitive, so workers parked
-// here (idle joiners, generation watchers) wake without polling.
+// here (idle joiners, generation watchers) wake without polling, and
+// it re-arms a watch that times out: a parked wait lasts until the
+// generation moves or the store fails otherwise (closed, partitioned),
+// not the store's per-call timeout.
 func (r *Rendezvous) WaitGenerationAbove(g int) (int, error) {
 	if err := r.ensureInit(); err != nil {
 		return 0, err
@@ -128,6 +132,9 @@ func (r *Rendezvous) WaitGenerationAbove(g int) (int, error) {
 	prev := encodeGen(g)
 	for {
 		v, err := r.st.Watch(r.genKey(), prev)
+		if errors.Is(err, store.ErrTimeout) {
+			continue
+		}
 		if err != nil {
 			return 0, err
 		}

@@ -64,7 +64,7 @@ type Options struct {
 	// NewCodec optionally compresses gradient shards on the wire:
 	// buckets ride comm.CompressedReduceScatterV (byte lanes, or
 	// comm.ErrCompressionUnsupported from Backward) with engine-owned
-	// error-feedback residuals keyed by parameter identity. Compressed
+	// error-feedback residuals carried by parameter identity. Compressed
 	// runs are NOT bitwise-comparable to compressed DDP: DDP's
 	// AllReduce re-quantizes the reduced bucket for its broadcast
 	// stage, while the sharded reduce feeds the exact fold straight to
@@ -102,11 +102,12 @@ type Stats struct {
 	// OptimizerBytes is the momentum shard size — the state ZeRO
 	// divides by world.
 	OptimizerBytes int
-	// ResidualBytes is the error-feedback store size (zero without a
-	// wire codec).
+	// ResidualBytes is the error-feedback residuals' size, held in the
+	// engine's buckets for the layout's life (zero without a wire codec).
 	ResidualBytes int
-	// PeakGradBytes is the maximum gradient bucket bytes observed; the
-	// engine's transient buffers release after every step.
+	// PeakGradBytes is the maximum gradient bucket bytes observed (the
+	// engine's BucketBytes, residuals not counted); the engine's
+	// transient gradient buffers release after every step.
 	PeakGradBytes int
 	// StagingBytes is the launch groups' staging (see group): allocated
 	// once per install, held for the wrapper's life, and outside every
@@ -137,9 +138,7 @@ type FSDP struct {
 	// budget is opts.Strategy's plan budget as a function of the layout.
 	budget func(unitBuckets [][]int, size []int) int
 
-	offsets []int // element offset of each parameter in the model-order flat vector
-	total   int   // element count of that vector
-	codec   comm.Codec
+	codec comm.Codec
 
 	// Per-bucket shard layout: rank owns bucket chunk
 	// comm.ChunkBounds(BucketElems[b], world, rank).
@@ -220,14 +219,9 @@ func New(module nn.Module, pg comm.ProcessGroup, opts Options) (*FSDP, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.offsets = make([]int, len(f.Sizes()))
-	for i, n := range f.Sizes() {
-		f.offsets[i] = f.total
-		f.total += n
-	}
-	f.stats.FullParamBytes = 4 * f.total
+	f.stats.FullParamBytes = 4 * f.Assignment().ModelElems
 	if f.codec != nil {
-		f.stats.ResidualBytes = 4 * f.total
+		f.stats.ResidualBytes = f.stats.FullParamBytes
 	}
 	for i, p := range f.Parameters() {
 		idx, shape := i, p.Value.Shape()
@@ -612,19 +606,15 @@ func (f *FSDP) CaptureState() (replica.State, error) {
 	if err := f.drain(); err != nil {
 		return replica.State{}, fmt.Errorf("fsdp: %w", err)
 	}
-	out := make([]float32, f.total)
-	assign, sizes := f.Assignment(), f.Sizes()
-	for b, members := range assign.Buckets {
+	assign := f.Assignment()
+	out := make([]float32, assign.ModelElems)
+	for b := range assign.Buckets {
 		vflat := make([]float32, assign.BucketElems[b])
 		copy(vflat[f.ownedLo[b]:f.ownedHi[b]], f.velocity[b])
 		if err := f.sg.AllGatherV(vflat).Wait(); err != nil {
 			return replica.State{}, fmt.Errorf("fsdp: gathering optimizer state: %w", err)
 		}
-		// Scatter bucket layout back to model order.
-		for _, idx := range members {
-			off, mo := assign.OffsetOf[idx], f.offsets[idx]
-			copy(out[mo:mo+sizes[idx]], vflat[off:off+sizes[idx]])
-		}
+		assign.ToModel(b, vflat, out)
 	}
 	return replica.State{Optimizer: out, Residuals: f.ResidualState()}, nil
 }
@@ -635,16 +625,13 @@ func (f *FSDP) CaptureState() (replica.State, error) {
 // the state as it is.
 func (f *FSDP) InstallState(st replica.State) error {
 	if len(st.Optimizer) > 0 {
-		if len(st.Optimizer) != f.total {
-			return fmt.Errorf("fsdp: optimizer state has %d elements, expected %d", len(st.Optimizer), f.total)
+		assign := f.Assignment()
+		if len(st.Optimizer) != assign.ModelElems {
+			return fmt.Errorf("fsdp: optimizer state has %d elements, expected %d", len(st.Optimizer), assign.ModelElems)
 		}
-		assign, sizes := f.Assignment(), f.Sizes()
-		for b, members := range assign.Buckets {
+		for b := range assign.Buckets {
 			vflat := make([]float32, assign.BucketElems[b])
-			for _, idx := range members {
-				off, mo := assign.OffsetOf[idx], f.offsets[idx]
-				copy(vflat[off:off+sizes[idx]], st.Optimizer[mo:mo+sizes[idx]])
-			}
+			assign.ToBucket(b, vflat, st.Optimizer)
 			copy(f.velocity[b], vflat[f.ownedLo[b]:f.ownedHi[b]])
 		}
 	}

@@ -23,7 +23,7 @@ var StoreErr = &Analyzer{
 var storeErrTargets = map[string]map[string]bool{
 	"internal/store": {
 		"Set": true, "Get": true, "GetCancel": true, "Add": true,
-		"Wait": true, "Delete": true, "CompareAndSwap": true, "Watch": true,
+		"Delete": true, "CompareAndSwap": true, "Watch": true,
 	},
 	"internal/transport": {
 		"Send": true, "Recv": true, "SendBytes": true, "RecvBytes": true,

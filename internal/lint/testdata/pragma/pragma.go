@@ -17,7 +17,7 @@ func suppressedSameLine(st store.Store) {
 
 func malformedPragma(st store.Store) {
 	//ddplint:ignore storeerr
-	st.Wait("k")
+	st.Watch("k", nil)
 }
 
 func misspelledPragma(st store.Store) {

@@ -15,7 +15,7 @@ import (
 func dropStoreErrors(st store.Store) {
 	st.Set("k", nil)    //lint:want storeerr
 	_ = st.Delete("k")  //lint:want storeerr
-	st.Wait("k")        //lint:want storeerr
+	st.Watch("k", nil)  //lint:want storeerr
 	v, _ := st.Get("k") //lint:want storeerr
 	_ = v
 }

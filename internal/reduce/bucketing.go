@@ -23,10 +23,38 @@ type Assignment struct {
 	OffsetOf []int
 	// BucketElems is the total element count per bucket.
 	BucketElems []int
+	// ModelOffsetOf maps a parameter index to its element offset within
+	// the model-order vector: every parameter's elements back to back in
+	// Parameters() order, the layout of residual and optimizer state
+	// that does not depend on the bucket assignment.
+	ModelOffsetOf []int
+	// ModelElems is the model-order vector's length.
+	ModelElems int
+
+	sizes []int
 }
 
 // NumBuckets returns the bucket count.
 func (a *Assignment) NumBuckets() int { return len(a.Buckets) }
+
+// ToBucket copies bucket b's members from the model-order vector model
+// into their places in the bucket's flat buffer.
+func (a *Assignment) ToBucket(b int, flat, model []float32) {
+	for _, idx := range a.Buckets[b] {
+		off, mo := a.OffsetOf[idx], a.ModelOffsetOf[idx]
+		copy(flat[off:off+a.sizes[idx]], model[mo:])
+	}
+}
+
+// ToModel copies bucket b's members from the bucket's flat buffer to
+// their places in the model-order vector model, the inverse of
+// ToBucket.
+func (a *Assignment) ToModel(b int, flat, model []float32) {
+	for _, idx := range a.Buckets[b] {
+		off, mo := a.OffsetOf[idx], a.ModelOffsetOf[idx]
+		copy(model[mo:mo+a.sizes[idx]], flat[off:])
+	}
+}
 
 // ReverseOrder returns the index sequence n-1, n-2, ..., 0 — the
 // default expectation that gradients become ready in the reverse of
@@ -62,8 +90,14 @@ func AssignBuckets(sizes []int, capBytes, elemBytes int, order []int) (*Assignme
 	}
 
 	a := &Assignment{
-		BucketOf: make([]int, n),
-		OffsetOf: make([]int, n),
+		BucketOf:      make([]int, n),
+		OffsetOf:      make([]int, n),
+		ModelOffsetOf: make([]int, n),
+		sizes:         sizes,
+	}
+	for i, size := range sizes {
+		a.ModelOffsetOf[i] = a.ModelElems
+		a.ModelElems += size
 	}
 	var cur []int
 	curBytes := 0

@@ -135,3 +135,72 @@ func TestAssignBucketsInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: for any sizes, cap and order, ToBucket places every element
+// of the model-order vector exactly once across the buckets' flats —
+// parameter idx's j-th element at OffsetOf[idx]+j of its bucket — and
+// ToModel brings every flat back to the vector it came from.
+func TestAssignmentCopiesInvertEachOther(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		sizes := make([]int, n)
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(300)
+		}
+		capBytes := []int{-1, 0, 64, 256, 1024, 1 << 20}[rng.Intn(6)]
+		a, err := AssignBuckets(sizes, capBytes, 4, rng.Perm(n))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		model := make([]float32, a.ModelElems)
+		for i := range model {
+			model[i] = float32(i + 1) // distinct, and never the -1 sentinel
+		}
+		placed := make([]int, len(model))
+		back := make([]float32, len(model))
+		for i := range back {
+			back[i] = -1
+		}
+		for b := range a.Buckets {
+			flat := make([]float32, a.BucketElems[b])
+			for i := range flat {
+				flat[i] = -1
+			}
+			a.ToBucket(b, flat, model)
+			for _, v := range flat {
+				if v == -1 {
+					t.Logf("seed %d: bucket %d has an element ToBucket did not write", seed, b)
+					return false
+				}
+				placed[int(v)-1]++
+			}
+			for _, idx := range a.Buckets[b] {
+				for j := range sizes[idx] {
+					if flat[a.OffsetOf[idx]+j] != model[a.ModelOffsetOf[idx]+j] {
+						t.Logf("seed %d: parameter %d element %d misplaced", seed, idx, j)
+						return false
+					}
+				}
+			}
+			a.ToModel(b, flat, back)
+		}
+		for i, k := range placed {
+			if k != 1 {
+				t.Logf("seed %d: model element %d placed %d times", seed, i, k)
+				return false
+			}
+		}
+		for i := range model {
+			if back[i] != model[i] {
+				t.Logf("seed %d: ToModel left element %d at %v, want %v", seed, i, back[i], model[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,8 +1,10 @@
 // Package reduce is the gradient-reduction engine shared by the data
 // parallel wrappers: the bucket bookkeeping of the paper's Section 4.2
 // (parameter-to-bucket assignment, pending counts, the in-order launch
-// prefix of Fig 3(a), per-parameter error-feedback residuals) extracted
-// from internal/ddp and parameterized by the collective it launches.
+// prefix of Fig 3(a), error-feedback residuals kept in bucket layout)
+// extracted from internal/ddp and parameterized by the collective it
+// launches. Assignment's ToBucket and ToModel are the one copy between a
+// bucket's flat layout and the model's parameter order.
 //
 // internal/ddp plugs in an AllReduce launcher and gets exactly its old
 // reducer back; internal/fsdp plugs in a ReduceScatterV launcher and

@@ -27,21 +27,22 @@ type Config struct {
 	// (required). DDP passes an AllReduce closure, fsdp a ReduceScatterV
 	// closure.
 	Launch Launcher
-	// TrackResiduals allocates the per-parameter error-feedback store
-	// and per-bucket residual buffers for wire-codec compression. The
-	// store is keyed by parameter identity, NOT bucket index, so bucket
+	// TrackResiduals gives every bucket an error-feedback residual
+	// buffer in the bucket's layout, for wire-codec compression, held
+	// for as long as the layout is installed. Install carries the
+	// residuals by parameter identity, NOT bucket index, so bucket
 	// rebuilds and process-group swaps re-map rather than drop the
 	// accumulated quantization error.
 	TrackResiduals bool
-	// Transient makes bucket buffers per-iteration state: a bucket draws
-	// its buffers from the buffer pool at its first slot write and
-	// WaitAll hands them back once its consume has returned, so nothing
-	// is held between iterations and nothing is allocated in a warm one.
-	// The sharded wrappers set it to keep peak-memory accounting honest:
-	// ZeRO's claim is about steady-state bytes, and permanently resident
-	// full-size gradient buffers would silently falsify it. Residuals
-	// still survive — they are flushed to the per-parameter store before
-	// the buffers are handed back.
+	// Transient makes bucket gradient buffers per-iteration state: a
+	// bucket draws its flat from the buffer pool at its first slot write
+	// and WaitAll hands it back once its consume has returned, so no
+	// gradient buffer is held between iterations and nothing is
+	// allocated in a warm one. The sharded wrappers set it to keep
+	// peak-memory accounting honest: ZeRO's claim is about steady-state
+	// bytes, and permanently resident full-size gradient buffers would
+	// silently falsify it. Residual buffers are not transient: they are
+	// training state, and stay with their buckets.
 	Transient bool
 	// ObserveReduce, when non-nil, receives each bucket's
 	// launch-to-completion latency as WaitAll observes it done — the
@@ -51,17 +52,12 @@ type Config struct {
 
 // Engine is the reduction pipeline shared by ddp and fsdp: bucket
 // runtime state, pending counts, the in-order launch prefix, and the
-// error-feedback residual store. It is not goroutine-safe; callers
+// buckets' error-feedback residuals. It is not goroutine-safe; callers
 // drive it from the (single-threaded) autograd backward pass.
 type Engine struct {
 	cfg    Config
 	assign *Assignment
 	bucket []*bucketState
-
-	// residuals holds each parameter's error-feedback accumulator in
-	// model order. Working copies live in the buckets' resFlat buffers
-	// between installs; FlushResiduals folds them back here.
-	residuals [][]float32
 
 	nextToLaunch  int
 	observedReady []int // param indices in ready order
@@ -89,78 +85,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if len(cfg.Sizes) == 0 {
 		return nil, errors.New("reduce: no parameters")
 	}
-	e := &Engine{cfg: cfg}
-	if cfg.TrackResiduals {
-		e.residuals = make([][]float32, len(cfg.Sizes))
-		for i, size := range cfg.Sizes {
-			e.residuals[i] = make([]float32, size)
-		}
-	}
-	return e, nil
+	return &Engine{cfg: cfg}, nil
 }
 
 // Install (re)builds bucket runtime state for an assignment.
 // Error-feedback residuals are carried, not dropped: the outgoing
-// layout's working copies are folded into the per-parameter store
-// first, then scattered into the new layout — the fix for the residual
-// reset that used to happen on every Section 6.2.1 rebuild and every
-// elastic process-group swap, exactly when accumulated error matters
-// most.
+// layout's buffers are copied out to model order and from there into
+// the new layout's — the fix for the residual reset that used to happen
+// on every Section 6.2.1 rebuild and every elastic process-group swap,
+// exactly when accumulated error matters most.
 func (e *Engine) Install(assign *Assignment) {
-	e.FlushResiduals()
+	residuals := e.ResidualState()
 	e.assign, e.nextToLaunch = assign, 0
 	e.bucket = make([]*bucketState, assign.NumBuckets())
 	for b, members := range assign.Buckets {
 		bs := &bucketState{members: members}
 		if !e.cfg.Transient {
 			bs.flat = make([]float32, assign.BucketElems[b])
-			if e.cfg.TrackResiduals {
-				bs.resFlat = make([]float32, assign.BucketElems[b])
-				e.scatterResiduals(bs, members)
+		}
+		if e.cfg.TrackResiduals {
+			bs.resFlat = make([]float32, assign.BucketElems[b])
+			if residuals != nil {
+				assign.ToBucket(b, bs.resFlat, residuals)
 			}
 		}
 		e.bucket[b] = bs
-	}
-}
-
-// acquire draws a Transient bucket's buffers from the buffer pool.
-// Their contents are whatever the last user left (NaN under the race
-// detector): every slot is written in full before its bucket launches,
-// and the residual buffer is filled from the per-parameter store here.
-func (e *Engine) acquire(b int) {
-	bs := e.bucket[b]
-	bs.flat = buffer.GetFloats(e.assign.BucketElems[b])
-	if e.cfg.TrackResiduals {
-		bs.resFlat = buffer.GetFloats(e.assign.BucketElems[b])
-		e.scatterResiduals(bs, bs.members)
-	}
-}
-
-// scatterResiduals copies the per-parameter store into a bucket's
-// residual buffer under the current assignment.
-func (e *Engine) scatterResiduals(bs *bucketState, members []int) {
-	for _, idx := range members {
-		off := e.assign.OffsetOf[idx]
-		copy(bs.resFlat[off:off+e.cfg.Sizes[idx]], e.residuals[idx])
-	}
-}
-
-// FlushResiduals folds the current bucket layout's residual buffers
-// back into the per-parameter store. No-op without residual tracking,
-// before the first Install, or for buckets a Transient engine holds no
-// buffers for.
-func (e *Engine) FlushResiduals() {
-	if !e.cfg.TrackResiduals || e.assign == nil {
-		return
-	}
-	for b, bs := range e.bucket {
-		if bs.resFlat == nil {
-			continue
-		}
-		for _, idx := range e.assign.Buckets[b] {
-			off := e.assign.OffsetOf[idx]
-			copy(e.residuals[idx], bs.resFlat[off:off+e.cfg.Sizes[idx]])
-		}
 	}
 }
 
@@ -187,14 +136,16 @@ func (e *Engine) ObservedReady() []int {
 // iteration left in them: every slot is written in full — by its owner
 // through Slot, or by CopyIn — before it is marked ready, so clearing
 // them here would only be a second pass over memory. A Transient
-// engine holds no buffers at this point unless the last iteration
-// failed before WaitAll consumed every bucket; those are dropped for
-// the garbage collector rather than handed back to the pool, because a
-// collective nobody waited for may still be writing into them.
+// engine holds no gradient flat at this point unless the last
+// iteration failed before WaitAll consumed every bucket; those are
+// dropped for the garbage collector rather than handed back to the
+// pool, because a collective nobody waited for may still be writing
+// into them. Residual buffers stay: a collective that failed has put
+// its bucket's residual back (comm's residual transaction).
 func (e *Engine) Reset() {
 	for _, bs := range e.bucket {
 		if e.cfg.Transient {
-			bs.flat, bs.resFlat = nil, nil
+			bs.flat = nil
 		}
 		bs.pending = len(bs.members)
 		bs.work = nil
@@ -214,7 +165,11 @@ func (e *Engine) Reset() {
 func (e *Engine) Slot(idx int) []float32 {
 	b := e.assign.BucketOf[idx]
 	if e.bucket[b].flat == nil {
-		e.acquire(b)
+		// A Transient bucket's first slot write draws its flat from the
+		// pool. Its contents are whatever the last user left (NaN under
+		// the race detector): every slot is written in full before its
+		// bucket launches.
+		e.bucket[b].flat = buffer.GetFloats(e.assign.BucketElems[b])
 	}
 	off := e.assign.OffsetOf[idx]
 	return e.bucket[b].flat[off : off+e.cfg.Sizes[idx]]
@@ -260,9 +215,8 @@ func (e *Engine) MarkReady(idx int) bool {
 // buffers already). The caller must
 // have verified all buckets launched — waiting on an unlaunched bucket
 // is a caller bug and errors out. A Transient engine hands each
-// bucket's buffers back to the buffer pool after its consume
-// returns, flushing residuals to the per-parameter store first; consume
-// must not keep flat.
+// bucket's gradient flat back to the buffer pool after its consume
+// returns; consume must not keep flat.
 func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 	for bi, bs := range e.bucket {
 		if bi >= e.nextToLaunch {
@@ -280,14 +234,6 @@ func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 			}
 		}
 		if e.cfg.Transient {
-			if bs.resFlat != nil {
-				for _, idx := range e.assign.Buckets[bi] {
-					off := e.assign.OffsetOf[idx]
-					copy(e.residuals[idx], bs.resFlat[off:off+e.cfg.Sizes[idx]])
-				}
-				buffer.PutFloats(bs.resFlat)
-				bs.resFlat = nil
-			}
 			buffer.PutFloats(bs.flat)
 			bs.flat = nil
 		}
@@ -295,15 +241,16 @@ func (e *Engine) WaitAll(consume func(bucket int, flat []float32) error) error {
 	return nil
 }
 
-// BucketBytes reports the bytes currently held in bucket gradient and
-// residual buffers — the quantity Transient keeps at zero between
-// iterations and, within one, at the buckets that have a gradient and
-// are not consumed yet; the term the sharding ablation's peak
-// accounting samples.
+// BucketBytes reports the bytes currently held in bucket gradient
+// buffers — the quantity Transient keeps at zero between iterations
+// and, within one, at the buckets that have a gradient and are not
+// consumed yet; the term the sharding ablation's peak accounting
+// samples. Residual buffers are not counted: they are held for the
+// layout's life, like optimizer state.
 func (e *Engine) BucketBytes() int {
 	total := 0
 	for _, bs := range e.bucket {
-		total += 4 * (len(bs.flat) + len(bs.resFlat))
+		total += 4 * len(bs.flat)
 	}
 	return total
 }
@@ -314,28 +261,23 @@ func (e *Engine) BucketBytes() int {
 // joiners or the quantization error accumulated so far is lost at the
 // worst possible moment. The layout depends only on the model, never
 // on the bucket assignment or world size, so it re-shards trivially.
-// Empty without residual tracking. Do not call while buckets may be
-// mid-flight.
+// Empty without residual tracking or before the first Install. Do not
+// call while buckets may be mid-flight.
 func (e *Engine) ResidualState() []float32 {
-	if !e.cfg.TrackResiduals {
+	if !e.cfg.TrackResiduals || e.assign == nil {
 		return nil
 	}
-	e.FlushResiduals()
-	total := 0
-	for _, s := range e.cfg.Sizes {
-		total += s
-	}
-	out := make([]float32, 0, total)
-	for _, r := range e.residuals {
-		out = append(out, r...)
+	out := make([]float32, e.assign.ModelElems)
+	for b, bs := range e.bucket {
+		e.assign.ToModel(b, bs.resFlat, out)
 	}
 	return out
 }
 
 // SetResidualState installs residuals produced by ResidualState on
 // another (or this) replica, scattering them into the current bucket
-// layout. Like ResidualState, it must not be called while buckets may
-// be mid-flight.
+// layout, which must have been installed. Like ResidualState, it must
+// not be called while buckets may be mid-flight.
 func (e *Engine) SetResidualState(flat []float32) error {
 	if !e.cfg.TrackResiduals {
 		if len(flat) == 0 {
@@ -343,22 +285,11 @@ func (e *Engine) SetResidualState(flat []float32) error {
 		}
 		return errors.New("reduce: residual state offered but residual tracking is off")
 	}
-	want := 0
-	for _, s := range e.cfg.Sizes {
-		want += s
-	}
-	if len(flat) != want {
+	if want := e.assign.ModelElems; len(flat) != want {
 		return fmt.Errorf("reduce: residual state has %d elements, expected %d", len(flat), want)
 	}
-	off := 0
-	for i := range e.residuals {
-		off += copy(e.residuals[i], flat[off:off+e.cfg.Sizes[i]])
-	}
 	for b, bs := range e.bucket {
-		if bs.resFlat == nil {
-			continue
-		}
-		e.scatterResiduals(bs, e.assign.Buckets[b])
+		e.assign.ToBucket(b, bs.resFlat, flat)
 	}
 	return nil
 }

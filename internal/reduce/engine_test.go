@@ -180,8 +180,8 @@ func TestResidualsCarriedAcrossInstall(t *testing.T) {
 }
 
 // TestTransientReleasesBuffers: a Transient engine holds zero bucket
-// bytes between iterations, only the flats of buckets that have a
-// gradient within one, and still carries residuals.
+// gradient bytes between iterations, only the flats of buckets that
+// have a gradient within one, and still carries residuals.
 func TestTransientReleasesBuffers(t *testing.T) {
 	f := &fakeLaunch{}
 	// Per-parameter buckets, reverse order: bucket 0 = {1}, bucket 1 = {0}.
@@ -196,12 +196,12 @@ func TestTransientReleasesBuffers(t *testing.T) {
 			t.Fatalf("iteration %d: BucketBytes = %d after Reset, want 0 until a slot is written", iter, got)
 		}
 		e.CopyIn(1, []float32{1, 2})
-		if got, want := e.BucketBytes(), 4*(2+2); got != want {
-			t.Fatalf("iteration %d: BucketBytes = %d with one bucket written, want %d (gradient + residual flat)", iter, got, want)
+		if got, want := e.BucketBytes(), 4*2; got != want {
+			t.Fatalf("iteration %d: BucketBytes = %d with one bucket written, want %d (its gradient flat)", iter, got, want)
 		}
 		e.MarkReady(1)
 		e.CopyIn(0, []float32{1, 2, 3, 4})
-		if got, want := e.BucketBytes(), 4*(2+2+4+4); got != want {
+		if got, want := e.BucketBytes(), 4*(2+4); got != want {
 			t.Fatalf("iteration %d: BucketBytes = %d with both buckets written, want %d", iter, got, want)
 		}
 		e.MarkReady(0)
@@ -220,12 +220,18 @@ func TestTransientReleasesBuffers(t *testing.T) {
 }
 
 // TestTransientResidualsFollowTheLaunch: what a collective leaves in a
-// Transient bucket's residual buffer reaches the per-parameter store
-// before the buffer goes back to the pool, and is scattered into the
-// next iteration's buffer — which is a different, pool-recycled slice
-// (poisoned under the race detector).
+// Transient bucket's residual buffer is what the next iteration's
+// launch finds there, and ResidualState reports it: the residual buffer
+// stays with its bucket — every launch gets the same slice — while the
+// gradient flat goes back to the pool.
 func TestTransientResidualsFollowTheLaunch(t *testing.T) {
+	var held []float32
 	launch := func(bucket int, flat, resFlat []float32) comm.Work {
+		if held == nil {
+			held = resFlat
+		} else if &held[0] != &resFlat[0] {
+			return comm.CompletedWork(fmt.Errorf("bucket %d launched with a new residual buffer", bucket))
+		}
 		for i := range resFlat {
 			resFlat[i] += float32(i + 1)
 		}

@@ -114,9 +114,6 @@ func (c *Core) ProcessGroup() comm.ProcessGroup { return c.pg }
 // except while gathered; fsdp.FSDP.Materialize gathers them.
 func (c *Core) Parameters() []*nn.Parameter { return c.params }
 
-// Sizes holds each parameter's element count in model order.
-func (c *Core) Sizes() []int { return c.sizes }
-
 // Engine returns the reduction engine the wrapper drives.
 func (c *Core) Engine() *reduce.Engine { return c.engine }
 

@@ -3,6 +3,7 @@ package replica_test
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,6 +169,23 @@ var releaseWrappers = []struct {
 	}},
 }
 
+// fp16Wrappers are ddp and zero3 over the fp16 wire codec: a step also
+// runs the compressed collectives and their residual buffers, which
+// stay with their buckets across steps.
+var fp16Wrappers = []struct {
+	name string
+	make func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error)
+}{
+	{"ddp/fp16", func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+		return ddp.NewReplica(m, pg, ddp.Options{NewCodec: fp16}, cLR, 0)
+	}},
+	{"zero3/fp16", func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+		return fsdp.New(m, pg, fsdp.Options{Strategy: fsdp.ZeRO3, LR: cLR, NewCodec: fp16})
+	}},
+}
+
+func fp16() comm.Codec { return comm.Float16Codec{} }
+
 // TestStepReleasesIntermediates holds every wrapper to the release
 // rules: after a Backward that returns nil, every intermediate below the
 // Forward's return value is detached — its storage back in the pool,
@@ -288,8 +306,9 @@ func TestReleasedIntermediatePanicsOnRead(t *testing.T) {
 // TestWarmStepAllocatesNoTensorStorage is the warm-step gate: two ranks
 // training the benchmark's BERT-shaped transformer (4 blocks, dim 128,
 // 4 heads, feed-forward 512, 16 tokens a rank) under ddp, zero2 and
-// zero3 draw every activation, gradient temporary, frame and flat of a
-// warm step from the buffer pool — it records no miss — and the step
+// zero3, and under ddp and zero3 with the fp16 codec, draw every
+// activation, gradient temporary, frame and flat of a warm step from the
+// buffer pool — it records no miss — and the step
 // allocates under 512 KiB over both ranks: graph nodes, closures,
 // tensor headers, the loss. Storage allocated per step instead is
 // 4.8 MB.
@@ -299,7 +318,7 @@ func TestWarmStepAllocatesNoTensorStorage(t *testing.T) {
 	}
 	const world, warm, steps, limit = 2, 5, 10, 512 << 10
 	misses := metrics.Default().CounterVec("buffer_pool_misses_total", "", "elem").With("float32")
-	for _, wr := range releaseWrappers {
+	for _, wr := range append(slices.Clone(releaseWrappers), fp16Wrappers...) {
 		t.Run(wr.name, func(t *testing.T) {
 			groups := groupsOf(t, world)
 			rs := make([]replica.Replica, world)

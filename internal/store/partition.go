@@ -119,7 +119,7 @@ func (p *Partitioned) Get(key string) ([]byte, error) {
 // partition.
 func (p *Partitioned) GetCancel(key string, cancel <-chan struct{}) ([]byte, error) {
 	r := p.deliver(func() result {
-		v, err := GetCancel(p.inner, key, cancel)
+		v, err := p.inner.GetCancel(key, cancel)
 		return result{v: v, err: err}
 	})
 	return r.v, r.err
@@ -132,13 +132,6 @@ func (p *Partitioned) Add(key string, delta int64) (int64, error) {
 		return result{n: n, err: err}
 	})
 	return r.n, r.err
-}
-
-// Wait delegates unless partitioned; a partition activating mid-wait
-// releases the caller.
-func (p *Partitioned) Wait(keys ...string) error {
-	r := p.deliver(func() result { return result{err: p.inner.Wait(keys...)} })
-	return r.err
 }
 
 // Delete delegates unless partitioned.
@@ -167,4 +160,3 @@ func (p *Partitioned) Watch(key string, prev []byte) ([]byte, error) {
 }
 
 var _ Store = (*Partitioned)(nil)
-var _ Canceler = (*Partitioned)(nil)

@@ -31,12 +31,17 @@ type Store interface {
 	Set(key string, value []byte) error
 	// Get blocks until key exists (subject to timeout) and returns it.
 	Get(key string) ([]byte, error)
+	// GetCancel is Get with early release: closing cancel makes it
+	// return ErrCanceled instead of blocking until the store timeout; a
+	// nil cancel is Get. Mesh construction threads its abort handle
+	// through it so a worker that dies between rendezvous seal and mesh
+	// build does not stall survivors on a Get for an address that will
+	// never be published.
+	GetCancel(key string, cancel <-chan struct{}) ([]byte, error)
 	// Add atomically adds delta to the integer counter at key, creating
 	// it at zero, and returns the new value. Used to assign ranks and
 	// count arrivals during rendezvous.
 	Add(key string, delta int64) (int64, error)
-	// Wait blocks until all keys exist.
-	Wait(keys ...string) error
 	// Delete removes key — both its value and, if it was used as a
 	// counter, its counter state. Deleting a missing key is a no-op.
 	// Elastic rendezvous garbage-collects dead generations with it.
@@ -49,47 +54,10 @@ type Store interface {
 	// Watch blocks until key holds a value different from prev (with
 	// prev == nil, until key exists) and returns that value. It is the
 	// store's change-notification primitive: rendezvous waiters use it
-	// to learn about new generations without polling.
+	// to learn about new generations without polling. Like Get, one
+	// call waits at most the store's timeout, then fails with
+	// ErrTimeout; a caller that means to wait longer calls again.
 	Watch(key string, prev []byte) ([]byte, error)
-}
-
-// Canceler is implemented by stores whose blocking Get can be released
-// early: closing cancel makes GetCancel return ErrCanceled instead of
-// blocking until the store timeout. Mesh construction threads its abort
-// handle through this so a worker that dies between rendezvous seal and
-// mesh build does not stall survivors on a Get for an address that will
-// never be published.
-type Canceler interface {
-	GetCancel(key string, cancel <-chan struct{}) ([]byte, error)
-}
-
-// GetCancel performs st.Get(key), honouring cancel when the store
-// supports cancellation. For stores that do not implement Canceler the
-// Get runs on a helper goroutine and the caller is released as soon as
-// cancel closes; the goroutine itself drains when the underlying Get
-// resolves (bounded by the store's own timeout).
-func GetCancel(st Store, key string, cancel <-chan struct{}) ([]byte, error) {
-	if cancel == nil {
-		return st.Get(key)
-	}
-	if c, ok := st.(Canceler); ok {
-		return c.GetCancel(key, cancel)
-	}
-	type result struct {
-		v   []byte
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := st.Get(key)
-		ch <- result{v, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-cancel:
-		return nil, ErrCanceled
-	}
 }
 
 // InMem is an in-process Store safe for concurrent use.
@@ -100,7 +68,8 @@ type InMem struct {
 	values   map[string][]byte
 	counters map[string]int64
 	closed   bool
-	// Timeout bounds blocking Get/Wait calls; zero means no limit.
+	// Timeout bounds each blocking Get or Watch call; zero means no
+	// limit.
 	Timeout time.Duration
 }
 
@@ -195,7 +164,7 @@ func (s *InMem) CompareAndSwap(key string, old, new []byte) (bool, error) {
 // a copy of it.
 func (s *InMem) Watch(key string, prev []byte) ([]byte, error) {
 	var out []byte
-	err := s.waitLocked(func() bool {
+	err := s.waitCancel(nil, func() bool {
 		cur, ok := s.values[key]
 		if !ok || (prev != nil && bytes.Equal(cur, prev)) {
 			return false
@@ -206,26 +175,9 @@ func (s *InMem) Watch(key string, prev []byte) ([]byte, error) {
 	return out, err
 }
 
-// Wait blocks until every key has been Set.
-func (s *InMem) Wait(keys ...string) error {
-	return s.waitLocked(func() bool {
-		for _, k := range keys {
-			if _, ok := s.values[k]; !ok {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// waitLocked blocks until ready() (evaluated under s.mu) returns true,
-// honouring the store timeout and shutdown.
-func (s *InMem) waitLocked(ready func() bool) error {
-	return s.waitCancel(nil, ready)
-}
-
-// waitCancel is waitLocked with an optional cancel channel; closing it
-// wakes the sleeper with ErrCanceled.
+// waitCancel blocks until ready() (evaluated under s.mu) returns true,
+// honouring the store timeout, shutdown and an optional cancel channel,
+// whose closing wakes the sleeper with ErrCanceled.
 func (s *InMem) waitCancel(cancel <-chan struct{}, ready func() bool) error {
 	deadline := time.Time{}
 	if s.Timeout > 0 {
@@ -283,4 +235,3 @@ func (s *InMem) Close() error {
 }
 
 var _ Store = (*InMem)(nil)
-var _ Canceler = (*InMem)(nil)

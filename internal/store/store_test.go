@@ -40,7 +40,7 @@ func TestInMemGetBlocksUntilSet(t *testing.T) {
 
 func TestInMemWaitTimeout(t *testing.T) {
 	s := NewInMem(50 * time.Millisecond)
-	if err := s.Wait("never"); err != ErrTimeout {
+	if _, err := s.Get("never"); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }
@@ -127,21 +127,14 @@ func TestTCPStoreMultipleClientsRendezvous(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			// Each rank publishes its "address" then waits for all.
+			// Each rank publishes its "address" then reads every
+			// rank's, each Get blocking until that rank has published.
 			if err := c.Set(fmt.Sprintf("addr/%d", rank), []byte{byte(rank)}); err != nil {
 				errs <- err
 				return
 			}
-			keys := make([]string, world)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("addr/%d", i)
-			}
-			if err := c.Wait(keys...); err != nil {
-				errs <- err
-				return
-			}
 			for i := 0; i < world; i++ {
-				v, err := c.Get(keys[i])
+				v, err := c.Get(fmt.Sprintf("addr/%d", i))
 				if err != nil || len(v) != 1 || v[0] != byte(i) {
 					errs <- fmt.Errorf("rank %d read %v for peer %d: %v", rank, v, i, err)
 					return

@@ -13,9 +13,8 @@ import (
 // on one connection do not stall others.
 
 type request struct {
-	Op    string // "set", "get", "add", "wait", "delete", "cas", "watch"
+	Op    string // "set", "get", "add", "delete", "cas", "watch"
 	Key   string
-	Keys  []string
 	Value []byte
 	Delta int64
 	// Old carries the expected value for "cas" and the previous value
@@ -129,10 +128,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 				resp.Err = err.Error()
 			}
 			resp.Counter = n
-		case "wait":
-			if err := s.backing.Wait(req.Keys...); err != nil {
-				resp.Err = err.Error()
-			}
 		case "delete":
 			if err := s.backing.Delete(req.Key); err != nil {
 				resp.Err = err.Error()
@@ -215,6 +210,14 @@ func (c *TCPClient) roundTrip(req request) (response, error) {
 		return response{}, fmt.Errorf("store: recv: %w", err)
 	}
 	if resp.Err != "" {
+		// The server sends its errors as text; the store's sentinels
+		// come back as themselves, so errors.Is matches them here as it
+		// does in memory.
+		for _, sentinel := range []error{ErrTimeout, ErrClosed, ErrCanceled} {
+			if resp.Err == sentinel.Error() {
+				return resp, sentinel
+			}
+		}
 		return resp, fmt.Errorf("store: %s", resp.Err)
 	}
 	return resp, nil
@@ -236,12 +239,6 @@ func (c *TCPClient) Get(key string) ([]byte, error) {
 func (c *TCPClient) Add(key string, delta int64) (int64, error) {
 	resp, err := c.roundTrip(request{Op: "add", Key: key, Delta: delta})
 	return resp.Counter, err
-}
-
-// Wait blocks until all keys exist on the server.
-func (c *TCPClient) Wait(keys ...string) error {
-	_, err := c.roundTrip(request{Op: "wait", Keys: keys})
-	return err
 }
 
 // Delete removes key on the server.
@@ -310,4 +307,3 @@ func (c *TCPClient) GetCancel(key string, cancel <-chan struct{}) ([]byte, error
 }
 
 var _ Store = (*TCPClient)(nil)
-var _ Canceler = (*TCPClient)(nil)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,7 +73,7 @@ func TestTCPStoreConcurrentAdd(t *testing.T) {
 	}
 }
 
-// TestTCPStoreConcurrentWait: many clients block in Wait on missing
+// TestTCPStoreConcurrentWait: many clients block in Get on missing
 // keys while another client fills them in; everyone must wake, and
 // waits on one connection must not stall traffic on others.
 func TestTCPStoreConcurrentWait(t *testing.T) {
@@ -87,7 +86,12 @@ func TestTCPStoreConcurrentWait(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = cs[i].Wait("a", "b", fmt.Sprintf("k%d", i))
+			for _, k := range []string{"a", "b", fmt.Sprintf("k%d", i)} {
+				if _, err := cs[i].Get(k); err != nil {
+					errs[i] = err
+					return
+				}
+			}
 		}(i)
 	}
 	writer := cs[waiters]
@@ -114,12 +118,9 @@ func TestTCPStoreConcurrentWait(t *testing.T) {
 func TestTCPStoreWaitTimeout(t *testing.T) {
 	_, cs := startServer(t, 50*time.Millisecond, 1)
 	start := time.Now()
-	err := cs[0].Wait("never-set")
-	if err == nil {
-		t.Fatal("expected timeout error")
-	}
-	if !strings.Contains(err.Error(), ErrTimeout.Error()) {
-		t.Fatalf("error %q does not carry the timeout cause", err)
+	_, err := cs[0].Get("never-set")
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("error %v, want ErrTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
 		t.Fatalf("returned after %v, before the deadline", elapsed)

@@ -207,7 +207,7 @@ func NewTCPMeshCancel(rank, size int, st store.Store, prefix string, cancel <-ch
 
 	// Dial every lower rank.
 	for peer := 0; peer < rank; peer++ {
-		addrBytes, err := store.GetCancel(st, key(peer), cancel)
+		addrBytes, err := st.GetCancel(key(peer), cancel)
 		if err != nil {
 			return fail(fmt.Errorf("transport: rendezvous with rank %d: %w", peer, err))
 		}
