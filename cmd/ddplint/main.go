@@ -20,7 +20,8 @@
 //
 // and counted in the summary. Pass package directory patterns (or
 // ./...) to narrow which packages' findings are reported; the whole
-// module is always loaded so cross-package types resolve.
+// module is always loaded and analyzed, so cross-package types resolve
+// and callers counts every caller.
 package main
 
 import (
@@ -60,10 +61,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pkgs = filterPackages(pkgs, root, wd, flag.Args())
+	keep := map[string]bool{}
+	for _, p := range filterPackages(pkgs, wd, flag.Args()) {
+		keep[p.Dir] = true
+	}
 
+	// Every analyzer sees the whole module, so a module-wide rule counts
+	// callers outside the patterns; only findings in the patterns' packages
+	// are reported.
 	res := lint.Run(pkgs, lint.All())
+	var findings []lint.Finding
 	for _, f := range res.Findings {
+		if keep[filepath.Dir(f.Pos.Filename)] {
+			findings = append(findings, f)
+		}
+	}
+	for _, f := range findings {
 		rel := f.Pos.Filename
 		if r, err := filepath.Rel(wd, rel); err == nil && !strings.HasPrefix(r, "..") {
 			rel = r
@@ -71,8 +84,8 @@ func main() {
 		fmt.Printf("%s:%d: [%s] %s\n", rel, f.Pos.Line, f.Analyzer, f.Message)
 	}
 	fmt.Printf("ddplint: %d packages, %d analyzers, %d findings, %d ignored by pragma\n",
-		res.Packages, len(lint.All()), len(res.Findings), res.Ignored)
-	if len(res.Findings) > 0 {
+		len(keep), len(lint.All()), len(findings), res.Ignored)
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }
@@ -81,11 +94,11 @@ func main() {
 // patterns, resolved relative to the working directory. "./..." (or no
 // pattern) keeps everything under the working directory; "dir" keeps
 // that package; "dir/..." keeps the subtree.
-func filterPackages(pkgs []*lint.Package, root, wd string, patterns []string) []*lint.Package {
+func filterPackages(pkgs []*lint.Package, wd string, patterns []string) []*lint.Package {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	keep := pkgs[:0]
+	var keep []*lint.Package
 	for _, p := range pkgs {
 		for _, pat := range patterns {
 			if matchPattern(p.Dir, wd, pat) {

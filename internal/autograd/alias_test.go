@@ -41,10 +41,7 @@ func binary(op func(a, b *autograd.Variable) *autograd.Variable, a, b []int) aud
 
 var auditOps = map[string]auditCase{
 	"Add":          binary(autograd.Add, []int{2, 3}, []int{2, 3}),
-	"Sub":          binary(autograd.Sub, []int{2, 3}, []int{2, 3}),
-	"Mul":          binary(autograd.Mul, []int{2, 3}, []int{2, 3}),
 	"AddRow":       binary(autograd.AddRow, []int{2, 3}, []int{3}),
-	"MulRow":       binary(autograd.MulRow, []int{2, 3}, []int{3}),
 	"MatMul":       binary(autograd.MatMul, []int{2, 3}, []int{3, 4}),
 	"MatMulTransB": binary(autograd.MatMulTransB, []int{2, 3}, []int{4, 3}),
 	"AddChannel":   binary(autograd.AddChannel, []int{2, 3, 2, 2}, []int{3}),
@@ -54,12 +51,14 @@ var auditOps = map[string]auditCase{
 	"Sigmoid":      unary(autograd.Sigmoid, 2, 3),
 	"Gelu":         unary(autograd.Gelu, 2, 3),
 	"Sum":          unary(autograd.Sum, 2, 3),
-	"Mean":         unary(autograd.Mean, 2, 3),
 	"SoftmaxRows":  unary(autograd.SoftmaxRows, 2, 3),
 	"AvgPool2D":    unary(autograd.AvgPool2D, 1, 2, 4, 4),
 	"MaxPool2D":    unary(autograd.MaxPool2D, 1, 2, 4, 4),
 	"MulScalar": unary(func(a *autograd.Variable) *autograd.Variable {
 		return autograd.MulScalar(a, 0.5)
+	}, 2, 3),
+	"CrossEntropyLoss": unary(func(a *autograd.Variable) *autograd.Variable {
+		return autograd.CrossEntropyLoss(a, []int{0, 2})
 	}, 2, 3),
 	"SliceCols": unary(func(a *autograd.Variable) *autograd.Variable {
 		return autograd.SliceCols(a, 1, 3)
@@ -67,15 +66,6 @@ var auditOps = map[string]auditCase{
 	"Reshape": unary(func(a *autograd.Variable) *autograd.Variable {
 		return autograd.Reshape(a, 3, 2)
 	}, 2, 3),
-	"Dropout": unary(func(a *autograd.Variable) *autograd.Variable {
-		return autograd.Dropout(a, []bool{true, false, true, true, false, true}, 0.5)
-	}, 2, 3),
-	"CrossEntropyLoss": unary(func(a *autograd.Variable) *autograd.Variable {
-		return autograd.CrossEntropyLoss(a, []int{0, 2})
-	}, 2, 3),
-	"Embedding": unary(func(w *autograd.Variable) *autograd.Variable {
-		return autograd.Embedding(w, []int{1, 1, 3})
-	}, 4, 3),
 	"BackwardHook": unary(func(a *autograd.Variable) *autograd.Variable {
 		return autograd.BackwardHook(a, func() {})
 	}, 2, 3),
@@ -172,7 +162,7 @@ func TestNoGradientAliasesInAttention(t *testing.T) {
 		for _, p := range m.Parameters() {
 			leaves = append(leaves, p.Variable)
 		}
-		audit(t, name, autograd.Mean(m.Forward(x)), nil, leaves)
+		audit(t, name, autograd.Sum(m.Forward(x)), nil, leaves)
 	}
 }
 

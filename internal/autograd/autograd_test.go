@@ -88,7 +88,7 @@ func TestAddGrad(t *testing.T) {
 func TestSubMulGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a, b := randVar(rng, 4), randVar(rng, 4)
-	checkGrads(t, []*Variable{a, b}, func() *Variable { return Sum(Mul(Sub(a, b), a)) }, 1e-2)
+	checkGrads(t, []*Variable{a, b}, func() *Variable { return Sum(mul(sub(a, b), a)) }, 1e-2)
 }
 
 func TestMatMulGrad(t *testing.T) {
@@ -101,7 +101,7 @@ func TestAddRowMulRowGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, row, scale := randVar(rng, 3, 4), randVar(rng, 4), randVar(rng, 4)
 	checkGrads(t, []*Variable{m, row, scale}, func() *Variable {
-		return Sum(MulRow(AddRow(m, row), scale))
+		return Sum(mulRow(AddRow(m, row), scale))
 	}, 1e-2)
 }
 
@@ -125,7 +125,7 @@ func TestActivationGrads(t *testing.T) {
 func TestMeanGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randVar(rng, 5)
-	checkGrads(t, []*Variable{a}, func() *Variable { return Mean(Mul(a, a)) }, 1e-2)
+	checkGrads(t, []*Variable{a}, func() *Variable { return mean(mul(a, a)) }, 1e-2)
 }
 
 func TestMulScalarGrad(t *testing.T) {
@@ -140,7 +140,7 @@ func TestReshapeGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randVar(rng, 2, 3)
 	checkGrads(t, []*Variable{a}, func() *Variable {
-		return Sum(Mul(Reshape(a, 3, 2), Reshape(a, 3, 2)))
+		return Sum(mul(Reshape(a, 3, 2), Reshape(a, 3, 2)))
 	}, 1e-2)
 }
 
@@ -157,38 +157,14 @@ func TestPoolGrads(t *testing.T) {
 	checkGrads(t, []*Variable{in}, func() *Variable { return Sum(AvgPool2D(in)) }, 1e-2)
 	in2 := randVar(rng, 1, 2, 4, 4)
 	checkGrads(t, []*Variable{in2}, func() *Variable {
-		return Sum(Mul(MaxPool2D(in2), MaxPool2D(in2)))
+		return Sum(mul(MaxPool2D(in2), MaxPool2D(in2)))
 	}, 2e-2)
-}
-
-func TestEmbeddingGrad(t *testing.T) {
-	w := NewLeaf(tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2), true)
-	out := Embedding(w, []int{2, 0, 2})
-	Backward(Sum(out), nil)
-	// Row 2 gathered twice, row 0 once, row 1 never.
-	want := tensor.FromSlice([]float32{1, 1, 0, 0, 2, 2}, 3, 2)
-	if !w.Grad.Equal(want) {
-		t.Fatalf("Embedding grad = %v, want %v", w.Grad, want)
-	}
-}
-
-func TestDropoutGradRespectsMask(t *testing.T) {
-	a := NewLeaf(tensor.FromSlice([]float32{1, 2, 3, 4}, 4), true)
-	keep := []bool{true, false, true, false}
-	out := Dropout(a, keep, 0.5)
-	if out.Value.At(0) != 2 || out.Value.At(1) != 0 {
-		t.Fatalf("Dropout forward = %v", out.Value)
-	}
-	Backward(Sum(out), nil)
-	if a.Grad.At(0) != 2 || a.Grad.At(1) != 0 || a.Grad.At(2) != 2 {
-		t.Fatalf("Dropout grad = %v", a.Grad)
-	}
 }
 
 func TestConcatGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a, b := randVar(rng, 2, 3), randVar(rng, 2, 2)
-	checkGrads(t, []*Variable{a, b}, func() *Variable { return Sum(Mul(Concat(a, b), Concat(a, b))) }, 2e-2)
+	checkGrads(t, []*Variable{a, b}, func() *Variable { return Sum(mul(Concat(a, b), Concat(a, b))) }, 2e-2)
 }
 
 func TestMSELossGrad(t *testing.T) {
@@ -216,7 +192,7 @@ func TestSoftmaxRowsGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randVar(rng, 2, 4)
 	w := Constant(tensor.RandN(rng, 1, 2, 4))
-	checkGrads(t, []*Variable{a}, func() *Variable { return Sum(Mul(SoftmaxRows(a), w)) }, 2e-2)
+	checkGrads(t, []*Variable{a}, func() *Variable { return Sum(mul(SoftmaxRows(a), w)) }, 2e-2)
 }
 
 func TestBatchNormGradTraining(t *testing.T) {
@@ -226,7 +202,7 @@ func TestBatchNormGradTraining(t *testing.T) {
 	beta := NewLeaf(tensor.New(3), true)
 	checkGrads(t, []*Variable{x, gamma, beta}, func() *Variable {
 		out, _ := BatchNorm(x, gamma, beta, nil, nil, 1e-5, true)
-		return Sum(Mul(out, out))
+		return Sum(mul(out, out))
 	}, 5e-2)
 }
 
@@ -269,7 +245,7 @@ func TestLayerNormGrad(t *testing.T) {
 	gain := NewLeaf(tensor.Ones(5), true)
 	bias := NewLeaf(tensor.New(5), true)
 	checkGrads(t, []*Variable{x, gain, bias}, func() *Variable {
-		return Sum(Mul(LayerNorm(x, gain, bias, 1e-5), LayerNorm(x, gain, bias, 1e-5)))
+		return Sum(mul(LayerNorm(x, gain, bias, 1e-5), LayerNorm(x, gain, bias, 1e-5)))
 	}, 5e-2)
 }
 
@@ -280,7 +256,7 @@ func TestSharedParameterAccumulatesOnce(t *testing.T) {
 	fires := 0
 	w.RegisterPostAccumulateHook(func(v *Variable) { fires++ })
 	// loss = w*w  => dw = 2w = 4
-	loss := Sum(Mul(w, w))
+	loss := Sum(mul(w, w))
 	Backward(loss, nil)
 	if fires != 1 {
 		t.Fatalf("hook fired %d times, want 1", fires)
@@ -428,7 +404,7 @@ func TestDiamondGraphGradient(t *testing.T) {
 	// x feeds two branches that rejoin: gradient must be the sum of both
 	// paths. loss = sum(x*x + 3x) => d/dx = 2x + 3.
 	x := NewLeaf(tensor.FromSlice([]float32{2}, 1), true)
-	loss := Sum(Add(Mul(x, x), MulScalar(x, 3)))
+	loss := Sum(Add(mul(x, x), MulScalar(x, 3)))
 	Backward(loss, nil)
 	if x.Grad.At(0) != 7 {
 		t.Fatalf("diamond grad = %v, want 7", x.Grad.At(0))
@@ -439,7 +415,7 @@ func TestInferenceModeBuildsNoGraph(t *testing.T) {
 	a := Constant(tensor.FromSlice([]float32{1, 2}, 2))
 	b := Constant(tensor.FromSlice([]float32{3, 4}, 2))
 	out := Add(a, b)
-	if !out.IsLeaf() || out.RequiresGrad() {
+	if out.node != nil || out.requiresGrad {
 		t.Fatal("ops on constants must stay detached")
 	}
 }

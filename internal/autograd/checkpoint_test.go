@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"math/rand"
+	"repro/internal/testutil"
 	"testing"
 
 	"repro/internal/tensor"
@@ -32,10 +33,10 @@ func TestCheckpointGradsMatchPlainExecution(t *testing.T) {
 
 	gx1, g11, g21 := run(false)
 	gx2, g12, g22 := run(true)
-	if !gx1.AllClose(gx2, 1e-6, 1e-7) {
+	if !testutil.AllClose(gx1, gx2, 1e-6, 1e-7) {
 		t.Fatal("input grads differ under checkpointing")
 	}
-	if !g11.AllClose(g12, 1e-6, 1e-7) || !g21.AllClose(g22, 1e-6, 1e-7) {
+	if !testutil.AllClose(g11, g12, 1e-6, 1e-7) || !testutil.AllClose(g21, g22, 1e-6, 1e-7) {
 		t.Fatal("parameter grads differ under checkpointing")
 	}
 }
@@ -51,7 +52,7 @@ func TestCheckpointRecomputesExactlyOnce(t *testing.T) {
 		if calls == 1 {
 			// The forward execution receives a detached input; only the
 			// backward re-execution sees a grad-requiring leaf.
-			sawDetachedInput = !in.RequiresGrad()
+			sawDetachedInput = !in.requiresGrad
 		}
 		return MatMul(in, p)
 	}, x)
@@ -63,7 +64,7 @@ func TestCheckpointRecomputesExactlyOnce(t *testing.T) {
 	}
 	// The caller-visible variable hangs off a single checkpoint node,
 	// not fn's internal graph: its only graph input is x itself.
-	if out.IsLeaf() {
+	if out.node == nil {
 		t.Fatal("checkpoint output must participate in the outer graph")
 	}
 	Backward(Sum(out), nil)
@@ -122,7 +123,7 @@ func TestNestedCheckpoints(t *testing.T) {
 	x2 := NewLeaf(x.Value.Clone(), true)
 	out2 := Tanh(MatMul(Relu(x2), p2))
 	Backward(Sum(out2), nil)
-	if !p.Grad.AllClose(p2.Grad, 1e-6, 1e-7) || !x.Grad.AllClose(x2.Grad, 1e-6, 1e-7) {
+	if !testutil.AllClose(p.Grad, p2.Grad, 1e-6, 1e-7) || !testutil.AllClose(x.Grad, x2.Grad, 1e-6, 1e-7) {
 		t.Fatal("nested checkpoint grads differ from plain execution")
 	}
 }

@@ -118,7 +118,7 @@ func TestDestinationUntouchedWhenGradientAccumulates(t *testing.T) {
 }
 
 // TestIgnoredDestinationIsStillCorrect: an op without an into-form
-// (Embedding allocates its scatter target) ignores the offer; the
+// (the tests' mul allocates each product) ignores the offer; the
 // gradient arrives as a tensor of its own, for a hook to copy.
 func TestIgnoredDestinationIsStillCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -126,8 +126,9 @@ func TestIgnoredDestinationIsStillCorrect(t *testing.T) {
 	ref, w := NewLeaf(wv.Clone(), true), NewLeaf(wv.Clone(), true)
 	dst := poisoned(4, 3)
 	asked := withDestination(w, dst)
-	Backward(Sum(Embedding(ref, []int{1, 1, 3})), nil)
-	Backward(Sum(Embedding(w, []int{1, 1, 3})), nil)
+	c := Constant(tensor.RandN(rng, 1, 4, 3))
+	Backward(Sum(mul(ref, c)), nil)
+	Backward(Sum(mul(w, c)), nil)
 	if *asked != 1 || !untouched(dst) || w.Grad == dst {
 		t.Fatalf("offer made %d times, destination untouched=%t", *asked, untouched(dst))
 	}
@@ -150,7 +151,7 @@ func TestCheckpointedParametersUseTheirDestinations(t *testing.T) {
 			withDestination(p2, d2)
 		}
 		segment := func(in *Variable) *Variable {
-			inputNeededGrad = in.RequiresGrad()
+			inputNeededGrad = in.requiresGrad
 			return MatMul(Tanh(MatMul(in, p1)), p2)
 		}
 		Backward(Sum(Checkpoint(segment, Constant(xv))), nil)

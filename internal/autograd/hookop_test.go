@@ -17,7 +17,7 @@ func TestBackwardHookFiresBeforeProducerBackward(t *testing.T) {
 	var events []string
 	w.RegisterPostAccumulateHook(func(*Variable) { events = append(events, "w-grad") })
 
-	out := Mul(w, x)
+	out := mul(w, x)
 	out = BackwardHook(out, func() { events = append(events, "hook") })
 	loss := Sum(out)
 	Backward(loss, nil)
@@ -39,7 +39,7 @@ func TestBackwardHookDetachedInput(t *testing.T) {
 	c := Constant(tensor.FromSlice([]float32{1}, 1))
 	fired := false
 	out := BackwardHook(c, func() { fired = true })
-	if out.RequiresGrad() {
+	if out.requiresGrad {
 		t.Fatal("hook on a constant must stay detached")
 	}
 	if fired {

@@ -10,23 +10,6 @@ func Add(a, b *Variable) *Variable {
 	}, a, b)
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Variable) *Variable {
-	out := tensor.Sub(a.Value, b.Value)
-	return newOp("sub", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		return []*tensor.Tensor{g, tensor.Neg(g)}
-	}, a, b)
-}
-
-// Mul returns a * b elementwise.
-func Mul(a, b *Variable) *Variable {
-	av, bv := a.Value, b.Value
-	out := tensor.Mul(av, bv)
-	return newOp("mul", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Mul(g, bv), tensor.Mul(g, av)}
-	}, a, b)
-}
-
 // MulScalar returns a * s.
 func MulScalar(a *Variable, s float32) *Variable {
 	out := tensor.MulScalar(a.Value, s)
@@ -67,20 +50,6 @@ func zeroedInto(into, like *tensor.Tensor, shape ...int) *tensor.Tensor {
 	}
 	into.Zero()
 	return into
-}
-
-// MulRow returns m * row with row broadcast over leading dimensions
-// (per-feature scaling, e.g. a norm layer's gain).
-func MulRow(m, row *Variable) *Variable {
-	n := row.Value.Size()
-	mv, rv := m.Value, row.Value
-	out := tensor.MulRow(mv, rv)
-	return newOp("mulRow", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
-		gm := tensor.MulRow(g, rv)
-		prod := tensor.Mul(g, mv)
-		defer prod.Release()
-		return []*tensor.Tensor{gm, sumRows(req[1].into, prod, n)}
-	}, m, row)
 }
 
 // MatMul returns the matrix product a·b for 2-D variables.
@@ -215,18 +184,6 @@ func Sum(a *Variable) *Variable {
 	}, a)
 }
 
-// Mean reduces all elements to their scalar mean.
-func Mean(a *Variable) *Variable {
-	av := a.Value
-	out := tensor.Mean(av)
-	inv := 1 / float32(av.Size())
-	return newOp("mean", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := av.New(av.Shape()...)
-		gin.Fill(g.Item() * inv)
-		return []*tensor.Tensor{gin}
-	}, a)
-}
-
 // AddChannel returns m + bias with bias [c] broadcast over a 4-D tensor
 // [n, c, h, w] (convolution bias addition).
 func AddChannel(m, bias *Variable) *Variable {
@@ -288,56 +245,6 @@ func MaxPool2D(in *Variable) *Variable {
 	return newOp("maxpool2d", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
 		return []*tensor.Tensor{tensor.MaxPool2DBackward(g, arg, shape)}
 	}, in)
-}
-
-// Embedding gathers rows of weight [vocab, dim] by index, producing
-// [len(indices), dim]. The gradient scatters back into the weight rows.
-func Embedding(w *Variable, indices []int) *Variable {
-	wv := w.Value
-	dim := wv.Dims(1)
-	out := wv.New(len(indices), dim)
-	for i, idx := range indices {
-		copy(out.Data()[i*dim:(i+1)*dim], wv.Data()[idx*dim:(idx+1)*dim])
-	}
-	return newOp("embedding", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gw := wv.New(wv.Shape()...)
-		for i, idx := range indices {
-			row := gw.Data()[idx*dim : (idx+1)*dim]
-			grow := g.Data()[i*dim : (i+1)*dim]
-			for j := range row {
-				row[j] += grow[j]
-			}
-		}
-		return []*tensor.Tensor{gw}
-	}, w)
-}
-
-// Dropout zeroes each element with probability p and scales survivors by
-// 1/(1-p) (inverted dropout). mask is sampled with the caller's RNG via
-// the keep slice so distributed ranks can coordinate seeds.
-func Dropout(a *Variable, keep []bool, p float32) *Variable {
-	if p <= 0 {
-		return a
-	}
-	scale := 1 / (1 - p)
-	av := a.Value
-	out := av.New(av.Shape()...)
-	od, ad := out.Data(), av.Data()
-	for i := range od {
-		if keep[i] {
-			od[i] = ad[i] * scale
-		}
-	}
-	return newOp("dropout", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := av.New(av.Shape()...)
-		gd, gg := gin.Data(), g.Data()
-		for i := range gd {
-			if keep[i] {
-				gd[i] = gg[i] * scale
-			}
-		}
-		return []*tensor.Tensor{gin}
-	}, a)
 }
 
 // Concat concatenates 2-D variables along dimension 1 (columns). All

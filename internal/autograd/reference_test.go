@@ -141,10 +141,10 @@ func TestBackwardMatchesCloneAlwaysReference(t *testing.T) {
 			return Add(l[0], l[0]), tensor.Full(0.3, 3, 3)
 		}},
 		{"sub", [][]int{sq, sq}, func(l []*Variable) (*Variable, *tensor.Tensor) {
-			return Mean(Sub(l[0], l[1])), nil
+			return mean(sub(l[0], l[1])), nil
 		}},
 		{"sub(x,x)", [][]int{sq}, func(l []*Variable) (*Variable, *tensor.Tensor) {
-			return Sum(Sub(Tanh(l[0]), l[0])), nil
+			return Sum(sub(Tanh(l[0]), l[0])), nil
 		}},
 		{"addRow", [][]int{sq, {3}}, func(l []*Variable) (*Variable, *tensor.Tensor) {
 			return Sum(AddRow(l[0], l[1])), nil
@@ -160,7 +160,7 @@ func TestBackwardMatchesCloneAlwaysReference(t *testing.T) {
 			return Sum(Add(Reshape(r, 12), Reshape(Tanh(r), 12))), nil
 		}},
 		{"backward hook", [][]int{sq, sq}, func(l []*Variable) (*Variable, *tensor.Tensor) {
-			return Sum(Add(BackwardHook(l[0], func() {}), BackwardHook(Mul(l[0], l[1]), func() {}))), nil
+			return Sum(Add(BackwardHook(l[0], func() {}), BackwardHook(mul(l[0], l[1]), func() {}))), nil
 		}},
 		{"checkpoint", [][]int{sq, sq, sq}, func(l []*Variable) (*Variable, *tensor.Tensor) {
 			seg := func(in *Variable) *Variable { return Add(MatMul(Tanh(MatMul(in, l[1])), l[2]), in) }
@@ -214,9 +214,9 @@ func randomDAG(rng *rand.Rand, n int) diffCase {
 				case 0:
 					v = Add(a, b)
 				case 1:
-					v = Sub(a, b)
+					v = sub(a, b)
 				case 2:
-					v = Mul(a, b)
+					v = mul(a, b)
 				case 3:
 					v = MatMul(a, b)
 				case 4:
@@ -245,7 +245,7 @@ func randomDAG(rng *rand.Rand, n int) diffCase {
 			if seeded {
 				return root, tensor.Full(0.125, dim, dim)
 			}
-			return Mean(root), nil
+			return mean(root), nil
 		},
 	}
 }

@@ -38,7 +38,6 @@ type Variable struct {
 	// copy. A post-accumulation hook may replace it.
 	Grad *tensor.Tensor
 
-	name         string
 	requiresGrad bool
 	node         *node
 	hooks        []Hook
@@ -99,25 +98,6 @@ func NewLeaf(t *tensor.Tensor, requiresGrad bool) *Variable {
 // Constant returns a leaf variable that never requires grad.
 func Constant(t *tensor.Tensor) *Variable { return NewLeaf(t, false) }
 
-// NewNamedLeaf is NewLeaf with a debug name (parameter names in nn).
-func NewNamedLeaf(name string, t *tensor.Tensor, requiresGrad bool) *Variable {
-	v := NewLeaf(t, requiresGrad)
-	v.name = name
-	return v
-}
-
-// Name returns the debug name assigned at construction, if any.
-func (v *Variable) Name() string { return v.name }
-
-// SetName sets the debug name.
-func (v *Variable) SetName(s string) { v.name = s }
-
-// RequiresGrad reports whether backward accumulates a gradient for v.
-func (v *Variable) RequiresGrad() bool { return v.requiresGrad }
-
-// IsLeaf reports whether v was created by NewLeaf rather than an op.
-func (v *Variable) IsLeaf() bool { return v.node == nil }
-
 // RegisterPostAccumulateHook registers fn to run after each backward pass
 // finishes accumulating v's gradient. This mirrors the gradient
 // accumulator post-hooks DDP installs on every parameter (Algorithm 1,
@@ -138,9 +118,6 @@ func (v *Variable) RegisterPostAccumulateHook(fn Hook) {
 // a tensor of v's own, for a hook to copy. DDP registers each
 // parameter's bucket slot; a nil dst unregisters.
 func (v *Variable) SetGradDestination(dst func() *tensor.Tensor) { v.gradDst = dst }
-
-// ClearHooks removes all registered hooks.
-func (v *Variable) ClearHooks() { v.hooks = nil }
 
 // ZeroGrad clears the accumulated gradient.
 func (v *Variable) ZeroGrad() { v.Grad = nil }

@@ -2,8 +2,32 @@ package buffer
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
+
+// heldGauge reads buffer_pool_held_bytes{elem} as a scrape does.
+func heldGauge(t *testing.T, elem string) int {
+	t.Helper()
+	var text strings.Builder
+	if _, err := metrics.Default().WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, `buffer_pool_held_bytes{elem="`+elem+`"} `); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int(f)
+		}
+	}
+	t.Fatalf("no buffer_pool_held_bytes sample for %q", elem)
+	return 0
+}
 
 func TestPoolReusesWithinASizeClass(t *testing.T) {
 	p := newPool[float32](4, 1<<20, 0, "test")
@@ -79,11 +103,11 @@ func TestGetClearsAndCounts(t *testing.T) {
 	}
 	big := p.get(1 << 20) // 4 MiB
 	p.put(big)
-	if got := int(p.gauge.Value()); got > p.held || got < p.held-publishStep {
+	if got := heldGauge(t, "test-counts"); got > p.held || got < p.held-publishStep {
 		t.Fatalf("the gauge reads %d bytes held; the pool holds %d", got, p.held)
 	}
 	p.get(1 << 20)
-	if got := int(p.gauge.Value()); got > p.held+publishStep || got < p.held-publishStep {
+	if got := heldGauge(t, "test-counts"); got > p.held+publishStep || got < p.held-publishStep {
 		t.Fatalf("the gauge reads %d bytes held; the pool holds %d", got, p.held)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // every rank must persist the same checkpoint sequence or commits would
 // wait forever for shards nobody queued.
 //
-// Submit, Sync, and Close must be called from one goroutine (the
+// Submit and Close must be called from one goroutine (the
 // training loop); the background goroutine is internal.
 type AsyncWriter struct {
 	w    *Writer
@@ -37,9 +37,6 @@ type asyncJob struct {
 	snap        *Snapshot
 	rank, world int
 	cancel      <-chan struct{}
-	// flush, when non-nil, marks a Sync request: the worker closes it
-	// once every previously queued save has finished.
-	flush chan struct{}
 }
 
 // NewAsyncWriter starts the background persister for w. Call Close to
@@ -57,10 +54,6 @@ func NewAsyncWriter(w *Writer) *AsyncWriter {
 func (a *AsyncWriter) loop() {
 	defer close(a.done)
 	for job := range a.jobs {
-		if job.flush != nil {
-			close(job.flush)
-			continue
-		}
 		err := a.w.Save(job.snap, job.rank, job.world, job.cancel)
 		if err != nil && !errors.Is(err, ErrAbandoned) {
 			a.mu.Lock()
@@ -89,19 +82,6 @@ func (a *AsyncWriter) Submit(snap *Snapshot, rank, world int, cancel <-chan stru
 		return fmt.Errorf("ckpt: AsyncWriter is closed")
 	}
 	a.jobs <- asyncJob{snap: snap, rank: rank, world: world, cancel: cancel}
-	return a.Err()
-}
-
-// Sync blocks until every previously submitted save has finished and
-// returns the sticky error, if any. Call it at run completion so the
-// final checkpoint is committed before the process exits.
-func (a *AsyncWriter) Sync() error {
-	if a.closed {
-		return a.Err()
-	}
-	flush := make(chan struct{})
-	a.jobs <- asyncJob{flush: flush}
-	<-flush
 	return a.Err()
 }
 

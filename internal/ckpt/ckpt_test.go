@@ -454,9 +454,6 @@ func TestAsyncWriterCommitsInOrderAndDrains(t *testing.T) {
 		}
 	}
 	for _, aw := range aws {
-		if err := aw.Sync(); err != nil {
-			t.Fatal(err)
-		}
 		if err := aw.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -469,7 +469,7 @@ type benchCrossHostCounter struct {
 }
 
 func (c *benchCrossHostCounter) Send(to int, tag uint64, data []float32) error {
-	if c.topo.HostOf(c.Rank()) != c.topo.HostOf(to) {
+	if c.topo.hostOf(c.Rank()) != c.topo.hostOf(to) {
 		c.cross.Add(int64(12 + 4*len(data)))
 	}
 	return c.Mesh.Send(to, tag, data)
@@ -481,7 +481,7 @@ func (c *benchCrossHostCounter) SendBytes(to int, tag uint64, data []byte) error
 	if !ok {
 		return fmt.Errorf("benchCrossHostCounter: base mesh has no byte lanes")
 	}
-	if c.topo.HostOf(c.Rank()) != c.topo.HostOf(to) {
+	if c.topo.hostOf(c.Rank()) != c.topo.hostOf(to) {
 		c.cross.Add(int64(12 + len(data)))
 	}
 	return bm.SendBytes(to, tag, data)

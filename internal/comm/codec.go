@@ -17,7 +17,7 @@ import (
 // of gradients into a lower-precision representation AND its wire
 // format, which the compressed collectives ship over the transports'
 // byte lanes. Decode(Encode(x)) defines the quantization. Non-finite
-// inputs meet the drop guard (see DroppedNonFinite), and fp16 saturates
+// inputs meet the drop guard (the comm_dropped_nonfinite_total metric), and fp16 saturates
 // out-of-range values to ±65504.
 //
 // Error feedback is caller-owned: when Encode receives a non-nil
@@ -73,18 +73,8 @@ type Codec interface {
 type WireCodec = Codec
 
 // nonFiniteDropped counts gradient elements dropped because they were
-// Inf/NaN at encode time (see DroppedNonFinite).
+// Inf/NaN at encode time (the comm_dropped_nonfinite_total metric).
 var nonFiniteDropped atomic.Uint64
-
-// DroppedNonFinite reports how many non-finite gradient elements the
-// codecs have dropped process-wide. A non-finite element would poison
-// scale computations (1-bit's mean magnitude) and, under error
-// feedback, the residual — forever, since NaN never decays. Instead
-// the codecs treat the element as zero: it is excluded from scale
-// computations, transmitted as zero (the zero sign, for 1-bit), its
-// poisoned residual is discarded, and this counter is bumped so the
-// event is observable rather than silently corrupting state.
-func DroppedNonFinite() uint64 { return nonFiniteDropped.Load() }
 
 // countDropped records n elements dropped by one Encode call.
 func countDropped(n int) {
@@ -322,9 +312,9 @@ func (c *OneBitCodec) decode(buf []byte, out []float32, add bool) error {
 	return nil
 }
 
-// DefaultTopKFraction is the kept fraction TopKCodec uses when K is
-// zero: the top 10% of elements by magnitude, a common operating point
-// in the gradient sparsification literature.
+// DefaultTopKFraction is the kept fraction TopKCodec uses: the top 10%
+// of elements by magnitude, a common operating point in the gradient
+// sparsification literature.
 const DefaultTopKFraction = 0.1
 
 // TopKCodec transmits only the largest-magnitude fraction of the
@@ -334,16 +324,17 @@ const DefaultTopKFraction = 0.1
 // so with error feedback every gradient element eventually arrives —
 // just spread over iterations.
 type TopKCodec struct {
-	// K is the kept fraction in (0, 1]; 0 selects DefaultTopKFraction.
-	K float64
+	// k is the kept fraction in (0, 1]; 0 selects DefaultTopKFraction.
+	// Only comm's tests set another.
+	k float64
 }
 
 // fraction returns the effective kept fraction.
 func (c *TopKCodec) fraction() float64 {
-	if c.K <= 0 || c.K > 1 {
+	if c.k <= 0 || c.k > 1 {
 		return DefaultTopKFraction
 	}
-	return c.K
+	return c.k
 }
 
 // kept returns how many of n elements a frame carries.
@@ -366,7 +357,7 @@ func (c *TopKCodec) Name() string { return "topk" }
 
 // CompressionRatio implements Codec: each kept element costs 8 bytes
 // (index + value) against 4 bytes for every dense element, so the
-// asymptotic ratio is 1/(2K).
+// asymptotic ratio is 1/(2k).
 func (c *TopKCodec) CompressionRatio() float64 { return 1 / (2 * c.fraction()) }
 
 // EncodedSize implements Codec: a 4-byte count plus 8 bytes per

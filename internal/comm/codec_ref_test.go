@@ -120,13 +120,13 @@ type refCodec struct {
 // dropsDuring reports how far the process-wide drop counter advanced
 // while fn ran.
 func dropsDuring(fn func()) int {
-	before := DroppedNonFinite()
+	before := nonFiniteDropped.Load()
 	fn()
-	return int(DroppedNonFinite() - before)
+	return int(nonFiniteDropped.Load() - before)
 }
 
 func refCodecs() []refCodec {
-	topk, half := &TopKCodec{}, &TopKCodec{K: 0.5}
+	topk, half := &TopKCodec{}, &TopKCodec{k: 0.5}
 	return []refCodec{
 		{Float16Codec{}, refHalfEncode, refHalfDecode},
 		{&OneBitCodec{}, refOneBitEncode, refOneBitDecode},
@@ -630,7 +630,7 @@ func TestDecodeAddMatchesDecodeThenFold(t *testing.T) {
 // make DecodeAdd (which adds as it walks) and Decode (where the last
 // pair wins) disagree.
 func TestTopKDecodeWantsAscendingIndices(t *testing.T) {
-	c := &TopKCodec{K: 0.5}
+	c := &TopKCodec{k: 0.5}
 	frame := c.Encode([]byte{}, []float32{4, 0, 3, 0}, nil, nil) // pairs (0,4), (2,3)
 	for name, mutate := range map[string]func(f []byte){
 		"repeated":   func(f []byte) { f[8] = 0 },

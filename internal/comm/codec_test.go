@@ -125,7 +125,7 @@ func TestOneBitCodecErrorFeedbackConverges(t *testing.T) {
 
 // wireCodecs lists every WireCodec under test.
 func wireCodecs() []WireCodec {
-	return []WireCodec{Float16Codec{}, &OneBitCodec{}, &TopKCodec{}, &TopKCodec{K: 0.5}}
+	return []WireCodec{Float16Codec{}, &OneBitCodec{}, &TopKCodec{}, &TopKCodec{k: 0.5}}
 }
 
 // TestWireCodecRoundTrip: Encode must produce a frame of EncodedSize
@@ -230,9 +230,9 @@ func TestCodecNonFiniteGuard(t *testing.T) {
 	for _, c := range wireCodecs() {
 		data := []float32{1, inf, -2, nan, 3}
 		residual := make([]float32, len(data))
-		before := DroppedNonFinite()
+		before := nonFiniteDropped.Load()
 		frame := c.Encode(nil, data, residual, nil)
-		if got := DroppedNonFinite() - before; got != 2 {
+		if got := nonFiniteDropped.Load() - before; got != 2 {
 			t.Fatalf("%s: dropped counter advanced by %d, want 2", c.Name(), got)
 		}
 		for i, r := range residual {
@@ -283,7 +283,7 @@ func TestOneBitQuantizeGuards(t *testing.T) {
 // TestTopKCodecSelection: the largest-magnitude elements survive, the
 // rest land in the residual.
 func TestTopKCodecSelection(t *testing.T) {
-	c := &TopKCodec{K: 0.4} // keep 2 of 5
+	c := &TopKCodec{k: 0.4} // keep 2 of 5
 	data := []float32{0.1, -5, 0.2, 4, -0.3}
 	residual := make([]float32, 5)
 	frame := c.Encode(nil, data, residual, nil)
@@ -314,7 +314,7 @@ func TestTopKCodecSelection(t *testing.T) {
 // transmit, on average, the true value — the property that makes
 // quantized SGD converge (and that dies without residual carry).
 func TestErrorFeedbackAccumulates(t *testing.T) {
-	for _, c := range []WireCodec{&OneBitCodec{}, &TopKCodec{K: 0.34}} {
+	for _, c := range []WireCodec{&OneBitCodec{}, &TopKCodec{k: 0.34}} {
 		truth := []float32{0.5, -1.5, 0.25}
 		residual := make([]float32, len(truth))
 		sent := make([]float64, len(truth))

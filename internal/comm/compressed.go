@@ -14,7 +14,7 @@ import (
 // ships a codec's byte representation on the wire instead of full
 // float32 frames (Section 6.2.3 made real: the byte savings exist on
 // the sockets, not just in the simulator's cost model). meshGroup and
-// RoundRobin implement it, and a group decorator must forward it:
+// roundRobin implement it, and a group decorator must forward it:
 // CompressedAllReduce, the entry point callers (DDP) use, refuses a
 // group without it.
 type GradientCompressor interface {
@@ -247,8 +247,8 @@ func runScaled(r run, steps []step, avg []float32) (int, error) {
 }
 
 // CompressedAllReduce dispatches to the next sub-group
-// (GradientCompressor on RoundRobin).
-func (r *RoundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
+// (GradientCompressor on roundRobin).
+func (r *roundRobin) CompressedAllReduce(data []float32, op ReduceOp, codec Codec, residual []float32) Work {
 	g := r.pick()
 	if g == nil {
 		return CompletedWork(ErrClosed)
@@ -362,4 +362,4 @@ func flatCompressed(r *run) (steps []step, avg []float32) {
 }
 
 var _ GradientCompressor = (*meshGroup)(nil)
-var _ GradientCompressor = (*RoundRobin)(nil)
+var _ GradientCompressor = (*roundRobin)(nil)

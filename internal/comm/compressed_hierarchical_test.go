@@ -147,7 +147,7 @@ type crossHostByteMesh struct {
 }
 
 func (c *crossHostByteMesh) Send(to int, tag uint64, data []float32) error {
-	if c.topo.HostOf(c.Rank()) != c.topo.HostOf(to) {
+	if c.topo.hostOf(c.Rank()) != c.topo.hostOf(to) {
 		c.cross.Add(int64(4 * len(data)))
 	}
 	return c.Mesh.Send(to, tag, data)
@@ -159,7 +159,7 @@ func (c *crossHostByteMesh) SendBytes(to int, tag uint64, data []byte) error {
 	if !ok {
 		return fmt.Errorf("crossHostByteMesh: base mesh has no byte lanes")
 	}
-	if c.topo.HostOf(c.Rank()) != c.topo.HostOf(to) {
+	if c.topo.hostOf(c.Rank()) != c.topo.hostOf(to) {
 		c.cross.Add(int64(len(data)))
 	}
 	return bm.SendBytes(to, tag, data)

@@ -110,9 +110,9 @@
 // compressed or not, leaves every contribution on every rank exactly
 // once.
 //
-// The same lists are the cost model. WalkAllReduce, WalkReduceScatterV,
-// WalkAllGatherV and WalkBroadcast time every rank's list on links a Hop
-// prices per frame, under runSteps' rules (walk.go), so internal/hw
+// The same lists are the cost model. WalkAllReduce, WalkReduceScatterV
+// and WalkAllGatherV time every rank's list on links a Hop prices per
+// frame, under runSteps' rules (walk.go), so internal/hw
 // prices each algorithm from the schedule that runs, not from a closed
 // form written beside it.
 //
@@ -167,7 +167,7 @@
 // follows: a compressed collective reads its data and residual from its
 // submission on, and both belong to it until Wait returns.
 // Non-finite gradient elements are dropped and counted
-// (DroppedNonFinite) instead of poisoning scales and residuals with NaN.
+// (comm_dropped_nonfinite_total) instead of poisoning scales and residuals with NaN.
 //
 // A codec step is a step whose frames are the collective's codec on the
 // byte lane; runSteps runs it like any other. Its send encodes its range

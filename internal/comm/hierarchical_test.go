@@ -210,13 +210,13 @@ func TestAlgorithmsMatchRingBitwiseOnExactData(t *testing.T) {
 
 func TestTopologyLayout(t *testing.T) {
 	topo := NewTopology([]string{"a", "b", "a", "c", "b", "a"})
-	if topo.Size() != 6 || topo.NumHosts() != 3 {
-		t.Fatalf("size=%d hosts=%d", topo.Size(), topo.NumHosts())
+	if topo.Size() != 6 || topo.numHosts() != 3 {
+		t.Fatalf("size=%d hosts=%d", topo.Size(), topo.numHosts())
 	}
-	if got := topo.Leaders(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+	if got := topo.leaders(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("leaders = %v", got)
 	}
-	if got := topo.HostRanks(2); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 5 {
+	if got := topo.hostRanks(2); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 5 {
 		t.Fatalf("host ranks of 2 = %v", got)
 	}
 	if !topo.MultiHost() || topo.Flat() || !topo.Hierarchical() {
@@ -289,7 +289,7 @@ type countingMesh struct {
 }
 
 func (c *countingMesh) Send(to int, tag uint64, data []float32) error {
-	if c.topo.HostOf(c.Rank()) != c.topo.HostOf(to) {
+	if c.topo.hostOf(c.Rank()) != c.topo.hostOf(to) {
 		c.cross.Add(int64(4 * len(data)))
 	}
 	return c.Mesh.Send(to, tag, data)

@@ -26,7 +26,7 @@ var (
 		metrics.SizeBuckets, "codec")
 	mDroppedNonFinite = metrics.Default().Counter(
 		"comm_dropped_nonfinite_total",
-		"Non-finite gradient elements dropped by compression codecs; mirrors DroppedNonFinite().")
+		"Non-finite gradient elements dropped by compression codecs.")
 	mCollectiveDur = metrics.Default().HistogramVec(
 		"comm_collective_duration_seconds",
 		"Wall time of the collectives other than AllReduce (all_gather, reduce_scatter_v, all_gather_v, compressed_reduce_scatter_v) from worker dispatch to completion; AllReduce has its own per-algorithm family.",

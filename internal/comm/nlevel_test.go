@@ -30,11 +30,11 @@ func TestTopologyNLevels(t *testing.T) {
 	if topo.Levels() != 3 {
 		t.Fatalf("Levels() = %d, want 3", topo.Levels())
 	}
-	if topo.Size() != 6 || topo.NumHosts() != 4 {
-		t.Fatalf("size=%d hosts=%d", topo.Size(), topo.NumHosts())
+	if topo.Size() != 6 || topo.numHosts() != 4 {
+		t.Fatalf("size=%d hosts=%d", topo.Size(), topo.numHosts())
 	}
 	for l, want := range []int{2, 4, 4} {
-		if got := topo.NumGroups(l); got != want {
+		if got := topo.numGroups(l); got != want {
 			t.Fatalf("NumGroups(%d) = %d, want %d", l, got, want)
 		}
 	}
@@ -44,7 +44,7 @@ func TestTopologyNLevels(t *testing.T) {
 	if got := topo.levelLeaders(0); !reflect.DeepEqual(got, []int{0, 4}) {
 		t.Fatalf("pod leaders = %v", got)
 	}
-	if got := topo.Leaders(); !reflect.DeepEqual(got, []int{0, 2, 4, 5}) {
+	if got := topo.leaders(); !reflect.DeepEqual(got, []int{0, 2, 4, 5}) {
 		t.Fatalf("host leaders = %v", got)
 	}
 	// Phase participants: host level = members, rack level = host
@@ -71,8 +71,8 @@ func TestTopologyNLevels(t *testing.T) {
 	if mixed.Levels() != 1 {
 		t.Fatalf("mixed labels: Levels() = %d, want 1", mixed.Levels())
 	}
-	if mixed.NumHosts() != 2 || !reflect.DeepEqual(mixed.HostRanks(0), []int{0, 2}) {
-		t.Fatalf("mixed labels grouped wrong: hosts=%d", mixed.NumHosts())
+	if mixed.numHosts() != 2 || !reflect.DeepEqual(mixed.hostRanks(0), []int{0, 2}) {
+		t.Fatalf("mixed labels grouped wrong: hosts=%d", mixed.numHosts())
 	}
 
 	// Unstructured labels keep the PR 4 behavior bit for bit.

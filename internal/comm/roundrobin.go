@@ -5,21 +5,21 @@ import (
 	"sync"
 )
 
-// RoundRobin is the composite ProcessGroup of Section 5.4: it dispatches
+// roundRobin is the composite ProcessGroup of Section 5.4: it dispatches
 // successive collectives to a list of sub-groups in round-robin order,
 // working around per-group concurrency limits (one worker goroutine per
 // group here; one set of NCCL streams or Gloo threads in the paper) so
 // that multiple buckets' AllReduces genuinely proceed in parallel.
 //
-// Every rank must construct the RoundRobin wrapper over sub-groups in
+// Every rank must construct the roundRobin wrapper over sub-groups in
 // the same order; the shared dispatch counter then stays aligned across
 // ranks because all ranks submit collectives in the same order.
 //
-// RoundRobin implements Aborter by fanning out to every sub-group, so
+// roundRobin implements Aborter by fanning out to every sub-group, so
 // elastic recovery can tear down a multi-mesh generation exactly like a
 // single-mesh one. Abort and Close are idempotent and may be called in
 // either order (elastic teardown calls both).
-type RoundRobin struct {
+type roundRobin struct {
 	groups []ProcessGroup
 
 	mu     sync.Mutex
@@ -29,7 +29,7 @@ type RoundRobin struct {
 
 // NewRoundRobin composes sub-groups into a round-robin group. All
 // sub-groups must have the same rank and size.
-func NewRoundRobin(groups ...ProcessGroup) (*RoundRobin, error) {
+func NewRoundRobin(groups ...ProcessGroup) (*roundRobin, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("comm: round-robin needs at least one group")
 	}
@@ -38,16 +38,13 @@ func NewRoundRobin(groups ...ProcessGroup) (*RoundRobin, error) {
 			return nil, fmt.Errorf("comm: round-robin sub-groups disagree on rank/size")
 		}
 	}
-	return &RoundRobin{groups: groups}, nil
+	return &roundRobin{groups: groups}, nil
 }
-
-// NumGroups returns the number of sub-groups being rotated over.
-func (r *RoundRobin) NumGroups() int { return len(r.groups) }
 
 // pick advances the dispatch counter and returns the next sub-group,
 // or nil after Close/Abort (submissions then fail with ErrClosed
 // rather than racing the teardown).
-func (r *RoundRobin) pick() ProcessGroup {
+func (r *roundRobin) pick() ProcessGroup {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -59,13 +56,13 @@ func (r *RoundRobin) pick() ProcessGroup {
 }
 
 // Rank returns the shared rank of the sub-groups.
-func (r *RoundRobin) Rank() int { return r.groups[0].Rank() }
+func (r *roundRobin) Rank() int { return r.groups[0].Rank() }
 
 // Size returns the shared size of the sub-groups.
-func (r *RoundRobin) Size() int { return r.groups[0].Size() }
+func (r *roundRobin) Size() int { return r.groups[0].Size() }
 
 // AllReduce dispatches to the next sub-group.
-func (r *RoundRobin) AllReduce(data []float32, op ReduceOp) Work {
+func (r *roundRobin) AllReduce(data []float32, op ReduceOp) Work {
 	g := r.pick()
 	if g == nil {
 		return CompletedWork(ErrClosed)
@@ -74,7 +71,7 @@ func (r *RoundRobin) AllReduce(data []float32, op ReduceOp) Work {
 }
 
 // Broadcast dispatches to the next sub-group.
-func (r *RoundRobin) Broadcast(data []float32, root int) Work {
+func (r *roundRobin) Broadcast(data []float32, root int) Work {
 	g := r.pick()
 	if g == nil {
 		return CompletedWork(ErrClosed)
@@ -83,7 +80,7 @@ func (r *RoundRobin) Broadcast(data []float32, root int) Work {
 }
 
 // AllGather dispatches to the next sub-group.
-func (r *RoundRobin) AllGather(dst [][]float32, src []float32) Work {
+func (r *roundRobin) AllGather(dst [][]float32, src []float32) Work {
 	g := r.pick()
 	if g == nil {
 		return CompletedWork(ErrClosed)
@@ -97,7 +94,7 @@ func (r *RoundRobin) AllGather(dst [][]float32, src []float32) Work {
 // one from the lowest-indexed failing sub-group, annotated with its
 // index — identical on every rank and across runs regardless of which
 // sub-group worker loses the race to fail first.
-func (r *RoundRobin) Barrier() Work {
+func (r *roundRobin) Barrier() Work {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -124,7 +121,7 @@ func (r *RoundRobin) Barrier() Work {
 
 // shutdown marks the wrapper closed and returns the sub-groups to tear
 // down, or nil when a previous Close/Abort already did.
-func (r *RoundRobin) shutdown() []ProcessGroup {
+func (r *roundRobin) shutdown() []ProcessGroup {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -136,7 +133,7 @@ func (r *RoundRobin) shutdown() []ProcessGroup {
 
 // Close closes every sub-group, waiting for their in-flight collectives
 // to finish. Safe after Abort (a no-op then) and under repeated calls.
-func (r *RoundRobin) Close() error {
+func (r *roundRobin) Close() error {
 	var first error
 	for _, g := range r.shutdown() {
 		if err := g.Close(); err != nil && first == nil {
@@ -150,7 +147,7 @@ func (r *RoundRobin) Close() error {
 // peers (comm.AbortGroup on each, so TCP sub-meshes get the
 // deadline+close treatment). Idempotent, and Close afterwards is a
 // no-op — elastic teardown calls both in sequence.
-func (r *RoundRobin) Abort() error {
+func (r *roundRobin) Abort() error {
 	var first error
 	for _, g := range r.shutdown() {
 		if err := AbortGroup(g); err != nil && first == nil {
@@ -160,5 +157,5 @@ func (r *RoundRobin) Abort() error {
 	return first
 }
 
-var _ ProcessGroup = (*RoundRobin)(nil)
-var _ Aborter = (*RoundRobin)(nil)
+var _ ProcessGroup = (*roundRobin)(nil)
+var _ Aborter = (*roundRobin)(nil)

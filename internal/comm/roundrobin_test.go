@@ -11,15 +11,15 @@ import (
 	"repro/internal/transport"
 )
 
-// newRoundRobins builds each rank's RoundRobin over `sub` in-proc
+// newRoundRobins builds each rank's roundRobin over `sub` in-proc
 // sub-groups.
-func newRoundRobins(t *testing.T, world, sub int) []*RoundRobin {
+func newRoundRobins(t *testing.T, world, sub int) []*roundRobin {
 	t.Helper()
 	subs := make([][]ProcessGroup, sub)
 	for i := range subs {
 		subs[i] = NewInProcGroups(world, Options{})
 	}
-	rrs := make([]*RoundRobin, world)
+	rrs := make([]*roundRobin, world)
 	for r := 0; r < world; r++ {
 		gs := make([]ProcessGroup, sub)
 		for i := range gs {

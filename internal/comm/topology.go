@@ -101,32 +101,12 @@ func NewTopology(hosts []string) *Topology {
 // Size returns the number of ranks the topology covers.
 func (t *Topology) Size() int { return len(t.hosts) }
 
-// NumHosts returns the number of distinct hosts (deepest-level groups).
-func (t *Topology) NumHosts() int { return len(t.groups) }
-
 // Levels returns the hierarchy depth: 1 for plain host labels, the
 // number of "/"-separated components for structured ones.
 func (t *Topology) Levels() int { return t.levels }
 
-// NumGroups returns the number of distinct groups at the given level
-// (0 = outermost). Level levels-1 equals NumHosts.
-func (t *Topology) NumGroups(level int) int { return len(t.levelGroups[level]) }
-
-// HostOf returns rank's full host label.
-func (t *Topology) HostOf(rank int) string { return t.hosts[rank] }
-
 // Hosts returns a copy of the per-rank host labels.
 func (t *Topology) Hosts() []string { return append([]string(nil), t.hosts...) }
-
-// HostRanks returns the ranks sharing rank's host, in ascending order.
-// The first entry is the host's leader. The returned slice is shared;
-// callers must not mutate it.
-func (t *Topology) HostRanks(rank int) []int { return t.groups[t.hostIdx[rank]] }
-
-// Leaders returns one rank per host — the lowest rank on each — in
-// ascending order. They form the inter-host phases of the Hierarchical
-// algorithm.
-func (t *Topology) Leaders() []int { return t.levelLeaders(t.levels - 1) }
 
 // levelLeaders returns one rank per level-l group — each group's lowest
 // rank — in ascending order. Level 0's leaders form the top ring of the

@@ -64,12 +64,6 @@ func WalkAllGatherV(world, elems int, hop Hop) float64 {
 	return walk(world, func(r int) []step { return ringSteps(r, world, elems, r, false) }, hop)
 }
 
-// WalkBroadcast returns the seconds Broadcast of elems elements from rank
-// 0 to world ranks takes on links priced by hop.
-func WalkBroadcast(world, elems int, hop Hop) float64 {
-	return walk(world, func(r int) []step { return binomialBroadcastSteps(r, world, elems, 0) }, hop)
-}
-
 // walk times every rank's list, gen(rank), over k ranks under the rules
 // above. Every clock is some frame's landing, so the collective ends
 // with the last landing. A rank that stops short of its end is a broken

@@ -95,7 +95,7 @@ func TestWalkExactOnUniformLink(t *testing.T) {
 	for m := 1; m <= 6; m++ {
 		const n = 4096
 		want := float64(m) * (alpha + 4*n/beta)
-		if got := WalkBroadcast(1<<m, n, uniform(alpha, beta)); !near(got, want) {
+		if got := walk(1<<m, func(r int) []step { return binomialBroadcastSteps(r, 1<<m, n, 0) }, uniform(alpha, beta)); !near(got, want) {
 			t.Fatalf("broadcast over %d ranks: walked %v, want %v", 1<<m, got, want)
 		}
 	}

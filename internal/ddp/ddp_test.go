@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"repro/internal/testutil"
 	"strings"
 	"sync"
 	"testing"
@@ -106,11 +107,11 @@ func TestGradientsAveragedAcrossRanks(t *testing.T) {
 		}
 	}
 	for i := range sums {
-		tensor.ScaleInPlace(sums[i], 1.0/world)
+		tensor.ScaleFloats(sums[i].Data(), 1.0/world)
 	}
 	for rank := 0; rank < world; rank++ {
 		for i, p := range models[rank].Parameters() {
-			if !p.Grad.AllClose(sums[i], 1e-4, 1e-6) {
+			if !testutil.AllClose(p.Grad, sums[i], 1e-4, 1e-6) {
 				t.Fatalf("rank %d param %d: DDP grad differs from averaged local grads (max diff %v)",
 					rank, i, p.Grad.MaxAbsDiff(sums[i]))
 			}
@@ -172,7 +173,7 @@ func TestMathematicalEquivalence(t *testing.T) {
 	for rank := 0; rank < world; rank++ {
 		for i, p := range models[rank].Parameters() {
 			lp := local.Parameters()[i]
-			if !p.Value.AllClose(lp.Value, 1e-3, 1e-5) {
+			if !testutil.AllClose(p.Value, lp.Value, 1e-3, 1e-5) {
 				t.Fatalf("rank %d param %d diverged from local training: max diff %v",
 					rank, i, p.Value.MaxAbsDiff(lp.Value))
 			}
@@ -260,7 +261,7 @@ func TestParameterAveragingDiverges(t *testing.T) {
 			for rank := 1; rank < world; rank++ {
 				tensor.AddInPlace(avg, paModels[rank].Parameters()[pi].Value)
 			}
-			tensor.ScaleInPlace(avg, 1.0/world)
+			tensor.ScaleFloats(avg.Data(), 1.0/world)
 			for rank := 0; rank < world; rank++ {
 				paModels[rank].Parameters()[pi].Value.CopyFrom(avg)
 			}
@@ -452,7 +453,7 @@ func TestFindUnusedParametersHandlesDynamicGraphs(t *testing.T) {
 		if m.fc2.W.Grad == nil {
 			t.Fatalf("rank %d: fc2 weight grad missing (globally used!)", rank)
 		}
-		if !m.fc2.W.Grad.AllClose(wantFC2W, 1e-5, 1e-7) {
+		if !testutil.AllClose(m.fc2.W.Grad, wantFC2W, 1e-5, 1e-7) {
 			t.Fatalf("rank %d: fc2 grad = %v, want %v", rank, m.fc2.W.Grad, wantFC2W)
 		}
 	}
@@ -608,11 +609,11 @@ func TestNoSyncAccumulatesThenSynchronizes(t *testing.T) {
 		}
 	}
 	for i := range want {
-		tensor.ScaleInPlace(want[i], 1.0/world)
+		tensor.ScaleFloats(want[i].Data(), 1.0/world)
 	}
 	for rank := 0; rank < world; rank++ {
 		for i, p := range models[rank].Parameters() {
-			if !p.Grad.AllClose(want[i], 1e-4, 1e-6) {
+			if !testutil.AllClose(p.Grad, want[i], 1e-4, 1e-6) {
 				t.Fatalf("rank %d param %d: no_sync accumulation wrong (max diff %v)",
 					rank, i, p.Grad.MaxAbsDiff(want[i]))
 			}

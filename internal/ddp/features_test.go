@@ -3,6 +3,7 @@ package ddp
 import (
 	"bytes"
 	"math/rand"
+	"repro/internal/testutil"
 	"testing"
 
 	"repro/internal/autograd"
@@ -70,11 +71,11 @@ func TestDDPThroughCheckpointedSegments(t *testing.T) {
 		}
 	}
 	for i := range want {
-		tensor.ScaleInPlace(want[i], 1.0/world)
+		tensor.ScaleFloats(want[i].Data(), 1.0/world)
 	}
 	for rank := 0; rank < world; rank++ {
 		for i, p := range mods[rank].Parameters() {
-			if !p.Grad.AllClose(want[i], 1e-4, 1e-6) {
+			if !testutil.AllClose(p.Grad, want[i], 1e-4, 1e-6) {
 				t.Fatalf("rank %d param %d wrong through checkpointing (max diff %v)",
 					rank, i, p.Grad.MaxAbsDiff(want[i]))
 			}
@@ -258,7 +259,7 @@ func TestDDPCheckpointRestoreMidTraining(t *testing.T) {
 	// the checkpoint), so trajectories match exactly only because
 	// Momentum defaults to 0.
 	for i, p := range restModels[0].Parameters() {
-		if !p.Value.AllClose(contModels[0].Parameters()[i].Value, 1e-6, 1e-7) {
+		if !testutil.AllClose(p.Value, contModels[0].Parameters()[i].Value, 1e-6, 1e-7) {
 			t.Fatalf("restored fleet diverged at param %d (max diff %v)",
 				i, p.Value.MaxAbsDiff(contModels[0].Parameters()[i].Value))
 		}

@@ -74,7 +74,7 @@ func TestAutoRebuildBucketsFollowsExecutionOrder(t *testing.T) {
 		return iteration(d, rank, int64(10+rank))
 	})
 	for _, d := range ddps {
-		if d.Rebuilt() {
+		if d.rebuilt {
 			t.Fatal("rebuild must not happen during the first iteration")
 		}
 	}
@@ -84,7 +84,7 @@ func TestAutoRebuildBucketsFollowsExecutionOrder(t *testing.T) {
 		return iteration(ddps[rank], rank, int64(20+rank))
 	})
 	for rank, d := range ddps {
-		if !d.Rebuilt() {
+		if !d.rebuilt {
 			t.Fatalf("rank %d: rebuild did not happen", rank)
 		}
 		// Bucket 0 now starts with one of a's parameters (ready first).
@@ -191,7 +191,7 @@ func TestAutoRebuildAgreesAcrossDivergentReadyOrders(t *testing.T) {
 				return err
 			}
 		}
-		if !d.Rebuilt() {
+		if !d.rebuilt {
 			return fmt.Errorf("the traced rebuild did not fire")
 		}
 		got[rank] = gradSnapshot(m)
@@ -356,11 +356,11 @@ func TestDDPGradientAveragingProperty(t *testing.T) {
 			}
 		}
 		for i := range want {
-			tensor.ScaleInPlace(want[i], 1/float32(world))
+			tensor.ScaleFloats(want[i].Data(), 1/float32(world))
 		}
 		for rank := 0; rank < world; rank++ {
 			for i, p := range ddpModels[rank].Parameters() {
-				if !p.Grad.AllClose(want[i], 1e-4, 1e-6) {
+				if !testutil.AllClose(p.Grad, want[i], 1e-4, 1e-6) {
 					return false
 				}
 			}

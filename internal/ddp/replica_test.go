@@ -219,7 +219,7 @@ func TestFusedUpdateSkipsGloballyUnusedParameter(t *testing.T) {
 func TestFusedUpdateAcrossAutoRebuild(t *testing.T) {
 	runs := requireSameRuns(t, 2, 4, Options{AutoRebuildBuckets: true, BucketCapBytes: 40},
 		func(rank int) nn.Module { return newReversedModel(int64(rank) + 5) }, everyStep, nil)
-	if !runs[0].d.Rebuilt() {
+	if !runs[0].d.rebuilt {
 		t.Fatal("fixture: the buckets were never rebuilt")
 	}
 }

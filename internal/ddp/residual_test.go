@@ -75,7 +75,7 @@ func TestResidualSurvivesRebuildBitwise(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(200 + rank)))
 		opt.ZeroGrad()
 		out := d.Forward(autograd.Constant(tensor.RandN(rng, 1, 2, 4)))
-		if !d.Rebuilt() {
+		if !d.rebuilt {
 			return fmt.Errorf("the traced rebuild did not fire")
 		}
 		after[rank] = d.ResidualState()
@@ -137,7 +137,7 @@ func TestResidualSurvivesAutoRebuild(t *testing.T) {
 		if err := trainSteps(d, opt, int64(400+rank), 1); err != nil {
 			return err
 		}
-		if !d.Rebuilt() {
+		if !d.rebuilt {
 			t.Errorf("rank %d: auto rebuild did not fire", rank)
 		}
 		checked[rank] = true

@@ -326,7 +326,7 @@ func TestWeightGradientsAreBornInTheirSlot(t *testing.T) {
 				return fmt.Errorf("%s: gradients already in their slot when the hooks ran: %v, want %v", sc.what, inSlot, sc.want)
 			}
 		}
-		if !d.Rebuilt() {
+		if !d.rebuilt {
 			return fmt.Errorf("the automatic rebuild never ran")
 		}
 		return nil
@@ -375,7 +375,7 @@ func TestBackwardAllocatesNoGradientCopy(t *testing.T) {
 		runRanks(t, world, func(rank int) error {
 			for i := 0; i < n; i++ {
 				out := ranks[rank].Forward(autograd.Constant(inputs[rank]))
-				if err := ranks[rank].Backward(autograd.Mean(out)); err != nil {
+				if err := ranks[rank].Backward(autograd.Sum(out)); err != nil {
 					return err
 				}
 				opts[rank].Step()

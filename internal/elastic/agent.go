@@ -102,10 +102,6 @@ func NewAgent(cfg Config, model nn.Module) (*Agent, error) {
 	return a, nil
 }
 
-// Tracer returns the configured recovery tracer (nil when tracing is
-// disabled) — the handle ddptrain dumps recovery span trees from.
-func (a *Agent) Tracer() *trace.Tracer { return a.cfg.Tracer }
-
 // Straggler returns the straggler detector (nil when detection is
 // disabled), which the StepFunc feeds each completed step's compute
 // time.
@@ -116,14 +112,6 @@ func (a *Agent) Step() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.step
-}
-
-// Assignment returns the current (generation, rank, world) or nil
-// before the first rendezvous.
-func (a *Agent) Assignment() *Assignment {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.assign
 }
 
 // Replica exposes the worker's replica (nil before the first

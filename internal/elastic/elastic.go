@@ -177,7 +177,6 @@ type GroupBuilder interface {
 // --elastic demo use.
 type InProcBuilder struct {
 	Registry *comm.InProcRegistry
-	Opts     comm.Options
 	// Prefix namespaces group names; defaults to "elastic".
 	Prefix string
 }
@@ -189,7 +188,7 @@ func (b *InProcBuilder) Build(a *Assignment, _ <-chan struct{}) (comm.ProcessGro
 	if prefix == "" {
 		prefix = "elastic"
 	}
-	return b.Registry.Build(fmt.Sprintf("%s-g%d", prefix, a.Generation), a.Rank, a.World, topologyOptions(b.Opts, a))
+	return b.Registry.Build(fmt.Sprintf("%s-g%d", prefix, a.Generation), a.Rank, a.World, topologyOptions(comm.Options{}, a))
 }
 
 // topologyOptions threads the rendezvous round's host layout into the
@@ -218,9 +217,6 @@ func topologyOptions(opts comm.Options, a *Assignment) comm.Options {
 // addresses through the same store used by the elastic rendezvous.
 type TCPBuilder struct {
 	Store store.Store
-	Opts  comm.Options
-	// Prefix namespaces group names; defaults to "elastic".
-	Prefix string
 }
 
 // Build constructs this process's member of the generation's TCP group.
@@ -229,11 +225,7 @@ type TCPBuilder struct {
 // keys — the path that frees survivors when a peer dies between seal
 // and build.
 func (b *TCPBuilder) Build(a *Assignment, cancel <-chan struct{}) (comm.ProcessGroup, error) {
-	prefix := b.Prefix
-	if prefix == "" {
-		prefix = "elastic"
-	}
-	return comm.NewTCPGroupCancel(a.Rank, a.World, b.Store, fmt.Sprintf("%s-g%d", prefix, a.Generation), topologyOptions(b.Opts, a), cancel)
+	return comm.NewTCPGroupCancel(a.Rank, a.World, b.Store, fmt.Sprintf("elastic-g%d", a.Generation), topologyOptions(comm.Options{}, a), cancel)
 }
 
 // Config parameterizes an elastic worker.

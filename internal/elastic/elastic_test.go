@@ -589,17 +589,17 @@ func TestHeartbeatTimeoutDetection(t *testing.T) {
 	st := store.NewInMem(10 * time.Second)
 	defer st.Close()
 	const prefix = "elastic"
-	alive := StartHeartbeat(st, prefix, "alive", 5*time.Millisecond)
+	alive := StartHeartbeatClock(st, prefix, "alive", 5*time.Millisecond, SystemClock)
 	defer alive.Stop()
-	doomed := StartHeartbeat(st, prefix, "doomed", 5*time.Millisecond)
+	doomed := StartHeartbeatClock(st, prefix, "doomed", 5*time.Millisecond, SystemClock)
 
 	var mu sync.Mutex
 	var expired []string
-	mon := StartMonitor(st, prefix, 60*time.Millisecond, 3*time.Millisecond, func(id string) {
+	mon := StartMonitorClock(st, prefix, 60*time.Millisecond, 3*time.Millisecond, func(id string) {
 		mu.Lock()
 		expired = append(expired, id)
 		mu.Unlock()
-	})
+	}, SystemClock)
 	defer mon.Stop()
 	mon.SetPeers([]string{"alive", "doomed"})
 
@@ -819,7 +819,7 @@ func TestAgentMidBackwardCrash(t *testing.T) {
 
 	// Survivors recovered at generation >= 1 with world 2.
 	for i, w := range workers[:2] {
-		a := w.agent.Assignment()
+		a := w.agent.assignment()
 		if a == nil || a.World != 2 || a.Generation < 1 {
 			t.Fatalf("survivor %d final assignment %+v", i, a)
 		}

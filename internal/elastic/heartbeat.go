@@ -24,13 +24,8 @@ type Heartbeat struct {
 // HeartbeatKey returns the store key worker id beats under.
 func HeartbeatKey(prefix, id string) string { return prefix + "/hb/" + id }
 
-// StartHeartbeat begins beating immediately and then every interval
-// until Stop, paced by the system clock.
-func StartHeartbeat(st store.Store, prefix, id string, interval time.Duration) *Heartbeat {
-	return StartHeartbeatClock(st, prefix, id, interval, SystemClock)
-}
-
-// StartHeartbeatClock is StartHeartbeat paced by an explicit Clock.
+// StartHeartbeatClock begins beating immediately and then every
+// interval until Stop, paced by clk (SystemClock outside tests).
 func StartHeartbeatClock(st store.Store, prefix, id string, interval time.Duration, clk Clock) *Heartbeat {
 	h := &Heartbeat{
 		st:       st,
@@ -101,16 +96,11 @@ type Monitor struct {
 	once sync.Once
 }
 
-// StartMonitor begins polling on the system clock. The peer set starts
-// empty; install it with SetPeers after each rendezvous. onExpire runs
-// on the monitor goroutine, at most once per peer per SetPeers
-// installation.
-func StartMonitor(st store.Store, prefix string, lease, poll time.Duration, onExpire func(id string)) *Monitor {
-	return StartMonitorClock(st, prefix, lease, poll, onExpire, SystemClock)
-}
-
-// StartMonitorClock is StartMonitor paced by an explicit Clock, which
-// governs both the poll cadence and the lease arithmetic.
+// StartMonitorClock begins polling, paced by clk (SystemClock outside
+// tests), which governs both the poll cadence and the lease arithmetic.
+// The peer set starts empty; install it with SetPeers after each
+// rendezvous. onExpire runs on the monitor goroutine, at most once per
+// peer per SetPeers installation.
 func StartMonitorClock(st store.Store, prefix string, lease, poll time.Duration, onExpire func(id string), clk Clock) *Monitor {
 	m := &Monitor{
 		st:       st,

@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,8 +83,12 @@ func TestTopologyOptionsBuildsMultiLevelFromMemberHosts(t *testing.T) {
 	if got.Topology.Levels() != 3 {
 		t.Fatalf("Levels() = %d, want 3", got.Topology.Levels())
 	}
-	if got.Topology.NumGroups(0) != 2 {
-		t.Fatalf("top-level groups = %d, want 2 pods", got.Topology.NumGroups(0))
+	pods := map[string]bool{}
+	for _, h := range got.Topology.Hosts() {
+		pods[strings.SplitN(h, "/", 2)[0]] = true
+	}
+	if len(pods) != 2 {
+		t.Fatalf("top-level groups = %d, want 2 pods", len(pods))
 	}
 }
 
@@ -126,7 +131,7 @@ func TestElasticReconfigPreservesLeaderRingResiduals(t *testing.T) {
 		cfg := testConfig(st, reg, id, 2, 3)
 		cfg.Host = hostOf[id]
 		cfg.Replica = oneBitReplica
-		cfg.Builder = &InProcBuilder{Registry: reg, Opts: comm.Options{Algorithm: comm.Hierarchical}}
+		cfg.Builder = &algoBuilder{reg, comm.Hierarchical}
 		workers[i] = newTestWorker(t, cfg)
 	}
 	victim := workers[2]
@@ -138,7 +143,7 @@ func TestElasticReconfigPreservesLeaderRingResiduals(t *testing.T) {
 		go func(i int, w *testWorker) {
 			defer wg.Done()
 			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				hosts := w.agent.Assignment().Hosts()
+				hosts := w.agent.assignment().Hosts()
 				if hosts == nil {
 					return fmt.Errorf("step %d: assignment published no hosts", ctx.Step)
 				}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/comm"
 	"repro/internal/store"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -137,19 +138,19 @@ func TestRecoverySpansTileRecoveryDuration(t *testing.T) {
 
 	// Agent.Tracer hands the same tracer back (the handle ddptrain dumps
 	// from), and successful recoveries moved the global counter.
-	if workers[0].agent.Tracer() != tracers[0] {
-		t.Fatalf("Agent.Tracer returned a different tracer")
+	if workers[0].agent.cfg.Tracer != tracers[0] {
+		t.Fatalf("the agent holds a different tracer")
 	}
 	if got := mRecoveries.Value(); got <= recoveriesBefore {
 		t.Fatalf("elastic_recoveries_total did not advance: %v -> %v", recoveriesBefore, got)
 	}
 	// The assignment gauges reflect the survivors' final world.
 	for i, w := range workers[:2] {
-		a := w.agent.Assignment()
-		if got := mWorldSize.With(w.agent.cfg.ID).Value(); got != float64(a.World) {
+		a := w.agent.assignment()
+		if got := testutil.Sample(t, `elastic_world_size{worker="`+w.agent.cfg.ID+`"}`); got != float64(a.World) {
 			t.Fatalf("survivor %d elastic_world_size = %v, assignment world %d", i, got, a.World)
 		}
-		if got := mGeneration.With(w.agent.cfg.ID).Value(); got != float64(a.Generation) {
+		if got := testutil.Sample(t, `elastic_generation{worker="`+w.agent.cfg.ID+`"}`); got != float64(a.Generation) {
 			t.Fatalf("survivor %d elastic_generation = %v, assignment generation %d", i, got, a.Generation)
 		}
 	}
@@ -183,7 +184,7 @@ func TestStragglerDetectorFlagsSlowRank(t *testing.T) {
 		fastA.Record(10 * time.Millisecond)
 		fastB.Record(10 * time.Millisecond)
 		slow.Record(100 * time.Millisecond)
-		if flaggedAt < 0 && slow.Flagged() {
+		if flaggedAt < 0 && slow.isFlagged() {
 			flaggedAt = step
 		}
 	}
@@ -193,8 +194,8 @@ func TestStragglerDetectorFlagsSlowRank(t *testing.T) {
 	if flaggedAt > bound {
 		t.Fatalf("slow worker flagged at step %d, want <= %d", flaggedAt, bound)
 	}
-	if fastA.Flagged() || fastB.Flagged() {
-		t.Fatalf("fast workers flagged: a=%v b=%v", fastA.Flagged(), fastB.Flagged())
+	if fastA.isFlagged() || fastB.isFlagged() {
+		t.Fatalf("fast workers flagged: a=%v b=%v", fastA.isFlagged(), fastB.isFlagged())
 	}
 	if len(flags) != 1 || !flags[0].Flagged || flags[0].Worker != "slow" {
 		t.Fatalf("OnFlag transitions = %+v, want exactly one flagged transition for slow", flags)
@@ -202,10 +203,10 @@ func TestStragglerDetectorFlagsSlowRank(t *testing.T) {
 	if flags[0].Median < 90*time.Millisecond || flags[0].WorldMedian > 20*time.Millisecond {
 		t.Fatalf("flag carried median %v / world %v, want ~100ms vs ~10ms", flags[0].Median, flags[0].WorldMedian)
 	}
-	if got := mStraggler.With("slow").Value(); got != 1 {
+	if got := testutil.Sample(t, `elastic_straggler{worker="slow"}`); got != 1 {
 		t.Fatalf("elastic_straggler{slow} = %v, want 1", got)
 	}
-	if got := mStraggler.With("fast-a").Value(); got != 0 {
+	if got := testutil.Sample(t, `elastic_straggler{worker="fast-a"}`); got != 0 {
 		t.Fatalf("elastic_straggler{fast-a} = %v, want 0", got)
 	}
 
@@ -216,7 +217,7 @@ func TestStragglerDetectorFlagsSlowRank(t *testing.T) {
 		fastB.Record(10 * time.Millisecond)
 		slow.Record(10 * time.Millisecond)
 	}
-	if slow.Flagged() {
+	if slow.isFlagged() {
 		t.Fatalf("slow worker still flagged after recovering")
 	}
 	if len(flags) != 2 || flags[1].Flagged {
@@ -271,7 +272,7 @@ func TestAgentStragglerWiring(t *testing.T) {
 		if det == nil {
 			t.Fatalf("worker %d has no straggler detector", i)
 		}
-		if det.Flagged() {
+		if det.isFlagged() {
 			t.Fatalf("worker %d falsely flagged in a healthy world", i)
 		}
 		v, err := st.Add(LatencyKey("strag-wire", w.agent.cfg.ID), 0)
@@ -288,7 +289,7 @@ func TestHeartbeatMissCounter(t *testing.T) {
 	defer st.Close()
 	before := mHeartbeatMisses.Value()
 	expired := make(chan string, 1)
-	mon := StartMonitor(st, "hbm", 20*time.Millisecond, 2*time.Millisecond, func(id string) { expired <- id })
+	mon := StartMonitorClock(st, "hbm", 20*time.Millisecond, 2*time.Millisecond, func(id string) { expired <- id }, SystemClock)
 	defer mon.Stop()
 	mon.SetPeers([]string{"ghost"})
 	select {

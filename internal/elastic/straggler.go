@@ -122,13 +122,6 @@ func (s *StragglerDetector) SetPeers(ids []string) {
 	s.mu.Unlock()
 }
 
-// Flagged reports the current verdict.
-func (s *StragglerDetector) Flagged() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flagged
-}
-
 // Record feeds one completed step's latency into the window and, every
 // PublishEvery steps, gossips the median and re-evaluates the verdict.
 // Store I/O happens outside the lock; callers record from one goroutine

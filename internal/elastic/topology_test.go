@@ -73,7 +73,7 @@ func TestTopologyOptionsDropsStaleExplicitLayout(t *testing.T) {
 	if got.Topology == nil || got.Topology.Size() != 2 {
 		t.Fatalf("stale topology not replaced: %v", got.Topology)
 	}
-	if got.Topology.HostOf(0) != "hostA" || got.Topology.HostOf(1) != "hostB" {
+	if hosts := got.Topology.Hosts(); hosts[0] != "hostA" || hosts[1] != "hostB" {
 		t.Fatalf("replacement not derived from round members: %v", got.Topology.Hosts())
 	}
 	// A still-covering explicit layout is kept verbatim.
@@ -132,7 +132,7 @@ func runElasticTopologyScenario(t *testing.T, algo comm.Algorithm) {
 		id := fmt.Sprintf("w%d", i)
 		cfg := testConfig(st, reg, id, 2, 3)
 		cfg.Host = hostOf[id]
-		cfg.Builder = &InProcBuilder{Registry: reg, Opts: comm.Options{Algorithm: algo}}
+		cfg.Builder = &algoBuilder{reg, algo}
 		workers[i] = newTestWorker(t, cfg)
 	}
 	victim := workers[2]
@@ -144,7 +144,7 @@ func runElasticTopologyScenario(t *testing.T, algo comm.Algorithm) {
 		go func(i int, w *testWorker) {
 			defer wg.Done()
 			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				hosts := w.agent.Assignment().Hosts()
+				hosts := w.agent.assignment().Hosts()
 				if hosts == nil {
 					return fmt.Errorf("step %d: assignment published no hosts", ctx.Step)
 				}

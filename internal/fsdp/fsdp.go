@@ -317,7 +317,7 @@ func (f *FSDP) mapUnits() error {
 	return nil
 }
 
-// launchBucket is the reduce.Launcher fsdp plugs into the shared
+// launchBucket is the launcher fsdp plugs into the shared
 // engine: a sharded reduce-scatter per bucket instead of DDP's full
 // AllReduce. The flat ring schedule makes the owned chunk bitwise the
 // AllReduce result.
@@ -555,7 +555,7 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	}
 	err := f.Engine().WaitAll(func(bucket int, flat []float32) error {
 		lo, hi := f.ownedLo[bucket], f.ownedHi[bucket]
-		optim.ShardedMomentumStep(f.flats[bucket][lo:hi], flat[lo:hi], f.velocity[bucket], f.opts.LR, f.opts.Momentum, 0)
+		optim.ShardedMomentumStep(f.flats[bucket][lo:hi], flat[lo:hi], f.velocity[bucket], f.opts.LR, f.opts.Momentum)
 		return nil
 	})
 	if err != nil {

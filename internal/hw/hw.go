@@ -152,15 +152,6 @@ func (c Cluster) AllGatherSeconds(b Backend, nBytes int, world int) float64 {
 	})
 }
 
-// BroadcastSeconds returns the modeled wall time of a binomial-tree
-// broadcast of nBytes from rank 0 across world ranks: comm's Broadcast.
-func (c Cluster) BroadcastSeconds(b Backend, nBytes int, world int) float64 {
-	gloo := math.Ceil(math.Log2(float64(world))) * (c.GlooStepLatency + float64(nBytes)/c.GlooBandwidth)
-	return c.cost(b, world, gloo, func() float64 {
-		return comm.WalkBroadcast(world, nBytes/4, c.hop(false))
-	})
-}
-
 // cost is the one switch between the profiles: a collective over world
 // ranks costs gloo on the Gloo profile and what walk finds on the NCCL
 // one, either scaled by the shared entitlement when the cluster has one.

@@ -26,9 +26,6 @@ func TestAllReduceWorldOfOneFree(t *testing.T) {
 	if c.AllReduceSeconds(NCCLLike, comm.Ring, 1<<20, 1) != 0 {
 		t.Fatal("single rank needs no communication")
 	}
-	if c.BroadcastSeconds(GlooLike, 1<<20, 1) != 0 {
-		t.Fatal("single rank broadcast is free")
-	}
 }
 
 func TestNCCLFasterThanGloo(t *testing.T) {
@@ -148,11 +145,11 @@ func TestHierarchicalRecoversCrossMachineBandwidth(t *testing.T) {
 func TestHierarchicalTinyPayloadsStayLatencyBound(t *testing.T) {
 	// For tiny buffers the hierarchy is pure latency: its inter-host
 	// ring still pays 2(h-1) steps, which at large scale loses to a
-	// log(k)-hop tree (2 binomial sweeps ~ 2*BroadcastSeconds' hop
-	// count) — the reason comm.Auto keeps small buckets on Tree.
+	// log(k)-hop tree (2 binomial sweeps) — the reason comm.Auto keeps
+	// small buckets on Tree.
 	c := DefaultCluster()
 	hier := c.AllReduceSeconds(NCCLLike, comm.Hierarchical, 256, 256)
-	treeish := 2 * c.BroadcastSeconds(NCCLLike, 256, 256)
+	treeish := c.AllReduceSeconds(NCCLLike, comm.Tree, 256, 256)
 	if hier <= treeish {
 		t.Fatalf("tiny payload at 256 ranks: hierarchical (%v) should lose to the log-k tree path (%v)", hier, treeish)
 	}

@@ -1,11 +1,12 @@
-// Package lint is the project's static-analysis gate: five analyzers
+// Package lint is the project's static-analysis gate: seven analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
 // collective/lock ordering, metric registration, cost models that price
-// the schedules the runtime runs, and a table of site rules: comm's one
+// the schedules the runtime runs, a table of site rules (comm's one
 // transport call site, the one replica constructor, the one file that
 // broadcasts a module's tensors, ddptrain's one spawn site, and the ban
-// on the function-form 64-bit atomics. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// on the function-form 64-bit atomics), doc comments on what internal/
+// exports, and a caller for every export. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -104,6 +105,37 @@
 //     the typed atomic.Int64 and atomic.Uint64 align themselves. CI's
 //     GOARCH=386 build smoke keeps the tree compiling for those targets.
 //
+// doc — every exported identifier of an internal/ package is
+// documented: a top-level func, type, var or const with an exported
+// name, and an exported method of an exported type, carries a doc
+// comment (a member of a documented group inherits the group's; a
+// comment of only directives such as //go:noinline documents nothing).
+//
+// callers — what internal/ exports, a program uses. It sees every
+// loaded package at once (Analyzer.Module); benchmark/ counts as a
+// caller because the loader loads it. Two rows, and a ban:
+//
+//   - test-only: an exported func, method, type, var, const or struct
+//     field declared under internal/ that no non-test file of the module
+//     names is a finding; a field needs a non-test file that sets it (a
+//     keyed or unkeyed composite literal, an assignment, an increment,
+//     or its address taken).
+//   - outside: in internal/comm, transport, reduce and store, an
+//     exported func or type that no non-test file outside its package
+//     names is a finding. Uses are type-checked, so an import alias
+//     counts and a comment does not.
+//   - an identifier starting with Testing in non-test code is a test-only
+//     knob.
+//
+// Exemptions follow from the code: a package no loaded package imports
+// (chaos, testutil, testutil/leakcheck, which only tests import) is not
+// held to the rows, and a method that makes its type meet an interface
+// the module knows (error, fmt.Stringer, json.Marshaler, the module's
+// own) needs no direct caller; methods of unexported types are there
+// for an interface, promoted or not. Every other exception is a
+// //ddplint:ignore callers pragma naming its reader, in the package
+// that declares the identifier.
+//
 // The scope of a row is a package path suffix, so the fixtures of a
 // scoped row sit in directories that end in it
 // (testdata/transportcalls_bad/internal/comm, onespawn_ok/cmd/ddptrain).
@@ -120,7 +152,8 @@
 // of a site rule must name the row's symbols in the tree
 // (TestSiteRulesHaveNoIdleSite; TestOneConstructorExemptions and
 // TestOneAlignExemption for those two rows), so no exemption outlives the code it
-// allowed. Fixture packages import the real repro packages they lint
+// allowed. A module-wide analyzer's fixture is a directory of packages,
+// loaded together (testdata/callers_bad/{internal/lib,internal/comm,cmd/user}). Fixture packages import the real repro packages they lint
 // against — they type-check against the actual Store, Group and
 // metrics APIs, not stand-ins.
 package lint

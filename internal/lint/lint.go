@@ -38,6 +38,21 @@ type Analyzer struct {
 	// Run reports every violation in pkg. Findings are returned raw;
 	// the driver applies ignore pragmas.
 	Run func(pkg *Package) []Finding
+	// Module, set in place of Run, reports every violation in the
+	// loaded packages seen at once.
+	Module func(pkgs []*Package) []Finding
+}
+
+// check runs a over pkgs.
+func (a *Analyzer) check(pkgs []*Package) []Finding {
+	if a.Module != nil {
+		return a.Module(pkgs)
+	}
+	var out []Finding
+	for _, pkg := range pkgs {
+		out = append(out, a.Run(pkg)...)
+	}
+	return out
 }
 
 // findingNames returns the analyzers' names and the names their findings
@@ -55,7 +70,9 @@ func findingNames(analyzers []*Analyzer) map[string]bool {
 // All returns the full analyzer suite in deterministic order.
 func All() []*Analyzer {
 	return []*Analyzer{
+		Callers,
 		CostTwins,
+		ExportDoc,
 		LockedCollective,
 		MetricStatic,
 		Sites,
@@ -80,8 +97,6 @@ type Result struct {
 	Findings []Finding
 	// Ignored counts findings suppressed by ignore pragmas.
 	Ignored int
-	// Packages counts the packages analyzed.
-	Packages int
 }
 
 // Run executes every analyzer over every package, filters findings
@@ -94,31 +109,32 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 	var all []Finding
 	ignored := 0
 	known, ran := findingNames(append(All(), analyzers...)), findingNames(analyzers)
+	pragmas := make(pragmaSet)
 	for _, pkg := range pkgs {
-		pragmas := collectPragmas(pkg)
-		for _, a := range analyzers {
-			for _, f := range a.Run(pkg) {
-				if pragmas.suppresses(f) {
-					ignored++
-					continue
-				}
-				all = append(all, f)
-			}
-		}
-		for k, used := range pragmas {
-			var msg string
-			switch {
-			case used || known[k.analyzer] && !ran[k.analyzer]:
+		collectPragmas(pkg, pragmas)
+	}
+	for _, a := range analyzers {
+		for _, f := range a.check(pkgs) {
+			if pragmas.suppresses(f) {
+				ignored++
 				continue
-			case k.analyzer == "":
-				msg = "malformed ignore pragma: want " + IgnorePragma + " <analyzer> <reason>"
-			case !known[k.analyzer]:
-				msg = fmt.Sprintf("ignore pragma names no analyzer or rule: %q", k.analyzer)
-			default:
-				msg = fmt.Sprintf("ignore pragma for %s suppresses nothing; delete it", k.analyzer)
 			}
-			all = append(all, Finding{Pos: token.Position{Filename: k.file, Line: k.line}, Analyzer: "pragma", Message: msg})
+			all = append(all, f)
 		}
+	}
+	for k, used := range pragmas {
+		var msg string
+		switch {
+		case used || known[k.analyzer] && !ran[k.analyzer]:
+			continue
+		case k.analyzer == "":
+			msg = "malformed ignore pragma: want " + IgnorePragma + " <analyzer> <reason>"
+		case !known[k.analyzer]:
+			msg = fmt.Sprintf("ignore pragma names no analyzer or rule: %q", k.analyzer)
+		default:
+			msg = fmt.Sprintf("ignore pragma for %s suppresses nothing; delete it", k.analyzer)
+		}
+		all = append(all, Finding{Pos: token.Position{Filename: k.file, Line: k.line}, Analyzer: "pragma", Message: msg})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i].Pos, all[j].Pos
@@ -130,7 +146,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 		}
 		return all[i].Analyzer < all[j].Analyzer
 	})
-	return Result{Findings: all, Ignored: ignored, Packages: len(pkgs)}
+	return Result{Findings: all, Ignored: ignored}
 }
 
 // pragmaKey identifies one ignore site: a file line and the analyzer it
@@ -158,9 +174,8 @@ func (s pragmaSet) suppresses(f Finding) bool {
 	return false
 }
 
-// collectPragmas scans a package's comments for ignore pragmas.
-func collectPragmas(pkg *Package) pragmaSet {
-	set := make(pragmaSet)
+// collectPragmas adds a package's ignore pragmas to set.
+func collectPragmas(pkg *Package, set pragmaSet) {
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -177,7 +192,6 @@ func collectPragmas(pkg *Package) pragmaSet {
 			}
 		}
 	}
-	return set
 }
 
 // finding builds a Finding at node's position.

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"io/fs"
 	"maps"
 	"path"
 	"path/filepath"
@@ -38,16 +39,45 @@ func fixturePkg(t *testing.T, name string) *Package {
 	return pkg
 }
 
-// wantLines collects the lines annotated //lint:want <analyzer> in the
-// fixture package.
-func wantLines(pkg *Package, analyzer string) map[int]bool {
-	want := map[int]bool{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//lint:want ")
-				if ok && strings.TrimSpace(rest) == analyzer {
-					want[pkg.Fset.Position(c.Pos()).Line] = true
+// fixturePkgs loads every package at or under the fixture directory
+// name: the module a module-wide analyzer sees.
+func fixturePkgs(t *testing.T, name string) []*Package {
+	t.Helper()
+	root := filepath.Join(sharedLoader(t).ModRoot, "internal", "lint", "testdata", name)
+	var pkgs []*Package
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && hasGoFiles(p) {
+			var pkg *Package
+			pkg, err = sharedLoader(t).LoadDir(p)
+			pkgs = append(pkgs, pkg)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", name, err)
+	}
+	return pkgs
+}
+
+// site is a file line.
+type site struct {
+	file string
+	line int
+}
+
+// wantLines collects the lines of the fixture packages that carry a
+// //lint:want <analyzer> marker, alone or at the end of another comment.
+func wantLines(pkgs []*Package, analyzer string) map[site]bool {
+	want := map[site]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					_, rest, ok := strings.Cut(c.Text, "//lint:want ")
+					if ok && strings.TrimSpace(rest) == analyzer {
+						pos := pkg.Fset.Position(c.Pos())
+						want[site{pos.Filename, pos.Line}] = true
+					}
 				}
 			}
 		}
@@ -68,10 +98,11 @@ func ruleAnalyzer(t *testing.T, name string) *Analyzer {
 }
 
 // TestAnalyzersOnFixtures drives every analyzer, and every row of the
-// site table, over its seeded-bad and clean fixture packages: each
-// //lint:want line must produce a finding of that name, no finding of it
-// may appear on an unannotated line, and the clean fixture must keep the
-// analyzer silent.
+// site table, over its seeded-bad and clean fixtures, each the packages
+// at or under a directory: each //lint:want line must produce a finding
+// of that name, or of "pragma" for a pragma the analyzer leaves unused,
+// no such finding may appear on an unannotated line, and the clean
+// fixture must keep the analyzer silent.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		analyzer string
@@ -88,35 +119,39 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"onealign", "onealign_bad", "onealign_ok"},
 		{"onespawn", "onespawn_bad/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
 		{"onespawn", "onespawn_none/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
+		{"doc", "doc_bad", "doc_ok"},
+		{"callers", "callers_bad", "callers_ok"},
 	}
 	for _, tc := range cases {
 		a := ruleAnalyzer(t, tc.analyzer)
 		t.Run(tc.analyzer+"/seeded", func(t *testing.T) {
-			pkg := fixturePkg(t, tc.bad)
-			want := wantLines(pkg, tc.analyzer)
-			if len(want) == 0 {
+			pkgs := fixturePkgs(t, tc.bad)
+			if len(wantLines(pkgs, tc.analyzer)) == 0 {
 				t.Fatalf("fixture %s has no //lint:want %s annotations", tc.bad, tc.analyzer)
 			}
-			got := map[int][]string{}
-			for _, f := range a.Run(pkg) {
-				if f.Analyzer == tc.analyzer {
-					got[f.Pos.Line] = append(got[f.Pos.Line], f.Message)
+			findings := Run(pkgs, []*Analyzer{a}).Findings
+			for _, name := range []string{tc.analyzer, "pragma"} {
+				want, got := wantLines(pkgs, name), map[site][]string{}
+				for _, f := range findings {
+					if f.Analyzer == name {
+						at := site{f.Pos.Filename, f.Pos.Line}
+						got[at] = append(got[at], f.Message)
+					}
 				}
-			}
-			for line := range want {
-				if len(got[line]) == 0 {
-					t.Errorf("%s: expected a %s finding at line %d, got none", tc.bad, tc.analyzer, line)
+				for at := range want {
+					if len(got[at]) == 0 {
+						t.Errorf("%s: expected a %s finding at %s:%d, got none", tc.bad, name, filepath.Base(at.file), at.line)
+					}
 				}
-			}
-			for line, msgs := range got {
-				if !want[line] {
-					t.Errorf("%s: unexpected %s finding at line %d: %s", tc.bad, tc.analyzer, line, msgs[0])
+				for at, msgs := range got {
+					if !want[at] {
+						t.Errorf("%s: unexpected %s finding at %s:%d: %s", tc.bad, name, filepath.Base(at.file), at.line, msgs[0])
+					}
 				}
 			}
 		})
 		t.Run(tc.analyzer+"/clean", func(t *testing.T) {
-			pkg := fixturePkg(t, tc.ok)
-			for _, f := range a.Run(pkg) {
+			for _, f := range Run(fixturePkgs(t, tc.ok), []*Analyzer{a}).Findings {
 				t.Errorf("%s: unexpected finding: %s", tc.ok, f)
 			}
 		})
@@ -194,10 +229,9 @@ func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
 		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
 		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok/internal/comm", "oneconstructor_ok",
-		"onealign_ok", "onespawn_ok/cmd/ddptrain",
+		"onealign_ok", "onespawn_ok/cmd/ddptrain", "doc_ok", "callers_ok",
 	} {
-		pkg := fixturePkg(t, name)
-		res := Run([]*Package{pkg}, All())
+		res := Run(fixturePkgs(t, name), All())
 		for _, f := range res.Findings {
 			t.Errorf("%s: unexpected finding from full suite: %s", name, f)
 		}

@@ -26,5 +26,5 @@ func observe(code string, d float64) {
 }
 
 func snapshot() float64 {
-	return mLatency.Snapshot().Mean()
+	return mLatency.Snapshot().Quantile(0.5)
 }

@@ -21,7 +21,11 @@ func align(pg comm.ProcessGroup, params []*nn.Parameter, buffers []*nn.Buffer) e
 }
 
 // Another name, a value rather than a pointer, through a concrete group.
-func reseed(g *comm.RoundRobin, param nn.Parameter, m nn.Module) error {
+func reseed(pg comm.ProcessGroup, param nn.Parameter, m nn.Module) error {
+	g, err := comm.NewRoundRobin(pg)
+	if err != nil {
+		return err
+	}
 	if err := g.Broadcast(param.Value.Data(), 1).Wait(); err != nil { //lint:want onealign
 		return err
 	}

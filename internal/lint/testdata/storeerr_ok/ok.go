@@ -52,7 +52,7 @@ func checkedTransport(m transport.Mesh) error {
 }
 
 func checkedCheckpoint(w *ckpt.AsyncWriter) error {
-	if err := w.Sync(); err != nil {
+	if err := w.Err(); err != nil {
 		return err
 	}
 	return w.Close()

@@ -116,20 +116,6 @@ func (r *Registry) register(name, help string, k kind, labels []string, bounds [
 	return f
 }
 
-// Families returns every registered family's name and type ("counter",
-// "gauge" or "histogram"), labeled families included before their first
-// sample, when a scrape does not show them yet: the catalogue the
-// registry can export.
-func (r *Registry) Families() map[string]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]string, len(r.families))
-	for name, f := range r.families {
-		out[name] = f.kind.String()
-	}
-	return out
-}
-
 // with returns the child for the given label values, creating it on
 // first use.
 func (f *family) with(values []string) *child {
@@ -182,9 +168,6 @@ func (g Gauge) Set(v float64) { g.c.bits.Store(math.Float64bits(v)) }
 // Add adds v (negative to subtract).
 func (g Gauge) Add(v float64) { addFloat(&g.c.bits, v) }
 
-// Value returns the current value.
-func (g Gauge) Value() float64 { return math.Float64frombits(g.c.bits.Load()) }
-
 // Histogram counts observations into fixed buckets and tracks their
 // sum, rendering Prometheus's cumulative _bucket/_sum/_count series.
 type Histogram struct {
@@ -203,6 +186,8 @@ func (h Histogram) Observe(v float64) {
 // Snapshot returns a point-in-time copy of the histogram's state.
 // Concurrent observers may land between field reads; each individual
 // field is consistent, which is all a monitoring read needs.
+//
+//ddplint:ignore callers comm's BenchmarkAllReduce reads the live histogram into BENCH_allreduce.json's hist_p50_ns, which ci/bench_check.sh gates
 func (h Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
@@ -230,6 +215,8 @@ type HistogramSnapshot struct {
 // are uniform within each bucket. The overflow bucket cannot be
 // interpolated, so quantiles landing there return the largest finite
 // bound. An empty histogram returns 0.
+//
+//ddplint:ignore callers comm's BenchmarkAllReduce reports hist_p50_ns and hist_p99_ns with it
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0
@@ -252,14 +239,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return lo + (s.Bounds[i]-lo)*(target-prev)/float64(n)
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns Sum/Count, or 0 for an empty histogram.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // CounterVec is a counter family with labels.

@@ -10,8 +10,8 @@ import (
 )
 
 // WriteTo renders every family in Prometheus text exposition format
-// (version 0.0.4): families sorted by name, children sorted by label
-// values, histogram buckets cumulative and terminated by +Inf, help and
+// (version 0.0.4): families sorted by name, each with its HELP and TYPE
+// lines even before its first sample, children sorted by label values, histogram buckets cumulative and terminated by +Inf, help and
 // label values escaped per the format's rules.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.RLock()
@@ -66,9 +66,6 @@ func (f *family) write(cw *countingWriter) {
 		children = append(children, f.children[k])
 	}
 	f.mu.RUnlock()
-	if len(children) == 0 {
-		return
-	}
 
 	if f.help != "" {
 		cw.WriteString("# HELP " + f.name + " " + escapeHelp(f.help) + "\n")

@@ -58,9 +58,6 @@ func TestProfileOrderingAndSizes(t *testing.T) {
 	if sizes[0] != 64*3*7*7 {
 		t.Fatalf("conv1 size = %d", sizes[0])
 	}
-	if p.TotalBytes() != 4*p.TotalParams() {
-		t.Fatal("TotalBytes wrong")
-	}
 }
 
 func TestBERTHasManySmallAndLargeParams(t *testing.T) {
@@ -140,7 +137,7 @@ func TestTinyTransformerTrainsUnderDDPShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.RandN(rng, 1, 3, 8)
 	out := m.Forward(autograd.Constant(x))
-	autograd.Backward(autograd.Sum(autograd.Mul(out, out)), nil)
+	autograd.Backward(autograd.MSELoss(out, autograd.Constant(tensor.New(out.Value.Shape()...))), nil)
 	for _, p := range m.Parameters() {
 		if p.Grad == nil {
 			t.Fatalf("parameter %s unused in transformer graph", p.Name)

@@ -56,9 +56,6 @@ func (p *Profile) Sizes() []int {
 	return sizes
 }
 
-// TotalBytes returns the model size in bytes at 4 bytes per element.
-func (p *Profile) TotalBytes() int { return 4 * p.TotalParams() }
-
 func (p *Profile) add(name string, shape ...int) {
 	p.Params = append(p.Params, ParamSpec{Name: name, Shape: shape})
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"repro/internal/testutil"
 	"testing"
 
 	"repro/internal/autograd"
@@ -99,7 +100,7 @@ func TestTransformerBlockForwardBackward(t *testing.T) {
 	if out.Value.Dims(0) != 6 || out.Value.Dims(1) != 8 {
 		t.Fatalf("block output shape %v", out.Value.Shape())
 	}
-	autograd.Backward(autograd.Sum(autograd.Mul(out, out)), nil)
+	autograd.Backward(autograd.MSELoss(out, autograd.Constant(tensor.New(out.Value.Shape()...))), nil)
 	// 2 LayerNorms x 2 + attention 8 + up/down 2x2 = 16 parameters.
 	if got := len(blk.Parameters()); got != 16 {
 		t.Fatalf("block params = %d, want 16", got)
@@ -138,8 +139,8 @@ func TestSliceColsAndMatMulTransBGrads(t *testing.T) {
 	x := autograd.NewLeaf(tensor.RandN(rng, 1, 2, 4), true)
 	y := autograd.NewLeaf(tensor.RandN(rng, 1, 3, 4), true)
 	out := autograd.MatMulTransB(x, y)
-	want := tensor.MatMul(x.Value, tensor.Transpose2D(y.Value))
-	if !out.Value.AllClose(want, 1e-5, 1e-6) {
+	want := tensor.MatMul(x.Value, transpose(y.Value))
+	if !testutil.AllClose(out.Value, want, 1e-5, 1e-6) {
 		t.Fatal("MatMulTransB forward wrong")
 	}
 	autograd.Backward(autograd.Sum(out), nil)
@@ -148,12 +149,24 @@ func TestSliceColsAndMatMulTransBGrads(t *testing.T) {
 	}
 	// Compare against the equivalent explicit-transpose formulation.
 	x2 := autograd.NewLeaf(x.Value.Clone(), true)
-	y2t := autograd.NewLeaf(tensor.Transpose2D(y.Value), true)
+	y2t := autograd.NewLeaf(transpose(y.Value), true)
 	autograd.Backward(autograd.Sum(autograd.MatMul(x2, y2t)), nil)
-	if !x.Grad.AllClose(x2.Grad, 1e-5, 1e-6) {
+	if !testutil.AllClose(x.Grad, x2.Grad, 1e-5, 1e-6) {
 		t.Fatal("MatMulTransB dA disagrees with explicit transpose")
 	}
-	if !y.Grad.AllClose(tensor.Transpose2D(y2t.Grad), 1e-5, 1e-6) {
+	if !testutil.AllClose(y.Grad, transpose(y2t.Grad), 1e-5, 1e-6) {
 		t.Fatal("MatMulTransB dB disagrees with explicit transpose")
 	}
+}
+
+// transpose is the explicit transpose MatMulTransB is checked against.
+func transpose(a *tensor.Tensor) *tensor.Tensor {
+	m, n := a.Dims(0), a.Dims(1)
+	out := tensor.New(n, m)
+	for i := range m {
+		for j := range n {
+			out.Data()[j*m+i] = a.Data()[i*n+j]
+		}
+	}
+	return out
 }

@@ -134,6 +134,8 @@ type Checkpointed struct {
 }
 
 // NewCheckpointed wraps body in activation checkpointing.
+//
+//ddplint:ignore callers activation recomputation (Section 7) is a paper feature only tests turn on: ddp's and fsdp's checkpointed-segment tests and the root bench_test
 func NewCheckpointed(body Module) *Checkpointed { return &Checkpointed{Body: body} }
 
 // Forward runs the body detached and schedules recomputation for the

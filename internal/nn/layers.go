@@ -115,76 +115,6 @@ type MaxPool struct{ leafModule }
 // Forward halves the spatial dimensions.
 func (MaxPool) Forward(x *autograd.Variable) *autograd.Variable { return autograd.MaxPool2D(x) }
 
-// Dropout zeroes activations with probability P during training. The mask
-// is drawn from the layer's own rng so that distributed replicas can
-// coordinate by seeding identically when required.
-type Dropout struct {
-	P        float32
-	rng      *rand.Rand
-	training bool
-}
-
-// NewDropout constructs a Dropout layer.
-func NewDropout(rng *rand.Rand, p float32) *Dropout {
-	return &Dropout{P: p, rng: rng, training: true}
-}
-
-// Forward applies inverted dropout in training mode and is the identity
-// in evaluation mode.
-func (d *Dropout) Forward(x *autograd.Variable) *autograd.Variable {
-	if !d.training || d.P <= 0 {
-		return x
-	}
-	keep := make([]bool, x.Value.Size())
-	for i := range keep {
-		keep[i] = d.rng.Float32() >= d.P
-	}
-	return autograd.Dropout(x, keep, d.P)
-}
-
-// Parameters returns nil.
-func (d *Dropout) Parameters() []*Parameter { return nil }
-
-// Buffers returns nil.
-func (d *Dropout) Buffers() []*Buffer { return nil }
-
-// SetTraining toggles mask sampling.
-func (d *Dropout) SetTraining(t bool) { d.training = t }
-
-// Embedding maps integer token ids to dense rows of a [vocab, dim]
-// weight matrix. Forward expects ids encoded in the input tensor.
-type Embedding struct {
-	W *Parameter
-}
-
-// NewEmbedding constructs an Embedding table.
-func NewEmbedding(rng *rand.Rand, name string, vocab, dim int) *Embedding {
-	return &Embedding{W: NewParameter(name+".weight", tensor.RandN(rng, 0.02, vocab, dim))}
-}
-
-// ForwardIDs gathers rows for the given token ids.
-func (e *Embedding) ForwardIDs(ids []int) *autograd.Variable {
-	return autograd.Embedding(e.W.Variable, ids)
-}
-
-// Forward interprets x's elements as integer ids (rounded).
-func (e *Embedding) Forward(x *autograd.Variable) *autograd.Variable {
-	ids := make([]int, x.Value.Size())
-	for i, v := range x.Value.Data() {
-		ids[i] = int(v)
-	}
-	return e.ForwardIDs(ids)
-}
-
-// Parameters returns the embedding table.
-func (e *Embedding) Parameters() []*Parameter { return []*Parameter{e.W} }
-
-// Buffers returns nil.
-func (e *Embedding) Buffers() []*Buffer { return nil }
-
-// SetTraining is a no-op.
-func (e *Embedding) SetTraining(bool) {}
-
 // Compile-time interface checks.
 var (
 	_ Module = (*Linear)(nil)
@@ -196,6 +126,4 @@ var (
 	_ Module = Flatten{}
 	_ Module = AvgPool{}
 	_ Module = MaxPool{}
-	_ Module = (*Dropout)(nil)
-	_ Module = (*Embedding)(nil)
 )

@@ -22,7 +22,7 @@ type Parameter struct {
 
 // NewParameter wraps t as a named learnable parameter.
 func NewParameter(name string, t *tensor.Tensor) *Parameter {
-	return &Parameter{Name: name, Variable: autograd.NewNamedLeaf(name, t, true)}
+	return &Parameter{Name: name, Variable: autograd.NewLeaf(t, true)}
 }
 
 // Buffer is module state that is not learned but must stay consistent

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"repro/internal/testutil"
 	"testing"
 
 	"repro/internal/autograd"
@@ -174,30 +175,6 @@ func TestLayerNormOutput(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEvalModes(t *testing.T) {
-	d := NewDropout(rand.New(rand.NewSource(8)), 0.5)
-	x := autograd.Constant(tensor.Ones(100))
-	out := d.Forward(x)
-	zeros := 0
-	for _, v := range out.Value.Data() {
-		if v == 0 {
-			zeros++
-		} else if v != 2 {
-			t.Fatalf("survivor not scaled: %v", v)
-		}
-	}
-	if zeros == 0 || zeros == 100 {
-		t.Fatalf("dropout zeroed %d of 100", zeros)
-	}
-	d.SetTraining(false)
-	out = d.Forward(x)
-	for _, v := range out.Value.Data() {
-		if v != 1 {
-			t.Fatal("eval dropout must be identity")
-		}
-	}
-}
-
 func TestResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	body := NewLinear(rng, "fc", 3, 3)
@@ -205,7 +182,7 @@ func TestResidual(t *testing.T) {
 	x := autograd.Constant(tensor.RandN(rng, 1, 2, 3))
 	out := r.Forward(x)
 	want := tensor.Add(x.Value, body.Forward(x).Value)
-	if !out.Value.AllClose(want, 1e-6, 1e-6) {
+	if !testutil.AllClose(out.Value, want, 1e-6, 1e-6) {
 		t.Fatal("residual mismatch")
 	}
 	if len(r.Parameters()) != 2 {
@@ -238,19 +215,6 @@ func TestLayerDropEvalNeverSkips(t *testing.T) {
 	}
 }
 
-func TestEmbeddingForward(t *testing.T) {
-	e := NewEmbedding(rand.New(rand.NewSource(13)), "emb", 10, 4)
-	out := e.ForwardIDs([]int{3, 3, 7})
-	if out.Value.Dims(0) != 3 || out.Value.Dims(1) != 4 {
-		t.Fatalf("embedding shape %v", out.Value.Shape())
-	}
-	for j := 0; j < 4; j++ {
-		if out.Value.At(0, j) != out.Value.At(1, j) {
-			t.Fatal("same id must give same row")
-		}
-	}
-}
-
 func TestFlattenAndPools(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x := autograd.Constant(tensor.RandN(rng, 1, 2, 3, 4, 4))
@@ -280,7 +244,7 @@ func TestCheckpointedModuleMatchesPlain(t *testing.T) {
 	autograd.Backward(autograd.Sum(ck.Forward(x)), nil)
 	autograd.Backward(autograd.Sum(plain.Forward(x)), nil)
 	for i, p := range ck.Parameters() {
-		if !p.Grad.AllClose(plain.Parameters()[i].Grad, 1e-6, 1e-7) {
+		if !testutil.AllClose(p.Grad, plain.Parameters()[i].Grad, 1e-6, 1e-7) {
 			t.Fatalf("checkpointed grad %d differs from plain", i)
 		}
 	}

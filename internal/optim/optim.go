@@ -17,13 +17,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// SGD implements stochastic gradient descent with optional momentum and
-// weight decay, matching torch.optim.SGD update rules.
+// SGD implements stochastic gradient descent with optional momentum,
+// matching torch.optim.SGD update rules.
 type SGD struct {
-	Params      []*nn.Parameter
-	LR          float32
-	Momentum    float32
-	WeightDecay float32
+	Params   []*nn.Parameter
+	LR       float32
+	Momentum float32
 
 	velocity map[*nn.Parameter]*tensor.Tensor
 }
@@ -33,7 +32,7 @@ func NewSGD(params []*nn.Parameter, lr float32) *SGD {
 	return &SGD{Params: params, LR: lr, velocity: make(map[*nn.Parameter]*tensor.Tensor)}
 }
 
-// Step applies v = momentum*v + grad (+wd*param); param -= lr*v, one
+// Step applies v = momentum*v + grad; param -= lr*v, one
 // pass over each parameter (ShardedMomentumStep) that reads Grad where
 // it stands and writes only the value and the velocity.
 func (s *SGD) Step() {
@@ -45,7 +44,7 @@ func (s *SGD) Step() {
 		if s.Momentum != 0 {
 			velocity = ensure(s.velocity, p).Data()
 		}
-		ShardedMomentumStep(p.Value.Data(), p.Grad.Data(), velocity, s.LR, s.Momentum, s.WeightDecay)
+		ShardedMomentumStep(p.Value.Data(), p.Grad.Data(), velocity, s.LR, s.Momentum)
 	}
 }
 
@@ -55,11 +54,6 @@ func (s *SGD) ZeroGrad() {
 		p.ZeroGrad()
 	}
 }
-
-// VelocityOf exposes the momentum buffer for a parameter (nil if none),
-// used by tests demonstrating optimizer-state divergence under
-// parameter averaging.
-func (s *SGD) VelocityOf(p *nn.Parameter) *tensor.Tensor { return s.velocity[p] }
 
 // flatLen is the combined element count of a parameter list.
 func flatLen(params []*nn.Parameter) int {

@@ -41,19 +41,8 @@ func TestSGDMomentumMatchesTorchSemantics(t *testing.T) {
 	if got := p.Value.At(0); math.Abs(float64(got+2.9)) > 1e-5 {
 		t.Fatalf("param = %v, want -2.9", got)
 	}
-	if v := opt.VelocityOf(p); v == nil || math.Abs(float64(v.At(0)-1.9)) > 1e-5 {
+	if v := opt.velocity[p]; v == nil || math.Abs(float64(v.At(0)-1.9)) > 1e-5 {
 		t.Fatalf("velocity = %v, want 1.9", v)
-	}
-}
-
-func TestSGDWeightDecay(t *testing.T) {
-	p := scalarParam(10)
-	opt := NewSGD([]*nn.Parameter{p}, 0.1)
-	opt.WeightDecay = 0.5
-	setGrad(p, 0)
-	opt.Step() // effective grad = 0 + 0.5*10 = 5; p = 10 - 0.5 = 9.5
-	if got := p.Value.At(0); math.Abs(float64(got-9.5)) > 1e-5 {
-		t.Fatalf("param = %v, want 9.5", got)
 	}
 }
 
@@ -65,10 +54,10 @@ func TestSGDSkipsNilGradients(t *testing.T) {
 	opt.Momentum = 0.9
 	setGrad(p, 1)
 	opt.Step()
-	vBefore := opt.VelocityOf(p).At(0)
+	vBefore := opt.velocity[p].At(0)
 	p.ZeroGrad()
 	opt.Step() // nil grad: untouched
-	if opt.VelocityOf(p).At(0) != vBefore {
+	if opt.velocity[p].At(0) != vBefore {
 		t.Fatal("momentum must not change for absent gradient")
 	}
 }
@@ -129,19 +118,15 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 }
 
 // threePassSGDStep is SGD.Step as it was before it became one pass
-// (ShardedMomentumStep): clone the gradient to add weight decay, scale
-// and add into the velocity, axpy into the value — three walks over
-// memory per parameter. Kept as the oracle for the one-pass loop.
-func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor.Tensor, lr, momentum, weightDecay float32) {
+// (ShardedMomentumStep): scale and add into the velocity, axpy into the
+// value — separate walks over memory per parameter. Kept as the oracle
+// for the one-pass loop.
+func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor.Tensor, lr, momentum float32) {
 	for _, p := range params {
 		if p.Grad == nil {
 			continue
 		}
 		g := p.Grad
-		if weightDecay != 0 {
-			g = g.Clone()
-			tensor.AxpyInPlace(g, weightDecay, p.Value)
-		}
 		update := g
 		if momentum != 0 {
 			v := velocity[p]
@@ -149,7 +134,7 @@ func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor
 				v = g.Clone()
 				velocity[p] = v
 			} else {
-				tensor.ScaleInPlace(v, momentum)
+				tensor.ScaleFloats(v.Data(), momentum)
 				tensor.AddInPlace(v, g)
 			}
 			update = v
@@ -159,7 +144,7 @@ func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor
 }
 
 // TestSGDStepIsBitwiseTheThreePassUpdate: over several steps, for every
-// combination of momentum and weight decay, with one parameter that
+// momentum, with one parameter that
 // never gets a gradient, SGD.Step leaves bitwise the values and
 // velocities the three-pass update does, and does not write Grad. The
 // parameter sizes sit on both sides of eight, so the vector body of the
@@ -167,40 +152,38 @@ func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor
 // to the reference.
 func TestSGDStepIsBitwiseTheThreePassUpdate(t *testing.T) {
 	for _, momentum := range []float32{0, 0.9} {
-		for _, weightDecay := range []float32{0, 1e-4} {
-			rng := rand.New(rand.NewSource(9))
-			shapes := [][]int{{1}, {7}, {8}, {9}, {13, 79}, {3, 3}} // 13·79 = 1027
-			var got, want []*nn.Parameter
-			for _, shape := range shapes {
-				v := tensor.RandN(rng, 1, shape...)
-				got = append(got, nn.NewParameter("p", v))
-				want = append(want, nn.NewParameter("p", v.Clone()))
+		rng := rand.New(rand.NewSource(9))
+		shapes := [][]int{{1}, {7}, {8}, {9}, {13, 79}, {3, 3}} // 13·79 = 1027
+		var got, want []*nn.Parameter
+		for _, shape := range shapes {
+			v := tensor.RandN(rng, 1, shape...)
+			got = append(got, nn.NewParameter("p", v))
+			want = append(want, nn.NewParameter("p", v.Clone()))
+		}
+		opt := NewSGD(got, 0.05)
+		opt.Momentum = momentum
+		velocity := make(map[*nn.Parameter]*tensor.Tensor)
+		for step := 0; step < 4; step++ {
+			for i := range got[:len(got)-1] { // the last parameter's Grad stays nil
+				g := tensor.RandN(rng, 1, shapes[i]...)
+				got[i].Grad, want[i].Grad = g, g.Clone()
 			}
-			opt := NewSGD(got, 0.05)
-			opt.Momentum, opt.WeightDecay = momentum, weightDecay
-			velocity := make(map[*nn.Parameter]*tensor.Tensor)
-			for step := 0; step < 4; step++ {
-				for i := range got[:len(got)-1] { // the last parameter's Grad stays nil
-					g := tensor.RandN(rng, 1, shapes[i]...)
-					got[i].Grad, want[i].Grad = g, g.Clone()
+			opt.Step()
+			threePassSGDStep(want, velocity, 0.05, momentum)
+			for i := range got {
+				if !testutil.SameBits(got[i].Value, want[i].Value) {
+					t.Fatalf("momentum %v step %d: parameter %d differs from the three-pass update", momentum, step, i)
 				}
-				opt.Step()
-				threePassSGDStep(want, velocity, 0.05, momentum, weightDecay)
-				for i := range got {
-					if !testutil.SameBits(got[i].Value, want[i].Value) {
-						t.Fatalf("momentum %v decay %v step %d: parameter %d differs from the three-pass update", momentum, weightDecay, step, i)
-					}
-					if v := velocity[want[i]]; v != nil && !testutil.SameBits(opt.VelocityOf(got[i]), v) {
-						t.Fatalf("momentum %v decay %v step %d: velocity %d differs from the three-pass update", momentum, weightDecay, step, i)
-					}
-					if got[i].Grad != nil && !testutil.SameBits(got[i].Grad, want[i].Grad) {
-						t.Fatalf("momentum %v decay %v step %d: Step wrote parameter %d's Grad", momentum, weightDecay, step, i)
-					}
+				if v := velocity[want[i]]; v != nil && !testutil.SameBits(opt.velocity[got[i]], v) {
+					t.Fatalf("momentum %v step %d: velocity %d differs from the three-pass update", momentum, step, i)
+				}
+				if got[i].Grad != nil && !testutil.SameBits(got[i].Grad, want[i].Grad) {
+					t.Fatalf("momentum %v step %d: Step wrote parameter %d's Grad", momentum, step, i)
 				}
 			}
-			if opt.VelocityOf(got[len(got)-1]) != nil {
-				t.Fatalf("momentum %v: a parameter without gradient got a velocity", momentum)
-			}
+		}
+		if opt.velocity[got[len(got)-1]] != nil {
+			t.Fatalf("momentum %v: a parameter without gradient got a velocity", momentum)
 		}
 	}
 }

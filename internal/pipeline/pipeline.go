@@ -37,9 +37,6 @@ func New(stages ...nn.Module) (*Pipeline, error) {
 	return &Pipeline{stages: stages}, nil
 }
 
-// Stages returns the number of stages.
-func (p *Pipeline) Stages() int { return len(p.stages) }
-
 // StageModules returns the stage modules in order (they share their
 // parameters with the pipeline; useful for monolithic re-execution in
 // equivalence checks).

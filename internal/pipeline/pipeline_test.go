@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math"
 	"math/rand"
+	"repro/internal/testutil"
 	"testing"
 
 	"repro/internal/autograd"
@@ -38,8 +39,8 @@ func TestPipelineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Stages() != 2 {
-		t.Fatalf("stages = %d", p.Stages())
+	if len(p.stages) != 2 {
+		t.Fatalf("stages = %d", len(p.stages))
 	}
 	rng := rand.New(rand.NewSource(2))
 	x := tensor.RandN(rng, 1, 8, 6)
@@ -86,7 +87,7 @@ func TestPipelineEquivalentToFullBatch(t *testing.T) {
 			if pp[i].Grad == nil {
 				t.Fatalf("micro=%d: stage param %d missing grad", micro, i)
 			}
-			if !pp[i].Grad.AllClose(mp[i].Grad, 1e-4, 1e-6) {
+			if !testutil.AllClose(pp[i].Grad, mp[i].Grad, 1e-4, 1e-6) {
 				t.Fatalf("micro=%d: param %d grad differs from full batch (max diff %v)",
 					micro, i, pp[i].Grad.MaxAbsDiff(mp[i].Grad))
 			}
@@ -168,7 +169,7 @@ func TestPipelineGradAccumulationAcrossBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tensor.MulScalar(after1, 2)
-	if !p.Parameters()[0].Grad.AllClose(want, 1e-5, 1e-7) {
+	if !testutil.AllClose(p.Parameters()[0].Grad, want, 1e-5, 1e-7) {
 		t.Fatal("gradients did not accumulate across TrainBatch calls")
 	}
 }

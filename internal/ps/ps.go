@@ -99,24 +99,6 @@ func (s *Server) Push(grads []*tensor.Tensor) error {
 	return nil
 }
 
-// Pushes returns how many gradient pushes the server has applied.
-func (s *Server) Pushes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushes
-}
-
-// Snapshot returns a copy of the authoritative parameters.
-func (s *Server) Snapshot() []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		out[i] = tensor.FromSlice(append([]float32(nil), sh.data...), len(sh.data))
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // Worker couples a local model replica with a server. Each Step pulls,
 // computes gradients via the supplied closure, and pushes — the
 // pull/compute/push loop of asynchronous data parallel training.

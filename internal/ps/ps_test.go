@@ -34,15 +34,15 @@ func TestPullPushRoundTrip(t *testing.T) {
 	if err := srv.Push(grads); err != nil {
 		t.Fatal(err)
 	}
-	snap := srv.Snapshot()
+	snap := srv.snapshot()
 	want := proto.Parameters()[0].Value.Reshape(-1)
 	for j := 0; j < want.Size(); j++ {
 		if math.Abs(float64(snap[0].At(j)-(want.At(j)-0.1))) > 1e-6 {
 			t.Fatalf("server param[0][%d] = %v, want %v", j, snap[0].At(j), want.At(j)-0.1)
 		}
 	}
-	if srv.Pushes() != 1 {
-		t.Fatalf("pushes = %d", srv.Pushes())
+	if srv.pushCount() != 1 {
+		t.Fatalf("pushes = %d", srv.pushCount())
 	}
 }
 
@@ -63,11 +63,11 @@ func TestPushValidation(t *testing.T) {
 
 func TestNilGradientsSkipped(t *testing.T) {
 	srv := NewServer(models.NewMLP(1, 4, 6, 2), 0.1)
-	before := srv.Snapshot()
+	before := srv.snapshot()
 	if err := srv.Push(make([]*tensor.Tensor, 6)); err != nil {
 		t.Fatal(err)
 	}
-	after := srv.Snapshot()
+	after := srv.snapshot()
 	for i := range before {
 		if !before[i].Equal(after[i]) {
 			t.Fatal("nil gradients must not move parameters")
@@ -117,8 +117,8 @@ func TestAsyncWorkersConverge(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if srv.Pushes() != workers*steps {
-		t.Fatalf("pushes = %d, want %d", srv.Pushes(), workers*steps)
+	if srv.pushCount() != workers*steps {
+		t.Fatalf("pushes = %d, want %d", srv.pushCount(), workers*steps)
 	}
 
 	// Evaluate the final server model.
@@ -184,8 +184,8 @@ func TestAsyncDiffersFromSyncTrajectory(t *testing.T) {
 	srvAsync.Push(ga)
 	srvAsync.Push(gb) // stale: computed before ga landed
 
-	syncSnap := srvSync.Snapshot()
-	asyncSnap := srvAsync.Snapshot()
+	syncSnap := srvSync.snapshot()
+	asyncSnap := srvAsync.snapshot()
 	var diff float32
 	for i := range syncSnap {
 		if d := syncSnap[i].MaxAbsDiff(asyncSnap[i]); d > diff {
@@ -195,4 +195,22 @@ func TestAsyncDiffersFromSyncTrajectory(t *testing.T) {
 	if diff < 1e-6 {
 		t.Fatal("async trajectory unexpectedly identical to sync")
 	}
+}
+
+// pushCount returns how many gradient pushes the server has applied.
+func (s *Server) pushCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pushes
+}
+
+// snapshot returns a copy of the authoritative parameters.
+func (s *Server) snapshot() []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		out[i] = tensor.FromSlice(append([]float32(nil), sh.data...), len(sh.data))
+		sh.mu.Unlock()
+	}
+	return out
 }

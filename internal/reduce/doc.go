@@ -16,7 +16,7 @@
 // process groups: callers put each gradient in its slot (having the
 // kernel that produces it write through Slot, or CopyIn), signal
 // readiness (MarkReady), and the engine launches the collective
-// returned by the configured Launcher over the maximal in-order prefix
+// returned by the configured launcher over the maximal in-order prefix
 // of ready buckets, so the collective sequence is identical on every
 // rank regardless of local gradient arrival order.
 package reduce

@@ -9,14 +9,14 @@ import (
 	"repro/internal/comm"
 )
 
-// Launcher starts the collective for one ready bucket and returns its
+// launcher starts the collective for one ready bucket and returns its
 // async handle. flat is the bucket's gradient buffer; residual is the
 // bucket's error-feedback buffer in the same layout, nil unless the
 // engine was configured with TrackResiduals. The engine calls launchers
 // for ready buckets strictly in bucket-index order — never bucket i+1
 // before bucket i — so the collective sequence is identical on every
 // rank regardless of local gradient arrival order (the Fig 3(a) fix).
-type Launcher func(bucket int, flat, residual []float32) comm.Work
+type launcher func(bucket int, flat, residual []float32) comm.Work
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -26,7 +26,7 @@ type Config struct {
 	// Launch starts the reduction collective for a ready bucket
 	// (required). DDP passes an AllReduce closure, fsdp a ReduceScatterV
 	// closure.
-	Launch Launcher
+	Launch launcher
 	// TrackResiduals gives every bucket an error-feedback residual
 	// buffer in the bucket's layout, for wire-codec compression, held
 	// for as long as the layout is installed. Install carries the

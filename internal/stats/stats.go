@@ -62,6 +62,3 @@ func quantile(sorted []float64, q float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("min=%.4f p25=%.4f med=%.4f p75=%.4f max=%.4f", s.Min, s.P25, s.Median, s.P75, s.Max)
 }
-
-// IQR returns the interquartile range.
-func (s Summary) IQR() float64 { return s.P75 - s.P25 }

@@ -54,13 +54,6 @@ func (p *Partitioned) SetPartitioned(cut bool) {
 	}
 }
 
-// Partitioned reports whether the partition is currently active.
-func (p *Partitioned) Partitioned() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cut
-}
-
 // barrier returns an error if the partition is active, plus the channel
 // that releases in-flight calls when it activates.
 func (p *Partitioned) barrier() (<-chan struct{}, error) {

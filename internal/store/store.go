@@ -124,13 +124,6 @@ func (s *InMem) Add(key string, delta int64) (int64, error) {
 	return v, nil
 }
 
-// CounterAt returns the current counter value without modifying it.
-func (s *InMem) CounterAt(key string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[key]
-}
-
 // Delete removes key's value and counter state; missing keys are a
 // no-op.
 func (s *InMem) Delete(key string) error {

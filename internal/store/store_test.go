@@ -56,7 +56,7 @@ func TestInMemAddConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.CounterAt("n"); got != 20 {
+	if got, _ := s.Add("n", 0); got != 20 {
 		t.Fatalf("counter = %d, want 20", got)
 	}
 }

@@ -31,8 +31,8 @@ type response struct {
 	Err     string
 }
 
-// TCPServer serves an InMem store over TCP. Rank 0 typically runs one.
-type TCPServer struct {
+// tcpServer serves an InMem store over TCP. Rank 0 typically runs one.
+type tcpServer struct {
 	ln      net.Listener
 	backing *InMem
 	wg      sync.WaitGroup
@@ -43,22 +43,22 @@ type TCPServer struct {
 
 // ServeTCP starts a store server on addr (e.g. "127.0.0.1:0") and
 // returns it. Use Addr to discover the bound address.
-func ServeTCP(addr string, timeout time.Duration) (*TCPServer, error) {
+func ServeTCP(addr string, timeout time.Duration) (*tcpServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("store: listen: %w", err)
 	}
-	s := &TCPServer{ln: ln, backing: NewInMem(timeout), conns: make(map[net.Conn]struct{})}
+	s := &tcpServer{ln: ln, backing: NewInMem(timeout), conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the listener address for clients to dial.
-func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
+func (s *tcpServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server, disconnecting any active clients.
-func (s *TCPServer) Close() error {
+func (s *tcpServer) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	for conn := range s.conns {
@@ -73,7 +73,7 @@ func (s *TCPServer) Close() error {
 	return err
 }
 
-func (s *TCPServer) acceptLoop() {
+func (s *tcpServer) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
@@ -96,7 +96,7 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
-func (s *TCPServer) serveConn(conn net.Conn) {
+func (s *tcpServer) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -165,12 +165,12 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// TCPClient is a Store backed by a remote TCPServer. Safe for concurrent
+// tcpClient is a Store backed by a remote tcpServer. Safe for concurrent
 // use; requests are serialized over a single connection. Watch is the
 // exception: because it can block server-side indefinitely, each Watch
 // runs on its own short-lived connection so it never stalls the
 // client's other operations (heartbeats in particular).
-type TCPClient struct {
+type tcpClient struct {
 	addr string
 	mu   sync.Mutex
 	conn net.Conn
@@ -180,7 +180,7 @@ type TCPClient struct {
 
 // DialTCP connects to a store server, retrying briefly so clients may
 // start before the server finishes binding.
-func DialTCP(addr string) (*TCPClient, error) {
+func DialTCP(addr string) (*tcpClient, error) {
 	var conn net.Conn
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
@@ -193,13 +193,13 @@ func DialTCP(addr string) (*TCPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: dial %s: %w", addr, err)
 	}
-	return &TCPClient{addr: addr, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &tcpClient{addr: addr, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
 }
 
 // Close closes the client connection.
-func (c *TCPClient) Close() error { return c.conn.Close() }
+func (c *tcpClient) Close() error { return c.conn.Close() }
 
-func (c *TCPClient) roundTrip(req request) (response, error) {
+func (c *tcpClient) roundTrip(req request) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.enc.Encode(&req); err != nil {
@@ -224,31 +224,31 @@ func (c *TCPClient) roundTrip(req request) (response, error) {
 }
 
 // Set stores value under key on the server.
-func (c *TCPClient) Set(key string, value []byte) error {
+func (c *tcpClient) Set(key string, value []byte) error {
 	_, err := c.roundTrip(request{Op: "set", Key: key, Value: value})
 	return err
 }
 
 // Get blocks server-side until key exists.
-func (c *TCPClient) Get(key string) ([]byte, error) {
+func (c *tcpClient) Get(key string) ([]byte, error) {
 	resp, err := c.roundTrip(request{Op: "get", Key: key})
 	return resp.Value, err
 }
 
 // Add atomically adds delta to the server counter.
-func (c *TCPClient) Add(key string, delta int64) (int64, error) {
+func (c *tcpClient) Add(key string, delta int64) (int64, error) {
 	resp, err := c.roundTrip(request{Op: "add", Key: key, Delta: delta})
 	return resp.Counter, err
 }
 
 // Delete removes key on the server.
-func (c *TCPClient) Delete(key string) error {
+func (c *tcpClient) Delete(key string) error {
 	_, err := c.roundTrip(request{Op: "delete", Key: key})
 	return err
 }
 
 // CompareAndSwap atomically swaps key's value on the server.
-func (c *TCPClient) CompareAndSwap(key string, old, new []byte) (bool, error) {
+func (c *tcpClient) CompareAndSwap(key string, old, new []byte) (bool, error) {
 	resp, err := c.roundTrip(request{Op: "cas", Key: key, Value: new, Old: old, OldSet: old != nil})
 	return resp.Swapped, err
 }
@@ -256,7 +256,7 @@ func (c *TCPClient) CompareAndSwap(key string, old, new []byte) (bool, error) {
 // Watch blocks until key's value differs from prev. It opens a
 // dedicated connection for the duration of the watch so concurrent
 // Set/Add/Get calls on this client are not blocked behind it.
-func (c *TCPClient) Watch(key string, prev []byte) ([]byte, error) {
+func (c *tcpClient) Watch(key string, prev []byte) ([]byte, error) {
 	side, err := DialTCP(c.addr)
 	if err != nil {
 		return nil, err
@@ -271,7 +271,7 @@ func (c *TCPClient) Watch(key string, prev []byte) ([]byte, error) {
 // stall every other operation on the shared one); closing cancel closes
 // that connection, releasing the caller immediately with ErrCanceled.
 // The server-side waiter drains on its own at the store timeout.
-func (c *TCPClient) GetCancel(key string, cancel <-chan struct{}) ([]byte, error) {
+func (c *tcpClient) GetCancel(key string, cancel <-chan struct{}) ([]byte, error) {
 	if cancel == nil {
 		return c.Get(key)
 	}
@@ -306,4 +306,4 @@ func (c *TCPClient) GetCancel(key string, cancel <-chan struct{}) ([]byte, error
 	return resp.Value, nil
 }
 
-var _ Store = (*TCPClient)(nil)
+var _ Store = (*tcpClient)(nil)

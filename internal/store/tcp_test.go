@@ -11,14 +11,14 @@ import (
 
 // startServer spins up a TCP store and n clients, tearing all down
 // with the test.
-func startServer(t *testing.T, timeout time.Duration, n int) (*TCPServer, []*TCPClient) {
+func startServer(t *testing.T, timeout time.Duration, n int) (*tcpServer, []*tcpClient) {
 	t.Helper()
 	srv, err := ServeTCP("127.0.0.1:0", timeout)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	clients := make([]*TCPClient, n)
+	clients := make([]*tcpClient, n)
 	for i := range clients {
 		c, err := DialTCP(srv.Addr())
 		if err != nil {
@@ -46,7 +46,7 @@ func TestTCPStoreConcurrentAdd(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, c := range cs {
 		wg.Add(1)
-		go func(c *TCPClient) {
+		go func(c *tcpClient) {
 			defer wg.Done()
 			for i := 0; i < perC; i++ {
 				v, err := c.Add("ordinal", 1)

@@ -21,36 +21,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSameShape("Sub", a, b)
-	out := a.New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out
-}
-
-// Mul returns a * b elementwise.
-func Mul(a, b *Tensor) *Tensor {
-	checkSameShape("Mul", a, b)
-	out := a.New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
-	}
-	return out
-}
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	checkSameShape("Div", a, b)
-	out := a.New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] / b.data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates src into dst elementwise. Sizes must match.
 func AddInPlace(dst, src *Tensor) {
 	if len(dst.data) != len(src.data) {
@@ -59,24 +29,12 @@ func AddInPlace(dst, src *Tensor) {
 	AddFloats(dst.data, src.data)
 }
 
-// ScaleInPlace multiplies every element of t by s.
-func ScaleInPlace(t *Tensor, s float32) { ScaleFloats(t.data, s) }
-
 // AxpyInPlace computes dst += alpha*src elementwise.
 func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 	if len(dst.data) != len(src.data) {
 		panic("tensor: AxpyInPlace size mismatch")
 	}
 	mulAdd1(dst.data, alpha, src.data)
-}
-
-// AddScalar returns a + s elementwise.
-func AddScalar(a *Tensor, s float32) *Tensor {
-	out := a.New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] + s
-	}
-	return out
 }
 
 // MulScalar returns a * s elementwise.
@@ -87,9 +45,6 @@ func MulScalar(a *Tensor, s float32) *Tensor {
 	}
 	return out
 }
-
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return MulScalar(a, -1) }
 
 // AddRow returns m + row broadcast over the leading dimensions: m has
 // shape [..., n] and row has shape [n]. Used for bias addition.
@@ -103,22 +58,6 @@ func AddRow(m, row *Tensor) *Tensor {
 		o, in := out.data[lo:][:n], m.data[lo:][:n]
 		for j, b := range row.data {
 			o[j] = in[j] + b
-		}
-	}
-	return out
-}
-
-// MulRow returns m * row with row broadcast over the leading dimensions.
-func MulRow(m, row *Tensor) *Tensor {
-	n := row.Size()
-	if m.Size()%n != 0 || m.Dims(m.Dim()-1) != n {
-		panic(fmt.Sprintf("tensor: MulRow shapes %v and %v incompatible", m.shape, row.shape))
-	}
-	out := m.New(m.shape...)
-	for lo := 0; lo < len(m.data); lo += n {
-		o, in := out.data[lo:][:n], m.data[lo:][:n]
-		for j, b := range row.data {
-			o[j] = in[j] * b
 		}
 	}
 	return out
@@ -228,19 +167,4 @@ func GeluGrad(x, g *Tensor) *Tensor {
 	out := x.New(x.shape...)
 	geluGradFloats(out.data, x.data, g.data)
 	return out
-}
-
-// Exp returns e^x elementwise.
-func Exp(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Exp(float64(v))) })
-}
-
-// Log returns ln(x) elementwise.
-func Log(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Log(float64(v))) })
-}
-
-// Sqrt returns the elementwise square root.
-func Sqrt(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
 }

@@ -279,26 +279,3 @@ func dot1(a, b []float32) float32 {
 	}
 	return s
 }
-
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	if a.Dim() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D on shape %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := a.New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out
-}
-
-// Dot returns the inner product of two equally-sized tensors.
-func Dot(a, b *Tensor) float32 {
-	if len(a.data) != len(b.data) {
-		panic("tensor: Dot size mismatch")
-	}
-	return dot1(a.data, b.data)
-}

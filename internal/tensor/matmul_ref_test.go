@@ -306,9 +306,9 @@ func TestMatMulZeroSkipIsObservable(t *testing.T) {
 	}
 	tileBodies(func(body string) {
 		check(body+"/MatMul", MatMul(left, right))
-		check(body+"/MatMulTransA", MatMulTransA(Transpose2D(left), right))
-		check(body+"/MatMulTransAInto", MatMulTransAInto(garbage(4, n), Transpose2D(left), right))
-		for j, g := range MatMulTransB(left, Transpose2D(right)).data {
+		check(body+"/MatMulTransA", MatMulTransA(transpose2D(left), right))
+		check(body+"/MatMulTransAInto", MatMulTransAInto(garbage(4, n), transpose2D(left), right))
+		for j, g := range MatMulTransB(left, transpose2D(right)).data {
 			if g == g {
 				t.Fatalf("%s/MatMulTransB: row %d column %d = %v, want NaN", body, j/n, j%n, g)
 			}
@@ -377,4 +377,31 @@ func FuzzMatMulMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, m, k, n, fill uint8, seed int64) {
 		checkAgainstReference(t, rand.New(rand.NewSource(seed)), int(m%70), int(k%70), int(n%70), int(fill%numFills))
 	})
+}
+
+// transpose2D is the explicit transpose the transposing kernels are
+// checked against.
+func transpose2D(a *Tensor) *Tensor {
+	m, n := a.shape[0], a.shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.data[j*m+i] = a.data[i*n+j]
+		}
+	}
+	return out
+}
+
+// allClose reports whether a and b have the same shape and elementwise
+// |a-b| <= atol + rtol*|b|.
+func allClose(a, b *Tensor, rtol, atol float32) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.data {
+		if math.Abs(float64(v-b.data[i])) > float64(atol)+float64(rtol)*math.Abs(float64(b.data[i])) {
+			return false
+		}
+	}
+	return true
 }

@@ -14,28 +14,6 @@ func Sum(a *Tensor) *Tensor {
 	return Scalar(s)
 }
 
-// Mean returns the arithmetic mean of all elements as a scalar tensor.
-func Mean(a *Tensor) *Tensor {
-	if len(a.data) == 0 {
-		panic("tensor: Mean of empty tensor")
-	}
-	return Scalar(Sum(a).Item() / float32(len(a.data)))
-}
-
-// MaxElem returns the largest element.
-func MaxElem(a *Tensor) float32 {
-	if len(a.data) == 0 {
-		panic("tensor: MaxElem of empty tensor")
-	}
-	m := a.data[0]
-	for _, v := range a.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // ArgMaxRows returns, for a [rows, cols] tensor, the column index of the
 // maximum in each row. Used for classification accuracy.
 func ArgMaxRows(a *Tensor) []int {
@@ -114,23 +92,4 @@ func LogSoftmaxRows(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// MeanVar returns the mean and (biased) variance of all elements.
-func MeanVar(a *Tensor) (mean, variance float32) {
-	n := float64(len(a.data))
-	if n == 0 {
-		panic("tensor: MeanVar of empty tensor")
-	}
-	var s float64
-	for _, v := range a.data {
-		s += float64(v)
-	}
-	m := s / n
-	var sq float64
-	for _, v := range a.data {
-		d := float64(v) - m
-		sq += float64(d * d)
-	}
-	return float32(m), float32(sq / n)
 }

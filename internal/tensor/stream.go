@@ -9,8 +9,7 @@ import "math"
 // builds the frames, the decoders that read them and the two-rank
 // exchange's landing. They work on bare slices because their callers
 // (internal/comm, internal/optim, internal/fsdp's shards) hold flat
-// buffers, not tensors; AddInPlace and ScaleInPlace are the same two
-// loops under their tensor names.
+// buffers, not tensors; AddInPlace is the first under its tensor name.
 //
 // They are leaves under the same contract as mulAdd4, mulAdd1 and
 // dotRows (matmul.go): the loops here are the definition, and on amd64

@@ -21,7 +21,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"unsafe"
 
 	"repro/internal/buffer"
@@ -253,21 +252,6 @@ func (t *Tensor) Equal(o *Tensor) bool {
 	}
 	for i := range t.data {
 		if t.data[i] != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AllClose reports whether t and o have the same shape and elementwise
-// |a-b| <= atol + rtol*|b|.
-func (t *Tensor) AllClose(o *Tensor, rtol, atol float32) bool {
-	if !t.SameShape(o) {
-		return false
-	}
-	for i := range t.data {
-		d := float64(t.data[i] - o.data[i])
-		if math.Abs(d) > float64(atol)+float64(float64(rtol)*math.Abs(float64(o.data[i]))) {
 			return false
 		}
 	}

@@ -1,7 +1,9 @@
 // Package testutil hosts small shared test fixtures: reproducible
 // randomness for randomized tests (SeededRand), a manually advanced
 // clock satisfying elastic.Clock (FakeClock) and the bit-for-bit tensor
-// comparison of the differential tests (SameBits). Production code must
+// comparison of the differential tests (SameBits), the tolerant one of
+// the rest (AllClose) and a metric's value as a scrape reads it
+// (Sample). Production code must
 // not import it.
 package testutil
 
@@ -9,10 +11,13 @@ import (
 	"flag"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -33,6 +38,44 @@ func SameBits(a, b *tensor.Tensor) bool {
 		}
 	}
 	return true
+}
+
+// AllClose reports whether a and b have the same shape and elementwise
+// |a-b| <= atol + rtol*|b|: the tolerance of a test whose two sides
+// round differently.
+func AllClose(a, b *tensor.Tensor, rtol, atol float32) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data() {
+		w := b.Data()[i]
+		if math.Abs(float64(v-w)) > float64(atol)+float64(rtol)*math.Abs(float64(w)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Sample returns the value metrics.Default's exposition gives series, a
+// family name with its labels as rendered (elastic_world_size{worker="w0"}),
+// and fails t when no sample line has it.
+func Sample(t testing.TB, series string) float64 {
+	t.Helper()
+	var text strings.Builder
+	if _, err := metrics.Default().WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no sample of %s in the exposition", series)
+	return 0
 }
 
 // chaosSeed pins every SeededRand in the test binary to one seed, so a

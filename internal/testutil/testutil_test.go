@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"repro/internal/tensor"
 	"sync"
 	"testing"
 	"time"
@@ -83,5 +84,18 @@ func TestSeededRandIsDeterministicPerSeed(t *testing.T) {
 		if x, y := a.Int63(), b.Int63(); x != y {
 			t.Fatalf("same seed diverged at draw %d: %d vs %d", i, x, y)
 		}
+	}
+}
+
+func TestAllClose(t *testing.T) {
+	a := tensor.FromSlice([]float32{1, 2}, 2)
+	if !AllClose(a, tensor.FromSlice([]float32{1.0001, 2}, 2), 1e-3, 1e-3) {
+		t.Fatal("AllClose should accept small differences")
+	}
+	if AllClose(a, tensor.FromSlice([]float32{2, 2}, 2), 1e-3, 1e-3) {
+		t.Fatal("AllClose should reject large differences")
+	}
+	if AllClose(a, tensor.FromSlice([]float32{1, 2}, 1, 2), 1e-3, 1e-3) {
+		t.Fatal("AllClose should reject a different shape")
 	}
 }

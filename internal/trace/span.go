@@ -38,9 +38,6 @@ type Tracer struct {
 // NewTracer returns a tracer using the real clock.
 func NewTracer() *Tracer { return &Tracer{now: time.Now} }
 
-// NewTracerWithClock returns a tracer driven by the given clock (tests).
-func NewTracerWithClock(now func() time.Time) *Tracer { return &Tracer{now: now} }
-
 // WithSpan is the one way to open a root span: it runs fn with a new
 // span and finishes the span when fn returns or panics, so no span can
 // outlive the function that opened it. The span is recorded before fn

@@ -18,7 +18,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 
 func TestSpanPhasesTileParentExactly(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTracerWithClock(c.now)
+	tr := &Tracer{now: c.now}
 	root := tr.startSpan("recovery")
 	root.Phase("rendezvous")
 	c.advance(7 * time.Millisecond)
@@ -55,7 +55,7 @@ func TestSpanPhasesTileParentExactly(t *testing.T) {
 
 func TestSpanFinishIdempotent(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTracerWithClock(c.now)
+	tr := &Tracer{now: c.now}
 	s := tr.startSpan("s")
 	c.advance(time.Millisecond)
 	s.Finish()
@@ -72,7 +72,7 @@ func TestSpanFinishIdempotent(t *testing.T) {
 // span's end.
 func TestWithSpanFinishesOnPanic(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTracerWithClock(c.now)
+	tr := &Tracer{now: c.now}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -120,7 +120,7 @@ func TestWithSpanNilTracer(t *testing.T) {
 
 func TestTracerJSONDump(t *testing.T) {
 	c := &fakeClock{t: time.Unix(1000, 0).UTC()}
-	tr := NewTracerWithClock(c.now)
+	tr := &Tracer{now: c.now}
 	root := tr.startSpan("recovery")
 	root.Phase("rendezvous")
 	c.advance(4 * time.Millisecond)

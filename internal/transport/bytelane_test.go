@@ -114,7 +114,7 @@ func TestByteLaneInterleavesWithFloatFrames(t *testing.T) {
 }
 
 // TestByteLaneMismatch: expecting the wrong frame kind is a schedule
-// bug and must surface as LaneMismatchError, not corrupt data.
+// bug and must surface as laneMismatchError, not corrupt data.
 func TestByteLaneMismatch(t *testing.T) {
 	for _, tr := range []string{"inproc", "tcp"} {
 		t.Run(tr, func(t *testing.T) {
@@ -135,7 +135,7 @@ func TestByteLaneMismatch(t *testing.T) {
 }
 
 func errorsAsLane(err error) bool {
-	var lm *LaneMismatchError
+	var lm *laneMismatchError
 	return errors.As(err, &lm)
 }
 

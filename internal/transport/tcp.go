@@ -529,9 +529,9 @@ func (m *tcpMesh) RecvBytes(from int, tag uint64) ([]byte, error) {
 			return nil, m.wireErr("recv payload from", from, err)
 		}
 		if gotTag != tag {
-			return nil, &TagMismatchError{From: from, Want: tag, Got: gotTag}
+			return nil, &tagMismatchError{From: from, Want: tag, Got: gotTag}
 		}
-		return nil, &LaneMismatchError{From: from, WantRaw: true, Tag: tag}
+		return nil, &laneMismatchError{From: from, WantRaw: true, Tag: tag}
 	}
 	data := buffer.GetBytes(int(count &^ rawFrameFlag))
 	if _, err := io.ReadFull(p.conn, data); err != nil {
@@ -583,9 +583,9 @@ func (m *tcpMesh) Recv(from int, tag uint64) ([]float32, error) {
 			return nil, m.wireErr("recv payload from", from, err)
 		}
 		if gotTag != tag {
-			return nil, &TagMismatchError{From: from, Want: tag, Got: gotTag}
+			return nil, &tagMismatchError{From: from, Want: tag, Got: gotTag}
 		}
-		return nil, &LaneMismatchError{From: from, WantRaw: false, Tag: tag}
+		return nil, &laneMismatchError{From: from, WantRaw: false, Tag: tag}
 	}
 	data := buffer.GetFloats(int(count))
 	if hostLittleEndian {

@@ -132,17 +132,17 @@ func ByteLanes(m Mesh) (ByteMesh, bool) {
 	return bm, true
 }
 
-// LaneMismatchError reports that a float32 frame arrived where a byte
+// laneMismatchError reports that a float32 frame arrived where a byte
 // frame was expected (or vice versa) — the byte-lane analogue of a tag
 // mismatch: the ranks' collective schedules disagree on the frame kind.
-type LaneMismatchError struct {
+type laneMismatchError struct {
 	From    int
 	WantRaw bool
 	Tag     uint64
 }
 
 // Error names the expected and received lanes and the sending rank.
-func (e *LaneMismatchError) Error() string {
+func (e *laneMismatchError) Error() string {
 	want, got := "byte", "float32"
 	if !e.WantRaw {
 		want, got = got, want
@@ -162,16 +162,16 @@ type HostLister interface {
 	Hosts() []string
 }
 
-// TagMismatchError reports a collective-ordering violation: the message
+// tagMismatchError reports a collective-ordering violation: the message
 // that arrived does not belong to the operation the receiver is running.
-type TagMismatchError struct {
+type tagMismatchError struct {
 	From      int
 	Want, Got uint64
 }
 
 // Error renders the mismatch with both tags and the sending rank, so a
 // desynchronized schedule is diagnosable from the message alone.
-func (e *TagMismatchError) Error() string {
+func (e *tagMismatchError) Error() string {
 	return fmt.Sprintf("transport: tag mismatch from rank %d: want %d, got %d (collective ordering violated)", e.From, e.Want, e.Got)
 }
 
@@ -327,10 +327,10 @@ func (m *inProcMesh) recv(from int, tag uint64, wantRaw bool) (frame, error) {
 		}
 	}
 	if f.tag != tag {
-		return frame{}, &TagMismatchError{From: from, Want: tag, Got: f.tag}
+		return frame{}, &tagMismatchError{From: from, Want: tag, Got: f.tag}
 	}
 	if f.isRaw != wantRaw {
-		return frame{}, &LaneMismatchError{From: from, WantRaw: wantRaw, Tag: tag}
+		return frame{}, &laneMismatchError{From: from, WantRaw: wantRaw, Tag: tag}
 	}
 	localLink.received(f.payloadLen())
 	return f, nil

@@ -40,9 +40,9 @@ func TestInProcTagMismatch(t *testing.T) {
 	meshes := NewInProcMeshes(2)
 	meshes[0].Send(1, 1, []float32{1})
 	_, err := meshes[1].Recv(0, 2)
-	var tm *TagMismatchError
+	var tm *tagMismatchError
 	if !errors.As(err, &tm) {
-		t.Fatalf("err = %v, want TagMismatchError", err)
+		t.Fatalf("err = %v, want tagMismatchError", err)
 	}
 	if tm.Want != 2 || tm.Got != 1 || tm.From != 0 {
 		t.Fatalf("mismatch detail %+v", tm)
@@ -293,16 +293,16 @@ func TestTCPMeshPeerDeathUnblocksRecv(t *testing.T) {
 
 // TestTCPMeshTagMismatchAfterDesync: over real TCP, a frame carrying
 // the wrong tag (two ranks disagreeing about which collective is in
-// flight) surfaces as TagMismatchError rather than corrupt data.
+// flight) surfaces as tagMismatchError rather than corrupt data.
 func TestTCPMeshTagMismatchAfterDesync(t *testing.T) {
 	meshes := buildTCPMeshes(t, 2)
 	if err := meshes[0].Send(1, 7, []float32{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := meshes[1].Recv(0, 8)
-	var tm *TagMismatchError
+	var tm *tagMismatchError
 	if !errors.As(err, &tm) {
-		t.Fatalf("err = %v, want TagMismatchError", err)
+		t.Fatalf("err = %v, want tagMismatchError", err)
 	}
 	if tm.From != 0 || tm.Want != 8 || tm.Got != 7 {
 		t.Fatalf("mismatch detail %+v", tm)
@@ -395,7 +395,7 @@ func TestTCPMeshCloseReleasesStoreKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	meshes := buildTCPMeshesOn(t, srv, 2, "closing")
+	meshes := buildTCPMeshesOn(t, srv.Addr(), 2, "closing")
 	for _, m := range meshes {
 		m.Close()
 	}
@@ -414,7 +414,7 @@ func TestTCPMeshCloseReleasesStoreKey(t *testing.T) {
 
 // buildTCPMeshesOn is buildTCPMeshes against an existing store server
 // and prefix (no cleanup of the meshes themselves).
-func buildTCPMeshesOn(t *testing.T, srv *store.TCPServer, world int, prefix string) []Mesh {
+func buildTCPMeshesOn(t *testing.T, addr string, world int, prefix string) []Mesh {
 	t.Helper()
 	meshes := make([]Mesh, world)
 	var wg sync.WaitGroup
@@ -423,7 +423,7 @@ func buildTCPMeshesOn(t *testing.T, srv *store.TCPServer, world int, prefix stri
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			client, err := store.DialTCP(srv.Addr())
+			client, err := store.DialTCP(addr)
 			if err != nil {
 				errs[rank] = err
 				return
