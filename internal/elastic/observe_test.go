@@ -136,8 +136,8 @@ func TestRecoverySpansTileRecoveryDuration(t *testing.T) {
 		}
 	}
 
-	// Agent.Tracer hands the same tracer back (the handle ddptrain dumps
-	// from), and successful recoveries moved the global counter.
+	// The agent holds the tracer it was configured with, and successful
+	// recoveries moved the global counter.
 	if workers[0].agent.cfg.Tracer != tracers[0] {
 		t.Fatalf("the agent holds a different tracer")
 	}
