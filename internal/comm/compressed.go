@@ -113,7 +113,7 @@ func (g *meshGroup) CompressedAllReduce(data []float32, op ReduceOp, codec Codec
 		return g.AllReduce(data, op)
 	}
 	r := run{m: g.mesh, rank: g.Rank(), data: data, op: op, codec: codec, residual: residual}
-	observe := func(elems int, start time.Time) { observeAllReduce("compressed", elems, start, nil) }
+	observe := func(elems int, start time.Time) { g.observeAllReduce("compressed", elems, start, nil) }
 	if g.resolveAlgorithm(len(data)) == Hierarchical {
 		return g.submitCompressed(r, nil, nil, observe)
 	}

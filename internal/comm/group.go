@@ -54,6 +54,8 @@ type meshGroup struct {
 	launchMu sync.Mutex
 	launches int
 	deferred []*compressedCall
+
+	ring ring // the collectives completed last (Recorded)
 }
 
 // NewGroup wraps a mesh in a ProcessGroup.
@@ -182,7 +184,7 @@ func (g *meshGroup) AllReduce(data []float32, op ReduceOp) Work {
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
 		err := allReduce(g.mesh, tag, algo, g.topo, data, op)
-		observeAllReduce(algo.String(), len(data), start, err)
+		g.observeAllReduce(algo.String(), len(data), start, err)
 		return err
 	})
 }
@@ -202,7 +204,7 @@ func (g *meshGroup) AllGather(dst [][]float32, src []float32) Work {
 	return g.submit(func(tag uint64) error {
 		start := time.Now()
 		err := allGather(g.mesh, tag, dst, src)
-		observeCollective("all_gather", world*len(src), start, err)
+		g.observeCollective("all_gather", world*len(src), start, err)
 		return err
 	})
 }

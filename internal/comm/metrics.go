@@ -37,23 +37,24 @@ var (
 		metrics.SizeBuckets, "collective")
 )
 
-// observeAllReduce records one completed collective under the resolved
-// algorithm label.
-func observeAllReduce(algo string, elems int, start time.Time, err error) {
+// observeAllReduce records one completed collective in the group's ring
+// and under the resolved algorithm label.
+func (g *meshGroup) observeAllReduce(algo string, elems int, start time.Time, err error) {
 	if err != nil {
 		return
 	}
-	mAllReduceDur.With(algo).Observe(time.Since(start).Seconds())
+	mAllReduceDur.With(algo).Observe(g.ring.observe("allreduce", elems, start).Seconds())
 	mAllReduceBytes.With(algo).Observe(float64(4 * elems))
 }
 
 // observeCollective records one completed collective other than
-// AllReduce under its kind label. Like observeAllReduce, failures are not
-// observed: an aborted collective measures time-to-abort, not latency.
-func observeCollective(kind string, elems int, start time.Time, err error) {
+// AllReduce in the group's ring and under its kind label. Like
+// observeAllReduce, failures are not observed: an aborted collective
+// measures time-to-abort, not latency.
+func (g *meshGroup) observeCollective(kind string, elems int, start time.Time, err error) {
 	if err != nil {
 		return
 	}
-	mCollectiveDur.With(kind).Observe(time.Since(start).Seconds())
+	mCollectiveDur.With(kind).Observe(g.ring.observe(kind, elems, start).Seconds())
 	mCollectiveBytes.With(kind).Observe(float64(4 * elems))
 }

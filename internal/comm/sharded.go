@@ -47,6 +47,11 @@ type ShardedGroup interface {
 	// Like CompressedAllReduce it rides the byte lanes or fails with
 	// ErrCompressionUnsupported.
 	CompressedReduceScatterV(data []float32, op ReduceOp, codec Codec, residual []float32) Work
+	// Recorded returns the group's ring: the last collectives it
+	// completed, oldest first, each with its kind, its buffer's length
+	// and its dispatch and completion stamps. A decorator that embeds
+	// a ShardedGroup forwards it unchanged.
+	Recorded() []Record
 }
 
 // ReduceScatterV implements the sharded reduce-scatter on the
@@ -68,7 +73,7 @@ func (g *meshGroup) ReduceScatterV(data []float32, op ReduceOp) Work {
 			lo, hi := chunkBounds(len(data), k, rank)
 			finishAvg(data[lo:hi], op, k)
 		}
-		observeCollective("reduce_scatter_v", len(data), start, err)
+		g.observeCollective("reduce_scatter_v", len(data), start, err)
 		return err
 	})
 }
@@ -80,7 +85,7 @@ func (g *meshGroup) AllGatherV(data []float32) Work {
 		start := time.Now()
 		rank := g.Rank()
 		_, err := runSteps(run{m: g.mesh, rank: rank, tag: tag, name: "ring all-gather", data: data}, ringSteps(rank, g.Size(), len(data), rank, false))
-		observeCollective("all_gather_v", len(data), start, err)
+		g.observeCollective("all_gather_v", len(data), start, err)
 		return err
 	})
 }
@@ -101,7 +106,9 @@ func (g *meshGroup) CompressedReduceScatterV(data []float32, op ReduceOp, codec 
 	r := run{rank: rank, name: "compressed reduce-scatter", data: data, op: op, codec: codec, residual: residual, parts: k}
 	lo, hi := chunkBounds(n, k, rank)
 	return g.submitCompressed(r, compressedScatterSteps(rank, k, n), data[lo:hi],
-		func(elems int, start time.Time) { observeCollective("compressed_reduce_scatter_v", elems, start, nil) })
+		func(elems int, start time.Time) {
+			g.observeCollective("compressed_reduce_scatter_v", elems, start, nil)
+		})
 }
 
 var _ ShardedGroup = (*meshGroup)(nil)

@@ -29,5 +29,7 @@ type algoBuilder struct {
 }
 
 func (b *algoBuilder) Build(a *Assignment, _ <-chan struct{}) (comm.ProcessGroup, error) {
-	return b.reg.Build(fmt.Sprintf("elastic-g%d", a.Generation), a.Rank, a.World, topologyOptions(comm.Options{Algorithm: b.algo}, a))
+	opts := topologyOptions(a)
+	opts.Algorithm = b.algo
+	return b.reg.Build(fmt.Sprintf("elastic-g%d", a.Generation), a.Rank, a.World, opts)
 }

@@ -188,29 +188,19 @@ func (b *InProcBuilder) Build(a *Assignment, _ <-chan struct{}) (comm.ProcessGro
 	if prefix == "" {
 		prefix = "elastic"
 	}
-	return b.Registry.Build(fmt.Sprintf("%s-g%d", prefix, a.Generation), a.Rank, a.World, topologyOptions(comm.Options{}, a))
+	return b.Registry.Build(fmt.Sprintf("%s-g%d", prefix, a.Generation), a.Rank, a.World, topologyOptions(a))
 }
 
 // topologyOptions threads the rendezvous round's host layout into the
 // group options so every regenerated group stays topology-aware: ranks
 // are assigned per round, so the rank→host map must be rebuilt from
-// the round's members each time. An explicitly configured topology
-// wins (tests lay out simulated hosts that way) — but only while it
-// still covers the round's world: after a membership change an
-// explicit layout for the old world is stale, and keeping it would
-// make every Hierarchical collective fail on the size mismatch
-// forever. A stale layout is dropped in favour of the round's member
-// hosts (or, failing that, no topology — algorithms degrade to Ring).
-func topologyOptions(opts comm.Options, a *Assignment) comm.Options {
-	if opts.Topology != nil && opts.Topology.Size() != a.World {
-		opts.Topology = nil
+// the round's members each time. Members without host information
+// (mixed versions) give no topology, and algorithms degrade to Ring.
+func topologyOptions(a *Assignment) comm.Options {
+	if hosts := a.Hosts(); hosts != nil {
+		return comm.Options{Topology: comm.NewTopology(hosts)}
 	}
-	if opts.Topology == nil {
-		if hosts := a.Hosts(); hosts != nil {
-			opts.Topology = comm.NewTopology(hosts)
-		}
-	}
-	return opts
+	return comm.Options{}
 }
 
 // TCPBuilder builds one TCP-mesh group per generation, rendezvousing
@@ -225,7 +215,7 @@ type TCPBuilder struct {
 // keys — the path that frees survivors when a peer dies between seal
 // and build.
 func (b *TCPBuilder) Build(a *Assignment, cancel <-chan struct{}) (comm.ProcessGroup, error) {
-	return comm.NewTCPGroupCancel(a.Rank, a.World, b.Store, fmt.Sprintf("elastic-g%d", a.Generation), topologyOptions(comm.Options{}, a), cancel)
+	return comm.NewTCPGroupCancel(a.Rank, a.World, b.Store, fmt.Sprintf("elastic-g%d", a.Generation), topologyOptions(a), cancel)
 }
 
 // Config parameterizes an elastic worker.

@@ -76,7 +76,7 @@ func TestTopologyOptionsBuildsMultiLevelFromMemberHosts(t *testing.T) {
 			{ID: "w2", Host: "p1/r2/h2"},
 		},
 	}
-	got := topologyOptions(comm.Options{}, a)
+	got := topologyOptions(a)
 	if got.Topology == nil {
 		t.Fatal("no topology derived from structured member hosts")
 	}

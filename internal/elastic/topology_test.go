@@ -56,36 +56,11 @@ func runRefPhaseTopo(t *testing.T, workers []*refWorker, start, end int64, algo 
 	}
 }
 
-// TestTopologyOptionsDropsStaleExplicitLayout: an explicit topology
-// configured for one world must not outlive a membership change — a
-// regenerated group keeping a 3-rank layout at world 2 would fail
-// every Hierarchical collective on the size mismatch, permanently.
-func TestTopologyOptionsDropsStaleExplicitLayout(t *testing.T) {
-	explicit := comm.NewTopology([]string{"a", "a", "b"})
-	a := &Assignment{
-		World: 2,
-		Members: []Member{
-			{ID: "w0", Host: "hostA"},
-			{ID: "w1", Host: "hostB"},
-		},
-	}
-	got := topologyOptions(comm.Options{Topology: explicit}, a)
-	if got.Topology == nil || got.Topology.Size() != 2 {
-		t.Fatalf("stale topology not replaced: %v", got.Topology)
-	}
-	if hosts := got.Topology.Hosts(); hosts[0] != "hostA" || hosts[1] != "hostB" {
-		t.Fatalf("replacement not derived from round members: %v", got.Topology.Hosts())
-	}
-	// A still-covering explicit layout is kept verbatim.
-	keep := topologyOptions(comm.Options{Topology: explicit}, &Assignment{
-		World:   3,
-		Members: []Member{{ID: "a"}, {ID: "b"}, {ID: "c"}},
-	})
-	if keep.Topology != explicit {
-		t.Fatal("covering explicit topology should win")
-	}
-	// No explicit layout + hostless members (mixed versions): no guess.
-	none := topologyOptions(comm.Options{}, &Assignment{
+// TestTopologyOptionsNeedsEveryMembersHost: a round whose members do
+// not all publish a host (mixed versions) gets no topology rather than a
+// guess.
+func TestTopologyOptionsNeedsEveryMembersHost(t *testing.T) {
+	none := topologyOptions(&Assignment{
 		World:   2,
 		Members: []Member{{ID: "a"}, {ID: "b", Host: "x"}},
 	})

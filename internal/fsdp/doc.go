@@ -35,33 +35,42 @@
 // the hook. Every Grad is cleared when Backward returns, failed steps
 // included: it may view a flat that has gone back to the pool.
 //
-// The gather schedule is data, one reduce.Plan per step, emitted once
-// per install/rebind (mapUnits, reduce.PlanStep within the preset's
-// budget) over the step's visits — the forward visits of the module's
-// units (replica.Units) in order, then their backward visits in
-// reverse: its Gathers, each an AllGatherV submitted at one visit and
-// waited for by the first that reads it, and the buckets to drop after
-// each visit. A visit only moves a cursor over Gathers (advance): it
-// launches what it submits, then lands what it waits for, so the
-// group's serial worker stays busy while the unit computes. Reduces
-// launch by readiness (reduce.Engine), which also tells that every
-// parameter got its gradient. The plan depends only on the layout, so
-// every rank submits the same collectives in the same order: the ones
-// replica.Schedule lists, which simnet prices, and reduce.Step.Check
-// passes. A failed gather or buffer broadcast is deferred to Backward,
-// which returns it; no gather outlives the step that launched it.
+// The gather schedule is data, one reduce.Plan per step, emitted per
+// install/rebind and once more when the link is measured (mapUnits,
+// reduce.PlanStep within the preset's budget) over the step's visits —
+// the forward visits of the module's units (replica.Units) in order,
+// then their backward visits in reverse: its Gathers, each an
+// AllGatherV submitted at one visit and waited for by the first that
+// reads one of its buckets, and the buckets to drop after each visit. A
+// visit only moves a cursor over Gathers (advance): it launches what it
+// submits, then lands what it waits for, so the group's serial worker
+// stays busy while the unit computes. Reduces launch by readiness
+// (reduce.Engine), which also tells that every parameter got its
+// gradient. Every rank derives the same plan, so every rank submits the
+// same collectives in the same order: as installed, the ones
+// replica.Schedule lists, which simnet prices; and every plan passes
+// reduce.Step.Check. A failed gather or buffer broadcast is deferred to
+// Backward, which returns it; no gather outlives the step that launched
+// it.
 //
-// Launch groups: the gathers launched at one visit for one later visit
-// to read are one entry of Gathers, one AllGatherV, so they pay one
-// collective's latency, and no visit waits for a transfer it does not
-// read. A group of one bucket is gathered in place on its flat; one of
-// several on a staging buffer of the entry's Elems, whose r-th of w
-// equal parts holds rank r's chunks of its buckets, each padded to its
-// bucket's largest chunk: copied in at launch, every peer's copied out
-// into the flats when the gather lands (restage). A failed group gather
-// leaves all its buckets sharded. The staging, a buffer per group of
-// several as all may be in flight at once, counts toward no residency:
-// Stats.Gathers counts bucket gathers, the peaks and budgets buckets.
+// Launch groups: gathers launched at one visit can be one entry of
+// Gathers, one AllGatherV, paying one collective's latency. As installed
+// the plan joins only those read first by one visit, so no visit waits
+// for a transfer it does not read. Over its first synchronized steps the
+// wrapper measures how long each visit computes and how long its gathers
+// take (the group's ring), every rank fits one link from every rank's
+// samples, and the plan is made once more for it: a gather also joins
+// the entry launched before it when the compute between their first
+// readers is shorter than the link's fixed cost (reduce.PlanStep has the
+// derivation). A Rebind measures afresh. A group of one bucket is
+// gathered in place on its flat; one of several on a staging buffer of
+// the entry's Elems, whose r-th of w equal parts holds rank r's chunks
+// of its buckets, each padded to its bucket's largest chunk: copied in
+// at launch, every peer's copied out into the flats when the gather
+// lands (restage). A failed group gather leaves all its buckets
+// sharded. The staging, a buffer per group of several as all may be in
+// flight at once, counts toward no residency: Stats.Gathers counts
+// bucket gathers, the peaks and budgets buckets.
 //
 // The bitwise contract: fsdp uses the SAME bucket assignment as DDP
 // (reverse registration order, cap-based packing) and comm's sharded

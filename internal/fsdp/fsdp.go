@@ -3,6 +3,8 @@ package fsdp
 import (
 	"errors"
 	"fmt"
+	"math"
+	"time"
 
 	"repro/internal/autograd"
 	"repro/internal/comm"
@@ -110,8 +112,8 @@ type Stats struct {
 	// transient gradient buffers release after every step.
 	PeakGradBytes int
 	// StagingBytes is the launch groups' staging (see group): allocated
-	// once per install, held for the wrapper's life, and outside every
-	// residency count above.
+	// per plan — at install and once the link is measured — held until
+	// the next, and outside every residency count above.
 	StagingBytes int
 	// Gathers counts bucket gathers — the buckets parameter AllGatherVs
 	// fill, several to one collective for a launch group. A step gathers
@@ -121,6 +123,10 @@ type Stats struct {
 	Gathers int
 	// Reduces counts gradient ReduceScatterV launches.
 	Reduces int
+	// Link is the link the step's plan was made for: zero until the
+	// wrapper has measured it over its first synchronized steps (see
+	// probe), and again after a Rebind.
+	Link reduce.Link
 }
 
 // FSDP wraps an nn.Module for sharded data parallel training with a
@@ -161,6 +167,7 @@ type FSDP struct {
 	groups   []group
 	next     int
 	inflight []gather
+	probe    probe
 
 	residentParam int // current resident param bytes
 	stats         Stats
@@ -175,9 +182,47 @@ const (
 	gathered                   // the flat holds every rank's chunk
 )
 
+// fitSteps is how many synchronized steps the wrapper measures its link
+// and compute over before it plans once more (probe).
+const fitSteps = 3
+
+// fitSamples is how many of the group's latest AllGatherVs each rank
+// contributes to the fit: the ring's 64 (comm.ShardedGroup.Recorded).
+const fitSamples = 64
+
+// probe measures what the plan's launch groups depend on over the first
+// fitSteps synchronized steps after an install: how long each visit
+// computes, its gather waits excluded, and, from the group's ring, how
+// long its gathers take. Then every rank fits the same link from every
+// rank's samples and the wrapper plans once more (fit).
+type probe struct {
+	steps   int       // synchronized steps measured; past fitSteps once fitted
+	landed  time.Time // when the running visit's gathers had landed
+	compute []float64 // each visit's least compute so far, seconds
+}
+
+// measuring reports whether the running step is one the probe measures.
+func (p *probe) measuring() bool { return p.steps < fitSteps }
+
+// reset starts measuring a layout of nv visits afresh.
+func (p *probe) reset(nv int) {
+	*p = probe{compute: make([]float64, nv)}
+	for v := range p.compute {
+		p.compute[v] = math.Inf(1)
+	}
+}
+
+// stamp closes visit v−1's compute, if v > 0, at the start of visit v
+// (2n closes the last backward visit).
+func (p *probe) stamp(v int) {
+	if p.measuring() && v > 0 {
+		p.compute[v-1] = min(p.compute[v-1], time.Since(p.landed).Seconds())
+	}
+}
+
 // group is one entry of the plan's Gathers, a launch group, and what
 // running it takes: several buckets are gathered through a staging
-// buffer (see restage) Elems long, allocated per install.
+// buffer (see restage) Elems long, allocated per plan.
 type group struct {
 	*reduce.Collective
 	staging []float32
@@ -275,7 +320,12 @@ func (f *FSDP) installShards() error {
 	f.residentParam = f.stats.FullParamBytes // params start resident
 	f.shardAll()
 	f.stats.PeakParamBytes = f.residentParam
-	return f.mapUnits()
+	f.stats.Link = reduce.Link{}
+	if err := f.mapUnits(nil); err != nil {
+		return err
+	}
+	f.probe.reset(2 * len(f.units))
+	return nil
 }
 
 // shardAll drops every bucket's non-owned parameter ranges — the step
@@ -289,17 +339,19 @@ func (f *FSDP) shardAll() {
 }
 
 // mapUnits plans the step over the module's units (replica.Units)
-// within the preset's budget (reduce.PlanStep): a group with its staging
+// within the preset's budget (reduce.PlanStep), for Stats.Link and
+// compute[v], the seconds visit v computes: a group with its staging
 // per entry of Gathers, and the bound on resident parameter bytes. It
 // returns the Check error of the step it will run.
-func (f *FSDP) mapUnits() error {
+func (f *FSDP) mapUnits(compute []float64) error {
 	units, counts := replica.Units(f.Module())
 	f.units, f.unitBuckets = units, reduce.UnitBuckets(f.Assignment(), counts)
 	elems, w := f.Assignment().BucketElems, f.ProcessGroup().Size()
-	f.plan = reduce.PlanStep(f.unitBuckets, elems, f.budget(f.unitBuckets, elems), w)
-	if err := reduce.Schedule(f.Assignment(), f.unitBuckets, &f.plan).Check(f.unitBuckets); err != nil {
+	plan := reduce.PlanStep(f.unitBuckets, elems, f.budget(f.unitBuckets, elems), w, f.stats.Link, compute)
+	if err := reduce.Schedule(f.Assignment(), f.unitBuckets, &plan).Check(f.unitBuckets); err != nil {
 		return fmt.Errorf("fsdp: %w", err)
 	}
+	f.plan = plan
 	f.stats.BudgetParamBytes = min(f.stats.FullParamBytes, f.stats.ShardParamBytes+4*((f.plan.Budget+f.NumBuckets())*(w-1)/w))
 
 	// Staging: a buffer per group of several buckets, as all of them may
@@ -466,11 +518,77 @@ func (f *FSDP) drain() error {
 // (and the caller's loss construction) intact while the iteration's
 // results are doomed to be discarded.
 func (f *FSDP) advance(v int) {
+	f.probe.stamp(v)
 	for ; !f.Failed() && f.next < len(f.groups) && f.groups[f.next].Submit <= v; f.next++ {
 		f.launch(&f.groups[f.next])
 	}
 	for len(f.inflight) > 0 && f.inflight[0].g.Wait <= v {
 		f.Defer(f.land())
+	}
+	if f.probe.measuring() {
+		f.probe.landed = time.Now()
+	}
+}
+
+// fit is the probe's end, at the first Forward after fitSteps
+// synchronized steps, a collective every rank enters there. One
+// AllGather exchanges every rank's samples: its compute per visit and
+// its latest AllGatherVs, as sizes and durations. A rank that entered a
+// gather early waits for its peers in it, and one that entered late
+// finds their chunks in flight, so one rank's durations carry the entry
+// skew with opposite signs; the mean over the ranks of each gather
+// cancels it before reduce.FitLink takes the lower envelope. Every rank
+// thus fits the same link from the same numbers, plans the same step
+// for it, and runs it from this Forward on. The probe ends whether or
+// not the exchange succeeds; a group that failed it is a broken one.
+func (f *FSDP) fit() error {
+	f.probe.steps++
+	nv, w := len(f.probe.compute), f.ProcessGroup().Size()
+	src := make([]float32, nv+2*fitSamples)
+	for v, c := range f.probe.compute {
+		src[v] = float32(c)
+	}
+	gatherSamples(src[nv:], f.sg.Recorded())
+	all := make([][]float32, w)
+	for r := range all {
+		all[r] = make([]float32, len(src))
+	}
+	if err := f.sg.AllGather(all, src).Wait(); err != nil {
+		return fmt.Errorf("exchanging link samples: %w", err)
+	}
+	compute := make([]float64, nv)
+	for v := range compute {
+		for _, s := range all {
+			compute[v] += float64(s[v]) / float64(w)
+		}
+	}
+	var bytes, seconds []float64
+	for i := nv; i < len(src); i += 2 {
+		size, mean := all[0][i], 0.0
+		for _, s := range all {
+			if s[i] != size {
+				size = 0 // the ranks' slots hold different gathers
+			}
+			mean += float64(s[i+1]) / float64(w)
+		}
+		if size > 0 {
+			bytes, seconds = append(bytes, float64(size)), append(seconds, mean)
+		}
+	}
+	f.stats.Link = reduce.FitLink(bytes, seconds)
+	return f.mapUnits(compute)
+}
+
+// gatherSamples writes the newest AllGatherVs of recs, a group's ring,
+// into samples as pairs of bytes and seconds, newest first, until it is
+// full: every rank completed the same gathers, whatever else its ring
+// holds.
+func gatherSamples(samples []float32, recs []comm.Record) {
+	for i := len(recs) - 1; i >= 0 && len(samples) > 0; i-- {
+		if r := recs[i]; r.Kind == "all_gather_v" {
+			samples[0], samples[1] = float32(4*r.Elems), float32(r.End.Sub(r.Start).Seconds())
+			samples = samples[2:]
+		}
 	}
 }
 
@@ -488,6 +606,9 @@ func (f *FSDP) advance(v int) {
 // afterwards panics. The return value, x and the parameters stay.
 func (f *FSDP) Forward(x *autograd.Variable) *autograd.Variable {
 	f.BeginForward(true, f.drain())
+	if f.probe.steps == fitSteps && !f.Failed() && f.ProcessGroup().Size() > 1 {
+		f.Defer(f.fit())
+	}
 	f.next = 0
 	last := 2*len(f.units) - 1
 	out := f.Input(x)
@@ -541,6 +662,7 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 		return f.abandon(err)
 	}
 	autograd.Backward(loss, nil)
+	f.probe.stamp(2 * len(f.units))
 	if err := f.TakeDeferred("backward"); err != nil {
 		return f.abandon(err)
 	}
@@ -566,6 +688,9 @@ func (f *FSDP) Backward(loss *autograd.Variable) error {
 	}
 	f.Synchronized()
 	f.ReleaseForward()
+	if f.probe.measuring() {
+		f.probe.steps++
+	}
 	return nil
 }
 

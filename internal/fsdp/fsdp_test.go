@@ -662,6 +662,10 @@ func (g *scriptedGroup) AllGather([][]float32, []float32) comm.Work   { return c
 func (g *scriptedGroup) Barrier() comm.Work                           { return comm.CompletedWork(nil) }
 func (g *scriptedGroup) Close() error                                 { return nil }
 
+// Recorded returns no collectives: a scripted world never measures its
+// link, and runs the plan it was installed with.
+func (g *scriptedGroup) Recorded() []comm.Record { return nil }
+
 var _ comm.ShardedGroup = (*scriptedGroup)(nil)
 
 // loggedUnit logs when the wrapped unit's forward runs and when its
@@ -849,7 +853,9 @@ var deepFixture = fixture{"deep", func() nn.Module {
 }, -1, tIn, tOut}
 
 // TestGatherPlanOfTheBenchmarkLayout pins the plan mapUnits emits for
-// the benchmark's model — four buckets in reverse registration order,
+// the benchmark's model before a link is measured (a scripted group
+// records no collective, so its wrapper never fits one) — four buckets
+// in reverse registration order,
 // every block reading its own bucket and, by its last bias, the next
 // block's — its four gathers, which are the entries the wrapper runs
 // and the ones reduce.Schedule lists, and that a Forward leaves the turn
@@ -858,6 +864,9 @@ var deepFixture = fixture{"deep", func() nn.Module {
 func TestGatherPlanOfTheBenchmarkLayout(t *testing.T) {
 	s := newScripted(t, bertFixture, 0, 2)
 	f := s.f
+	if got := f.Stats().Link; got != (reduce.Link{}) {
+		t.Fatalf("installed for the link %+v, want none", got)
+	}
 	if got := planSeq(f); got != "[3 2 1 0 3]" {
 		t.Fatalf("plan launches %s, want [3 2 1 0 3]", got)
 	}

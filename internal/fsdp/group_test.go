@@ -144,9 +144,9 @@ func TestWarmStepAllocatesNoStaging(t *testing.T) {
 
 // TestStatsReportStaging: the launch groups' staging is memory a rank
 // holds beside its shards and gathered buckets, and Stats says how much:
-// every region of the arena. On the benchmark's layout at world 2 that
-// is u0's group of buckets 3 and 2, 2·(99 072 + 99 136) elements:
-// 1 585 664 bytes a rank.
+// every region of the arena. On the benchmark's layout at world 2, as
+// installed, before a link is measured, that is u0's group of buckets 3
+// and 2, 2·(99 072 + 99 136) elements: 1 585 664 bytes a rank.
 func TestStatsReportStaging(t *testing.T) {
 	const world = 2
 	groups := inProcGroups(t, world)
@@ -162,6 +162,9 @@ func TestStatsReportStaging(t *testing.T) {
 			regions := 0
 			for _, g := range f.groups {
 				regions += 4 * len(g.staging)
+			}
+			if got := f.Stats().Link; got != (reduce.Link{}) {
+				return fmt.Errorf("%s: installed for the link %+v, want none", c.strategy, got)
 			}
 			if got := f.Stats().StagingBytes; got != regions || (c.want >= 0 && got != c.want) {
 				return fmt.Errorf("%s: Stats reports %d staging bytes; the groups hold %d, want %d", c.strategy, got, regions, c.want)

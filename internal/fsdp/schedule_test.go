@@ -67,7 +67,10 @@ func unitCounts(module nn.Module) []int {
 // other: the collectives a real ddp, zero2 or zero3 replica submits in
 // its second synchronized step, by kind, size and order, on every rank,
 // are the ones replica.Schedule lists for that replica's layout and units — the
-// schedule simnet walks.
+// schedule simnet walks. A sharded replica plans once more after its
+// probe's fitSteps steps, for the link it measured (in process, joining
+// gathers or not by how the run's timing falls): the step after that
+// re-plan submits what reduce.Schedule lists for the new plan.
 func TestStepMatchesSchedule(t *testing.T) {
 	for _, fx := range []fixture{bertFixture, deepFixture} {
 		for _, strategy := range []string{"ddp", "zero2", "zero3"} {
@@ -75,9 +78,10 @@ func TestStepMatchesSchedule(t *testing.T) {
 				t.Run(fx.name+"/"+strategy+"/"+worldName(world), func(t *testing.T) {
 					t.Parallel()
 					groups := inProcGroups(t, world)
-					batches, labels := fx.makeData(world, 2)
+					batches, labels := fx.makeData(world, fitSteps+2)
 					recs := make([]*recorder, world)
 					reps := make([]replica.Replica, world)
+					second := make([][]string, world)
 					runRanks(t, world, func(rank int) error {
 						rec := &recorder{ShardedGroup: groups[rank].(comm.ShardedGroup)}
 						r, err := scheduleReplica(strategy, fx, rec)
@@ -92,6 +96,9 @@ func TestStepMatchesSchedule(t *testing.T) {
 							if err := r.Backward(autograd.MSELoss(r.Forward(x), y)); err != nil {
 								return err
 							}
+							if i == 1 {
+								second[rank] = rec.log
+							}
 						}
 						return nil
 					})
@@ -101,22 +108,34 @@ func TestStepMatchesSchedule(t *testing.T) {
 							Module() nn.Module
 						})
 						assign := core.Assignment()
-						step, err := replica.Schedule(strategy, assign, reduce.UnitBuckets(assign, unitCounts(core.Module())), world)
+						units := reduce.UnitBuckets(assign, unitCounts(core.Module()))
+						step, err := replica.Schedule(strategy, assign, units, world)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := make([]string, len(step))
-						for i, c := range step {
-							want[i] = fmt.Sprintf("%v[%d]", c.Kind, c.Elems)
-						}
-						if got := recs[rank].log; fmt.Sprint(got) != fmt.Sprint(want) {
+						if got, want := second[rank], logOf(step); fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("rank %d submitted\n%v\nthe schedule lists\n%v", rank, got, want)
+						}
+						if f, ok := r.(*FSDP); ok {
+							step = reduce.Schedule(assign, units, &f.plan)
+						}
+						if got, want := recs[rank].log, logOf(step); fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("rank %d submitted after the re-plan\n%v\nthe schedule lists\n%v", rank, got, want)
 						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// logOf is how a recorder logs step's collectives.
+func logOf(step reduce.Step) []string {
+	out := make([]string, len(step))
+	for i, c := range step {
+		out[i] = fmt.Sprintf("%v[%d]", c.Kind, c.Elems)
+	}
+	return out
 }
 
 // scheduleReplica builds the fixture's model as a replica of strategy

@@ -2,19 +2,61 @@ package reduce
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 )
 
-// Plan is one sharded training step's parameter-gather schedule, computed
-// as data once per install or rebind. A step makes 2n visits to its n
-// units: the forward visits of units 0…n−1, then the backward visits of
-// units n−1…0. A visit reads the buckets its unit's parameters touch.
+// Link is what one collective costs on a process group in the α–β
+// model: Alpha seconds whatever its size, plus Beta seconds per byte of
+// the buffer it runs on. The zero Link is an unmeasured one.
+type Link struct{ Alpha, Beta float64 }
+
+// FitLink fits a Link to collectives of bytes[i] bytes that took
+// seconds[i]: the least-squares line through their lower envelope, the
+// fastest sample of each size, which drops what a slower one adds — a
+// wait for a late peer, a descheduled worker. With fewer than two sizes
+// sampled there is no line, and it returns the zero Link. A negative
+// intercept or slope, which noise can give, is clamped at zero and the
+// other term refitted.
+func FitLink(bytes, seconds []float64) Link {
+	fastest := map[float64]float64{}
+	for i, x := range bytes {
+		if t, ok := fastest[x]; !ok || seconds[i] < t {
+			fastest[x] = seconds[i]
+		}
+	}
+	if len(fastest) < 2 {
+		return Link{}
+	}
+	// Summed in size order, so that every rank fitting the same samples
+	// gets the same bits.
+	var n, sx, sy, sxx, sxy float64
+	for _, x := range slices.Sorted(maps.Keys(fastest)) {
+		y := fastest[x]
+		n, sx, sy, sxx, sxy = n+1, sx+x, sy+y, sxx+x*x, sxy+x*y
+	}
+	beta := (n*sxy - sx*sy) / (n*sxx - sx*sx)
+	alpha := (sy - beta*sx) / n
+	switch {
+	case beta < 0:
+		return Link{Alpha: max(0, sy/n)}
+	case alpha < 0:
+		return Link{Beta: sxy / sxx}
+	}
+	return Link{alpha, beta}
+}
+
+// Plan is one sharded training step's parameter-gather schedule,
+// computed as data per install or rebind, and once more for a measured
+// link. A step makes 2n visits to its n units: the forward visits of
+// units 0…n−1, then the backward visits of units n−1…0. A visit reads
+// the buckets its unit's parameters touch.
 type Plan struct {
 	// Gathers are the step's AllGatherVs in launch order, each submitted
 	// at the visit that launches it and waited for by the first visit
-	// that reads it. Those launched at one visit for one reader are one
-	// entry, a launch group. A bucket dropped and read again is gathered
-	// again.
+	// that reads any of its buckets. An entry of several buckets is a
+	// launch group (see PlanStep for which gathers join). A bucket
+	// dropped and read again is gathered again.
 	Gathers Step
 	// Free[v] lists the buckets dropped once visit v has run.
 	Free [][]int
@@ -43,11 +85,12 @@ func PrefetchBudget(unitBuckets [][]int, size []int) int {
 // PlanStep computes the plan for units whose parameters touch
 // unitBuckets[u], bucket b holding size[b] elements, that keeps the
 // resident buckets within budget elements, at world w. Every rank
-// derives the same plan from the same layout; only the gathers' Elems
-// depend on the world size (GatherElems).
+// derives the same plan from the same layout, link and compute; only the
+// gathers' Elems depend on the world size (GatherElems).
 //
 // Within the budget, a step is a caching problem over the visits'
-// reads, solved in two passes:
+// reads, solved in two passes, and the launches it finds are grouped by
+// the link:
 //
 //   - Which gathers happen, by Belady's rule (L. A. Belady, "A study of
 //     replacement algorithms for a virtual-storage computer", IBM
@@ -65,16 +108,28 @@ func PrefetchBudget(unitBuckets [][]int, size []int) int {
 //     gathers in order, each launches at the earliest visit, no earlier
 //     than the gather before it nor before its bucket's last drop, from
 //     which it fits the budget until the visit that reads it.
+//   - Which gathers launched at one visit run as one collective, a
+//     launch group, from the link and compute[v], the seconds visit v
+//     computes. A gather joins the entry launched at the same visit
+//     before it when both are first read at one visit, or when the
+//     compute between their first readers is shorter than the link's α.
+//     Let them land at E one after the other, their readers be r < r′
+//     with compute C between them, and the later gather hold b′ bytes.
+//     Apart, r′ starts at E + max(C, α + βb′); joined, the entry lands at
+//     E + βb′ and r′ starts at E + βb′ + C. Joining saves α − C when C <
+//     α and otherwise costs at most βb′. The zero Link joins only
+//     gathers with one first reader.
 //
-// A visit waits for exactly the buckets it reads. With buckets of equal
-// size no plan within the budget gathers less; with unequal sizes the
-// rule is a heuristic that can gather once more than the fewest. A
-// budget that holds every bucket never drops one before its last read:
-// each is gathered once, all launched at the first visit. A visit that
-// reads more than the budget, or a backward that must hold more — buckets
-// read by units far apart, as tied weights are — has no plan within it,
-// and gets one that holds what the visit or backward must.
-func PlanStep(unitBuckets [][]int, size []int, budget, w int) Plan {
+// A visit waits for the entries of which it is the first to read a
+// bucket. With buckets of equal size no plan within the budget gathers
+// less; with unequal sizes the rule is a heuristic that can gather once
+// more than the fewest. A budget that holds every bucket never drops one
+// before its last read: each is gathered once, all launched at the first
+// visit. A visit that reads more than the budget, or a backward that
+// must hold more — buckets read by units far apart, as tied weights are
+// — has no plan within it, and gets one that holds what the visit or
+// backward must.
+func PlanStep(unitBuckets [][]int, size []int, budget, w int, link Link, compute []float64) Plan {
 	n, nb := len(unitBuckets), len(size)
 	nv := 2 * n
 
@@ -133,6 +188,16 @@ func PlanStep(unitBuckets [][]int, size []int, budget, w int) Plan {
 		}
 	}
 
+	// joins reports whether a gather first read at visit r2 joins an
+	// entry first read at r, launched at the same visit.
+	joins := func(r, r2 int) bool {
+		c := 0.0
+		for v := r; v < r2 && v < len(compute); v++ {
+			c += compute[v]
+		}
+		return r == r2 || c < link.Alpha
+	}
+
 	// Pass 2: launch each gather as early as the budget lets it.
 	resident := make([]int, nv) // elements resident while each visit runs
 	for _, g := range gathers {
@@ -152,9 +217,8 @@ func PlanStep(unitBuckets [][]int, size []int, budget, w int) Plan {
 			resident[v] += size[g.bucket]
 		}
 		prev, dropped[g.bucket] = at, g.drop
-		// A gather joins the entry before it when both share their visits.
 		last := len(p.Gathers) - 1
-		if last < 0 || p.Gathers[last].Submit != at || p.Gathers[last].Wait != g.read {
+		if last < 0 || p.Gathers[last].Submit != at || !joins(p.Gathers[last].Wait, g.read) {
 			p.Gathers, last = append(p.Gathers, Collective{AllGatherV, nil, 0, at, g.read}), last+1
 		}
 		c := &p.Gathers[last]

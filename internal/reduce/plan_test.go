@@ -2,11 +2,15 @@ package reduce
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/hw"
+	"repro/internal/models"
 )
 
 // planBudget is PrefetchBudget's bound on the resident elements: the
@@ -30,7 +34,7 @@ const planWorld = 3
 
 // prefetchPlan is the plan within PrefetchBudget, the ZeRO-3 preset's.
 func prefetchPlan(unitBuckets [][]int, size []int) Plan {
-	return PlanStep(unitBuckets, size, PrefetchBudget(unitBuckets, size), planWorld)
+	return PlanStep(unitBuckets, size, PrefetchBudget(unitBuckets, size), planWorld, Link{}, nil)
 }
 
 // checkPlan checks a plan within PrefetchBudget: its budget is
@@ -249,12 +253,149 @@ func TestPlanStepGathersTheFewest(t *testing.T) {
 }
 
 // TestPlanStepKeepsItsPromises checks the plans of random layouts of
-// mixed bucket sizes, where the farthest next read is only a heuristic.
+// mixed bucket sizes, where the farthest next read is only a heuristic,
+// for an unmeasured link and for a link and compute drawn at random,
+// which join gathers with different first readers. A link changes which
+// launches run together, never which gathers happen or when.
 func TestPlanStepKeepsItsPromises(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for range 20000 {
 		units, size := randomLayout(rng, 9, 27, func() int { return 1 + rng.Intn(10)*(1+99*rng.Intn(2)) })
-		checkPlan(t, prefetchPlan(units, size), units, size)
+		cut := prefetchPlan(units, size)
+		checkPlan(t, cut, units, size)
+		compute := make([]float64, 2*len(units))
+		for v := range compute {
+			compute[v] = rng.Float64()
+		}
+		joined := PlanStep(units, size, PrefetchBudget(units, size), planWorld, Link{Alpha: 2 * rng.Float64()}, compute)
+		checkPlan(t, joined, units, size)
+		if got, want := launches(joined.Gathers), launches(cut.Gathers); got != want || fmt.Sprint(joined.Free) != fmt.Sprint(cut.Free) {
+			t.Fatalf("layout %v: with a link the plan launches %s and frees %v, without %s and %v", units, got, joined.Free, want, cut.Free)
+		}
+	}
+}
+
+// launches writes each bucket a plan gathers with the visit that
+// launches it, in launch order.
+func launches(gathers Step) string {
+	var out []string
+	for _, g := range gathers {
+		for _, b := range g.Buckets {
+			out = append(out, fmt.Sprintf("%d@%d", b, g.Submit))
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// TestPlanStepJoinsByTheLink pins which gathers launched at one visit a
+// link joins. On the benchmark's layout u0 launches [3 2], which it
+// reads, and [1], which u1 reads after u0's 0.3 ms: at the shaped
+// link's α of 1.1 ms [1] joins them, and an α below u0's compute keeps
+// them apart. ResNet-50 at NCCL bandwidth over 32 ranks
+// (hw.DefaultCluster), one unit per parameter as simnet lays it out,
+// keeps the unmeasured link's cut under both presets: a gather's α of
+// about 0.28 ms is far below the forward compute between two buckets'
+// first readers.
+func TestPlanStepJoinsByTheLink(t *testing.T) {
+	bench := [][]int{{3, 2}, {2, 1}, {1, 0}, {0}, {0}}
+	benchSize := []int{198656, 198272, 198272, 198144}
+	benchCompute := []float64{0.3e-3, 0.3e-3, 0.3e-3, 0.3e-3, 0.3e-3, 0.6e-3, 0.6e-3, 0.6e-3, 0.6e-3, 0.6e-3}
+	for _, tc := range []struct {
+		name    string
+		link    Link
+		gathers string
+	}{
+		{"shaped link", Link{Alpha: 1.1e-3, Beta: 2.5e-9}, "[3 2 1] 0→0, [0] 1→2, [3] 8→9"},
+		{"α below u0's compute", Link{Alpha: 0.2e-3, Beta: 2.5e-9}, "[3 2] 0→0, [1] 0→1, [0] 1→2, [3] 8→9"},
+		{"unmeasured", Link{}, "[3 2] 0→0, [1] 0→1, [0] 1→2, [3] 8→9"},
+	} {
+		t.Run("benchmark/"+tc.name, func(t *testing.T) {
+			p := PlanStep(bench, benchSize, PrefetchBudget(bench, benchSize), planWorld, tc.link, benchCompute)
+			replayPlan(t, p, bench, benchSize)
+			if got := gathersString(p.Gathers); got != tc.gathers {
+				t.Fatalf("plan gathers %s, want %s", got, tc.gathers)
+			}
+		})
+	}
+
+	const world = 32
+	profile := models.ResNet50()
+	sizes := profile.Sizes()
+	assign, err := AssignBuckets(sizes, DefaultBucketCapBytes, 4, ReverseOrder(len(sizes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := UnitBuckets(assign, slices.Repeat([]int{1}, len(sizes)))
+	cluster, total := hw.DefaultCluster(), profile.TotalParams()
+	alpha := cluster.AllGatherSeconds(hw.NCCLLike, 4, world)
+	link := Link{alpha, (cluster.AllGatherSeconds(hw.NCCLLike, 1<<26, world) - alpha) / (1 << 26)}
+	if math.Abs(alpha-0.28e-3) > 0.02e-3 {
+		t.Fatalf("a tiny AllGatherV costs %.3g s, the text says about 0.28 ms", alpha)
+	}
+	prof := hw.ProfileScaled(hw.GPU, total, profile.ComputeIntensity)
+	compute := make([]float64, 2*len(sizes)) // each visit's share of its pass, by its parameter's size
+	for u, n := range sizes {
+		compute[u] = prof.ForwardSeconds * float64(n) / float64(total)
+		compute[2*len(sizes)-1-u] = prof.BackwardSeconds * float64(n) / float64(total)
+	}
+	whole := 0
+	for _, n := range assign.BucketElems {
+		whole += n
+	}
+	for _, budget := range []struct {
+		name  string
+		elems int
+	}{{"zero2", whole}, {"zero3", PrefetchBudget(units, assign.BucketElems)}} {
+		t.Run("resnet50-nccl-32/"+budget.name, func(t *testing.T) {
+			p := PlanStep(units, assign.BucketElems, budget.elems, world, link, compute)
+			cut := PlanStep(units, assign.BucketElems, budget.elems, world, Link{}, nil)
+			if got, want := gathersString(p.Gathers), gathersString(cut.Gathers); got != want {
+				t.Fatalf("with the NCCL link the plan gathers %s, without %s", got, want)
+			}
+			if !slices.ContainsFunc(cut.Gathers[1:], func(g Collective) bool { return g.Submit == cut.Gathers[0].Submit }) {
+				t.Fatalf("the cut %s launches one gather at the first visit: nothing a link could join", gathersString(cut.Gathers))
+			}
+		})
+	}
+}
+
+// TestFitLinkTakesTheLowerEnvelope: samples on a known line, each
+// doubled by a slower copy and joined by a lone slow outlier, fit that
+// line; one sampled size fits nothing, and noise that tilts the line
+// below zero is clamped. Noisy samples of many sizes fit the same bits
+// every time, as every rank must.
+func TestFitLinkTakesTheLowerEnvelope(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var noisyBytes, noisySeconds []float64
+	for range 64 {
+		x := float64(1 + rng.Intn(40))
+		noisyBytes, noisySeconds = append(noisyBytes, x), append(noisySeconds, 1e-3+1e-5*x+1e-4*rng.Float64())
+	}
+	first := FitLink(noisyBytes, noisySeconds)
+	for range 50 {
+		if got := FitLink(noisyBytes, noisySeconds); got != first {
+			t.Fatalf("the same samples fit %+v, then %+v", first, got)
+		}
+	}
+	want := Link{Alpha: 1e-3, Beta: 2.5e-9}
+	var bytes, seconds []float64
+	for _, x := range []float64{1e5, 4e5, 8e5, 1.6e6} {
+		t := want.Alpha + want.Beta*x
+		bytes, seconds = append(bytes, x, x), append(seconds, t+0.7e-3, t)
+	}
+	bytes, seconds = append(bytes, 4e5), append(seconds, 9e-3)
+	got := FitLink(bytes, seconds)
+	if math.Abs(got.Alpha-want.Alpha) > 1e-9 || math.Abs(got.Beta-want.Beta) > 1e-15 {
+		t.Fatalf("FitLink gives %+v, want %+v", got, want)
+	}
+	if got := FitLink([]float64{8e5, 8e5}, []float64{2e-3, 3e-3}); got != (Link{}) {
+		t.Fatalf("one size fits %+v, want the zero Link", got)
+	}
+	if got := FitLink([]float64{1e5, 2e5}, []float64{2e-3, 1e-3}); got.Beta != 0 || got.Alpha != 1.5e-3 {
+		t.Fatalf("a falling line fits %+v, want β 0 and α the mean 1.5 ms", got)
+	}
+	if got := FitLink([]float64{1e5, 2e5}, []float64{1e-3, 3e-3}); got.Alpha != 0 || got.Beta <= 0 {
+		t.Fatalf("a line through a negative intercept fits %+v, want α 0 and a positive β", got)
 	}
 }
 
@@ -313,7 +454,7 @@ func TestPlanStepWithinTheWholeModel(t *testing.T) {
 		for _, n := range size {
 			total += n
 		}
-		p := PlanStep(units, size, total, planWorld)
+		p := PlanStep(units, size, total, planWorld, Link{}, nil)
 		replayPlan(t, p, units, size)
 		nb := len(size)
 		each := make([]int, nb)

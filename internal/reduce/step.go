@@ -151,10 +151,11 @@ func Schedule(assign *Assignment, units [][]int, plan *Plan) Step {
 
 // Check returns an error naming the collective and the point at fault
 // unless the step can run over units (UnitBuckets): each collective is
-// waited for no earlier than it is submitted; a gather is waited for by
-// a visit that reads all of its buckets, and no visit reads one while it
-// is in flight; a reduce is submitted after the last visit reading its
-// buckets, and waited for no later than their updates (point 2n+b).
+// waited for no earlier than it is submitted; a gather is waited for at
+// the first visit that reads any of its buckets, no visit reads one of
+// them while it is in flight, and each is read once it has landed; a
+// reduce is submitted after the last visit reading its buckets, and
+// waited for no later than their updates (point 2n+b).
 func (s Step) Check(units [][]int) error {
 	n, last := len(units), map[int]int{} // last[b]: the last visit reading b
 	for v := range 2 * n {
@@ -169,21 +170,29 @@ func (s Step) Check(units [][]int) error {
 		if c.Wait < c.Submit {
 			return fail("the wait comes first")
 		}
+		if c.Kind != AllGatherV {
+			for _, b := range c.Buckets {
+				if v, read := last[b]; read && v >= c.Submit {
+					return fail("point %d still reads bucket %d", v, b) // backward still adds to b's gradient
+				}
+				if c.Wait > 2*n+b {
+					return fail("after bucket %d's update at point %d", b, 2*n+b)
+				}
+			}
+			continue
+		}
 		for _, b := range c.Buckets {
-			if v, read := last[b]; c.Kind != AllGatherV && read && v >= c.Submit {
-				return fail("point %d still reads bucket %d", v, b) // backward still adds to b's gradient
-			}
-			if c.Kind != AllGatherV && c.Wait > 2*n+b {
-				return fail("after bucket %d's update at point %d", b, 2*n+b)
-			}
-			for v := c.Submit; c.Kind == AllGatherV && v < c.Wait; v++ {
+			for v := c.Submit; v < c.Wait; v++ {
 				if slices.Contains(reads(units, v), b) {
 					return fail("point %d still reads bucket %d", v, b) // while the gather is in flight
 				}
 			}
-			if c.Kind == AllGatherV && !slices.Contains(reads(units, c.Wait), b) {
-				return fail("that point does not read bucket %d", b)
+			if v, read := last[b]; !read || v < c.Wait {
+				return fail("no point from there reads bucket %d", b)
 			}
+		}
+		if !slices.ContainsFunc(c.Buckets, func(b int) bool { return slices.Contains(reads(units, c.Wait), b) }) {
+			return fail("that point reads none of its buckets")
 		}
 	}
 	return nil

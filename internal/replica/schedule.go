@@ -47,8 +47,9 @@ func Units(module nn.Module) (units []nn.Module, counts []int) {
 // Schedule returns the collectives one synchronized step of strategy
 // submits at world w over the layout assign, for units whose parameters
 // touch units[u] (Units): "ddp" (or "") for the replicated step, else a
-// sharded preset's, planned within its Budget. It returns the step's
-// Check error, if any, beside it.
+// sharded preset's, planned within its Budget for an unmeasured link
+// (reduce.Link's zero value). It returns the step's Check error, if
+// any, beside it.
 func Schedule(strategy string, assign *reduce.Assignment, units [][]int, w int) (reduce.Step, error) {
 	var plan *reduce.Plan
 	if strategy != "" && strategy != "ddp" {
@@ -56,7 +57,7 @@ func Schedule(strategy string, assign *reduce.Assignment, units [][]int, w int) 
 		if err != nil {
 			return nil, fmt.Errorf("unknown strategy %q (want ddp, zero2 or zero3)", strategy)
 		}
-		p := reduce.PlanStep(units, assign.BucketElems, budget(units, assign.BucketElems), w)
+		p := reduce.PlanStep(units, assign.BucketElems, budget(units, assign.BucketElems), w, reduce.Link{}, nil)
 		plan = &p
 	}
 	step := reduce.Schedule(assign, units, plan)

@@ -2,9 +2,9 @@
 // randomness for randomized tests (SeededRand), a manually advanced
 // clock satisfying elastic.Clock (FakeClock) and the bit-for-bit tensor
 // comparison of the differential tests (SameBits), the tolerant one of
-// the rest (AllClose) and a metric's value as a scrape reads it
-// (Sample). Production code must
-// not import it.
+// the rest (AllClose), a metric's value as a scrape reads it (Sample)
+// and a latency- and bandwidth-bound link for in-process meshes
+// (Shaped). Production code must not import it.
 package testutil
 
 import (
