@@ -79,7 +79,9 @@
 // shows the failure elastic recovery alone cannot survive: every worker
 // crashes at -kill-step, and the supervisor restarts the whole world
 // with -resume, goroutines or processes alike — the run continues from
-// the last committed checkpoint instead of being lost:
+// the last committed checkpoint instead of being lost, its parameters,
+// optimizer state and, under -compress, rank 0's error-feedback
+// residuals at the save:
 //
 //	ddptrain -elastic -world 3 -iters 60 -kill-step 20 \
 //	    -ckpt-dir /tmp/ddpckpt -ckpt-every 5 -kill-all

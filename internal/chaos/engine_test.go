@@ -9,6 +9,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/strategy"
 )
@@ -120,7 +121,7 @@ func TestFaultHook(t *testing.T) {
 	m := chModel()
 	opt := optim.NewSGD(m.Parameters(), chLR)
 	opt.Momentum = 0.9
-	snap, cerr := ckpt.Capture(m, opt.FlatState(), ckpt.Meta{Generation: 1, Step: 2})
+	snap, cerr := ckpt.Capture(m, replica.State{Optimizer: opt.FlatState()}, ckpt.Meta{Generation: 1, Step: 2})
 	if cerr != nil {
 		t.Fatal(cerr)
 	}

@@ -85,9 +85,9 @@ type refWorker struct {
 	model nn.Module
 	r     replica.Replica // built by the first phase that steps this rank
 	// pending is the state beyond the model a worker adopted before it
-	// had a replica to hold it: a joiner's copy of rank 0's optimizer
-	// state and residuals (elastic state-sync), or a restart's
-	// checkpointed optimizer state.
+	// had a replica to hold it: rank 0's optimizer state and residuals,
+	// copied by a joiner (elastic state-sync) or by a restart (the
+	// checkpoint).
 	pending replica.State
 }
 
@@ -104,9 +104,9 @@ func (w *refWorker) state() replica.State {
 // reference replays a plan's membership lineage without failures: the
 // same steps at the same world sizes, with joiners adopting state from
 // rank 0 exactly like elastic state-sync, and a kill-all modeled as a
-// restart from the checkpointed (params, optimizer) with residuals
-// reset. Its end state is the oracle the bitwise invariant compares
-// survivors against.
+// restart from rank 0's params and whole replica state, which is what a
+// checkpoint holds. Its end state is the oracle the bitwise invariant
+// compares survivors against.
 type reference struct {
 	codec   string
 	workers []*refWorker
@@ -180,9 +180,9 @@ func (rf *reference) phase(start, end int64, world int) error {
 }
 
 // reset models the kill-all boundary: what survives the restart is
-// exactly the checkpoint — params and optimizer state, never residuals.
-// restore == 0 means nothing was committed and the respawned cluster
-// starts fresh from the model seed.
+// exactly the checkpoint — rank 0's params and replica state, residuals
+// included. restore == 0 means nothing was committed and the respawned
+// cluster starts fresh from the model seed.
 func (rf *reference) reset(restore int64) error {
 	if restore == 0 || len(rf.workers) == 0 {
 		rf.workers = nil
@@ -193,7 +193,7 @@ func (rf *reference) reset(restore int64) error {
 	if err := nn.CopyParameters(m, src.model); err != nil {
 		return fmt.Errorf("chaos reference: restart params: %w", err)
 	}
-	rf.workers = []*refWorker{{model: m, pending: replica.State{Optimizer: src.state().Optimizer}}}
+	rf.workers = []*refWorker{{model: m, pending: src.state()}}
 	return nil
 }
 

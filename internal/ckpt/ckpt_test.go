@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
@@ -37,7 +39,7 @@ func newTestState(t testing.TB, seed int64) (nn.Module, *optim.SGD) {
 
 func captureTest(t testing.TB, m nn.Module, opt *optim.SGD, meta Meta) *Snapshot {
 	t.Helper()
-	snap, err := Capture(m, opt.FlatState(), meta)
+	snap, err := Capture(m, replica.State{Optimizer: opt.FlatState()}, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +48,9 @@ func captureTest(t testing.TB, m nn.Module, opt *optim.SGD, meta Meta) *Snapshot
 
 // restoreInto is Restore with the optimizer vector installed into opt.
 func restoreInto(dir string, m nn.Module, opt *optim.SGD) (Meta, error) {
-	meta, flat, err := Restore(dir, m)
+	meta, st, err := Restore(dir, m)
 	if err == nil {
-		err = opt.SetFlatState(flat)
+		err = opt.SetFlatState(st.Optimizer)
 	}
 	return meta, err
 }
@@ -433,6 +435,53 @@ func TestTornCommitIsNeverLoaded(t *testing.T) {
 	}
 	if meta.Step != 10 {
 		t.Fatalf("torn commit was loaded: restored step %d, want 10", meta.Step)
+	}
+}
+
+// TestVersionOneIsRefusedByName: a version 1 checkpoint held no
+// error-feedback residuals, so restoring one would resume a codec run
+// with zeroed residuals. Its manifest and its shard header are each
+// refused with an error naming the version, and a directory holding
+// only it is unloadable, not empty.
+func TestVersionOneIsRefusedByName(t *testing.T) {
+	dir := t.TempDir()
+	m, opt := newTestState(t, 1)
+	// The version 1 blob: the optimizer as a field of its own, and no
+	// residuals. Decoded as today's image, it would restore zero
+	// residuals without a word.
+	var blob bytes.Buffer
+	var model bytes.Buffer
+	if err := nn.SaveState(&model, m); err != nil {
+		t.Fatal(err)
+	}
+	meta := Meta{Step: 5, World: 1}
+	if err := gob.NewEncoder(&blob).Encode(&struct {
+		Meta  Meta
+		Model []byte
+		Opt   []float32
+	}{meta, model.Bytes(), opt.FlatState()}); err != nil {
+		t.Fatal(err)
+	}
+	h := shardHeader{Version: 1, Step: meta.Step, World: 1, Length: uint64(blob.Len())}
+	name, err := writeShardFile(dir, h, blob.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := encodeManifest(&Manifest{Version: 1, Meta: meta, World: 1, BlobBytes: int64(blob.Len()),
+		Shards: []ShardRef{{File: name, Length: int64(blob.Len()), FileSize: shardFileSize(int64(blob.Len()))}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(dir, manifestFileName(0, meta.Step), enc); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = Restore(dir, testModel(2))
+	if err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), "manifest format version 1") {
+		t.Fatalf("restoring a version 1 checkpoint: got %v, want a refusal naming version 1", err)
+	}
+	if _, err := decodeShardHeader(encodeShardHeader(h)); err == nil || !strings.Contains(err.Error(), "shard format version 1") {
+		t.Fatalf("decoding a version 1 shard header: got %v, want a refusal naming version 1", err)
 	}
 }
 

@@ -1,26 +1,30 @@
 // Package ckpt is the durable checkpoint subsystem: it persists full
-// training state — model parameters and buffers (nn.SaveState),
-// optimizer state (the flat momentum vector a replica captures as
-// replica.State's Optimizer), and progress (step, generation, seed) —
-// to disk in parallel shards, and restores it on a cold start. It
-// closes the gap the elastic layer alone cannot: elastic recovery keeps
-// a run alive as long as one worker survives, but when every worker
-// dies at once, only state that reached disk survives.
+// training state — model parameters and buffers (nn.SaveState), the
+// replica's state beyond them (a replica.State, every field of it:
+// the flat momentum vector and the codec's error-feedback residuals),
+// and progress (step, generation, seed) — to disk in parallel shards,
+// and restores it on a cold start. It closes the gap the elastic layer
+// alone cannot: elastic recovery keeps a run alive as long as one
+// worker survives, but when every worker dies at once, only state that
+// reached disk survives.
 // Together the two subsystems cover the full failure matrix (see the
 // root package doc and ARCHITECTURE.md).
 //
 // # State model
 //
 // Capture serializes the complete training state into one byte blob
-// (a Snapshot). DDP's core invariant — every rank holds bit-identical
-// parameters, buffers, and optimizer state — means every rank produces
-// a byte-identical blob, so the blob can be split into contiguous
-// per-rank shards (ShardRange) with no cross-rank communication at all:
-// rank r persists bytes [off_r, off_r+len_r) of a blob it computed
-// locally. Checkpoint wall-clock cost therefore scales down with world
-// size instead of serializing through a single writer.
+// (a Snapshot), and every rank produces a byte-identical one. DDP's
+// core invariant makes parameters, buffers and optimizer state
+// bit-identical on every rank; residuals are per-rank, so the caller
+// hands every rank rank 0's before Capture (elastic broadcasts them at
+// the save point), and every rank adopts those on restore, as after a
+// state sync. The blob can therefore be split into contiguous per-rank
+// shards (ShardRange) with no further communication: rank r persists
+// bytes [off_r, off_r+len_r) of a blob it computed locally, so
+// checkpoint wall-clock cost scales down with world size instead of
+// serializing through a single writer.
 //
-// # On-disk format (FormatVersion 1)
+// # On-disk format (FormatVersion 2)
 //
 // A checkpoint at step S under elastic generation G in a world of W is:
 //
@@ -32,6 +36,9 @@
 // blob offset (8), payload length (8) — then the payload, then a
 // CRC32-IEEE trailer over everything before it. Manifests are a framed JSON record (magic, length, JSON, CRC32)
 // listing every shard's file name, byte range, and exact file size.
+// Both carry the format version, and readers refuse any other version
+// by name: a version 1 blob holds no residuals, and restoring it would
+// resume a codec run with zeroed error feedback.
 //
 // Every file is published with the same durability protocol: write to
 // <dir>/.tmp-<name>, fsync, rename to the final name, fsync the

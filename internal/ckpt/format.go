@@ -13,9 +13,9 @@ import (
 )
 
 // FormatVersion is the version of the on-disk checkpoint format. It is
-// recorded in every shard header and manifest; readers reject files
-// written by a newer version instead of misinterpreting them.
-const FormatVersion = 1
+// recorded in every shard header and manifest; readers refuse any other
+// version, older or newer, by name instead of misreading it.
+const FormatVersion = 2
 
 // Magic numbers distinguishing the two file kinds. A reader that opens
 // the wrong kind (or a torn/garbage file) fails on the first 8 bytes.
@@ -157,8 +157,8 @@ func decodeShardHeader(buf []byte) (shardHeader, error) {
 	}
 	le := binary.LittleEndian
 	h.Version = le.Uint32(buf[8:])
-	if h.Version > FormatVersion {
-		return h, fmt.Errorf("ckpt: shard format version %d is newer than supported %d", h.Version, FormatVersion)
+	if h.Version != FormatVersion {
+		return h, fmt.Errorf("ckpt: shard format version %d, this build reads only %d", h.Version, FormatVersion)
 	}
 	h.Generation = int64(le.Uint64(buf[12:]))
 	h.Step = int64(le.Uint64(buf[20:]))
@@ -256,8 +256,8 @@ func decodeManifest(raw []byte) (*Manifest, error) {
 	if err := json.Unmarshal(body[8+4:], &m); err != nil {
 		return nil, fmt.Errorf("ckpt: decoding manifest: %w", err)
 	}
-	if m.Version > FormatVersion {
-		return nil, fmt.Errorf("ckpt: manifest format version %d is newer than supported %d", m.Version, FormatVersion)
+	if m.Version != FormatVersion {
+		return nil, fmt.Errorf("ckpt: manifest format version %d, this build reads only %d", m.Version, FormatVersion)
 	}
 	return &m, nil
 }

@@ -32,13 +32,15 @@ func FuzzManifestLoad(f *testing.F) {
 		Version: FormatVersion, Generation: 3, Step: 1200,
 		World: 4, Rank: 1, Offset: 1 << 14, Length: 1 << 14,
 	}))
-	// A well-formed frame claiming a future format version must be
-	// rejected, not misread.
-	future, err := encodeManifest(&Manifest{Version: FormatVersion + 1})
-	if err != nil {
-		f.Fatalf("encoding future-version seed: %v", err)
+	// A well-formed frame claiming any other format version, older or
+	// newer, must be rejected, not misread.
+	for _, v := range []int{FormatVersion - 1, FormatVersion + 1} {
+		other, err := encodeManifest(&Manifest{Version: v})
+		if err != nil {
+			f.Fatalf("encoding version-%d seed: %v", v, err)
+		}
+		f.Add(other)
 	}
-	f.Add(future)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -47,8 +49,8 @@ func FuzzManifestLoad(f *testing.F) {
 			if m == nil {
 				t.Fatal("decodeManifest returned nil manifest and nil error")
 			}
-			if m.Version > FormatVersion {
-				t.Fatalf("decodeManifest accepted future version %d", m.Version)
+			if m.Version != FormatVersion {
+				t.Fatalf("decodeManifest accepted version %d", m.Version)
 			}
 			re, err := encodeManifest(m)
 			if err != nil {
@@ -67,8 +69,8 @@ func FuzzManifestLoad(f *testing.F) {
 
 		h, err := decodeShardHeader(raw)
 		if err == nil {
-			if h.Version > FormatVersion {
-				t.Fatalf("decodeShardHeader accepted future version %d", h.Version)
+			if h.Version != FormatVersion {
+				t.Fatalf("decodeShardHeader accepted version %d", h.Version)
 			}
 			if !bytes.Equal(encodeShardHeader(h)[:shardHeaderLen], raw[:shardHeaderLen]) {
 				t.Fatal("shard header round trip changed bytes")

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/nn"
+	"repro/internal/replica"
 )
 
 // ErrNoCheckpoint is returned by Load and Restore when the directory
@@ -92,20 +93,20 @@ func newestCommitted(dir, what string, try func(name string) error) error {
 }
 
 // Restore loads the newest committed checkpoint in dir into model and
-// returns its captured progress and optimizer vector (Snapshot.Apply).
+// returns its captured progress and replica state (Snapshot.Apply).
 // See Load for the fallback and error contract.
-func Restore(dir string, model nn.Module) (Meta, []float32, error) {
+func Restore(dir string, model nn.Module) (Meta, replica.State, error) {
 	start := time.Now()
 	snap, m, err := Load(dir)
 	if err != nil {
-		return Meta{}, nil, err
+		return Meta{}, replica.State{}, err
 	}
-	meta, opt, err := snap.Apply(model)
+	meta, st, err := snap.Apply(model)
 	if err == nil {
 		mRestoreDur.Observe(time.Since(start).Seconds())
 		mRestoreBytes.Set(float64(m.BlobBytes))
 	}
-	return meta, opt, err
+	return meta, st, err
 }
 
 // LatestMeta reports the progress of the newest committed checkpoint

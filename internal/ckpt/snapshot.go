@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/nn"
+	"repro/internal/replica"
 )
 
 // Meta is the training progress a checkpoint captures alongside the
@@ -30,18 +31,18 @@ type Meta struct {
 	Seed int64 `json:"seed"`
 }
 
-// image is the gob-encoded content of the state blob. Every rank holds
-// bit-identical state (DDP's invariant), encodes the same values with
-// the same encoder layout, and therefore produces byte-identical blobs
-// — which is what lets each rank persist only its slice of the blob.
+// image is the gob-encoded content of the state blob. Every rank
+// captures bit-identical values (its residuals are rank 0's, see
+// Capture), encodes them with the same encoder layout, and therefore
+// produces a byte-identical blob — which is what lets each rank persist
+// only its slice of the blob.
 type image struct {
 	Meta Meta
 	// Model is the nn.SaveState encoding of parameters and buffers,
 	// carrying its own format-version header.
 	Model []byte
-	// Opt is the optimizer's flattened state (nil when captured without
-	// one).
-	Opt []float32
+	// State is the replica's state beyond the model, every field of it.
+	State replica.State
 }
 
 // Snapshot is an immutable byte image of full training state, taken
@@ -56,14 +57,16 @@ type Snapshot struct {
 }
 
 // Capture serializes the full training state — model parameters and
-// buffers (via nn.SaveState), the optimizer's flattened state opt (a
-// replica's State.Optimizer; nil for none), and meta — into a Snapshot.
-func Capture(model nn.Module, opt []float32, meta Meta) (*Snapshot, error) {
+// buffers (via nn.SaveState), the replica's state st, and meta — into a
+// Snapshot. Each rank writes its slice of one blob, so every rank must
+// pass the same st: residuals are per-rank, and a multi-rank caller
+// passes rank 0's, as elastic.SyncState hands every rank the source's.
+func Capture(model nn.Module, st replica.State, meta Meta) (*Snapshot, error) {
 	var modelBuf bytes.Buffer
 	if err := nn.SaveState(&modelBuf, model); err != nil {
 		return nil, fmt.Errorf("ckpt: capturing model state: %w", err)
 	}
-	img := image{Meta: meta, Model: modelBuf.Bytes(), Opt: opt}
+	img := image{Meta: meta, Model: modelBuf.Bytes(), State: st}
 	var blob bytes.Buffer
 	if err := gob.NewEncoder(&blob).Encode(&img); err != nil {
 		return nil, fmt.Errorf("ckpt: encoding snapshot: %w", err)
@@ -86,20 +89,19 @@ func decodeSnapshot(blob []byte) (*Snapshot, error) {
 
 // Apply restores the snapshot's model state into model — bitwise: a
 // restored replica is indistinguishable from one that never crashed —
-// and returns the captured progress and the optimizer vector (nil if
-// none was captured), a fresh copy for the caller to install once the
-// replica that will hold it exists. The model must have the
-// architecture the checkpoint was taken from; mismatches are reported
-// by parameter name with both shapes.
-func (s *Snapshot) Apply(model nn.Module) (Meta, []float32, error) {
+// and returns the captured progress and replica state, a fresh copy
+// for the caller to install once the replica that will hold it exists.
+// The model must have the architecture the checkpoint was taken from;
+// mismatches are reported by parameter name with both shapes.
+func (s *Snapshot) Apply(model nn.Module) (Meta, replica.State, error) {
 	var img image
 	if err := gob.NewDecoder(bytes.NewReader(s.blob)).Decode(&img); err != nil {
-		return Meta{}, nil, fmt.Errorf("ckpt: decoding snapshot: %w", err)
+		return Meta{}, replica.State{}, fmt.Errorf("ckpt: decoding snapshot: %w", err)
 	}
 	if err := nn.LoadState(bytes.NewReader(img.Model), model); err != nil {
-		return Meta{}, nil, fmt.Errorf("ckpt: restoring model state: %w", err)
+		return Meta{}, replica.State{}, fmt.Errorf("ckpt: restoring model state: %w", err)
 	}
-	return img.Meta, img.Opt, nil
+	return img.Meta, img.State, nil
 }
 
 // ShardRange returns the byte range [offset, offset+length) of the

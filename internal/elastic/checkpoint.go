@@ -54,8 +54,9 @@ func (a *Agent) initCheckpoint() error {
 // restoreCheckpoint is the cold-start restore path: before the first
 // rendezvous, load the newest committed checkpoint (if resuming) and
 // adopt its step count. The worker then joins the rendezvous holding
-// restored progress — the model in its tensors, the rest pending until
-// a replica exists to install it into — so the existing
+// restored progress — the model in its tensors, the replica's state
+// (rank 0's residuals at the save among it) pending until a replica
+// exists to install it into — so the existing
 // most-advanced-member election and SyncState broadcast distribute the
 // restored state to every rank: a cold start is recovered by exactly
 // the mechanism that recovers a partial failure. Re-sharding is free:
@@ -83,8 +84,8 @@ func (a *Agent) restoreCheckpoint() error {
 }
 
 // restoreNewest loads the newest committed checkpoint: the model's
-// parameters and buffers go straight into its tensors, the optimizer
-// vector comes back for the caller to install once a replica laid out
+// parameters and buffers go straight into its tensors, the replica's
+// state comes back for the caller to install once a replica laid out
 // for the current world exists. Both users — a cold start and a sharded
 // world's rollback — record the first checkpoint they load for
 // RestoredCheckpoint.
@@ -92,7 +93,7 @@ func (a *Agent) restoreNewest() (replica.State, ckpt.Meta, error) {
 	if a.ck == nil {
 		return replica.State{}, ckpt.Meta{}, ckpt.ErrNoCheckpoint
 	}
-	meta, opt, err := ckpt.Restore(a.ck.cfg.Dir, a.model)
+	meta, st, err := ckpt.Restore(a.ck.cfg.Dir, a.model)
 	if err == nil {
 		a.mu.Lock()
 		if a.restored == nil {
@@ -100,7 +101,7 @@ func (a *Agent) restoreNewest() (replica.State, ckpt.Meta, error) {
 		}
 		a.mu.Unlock()
 	}
-	return replica.State{Optimizer: opt}, meta, err
+	return st, meta, err
 }
 
 // RestoredCheckpoint reports the progress record of the checkpoint this
@@ -132,6 +133,7 @@ func (a *Agent) maybeSaveCheckpoint() error {
 	a.mu.Lock()
 	step := a.step
 	assign := a.assign
+	pg := a.pg
 	cancel := a.saveCancel
 	a.mu.Unlock()
 	if step%ck.cfg.Every != 0 || assign == nil {
@@ -145,19 +147,23 @@ func (a *Agent) maybeSaveCheckpoint() error {
 	// Bring the full state into reach: the parameters into the model's
 	// tensors, the optimizer state into one vector — collectives where
 	// the state is sharded, which every rank reaches together because
-	// save points are a pure function of the shared step count. A
-	// failure there means a membership change is tearing the world down
-	// mid-save: abandon the save like one canceled at its commit barrier;
-	// the previous committed checkpoint remains and drives the recovery.
+	// save points are a pure function of the shared step count. Each
+	// rank writes its slice of one blob, so every rank captures rank 0's
+	// per-rank residuals, the ones a restore hands every rank, as
+	// SyncState does; without a codec there are none and nothing is
+	// broadcast. A failed collective means a membership change is tearing
+	// the world down mid-save: abandon the save like one canceled at its
+	// commit barrier; the previous committed checkpoint remains and
+	// drives the recovery.
 	r := a.Replica()
 	if r.Materialize() != nil {
 		return nil
 	}
 	st, err := r.CaptureState()
-	if err != nil {
+	if err != nil || len(st.Residuals) > 0 && pg.Broadcast(st.Residuals, 0).Wait() != nil {
 		return nil
 	}
-	snap, err := ckpt.Capture(a.model, st.Optimizer, ckpt.Meta{
+	snap, err := ckpt.Capture(a.model, st, ckpt.Meta{
 		Step:       step,
 		Generation: assign.Generation,
 		World:      assign.World,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/models"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/store"
 )
 
@@ -262,7 +263,7 @@ func TestCheckpointResumeFailsLoudlyWhenAllCorrupt(t *testing.T) {
 	m := models.NewMLP(7, testIn, testHidden, testClasses)
 	opt := optim.NewSGD(m.Parameters(), testLR)
 	w := &ckpt.Writer{Dir: dir, Committer: &ckpt.StoreCommitter{St: st}}
-	snap, err := ckpt.Capture(m, opt.FlatState(), ckpt.Meta{Step: 4, World: 1})
+	snap, err := ckpt.Capture(m, replica.State{Optimizer: opt.FlatState()}, ckpt.Meta{Step: 4, World: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/autograd"
+	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/ddp"
 	"repro/internal/models"
@@ -975,5 +977,57 @@ func TestSyncStateBroadcastsModelAndState(t *testing.T) {
 	}
 	if !anyNonZero(got[0].Optimizer) {
 		t.Fatal("synced optimizer state is all zeros; momentum was not transferred")
+	}
+}
+
+// TestStateFieldsTravelWhole: both paths that carry a replica.State
+// across ranks — a checkpoint (ckpt.Capture, then Apply) and SyncState
+// at world 2 — return every field of it unchanged. The fields are found
+// by reflection and each is filled with its own values, so a field added
+// to State that either path drops fails here.
+func TestStateFieldsTravelWhole(t *testing.T) {
+	var want replica.State
+	v := reflect.ValueOf(&want).Elem()
+	for i := range v.NumField() {
+		vals := make([]float32, 3+i)
+		for j := range vals {
+			vals[j] = float32(100*(i+1) + j)
+		}
+		v.Field(i).Set(reflect.ValueOf(vals))
+	}
+
+	snap, err := ckpt.Capture(testModel(), want, ckpt.Meta{Step: 1, World: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := snap.Apply(testModel()); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpoint returned %+v (%v), want %+v", got, err, want)
+	}
+
+	groups := comm.NewInProcGroups(2, comm.Options{})
+	defer func() {
+		for _, g := range groups {
+			g.Close()
+		}
+	}()
+	var got [2]replica.State
+	var errs [2]error
+	var wg sync.WaitGroup
+	for r := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var st replica.State
+			if r == 0 {
+				st = want
+			}
+			got[r], errs[r] = SyncState(groups[r], 0, testModel(), st)
+		}()
+	}
+	wg.Wait()
+	for r := range got {
+		if errs[r] != nil || !reflect.DeepEqual(got[r], want) {
+			t.Fatalf("SyncState gave rank %d %+v (%v), want %+v", r, got[r], errs[r], want)
+		}
 	}
 }

@@ -132,6 +132,73 @@ func TestFSDPElasticWorldShrinkReshardResume(t *testing.T) {
 	}
 }
 
+// TestFSDPRollbackInstallsCheckpointResiduals is the codec row beside
+// TestFSDPElasticWorldShrinkReshardResume: a ZeRO-3 world of 3 with the
+// 1-bit codec and per-rank batches loses a worker, and the survivors
+// roll back to the committed checkpoint. Its residuals, rank 0's at the
+// save, are what each survivor holds when the world of 2 steps first:
+// not zeros, and not its own, which per-rank batches make differ.
+func TestFSDPRollbackInstallsCheckpointResiduals(t *testing.T) {
+	const (
+		world     = 3
+		total     = 6
+		leaveStep = 2
+	)
+	dir := t.TempDir()
+	st := store.NewInMem(10 * time.Second)
+	defer st.Close()
+	reg := comm.NewInProcRegistry()
+	workers := make([]*testWorker, world)
+	for i := range workers {
+		cfg := testConfig(st, reg, fmt.Sprintf("w%d", i), world-1, world)
+		cfg.Checkpoint = &CheckpointConfig{Dir: dir, Every: 1}
+		cfg.Replica = func(m nn.Module, pg comm.ProcessGroup) (replica.Replica, error) {
+			return fsdp.New(m, pg, fsdp.Options{
+				Strategy: fsdp.ZeRO3, BucketCapBytes: testBucketCap, LR: testLR, Momentum: testMom,
+				SkipInitialBroadcast: true, NewCodec: oneBitFactory,
+			})
+		}
+		workers[i] = newTestWorker(t, cfg)
+	}
+	victim := world - 1
+	// Each survivor's residuals at its first step of the world of 2, and
+	// the newest checkpoint's then: no save lands before both survivors
+	// finish that step together, so it is the one they rolled back to.
+	var held, saved [world][]float32
+	errs := runCkptWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		base := fullWorld(w.agent, world, elasticStep)
+		return func(ctx StepContext) error {
+			if i == victim && ctx.Step == leaveStep {
+				w.agent.Leave()
+			}
+			if ctx.World == world-1 && ctx.Step > leaveStep && held[i] == nil {
+				held[i] = ctx.Replica.(*fsdp.FSDP).ResidualState()
+				snap, _, err := ckpt.Load(dir)
+				if err == nil {
+					var st replica.State
+					_, st, err = snap.Apply(testModel())
+					saved[i] = st.Residuals
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return base(ctx)
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	for i := range world - 1 {
+		if !anyNonZero(held[i]) {
+			t.Fatalf("survivor %d holds zero residuals after the rollback", i)
+		}
+		assertSameResiduals(t, fmt.Sprintf("survivor %d after the rollback", i), held[i], saved[i])
+	}
+}
+
 // TestFSDPElasticReshardWithoutCheckpointIsTerminal: a sharded world
 // cannot rebuild lost shards from a survivor, so a membership change
 // without a committed checkpoint must fail loudly instead of silently

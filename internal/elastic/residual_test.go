@@ -1,12 +1,15 @@
 package elastic
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/autograd"
+	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/ddp"
 	"repro/internal/optim"
@@ -299,4 +302,100 @@ func anyNonZero(v []float32) bool {
 		}
 	}
 	return false
+}
+
+// TestKillAllRestoresRankZeroResiduals: a checkpoint carries the
+// error-feedback residuals, rank 0's, so a cold restart after a
+// kill-all resumes with the residuals of the save step instead of
+// zeros. Batches differ per rank, so each rank's residuals are its
+// own: every rank writes its slice of one blob only because the save
+// hands every rank rank 0's first. After the restart every rank
+// installs exactly rank 0's residuals at the save.
+func TestKillAllRestoresRankZeroResiduals(t *testing.T) {
+	codecs := map[string]func() comm.Codec{
+		"1bit": oneBitFactory,
+		"fp16": func() comm.Codec { return comm.Float16Codec{} },
+	}
+	for name, codec := range codecs {
+		t.Run(name, func(t *testing.T) {
+			const (
+				world = 2
+				save  = 3 // the save step, where every worker dies
+			)
+			dir := t.TempDir()
+			var saved, installed [world][]float32
+			run := func(prefix string, resume bool, seed int64, mkStep func(*testWorker) StepFunc) []error {
+				st := store.NewInMem(10 * time.Second)
+				defer st.Close()
+				reg := comm.NewInProcRegistry()
+				workers := make([]*testWorker, world)
+				for i := range workers {
+					cfg := testConfig(st, reg, fmt.Sprintf("%s%d", prefix, i), world, world)
+					cfg.Replica = ddpReplica(ddp.Options{BucketCapBytes: testBucketCap, NewCodec: codec})
+					cfg.Checkpoint = &CheckpointConfig{Dir: dir, Every: save, Resume: resume}
+					workers[i] = newCkptWorker(t, cfg, seed+int64(i))
+				}
+				return runCkptWorkers(t, workers, save+1, func(_ int, w *testWorker) StepFunc { return mkStep(w) })
+			}
+			residuals := func(ctx StepContext) []float32 {
+				st, err := ctx.Replica.CaptureState()
+				if err != nil {
+					t.Error(err)
+				}
+				return st.Residuals
+			}
+
+			errs := run("w", false, 7, func(w *testWorker) StepFunc {
+				return func(ctx StepContext) error {
+					if ctx.Step < save {
+						return elasticStep(ctx)
+					}
+					// The save is synchronous: rank 0 steps on only once
+					// it has committed, and a follower only once every
+					// shard is in.
+					saved[ctx.Rank] = residuals(ctx)
+					w.agent.Kill()
+					return errors.New("simulated simultaneous crash")
+				}
+			})
+			for i, err := range errs {
+				if !errors.Is(err, ErrKilled) {
+					t.Fatalf("phase-1 worker %d returned %v, want ErrKilled", i, err)
+				}
+			}
+			if !anyNonZero(saved[0]) {
+				t.Fatal("rank 0 accumulated no residual; test is vacuous")
+			}
+			if slices.Equal(saved[0], saved[1]) {
+				t.Fatal("ranks hold the same residuals; per-rank data should make them differ")
+			}
+			snap, _, err := ckpt.Load(dir)
+			if err != nil {
+				t.Fatalf("the save step's checkpoint does not load: %v", err)
+			}
+			meta, st, err := snap.Apply(testModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Step != save {
+				t.Fatalf("newest checkpoint at step %d, want %d", meta.Step, save)
+			}
+			assertSameResiduals(t, "checkpoint", st.Residuals, saved[0])
+
+			errs = run("r", true, 100, func(*testWorker) StepFunc {
+				return func(ctx StepContext) error {
+					installed[ctx.Rank] = residuals(ctx)
+					return elasticStep(ctx)
+				}
+			})
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("resumed worker %d: %v", i, err)
+				}
+			}
+			for r := range installed {
+				assertSameResiduals(t, fmt.Sprintf("resumed rank %d", r), installed[r], saved[0])
+			}
+		})
+	}
 }

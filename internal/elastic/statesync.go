@@ -23,29 +23,30 @@ import (
 // accounted for, exactly when a reconfiguration has made the schedule
 // most fragile.
 //
-// Only the source's st is read. The vectors' lengths travel first: a
-// joiner has no replica yet — its replica is built from the model this
-// call fills — so it cannot size its receive buffers from one.
+// Only the source's st is read. It travels as State.Fields lists it,
+// each vector's length first: a joiner has no replica yet — its replica
+// is built from the model this call fills — so it cannot size its
+// receive buffers from one.
 //
 // Every rank must call SyncState with the same source (use
 // Assignment.Source so the choice is a pure function of the shared
 // membership).
 func SyncState(pg comm.ProcessGroup, source int, model nn.Module, st replica.State) (replica.State, error) {
-	lens := append(replica.Limbs(uint64(len(st.Optimizer))), replica.Limbs(uint64(len(st.Residuals)))...)
+	var lens []float32
+	for _, v := range st.Fields() {
+		lens = append(lens, replica.Limbs(uint64(len(*v)))...)
+	}
 	lensWork := pg.Broadcast(lens, source)
 	if err := errors.Join(replica.Align(pg, source, model), lensWork.Wait()); err != nil {
 		return st, fmt.Errorf("elastic: broadcasting model state: %w", err)
 	}
-	if pg.Rank() != source {
-		st = replica.State{
-			Optimizer: make([]float32, replica.FromLimbs(lens[:4])),
-			Residuals: make([]float32, replica.FromLimbs(lens[4:])),
-		}
-	}
 	var works []comm.Work
-	for _, v := range [][]float32{st.Optimizer, st.Residuals} {
-		if len(v) > 0 {
-			works = append(works, pg.Broadcast(v, source))
+	for i, v := range st.Fields() {
+		if pg.Rank() != source {
+			*v = make([]float32, replica.FromLimbs(lens[4*i:4*i+4]))
+		}
+		if len(*v) > 0 {
+			works = append(works, pg.Broadcast(*v, source))
 		}
 	}
 	if err := comm.WaitAll(works...); err != nil {

@@ -28,9 +28,6 @@ import (
 type Server struct {
 	shards []*shard
 	lr     float32
-
-	mu     sync.Mutex
-	pushes int
 }
 
 type shard struct {
@@ -93,9 +90,6 @@ func (s *Server) Push(grads []*tensor.Tensor) error {
 		}
 		sh.mu.Unlock()
 	}
-	s.mu.Lock()
-	s.pushes++
-	s.mu.Unlock()
 	return nil
 }
 

@@ -22,6 +22,8 @@
 package replica
 
 import (
+	"reflect"
+
 	"repro/internal/autograd"
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -72,11 +74,28 @@ type Replica interface {
 
 // State is the training state a replica keeps beyond the model's own
 // tensors, flattened in parameter order so it means the same thing at
-// every world size and under every bucket layout.
+// every world size and under every bucket layout. Optimizer is
+// identical on every rank; Residuals is per-rank, each rank's own
+// quantization error. A State that crosses ranks — through
+// elastic.SyncState or a checkpoint — carries its source's residuals,
+// and every rank that adopts it adopts those.
 type State struct {
 	// Optimizer is the momentum state, in optim.SGD.FlatState's layout.
 	Optimizer []float32
 	// Residuals is the wire codec's error-feedback residuals (empty
 	// without one).
 	Residuals []float32
+}
+
+// Fields points at each of the state's vectors in declaration order,
+// so code that moves a State vector by vector (elastic.SyncState)
+// carries a field added here with no edit of its own, as a
+// checkpoint, which encodes the struct whole, does.
+func (s *State) Fields() []*[]float32 {
+	v := reflect.ValueOf(s).Elem()
+	out := make([]*[]float32, v.NumField())
+	for i := range out {
+		out[i] = v.Field(i).Addr().Interface().(*[]float32)
+	}
+	return out
 }
