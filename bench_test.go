@@ -21,8 +21,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
-	"repro/internal/pipeline"
-	"repro/internal/ps"
 	"repro/internal/reduce"
 	"repro/internal/tensor"
 )
@@ -380,51 +378,5 @@ func BenchmarkCheckpointedBackward(b *testing.B) {
 				autograd.Backward(autograd.Sum(m.Forward(x)), nil)
 			}
 		})
-	}
-}
-
-// BenchmarkPipelineTrainBatch measures a 2-stage GPipe step with 4
-// micro-batches.
-func BenchmarkPipelineTrainBatch(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(2))
-	p, err := pipeline.New(
-		nn.NewSequential(nn.NewLinear(rng, "a", 32, 64), nn.Tanh{}),
-		nn.NewSequential(nn.NewLinear(rng, "b", 64, 8)),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.RandN(rng, 1, 32, 32)
-	y := tensor.RandN(rng, 1, 32, 8)
-	loss := func(out *autograd.Variable, target *tensor.Tensor) *autograd.Variable {
-		return autograd.MSELoss(out, autograd.Constant(target))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ZeroGrad()
-		if _, err := p.TrainBatch(x, y, 4, loss); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParameterServerStep measures one asynchronous pull/compute/
-// push cycle against a local server.
-func BenchmarkParameterServerStep(b *testing.B) {
-	b.ReportAllocs()
-	srv := ps.NewServer(models.NewMLP(1, 64, 128, 10), 0.01)
-	worker := ps.NewWorker(models.NewMLP(1, 64, 128, 10), srv)
-	rng := rand.New(rand.NewSource(3))
-	x := autograd.Constant(tensor.RandN(rng, 1, 8, 64))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := worker.Step(func() (float32, error) {
-			out := worker.Model.Forward(x)
-			autograd.Backward(autograd.Sum(out), nil)
-			return 0, nil
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -112,6 +112,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"os/exec"
 	"slices"
@@ -482,10 +483,11 @@ func run(o *options) (uint64, error) {
 	f := newFleet(o.world)
 	defer f.stop()
 	if o.rank == 0 {
-		srv, err := store.ServeTCP(o.store, 60*time.Second)
+		ln, err := net.Listen("tcp", o.store)
 		if err != nil {
 			return 0, fmt.Errorf("starting store: %w", err)
 		}
+		srv := store.ServeTCP(ln, 60*time.Second)
 		defer srv.Close()
 		for r := 1; o.launch && r < o.world; r++ {
 			c := *o
@@ -664,10 +666,11 @@ func supervise(o *options) (string, error) {
 	var st store.Store
 	var startWorker func(w *options) error
 	if o.launch {
-		srv, err := store.ServeTCP(o.store, 120*time.Second)
+		ln, err := net.Listen("tcp", o.store)
 		if err != nil {
 			return "", fmt.Errorf("starting store: %w", err)
 		}
+		srv := store.ServeTCP(ln, 120*time.Second)
 		defer srv.Close()
 		client, err := store.DialTCP(o.store)
 		if err != nil {

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 
 	"repro/internal/autograd"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/models"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/tensor"
 )
 
@@ -31,12 +33,22 @@ const (
 
 func main() {
 	for _, syncEvery := range []int{1, 4} {
-		acc, loss := train(syncEvery)
-		fmt.Printf("sync every %d: final loss %.4f, eval accuracy %.1f%%\n", syncEvery, loss, 100*acc)
+		a := train(syncEvery, iters)
+		fmt.Printf("sync every %d: loss %.4f -> %.4f, eval accuracy %.1f%%, replicas identical: %v\n",
+			syncEvery, a.firstLoss, a.finalLoss, 100*a.accuracy, a.identical)
 	}
 }
 
-func train(syncEvery int) (accuracy float64, finalLoss float32) {
+// arm is what one training run observed on rank 0.
+type arm struct {
+	firstLoss, finalLoss float32 // at the first and the last iteration
+	accuracy             float64 // on a held-out slice
+	identical            bool    // every rank ended on rank 0's parameters
+}
+
+// train runs iters iterations, synchronizing every syncEvery-th, on
+// `world` goroutine ranks.
+func train(syncEvery, iters int) arm {
 	dataset := data.NewSynthetic(7, 2048, imageSize*imageSize, classes)
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer func() {
@@ -45,8 +57,8 @@ func train(syncEvery int) (accuracy float64, finalLoss float32) {
 		}
 	}()
 
-	finals := make([]float32, world)
-	accs := make([]float64, world)
+	arms := make([]arm, world)
+	hashes := make([]uint64, world)
 	var wg sync.WaitGroup
 	for rank := 0; rank < world; rank++ {
 		wg.Add(1)
@@ -75,7 +87,10 @@ func train(syncEvery int) (accuracy float64, finalLoss float32) {
 				step := func() error {
 					out := d.Forward(x)
 					loss := autograd.CrossEntropyLoss(out, labels)
-					finals[rank] = loss.Value.Item()
+					if it == 0 {
+						arms[rank].firstLoss = loss.Value.Item()
+					}
+					arms[rank].finalLoss = loss.Value.Item()
 					return d.Backward(loss)
 				}
 				var err error
@@ -92,14 +107,16 @@ func train(syncEvery int) (accuracy float64, finalLoss float32) {
 					opt.ZeroGrad()
 				}
 				if rank == 0 && (it+1)%30 == 0 {
-					fmt.Printf("  [sync=%d] iter %3d loss %.4f\n", syncEvery, it+1, finals[rank])
+					fmt.Printf("  [sync=%d] iter %3d loss %.4f\n", syncEvery, it+1, arms[rank].finalLoss)
 				}
 			}
-			accs[rank] = evaluate(d, dataset)
+			hashes[rank] = replica.Hash(model.Parameters())
+			arms[rank].accuracy = evaluate(d, dataset)
 		}(rank)
 	}
 	wg.Wait()
-	return accs[0], finals[0]
+	arms[0].identical = !slices.ContainsFunc(hashes, func(h uint64) bool { return h != hashes[0] })
+	return arms[0]
 }
 
 // evaluate switches to eval mode (BatchNorm running stats) and measures

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/autograd"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/tensor"
 )
 
@@ -30,6 +32,19 @@ const (
 )
 
 func main() {
+	identical, maxDiff := compare()
+	fmt.Printf("\nafter %d iterations on identical data from identical initial weights:\n", iters)
+	fmt.Printf("  DDP replicas identical: %v\n", identical)
+	fmt.Printf("  max |gradient-sync - parameter-averaging| over all weights: %v\n", maxDiff)
+	fmt.Println("\nthe divergence comes from per-replica Adam state: each replica's second")
+	fmt.Println("moments track its own local gradients, so the averaged parameters follow a")
+	fmt.Println("different trajectory than DDP's mathematically-equivalent-to-local one (§2.2).")
+}
+
+// compare trains both fleets on the same data and reports whether the
+// DDP replicas end identical, and the largest weight difference between
+// the two fleets.
+func compare() (identical bool, maxDiff float32) {
 	dataRng := rand.New(rand.NewSource(3))
 	inputs := make([][]*tensor.Tensor, world)
 	targets := make([][]*tensor.Tensor, world)
@@ -40,27 +55,21 @@ func main() {
 		}
 	}
 
-	gradSync := trainGradientSync(inputs, targets)
+	gradSync, identical := trainGradientSync(inputs, targets)
 	paramAvg := trainParameterAveraging(inputs, targets)
-
-	var maxDiff float32
 	for i := range gradSync {
-		if d := gradSync[i].MaxAbsDiff(paramAvg[i]); d > maxDiff {
-			maxDiff = d
-		}
+		maxDiff = max(maxDiff, gradSync[i].MaxAbsDiff(paramAvg[i]))
 	}
-	fmt.Printf("\nafter %d iterations on identical data from identical initial weights:\n", iters)
-	fmt.Printf("  max |gradient-sync - parameter-averaging| over all weights: %v\n", maxDiff)
-	fmt.Println("\nthe divergence comes from per-replica Adam state: each replica's second")
-	fmt.Println("moments track its own local gradients, so the averaged parameters follow a")
-	fmt.Println("different trajectory than DDP's mathematically-equivalent-to-local one (§2.2).")
+	return identical, maxDiff
 }
 
-// trainGradientSync trains with DDP and returns rank 0's final weights.
-func trainGradientSync(inputs, targets [][]*tensor.Tensor) []*tensor.Tensor {
+// trainGradientSync trains with DDP and returns rank 0's final weights,
+// and whether every rank ended on them.
+func trainGradientSync(inputs, targets [][]*tensor.Tensor) ([]*tensor.Tensor, bool) {
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	defer closeAll(groups)
 	out := make([][]*tensor.Tensor, world)
+	hashes := make([]uint64, world)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
@@ -80,11 +89,11 @@ func trainGradientSync(inputs, targets [][]*tensor.Tensor) []*tensor.Tensor {
 				}
 				opt.Step()
 			}
-			out[rank] = snapshot(m.Parameters())
+			out[rank], hashes[rank] = snapshot(m.Parameters()), replica.Hash(m.Parameters())
 		}(r)
 	}
 	wg.Wait()
-	return out[0]
+	return out[0], !slices.ContainsFunc(hashes, func(h uint64) bool { return h != hashes[0] })
 }
 
 // trainParameterAveraging runs local Adam steps and then averages

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/autograd"
@@ -18,37 +19,50 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/replica"
 	"repro/internal/tensor"
 )
 
-func main() {
-	const world = 4
+const world = 4
 
+func main() {
+	hashes := run()
+	identical := !slices.ContainsFunc(hashes, func(h uint64) bool { return h != hashes[0] })
+	fmt.Printf("all %d ranks finished with identical models: %v\n", world, identical)
+}
+
+// run trains on `world` goroutine ranks and returns each rank's final
+// parameter hash.
+func run() []uint64 {
 	// initialize the process group (init_process_group)
 	groups := comm.NewInProcGroups(world, comm.Options{})
 
+	hashes := make([]uint64, world)
 	var wg sync.WaitGroup
 	for rank := 0; rank < world; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			if err := trainRank(rank, groups[rank]); err != nil {
+			var err error
+			if hashes[rank], err = trainRank(rank, groups[rank]); err != nil {
 				log.Fatalf("rank %d: %v", rank, err)
 			}
 		}(rank)
 	}
 	wg.Wait()
-	fmt.Println("all ranks finished with identical models")
+	return hashes
 }
 
-func trainRank(rank int, pg comm.ProcessGroup) error {
+// trainRank runs the paper's loop on one rank and returns its final
+// parameter hash.
+func trainRank(rank int, pg comm.ProcessGroup) (uint64, error) {
 	rng := rand.New(rand.NewSource(int64(rank))) // per-rank init; DDP broadcasts rank 0's
 
 	// setup model and optimizer
 	net := nn.NewLinear(rng, "net", 10, 10)
 	model, err := ddp.New(net, pg, ddp.Options{})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	opt := optim.NewSGD(model.Parameters(), 0.01)
 
@@ -63,7 +77,7 @@ func trainRank(rank int, pg comm.ProcessGroup) error {
 		// run backward pass (gradients AllReduce inside, overlapped)
 		loss := autograd.MSELoss(out, exp)
 		if err := model.Backward(loss); err != nil {
-			return err
+			return 0, err
 		}
 
 		// update parameters
@@ -74,5 +88,5 @@ func trainRank(rank int, pg comm.ProcessGroup) error {
 			fmt.Printf("iter %2d  loss %.4f  (buckets: %d)\n", iter+1, loss.Value.Item(), model.NumBuckets())
 		}
 	}
-	return nil
+	return replica.Hash(model.Parameters()), nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/autograd"
@@ -23,11 +24,20 @@ import (
 	"repro/internal/tensor"
 )
 
-const world = 2
+const (
+	world = 2
+	iters = 30
+)
 
 func main() {
-	demonstrateHangPrevention()
-	trainWithLayerDrop()
+	fmt.Println("without FindUnusedParameters, DDP reports instead of hanging:")
+	fmt.Printf("  %v\n\n", subGraphError())
+	r := trainWithLayerDrop()
+	fmt.Printf("LayerDrop training: rank 0 skipped the middle block %d/%d iterations (rank 1: %d/%d)\n",
+		r.skips[0], iters, r.skips[1], iters)
+	fmt.Printf("globally unused middle block: gradients untouched in %d/%d skipped iterations (rank 1: %d/%d)\n",
+		r.untouched[0], r.skips[0], r.untouched[1], r.skips[1])
+	fmt.Printf("replicas identical after %d dynamic-graph iterations: %v\n", iters, r.identical)
 }
 
 // towerModel runs fc1 and optionally the middle residual block.
@@ -58,9 +68,9 @@ func (m *towerModel) Parameters() []*nn.Parameter {
 func (m *towerModel) Buffers() []*nn.Buffer { return nil }
 func (m *towerModel) SetTraining(t bool)    { m.mid.SetTraining(t) }
 
-// demonstrateHangPrevention shows the error surfaced when a sub-graph
-// iteration runs without FindUnusedParameters.
-func demonstrateHangPrevention() {
+// subGraphError returns the error DDP raises when a sub-graph iteration
+// runs without FindUnusedParameters.
+func subGraphError() error {
 	groups := comm.NewInProcGroups(1, comm.Options{})
 	defer groups[0].Close()
 	rng := rand.New(rand.NewSource(1))
@@ -74,17 +84,25 @@ func demonstrateHangPrevention() {
 	_ = d.Forward(autograd.Constant(tensor.Ones(2, 8)))
 	// Loss built from a sub-graph that skips the second layer:
 	partial := used.Forward(autograd.Constant(tensor.Ones(2, 8)))
-	err = d.Backward(autograd.Sum(partial))
-	fmt.Println("without FindUnusedParameters, DDP reports instead of hanging:")
-	fmt.Printf("  %v\n\n", err)
+	return d.Backward(autograd.Sum(partial))
+}
+
+// layerDropRun is what trainWithLayerDrop observed.
+type layerDropRun struct {
+	// skips counts, per rank, the iterations LayerDrop skipped the middle
+	// block in, and untouched those of them whose backward left the
+	// block's gradients nil.
+	skips, untouched [world]int
+	// identical reports whether the ranks ended on the same parameters.
+	identical bool
 }
 
 // trainWithLayerDrop trains a LayerDrop tower with FindUnusedParameters
-// across 2 ranks and verifies the replicas stay identical.
-func trainWithLayerDrop() {
+// across 2 ranks.
+func trainWithLayerDrop() layerDropRun {
 	groups := comm.NewInProcGroups(world, comm.Options{})
 	models := make([]*towerModel, world)
-	skips := make([]int, world)
+	var r layerDropRun
 
 	var wg sync.WaitGroup
 	for rank := 0; rank < world; rank++ {
@@ -99,15 +117,18 @@ func trainWithLayerDrop() {
 			}
 			opt := optim.NewSGD(d.Parameters(), 0.05)
 			dataRng := rand.New(rand.NewSource(int64(rank)))
-			for it := 0; it < 30; it++ {
+			for it := 0; it < iters; it++ {
 				x := autograd.Constant(tensor.RandN(dataRng, 1, 4, 16))
 				y := autograd.Constant(tensor.RandN(dataRng, 1, 4, 4))
 				out := d.Forward(x)
-				if m.mid.Skipped {
-					skips[rank]++
-				}
 				if err := d.Backward(autograd.MSELoss(out, y)); err != nil {
 					log.Fatalf("rank %d iter %d: %v", rank, it, err)
+				}
+				if m.mid.Skipped {
+					r.skips[rank]++
+					if !slices.ContainsFunc(m.mid.Parameters(), func(p *nn.Parameter) bool { return p.Grad != nil }) {
+						r.untouched[rank]++
+					}
 				}
 				opt.Step()
 				opt.ZeroGrad()
@@ -116,13 +137,11 @@ func trainWithLayerDrop() {
 	}
 	wg.Wait()
 
-	identical := true
+	r.identical = true
 	for i, p := range models[0].Parameters() {
 		if !p.Value.Equal(models[1].Parameters()[i].Value) {
-			identical = false
+			r.identical = false
 		}
 	}
-	fmt.Printf("LayerDrop training: rank 0 skipped the middle block %d/30 iterations (rank 1: %d/30)\n",
-		skips[0], skips[1])
-	fmt.Printf("replicas identical after 30 dynamic-graph iterations: %v\n", identical)
+	return r
 }

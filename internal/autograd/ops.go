@@ -151,19 +151,6 @@ func Tanh(a *Variable) *Variable {
 	}, a)
 }
 
-// Sigmoid returns 1/(1+e^-x).
-func Sigmoid(a *Variable) *Variable {
-	out := tensor.Sigmoid(a.Value)
-	return newOp("sigmoid", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin := out.New(out.Shape()...)
-		gd, od, gg := gin.Data(), out.Data(), g.Data()
-		for i := range gd {
-			gd[i] = gg[i] * od[i] * (1 - od[i])
-		}
-		return []*tensor.Tensor{gin}
-	}, a)
-}
-
 // Gelu returns the tanh-approximated GELU activation.
 func Gelu(a *Variable) *Variable {
 	av := a.Value
@@ -225,16 +212,6 @@ func Conv2D(in, w *Variable, stride, pad int) *Variable {
 		gin, gw := tensor.Conv2DBackward(iv, wv, g, stride, pad)
 		return []*tensor.Tensor{gin, gw}
 	}, in, w)
-}
-
-// AvgPool2D applies global average pooling over [n,c,h,w] -> [n,c].
-func AvgPool2D(in *Variable) *Variable {
-	iv := in.Value
-	h, w := iv.Dims(2), iv.Dims(3)
-	out := tensor.AvgPool2D(iv)
-	return newOp("avgpool2d", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.AvgPool2DBackward(g, h, w)}
-	}, in)
 }
 
 // MaxPool2D applies 2x2/stride-2 max pooling.

@@ -44,8 +44,6 @@ import (
 type Codec interface {
 	// Name identifies the codec in benchmark output.
 	Name() string
-	// CompressionRatio is original bytes / compressed bytes.
-	CompressionRatio() float64
 	// EncodedSize returns the number of bytes Encode appends for n
 	// elements, exactly: it depends on n alone, never on the values, so a
 	// receiver can find where one chunk's frame ends inside a frame that
@@ -110,9 +108,6 @@ type Float16Codec struct{}
 
 // Name implements Codec.
 func (Float16Codec) Name() string { return "fp16" }
-
-// CompressionRatio implements Codec.
-func (Float16Codec) CompressionRatio() float64 { return 2 }
 
 // EncodedSize implements Codec: two bytes per element.
 func (Float16Codec) EncodedSize(n int) int { return 2 * n }
@@ -191,9 +186,6 @@ type OneBitCodec struct{}
 
 // Name implements Codec.
 func (c *OneBitCodec) Name() string { return "1bit" }
-
-// CompressionRatio implements Codec.
-func (c *OneBitCodec) CompressionRatio() float64 { return 32 }
 
 // EncodedSize implements Codec: a 4-byte scale plus one bit per
 // element.
@@ -354,11 +346,6 @@ func (c *TopKCodec) kept(n int) int {
 
 // Name implements Codec.
 func (c *TopKCodec) Name() string { return "topk" }
-
-// CompressionRatio implements Codec: each kept element costs 8 bytes
-// (index + value) against 4 bytes for every dense element, so the
-// asymptotic ratio is 1/(2k).
-func (c *TopKCodec) CompressionRatio() float64 { return 1 / (2 * c.fraction()) }
 
 // EncodedSize implements Codec: a 4-byte count plus 8 bytes per
 // kept element.

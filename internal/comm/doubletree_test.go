@@ -49,7 +49,7 @@ func TestDoubleTreeRelsShape(t *testing.T) {
 		}
 		bothInner := 0
 		for r := 0; r < k; r++ {
-			if t1[r].inner() && t2[r].inner() {
+			if len(t1[r].children) > 0 && len(t2[r].children) > 0 {
 				bothInner++
 			}
 		}

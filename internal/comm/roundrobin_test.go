@@ -2,6 +2,7 @@ package comm
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -145,10 +146,11 @@ func TestRoundRobinBarrierSurfacesSubGroupError(t *testing.T) {
 // freshly served store, one goroutine per "process".
 func buildTCPGroups(t *testing.T, world int, name string) []ProcessGroup {
 	t.Helper()
-	srv, err := store.ServeTCP("127.0.0.1:0", 10*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := store.ServeTCP(ln, 10*time.Second)
 	t.Cleanup(func() { srv.Close() })
 	groups := make([]ProcessGroup, world)
 	errs := make([]error, world)
@@ -157,7 +159,7 @@ func buildTCPGroups(t *testing.T, world int, name string) []ProcessGroup {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			client, err := store.DialTCP(srv.Addr())
+			client, err := store.DialTCP(ln.Addr().String())
 			if err != nil {
 				errs[rank] = err
 				return

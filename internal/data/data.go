@@ -20,15 +20,11 @@ import (
 
 // Dataset is an indexed collection of labeled vectors.
 type Dataset interface {
-	// Len returns the number of samples.
-	Len() int
 	// Sample returns the i-th feature vector and its class label. The
 	// returned slice must not be modified.
 	Sample(i int) ([]float32, int)
 	// Features returns the feature dimensionality.
 	Features() int
-	// Classes returns the number of classes.
-	Classes() int
 }
 
 // Synthetic is a deterministic classification dataset: class prototypes
@@ -78,7 +74,7 @@ func NewSyntheticNoise(seed int64, n, features, classes int, noise float32) *Syn
 	return d
 }
 
-// Len implements Dataset.
+// Len returns the number of samples.
 func (d *Synthetic) Len() int { return len(d.samples) }
 
 // Sample implements Dataset.
@@ -87,7 +83,7 @@ func (d *Synthetic) Sample(i int) ([]float32, int) { return d.samples[i], d.labe
 // Features implements Dataset.
 func (d *Synthetic) Features() int { return d.features }
 
-// Classes implements Dataset.
+// Classes returns the number of classes.
 func (d *Synthetic) Classes() int { return d.classes }
 
 // DistributedSampler partitions a dataset across ranks the way

@@ -3,6 +3,7 @@ package ddp
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -211,10 +212,11 @@ func TestAutoRebuildAgreesAcrossDivergentReadyOrders(t *testing.T) {
 // rendezvous store, TCP mesh, ring AllReduce, DDP reducer — and checks
 // the resulting gradients against the averaged local reference.
 func TestDDPOverTCP(t *testing.T) {
-	srv, err := store.ServeTCP("127.0.0.1:0", 20*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := store.ServeTCP(ln, 20*time.Second)
 	defer srv.Close()
 
 	const world = 3
@@ -235,7 +237,7 @@ func TestDDPOverTCP(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			errs[rank] = func() error {
-				client, err := store.DialTCP(srv.Addr())
+				client, err := store.DialTCP(ln.Addr().String())
 				if err != nil {
 					return err
 				}

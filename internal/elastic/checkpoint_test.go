@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -26,23 +25,6 @@ import (
 // registry, fresh processes-worth of agents) must restore from the last
 // committed checkpoint and continue bitwise-identically to a run that
 // never crashed.
-
-// runCkptWorkers drives `n` agents with the given checkpoint config to
-// completion (or death) and returns each agent's Run error.
-func runCkptWorkers(t *testing.T, workers []*testWorker, total int64, mkStep func(i int, w *testWorker) StepFunc) []error {
-	t.Helper()
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			errs[i] = w.agent.Run(total, mkStep(i, w))
-		}(i, w)
-	}
-	wg.Wait()
-	return errs
-}
 
 // newCkptWorker is newTestWorker with a model seed override, so a
 // resumed worker can start from provably different initial weights.
@@ -101,7 +83,7 @@ func TestCheckpointKillAllColdRestartBitwiseResume(t *testing.T) {
 				cfg.Checkpoint = ckCfg
 				phase1[i] = newTestWorker(t, cfg)
 			}
-			errs := runCkptWorkers(t, phase1, total, func(i int, w *testWorker) StepFunc {
+			errs := runWorkers(t, phase1, total, func(i int, w *testWorker) StepFunc {
 				return func(ctx StepContext) error {
 					if ctx.Step == crashStep {
 						// Async saves commit on a background goroutine;
@@ -151,7 +133,7 @@ func TestCheckpointKillAllColdRestartBitwiseResume(t *testing.T) {
 				cfg.Checkpoint = &ck2
 				phase2[i] = newCkptWorker(t, cfg, int64(100+i))
 			}
-			errs = runCkptWorkers(t, phase2, total, func(i int, w *testWorker) StepFunc {
+			errs = runWorkers(t, phase2, total, func(i int, w *testWorker) StepFunc {
 				return elasticStep
 			})
 			for i, err := range errs {
@@ -211,8 +193,8 @@ func TestCheckpointSurvivorsKeepCheckpointingAfterCrash(t *testing.T) {
 		workers[i] = newTestWorker(t, cfg)
 	}
 	victim := world - 1
-	errs := runCkptWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
-		base := fullWorld(w.agent, world, elasticStep)
+	errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		base := fullWorld(w, world, elasticStep)
 		if i != victim {
 			return base
 		}

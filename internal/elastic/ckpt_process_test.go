@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -70,14 +71,15 @@ func TestCheckpointColdStartRestoreAcrossProcesses(t *testing.T) {
 		"EW_CKPT_DIR=" + dir,
 		"EW_CKPT_EVERY=" + strconv.Itoa(every),
 	}
-	srv1, err := store.ServeTCP("127.0.0.1:0", 60*time.Second)
+	ln1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv1 := store.ServeTCP(ln1, 60*time.Second)
 	victims := make(map[string]*exec.Cmd, len(ids))
 	for _, id := range ids {
 		env := append([]string{"EW_CRASH_STEP=" + strconv.Itoa(crashStep)}, ckptEnv...)
-		victims[id] = spawnWorker(t, srv1.Addr(), id, total, env...)
+		victims[id] = spawnWorker(t, ln1.Addr().String(), id, total, env...)
 	}
 	for id, cmd := range victims {
 		if code := waitWorker(t, id, cmd, 60*time.Second); code != crashExitCode {
@@ -137,21 +139,22 @@ func TestCheckpointColdStartRestoreAcrossProcesses(t *testing.T) {
 // id to completion, and returns each worker's published result record.
 func runProcessWorld(t *testing.T, ids []string, total int, extraEnv []string) map[string]string {
 	t.Helper()
-	srv, err := store.ServeTCP("127.0.0.1:0", 60*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := store.ServeTCP(ln, 60*time.Second)
 	defer srv.Close()
 	cmds := make(map[string]*exec.Cmd, len(ids))
 	for _, id := range ids {
-		cmds[id] = spawnWorker(t, srv.Addr(), id, total, extraEnv...)
+		cmds[id] = spawnWorker(t, ln.Addr().String(), id, total, extraEnv...)
 	}
 	for id, cmd := range cmds {
 		if code := waitWorker(t, id, cmd, 120*time.Second); code != 0 {
 			t.Fatalf("worker %s exit code %d, want 0", id, code)
 		}
 	}
-	client, err := store.DialTCP(srv.Addr())
+	client, err := store.DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"reflect"
 	"runtime"
 	"sort"
@@ -186,6 +187,9 @@ func ddpReplica(opts ddp.Options) func(nn.Module, comm.ProcessGroup) (replica.Re
 type testWorker struct {
 	agent *Agent
 	model nn.Module
+	fleet *fleet // the workers runWorkers runs it with
+	// stranded says why fullWorld gave up waiting for the full world.
+	stranded error
 }
 
 func newTestWorker(t *testing.T, cfg Config) *testWorker {
@@ -210,18 +214,66 @@ func elasticStep(ctx StepContext) error {
 	return replicaStep(ctx.Replica, x, labels)
 }
 
+// fleet is the workers of one runWorkers call: the first Run that
+// fails closes failed, with err saying which worker and why.
+type fleet struct {
+	once   sync.Once
+	failed chan struct{}
+	err    error
+}
+
+// runWorkers runs every worker's agent to total steps with the StepFunc
+// mkStep gives it and returns each Run's error; a worker fullWorld
+// stranded returns why.
+func runWorkers(t *testing.T, workers []*testWorker, total int64, mkStep func(i int, w *testWorker) StepFunc) []error {
+	t.Helper()
+	f := &fleet{failed: make(chan struct{})}
+	errs := make([]error, len(workers))
+	var wg sync.WaitGroup
+	for i, w := range workers {
+		w.fleet = f
+		wg.Add(1)
+		go func(i int, w *testWorker) {
+			defer wg.Done()
+			errs[i] = w.agent.Run(total, mkStep(i, w))
+			if w.stranded != nil {
+				errs[i] = w.stranded
+			} else if errs[i] != nil {
+				f.once.Do(func() {
+					f.err = fmt.Errorf("worker %d: %w", i, errs[i])
+					close(f.failed)
+				})
+			}
+		}(i, w)
+	}
+	wg.Wait()
+	return errs
+}
+
 // fullWorld wraps a StepFunc to yield at step 0 until all `want`
 // workers have formed the group. Under load, a slow-starting worker
 // can miss the grace window and the initial round seals short; the
 // latecomer's generation bump then reforms the full world — waiting
 // for it here keeps the schedule deterministic without depending on
-// scheduler timing.
-func fullWorld(a *Agent, want int, next StepFunc) StepFunc {
+// scheduler timing. A worker whose Run has failed does not come back,
+// so once one of the fleet has, fullWorld strands its worker with that
+// error and kills its agent: Run returns at once, where another
+// rendezvous would wait for the lost worker with no bound.
+func fullWorld(w *testWorker, want int, next StepFunc) StepFunc {
 	return func(ctx StepContext) error {
-		if ctx.Step == 0 && ctx.World < want {
-			return a.AwaitGenerationChange()
+		if ctx.Step > 0 || ctx.World >= want {
+			return next(ctx)
 		}
-		return next(ctx)
+		changed := make(chan error, 1)
+		go func() { changed <- w.agent.AwaitGenerationChange() }()
+		select {
+		case err := <-changed:
+			return err
+		case <-w.fleet.failed:
+			w.stranded = fmt.Errorf("the world of %d cannot form: %w", want, w.fleet.err)
+			w.agent.Kill()
+			return w.stranded
+		}
 	}
 }
 
@@ -483,11 +535,12 @@ func TestWaitGenerationAboveOutlivesStoreTimeout(t *testing.T) {
 			return st, st.Close
 		}},
 		{"tcp", func(t *testing.T) (store.Store, func() error) {
-			srv, err := store.ServeTCP("127.0.0.1:0", timeout)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := store.DialTCP(srv.Addr())
+			srv := store.ServeTCP(ln, timeout)
+			c, err := store.DialTCP(ln.Addr().String())
 			if err != nil {
 				srv.Close()
 				t.Fatal(err)
@@ -652,23 +705,14 @@ func TestAgentCleanScaleDown(t *testing.T) {
 	}
 	victim := workers[2]
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			steps := int64(total)
-			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				if w == victim && ctx.Step == k {
-					w.agent.Leave() // departs after completing this step
-				}
-				return elasticStep(ctx)
-			})
-			errs[i] = w.agent.Run(steps, step)
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runWorkers(t, workers, int64(total), func(i int, w *testWorker) StepFunc {
+		return fullWorld(w, 3, func(ctx StepContext) error {
+			if w == victim && ctx.Step == k {
+				w.agent.Leave() // departs after completing this step
+			}
+			return elasticStep(ctx)
+		})
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
@@ -786,27 +830,19 @@ func TestAgentMidBackwardCrash(t *testing.T) {
 	}
 	victim := workers[2]
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				if w == victim && ctx.Step == k {
-					// Crash mid-step: forward ran, gradients are about
-					// to sync, and the worker vanishes.
-					x, _ := batchFor(ctx.Step, ctx.Rank, ctx.World)
-					ctx.Replica.Forward(autograd.Constant(x))
-					w.agent.Kill()
-					return errors.New("simulated crash")
-				}
-				return elasticStep(ctx)
-			})
-			errs[i] = w.agent.Run(total, step)
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		return fullWorld(w, 3, func(ctx StepContext) error {
+			if w == victim && ctx.Step == k {
+				// Crash mid-step: forward ran, gradients are about
+				// to sync, and the worker vanishes.
+				x, _ := batchFor(ctx.Step, ctx.Rank, ctx.World)
+				ctx.Replica.Forward(autograd.Constant(x))
+				w.agent.Kill()
+				return errors.New("simulated crash")
+			}
+			return elasticStep(ctx)
+		})
+	})
 	if !errors.Is(errs[2], ErrKilled) {
 		t.Fatalf("victim returned %v, want ErrKilled", errs[2])
 	}
@@ -864,13 +900,10 @@ func TestAgentHeartbeatTimeoutRecovery(t *testing.T) {
 	victim := workers[2]
 	gate := make(chan struct{})
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
+	done := make(chan []error)
+	go func() {
+		done <- runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+			return fullWorld(w, 3, func(ctx StepContext) error {
 				if w == victim && ctx.Step == k {
 					w.agent.StopHeartbeat() // silent hang: no beats, no steps
 					<-gate
@@ -878,17 +911,11 @@ func TestAgentHeartbeatTimeoutRecovery(t *testing.T) {
 				}
 				return elasticStep(ctx)
 			})
-			errs[i] = w.agent.Run(total, step)
-		}(i, w)
-	}
+		})
+	}()
 
 	// Wait for the survivors, then release (and formally kill) the
 	// hung worker.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
 	deadline := time.After(30 * time.Second)
 	for workers[0].agent.Step() < total || workers[1].agent.Step() < total {
 		select {
@@ -900,7 +927,7 @@ func TestAgentHeartbeatTimeoutRecovery(t *testing.T) {
 	}
 	victim.agent.Kill()
 	close(gate)
-	<-done
+	errs := <-done
 
 	for i, err := range errs[:2] {
 		if err != nil {

@@ -65,8 +65,8 @@ func TestFSDPElasticWorldShrinkReshardResume(t *testing.T) {
 				workers[i] = newFSDPWorker(t, cfg, strategy)
 			}
 			victim := world - 1
-			errs := runCkptWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
-				base := fullWorld(w.agent, world, elasticStep)
+			errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+				base := fullWorld(w, world, elasticStep)
 				if i != victim {
 					return base
 				}
@@ -165,8 +165,8 @@ func TestFSDPRollbackInstallsCheckpointResiduals(t *testing.T) {
 	// the newest checkpoint's then: no save lands before both survivors
 	// finish that step together, so it is the one they rolled back to.
 	var held, saved [world][]float32
-	errs := runCkptWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
-		base := fullWorld(w.agent, world, elasticStep)
+	errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		base := fullWorld(w, world, elasticStep)
 		return func(ctx StepContext) error {
 			if i == victim && ctx.Step == leaveStep {
 				w.agent.Leave()
@@ -214,8 +214,8 @@ func TestFSDPElasticReshardWithoutCheckpointIsTerminal(t *testing.T) {
 		workers[i] = newFSDPWorker(t, cfg, fsdp.ZeRO3)
 	}
 	victim := 1
-	errs := runCkptWorkers(t, workers, 6, func(i int, w *testWorker) StepFunc {
-		base := fullWorld(w.agent, world, elasticStep)
+	errs := runWorkers(t, workers, 6, func(i int, w *testWorker) StepFunc {
+		base := fullWorld(w, world, elasticStep)
 		if i != victim {
 			return base
 		}

@@ -136,29 +136,21 @@ func TestElasticReconfigPreservesLeaderRingResiduals(t *testing.T) {
 	}
 	victim := workers[2]
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				hosts := w.agent.assignment().Hosts()
-				if hosts == nil {
-					return fmt.Errorf("step %d: assignment published no hosts", ctx.Step)
-				}
-				mu.Lock()
-				stepTopo[ctx.Step] = hosts
-				mu.Unlock()
-				if w == victim && ctx.Step == k {
-					w.agent.Leave()
-				}
-				return sharedStep(ctx)
-			})
-			errs[i] = w.agent.Run(total, step)
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		return fullWorld(w, 3, func(ctx StepContext) error {
+			hosts := w.agent.assignment().Hosts()
+			if hosts == nil {
+				return fmt.Errorf("step %d: assignment published no hosts", ctx.Step)
+			}
+			mu.Lock()
+			stepTopo[ctx.Step] = hosts
+			mu.Unlock()
+			if w == victim && ctx.Step == k {
+				w.agent.Leave()
+			}
+			return sharedStep(ctx)
+		})
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)

@@ -3,7 +3,6 @@ package elastic
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -91,25 +90,17 @@ func TestRecoverySpansTileRecoveryDuration(t *testing.T) {
 	}
 	victim := workers[2]
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				if w == victim && ctx.Step == k {
-					x, _ := batchFor(ctx.Step, ctx.Rank, ctx.World)
-					ctx.Replica.Forward(autograd.Constant(x))
-					w.agent.Kill()
-					return errors.New("simulated crash")
-				}
-				return elasticStep(ctx)
-			})
-			errs[i] = w.agent.Run(total, step)
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		return fullWorld(w, 3, func(ctx StepContext) error {
+			if w == victim && ctx.Step == k {
+				x, _ := batchFor(ctx.Step, ctx.Rank, ctx.World)
+				ctx.Replica.Forward(autograd.Constant(x))
+				w.agent.Kill()
+				return errors.New("simulated crash")
+			}
+			return elasticStep(ctx)
+		})
+	})
 	if !errors.Is(errs[2], ErrKilled) {
 		t.Fatalf("victim returned %v, want ErrKilled", errs[2])
 	}
@@ -245,23 +236,16 @@ func TestAgentStragglerWiring(t *testing.T) {
 		workers[i] = newTestWorker(t, cfg)
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, len(workers))
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			errs[i] = w.agent.Run(total, fullWorld(w.agent, 2, func(ctx StepContext) error {
-				start := time.Now()
-				err := elasticStep(ctx)
-				if err == nil {
-					w.agent.Straggler().Record(time.Since(start))
-				}
-				return err
-			}))
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		return fullWorld(w, 2, func(ctx StepContext) error {
+			start := time.Now()
+			err := elasticStep(ctx)
+			if err == nil {
+				w.agent.Straggler().Record(time.Since(start))
+			}
+			return err
+		})
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)

@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -180,10 +181,11 @@ func TestCrossProcessElasticRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-process integration test; skipped in -short")
 	}
-	srv, err := store.ServeTCP("127.0.0.1:0", 60*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := store.ServeTCP(ln, 60*time.Second)
 	defer srv.Close()
 
 	const (
@@ -192,9 +194,9 @@ func TestCrossProcessElasticRecovery(t *testing.T) {
 		admitStep = 9 // survivors park here until the replacement joins
 	)
 	survivorEnv := []string{"EW_ADMIT_STEP=" + strconv.Itoa(admitStep)}
-	w0 := spawnWorker(t, srv.Addr(), "w0", total, survivorEnv...)
-	w1 := spawnWorker(t, srv.Addr(), "w1", total, survivorEnv...)
-	victim := spawnWorker(t, srv.Addr(), "w2", total, "EW_CRASH_STEP="+strconv.Itoa(crashStep))
+	w0 := spawnWorker(t, ln.Addr().String(), "w0", total, survivorEnv...)
+	w1 := spawnWorker(t, ln.Addr().String(), "w1", total, survivorEnv...)
+	victim := spawnWorker(t, ln.Addr().String(), "w2", total, "EW_CRASH_STEP="+strconv.Itoa(crashStep))
 
 	// The victim must die by its own hand, with the crash exit code.
 	if code := waitWorker(t, "victim", victim, 60*time.Second); code != crashExitCode {
@@ -203,7 +205,7 @@ func TestCrossProcessElasticRecovery(t *testing.T) {
 
 	// Supervise: the dead rank is replaced by a fresh OS process that
 	// rejoins the rendezvous and is brought up to date via state sync.
-	replacement := spawnWorker(t, srv.Addr(), "r1", total)
+	replacement := spawnWorker(t, ln.Addr().String(), "r1", total)
 
 	for _, w := range []struct {
 		name string
@@ -216,7 +218,7 @@ func TestCrossProcessElasticRecovery(t *testing.T) {
 
 	// Every finisher — including the respawned process — must have
 	// completed all steps with bit-identical parameters.
-	client, err := store.DialTCP(srv.Addr())
+	client, err := store.DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,22 +153,14 @@ func TestElasticReconfigPreservesResidualsBitwise(t *testing.T) {
 	}
 	victim := workers[2]
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				if w == victim && ctx.Step == k {
-					w.agent.Leave()
-				}
-				return sharedStep(ctx)
-			})
-			errs[i] = w.agent.Run(total, step)
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runWorkers(t, workers, total, func(i int, w *testWorker) StepFunc {
+		return fullWorld(w, 3, func(ctx StepContext) error {
+			if w == victim && ctx.Step == k {
+				w.agent.Leave()
+			}
+			return sharedStep(ctx)
+		})
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
@@ -335,7 +327,7 @@ func TestKillAllRestoresRankZeroResiduals(t *testing.T) {
 					cfg.Checkpoint = &CheckpointConfig{Dir: dir, Every: save, Resume: resume}
 					workers[i] = newCkptWorker(t, cfg, seed+int64(i))
 				}
-				return runCkptWorkers(t, workers, save+1, func(_ int, w *testWorker) StepFunc { return mkStep(w) })
+				return runWorkers(t, workers, save+1, func(_ int, w *testWorker) StepFunc { return mkStep(w) })
 			}
 			residuals := func(ctx StepContext) []float32 {
 				st, err := ctx.Replica.CaptureState()

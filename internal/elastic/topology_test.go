@@ -112,29 +112,21 @@ func runElasticTopologyScenario(t *testing.T, algo comm.Algorithm) {
 	}
 	victim := workers[2]
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *testWorker) {
-			defer wg.Done()
-			step := fullWorld(w.agent, 3, func(ctx StepContext) error {
-				hosts := w.agent.assignment().Hosts()
-				if hosts == nil {
-					return fmt.Errorf("step %d: assignment published no hosts", ctx.Step)
-				}
-				mu.Lock()
-				stepTopo[ctx.Step] = hosts
-				mu.Unlock()
-				if w == victim && ctx.Step == k {
-					w.agent.Leave() // departs after completing this step
-				}
-				return elasticStep(ctx)
-			})
-			errs[i] = w.agent.Run(int64(total), step)
-		}(i, w)
-	}
-	wg.Wait()
+	errs := runWorkers(t, workers, int64(total), func(i int, w *testWorker) StepFunc {
+		return fullWorld(w, 3, func(ctx StepContext) error {
+			hosts := w.agent.assignment().Hosts()
+			if hosts == nil {
+				return fmt.Errorf("step %d: assignment published no hosts", ctx.Step)
+			}
+			mu.Lock()
+			stepTopo[ctx.Step] = hosts
+			mu.Unlock()
+			if w == victim && ctx.Step == k {
+				w.agent.Leave() // departs after completing this step
+			}
+			return elasticStep(ctx)
+		})
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)

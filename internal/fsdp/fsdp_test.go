@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"reflect"
 	"slices"
 	"strings"
@@ -284,14 +285,15 @@ func TestAgreementOverTCP(t *testing.T) {
 	ref := mlpFixture.ddpReference(t, world, batches[:3], labels[:3])
 
 	for _, strategy := range []Strategy{ZeRO2, ZeRO3} {
-		srv, err := store.ServeTCP("127.0.0.1:0", 20*time.Second)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv := store.ServeTCP(ln, 20*time.Second)
 		wrappers := make([]*FSDP, world)
 		groups := make([]comm.ProcessGroup, world)
 		runRanks(t, world, func(rank int) error {
-			client, err := store.DialTCP(srv.Addr())
+			client, err := store.DialTCP(ln.Addr().String())
 			if err != nil {
 				return err
 			}

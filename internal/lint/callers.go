@@ -9,16 +9,16 @@ import (
 	"strings"
 )
 
-// Callers holds the library to what programs use. Under internal/, an
-// exported func, method, type, var, const or struct field that no
-// non-test file of the module names (a field: that none sets) is code
-// only tests justify; in comm, transport, reduce and store an exported
-// func or type that no non-test file outside its package names is an
-// export nothing needs. An identifier starting with Testing in non-test
-// code is a test-only knob. It sees every loaded package at once.
+// Callers holds the library's exports to what programs use. Under
+// internal/, an exported struct field that no non-test file of the
+// module sets is a knob only tests turn; in comm, transport, reduce and
+// store an exported func or type that no non-test file outside its
+// package names is an export nothing needs. An identifier starting with
+// Testing in non-test code is a test-only knob. It sees every loaded
+// package at once; Reach judges what is reached at all.
 var Callers = &Analyzer{
 	Name:   "callers",
-	Doc:    "an exported identifier under internal/ has a non-test caller (a field, a setter); comm, transport, reduce and store export a func or type only for another package; no Testing* knob in non-test code",
+	Doc:    "an exported field under internal/ has a non-test setter; comm, transport, reduce and store export a func or type only for another package; no Testing* knob in non-test code",
 	Module: runCallers,
 }
 
@@ -54,16 +54,9 @@ func runCallers(pkgs []*Package) []Finding {
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if tn, ok := obj.(*types.TypeName); ok {
-				u.checkMembers(tn, report)
+				u.checkFields(tn, report)
 			}
-			if !obj.Exported() {
-				continue
-			}
-			users := u.users[obj]
-			switch {
-			case len(users) == 0:
-				report(obj, name, "%s is exported but no non-test file names it; delete it, or unexport what its package uses")
-			case outside && !isVarOrConst(obj) && len(users) == 1 && users[pkg.Types]:
+			if users := u.users[obj]; obj.Exported() && outside && !isVarOrConst(obj) && len(users) == 1 && users[pkg.Types] {
 				report(obj, name, "%s is exported but no non-test file outside its package names it; unexport it")
 			}
 		}
@@ -86,37 +79,17 @@ type usage struct {
 	users    map[types.Object]map[*types.Package]bool // declared object -> packages naming it
 	set      map[*types.Var]bool                      // struct fields some file sets
 	imported map[string]bool                          // packages some loaded package imports
-	ifaces   map[string]map[*types.Interface]bool     // interfaces known to the module, by method name
 }
 
-// newUsage walks pkgs once: what they name and set, what they import,
-// and every interface they or their imports declare or use.
+// newUsage walks pkgs once: what they name and set, and what they
+// import.
 func newUsage(pkgs []*Package) *usage {
 	u := &usage{
 		users:    map[types.Object]map[*types.Package]bool{},
 		set:      map[*types.Var]bool{},
 		imported: map[string]bool{},
-		ifaces:   map[string]map[*types.Interface]bool{},
 	}
-	seen := map[*types.Package]bool{}
-	var addScope func(p *types.Package)
-	addScope = func(p *types.Package) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, name := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				u.addInterface(tn.Type())
-			}
-		}
-		for _, imp := range p.Imports() {
-			addScope(imp)
-		}
-	}
-	u.addInterface(types.Universe.Lookup("error").Type())
 	for _, pkg := range pkgs {
-		addScope(pkg.Types)
 		for _, imp := range pkg.Types.Imports() {
 			u.imported[imp.Path()] = true
 		}
@@ -126,9 +99,6 @@ func newUsage(pkgs []*Package) *usage {
 				u.users[obj] = map[*types.Package]bool{}
 			}
 			u.users[obj][pkg.Types] = true
-		}
-		for _, tv := range pkg.Info.Types {
-			u.addInterface(tv.Type)
 		}
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -149,21 +119,6 @@ func origin(obj types.Object) types.Object {
 		return o.Origin()
 	}
 	return obj
-}
-
-// addInterface indexes t's methods when t is an interface.
-func (u *usage) addInterface(t types.Type) {
-	it, ok := t.Underlying().(*types.Interface)
-	if !ok || it.NumMethods() == 0 {
-		return
-	}
-	for i := range it.NumMethods() {
-		name := it.Method(i).Name()
-		if u.ifaces[name] == nil {
-			u.ifaces[name] = map[*types.Interface]bool{}
-		}
-		u.ifaces[name][it] = true
-	}
 }
 
 // markSets records the fields n sets: every field of an unkeyed struct
@@ -215,23 +170,11 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 	return t
 }
 
-// checkMembers reports an exported type's exported methods that nothing
-// names and no interface asks for, and its exported struct fields that
-// nothing sets. An unexported type's exported methods are there for an
-// interface, promoted or not.
-func (u *usage) checkMembers(tn *types.TypeName, report func(obj types.Object, name, format string)) {
-	named, ok := tn.Type().(*types.Named)
+// checkFields reports an exported type's exported struct fields that
+// nothing sets.
+func (u *usage) checkFields(tn *types.TypeName, report func(obj types.Object, name, format string)) {
+	st, ok := tn.Type().Underlying().(*types.Struct)
 	if !ok || tn.IsAlias() || !tn.Exported() {
-		return
-	}
-	for i := range named.NumMethods() {
-		m := named.Method(i)
-		if m.Exported() && len(u.users[m]) == 0 && !u.satisfies(named, m) {
-			report(m, tn.Name()+"."+m.Name(), "%s is exported but no non-test file calls it and no interface asks for it; delete it")
-		}
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
 		return
 	}
 	for i := range st.NumFields() {
@@ -240,15 +183,4 @@ func (u *usage) checkMembers(tn *types.TypeName, report func(obj types.Object, n
 			report(f, tn.Name()+"."+f.Name(), "%s is exported but no non-test file sets it; delete the field")
 		}
 	}
-}
-
-// satisfies reports whether m is how named, or a pointer to it, meets an
-// interface the module knows.
-func (u *usage) satisfies(named *types.Named, m *types.Func) bool {
-	for it := range u.ifaces[m.Name()] {
-		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
-			return true
-		}
-	}
-	return false
 }

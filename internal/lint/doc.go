@@ -1,4 +1,4 @@
-// Package lint is the project's static-analysis gate: seven analyzers
+// Package lint is the project's static-analysis gate: eight analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
 // collective/lock ordering, metric registration, cost models that price
@@ -6,7 +6,8 @@
 // transport call site, the one replica constructor, the one file that
 // broadcasts a module's tensors, ddptrain's one spawn site, and the ban
 // on the function-form 64-bit atomics), doc comments on what internal/
-// exports, and a caller for every export. Span lifecycles need no analyzer: trace.Tracer.WithSpan,
+// exports, code that no program reaches, and a caller for every export.
+// Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
 // go/types stack (no external dependencies: go/parser for syntax,
@@ -111,15 +112,49 @@
 // comment (a member of a documented group inherits the group's; a
 // comment of only directives such as //go:noinline documents nothing).
 //
-// callers — what internal/ exports, a program uses. It sees every
-// loaded package at once (Analyzer.Module); benchmark/ counts as a
-// caller because the loader loads it. Two rows, and a ban:
+// reach — what no program reaches goes. It sees every loaded package
+// at once (Analyzer.Module) and walks, by rapid type analysis over the
+// go/types data the loader builds, from the roots of the table
+// reachRoots in reach.go, each row with its reason:
 //
-//   - test-only: an exported func, method, type, var, const or struct
-//     field declared under internal/ that no non-test file of the module
-//     names is a finding; a field needs a non-test file that sets it (a
-//     keyed or unkeyed composite literal, an assignment, an increment,
-//     or its address taken).
+//   - programs: main of cmd/ddptrain, cmd/ddpbench, cmd/ddplint and of
+//     each example whose tier-1 test holds what it prints (checkpoint,
+//     elastic, mnist, paramavg, quickstart, unusedparams, zero1), plus
+//     the init funcs and package-level var initializers of every package
+//     they import (an assignment to _ alone is not walked: a
+//     var _ I = (*T)(nil) assertion reaches nothing);
+//   - benchmark: every name its files use, since BENCHMARK.json freezes
+//     them;
+//   - internal/chaos: its exported API, the tier-1 elastic recovery
+//     corpus.
+//
+// A func, var, const or type is reached when reached code names it. A
+// method is reached when reached code calls it (or takes it as a value),
+// or calls the same-named method through an interface that a live type
+// meets; a type is live once reached code converts it to an interface
+// (an argument, an assigned, initial or returned value, or a composite
+// literal's element), and so is every field or element type of a live
+// type.
+// A method of a live type that meets an interface declared outside the
+// module (error, fmt.Stringer, a marshaler) counts as called. Generic
+// instances count as their origin. Every func, method, type, var and
+// const declared at package level in a package under internal/ that
+// some loaded package imports is held; a package only tests import
+// (testutil, testutil/leakcheck) is not, nor is a method or interface
+// method whose type is itself unreached (the type is the finding). With
+// no program root loaded (the fixtures of the other analyzers, or
+// ddplint -C benchmark) it reports nothing. An exception is a
+// //ddplint:ignore reach pragma naming its reader on the declaration;
+// what the excused declaration reaches stays reached with it.
+//
+// callers — what internal/ exports, another package uses. It sees every
+// loaded package at once; benchmark/ counts as a caller because the
+// loader loads it. Two rows, and a ban:
+//
+//   - fields: an exported struct field of an exported type declared
+//     under internal/ needs a non-test file that sets it (a keyed or
+//     unkeyed composite literal, an assignment, an increment, or its
+//     address taken).
 //   - outside: in internal/comm, transport, reduce and store, an
 //     exported func or type that no non-test file outside its package
 //     names is a finding. Uses are type-checked, so an import alias
@@ -127,14 +162,9 @@
 //   - an identifier starting with Testing in non-test code is a test-only
 //     knob.
 //
-// Exemptions follow from the code: a package no loaded package imports
-// (chaos, testutil, testutil/leakcheck, which only tests import) is not
-// held to the rows, and a method that makes its type meet an interface
-// the module knows (error, fmt.Stringer, json.Marshaler, the module's
-// own) needs no direct caller; methods of unexported types are there
-// for an interface, promoted or not. Every other exception is a
-// //ddplint:ignore callers pragma naming its reader, in the package
-// that declares the identifier.
+// A package no loaded package imports is not held to the rows. Every
+// other exception is a //ddplint:ignore callers pragma naming its
+// reader, in the package that declares the identifier.
 //
 // The scope of a row is a package path suffix, so the fixtures of a
 // scoped row sit in directories that end in it
@@ -153,7 +183,8 @@
 // (TestSiteRulesHaveNoIdleSite; TestOneConstructorExemptions and
 // TestOneAlignExemption for those two rows), so no exemption outlives the code it
 // allowed. A module-wide analyzer's fixture is a directory of packages,
-// loaded together (testdata/callers_bad/{internal/lib,internal/comm,cmd/user}). Fixture packages import the real repro packages they lint
+// loaded together (testdata/callers_bad/{internal/lib,internal/comm,cmd/user},
+// testdata/reach_ok/{cmd/ddpbench,benchmark,internal/lib,internal/testonly}). Fixture packages import the real repro packages they lint
 // against — they type-check against the actual Store, Group and
 // metrics APIs, not stand-ins.
 package lint

@@ -75,6 +75,7 @@ func All() []*Analyzer {
 		ExportDoc,
 		LockedCollective,
 		MetricStatic,
+		Reach,
 		Sites,
 		StoreErr,
 	}

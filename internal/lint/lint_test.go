@@ -121,6 +121,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"onespawn", "onespawn_none/cmd/ddptrain", "onespawn_ok/cmd/ddptrain"},
 		{"doc", "doc_bad", "doc_ok"},
 		{"callers", "callers_bad", "callers_ok"},
+		{"reach", "reach_bad", "reach_ok"},
 	}
 	for _, tc := range cases {
 		a := ruleAnalyzer(t, tc.analyzer)
@@ -229,7 +230,7 @@ func TestCleanFixturesPassFullSuite(t *testing.T) {
 	for _, name := range []string{
 		"storeerr_ok", "metricstatic_ok", "lockedcollective_ok", "atomic64align_ok",
 		"costtwins_hw_ok", "costtwins_simnet_ok", "transportcalls_ok/internal/comm", "oneconstructor_ok",
-		"onealign_ok", "onespawn_ok/cmd/ddptrain", "doc_ok", "callers_ok",
+		"onealign_ok", "onespawn_ok/cmd/ddptrain", "doc_ok", "callers_ok", "reach_ok",
 	} {
 		res := Run(fixturePkgs(t, name), All())
 		for _, f := range res.Findings {

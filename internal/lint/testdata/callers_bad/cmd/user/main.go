@@ -7,12 +7,7 @@ import (
 )
 
 func main() {
-	l.Used()
-	l.Kept()
 	l.Run()
 	comm.Exported()
 	_ = l.Opts{Set: 1}
-	var n l.Named
-	_ = n
-	// l.CommentOnly() would be a caller; this comment is not.
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.Pair{1, 2}, lib.Total(lib.Square{Side: 2}))
+	fmt.Println(lib.Pair{1, 2})
 }

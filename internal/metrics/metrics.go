@@ -187,7 +187,7 @@ func (h Histogram) Observe(v float64) {
 // Concurrent observers may land between field reads; each individual
 // field is consistent, which is all a monitoring read needs.
 //
-//ddplint:ignore callers comm's BenchmarkAllReduce reads the live histogram into BENCH_allreduce.json's hist_p50_ns, which ci/bench_check.sh gates
+//ddplint:ignore reach comm's BenchmarkAllReduce reads the live histogram into BENCH_allreduce.json's hist_p50_ns, which ci/bench_check.sh gates
 func (h Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
@@ -216,7 +216,7 @@ type HistogramSnapshot struct {
 // interpolated, so quantiles landing there return the largest finite
 // bound. An empty histogram returns 0.
 //
-//ddplint:ignore callers comm's BenchmarkAllReduce reports hist_p50_ns and hist_p99_ns with it
+//ddplint:ignore reach comm's BenchmarkAllReduce reports hist_p50_ns and hist_p99_ns with it
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0

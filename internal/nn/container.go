@@ -135,8 +135,8 @@ type Checkpointed struct {
 
 // NewCheckpointed wraps body in activation checkpointing.
 //
-//ddplint:ignore callers activation recomputation (Section 7) is a paper feature only tests turn on: ddp's and fsdp's checkpointed-segment tests and the root bench_test
-func NewCheckpointed(body Module) *Checkpointed { return &Checkpointed{Body: body} }
+//ddplint:ignore reach activation recomputation (Section 7) is a paper feature only tests turn on until a model of the paper's needs it: ddp's and fsdp's checkpointed-segment tests and the root bench_test
+func NewCheckpointed(body Module) Module { return &Checkpointed{Body: body} }
 
 // Forward runs the body detached and schedules recomputation for the
 // backward pass.

@@ -83,18 +83,6 @@ type Tanh struct{ leafModule }
 // Forward applies the activation.
 func (Tanh) Forward(x *autograd.Variable) *autograd.Variable { return autograd.Tanh(x) }
 
-// GELU applies the Gaussian error linear unit.
-type GELU struct{ leafModule }
-
-// Forward applies the activation.
-func (GELU) Forward(x *autograd.Variable) *autograd.Variable { return autograd.Gelu(x) }
-
-// Sigmoid applies the logistic function.
-type Sigmoid struct{ leafModule }
-
-// Forward applies the activation.
-func (Sigmoid) Forward(x *autograd.Variable) *autograd.Variable { return autograd.Sigmoid(x) }
-
 // Flatten reshapes [n, ...] to [n, rest].
 type Flatten struct{ leafModule }
 
@@ -102,12 +90,6 @@ type Flatten struct{ leafModule }
 func (Flatten) Forward(x *autograd.Variable) *autograd.Variable {
 	return autograd.Reshape(x, x.Value.Dims(0), -1)
 }
-
-// AvgPool applies global average pooling [n,c,h,w] -> [n,c].
-type AvgPool struct{ leafModule }
-
-// Forward pools the spatial dimensions away.
-func (AvgPool) Forward(x *autograd.Variable) *autograd.Variable { return autograd.AvgPool2D(x) }
 
 // MaxPool applies 2x2/stride-2 max pooling.
 type MaxPool struct{ leafModule }
@@ -121,9 +103,6 @@ var (
 	_ Module = (*Conv2d)(nil)
 	_ Module = ReLU{}
 	_ Module = Tanh{}
-	_ Module = GELU{}
-	_ Module = Sigmoid{}
 	_ Module = Flatten{}
-	_ Module = AvgPool{}
 	_ Module = MaxPool{}
 )

@@ -197,7 +197,10 @@ func TestResumeTrainingFromCheckpoint(t *testing.T) {
 		out := mod.Forward(x)
 		autograd.Backward(autograd.MSELoss(out, y), nil)
 		for _, p := range mod.Parameters() {
-			tensor.AxpyInPlace(p.Value, -0.05, p.Grad)
+			pv := p.Value.Data()
+			for i, g := range p.Grad.Data() {
+				pv[i] += float32(-0.05 * g)
+			}
 		}
 	}
 	step(m)

@@ -139,7 +139,10 @@ func threePassSGDStep(params []*nn.Parameter, velocity map[*nn.Parameter]*tensor
 			}
 			update = v
 		}
-		tensor.AxpyInPlace(p.Value, -lr, update)
+		pv := p.Value.Data()
+		for i, u := range update.Data() {
+			pv[i] += float32(-lr * u)
+		}
 	}
 }
 

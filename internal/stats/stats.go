@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -56,9 +55,4 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// String renders the summary compactly for benchmark tables.
-func (s Summary) String() string {
-	return fmt.Sprintf("min=%.4f p25=%.4f med=%.4f p75=%.4f max=%.4f", s.Min, s.P25, s.Median, s.P75, s.Max)
 }

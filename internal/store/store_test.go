@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -78,13 +79,14 @@ func TestInMemValueIsolation(t *testing.T) {
 }
 
 func TestTCPStoreRoundTrip(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", 5*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := ServeTCP(ln, 5*time.Second)
 	defer srv.Close()
 
-	c, err := DialTCP(srv.Addr())
+	c, err := DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +110,11 @@ func TestTCPStoreRoundTrip(t *testing.T) {
 }
 
 func TestTCPStoreMultipleClientsRendezvous(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", 5*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := ServeTCP(ln, 5*time.Second)
 	defer srv.Close()
 
 	const world = 4
@@ -121,7 +124,7 @@ func TestTCPStoreMultipleClientsRendezvous(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c, err := DialTCP(srv.Addr())
+			c, err := DialTCP(ln.Addr().String())
 			if err != nil {
 				errs <- err
 				return
@@ -150,15 +153,16 @@ func TestTCPStoreMultipleClientsRendezvous(t *testing.T) {
 }
 
 func TestTCPStoreBlockingGetAcrossClients(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", 5*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := ServeTCP(ln, 5*time.Second)
 	defer srv.Close()
 
-	reader, _ := DialTCP(srv.Addr())
+	reader, _ := DialTCP(ln.Addr().String())
 	defer reader.Close()
-	writer, _ := DialTCP(srv.Addr())
+	writer, _ := DialTCP(ln.Addr().String())
 	defer writer.Close()
 
 	done := make(chan string, 1)

@@ -41,21 +41,14 @@ type tcpServer struct {
 	closed  bool
 }
 
-// ServeTCP starts a store server on addr (e.g. "127.0.0.1:0") and
-// returns it. Use Addr to discover the bound address.
-func ServeTCP(addr string, timeout time.Duration) (*tcpServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("store: listen: %w", err)
-	}
+// ServeTCP serves a store on ln, which it closes on Close. Clients dial
+// ln's address.
+func ServeTCP(ln net.Listener, timeout time.Duration) *tcpServer {
 	s := &tcpServer{ln: ln, backing: NewInMem(timeout), conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
-
-// Addr returns the listener address for clients to dial.
-func (s *tcpServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server, disconnecting any active clients.
 func (s *tcpServer) Close() error {

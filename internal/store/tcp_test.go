@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -13,14 +14,15 @@ import (
 // with the test.
 func startServer(t *testing.T, timeout time.Duration, n int) (*tcpServer, []*tcpClient) {
 	t.Helper()
-	srv, err := ServeTCP("127.0.0.1:0", timeout)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	srv := ServeTCP(ln, timeout)
 	t.Cleanup(func() { srv.Close() })
 	clients := make([]*tcpClient, n)
 	for i := range clients {
-		c, err := DialTCP(srv.Addr())
+		c, err := DialTCP(ln.Addr().String())
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
@@ -268,12 +270,13 @@ func TestInMemDeleteCASWatch(t *testing.T) {
 }
 
 func TestTCPStoreGetCancel(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", 30*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := ServeTCP(ln, 30*time.Second)
 	defer srv.Close()
-	client, err := DialTCP(srv.Addr())
+	client, err := DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,15 @@ import (
 // Apply and a closure that compares, its gradient as the loop autograd's
 // backward ran, and the bias gradient folded by column index modulo n.
 
+// Apply returns f applied elementwise to a.
+func Apply(a *Tensor, f func(float32) float32) *Tensor {
+	out := a.New(a.shape...)
+	for i, v := range a.data {
+		out.data[i] = f(v)
+	}
+	return out
+}
+
 func refRelu(a *Tensor) *Tensor {
 	return Apply(a, func(v float32) float32 {
 		if v > 0 {

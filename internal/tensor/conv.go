@@ -91,46 +91,6 @@ func Conv2DBackward(in, w, gout *Tensor, stride, pad int) (gin, gw *Tensor) {
 	return gin, gw
 }
 
-// AvgPool2D computes global average pooling over the spatial dimensions
-// of input [n, c, h, w], returning [n, c].
-func AvgPool2D(in *Tensor) *Tensor {
-	if in.Dim() != 4 {
-		panic(fmt.Sprintf("tensor: AvgPool2D on shape %v", in.shape))
-	}
-	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
-	out := in.New(n, c)
-	area := float32(h * w)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := ((b*c + ch) * h) * w
-			var s float32
-			for i := 0; i < h*w; i++ {
-				s += in.data[base+i]
-			}
-			out.data[b*c+ch] = s / area
-		}
-	}
-	return out
-}
-
-// AvgPool2DBackward distributes gout [n, c] evenly over the spatial
-// positions of the input gradient [n, c, h, w].
-func AvgPool2DBackward(gout *Tensor, h, w int) *Tensor {
-	n, c := gout.shape[0], gout.shape[1]
-	gin := gout.New(n, c, h, w)
-	inv := 1 / float32(h*w)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			g := gout.data[b*c+ch] * inv
-			base := ((b*c + ch) * h) * w
-			for i := 0; i < h*w; i++ {
-				gin.data[base+i] = g
-			}
-		}
-	}
-	return gin
-}
-
 // MaxPool2D computes 2x2/stride-2 max pooling of input [n, c, h, w],
 // returning the pooled tensor and the argmax indices used by the
 // backward pass.

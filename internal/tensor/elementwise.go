@@ -29,14 +29,6 @@ func AddInPlace(dst, src *Tensor) {
 	AddFloats(dst.data, src.data)
 }
 
-// AxpyInPlace computes dst += alpha*src elementwise.
-func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
-	if len(dst.data) != len(src.data) {
-		panic("tensor: AxpyInPlace size mismatch")
-	}
-	mulAdd1(dst.data, alpha, src.data)
-}
-
 // MulScalar returns a * s elementwise.
 func MulScalar(a *Tensor, s float32) *Tensor {
 	out := a.New(a.shape...)
@@ -86,15 +78,6 @@ func SumRowsInto(dst, m *Tensor) *Tensor {
 	return dst
 }
 
-// Apply returns f applied elementwise to a.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := a.New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
 // The two ReLU loops keep or clear every element by a bit mask and
 // never branch on the data: after a ReLU about half the inputs are zero,
 // in random places, and a branch on each of them is mispredicted about
@@ -141,11 +124,6 @@ func Tanh(a *Tensor) *Tensor {
 	out := a.New(a.shape...)
 	tanhFloats(out.data, a.data)
 	return out
-}
-
-// Sigmoid returns 1/(1+exp(-x)) elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) })
 }
 
 // Gelu returns the Gaussian error linear unit using the tanh approximation,

@@ -188,10 +188,11 @@ func BenchmarkFrameEncode(b *testing.B) {
 
 func buildBenchMeshes(b *testing.B, world int) []Mesh {
 	b.Helper()
-	srv, err := store.ServeTCP("127.0.0.1:0", 10*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv := store.ServeTCP(ln, 10*time.Second)
 	b.Cleanup(func() { srv.Close() })
 	meshes := make([]Mesh, world)
 	errs := make([]error, world)
@@ -200,7 +201,7 @@ func buildBenchMeshes(b *testing.B, world int) []Mesh {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			client, err := store.DialTCP(srv.Addr())
+			client, err := store.DialTCP(ln.Addr().String())
 			if err != nil {
 				errs[rank] = err
 				return

@@ -116,10 +116,11 @@ func TestInProcManyRanksExchange(t *testing.T) {
 
 func buildTCPMeshes(t *testing.T, world int) []Mesh {
 	t.Helper()
-	srv, err := store.ServeTCP("127.0.0.1:0", 10*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := store.ServeTCP(ln, 10*time.Second)
 	t.Cleanup(func() { srv.Close() })
 
 	meshes := make([]Mesh, world)
@@ -129,7 +130,7 @@ func buildTCPMeshes(t *testing.T, world int) []Mesh {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			client, err := store.DialTCP(srv.Addr())
+			client, err := store.DialTCP(ln.Addr().String())
 			if err != nil {
 				errs[rank] = err
 				return
@@ -390,16 +391,17 @@ func TestTCPMeshBuildAbortDuringRendezvousGet(t *testing.T) {
 // rank's address key so long-lived jobs do not leak one key per mesh
 // generation.
 func TestTCPMeshCloseReleasesStoreKey(t *testing.T) {
-	srv, err := store.ServeTCP("127.0.0.1:0", 10*time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := store.ServeTCP(ln, 10*time.Second)
 	defer srv.Close()
-	meshes := buildTCPMeshesOn(t, srv.Addr(), 2, "closing")
+	meshes := buildTCPMeshesOn(t, ln.Addr().String(), 2, "closing")
 	for _, m := range meshes {
 		m.Close()
 	}
-	client, err := store.DialTCP(srv.Addr())
+	client, err := store.DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
