@@ -44,7 +44,6 @@ var auditOps = map[string]auditCase{
 	"AddRow":       binary(autograd.AddRow, []int{2, 3}, []int{3}),
 	"MatMul":       binary(autograd.MatMul, []int{2, 3}, []int{3, 4}),
 	"MatMulTransB": binary(autograd.MatMulTransB, []int{2, 3}, []int{4, 3}),
-	"AddChannel":   binary(autograd.AddChannel, []int{2, 3, 2, 2}, []int{3}),
 	"MSELoss":      binary(autograd.MSELoss, []int{2, 3}, []int{2, 3}),
 	"Relu":         unary(autograd.Relu, 2, 3),
 	"Tanh":         unary(autograd.Tanh, 2, 3),
@@ -73,8 +72,8 @@ var auditOps = map[string]auditCase{
 	"Concat": {[][]int{{2, 2}, {2, 3}}, func(l []*autograd.Variable) *autograd.Variable {
 		return autograd.Concat(l[0], l[1], l[0])
 	}},
-	"Conv2D": {[][]int{{1, 2, 4, 4}, {3, 2, 3, 3}}, func(l []*autograd.Variable) *autograd.Variable {
-		return autograd.Conv2D(l[0], l[1], 1, 1)
+	"Conv2D": {[][]int{{1, 2, 4, 4}, {3, 2, 3, 3}, {3}}, func(l []*autograd.Variable) *autograd.Variable {
+		return autograd.Conv2D(l[0], l[1], l[2], 1, 1)
 	}},
 	"BatchNorm": {[][]int{{4, 3}, {3}, {3}}, func(l []*autograd.Variable) *autograd.Variable {
 		out, _ := autograd.BatchNorm(l[0], l[1], l[2], nil, nil, 1e-5, true)

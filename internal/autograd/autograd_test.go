@@ -146,9 +146,15 @@ func TestReshapeGrad(t *testing.T) {
 
 func TestConv2DGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	in := randVar(rng, 1, 2, 4, 4)
+	in := randVar(rng, 2, 2, 5, 5)
 	w := randVar(rng, 3, 2, 3, 3)
-	checkGrads(t, []*Variable{in, w}, func() *Variable { return Sum(Conv2D(in, w, 1, 1)) }, 2e-2)
+	b := randVar(rng, 3)
+	for _, stride := range []int{1, 2} {
+		checkGrads(t, []*Variable{in, w, b}, func() *Variable {
+			c := Conv2D(in, w, b, stride, 1)
+			return Sum(mul(c, c))
+		}, 2e-2)
+	}
 }
 
 func TestPoolGrads(t *testing.T) {

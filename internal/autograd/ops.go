@@ -1,6 +1,10 @@
 package autograd
 
-import "repro/internal/tensor"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // Add returns a + b elementwise.
 func Add(a, b *Variable) *Variable {
@@ -171,47 +175,127 @@ func Sum(a *Variable) *Variable {
 	}, a)
 }
 
-// AddChannel returns m + bias with bias [c] broadcast over a 4-D tensor
-// [n, c, h, w] (convolution bias addition).
-func AddChannel(m, bias *Variable) *Variable {
-	mv := m.Value
-	n, c := mv.Dims(0), mv.Dims(1)
-	spatial := mv.Size() / (n * c)
-	bv := bias.Value
-	out := mv.New(mv.Shape()...)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * spatial
-			bval := bv.Data()[ch]
-			for i := 0; i < spatial; i++ {
-				out.Data()[base+i] = mv.Data()[base+i] + bval
+// Conv2D is the 2-D cross-correlation of in [n, cin, h, w] with w
+// [cout, cin, kh, kw] at the given stride and zero padding, plus b
+// [cout] on every element of its output channel: [n, cout, oh, ow]. It
+// is a matrix product. The input is laid out as im2col rows, one per
+// output position (image, oy, ox) and one column per tap (ci, ky, kx),
+// a padded tap +0; tensor.MatMulTransB multiplies them by w viewed
+// [cout, cin·kh·kw], and the result is transposed into channels.
+// Every kernel starts an element at +0 and adds its rounded products in
+// ascending order, so an output element sums its taps in (ci, ky, kx)
+// order and a weight gradient element its positions in (image, oy, ox)
+// order: the sums of the direct loops, bit for bit (conv_ref_test.go
+// in tensor keeps them). The input gradient sums over cout first, so it
+// is re-associated. The rows are drawn from the pool and handed back
+// before the op returns; backward lays them out again.
+func Conv2D(in, w, b *Variable, stride, pad int) *Variable {
+	iv, wv := in.Value, w.Value
+	if iv.Dim() != 4 || wv.Dim() != 4 || iv.Dims(1) != wv.Dims(1) {
+		panic(fmt.Sprintf("tensor: Conv2D shapes %v, %v invalid", iv.Shape(), wv.Shape()))
+	}
+	c := conv{n: iv.Dims(0), cin: iv.Dims(1), h: iv.Dims(2), w: iv.Dims(3), kh: wv.Dims(2), kw: wv.Dims(3), stride: stride, pad: pad}
+	c.oh = (c.h+2*pad-c.kh)/stride + 1
+	c.ow = (c.w+2*pad-c.kw)/stride + 1
+	if c.oh <= 0 || c.ow <= 0 {
+		panic(fmt.Sprintf("tensor: Conv2D output %dx%d non-positive", c.oh, c.ow))
+	}
+	cout, k, rows, plane := wv.Dims(0), c.cin*c.kh*c.kw, c.n*c.oh*c.ow, c.oh*c.ow
+	wm := wv.Reshape(cout, k)
+	cols := c.im2col(iv)
+	prod := tensor.MatMulTransB(cols, wm)
+	cols.Release()
+	out := iv.New(c.n, cout, c.oh, c.ow)
+	od, bd := out.Data(), b.Value.Data()
+	transpose(od, prod.Data(), c.n, plane, cout)
+	prod.Release()
+	for lo := 0; lo < len(od); lo += plane {
+		bias := bd[lo/plane%cout]
+		for i := range od[lo : lo+plane] {
+			od[lo+i] += bias
+		}
+	}
+	return newOp("conv2d", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
+		grows := g.New(rows, cout)
+		transpose(grows.Data(), g.Data(), c.n, cout, plane)
+		var gin, gw, gb *tensor.Tensor
+		if req[1].need {
+			if gw = req[1].into; gw == nil {
+				gw = g.New(wv.Shape()...)
+			}
+			cols := c.im2col(iv)
+			tensor.MatMulTransAInto(gw.Reshape(cout, k), grows, cols)
+			cols.Release()
+		}
+		if req[2].need {
+			gb = sumRows(req[2].into, grows, cout)
+		}
+		if req[0].need {
+			gcols := tensor.MatMul(grows, wm)
+			gin = g.New(iv.Shape()...)
+			c.walk(gcols.Data(), gin.Data(), true)
+			gcols.Release()
+		}
+		grows.Release()
+		return []*tensor.Tensor{gin, gw, gb}
+	}, in, w, b)
+}
+
+// conv is the geometry of one Conv2D: input [n, cin, h, w], kernel
+// kh×kw, output oh×ow.
+type conv struct{ n, cin, h, w, kh, kw, oh, ow, stride, pad int }
+
+// im2col lays x out as Conv2D's rows, drawn from x's pool.
+func (c conv) im2col(x *tensor.Tensor) *tensor.Tensor {
+	cols := x.New(c.n*c.oh*c.ow, c.cin*c.kh*c.kw)
+	c.walk(cols.Data(), x.Data(), false)
+	return cols
+}
+
+// walk pairs the im2col rows cols with the input x they are laid out
+// from: for each output position and each (ci, ky), the taps that fall
+// inside x are one run in both. It copies each run from x into cols or,
+// with scatter (col2im), adds it from cols into x, position by
+// position. Padded taps are never touched.
+func (c conv) walk(cols, x []float32, scatter bool) {
+	k := c.cin * c.kh * c.kw
+	for row := range c.n * c.oh * c.ow {
+		img, oy, ox := row/(c.oh*c.ow), row/c.ow%c.oh, row%c.ow
+		x0 := ox*c.stride - c.pad
+		kx0, kx1 := max(0, -x0), min(c.kw, c.w-x0)
+		if kx0 >= kx1 {
+			continue
+		}
+		for ci := range c.cin {
+			for ky := range c.kh {
+				iy := oy*c.stride + ky - c.pad
+				if iy < 0 || iy >= c.h {
+					continue
+				}
+				xs := x[((img*c.cin+ci)*c.h+iy)*c.w+x0+kx0:][:kx1-kx0]
+				cs := cols[row*k+(ci*c.kh+ky)*c.kw+kx0:][:kx1-kx0]
+				if !scatter {
+					copy(cs, xs)
+					continue
+				}
+				for j, v := range cs {
+					xs[j] += v
+				}
 			}
 		}
 	}
-	return newOp("addChannel", out, func(g *tensor.Tensor, req []request) []*tensor.Tensor {
-		gb := zeroedInto(req[1].into, mv, c)
-		for b := 0; b < n; b++ {
-			for ch := 0; ch < c; ch++ {
-				base := (b*c + ch) * spatial
-				var s float32
-				for i := 0; i < spatial; i++ {
-					s += g.Data()[base+i]
-				}
-				gb.Data()[ch] += s
-			}
-		}
-		return []*tensor.Tensor{g, gb}
-	}, m, bias)
 }
 
-// Conv2D applies a 2-D convolution (see tensor.Conv2D).
-func Conv2D(in, w *Variable, stride, pad int) *Variable {
-	iv, wv := in.Value, w.Value
-	out := tensor.Conv2D(iv, wv, stride, pad)
-	return newOp("conv2d", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		gin, gw := tensor.Conv2DBackward(iv, wv, g, stride, pad)
-		return []*tensor.Tensor{gin, gw}
-	}, in, w)
+// transpose writes each of the n [r, c] blocks of src to dst as [c, r].
+func transpose(dst, src []float32, n, r, c int) {
+	for lo := 0; lo < n*r*c; lo += r * c {
+		s, d := src[lo:][:r*c], dst[lo:][:r*c]
+		for i := range r {
+			for j := range c {
+				d[j*r+i] = s[i*c+j]
+			}
+		}
+	}
 }
 
 // MaxPool2D applies 2x2/stride-2 max pooling.

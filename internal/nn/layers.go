@@ -57,9 +57,11 @@ func NewConv2d(rng *rand.Rand, name string, in, out, k, stride, pad int) *Conv2d
 	}
 }
 
-// Forward convolves x [n, in, h, w] producing [n, out, oh, ow].
+// Forward convolves x [n, in, h, w] and adds the bias, producing
+// [n, out, oh, ow]: one autograd.Conv2D, a matrix product over the
+// input's im2col rows.
 func (c *Conv2d) Forward(x *autograd.Variable) *autograd.Variable {
-	return autograd.AddChannel(autograd.Conv2D(x, c.W.Variable, c.Stride, c.Pad), c.B.Variable)
+	return autograd.Conv2D(x, c.W.Variable, c.B.Variable, c.Stride, c.Pad)
 }
 
 // Parameters returns [weight, bias].

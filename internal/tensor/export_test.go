@@ -25,3 +25,7 @@ func tileBodies(f func(body string)) {
 		f("avx512")
 	}
 }
+
+// TileBodies is tileBodies for the external tests, which run the ops
+// built over the kernels (conv_ref_test.go) under every body.
+var TileBodies = tileBodies

@@ -321,69 +321,6 @@ func TestElementwiseProperties(t *testing.T) {
 	}
 }
 
-func TestConv2DIdentityKernel(t *testing.T) {
-	in := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 1, 3, 3)
-	w := FromSlice([]float32{1}, 1, 1, 1, 1)
-	out := Conv2D(in, w, 1, 0)
-	if !out.Reshape(9).Equal(in.Reshape(9)) {
-		t.Fatalf("1x1 identity conv = %v", out)
-	}
-}
-
-func TestConv2DKnownValues(t *testing.T) {
-	// 2x2 sum kernel over a 3x3 input, stride 1, no padding.
-	in := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 1, 3, 3)
-	w := FromSlice([]float32{1, 1, 1, 1}, 1, 1, 2, 2)
-	out := Conv2D(in, w, 1, 0)
-	want := FromSlice([]float32{12, 16, 24, 28}, 1, 1, 2, 2)
-	if !out.Equal(want) {
-		t.Fatalf("Conv2D = %v, want %v", out, want)
-	}
-}
-
-func TestConv2DPaddingAndStride(t *testing.T) {
-	in := Ones(1, 1, 4, 4)
-	w := Ones(1, 1, 3, 3)
-	out := Conv2D(in, w, 2, 1)
-	if out.Dims(2) != 2 || out.Dims(3) != 2 {
-		t.Fatalf("output shape %v, want [1 1 2 2]", out.Shape())
-	}
-	// Corner position covers a 2x2 region of ones.
-	if out.At(0, 0, 0, 0) != 4 {
-		t.Fatalf("corner = %v, want 4", out.At(0, 0, 0, 0))
-	}
-}
-
-// Gradient check: conv backward matches numerical finite differences.
-func TestConv2DBackwardNumerical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	in := RandN(rng, 1, 1, 2, 4, 4)
-	w := RandN(rng, 1, 3, 2, 3, 3)
-	out := Conv2D(in, w, 1, 1)
-	gout := Ones(out.Shape()...)
-	gin, gw := Conv2DBackward(in, w, gout, 1, 1)
-
-	sumOut := func() float32 { return Sum(Conv2D(in, w, 1, 1)).Item() }
-	const eps = 1e-2
-	for _, check := range []struct {
-		t, g *Tensor
-		name string
-	}{{in, gin, "input"}, {w, gw, "weight"}} {
-		for _, i := range []int{0, 3, check.t.Size() - 1} {
-			orig := check.t.Data()[i]
-			check.t.Data()[i] = orig + eps
-			up := sumOut()
-			check.t.Data()[i] = orig - eps
-			down := sumOut()
-			check.t.Data()[i] = orig
-			num := (up - down) / (2 * eps)
-			if math.Abs(float64(num-check.g.Data()[i])) > 2e-2 {
-				t.Fatalf("%s grad[%d] = %v, numerical %v", check.name, i, check.g.Data()[i], num)
-			}
-		}
-	}
-}
-
 func TestMaxPool2DRoundTrip(t *testing.T) {
 	in := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1, 1, 4, 4)
 	out, arg := MaxPool2D(in)
