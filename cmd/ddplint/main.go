@@ -21,7 +21,7 @@
 // and counted in the summary. Pass package directory patterns (or
 // ./...) to narrow which packages' findings are reported; the whole
 // module is always loaded and analyzed, so cross-package types resolve
-// and callers counts every caller.
+// and reach walks from every root.
 package main
 
 import (
@@ -67,7 +67,7 @@ func main() {
 	}
 
 	// Every analyzer sees the whole module, so a module-wide rule counts
-	// callers outside the patterns; only findings in the patterns' packages
+	// uses outside the patterns; only findings in the patterns' packages
 	// are reported.
 	res := lint.Run(pkgs, lint.All())
 	var findings []lint.Finding

@@ -195,11 +195,14 @@ func Conv2D(in, w, b *Variable, stride, pad int) *Variable {
 		panic(fmt.Sprintf("tensor: Conv2D shapes %v, %v invalid", iv.Shape(), wv.Shape()))
 	}
 	c := conv{n: iv.Dims(0), cin: iv.Dims(1), h: iv.Dims(2), w: iv.Dims(3), kh: wv.Dims(2), kw: wv.Dims(3), stride: stride, pad: pad}
+	if stride < 1 {
+		panic(fmt.Sprintf("tensor: Conv2D stride %d below 1", stride))
+	}
+	if c.h+2*pad < c.kh || c.w+2*pad < c.kw {
+		panic(fmt.Sprintf("tensor: Conv2D kernel %dx%d larger than input %dx%d padded by %d", c.kh, c.kw, c.h, c.w, pad))
+	}
 	c.oh = (c.h+2*pad-c.kh)/stride + 1
 	c.ow = (c.w+2*pad-c.kw)/stride + 1
-	if c.oh <= 0 || c.ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2D output %dx%d non-positive", c.oh, c.ow))
-	}
 	cout, k, rows, plane := wv.Dims(0), c.cin*c.kh*c.kw, c.n*c.oh*c.ow, c.oh*c.ow
 	wm := wv.Reshape(cout, k)
 	cols := c.im2col(iv)
@@ -298,13 +301,12 @@ func transpose(dst, src []float32, n, r, c int) {
 	}
 }
 
-// MaxPool2D applies 2x2/stride-2 max pooling.
+// MaxPool2D applies 2x2/stride-2 max pooling. Backward finds each
+// window's largest element again in the input it keeps.
 func MaxPool2D(in *Variable) *Variable {
 	iv := in.Value
-	out, arg := tensor.MaxPool2D(iv)
-	shape := iv.Shape()
-	return newOp("maxpool2d", out, func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.MaxPool2DBackward(g, arg, shape)}
+	return newOp("maxpool2d", tensor.MaxPool2D(iv), func(g *tensor.Tensor, _ []request) []*tensor.Tensor {
+		return []*tensor.Tensor{tensor.MaxPool2DBackward(g, iv)}
 	}, in)
 }
 

@@ -1,4 +1,4 @@
-// Package lint is the project's static-analysis gate: eight analyzers
+// Package lint is the project's static-analysis gate: seven analyzers
 // encoding invariants that ordinary vet checks cannot see because they
 // are about THIS codebase's contracts — store error discipline,
 // collective/lock ordering, metric registration, cost models that price
@@ -6,7 +6,7 @@
 // transport call site, the one replica constructor, the one file that
 // broadcasts a module's tensors, ddptrain's one spawn site, and the ban
 // on the function-form 64-bit atomics), doc comments on what internal/
-// exports, code that no program reaches, and a caller for every export.
+// exports, and code that no program reaches, sets or names.
 // Span lifecycles need no analyzer: trace.Tracer.WithSpan,
 // the only way to open a root span, finishes it by construction. The
 // driver (cmd/ddplint) loads every package in the module with the pure
@@ -143,28 +143,30 @@
 // (testutil, testutil/leakcheck) is not, nor is a method or interface
 // method whose type is itself unreached (the type is the finding). With
 // no program root loaded (the fixtures of the other analyzers, or
-// ddplint -C benchmark) it reports nothing. An exception is a
+// ddplint -C benchmark) it reports nothing but Testing* names (below).
+// An exception is a
 // //ddplint:ignore reach pragma naming its reader on the declaration;
 // what the excused declaration reaches stays reached with it.
 //
-// callers — what internal/ exports, another package uses. It sees every
-// loaded package at once; benchmark/ counts as a caller because the
-// loader loads it. Two rows, and a ban:
+// The same walk answers the callers rows, whose findings carry the name
+// callers (a Rules entry of Reach, as a site rule's row names its
+// findings), from the uses it records:
 //
-//   - fields: an exported struct field of an exported type declared
-//     under internal/ needs a non-test file that sets it (a keyed or
-//     unkeyed composite literal, an assignment, an increment, or its
-//     address taken).
-//   - outside: in internal/comm, transport, reduce and store, an
-//     exported func or type that no non-test file outside its package
-//     names is a finding. Uses are type-checked, so an import alias
-//     counts and a comment does not.
-//   - an identifier starting with Testing in non-test code is a test-only
+//   - fields: an exported struct field of an exported type declared in a
+//     held package needs reached code that sets it (a keyed or unkeyed
+//     composite literal, an assignment, an increment, or its address
+//     taken), so a field whose only setter is itself unreached is a
+//     finding beside that setter.
+//   - outside: in internal/comm, transport, reduce and store, an exported
+//     func or type that reached code names only inside its package is a
+//     finding. Uses are type-checked, so an import alias counts and a
+//     comment does not; benchmark/ counts, its files being a root.
+//   - an identifier starting with Testing in the non-test code of any
+//     loaded package, with a program root loaded or not, is a test-only
 //     knob.
 //
-// A package no loaded package imports is not held to the rows. Every
-// other exception is a //ddplint:ignore callers pragma naming its
-// reader, in the package that declares the identifier.
+// Each exception is a //ddplint:ignore callers pragma naming its reader,
+// in the package that declares the identifier.
 //
 // The scope of a row is a package path suffix, so the fixtures of a
 // scoped row sit in directories that end in it
@@ -183,8 +185,11 @@
 // (TestSiteRulesHaveNoIdleSite; TestOneConstructorExemptions and
 // TestOneAlignExemption for those two rows), so no exemption outlives the code it
 // allowed. A module-wide analyzer's fixture is a directory of packages,
-// loaded together (testdata/callers_bad/{internal/lib,internal/comm,cmd/user},
-// testdata/reach_ok/{cmd/ddpbench,benchmark,internal/lib,internal/testonly}). Fixture packages import the real repro packages they lint
-// against — they type-check against the actual Store, Group and
-// metrics APIs, not stand-ins.
+// loaded together under a root (testdata/callers_bad/{cmd/ddpbench,
+// internal/lib,internal/comm}, testdata/reach_ok/{cmd/ddpbench,benchmark,
+// internal/lib,internal/testonly}). A seeded fixture is held to every
+// name its analyzer's findings carry, so callers_bad marks the reach
+// finding on the unreached setter too. Fixture packages import the real
+// repro packages they lint against — they type-check against the actual
+// Store, Group and metrics APIs, not stand-ins.
 package lint

@@ -70,7 +70,6 @@ func findingNames(analyzers []*Analyzer) map[string]bool {
 // All returns the full analyzer suite in deterministic order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Callers,
 		CostTwins,
 		ExportDoc,
 		LockedCollective,

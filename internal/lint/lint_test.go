@@ -98,11 +98,12 @@ func ruleAnalyzer(t *testing.T, name string) *Analyzer {
 }
 
 // TestAnalyzersOnFixtures drives every analyzer, and every row of the
-// site table, over its seeded-bad and clean fixtures, each the packages
-// at or under a directory: each //lint:want line must produce a finding
-// of that name, or of "pragma" for a pragma the analyzer leaves unused,
-// no such finding may appear on an unannotated line, and the clean
-// fixture must keep the analyzer silent.
+// site table and of reach's callers rows, over its seeded-bad and clean
+// fixtures, each the packages at or under a directory: for every name
+// the analyzer's findings carry, and "pragma" for a pragma it leaves
+// unused, each //lint:want line of that name must produce such a finding
+// and none may appear on an unannotated line, and the clean fixture must
+// keep the analyzer silent.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		analyzer string
@@ -131,7 +132,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				t.Fatalf("fixture %s has no //lint:want %s annotations", tc.bad, tc.analyzer)
 			}
 			findings := Run(pkgs, []*Analyzer{a}).Findings
-			for _, name := range []string{tc.analyzer, "pragma"} {
+			for name := range findingNames([]*Analyzer{a, {Name: "pragma"}}) {
 				want, got := wantLines(pkgs, name), map[site][]string{}
 				for _, f := range findings {
 					if f.Analyzer == name {

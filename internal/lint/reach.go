@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"maps"
+	"regexp"
 	"slices"
 	"strings"
 )
@@ -17,15 +18,29 @@ import (
 // calls it, or calls a method of that name through an interface that a
 // live type meets, where a live type is one reached code converts to an
 // interface; a method that meets an interface declared outside the module
-// (error, fmt.Stringer, a marshaler) counts when its type is live. With
-// no root program loaded it reports nothing. An exception is a
-// //ddplint:ignore reach pragma naming its reader; what the excused
-// declaration reaches is kept with it.
+// (error, fmt.Stringer, a marshaler) counts when its type is live. An
+// exception is a //ddplint:ignore reach pragma naming its reader; what the
+// excused declaration reaches is kept with it.
+//
+// The walk also answers the callers rows, from the uses it records: an
+// exported field of an exported type under internal/ that no reached code
+// sets is a knob only tests turn; in comm, transport, reduce and store an
+// exported func or type that no reached code outside its package names is
+// an export nothing needs. With no root program loaded neither reach nor
+// these rows report anything; an identifier starting with Testing in
+// non-test code is a test-only knob either way.
 var Reach = &Analyzer{
 	Name:   "reach",
-	Doc:    "every func, method, type, var and const under internal/ is reached from a program root (rapid type analysis)",
+	Doc:    "every func, method, type, var and const under internal/ is reached from a program root (rapid type analysis); callers: reached code sets every exported field and names comm, transport, reduce and store's exported funcs and types from outside; no Testing* knob in non-test code",
+	Rules:  []string{"callers"},
 	Module: runReach,
 }
+
+// outsideCallers are the packages whose exported funcs and types need a
+// caller outside the package.
+var outsideCallers = []string{"internal/comm", "internal/transport", "internal/reduce", "internal/store"}
+
+var testingKnob = regexp.MustCompile(`^Testing[A-Z]`)
 
 // rootKind is what of a root package starts the walk.
 type rootKind int
@@ -57,9 +72,10 @@ var reachRoots = []struct {
 }
 
 func runReach(pkgs []*Package) []Finding {
+	out := testingKnobs(pkgs)
 	r := newReacher(pkgs)
 	if !r.root(pkgs) {
-		return nil
+		return out
 	}
 	r.drain()
 	before := maps.Clone(r.reached)
@@ -71,15 +87,55 @@ func runReach(pkgs []*Package) []Finding {
 	for _, d := range r.candidates() {
 		if pragmas.suppresses(d.finding()) {
 			excused[d.obj] = true
-			r.mark(d.obj)
+			r.mark(d.obj, nil)
 		}
 	}
 	r.drain()
-	var out []Finding
 	for _, d := range r.candidates() {
 		if !r.reached[d.obj] || excused[d.obj] && !before[d.obj] {
 			out = append(out, d.finding())
 		}
+		out = append(out, r.callers(d)...)
+	}
+	return out
+}
+
+// testingKnobs are the callers findings on every identifier of the
+// loaded packages that starts with Testing.
+func testingKnobs(pkgs []*Package) []Finding {
+	var out []Finding
+	for _, pkg := range pkgs {
+		for _, ids := range []map[*ast.Ident]types.Object{pkg.Info.Defs, pkg.Info.Uses} {
+			for id := range ids {
+				if testingKnob.MatchString(id.Name) {
+					out = append(out, pkg.finding("callers", id, "%s is a test-only knob in non-test code; reach the seam from the test instead", id.Name))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// callers are d's findings of the callers rows: an exported field of an
+// exported type that no reached code sets, and in outsideCallers an
+// exported func or type that reached code names only in its package.
+func (r *reacher) callers(d decl) []Finding {
+	var out []Finding
+	report := func(obj types.Object, name, format string) {
+		out = append(out, Finding{Pos: d.pkg.Fset.Position(obj.Pos()), Analyzer: "callers", Message: fmt.Sprintf(format, d.pkg.Types.Name()+"."+name)})
+	}
+	tn, isType := d.obj.(*types.TypeName)
+	if st, ok := d.obj.Type().Underlying().(*types.Struct); ok && isType && !tn.IsAlias() && tn.Exported() {
+		for f := range st.Fields() {
+			if f.Exported() && !f.Embedded() && !r.sets[f] {
+				report(f, tn.Name()+"."+f.Name(), "%s is exported but no reached code sets it; delete the field")
+			}
+		}
+	}
+	_, isFunc := d.obj.(*types.Func)
+	if (isType || isFunc && recvOf(d.obj) == nil) && d.obj.Exported() && r.reached[d.obj] && !r.named[d.obj] &&
+		slices.ContainsFunc(outsideCallers, func(s string) bool { return hasPathSuffix(d.pkg.Path, s) }) {
+		report(d.obj, d.obj.Name(), "%s is exported but no reached code outside its package names it; unexport it")
 	}
 	return out
 }
@@ -94,6 +150,8 @@ type reacher struct {
 	lives    []*types.Named          // live types declared in the module
 	calls    map[string][]types.Type // interfaces reached code calls a method of, by its name
 	external map[string][]types.Type // interfaces declared outside the module, by method name
+	named    map[types.Object]bool   // named by reached code outside the object's package
+	sets     map[*types.Var]bool     // struct fields reached code sets
 }
 
 // decl is a package-level declaration: the object and its node.
@@ -115,7 +173,8 @@ func (d decl) finding() Finding {
 
 func newReacher(pkgs []*Package) *reacher {
 	r := &reacher{decls: map[types.Object]decl{}, held: map[*Package]bool{}, reached: map[types.Object]bool{},
-		live: map[types.Type]bool{}, calls: map[string][]types.Type{}, external: map[string][]types.Type{}}
+		live: map[types.Type]bool{}, calls: map[string][]types.Type{}, external: map[string][]types.Type{},
+		named: map[types.Object]bool{}, sets: map[*types.Var]bool{}}
 	imported := map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, d := range declsOf(pkg) {
@@ -274,7 +333,7 @@ func (r *reacher) root(pkgs []*Package) bool {
 			switch row.kind {
 			case rootProgram:
 				program = true
-				r.mark(pkg.Types.Scope().Lookup("main"))
+				r.mark(pkg.Types.Scope().Lookup("main"), nil)
 			case rootFiles:
 				for _, file := range pkg.Files {
 					r.walk(pkg, file)
@@ -282,7 +341,7 @@ func (r *reacher) root(pkgs []*Package) bool {
 			case rootExports:
 				for _, d := range declsOf(pkg) {
 					if d.obj.Exported() {
-						r.mark(d.obj)
+						r.mark(d.obj, nil)
 					}
 				}
 			}
@@ -297,13 +356,20 @@ func blank(s *ast.ValueSpec) bool {
 	return !slices.ContainsFunc(s.Names, func(id *ast.Ident) bool { return id.Name != "_" })
 }
 
-// mark reaches obj: its declaration is walked, and a method of an
-// interface dispatches to every live type that meets the interface.
-func (r *reacher) mark(obj types.Object) {
+// mark reaches obj, named by code of package by (nil where no code
+// names it): its declaration is walked, and a method of an interface
+// dispatches to every live type that meets the interface.
+func (r *reacher) mark(obj types.Object, by *types.Package) {
 	if fn, ok := obj.(*types.Func); ok {
 		obj = fn.Origin()
 	}
-	if obj == nil || r.reached[obj] {
+	if obj == nil {
+		return
+	}
+	if by != nil && by != obj.Pkg() {
+		r.named[obj] = true
+	}
+	if r.reached[obj] {
 		return
 	}
 	r.reached[obj] = true
@@ -324,7 +390,7 @@ func (r *reacher) dispatch(t *types.Named, iface types.Type, name string) {
 	ptr := types.NewPointer(t)
 	if types.Implements(ptr, iface.Underlying().(*types.Interface)) {
 		m, _, _ := types.LookupFieldOrMethod(ptr, true, t.Obj().Pkg(), name)
-		r.mark(m)
+		r.mark(m, nil)
 	}
 }
 
@@ -337,9 +403,11 @@ func (r *reacher) drain() {
 	}
 }
 
-// walk marks what node names and makes live what it converts to an
-// interface: an argument, an assigned, initial or returned value, or a
-// composite literal's element.
+// walk marks what node names, records the fields it sets (a keyed or
+// unkeyed literal's, a field assigned, incremented or whose address is
+// taken), and makes live what it converts to an interface: an argument,
+// an assigned, initial or returned value, or a composite literal's
+// element.
 func (r *reacher) walk(pkg *Package, node ast.Node) {
 	info := pkg.Info
 	var stack []ast.Node
@@ -353,14 +421,21 @@ func (r *reacher) walk(pkg *Package, node ast.Node) {
 		var values []ast.Expr
 		switch n := n.(type) {
 		case *ast.Ident:
-			r.mark(info.Uses[n])
+			r.mark(info.Uses[n], pkg.Types)
 		case *ast.CallExpr:
 			to, values = params(info, n), n.Args
 		case *ast.AssignStmt:
 			for _, e := range n.Lhs {
 				to = append(to, info.TypeOf(e))
+				r.set(info, e)
 			}
 			values = n.Rhs
+		case *ast.IncDecStmt:
+			r.set(info, n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				r.set(info, n.X)
+			}
 		case *ast.ValueSpec:
 			for range n.Names {
 				to = append(to, info.TypeOf(n.Type))
@@ -371,7 +446,11 @@ func (r *reacher) walk(pkg *Package, node ast.Node) {
 		case *ast.CompositeLit:
 			t := typeOf(info, n).Underlying()
 			for i, elt := range n.Elts {
-				to = append(to, slotType(info, t, i, elt))
+				field, slot := slotOf(info, t, i, elt)
+				if field != nil {
+					r.sets[field.Origin()] = true
+				}
+				to = append(to, slot)
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					elt = kv.Value
 				}
@@ -385,6 +464,27 @@ func (r *reacher) walk(pkg *Package, node ast.Node) {
 		}
 		return true
 	})
+}
+
+// typeOf is e's type, through one pointer: the T of an elided &T{}.
+func typeOf(info *types.Info, e ast.Expr) types.Type {
+	t := info.TypeOf(e)
+	if t == nil {
+		return types.Typ[types.Invalid]
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// set records the field e selects, if it selects one, as set.
+func (r *reacher) set(info *types.Info, e ast.Expr) {
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			r.sets[s.Obj().(*types.Var).Origin()] = true
+		}
+	}
 }
 
 // params are the types a call's arguments land in: a conversion's
@@ -420,19 +520,20 @@ func results(info *types.Info, stack []ast.Node) []types.Type {
 	return nil
 }
 
-// slotType is the type a literal of type t stores its i-th element elt
-// as.
-func slotType(info *types.Info, t types.Type, i int, elt ast.Expr) types.Type {
+// slotOf is where a literal of type t stores its i-th element elt: the
+// field, when t is a struct, and the type it is stored as.
+func slotOf(info *types.Info, t types.Type, i int, elt ast.Expr) (*types.Var, types.Type) {
 	switch t := t.(type) {
 	case *types.Struct:
+		f := t.Field(i)
 		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			return info.TypeOf(kv.Key)
+			f = info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
 		}
-		return t.Field(i).Type()
+		return f, f.Type()
 	case interface{ Elem() types.Type }:
-		return t.Elem()
+		return nil, t.Elem()
 	}
-	return nil
+	return nil, nil
 }
 
 // valueTypes lists the values' types; one multi-valued expression

@@ -1,7 +1,9 @@
-// Command user is the fixture's one program.
+// Command ddpbench is the fixture's root program.
 package main
 
 import (
+	"fmt"
+
 	"repro/internal/lint/testdata/callers_bad/internal/comm"
 	l "repro/internal/lint/testdata/callers_bad/internal/lib"
 )
@@ -10,4 +12,5 @@ func main() {
 	l.Run()
 	comm.Exported()
 	_ = l.Opts{Set: 1}
+	fmt.Println(l.Knob{}.Level)
 }

@@ -2,7 +2,7 @@
 // package alone calls is one too many.
 package comm
 
-// Exported is named by cmd/user.
+// Exported is named by cmd/ddpbench.
 func Exported() { helper() }
 
 // Helper is called only inside comm.

@@ -1,8 +1,8 @@
-// Package lib declares what the callers rule judges: its only non-test
-// reader is cmd/user.
+// Package lib declares what the callers rows judge: its only root is
+// cmd/ddpbench.
 package lib
 
-// Opts has a field the user sets and one nothing sets.
+// Opts has a field the root sets and one nothing sets.
 type Opts struct {
 	Set   int
 	Unset int //lint:want callers
@@ -17,3 +17,11 @@ func Run() {
 		TestingHook() //lint:want callers
 	}
 }
+
+// Knob is read by the root, and set only by code no root reaches.
+type Knob struct {
+	Level int //lint:want callers
+}
+
+// SetKnob is Knob.Level's only setter.
+func SetKnob(k *Knob) { k.Level = 1 } //lint:want reach

@@ -1,4 +1,4 @@
-// Command user is the fixture's one program.
+// Command ddpbench is the fixture's root program.
 package main
 
 import (

@@ -1,7 +1,7 @@
-// Package lib declares only what cmd/user uses.
+// Package lib declares only what cmd/ddpbench uses.
 package lib
 
-// Pair's fields are set by an unkeyed literal in cmd/user.
+// Pair's fields are set by an unkeyed literal in cmd/ddpbench.
 type Pair struct {
 	A, B int
 }

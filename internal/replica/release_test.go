@@ -380,10 +380,11 @@ var warmModels = []struct {
 	{"", func() nn.Module { return models.NewTinyTransformer(1, 128, 4, 512, 4) },
 		[]int{16, 128}, []int{16, 128}, 512 << 10, append(slices.Clone(releaseWrappers), fp16Wrappers...)},
 	// SmallCNN at 8 images of 1×12×12 a rank, under ddp, zero2 and
-	// zero3: 81–92 KB a step. 55 KB of it is MaxPool2D's []int argmax,
-	// a Go allocation (3 456 indices a rank). While Conv2D allocated
-	// its weight gradient beside the destination it was offered, these
-	// rows missed the pool 40 times over 10 steps.
+	// zero3: 25–37 KB a step, bounded a third above the largest. While
+	// MaxPool2D kept a []int argmax (3 456 indices a rank) these rows
+	// allocated 81–92 KB, and while Conv2D allocated its weight gradient
+	// beside the destination it was offered they missed the pool 40
+	// times over 10 steps.
 	{"/cnn", func() nn.Module { return models.NewSmallCNN(1, 1, 12, 10) },
-		[]int{8, 1, 12, 12}, []int{8, 10}, 128 << 10, releaseWrappers},
+		[]int{8, 1, 12, 12}, []int{8, 10}, 48 << 10, releaseWrappers},
 }

@@ -244,26 +244,33 @@ func TestConv2DPaddingAndStride(t *testing.T) {
 }
 
 // TestConv2DRejectsMalformedShapes checks that an input or kernel that
-// is not 4-D, mismatched channels and an output with no positions
-// panic, naming what is wrong.
+// is not 4-D, mismatched channels, a stride below 1 and a kernel larger
+// than its padded input panic, naming what is wrong. The output size
+// truncates toward zero, so a stride past the shortfall would otherwise
+// give a kernel larger than its input an output.
 func TestConv2DRejectsMalformedShapes(t *testing.T) {
 	for _, c := range []struct {
-		in, w, b []int
-		pad      int
-		want     string
+		in, w, b    []int
+		stride, pad int
+		want        string
 	}{
-		{[]int{1, 4, 4}, []int{1, 1, 3, 3}, []int{1}, 1, "tensor: Conv2D shapes [1 4 4], [1 1 3 3] invalid"},
-		{[]int{1, 2, 4, 4}, []int{1, 3, 3, 3}, []int{1}, 1, "tensor: Conv2D shapes [1 2 4 4], [1 3 3 3] invalid"},
-		{[]int{1, 1, 2, 2}, []int{1, 1, 5, 5}, []int{1}, 0, "tensor: Conv2D output -2x-2 non-positive"},
+		{[]int{1, 4, 4}, []int{1, 1, 3, 3}, []int{1}, 1, 1, "tensor: Conv2D shapes [1 4 4], [1 1 3 3] invalid"},
+		{[]int{1, 2, 4, 4}, []int{1, 3, 3, 3}, []int{1}, 1, 1, "tensor: Conv2D shapes [1 2 4 4], [1 3 3 3] invalid"},
+		{[]int{1, 1, 2, 2}, []int{1, 1, 5, 5}, []int{1}, 1, 0, "tensor: Conv2D kernel 5x5 larger than input 2x2 padded by 0"},
+		{[]int{1, 1, 2, 2}, []int{1, 1, 3, 3}, []int{1}, 2, 0, "tensor: Conv2D kernel 3x3 larger than input 2x2 padded by 0"},
+		{[]int{1, 1, 4, 2}, []int{1, 1, 3, 3}, []int{1}, 2, 0, "tensor: Conv2D kernel 3x3 larger than input 4x2 padded by 0"},
+		{[]int{1, 1, 1, 1}, []int{1, 1, 4, 4}, []int{1}, 3, 1, "tensor: Conv2D kernel 4x4 larger than input 1x1 padded by 1"},
+		{[]int{1, 1, 4, 4}, []int{1, 1, 3, 3}, []int{1}, 0, 1, "tensor: Conv2D stride 0 below 1"},
+		{[]int{1, 1, 4, 4}, []int{1, 1, 3, 3}, []int{1}, -1, 1, "tensor: Conv2D stride -1 below 1"},
 	} {
 		func() {
 			defer func() {
 				if r := fmt.Sprint(recover()); !strings.Contains(r, c.want) {
-					t.Errorf("Conv2D(%v, %v, %v) panicked with %q, want %q", c.in, c.w, c.b, r, c.want)
+					t.Errorf("Conv2D(%v, %v, %v, stride %d, pad %d) panicked with %q, want %q", c.in, c.w, c.b, c.stride, c.pad, r, c.want)
 				}
 			}()
 			autograd.Conv2D(autograd.Constant(tensor.New(c.in...)), autograd.Constant(tensor.New(c.w...)),
-				autograd.Constant(tensor.New(c.b...)), 1, c.pad)
+				autograd.Constant(tensor.New(c.b...)), c.stride, c.pad)
 		}()
 	}
 }

@@ -321,16 +321,31 @@ func TestElementwiseProperties(t *testing.T) {
 	}
 }
 
+// TestMaxPool2DRoundTrip pools a 5×4 input (its last row dropped) and
+// routes a gradient back: each window's first largest element, in
+// row-major order, takes its output's gradient; a tie goes to the first.
 func TestMaxPool2DRoundTrip(t *testing.T) {
-	in := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1, 1, 4, 4)
-	out, arg := MaxPool2D(in)
-	want := FromSlice([]float32{6, 8, 14, 16}, 1, 1, 2, 2)
-	if !out.Equal(want) {
+	in := FromSlice([]float32{
+		1, 2, 3, 4,
+		5, 6, 8, 8,
+		9, 10, 7, 7,
+		10, 10, 7, 7,
+		99, 99, 99, 99,
+	}, 1, 1, 5, 4)
+	out := MaxPool2D(in)
+	if want := FromSlice([]float32{6, 8, 10, 7}, 1, 1, 2, 2); !out.Equal(want) {
 		t.Fatalf("MaxPool2D = %v, want %v", out, want)
 	}
-	gin := MaxPool2DBackward(Ones(1, 1, 2, 2), arg, in.Shape())
-	if gin.At(0, 0, 1, 1) != 1 || gin.At(0, 0, 0, 0) != 0 {
-		t.Fatalf("MaxPool2DBackward = %v", gin)
+	gin := MaxPool2DBackward(FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2), in)
+	want := FromSlice([]float32{
+		0, 0, 0, 0,
+		0, 1, 2, 0,
+		0, 3, 4, 0,
+		0, 0, 0, 0,
+		0, 0, 0, 0,
+	}, 1, 1, 5, 4)
+	if !gin.Equal(want) {
+		t.Fatalf("MaxPool2DBackward = %v, want %v", gin, want)
 	}
 }
 
