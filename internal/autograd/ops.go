@@ -198,6 +198,9 @@ func Conv2D(in, w, b *Variable, stride, pad int) *Variable {
 	if stride < 1 {
 		panic(fmt.Sprintf("tensor: Conv2D stride %d below 1", stride))
 	}
+	if pad < 0 {
+		panic(fmt.Sprintf("tensor: Conv2D pad %d below 0", pad))
+	}
 	if c.h+2*pad < c.kh || c.w+2*pad < c.kw {
 		panic(fmt.Sprintf("tensor: Conv2D kernel %dx%d larger than input %dx%d padded by %d", c.kh, c.kw, c.h, c.w, pad))
 	}

@@ -226,7 +226,7 @@ func BenchmarkAllReduceDeepWorld(b *testing.B) {
 // saves a hop α and spends γ·n/2, so on a mesh whose hops are free
 // pair − twopass at the cutoff is the most the constant can cost, and
 // n* = 2α/γ is where it stops paying on a link whose hop costs α
-// (ARCHITECTURE.md has the numbers). Only the lanes whose pair path is
+// (CHANGES.md has the measured crossovers). Only the lanes whose pair path is
 // no slower at the cutoff take it (pairs).
 func BenchmarkRingPairCrossover(b *testing.B) {
 	lanes := []struct {

@@ -244,8 +244,8 @@ func TestConv2DPaddingAndStride(t *testing.T) {
 }
 
 // TestConv2DRejectsMalformedShapes checks that an input or kernel that
-// is not 4-D, mismatched channels, a stride below 1 and a kernel larger
-// than its padded input panic, naming what is wrong. The output size
+// is not 4-D, mismatched channels, a stride below 1, a pad below 0 and
+// a kernel larger than its padded input panic, naming what is wrong. The output size
 // truncates toward zero, so a stride past the shortfall would otherwise
 // give a kernel larger than its input an output.
 func TestConv2DRejectsMalformedShapes(t *testing.T) {
@@ -262,6 +262,7 @@ func TestConv2DRejectsMalformedShapes(t *testing.T) {
 		{[]int{1, 1, 1, 1}, []int{1, 1, 4, 4}, []int{1}, 3, 1, "tensor: Conv2D kernel 4x4 larger than input 1x1 padded by 1"},
 		{[]int{1, 1, 4, 4}, []int{1, 1, 3, 3}, []int{1}, 0, 1, "tensor: Conv2D stride 0 below 1"},
 		{[]int{1, 1, 4, 4}, []int{1, 1, 3, 3}, []int{1}, -1, 1, "tensor: Conv2D stride -1 below 1"},
+		{[]int{1, 1, 4, 4}, []int{1, 1, 1, 1}, []int{1}, 1, -1, "tensor: Conv2D pad -1 below 0"},
 	} {
 		func() {
 			defer func() {
